@@ -123,7 +123,7 @@ mod tests {
         let ws = Workspace::from_files(&[
             ("crates/cluster/src/fault.rs", ENUM),
             (
-                "crates/cluster/src/pair.rs",
+                "crates/cluster/src/controller.rs",
                 "fn t(&self) { f.check(CrashPoint::Orphan, m); fault_sever(CrashPoint::BeforeAck, x); }\n",
             ),
             (

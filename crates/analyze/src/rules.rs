@@ -24,7 +24,6 @@ const HOT_PATH_FILES: &[&str] = &[
     "connection.rs",
     "controller.rs",
     "machine.rs",
-    "pair.rs",
     "pool.rs",
     "recovery.rs",
     "worker.rs",

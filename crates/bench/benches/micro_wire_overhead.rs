@@ -1,5 +1,5 @@
 //! Wire-protocol overhead: the same TPC-W transaction stream driven
-//! through the in-process `PlatformConnection` vs a `NetClient` over a TCP
+//! through an in-process cluster `Connection` vs a `NetClient` over a TCP
 //! loopback session to the serving frontend.
 //!
 //! Both transports implement `Transport`, so the workload code is
@@ -63,7 +63,7 @@ fn main() {
 
     // In-process: the platform connection, no serving tier.
     let run_in_process =
-        |f: &dyn Fn(&tenantdb_platform::PlatformConnection, &IdCounters, Scale) -> f64| -> f64 {
+        |f: &dyn Fn(&tenantdb_cluster::Connection, &IdCounters, Scale) -> f64| -> f64 {
             let (system, scale) = wire_platform();
             let counters = wire_populate(&system, scale);
             let conn = system.connect(WIRE_DB, (0.0, 0.0)).expect("connect");

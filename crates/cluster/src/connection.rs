@@ -66,7 +66,7 @@ impl ActiveTxn {
     }
 }
 
-/// Fault-injection points inside `commit` (process-pair takeover tests).
+/// Fault-injection points inside `commit` (takeover tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitFault {
     /// No fault: the normal commit path.
@@ -507,7 +507,7 @@ impl Connection {
         self.commit_with_fault(CommitFault::None)
     }
 
-    /// Commit with an injected controller fault (process-pair tests).
+    /// Commit with an injected controller fault (takeover tests).
     pub fn commit_with_fault(&self, fault: CommitFault) -> Result<()> {
         let commit_started = Instant::now();
         let metrics = self.controller.metrics();

@@ -25,7 +25,7 @@ use tenantdb_storage::{EngineConfig, TxnId};
 
 use crate::connection::Connection;
 use crate::error::{ClusterError, Result};
-use crate::fault::FaultInjector;
+use crate::fault::{CrashPoint, FaultAction, FaultInjector};
 use crate::machine::{Machine, MachineId};
 use crate::meta::{AbortArbitration, ControllerGroup, CtrlStatus, DecisionLog};
 use crate::metrics::{ClusterMetrics, DbCounters, PoolMetrics};
@@ -140,6 +140,16 @@ pub struct CopyProgress {
     /// Database-level granularity: the whole database is read-locked for the
     /// duration, so every write is rejected.
     pub db_level: bool,
+}
+
+/// Result of [`ClusterController::takeover`].
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct TakeoverReport {
+    /// Decided transactions whose COMMIT the takeover completed.
+    pub completed: Vec<GTxn>,
+    /// In-doubt (prepared, undecided) local transactions aborted, as
+    /// (machine, count).
+    pub aborted_in_doubt: Vec<(MachineId, usize)>,
 }
 
 /// The cluster controller.
@@ -637,9 +647,86 @@ impl ClusterController {
     }
 
     /// Every unresolved 2PC decision with its unresolved participants —
-    /// the takeover work list (§2 process pairs).
+    /// the [`Self::takeover`] work list.
     pub fn decisions(&self) -> Vec<(GTxn, Vec<(MachineId, TxnId)>)> {
         self.group.decisions()
+    }
+
+    /// Clean up the transactions a dead 2PC coordinator left in transit —
+    /// the paper's §2 "process pair" takeover ("the backup ... cleans up
+    /// the transactions in transit as part of its take-over processing").
+    /// The pair's mirrored state is the replicated decision log (DESIGN.md
+    /// §12): a commit decision is quorum-durable *before* any COMMIT goes
+    /// to a participant, so whichever controller replica leads can:
+    ///
+    /// 1. **complete** every decided commit — participants are prepared and
+    ///    must not be left in doubt;
+    /// 2. **abort** every other prepared (in-doubt) local transaction on
+    ///    the live machines — no decision exists, so abort is the safe
+    ///    outcome.
+    ///
+    /// This is an explicit call, not an election side effect: in this
+    /// in-process model coordinators are client threads that *survive* a
+    /// controller-leader loss, and step 2 run on election would abort their
+    /// live in-flight transactions. Call it once the coordinators are gone
+    /// (clients then re-establish their connections).
+    pub fn takeover(&self) -> TakeoverReport {
+        let mut report = TakeoverReport::default();
+
+        for (gtxn, participants) in self.group.decisions() {
+            // Claim through the group before acting: a coordinator whose
+            // decision ack was lost may be arbitrating an abort tombstone
+            // concurrently, and the claim is the replicated point of no
+            // return it must observe. A false claim means the decision was
+            // arbitrated away — its prepared participants fall through to
+            // the in-doubt abort pass below. Without a quorum neither a
+            // claim nor a tombstone can commit, so trusting the mirrored
+            // read is safe.
+            if !self.group.claim_decision(gtxn).unwrap_or(true) {
+                continue;
+            }
+            for (machine, local) in participants {
+                let Ok(m) = self.machine(machine) else {
+                    continue;
+                };
+                // Crash point: a participant can die in the instant the
+                // takeover reaches for it — the commit below then fails
+                // like any other down-machine commit.
+                match self.faults.check(CrashPoint::TakeoverCommit, machine) {
+                    Some(FaultAction::Crash) => m.engine.crash(),
+                    Some(FaultAction::Delay(d)) => std::thread::sleep(d),
+                    None => {}
+                }
+                // Errors from an already-finished local transaction are
+                // ignored. A *down* participant is different: it still
+                // holds the transaction prepared in its WAL and must learn
+                // the decision when it restarts, so its entry stays
+                // unresolved in the replicated log (restart_machine
+                // resolves it) instead of being dropped here.
+                if m.engine.commit(local).is_ok() || !m.is_failed() {
+                    self.group.resolve_participant(gtxn, machine);
+                }
+            }
+            report.completed.push(gtxn);
+        }
+        report.completed.sort();
+
+        for machine in self.machines() {
+            if machine.is_failed() {
+                continue;
+            }
+            let aborted = machine
+                .engine
+                .in_doubt()
+                .into_iter()
+                .filter(|&txn| machine.engine.abort(txn).is_ok())
+                .count();
+            if aborted > 0 {
+                report.aborted_in_doubt.push((machine.id, aborted));
+            }
+        }
+        report.aborted_in_doubt.sort();
+        report
     }
 
     // -------------------------------------------------------- SLA registry
@@ -1071,5 +1158,97 @@ mod drop_tests {
         assert!(c.drop_database("gone").is_err(), "double drop");
         // The name can be reused.
         c.create_database("gone", 2).unwrap();
+    }
+}
+
+#[cfg(test)]
+mod takeover_tests {
+    use super::*;
+    use crate::connection::CommitFault;
+    use tenantdb_storage::Value;
+
+    fn cluster() -> Arc<ClusterController> {
+        let c = ClusterController::with_machines(ClusterConfig::for_tests(), 2);
+        c.create_database("app", 2).unwrap();
+        c.ddl(
+            "app",
+            "CREATE TABLE t (id INT NOT NULL, v TEXT, PRIMARY KEY (id))",
+        )
+        .unwrap();
+        c
+    }
+
+    #[test]
+    fn takeover_completes_decided_commit() {
+        let c = cluster();
+        let conn = c.connect("app").unwrap();
+        conn.begin().unwrap();
+        conn.execute("INSERT INTO t VALUES (1, 'decided')", &[])
+            .unwrap();
+        let gtxn = conn.current_gtxn().unwrap();
+        // The coordinator crashes after the decision, before sending COMMITs.
+        conn.commit_with_fault(CommitFault::CrashAfterDecision)
+            .unwrap();
+        assert_eq!(c.decisions().len(), 1);
+
+        let report = c.takeover();
+        assert_eq!(report.completed, vec![gtxn]);
+        assert!(c.decisions().is_empty());
+
+        // The write is durably committed on every replica.
+        for id in c.alive_replicas("app").unwrap() {
+            let m = c.machine(id).unwrap();
+            let t = m.engine.begin().unwrap();
+            assert_eq!(
+                m.engine.scan(t, "app", "t").unwrap().len(),
+                1,
+                "replica {id}"
+            );
+            m.engine.commit(t).unwrap();
+        }
+    }
+
+    #[test]
+    fn takeover_aborts_undecided_prepared_txns() {
+        let c = cluster();
+
+        // Manually drive a transaction to prepared-everywhere with no
+        // decision (as if the coordinator died between PREPARE and decision).
+        for id in c.alive_replicas("app").unwrap() {
+            let m = c.machine(id).unwrap();
+            let t = m.engine.begin().unwrap();
+            m.engine
+                .insert(
+                    t,
+                    "app",
+                    "t",
+                    vec![Value::Int(9), Value::Text("doomed".into())],
+                )
+                .unwrap();
+            m.engine.prepare(t).unwrap();
+        }
+
+        let report = c.takeover();
+        assert!(report.completed.is_empty());
+        assert_eq!(report.aborted_in_doubt.len(), 2);
+
+        // The write vanished everywhere.
+        for id in c.alive_replicas("app").unwrap() {
+            let m = c.machine(id).unwrap();
+            let t = m.engine.begin().unwrap();
+            assert_eq!(m.engine.scan(t, "app", "t").unwrap().len(), 0);
+            m.engine.commit(t).unwrap();
+        }
+    }
+
+    #[test]
+    fn takeover_on_clean_state_is_a_noop() {
+        let c = cluster();
+        let conn = c.connect("app").unwrap();
+        conn.execute("INSERT INTO t VALUES (1, 'x')", &[]).unwrap();
+        assert_eq!(c.takeover(), TakeoverReport::default());
+        // Committed data untouched.
+        let r = conn.execute("SELECT COUNT(*) FROM t", &[]).unwrap();
+        assert_eq!(r.rows[0][0], Value::Int(1));
     }
 }

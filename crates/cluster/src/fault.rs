@@ -61,7 +61,7 @@ pub const GEO: MachineId = MachineId(u32::MAX - 2);
 /// | `CommitAck` | `worker.rs` | after the local commit persisted, before the ack |
 /// | `CopyStart` | `recovery.rs` | before a database-level Algorithm-1 dump begins |
 /// | `CopyTable` | `recovery.rs` | before each table's dump in a table-level copy (one hit per table boundary) |
-/// | `TakeoverCommit` | `pair.rs` | before the backup controller completes one participant's decided commit |
+/// | `TakeoverCommit` | `controller.rs` | before `ClusterController::takeover` completes one participant's decided commit |
 /// | `PoolJob` | `pool.rs` | before a dequeued pool job runs (only `Delay` is honored) |
 /// | `NetAccept` | `net/server.rs` | after a TCP connection is accepted, before its session starts (a `Crash` drops the socket unserved) |
 /// | `NetFrameRead` | `net/server.rs` | after a request frame arrived, before it is dispatched |
@@ -105,8 +105,8 @@ pub enum CrashPoint {
     CopyStart,
     /// Before each table's dump in a table-level Algorithm-1 copy.
     CopyTable,
-    /// Before the backup controller completes one participant's decided
-    /// commit during process-pair takeover.
+    /// Before `ClusterController::takeover` completes one participant's
+    /// decided commit.
     TakeoverCommit,
     /// Before a dequeued pool job runs (only [`FaultAction::Delay`] is
     /// honored here; crashing a pool thread models nothing the paper has).

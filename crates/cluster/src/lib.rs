@@ -13,9 +13,10 @@
 //!   surviving replicas; lost replicas are re-created online by
 //!   [`recovery::recover_machine`] with Algorithm 1 routing writes around
 //!   the copy.
-//! * **Controller fault tolerance** (§2): [`pair::ProcessPair`] mirrors the
-//!   2PC decision log and demonstrates takeover (complete decided commits,
-//!   abort in-doubt transactions).
+//! * **Controller fault tolerance** (§2): the 2PC decision log is replicated
+//!   by the [`ControllerGroup`]; [`ClusterController::takeover`] is the
+//!   paper's process-pair takeover over it (complete decided commits, abort
+//!   in-doubt transactions).
 //!
 //! ```
 //! use tenantdb_cluster::{ClusterConfig, ClusterController};
@@ -49,7 +50,6 @@ pub mod fault;
 pub mod machine;
 pub mod meta;
 pub mod metrics;
-pub mod pair;
 pub mod pool;
 pub mod rebalance;
 pub mod recovery;
@@ -60,14 +60,14 @@ pub mod worker;
 
 pub use connection::{CommitFault, Connection};
 pub use controller::{
-    ClusterConfig, ClusterController, CopyProgress, Placement, ReadPolicy, WritePolicy,
+    ClusterConfig, ClusterController, CopyProgress, Placement, ReadPolicy, TakeoverReport,
+    WritePolicy,
 };
 pub use error::{ClusterError, Result};
 pub use fault::{CrashPoint, FaultAction, FaultInjector, FaultPlan, Trigger};
 pub use machine::{Machine, MachineId};
 pub use meta::{ControllerGroup, CtrlStatus};
 pub use metrics::{ClusterMetrics, DbCounters, PoolMetrics};
-pub use pair::{ProcessPair, Role, TakeoverReport};
 pub use pool::{PoolConfig, WorkerPool};
 pub use rebalance::{execute_rebalance, observed_demands, plan_rebalance, Move, RebalancePlan};
 pub use recovery::{

@@ -10,7 +10,6 @@
 //! connection (10..30)          outermost: held across routing + enqueue
 //!   └─ controller (100..130)   machine map, replicated metadata group
 //!        └─ metrics (150..155) per-db handle caches
-//!             └─ pair (200)    process-pair role
 //!                  └─ pool (300..310)       worker pools
 //!                       └─ worker (400..420) session mailbox/exec lanes
 //!                            └─ fault (450)  injector plans
@@ -71,9 +70,6 @@ pub static METRICS_SLA: LockClass = LockClass::new("cluster.metrics.sla", 152);
 
 /// `ClusterMetrics::read_routes` — resolve-once route-counter cache.
 pub static METRICS_READ_ROUTES: LockClass = LockClass::new("cluster.metrics.read_routes", 155);
-
-/// `ProcessPair::active` — which pair member serves traffic.
-pub static PAIR_ROLE: LockClass = LockClass::new("cluster.pair.role", 200);
 
 /// `PoolShared::state` — job queue + worker accounting (condvar mutex).
 pub static POOL_STATE: LockClass = LockClass::new("cluster.pool.state", 300);

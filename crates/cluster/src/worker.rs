@@ -113,7 +113,7 @@ pub enum SessionMsg {
     },
     /// Finish the session *without* touching its local transaction: used by
     /// the controller-crash fault injection, which must leave participants
-    /// prepared (the process-pair backup completes them on takeover).
+    /// prepared (`ClusterController::takeover` completes them).
     Detach,
 }
 

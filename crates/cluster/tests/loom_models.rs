@@ -5,11 +5,11 @@
 //!    `scheduled` flag): all messages a transaction sends to one machine
 //!    execute in arrival order, exactly once, with a single drainer at a
 //!    time — including when a `Detach` races ordinary sends.
-//! 2. **Pair takeover vs. crashes** (`connection.rs` decision logging +
-//!    `pair.rs` `takeover`): a 2PC transaction whose decision reached the
-//!    mirrored log is never lost, whether the coordinator crashes before
-//!    phase 2, the backup races the coordinator's own phase 2, or a
-//!    participant machine fails mid-takeover.
+//! 2. **Takeover vs. crashes** (`connection.rs` decision logging +
+//!    `ClusterController::takeover`): a 2PC transaction whose decision
+//!    reached the replicated log is never lost, whether the coordinator
+//!    crashes before phase 2, takeover races the coordinator's own phase 2,
+//!    or a participant machine fails mid-takeover.
 //!
 //! The models re-state each protocol over `tenantdb_loom` primitives (the
 //! production types use the ordered lockdep wrappers, which the checker
@@ -345,13 +345,13 @@ impl TwoPc {
     }
 
     /// The coordinator: decision point → (maybe crash) → phase 2 → log GC.
-    /// `crashed` is the pair-primary failure flag; checking it inside the
+    /// `crashed` is the coordinator failure flag; checking it inside the
     /// decision lock hold models "a dead primary decides nothing".
     fn coordinator(&self, crashed: &AtomicBool) -> Coord {
         {
             let mut log = self.log.lock();
             // ordering: Relaxed — loom is sequentially consistent; mirrors
-            // the cooperative fail_primary() handoff.
+            // the cooperative takeover handoff.
             if crashed.load(Ordering::Relaxed) {
                 return Coord::NotDecided;
             }
@@ -371,14 +371,14 @@ impl TwoPc {
         Coord::Applied
     }
 
-    /// `ProcessPair::takeover` step 1: drain the decision log, complete
+    /// `ClusterController::takeover` step 1: drain the decision log, complete
     /// decided commits, retain decisions whose participant is down.
     fn takeover(&self) {
         let decided = self.log.lock().take();
         if let Some(gtxn) = decided {
             if self.participant.commit().is_err() {
                 // Participant down: the decision must survive for restart
-                // recovery (`unresolved` re-insert in pair.rs).
+                // recovery (the entry stays unresolved in `takeover`).
                 *self.log.lock() = Some(gtxn);
             }
         }
@@ -419,7 +419,7 @@ fn takeover_races_phase_two() {
         let s2 = Arc::clone(&sys);
         let c2 = Arc::clone(&crashed);
         let backup = loom::thread::spawn(move || {
-            // fail_primary(): flip the role, then complete the log.
+            // The coordinator is declared dead, then takeover completes the log.
             // ordering: Relaxed — loom is sequentially consistent.
             c2.store(true, Ordering::Relaxed);
             s2.takeover();

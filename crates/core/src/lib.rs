@@ -3,10 +3,10 @@
 //! The top of the §2 hierarchy: a geo-distributed data platform presenting
 //! the illusion of one large fault-tolerant DBMS.
 //!
-//! * [`SystemController`] — routes clients to the nearest live colo, owns
-//!   the database directory and SLAs, and pumps asynchronous cross-colo
-//!   replication (strong guarantees inside a colo, bounded-loss disaster
-//!   recovery across colos).
+//! * [`SystemController`] — owns the database directory and SLAs and
+//!   routes clients to a database's primary colo. It moves no data: the DR
+//!   standby it reserves is fed by a `tenantdb-georep` WAL stream, and
+//!   [`SystemController::failover`] is the routing flip after a promote.
 //! * [`Colo`] / colo controller — clusters plus a free machine pool;
 //!   databases placed on the least-loaded cluster, machines within a
 //!   cluster chosen by SLA-driven First-Fit when a demand vector is known.
@@ -26,9 +26,6 @@
 //! conn.execute("INSERT INTO t VALUES (1)", &[]).unwrap();
 //! let r = conn.execute("SELECT COUNT(*) FROM t", &[]).unwrap();
 //! assert_eq!(r.rows[0][0], Value::Int(1));
-//!
-//! // Pump the asynchronous DR replication.
-//! platform.ship_all();
 //! ```
 
 pub mod colo;
@@ -37,4 +34,4 @@ pub mod system;
 
 pub use colo::{Colo, ColoId};
 pub use shard::{ShardedConnection, ShardedDatabase};
-pub use system::{CreateOptions, PlatformConfig, PlatformConnection, SystemController};
+pub use system::{CreateOptions, PlatformConfig, SystemController};

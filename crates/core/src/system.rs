@@ -1,23 +1,22 @@
 //! The system controller and the platform-level client API (§2).
 //!
-//! The system controller routes `connect()` calls to the geographically
-//! nearest live colo hosting the database, and maintains the asynchronous
-//! cross-colo replication used for disaster recovery: writes committed at
-//! the primary colo are shipped (with bounded lag) to a secondary colo in
-//! another location. Within a colo the guarantees are strong (synchronous
-//! replication + 2PC); across colos they are deliberately weaker — a colo
-//! failover can lose the unshipped tail, which the paper accepts for low
-//! latency.
+//! The system controller owns the database directory: it places a
+//! database's primary in the colo nearest its owner, reserves a standby in
+//! the nearest *other* colo, and routes `connect()` calls to whichever colo
+//! is currently primary. It moves no data. Within a colo the guarantees are
+//! strong (synchronous replication + 2PC); across colos the standby is fed
+//! asynchronously by a `tenantdb-georep` WAL stream the caller builds
+//! between `colo(primary).cluster_for(db)` and
+//! `colo(secondary).cluster_for(db)` — a colo failover can lose the
+//! unshipped tail, which the paper accepts for low latency.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use tenantdb_cluster::{ClusterConfig, ClusterError, Connection};
 use tenantdb_sla::{ResourceVector, Sla};
-use tenantdb_sql::{QueryResult, Statement};
-use tenantdb_storage::Value;
 
 use crate::colo::{Colo, ColoId};
 
@@ -59,7 +58,8 @@ pub struct CreateOptions {
     pub sla: Sla,
     /// Observed/estimated resource demand, enabling SLA-driven placement.
     pub demand: Option<ResourceVector>,
-    /// Create an asynchronous disaster-recovery replica in a second colo.
+    /// Reserve and place a disaster-recovery standby in a second colo (fed
+    /// by a `tenantdb-georep` stream; see [`SystemController::secondary_colo`]).
     pub cross_colo: bool,
 }
 
@@ -74,25 +74,20 @@ impl Default for CreateOptions {
     }
 }
 
-/// One captured statement with its parameters, ready to replay at the
-/// secondary colo.
-type ShipItem = (Arc<Statement>, Arc<Vec<Value>>);
-
+#[derive(Clone, Copy)]
 struct DbEntry {
     primary: ColoId,
     secondary: Option<ColoId>,
     sla: Sla,
-    /// Committed-but-unshipped write batches (one entry per transaction).
-    ship_queue: Mutex<VecDeque<Vec<ShipItem>>>,
 }
 
 /// The system controller: the top of the §2 hierarchy.
 pub struct SystemController {
     colos: Vec<Arc<Colo>>,
-    directory: RwLock<HashMap<String, Arc<DbEntry>>>,
+    directory: RwLock<HashMap<String, DbEntry>>,
     /// Additional metric registries included in [`Self::render_metrics`]:
-    /// serving frontends (tenantdb-net servers) register theirs here so one
-    /// scrape covers the platform and its network tier.
+    /// serving frontends and georep links register theirs here so one
+    /// scrape covers the platform, its network tier and its DR streams.
     extra_metrics: RwLock<Vec<(String, Arc<tenantdb_obs::MetricsRegistry>)>>,
 }
 
@@ -155,7 +150,7 @@ impl SystemController {
         let secondary = if opts.cross_colo {
             match self.nearest_colo(owner_location, Some(primary.id)) {
                 Some(colo) => {
-                    // The DR copy is a single asynchronous replica.
+                    // The DR standby is a single replica.
                     colo.create_database(name, 1, opts.demand)?;
                     Some(colo.id)
                 }
@@ -166,12 +161,11 @@ impl SystemController {
         };
         self.directory.write().insert(
             name.to_string(),
-            Arc::new(DbEntry {
+            DbEntry {
                 primary: primary.id,
                 secondary,
                 sla: opts.sla,
-                ship_queue: Mutex::new(VecDeque::new()),
-            }),
+            },
         );
         Ok(primary.id)
     }
@@ -184,24 +178,30 @@ impl SystemController {
         self.directory.read().get(db).map(|e| e.primary)
     }
 
+    /// The colo holding `db`'s DR standby, if one was reserved at creation
+    /// and no failover has consumed it. A georep link runs from
+    /// `colo(primary_colo).cluster_for(db)` to this colo's `cluster_for(db)`.
     pub fn secondary_colo(&self, db: &str) -> Option<ColoId> {
         self.directory.read().get(db).and_then(|e| e.secondary)
+    }
+
+    fn entry(&self, db: &str) -> Result<DbEntry, ClusterError> {
+        self.directory
+            .read()
+            .get(db)
+            .copied()
+            .ok_or_else(|| ClusterError::NoSuchDatabase(db.to_string()))
     }
 
     /// Connect to a database (§2 API point 2). Routed to the primary colo's
     /// hosting cluster; `client_location` is used only to pick among
     /// replicas of equal standing (here: validation + future use).
     pub fn connect(
-        self: &Arc<Self>,
+        &self,
         db: &str,
         _client_location: (f64, f64),
-    ) -> Result<PlatformConnection, ClusterError> {
-        let entry = self
-            .directory
-            .read()
-            .get(db)
-            .cloned()
-            .ok_or_else(|| ClusterError::NoSuchDatabase(db.to_string()))?;
+    ) -> Result<Connection, ClusterError> {
+        let entry = self.entry(db)?;
         let colo = self
             .colo(entry.primary)
             .filter(|c| !c.is_failed())
@@ -209,109 +209,21 @@ impl SystemController {
         let cluster = colo
             .cluster_for(db)
             .ok_or_else(|| ClusterError::NoSuchDatabase(db.to_string()))?;
-        let inner = cluster.connect(db)?;
-        Ok(PlatformConnection {
-            system: Arc::clone(self),
-            entry,
-            db: db.to_string(),
-            inner,
-            pending: Mutex::new(Vec::new()),
-        })
+        cluster.connect(db)
     }
 
-    /// Ship every queued write batch of `db` to its secondary colo. Returns
-    /// the number of transactions shipped. This is the asynchronous
-    /// replication pump; call it periodically (or via
-    /// [`SystemController::ship_all`]).
-    pub fn ship(&self, db: &str) -> Result<usize, ClusterError> {
-        let entry = self
-            .directory
-            .read()
-            .get(db)
-            .cloned()
-            .ok_or_else(|| ClusterError::NoSuchDatabase(db.to_string()))?;
-        let Some(secondary) = entry.secondary else {
-            return Ok(0);
-        };
-        let Some(colo) = self.colo(secondary).filter(|c| !c.is_failed()) else {
-            return Ok(0);
-        };
-        let cluster = colo
-            .cluster_for(db)
-            .ok_or_else(|| ClusterError::NoSuchDatabase(db.to_string()))?;
-        let conn = cluster.connect(db)?;
-        let mut shipped = 0;
-        loop {
-            let Some(batch) = entry.ship_queue.lock().pop_front() else {
-                break;
-            };
-            let is_ddl = |s: &Statement| {
-                matches!(
-                    s,
-                    Statement::CreateTable { .. } | Statement::CreateIndex { .. }
-                )
-            };
-            if batch.iter().any(|(s, _)| is_ddl(s)) {
-                // DDL ships auto-committed (it is never mixed into a client
-                // transaction batch in the first place).
-                for (stmt, params) in &batch {
-                    conn.execute_parsed(stmt, Arc::clone(params))?;
-                }
-            } else {
-                conn.begin()?;
-                for (stmt, params) in &batch {
-                    conn.execute_parsed(stmt, Arc::clone(params))?;
-                }
-                conn.commit()?;
-            }
-            shipped += 1;
-        }
-        Ok(shipped)
-    }
-
-    /// Ship every database's queue.
-    pub fn ship_all(&self) -> usize {
-        let dbs: Vec<String> = self.directory.read().keys().cloned().collect();
-        dbs.iter().map(|db| self.ship(db).unwrap_or(0)).sum()
-    }
-
-    /// Transactions committed at the primary but not yet shipped (the data
-    /// a disaster would lose right now).
-    pub fn replication_lag(&self, db: &str) -> usize {
-        self.directory
-            .read()
-            .get(db)
-            .map(|e| e.ship_queue.lock().len())
-            .unwrap_or(0)
-    }
-
-    /// Disaster failover: promote the secondary colo to primary for `db`.
-    /// Unshipped transactions are lost (returned as the loss count) — the
-    /// §2 trade-off of asynchronous cross-colo replication.
-    pub fn failover(&self, db: &str) -> Result<usize, ClusterError> {
-        let dir = self.directory.read();
+    /// Disaster failover, the routing half: point `db`'s directory entry at
+    /// its secondary colo (returned), so new `connect()` calls land there.
+    /// Call it after `tenantdb_georep::promote` has fenced the old primary
+    /// and opened the standby; the standby slot is consumed.
+    pub fn failover(&self, db: &str) -> Result<ColoId, ClusterError> {
+        let mut dir = self.directory.write();
         let entry = dir
-            .get(db)
-            .cloned()
+            .get_mut(db)
             .ok_or_else(|| ClusterError::NoSuchDatabase(db.to_string()))?;
-        drop(dir);
-        let secondary = entry.secondary.ok_or(ClusterError::NoMachines)?;
-        let lost = entry.ship_queue.lock().len();
-        entry.ship_queue.lock().clear();
-        let new_entry = Arc::new(DbEntry {
-            primary: secondary,
-            secondary: None,
-            sla: entry.sla,
-            ship_queue: Mutex::new(VecDeque::new()),
-        });
-        self.directory.write().insert(db.to_string(), new_entry);
-        Ok(lost)
-    }
-
-    fn enqueue_batch(&self, entry: &DbEntry, batch: Vec<ShipItem>) {
-        if entry.secondary.is_some() && !batch.is_empty() {
-            entry.ship_queue.lock().push_back(batch);
-        }
+        let secondary = entry.secondary.take().ok_or(ClusterError::NoMachines)?;
+        entry.primary = secondary;
+        Ok(secondary)
     }
 
     /// Platform-wide metrics scrape: every cluster's text exposition,
@@ -332,16 +244,16 @@ impl SystemController {
             }
         }
         for (label, reg) in self.extra_metrics.read().iter() {
-            let _ = writeln!(out, "# ==== net ({label})");
+            let _ = writeln!(out, "# ==== {label}");
             out.push_str(&reg.render_text());
         }
         out
     }
 
     /// Include an external metric registry in [`Self::render_metrics`]
-    /// scrapes under a `# ==== net (<label>)` header. Used by serving
-    /// frontends (tenantdb-net) so wire metrics appear alongside the
-    /// clusters they front.
+    /// scrapes under a `# ==== <label>` header. Serving frontends pass
+    /// `net <addr>`, georep links `georep <db>`, so wire and DR metrics
+    /// appear alongside the clusters they front.
     pub fn register_metrics_source(
         &self,
         label: impl Into<String>,
@@ -358,7 +270,7 @@ impl SystemController {
         db: &str,
         window: std::time::Duration,
     ) -> Option<tenantdb_sla::Compliance> {
-        let entry = self.directory.read().get(db).cloned()?;
+        let entry = self.entry(db).ok()?;
         let colo = self.colo(entry.primary).filter(|c| !c.is_failed())?;
         let cluster = colo.cluster_for(db)?;
         Some(cluster.sla_compliance(db, &entry.sla, window))
@@ -370,97 +282,10 @@ fn dist(a: (f64, f64), b: (f64, f64)) -> f64 {
     (dx * dx + dy * dy).sqrt()
 }
 
-/// A platform-level connection: wraps a cluster connection at the primary
-/// colo and captures committed write statements for asynchronous shipping
-/// to the DR colo.
-pub struct PlatformConnection {
-    system: Arc<SystemController>,
-    entry: Arc<DbEntry>,
-    db: String,
-    inner: Connection,
-    pending: Mutex<Vec<ShipItem>>,
-}
-
-impl PlatformConnection {
-    pub fn database(&self) -> &str {
-        &self.db
-    }
-
-    pub fn begin(&self) -> Result<(), ClusterError> {
-        self.pending.lock().clear();
-        self.inner.begin()
-    }
-
-    pub fn execute(&self, sql: &str, params: &[Value]) -> Result<QueryResult, ClusterError> {
-        let stmt = Arc::new(tenantdb_sql::parse(sql)?);
-        let params = Arc::new(params.to_vec());
-        let implicit = !self.inner.in_txn();
-        let r = self.inner.execute_parsed(&stmt, Arc::clone(&params))?;
-        let is_write = matches!(
-            *stmt,
-            Statement::Insert { .. }
-                | Statement::Update { .. }
-                | Statement::Delete { .. }
-                | Statement::CreateTable { .. }
-                | Statement::CreateIndex { .. }
-        );
-        if is_write {
-            if implicit {
-                // Auto-committed write: ship as its own batch.
-                self.system.enqueue_batch(&self.entry, vec![(stmt, params)]);
-            } else {
-                self.pending.lock().push((stmt, params));
-            }
-        }
-        Ok(r)
-    }
-
-    pub fn commit(&self) -> Result<(), ClusterError> {
-        self.inner.commit()?;
-        let batch = std::mem::take(&mut *self.pending.lock());
-        self.system.enqueue_batch(&self.entry, batch);
-        Ok(())
-    }
-
-    pub fn rollback(&self) -> Result<(), ClusterError> {
-        self.pending.lock().clear();
-        self.inner.rollback()
-    }
-
-    /// The underlying cluster connection (advanced use).
-    pub fn cluster_connection(&self) -> &Connection {
-        &self.inner
-    }
-}
-
-/// Platform connections are a [`Transport`](tenantdb_cluster::Transport):
-/// workload drivers generic over the trait run identically against a
-/// cluster connection, a platform connection, or the TCP client.
-impl tenantdb_cluster::Transport for PlatformConnection {
-    fn begin(&self) -> Result<(), ClusterError> {
-        PlatformConnection::begin(self)
-    }
-
-    fn execute(&self, sql: &str, params: &[Value]) -> Result<QueryResult, ClusterError> {
-        PlatformConnection::execute(self, sql, params)
-    }
-
-    fn commit(&self) -> Result<(), ClusterError> {
-        PlatformConnection::commit(self)
-    }
-
-    fn rollback(&self) -> Result<(), ClusterError> {
-        PlatformConnection::rollback(self)
-    }
-
-    fn in_txn(&self) -> bool {
-        self.inner.in_txn()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tenantdb_storage::Value;
 
     const WEST: (f64, f64) = (0.0, 0.0);
     const EAST: (f64, f64) = (100.0, 0.0);
@@ -503,72 +328,6 @@ mod tests {
             .execute("SELECT body FROM n WHERE id = 1", &[])
             .unwrap();
         assert_eq!(r.rows[0][0], Value::from("hello"));
-    }
-
-    #[test]
-    fn async_replication_ships_committed_writes() {
-        let p = platform();
-        p.create_database("app", WEST, CreateOptions::default())
-            .unwrap();
-        let conn = p.connect("app", WEST).unwrap();
-        conn.execute(
-            "CREATE TABLE t (id INT NOT NULL, v TEXT, PRIMARY KEY (id))",
-            &[],
-        )
-        .unwrap();
-        conn.begin().unwrap();
-        conn.execute("INSERT INTO t VALUES (1, 'a')", &[]).unwrap();
-        conn.execute("INSERT INTO t VALUES (2, 'b')", &[]).unwrap();
-        conn.commit().unwrap();
-        // DDL batch + one txn batch queued.
-        assert!(p.replication_lag("app") >= 1);
-        let shipped = p.ship("app").unwrap();
-        assert!(shipped >= 1);
-        assert_eq!(p.replication_lag("app"), 0);
-        // The secondary colo now has the rows.
-        let east = p.colo(ColoId(1)).unwrap();
-        let cluster = east.cluster_for("app").unwrap();
-        let c2 = cluster.connect("app").unwrap();
-        let r = c2.execute("SELECT COUNT(*) FROM t", &[]).unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(2));
-    }
-
-    #[test]
-    fn rolled_back_writes_are_not_shipped() {
-        let p = platform();
-        p.create_database("app", WEST, CreateOptions::default())
-            .unwrap();
-        let conn = p.connect("app", WEST).unwrap();
-        conn.execute("CREATE TABLE t (id INT NOT NULL, PRIMARY KEY (id))", &[])
-            .unwrap();
-        let base = p.replication_lag("app");
-        conn.begin().unwrap();
-        conn.execute("INSERT INTO t VALUES (1)", &[]).unwrap();
-        conn.rollback().unwrap();
-        assert_eq!(p.replication_lag("app"), base, "aborted txn must not ship");
-    }
-
-    #[test]
-    fn colo_failover_loses_only_unshipped_tail() {
-        let p = platform();
-        p.create_database("app", WEST, CreateOptions::default())
-            .unwrap();
-        let conn = p.connect("app", WEST).unwrap();
-        conn.execute("CREATE TABLE t (id INT NOT NULL, PRIMARY KEY (id))", &[])
-            .unwrap();
-        conn.execute("INSERT INTO t VALUES (1)", &[]).unwrap();
-        p.ship("app").unwrap();
-        // One more committed txn that never ships.
-        conn.execute("INSERT INTO t VALUES (2)", &[]).unwrap();
-        // Disaster strikes the west colo.
-        p.colo(ColoId(0)).unwrap().fail();
-        let lost = p.failover("app").unwrap();
-        assert_eq!(lost, 1, "exactly the unshipped tail is lost");
-        assert_eq!(p.primary_colo("app"), Some(ColoId(1)));
-        // Clients reconnect and see the shipped prefix.
-        let conn2 = p.connect("app", WEST).unwrap();
-        let r = conn2.execute("SELECT COUNT(*) FROM t", &[]).unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(1));
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! * **Reactors** own all socket I/O. On readability they pump bytes into
 //!   the connection's read buffer, decode complete frames, answer `Ping`
 //!   and self-contained read-only units inline when nothing is queued
-//!   ahead (see [`ServerConfig::inline_read_only`]), and hand everything
-//!   else to the executor queue. On writability they flush the
-//!   connection's reply outbox. Registration changes arrive over a
-//!   per-reactor inbox + waker, so the poller needs no locking.
+//!   ahead (worst case one bounded S-lock timeout on the reactor), and
+//!   hand everything else to the executor queue. On writability they
+//!   flush the connection's reply outbox. Registration changes arrive over
+//!   a per-reactor inbox + waker, so the poller needs no locking.
 //! * **Executors** run SQL. One executor owns a connection at a time (the
 //!   `scheduled` flag), pops pending requests strictly in order, executes
 //!   them against the platform connection *without* holding the
@@ -50,9 +50,9 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use tenantdb_cluster::fault::{self, CrashPoint, FaultAction, FaultInjector};
-use tenantdb_cluster::{BatchMode, BatchStmt, ClusterError};
+use tenantdb_cluster::{BatchMode, BatchStmt, ClusterError, Connection};
 use tenantdb_obs::MetricsRegistry;
-use tenantdb_platform::{PlatformConnection, SystemController};
+use tenantdb_platform::SystemController;
 
 use crate::reactor::{Event, Poller, TimerEntry, TimerWheel, Token, Waker, WakerRx, READ, WRITE};
 use crate::sync::{
@@ -89,10 +89,6 @@ pub struct ServerConfig {
     /// Sessions idle (no frame, not in a transaction) longer than this are
     /// reaped.
     pub idle_timeout: Duration,
-    /// Legacy knob from the thread-per-connection server's reap scanner.
-    /// The timer wheel reaps per-connection deadlines directly; this value
-    /// is no longer read, but stays so existing configs keep compiling.
-    pub reap_interval: Duration,
     /// How long [`Server::shutdown`] waits for sessions to drain before
     /// force-closing their sockets.
     pub drain_timeout: Duration,
@@ -110,12 +106,6 @@ pub struct ServerConfig {
     /// read interest is paused (slow-reader backpressure) until the peer
     /// drains.
     pub write_buffer: usize,
-    /// Execute read-only requests (a `SELECT` query, a whole-txn batch of
-    /// only selects) inline on the reactor when nothing is queued ahead,
-    /// skipping the executor handoff. Worst case an inline read waits out
-    /// one bounded S-lock timeout on the reactor; disable under heavy
-    /// cross-session write contention.
-    pub inline_read_only: bool,
 }
 
 impl Default for ServerConfig {
@@ -125,7 +115,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(300),
-            reap_interval: Duration::from_millis(250),
             drain_timeout: Duration::from_secs(5),
             reactor_threads: std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -134,7 +123,6 @@ impl Default for ServerConfig {
             executor_threads: 4,
             pipeline_depth: 128,
             write_buffer: 256 * 1024,
-            inline_read_only: true,
         }
     }
 }
@@ -213,7 +201,7 @@ struct ConnState {
     /// Established at handshake. Executors clone the Arc out and execute
     /// without the state lock; the *last* clone to drop rolls back any
     /// open transaction.
-    platform: Option<Arc<PlatformConnection>>,
+    platform: Option<Arc<Connection>>,
     /// Inbound bytes not yet forming a complete frame.
     rbuf: Vec<u8>,
     /// When the current partial frame started (read deadline base).
@@ -236,6 +224,13 @@ struct ConnState {
     last_activity: Instant,
     /// Bumped on every deadline (re-)arm; stale wheel entries are dropped.
     deadline_gen: u64,
+}
+
+impl ConnState {
+    /// Is the session inside an open transaction?
+    fn in_txn(&self) -> bool {
+        self.platform.as_ref().is_some_and(|p| p.in_txn())
+    }
 }
 
 /// One connection: socket plus reactor bookkeeping. The slot guard inside
@@ -1073,7 +1068,7 @@ impl Reactor {
     /// pending queue for the executor pool.
     fn dispatch(&mut self, conn: &Arc<Conn>, frame: Frame, started: Instant) {
         let mut enqueue = false;
-        let mut run_inline: Option<(Frame, Arc<PlatformConnection>)> = None;
+        let mut run_inline: Option<(Frame, Arc<Connection>)> = None;
         {
             let mut st = conn.state.lock();
             if st.closing {
@@ -1097,7 +1092,7 @@ impl Reactor {
                     .hot
                     .record_frame(&self.shared.metrics, "ping", started);
                 st.last_activity = Instant::now();
-            } else if nothing_ahead && self.shared.cfg.inline_read_only && inline_safe(&frame) {
+            } else if nothing_ahead && inline_safe(&frame) {
                 if let Some(p) = st.platform.clone() {
                     st.busy = true;
                     run_inline = Some((frame, p));
@@ -1131,7 +1126,7 @@ impl Reactor {
         conn: &Arc<Conn>,
         frame: Frame,
         started: Instant,
-        platform: &PlatformConnection,
+        platform: &Connection,
     ) {
         let kind = frame.kind();
         // §4 SLA admission: refuse new-transaction work for an over-rate
@@ -1325,12 +1320,7 @@ impl Reactor {
                 DeadlineKind::Idle => {
                     // Busy or in-transaction sessions are never idle-reaped
                     // (idle-in-transaction is the txn timeout's job).
-                    let in_txn = st
-                        .platform
-                        .as_ref()
-                        .map(|p| p.cluster_connection().in_txn())
-                        .unwrap_or(false);
-                    if st.scheduled || st.busy || in_txn {
+                    if st.scheduled || st.busy || st.in_txn() {
                         st.last_activity = now; // re-base the idle clock
                         st.deadline_gen += 1;
                         let (d, _) = effective_deadline(&self.shared.cfg, &st, now);
@@ -1375,12 +1365,7 @@ impl Reactor {
         for conn in candidates {
             let retire = {
                 let st = conn.state.lock();
-                let in_txn = st
-                    .platform
-                    .as_ref()
-                    .map(|p| p.cluster_connection().in_txn())
-                    .unwrap_or(false);
-                !in_txn && !st.scheduled && st.pending.is_empty() && st.outbox.is_empty()
+                !st.in_txn() && !st.scheduled && st.pending.is_empty() && st.outbox.is_empty()
             };
             if retire {
                 self.teardown(&conn);
@@ -1521,11 +1506,7 @@ fn list_sessions(shared: &Shared) -> Vec<ConnInfo> {
                 id: c.id,
                 db: st.db.clone(),
                 peer: c.peer.clone(),
-                in_txn: st
-                    .platform
-                    .as_ref()
-                    .map(|p| p.cluster_connection().in_txn())
-                    .unwrap_or(false),
+                in_txn: st.in_txn(),
                 busy: st.busy,
                 idle_ms: st.last_activity.elapsed().as_millis() as u64,
             }
@@ -1580,17 +1561,9 @@ fn serve_conn(shared: &Shared, conn: &Arc<Conn>) {
                     st.scheduled = false;
                     // Graceful drain: an idle, transaction-free session
                     // retires at this frame boundary.
-                    if shared.is_shutdown() {
-                        let in_txn = st
-                            .platform
-                            .as_ref()
-                            .map(|p| p.cluster_connection().in_txn())
-                            .unwrap_or(false);
-                        if !in_txn && st.outbox.is_empty() {
-                            drop(st);
-                            shared.reactors[conn.reactor].send(Msg::Close(conn.id));
-                            return;
-                        }
+                    if shared.is_shutdown() && !st.in_txn() && st.outbox.is_empty() {
+                        drop(st);
+                        shared.reactors[conn.reactor].send(Msg::Close(conn.id));
                     }
                     return;
                 }
@@ -1670,13 +1643,12 @@ fn sever(shared: &Shared, conn: &Arc<Conn>) {
 /// of an open transaction (and anything mid-transaction) must always get
 /// through, and `Begin` self-gates inside the cluster connection. Returns
 /// the reply frame to send when the tenant is over rate, `None` to proceed.
-fn admission_shed(conn: &PlatformConnection, frame: &Frame) -> Option<Frame> {
-    let starts_txn = matches!(frame, Frame::Query { .. } | Frame::Batch { .. })
-        && !conn.cluster_connection().in_txn();
+fn admission_shed(conn: &Connection, frame: &Frame) -> Option<Frame> {
+    let starts_txn = matches!(frame, Frame::Query { .. } | Frame::Batch { .. }) && !conn.in_txn();
     if !starts_txn {
         return None;
     }
-    let error = conn.cluster_connection().admission_probe()?;
+    let error = conn.admission_probe()?;
     Some(match frame {
         Frame::Batch { seq, .. } => Frame::BatchErr {
             seq: *seq,
@@ -1687,7 +1659,7 @@ fn admission_shed(conn: &PlatformConnection, frame: &Frame) -> Option<Frame> {
     })
 }
 
-fn handle_request(shared: &Shared, conn: &PlatformConnection, frame: Frame) -> Frame {
+fn handle_request(shared: &Shared, conn: &Connection, frame: Frame) -> Frame {
     match frame {
         Frame::Ping { token } => Frame::Pong { token },
         Frame::Query { sql, params } => match conn.execute(&sql, &params) {
@@ -1733,7 +1705,7 @@ fn handle_request(shared: &Shared, conn: &PlatformConnection, frame: Frame) -> F
 /// failing step for the `BatchErr` frame (`stmts.len()` = the implicit
 /// commit).
 fn run_batch(
-    conn: &PlatformConnection,
+    conn: &Connection,
     stmts: &[BatchStmt],
     mode: BatchMode,
 ) -> Result<Vec<tenantdb_sql::QueryResult>, (u32, ClusterError)> {
@@ -1745,7 +1717,7 @@ fn run_batch(
         match conn.execute(&s.sql, &s.params) {
             Ok(r) => out.push(r),
             Err(e) => {
-                if mode != BatchMode::Statements && conn.cluster_connection().in_txn() {
+                if mode != BatchMode::Statements && conn.in_txn() {
                     let _ = conn.rollback();
                 }
                 return Err((i as u32, e));

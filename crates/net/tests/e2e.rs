@@ -125,7 +125,7 @@ fn tpcw_browsing_mix_is_byte_identical_across_transports() {
     const SEED: u64 = 42;
     const TXNS: usize = 40;
 
-    // Platform A: driven through the in-process PlatformConnection.
+    // Platform A: driven through the in-process cluster connection.
     let sys_a = platform(SEED);
     let cluster_a = create_db(&sys_a);
     let ids_a = seed_tpcw(&cluster_a, SEED);
@@ -172,9 +172,10 @@ fn tpcw_browsing_mix_is_byte_identical_across_transports() {
     );
 
     // The acceptance metrics are live in the platform scrape.
-    sys_b.register_metrics_source("e2e", server.metrics());
+    sys_b.register_metrics_source("net e2e", server.metrics());
     let scrape = sys_b.render_metrics();
     for name in [
+        "# ==== net e2e\n",
         "tenantdb_net_connections",
         "tenantdb_net_bytes_in_total",
         "tenantdb_net_bytes_out_total",
@@ -364,7 +365,6 @@ fn idle_sessions_are_reaped() {
         Arc::clone(&sys),
         ServerConfig {
             idle_timeout: Duration::from_millis(200),
-            reap_interval: Duration::from_millis(50),
             ..ServerConfig::default()
         },
     )
@@ -933,7 +933,6 @@ fn thousand_idle_connections_reaped_active_session_survives() {
         ServerConfig {
             max_connections: SWARM + 50,
             idle_timeout: Duration::from_millis(400),
-            reap_interval: Duration::from_millis(50),
             ..ServerConfig::default()
         },
     )

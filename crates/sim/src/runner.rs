@@ -27,9 +27,7 @@ use rand::{Rng, SeedableRng, StdRng};
 use tenantdb_cluster::fault::{CrashPoint, FaultAction, FaultPlan, Trigger, CONTROLLER};
 use tenantdb_cluster::recovery::{create_replica, CopyGranularity};
 use tenantdb_cluster::testkit;
-use tenantdb_cluster::{
-    ClusterConfig, ClusterController, MachineId, ProcessPair, ReadPolicy, WritePolicy,
-};
+use tenantdb_cluster::{ClusterConfig, ClusterController, MachineId, ReadPolicy, WritePolicy};
 use tenantdb_history::Recorder;
 use tenantdb_storage::{Throttle, Value};
 
@@ -344,7 +342,7 @@ pub fn run_with_plan(cfg: &SimConfig, plan: &FaultPlan) -> RunReport {
 
 /// Bring the cluster to a quiescent, fully-repaired state:
 ///
-/// 1. process-pair takeover — complete decided commits, abort in-doubt
+/// 1. controller takeover — complete decided commits, abort in-doubt
 ///    transactions (the backup's §2 cleanup);
 /// 2. restart every crashed machine (WAL replay + decision-log resolution);
 /// 3. re-create lost replicas until every database is back at its
@@ -358,8 +356,7 @@ pub fn quiesce(c: &Arc<ClusterController>, replicas: usize) -> Vec<String> {
     // replicas and re-elect, so every repair step below has a metadata
     // leader to talk to.
     c.controllers().quiesce();
-    let pair = ProcessPair::new(Arc::clone(c));
-    let _ = pair.fail_primary();
+    let _ = c.takeover();
     for m in c.machines() {
         if !m.is_failed() {
             continue;

@@ -366,8 +366,7 @@ fn controller_crash_with_dead_participant() -> Result<(), String> {
     // Quiesce by hand to pin the mechanism: takeover completes the commit
     // on m0, retains m1's decision, and m1's restart applies it from the
     // decision log — m1 must still be a replica (no recopy) and converged.
-    let pair = tenantdb_cluster::ProcessPair::new(Arc::clone(&c));
-    let report = pair.fail_primary();
+    let report = c.takeover();
     expect(
         report.completed.len() == 1,
         "takeover must complete exactly the one decided commit",
@@ -405,9 +404,8 @@ fn takeover_commit_participant_crash() -> Result<(), String> {
         .map_err(|e| format!("a decided commit must be acked despite the controller crash: {e}"))?;
 
     // Takeover by hand with the TakeoverCommit trigger still armed: it
-    // fires as the backup reaches for m1, which dies mid-takeover.
-    let pair = tenantdb_cluster::ProcessPair::new(Arc::clone(&c));
-    let report = pair.fail_primary();
+    // fires as the takeover reaches for m1, which dies mid-takeover.
+    let report = c.takeover();
     expect(
         report.completed.len() == 1,
         "takeover must still complete the decided commit on the survivor",

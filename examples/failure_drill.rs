@@ -6,8 +6,8 @@
 //! 2. the lost replica is re-created online with the table-level copy
 //!    (Algorithm 1 rejects exactly the writes that would race the copy);
 //! 3. the replicas are verified identical afterwards;
-//! 4. finally the cluster controller's process pair fails over mid-commit
-//!    and the backup completes the decided transaction.
+//! 4. finally a 2PC coordinator dies mid-commit and the controller's
+//!    takeover (§2's process pair) completes the decided transaction.
 //!
 //! Run with: `cargo run --release --example failure_drill`
 
@@ -16,8 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tenantdb::cluster::{
-    recover_machine, ClusterConfig, ClusterController, CommitFault, CopyGranularity, ProcessPair,
-    RecoveryConfig,
+    recover_machine, ClusterConfig, ClusterController, CommitFault, CopyGranularity, RecoveryConfig,
 };
 use tenantdb::storage::{Throttle, Value};
 
@@ -130,9 +129,8 @@ fn main() {
     assert!(sums.windows(2).all(|w| w[0] == w[1]), "replicas diverged!");
     println!("replicas identical after online recovery.");
 
-    // ---- 4. Process-pair failover mid-commit.
-    println!("\nprocess-pair drill: primary controller dies after the commit decision...");
-    let pair = ProcessPair::new(Arc::clone(&cluster));
+    // ---- 4. Controller takeover mid-commit.
+    println!("\ntakeover drill: the coordinator dies after the commit decision...");
     let conn = cluster.connect("shop").unwrap();
     conn.begin().unwrap();
     conn.execute(
@@ -142,9 +140,9 @@ fn main() {
     .unwrap();
     conn.commit_with_fault(CommitFault::CrashAfterDecision)
         .unwrap();
-    let takeover = pair.fail_primary();
+    let takeover = cluster.takeover();
     println!(
-        "  backup took over: completed {} decided commit(s), aborted {} in-doubt txn(s)",
+        "  takeover: completed {} decided commit(s), aborted {} in-doubt txn(s)",
         takeover.completed.len(),
         takeover.aborted_in_doubt.len()
     );

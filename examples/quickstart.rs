@@ -4,8 +4,11 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use std::sync::Arc;
 use std::time::Duration;
 
+use parking_lot::Mutex;
+use tenantdb::georep::{Applier, GeoLink, GeoMetrics, Shipper};
 use tenantdb::platform::{CreateOptions, PlatformConfig, SystemController};
 use tenantdb::sla::Sla;
 use tenantdb::storage::Value;
@@ -81,9 +84,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nentries after rollback: {}", r.rows[0][0]);
     assert_eq!(r.rows[0][0], Value::Int(3));
 
-    // Pump the asynchronous cross-colo replication (disaster recovery).
-    let shipped = platform.ship_all();
-    println!("shipped {shipped} transaction batch(es) to the DR colo");
+    // Disaster recovery: `cross_colo` reserved a standby in the other colo;
+    // a georep stream ships the primary cluster's WAL to it.
+    let hosting = |colo| platform.colo(colo).and_then(|c| c.cluster_for("guestbook"));
+    let primary_cluster = hosting(primary).expect("primary hosts it");
+    let standby = platform
+        .secondary_colo("guestbook")
+        .and_then(hosting)
+        .expect("standby reserved");
+    let metrics = GeoMetrics::new(Arc::new(tenantdb_obs::MetricsRegistry::new()));
+    platform.register_metrics_source("georep guestbook", Arc::clone(metrics.registry()));
+    let shipper = Shipper::new(primary_cluster, "guestbook", metrics.clone())?;
+    let applier = Applier::new(Arc::clone(&standby), "guestbook", 1, metrics.clone());
+    let mut link = GeoLink::new(shipper, Arc::new(Mutex::new(applier)), metrics);
+    let acked = link.sync()?;
+    let r = standby
+        .connect("guestbook")?
+        .execute("SELECT COUNT(*) FROM entries", &[])?;
+    println!(
+        "DR standby acked the stream through {acked:?}: {} entries",
+        r.rows[0][0]
+    );
+    assert_eq!(r.rows[0][0], Value::Int(3));
 
     Ok(())
 }

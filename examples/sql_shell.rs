@@ -36,11 +36,13 @@ use tenantdb::cluster::{
 };
 use tenantdb::georep::{promote, Applier, GeoLink, GeoMetrics, Shipper};
 use tenantdb::net::{ConnectOptions, NetClient};
+use tenantdb::platform::{PlatformConfig, SystemController};
 use tenantdb::storage::Value;
 
 /// A lazily attached standby colo for the `\georep` drill: one in-process
-/// stream link per shipped database, all sharing the primary registry so
-/// the `tenantdb_georep_*` series show up in `\metrics`.
+/// stream link per shipped database, all on one registry that is
+/// registered with the platform scrape, so the `tenantdb_georep_*` series
+/// show up in `\metrics`.
 struct GeoSession {
     standby: Arc<ClusterController>,
     links: HashMap<String, GeoLink>,
@@ -116,10 +118,18 @@ fn main() {
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n >= 1)
         .unwrap_or(3);
-    let cluster = ClusterController::with_machines(
-        ClusterConfig::for_tests().with_controllers(controllers),
-        3,
+    // The cluster sits under a single-colo platform so `\metrics` is the
+    // platform scrape: this cluster plus every registered source.
+    let system = SystemController::new(
+        PlatformConfig {
+            cluster: ClusterConfig::for_tests().with_controllers(controllers),
+            clusters_per_colo: 1,
+            machines_per_cluster: 3,
+            ..PlatformConfig::for_tests()
+        },
+        &[("local", (0.0, 0.0))],
     );
+    let cluster = system.colos()[0].clusters().remove(0);
     cluster.create_database("demo", 2).unwrap();
     cluster
         .ddl(
@@ -168,7 +178,7 @@ fn main() {
             "\\help" => {
                 println!("  \\dbs            list databases and their replicas");
                 println!("  \\use <db>       switch database (created if missing locally)");
-                println!("  \\metrics        Prometheus-style dump of the cluster registry");
+                println!("  \\metrics        Prometheus-style platform scrape (cluster + georep)");
                 println!("  \\events [n]     last n structured events (default 20)");
                 println!("  \\fail <m>       fail machine m (e.g. \\fail 1)");
                 println!("  \\recover <m>    re-create the replicas machine m lost");
@@ -194,8 +204,7 @@ fn main() {
                 if conn.is_remote() {
                     println!("(local-cluster command — \\disconnect first)");
                 } else {
-                    cluster.sync_ctrl_metrics();
-                    print!("{}", cluster.metrics().registry().render_text());
+                    print!("{}", system.render_metrics());
                 }
                 continue;
             }
@@ -356,13 +365,22 @@ fn main() {
             let rest = input.strip_prefix("\\georep").unwrap().trim();
             match rest {
                 "status" | "" => {
-                    let g = geo.get_or_insert_with(|| GeoSession {
-                        standby: ClusterController::with_machines(ClusterConfig::for_tests(), 3),
-                        links: HashMap::new(),
-                        // Share the primary registry so the stream's
-                        // tenantdb_georep_* series show up in \metrics.
-                        metrics: GeoMetrics::new(Arc::clone(cluster.metrics().registry())),
-                        promoted: false,
+                    let g = geo.get_or_insert_with(|| {
+                        let metrics =
+                            GeoMetrics::new(Arc::new(tenantdb_obs::MetricsRegistry::new()));
+                        system.register_metrics_source(
+                            "georep standby",
+                            Arc::clone(metrics.registry()),
+                        );
+                        GeoSession {
+                            standby: ClusterController::with_machines(
+                                ClusterConfig::for_tests(),
+                                3,
+                            ),
+                            links: HashMap::new(),
+                            metrics,
+                            promoted: false,
+                        }
                     });
                     if g.promoted {
                         println!("standby already promoted (epoch {})", g.standby.geo_epoch());

@@ -47,7 +47,10 @@ fn main() {
             eprintln!("failed to bind {addr}: {e}");
             std::process::exit(1);
         });
-    system.register_metrics_source(format!("serve {}", server.local_addr()), server.metrics());
+    system.register_metrics_source(
+        format!("net serve {}", server.local_addr()),
+        server.metrics(),
+    );
 
     println!(
         "tenantdb serving on {} — database 'demo' pre-seeded",

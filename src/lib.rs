@@ -16,7 +16,8 @@
 //! * [`cluster`] — the paper's core contribution: the cluster controller
 //!   with read-one/write-all replication, read-routing options 1/2/3,
 //!   aggressive/conservative write acknowledgement, 2PC coordination,
-//!   failure recovery (Algorithm 1) and process-pair failover.
+//!   failure recovery (Algorithm 1) and controller takeover (§2's process
+//!   pair).
 //! * [`sim`] — deterministic fault-injection simulation: seeded scenario
 //!   runner over named crash points, invariant checkers (convergence,
 //!   durability, 1SR), replayable seeds and a schedule shrinker.

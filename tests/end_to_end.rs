@@ -4,21 +4,58 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use parking_lot::Mutex;
 use tenantdb::cluster::{ClusterConfig, ClusterController};
+use tenantdb::georep::{promote, Applier, GeoLink, GeoMetrics, Shipper};
 use tenantdb::platform::{CreateOptions, PlatformConfig, SystemController};
 use tenantdb::storage::Value;
 use tenantdb::tpcw;
 
 const WEST: (f64, f64) = (0.0, 0.0);
 
+fn two_colo_platform() -> Arc<SystemController> {
+    SystemController::new(
+        PlatformConfig::for_tests(),
+        &[("west", WEST), ("east", (100.0, 0.0))],
+    )
+}
+
+/// The clusters hosting `db` in its primary and secondary colos.
+fn dr_clusters(
+    platform: &SystemController,
+    db: &str,
+) -> (Arc<ClusterController>, Arc<ClusterController>) {
+    let hosting = |colo| platform.colo(colo).unwrap().cluster_for(db).unwrap();
+    (
+        hosting(platform.primary_colo(db).unwrap()),
+        hosting(platform.secondary_colo(db).unwrap()),
+    )
+}
+
+/// `db`'s DR stream: the WAL of its primary cluster shipped to the standby
+/// the platform reserved in the secondary colo.
+fn geo_link(platform: &SystemController, db: &str, metrics: &GeoMetrics) -> GeoLink {
+    let (primary, standby) = dr_clusters(platform, db);
+    let shipper = Shipper::new(primary, db, metrics.clone()).unwrap();
+    let applier = Applier::new(standby, db, 1, metrics.clone());
+    GeoLink::new(shipper, Arc::new(Mutex::new(applier)), metrics.clone())
+}
+
+fn geo_metrics() -> GeoMetrics {
+    GeoMetrics::new(Arc::new(tenantdb_obs::MetricsRegistry::new()))
+}
+
+fn count(cluster: &Arc<ClusterController>, db: &str) -> Value {
+    let conn = cluster.connect(db).unwrap();
+    let r = conn.execute("SELECT COUNT(*) FROM t", &[]).unwrap();
+    r.rows[0][0].clone()
+}
+
 #[test]
 fn platform_hosts_many_small_applications() {
     // The paper's headline: many small apps, each with SQL + ACID, sharing
     // the platform.
-    let platform = SystemController::new(
-        PlatformConfig::for_tests(),
-        &[("west", WEST), ("east", (100.0, 0.0))],
-    );
+    let platform = two_colo_platform();
     let n_apps = 12;
     for i in 0..n_apps {
         platform
@@ -49,9 +86,15 @@ fn platform_hosts_many_small_applications() {
         assert_eq!(r.rows[0][0], Value::Int(20));
         assert_eq!(r.rows[0][1], Value::Text(format!("app{i}")));
     }
-    // DR shipping moves everything to the secondary colo.
-    let shipped = platform.ship_all();
-    assert!(shipped >= n_apps as usize);
+    // DR shipping moves everything to the secondary colo, one stream per
+    // database.
+    let metrics = geo_metrics();
+    for i in 0..n_apps {
+        let db = format!("app{i}");
+        geo_link(&platform, &db, &metrics).sync().unwrap();
+        let (_, standby) = dr_clusters(&platform, &db);
+        assert_eq!(count(&standby, &db), Value::Int(20), "{db}");
+    }
 }
 
 #[test]
@@ -211,13 +254,14 @@ fn machine_failure_is_masked_and_recovered_under_load() {
 
 #[test]
 fn colo_disaster_recovery_end_to_end() {
-    let platform = SystemController::new(
-        PlatformConfig::for_tests(),
-        &[("west", WEST), ("east", (100.0, 0.0))],
-    );
+    let platform = two_colo_platform();
     platform
         .create_database("crit", WEST, CreateOptions::default())
         .unwrap();
+    let metrics = geo_metrics();
+    let mut link = geo_link(&platform, "crit", &metrics);
+    let (old_primary, standby) = dr_clusters(&platform, "crit");
+
     let conn = platform.connect("crit", WEST).unwrap();
     conn.execute("CREATE TABLE t (id INT NOT NULL, PRIMARY KEY (id))", &[])
         .unwrap();
@@ -225,26 +269,72 @@ fn colo_disaster_recovery_end_to_end() {
         conn.execute("INSERT INTO t VALUES (?)", &[Value::Int(i)])
             .unwrap();
     }
-    platform.ship("crit").unwrap();
+    // A rolled-back transaction never reaches the standby.
+    conn.begin().unwrap();
+    conn.execute("INSERT INTO t VALUES (50)", &[]).unwrap();
+    conn.rollback().unwrap();
+    link.sync().unwrap();
+    assert_eq!(link.lag(), 0);
+    assert_eq!(count(&standby, "crit"), Value::Int(10));
     // Five more rows never ship.
     for i in 10..15 {
         conn.execute("INSERT INTO t VALUES (?)", &[Value::Int(i)])
             .unwrap();
     }
-    assert_eq!(platform.replication_lag("crit"), 5);
+    assert!(link.lag() > 0, "the unshipped tail shows up as lag");
 
+    // Disaster: the west colo's machines go dark. Its controllers still
+    // answer, so the promotion fences it.
     let west = platform.primary_colo("crit").unwrap();
     platform.colo(west).unwrap().fail();
-    let lost = platform.failover("crit").unwrap();
-    assert_eq!(lost, 5, "exactly the unshipped tail is lost");
+    assert!(link.sync().is_err(), "no source left to ship from");
+    let out = promote(
+        &standby,
+        Some(&old_primary),
+        &[Arc::clone(link.applier())],
+        &metrics,
+    )
+    .unwrap();
+    assert!(out.fenced_old_primary);
+    assert_eq!(platform.failover("crit").unwrap(), platform.colos()[1].id);
 
     let conn = platform.connect("crit", WEST).unwrap();
     let r = conn.execute("SELECT COUNT(*) FROM t", &[]).unwrap();
     assert_eq!(
         r.rows[0][0],
         Value::Int(10),
-        "shipped prefix survives the disaster"
+        "the acked prefix survives the disaster"
     );
-    // And the promoted colo serves writes again.
+    // The promoted colo serves writes again; the old primary takes none.
     conn.execute("INSERT INTO t VALUES (100)", &[]).unwrap();
+    let err = old_primary
+        .connect("crit")
+        .and_then(|c| c.execute("INSERT INTO t VALUES (101)", &[]))
+        .unwrap_err();
+    assert!(err.is_fenced(), "{err}");
+}
+
+/// Writes that never touch a platform connection — bulk loads through the
+/// cluster API, as TPC-W set-up and every bench driver do — are in the WAL
+/// like any other, so the standby receives them.
+#[test]
+fn writes_through_the_cluster_api_reach_the_standby() {
+    let platform = two_colo_platform();
+    platform
+        .create_database("bulk", WEST, CreateOptions::default())
+        .unwrap();
+    let (primary, standby) = dr_clusters(&platform, "bulk");
+    primary
+        .ddl("bulk", "CREATE TABLE t (id INT NOT NULL, PRIMARY KEY (id))")
+        .unwrap();
+    let conn = primary.connect("bulk").unwrap();
+    conn.begin().unwrap();
+    for i in 0..25 {
+        conn.execute("INSERT INTO t VALUES (?)", &[Value::Int(i)])
+            .unwrap();
+    }
+    conn.commit().unwrap();
+
+    geo_link(&platform, "bulk", &geo_metrics()).sync().unwrap();
+    assert_eq!(count(&standby, "bulk"), Value::Int(25));
 }
