@@ -13,13 +13,16 @@
 //! Call resolution is by name (qualified calls prefer same-owner fns);
 //! ubiquitous method names and names with too many candidates are skipped
 //! — documented as heuristic in DESIGN.md §14. The walk is
-//! workspace-wide, so an executor-pool handoff that blocks three crates
-//! away is still attributed to the reactor fn that leads to it.
+//! workspace-wide, so a call that blocks three crates away is still
+//! attributed to the reactor fn that leads to it. What a fn hands to
+//! another thread — the closure argument of `spawn(…)` / `spawn_task(…)` —
+//! is not a call that fn makes: the task may block, its submitter does not.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use crate::diag::Diag;
-use crate::model::Workspace;
+use crate::lexer::TokKind;
+use crate::model::{CallEdge, Workspace};
 
 const RULE: &str = "reactor-transitive";
 
@@ -85,6 +88,43 @@ const STOPLIST: [&str; 52] = [
     "modify",
 ];
 
+/// Calls that hand their closure argument to another thread (a spawned
+/// thread, a worker pool).
+const HANDOFFS: [&str; 2] = ["spawn", "spawn_task"];
+
+/// The calls fn `fn_idx` makes on its own thread: every call in its body
+/// except those inside the argument list of a [`HANDOFFS`] call.
+fn own_calls(ws: &Workspace, fn_idx: usize) -> Vec<&CallEdge> {
+    let calls = &ws.calls[fn_idx];
+    let toks = &ws.files[ws.fns[fn_idx].file].toks;
+    // (callee token, matching close paren) of each handoff call.
+    let handed_off: Vec<(usize, usize)> = calls
+        .iter()
+        .filter(|c| HANDOFFS.contains(&c.callee.as_str()))
+        .map(|c| {
+            let mut depth = 0usize;
+            let close = (c.tok + 1..toks.len()).find(|&j| {
+                if toks[j].kind == TokKind::Punct && toks[j].text == "(" {
+                    depth += 1;
+                } else if toks[j].kind == TokKind::Punct && toks[j].text == ")" {
+                    depth -= 1;
+                    return depth == 0;
+                }
+                false
+            });
+            (c.tok, close.unwrap_or(toks.len()))
+        })
+        .collect();
+    calls
+        .iter()
+        .filter(|c| {
+            !handed_off
+                .iter()
+                .any(|&(open, close)| open < c.tok && c.tok < close)
+        })
+        .collect()
+}
+
 /// Maximum fns sharing a bare name before resolution gives up on it.
 const MAX_CANDIDATES: usize = 5;
 
@@ -141,7 +181,7 @@ pub fn run(ws: &Workspace) -> Vec<Diag> {
             continue;
         }
         let mut out = Vec::new();
-        for c in &ws.calls[i] {
+        for c in own_calls(ws, i) {
             if STOPLIST.contains(&c.callee.as_str()) {
                 continue;
             }
@@ -275,7 +315,7 @@ fn direct_sink(ws: &Workspace, fn_idx: usize) -> Option<(usize, String)> {
     let f = &ws.fns[fn_idx];
     let file = &ws.files[f.file];
     let in_net = file.path.starts_with("crates/net/src/");
-    for c in &ws.calls[fn_idx] {
+    for c in own_calls(ws, fn_idx) {
         let desc: Option<String> =
             if c.callee == "sleep" && c.qualifier.as_deref() == Some("thread") {
                 Some("thread::sleep".to_string())
@@ -402,8 +442,38 @@ mod tests {
     }
 
     #[test]
+    fn task_handed_to_a_pool_is_not_a_call_the_reactor_makes() {
+        // Quiet: the closure runs on a pool thread, and the pool's own
+        // worker threads park on a condvar by design.
+        let server = "impl Reactor { fn dispatch(&self) {\n\
+                      self.pool.spawn_task(move || serve_conn(&shared, &conn)); } }\n\
+                      fn serve_conn() { handoff(); }\n";
+        let other = "pub fn handoff() { cond.wait(g); }\n\
+                     impl WorkerPool { pub fn spawn_task(&self, f: F) { self.grow(); } }\n\
+                     fn grow() { builder.spawn(move || worker_main(shared)); }\n\
+                     fn worker_main() { cv.wait(st); }\n";
+        let d = fixture(server, other);
+        assert!(d.is_empty(), "{d:?}");
+
+        // Fires: a call beside the handoff (not inside its argument list)
+        // is still the reactor's own.
+        let server = "impl Reactor { fn dispatch(&self) {\n\
+                      self.pool.spawn_task(move || serve_conn(&shared, &conn));\n\
+                      serve_conn(); } }\n\
+                      fn serve_conn() { handoff(); }\n";
+        let d = fixture(server, other);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].line, 3);
+        assert!(
+            d[0].message.contains("dispatch → serve_conn → handoff"),
+            "{}",
+            d[0].message
+        );
+    }
+
+    #[test]
     fn non_reactor_fns_are_not_entries() {
-        let server = "fn executor_loop() { handoff(); }\n";
+        let server = "fn serve_conn() { handoff(); }\n";
         let other = "pub fn handoff() { cond.wait(g); }\n";
         let d = fixture(server, other);
         assert!(d.is_empty(), "{d:?}");

@@ -31,7 +31,7 @@ use rand::{Rng, SeedableRng};
 use tenantdb_obs::Counter;
 
 use tenantdb_history::GTxn;
-use tenantdb_sql::{parse, QueryResult, SqlError, Statement};
+use tenantdb_sql::{parse, QueryResult, SqlError, Statement, StatementClass};
 use tenantdb_storage::{StorageError, TxnId, Value};
 
 use crate::controller::{ClusterController, ReadPolicy, WritePolicy};
@@ -66,17 +66,6 @@ impl ActiveTxn {
     }
 }
 
-/// Fault-injection points inside `commit` (takeover tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommitFault {
-    /// No fault: the normal commit path.
-    None,
-    /// The controller "crashes" after logging the commit decision but before
-    /// sending any COMMIT to the participants: replicas are left prepared,
-    /// and the decision sits in the mirrored commit log.
-    CrashAfterDecision,
-}
-
 /// A client connection to one database, routed through the cluster
 /// controller (the JDBC connection of §2).
 pub struct Connection {
@@ -107,6 +96,14 @@ impl Connection {
     /// True while an explicit transaction is open.
     pub fn in_txn(&self) -> bool {
         self.state.lock().is_some()
+    }
+
+    /// The read-routing and write-acknowledgement policies this connection
+    /// is served under (its cluster's — what a serving tier negotiates
+    /// against at handshake).
+    pub fn policies(&self) -> (ReadPolicy, WritePolicy) {
+        let cfg = &self.controller.cfg;
+        (cfg.read_policy, cfg.write_policy)
     }
 
     /// Non-consuming SLA admission peek (see
@@ -152,17 +149,16 @@ impl Connection {
         self.execute_parsed(&stmt, Arc::new(params.to_vec()))
     }
 
-    /// Execute a pre-parsed statement (drivers cache ASTs).
+    /// Execute a pre-parsed statement (the serving tier parses a request
+    /// once, to classify it, and hands the AST here).
     pub fn execute_parsed(
         &self,
         stmt: &Arc<Statement>,
         params: Arc<Vec<Value>>,
     ) -> Result<QueryResult> {
+        let class = stmt.class();
         // DDL bypasses transactions entirely (engine DDL is auto-committed).
-        if matches!(
-            **stmt,
-            Statement::CreateTable { .. } | Statement::CreateIndex { .. }
-        ) {
+        if class == StatementClass::Ddl {
             if self.in_txn() {
                 return Err(ClusterError::Sql(SqlError::Plan(
                     "DDL not allowed inside a transaction".into(),
@@ -174,7 +170,7 @@ impl Connection {
         if implicit {
             self.begin()?;
         }
-        let result = self.run_stmt(stmt, params);
+        let result = self.run_stmt(stmt, class, params);
         if implicit {
             match &result {
                 Ok(_) => {
@@ -292,19 +288,20 @@ impl Connection {
         matches!(err.as_storage(), Some(StorageError::Unavailable))
     }
 
-    fn run_stmt(&self, stmt: &Arc<Statement>, params: Arc<Vec<Value>>) -> Result<QueryResult> {
+    fn run_stmt(
+        &self,
+        stmt: &Arc<Statement>,
+        class: StatementClass,
+        params: Arc<Vec<Value>>,
+    ) -> Result<QueryResult> {
         // SELECT ... FOR UPDATE acquires exclusive locks, so it must execute
         // on *every* replica like a write — locking on a single replica
         // while writes fan out to all would manufacture distributed
         // deadlocks between the lock holder and its own write set.
-        let is_read = match &**stmt {
-            Statement::Select(sel) => !sel.for_update,
-            _ => false,
-        };
-        let result = if is_read {
+        let result = if class == StatementClass::Read {
             self.run_read(stmt, params)
         } else {
-            self.run_write(stmt, params)
+            self.run_write(stmt, class == StatementClass::LockingRead, params)
         };
         if let Err(e) = &result {
             // Transaction-fatal errors abort the whole distributed txn so the
@@ -374,32 +371,25 @@ impl Connection {
         }
     }
 
-    /// Tables touched by a broadcast statement: the written table for DML,
-    /// every referenced table for a locking SELECT.
-    fn broadcast_tables(stmt: &Statement) -> Option<Vec<String>> {
-        match stmt {
-            Statement::Insert { table, .. }
-            | Statement::Update { table, .. }
-            | Statement::Delete { table, .. } => Some(vec![table.clone()]),
-            Statement::Select(sel) if sel.for_update => {
-                let mut v = vec![sel.from.name.clone()];
-                v.extend(sel.joins.iter().map(|j| j.table.name.clone()));
-                Some(v)
-            }
-            _ => None,
-        }
-    }
-
-    fn run_write(&self, stmt: &Arc<Statement>, params: Arc<Vec<Value>>) -> Result<QueryResult> {
+    /// Broadcast a write or a locking read to every replica.
+    fn run_write(
+        &self,
+        stmt: &Arc<Statement>,
+        is_locking_read: bool,
+        params: Arc<Vec<Value>>,
+    ) -> Result<QueryResult> {
         // Geo fence: a cluster that lost write authority to a promoted
         // standby colo accepts no writes. One relaxed load while unfenced.
         self.controller.check_geo_fence()?;
         let started = Instant::now();
         let metrics = self.controller.metrics();
-        let tables = Self::broadcast_tables(stmt)
-            .ok_or_else(|| ClusterError::Sql(SqlError::Plan("not a DML statement".into())))?;
-        let table = tables[0].clone();
-        let is_locking_read = matches!(&**stmt, Statement::Select(_));
+        // The written table for DML, every referenced table for a locking
+        // SELECT.
+        let tables = stmt.locked_tables();
+        let table = tables
+            .first()
+            .ok_or_else(|| ClusterError::Sql(SqlError::Plan("not a DML statement".into())))?
+            .to_string();
 
         let mut st = self.state.lock();
         let txn = st.as_mut().ok_or(ClusterError::NoActiveTxn)?;
@@ -418,9 +408,7 @@ impl Connection {
         if let Some(copy) = copy {
             targets.retain(|&m| m != copy.target);
             let rejected = (copy.db_level && !is_locking_read)
-                || tables
-                    .iter()
-                    .any(|t| copy.current.as_deref() == Some(t.as_str()));
+                || tables.iter().any(|t| copy.current.as_deref() == Some(*t));
             if rejected {
                 metrics.note_write_rejected(&self.db, &table);
                 return Err(ClusterError::WriteRejected {
@@ -486,7 +474,7 @@ impl Connection {
         let mut fatal: Option<ClusterError> = None;
         for (m, e) in &errors {
             if Self::is_unavailable(e) {
-                self.controller.remove_replica(&self.db, *m);
+                self.controller.drop_failed_replica(&self.db, *m);
             } else if fatal.is_none() {
                 fatal = Some(e.clone());
             }
@@ -504,11 +492,6 @@ impl Connection {
 
     /// Commit the open transaction (2PC across replicas when it wrote).
     pub fn commit(&self) -> Result<()> {
-        self.commit_with_fault(CommitFault::None)
-    }
-
-    /// Commit with an injected controller fault (takeover tests).
-    pub fn commit_with_fault(&self, fault: CommitFault) -> Result<()> {
         let commit_started = Instant::now();
         let metrics = self.controller.metrics();
         let Some(mut txn) = self.state.lock().take() else {
@@ -520,7 +503,7 @@ impl Connection {
         let mut fatal: Option<ClusterError> = None;
         for (m, e) in txn.failures.drain() {
             if Self::is_unavailable(&e) {
-                self.controller.remove_replica(&self.db, m);
+                self.controller.drop_failed_replica(&self.db, m);
                 txn.sessions.remove(&m);
             } else if fatal.is_none() {
                 fatal = Some(e);
@@ -572,7 +555,7 @@ impl Connection {
                 Ok(_) => yes.push((m, local.unwrap_or(TxnId(0)))),
                 Err(e) if Self::is_unavailable(&e) => {
                     // Participant died before voting: discard the replica.
-                    self.controller.remove_replica(&self.db, m);
+                    self.controller.drop_failed_replica(&self.db, m);
                     txn.sessions.remove(&m);
                 }
                 Err(e) => {
@@ -588,7 +571,7 @@ impl Connection {
         // visible.
         for (m, e) in txn.failures.drain() {
             if Self::is_unavailable(&e) {
-                self.controller.remove_replica(&self.db, m);
+                self.controller.drop_failed_replica(&self.db, m);
                 txn.sessions.remove(&m);
                 yes.retain(|(ym, _)| *ym != m);
             } else if fatal.is_none() {
@@ -653,20 +636,20 @@ impl Connection {
             rec.commit(txn.gtxn);
         }
 
-        // The injector's controller-side crash point sits exactly where
-        // `CommitFault::CrashAfterDecision` does: decision logged, no
-        // participant COMMIT sent yet. A `Crash` here takes the same
-        // leave-participants-prepared path; a `Delay` widens the window in
-        // which the decision exists only in the mirrored log.
-        let mut crash_controller = fault == CommitFault::CrashAfterDecision;
-        match self.controller.faults().check(
+        // The controller-side crash point: decision logged, no participant
+        // COMMIT sent yet. A `Delay` widens the window in which the decision
+        // exists only in the mirrored log.
+        let crash_controller = match self.controller.faults().check(
             crate::fault::CrashPoint::CommitDecision,
             crate::fault::CONTROLLER,
         ) {
-            Some(crate::fault::FaultAction::Crash) => crash_controller = true,
-            Some(crate::fault::FaultAction::Delay(d)) => std::thread::sleep(d),
-            None => {}
-        }
+            Some(crate::fault::FaultAction::Crash) => true,
+            Some(crate::fault::FaultAction::Delay(d)) => {
+                std::thread::sleep(d);
+                false
+            }
+            None => false,
+        };
 
         if crash_controller {
             // Simulated controller crash: participants stay prepared; the
@@ -697,7 +680,7 @@ impl Connection {
                     // Participant died after voting yes: its WAL holds the
                     // prepared txn; restart-time recovery resolves it via the
                     // decision log. The replica is discarded either way.
-                    self.controller.remove_replica(&self.db, m);
+                    self.controller.drop_failed_replica(&self.db, m);
                 }
             }
         }

@@ -499,7 +499,20 @@ impl ClusterController {
     /// Remove a (failed) replica from a database's placement (repinning if
     /// the pinned replica was removed).
     pub fn remove_replica(&self, db: &str, machine: MachineId) {
-        self.group.remove_replica(db, machine);
+        self.group.remove_replica(db, machine, false);
+    }
+
+    /// Failure masking: drop `db`'s replica on a machine that stopped
+    /// answering. Unlike [`Self::remove_replica`] the database stays on the
+    /// machine's recovery list, so `recover_machine` still re-creates it.
+    pub(crate) fn drop_failed_replica(&self, db: &str, machine: MachineId) {
+        self.group.remove_replica(db, machine, true);
+    }
+
+    /// Begin recovering `machine`: serve from the survivors immediately and
+    /// return every database that had a replica on it when it failed.
+    pub(crate) fn detach_machine(&self, machine: MachineId) -> Vec<String> {
+        self.group.detach_machine(machine)
     }
 
     /// Add a (recovered) replica to a database's placement.
@@ -512,11 +525,7 @@ impl ClusterController {
         // Geo fence: DDL is a write.
         self.check_geo_fence()?;
         let stmt = parse(sql)?;
-        if !matches!(
-            stmt,
-            tenantdb_sql::Statement::CreateTable { .. }
-                | tenantdb_sql::Statement::CreateIndex { .. }
-        ) {
+        if stmt.class() != tenantdb_sql::StatementClass::Ddl {
             return Err(ClusterError::Sql(tenantdb_sql::SqlError::Plan(
                 "ddl() accepts only CREATE TABLE / CREATE INDEX".into(),
             )));
@@ -1164,7 +1173,7 @@ mod drop_tests {
 #[cfg(test)]
 mod takeover_tests {
     use super::*;
-    use crate::connection::CommitFault;
+    use crate::fault::{CrashPoint, FaultAction, FaultPlan, Trigger, CONTROLLER};
     use tenantdb_storage::Value;
 
     fn cluster() -> Arc<ClusterController> {
@@ -1187,8 +1196,14 @@ mod takeover_tests {
             .unwrap();
         let gtxn = conn.current_gtxn().unwrap();
         // The coordinator crashes after the decision, before sending COMMITs.
-        conn.commit_with_fault(CommitFault::CrashAfterDecision)
-            .unwrap();
+        c.faults().arm(FaultPlan::new(vec![Trigger {
+            point: CrashPoint::CommitDecision,
+            machine: Some(CONTROLLER),
+            after_hits: 0,
+            action: FaultAction::Crash,
+        }]));
+        conn.commit().unwrap();
+        c.faults().disarm();
         assert_eq!(c.decisions().len(), 1);
 
         let report = c.takeover();

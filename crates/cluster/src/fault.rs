@@ -1,13 +1,13 @@
 //! Deterministic fault injection: named crash points on the cluster's hot
 //! paths, armed by a [`FaultPlan`].
 //!
-//! The seed implementation could only fail a whole machine
-//! ([`crate::ClusterController::fail_machine`]) or crash the controller at
-//! one hard-coded spot ([`crate::CommitFault::CrashAfterDecision`]). The
-//! failure schedules that actually break replication protocols are precise
-//! interleavings — a participant dying *between* its PREPARE vote and the
-//! COMMIT, a copy target dying at the third table boundary of Algorithm 1 —
-//! so the hot paths now carry named [`CrashPoint`]s. Each site calls
+//! Failing a whole machine ([`crate::ClusterController::fail_machine`]) is
+//! too coarse: the failure schedules that actually break replication
+//! protocols are precise interleavings — a participant dying *between* its
+//! PREPARE vote and the COMMIT, the controller dying right after the commit
+//! decision ([`CrashPoint::CommitDecision`]), a copy target dying at the
+//! third table boundary of Algorithm 1 — so the hot paths carry named
+//! [`CrashPoint`]s. Each site calls
 //! [`FaultInjector::check`]; when the injector is disarmed (the default,
 //! and always in production) that is a single relaxed atomic load, so the
 //! instrumentation is inert outside tests.

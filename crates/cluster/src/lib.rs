@@ -58,7 +58,7 @@ pub mod testkit;
 pub mod transport;
 pub mod worker;
 
-pub use connection::{CommitFault, Connection};
+pub use connection::Connection;
 pub use controller::{
     ClusterConfig, ClusterController, CopyProgress, Placement, ReadPolicy, TakeoverReport,
     WritePolicy,

@@ -65,8 +65,16 @@ enum MetaCommand {
     /// Add a machine to a database's replica set.
     AddReplica { db: String, machine: MachineId },
     /// Remove a machine from a database's replica set (repinning if the
-    /// pinned replica was removed).
-    RemoveReplica { db: String, machine: MachineId },
+    /// pinned replica was removed). `owed` marks a replica dropped because
+    /// its machine died: recovery still owes the database a new one.
+    RemoveReplica {
+        db: String,
+        machine: MachineId,
+        owed: bool,
+    },
+    /// Recovery of a failed machine begins: strip it from every replica
+    /// set and clear its owed list (the caller re-creates those replicas).
+    DetachMachine { machine: MachineId },
     /// Start tracking an Algorithm-1 copy.
     BeginCopy {
         db: String,
@@ -117,6 +125,11 @@ enum MetaCommand {
 struct MetaState {
     /// Database → replica set (the paper's partition map).
     placements: BTreeMap<String, Placement>,
+    /// (failed machine, database) pairs whose replica a connection already
+    /// dropped while masking the failure. `databases_on` no longer lists
+    /// them, so without this ledger recovery would leave them one replica
+    /// short for good.
+    owed: BTreeSet<(MachineId, String)>,
     /// Databases with an Algorithm-1 copy in flight.
     copies: BTreeMap<String, CopyProgress>,
     /// 2PC decisions whose participant COMMITs may still be in flight.
@@ -136,6 +149,16 @@ struct MetaState {
     /// applying `r` can therefore prune everything below `r`, keeping this
     /// set O(1) in steady state.
     applied_reqs: BTreeSet<u64>,
+}
+
+/// Drop `machine` from a replica set, repinning reads if it was the pin.
+fn strip_replica(p: &mut Placement, machine: MachineId) {
+    p.replicas.retain(|&m| m != machine);
+    if p.pinned == machine {
+        if let Some(&first) = p.replicas.first() {
+            p.pinned = first;
+        }
+    }
 }
 
 impl StateMachine for MetaState {
@@ -162,6 +185,7 @@ impl StateMachine for MetaState {
                 self.placements.remove(name);
                 self.copies.remove(name);
                 self.slas.remove(name);
+                self.owed.retain(|(_, db)| db != name);
             }
             MetaCommand::AddReplica { db, machine } => {
                 if let Some(p) = self.placements.get_mut(db) {
@@ -170,15 +194,19 @@ impl StateMachine for MetaState {
                     }
                 }
             }
-            MetaCommand::RemoveReplica { db, machine } => {
+            MetaCommand::RemoveReplica { db, machine, owed } => {
                 if let Some(p) = self.placements.get_mut(db) {
-                    p.replicas.retain(|m| m != machine);
-                    if p.pinned == *machine {
-                        if let Some(&first) = p.replicas.first() {
-                            p.pinned = first;
-                        }
+                    if *owed && p.replicas.contains(machine) {
+                        self.owed.insert((*machine, db.clone()));
                     }
+                    strip_replica(p, *machine);
                 }
+            }
+            MetaCommand::DetachMachine { machine } => {
+                for p in self.placements.values_mut() {
+                    strip_replica(p, *machine);
+                }
+                self.owed.retain(|(m, _)| m != machine);
             }
             MetaCommand::BeginCopy {
                 db,
@@ -691,13 +719,42 @@ impl ControllerGroup {
     }
 
     /// Remove a machine from `db`'s replica set (best-effort, idempotent).
-    pub(crate) fn remove_replica(&self, db: &str, machine: MachineId) {
+    /// `owed`: the machine died and the database is owed a new replica
+    /// (see [`Self::detach_machine`]).
+    pub(crate) fn remove_replica(&self, db: &str, machine: MachineId, owed: bool) {
         let _ = self.submit(|_| {
             Ok(MetaCommand::RemoveReplica {
                 db: db.to_string(),
                 machine,
+                owed,
             })
         });
+    }
+
+    /// Begin recovering a failed machine: strip it from every replica set
+    /// (reads and writes are served by the survivors from here on) and
+    /// return every database that had a replica on it when it failed —
+    /// those still placed there plus those a connection already dropped
+    /// while masking the failure.
+    pub(crate) fn detach_machine(&self, machine: MachineId) -> Vec<String> {
+        let mut dbs = BTreeSet::new();
+        let _ = self.submit(|st| {
+            dbs = st
+                .placements
+                .iter()
+                .filter(|(_, p)| p.replicas.contains(&machine))
+                .map(|(db, _)| db)
+                .chain(
+                    st.owed
+                        .iter()
+                        .filter(|(m, _)| *m == machine)
+                        .map(|(_, db)| db),
+                )
+                .cloned()
+                .collect();
+            Ok(MetaCommand::DetachMachine { machine })
+        });
+        dbs.into_iter().collect()
     }
 
     /// Start tracking an Algorithm-1 copy.

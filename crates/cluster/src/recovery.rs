@@ -186,7 +186,9 @@ pub fn migrate_replica(
     Ok(d)
 }
 
-/// Recover every database that lost a replica on `failed_machine`.
+/// Recover every database that had a replica on `failed_machine` when it
+/// failed — including those whose dead replica a live connection already
+/// dropped while masking the failure.
 ///
 /// Targets are chosen greedily (First-Fit flavour of Algorithm 2): the
 /// lowest-id alive machine that does not already host the database.
@@ -196,11 +198,8 @@ pub fn recover_machine(
     cfg: RecoveryConfig,
 ) -> RecoveryReport {
     let started = Instant::now();
-    let dbs = controller.databases_on(failed_machine);
     // Serve from survivors immediately.
-    for db in &dbs {
-        controller.remove_replica(db, failed_machine);
-    }
+    let dbs = controller.detach_machine(failed_machine);
 
     // A transient fixed pool bounds in-flight copies to exactly
     // `cfg.threads` (the Figure 8 x-axis); the per-database tasks queue
@@ -309,27 +308,47 @@ mod tests {
 
     #[test]
     fn recover_machine_recreates_all_lost_replicas() {
-        let (c, placed) = cluster_with_data();
-        c.fail_machine(placed[0]).unwrap();
-        let report = recover_machine(
-            &c,
-            placed[0],
-            RecoveryConfig {
-                threads: 2,
-                ..Default::default()
-            },
-        );
-        assert_eq!(report.recovered.len(), 1);
-        assert!(report.failed.is_empty());
-        let p = c.placement("app").unwrap();
-        assert_eq!(p.replicas.len(), 2);
-        assert!(!p.replicas.contains(&placed[0]));
-        // The new replica has the data.
-        let (_, target, _) = &report.recovered[0];
-        let m = c.machine(*target).unwrap();
-        let t = m.engine.begin().unwrap();
-        assert_eq!(m.engine.scan(t, "app", "a").unwrap().len(), 30);
-        m.engine.commit(t).unwrap();
+        // `masked_first`: a transaction already talking to the machine sees
+        // it die and drops its replica before recovery starts. Recovery
+        // owes the database a replica either way.
+        for masked_first in [false, true] {
+            let (c, placed) = cluster_with_data();
+            let conn = c.connect("app").unwrap();
+            conn.begin().unwrap();
+            conn.execute("INSERT INTO a VALUES (98, 'x')", &[]).unwrap();
+            c.fail_machine(placed[0]).unwrap();
+            let rows = if masked_first {
+                // PREPARE gets no vote from the dead participant.
+                conn.commit().unwrap();
+                assert!(c.databases_on(placed[0]).is_empty());
+                31
+            } else {
+                conn.rollback().unwrap();
+                30
+            };
+            let report = recover_machine(
+                &c,
+                placed[0],
+                RecoveryConfig {
+                    threads: 2,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(report.recovered.len(), 1, "masked_first={masked_first}");
+            assert!(report.failed.is_empty());
+            let p = c.placement("app").unwrap();
+            assert_eq!(p.replicas.len(), 2);
+            assert!(!p.replicas.contains(&placed[0]));
+            // The new replica has the data.
+            let (_, target, _) = &report.recovered[0];
+            let m = c.machine(*target).unwrap();
+            let t = m.engine.begin().unwrap();
+            assert_eq!(m.engine.scan(t, "app", "a").unwrap().len(), rows);
+            m.engine.commit(t).unwrap();
+            // The debt is settled: a second run finds nothing to do.
+            let again = recover_machine(&c, placed[0], RecoveryConfig::default());
+            assert!(again.recovered.is_empty() && again.failed.is_empty());
+        }
     }
 
     #[test]

@@ -11,12 +11,11 @@
 //! * remote: the `tenantdb-net` client implements it over the wire
 //!   protocol, so the same driver code exercises the TCP serving frontend.
 //!
-//! The error type stays [`ClusterError`](crate::ClusterError) on purpose:
+//! The error type stays [`ClusterError`] on purpose:
 //! remote errors round-trip through the wire protocol's error frame, so a
 //! deadlock is still classified as a deadlock (and an SLA rejection as a
 //! rejection) no matter which transport reported it. Transport-level
-//! failures (a dead socket) surface as
-//! [`ClusterError::TxnAborted`](crate::ClusterError::TxnAborted), which is
+//! failures (a dead socket) surface as [`ClusterError::TxnAborted`], which is
 //! exactly what a client must assume about an in-flight transaction it
 //! lost contact with.
 
@@ -24,7 +23,7 @@ use tenantdb_sql::QueryResult;
 use tenantdb_storage::Value;
 
 use crate::connection::Connection;
-use crate::error::Result;
+use crate::error::{ClusterError, Result};
 
 /// One statement of a batched execution ([`Transport::execute_batch`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -89,29 +88,49 @@ pub trait Transport {
     /// whole batch in a single wire frame (statement pipelining — the
     /// per-statement round trip is the dominant serving-tier cost).
     ///
-    /// Statements run strictly in order on this session. On the first
-    /// statement error the batch stops and the error is returned; whether
-    /// the transaction is rolled back is governed by `mode` (see
-    /// [`BatchMode`]). A commit failure in the commit-owning modes is
-    /// returned as-is — commit resolves the transaction either way.
+    /// Semantics are [`Transport::batch_indexed`]'s, minus the index.
     fn execute_batch(&self, stmts: &[BatchStmt], mode: BatchMode) -> Result<Vec<QueryResult>> {
+        self.batch_indexed(stmts.len(), mode, &mut |i| {
+            self.execute(&stmts[i].sql, &stmts[i].params)
+        })
+        .map_err(|(_, e)| e)
+    }
+
+    /// The batch rule — the one implementation, so in-process and
+    /// over-the-wire runs are observably identical (same error, same
+    /// transaction state afterwards). `stmt(i)` executes the `i`-th of `n`
+    /// statements on this session, from SQL text or from an AST the caller
+    /// parsed earlier.
+    ///
+    /// Statements run strictly in order. On the first statement error the
+    /// batch stops and the error is returned with the failing step's index
+    /// (`n` = the implicit commit); whether the transaction is rolled back
+    /// is governed by `mode` (see [`BatchMode`]). A commit failure in the
+    /// commit-owning modes is returned as-is — commit resolves the
+    /// transaction either way.
+    fn batch_indexed(
+        &self,
+        n: usize,
+        mode: BatchMode,
+        stmt: &mut dyn FnMut(usize) -> Result<QueryResult>,
+    ) -> std::result::Result<Vec<QueryResult>, (u32, ClusterError)> {
         if mode == BatchMode::WholeTxn {
-            self.begin()?;
+            self.begin().map_err(|e| (0, e))?;
         }
-        let mut out = Vec::with_capacity(stmts.len());
-        for s in stmts {
-            match self.execute(&s.sql, &s.params) {
+        let mut out = Vec::with_capacity(n);
+        for i in 0..n {
+            match stmt(i) {
                 Ok(r) => out.push(r),
                 Err(e) => {
                     if mode != BatchMode::Statements && self.in_txn() {
                         let _ = self.rollback();
                     }
-                    return Err(e);
+                    return Err((i as u32, e));
                 }
             }
         }
         if mode != BatchMode::Statements {
-            self.commit()?;
+            self.commit().map_err(|e| (n as u32, e))?;
         }
         Ok(out)
     }
@@ -215,6 +234,24 @@ mod tests {
         assert!(!conn.in_txn(), "batch error must resolve the txn: {err}");
         let r = conn.execute("SELECT COUNT(*) FROM t", &[]).unwrap();
         assert_eq!(r.rows[0][0], Value::from(1i64), "row 2 rolled back");
+    }
+
+    #[test]
+    fn batch_indexed_names_the_failing_step() {
+        let (c, db) = batch_fixture();
+        let conn = c.connect(&db).unwrap();
+        let sql = ["INSERT INTO t VALUES (1, 'a')", "SELECT nope FROM missing"];
+        let run = |mode| {
+            conn.batch_indexed(sql.len(), mode, &mut |i| conn.execute(sql[i], &[]))
+                .unwrap_err()
+                .0
+        };
+        assert_eq!(run(BatchMode::WholeTxn), 1, "the second statement");
+        assert!(!conn.in_txn());
+        conn.begin().unwrap();
+        assert_eq!(run(BatchMode::WholeTxn), 0, "the implicit begin");
+        assert!(conn.in_txn(), "a refused begin leaves the open txn alone");
+        conn.rollback().unwrap();
     }
 
     #[test]

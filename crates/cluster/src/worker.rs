@@ -32,7 +32,7 @@ use std::sync::Arc;
 use crate::sync::{Mutex, WORKER_EXEC, WORKER_FAILURES, WORKER_MAILBOX};
 
 use tenantdb_history::{AccessKind, GTxn, Recorder, Site};
-use tenantdb_sql::{execute_stmt, QueryResult, Statement};
+use tenantdb_sql::{execute_stmt, QueryResult, Statement, StatementClass};
 use tenantdb_storage::{Engine, TxnId, Value};
 
 use crate::error::{ClusterError, Result};
@@ -239,10 +239,7 @@ impl Session {
         }
         match msg {
             SessionMsg::Exec { seq, stmt, params } => {
-                let is_write = matches!(
-                    &*stmt,
-                    Statement::Insert { .. } | Statement::Update { .. } | Statement::Delete { .. }
-                );
+                let is_write = stmt.class() == StatementClass::Write;
                 if is_write {
                     self.fault_hook(CrashPoint::ReplicaWriteApply);
                 }

@@ -37,7 +37,7 @@ use parking_lot::Mutex;
 
 use tenantdb_cluster::{ClusterController, ClusterError, Connection, Result};
 use tenantdb_sql::ast::{AggFunc, BinOp, Expr, SelectItem, Statement};
-use tenantdb_sql::{parse, QueryResult};
+use tenantdb_sql::{parse, QueryResult, StatementClass};
 use tenantdb_storage::Value;
 
 /// A database spread over `shards` underlying cluster databases.
@@ -196,10 +196,7 @@ impl ShardedConnection {
     /// Execute one statement with routing.
     pub fn execute(&self, sql: &str, params: &[Value]) -> Result<QueryResult> {
         let stmt = parse(sql)?;
-        if matches!(
-            stmt,
-            Statement::CreateTable { .. } | Statement::CreateIndex { .. }
-        ) {
+        if stmt.class() == StatementClass::Ddl {
             return Err(ClusterError::Sql(tenantdb_sql::SqlError::Plan(
                 "run DDL through ShardedDatabase::ddl".into(),
             )));

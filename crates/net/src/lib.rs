@@ -14,13 +14,14 @@
 //!   and error frames that round-trip
 //!   [`ClusterError`](tenantdb_cluster::ClusterError) so failure
 //!   classification (deadlock vs. SLA rejection) survives the wire.
-//! * [`server`]: a readiness-driven event loop — a fixed pool of reactor
-//!   threads (epoll via a std-only syscall shim in [`reactor`]) multiplexes
-//!   every connection, with per-connection state machines for frame
-//!   decode/encode, write coalescing, and an executor pool for blocking
-//!   statement work. The old limits survive as reactor policy: accept
-//!   backpressure at the connection cap, read/write/idle deadlines on a
-//!   timer wheel, slow-reader read-pausing, graceful drain.
+//! * [`server`]: a readiness-driven event loop — a few reactor threads
+//!   (epoll via a std-only syscall shim in [`reactor`]) multiplex every
+//!   connection, with per-connection state machines for frame
+//!   decode/encode and write coalescing; requests that may block run as
+//!   tasks on a cluster [`WorkerPool`](tenantdb_cluster::WorkerPool).
+//!   Limits are reactor policy: accept backpressure at the connection
+//!   cap, read/write/idle deadlines on a timer wheel, slow-reader
+//!   read-pausing, graceful drain.
 //! * [`client`]: [`NetClient`] — connect with retry/backoff, pipelined
 //!   statements and batched Execute frames (one frame carries a whole
 //!   transaction body), and an API mirroring the in-process connection.

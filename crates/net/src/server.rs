@@ -1,43 +1,43 @@
 //! The TCP serving frontend: a readiness-driven (reactor) server fronting
-//! a [`SystemController`].
+//! a [`SystemController`]. It is a *transport* — framing, sockets,
+//! backpressure, deadlines. What a statement is, how a batch behaves and
+//! where blocking work runs belong to the layers below
+//! (`Statement::class`, `Transport::batch_indexed`, [`WorkerPool`]).
 //!
 //! The paper's serving tier fronts tens of thousands of mostly-idle
 //! small-app connections; one OS thread per connection does not survive
-//! that cardinality. This server multiplexes every connection onto a fixed
-//! pool of *reactor* threads (epoll via `crate::sys`, level-triggered),
-//! with per-connection state machines for frame decode/encode and a small
-//! *executor* pool for the blocking statement work:
+//! that cardinality, so every connection is multiplexed onto a few
+//! *reactor* threads (epoll via `crate::sys`, level-triggered):
 //!
 //! * **Reactors** own all socket I/O. On readability they pump bytes into
-//!   the connection's read buffer, decode complete frames, answer `Ping`
-//!   and self-contained read-only units inline when nothing is queued
-//!   ahead (worst case one bounded S-lock timeout on the reactor), and
-//!   hand everything else to the executor queue. On writability they
-//!   flush the connection's reply outbox. Registration changes arrive over
-//!   a per-reactor inbox + waker, so the poller needs no locking.
-//! * **Executors** run SQL. One executor owns a connection at a time (the
-//!   `scheduled` flag), pops pending requests strictly in order, executes
-//!   them against the platform connection *without* holding the
-//!   connection's state lock, then appends the encoded reply to the
-//!   outbox and flushes opportunistically — replies are therefore written
-//!   in request order, which is what makes pipelining safe.
-//! * **Write coalescing**: replies accumulate in the outbox and go out in
-//!   as few `write` calls as readiness allows; a reply appended while
-//!   earlier bytes are still queued shares their flush.
+//!   the connection's read buffer, decode complete frames and parse their
+//!   SQL once. A request that cannot wait on another session's row lock
+//!   runs right there when nothing is queued ahead of it; everything else
+//!   joins the connection's queue, drained by one task at a time on the
+//!   worker pool — which grows while its threads sit in lock waits, so a
+//!   row-lock convoy parks neither a reactor nor the lock holder's next
+//!   statement. On writability reactors flush the reply outbox.
+//!   Registration changes arrive over a per-reactor inbox + waker, so the
+//!   poller needs no locking.
+//! * **One execute-and-reply path** serves both: run the request *without*
+//!   the connection's state lock, append the encoded reply to the outbox,
+//!   flush opportunistically. An inline request only runs when the queue
+//!   is idle, so replies are written in request order — which is what
+//!   makes pipelining safe — and a reply appended while earlier bytes are
+//!   still queued shares their flush (write coalescing).
 //! * **Deadlines** live on a single timer wheel per reactor
 //!   ([`crate::reactor::TimerWheel`]): handshake/partial-frame read
 //!   deadlines, unflushed-write deadlines, and idle reaping are all lazy
 //!   `(token, generation)` entries — no per-connection timers, no scan of
 //!   10k sessions every tick.
 //!
-//! The existing limits are re-expressed as reactor policy: the accept
-//! loop still refuses to `accept` beyond `max_connections` (clients queue
-//! in the OS listen backlog); a connection with too many decoded-but-
-//! unexecuted requests or too large an unflushed outbox has its read
-//! interest paused (slow-reader backpressure) until the executor drains
-//! it; graceful shutdown drains at frame boundaries with no transaction
-//! open, then force-closes at the drain deadline. Dropping the platform
-//! connection still rolls back any open transaction — an abrupt client
+//! Limits are reactor policy: the accept loop refuses to `accept` beyond
+//! `max_connections` (clients queue in the OS listen backlog); a
+//! connection with too many decoded-but-unexecuted requests or too large
+//! an unflushed outbox has its read interest paused until it drains;
+//! graceful shutdown drains at frame boundaries with no transaction open,
+//! then force-closes at the drain deadline. Dropping the platform
+//! connection rolls back any open transaction — an abrupt client
 //! disconnect mid-transaction cannot leak locks or a pool lane.
 
 use std::collections::{HashMap, VecDeque};
@@ -50,13 +50,17 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use tenantdb_cluster::fault::{self, CrashPoint, FaultAction, FaultInjector};
-use tenantdb_cluster::{BatchMode, BatchStmt, ClusterError, Connection};
+use tenantdb_cluster::{
+    BatchMode, ClusterError, Connection, PoolConfig, PoolMetrics, Transport, WorkerPool,
+};
 use tenantdb_obs::MetricsRegistry;
 use tenantdb_platform::SystemController;
+use tenantdb_sql::{parse, QueryResult, SqlError, Statement, StatementClass};
+use tenantdb_storage::Value;
 
 use crate::reactor::{Event, Poller, TimerEntry, TimerWheel, Token, Waker, WakerRx, READ, WRITE};
 use crate::sync::{
-    Condvar, Mutex, NET_CONN, NET_EXEC_QUEUE, NET_REACTOR_INBOX, NET_SESSIONS, NET_SLOTS,
+    Condvar, Mutex, MutexGuard, NET_CONN, NET_REACTOR_INBOX, NET_SESSIONS, NET_SLOTS,
 };
 use crate::wire::{ConnInfo, Frame, MAX_FRAME_LEN, PROTOCOL_VERSION};
 
@@ -73,6 +77,14 @@ const DRAIN_TICK: Duration = Duration::from_millis(50);
 
 /// Reserved poller token for the reactor's waker fd.
 const WAKER_TOKEN: Token = 0;
+
+/// Per-connection cap on decoded-but-unexecuted pipelined requests; above
+/// it the connection's read interest is paused until the pool catches up.
+const PIPELINE_DEPTH: usize = 128;
+
+/// A read-only batch longer than this runs on the pool, not inline: its
+/// CPU time would stall every other connection on the reactor.
+const MAX_INLINE_STMTS: usize = 16;
 
 /// Serving-tier tunables.
 #[derive(Debug, Clone)]
@@ -92,16 +104,6 @@ pub struct ServerConfig {
     /// How long [`Server::shutdown`] waits for sessions to drain before
     /// force-closing their sockets.
     pub drain_timeout: Duration,
-    /// Number of reactor (I/O) threads. Connections are assigned
-    /// round-robin at accept.
-    pub reactor_threads: usize,
-    /// Number of executor (SQL) threads. Statement execution can block on
-    /// row locks, so this should exceed the core count.
-    pub executor_threads: usize,
-    /// Per-connection cap on decoded-but-unexecuted pipelined requests;
-    /// above it the connection's read interest is paused until the
-    /// executor catches up.
-    pub pipeline_depth: usize,
     /// Per-connection cap (bytes) on the unflushed reply outbox; above it
     /// read interest is paused (slow-reader backpressure) until the peer
     /// drains.
@@ -116,12 +118,6 @@ impl Default for ServerConfig {
             write_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(300),
             drain_timeout: Duration::from_secs(5),
-            reactor_threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .clamp(1, 4),
-            executor_threads: 4,
-            pipeline_depth: 128,
             write_buffer: 256 * 1024,
         }
     }
@@ -131,11 +127,10 @@ impl Default for ServerConfig {
 enum Msg {
     /// Adopt a freshly accepted connection.
     Register(Arc<Conn>),
-    /// A partial flush left bytes in the outbox: watch for writability.
-    WriteInterest(Token),
-    /// Backpressure released: re-enable read interest if it was paused.
-    ReadResume(Token),
-    /// Tear the connection down (executor-detected sever).
+    /// A pool task changed what the connection wants from the poller (a
+    /// partial flush left bytes to write, or backpressure released).
+    Sync(Token),
+    /// Tear the connection down (a pool task detected a sever).
     Close(Token),
     /// Graceful drain: close idle, transaction-free connections now and
     /// the rest as they reach that state.
@@ -157,16 +152,58 @@ impl ReactorHandle {
     }
 }
 
-/// The executor pool's shared work queue.
-struct ExecQueue {
-    q: Mutex<VecDeque<Arc<Conn>>>,
-    cv: Condvar,
+/// One decoded request. Its SQL is parsed once, at dispatch: the reactor
+/// needs the classification to decide where the request runs, and whoever
+/// runs it executes the same ASTs.
+struct Request {
+    frame: Frame,
+    /// One entry per SQL statement the frame carries, in order (empty for
+    /// frames that carry none). A parse error is reported when its
+    /// statement's turn comes, as `Connection::execute` would.
+    stmts: Vec<Result<Arc<Statement>, SqlError>>,
+    /// When the frame was decoded (latency base).
+    started: Instant,
 }
 
-impl ExecQueue {
-    fn push(&self, conn: Arc<Conn>) {
-        self.q.lock().push_back(conn);
-        self.cv.notify_one();
+impl Request {
+    fn new(frame: Frame, started: Instant) -> Self {
+        let ast = |sql: &str| parse(sql).map(Arc::new);
+        let stmts = match &frame {
+            Frame::Query { sql, .. } | Frame::Execute { sql, .. } => vec![ast(sql)],
+            Frame::Batch { stmts, .. } => stmts.iter().map(|s| ast(&s.sql)).collect(),
+            _ => Vec::new(),
+        };
+        Request {
+            frame,
+            stmts,
+            started,
+        }
+    }
+
+    /// May this request execute inline on the reactor? Qualifying requests
+    /// never *wait* on a row lock: `Ping`, a plain read (by the parser's
+    /// classification — never a `FOR UPDATE`, however it is spelled), a
+    /// short `WholeTxn` batch of only such reads, or bare transaction
+    /// control — `BEGIN` allocates a transaction and `COMMIT`/`ROLLBACK`
+    /// only release locks (their replication work is bounded CPU, the same
+    /// class as a large inline select). Statements that can block on
+    /// another session's locks — writes, locking reads, write-bearing
+    /// batches — go to the pool so a lock convoy can never park a reactor.
+    fn inline_safe(&self) -> bool {
+        let all_reads = || {
+            self.stmts
+                .iter()
+                .all(|s| matches!(s, Ok(s) if s.class() == StatementClass::Read))
+        };
+        match &self.frame {
+            Frame::Ping { .. } | Frame::Begin | Frame::Commit | Frame::Rollback => true,
+            Frame::Query { .. } => all_reads(),
+            Frame::Batch {
+                mode: BatchMode::WholeTxn,
+                ..
+            } => self.stmts.len() <= MAX_INLINE_STMTS && all_reads(),
+            _ => false,
+        }
     }
 }
 
@@ -177,7 +214,7 @@ enum Phase {
     Handshake,
     /// Handshake done; serving requests.
     Open,
-    /// Torn down; executors drop work for it.
+    /// Torn down; pool tasks drop work for it.
     Closed,
 }
 
@@ -198,21 +235,21 @@ enum DeadlineKind {
 struct ConnState {
     phase: Phase,
     db: String,
-    /// Established at handshake. Executors clone the Arc out and execute
-    /// without the state lock; the *last* clone to drop rolls back any
-    /// open transaction.
+    /// Established at handshake. Whoever runs a request clones the Arc out
+    /// and executes without the state lock; the *last* clone to drop rolls
+    /// back any open transaction.
     platform: Option<Arc<Connection>>,
     /// Inbound bytes not yet forming a complete frame.
     rbuf: Vec<u8>,
     /// When the current partial frame started (read deadline base).
     rbuf_since: Option<Instant>,
-    /// Decoded requests awaiting execution, with their arrival instants.
-    pending: VecDeque<(Frame, Instant)>,
+    /// Decoded requests awaiting execution on the pool.
+    pending: VecDeque<Request>,
     /// Encoded reply bytes not yet written to the socket.
     outbox: Vec<u8>,
     /// When the outbox first became non-empty (write deadline base).
     outbox_since: Option<Instant>,
-    /// An executor currently owns this connection's pending queue.
+    /// A pool task currently owns this connection's pending queue.
     scheduled: bool,
     /// True while a request is mid-execution (ConnInfo's `busy`).
     busy: bool,
@@ -230,6 +267,12 @@ impl ConnState {
     /// Is the session inside an open transaction?
     fn in_txn(&self) -> bool {
         self.platform.as_ref().is_some_and(|p| p.in_txn())
+    }
+
+    /// Backpressure release point: half the pause watermarks, to avoid
+    /// flapping.
+    fn below_low_water(&self, write_buffer: usize) -> bool {
+        self.pending.len() * 2 <= PIPELINE_DEPTH && self.outbox.len() * 2 <= write_buffer
     }
 }
 
@@ -310,8 +353,6 @@ struct Shared {
     system: Arc<SystemController>,
     cfg: ServerConfig,
     shutdown: AtomicBool,
-    /// Executors exit when this is set (after the drain).
-    halt: AtomicBool,
     /// Live-session count; condvar waited on by the accept loop
     /// (backpressure) and by graceful shutdown (drain).
     slots: Mutex<usize>,
@@ -319,7 +360,6 @@ struct Shared {
     /// Established sessions only (post-handshake), for `\conns`.
     sessions: Mutex<HashMap<u64, Arc<Conn>>>,
     reactors: Vec<ReactorHandle>,
-    exec: ExecQueue,
     next_id: AtomicU64,
     metrics: Arc<MetricsRegistry>,
     hot: HotMetrics,
@@ -378,7 +418,9 @@ pub struct Server {
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
     reactors: Vec<JoinHandle<()>>,
-    executors: Vec<JoinHandle<()>>,
+    /// Runs every request that may block. The reactors hold the other
+    /// handles; dropping the last one joins the workers.
+    pool: Option<Arc<WorkerPool>>,
     local_addr: SocketAddr,
 }
 
@@ -410,8 +452,13 @@ impl Server {
         let metrics = Arc::new(MetricsRegistry::new());
         describe_metrics(&metrics);
 
-        let n_reactors = cfg.reactor_threads.max(1);
-        let n_executors = cfg.executor_threads.max(1);
+        // Connections are assigned to reactors round-robin at accept.
+        let n_reactors = thread::available_parallelism().map_or(1, |n| n.get().clamp(1, 4));
+        let pool = Arc::new(WorkerPool::with_metrics(
+            "net",
+            PoolConfig::default(),
+            Some(PoolMetrics::resolve(&metrics, "net", None)),
+        ));
 
         let mut handles = Vec::with_capacity(n_reactors);
         let mut rx_sides = Vec::with_capacity(n_reactors);
@@ -428,15 +475,10 @@ impl Server {
             system,
             cfg,
             shutdown: AtomicBool::new(false),
-            halt: AtomicBool::new(false),
             slots: Mutex::new(&NET_SLOTS, 0),
             slots_cv: Condvar::new(),
             sessions: Mutex::new(&NET_SESSIONS, HashMap::new()),
             reactors: handles,
-            exec: ExecQueue {
-                q: Mutex::new(&NET_EXEC_QUEUE, VecDeque::new()),
-                cv: Condvar::new(),
-            },
             // Token 0 is the waker; connection ids start at 1.
             next_id: AtomicU64::new(1),
             hot: HotMetrics::new(&metrics),
@@ -446,21 +488,11 @@ impl Server {
 
         let mut reactors = Vec::with_capacity(n_reactors);
         for (i, rx) in rx_sides.into_iter().enumerate() {
-            let shared = Arc::clone(&shared);
+            let (shared, pool) = (Arc::clone(&shared), Arc::clone(&pool));
             reactors.push(
                 thread::Builder::new()
                     .name(format!("net-reactor-{i}"))
-                    .spawn(move || reactor_loop(shared, i, rx))
-                    .map_err(std::io::Error::other)?,
-            );
-        }
-        let mut executors = Vec::with_capacity(n_executors);
-        for i in 0..n_executors {
-            let shared = Arc::clone(&shared);
-            executors.push(
-                thread::Builder::new()
-                    .name(format!("net-exec-{i}"))
-                    .spawn(move || executor_loop(shared))
+                    .spawn(move || reactor_loop(shared, pool, i, rx))
                     .map_err(std::io::Error::other)?,
             );
         }
@@ -476,7 +508,7 @@ impl Server {
             shared,
             accept: Some(accept),
             reactors,
-            executors,
+            pool: Some(pool),
             local_addr,
         })
     }
@@ -546,8 +578,6 @@ impl Server {
     }
 
     fn join_threads(&mut self) {
-        self.shared.halt.store(true, Ordering::SeqCst);
-        self.shared.exec.cv.notify_all();
         for r in &self.shared.reactors {
             r.waker.wake();
         }
@@ -557,9 +587,9 @@ impl Server {
         for h in self.reactors.drain(..) {
             let _ = h.join();
         }
-        for h in self.executors.drain(..) {
-            let _ = h.join();
-        }
+        // The reactors' pool handles went with their threads: this is the
+        // last one, and dropping it runs out the queue and joins the workers.
+        self.pool = None;
     }
 }
 
@@ -719,6 +749,7 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
 /// assigned to it. All poller mutations happen here.
 struct Reactor {
     shared: Arc<Shared>,
+    pool: Arc<WorkerPool>,
     idx: usize,
     poller: Poller,
     wheel: TimerWheel,
@@ -729,7 +760,7 @@ struct Reactor {
     scratch: Vec<u8>,
 }
 
-fn reactor_loop(shared: Arc<Shared>, idx: usize, waker_rx: WakerRx) {
+fn reactor_loop(shared: Arc<Shared>, pool: Arc<WorkerPool>, idx: usize, waker_rx: WakerRx) {
     let mut poller = match Poller::new() {
         Ok(p) => p,
         Err(_) => return,
@@ -742,6 +773,7 @@ fn reactor_loop(shared: Arc<Shared>, idx: usize, waker_rx: WakerRx) {
     }
     let mut r = Reactor {
         shared,
+        pool,
         idx,
         poller,
         wheel: TimerWheel::new(Instant::now()),
@@ -795,8 +827,8 @@ fn reactor_loop(shared: Arc<Shared>, idx: usize, waker_rx: WakerRx) {
         }
         if r.shared.is_shutdown() {
             // Draining: retire sessions that went quiet since the last
-            // tick (inline-served connections never pass through an
-            // executor, so the executor's drain close can't catch them).
+            // tick (inline-served connections never pass through a pool
+            // task, so the task's drain close can't catch them).
             r.drain_idle_conns();
         }
     }
@@ -814,8 +846,7 @@ impl Reactor {
             for msg in msgs {
                 match msg {
                     Msg::Register(conn) => self.register_conn(conn),
-                    Msg::WriteInterest(t) => self.update_write_interest(t),
-                    Msg::ReadResume(t) => self.resume_read(t),
+                    Msg::Sync(t) => self.sync_conn(t),
                     Msg::Close(t) => {
                         if let Some(c) = self.conns.get(&t).cloned() {
                             self.teardown(&c);
@@ -932,7 +963,7 @@ impl Reactor {
             {
                 let mut st = conn.state.lock();
                 st.outbox.extend_from_slice(&err.encode());
-                let _ = self.flush_locked(conn, &mut st);
+                let _ = flush_outbox(&self.shared, conn, &mut st);
             }
             self.teardown(conn);
             return;
@@ -967,8 +998,7 @@ impl Reactor {
     }
 
     /// Handle the `Hello`: resolve the database, negotiate policies. Any
-    /// failure answers with an error frame and severs — same contract as
-    /// the thread-per-connection server.
+    /// failure answers with an error frame and severs.
     fn handshake(&mut self, conn: &Arc<Conn>, frame: Frame) {
         let fail = |r: &mut Self, err: ClusterError| {
             r.shared
@@ -978,7 +1008,7 @@ impl Reactor {
             {
                 let mut st = conn.state.lock();
                 st.outbox.extend_from_slice(&Frame::Error(err).encode());
-                let _ = r.flush_locked(conn, &mut st);
+                let _ = flush_outbox(&r.shared, conn, &mut st);
             }
             r.teardown(conn);
         };
@@ -1008,22 +1038,12 @@ impl Reactor {
         // is correct — Table 1 makes read/write policy observable, so
         // serving under different semantics than the client asked for
         // would be a silent correctness change.
-        let cluster = self
-            .shared
-            .system
-            .primary_colo(&db)
-            .and_then(|id| self.shared.system.colo(id).cloned())
-            .and_then(|colo| colo.cluster_for(&db));
-        let Some(cluster) = cluster else {
-            return fail(self, ClusterError::NoSuchDatabase(db));
-        };
-        let cfg = *cluster.config();
-        if !read_pref.accepts(cfg.read_policy) || !write_pref.accepts(cfg.write_policy) {
+        let (read_policy, write_policy) = platform.policies();
+        if !read_pref.accepts(read_policy) || !write_pref.accepts(write_policy) {
             return fail(
                 self,
                 ClusterError::TxnAborted(format!(
-                    "policy negotiation failed: cluster serves {:?}/{:?}",
-                    cfg.read_policy, cfg.write_policy
+                    "policy negotiation failed: cluster serves {read_policy:?}/{write_policy:?}"
                 )),
             );
         }
@@ -1034,8 +1054,8 @@ impl Reactor {
         }
         let ok = Frame::HelloOk {
             version: PROTOCOL_VERSION,
-            read_policy: cfg.read_policy,
-            write_policy: cfg.write_policy,
+            read_policy,
+            write_policy,
         };
         {
             let mut st = conn.state.lock();
@@ -1044,7 +1064,7 @@ impl Reactor {
             st.platform = Some(Arc::new(platform));
             st.last_activity = Instant::now();
             st.outbox.extend_from_slice(&ok.encode());
-            if self.flush_locked(conn, &mut st).is_err() {
+            if flush_outbox(&self.shared, conn, &mut st).is_err() {
                 drop(st);
                 self.teardown(conn);
                 return;
@@ -1057,121 +1077,48 @@ impl Reactor {
     }
 
     /// Dispatch one decoded request. When nothing is queued ahead of it
-    /// (reply order preserved), `Ping` and *read-only* units — a read-only
-    /// `Query`, or a `WholeTxn` batch of only reads — execute inline on
-    /// the reactor, skipping the executor handoff (a context switch per
-    /// request, the dominant cost of small requests on loopback). The
-    /// worst an inline read can do is wait out one bounded S-lock timeout;
-    /// every write path (and anything behind other work) goes to the
-    /// executor pool so a row-lock convoy can never park a reactor behind
-    /// another connection's open transaction. Everything else joins the
-    /// pending queue for the executor pool.
+    /// (reply order preserved) and it cannot wait on a row lock (see
+    /// [`Request::inline_safe`]) it executes right here, skipping the pool
+    /// handoff — a context switch per request, the dominant cost of small
+    /// requests on loopback. Everything else joins the connection's pending
+    /// queue, drained by one pool task at a time.
     fn dispatch(&mut self, conn: &Arc<Conn>, frame: Frame, started: Instant) {
-        let mut enqueue = false;
-        let mut run_inline: Option<(Frame, Arc<Connection>)> = None;
+        let req = Request::new(frame, started);
+        let mut submit = false;
+        let mut inline = None;
         {
             let mut st = conn.state.lock();
             if st.closing {
                 return;
             }
             let nothing_ahead = st.pending.is_empty() && !st.scheduled;
-            if nothing_ahead && matches!(frame, Frame::Ping { .. }) {
-                let Frame::Ping { token } = frame else {
-                    unreachable!()
-                };
-                if self.shared.fault_sever(CrashPoint::NetResponseDrop)
-                    || self.shared.fault_sever(CrashPoint::NetFrameWrite)
-                {
-                    drop(st);
-                    self.teardown(conn);
-                    return;
-                }
-                append_reply(&self.shared, &mut st, &Frame::Pong { token });
-                let _ = self.flush_locked(conn, &mut st);
-                self.shared
-                    .hot
-                    .record_frame(&self.shared.metrics, "ping", started);
-                st.last_activity = Instant::now();
-            } else if nothing_ahead && inline_safe(&frame) {
-                if let Some(p) = st.platform.clone() {
+            match st.platform.clone() {
+                Some(platform) if nothing_ahead && req.inline_safe() => {
                     st.busy = true;
-                    run_inline = Some((frame, p));
-                } else {
-                    st.pending.push_back((frame, started));
-                    st.scheduled = true;
-                    enqueue = true;
+                    inline = Some((req, platform));
                 }
-            } else {
-                st.pending.push_back((frame, started));
-                if !st.scheduled {
-                    st.scheduled = true;
-                    enqueue = true;
+                _ => {
+                    st.pending.push_back(req);
+                    if !st.scheduled {
+                        st.scheduled = true;
+                        submit = true;
+                    }
                 }
             }
         }
-        if enqueue {
-            self.shared.exec.push(Arc::clone(conn));
+        if submit {
+            let (shared, conn) = (Arc::clone(&self.shared), Arc::clone(conn));
+            self.pool.spawn_task(move || serve_conn(&shared, &conn));
         }
-        if let Some((frame, platform)) = run_inline {
-            self.run_inline(conn, frame, started, &platform);
-        }
-    }
-
-    /// Execute one read-only request on the reactor thread itself — no
-    /// state lock held during execution (listings stay responsive), no
-    /// executor handoff. Mirrors the executor's fault-point and metrics
-    /// behavior exactly.
-    fn run_inline(
-        &mut self,
-        conn: &Arc<Conn>,
-        frame: Frame,
-        started: Instant,
-        platform: &Connection,
-    ) {
-        let kind = frame.kind();
-        // §4 SLA admission: refuse new-transaction work for an over-rate
-        // tenant before it costs reactor time. The probe is non-blocking
-        // and non-consuming (no token spent, no deferral sleep), so it is
-        // safe on the reactor thread; the shed is still counted against the
-        // tenant's rejected fraction. The probe only pre-empts *rejects*:
-        // a Defer decision inside `admit()` still sleeps on this thread,
-        // which the escape below accounts for.
-        //
-        // lint:allow(reactor-block): inline execution is the documented serving-tier
-        // tradeoff — the one sleep on this path is the SLA deferral wait in
-        // ClusterController::admit, bounded by the gate's deferral budget.
-        let reply = match admission_shed(platform, &frame) {
-            Some(shed) => shed,
-            None => handle_request(&self.shared, platform, frame),
-        };
-        if self.shared.fault_sever(CrashPoint::NetResponseDrop)
-            || self.shared.fault_sever(CrashPoint::NetFrameWrite)
-        {
-            conn.state.lock().busy = false;
-            self.teardown(conn);
-            return;
-        }
-        let mut dead = false;
-        {
-            let mut st = conn.state.lock();
-            st.busy = false;
-            if st.closing {
-                return;
+        if let Some((req, platform)) = inline {
+            // lint:allow(reactor-block): inline execution is the documented
+            // serving-tier tradeoff — an inline request never waits on a row
+            // lock; the one sleep on this path is the SLA deferral wait in
+            // ClusterController::admit, bounded by the gate's deferral budget.
+            match execute_and_reply(&self.shared, conn, &platform, req) {
+                Some(mut st) => self.sync_interest(conn, &mut st),
+                None => self.teardown(conn),
             }
-            append_reply(&self.shared, &mut st, &reply);
-            let flush = self.flush_locked(conn, &mut st);
-            st.last_activity = Instant::now();
-            self.shared
-                .hot
-                .record_frame(&self.shared.metrics, kind, started);
-            if flush.is_err() {
-                dead = true;
-            } else {
-                self.sync_interest(conn, &mut st);
-            }
-        }
-        if dead {
-            self.teardown(conn);
         }
     }
 
@@ -1183,7 +1130,7 @@ impl Reactor {
             if st.closing {
                 return;
             }
-            if self.flush_locked(conn, &mut st).is_err() {
+            if flush_outbox(&self.shared, conn, &mut st).is_err() {
                 dead = true;
             } else {
                 self.sync_interest(conn, &mut st);
@@ -1197,14 +1144,6 @@ impl Reactor {
         if dead {
             self.teardown(conn);
         }
-    }
-
-    /// Write as much of the outbox as the socket accepts right now. One
-    /// call per readiness/reply cycle — this is the write coalescing
-    /// point: however many reply frames have accumulated, they leave in as
-    /// few writes as the socket allows.
-    fn flush_locked(&self, conn: &Conn, st: &mut ConnState) -> std::io::Result<()> {
-        flush_outbox(&self.shared, conn, st)
     }
 
     /// Reconcile the poller's interest mask with the connection state.
@@ -1226,8 +1165,8 @@ impl Reactor {
 
     /// Pause reads above the pipeline/outbox watermarks; resume below.
     fn check_backpressure(&mut self, conn: &Conn, st: &mut ConnState) {
-        let over = st.pending.len() >= self.shared.cfg.pipeline_depth
-            || st.outbox.len() >= self.shared.cfg.write_buffer;
+        let over =
+            st.pending.len() >= PIPELINE_DEPTH || st.outbox.len() >= self.shared.cfg.write_buffer;
         if over && !st.read_paused {
             st.read_paused = true;
             self.shared
@@ -1236,20 +1175,16 @@ impl Reactor {
                 .inc();
             let mask = if st.write_interest { WRITE } else { 0 };
             let _ = self.poller.modify(conn.fd, conn.id, mask);
-        } else if !over && st.read_paused {
-            // Resume at half the watermarks to avoid flapping.
-            let low = st.pending.len() * 2 <= self.shared.cfg.pipeline_depth
-                && st.outbox.len() * 2 <= self.shared.cfg.write_buffer;
-            if low {
-                st.read_paused = false;
-                let mask = READ | if st.write_interest { WRITE } else { 0 };
-                let _ = self.poller.modify(conn.fd, conn.id, mask);
-            }
+        } else if st.read_paused && st.below_low_water(self.shared.cfg.write_buffer) {
+            st.read_paused = false;
+            let mask = READ | if st.write_interest { WRITE } else { 0 };
+            let _ = self.poller.modify(conn.fd, conn.id, mask);
         }
     }
 
-    /// Executor noticed a partial flush: ensure write interest is armed.
-    fn update_write_interest(&mut self, token: Token) {
+    /// A pool task left a partial flush or drained below the watermarks:
+    /// arm write interest, maybe re-enable reads.
+    fn sync_conn(&mut self, token: Token) {
         let Some(conn) = self.conns.get(&token).cloned() else {
             return;
         };
@@ -1258,19 +1193,6 @@ impl Reactor {
             return;
         }
         self.sync_interest(&conn, &mut st);
-        let now = Instant::now();
-        self.arm_deadline(conn.id, &mut st, now);
-    }
-
-    /// Executor drained below the watermarks: maybe re-enable reads.
-    fn resume_read(&mut self, token: Token) {
-        let Some(conn) = self.conns.get(&token).cloned() else {
-            return;
-        };
-        let mut st = conn.state.lock();
-        if st.closing {
-            return;
-        }
         self.check_backpressure(&conn, &mut st);
         let now = Instant::now();
         self.arm_deadline(conn.id, &mut st, now);
@@ -1358,8 +1280,8 @@ impl Reactor {
     }
 
     /// Graceful-drain pass: close every connection that is idle with no
-    /// open transaction. The rest retire from the executor side as they
-    /// reach that state (or at the force-close deadline).
+    /// open transaction. The rest retire from the pool side as they reach
+    /// that state (or at the force-close deadline).
     fn drain_idle_conns(&mut self) {
         let candidates: Vec<Arc<Conn>> = self.conns.values().cloned().collect();
         for conn in candidates {
@@ -1376,7 +1298,7 @@ impl Reactor {
     /// Deregister, final-flush, and drop a connection. Idempotent; the
     /// only place a connection leaves the poller. An open transaction
     /// rolls back when the last platform-connection handle drops (which
-    /// may be an executor's, if one is mid-statement).
+    /// may be a pool task's, if one is mid-statement).
     fn teardown(&mut self, conn: &Arc<Conn>) {
         if self.conns.remove(&conn.id).is_none() {
             return;
@@ -1395,44 +1317,6 @@ impl Reactor {
         self.shared.sessions.lock().remove(&conn.id);
         let _ = conn.sock.shutdown(Shutdown::Both);
     }
-}
-
-/// May this request execute inline on the reactor? Qualifying requests
-/// never *wait* on a row lock: a plain `SELECT` (no `FOR UPDATE`), a
-/// `WholeTxn` batch of only such selects, or bare transaction control —
-/// `BEGIN` allocates a transaction and `COMMIT`/`ROLLBACK` only release
-/// locks (their replication work is bounded CPU, the same class as a
-/// large inline select). Statements that can block on another session's
-/// locks — writes, locking reads, write-bearing batches — go to the
-/// executor pool so a lock convoy can never park a reactor.
-fn inline_safe(frame: &Frame) -> bool {
-    const MAX_INLINE_STMTS: usize = 16;
-    match frame {
-        Frame::Query { sql, .. } => is_read_only_sql(sql),
-        Frame::Begin | Frame::Commit | Frame::Rollback => true,
-        Frame::Batch {
-            mode: BatchMode::WholeTxn,
-            stmts,
-            ..
-        } => stmts.len() <= MAX_INLINE_STMTS && stmts.iter().all(|s| is_read_only_sql(&s.sql)),
-        _ => false,
-    }
-}
-
-/// Conservative read-only check: leading `SELECT`, and no `FOR UPDATE`
-/// anywhere (a locking read takes exclusive-intent locks and must not run
-/// on a reactor). False negatives just fall back to the executor path.
-fn is_read_only_sql(sql: &str) -> bool {
-    let t = sql.trim_start();
-    t.len() >= 6
-        && t.as_bytes()[..6].eq_ignore_ascii_case(b"select")
-        && !contains_ignore_case(sql, "FOR UPDATE")
-}
-
-fn contains_ignore_case(hay: &str, needle: &str) -> bool {
-    hay.as_bytes()
-        .windows(needle.len())
-        .any(|w| w.eq_ignore_ascii_case(needle.as_bytes()))
 }
 
 /// Which deadline governs this connection right now. Precedence: a stuck
@@ -1465,8 +1349,10 @@ fn append_reply(shared: &Shared, st: &mut ConnState, frame: &Frame) {
     frame.encode_into(&mut st.outbox);
 }
 
-/// Write as much of the outbox as the socket accepts without blocking.
-/// Updates the write-deadline base; callers re-sync poller interest.
+/// Write as much of the outbox as the socket accepts without blocking —
+/// the write coalescing point: however many reply frames have accumulated,
+/// they leave in as few writes as the socket allows. Updates the
+/// write-deadline base; callers re-sync poller interest.
 fn flush_outbox(shared: &Shared, conn: &Conn, st: &mut ConnState) -> std::io::Result<()> {
     let mut written = 0usize;
     let res = loop {
@@ -1516,46 +1402,61 @@ fn list_sessions(shared: &Shared) -> Vec<ConnInfo> {
     out
 }
 
-// ---------------------------------------------------------------- executor
+// ------------------------------------------------------- execute and reply
 
-fn executor_loop(shared: Arc<Shared>) {
-    loop {
-        let conn = {
-            let mut q = shared.exec.q.lock();
-            loop {
-                if let Some(c) = q.pop_front() {
-                    break c;
-                }
-                if shared.halt.load(Ordering::SeqCst) {
-                    return;
-                }
-                shared
-                    .exec
-                    .cv
-                    .wait_until(&mut q, Instant::now() + ACCEPT_TICK);
-            }
-        };
-        serve_conn(&shared, &conn);
+/// Run one request against the session and queue its reply — the only
+/// place a request executes, whichever thread runs it. Returns the
+/// connection's state guard, still held, so the caller reconciles poller
+/// interest in the same critical section; that is the one step that differs
+/// by caller (a reactor edits its own poller, a pool task posts to the
+/// owning reactor's inbox). `None`: the connection is dead (injected fault,
+/// failed flush) or was torn down meanwhile — the caller severs it.
+fn execute_and_reply<'c>(
+    shared: &Shared,
+    conn: &'c Conn,
+    platform: &Connection,
+    req: Request,
+) -> Option<MutexGuard<'c, ConnState>> {
+    let kind = req.frame.kind();
+    let started = req.started;
+    // Execute WITHOUT the state lock: statement work can block on row
+    // locks; listings and deadlines must not block behind it.
+    let reply = match admission_shed(platform, &req.frame) {
+        Some(shed) => shed,
+        None => handle_request(shared, platform, req),
+    };
+    // The "did my commit land?" window: the request has fully executed but
+    // the client never hears about it.
+    let dropped = shared.fault_sever(CrashPoint::NetResponseDrop)
+        || shared.fault_sever(CrashPoint::NetFrameWrite);
+    let mut st = conn.state.lock();
+    st.busy = false;
+    if dropped || st.closing {
+        return None;
     }
+    append_reply(shared, &mut st, &reply);
+    let flushed = flush_outbox(shared, conn, &mut st);
+    st.last_activity = Instant::now();
+    shared.hot.record_frame(&shared.metrics, kind, started);
+    flushed.ok().map(|()| st)
 }
 
-/// Drain one connection's pending queue: the `scheduled` flag guarantees
-/// this executor is the only one touching it, so replies are appended in
-/// request order.
+/// Pool task: drain one connection's pending queue. The `scheduled` flag
+/// guarantees one task per connection at a time, so replies are appended
+/// in request order.
 fn serve_conn(shared: &Shared, conn: &Arc<Conn>) {
     loop {
         // Pop one request (and the platform handle) under the state lock.
-        let (frame, started, platform) = {
+        let (req, platform) = {
             let mut st = conn.state.lock();
             if st.closing {
                 st.scheduled = false;
                 return;
             }
             match st.pending.pop_front() {
-                Some((f, t)) => {
+                Some(req) => {
                     st.busy = true;
-                    let p = st.platform.clone();
-                    (f, t, p)
+                    (req, st.platform.clone())
                 }
                 None => {
                     st.scheduled = false;
@@ -1569,64 +1470,23 @@ fn serve_conn(shared: &Shared, conn: &Arc<Conn>) {
                 }
             }
         };
-        let Some(platform) = platform else {
+        let st = platform.and_then(|p| execute_and_reply(shared, conn, &p, req));
+        let Some(st) = st else {
             sever(shared, conn);
             return;
         };
-
-        // Execute WITHOUT the state lock: statement work can block on row
-        // locks; listings and the reaper must not block behind it.
-        let kind = frame.kind();
-        let reply = handle_request(shared, &platform, frame);
-
-        // The "did my commit land?" window: the request has fully executed
-        // but the client never hears about it.
-        if shared.fault_sever(CrashPoint::NetResponseDrop)
-            || shared.fault_sever(CrashPoint::NetFrameWrite)
-        {
-            sever(shared, conn);
-            return;
-        }
-
-        let mut need_write_interest = false;
-        let mut resume_read = false;
-        {
-            let mut st = conn.state.lock();
-            st.busy = false;
-            if st.closing {
-                return;
-            }
-            append_reply(shared, &mut st, &reply);
-            let flush = flush_outbox(shared, conn, &mut st);
-            st.last_activity = Instant::now();
-            shared.hot.record_frame(&shared.metrics, kind, started);
-            if flush.is_err() {
-                drop(st);
-                sever(shared, conn);
-                return;
-            }
-            if !st.outbox.is_empty() && !st.write_interest {
-                need_write_interest = true;
-            }
-            if st.read_paused
-                && st.pending.len() * 2 <= shared.cfg.pipeline_depth
-                && st.outbox.len() * 2 <= shared.cfg.write_buffer
-            {
-                resume_read = true;
-            }
-        }
-        if need_write_interest {
-            shared.reactors[conn.reactor].send(Msg::WriteInterest(conn.id));
-        }
-        if resume_read {
-            shared.reactors[conn.reactor].send(Msg::ReadResume(conn.id));
+        let partial_flush = !st.outbox.is_empty() && !st.write_interest;
+        let drained = st.read_paused && st.below_low_water(shared.cfg.write_buffer);
+        drop(st);
+        if partial_flush || drained {
+            shared.reactors[conn.reactor].send(Msg::Sync(conn.id));
         }
         // Loop: serve the next pending request, or clear `scheduled`.
     }
 }
 
-/// Executor-side sever: mark closing and hand the socket back to the
-/// reactor for teardown.
+/// Pool-side sever: mark closing and hand the socket back to the reactor
+/// for teardown.
 fn sever(shared: &Shared, conn: &Arc<Conn>) {
     {
         let mut st = conn.state.lock();
@@ -1638,11 +1498,16 @@ fn sever(shared: &Shared, conn: &Arc<Conn>) {
     shared.reactors[conn.reactor].send(Msg::Close(conn.id));
 }
 
-/// Non-blocking SLA admission shed for the reactor's inline path. Only
+/// Non-blocking SLA admission shed: refuse new-transaction work for an
+/// over-rate tenant before it costs execution time. The probe never blocks
+/// and never consumes a token, so it is safe on a reactor thread, and the
+/// shed is still counted against the tenant's rejected fraction. Only
 /// frames that would *start* a transaction are probed — `Commit`/`Rollback`
 /// of an open transaction (and anything mid-transaction) must always get
-/// through, and `Begin` self-gates inside the cluster connection. Returns
-/// the reply frame to send when the tenant is over rate, `None` to proceed.
+/// through, and `Begin` self-gates inside the cluster connection. The probe
+/// only pre-empts *rejects*: a Defer decision inside `admit()` still
+/// sleeps. Returns the reply frame to send when the tenant is over rate,
+/// `None` to proceed.
 fn admission_shed(conn: &Connection, frame: &Frame) -> Option<Frame> {
     let starts_txn = matches!(frame, Frame::Query { .. } | Frame::Batch { .. }) && !conn.in_txn();
     if !starts_txn {
@@ -1659,73 +1524,49 @@ fn admission_shed(conn: &Connection, frame: &Frame) -> Option<Frame> {
     })
 }
 
-fn handle_request(shared: &Shared, conn: &Connection, frame: Frame) -> Frame {
-    match frame {
+fn handle_request(shared: &Shared, conn: &Connection, req: Request) -> Frame {
+    let mut asts = req.stmts.into_iter();
+    // Execute the frame's next statement from the AST parsed at dispatch.
+    let mut run = |params: Vec<Value>| -> Result<QueryResult, ClusterError> {
+        let ast = asts
+            .next()
+            .expect("Request::new parses one entry per statement")?;
+        conn.execute_parsed(&ast, Arc::new(params))
+    };
+    let done = |r: Result<(), ClusterError>| match r {
+        Ok(()) => Frame::Ok,
+        Err(e) => Frame::Error(e),
+    };
+    match req.frame {
         Frame::Ping { token } => Frame::Pong { token },
-        Frame::Query { sql, params } => match conn.execute(&sql, &params) {
+        Frame::Query { params, .. } => match run(params) {
             Ok(r) => Frame::ResultSet(r),
             Err(e) => Frame::Error(e),
         },
-        Frame::Execute { sql, params } => match conn.execute(&sql, &params) {
+        Frame::Execute { params, .. } => match run(params) {
             Ok(r) => Frame::Affected {
                 rows: r.rows_affected,
             },
             Err(e) => Frame::Error(e),
         },
-        Frame::Begin => match conn.begin() {
-            Ok(()) => Frame::Ok,
-            Err(e) => Frame::Error(e),
-        },
-        Frame::Commit => match conn.commit() {
-            Ok(()) => Frame::Ok,
-            Err(e) => Frame::Error(e),
-        },
-        Frame::Rollback => match conn.rollback() {
-            Ok(()) => Frame::Ok,
-            Err(e) => Frame::Error(e),
-        },
+        Frame::Begin => done(conn.begin()),
+        Frame::Commit => done(conn.commit()),
+        Frame::Rollback => done(conn.rollback()),
         Frame::ListConns => Frame::ConnList(list_sessions(shared)),
-        Frame::Batch { seq, mode, stmts } => match run_batch(conn, &stmts, mode) {
-            Ok(results) => Frame::BatchOk { seq, results },
-            Err((index, error)) => Frame::BatchErr { seq, index, error },
-        },
+        Frame::Batch { seq, mode, stmts } => {
+            let mut stmts = stmts.into_iter();
+            let results = conn.batch_indexed(stmts.len(), mode, &mut |_| {
+                run(stmts.next().map(|s| s.params).unwrap_or_default())
+            });
+            match results {
+                Ok(results) => Frame::BatchOk { seq, results },
+                Err((index, error)) => Frame::BatchErr { seq, index, error },
+            }
+        }
         // Reply frames (or a second Hello) are not valid requests.
         other => Frame::Error(ClusterError::TxnAborted(format!(
             "unexpected request frame: {}",
             other.kind()
         ))),
     }
-}
-
-/// Server-side batch execution, mirroring the
-/// [`Transport::execute_batch`](tenantdb_cluster::Transport::execute_batch)
-/// default implementation statement-for-statement so in-process and
-/// over-the-wire runs are observably identical — same error, same
-/// transaction state afterwards. The extra `index` in the error names the
-/// failing step for the `BatchErr` frame (`stmts.len()` = the implicit
-/// commit).
-fn run_batch(
-    conn: &Connection,
-    stmts: &[BatchStmt],
-    mode: BatchMode,
-) -> Result<Vec<tenantdb_sql::QueryResult>, (u32, ClusterError)> {
-    if mode == BatchMode::WholeTxn {
-        conn.begin().map_err(|e| (0u32, e))?;
-    }
-    let mut out = Vec::with_capacity(stmts.len());
-    for (i, s) in stmts.iter().enumerate() {
-        match conn.execute(&s.sql, &s.params) {
-            Ok(r) => out.push(r),
-            Err(e) => {
-                if mode != BatchMode::Statements && conn.in_txn() {
-                    let _ = conn.rollback();
-                }
-                return Err((i as u32, e));
-            }
-        }
-    }
-    if mode != BatchMode::Statements {
-        conn.commit().map_err(|e| (stmts.len() as u32, e))?;
-    }
-    Ok(out)
 }

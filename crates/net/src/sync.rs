@@ -42,10 +42,7 @@ pub static NET_CLIENT: LockClass = LockClass::new("net.client.stream", 5);
 /// Per-connection reactor state: read buffer, pending request queue,
 /// reply outbox, scheduling flags. Sits *above* the cluster connection
 /// (rank 10) so `\conns` listings may read transaction state while
-/// holding it, but SQL execution never runs under it — executors clone
-/// the platform connection handle out and release this lock first.
+/// holding it, but SQL execution never runs under it — whoever runs a
+/// request clones the platform connection handle out and releases this
+/// lock first.
 pub static NET_CONN: LockClass = LockClass::new("net.server.conn", 6);
-
-/// Executor work queue (condvar mutex): connections with decoded
-/// requests awaiting statement execution.
-pub static NET_EXEC_QUEUE: LockClass = LockClass::new("net.server.exec_queue", 7);

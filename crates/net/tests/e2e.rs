@@ -28,8 +28,16 @@ const DB: &str = "shop";
 /// A single-colo platform whose one cluster runs the testkit fast-engine
 /// config with deterministic policies and seed.
 fn platform(seed: u64) -> Arc<SystemController> {
+    platform_with_lock_timeout(seed, testkit::fast_engine_config().lock_timeout)
+}
+
+/// [`platform`] with an explicit row-lock timeout, for the tests that
+/// assert something finishes in *well under* one.
+fn platform_with_lock_timeout(seed: u64, lock_timeout: Duration) -> Arc<SystemController> {
+    let mut cluster = testkit::config(ReadPolicy::PinnedReplica, WritePolicy::Conservative, seed);
+    cluster.engine.lock_timeout = lock_timeout;
     let cfg = PlatformConfig {
-        cluster: testkit::config(ReadPolicy::PinnedReplica, WritePolicy::Conservative, seed),
+        cluster,
         clusters_per_colo: 1,
         machines_per_cluster: 4,
         ..PlatformConfig::for_tests()
@@ -39,12 +47,19 @@ fn platform(seed: u64) -> Arc<SystemController> {
 
 /// Create `DB` with 3 in-colo replicas and return its cluster controller.
 fn create_db(system: &Arc<SystemController>) -> Arc<ClusterController> {
+    create_db_replicated(system, 3)
+}
+
+/// Create `DB` with `replicas` in-colo replicas. One replica means one
+/// lock table, so sessions queueing on a row cannot also deadlock across
+/// replicas.
+fn create_db_replicated(system: &Arc<SystemController>, replicas: usize) -> Arc<ClusterController> {
     system
         .create_database(
             DB,
             (0.0, 0.0),
             CreateOptions {
-                replicas: 3,
+                replicas,
                 cross_colo: false,
                 ..CreateOptions::default()
             },
@@ -1038,5 +1053,141 @@ fn admission_rejection_rides_the_wire() {
     assert!(adm.rejected >= shed + write_shed);
     assert!(cluster.counters(DB).rejected >= shed + write_shed);
 
+    server.shutdown();
+}
+
+/// How many of the server's sessions are mid-request right now.
+fn busy_sessions(server: &Server) -> usize {
+    server.list_sessions().iter().filter(|c| c.busy).count()
+}
+
+/// A convoy on one row lock must not starve the session that holds it:
+/// with more waiters parked on the lock than a fixed pool would have
+/// threads (the old executor pool had 4), the holder's next write still
+/// runs at once instead of queueing behind them for a full lock timeout.
+#[test]
+fn lock_convoy_does_not_stall_the_lock_holders_next_write() {
+    const WAITERS: usize = 6;
+    const LOCK_TIMEOUT: Duration = Duration::from_secs(3);
+
+    let sys = platform_with_lock_timeout(43, LOCK_TIMEOUT);
+    create_db_replicated(&sys, 1);
+    seed_kv(&sys, &[1]);
+    let server =
+        Server::start("127.0.0.1:0", Arc::clone(&sys), ServerConfig::default()).expect("bind");
+    let addr = server.local_addr();
+
+    let holder = NetClient::connect(addr, DB, quick_opts()).expect("holder");
+    Transport::begin(&holder).expect("begin");
+    Transport::execute(&holder, "UPDATE kv SET v = 5 WHERE id = 1", &[]).expect("take the lock");
+
+    let waiters: Vec<_> = (0..WAITERS)
+        .map(|_| {
+            let c = NetClient::connect(addr, DB, quick_opts()).expect("waiter");
+            thread::spawn(move || {
+                Transport::execute(&c, "UPDATE kv SET v = v + 1 WHERE id = 1", &[])
+            })
+        })
+        .collect();
+    // Give every waiter the chance to be parked on the row lock (each one
+    // holding a pool thread). A pool that cannot run them all never gets
+    // there; the write below then shows what that costs.
+    let parked_by = Instant::now() + LOCK_TIMEOUT / 4;
+    while busy_sessions(&server) < WAITERS && Instant::now() < parked_by {
+        thread::sleep(Duration::from_millis(5));
+    }
+
+    let started = Instant::now();
+    Transport::execute(&holder, "UPDATE kv SET v = 10 WHERE id = 1", &[]).expect("next write");
+    let took = started.elapsed();
+    assert!(
+        took < LOCK_TIMEOUT / 4,
+        "the lock holder's next write took {took:?} behind {WAITERS} waiters \
+         (lock timeout {LOCK_TIMEOUT:?})"
+    );
+    assert_eq!(
+        busy_sessions(&server),
+        WAITERS,
+        "not every waiter was running"
+    );
+
+    // Releasing the lock lets the whole convoy through, one by one.
+    Transport::commit(&holder).expect("commit");
+    for w in waiters {
+        w.join().expect("waiter thread").expect("queued update");
+    }
+    let r = Transport::execute(&holder, "SELECT v FROM kv WHERE id = 1", &[]).expect("read back");
+    assert_eq!(r.rows, vec![vec![Value::Int(10 + WAITERS as i64)]]);
+    server.shutdown();
+}
+
+/// A locking read is a locking read however its keywords are spaced. It
+/// waits on the holder's X lock on a pool thread, never on a reactor — so
+/// connections sharing that reactor keep answering `Ping` meanwhile.
+#[test]
+fn locking_read_in_any_spelling_never_parks_a_reactor() {
+    const LOCK_TIMEOUT: Duration = Duration::from_secs(3);
+    // At most 4 reactors, assigned round-robin: 8 consecutive connections
+    // put a bystander on every one of them.
+    const BYSTANDERS: usize = 8;
+
+    let sys = platform_with_lock_timeout(47, LOCK_TIMEOUT);
+    create_db_replicated(&sys, 1);
+    seed_kv(&sys, &[1]);
+    let server = Server::start(
+        "127.0.0.1:0",
+        Arc::clone(&sys),
+        ServerConfig {
+            max_connections: BYSTANDERS + 8,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+
+    let bystanders: Vec<NetClient> = (0..BYSTANDERS)
+        .map(|_| NetClient::connect(addr, DB, quick_opts()).expect("bystander"))
+        .collect();
+    let holder = NetClient::connect(addr, DB, quick_opts()).expect("holder");
+
+    for (round, for_update) in ["FOR  UPDATE", "FOR\nUPDATE", "for\tupdate"]
+        .into_iter()
+        .enumerate()
+    {
+        Transport::begin(&holder).expect("begin");
+        Transport::execute(&holder, "UPDATE kv SET v = v + 1 WHERE id = 1", &[])
+            .expect("take the lock");
+
+        let locker = NetClient::connect(addr, DB, quick_opts()).expect("locker");
+        let sql = format!("SELECT v FROM kv WHERE id = 1 {for_update}");
+        let locking_read = thread::spawn(move || Transport::execute(&locker, &sql, &[]));
+        wait_for("the locking read to start", LOCK_TIMEOUT / 2, || {
+            busy_sessions(&server) == 1
+        });
+
+        for (i, b) in bystanders.iter().enumerate() {
+            let started = Instant::now();
+            b.ping(i as u64).expect("ping");
+            let took = started.elapsed();
+            assert!(
+                took < LOCK_TIMEOUT / 4,
+                "ping on bystander {i} took {took:?} while a {for_update:?} read waited on a lock"
+            );
+        }
+        assert_eq!(
+            busy_sessions(&server),
+            1,
+            "the locking read is still waiting"
+        );
+
+        // It was a real locking read: it returns only once the holder lets
+        // go, and sees the holder's committed value.
+        Transport::commit(&holder).expect("commit");
+        let r = locking_read
+            .join()
+            .expect("locker thread")
+            .expect("locking read");
+        assert_eq!(r.rows, vec![vec![Value::Int(round as i64 + 1)]]);
+    }
     server.shutdown();
 }

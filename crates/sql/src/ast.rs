@@ -41,6 +41,53 @@ pub enum Statement {
     },
 }
 
+/// What a statement does to the database — the one definition every layer
+/// that routes, gates or schedules statements asks, instead of matching on
+/// [`Statement`] variants itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StatementClass {
+    /// `CREATE TABLE` / `CREATE INDEX`: auto-committed, outside transactions.
+    Ddl,
+    /// A plain `SELECT`: shared locks only, served by one replica.
+    Read,
+    /// `SELECT ... FOR UPDATE`: changes no row but X-locks what it matches,
+    /// so it can wait on another session's lock and must run on every
+    /// replica like a write.
+    LockingRead,
+    /// `INSERT` / `UPDATE` / `DELETE`.
+    Write,
+}
+
+impl Statement {
+    /// Classify the statement (see [`StatementClass`]).
+    pub fn class(&self) -> StatementClass {
+        match self {
+            Statement::CreateTable { .. } | Statement::CreateIndex { .. } => StatementClass::Ddl,
+            Statement::Select(sel) if sel.for_update => StatementClass::LockingRead,
+            Statement::Select(_) => StatementClass::Read,
+            Statement::Insert { .. } | Statement::Update { .. } | Statement::Delete { .. } => {
+                StatementClass::Write
+            }
+        }
+    }
+
+    /// The tables a [`Write`](StatementClass::Write) modifies or a
+    /// [`LockingRead`](StatementClass::LockingRead) X-locks (the `FROM`
+    /// table first, then each joined table); empty for the other classes.
+    pub fn locked_tables(&self) -> Vec<&str> {
+        match self {
+            Statement::Insert { table, .. }
+            | Statement::Update { table, .. }
+            | Statement::Delete { table, .. } => vec![table],
+            Statement::Select(sel) if sel.for_update => std::iter::once(&sel.from)
+                .chain(sel.joins.iter().map(|j| &j.table))
+                .map(|t| t.name.as_str())
+                .collect(),
+            _ => Vec::new(),
+        }
+    }
+}
+
 /// A column declaration in `CREATE TABLE`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnSpec {

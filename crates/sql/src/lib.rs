@@ -38,7 +38,7 @@ pub mod exec;
 pub mod lexer;
 pub mod parser;
 
-pub use ast::Statement;
+pub use ast::{Statement, StatementClass};
 pub use error::{Result, SqlError};
 pub use exec::{execute, execute_stmt, QueryResult};
 pub use parser::{param_count, parse};

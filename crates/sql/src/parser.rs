@@ -758,6 +758,8 @@ mod tests {
             "CREATE TABLE users (id INT NOT NULL, name VARCHAR(40), score FLOAT, PRIMARY KEY (id))",
         )
         .unwrap();
+        assert_eq!(s.class(), StatementClass::Ddl);
+        assert!(s.locked_tables().is_empty());
         match s {
             Statement::CreateTable {
                 name,
@@ -778,6 +780,7 @@ mod tests {
     #[test]
     fn create_index() {
         let s = parse("CREATE UNIQUE INDEX by_email ON users (email)").unwrap();
+        assert_eq!(s.class(), StatementClass::Ddl);
         assert_eq!(
             s,
             Statement::CreateIndex {
@@ -792,6 +795,8 @@ mod tests {
     #[test]
     fn insert_multi_row_with_params() {
         let s = parse("INSERT INTO t (a, b) VALUES (1, ?), (2, ?)").unwrap();
+        assert_eq!(s.class(), StatementClass::Write);
+        assert_eq!(s.locked_tables(), ["t"]);
         match &s {
             Statement::Insert {
                 columns, values, ..
@@ -818,6 +823,8 @@ mod tests {
              GROUP BY o.id ORDER BY n DESC, o.id LIMIT 5",
         )
         .unwrap();
+        assert_eq!(s.class(), StatementClass::Read);
+        assert!(s.locked_tables().is_empty());
         let Statement::Select(sel) = s else { panic!() };
         assert_eq!(sel.items.len(), 2);
         assert_eq!(sel.from.binding(), "o");
@@ -834,14 +841,38 @@ mod tests {
     #[test]
     fn select_star_for_update() {
         let s = parse("SELECT * FROM items WHERE id = ? FOR UPDATE").unwrap();
+        assert_eq!(s.class(), StatementClass::LockingRead);
         let Statement::Select(sel) = s else { panic!() };
         assert!(sel.for_update);
         assert_eq!(sel.items, vec![SelectItem::Star]);
     }
 
+    /// `FOR UPDATE` is two keywords, not a substring: any whitespace between
+    /// them (and any case) is still a locking read, and a joined locking
+    /// read locks every table it names.
+    #[test]
+    fn for_update_spellings_all_classify_as_locking_reads() {
+        for sep in [" ", "  ", "\t", "\n", " \r\n\t "] {
+            for (f, u) in [("FOR", "UPDATE"), ("for", "update"), ("For", "uPdAtE")] {
+                let sql = format!(
+                    "SELECT i.id FROM items i JOIN stock s ON s.i_id = i.id \
+                     WHERE i.id = 1 {f}{sep}{u}"
+                );
+                let s = parse(&sql).unwrap();
+                assert_eq!(s.class(), StatementClass::LockingRead, "{sql:?}");
+                assert_eq!(s.locked_tables(), ["items", "stock"], "{sql:?}");
+            }
+        }
+        // A column or string that merely mentions the words is a plain read.
+        let s = parse("SELECT for_update FROM t WHERE note = 'FOR UPDATE'").unwrap();
+        assert_eq!(s.class(), StatementClass::Read);
+    }
+
     #[test]
     fn update_and_delete() {
         let s = parse("UPDATE items SET stock = stock - 1, flag = true WHERE id = 3").unwrap();
+        assert_eq!(s.class(), StatementClass::Write);
+        assert_eq!(s.locked_tables(), ["items"]);
         match s {
             Statement::Update { sets, filter, .. } => {
                 assert_eq!(sets.len(), 2);
@@ -851,6 +882,8 @@ mod tests {
         }
         let d = parse("DELETE FROM cart WHERE session = 'x'").unwrap();
         assert!(matches!(d, Statement::Delete { .. }));
+        assert_eq!(d.class(), StatementClass::Write);
+        assert_eq!(d.locked_tables(), ["cart"]);
     }
 
     #[test]

@@ -15,8 +15,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use tenantdb::cluster::fault::CONTROLLER;
 use tenantdb::cluster::{
-    recover_machine, ClusterConfig, ClusterController, CommitFault, CopyGranularity, RecoveryConfig,
+    recover_machine, ClusterConfig, ClusterController, CopyGranularity, CrashPoint, FaultAction,
+    FaultPlan, RecoveryConfig, Trigger,
 };
 use tenantdb::storage::{Throttle, Value};
 
@@ -138,8 +140,14 @@ fn main() {
         &[],
     )
     .unwrap();
-    conn.commit_with_fault(CommitFault::CrashAfterDecision)
-        .unwrap();
+    cluster.faults().arm(FaultPlan::new(vec![Trigger {
+        point: CrashPoint::CommitDecision,
+        machine: Some(CONTROLLER),
+        after_hits: 0,
+        action: FaultAction::Crash,
+    }]));
+    conn.commit().unwrap();
+    cluster.faults().disarm();
     let takeover = cluster.takeover();
     println!(
         "  takeover: completed {} decided commit(s), aborted {} in-doubt txn(s)",
