@@ -184,7 +184,7 @@ pub fn lint_file(
                 lineno,
                 "wal-access",
                 "raw WAL handle outside crates/storage — tail the log through \
-                 the stable Engine surface (wal_head_lsn / wal_tail_from / \
+                 the stable Engine surface (wal_head_lsn / wal_tail_from_capped / \
                  in_doubt / resolve_in_doubt_commit) so the log's internals \
                  can evolve (or justify with // lint:allow(wal-access): <reason>)"
                     .to_string(),
@@ -419,7 +419,7 @@ mod tests {
         // The WAL's own crate may touch its raw handle freely.
         assert!(rules("crates/storage/src/engine.rs", src).is_empty());
         // The stable Engine surface is the sanctioned path.
-        let stable = "let tail = m.engine.wal_tail_from(cursor);\n";
+        let stable = "let tail = m.engine.wal_tail_from_capped(cursor, 64);\n";
         assert!(rules("crates/georep/src/ship.rs", stable).is_empty());
         let reasoned = "// lint:allow(wal-access): asserts raw record layout\n\
                         let w = m.engine.wal();\n";

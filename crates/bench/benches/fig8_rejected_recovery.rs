@@ -8,9 +8,6 @@
 //! table-level copying (the whole database is write-locked instead of one
 //! table at a time).
 
-use std::path::Path;
-
-use tenantdb_bench::snapshot::{update_section, SnapValue};
 use tenantdb_bench::{fast_mode, RecoveryExperiment};
 use tenantdb_cluster::CopyGranularity;
 use tenantdb_tpcw::SHOPPING;
@@ -24,16 +21,10 @@ fn main() {
         print!("{t:>12}");
     }
     println!();
-    // rejected_per_db at the highest thread count, per granularity —
-    // the two numbers the BENCH_sla.json contract tracks.
-    let mut at_max = [0.0f64; 2];
-    for (gi, (label, g)) in [
+    for (label, g) in [
         ("table-level copy", CopyGranularity::TableLevel),
         ("database-level copy", CopyGranularity::DatabaseLevel),
-    ]
-    .into_iter()
-    .enumerate()
-    {
+    ] {
         print!("{label:<26}");
         for &t in threads {
             let out = RecoveryExperiment {
@@ -43,30 +34,9 @@ fn main() {
             }
             .run(&SHOPPING, 2);
             print!("{:>12.1}", out.rejected_per_db);
-            at_max[gi] = out.rejected_per_db;
         }
         println!();
     }
     println!();
     println!("# paper: db-level >> table-level; rejections grow with recovery threads");
-    update_section(
-        Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sla.json")),
-        "tenantdb-bench-sla/v1",
-        "fig8_rejected_recovery",
-        &[
-            ("fast_mode".to_string(), SnapValue::Bool(fast_mode())),
-            (
-                "threads_max".to_string(),
-                SnapValue::Int(*threads.last().expect("threads") as i64),
-            ),
-            (
-                "table_level_rejected_per_db".to_string(),
-                SnapValue::Num(at_max[0]),
-            ),
-            (
-                "db_level_rejected_per_db".to_string(),
-                SnapValue::Num(at_max[1]),
-            ),
-        ],
-    );
 }

@@ -2,10 +2,9 @@
 //! wrapper with checking disabled vs enabled.
 //!
 //! The disabled path is the one production (release) builds take: a single
-//! relaxed atomic load on acquire and one on release. The acceptance bar
-//! for the sync-layer refactor is that this path costs < 1% on the
-//! `micro_txn_overhead` macro numbers; this bench isolates the per-lock
-//! cost itself so a regression in the gate is visible without macro noise.
+//! relaxed atomic load on acquire and one on release. No `e2e` workload
+//! can switch lockdep on, so this bench isolates the per-lock cost itself:
+//! a regression in the gate is visible without macro noise.
 //!
 //! Run with `cargo bench -p tenantdb-bench --bench micro_lockdep`.
 

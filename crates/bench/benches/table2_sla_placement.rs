@@ -8,23 +8,15 @@
 //! Expected shape (paper): First-Fit equals or is within one machine of
 //! optimal; both fall as skew rises (smaller databases pack tighter).
 
-use std::path::Path;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use tenantdb_bench::fast_mode;
-use tenantdb_bench::snapshot::{update_section, SnapValue};
 use tenantdb_sla::{
     optimal_machine_count_budgeted, DatabaseSpec, FirstFitPlacer, Placer, ResourceVector, Zipf,
 };
 
 fn main() {
     let n_dbs = 25;
-    let mut snap: Vec<(String, SnapValue)> = vec![
-        ("fast_mode".to_string(), SnapValue::Bool(fast_mode())),
-        ("n_dbs".to_string(), SnapValue::Int(n_dbs as i64)),
-    ];
     let capacity = ResourceVector::new(12.0, 2000.0, 12.0, 2000.0);
     println!("# Table 2: SLA placement — First-Fit vs optimal");
     println!("# {n_dbs} databases; size ~ zipf(200..1000 MB); tps ~ zipf(0.1..10)");
@@ -64,21 +56,9 @@ fn main() {
             opt,
             if exact { " " } else { "*" },
         );
-        let tag = format!("skew_{:02}", (skew * 10.0).round() as u32);
-        snap.push((
-            format!("{tag}_first_fit"),
-            SnapValue::Int(ff.machines_used() as i64),
-        ));
-        snap.push((format!("{tag}_optimal"), SnapValue::Int(opt as i64)));
     }
     println!();
     println!("# paper (Table 2): skew 0.4..2.0 -> sizes 531..310, tps 3.75..0.29,");
     println!("#                  machines 9/9, 6/6, 5/4, 4/4, 4/4 (first-fit/optimal)");
     println!("# (*) = branch-and-bound budget exhausted; best packing found shown");
-    update_section(
-        Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sla.json")),
-        "tenantdb-bench-sla/v1",
-        "table2_placement",
-        &snap,
-    );
 }

@@ -9,9 +9,6 @@
 //! Environment knobs: set `TENANTDB_BENCH_FAST=1` to run each experiment at
 //! reduced duration/scale (used by CI smoke runs).
 
-pub mod snapshot;
-pub mod wire_probe;
-
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -269,10 +266,11 @@ pub fn run_deadlock_figure(figure: &str, mix: &'static Mix) {
 // ------------------------------------------------------------ micro timing
 
 /// Minimal microbenchmark loop (no external harness): run `f` repeatedly
-/// for ~`measure` after a `warmup`, reporting mean ns/op. Good to the
-/// precision the micro targets need (they compare multi-µs operations);
-/// timer overhead is amortized by reading the clock once per batch.
-pub fn time_per_op(warmup: Duration, measure: Duration, mut f: impl FnMut()) -> f64 {
+/// for a fast-mode-aware measured window after a warm-up, reporting mean
+/// ns/op. Timer overhead is amortized by reading the clock once per batch.
+pub fn time_op_default(mut f: impl FnMut()) -> f64 {
+    let (w, m) = if fast_mode() { (0.05, 0.2) } else { (0.3, 1.5) };
+    let (warmup, measure) = (Duration::from_secs_f64(w), Duration::from_secs_f64(m));
     let t0 = std::time::Instant::now();
     let mut warm_iters = 0u64;
     while t0.elapsed() < warmup {
@@ -298,12 +296,6 @@ pub fn time_per_op(warmup: Duration, measure: Duration, mut f: impl FnMut()) -> 
     elapsed.as_nanos() as f64 / ops as f64
 }
 
-/// `time_per_op` with the profile the micro targets share (fast-mode aware).
-pub fn time_op_default(f: impl FnMut()) -> f64 {
-    let (w, m) = if fast_mode() { (0.05, 0.2) } else { (0.3, 1.5) };
-    time_per_op(Duration::from_secs_f64(w), Duration::from_secs_f64(m), f)
-}
-
 /// Print one micro result line: name, ns/op, ops/s.
 pub fn report_micro(name: &str, ns_per_op: f64) {
     println!(
@@ -311,20 +303,6 @@ pub fn report_micro(name: &str, ns_per_op: f64) {
         ns_per_op,
         1e9 / ns_per_op
     );
-}
-
-/// Pretty-print a two-column table (used by the SLA benches).
-pub fn print_rows(header: &[&str], rows: &[Vec<String>]) {
-    for h in header {
-        print!("{h:>14}");
-    }
-    println!();
-    for row in rows {
-        for cell in row {
-            print!("{cell:>14}");
-        }
-        println!();
-    }
 }
 
 // ---------------------------------------------------------------- recovery

@@ -164,7 +164,8 @@ impl Connection {
                     "DDL not allowed inside a transaction".into(),
                 )));
             }
-            return self.run_ddl(stmt);
+            self.controller.apply_ddl(&self.db, stmt)?;
+            return Ok(QueryResult::default());
         }
         let implicit = !self.in_txn();
         if implicit {
@@ -187,39 +188,6 @@ impl Connection {
             }
         }
         result
-    }
-
-    fn run_ddl(&self, stmt: &Arc<Statement>) -> Result<QueryResult> {
-        // Geo fence: DDL is a write (see run_write).
-        self.controller.check_geo_fence()?;
-        // DDL broadcasts like a write: hold the routing barrier across the
-        // copy-state check and the per-replica apply, so a replica copy
-        // cannot start dumping in between (a table created on the old
-        // replicas after the dump listed tables would silently never reach
-        // the copy target).
-        let _route = self.controller.route_guard();
-        let (placement, copy) = self.controller.route_info(&self.db)?;
-        let replicas = self.controller.alive_of(&placement);
-        if replicas.is_empty() {
-            return Err(ClusterError::NoReplicas(self.db.clone()));
-        }
-        if copy.is_some() {
-            self.controller
-                .metrics()
-                .note_write_rejected(&self.db, "<ddl>");
-            return Err(ClusterError::WriteRejected {
-                db: self.db.clone(),
-                table: "<ddl>".into(),
-            });
-        }
-        for id in replicas {
-            let machine = self.controller.machine(id)?;
-            let txn = machine.engine.begin()?;
-            let r = tenantdb_sql::execute_stmt(&machine.engine, txn, &self.db, stmt, &[]);
-            machine.engine.commit(txn)?;
-            r?;
-        }
-        Ok(QueryResult::default())
     }
 
     // ------------------------------------------------------------- reads

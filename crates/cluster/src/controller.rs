@@ -98,13 +98,6 @@ impl ClusterConfig {
         }
     }
 
-    /// Set both routing policies (builder style).
-    pub fn with_policies(mut self, read: ReadPolicy, write: WritePolicy) -> Self {
-        self.read_policy = read;
-        self.write_policy = write;
-        self
-    }
-
     /// Set the per-machine worker-pool sizing (builder style).
     pub fn with_pool(mut self, pool: PoolConfig) -> Self {
         self.pool = pool;
@@ -522,29 +515,43 @@ impl ClusterController {
 
     /// Run a DDL statement (CREATE TABLE / CREATE INDEX) on every replica.
     pub fn ddl(&self, db: &str, sql: &str) -> Result<()> {
-        // Geo fence: DDL is a write.
-        self.check_geo_fence()?;
         let stmt = parse(sql)?;
         if stmt.class() != tenantdb_sql::StatementClass::Ddl {
             return Err(ClusterError::Sql(tenantdb_sql::SqlError::Plan(
                 "ddl() accepts only CREATE TABLE / CREATE INDEX".into(),
             )));
         }
-        // Hold the routing barrier like any broadcast write, so a replica
-        // copy cannot start dumping between the copy-state check and the
-        // per-replica apply (see Connection::run_ddl).
+        self.apply_ddl(db, &stmt)
+    }
+
+    /// The one DDL path, behind [`Self::ddl`] and a connection's DDL
+    /// statements: geo fence → routing barrier → copy check → per-replica
+    /// apply.
+    pub(crate) fn apply_ddl(&self, db: &str, stmt: &tenantdb_sql::Statement) -> Result<()> {
+        // Geo fence: DDL is a write.
+        self.check_geo_fence()?;
+        // DDL broadcasts like a write: hold the routing barrier across the
+        // copy-state check and the per-replica apply, so a replica copy
+        // cannot start dumping in between (a table created on the old
+        // replicas after the dump listed tables would silently never reach
+        // the copy target).
         let _route = self.route_guard();
         let (placement, copy) = self.route_info(db)?;
+        let replicas = self.alive_of(&placement);
+        if replicas.is_empty() {
+            return Err(ClusterError::NoReplicas(db.into()));
+        }
         if copy.is_some() {
+            self.metrics.note_write_rejected(db, "<ddl>");
             return Err(ClusterError::WriteRejected {
                 db: db.into(),
                 table: "<ddl>".into(),
             });
         }
-        for id in self.alive_of(&placement) {
+        for id in replicas {
             let machine = self.machine(id)?;
             let txn = machine.engine.begin()?;
-            let r = tenantdb_sql::execute_stmt(&machine.engine, txn, db, &stmt, &[]);
+            let r = tenantdb_sql::execute_stmt(&machine.engine, txn, db, stmt, &[]);
             machine.engine.commit(txn)?;
             r?;
         }

@@ -20,7 +20,7 @@ use crate::sync::{Mutex, METRICS_PER_DB, METRICS_READ_ROUTES, METRICS_SLA};
 
 use tenantdb_obs::{Counter, EventLog, Gauge, Histogram, MetricsRegistry};
 
-use crate::controller::{ReadPolicy, WritePolicy};
+use crate::controller::ReadPolicy;
 use crate::machine::MachineId;
 
 /// Transactions begun (`db` label): every `BEGIN`, explicit or implicit.
@@ -552,14 +552,6 @@ pub fn policy_label(p: ReadPolicy) -> &'static str {
         ReadPolicy::PinnedReplica => "pinned",
         ReadPolicy::PerTransaction => "per_txn",
         ReadPolicy::PerOperation => "per_op",
-    }
-}
-
-/// Stable label value for a write policy.
-pub fn write_policy_label(p: WritePolicy) -> &'static str {
-    match p {
-        WritePolicy::Conservative => "conservative",
-        WritePolicy::Aggressive => "aggressive",
     }
 }
 

@@ -70,15 +70,6 @@ impl PoolConfig {
             max_threads: n,
         }
     }
-
-    /// `n` resident threads with the default growth ceiling.
-    pub fn with_core_threads(n: usize) -> Self {
-        let n = n.max(1);
-        PoolConfig {
-            core_threads: n,
-            max_threads: n.max(Self::default().max_threads),
-        }
-    }
 }
 
 /// A unit of pool work.

@@ -279,14 +279,6 @@ pub fn no_starvation_violations(c: &ClusterController, window: Option<Duration>)
     violations
 }
 
-/// Panic unless [`no_starvation_violations`] is empty.
-pub fn assert_no_starvation(c: &ClusterController, window: Option<Duration>) {
-    let v = no_starvation_violations(c, window);
-    if !v.is_empty() {
-        panic!("no-starvation invariant violated: {}", v.join("; "));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

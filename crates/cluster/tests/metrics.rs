@@ -209,9 +209,19 @@ fn recovery_copy_emits_progress_events_and_rejection_metrics() {
         .unwrap_err();
     assert!(matches!(err, ClusterError::WriteRejected { .. }), "{err:?}");
     conn.rollback().ok();
+    assert_eq!(reg.counter_value(WRITE_REJECTIONS, &[("db", "app")]), 1);
+    // DDL bounces off the same copy and is counted from either entry point.
+    for ddl in [
+        c.ddl("app", "CREATE TABLE u (id INT NOT NULL, PRIMARY KEY (id))"),
+        conn.execute("CREATE TABLE u (id INT NOT NULL, PRIMARY KEY (id))", &[])
+            .map(drop),
+    ] {
+        let err = ddl.unwrap_err();
+        assert!(matches!(err, ClusterError::WriteRejected { .. }), "{err:?}");
+    }
+    assert_eq!(reg.counter_value(WRITE_REJECTIONS, &[("db", "app")]), 3);
     c.abandon_copy("app");
 
-    assert_eq!(reg.counter_value(WRITE_REJECTIONS, &[("db", "app")]), 1);
     let rejected: Vec<_> = c
         .metrics()
         .events()
@@ -219,10 +229,12 @@ fn recovery_copy_emits_progress_events_and_rejection_metrics() {
         .into_iter()
         .filter(|e| e.kind == "write_rejected")
         .collect();
-    assert_eq!(rejected.len(), 1);
+    assert_eq!(rejected.len(), 3);
     assert_eq!(rejected[0].field("db"), Some("app"));
     assert_eq!(rejected[0].field("table"), Some("t"));
-    // The rejection shows up in the SLA monitor's live input, too.
+    assert_eq!(rejected[1].field("table"), Some("<ddl>"));
+    // The rejected transaction shows up in the SLA monitor's live input,
+    // too (DDL runs outside transactions, so it is not an outcome).
     assert_eq!(c.metrics().observed_outcomes("app").rejected, 1);
 }
 

@@ -93,10 +93,6 @@ impl Colo {
         }
     }
 
-    pub fn cluster_count(&self) -> usize {
-        self.clusters.len()
-    }
-
     pub fn databases_hosted(&self) -> usize {
         self.assignments.read().len()
     }

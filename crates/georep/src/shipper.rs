@@ -5,7 +5,7 @@
 //! cluster — LSNs and transaction ids are engine-local (each engine's WAL
 //! interleaves every database it hosts), so the stream's cursor is only
 //! meaningful against that one engine. The pinned engine's WAL is tailed
-//! through the stable surface (`Engine::wal_tail_from`); records are
+//! through the stable surface (`Engine::wal_tail_from_capped`); records are
 //! filtered down to the stream's database:
 //!
 //! * redo records name their database directly and teach the shipper which
@@ -74,11 +74,6 @@ impl Shipper {
     /// The database this stream carries.
     pub fn db(&self) -> &str {
         &self.db
-    }
-
-    /// Maximum records per produced batch.
-    pub fn set_batch(&mut self, batch: usize) {
-        self.batch = batch.max(1);
     }
 
     /// The primary cluster this shipper reads from.

@@ -1,8 +1,8 @@
 //! Stream transports: the versioned log-stream protocol over real loopback
 //! TCP, and a deterministic in-process link for the sim harness.
 //!
-//! Both transports speak the same exchange, built from the `Geo*` frames
-//! in [`tenantdb_net::wire`]:
+//! Both transports run the same pump ([`Link`]) over the same exchange,
+//! built from the `Geo*` frames in [`tenantdb_net::wire`]:
 //!
 //! ```text
 //! shipper                                standby
@@ -31,7 +31,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use tenantdb_cluster::{ClusterController, MachineId};
 use tenantdb_net::wire::{read_frame, write_frame, Frame, GEOREP_PROTOCOL_VERSION};
-use tenantdb_storage::Lsn;
+use tenantdb_storage::{LogRecord, Lsn};
 
 use crate::applier::Applier;
 use crate::metrics::GeoMetrics;
@@ -224,25 +224,144 @@ fn serve_stream(
 
 // ---------------------------------------------------------------- shipper
 
-/// The primary-side stream client: dials the standby endpoint, handshakes,
-/// and pumps shipper batches until drained.
-pub struct GeoTcpLink {
+/// What a link pumps into: the standby end of the exchange in the module
+/// docs. Public only so the [`GeoLink`] / [`GeoTcpLink`] aliases can name
+/// it; the module is private, so nothing outside this crate implements it.
+mod peer {
+    use super::*;
+
+    pub trait Peer {
+        /// Open a session for the stream pinned to `pin` under `epoch`,
+        /// offering `cursor`; returns the LSN the standby resumes from.
+        fn dial(&mut self, pin: MachineId, epoch: u64, cursor: Lsn) -> Result<Lsn, GeoError>;
+        /// Deliver one batch; returns the standby's cumulative ack.
+        fn send(&mut self, epoch: u64, batch: Vec<LogRecord>) -> Result<Lsn, GeoError>;
+        /// Drop whatever carries the session (nothing, in process).
+        fn hang_up(&mut self) {}
+    }
+
+    /// In process: the exchange as direct calls on the shared applier.
+    impl Peer for Arc<Mutex<Applier>> {
+        fn dial(&mut self, pin: MachineId, epoch: u64, _: Lsn) -> Result<Lsn, GeoError> {
+            self.lock().handshake(pin, epoch)
+        }
+        fn send(&mut self, epoch: u64, batch: Vec<LogRecord>) -> Result<Lsn, GeoError> {
+            self.lock().ingest(epoch, &batch)
+        }
+    }
+
+    /// Over a socket: the `Geo*` frames to a [`GeoStandbyServer`].
+    pub struct Tcp {
+        pub(super) addr: SocketAddr,
+        pub(super) db: String,
+        pub(super) conn: Option<TcpStream>,
+    }
+
+    impl Tcp {
+        /// One request frame out, one reply frame back.
+        fn call(&mut self, request: &Frame) -> Result<Frame, GeoError> {
+            let stream = self
+                .conn
+                .as_mut()
+                .ok_or_else(|| GeoError::Severed("stream dropped mid-sync".into()))?;
+            write_frame(stream, request)?;
+            match read_frame(stream)? {
+                Some(Frame::GeoFenced { epoch }) => Err(GeoError::Fenced { epoch }),
+                Some(reply) => Ok(reply),
+                None => Err(GeoError::Severed("standby closed mid-exchange".into())),
+            }
+        }
+    }
+
+    impl Peer for Tcp {
+        fn dial(&mut self, pin: MachineId, epoch: u64, cursor: Lsn) -> Result<Lsn, GeoError> {
+            let stream = TcpStream::connect(self.addr)?;
+            stream.set_read_timeout(Some(STREAM_IO_TIMEOUT))?;
+            stream.set_write_timeout(Some(STREAM_IO_TIMEOUT))?;
+            self.conn = Some(stream);
+            match self.call(&Frame::GeoHello {
+                version: GEOREP_PROTOCOL_VERSION,
+                db: self.db.clone(),
+                start_lsn: cursor,
+                epoch,
+                source: pin.0,
+            })? {
+                Frame::GeoHelloOk { resume_lsn, .. } => Ok(resume_lsn),
+                _ => Err(GeoError::Protocol("expected GeoHelloOk".into())),
+            }
+        }
+        fn send(&mut self, epoch: u64, batch: Vec<LogRecord>) -> Result<Lsn, GeoError> {
+            match self.call(&Frame::GeoRecords {
+                epoch,
+                records: batch,
+            })? {
+                Frame::GeoAck { applied_lsn } => Ok(applied_lsn),
+                other => Err(GeoError::Protocol(format!(
+                    "unexpected frame {}",
+                    other.kind()
+                ))),
+            }
+        }
+        fn hang_up(&mut self) {
+            self.conn = None;
+        }
+    }
+}
+use peer::Peer;
+
+/// The primary-side end of one database's stream: handshakes with its
+/// peer, then pumps shipper batches until drained. One pump for both
+/// transports — [`GeoLink`] and [`GeoTcpLink`] differ only in the peer.
+pub struct Link<P> {
     shipper: Shipper,
-    addr: SocketAddr,
-    conn: Option<(TcpStream, MachineId)>,
+    peer: P,
+    /// `Some(pin)` while the stream is connected and handshaken.
+    session: Option<MachineId>,
     acked: Lsn,
     metrics: GeoMetrics,
-    /// Connections made (the first is counted; later ones are reconnects).
+    /// Handshakes made (the first is counted; later ones are reconnects).
     dials: u64,
+}
+
+/// A deterministic in-process stream, with function calls in place of
+/// sockets. The sim's scripted scenarios use this so colo partitions and
+/// promotion races replay identically under a fixed seed.
+pub type GeoLink = Link<Arc<Mutex<Applier>>>;
+
+/// The stream over real sockets: dials the standby endpoint and reconnects
+/// (re-handshaking) as needed.
+pub type GeoTcpLink = Link<peer::Tcp>;
+
+impl GeoLink {
+    /// Wire `shipper` straight to `applier`.
+    pub fn new(shipper: Shipper, applier: Arc<Mutex<Applier>>, metrics: GeoMetrics) -> Self {
+        Link::over(shipper, applier, metrics)
+    }
+
+    /// The standby-side applier (the promotion work list).
+    pub fn applier(&self) -> &Arc<Mutex<Applier>> {
+        &self.peer
+    }
 }
 
 impl GeoTcpLink {
     /// A link from `shipper` to the standby endpoint at `addr`.
     pub fn new(shipper: Shipper, addr: SocketAddr, metrics: GeoMetrics) -> Self {
-        GeoTcpLink {
-            shipper,
+        let peer = peer::Tcp {
             addr,
+            db: shipper.db().to_string(),
             conn: None,
+        };
+        Link::over(shipper, peer, metrics)
+    }
+}
+
+impl<P: Peer> Link<P> {
+    fn over(shipper: Shipper, peer: P, metrics: GeoMetrics) -> Self {
+        Link {
+            shipper,
+            peer,
+            session: None,
             acked: Lsn::ZERO,
             metrics,
             dials: 0,
@@ -267,176 +386,31 @@ impl GeoTcpLink {
             .unwrap_or(0)
     }
 
-    /// Drop the connection (a simulated colo partition). The next
-    /// [`GeoTcpLink::sync`] reconnects and resumes from the standby's
-    /// watermark.
+    /// Sever the stream (a colo partition). The next [`Link::sync`]
+    /// re-handshakes and resumes from the standby's watermark.
     pub fn sever(&mut self) {
-        self.conn = None;
+        self.session = None;
+        self.peer.hang_up();
     }
 
     /// Pump the stream until the source is drained, returning the final
-    /// cumulative ack. Reconnects (and re-handshakes) as needed; any error
-    /// severs the connection so the next call starts clean.
+    /// cumulative ack. Re-handshakes as needed; any error severs the
+    /// stream so the next call starts clean.
     pub fn sync(&mut self) -> Result<Lsn, GeoError> {
-        match self.pump_stream() {
-            Ok(lsn) => Ok(lsn),
-            Err(e) => {
-                self.conn = None;
-                Err(e)
-            }
+        let drained = self.pump_stream();
+        if drained.is_err() {
+            self.sever();
         }
-    }
-
-    fn pump_stream(&mut self) -> Result<Lsn, GeoError> {
-        loop {
-            let pin = self.shipper.pin()?;
-            if self.conn.as_ref().map(|(_, p)| *p) != Some(pin) {
-                self.dial(pin)?;
-            }
-            let batch = self.shipper.next_batch()?;
-            if batch.is_empty() {
-                self.shipper.note_acked(self.acked)?;
-                return Ok(self.acked);
-            }
-            let epoch = self.shipper.epoch();
-            let (stream, _) = self
-                .conn
-                .as_mut()
-                .ok_or_else(|| GeoError::Severed("stream dropped mid-sync".into()))?;
-            write_frame(
-                stream,
-                &Frame::GeoRecords {
-                    epoch,
-                    records: batch,
-                },
-            )?;
-            match read_frame(stream)? {
-                Some(Frame::GeoAck { applied_lsn }) => {
-                    self.acked = applied_lsn;
-                    self.shipper.note_acked(applied_lsn)?;
-                }
-                Some(Frame::GeoFenced { epoch }) => {
-                    return Err(GeoError::Fenced { epoch });
-                }
-                Some(other) => {
-                    return Err(GeoError::Protocol(format!(
-                        "unexpected frame {}",
-                        other.kind()
-                    )));
-                }
-                None => return Err(GeoError::Severed("standby closed mid-batch".into())),
-            }
-        }
-    }
-
-    /// Dial and handshake, rewinding the shipper to the standby's resume
-    /// watermark.
-    fn dial(&mut self, pin: MachineId) -> Result<(), GeoError> {
-        let stream = TcpStream::connect(self.addr)?;
-        stream.set_read_timeout(Some(STREAM_IO_TIMEOUT))?;
-        stream.set_write_timeout(Some(STREAM_IO_TIMEOUT))?;
-        let mut stream = stream;
-        write_frame(
-            &mut stream,
-            &Frame::GeoHello {
-                version: GEOREP_PROTOCOL_VERSION,
-                db: self.shipper.db().to_string(),
-                start_lsn: self.shipper.cursor(),
-                epoch: self.shipper.epoch(),
-                source: pin.0,
-            },
-        )?;
-        match read_frame(&mut stream)? {
-            Some(Frame::GeoHelloOk { resume_lsn, .. }) => {
-                self.shipper.rewind(resume_lsn);
-                self.acked = resume_lsn;
-            }
-            Some(Frame::GeoFenced { epoch }) => return Err(GeoError::Fenced { epoch }),
-            _ => return Err(GeoError::Protocol("expected GeoHelloOk".into())),
-        }
-        self.dials += 1;
-        if self.dials > 1 {
-            self.metrics.note_reconnect(self.shipper.db());
-        }
-        self.conn = Some((stream, pin));
-        Ok(())
-    }
-}
-
-// ----------------------------------------------------- in-process (sim)
-
-/// A deterministic in-process stream: the same handshake / batch / ack /
-/// fence exchange as [`GeoTcpLink`], with function calls in place of
-/// sockets. The sim's scripted scenarios use this so colo partitions and
-/// promotion races replay identically under a fixed seed.
-pub struct GeoLink {
-    shipper: Shipper,
-    applier: Arc<Mutex<Applier>>,
-    /// `Some(pin)` while the stream is connected and handshaken.
-    session: Option<MachineId>,
-    acked: Lsn,
-    metrics: GeoMetrics,
-    dials: u64,
-}
-
-impl GeoLink {
-    /// Wire `shipper` straight to `applier`.
-    pub fn new(shipper: Shipper, applier: Arc<Mutex<Applier>>, metrics: GeoMetrics) -> Self {
-        GeoLink {
-            shipper,
-            applier,
-            session: None,
-            acked: Lsn::ZERO,
-            metrics,
-            dials: 0,
-        }
-    }
-
-    /// The standby-side applier (the promotion work list).
-    pub fn applier(&self) -> &Arc<Mutex<Applier>> {
-        &self.applier
-    }
-
-    /// The primary-side shipper.
-    pub fn shipper(&self) -> &Shipper {
-        &self.shipper
-    }
-
-    /// The standby's last cumulative ack.
-    pub fn acked(&self) -> Lsn {
-        self.acked
-    }
-
-    /// Source WAL head minus the standby ack, in LSN units.
-    pub fn lag(&self) -> u64 {
-        self.shipper
-            .head_lsn()
-            .map(|h| h.0.saturating_sub(self.acked.0))
-            .unwrap_or(0)
-    }
-
-    /// Sever the stream (a colo partition). The next sync re-handshakes
-    /// and resumes from the applier's watermark.
-    pub fn sever(&mut self) {
-        self.session = None;
-    }
-
-    /// Pump until drained; same contract as [`GeoTcpLink::sync`].
-    pub fn sync(&mut self) -> Result<Lsn, GeoError> {
-        match self.pump_stream() {
-            Ok(lsn) => Ok(lsn),
-            Err(e) => {
-                self.session = None;
-                Err(e)
-            }
-        }
+        drained
     }
 
     fn pump_stream(&mut self) -> Result<Lsn, GeoError> {
         loop {
             let pin = self.shipper.pin()?;
             if self.session != Some(pin) {
-                let resume = self.applier.lock().handshake(pin, self.shipper.epoch())?;
+                let resume = self
+                    .peer
+                    .dial(pin, self.shipper.epoch(), self.shipper.cursor())?;
                 self.shipper.rewind(resume);
                 self.acked = resume;
                 self.dials += 1;
@@ -450,8 +424,7 @@ impl GeoLink {
                 self.shipper.note_acked(self.acked)?;
                 return Ok(self.acked);
             }
-            let epoch = self.shipper.epoch();
-            self.acked = self.applier.lock().ingest(epoch, &batch)?;
+            self.acked = self.peer.send(self.shipper.epoch(), batch)?;
             self.shipper.note_acked(self.acked)?;
         }
     }

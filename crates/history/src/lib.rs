@@ -170,10 +170,6 @@ impl SerializationGraph {
         self.edges.get(&from).is_some_and(|s| s.contains(&to))
     }
 
-    pub fn is_acyclic(&self) -> bool {
-        self.find_cycle().is_none()
-    }
-
     /// Find a cycle, returned as the sequence of transactions along it
     /// (first element repeated implicitly). Deterministic given the graph.
     pub fn find_cycle(&self) -> Option<Vec<GTxn>> {

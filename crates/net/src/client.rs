@@ -331,18 +331,6 @@ impl NetClient {
         }
     }
 
-    /// Execute one SQL statement for effect only; the server discards any
-    /// result rows and replies with just the affected-row count (cheaper
-    /// on the wire than [`NetClient::execute`] for DML).
-    pub fn execute_affected(&self, sql: &str, params: &[Value]) -> NetResult<u64> {
-        let bytes = wire::encode_stmt_request(sql, params, true);
-        match self.stmt_roundtrip(&bytes)? {
-            Frame::Affected { rows } => Ok(rows),
-            Frame::Error(e) => Err(NetError::Server(e)),
-            other => Err(NetError::Wire(WireError::UnexpectedFrame(other.kind()))),
-        }
-    }
-
     /// Commit the open transaction. The client-side transaction flag
     /// clears whatever the outcome — after a commit attempt the server
     /// session is out of the transaction either way.
@@ -478,55 +466,6 @@ impl NetClient {
             Frame::Error(e) => Err(NetError::Server(e)),
             other => Err(NetError::Wire(WireError::UnexpectedFrame(other.kind()))),
         }
-    }
-
-    /// Issue-ahead pipelining: write all statements back-to-back, then
-    /// read the replies in order (protocol v2 guarantees the k-th reply
-    /// answers the k-th request). Unlike [`NetClient::execute_batch`] the
-    /// statements have *individual* results and failures — a failed
-    /// statement does not stop the later ones, which have already been
-    /// sent. Use inside an explicit transaction when statements are
-    /// independent; use `execute_batch` when all-or-nothing is wanted.
-    pub fn execute_pipelined(
-        &self,
-        stmts: &[BatchStmt],
-    ) -> NetResult<Vec<Result<QueryResult, ClusterError>>> {
-        let mut inner = self.inner.lock();
-        if inner.broken {
-            return Err(NetError::Broken);
-        }
-        let r = (|| -> NetResult<Vec<Result<QueryResult, ClusterError>>> {
-            for s in stmts {
-                // Batch the writes: encode straight to the socket without
-                // the per-frame flush of write_frame.
-                inner
-                    .stream
-                    .write_all(&wire::encode_stmt_request(&s.sql, &s.params, false))?;
-            }
-            inner.stream.flush()?;
-            let mut out = Vec::with_capacity(stmts.len());
-            for _ in stmts {
-                match wire::read_frame(&mut inner.reader)? {
-                    Some(Frame::ResultSet(r)) => out.push(Ok(r)),
-                    Some(Frame::Error(e)) => out.push(Err(e)),
-                    Some(other) => {
-                        return Err(NetError::Wire(WireError::UnexpectedFrame(other.kind())))
-                    }
-                    None => {
-                        return Err(NetError::Io(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "server closed mid-pipeline",
-                        )))
-                    }
-                }
-            }
-            Ok(out)
-        })();
-        if r.is_err() {
-            inner.broken = true;
-            inner.in_txn = false;
-        }
-        r
     }
 
     /// The server's live-session listing (the shell's `\conns`).

@@ -92,11 +92,6 @@ impl ResourceVector {
             .max(frac(self.disk_io, capacity.disk_io))
             .max(frac(self.disk_size, capacity.disk_size))
     }
-
-    /// True when every component is ≥ 0 (capacity checks).
-    pub fn is_nonnegative(&self) -> bool {
-        self.cpu >= 0.0 && self.memory >= 0.0 && self.disk_io >= 0.0 && self.disk_size >= 0.0
-    }
 }
 
 impl Add for ResourceVector {

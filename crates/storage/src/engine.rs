@@ -26,7 +26,7 @@ use crate::error::{Result, StorageError};
 use crate::lock::{LockManager, LockMode, ResourceId};
 use crate::schema::TableSchema;
 use crate::table::Table;
-use crate::txn::{TxnId, TxnManager, TxnPhase, UndoRecord};
+use crate::txn::{TxnId, TxnManager, UndoRecord};
 use crate::value::Value;
 use crate::wal::{RedoOp, Wal, WalEntry};
 
@@ -288,10 +288,6 @@ impl Engine {
     pub fn begin(&self) -> Result<TxnId> {
         self.check_up()?;
         Ok(self.txns.begin())
-    }
-
-    pub fn txn_phase(&self, txn: TxnId) -> Result<TxnPhase> {
-        self.txns.phase(txn)
     }
 
     pub fn has_writes(&self, txn: TxnId) -> Result<bool> {
@@ -746,79 +742,7 @@ impl Engine {
         let redo = self.wal.committed_redo();
         let mut dbs: HashMap<String, Arc<Database>> = HashMap::new();
         for op in &redo {
-            match op {
-                RedoOp::CreateDatabase { db } => {
-                    dbs.insert(db.clone(), Arc::new(Database::new(db.clone())));
-                }
-                RedoOp::DropDatabase { db } => {
-                    dbs.remove(db);
-                }
-                RedoOp::CreateTable { db, schema } => {
-                    if let Some(d) = dbs.get(db) {
-                        // ordering: Relaxed — id minting; uniqueness needs only atomicity.
-                        let id = self.next_table_id.fetch_add(1, Ordering::Relaxed);
-                        d.tables.write().insert(
-                            schema.name.clone(),
-                            Arc::new(Table::new(id, schema.clone())),
-                        );
-                    }
-                }
-                RedoOp::CreateIndex {
-                    db,
-                    table,
-                    index,
-                    columns,
-                    unique,
-                } => {
-                    if let Some(d) = dbs.get(db) {
-                        let old = d.tables.read().get(table).cloned();
-                        if let Some(old) = old {
-                            let mut schema = old.schema.clone();
-                            if schema.try_add_index(index, columns, *unique).is_ok() {
-                                let rebuilt = Table::new(old.id, schema);
-                                for (rid, row) in old.scan() {
-                                    let _ = rebuilt.insert_with_id(rid, row);
-                                }
-                                d.tables.write().insert(table.clone(), Arc::new(rebuilt));
-                            }
-                        }
-                    }
-                }
-                RedoOp::Insert {
-                    db,
-                    table,
-                    row_id,
-                    row,
-                } => {
-                    if let Some(t) = dbs
-                        .get(db)
-                        .and_then(|d| d.tables.read().get(table).cloned())
-                    {
-                        let _ = t.insert_with_id(*row_id, row.clone());
-                    }
-                }
-                RedoOp::Update {
-                    db,
-                    table,
-                    row_id,
-                    row,
-                } => {
-                    if let Some(t) = dbs
-                        .get(db)
-                        .and_then(|d| d.tables.read().get(table).cloned())
-                    {
-                        let _ = t.update(*row_id, row.clone());
-                    }
-                }
-                RedoOp::Delete { db, table, row_id } => {
-                    if let Some(t) = dbs
-                        .get(db)
-                        .and_then(|d| d.tables.read().get(table).cloned())
-                    {
-                        let _ = t.delete(*row_id);
-                    }
-                }
-            }
+            self.apply_redo(&mut dbs, op);
         }
         *self.databases.write() = dbs;
         self.buffer.clear();
@@ -870,7 +794,7 @@ impl Engine {
         &self.wal
     }
 
-    // The four wrappers below are the *stable* log surface for callers
+    // The wrappers below are the *stable* log surface for callers
     // outside this crate (the cluster controller's restart path and the
     // cross-colo shipper). `xtask lint` gates direct `.wal()` access from
     // other crates onto these, so the WAL's internal layout can change
@@ -881,15 +805,10 @@ impl Engine {
         self.wal.head_lsn()
     }
 
-    /// Retained WAL records with `lsn >= from` — the tailing cursor for
-    /// log shipping (see [`Wal::tail_from`]).
-    pub fn wal_tail_from(&self, from: crate::wal::Lsn) -> Vec<crate::wal::LogRecord> {
-        self.wal.tail_from(from)
-    }
-
-    /// [`Engine::wal_tail_from`], capped at `max` records (see
-    /// [`Wal::tail_from_capped`]) — lagging shippers page their backlog
-    /// instead of cloning the whole suffix per batch.
+    /// Up to `max` retained WAL records with `lsn >= from` — the tailing
+    /// cursor for log shipping (see [`Wal::tail_from_capped`]); lagging
+    /// shippers page their backlog instead of cloning the whole suffix per
+    /// batch.
     ///
     /// [`Wal::tail_from_capped`]: crate::wal::Wal::tail_from_capped
     pub fn wal_tail_from_capped(
@@ -925,34 +844,46 @@ impl Engine {
     /// applied in place. Locks, undo, and 2PC are bypassed: the primary
     /// already serialized and decided the work, so replay here is
     /// deterministic. Row-level failures are ignored exactly as
-    /// [`Engine::restart`] replay ignores them.
+    /// [`Engine::restart`] replay ignores them — it is the same applier,
+    /// run here under the catalog's write lock (a standby serves no reads).
     pub fn apply_replicated_redo(&self, op: &RedoOp) -> Result<()> {
         self.check_up()?;
         self.wal.append(Wal::DDL_TXN, WalEntry::Redo(op.clone()));
+        self.apply_redo(&mut self.databases.write(), op);
+        Ok(())
+    }
+
+    /// Apply one decided redo op to `dbs` — the one redo applier, shared
+    /// by crash replay ([`Engine::restart`], over a fresh catalog) and the
+    /// standby's live path ([`Engine::apply_replicated_redo`], over the
+    /// installed one). Every arm is idempotent or ignores its row-level
+    /// failure, so a log that carries an op twice (a re-seeded georep
+    /// stream re-ships from LSN zero) replays to the same state.
+    fn apply_redo(&self, dbs: &mut HashMap<String, Arc<Database>>, op: &RedoOp) {
+        let find_table = |db: &str, table: &str| {
+            dbs.get(db)
+                .and_then(|d| d.tables.read().get(table).cloned())
+        };
         match op {
             RedoOp::CreateDatabase { db } => {
-                self.databases
-                    .write()
-                    .entry(db.clone())
+                dbs.entry(db.clone())
                     .or_insert_with(|| Arc::new(Database::new(db.clone())));
             }
             RedoOp::DropDatabase { db } => {
-                self.databases.write().remove(db);
+                dbs.remove(db);
             }
             RedoOp::CreateTable { db, schema } => {
-                // Idempotent: a re-shipped batch (ack lost, primary resent)
-                // must not clobber a table that already took rows.
-                if let Ok(d) = self.db(db) {
-                    let mut tables = d.tables.write();
-                    if !tables.contains_key(&schema.name) {
-                        // ordering: Relaxed — id minting; uniqueness needs
-                        // only atomicity.
-                        let id = self.next_table_id.fetch_add(1, Ordering::Relaxed);
-                        tables.insert(
-                            schema.name.clone(),
-                            Arc::new(Table::new(id, schema.clone())),
-                        );
-                    }
+                // A repeated CreateTable must not clobber a table that
+                // already took rows.
+                if let Some(d) = dbs.get(db) {
+                    d.tables
+                        .write()
+                        .entry(schema.name.clone())
+                        .or_insert_with(|| {
+                            // ordering: Relaxed — id minting; uniqueness needs only atomicity.
+                            let id = self.next_table_id.fetch_add(1, Ordering::Relaxed);
+                            Arc::new(Table::new(id, schema.clone()))
+                        });
                 }
             }
             RedoOp::CreateIndex {
@@ -962,17 +893,14 @@ impl Engine {
                 columns,
                 unique,
             } => {
-                if let Ok(d) = self.db(db) {
-                    let old = d.tables.read().get(table).cloned();
-                    if let Some(old) = old {
-                        let mut schema = old.schema.clone();
-                        if schema.try_add_index(index, columns, *unique).is_ok() {
-                            let rebuilt = Table::new(old.id, schema);
-                            for (rid, row) in old.scan() {
-                                let _ = rebuilt.insert_with_id(rid, row);
-                            }
-                            d.tables.write().insert(table.clone(), Arc::new(rebuilt));
+                if let (Some(d), Some(old)) = (dbs.get(db), find_table(db, table)) {
+                    let mut schema = old.schema.clone();
+                    if schema.try_add_index(index, columns, *unique).is_ok() {
+                        let rebuilt = Table::new(old.id, schema);
+                        for (rid, row) in old.scan() {
+                            let _ = rebuilt.insert_with_id(rid, row);
                         }
+                        d.tables.write().insert(table.clone(), Arc::new(rebuilt));
                     }
                 }
             }
@@ -982,7 +910,7 @@ impl Engine {
                 row_id,
                 row,
             } => {
-                if let Ok(t) = self.table(db, table) {
+                if let Some(t) = find_table(db, table) {
                     let _ = t.insert_with_id(*row_id, row.clone());
                 }
             }
@@ -992,17 +920,16 @@ impl Engine {
                 row_id,
                 row,
             } => {
-                if let Ok(t) = self.table(db, table) {
+                if let Some(t) = find_table(db, table) {
                     let _ = t.update(*row_id, row.clone());
                 }
             }
             RedoOp::Delete { db, table, row_id } => {
-                if let Ok(t) = self.table(db, table) {
+                if let Some(t) = find_table(db, table) {
                     let _ = t.delete(*row_id);
                 }
             }
         }
-        Ok(())
     }
 
     pub fn config(&self) -> &EngineConfig {
@@ -1129,6 +1056,37 @@ mod tests {
         let t = standby.begin().unwrap();
         assert_eq!(standby.scan(t, "app", "kv").unwrap().len(), 2);
         standby.commit(t).unwrap();
+    }
+
+    #[test]
+    fn reshipped_create_table_keeps_rows_across_restart() {
+        // A re-seeded georep stream replays from LSN zero, so the standby
+        // logs the same CreateTable twice with rows in between.
+        let src = setup();
+        src.with_txn(|t| src.insert(t, "app", "kv", kv(1, "one")))
+            .unwrap();
+        let redo = src.wal().committed_redo();
+        let create_table = redo
+            .iter()
+            .find(|op| matches!(op, RedoOp::CreateTable { .. }))
+            .expect("setup creates a table");
+
+        let standby = Engine::new(EngineConfig::for_tests());
+        for op in redo.iter().chain([create_table]) {
+            standby.apply_replicated_redo(op).unwrap();
+        }
+        let scan = |e: &Engine| {
+            let t = e.begin().unwrap();
+            let rows = e.scan(t, "app", "kv").unwrap();
+            e.commit(t).unwrap();
+            rows
+        };
+        let before = scan(&standby);
+        assert_eq!(before.len(), 1);
+
+        standby.crash();
+        standby.restart();
+        assert_eq!(scan(&standby), before);
     }
 
     #[test]

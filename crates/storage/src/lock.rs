@@ -42,16 +42,6 @@ pub enum ResourceId {
     Key { table: u64, hash: u64 },
 }
 
-impl ResourceId {
-    pub fn table_of(&self) -> u64 {
-        match self {
-            ResourceId::Table { table }
-            | ResourceId::Row { table, .. }
-            | ResourceId::Key { table, .. } => *table,
-        }
-    }
-}
-
 /// Lock modes. `IS`/`IX` are table-level intention modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockMode {
@@ -90,11 +80,6 @@ impl LockMode {
     fn implies(self, weaker: LockMode) -> bool {
         use LockMode::*;
         self == weaker || matches!((self, weaker), (X, _) | (S, IS) | (IX, IS))
-    }
-
-    /// Is this a read lock (released at PREPARE under the 2PC optimization)?
-    pub fn is_read(self) -> bool {
-        matches!(self, LockMode::IS | LockMode::S)
     }
 }
 

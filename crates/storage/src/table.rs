@@ -218,11 +218,6 @@ impl Table {
             .collect()
     }
 
-    /// All row ids (cheaper than `scan` when images aren't needed).
-    pub fn row_ids(&self) -> Vec<u64> {
-        self.data.read().rows.keys().copied().collect()
-    }
-
     pub fn row_count(&self) -> usize {
         self.data.read().rows.len()
     }

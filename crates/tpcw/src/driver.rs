@@ -70,11 +70,6 @@ impl WorkloadReport {
         self.rejected as f64 / self.total() as f64
     }
 
-    /// Commits of one interaction type.
-    pub fn committed_of(&self, t: crate::TxnType) -> u64 {
-        self.committed_by_type[t.index()]
-    }
-
     pub fn merge(&mut self, other: &WorkloadReport) {
         self.committed += other.committed;
         self.deadlocks += other.deadlocks;

@@ -1,5 +1,5 @@
 //! Repo-local task runner (`cargo xtask` pattern — a plain binary crate, no
-//! extra tooling). Three subcommands:
+//! extra tooling). Two subcommands:
 //!
 //! * `lint` — the six concurrency-hygiene line rules documented in
 //!   DESIGN.md §10 (raw-lock, unwrap, ordering, net-timeout,
@@ -11,8 +11,6 @@
 //! * `analyze` — the five semantic cross-file passes from DESIGN.md §14:
 //!   static lock-rank ordering, transitive reactor-blocking, crash-point
 //!   coverage, wire exhaustiveness, and metric-name drift.
-//! * `bench-check` — regression contracts over committed benchmark
-//!   snapshots.
 //!
 //! `lint` and `analyze` print compiler-style `file:line: [rule] message`
 //! diagnostics and exit 1 on any finding; both gate CI.
@@ -21,11 +19,8 @@ use std::path::{Path, PathBuf};
 
 use tenantdb_analyze::{analyze, lint, Diag, Workspace};
 
-mod bench_check;
-
 fn main() {
-    let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
+    match std::env::args().nth(1).as_deref() {
         Some("lint") => {
             let ws = Workspace::load(&workspace_root());
             report("lint", &lint(&ws));
@@ -34,38 +29,9 @@ fn main() {
             let ws = Workspace::load(&workspace_root());
             report("analyze", &analyze(&ws));
         }
-        Some("bench-check") => {
-            // Default to every contracted snapshot at the workspace root;
-            // explicit path arguments override (useful in CI when a bench
-            // ran in a different working directory, or to check one file).
-            let paths: Vec<PathBuf> = {
-                let given: Vec<PathBuf> = args.map(PathBuf::from).collect();
-                if given.is_empty() {
-                    let root = workspace_root();
-                    bench_check::default_files().map(|f| root.join(f)).collect()
-                } else {
-                    given
-                }
-            };
-            let mut problems = Vec::new();
-            for path in &paths {
-                let found = bench_check::check_file(path);
-                if found.is_empty() {
-                    println!("xtask bench-check: {} OK", path.display());
-                }
-                problems.extend(found);
-            }
-            if !problems.is_empty() {
-                for p in &problems {
-                    eprintln!("{p}");
-                }
-                eprintln!("\nxtask bench-check: {} problem(s)", problems.len());
-                std::process::exit(1);
-            }
-        }
         other => {
             eprintln!(
-                "usage: cargo run -p xtask -- <lint|analyze|bench-check [paths…]>   (got {:?})",
+                "usage: cargo run -p xtask -- <lint|analyze>   (got {:?})",
                 other.unwrap_or("<none>")
             );
             std::process::exit(2);
