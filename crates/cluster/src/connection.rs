@@ -19,6 +19,20 @@
 //! channel per statement to get the same isolation; the sequence numbers
 //! make the allocation (and the per-statement `HashMap` of pending
 //! channels it implied) unnecessary.
+//!
+//! ## Whose thread
+//!
+//! Wherever the connection waits for *every* reply anyway — a read (one
+//! lane), PREPARE / COMMIT / ABORT, a conservative or single-target write
+//! — it takes the turn of each idle lane ([`SessionHandle::try_turn`]) and
+//! runs the lanes one after another on the calling thread; only lanes
+//! found busy go through the pool and the reply channel. One after
+//! another, not one inline and the rest pooled: a statement costs less
+//! than one thread hand-off, so Σ over replicas on this thread beats
+//! max + hop, and a caller that still blocks on a pool reply waits out the
+//! time slice of every session that no longer does. Aggressive fan-out to
+//! more than one lane stays on the pool — returning on the first ack while
+//! the rest runs in the background is what the pool is for.
 
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -38,7 +52,10 @@ use crate::controller::{ClusterController, ReadPolicy, WritePolicy};
 use crate::error::{ClusterError, Result};
 use crate::machine::MachineId;
 use crate::meta::{AbortArbitration, DecisionLog};
-use crate::worker::{SessionHandle, SessionMsg, TxnFailures, WorkerReply};
+use crate::worker::{SessionHandle, SessionMsg, Turn, TxnFailures, WorkerReply};
+
+/// A lane turn held by this thread and the message it will run.
+type Claimed = (Turn, SessionMsg);
 
 struct ActiveTxn {
     gtxn: GTxn,
@@ -288,7 +305,10 @@ impl Connection {
 
     /// Receive replies for request `seq`, discarding stale stragglers from
     /// earlier aggressive-mode writes, until `want` current replies arrived
-    /// or `stop` says enough.
+    /// or `stop` says enough. With `want == 0` every current reply was
+    /// produced on the calling thread, so whatever already sits in the
+    /// channel is a straggler this call would have met while blocking:
+    /// discard (and count) it without waiting.
     fn collect_replies(
         rx: &Arc<Mutex<Receiver<WorkerReply>>>,
         stragglers: &Counter,
@@ -298,6 +318,11 @@ impl Connection {
     ) -> Vec<WorkerReply> {
         let rx = rx.lock();
         let mut out = Vec::with_capacity(want);
+        if want == 0 {
+            while rx.try_recv().is_ok() {
+                stragglers.inc();
+            }
+        }
         while out.len() < want {
             let Ok(reply) = rx.recv() else { break };
             if reply.seq != seq {
@@ -315,6 +340,35 @@ impl Connection {
         out
     }
 
+    /// Take the lane's turn for this thread, keeping `msg` to run once the
+    /// connection lock is dropped; a busy lane gets `msg` queued instead.
+    fn claim_or_send(session: &SessionHandle, msg: SessionMsg) -> Result<Option<Claimed>> {
+        match session.try_turn() {
+            Some(turn) => Ok(Some((turn, msg))),
+            None => session.send(msg).map(|()| None),
+        }
+    }
+
+    /// Run the claimed lanes one after another on this thread, then wait
+    /// for the `pooled` replies of the lanes that were busy.
+    fn run_claimed(
+        &self,
+        claimed: impl IntoIterator<Item = Claimed>,
+        rx: &Arc<Mutex<Receiver<WorkerReply>>>,
+        seq: u64,
+        pooled: usize,
+    ) -> Vec<WorkerReply> {
+        let mut replies: Vec<WorkerReply> = claimed
+            .into_iter()
+            .filter_map(|(turn, msg)| turn.run(msg))
+            .collect();
+        let stragglers = &self.controller.metrics().straggler_acks;
+        replies.extend(Self::collect_replies(rx, stragglers, seq, pooled, |_| {
+            false
+        }));
+        replies
+    }
+
     fn run_read(&self, stmt: &Arc<Statement>, params: Arc<Vec<Value>>) -> Result<QueryResult> {
         let started = Instant::now();
         let metrics = self.controller.metrics();
@@ -325,13 +379,17 @@ impl Connection {
         let seq = txn.next_seq();
         let rx = Arc::clone(&txn.reply_rx);
         let session = self.ensure_session(txn, machine)?;
-        session.send(SessionMsg::Exec {
-            seq,
-            stmt: Arc::clone(stmt),
-            params,
-        })?;
+        let claimed = Self::claim_or_send(
+            session,
+            SessionMsg::Exec {
+                seq,
+                stmt: Arc::clone(stmt),
+                params,
+            },
+        )?;
         drop(st); // don't hold the connection lock while the engine works
-        let mut replies = Self::collect_replies(&rx, &metrics.straggler_acks, seq, 1, |_| true);
+        let pooled = usize::from(claimed.is_none());
+        let mut replies = self.run_claimed(claimed, &rx, seq, pooled);
         metrics.stmt_read_latency.observe_since(started);
         match replies.pop() {
             Some(r) => r.result,
@@ -394,33 +452,53 @@ impl Connection {
             return Err(ClusterError::NoReplicas(self.db.clone()));
         }
 
+        // Conservative waits for all replicas, and a single target leaves
+        // nothing to run in the background: either way this thread would
+        // block for every reply, so it takes the idle lanes' turns itself.
+        // Aggressive fan-out returns on the first success and goes to the
+        // pool whole.
+        let wait_all =
+            self.controller.cfg.write_policy == WritePolicy::Conservative || targets.len() == 1;
         let seq = txn.next_seq();
         let rx = Arc::clone(&txn.reply_rx);
-        let mut sent = 0usize;
+        let mut claimed: Vec<Claimed> = Vec::new();
+        let mut pooled = 0usize;
         for &m in &targets {
             let session = self.ensure_session(txn, m)?;
-            session.send(SessionMsg::Exec {
+            let msg = SessionMsg::Exec {
                 seq,
                 stmt: Arc::clone(stmt),
                 params: Arc::clone(&params),
-            })?;
-            sent += 1;
+            };
+            let claim = if wait_all {
+                Self::claim_or_send(session, msg)?
+            } else {
+                session.send(msg)?;
+                None
+            };
+            match claim {
+                Some(c) => claimed.push(c),
+                None => pooled += 1,
+            }
         }
         txn.wrote = true;
-        let write_policy = self.controller.cfg.write_policy;
         drop(st);
 
-        // Conservative: wait for all replicas. Aggressive: return on the
-        // first success — the lagging replicas' acks arrive as stragglers on
-        // this same channel and are discarded by later requests, while any
-        // *failure* among them lands in the shared TxnFailures ledger, which
-        // commit() refuses to overlook. (Aggressive's early return also
-        // drops the routing barrier guard while background replicas are
-        // still applying — a §3.1 durability/latency trade-off the copy
-        // quiescence deliberately does not pay for.)
-        let replies = Self::collect_replies(&rx, &metrics.straggler_acks, seq, sent, |r| {
-            write_policy == WritePolicy::Aggressive && r.result.is_ok()
-        });
+        // Aggressive: return on the first success — the lagging replicas'
+        // acks arrive as stragglers on this same channel and are discarded
+        // by later requests, while any *failure* among them lands in the
+        // shared TxnFailures ledger, which commit() refuses to overlook.
+        // (Aggressive's early return also drops the routing barrier guard
+        // while background replicas are still applying — a §3.1
+        // durability/latency trade-off the copy quiescence deliberately
+        // does not pay for.)
+        let replies = if wait_all {
+            self.run_claimed(claimed, &rx, seq, pooled)
+        } else {
+            Self::collect_replies(&rx, &metrics.straggler_acks, seq, pooled, |r| {
+                r.result.is_ok()
+            })
+        };
         metrics.stmt_write_latency.observe_since(started);
 
         let mut first_ok: Option<QueryResult> = None;
@@ -676,7 +754,10 @@ impl Connection {
 
     /// Abort after a fatal statement error, classifying the outcome.
     fn abort_internal(&self, cause: &ClusterError) {
-        if let Some(mut txn) = self.state.lock().take() {
+        // Taken out in its own statement: the ABORTs below run on this
+        // thread and must not hold the connection lock.
+        let txn = self.state.lock().take();
+        if let Some(mut txn) = txn {
             self.finish_abort(&mut txn, cause);
         }
     }
@@ -712,20 +793,17 @@ impl Connection {
         make: impl Fn(u64) -> SessionMsg,
     ) -> Vec<(MachineId, Option<TxnId>, Result<QueryResult>)> {
         let seq = txn.next_seq();
-        let mut expected = 0;
+        let mut claimed: Vec<Claimed> = Vec::new();
+        let mut pooled = 0;
         for s in txn.sessions.values() {
-            if s.send(make(seq)).is_ok() {
-                expected += 1;
+            match Self::claim_or_send(s, make(seq)) {
+                Ok(Some(c)) => claimed.push(c),
+                Ok(None) => pooled += 1,
+                // The session already finished: nothing to wait for.
+                Err(_) => {}
             }
         }
-        let replies = Self::collect_replies(
-            &txn.reply_rx,
-            &self.controller.metrics().straggler_acks,
-            seq,
-            expected,
-            |_| false,
-        );
-        replies
+        self.run_claimed(claimed, &txn.reply_rx, seq, pooled)
             .into_iter()
             .map(|r| (r.machine, r.local, r.result))
             .collect()

@@ -62,7 +62,7 @@ pub const GEO: MachineId = MachineId(u32::MAX - 2);
 /// | `CopyStart` | `recovery.rs` | before a database-level Algorithm-1 dump begins |
 /// | `CopyTable` | `recovery.rs` | before each table's dump in a table-level copy (one hit per table boundary) |
 /// | `TakeoverCommit` | `controller.rs` | before `ClusterController::takeover` completes one participant's decided commit |
-/// | `PoolJob` | `pool.rs` | before a dequeued pool job runs (only `Delay` is honored) |
+/// | `PoolJob` | `pool.rs` | before a lane's turn or a task runs — on the pool worker that dequeued the job, or on the caller that took an idle lane's turn (`worker.rs` `Turn::run`); only `Delay` is honored |
 /// | `NetAccept` | `net/server.rs` | after a TCP connection is accepted, before its session starts (a `Crash` drops the socket unserved) |
 /// | `NetFrameRead` | `net/server.rs` | after a request frame arrived, before it is dispatched |
 /// | `NetFrameWrite` | `net/server.rs` | before a reply frame is written back to the client |
@@ -108,7 +108,8 @@ pub enum CrashPoint {
     /// Before `ClusterController::takeover` completes one participant's
     /// decided commit.
     TakeoverCommit,
-    /// Before a dequeued pool job runs (only [`FaultAction::Delay`] is
+    /// Before a pool job runs — dequeued by a worker, or a session lane's
+    /// turn taken by the calling thread (only [`FaultAction::Delay`] is
     /// honored here; crashing a pool thread models nothing the paper has).
     PoolJob,
     /// Network frontend: after a TCP connection is accepted, before its
@@ -204,8 +205,9 @@ pub enum FaultAction {
     /// *controller* instead — participants are left prepared.
     Crash,
     /// Pause execution at the hook site (straggler acks, slow replicas,
-    /// lock-timeout storms). The delay runs on the session's pool lane, so
-    /// it stalls exactly what a slow machine would stall.
+    /// lock-timeout storms). The delay runs on the session's lane (on
+    /// whichever thread holds its turn), so it stalls exactly what a slow
+    /// machine would stall.
     Delay(Duration),
 }
 

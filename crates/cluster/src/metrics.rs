@@ -54,6 +54,9 @@ pub const POOL_QUEUE_DEPTH: &str = "tenantdb_pool_queue_depth";
 pub const POOL_LIVE_THREADS: &str = "tenantdb_pool_live_threads";
 /// Worker threads spawned, resident and grown (same labels).
 pub const POOL_THREADS_SPAWNED: &str = "tenantdb_pool_threads_spawned_total";
+/// Session-lane turns run on the calling thread instead of as a pool job
+/// (same labels).
+pub const POOL_CALLER_TURNS: &str = "tenantdb_pool_caller_turns_total";
 /// Tables copied during replica re-creation (`db` label).
 pub const RECOVERY_TABLES_COPIED: &str = "tenantdb_recovery_tables_copied_total";
 /// Replica copies currently in flight (cluster-wide gauge).
@@ -236,6 +239,10 @@ impl ClusterMetrics {
         registry.describe(
             POOL_THREADS_SPAWNED,
             "Worker threads ever spawned by a pool (resident + on-demand growth).",
+        );
+        registry.describe(
+            POOL_CALLER_TURNS,
+            "Session-lane turns a caller ran on its own thread (no pool job, no hand-off).",
         );
         registry.describe(
             RECOVERY_TABLES_COPIED,
@@ -527,10 +534,12 @@ pub struct PoolMetrics {
     pub live_threads: Arc<Gauge>,
     /// Threads ever spawned ([`POOL_THREADS_SPAWNED`]).
     pub spawned: Arc<Counter>,
+    /// Lane turns taken by callers ([`POOL_CALLER_TURNS`]).
+    pub caller_turns: Arc<Counter>,
 }
 
 impl PoolMetrics {
-    /// Resolve the three pool series for `pool`, with a `machine` label when
+    /// Resolve the four pool series for `pool`, with a `machine` label when
     /// the pool belongs to one machine.
     pub fn resolve(registry: &MetricsRegistry, pool: &str, machine: Option<MachineId>) -> Self {
         let m = machine.map(|m| m.to_string());
@@ -542,6 +551,7 @@ impl PoolMetrics {
             queue_depth: registry.gauge(POOL_QUEUE_DEPTH, &labels),
             live_threads: registry.gauge(POOL_LIVE_THREADS, &labels),
             spawned: registry.counter(POOL_THREADS_SPAWNED, &labels),
+            caller_turns: registry.counter(POOL_CALLER_TURNS, &labels),
         }
     }
 }

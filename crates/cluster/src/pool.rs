@@ -15,6 +15,13 @@
 //!   *different* transactions interleave across the pool's threads.
 //! * **Tasks** — plain closures (recovery copy jobs, background work).
 //!
+//! A session lane is a FIFO, not a thread: a caller that would block for
+//! the reply anyway may take an *idle* lane's turn and run the message
+//! itself ([`crate::worker::SessionHandle::try_turn`]) — the pool then sees
+//! no job at all. What still reaches the pool is what nobody waits for
+//! (aggressive fan-out past the first ack, cleanup aborts, `Detach`, tasks)
+//! and whatever finds its lane busy.
+//!
 //! ## Sizing and growth
 //!
 //! Strict 2PL means a job can *block* holding a worker thread (a lock wait
@@ -29,6 +36,12 @@
 //! footprint under heavy lock contention. If the bound is ever hit, lock
 //! timeouts still guarantee forward progress, exactly as they do for
 //! engine-level deadlocks.
+//!
+//! A pool that *cannot* grow (`max_threads == core_threads`,
+//! [`PoolConfig::fixed`]) is a stated concurrency bound — "at most `n`
+//! statements execute on this machine at once" — and a caller running a
+//! lane's turn on its own thread would exceed it. Such a pool never lends
+//! a turn; every message goes through its queue.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -106,6 +119,32 @@ pub struct PoolShared {
 }
 
 impl PoolShared {
+    /// May a caller run an idle session lane's turn on its own thread? Only
+    /// when the pool's size is not itself the concurrency bound (see the
+    /// module docs).
+    pub(crate) fn lends_turns(&self) -> bool {
+        self.cfg.max_threads > self.cfg.core_threads
+    }
+
+    /// Count one lane turn taken by a caller instead of a pool job.
+    pub(crate) fn note_caller_turn(&self) {
+        if let Some(m) = &self.metrics {
+            m.caller_turns.inc();
+        }
+    }
+
+    /// The [`CrashPoint::PoolJob`] hook, consulted before a job runs — by
+    /// the worker that dequeued it or by the caller that took the lane's
+    /// turn. Only a scheduling delay makes sense here: a "crashed" pool
+    /// thread models nothing the paper's failure model contains.
+    pub(crate) fn job_fault_hook(&self) {
+        if let Some((inj, machine)) = &self.faults {
+            if let Some(FaultAction::Delay(d)) = inj.check(CrashPoint::PoolJob, *machine) {
+                std::thread::sleep(d);
+            }
+        }
+    }
+
     /// Enqueue a job, growing the pool if every worker is busy or blocked.
     pub(crate) fn submit(self: &Arc<Self>, job: PoolJob) {
         let grow = {
@@ -176,16 +215,9 @@ fn worker_main(shared: Arc<PoolShared>) {
                 if let Some(m) = &shared.metrics {
                     m.queue_depth.dec();
                 }
-                if let Some((inj, machine)) = &shared.faults {
-                    // Only a scheduling delay makes sense here: the job has
-                    // been dequeued, and a "crashed" pool thread models
-                    // nothing the paper's failure model contains.
-                    if let Some(FaultAction::Delay(d)) = inj.check(CrashPoint::PoolJob, *machine) {
-                        std::thread::sleep(d);
-                    }
-                }
+                shared.job_fault_hook();
                 match job {
-                    PoolJob::Session(session) => session.drain(&shared),
+                    PoolJob::Session(session) => session.drain(),
                     PoolJob::Task(f) => f(),
                 }
             }

@@ -19,13 +19,20 @@
 //! number ([`SessionMsg`]'s `seq` — late replies from aggressive-mode
 //! background writes are simply discarded as stale by the receiver).
 //!
+//! A lane is a FIFO, not a thread. When it is idle, a caller that would
+//! wait for the reply anyway may claim its single-drainer slot
+//! ([`SessionHandle::try_turn`]) and run the message on its own thread:
+//! same `Session::process`, same fault hooks, same history recording,
+//! no hand-off and no reply channel. Whatever is enqueued while the
+//! [`Turn`] is held queues behind it, and releasing the turn re-submits
+//! the lane to the pool if anything did.
+//!
 //! Sessions also record the history stream: after each statement returns
 //! (and before the session processes anything else), the rows it touched are
 //! appended to the shared [`tenantdb_history::Recorder`]. Strict 2PL makes
 //! that ordering agree with true per-site conflict order.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
@@ -171,10 +178,13 @@ pub struct Session {
     /// Only ever touched by the single active drainer; the lock is
     /// uncontended and exists to make the sharing safe.
     exec: Mutex<ExecState>,
+    /// The machine's pool: where the lane is scheduled when it has work
+    /// and no drainer.
+    pool: Arc<PoolShared>,
 }
 
 impl Session {
-    fn enqueue(self: &Arc<Self>, msg: SessionMsg, pool: &Arc<PoolShared>) -> Result<()> {
+    fn enqueue(self: &Arc<Self>, msg: SessionMsg) -> Result<()> {
         let schedule = {
             let mut mb = self.mailbox.lock();
             if mb.closed {
@@ -195,14 +205,14 @@ impl Session {
             schedule
         };
         if schedule {
-            pool.submit(PoolJob::Session(Arc::clone(self)));
+            self.pool.submit(PoolJob::Session(Arc::clone(self)));
         }
         Ok(())
     }
 
     /// Drain the mailbox in arrival order (called by a pool worker; the
     /// `scheduled` flag guarantees a single drainer).
-    pub(crate) fn drain(self: &Arc<Self>, _pool: &Arc<PoolShared>) {
+    pub(crate) fn drain(&self) {
         loop {
             let batch = {
                 let mut mb = self.mailbox.lock();
@@ -213,7 +223,9 @@ impl Session {
                 std::mem::take(&mut mb.queue)
             };
             for msg in batch {
-                self.process(msg);
+                if let Some(reply) = self.process(msg) {
+                    let _ = self.reply.send(reply);
+                }
             }
         }
     }
@@ -230,13 +242,43 @@ impl Session {
         }
     }
 
-    fn process(&self, msg: SessionMsg) {
+    /// Record a replica-side error in the transaction's failure ledger.
+    /// Whatever a statement reports once its engine is down is the crash
+    /// speaking — a crash discards live transactions under the statements
+    /// still in flight, which then trip over `NoSuchTxn` or a lock wait
+    /// nobody will end — so it is recorded as the machine failure it is
+    /// (`Unavailable`, which the connection masks) rather than as a
+    /// statement error that would abort the transaction on the survivors.
+    fn note_failure(&self, result: Result<QueryResult>) -> Result<QueryResult> {
+        result.map_err(|e| {
+            let e = if self.engine.is_failed() {
+                ClusterError::from(tenantdb_storage::StorageError::Unavailable)
+            } else {
+                e
+            };
+            self.failures.push(self.machine, e.clone());
+            e
+        })
+    }
+
+    /// Execute one message against the local transaction and hand back its
+    /// reply — `None` when nobody wants one (`Detach`, `want_reply: false`,
+    /// anything behind a terminal message). The one execution path of a
+    /// lane: [`Session::drain`] sends the reply down the transaction's
+    /// channel, a caller-run [`Turn`] just returns it.
+    fn process(&self, msg: SessionMsg) -> Option<WorkerReply> {
         let mut exec = self.exec.lock();
         if exec.finished {
             // A message behind a terminal one (cannot happen through the
             // public API; defensive for direct pool users).
-            return;
+            return None;
         }
+        let reply = |seq, local, result| WorkerReply {
+            seq,
+            machine: self.machine,
+            local,
+            result,
+        };
         match msg {
             SessionMsg::Exec { seq, stmt, params } => {
                 let is_write = stmt.class() == StatementClass::Write;
@@ -276,20 +318,13 @@ impl Session {
                     }
                     Ok(r)
                 })();
-                if let Err(e) = &result {
-                    self.failures.push(self.machine, e.clone());
-                }
+                let result = self.note_failure(result);
                 if is_write && result.is_ok() {
                     // The write applied; a crash here loses a statement the
                     // coordinator is about to count as acknowledged.
                     self.fault_hook(CrashPoint::ReplicaWriteAck);
                 }
-                let _ = self.reply.send(WorkerReply {
-                    seq,
-                    machine: self.machine,
-                    local: exec.local,
-                    result,
-                });
+                Some(reply(seq, exec.local, result))
             }
             SessionMsg::Prepare { seq } => {
                 self.fault_hook(CrashPoint::PrepareApply);
@@ -302,20 +337,13 @@ impl Session {
                     // A machine that saw no operation votes yes trivially.
                     None => Ok(QueryResult::default()),
                 };
-                if let Err(e) = &result {
-                    self.failures.push(self.machine, e.clone());
-                }
+                let result = self.note_failure(result);
                 if result.is_ok() {
                     // Vote persisted; a crash here leaves a prepared
                     // participant whose ack the coordinator never sees.
                     self.fault_hook(CrashPoint::PrepareAck);
                 }
-                let _ = self.reply.send(WorkerReply {
-                    seq,
-                    machine: self.machine,
-                    local: exec.local,
-                    result,
-                });
+                Some(reply(seq, exec.local, result))
             }
             SessionMsg::Commit { seq, want_reply } => {
                 if exec.local.is_some() {
@@ -333,14 +361,7 @@ impl Session {
                     self.fault_hook(CrashPoint::CommitAck);
                 }
                 exec.finished = true;
-                if want_reply {
-                    let _ = self.reply.send(WorkerReply {
-                        seq,
-                        machine: self.machine,
-                        local: None,
-                        result,
-                    });
-                }
+                want_reply.then(|| reply(seq, None, result))
             }
             SessionMsg::Abort { seq, want_reply } => {
                 let result = match exec.local.take() {
@@ -352,19 +373,13 @@ impl Session {
                     None => Ok(QueryResult::default()),
                 };
                 exec.finished = true;
-                if want_reply {
-                    let _ = self.reply.send(WorkerReply {
-                        seq,
-                        machine: self.machine,
-                        local: None,
-                        result,
-                    });
-                }
+                want_reply.then(|| reply(seq, None, result))
             }
             SessionMsg::Detach => {
                 // Leave `local` untouched: a prepared participant must stay
                 // prepared across the simulated controller crash.
                 exec.finished = true;
+                None
             }
         }
     }
@@ -375,8 +390,6 @@ impl Session {
 /// a dangling local transaction's locks never linger until timeout.
 pub struct SessionHandle {
     session: Arc<Session>,
-    pool: Arc<PoolShared>,
-    sent_terminal: AtomicBool,
 }
 
 impl SessionHandle {
@@ -389,39 +402,91 @@ impl SessionHandle {
     /// (transaction completed) and is reported as `Unavailable`, matching
     /// the seed's exited-worker behaviour.
     pub fn send(&self, msg: SessionMsg) -> Result<()> {
-        if msg.is_terminal() {
-            // ordering: Relaxed — per-handle flag; &self calls and Drop are ordered
-            // by ownership, so only atomicity (not ordering) is required.
-            self.sent_terminal.store(true, Ordering::Relaxed);
+        self.session.enqueue(msg)
+    }
+
+    /// Claim the lane's turn for the calling thread, if the lane is idle:
+    /// nothing queued, no drainer, not closed. The caller then runs its
+    /// message itself ([`Turn::run`]) instead of paying a hand-off to a
+    /// pool thread and a reply over the channel — worth it exactly when
+    /// the caller would block for the reply anyway. `None` means the lane
+    /// is busy (an aggressive background write is still running, say) and
+    /// the message must queue behind it with [`SessionHandle::send`]; so
+    /// does a pool that cannot grow, whose size is a stated concurrency
+    /// bound its callers must not exceed.
+    pub fn try_turn(&self) -> Option<Turn> {
+        let session = &self.session;
+        if !session.pool.lends_turns() {
+            return None;
         }
-        self.session.enqueue(msg, &self.pool)
+        {
+            let mut mb = session.mailbox.lock();
+            if mb.scheduled || !mb.queue.is_empty() || mb.closed {
+                return None;
+            }
+            mb.scheduled = true;
+        }
+        session.pool.note_caller_turn();
+        Some(Turn {
+            session: Arc::clone(session),
+        })
     }
 
     /// Finish the session without aborting its local transaction (simulated
     /// controller crash: participants stay prepared, no cleanup runs). The
     /// seed modelled this by leaking the worker thread; here nothing leaks.
     pub fn detach(self) {
-        // ordering: Relaxed — see send(); ownership transfer orders the Drop load.
-        self.sent_terminal.store(true, Ordering::Relaxed);
-        let _ = self.session.enqueue(SessionMsg::Detach, &self.pool);
+        let _ = self.session.enqueue(SessionMsg::Detach);
     }
 }
 
 impl Drop for SessionHandle {
     fn drop(&mut self) {
-        // ordering: Relaxed — &mut self gives Drop exclusive access; the moves
-        // that got the handle here are what order earlier stores, not the atomic.
-        if !self.sent_terminal.load(Ordering::Relaxed) {
-            // Fire-and-forget cleanup; errors are deliberately not recorded
-            // (the transaction is over — this mirrors the seed's ignored
-            // cleanup abort).
-            let _ = self.session.enqueue(
-                SessionMsg::Abort {
-                    seq: 0,
-                    want_reply: false,
-                },
-                &self.pool,
-            );
+        // Fire-and-forget cleanup, refused (and ignored) when a terminal
+        // message already closed the lane; errors are deliberately not
+        // recorded (the transaction is over — this mirrors the seed's
+        // ignored cleanup abort).
+        let _ = self.session.enqueue(SessionMsg::Abort {
+            seq: 0,
+            want_reply: false,
+        });
+    }
+}
+
+/// The single-drainer slot of an idle lane, held by the calling thread
+/// (see [`SessionHandle::try_turn`]). Dropping it releases the slot.
+pub struct Turn {
+    session: Arc<Session>,
+}
+
+impl Turn {
+    /// Execute `msg` on this thread, as the pool worker that would have
+    /// dequeued it does: the pool-job fault hook, then the one
+    /// `Session::process`. The reply is returned, not sent.
+    pub fn run(self, msg: SessionMsg) -> Option<WorkerReply> {
+        if msg.is_terminal() {
+            self.session.mailbox.lock().closed = true;
+        }
+        self.session.pool.job_fault_hook();
+        self.session.process(msg)
+    }
+}
+
+impl Drop for Turn {
+    fn drop(&mut self) {
+        // Same lock hold for "anything queued meanwhile?" and the slot
+        // hand-over, as in `drain`: a message enqueued while this thread
+        // held the turn saw `scheduled` and did not submit, so either the
+        // slot passes to a pool job here or the lane goes idle — never a
+        // queued message with no drainer.
+        let resubmit = {
+            let mut mb = self.session.mailbox.lock();
+            mb.scheduled = !mb.queue.is_empty();
+            mb.scheduled
+        };
+        if resubmit {
+            let session = &self.session;
+            session.pool.submit(PoolJob::Session(Arc::clone(session)));
         }
     }
 }
@@ -465,9 +530,8 @@ pub(crate) fn new_session(
                     finished: false,
                 },
             ),
+            pool: Arc::clone(pool),
         }),
-        pool: Arc::clone(pool),
-        sent_terminal: AtomicBool::new(false),
     }
 }
 

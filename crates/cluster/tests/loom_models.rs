@@ -1,4 +1,4 @@
-//! Exhaustive interleaving checks (via `tenantdb-loom`) for the two
+//! Exhaustive interleaving checks (via `tenantdb-loom`) for the three
 //! protocols whose correctness is purely about ordering:
 //!
 //! 1. **Pool session-lane handoff** (`worker.rs` `enqueue`/`drain` + the
@@ -10,6 +10,10 @@
 //!    reached the replicated log is never lost, whether the coordinator
 //!    crashes before phase 2, takeover races the coordinator's own phase 2,
 //!    or a participant machine fails mid-takeover.
+//! 3. **The caller takes the lane's turn** (`worker.rs` `try_turn` /
+//!    `Turn::run` / `Turn::drop`, on model 1's lane): the same guarantee
+//!    when the drainer is the calling thread and sends — the cleanup
+//!    `Abort` among them — arrive while it holds the slot.
 //!
 //! The models re-state each protocol over `tenantdb_loom` primitives (the
 //! production types use the ordered lockdep wrappers, which the checker
@@ -22,7 +26,7 @@ use tenantdb_loom as loom;
 /// CHESS-style bounded exploration: every schedule with at most two
 /// preemptions. Unbounded DFS over these models (up to six threads once
 /// drainers spawn) is intractable, and the empirical CHESS result is that
-/// almost all real concurrency bugs need very few preemptions — both
+/// almost all real concurrency bugs need very few preemptions — the
 /// `*_model_has_teeth` tests confirm their seeded bugs surface within this
 /// bound.
 fn bounded() -> loom::Builder {
@@ -34,6 +38,7 @@ fn bounded() -> loom::Builder {
 
 use loom::sync::atomic::{AtomicBool, Ordering};
 use loom::sync::{Arc, Mutex};
+use loom::thread::JoinHandle;
 
 // ---------------------------------------------------------------------------
 // Model 1: session-lane handoff
@@ -44,17 +49,25 @@ struct Mailbox {
     queue: Vec<u32>,
     scheduled: bool,
     closed: bool,
+    /// Ground truth for the FIFO assertion: arrival order, recorded under
+    /// the same lock hold that enqueues, exactly as the real queue push
+    /// does.
+    arrivals: Vec<u32>,
 }
 
-/// Ground truth for the FIFO assertion: arrival order is recorded under the
-/// same lock hold that enqueues, exactly as the real queue push does.
+/// Mirrors `worker::ExecState`, plus the order messages were executed in.
+struct Exec {
+    /// Set when the terminal message is processed; later messages are
+    /// skipped.
+    finished: bool,
+    processed: Vec<u32>,
+}
+
 struct Lane {
     mailbox: Mutex<Mailbox>,
-    arrivals: Mutex<Vec<u32>>,
-    processed: Mutex<Vec<u32>>,
-    /// Mirrors `ExecState::finished`: set when the terminal message is
-    /// processed; later batch entries are skipped.
-    finished: Mutex<bool>,
+    exec: Mutex<Exec>,
+    /// Single-drainer witness: set for the duration of one `process`.
+    processing: AtomicBool,
 }
 
 const TERMINAL: u32 = 99;
@@ -66,10 +79,13 @@ impl Lane {
                 queue: Vec::new(),
                 scheduled: false,
                 closed: false,
+                arrivals: Vec::new(),
             }),
-            arrivals: Mutex::new(Vec::new()),
-            processed: Mutex::new(Vec::new()),
-            finished: Mutex::new(false),
+            exec: Mutex::new(Exec {
+                finished: false,
+                processed: Vec::new(),
+            }),
+            processing: AtomicBool::new(false),
         })
     }
 
@@ -78,7 +94,7 @@ impl Lane {
     /// the pool's only relevant guarantee is that a submitted job
     /// eventually runs on *some* thread, which a spawned thread models
     /// while letting loom explore every handoff interleaving.
-    fn enqueue(self: &Arc<Self>, msg: u32) -> Result<Option<loom::thread::JoinHandle<()>>, ()> {
+    fn enqueue(self: &Arc<Self>, msg: u32) -> Result<Option<JoinHandle<()>>, ()> {
         let schedule = {
             let mut mb = self.mailbox.lock();
             if mb.closed {
@@ -88,7 +104,7 @@ impl Lane {
                 mb.closed = true;
             }
             mb.queue.push(msg);
-            self.arrivals.lock().push(msg);
+            mb.arrivals.push(msg);
             let schedule = !mb.scheduled;
             if schedule {
                 mb.scheduled = true;
@@ -117,17 +133,84 @@ impl Lane {
                 std::mem::take(&mut mb.queue)
             };
             for msg in batch {
-                let mut fin = self.finished.lock();
-                if *fin {
-                    continue;
-                }
-                if msg == TERMINAL {
-                    *fin = true;
-                }
-                drop(fin);
-                self.processed.lock().push(msg);
+                self.process(msg);
             }
         }
+    }
+
+    /// `Session::process`: whoever holds the drainer slot — a pool worker
+    /// in `drain`, or the caller in `Turn::run` — executes one message.
+    fn process(&self, msg: u32) {
+        // ordering: Relaxed — loom is sequentially consistent; the flag only
+        // witnesses that no two threads are ever in here at once.
+        assert!(
+            !self.processing.swap(true, Ordering::Relaxed),
+            "two drainers"
+        );
+        let mut exec = self.exec.lock();
+        if !exec.finished {
+            exec.finished = msg == TERMINAL;
+            exec.processed.push(msg);
+        }
+        drop(exec);
+        // ordering: Relaxed — see above.
+        self.processing.store(false, Ordering::Relaxed);
+    }
+
+    /// (arrivals, processed), read once the lane is quiescent.
+    fn history(&self) -> (Vec<u32>, Vec<u32>) {
+        (
+            self.mailbox.lock().arrivals.clone(),
+            self.exec.lock().processed.clone(),
+        )
+    }
+
+    /// `SessionHandle::try_turn`: claim the drainer slot of an idle lane
+    /// for the calling thread. (`msg` is only the model's ground truth: the
+    /// turn's message heads the lane from the moment the slot is claimed,
+    /// so its arrival is recorded under this lock hold. The pool's
+    /// `lends_turns` gate is a constant per pool and not modelled.)
+    fn try_turn(self: &Arc<Self>, msg: u32) -> Option<Turn> {
+        let mut mb = self.mailbox.lock();
+        if mb.scheduled || !mb.queue.is_empty() || mb.closed {
+            return None;
+        }
+        mb.scheduled = true;
+        mb.arrivals.push(msg);
+        Some(Turn {
+            lane: Arc::clone(self),
+        })
+    }
+}
+
+/// Mirrors `worker::Turn`: the drainer slot, held by the caller.
+struct Turn {
+    lane: Arc<Lane>,
+}
+
+impl Turn {
+    /// `Turn::run`, then the release `Drop for Turn` performs: hand the
+    /// slot to a pool job if anything was enqueued meanwhile — decided
+    /// under the same lock hold that gives the slot up — else go idle.
+    fn run(self, msg: u32) -> Option<JoinHandle<()>> {
+        if msg == TERMINAL {
+            self.lane.mailbox.lock().closed = true;
+        }
+        self.lane.process(msg);
+        let resubmit = {
+            let mut mb = self.lane.mailbox.lock();
+            mb.scheduled = !mb.queue.is_empty();
+            mb.scheduled
+        };
+        resubmit.then(|| loom::thread::spawn(move || self.lane.drain()))
+    }
+
+    /// The obvious wrong release: give the slot up without looking at the
+    /// queue. A message enqueued during the turn saw `scheduled` and
+    /// submitted nothing; now nobody ever will.
+    fn run_buggy(self, msg: u32) {
+        self.lane.process(msg);
+        self.lane.mailbox.lock().scheduled = false;
     }
 }
 
@@ -151,8 +234,7 @@ fn pool_lane_fifo_exactly_once() {
         p2.join().expect("producer 2");
         // Any drainer spawned by a producer finished before that producer's
         // join returned, so the lane is quiescent here.
-        let arrivals = lane.arrivals.lock().clone();
-        let processed = lane.processed.lock().clone();
+        let (arrivals, processed) = lane.history();
         assert_eq!(
             processed, arrivals,
             "every accepted message, exactly once, in arrival order"
@@ -183,8 +265,7 @@ fn pool_lane_fifo_under_concurrent_detach() {
         let detach_ok = p2.join().expect("detacher");
         assert!(detach_ok, "the first terminal send always wins");
 
-        let arrivals = lane.arrivals.lock().clone();
-        let processed = lane.processed.lock().clone();
+        let (arrivals, processed) = lane.history();
         // Arrival order is truncated at the terminal: the drain loop must
         // process exactly the prefix up to and including TERMINAL.
         let cut = arrivals
@@ -221,7 +302,7 @@ fn lane_model_has_teeth() {
                         std::mem::take(&mut mb.queue)
                     };
                     for msg in batch {
-                        lane.processed.lock().push(msg);
+                        lane.exec.lock().processed.push(msg);
                     }
                 }
                 lane.mailbox.lock().scheduled = false; // too late
@@ -231,7 +312,7 @@ fn lane_model_has_teeth() {
                 let spawned = {
                     let mut mb = l1.mailbox.lock();
                     mb.queue.push(1);
-                    l1.arrivals.lock().push(1);
+                    mb.arrivals.push(1);
                     let s = !mb.scheduled;
                     if s {
                         mb.scheduled = true;
@@ -245,7 +326,7 @@ fn lane_model_has_teeth() {
                 let spawned2 = {
                     let mut mb = l1.mailbox.lock();
                     mb.queue.push(2);
-                    l1.arrivals.lock().push(2);
+                    mb.arrivals.push(2);
                     let s = !mb.scheduled;
                     if s {
                         mb.scheduled = true;
@@ -264,14 +345,89 @@ fn lane_model_has_teeth() {
                 }
             });
             p1.join().expect("producer");
-            let arrivals = lane.arrivals.lock().clone();
-            let processed = lane.processed.lock().clone();
+            let (arrivals, processed) = lane.history();
             assert_eq!(processed, arrivals, "lost message");
         });
     });
     assert!(
         found.is_err(),
         "the checker must find the lost-message schedule in the buggy drain"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Model 3: the caller takes the lane's turn (same `Lane` as model 1)
+// ---------------------------------------------------------------------------
+
+/// A statement's sender: take the lane's turn if it is idle, else queue
+/// (refused — arriving nowhere — once the cleanup abort closed the lane).
+/// Joins whatever drainer its own hand-over spawned.
+fn caller(lane: &Arc<Lane>, msg: u32, run: impl FnOnce(Turn, u32) -> Option<JoinHandle<()>>) {
+    let drainer = match lane.try_turn(msg) {
+        Some(turn) => run(turn, msg),
+        None => lane.enqueue(msg).unwrap_or(None),
+    };
+    if let Some(h) = drainer {
+        h.join().expect("drainer");
+    }
+}
+
+/// The caller-turn race: one thread runs a statement on the lane's turn
+/// while this one sends a second statement to the same lane (which the
+/// caller's turn must neither overtake nor strand) and then drops the
+/// handle, whose cleanup `Abort` — a plain enqueue of the terminal, see
+/// `Drop for SessionHandle` — closes the lane. Returns (arrivals,
+/// processed) once every thread and every drainer it spawned has finished.
+fn caller_turn_race(
+    run: impl FnOnce(Turn, u32) -> Option<JoinHandle<()>> + Send + 'static,
+) -> (Vec<u32>, Vec<u32>) {
+    let lane = Lane::new();
+    let l1 = Arc::clone(&lane);
+    let p1 = loom::thread::spawn(move || caller(&l1, 1, run));
+    // As in model 1, a sender joins the drainer its own send spawned
+    // before it goes on.
+    let _ = lane.enqueue(10).expect("open").map(|h| h.join());
+    let _ = lane
+        .enqueue(TERMINAL)
+        .expect("first terminal wins")
+        .map(|h| h.join());
+    p1.join().expect("caller");
+    assert!(!lane.mailbox.lock().scheduled, "drainer slot released");
+    lane.history()
+}
+
+/// Every accepted message is processed exactly once, in arrival order, by
+/// one drainer at a time — whether the caller got the turn or found the
+/// lane busy, and wherever the concurrent send and the cleanup abort land.
+#[test]
+fn caller_turn_fifo_exactly_once() {
+    bounded().check(|| {
+        let (arrivals, processed) = caller_turn_race(Turn::run);
+        // A closed lane accepts no send and lends no turn.
+        assert_eq!(arrivals.last(), Some(&TERMINAL), "nothing follows it");
+        assert_eq!(
+            processed, arrivals,
+            "every accepted message, exactly once, in arrival order"
+        );
+    });
+}
+
+/// Teeth check: releasing the turn without re-checking the queue strands
+/// the message that was enqueued while the caller held it.
+#[test]
+fn caller_turn_model_has_teeth() {
+    let found = std::panic::catch_unwind(|| {
+        bounded().check(|| {
+            let (arrivals, processed) = caller_turn_race(|turn, msg| {
+                turn.run_buggy(msg);
+                None
+            });
+            assert_eq!(processed, arrivals, "stranded message");
+        });
+    });
+    assert!(
+        found.is_err(),
+        "the checker must find the stranded-message schedule in the buggy release"
     );
 }
 

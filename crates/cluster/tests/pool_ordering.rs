@@ -9,10 +9,22 @@
 //! executor) — and under both write-acknowledgement policies, where the
 //! aggressive mode deliberately leaves background statements still running
 //! when the client issues the next one.
+//!
+//! On a pool that can grow (the default) a caller that waits for every
+//! reply anyway runs idle lanes on its own thread; the `*_growable` cells
+//! and the last two tests hold the same ordering guarantee — and the
+//! accounting — on that path. Fixed pools never lend a turn, so the
+//! `pool1` / `pool4` cells keep exercising the pure mailbox path.
 
 use std::sync::Arc;
 
-use tenantdb_cluster::{ClusterConfig, ClusterController, PoolConfig, ReadPolicy, WritePolicy};
+use std::time::Duration;
+
+use tenantdb_cluster::metrics::{POOL_CALLER_TURNS, POOL_THREADS_SPAWNED};
+use tenantdb_cluster::{
+    ClusterConfig, ClusterController, CrashPoint, FaultAction, FaultPlan, PoolConfig, ReadPolicy,
+    Trigger, WritePolicy,
+};
 use tenantdb_storage::{CostModel, EngineConfig, Value};
 
 fn cluster(write: WritePolicy, pool: PoolConfig) -> Arc<ClusterController> {
@@ -149,6 +161,8 @@ ordering_matrix! {
     conservative_pool4: WritePolicy::Conservative, PoolConfig::fixed(4);
     aggressive_pool1: WritePolicy::Aggressive, PoolConfig::fixed(1);
     aggressive_pool4: WritePolicy::Aggressive, PoolConfig::fixed(4);
+    conservative_growable: WritePolicy::Conservative, PoolConfig::default();
+    aggressive_growable: WritePolicy::Aggressive, PoolConfig::default();
 }
 
 /// A transaction's statements interleaved with its own 2PC must stay ordered:
@@ -175,4 +189,81 @@ fn aggressive_prepare_queues_behind_background_writes() {
             "replica {id} missing committed writes"
         );
     }
+}
+
+fn pool_counter(c: &ClusterController, name: &'static str) -> u64 {
+    c.metrics()
+        .registry()
+        .counter_sum(name, &[("pool", "machine")])
+}
+
+/// A caller only takes the turn of an *idle* lane. Under aggressive acks
+/// the write is still running on the lagging replica when the client's
+/// next statement — a read routed to that very replica — arrives: the read
+/// finds the lane busy, queues behind the write, and therefore sees it.
+#[test]
+fn read_queues_behind_background_write_on_a_busy_lane() {
+    let c = cluster(WritePolicy::Aggressive, PoolConfig::default());
+    let conn = c.connect("app").unwrap();
+    conn.execute("INSERT INTO t VALUES (1, 'old')", &[])
+        .unwrap();
+    // Reads are pinned to this replica; make it the one that lags.
+    let lagging = c.placement("app").unwrap().pinned;
+    c.faults().arm(FaultPlan::new(vec![Trigger {
+        point: CrashPoint::ReplicaWriteApply,
+        machine: Some(lagging),
+        after_hits: 0,
+        action: FaultAction::Delay(Duration::from_millis(150)),
+    }]));
+
+    conn.begin().unwrap();
+    conn.execute("UPDATE t SET v = 'new' WHERE k = 1", &[])
+        .unwrap(); // acked by the other replica
+    let turns = pool_counter(&c, POOL_CALLER_TURNS);
+    let r = conn.execute("SELECT v FROM t WHERE k = 1", &[]).unwrap();
+    assert_eq!(
+        r.rows[0][0],
+        Value::Text("new".into()),
+        "the read overtook the write it depends on"
+    );
+    assert_eq!(
+        pool_counter(&c, POOL_CALLER_TURNS),
+        turns,
+        "a busy lane lends no turn: the read went through the mailbox"
+    );
+    conn.commit().unwrap();
+    assert_eq!(c.faults().fired().len(), 1, "the delay did fire");
+    assert_replicas_converged(&c);
+}
+
+/// The accounting of the caller-run path: a conservative read-write
+/// transaction on the default pool runs its statements, PREPARE and COMMIT
+/// on the calling thread — turns are counted, no pool thread is spawned for
+/// them — while a pool that cannot grow is a concurrency bound and lends
+/// none.
+#[test]
+fn caller_turns_are_counted_and_fixed_pools_lend_none() {
+    let txn = |c: &Arc<ClusterController>| {
+        let conn = c.connect("app").unwrap();
+        conn.begin().unwrap();
+        conn.execute("INSERT INTO t VALUES (1, 'x')", &[]).unwrap();
+        conn.execute("SELECT v FROM t WHERE k = 1", &[]).unwrap();
+        conn.commit().unwrap();
+    };
+
+    let c = cluster(WritePolicy::Conservative, PoolConfig::default());
+    let spawned = pool_counter(&c, POOL_THREADS_SPAWNED);
+    let turns = pool_counter(&c, POOL_CALLER_TURNS);
+    txn(&c);
+    // Per replica: INSERT, PREPARE, COMMIT; plus the one read.
+    assert_eq!(pool_counter(&c, POOL_CALLER_TURNS) - turns, 2 * 3 + 1);
+    assert_eq!(
+        pool_counter(&c, POOL_THREADS_SPAWNED),
+        spawned,
+        "nothing reached the pool, so it had no reason to grow"
+    );
+
+    let c = cluster(WritePolicy::Conservative, PoolConfig::fixed(2));
+    txn(&c);
+    assert_eq!(pool_counter(&c, POOL_CALLER_TURNS), 0);
 }

@@ -330,3 +330,47 @@ fn ddl_rejected_during_copy() {
     c.ddl("app", "CREATE TABLE t2 (id INT NOT NULL, PRIMARY KEY (id))")
         .unwrap();
 }
+
+/// A statement in flight on a replica when that machine dies is part of the
+/// machine failure, whatever it trips over on the way out: here a writer
+/// queued behind another transaction's row lock on the replica that
+/// crashes. Its wait can only end in a lock timeout — the crash discarded
+/// the waiter — and that timeout must be masked like any other symptom of
+/// a dead replica, not abort the transaction on the survivor.
+#[test]
+fn statement_in_flight_on_a_dying_replica_is_masked() {
+    let c = cluster(ReadPolicy::PinnedReplica, WritePolicy::Conservative, 3);
+    let holder = c.connect("app").unwrap();
+    holder
+        .execute("INSERT INTO t VALUES (1, 'a')", &[])
+        .unwrap();
+    holder.begin().unwrap();
+    holder
+        .execute("UPDATE t SET v = 'holder' WHERE k = 1", &[])
+        .unwrap();
+
+    let waiter = {
+        let c = Arc::clone(&c);
+        std::thread::spawn(move || {
+            let conn = c.connect("app").unwrap();
+            conn.begin().unwrap();
+            conn.execute("UPDATE t SET v = 'waiter' WHERE k = 1", &[])?;
+            conn.commit()
+        })
+    };
+    // Let the waiter block, then kill the replica it is blocked on: the
+    // first alive one (a conservative write walks the replicas in
+    // placement order; the holder has its lock on both).
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    let victim = c.alive_replicas("app").unwrap()[0];
+    c.fail_machine(victim).unwrap();
+    holder.commit().unwrap();
+
+    waiter
+        .join()
+        .unwrap()
+        .expect("the dead replica's lock timeout must be masked");
+    let r = holder.execute("SELECT v FROM t WHERE k = 1", &[]).unwrap();
+    assert_eq!(r.rows[0][0], Value::Text("waiter".into()));
+    assert_eq!(c.alive_replicas("app").unwrap().len(), 1);
+}

@@ -11,8 +11,11 @@
 //!
 //! * **Reactors** own all socket I/O. On readability they pump bytes into
 //!   the connection's read buffer, decode complete frames and parse their
-//!   SQL once. A request that cannot wait on another session's row lock
-//!   runs right there when nothing is queued ahead of it; everything else
+//!   SQL once. A request that takes no exclusive lock (a plain read may
+//!   still wait, bounded by `lock_timeout`, for a writer's S-lock conflict)
+//!   runs right there when nothing is queued ahead of it — on the reactor's
+//!   own stack all the way into the engine, since the cluster runs an idle
+//!   replica lane on the calling thread; everything else
 //!   joins the connection's queue, drained by one task at a time on the
 //!   worker pool — which grows while its threads sit in lock waits, so a
 //!   row-lock convoy parks neither a reactor nor the lock holder's next
@@ -181,14 +184,19 @@ impl Request {
     }
 
     /// May this request execute inline on the reactor? Qualifying requests
-    /// never *wait* on a row lock: `Ping`, a plain read (by the parser's
+    /// never *take* an exclusive lock: `Ping`, a plain read (by the parser's
     /// classification — never a `FOR UPDATE`, however it is spelled), a
     /// short `WholeTxn` batch of only such reads, or bare transaction
     /// control — `BEGIN` allocates a transaction and `COMMIT`/`ROLLBACK`
     /// only release locks (their replication work is bounded CPU, the same
-    /// class as a large inline select). Statements that can block on
-    /// another session's locks — writes, locking reads, write-bearing
-    /// batches — go to the pool so a lock convoy can never park a reactor.
+    /// class as a large inline select). A plain read does take S locks, so
+    /// it can wait behind a writer of the same rows for up to the engine's
+    /// `lock_timeout` — since the connection runs an idle replica lane on
+    /// the calling thread, that wait sits on the reactor's own stack — but
+    /// it holds nothing another session's progress depends on while it
+    /// waits. Statements that take X locks — writes, locking reads,
+    /// write-bearing batches — go to the pool: they are what a lock convoy
+    /// is made of, and one must never park a reactor.
     fn inline_safe(&self) -> bool {
         let all_reads = || {
             self.stmts
@@ -1077,10 +1085,11 @@ impl Reactor {
     }
 
     /// Dispatch one decoded request. When nothing is queued ahead of it
-    /// (reply order preserved) and it cannot wait on a row lock (see
+    /// (reply order preserved) and it takes no exclusive lock (see
     /// [`Request::inline_safe`]) it executes right here, skipping the pool
     /// handoff — a context switch per request, the dominant cost of small
-    /// requests on loopback. Everything else joins the connection's pending
+    /// requests on loopback. With the cluster running idle replica lanes on
+    /// the calling thread, an inline read crosses no thread at all. Everything else joins the connection's pending
     /// queue, drained by one pool task at a time.
     fn dispatch(&mut self, conn: &Arc<Conn>, frame: Frame, started: Instant) {
         let req = Request::new(frame, started);
@@ -1112,9 +1121,10 @@ impl Reactor {
         }
         if let Some((req, platform)) = inline {
             // lint:allow(reactor-block): inline execution is the documented
-            // serving-tier tradeoff — an inline request never waits on a row
-            // lock; the one sleep on this path is the SLA deferral wait in
-            // ClusterController::admit, bounded by the gate's deferral budget.
+            // serving-tier tradeoff — an inline request takes no X lock; its
+            // waits are a plain read's S lock behind a writer (bounded by
+            // lock_timeout) and the SLA deferral in ClusterController::admit
+            // (bounded by the gate's deferral budget).
             match execute_and_reply(&self.shared, conn, &platform, req) {
                 Some(mut st) => self.sync_interest(conn, &mut st),
                 None => self.teardown(conn),

@@ -42,7 +42,9 @@ const PLAN_SALT: u64 = 0x5eed_cafe_0000_0002;
 /// `CopyStart`/`CopyTable`/`TakeoverCommit` are exercised by the scripted
 /// corpus and the recovery property tests (they need a copy or takeover in
 /// flight to mean anything), and `PoolJob` hit counts depend on mailbox
-/// batching, which is not seed-deterministic.
+/// batching and on whether a lane was idle when its caller arrived (a
+/// caller-run turn and a dequeued job each count one hit), neither of
+/// which is seed-deterministic.
 const RANDOM_POINTS: [CrashPoint; 8] = [
     CrashPoint::ReplicaWriteApply,
     CrashPoint::ReplicaWriteAck,

@@ -1041,9 +1041,11 @@ fn sla_reject_under_failover() -> Result<(), String> {
     }
 
     let stop = Arc::new(AtomicBool::new(false));
+    let shedding = Arc::new(AtomicBool::new(false));
     let hammer = {
         let c2 = Arc::clone(&c);
         let stop2 = Arc::clone(&stop);
+        let shedding2 = Arc::clone(&shedding);
         std::thread::spawn(move || -> Result<(u64, u64), String> {
             let conn = c2.connect("noisy").map_err(|e| format!("connect: {e}"))?;
             let (mut ok, mut shed) = (0u64, 0u64);
@@ -1054,13 +1056,27 @@ fn sla_reject_under_failover() -> Result<(), String> {
                 k += 1;
                 match conn.execute("INSERT INTO t VALUES (?, 'n')", &[Value::Int(k)]) {
                     Ok(_) => ok += 1,
-                    Err(ClusterError::AdmissionRejected { .. }) => shed += 1,
+                    Err(ClusterError::AdmissionRejected { .. }) => {
+                        shed += 1;
+                        // ordering: Relaxed — a progress flag, publishes no data.
+                        shedding2.store(true, Ordering::Relaxed);
+                    }
                     Err(e) => return Err(format!("noisy insert {k}: {e}")),
                 }
             }
             Ok((ok, shed))
         })
     };
+
+    // The failure has to land while the gate is already shedding `noisy`.
+    // Wait for the first shed instead of racing the hammer's burst
+    // allowance against the wall clock: the failover below takes well
+    // under a millisecond.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    // ordering: Relaxed — see the matching store.
+    while !shedding.load(Ordering::Relaxed) && std::time::Instant::now() < deadline {
+        std::thread::yield_now();
+    }
 
     // One of app's two replicas dies; acked writes continue on the survivor.
     c.fail_machine(m(1)).map_err(|e| format!("fail m1: {e}"))?;

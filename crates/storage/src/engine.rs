@@ -26,7 +26,7 @@ use crate::error::{Result, StorageError};
 use crate::lock::{LockManager, LockMode, ResourceId};
 use crate::schema::TableSchema;
 use crate::table::Table;
-use crate::txn::{TxnId, TxnManager, UndoRecord};
+use crate::txn::{Finished, TxnId, TxnManager, UndoRecord};
 use crate::value::Value;
 use crate::wal::{RedoOp, Wal, WalEntry};
 
@@ -307,8 +307,13 @@ impl Engine {
     /// Commit (legal from Active for one-phase, or Prepared for 2PC).
     pub fn commit(&self, txn: TxnId) -> Result<()> {
         self.check_up()?;
-        self.txns.set_committed(txn)?;
-        self.wal.append(txn, WalEntry::Commit);
+        // Nothing of a transaction that wrote nothing and never prepared is
+        // in the log, so its outcome is not logged either; a logged
+        // `Prepare` always gets its outcome record (restart must not find a
+        // phantom in-doubt).
+        if self.txns.finish(txn)?.logged {
+            self.wal.append(txn, WalEntry::Commit);
+        }
         self.locks.release_all(txn);
         // ordering: Relaxed — advisory telemetry; only atomicity is needed, no cross-variable ordering.
         self.commits.fetch_add(1, Ordering::Relaxed);
@@ -319,7 +324,7 @@ impl Engine {
     /// Deliberately works even on a failed engine — the participant side of
     /// coordinator-driven cleanup.
     pub fn abort(&self, txn: TxnId) -> Result<()> {
-        let undo = self.txns.set_aborted(txn)?;
+        let Finished { undo, logged } = self.txns.finish(txn)?;
         for rec in undo.into_iter().rev() {
             // We still hold X locks on everything the undo touches, and the
             // images restore previously valid states, so these cannot fail;
@@ -352,7 +357,9 @@ impl Engine {
                 }
             }
         }
-        self.wal.append(txn, WalEntry::Abort);
+        if logged {
+            self.wal.append(txn, WalEntry::Abort);
+        }
         self.locks.release_all(txn);
         // ordering: Relaxed — advisory telemetry; only atomicity is needed, no cross-variable ordering.
         self.aborts.fetch_add(1, Ordering::Relaxed);
@@ -730,7 +737,7 @@ impl Engine {
         for txn in self.txns.live_txns() {
             // Volatile state is lost; skip undo (restart rebuilds from WAL),
             // but release locks so blocked threads fail fast.
-            let _ = self.txns.set_aborted(txn);
+            let _ = self.txns.finish(txn);
             self.locks.release_all(txn);
         }
     }
@@ -746,7 +753,6 @@ impl Engine {
         }
         *self.databases.write() = dbs;
         self.buffer.clear();
-        self.txns.gc_finished();
         // ordering: Release — pairs with the Acquire loads in check_up()/is_failed();
         // publishes the rebuilt catalog installed just above.
         self.failed.store(false, Ordering::Release);
@@ -1246,6 +1252,65 @@ mod tests {
         e.commit(t).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].1, kv(1, "v2"));
+    }
+
+    /// A transaction that wrote nothing and never prepared leaves nothing
+    /// in the log; one that prepared always gets its outcome record, even
+    /// with no writes. Replay over that thinner log rebuilds the same state
+    /// and finds no live or in-doubt transaction.
+    #[test]
+    fn restart_after_read_only_one_phase_and_two_phase_mix() {
+        let e = setup();
+        let scan = |e: &Engine| {
+            let t = e.begin().unwrap();
+            let mut rows: Vec<Vec<Value>> = e
+                .scan(t, "app", "kv")
+                .unwrap()
+                .into_iter()
+                .map(|r| r.1)
+                .collect();
+            e.commit(t).unwrap();
+            rows.sort_by_key(|r| r[0].clone());
+            rows
+        };
+        // One-phase write.
+        e.with_txn(|t| e.insert(t, "app", "kv", kv(1, "one-phase")))
+            .unwrap();
+        let before = e.wal().len();
+        // Read-only, committed and aborted: no records at all.
+        assert_eq!(scan(&e).len(), 1);
+        let t = e.begin().unwrap();
+        e.scan(t, "app", "kv").unwrap();
+        e.abort(t).unwrap();
+        assert_eq!(e.wal().len(), before, "read-only transactions log nothing");
+        // Prepared, then committed.
+        let t = e.begin().unwrap();
+        e.insert(t, "app", "kv", kv(2, "two-phase")).unwrap();
+        e.prepare(t).unwrap();
+        e.commit(t).unwrap();
+        // Prepared without a write (a participant that only read), then
+        // aborted: the Prepare is logged, so its outcome must be too.
+        let t = e.begin().unwrap();
+        e.scan(t, "app", "kv").unwrap();
+        e.prepare(t).unwrap();
+        e.abort(t).unwrap();
+        assert_eq!(
+            e.wal().len(),
+            before + 5,
+            "redo + prepare + commit, prepare + abort"
+        );
+        // Written, then aborted: never replayed.
+        let t = e.begin().unwrap();
+        e.insert(t, "app", "kv", kv(3, "aborted")).unwrap();
+        e.abort(t).unwrap();
+
+        let state = scan(&e);
+        assert_eq!(state, vec![kv(1, "one-phase"), kv(2, "two-phase")]);
+        e.crash();
+        e.restart();
+        assert_eq!(scan(&e), state, "replay rebuilds the same state");
+        assert!(e.in_doubt().is_empty(), "no phantom in-doubt transaction");
+        assert!(e.txns.live_txns().is_empty(), "nothing left in the table");
     }
 
     #[test]

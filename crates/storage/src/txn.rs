@@ -6,13 +6,17 @@
 //! participant states follow the classic protocol:
 //!
 //! ```text
-//! Active --prepare()--> Prepared --commit()--> Committed
-//!    \--abort()-----------------\--abort()--> Aborted
+//! Active --prepare()--> Prepared --commit()--> (committed)
+//!    \--abort()-----------------\--abort()--> (aborted)
 //! ```
 //!
 //! A `Prepared` transaction may no longer issue reads or writes and must not
 //! unilaterally abort from the participant's point of view — only the
 //! coordinator (the cluster controller) decides its fate.
+//!
+//! A finished transaction is forgotten: committing or aborting removes its
+//! entry, so the table holds live transactions only and a second commit or
+//! abort of the same id reports `NoSuchTxn`.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -33,13 +37,11 @@ impl fmt::Display for TxnId {
     }
 }
 
-/// Lifecycle phase of a transaction.
+/// Lifecycle phase of a live transaction (a finished one is forgotten).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnPhase {
     Active,
     Prepared,
-    Committed,
-    Aborted,
 }
 
 impl TxnPhase {
@@ -47,8 +49,6 @@ impl TxnPhase {
         match self {
             TxnPhase::Active => "active",
             TxnPhase::Prepared => "prepared",
-            TxnPhase::Committed => "committed",
-            TxnPhase::Aborted => "aborted",
         }
     }
 }
@@ -86,7 +86,18 @@ struct TxnInfo {
     writes: u64,
 }
 
-/// Per-engine transaction table.
+/// What a finished transaction leaves behind (see [`TxnManager::finish`]).
+pub struct Finished {
+    /// The undo log **in application order**: abort applies it in reverse,
+    /// commit discards it.
+    pub undo: Vec<UndoRecord>,
+    /// The WAL holds records of this transaction — redo, or its `Prepare` —
+    /// so it must get the outcome record too. A transaction that wrote
+    /// nothing and never prepared logs nothing.
+    pub logged: bool,
+}
+
+/// Per-engine table of live transactions.
 pub struct TxnManager {
     next_id: AtomicU64,
     txns: Mutex<HashMap<TxnId, TxnInfo>>,
@@ -172,38 +183,18 @@ impl TxnManager {
         }
     }
 
-    /// Transition to Committed. Legal from Active (1-phase) or Prepared
-    /// (2-phase). Returns the undo log, which the caller discards.
-    pub fn set_committed(&self, txn: TxnId) -> Result<Vec<UndoRecord>> {
-        let mut map = self.txns.lock();
-        let info = map.get_mut(&txn).ok_or(StorageError::NoSuchTxn(txn))?;
-        match info.phase {
-            TxnPhase::Active | TxnPhase::Prepared => {
-                info.phase = TxnPhase::Committed;
-                Ok(std::mem::take(&mut info.undo))
-            }
-            other => Err(StorageError::InvalidTxnState {
-                txn,
-                state: other.name(),
-            }),
-        }
-    }
-
-    /// Transition to Aborted. Legal from Active or Prepared. Returns the undo
-    /// log **in application order**; the caller must apply it in reverse.
-    pub fn set_aborted(&self, txn: TxnId) -> Result<Vec<UndoRecord>> {
-        let mut map = self.txns.lock();
-        let info = map.get_mut(&txn).ok_or(StorageError::NoSuchTxn(txn))?;
-        match info.phase {
-            TxnPhase::Active | TxnPhase::Prepared => {
-                info.phase = TxnPhase::Aborted;
-                Ok(std::mem::take(&mut info.undo))
-            }
-            other => Err(StorageError::InvalidTxnState {
-                txn,
-                state: other.name(),
-            }),
-        }
+    /// Finish the transaction — commit (legal from Active for one-phase, or
+    /// Prepared for two-phase) and abort alike — and forget it.
+    pub fn finish(&self, txn: TxnId) -> Result<Finished> {
+        let info = self
+            .txns
+            .lock()
+            .remove(&txn)
+            .ok_or(StorageError::NoSuchTxn(txn))?;
+        Ok(Finished {
+            undo: info.undo,
+            logged: info.writes > 0 || info.phase == TxnPhase::Prepared,
+        })
     }
 
     /// Did the transaction perform any writes? (The controller skips 2PC for
@@ -225,21 +216,9 @@ impl TxnManager {
             .ok_or(StorageError::NoSuchTxn(txn))
     }
 
-    /// Ids of all transactions currently Active or Prepared.
+    /// Ids of all live (Active or Prepared) transactions.
     pub fn live_txns(&self) -> Vec<TxnId> {
-        self.txns
-            .lock()
-            .iter()
-            .filter(|(_, t)| matches!(t.phase, TxnPhase::Active | TxnPhase::Prepared))
-            .map(|(&id, _)| id)
-            .collect()
-    }
-
-    /// Drop bookkeeping for finished transactions (garbage collection).
-    pub fn gc_finished(&self) {
-        self.txns
-            .lock()
-            .retain(|_, t| matches!(t.phase, TxnPhase::Active | TxnPhase::Prepared));
+        self.txns.lock().keys().copied().collect()
     }
 }
 
@@ -253,8 +232,8 @@ mod tests {
         let t = tm.begin();
         assert_eq!(tm.phase(t).unwrap(), TxnPhase::Active);
         tm.require_active(t).unwrap();
-        tm.set_committed(t).unwrap();
-        assert_eq!(tm.phase(t).unwrap(), TxnPhase::Committed);
+        tm.finish(t).unwrap();
+        assert_eq!(tm.phase(t).unwrap_err(), StorageError::NoSuchTxn(t));
         assert!(tm.require_active(t).is_err());
     }
 
@@ -266,7 +245,7 @@ mod tests {
         assert_eq!(tm.phase(t).unwrap(), TxnPhase::Prepared);
         // No reads/writes after prepare.
         assert!(tm.require_active(t).is_err());
-        tm.set_committed(t).unwrap();
+        assert!(tm.finish(t).unwrap().logged, "a prepare is in the log");
     }
 
     #[test]
@@ -274,18 +253,17 @@ mod tests {
         let tm = TxnManager::default();
         let t = tm.begin();
         tm.set_prepared(t).unwrap();
-        tm.set_aborted(t).unwrap();
-        assert_eq!(tm.phase(t).unwrap(), TxnPhase::Aborted);
+        tm.finish(t).unwrap();
+        assert_eq!(tm.phase(t).unwrap_err(), StorageError::NoSuchTxn(t));
     }
 
     #[test]
     fn illegal_transitions_rejected() {
         let tm = TxnManager::default();
         let t = tm.begin();
-        tm.set_committed(t).unwrap();
+        tm.finish(t).unwrap();
         assert!(tm.set_prepared(t).is_err());
-        assert!(tm.set_aborted(t).is_err());
-        assert!(tm.set_committed(t).is_err());
+        assert!(tm.finish(t).is_err());
     }
 
     #[test]
@@ -321,7 +299,8 @@ mod tests {
         )
         .unwrap();
         assert!(tm.has_writes(t).unwrap());
-        let undo = tm.set_aborted(t).unwrap();
+        let Finished { undo, logged } = tm.finish(t).unwrap();
+        assert!(logged, "it wrote");
         assert_eq!(undo.len(), 2);
         assert!(matches!(undo[0], UndoRecord::Insert { row_id: 1, .. }));
     }
@@ -334,6 +313,7 @@ mod tests {
         tm.note_read(t);
         assert!(!tm.has_writes(t).unwrap());
         assert_eq!(tm.op_counts(t).unwrap(), (2, 0));
+        assert!(!tm.finish(t).unwrap().logged, "nothing for the log");
     }
 
     #[test]
@@ -345,14 +325,12 @@ mod tests {
     }
 
     #[test]
-    fn live_txns_and_gc() {
+    fn live_txns_forget_the_finished() {
         let tm = TxnManager::default();
         let a = tm.begin();
         let b = tm.begin();
-        tm.set_committed(a).unwrap();
-        let live = tm.live_txns();
-        assert_eq!(live, vec![b]);
-        tm.gc_finished();
+        tm.finish(a).unwrap();
+        assert_eq!(tm.live_txns(), vec![b]);
         assert!(tm.phase(a).is_err());
         assert!(tm.phase(b).is_ok());
     }

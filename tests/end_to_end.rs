@@ -338,3 +338,62 @@ fn writes_through_the_cluster_api_reach_the_standby() {
     geo_link(&platform, "bulk", &geo_metrics()).sync().unwrap();
     assert_eq!(count(&standby, "bulk"), Value::Int(25));
 }
+
+/// A client's whole repertoire through `SystemController::connect` on the
+/// default (growable) pools, where the connection runs idle replica lanes
+/// on its own thread: read, write, rollback, and a connection dropped in
+/// the middle of a transaction — whose locks must not outlive it.
+#[test]
+fn read_write_rollback_and_drop_mid_txn_through_the_platform() {
+    let platform = two_colo_platform();
+    platform
+        .create_database("shop", WEST, CreateOptions::default())
+        .unwrap();
+    let conn = platform.connect("shop", WEST).unwrap();
+    conn.execute(
+        "CREATE TABLE t (id INT NOT NULL, v TEXT, PRIMARY KEY (id))",
+        &[],
+    )
+    .unwrap();
+    conn.execute("INSERT INTO t VALUES (1, 'a')", &[]).unwrap();
+    let value = |conn: &tenantdb::cluster::Connection| {
+        let r = conn.execute("SELECT v FROM t WHERE id = 1", &[]).unwrap();
+        r.rows[0][0].clone()
+    };
+    assert_eq!(value(&conn), Value::Text("a".into()));
+
+    // Read-your-writes inside a transaction, on every replica after commit.
+    conn.begin().unwrap();
+    conn.execute("UPDATE t SET v = 'b' WHERE id = 1", &[])
+        .unwrap();
+    assert_eq!(value(&conn), Value::Text("b".into()));
+    conn.commit().unwrap();
+
+    // Rollback undoes the write everywhere.
+    conn.begin().unwrap();
+    conn.execute("UPDATE t SET v = 'rolled back' WHERE id = 1", &[])
+        .unwrap();
+    conn.rollback().unwrap();
+    assert_eq!(value(&conn), Value::Text("b".into()));
+
+    // Dropped mid-transaction: the write is aborted and its row locks are
+    // released, so the next writer does not wait out a lock timeout.
+    let doomed = platform.connect("shop", WEST).unwrap();
+    doomed.begin().unwrap();
+    doomed
+        .execute("UPDATE t SET v = 'dropped' WHERE id = 1", &[])
+        .unwrap();
+    drop(doomed);
+    conn.execute("UPDATE t SET v = 'c' WHERE id = 1", &[])
+        .unwrap();
+    assert_eq!(value(&conn), Value::Text("c".into()));
+
+    let (primary, _) = dr_clusters(&platform, "shop");
+    tenantdb::cluster::testkit::assert_replicas_converged(&primary, "shop");
+    // The statements above ran on the caller's thread, not on pool jobs.
+    let turns = primary.metrics().registry().counter_sum(
+        tenantdb::cluster::metrics::POOL_CALLER_TURNS,
+        &[("pool", "machine")],
+    );
+    assert!(turns > 0, "no lane turn was taken by the caller");
+}
