@@ -45,7 +45,7 @@ use rand::{Rng, SeedableRng};
 use tenantdb_obs::Counter;
 
 use tenantdb_history::GTxn;
-use tenantdb_sql::{parse, QueryResult, SqlError, Statement, StatementClass};
+use tenantdb_sql::{Plan, QueryResult, SqlError, StatementClass};
 use tenantdb_storage::{StorageError, TxnId, Value};
 
 use crate::controller::{ClusterController, ReadPolicy, WritePolicy};
@@ -159,21 +159,22 @@ impl Connection {
         Ok(())
     }
 
-    /// Execute one SQL statement. Outside an explicit transaction the
-    /// statement runs in its own auto-committed transaction.
-    pub fn execute(&self, sql: &str, params: &[Value]) -> Result<QueryResult> {
-        let stmt = Arc::new(parse(sql)?);
-        self.execute_parsed(&stmt, Arc::new(params.to_vec()))
+    /// What `sql` would do to this connection's database — the
+    /// classification a serving tier schedules a request by. Answered from
+    /// the database's plan cache (the statement is bound now if it is not
+    /// there yet, so [`Connection::execute`] finds it).
+    pub fn statement_class(&self, sql: &str) -> Result<StatementClass> {
+        Ok(self.controller.plan_for(&self.db, sql)?.class())
     }
 
-    /// Execute a pre-parsed statement (the serving tier parses a request
-    /// once, to classify it, and hands the AST here).
-    pub fn execute_parsed(
-        &self,
-        stmt: &Arc<Statement>,
-        params: Arc<Vec<Value>>,
-    ) -> Result<QueryResult> {
-        let class = stmt.class();
+    /// Execute one SQL statement — the one statement entry point. Outside
+    /// an explicit transaction the statement runs in its own auto-committed
+    /// transaction. The SQL text is looked up in the database's plan cache;
+    /// only a text not seen since the database's last DDL is parsed and
+    /// bound.
+    pub fn execute(&self, sql: &str, params: &[Value]) -> Result<QueryResult> {
+        let plan = self.controller.plan_for(&self.db, sql)?;
+        let class = plan.class();
         // DDL bypasses transactions entirely (engine DDL is auto-committed).
         if class == StatementClass::Ddl {
             if self.in_txn() {
@@ -181,14 +182,14 @@ impl Connection {
                     "DDL not allowed inside a transaction".into(),
                 )));
             }
-            self.controller.apply_ddl(&self.db, stmt)?;
+            self.controller.apply_ddl(&self.db, &plan)?;
             return Ok(QueryResult::default());
         }
         let implicit = !self.in_txn();
         if implicit {
             self.begin()?;
         }
-        let result = self.run_stmt(stmt, class, params);
+        let result = self.run_stmt(&plan, class, params.into());
         if implicit {
             match &result {
                 Ok(_) => {
@@ -258,7 +259,6 @@ impl Connection {
             Entry::Vacant(e) => {
                 let m = self.controller.machine(machine)?;
                 let handle = m.session(
-                    self.db.clone(),
                     txn.gtxn,
                     Arc::clone(&txn.failures),
                     self.controller.recorder.read().clone(),
@@ -275,18 +275,18 @@ impl Connection {
 
     fn run_stmt(
         &self,
-        stmt: &Arc<Statement>,
+        plan: &Arc<Plan>,
         class: StatementClass,
-        params: Arc<Vec<Value>>,
+        params: Arc<[Value]>,
     ) -> Result<QueryResult> {
         // SELECT ... FOR UPDATE acquires exclusive locks, so it must execute
         // on *every* replica like a write — locking on a single replica
         // while writes fan out to all would manufacture distributed
         // deadlocks between the lock holder and its own write set.
         let result = if class == StatementClass::Read {
-            self.run_read(stmt, params)
+            self.run_read(plan, params)
         } else {
-            self.run_write(stmt, class == StatementClass::LockingRead, params)
+            self.run_write(plan, class == StatementClass::LockingRead, params)
         };
         if let Err(e) = &result {
             // Transaction-fatal errors abort the whole distributed txn so the
@@ -358,10 +358,9 @@ impl Connection {
         seq: u64,
         pooled: usize,
     ) -> Vec<WorkerReply> {
-        let mut replies: Vec<WorkerReply> = claimed
-            .into_iter()
-            .filter_map(|(turn, msg)| turn.run(msg))
-            .collect();
+        let claimed = claimed.into_iter();
+        let mut replies: Vec<WorkerReply> = Vec::with_capacity(claimed.size_hint().0 + pooled);
+        replies.extend(claimed.filter_map(|(turn, msg)| turn.run(msg)));
         let stragglers = &self.controller.metrics().straggler_acks;
         replies.extend(Self::collect_replies(rx, stragglers, seq, pooled, |_| {
             false
@@ -369,7 +368,7 @@ impl Connection {
         replies
     }
 
-    fn run_read(&self, stmt: &Arc<Statement>, params: Arc<Vec<Value>>) -> Result<QueryResult> {
+    fn run_read(&self, plan: &Arc<Plan>, params: Arc<[Value]>) -> Result<QueryResult> {
         let started = Instant::now();
         let metrics = self.controller.metrics();
         let mut st = self.state.lock();
@@ -383,7 +382,7 @@ impl Connection {
             session,
             SessionMsg::Exec {
                 seq,
-                stmt: Arc::clone(stmt),
+                plan: Arc::clone(plan),
                 params,
             },
         )?;
@@ -400,9 +399,9 @@ impl Connection {
     /// Broadcast a write or a locking read to every replica.
     fn run_write(
         &self,
-        stmt: &Arc<Statement>,
+        plan: &Arc<Plan>,
         is_locking_read: bool,
-        params: Arc<Vec<Value>>,
+        params: Arc<[Value]>,
     ) -> Result<QueryResult> {
         // Geo fence: a cluster that lost write authority to a promoted
         // standby colo accepts no writes. One relaxed load while unfenced.
@@ -411,11 +410,11 @@ impl Connection {
         let metrics = self.controller.metrics();
         // The written table for DML, every referenced table for a locking
         // SELECT.
-        let tables = stmt.locked_tables();
+        let tables = plan.locked_tables();
         let table = tables
             .first()
             .ok_or_else(|| ClusterError::Sql(SqlError::Plan("not a DML statement".into())))?
-            .to_string();
+            .clone();
 
         let mut st = self.state.lock();
         let txn = st.as_mut().ok_or(ClusterError::NoActiveTxn)?;
@@ -434,7 +433,7 @@ impl Connection {
         if let Some(copy) = copy {
             targets.retain(|&m| m != copy.target);
             let rejected = (copy.db_level && !is_locking_read)
-                || tables.iter().any(|t| copy.current.as_deref() == Some(*t));
+                || tables.iter().any(|t| copy.current.as_deref() == Some(t));
             if rejected {
                 metrics.note_write_rejected(&self.db, &table);
                 return Err(ClusterError::WriteRejected {
@@ -467,7 +466,7 @@ impl Connection {
             let session = self.ensure_session(txn, m)?;
             let msg = SessionMsg::Exec {
                 seq,
-                stmt: Arc::clone(stmt),
+                plan: Arc::clone(plan),
                 params: Arc::clone(&params),
             };
             let claim = if wait_all {

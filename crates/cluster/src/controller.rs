@@ -20,7 +20,7 @@ use std::sync::Arc;
 use crate::sync::{RouteBarrier, RouteGuard, RwLock, CTRL_MACHINES, CTRL_RECORDER};
 
 use tenantdb_history::{GTxn, Recorder};
-use tenantdb_sql::parse;
+use tenantdb_sql::{parse, Plan};
 use tenantdb_storage::{EngineConfig, TxnId};
 
 use crate::connection::Connection;
@@ -29,6 +29,7 @@ use crate::fault::{CrashPoint, FaultAction, FaultInjector};
 use crate::machine::{Machine, MachineId};
 use crate::meta::{AbortArbitration, ControllerGroup, CtrlStatus, DecisionLog};
 use crate::metrics::{ClusterMetrics, DbCounters, PoolMetrics};
+use crate::plans::PlanCache;
 use crate::pool::PoolConfig;
 use tenantdb_obs::fields;
 
@@ -164,6 +165,8 @@ pub struct ClusterController {
     route_barrier: RouteBarrier,
     next_gtxn: AtomicU64,
     pub(crate) recorder: RwLock<Option<Arc<Recorder>>>,
+    /// Per-database plan caches: SQL text → bound plan (see `plans.rs`).
+    plans: PlanCache,
     /// The cluster's metrics surface: outcome counters, latency histograms
     /// and the structured event log all live here — there is no second
     /// ledger (the pre-observability controller kept its own
@@ -191,6 +194,7 @@ impl ClusterController {
     /// A controller with no machines yet (add them via [`Self::add_machine`]).
     pub fn new(cfg: ClusterConfig) -> Arc<Self> {
         let faults = FaultInjector::disarmed();
+        let metrics = ClusterMetrics::new();
         Arc::new(ClusterController {
             machines: RwLock::new(&CTRL_MACHINES, BTreeMap::new()),
             next_machine: AtomicU32::new(0),
@@ -198,7 +202,8 @@ impl ClusterController {
             route_barrier: RouteBarrier::new(),
             next_gtxn: AtomicU64::new(1),
             recorder: RwLock::new(&CTRL_RECORDER, None),
-            metrics: ClusterMetrics::new(),
+            plans: PlanCache::new(&metrics),
+            metrics,
             faults,
             cfg,
             admission: crate::admission::AdmissionTable::new(),
@@ -417,6 +422,7 @@ impl ClusterController {
             }
         }
         self.admission.remove(db);
+        self.plans.invalidate(db);
         Ok(())
     }
 
@@ -513,21 +519,46 @@ impl ClusterController {
         self.group.add_replica(db, machine);
     }
 
+    /// The plan of `sql` in `db`: from the database's plan cache, or parsed
+    /// and bound now against a full replica's schema (every replica has
+    /// the same one) and cached for every later session and replica.
+    pub(crate) fn plan_for(&self, db: &str, sql: &str) -> Result<Arc<Plan>> {
+        self.plans.get_or_bind(db, sql, || {
+            let stmt = parse(sql)?;
+            let (placement, copy) = self.route_info(db)?;
+            // As for reads: the target of a copy is not a full replica yet.
+            // With no replica up, a dead one's catalog still binds the
+            // statement, and routing then reports why it cannot run (no
+            // replicas, geo fence) exactly as it always did.
+            let replica = self
+                .alive_of(&placement)
+                .into_iter()
+                .find(|m| copy.as_ref().is_none_or(|c| c.target != *m))
+                .or_else(|| placement.replicas.first().copied())
+                .ok_or_else(|| ClusterError::NoReplicas(db.into()))?;
+            Ok(tenantdb_sql::plan(
+                &self.machine(replica)?.engine,
+                db,
+                &stmt,
+            )?)
+        })
+    }
+
     /// Run a DDL statement (CREATE TABLE / CREATE INDEX) on every replica.
     pub fn ddl(&self, db: &str, sql: &str) -> Result<()> {
-        let stmt = parse(sql)?;
-        if stmt.class() != tenantdb_sql::StatementClass::Ddl {
+        let plan = self.plan_for(db, sql)?;
+        if plan.class() != tenantdb_sql::StatementClass::Ddl {
             return Err(ClusterError::Sql(tenantdb_sql::SqlError::Plan(
                 "ddl() accepts only CREATE TABLE / CREATE INDEX".into(),
             )));
         }
-        self.apply_ddl(db, &stmt)
+        self.apply_ddl(db, &plan)
     }
 
     /// The one DDL path, behind [`Self::ddl`] and a connection's DDL
     /// statements: geo fence → routing barrier → copy check → per-replica
-    /// apply.
-    pub(crate) fn apply_ddl(&self, db: &str, stmt: &tenantdb_sql::Statement) -> Result<()> {
+    /// apply → drop the database's cached plans.
+    pub(crate) fn apply_ddl(&self, db: &str, plan: &Plan) -> Result<()> {
         // Geo fence: DDL is a write.
         self.check_geo_fence()?;
         // DDL broadcasts like a write: hold the routing barrier across the
@@ -548,14 +579,19 @@ impl ClusterController {
                 table: "<ddl>".into(),
             });
         }
-        for id in replicas {
+        let applied = replicas.into_iter().try_for_each(|id| {
             let machine = self.machine(id)?;
             let txn = machine.engine.begin()?;
-            let r = tenantdb_sql::execute_stmt(&machine.engine, txn, db, stmt, &[]);
+            let r = tenantdb_sql::run(&machine.engine, txn, plan, &[]);
             machine.engine.commit(txn)?;
             r?;
-        }
-        Ok(())
+            Ok(())
+        });
+        // After the last replica, whatever the outcome: a plan bound while
+        // the DDL was applying saw a schema no older than the one cached
+        // plans were bound against, and all of those are dropped here.
+        self.plans.invalidate(db);
+        applied
     }
 
     /// Open a client connection to a database.

@@ -50,6 +50,7 @@ pub mod fault;
 pub mod machine;
 pub mod meta;
 pub mod metrics;
+mod plans;
 pub mod pool;
 pub mod rebalance;
 pub mod recovery;

@@ -87,7 +87,6 @@ impl Machine {
     /// Attach a transaction's session (FIFO execution lane) to this machine.
     pub fn session(
         &self,
-        db: String,
         gtxn: GTxn,
         failures: Arc<TxnFailures>,
         recorder: Option<Arc<Recorder>>,
@@ -97,7 +96,6 @@ impl Machine {
             self.pool.shared(),
             self.id,
             Arc::clone(&self.engine),
-            db,
             gtxn,
             failures,
             recorder,

@@ -44,6 +44,14 @@ pub const READ_ROUTES: &str = "tenantdb_read_route_total";
 /// Aggressive-mode straggler acks: background replica replies discarded as
 /// stale by the connection's reply loop.
 pub const STRAGGLER_ACKS: &str = "tenantdb_straggler_acks_total";
+/// Statements served from their database's plan cache (counter).
+pub const PLAN_CACHE_HITS: &str = "tenantdb_plan_cache_hits_total";
+/// Statements parsed and bound because their SQL text was not cached
+/// (counter; DDL and failed binds count here and cache nothing).
+pub const PLAN_CACHE_MISSES: &str = "tenantdb_plan_cache_misses_total";
+/// Plans dropped because a database's cache reached its bound (counter;
+/// invalidation by DDL is not an eviction).
+pub const PLAN_CACHE_EVICTIONS: &str = "tenantdb_plan_cache_evictions_total";
 /// Writes rejected by Algorithm 1 while a replica copy is in flight
 /// (`db` label).
 pub const WRITE_REJECTIONS: &str = "tenantdb_write_rejected_total";
@@ -175,6 +183,12 @@ pub struct ClusterMetrics {
     pub commit_latency_readonly: Arc<Histogram>,
     /// Stale aggressive-mode replica acks discarded by the reply loop.
     pub straggler_acks: Arc<Counter>,
+    /// Statements served from a plan cache.
+    pub plan_cache_hits: Arc<Counter>,
+    /// Statements parsed and bound (not cached, or not cacheable).
+    pub plan_cache_misses: Arc<Counter>,
+    /// Plans dropped at a plan cache's bound.
+    pub plan_cache_evictions: Arc<Counter>,
     /// Replica copies in flight (recovery/migration).
     pub copies_in_flight: Arc<Gauge>,
     /// Whole replica-copy latency.
@@ -287,6 +301,18 @@ impl ClusterMetrics {
             "Microseconds past on-rate for a tenant's admission gate (sampled).",
         );
         registry.describe(
+            PLAN_CACHE_HITS,
+            "Statements served from their database's plan cache.",
+        );
+        registry.describe(
+            PLAN_CACHE_MISSES,
+            "Statements parsed and bound: SQL text not in the database's plan cache.",
+        );
+        registry.describe(
+            PLAN_CACHE_EVICTIONS,
+            "Plans dropped because a database's plan cache reached its bound.",
+        );
+        registry.describe(
             GEOREP_FENCED_WRITES,
             "Writes rejected because this cluster was geo-fenced by a newer promotion epoch.",
         );
@@ -299,6 +325,9 @@ impl ClusterMetrics {
             commit_latency_2pc: registry.histogram(COMMIT_LATENCY, &[("mode", "2pc")]),
             commit_latency_readonly: registry.histogram(COMMIT_LATENCY, &[("mode", "readonly")]),
             straggler_acks: registry.counter(STRAGGLER_ACKS, &[]),
+            plan_cache_hits: registry.counter(PLAN_CACHE_HITS, &[]),
+            plan_cache_misses: registry.counter(PLAN_CACHE_MISSES, &[]),
+            plan_cache_evictions: registry.counter(PLAN_CACHE_EVICTIONS, &[]),
             copies_in_flight: registry.gauge(RECOVERY_COPIES_IN_FLIGHT, &[]),
             copy_latency: registry.histogram(RECOVERY_COPY_LATENCY, &[]),
             ctrl_term: registry.gauge(CTRL_TERM, &[]),

@@ -8,7 +8,8 @@
 //!
 //! ```text
 //! connection (10..30)          outermost: held across routing + enqueue
-//!   └─ controller (100..130)   machine map, replicated metadata group
+//!   └─ controller (100..145)   machine map, replicated metadata group,
+//!                              plan caches
 //!        └─ metrics (150..155) per-db handle caches
 //!                  └─ pool (300..310)       worker pools
 //!                       └─ worker (400..420) session mailbox/exec lanes
@@ -60,6 +61,15 @@ pub static CTRL_ADMISSION: LockClass = LockClass::new("cluster.controller.admiss
 /// `ClusterController::recorder` — optional history recorder slot.
 pub static CTRL_RECORDER: LockClass = LockClass::new("cluster.controller.recorder", 130);
 
+/// `PlanCache::entries` — which databases have a plan cache. Read (never
+/// while holding another controller lock) on every statement; written on a
+/// database's first plan, on DDL and on drop.
+pub static CTRL_PLANS: LockClass = LockClass::new("cluster.controller.plans", 140);
+
+/// One database's plans (`DbPlans`), taken after `CTRL_PLANS` is released
+/// — ranked below it only so the pair has a stated order.
+pub static CTRL_PLANS_DB: LockClass = LockClass::new("cluster.controller.plans.db", 145);
+
 /// `ClusterMetrics::per_db` — resolve-once per-database handle cache.
 pub static METRICS_PER_DB: LockClass = LockClass::new("cluster.metrics.per_db", 150);
 
@@ -97,9 +107,9 @@ pub static FAULT_STATE: LockClass = LockClass::new("cluster.fault.state", 450);
 /// copy) run lock-free of the controller. No-op when lockdep is disabled.
 #[track_caller]
 pub fn assert_no_controller_locks() {
-    // Controller ranks end at CTRL_RECORDER (130); metrics caches (150+)
+    // Controller ranks end at CTRL_PLANS_DB (145); metrics caches (150+)
     // and deeper are fine to hold.
-    tenantdb_lockdep::assert_max_held_rank(CTRL_RECORDER.rank());
+    tenantdb_lockdep::assert_max_held_rank(CTRL_PLANS_DB.rank());
 }
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -39,7 +39,7 @@ use std::sync::Arc;
 use crate::sync::{Mutex, WORKER_EXEC, WORKER_FAILURES, WORKER_MAILBOX};
 
 use tenantdb_history::{AccessKind, GTxn, Recorder, Site};
-use tenantdb_sql::{execute_stmt, QueryResult, Statement, StatementClass};
+use tenantdb_sql::{Plan, QueryResult, StatementClass};
 use tenantdb_storage::{Engine, TxnId, Value};
 
 use crate::error::{ClusterError, Result};
@@ -94,10 +94,10 @@ pub enum SessionMsg {
     Exec {
         /// Correlates the reply on the shared channel.
         seq: u64,
-        /// The parsed statement to run.
-        stmt: Arc<Statement>,
-        /// Bound parameter values.
-        params: Arc<Vec<Value>>,
+        /// The statement's plan — the one every replica executes.
+        plan: Arc<Plan>,
+        /// Parameter values.
+        params: Arc<[Value]>,
     },
     /// 2PC phase 1: prepare the local transaction and vote.
     Prepare {
@@ -165,7 +165,6 @@ struct ExecState {
 pub struct Session {
     machine: MachineId,
     engine: Arc<Engine>,
-    db: String,
     gtxn: GTxn,
     failures: Arc<TxnFailures>,
     recorder: Option<Arc<Recorder>>,
@@ -280,8 +279,8 @@ impl Session {
             result,
         };
         match msg {
-            SessionMsg::Exec { seq, stmt, params } => {
-                let is_write = stmt.class() == StatementClass::Write;
+            SessionMsg::Exec { seq, plan, params } => {
+                let is_write = plan.class() == StatementClass::Write;
                 if is_write {
                     self.fault_hook(CrashPoint::ReplicaWriteApply);
                 }
@@ -295,25 +294,19 @@ impl Session {
                             t
                         }
                     };
-                    let r = execute_stmt(engine, txn, &self.db, &stmt, &params)?;
-                    if let Some(rec) = &self.recorder {
-                        let site = Site(self.machine.0);
-                        let db = &self.db;
-                        for (table, rid) in &r.touched_reads {
-                            rec.record(
-                                site,
-                                self.gtxn,
-                                AccessKind::Read,
-                                format!("{db}.{table}:{rid}"),
-                            );
-                        }
-                        for (table, rid) in &r.touched_writes {
-                            rec.record(
-                                site,
-                                self.gtxn,
-                                AccessKind::Write,
-                                format!("{db}.{table}:{rid}"),
-                            );
+                    // The touched sets exist for the recorder alone.
+                    let Some(rec) = &self.recorder else {
+                        return Ok(tenantdb_sql::run(engine, txn, &plan, &params)?);
+                    };
+                    let r = tenantdb_sql::run_recording(engine, txn, &plan, &params)?;
+                    let (site, db) = (Site(self.machine.0), plan.database());
+                    let touched = [
+                        (AccessKind::Read, &r.touched_reads),
+                        (AccessKind::Write, &r.touched_writes),
+                    ];
+                    for (kind, rows) in touched {
+                        for (table, rid) in rows {
+                            rec.record(site, self.gtxn, kind, format!("{db}.{table}:{rid}"));
                         }
                     }
                     Ok(r)
@@ -498,7 +491,6 @@ pub(crate) fn new_session(
     pool: &Arc<PoolShared>,
     machine: MachineId,
     engine: Arc<Engine>,
-    db: String,
     gtxn: GTxn,
     failures: Arc<TxnFailures>,
     recorder: Option<Arc<Recorder>>,
@@ -509,7 +501,6 @@ pub(crate) fn new_session(
         session: Arc::new(Session {
             machine,
             engine,
-            db,
             gtxn,
             failures,
             recorder,
@@ -540,7 +531,7 @@ mod tests {
     use super::*;
     use crate::machine::Machine;
     use std::sync::mpsc::{channel, Receiver};
-    use tenantdb_sql::parse;
+    use tenantdb_sql::{parse, plan};
     use tenantdb_storage::EngineConfig;
 
     fn machine_with_table() -> Arc<Machine> {
@@ -566,6 +557,7 @@ mod tests {
     }
 
     struct Harness {
+        engine: Arc<Engine>,
         handle: SessionHandle,
         rx: Receiver<WorkerReply>,
         seq: u64,
@@ -582,17 +574,23 @@ mod tests {
         recorder: Option<Arc<Recorder>>,
     ) -> Harness {
         let (tx, rx) = channel();
-        let handle = m.session("app".into(), GTxn(gtxn), Arc::clone(failures), recorder, tx);
-        Harness { handle, rx, seq: 0 }
+        let handle = m.session(GTxn(gtxn), Arc::clone(failures), recorder, tx);
+        Harness {
+            engine: Arc::clone(&m.engine),
+            handle,
+            rx,
+            seq: 0,
+        }
     }
 
     impl Harness {
         fn exec(&mut self, sql: &str) -> Result<QueryResult> {
             self.seq += 1;
+            let stmt = parse(sql).unwrap();
             self.handle.send(SessionMsg::Exec {
                 seq: self.seq,
-                stmt: Arc::new(parse(sql).unwrap()),
-                params: Arc::new(vec![]),
+                plan: Arc::new(plan(&self.engine, "app", &stmt).unwrap()),
+                params: Arc::new([]),
             })?;
             self.recv().result
         }
@@ -726,6 +724,26 @@ mod tests {
         assert!(matches!(ops[0].kind, AccessKind::Write));
         assert!(matches!(ops[1].kind, AccessKind::Read));
         assert_eq!(ops[0].object, ops[1].object);
+    }
+
+    #[test]
+    fn touched_sets_are_collected_only_for_a_recorder() {
+        let m = machine_with_table();
+        let failures = Arc::new(TxnFailures::default());
+        let mut plain = session(&m, 10, &failures);
+        let w = plain.exec("INSERT INTO kv VALUES (1, 'x')").unwrap();
+        let r = plain.exec("SELECT * FROM kv WHERE k = 1").unwrap();
+        assert!(w.touched_writes.is_empty() && r.touched_reads.is_empty());
+        assert_eq!(r.rows.len(), 1);
+        plain.finish(true).unwrap();
+
+        let rec = Arc::new(Recorder::new());
+        let mut recorded = session_recorded(&m, 11, &failures, Some(rec));
+        let w = recorded.exec("INSERT INTO kv VALUES (2, 'y')").unwrap();
+        let r = recorded.exec("SELECT * FROM kv WHERE k = 2").unwrap();
+        assert_eq!(w.touched_writes.len(), 1);
+        assert_eq!(r.touched_reads, w.touched_writes);
+        recorded.finish(true).unwrap();
     }
 
     #[test]

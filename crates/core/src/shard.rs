@@ -387,21 +387,10 @@ impl ShardedConnection {
     }
 }
 
-/// Evaluate an expression that must be row-independent (literal/param math).
+/// Evaluate an expression that must be row-independent (literal/param
+/// math) — through the SQL layer's own bound-expression evaluator.
 fn const_value(e: &Expr, params: &[Value]) -> Result<Option<Value>> {
-    let mut has_col = false;
-    e.visit(&mut |n| {
-        if matches!(n, Expr::Column { .. } | Expr::Agg { .. }) {
-            has_col = true;
-        }
-    });
-    if has_col {
-        return Ok(None);
-    }
-    let layout = tenantdb_sql::eval::Layout::new();
-    Ok(Some(
-        tenantdb_sql::eval::eval(e, &layout, &[], params).map_err(ClusterError::Sql)?,
-    ))
+    tenantdb_sql::eval::const_value(e, params).map_err(ClusterError::Sql)
 }
 
 /// Combine per-shard single-row aggregate results.

@@ -2,7 +2,7 @@
 //! a [`SystemController`]. It is a *transport* — framing, sockets,
 //! backpressure, deadlines. What a statement is, how a batch behaves and
 //! where blocking work runs belong to the layers below
-//! (`Statement::class`, `Transport::batch_indexed`, [`WorkerPool`]).
+//! (`Connection::statement_class`, `Transport::batch_indexed`, [`WorkerPool`]).
 //!
 //! The paper's serving tier fronts tens of thousands of mostly-idle
 //! small-app connections; one OS thread per connection does not survive
@@ -10,8 +10,9 @@
 //! *reactor* threads (epoll via `crate::sys`, level-triggered):
 //!
 //! * **Reactors** own all socket I/O. On readability they pump bytes into
-//!   the connection's read buffer, decode complete frames and parse their
-//!   SQL once. A request that takes no exclusive lock (a plain read may
+//!   the connection's read buffer and decode complete frames; a request's
+//!   SQL is classified from its database's cached plan, never re-parsed
+//!   here. A request that takes no exclusive lock (a plain read may
 //!   still wait, bounded by `lock_timeout`, for a writer's S-lock conflict)
 //!   runs right there when nothing is queued ahead of it — on the reactor's
 //!   own stack all the way into the engine, since the cluster runs an idle
@@ -58,8 +59,7 @@ use tenantdb_cluster::{
 };
 use tenantdb_obs::MetricsRegistry;
 use tenantdb_platform::SystemController;
-use tenantdb_sql::{parse, QueryResult, SqlError, Statement, StatementClass};
-use tenantdb_storage::Value;
+use tenantdb_sql::StatementClass;
 
 use crate::reactor::{Event, Poller, TimerEntry, TimerWheel, Token, Waker, WakerRx, READ, WRITE};
 use crate::sync::{
@@ -155,63 +155,43 @@ impl ReactorHandle {
     }
 }
 
-/// One decoded request. Its SQL is parsed once, at dispatch: the reactor
-/// needs the classification to decide where the request runs, and whoever
-/// runs it executes the same ASTs.
+/// One decoded request.
 struct Request {
     frame: Frame,
-    /// One entry per SQL statement the frame carries, in order (empty for
-    /// frames that carry none). A parse error is reported when its
-    /// statement's turn comes, as `Connection::execute` would.
-    stmts: Vec<Result<Arc<Statement>, SqlError>>,
     /// When the frame was decoded (latency base).
     started: Instant,
 }
 
-impl Request {
-    fn new(frame: Frame, started: Instant) -> Self {
-        let ast = |sql: &str| parse(sql).map(Arc::new);
-        let stmts = match &frame {
-            Frame::Query { sql, .. } | Frame::Execute { sql, .. } => vec![ast(sql)],
-            Frame::Batch { stmts, .. } => stmts.iter().map(|s| ast(&s.sql)).collect(),
-            _ => Vec::new(),
-        };
-        Request {
-            frame,
+/// May `frame` execute inline on the reactor? Qualifying requests never
+/// *take* an exclusive lock: `Ping`, a plain read (by its plan's
+/// classification — never a `FOR UPDATE`, however it is spelled), a short
+/// `WholeTxn` batch of only such reads, or bare transaction control —
+/// `BEGIN` allocates a transaction and `COMMIT`/`ROLLBACK` only release
+/// locks (their replication work is bounded CPU, the same class as a large
+/// inline select). A plain read does take S locks, so it can wait behind a
+/// writer of the same rows for up to the engine's `lock_timeout` — since
+/// the connection runs an idle replica lane on the calling thread, that
+/// wait sits on the reactor's own stack — but it holds nothing another
+/// session's progress depends on while it waits. Statements that take X
+/// locks — writes, locking reads, write-bearing batches — go to the pool:
+/// they are what a lock convoy is made of, and one must never park a
+/// reactor. So does a statement that does not bind (its error is reported
+/// when it runs, as `Connection::execute` reports it).
+///
+/// The classification is the cached plan's: a statement text the database
+/// has not seen since its last DDL is parsed and bound here, once, and
+/// executing it finds the plan.
+fn inline_safe(frame: &Frame, conn: &Connection) -> bool {
+    let is_read = |sql: &str| matches!(conn.statement_class(sql), Ok(StatementClass::Read));
+    match frame {
+        Frame::Ping { .. } | Frame::Begin | Frame::Commit | Frame::Rollback => true,
+        Frame::Query { sql, .. } => is_read(sql),
+        Frame::Batch {
+            mode: BatchMode::WholeTxn,
             stmts,
-            started,
-        }
-    }
-
-    /// May this request execute inline on the reactor? Qualifying requests
-    /// never *take* an exclusive lock: `Ping`, a plain read (by the parser's
-    /// classification — never a `FOR UPDATE`, however it is spelled), a
-    /// short `WholeTxn` batch of only such reads, or bare transaction
-    /// control — `BEGIN` allocates a transaction and `COMMIT`/`ROLLBACK`
-    /// only release locks (their replication work is bounded CPU, the same
-    /// class as a large inline select). A plain read does take S locks, so
-    /// it can wait behind a writer of the same rows for up to the engine's
-    /// `lock_timeout` — since the connection runs an idle replica lane on
-    /// the calling thread, that wait sits on the reactor's own stack — but
-    /// it holds nothing another session's progress depends on while it
-    /// waits. Statements that take X locks — writes, locking reads,
-    /// write-bearing batches — go to the pool: they are what a lock convoy
-    /// is made of, and one must never park a reactor.
-    fn inline_safe(&self) -> bool {
-        let all_reads = || {
-            self.stmts
-                .iter()
-                .all(|s| matches!(s, Ok(s) if s.class() == StatementClass::Read))
-        };
-        match &self.frame {
-            Frame::Ping { .. } | Frame::Begin | Frame::Commit | Frame::Rollback => true,
-            Frame::Query { .. } => all_reads(),
-            Frame::Batch {
-                mode: BatchMode::WholeTxn,
-                ..
-            } => self.stmts.len() <= MAX_INLINE_STMTS && all_reads(),
-            _ => false,
-        }
+            ..
+        } => stmts.len() <= MAX_INLINE_STMTS && stmts.iter().all(|s| is_read(&s.sql)),
+        _ => false,
     }
 }
 
@@ -1086,13 +1066,23 @@ impl Reactor {
 
     /// Dispatch one decoded request. When nothing is queued ahead of it
     /// (reply order preserved) and it takes no exclusive lock (see
-    /// [`Request::inline_safe`]) it executes right here, skipping the pool
+    /// [`inline_safe`]) it executes right here, skipping the pool
     /// handoff — a context switch per request, the dominant cost of small
     /// requests on loopback. With the cluster running idle replica lanes on
     /// the calling thread, an inline read crosses no thread at all. Everything else joins the connection's pending
     /// queue, drained by one pool task at a time.
     fn dispatch(&mut self, conn: &Arc<Conn>, frame: Frame, started: Instant) {
-        let req = Request::new(frame, started);
+        // Classified before the state lock is taken for good (binding an
+        // uncached statement reads controller state), and only when the
+        // request can run inline at all. Only this thread queues requests
+        // for `conn`, so "nothing ahead" cannot turn false in between.
+        let idle_platform = {
+            let st = conn.state.lock();
+            let nothing_ahead = st.pending.is_empty() && !st.scheduled;
+            st.platform.clone().filter(|_| nothing_ahead)
+        };
+        let inline_platform = idle_platform.filter(|p| inline_safe(&frame, p));
+        let req = Request { frame, started };
         let mut submit = false;
         let mut inline = None;
         {
@@ -1100,9 +1090,8 @@ impl Reactor {
             if st.closing {
                 return;
             }
-            let nothing_ahead = st.pending.is_empty() && !st.scheduled;
-            match st.platform.clone() {
-                Some(platform) if nothing_ahead && req.inline_safe() => {
+            match inline_platform {
+                Some(platform) => {
                     st.busy = true;
                     inline = Some((req, platform));
                 }
@@ -1535,25 +1524,17 @@ fn admission_shed(conn: &Connection, frame: &Frame) -> Option<Frame> {
 }
 
 fn handle_request(shared: &Shared, conn: &Connection, req: Request) -> Frame {
-    let mut asts = req.stmts.into_iter();
-    // Execute the frame's next statement from the AST parsed at dispatch.
-    let mut run = |params: Vec<Value>| -> Result<QueryResult, ClusterError> {
-        let ast = asts
-            .next()
-            .expect("Request::new parses one entry per statement")?;
-        conn.execute_parsed(&ast, Arc::new(params))
-    };
     let done = |r: Result<(), ClusterError>| match r {
         Ok(()) => Frame::Ok,
         Err(e) => Frame::Error(e),
     };
     match req.frame {
         Frame::Ping { token } => Frame::Pong { token },
-        Frame::Query { params, .. } => match run(params) {
+        Frame::Query { sql, params } => match conn.execute(&sql, &params) {
             Ok(r) => Frame::ResultSet(r),
             Err(e) => Frame::Error(e),
         },
-        Frame::Execute { params, .. } => match run(params) {
+        Frame::Execute { sql, params } => match conn.execute(&sql, &params) {
             Ok(r) => Frame::Affected {
                 rows: r.rows_affected,
             },
@@ -1564,9 +1545,8 @@ fn handle_request(shared: &Shared, conn: &Connection, req: Request) -> Frame {
         Frame::Rollback => done(conn.rollback()),
         Frame::ListConns => Frame::ConnList(list_sessions(shared)),
         Frame::Batch { seq, mode, stmts } => {
-            let mut stmts = stmts.into_iter();
-            let results = conn.batch_indexed(stmts.len(), mode, &mut |_| {
-                run(stmts.next().map(|s| s.params).unwrap_or_default())
+            let results = conn.batch_indexed(stmts.len(), mode, &mut |i| {
+                conn.execute(&stmts[i].sql, &stmts[i].params)
             });
             match results {
                 Ok(results) => Frame::BatchOk { seq, results },

@@ -871,7 +871,7 @@ fn put_value(out: &mut Vec<u8>, v: &Value) {
 
 fn put_query_result(out: &mut Vec<u8>, r: &QueryResult) {
     put_u32(out, r.columns.len() as u32);
-    for c in &r.columns {
+    for c in r.columns.iter() {
         put_str(out, c);
     }
     put_u32(out, r.rows.len() as u32);
@@ -1254,12 +1254,12 @@ fn get_query_result(r: &mut Reader<'_>) -> WireResult<QueryResult> {
         for _ in 0..n {
             let table = r.string()?;
             let row_id = r.u64()?;
-            t.push((table, row_id));
+            t.push((table.into(), row_id));
         }
     }
     let [touched_reads, touched_writes] = touched;
     Ok(QueryResult {
-        columns,
+        columns: columns.into(),
         rows,
         rows_affected,
         touched_reads,

@@ -135,11 +135,11 @@ fn rand_query_result(rng: &mut StdRng) -> QueryResult {
         .collect();
     let touched = |rng: &mut StdRng| {
         (0..rng.gen_range(0..3usize))
-            .map(|_| (rand_string(rng, 6), rng.gen::<u64>()))
+            .map(|_| (rand_string(rng, 6).into(), rng.gen::<u64>()))
             .collect()
     };
     QueryResult {
-        columns,
+        columns: columns.into(),
         rows,
         rows_affected: rng.gen::<u64>(),
         touched_reads: touched(rng),

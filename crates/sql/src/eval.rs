@@ -1,9 +1,16 @@
-//! Expression evaluation.
+//! Bound expressions and their evaluation.
+//!
+//! The planner resolves every column reference of a statement to an offset
+//! in the row stream once ([`bind`], against a [`Layout`]); the executor
+//! evaluates the resulting [`BoundExpr`] tree against borrowed rows — no
+//! name is compared at run time, and a value is cloned only where it leaves
+//! the row (projection, sort and group keys).
 //!
 //! SQL three-valued logic: comparisons against `NULL` yield `NULL`, `AND` /
 //! `OR` follow Kleene logic, and a `WHERE` predicate accepts a row only when
 //! it evaluates to `TRUE` (not `NULL`).
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use tenantdb_storage::Value;
@@ -12,7 +19,8 @@ use crate::ast::{AggFunc, BinOp, Expr, ScalarFunc, UnaryOp};
 use crate::error::{Result, SqlError};
 
 /// Column layout of the row stream flowing through the executor: one entry
-/// per table binding, each contributing a contiguous block of columns.
+/// per table binding, each contributing a contiguous block of columns. Used
+/// at plan time only.
 #[derive(Debug, Clone, Default)]
 pub struct Layout {
     /// (binding name, column names) per FROM-clause table, in order.
@@ -63,103 +71,352 @@ impl Layout {
     }
 }
 
-/// Evaluate a scalar expression against one row. Aggregates are rejected —
-/// the executor handles them via [`eval_in_group`].
-pub fn eval(expr: &Expr, layout: &Layout, row: &[Value], params: &[Value]) -> Result<Value> {
-    match expr {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Param(i) => params.get(*i).cloned().ok_or(SqlError::Params {
-            expected: i + 1,
-            got: params.len(),
-        }),
-        Expr::Column { table, name } => {
-            let idx = layout.resolve(table.as_deref(), name)?;
-            Ok(row[idx].clone())
+/// An expression with every column reference resolved to a row offset and
+/// every aggregate call replaced by a slot in its group's accumulators.
+#[derive(Debug, Clone, PartialEq)]
+pub enum BoundExpr {
+    Literal(Value),
+    /// `?` parameter, by position.
+    Param(usize),
+    /// Offset into the row stream.
+    Column(usize),
+    Unary {
+        op: UnaryOp,
+        expr: Box<BoundExpr>,
+    },
+    Binary {
+        op: BinOp,
+        left: Box<BoundExpr>,
+        right: Box<BoundExpr>,
+    },
+    IsNull {
+        expr: Box<BoundExpr>,
+        negated: bool,
+    },
+    InList {
+        expr: Box<BoundExpr>,
+        list: Vec<BoundExpr>,
+        negated: bool,
+    },
+    Like {
+        expr: Box<BoundExpr>,
+        pattern: Box<BoundExpr>,
+        negated: bool,
+    },
+    /// The finished value of the group's aggregate in this slot (see
+    /// [`bind_grouped`]).
+    Agg(usize),
+    Func {
+        func: ScalarFunc,
+        args: Vec<BoundExpr>,
+    },
+}
+
+impl BoundExpr {
+    /// Visit every node.
+    pub fn visit(&self, f: &mut impl FnMut(&BoundExpr)) {
+        f(self);
+        match self {
+            BoundExpr::Unary { expr, .. } | BoundExpr::IsNull { expr, .. } => expr.visit(f),
+            BoundExpr::Binary { left, right, .. } => {
+                left.visit(f);
+                right.visit(f);
+            }
+            BoundExpr::InList { expr, list, .. } => {
+                expr.visit(f);
+                list.iter().for_each(|e| e.visit(f));
+            }
+            BoundExpr::Like { expr, pattern, .. } => {
+                expr.visit(f);
+                pattern.visit(f);
+            }
+            BoundExpr::Func { args, .. } => args.iter().for_each(|e| e.visit(f)),
+            BoundExpr::Literal(_)
+            | BoundExpr::Param(_)
+            | BoundExpr::Column(_)
+            | BoundExpr::Agg(_) => {}
         }
-        Expr::Unary { op, expr } => {
-            let v = eval(expr, layout, row, params)?;
-            unary(*op, v)
+    }
+
+    /// Constant with respect to the row: no column reference, no aggregate.
+    pub fn is_constant(&self) -> bool {
+        let mut constant = true;
+        self.visit(&mut |n| {
+            if matches!(n, BoundExpr::Column(_) | BoundExpr::Agg(_)) {
+                constant = false;
+            }
+        });
+        constant
+    }
+
+    /// Split a conjunction into its AND-ed conjuncts.
+    pub fn conjuncts(&self) -> Vec<&BoundExpr> {
+        match self {
+            BoundExpr::Binary {
+                op: BinOp::And,
+                left,
+                right,
+            } => {
+                let mut v = left.conjuncts();
+                v.extend(right.conjuncts());
+                v
+            }
+            other => vec![other],
         }
-        Expr::Binary { op, left, right } => match op {
-            BinOp::And => {
-                let l = eval(left, layout, row, params)?;
-                // Kleene AND with short-circuit on FALSE.
-                if l == Value::Bool(false) {
-                    return Ok(Value::Bool(false));
-                }
-                let r = eval(right, layout, row, params)?;
-                kleene_and(l, r)
-            }
-            BinOp::Or => {
-                let l = eval(left, layout, row, params)?;
-                if l == Value::Bool(true) {
-                    return Ok(Value::Bool(true));
-                }
-                let r = eval(right, layout, row, params)?;
-                kleene_or(l, r)
-            }
-            _ => {
-                let l = eval(left, layout, row, params)?;
-                let r = eval(right, layout, row, params)?;
-                binary(*op, l, r)
-            }
+    }
+}
+
+/// One aggregate call of a grouped query: the function and its bound
+/// argument (`None` for `COUNT(*)`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct AggCall {
+    pub func: AggFunc,
+    pub arg: Option<BoundExpr>,
+}
+
+/// Bind a scalar expression. Aggregates are rejected — expressions of a
+/// grouped query go through [`bind_grouped`].
+pub fn bind(expr: &Expr, layout: &Layout) -> Result<BoundExpr> {
+    bind_with(expr, layout, &mut |_, _| {
+        Err(SqlError::Plan(
+            "aggregate used outside GROUP BY context".into(),
+        ))
+    })
+}
+
+/// Bind an expression of a grouped query: every aggregate call is appended
+/// to `aggs` and replaced by its slot; everything else is evaluated against
+/// the group's first row (SQL requires those to be grouping expressions).
+pub fn bind_grouped(expr: &Expr, layout: &Layout, aggs: &mut Vec<AggCall>) -> Result<BoundExpr> {
+    bind_with(expr, layout, &mut |func, arg| {
+        let arg = arg.map(|a| bind(a, layout)).transpose()?;
+        aggs.push(AggCall { func, arg });
+        Ok(BoundExpr::Agg(aggs.len() - 1))
+    })
+}
+
+fn bind_with(
+    expr: &Expr,
+    layout: &Layout,
+    agg: &mut impl FnMut(AggFunc, Option<&Expr>) -> Result<BoundExpr>,
+) -> Result<BoundExpr> {
+    let mut sub = |e: &Expr| bind_with(e, layout, agg).map(Box::new);
+    Ok(match expr {
+        Expr::Literal(v) => BoundExpr::Literal(v.clone()),
+        Expr::Param(i) => BoundExpr::Param(*i),
+        Expr::Column { table, name } => BoundExpr::Column(layout.resolve(table.as_deref(), name)?),
+        Expr::Unary { op, expr } => BoundExpr::Unary {
+            op: *op,
+            expr: sub(expr)?,
         },
-        Expr::IsNull { expr, negated } => {
-            let v = eval(expr, layout, row, params)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
+        Expr::Binary { op, left, right } => BoundExpr::Binary {
+            op: *op,
+            left: sub(left)?,
+            right: sub(right)?,
+        },
+        Expr::IsNull { expr, negated } => BoundExpr::IsNull {
+            expr: sub(expr)?,
+            negated: *negated,
+        },
         Expr::InList {
             expr,
             list,
             negated,
-        } => {
-            let v = eval(expr, layout, row, params)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let mut saw_null = false;
-            for item in list {
-                let w = eval(item, layout, row, params)?;
-                if w.is_null() {
-                    saw_null = true;
-                } else if v.sql_eq(&w) {
-                    return Ok(Value::Bool(!*negated));
-                }
-            }
-            if saw_null {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Bool(*negated))
-            }
-        }
+        } => BoundExpr::InList {
+            expr: sub(expr)?,
+            list: list
+                .iter()
+                .map(|e| bind_with(e, layout, agg))
+                .collect::<Result<_>>()?,
+            negated: *negated,
+        },
         Expr::Like {
             expr,
             pattern,
             negated,
-        } => {
-            let v = eval(expr, layout, row, params)?;
-            let p = eval(pattern, layout, row, params)?;
-            match (v, p) {
-                (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-                (Value::Text(s), Value::Text(pat)) => {
-                    Ok(Value::Bool(like_match(&s, &pat) != *negated))
-                }
-                (a, b) => Err(SqlError::Eval(format!(
-                    "LIKE expects text, got {a} LIKE {b}"
-                ))),
-            }
-        }
-        Expr::Agg { .. } => Err(SqlError::Plan(
-            "aggregate used outside GROUP BY context".into(),
-        )),
-        Expr::Func { func, args } => {
-            let vals = args
+        } => BoundExpr::Like {
+            expr: sub(expr)?,
+            pattern: sub(pattern)?,
+            negated: *negated,
+        },
+        Expr::Agg { func, arg } => agg(*func, arg.as_deref())?,
+        Expr::Func { func, args } => BoundExpr::Func {
+            func: *func,
+            args: args
                 .iter()
-                .map(|a| eval(a, layout, row, params))
-                .collect::<Result<Vec<_>>>()?;
-            scalar_fn(*func, vals)
+                .map(|e| bind_with(e, layout, agg))
+                .collect::<Result<_>>()?,
+        },
+    })
+}
+
+/// A row of the stream as the evaluator sees it: the already-joined columns
+/// followed by the columns of the table being joined, each borrowed where
+/// it lives, so a join predicate is evaluated before any row is assembled.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Row<'a> {
+    left: &'a [Value],
+    right: &'a [Value],
+}
+
+impl<'a> Row<'a> {
+    /// A row held in one piece.
+    pub fn of(row: &'a [Value]) -> Self {
+        Row {
+            left: row,
+            right: &[],
         }
     }
+
+    /// `left` followed by `right`.
+    pub fn joined(left: &'a [Value], right: &'a [Value]) -> Self {
+        Row { left, right }
+    }
+
+    fn get(&self, i: usize) -> Option<&'a Value> {
+        match i.checked_sub(self.left.len()) {
+            None => self.left.get(i),
+            Some(j) => self.right.get(j),
+        }
+    }
+
+    /// Every column, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a Value> {
+        self.left.iter().chain(self.right)
+    }
+
+    /// Assemble the row (the one clone of a row that is kept).
+    pub fn to_vec(&self) -> Vec<Value> {
+        self.iter().cloned().collect()
+    }
+}
+
+/// What an expression is evaluated against: a row, the statement's
+/// parameters and — in a grouped query — the group's finished aggregates
+/// (an aggregate that failed reports its error when it is read, so one
+/// that `HAVING` filters out fails nothing).
+#[derive(Clone, Copy, Default)]
+pub struct Env<'a> {
+    pub row: Row<'a>,
+    pub params: &'a [Value],
+    pub aggs: &'a [Result<Value>],
+}
+
+impl<'a> Env<'a> {
+    /// No row, no aggregates: constants and parameters only.
+    pub fn constant(params: &'a [Value]) -> Self {
+        Env {
+            params,
+            ..Env::default()
+        }
+    }
+
+    /// The same parameters and aggregates over another row.
+    pub fn with_row(self, row: Row<'a>) -> Self {
+        Env { row, ..self }
+    }
+}
+
+/// Evaluate a bound expression. Borrowed where the value already exists
+/// (column, parameter, literal, aggregate), owned where it is computed.
+pub fn eval<'a>(expr: &'a BoundExpr, env: Env<'a>) -> Result<Cow<'a, Value>> {
+    use Cow::{Borrowed, Owned};
+    Ok(match expr {
+        BoundExpr::Literal(v) => Borrowed(v),
+        BoundExpr::Param(i) => Borrowed(env.params.get(*i).ok_or(SqlError::Params {
+            expected: i + 1,
+            got: env.params.len(),
+        })?),
+        // Only a grouped query over zero rows has no row to offer.
+        BoundExpr::Column(i) => Borrowed(
+            env.row
+                .get(*i)
+                .ok_or_else(|| SqlError::Eval("empty group".into()))?,
+        ),
+        BoundExpr::Agg(slot) => match &env.aggs[*slot] {
+            Ok(v) => Borrowed(v),
+            Err(e) => return Err(e.clone()),
+        },
+        BoundExpr::Unary { op, expr } => Owned(unary(*op, eval(expr, env)?.into_owned())?),
+        BoundExpr::Binary { op, left, right } => {
+            let l = eval(left, env)?;
+            Owned(match op {
+                // Kleene AND / OR, short-circuiting on the deciding value.
+                BinOp::And if *l == Value::Bool(false) => Value::Bool(false),
+                BinOp::And => kleene_and(&l, &*eval(right, env)?)?,
+                BinOp::Or if *l == Value::Bool(true) => Value::Bool(true),
+                BinOp::Or => kleene_or(&l, &*eval(right, env)?)?,
+                _ => binary(*op, &l, &*eval(right, env)?)?,
+            })
+        }
+        BoundExpr::IsNull { expr, negated } => {
+            Owned(Value::Bool(eval(expr, env)?.is_null() != *negated))
+        }
+        BoundExpr::InList {
+            expr,
+            list,
+            negated,
+        } => {
+            let v = eval(expr, env)?;
+            if v.is_null() {
+                return Ok(Owned(Value::Null));
+            }
+            let mut saw_null = false;
+            for item in list {
+                let w = eval(item, env)?;
+                if w.is_null() {
+                    saw_null = true;
+                } else if v.sql_eq(&w) {
+                    return Ok(Owned(Value::Bool(!*negated)));
+                }
+            }
+            Owned(if saw_null {
+                Value::Null
+            } else {
+                Value::Bool(*negated)
+            })
+        }
+        BoundExpr::Like {
+            expr,
+            pattern,
+            negated,
+        } => {
+            let v = eval(expr, env)?;
+            let p = eval(pattern, env)?;
+            Owned(match (&*v, &*p) {
+                (Value::Null, _) | (_, Value::Null) => Value::Null,
+                (Value::Text(s), Value::Text(pat)) => Value::Bool(like_match(s, pat) != *negated),
+                (a, b) => {
+                    return Err(SqlError::Eval(format!(
+                        "LIKE expects text, got {a} LIKE {b}"
+                    )))
+                }
+            })
+        }
+        BoundExpr::Func { func, args } => {
+            let vals = args
+                .iter()
+                .map(|a| eval(a, env).map(Cow::into_owned))
+                .collect::<Result<Vec<_>>>()?;
+            Owned(scalar_fn(*func, vals)?)
+        }
+    })
+}
+
+/// Evaluate an expression that reads no row (a literal / parameter
+/// computation); `None` if it does read one.
+pub fn const_value(expr: &Expr, params: &[Value]) -> Result<Option<Value>> {
+    let mut reads_row = false;
+    expr.visit(&mut |n| {
+        if matches!(n, Expr::Column { .. } | Expr::Agg { .. }) {
+            reads_row = true;
+        }
+    });
+    if reads_row {
+        return Ok(None);
+    }
+    let bound = bind(expr, &Layout::new())?;
+    Ok(Some(eval(&bound, Env::constant(params))?.into_owned()))
 }
 
 /// Evaluate a built-in scalar function.
@@ -227,100 +484,93 @@ fn scalar_fn(func: ScalarFunc, args: Vec<Value>) -> Result<Value> {
     }
 }
 
-/// Evaluate an expression in a *group* context: aggregate sub-expressions are
-/// computed over `rows`; everything else is evaluated against the group's
-/// first row (SQL requires those to be grouping expressions).
-pub fn eval_in_group(
-    expr: &Expr,
-    layout: &Layout,
-    rows: &[Vec<Value>],
-    params: &[Value],
-) -> Result<Value> {
-    match expr {
-        Expr::Agg { func, arg } => aggregate(*func, arg.as_deref(), layout, rows, params),
-        Expr::Unary { op, expr } => {
-            let v = eval_in_group(expr, layout, rows, params)?;
-            unary(*op, v)
-        }
-        Expr::Binary { op, left, right } => {
-            let l = eval_in_group(left, layout, rows, params)?;
-            match op {
-                BinOp::And => {
-                    let r = eval_in_group(right, layout, rows, params)?;
-                    kleene_and(l, r)
-                }
-                BinOp::Or => {
-                    let r = eval_in_group(right, layout, rows, params)?;
-                    kleene_or(l, r)
-                }
-                _ => {
-                    let r = eval_in_group(right, layout, rows, params)?;
-                    binary(*op, l, r)
-                }
-            }
-        }
-        Expr::Func { func, args } => {
-            let vals = args
-                .iter()
-                .map(|a| eval_in_group(a, layout, rows, params))
-                .collect::<Result<Vec<_>>>()?;
-            scalar_fn(*func, vals)
-        }
-        other => {
-            let first = rows
-                .first()
-                .ok_or_else(|| SqlError::Eval("empty group".into()))?;
-            eval(other, layout, first, params)
+/// Running state of one aggregate over the rows of a group. `COUNT(*)`
+/// counts rows; every other aggregate skips NULL inputs. The first error —
+/// of the argument or of the fold — is kept and reported by
+/// [`AggState::finish`].
+#[derive(Debug, Clone)]
+pub struct AggState {
+    /// Non-NULL inputs seen (rows, for `COUNT(*)`).
+    n: u64,
+    /// MIN / MAX so far.
+    best: Option<Value>,
+    sum: f64,
+    all_int: bool,
+    err: Option<SqlError>,
+}
+
+impl Default for AggState {
+    fn default() -> Self {
+        AggState {
+            n: 0,
+            best: None,
+            sum: 0.0,
+            all_int: true,
+            err: None,
         }
     }
 }
 
-fn aggregate(
-    func: AggFunc,
-    arg: Option<&Expr>,
-    layout: &Layout,
-    rows: &[Vec<Value>],
-    params: &[Value],
-) -> Result<Value> {
-    // COUNT(*) counts rows; every other aggregate skips NULL inputs.
-    let values: Vec<Value> = match arg {
-        None => return Ok(Value::Int(rows.len() as i64)),
-        Some(e) => rows
-            .iter()
-            .map(|r| eval(e, layout, r, params))
-            .collect::<Result<Vec<_>>>()?
-            .into_iter()
-            .filter(|v| !v.is_null())
-            .collect(),
-    };
-    match func {
-        AggFunc::Count => Ok(Value::Int(values.len() as i64)),
-        AggFunc::Min => Ok(values
-            .into_iter()
-            .min_by(|a, b| a.total_cmp(b))
-            .unwrap_or(Value::Null)),
-        AggFunc::Max => Ok(values
-            .into_iter()
-            .max_by(|a, b| a.total_cmp(b))
-            .unwrap_or(Value::Null)),
-        AggFunc::Sum | AggFunc::Avg => {
-            if values.is_empty() {
-                return Ok(Value::Null);
-            }
-            let n = values.len() as f64;
-            let all_int = values.iter().all(|v| matches!(v, Value::Int(_)));
-            let mut sum = 0.0;
-            for v in &values {
-                sum += v
-                    .as_f64()
-                    .ok_or_else(|| SqlError::Eval(format!("SUM/AVG expects numbers, got {v}")))?;
-            }
-            Ok(match func {
-                AggFunc::Sum if all_int => Value::Int(sum as i64),
-                AggFunc::Sum => Value::Float(sum),
-                _ => Value::Float(sum / n),
-            })
+impl AggState {
+    /// Fold one row of the group in.
+    pub fn feed(&mut self, call: &AggCall, env: Env<'_>) {
+        if self.err.is_some() {
+            return;
         }
+        let Some(arg) = &call.arg else {
+            self.n += 1;
+            return;
+        };
+        let v = match eval(arg, env) {
+            Ok(v) => v,
+            Err(e) => {
+                self.err = Some(e);
+                return;
+            }
+        };
+        if v.is_null() {
+            return;
+        }
+        self.n += 1;
+        match call.func {
+            AggFunc::Count => {}
+            // Among equals MIN keeps the first and MAX the last, as
+            // `Iterator::min_by` / `max_by` do.
+            AggFunc::Min => {
+                if self.best.as_ref().is_none_or(|b| v.total_cmp(b).is_lt()) {
+                    self.best = Some(v.into_owned());
+                }
+            }
+            AggFunc::Max => {
+                if self.best.as_ref().is_none_or(|b| v.total_cmp(b).is_ge()) {
+                    self.best = Some(v.into_owned());
+                }
+            }
+            AggFunc::Sum | AggFunc::Avg => match v.as_f64() {
+                Some(x) => {
+                    self.sum += x;
+                    self.all_int &= matches!(*v, Value::Int(_));
+                }
+                None => {
+                    self.err = Some(SqlError::Eval(format!("SUM/AVG expects numbers, got {v}")));
+                }
+            },
+        }
+    }
+
+    /// The aggregate's value over the rows fed.
+    pub fn finish(self, func: AggFunc) -> Result<Value> {
+        if let Some(e) = self.err {
+            return Err(e);
+        }
+        Ok(match func {
+            AggFunc::Count => Value::Int(self.n as i64),
+            AggFunc::Min | AggFunc::Max => self.best.unwrap_or(Value::Null),
+            AggFunc::Sum | AggFunc::Avg if self.n == 0 => Value::Null,
+            AggFunc::Sum if self.all_int => Value::Int(self.sum as i64),
+            AggFunc::Sum => Value::Float(self.sum),
+            AggFunc::Avg => Value::Float(self.sum / self.n as f64),
+        })
     }
 }
 
@@ -335,16 +585,16 @@ fn unary(op: UnaryOp, v: Value) -> Result<Value> {
     }
 }
 
-fn kleene_and(l: Value, r: Value) -> Result<Value> {
-    match (truth(&l)?, truth(&r)?) {
+fn kleene_and(l: &Value, r: &Value) -> Result<Value> {
+    match (truth(l)?, truth(r)?) {
         (Some(false), _) | (_, Some(false)) => Ok(Value::Bool(false)),
         (Some(true), Some(true)) => Ok(Value::Bool(true)),
         _ => Ok(Value::Null),
     }
 }
 
-fn kleene_or(l: Value, r: Value) -> Result<Value> {
-    match (truth(&l)?, truth(&r)?) {
+fn kleene_or(l: &Value, r: &Value) -> Result<Value> {
+    match (truth(l)?, truth(r)?) {
         (Some(true), _) | (_, Some(true)) => Ok(Value::Bool(true)),
         (Some(false), Some(false)) => Ok(Value::Bool(false)),
         _ => Ok(Value::Null),
@@ -366,7 +616,7 @@ pub fn accepts(v: &Value) -> Result<bool> {
     Ok(truth(v)?.unwrap_or(false))
 }
 
-fn binary(op: BinOp, l: Value, r: Value) -> Result<Value> {
+fn binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     use BinOp::*;
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
@@ -374,7 +624,7 @@ fn binary(op: BinOp, l: Value, r: Value) -> Result<Value> {
     match op {
         Eq | NotEq | Lt | LtEq | Gt | GtEq => {
             // Type check: comparing text to numbers is a programming error.
-            let comparable = match (&l, &r) {
+            let comparable = match (l, r) {
                 (Value::Text(_), Value::Text(_)) => true,
                 (Value::Bool(_), Value::Bool(_)) => true,
                 (a, b) => a.as_f64().is_some() && b.as_f64().is_some(),
@@ -382,7 +632,7 @@ fn binary(op: BinOp, l: Value, r: Value) -> Result<Value> {
             if !comparable {
                 return Err(SqlError::Eval(format!("cannot compare {l} with {r}")));
             }
-            let ord = l.total_cmp(&r);
+            let ord = l.total_cmp(r);
             let b = match op {
                 Eq => ord == Ordering::Equal,
                 NotEq => ord != Ordering::Equal,
@@ -399,9 +649,9 @@ fn binary(op: BinOp, l: Value, r: Value) -> Result<Value> {
     }
 }
 
-fn arith(op: BinOp, l: Value, r: Value) -> Result<Value> {
+fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     use BinOp::*;
-    match (&l, &r) {
+    match (l, r) {
         (Value::Int(a), Value::Int(b)) => {
             let (a, b) = (*a, *b);
             match op {
@@ -502,6 +752,36 @@ mod tests {
         }
     }
 
+    /// Evaluate a row-independent expression.
+    fn constant(e: &Expr, params: &[Value]) -> Result<Value> {
+        let bound = bind(e, &Layout::new())?;
+        Ok(eval(&bound, Env::constant(params))?.into_owned())
+    }
+
+    /// Evaluate a grouped expression over `rows` the way the executor does.
+    fn in_group(e: &Expr, l: &Layout, rows: &[Vec<Value>]) -> Result<Value> {
+        let mut calls = Vec::new();
+        let bound = bind_grouped(e, l, &mut calls)?;
+        let mut states = vec![AggState::default(); calls.len()];
+        for row in rows {
+            let env = Env::default().with_row(Row::of(row));
+            for (state, call) in states.iter_mut().zip(&calls) {
+                state.feed(call, env);
+            }
+        }
+        let aggs: Vec<Result<Value>> = states
+            .into_iter()
+            .zip(&calls)
+            .map(|(s, c)| s.finish(c.func))
+            .collect();
+        let env = Env {
+            row: Row::of(rows.first().map(Vec::as_slice).unwrap_or_default()),
+            aggs: &aggs,
+            ..Env::default()
+        };
+        Ok(eval(&bound, env)?.into_owned())
+    }
+
     #[test]
     fn column_resolution() {
         let l = layout();
@@ -514,44 +794,57 @@ mod tests {
     }
 
     #[test]
+    fn columns_bind_to_offsets_of_a_two_part_row() {
+        let l = layout();
+        let e = bind(&bin(BinOp::Add, col(None, "a"), col(None, "c")), &l).unwrap();
+        assert!(!e.is_constant());
+        let (left, right) = (
+            [Value::Int(1), Value::Int(2)],
+            [Value::Int(3), Value::Int(4)],
+        );
+        let env = Env::default().with_row(Row::joined(&left, &right));
+        assert_eq!(*eval(&e, env).unwrap(), Value::Int(5));
+        assert_eq!(Row::joined(&left, &right).to_vec().len(), 4);
+        // Unknown and ambiguous names fail at bind time, before any row.
+        assert!(matches!(bind(&col(None, "zz"), &l), Err(SqlError::Plan(_))));
+        assert!(matches!(bind(&col(None, "b"), &l), Err(SqlError::Plan(_))));
+    }
+
+    #[test]
     fn arithmetic_types() {
-        let l = Layout::new();
-        let v = eval(&bin(BinOp::Add, lit(2), lit(3)), &l, &[], &[]).unwrap();
+        let v = constant(&bin(BinOp::Add, lit(2), lit(3)), &[]).unwrap();
         assert_eq!(v, Value::Int(5));
-        let v = eval(&bin(BinOp::Mul, lit(2), lit(1.5)), &l, &[], &[]).unwrap();
+        let v = constant(&bin(BinOp::Mul, lit(2), lit(1.5)), &[]).unwrap();
         assert_eq!(v, Value::Float(3.0));
-        assert!(eval(&bin(BinOp::Div, lit(1), lit(0)), &l, &[], &[]).is_err());
+        assert!(constant(&bin(BinOp::Div, lit(1), lit(0)), &[]).is_err());
     }
 
     #[test]
     fn null_propagates_through_comparison() {
-        let l = Layout::new();
-        let v = eval(&bin(BinOp::Eq, lit(Value::Null), lit(1)), &l, &[], &[]).unwrap();
+        let v = constant(&bin(BinOp::Eq, lit(Value::Null), lit(1)), &[]).unwrap();
         assert_eq!(v, Value::Null);
         assert!(!accepts(&v).unwrap());
     }
 
     #[test]
     fn kleene_logic() {
-        let l = Layout::new();
         // NULL AND FALSE = FALSE
-        let v = eval(&bin(BinOp::And, lit(Value::Null), lit(false)), &l, &[], &[]).unwrap();
+        let v = constant(&bin(BinOp::And, lit(Value::Null), lit(false)), &[]).unwrap();
         assert_eq!(v, Value::Bool(false));
         // NULL OR TRUE = TRUE
-        let v = eval(&bin(BinOp::Or, lit(Value::Null), lit(true)), &l, &[], &[]).unwrap();
+        let v = constant(&bin(BinOp::Or, lit(Value::Null), lit(true)), &[]).unwrap();
         assert_eq!(v, Value::Bool(true));
         // NULL AND TRUE = NULL
-        let v = eval(&bin(BinOp::And, lit(Value::Null), lit(true)), &l, &[], &[]).unwrap();
+        let v = constant(&bin(BinOp::And, lit(Value::Null), lit(true)), &[]).unwrap();
         assert_eq!(v, Value::Null);
     }
 
     #[test]
     fn params_resolved() {
-        let l = Layout::new();
-        let v = eval(&Expr::Param(1), &l, &[], &[Value::Int(1), Value::Int(9)]).unwrap();
+        let v = constant(&Expr::Param(1), &[Value::Int(1), Value::Int(9)]).unwrap();
         assert_eq!(v, Value::Int(9));
         assert!(matches!(
-            eval(&Expr::Param(5), &l, &[], &[]),
+            constant(&Expr::Param(5), &[]),
             Err(SqlError::Params {
                 expected: 6,
                 got: 0
@@ -560,21 +853,30 @@ mod tests {
     }
 
     #[test]
+    fn const_value_is_none_for_row_dependent_expressions() {
+        let e = bin(BinOp::Add, Expr::Param(0), lit(1));
+        assert_eq!(
+            const_value(&e, &[Value::Int(2)]).unwrap(),
+            Some(Value::Int(3))
+        );
+        assert_eq!(const_value(&col(None, "a"), &[]).unwrap(), None);
+    }
+
+    #[test]
     fn in_list_with_null_semantics() {
-        let l = Layout::new();
         let e = Expr::InList {
             expr: Box::new(lit(2)),
             list: vec![lit(1), lit(2)],
             negated: false,
         };
-        assert_eq!(eval(&e, &l, &[], &[]).unwrap(), Value::Bool(true));
+        assert_eq!(constant(&e, &[]).unwrap(), Value::Bool(true));
         // 3 NOT IN (1, NULL) is NULL (unknown).
         let e = Expr::InList {
             expr: Box::new(lit(3)),
             list: vec![lit(1), lit(Value::Null)],
             negated: true,
         };
-        assert_eq!(eval(&e, &l, &[], &[]).unwrap(), Value::Null);
+        assert_eq!(constant(&e, &[]).unwrap(), Value::Null);
     }
 
     #[test]
@@ -590,6 +892,13 @@ mod tests {
         assert!(like_match("a%b", "a%b"));
     }
 
+    fn agg(f: AggFunc, arg: Option<Expr>) -> Expr {
+        Expr::Agg {
+            func: f,
+            arg: arg.map(Box::new),
+        }
+    }
+
     #[test]
     fn aggregates_in_group() {
         let mut l = Layout::new();
@@ -600,36 +909,55 @@ mod tests {
             vec![Value::Null],
             vec![Value::Int(2)],
         ];
-        let agg = |f: AggFunc, arg: Option<Expr>| Expr::Agg {
-            func: f,
-            arg: arg.map(Box::new),
-        };
         let x = || col(None, "x");
+        let over = |e: Expr| in_group(&e, &l, &rows).unwrap();
+        assert_eq!(over(agg(AggFunc::Count, None)), Value::Int(4));
         assert_eq!(
-            eval_in_group(&agg(AggFunc::Count, None), &l, &rows, &[]).unwrap(),
-            Value::Int(4)
-        );
-        assert_eq!(
-            eval_in_group(&agg(AggFunc::Count, Some(x())), &l, &rows, &[]).unwrap(),
+            over(agg(AggFunc::Count, Some(x()))),
             Value::Int(3),
             "COUNT(x) skips NULL"
         );
-        assert_eq!(
-            eval_in_group(&agg(AggFunc::Sum, Some(x())), &l, &rows, &[]).unwrap(),
-            Value::Int(6)
-        );
-        assert_eq!(
-            eval_in_group(&agg(AggFunc::Avg, Some(x())), &l, &rows, &[]).unwrap(),
-            Value::Float(2.0)
-        );
-        assert_eq!(
-            eval_in_group(&agg(AggFunc::Min, Some(x())), &l, &rows, &[]).unwrap(),
-            Value::Int(1)
-        );
-        assert_eq!(
-            eval_in_group(&agg(AggFunc::Max, Some(x())), &l, &rows, &[]).unwrap(),
-            Value::Int(3)
-        );
+        assert_eq!(over(agg(AggFunc::Sum, Some(x()))), Value::Int(6));
+        assert_eq!(over(agg(AggFunc::Avg, Some(x()))), Value::Float(2.0));
+        assert_eq!(over(agg(AggFunc::Min, Some(x()))), Value::Int(1));
+        assert_eq!(over(agg(AggFunc::Max, Some(x()))), Value::Int(3));
+    }
+
+    #[test]
+    fn aggregates_over_no_rows() {
+        let mut l = Layout::new();
+        l.push_table("t", vec!["x".into()]);
+        let x = || col(None, "x");
+        let over = |e: Expr| in_group(&e, &l, &[]);
+        assert_eq!(over(agg(AggFunc::Count, None)).unwrap(), Value::Int(0));
+        assert_eq!(over(agg(AggFunc::Sum, Some(x()))).unwrap(), Value::Null);
+        assert_eq!(over(agg(AggFunc::Min, Some(x()))).unwrap(), Value::Null);
+        // A bare column has no row to read.
+        assert!(matches!(over(x()), Err(SqlError::Eval(m)) if m.contains("empty group")));
+    }
+
+    #[test]
+    fn min_keeps_the_first_and_max_the_last_among_equals() {
+        let mut l = Layout::new();
+        l.push_table("t", vec!["x".into()]);
+        // Int(1) and Float(1.0) compare equal but print differently.
+        let rows = vec![vec![Value::Int(1)], vec![Value::Float(1.0)]];
+        let x = || col(None, "x");
+        let shown = |f| in_group(&agg(f, Some(x())), &l, &rows).unwrap().to_string();
+        assert_eq!(shown(AggFunc::Min), Value::Int(1).to_string());
+        assert_eq!(shown(AggFunc::Max), Value::Float(1.0).to_string());
+    }
+
+    #[test]
+    fn a_failed_aggregate_fails_only_where_it_is_read() {
+        let mut l = Layout::new();
+        l.push_table("t", vec!["x".into()]);
+        let rows = vec![vec![Value::Text("a".into())]];
+        let sum = agg(AggFunc::Sum, Some(col(None, "x")));
+        assert!(in_group(&sum, &l, &rows).is_err());
+        // FALSE AND SUM(x): the short circuit never reads the aggregate.
+        let guarded = bin(BinOp::And, lit(false), bin(BinOp::Gt, sum, lit(0)));
+        assert_eq!(in_group(&guarded, &l, &rows).unwrap(), Value::Bool(false));
     }
 
     #[test]
@@ -638,39 +966,28 @@ mod tests {
         l.push_table("t", vec!["x".into()]);
         let rows = vec![vec![Value::Int(1)], vec![Value::Int(2)]];
         // COUNT(*) * 10
-        let e = bin(
-            BinOp::Mul,
-            Expr::Agg {
-                func: AggFunc::Count,
-                arg: None,
-            },
-            lit(10),
-        );
-        assert_eq!(eval_in_group(&e, &l, &rows, &[]).unwrap(), Value::Int(20));
+        let e = bin(BinOp::Mul, agg(AggFunc::Count, None), lit(10));
+        assert_eq!(in_group(&e, &l, &rows).unwrap(), Value::Int(20));
     }
 
     #[test]
     fn aggregate_outside_group_rejected() {
-        let l = Layout::new();
-        let e = Expr::Agg {
-            func: AggFunc::Count,
-            arg: None,
-        };
-        assert!(matches!(eval(&e, &l, &[], &[]), Err(SqlError::Plan(_))));
+        let e = agg(AggFunc::Count, None);
+        assert!(matches!(bind(&e, &Layout::new()), Err(SqlError::Plan(_))));
+        // ... and so is one nested in another's argument.
+        let nested = agg(AggFunc::Sum, Some(e));
+        assert!(bind_grouped(&nested, &Layout::new(), &mut Vec::new()).is_err());
     }
 
     #[test]
     fn type_errors() {
-        let l = Layout::new();
-        assert!(eval(&bin(BinOp::Lt, lit("a"), lit(1)), &l, &[], &[]).is_err());
-        assert!(eval(&bin(BinOp::Add, lit("a"), lit(1)), &l, &[], &[]).is_err());
-        assert!(eval(
+        assert!(constant(&bin(BinOp::Lt, lit("a"), lit(1)), &[]).is_err());
+        assert!(constant(&bin(BinOp::Add, lit("a"), lit(1)), &[]).is_err());
+        assert!(constant(
             &Expr::Unary {
                 op: UnaryOp::Not,
                 expr: Box::new(lit(1))
             },
-            &l,
-            &[],
             &[]
         )
         .is_err());
@@ -678,8 +995,7 @@ mod tests {
 
     #[test]
     fn text_comparison() {
-        let l = Layout::new();
-        let v = eval(&bin(BinOp::Lt, lit("abc"), lit("abd")), &l, &[], &[]).unwrap();
+        let v = constant(&bin(BinOp::Lt, lit("abc"), lit("abd")), &[]).unwrap();
         assert_eq!(v, Value::Bool(true));
     }
 }

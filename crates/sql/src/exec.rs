@@ -1,57 +1,59 @@
-//! Planner + executor.
+//! The executor: [`run`] walks a [`Plan`] against a
+//! [`tenantdb_storage::Engine`] inside a caller supplied transaction, so
+//! every SQL statement acquires real strict-2PL locks.
 //!
-//! Statements execute against a [`tenantdb_storage::Engine`] inside a caller
-//! supplied transaction, so every SQL statement acquires real strict-2PL
-//! locks. Planning is deliberately simple but real:
-//!
-//! * single-table access paths: full-key equality index lookup, single-column
-//!   index range scan, or table scan — chosen from the WHERE conjuncts;
-//! * joins: index nested-loop when the ON clause equates an indexed column of
-//!   the new table with an expression over already-joined tables, otherwise
-//!   hash-free nested loop over a (predicate-pushed) scan;
-//! * residual predicates are always re-applied, so access-path choices can
-//!   never change results.
+//! Nothing is decided here — the plan names the tables, the access paths,
+//! the offsets — and nothing is looked up twice: each table is resolved to
+//! a storage handle once per statement, rows are evaluated where the engine
+//! holds them, and a row is cloned only if it survives its predicate (a
+//! joined row) or, for a single-table query, not at all: only the projected
+//! values are.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
-use tenantdb_storage::{ColumnDef, Engine, TableSchema, TxnId, Value};
+use tenantdb_storage::{Database, Engine, TableHandle, TxnId, Value};
 
-use crate::ast::*;
+use crate::ast::{JoinKind, Statement};
 use crate::error::{Result, SqlError};
-use crate::eval::{accepts, eval, eval_in_group, Layout};
+use crate::eval::{accepts, eval, AggState, BoundExpr, Env, Row};
 use crate::parser::parse;
+use crate::plan::{
+    plan, Access, Grouping, InsertPlan, Item, JoinPlan, JoinStrategy, Node, Plan, SelectPlan,
+    SortBy, TableRef, Target, UpdatePlan,
+};
+
+/// `(table, row_id)` of the rows a statement touched; the table name is the
+/// plan's, shared.
+pub type Touched = Vec<(Arc<str>, u64)>;
 
 /// Result of executing one statement.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryResult {
-    /// Output column names (empty for DML/DDL).
-    pub columns: Vec<String>,
+    /// Output column names (empty for DML/DDL), shared with the plan.
+    pub columns: Arc<[String]>,
     /// Result rows (empty for DML/DDL).
     pub rows: Vec<Vec<Value>>,
     /// Rows inserted/updated/deleted.
     pub rows_affected: u64,
-    /// `(table, row_id)` of every row this statement read (S/X locked).
-    /// Consumed by the cluster controller's history recorder.
-    pub touched_reads: Vec<(String, u64)>,
-    /// `(table, row_id)` of every row this statement wrote.
-    pub touched_writes: Vec<(String, u64)>,
+    /// Every row this statement read (S/X locked). Collected only by
+    /// [`run_recording`], for the cluster controller's history recorder;
+    /// empty otherwise.
+    pub touched_reads: Touched,
+    /// Every row this statement wrote (as `touched_reads`).
+    pub touched_writes: Touched,
 }
 
 impl QueryResult {
-    fn affected(n: u64) -> Self {
-        QueryResult {
-            rows_affected: n,
-            ..Default::default()
-        }
-    }
-
     /// First value of the first row, if any (convenience for lookups).
     pub fn scalar(&self) -> Option<&Value> {
         self.rows.first().and_then(|r| r.first())
     }
 }
 
-/// Parse and execute one SQL statement inside `txn` against database `db`.
+/// Parse, plan and execute one SQL statement inside `txn` against
+/// database `db`.
 pub fn execute(
     engine: &Engine,
     txn: TxnId,
@@ -59,11 +61,10 @@ pub fn execute(
     sql: &str,
     params: &[Value],
 ) -> Result<QueryResult> {
-    let stmt = parse(sql)?;
-    execute_stmt(engine, txn, db, &stmt, params)
+    execute_stmt(engine, txn, db, &parse(sql)?, params)
 }
 
-/// Execute a pre-parsed statement (used by workload drivers that cache ASTs).
+/// Plan and execute a parsed statement: [`plan`] + [`run`], nothing cached.
 pub fn execute_stmt(
     engine: &Engine,
     txn: TxnId,
@@ -71,718 +72,501 @@ pub fn execute_stmt(
     stmt: &Statement,
     params: &[Value],
 ) -> Result<QueryResult> {
-    match stmt {
-        Statement::CreateTable {
-            name,
-            columns,
-            primary_key,
-        } => {
-            let cols = columns
-                .iter()
-                .map(|c| ColumnDef {
-                    name: c.name.clone(),
-                    ty: c.ty,
-                    nullable: c.nullable,
-                })
-                .collect();
-            let mut schema = TableSchema::new(name.clone(), cols);
-            if !primary_key.is_empty() {
-                schema
-                    .try_add_index("pk", primary_key, true)
-                    .map_err(SqlError::Storage)?;
-            }
-            engine.create_table(db, schema)?;
-            Ok(QueryResult::affected(0))
-        }
-        Statement::CreateIndex {
-            name,
-            table,
-            columns,
-            unique,
-        } => {
-            engine.create_index(db, table, name, columns, *unique)?;
-            Ok(QueryResult::affected(0))
-        }
-        Statement::Insert {
-            table,
-            columns,
-            values,
-        } => run_insert(engine, txn, db, table, columns.as_deref(), values, params),
-        Statement::Select(sel) => run_select(engine, txn, db, sel, params),
-        Statement::Update {
-            table,
-            sets,
-            filter,
-        } => run_update(engine, txn, db, table, sets, filter.as_ref(), params),
-        Statement::Delete { table, filter } => {
-            run_delete(engine, txn, db, table, filter.as_ref(), params)
-        }
-    }
+    run(engine, txn, &plan(engine, db, stmt)?, params)
 }
 
-// ------------------------------------------------------------------ INSERT
+/// Execute `plan` inside `txn`. The one executor: every statement of every
+/// session and replica comes through here (or through [`run_recording`],
+/// which is the same walk).
+pub fn run(engine: &Engine, txn: TxnId, plan: &Plan, params: &[Value]) -> Result<QueryResult> {
+    Exec::new(engine, txn, params, false).run(plan)
+}
 
-fn run_insert(
+/// [`run`], also collecting [`QueryResult::touched_reads`] /
+/// [`QueryResult::touched_writes`].
+pub fn run_recording(
     engine: &Engine,
     txn: TxnId,
-    db: &str,
-    table: &str,
-    columns: Option<&[String]>,
-    values: &[Vec<Expr>],
+    plan: &Plan,
     params: &[Value],
 ) -> Result<QueryResult> {
-    let schema = engine.table(db, table)?.schema.clone();
-    let empty = Layout::new();
-    let mut n = 0u64;
-    let mut writes = Vec::new();
-    for tuple in values {
-        let row = match columns {
-            None => {
-                if tuple.len() != schema.columns.len() {
-                    return Err(SqlError::Plan(format!(
-                        "INSERT arity: table {table} has {} columns, got {}",
-                        schema.columns.len(),
-                        tuple.len()
-                    )));
-                }
-                tuple
-                    .iter()
-                    .map(|e| eval(e, &empty, &[], params))
-                    .collect::<Result<Vec<_>>>()?
-            }
-            Some(cols) => {
-                if tuple.len() != cols.len() {
-                    return Err(SqlError::Plan("INSERT arity mismatch".into()));
-                }
-                let mut row = vec![Value::Null; schema.columns.len()];
-                for (col, e) in cols.iter().zip(tuple) {
-                    let idx = schema.column_index(col).ok_or_else(|| {
-                        SqlError::Plan(format!("unknown column in INSERT: {col}"))
-                    })?;
-                    row[idx] = eval(e, &empty, &[], params)?;
-                }
-                row
-            }
-        };
-        let rid = engine.insert(txn, db, table, row)?;
-        writes.push((table.to_string(), rid));
-        n += 1;
-    }
-    Ok(QueryResult {
-        rows_affected: n,
-        touched_writes: writes,
-        ..Default::default()
-    })
+    Exec::new(engine, txn, params, true).run(plan)
 }
 
-// ------------------------------------------------------------- access paths
-
-/// Fetched rows: `(row_id, row)` pairs.
-type RowSet = Vec<(u64, Vec<Value>)>;
-
-/// Chosen access path for one table.
-#[derive(Debug, Clone, PartialEq)]
-enum Access {
-    /// Full-key equality lookup on an index.
-    IndexEq {
-        index: String,
-        key: Vec<Value>,
-    },
-    /// Inclusive range on a single-column index.
-    IndexRange {
-        index: String,
-        lo: Option<Vec<Value>>,
-        hi: Option<Vec<Value>>,
-    },
-    Scan,
-}
-
-/// Is this expression constant w.r.t. the current row (no column refs)?
-fn is_constant(e: &Expr) -> bool {
-    let mut constant = true;
-    e.visit(&mut |n| {
-        if matches!(n, Expr::Column { .. } | Expr::Agg { .. }) {
-            constant = false;
-        }
-    });
-    constant
-}
-
-/// Does this column expression refer to `binding` (either qualified with it
-/// or unqualified and present in its schema)?
-fn column_of<'a>(e: &'a Expr, binding: &str, schema: &TableSchema) -> Option<&'a str> {
-    if let Expr::Column { table, name } = e {
-        let matches_binding = match table {
-            Some(t) => t.eq_ignore_ascii_case(binding),
-            None => schema.column_index(name).is_some(),
-        };
-        if matches_binding && schema.column_index(name).is_some() {
-            return Some(name);
-        }
-    }
-    None
-}
-
-/// Pick an access path for `binding` given WHERE conjuncts.
-fn choose_access(
-    schema: &TableSchema,
-    binding: &str,
-    conjuncts: &[&Expr],
-    params: &[Value],
-) -> Result<Access> {
-    let empty = Layout::new();
-    // Collect equality bindings: column ordinal -> constant value.
-    let mut eq: BTreeMap<usize, Value> = BTreeMap::new();
-    for c in conjuncts {
-        if let Expr::Binary {
-            op: BinOp::Eq,
-            left,
-            right,
-        } = c
-        {
-            let pair = match (
-                column_of(left, binding, schema),
-                column_of(right, binding, schema),
-            ) {
-                (Some(col), None) if is_constant(right) => Some((col, right)),
-                (None, Some(col)) if is_constant(left) => Some((col, left)),
-                _ => None,
-            };
-            if let Some((col, value_expr)) = pair {
-                let v = eval(value_expr, &empty, &[], params)?;
-                if !v.is_null() {
-                    eq.insert(schema.column_index(col).unwrap(), v);
-                }
-            }
-        }
-    }
-    // Prefer the first index whose key is fully bound by equalities
-    // (schema order puts "pk" first).
-    for idx in &schema.indexes {
-        if !idx.columns.is_empty() && idx.columns.iter().all(|c| eq.contains_key(c)) {
-            let key = idx.columns.iter().map(|c| eq[c].clone()).collect();
-            return Ok(Access::IndexEq {
-                index: idx.name.clone(),
-                key,
-            });
-        }
-    }
-    // Range on a single-column index.
-    for idx in &schema.indexes {
-        if idx.columns.len() != 1 {
-            continue;
-        }
-        let ord = idx.columns[0];
-        let mut lo: Option<Value> = None;
-        let mut hi: Option<Value> = None;
-        for c in conjuncts {
-            if let Expr::Binary { op, left, right } = c {
-                let (col_side, const_side, op) = match (
-                    column_of(left, binding, schema),
-                    column_of(right, binding, schema),
-                ) {
-                    (Some(col), None) if is_constant(right) => (col, right, *op),
-                    (None, Some(col)) if is_constant(left) => (col, left, flip(*op)),
-                    _ => continue,
-                };
-                if schema.column_index(col_side) != Some(ord) {
-                    continue;
-                }
-                let v = eval(const_side, &empty, &[], params)?;
-                if v.is_null() {
-                    continue;
-                }
-                match op {
-                    BinOp::Gt | BinOp::GtEq
-                        if lo.as_ref().is_none_or(|cur| v.total_cmp(cur).is_gt()) =>
-                    {
-                        lo = Some(v);
-                    }
-                    BinOp::Lt | BinOp::LtEq
-                        if hi.as_ref().is_none_or(|cur| v.total_cmp(cur).is_lt()) =>
-                    {
-                        hi = Some(v);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        if lo.is_some() || hi.is_some() {
-            return Ok(Access::IndexRange {
-                index: idx.name.clone(),
-                lo: lo.map(|v| vec![v]),
-                hi: hi.map(|v| vec![v]),
-            });
-        }
-    }
-    Ok(Access::Scan)
-}
-
-/// Mirror a comparison when the column appears on the right-hand side.
-fn flip(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::LtEq => BinOp::GtEq,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::GtEq => BinOp::LtEq,
-        other => other,
-    }
-}
-
-/// Fetch rows of one table via a chosen access path.
-fn fetch(
-    engine: &Engine,
+/// What a statement executes against.
+#[derive(Clone, Copy)]
+struct Ctx<'a> {
+    engine: &'a Engine,
     txn: TxnId,
-    db: &str,
-    table: &str,
-    access: &Access,
-    for_update: bool,
-) -> Result<RowSet> {
-    let rows = match access {
-        Access::IndexEq { index, key } => {
-            engine.index_lookup(txn, db, table, index, key, for_update)?
-        }
-        Access::IndexRange { index, lo, hi } => {
-            engine.index_range(txn, db, table, index, lo.as_deref(), hi.as_deref())?
-        }
-        Access::Scan => engine.scan(txn, db, table)?,
-    };
-    Ok(rows)
+    params: &'a [Value],
 }
 
-// ------------------------------------------------------------------ SELECT
+/// One statement execution: its context, and the touched sets it collects
+/// when it is recording.
+struct Exec<'a> {
+    ctx: Ctx<'a>,
+    recording: bool,
+    reads: Touched,
+    writes: Touched,
+}
 
-fn run_select(
-    engine: &Engine,
-    txn: TxnId,
-    db: &str,
-    sel: &SelectStmt,
-    params: &[Value],
-) -> Result<QueryResult> {
-    // Resolve schemas for every table in FROM.
-    let base_schema = engine.table(db, &sel.from.name)?.schema.clone();
-    let mut layout = Layout::new();
-    layout.push_table(
-        sel.from.binding(),
-        base_schema.columns.iter().map(|c| c.name.clone()).collect(),
-    );
-
-    let where_conjuncts: Vec<&Expr> = sel
-        .filter
-        .as_ref()
-        .map(|f| f.conjuncts())
-        .unwrap_or_default();
-
-    // Base table access.
-    let base_access = choose_access(&base_schema, sel.from.binding(), &where_conjuncts, params)?;
-    let mut touched_reads: Vec<(String, u64)> = Vec::new();
-    let base_rows = fetch(
-        engine,
-        txn,
-        db,
-        &sel.from.name,
-        &base_access,
-        sel.for_update,
-    )?;
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(base_rows.len());
-    for (rid, r) in base_rows {
-        touched_reads.push((sel.from.name.clone(), rid));
-        rows.push(r);
+impl<'a> Ctx<'a> {
+    fn env(self) -> Env<'a> {
+        Env::constant(self.params)
     }
 
-    // Joins, left-deep in query order.
-    for join in &sel.joins {
-        let right_schema = engine.table(db, &join.table.name)?.schema.clone();
-        let right_binding = join.table.binding().to_string();
-        let left_layout = layout.clone();
-        layout.push_table(
-            &right_binding,
-            right_schema
-                .columns
+    /// Fetch the rows of one table through `access`, handing each to
+    /// `visit` where the engine holds it.
+    fn fetch(
+        self,
+        handle: &TableHandle,
+        access: &Access,
+        for_update: bool,
+        visit: impl FnMut(u64, &[Value]) -> Result<()>,
+    ) -> Result<()> {
+        let Ctx { engine, txn, .. } = self;
+        let constants = |exprs: &[BoundExpr]| -> Result<Vec<Value>> {
+            exprs
                 .iter()
-                .map(|c| c.name.clone())
-                .collect(),
-        );
-        let on_conjuncts: Vec<&Expr> = join.on.conjuncts();
-
-        // Index nested-loop: find ON conjuncts `right.col = expr(left)`.
-        let mut key_cols: BTreeMap<usize, &Expr> = BTreeMap::new();
-        for c in &on_conjuncts {
-            if let Expr::Binary {
-                op: BinOp::Eq,
-                left,
-                right,
-            } = c
-            {
-                for (col_side, expr_side) in [(left, right), (right, left)] {
-                    if let Some(col) = column_of(col_side, &right_binding, &right_schema) {
-                        // The other side must be evaluable over the left rows.
-                        let ord = right_schema.column_index(col).unwrap();
-                        let mut left_only = true;
-                        expr_side.visit(&mut |n| {
-                            if let Expr::Column { table, name } = n {
-                                if left_layout.resolve(table.as_deref(), name).is_err() {
-                                    left_only = false;
-                                }
-                            }
-                            if matches!(n, Expr::Agg { .. }) {
-                                left_only = false;
-                            }
-                        });
-                        if left_only {
-                            key_cols.entry(ord).or_insert(expr_side);
+                .map(|e| Ok(eval(e, self.env())?.into_owned()))
+                .collect()
+        };
+        match access {
+            Access::IndexEq { index, key } => {
+                engine.lookup_with(txn, handle, *index, &constants(key)?, for_update, visit)
+            }
+            Access::IndexRange { index, lo, hi } => {
+                // The tightest bound of each side; a NULL bound admits no
+                // row by itself, so it does not narrow the range.
+                let tightest = |bounds: &[BoundExpr], tighter: Ordering| -> Result<Option<Value>> {
+                    let mut best: Option<Value> = None;
+                    for v in constants(bounds)? {
+                        if !v.is_null() && best.as_ref().is_none_or(|b| v.total_cmp(b) == tighter) {
+                            best = Some(v);
                         }
                     }
-                }
-            }
-        }
-        let index_for_join = right_schema
-            .indexes
-            .iter()
-            .find(|i| !i.columns.is_empty() && i.columns.iter().all(|c| key_cols.contains_key(c)))
-            .cloned();
-
-        let right_width = right_schema.columns.len();
-        let is_left_join = join.kind == JoinKind::Left;
-        let mut joined = Vec::new();
-        match index_for_join {
-            Some(idx) => {
-                for left_row in &rows {
-                    let mut key = Vec::with_capacity(idx.columns.len());
-                    for c in &idx.columns {
-                        key.push(eval(key_cols[c], &left_layout, left_row, params)?);
-                    }
-                    let matches = engine.index_lookup(
-                        txn,
-                        db,
-                        &join.table.name,
-                        &idx.name,
-                        &key,
-                        sel.for_update,
-                    )?;
-                    let mut matched = false;
-                    for (rid, right_row) in matches {
-                        touched_reads.push((join.table.name.clone(), rid));
-                        let mut combined = left_row.clone();
-                        combined.extend(right_row);
-                        if accepts(&eval(&join.on, &layout, &combined, params)?)? {
-                            joined.push(combined);
-                            matched = true;
-                        }
-                    }
-                    if is_left_join && !matched {
-                        let mut combined = left_row.clone();
-                        combined.extend(std::iter::repeat_n(Value::Null, right_width));
-                        joined.push(combined);
-                    }
-                }
-            }
-            None => {
-                // Fetch the right side once. WHERE pushdown is only safe for
-                // inner joins (a pre-filtered right side would turn filtered
-                // matches into spurious NULL rows under LEFT JOIN).
-                let right_access = if is_left_join {
-                    Access::Scan
-                } else {
-                    choose_access(&right_schema, &right_binding, &where_conjuncts, params)?
+                    Ok(best)
                 };
-                let right_rows = fetch(
-                    engine,
+                let lo = tightest(lo, Ordering::Greater)?;
+                let hi = tightest(hi, Ordering::Less)?;
+                engine.range_with(
                     txn,
-                    db,
-                    &join.table.name,
-                    &right_access,
-                    sel.for_update,
-                )?;
-                for (rid, _) in &right_rows {
-                    touched_reads.push((join.table.name.clone(), *rid));
+                    handle,
+                    *index,
+                    lo.as_ref().map(std::slice::from_ref),
+                    hi.as_ref().map(std::slice::from_ref),
+                    visit,
+                )
+            }
+            Access::Scan => engine.scan_with(txn, handle, visit),
+        }
+    }
+}
+
+impl<'a> Exec<'a> {
+    fn new(engine: &'a Engine, txn: TxnId, params: &'a [Value], recording: bool) -> Self {
+        Exec {
+            ctx: Ctx {
+                engine,
+                txn,
+                params,
+            },
+            recording,
+            reads: Vec::new(),
+            writes: Vec::new(),
+        }
+    }
+
+    fn run(mut self, plan: &Plan) -> Result<QueryResult> {
+        let engine = self.ctx.engine;
+        let db = || engine.db(&plan.db);
+        let mut result = QueryResult {
+            columns: Arc::clone(&plan.columns),
+            ..QueryResult::default()
+        };
+        match &plan.node {
+            Node::CreateTable(schema) => engine.create_table(&plan.db, schema.clone())?,
+            Node::CreateIndex {
+                name,
+                table,
+                columns,
+                unique,
+            } => engine.create_index(&plan.db, table, name, columns, *unique)?,
+            Node::Insert(p) => result.rows_affected = self.insert(&db()?, p)?,
+            Node::Select(p) => result.rows = self.select(&db()?, p)?,
+            Node::Update(p) => result.rows_affected = self.update(&db()?, p)?,
+            Node::Delete(p) => result.rows_affected = self.delete(&db()?, p)?,
+        }
+        result.touched_reads = self.reads;
+        result.touched_writes = self.writes;
+        Ok(result)
+    }
+
+    fn note_read(&mut self, table: &TableRef, row_id: u64) {
+        if self.recording {
+            self.reads.push((Arc::clone(&table.name), row_id));
+        }
+    }
+
+    fn note_write(&mut self, table: &TableRef, row_id: u64) {
+        if self.recording {
+            self.writes.push((Arc::clone(&table.name), row_id));
+        }
+    }
+
+    // -------------------------------------------------------------- INSERT
+
+    fn insert(&mut self, db: &Arc<Database>, p: &InsertPlan) -> Result<u64> {
+        let Ctx { engine, txn, .. } = self.ctx;
+        let handle = p.table.open(db)?;
+        for tuple in &p.rows {
+            let mut row = vec![Value::Null; p.width];
+            for (ord, e) in tuple {
+                row[*ord] = eval(e, self.ctx.env())?.into_owned();
+            }
+            let rid = engine.insert_in(txn, &handle, row)?;
+            self.note_write(&p.table, rid);
+        }
+        Ok(p.rows.len() as u64)
+    }
+
+    // -------------------------------------------------------------- SELECT
+
+    /// Fetch a table's rows for a SELECT — every one a read — cloning them
+    /// out.
+    fn fetch_all(
+        &mut self,
+        table: &TableRef,
+        handle: &TableHandle,
+        access: &Access,
+        for_update: bool,
+    ) -> Result<Vec<Vec<Value>>> {
+        let mut rows = Vec::new();
+        self.ctx.fetch(handle, access, for_update, |rid, row| {
+            self.note_read(table, rid);
+            rows.push(row.to_vec());
+            Ok(())
+        })?;
+        Ok(rows)
+    }
+
+    fn select(&mut self, db: &Arc<Database>, p: &SelectPlan) -> Result<Vec<Vec<Value>>> {
+        let env = self.ctx.env();
+        let mut sink = Sink::new(p, env);
+        let keep = |row: Row<'_>| -> Result<bool> {
+            match &p.filter {
+                Some(f) => accepts(&*eval(f, env.with_row(row))?),
+                None => Ok(true),
+            }
+        };
+        let base = p.from.open(db)?;
+        let Some((last, inner)) = p.joins.split_last() else {
+            // One table: filter and project each row where it lies.
+            self.ctx.fetch(&base, &p.access, p.for_update, |rid, row| {
+                self.note_read(&p.from, rid);
+                let row = Row::of(row);
+                if keep(row)? {
+                    sink.push(row)?;
                 }
-                for left_row in &rows {
+                Ok(())
+            })?;
+            return sink.finish();
+        };
+        // Joins, left-deep in query order; all but the last materialize.
+        let mut rows = self.fetch_all(&p.from, &base, &p.access, p.for_update)?;
+        for join in inner {
+            let mut joined = Vec::new();
+            self.join(db, join, p.for_update, &rows, |row| {
+                joined.push(row.to_vec());
+                Ok(())
+            })?;
+            rows = joined;
+        }
+        // The WHERE clause is re-applied to every joined row — access
+        // paths are hints.
+        self.join(db, last, p.for_update, &rows, |row| {
+            if keep(row)? {
+                sink.push(row)?;
+            }
+            Ok(())
+        })?;
+        sink.finish()
+    }
+
+    /// Join `left` rows with one more table, emitting every joined row.
+    fn join(
+        &mut self,
+        db: &Arc<Database>,
+        join: &JoinPlan,
+        for_update: bool,
+        left: &[Vec<Value>],
+        mut emit: impl FnMut(Row<'_>) -> Result<()>,
+    ) -> Result<()> {
+        let Ctx { engine, txn, .. } = self.ctx;
+        let env = self.ctx.env();
+        // Resolved only now: a table is not touched before its turn.
+        let handle = join.table.open(db)?;
+        let nulls = vec![Value::Null; join.width];
+        let unmatched_survive = join.kind == JoinKind::Left;
+        // Emit `left_row` joined with a row of the new table if ON accepts
+        // the pair (was it?), or — `None` — padded with NULLs.
+        let mut pair = |left_row: &[Value], right_row: Option<&[Value]>| -> Result<bool> {
+            let row = Row::joined(left_row, right_row.unwrap_or(&nulls));
+            let emitted = right_row.is_none() || accepts(&*eval(&join.on, env.with_row(row))?)?;
+            if emitted {
+                emit(row)?;
+            }
+            Ok(emitted)
+        };
+        match &join.strategy {
+            JoinStrategy::IndexLookup { index, key } => {
+                for left_row in left {
+                    let key = key
+                        .iter()
+                        .map(|e| Ok(eval(e, env.with_row(Row::of(left_row)))?.into_owned()))
+                        .collect::<Result<Vec<_>>>()?;
                     let mut matched = false;
-                    for (_, right_row) in &right_rows {
-                        let mut combined = left_row.clone();
-                        combined.extend(right_row.iter().cloned());
-                        if accepts(&eval(&join.on, &layout, &combined, params)?)? {
-                            joined.push(combined);
-                            matched = true;
-                        }
-                    }
-                    if is_left_join && !matched {
-                        let mut combined = left_row.clone();
-                        combined.extend(std::iter::repeat_n(Value::Null, right_width));
-                        joined.push(combined);
+                    engine.lookup_with(txn, &handle, *index, &key, for_update, |rid, row| {
+                        self.note_read(&join.table, rid);
+                        matched |= pair(left_row, Some(row))?;
+                        Ok::<(), SqlError>(())
+                    })?;
+                    if unmatched_survive && !matched {
+                        pair(left_row, None)?;
                     }
                 }
             }
-        }
-        rows = joined;
-    }
-
-    // Residual WHERE (all conjuncts re-applied — access paths are hints).
-    if let Some(filter) = &sel.filter {
-        let mut kept = Vec::with_capacity(rows.len());
-        for r in rows {
-            if accepts(&eval(filter, &layout, &r, params)?)? {
-                kept.push(r);
+            JoinStrategy::Nested(access) => {
+                // Fetch the right side once.
+                let right = self.fetch_all(&join.table, &handle, access, for_update)?;
+                for left_row in left {
+                    let mut matched = false;
+                    for right_row in &right {
+                        matched |= pair(left_row, Some(right_row))?;
+                    }
+                    if unmatched_survive && !matched {
+                        pair(left_row, None)?;
+                    }
+                }
             }
         }
-        rows = kept;
+        Ok(())
     }
 
-    let mut result = project_sort_limit(sel, &layout, rows, params)?;
-    result.touched_reads = touched_reads;
-    Ok(result)
+    // ------------------------------------------------------- UPDATE/DELETE
+
+    /// The `(row_id, row)` pairs the statement applies to, locked for
+    /// update. (What an UPDATE or DELETE looks at is not in its touched
+    /// reads; what it changes is in its touched writes.)
+    fn targets(&self, handle: &TableHandle, target: &Target) -> Result<Vec<(u64, Vec<Value>)>> {
+        let env = self.ctx.env();
+        let mut matched = Vec::new();
+        self.ctx.fetch(handle, &target.access, true, |rid, row| {
+            let keep = match &target.filter {
+                Some(f) => accepts(&*eval(f, env.with_row(Row::of(row)))?)?,
+                None => true,
+            };
+            if keep {
+                matched.push((rid, row.to_vec()));
+            }
+            Ok(())
+        })?;
+        Ok(matched)
+    }
+
+    fn update(&mut self, db: &Arc<Database>, p: &UpdatePlan) -> Result<u64> {
+        let Ctx { engine, txn, .. } = self.ctx;
+        let handle = p.target.table.open(db)?;
+        let targets = self.targets(&handle, &p.target)?;
+        let n = targets.len() as u64;
+        for (rid, old) in targets {
+            let mut new_row = old.clone();
+            // All SET expressions see the *old* row (SQL semantics).
+            for (ord, e) in &p.sets {
+                new_row[*ord] = eval(e, self.ctx.env().with_row(Row::of(&old)))?.into_owned();
+            }
+            engine.update_in(txn, &handle, rid, new_row)?;
+            self.note_write(&p.target.table, rid);
+        }
+        Ok(n)
+    }
+
+    fn delete(&mut self, db: &Arc<Database>, target: &Target) -> Result<u64> {
+        let Ctx { engine, txn, .. } = self.ctx;
+        let handle = target.table.open(db)?;
+        let targets = self.targets(&handle, target)?;
+        let n = targets.len() as u64;
+        for (rid, _) in targets {
+            engine.delete_in(txn, &handle, rid)?;
+            self.note_write(&target.table, rid);
+        }
+        Ok(n)
+    }
 }
 
-/// Output column name for a projected expression.
-fn item_name(item: &SelectItem, i: usize) -> String {
-    match item {
-        SelectItem::Star => "*".into(),
-        SelectItem::Expr { alias: Some(a), .. } => a.clone(),
-        SelectItem::Expr { expr, .. } => match expr {
-            Expr::Column { name, .. } => name.clone(),
-            Expr::Agg { func, .. } => format!("{func:?}").to_lowercase(),
-            _ => format!("col{i}"),
-        },
-    }
+// ---------------------------------------------------- project / group / sort
+
+/// One group of a grouped query: its first row (what non-aggregate
+/// expressions read) and the running aggregates.
+#[derive(Default)]
+struct Group {
+    first: Option<Vec<Value>>,
+    aggs: Vec<AggState>,
 }
 
-fn project_sort_limit(
-    sel: &SelectStmt,
-    layout: &Layout,
-    rows: Vec<Vec<Value>>,
-    params: &[Value],
-) -> Result<QueryResult> {
-    let grouped = !sel.group_by.is_empty()
-        || sel
-            .items
-            .iter()
-            .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.has_aggregate()));
+/// Where the joined, filtered rows of a SELECT end up: projected on the
+/// spot, or folded into their group's aggregates.
+struct Sink<'p> {
+    plan: &'p SelectPlan,
+    env: Env<'p>,
+    /// `(output row, sort keys)`.
+    out: Vec<(Vec<Value>, Vec<Value>)>,
+    groups: BTreeMap<Vec<Value>, Group>,
+    /// Scratch for the group key of the row in hand.
+    key: Vec<Value>,
+}
 
-    // Output column names.
-    let mut columns = Vec::new();
-    for (i, item) in sel.items.iter().enumerate() {
-        match item {
-            SelectItem::Star => columns.extend(layout.all_columns()),
-            _ => columns.push(item_name(item, i)),
-        }
-    }
-
-    // Build (output_row, sort_keys) pairs.
-    let mut out: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
-
-    let project_group = |group: &[Vec<Value>]| -> Result<Vec<Value>> {
-        let mut row = Vec::new();
-        for item in &sel.items {
-            match item {
-                SelectItem::Star => {
-                    let first = group
-                        .first()
-                        .ok_or_else(|| SqlError::Plan("SELECT * over empty group".into()))?;
-                    row.extend(first.iter().cloned());
-                }
-                SelectItem::Expr { expr, .. } => {
-                    row.push(eval_in_group(expr, layout, group, params)?)
-                }
-            }
-        }
-        Ok(row)
-    };
-
-    let sort_keys_for = |output: &[Value], group: &[Vec<Value>]| -> Result<Vec<Value>> {
-        let mut keys = Vec::with_capacity(sel.order_by.len());
-        for k in &sel.order_by {
-            // An unqualified column naming an output column sorts by it.
-            if let Expr::Column { table: None, name } = &k.expr {
-                if let Some(i) = columns.iter().position(|c| c.eq_ignore_ascii_case(name)) {
-                    keys.push(output[i].clone());
-                    continue;
-                }
-            }
-            if grouped {
-                keys.push(eval_in_group(&k.expr, layout, group, params)?);
-            } else {
-                let row = group
-                    .first()
-                    .expect("non-grouped path has one row per group");
-                keys.push(eval(&k.expr, layout, row, params)?);
-            }
-        }
-        Ok(keys)
-    };
-
-    if grouped {
-        let mut groups: BTreeMap<Vec<Value>, Vec<Vec<Value>>> = BTreeMap::new();
-        if sel.group_by.is_empty() {
+impl<'p> Sink<'p> {
+    fn new(plan: &'p SelectPlan, env: Env<'p>) -> Self {
+        let mut groups = BTreeMap::new();
+        if plan.grouping.as_ref().is_some_and(|g| g.keys.is_empty()) {
             // Single implicit group — present even over zero rows.
-            groups.insert(Vec::new(), rows);
-        } else {
-            for r in rows {
-                let mut key = Vec::with_capacity(sel.group_by.len());
-                for g in &sel.group_by {
-                    key.push(eval(g, layout, &r, params)?);
-                }
-                groups.entry(key).or_default().push(r);
-            }
+            groups.insert(Vec::new(), Group::default());
         }
-        for group in groups.values() {
-            if let Some(h) = &sel.having {
-                if !accepts(&eval_in_group(h, layout, group, params)?)? {
-                    continue;
-                }
-            }
-            let output = project_group(group)?;
-            let keys = sort_keys_for(&output, group)?;
-            out.push((output, keys));
-        }
-    } else {
-        if sel.having.is_some() {
-            return Err(SqlError::Plan(
-                "HAVING requires GROUP BY or aggregates".into(),
-            ));
-        }
-        for r in rows {
-            let group = std::slice::from_ref(&r);
-            let mut output = Vec::new();
-            for item in &sel.items {
-                match item {
-                    SelectItem::Star => output.extend(r.iter().cloned()),
-                    SelectItem::Expr { expr, .. } => output.push(eval(expr, layout, &r, params)?),
-                }
-            }
-            let keys = sort_keys_for(&output, group)?;
-            out.push((output, keys));
+        Sink {
+            plan,
+            env,
+            out: Vec::new(),
+            groups,
+            key: Vec::new(),
         }
     }
 
-    // ORDER BY (stable sort, per-key direction).
-    if !sel.order_by.is_empty() {
-        let descs: Vec<bool> = sel.order_by.iter().map(|k| k.desc).collect();
-        out.sort_by(|(_, a), (_, b)| {
-            for ((x, y), desc) in a.iter().zip(b).zip(&descs) {
-                let ord = x.total_cmp(y);
-                if ord != std::cmp::Ordering::Equal {
-                    return if *desc { ord.reverse() } else { ord };
-                }
+    fn push(&mut self, row: Row<'_>) -> Result<()> {
+        let env = self.env.with_row(row);
+        let Some(grouping) = &self.plan.grouping else {
+            let projected = project(self.plan, env, || Ok(row))?;
+            self.out.push(projected);
+            return Ok(());
+        };
+        self.key.clear();
+        for k in &grouping.keys {
+            self.key.push(eval(k, env)?.into_owned());
+        }
+        if !self.groups.contains_key(self.key.as_slice()) {
+            self.groups.insert(self.key.clone(), Group::default());
+        }
+        let group = self
+            .groups
+            .get_mut(self.key.as_slice())
+            .expect("present or just inserted");
+        if group.first.is_none() {
+            group.first = Some(row.to_vec());
+            group
+                .aggs
+                .resize_with(grouping.aggs.len(), AggState::default);
+        }
+        for (state, call) in group.aggs.iter_mut().zip(&grouping.aggs) {
+            state.feed(call, env);
+        }
+        Ok(())
+    }
+
+    fn finish(mut self) -> Result<Vec<Vec<Value>>> {
+        let p = self.plan;
+        if let Some(grouping) = &p.grouping {
+            for group in std::mem::take(&mut self.groups).into_values() {
+                self.finish_group(grouping, group)?;
             }
-            std::cmp::Ordering::Equal
+        }
+        let mut out = self.out;
+        // ORDER BY (stable sort, per-key direction).
+        if !p.order_by.is_empty() {
+            out.sort_by(|(_, a), (_, b)| {
+                for ((x, y), key) in a.iter().zip(b).zip(&p.order_by) {
+                    let ord = x.total_cmp(y);
+                    if ord != Ordering::Equal {
+                        return if key.desc { ord.reverse() } else { ord };
+                    }
+                }
+                Ordering::Equal
+            });
+        }
+        let mut rows: Vec<Vec<Value>> = out.into_iter().map(|(r, _)| r).collect();
+        if p.distinct {
+            // Preserve first occurrence order (stable distinct).
+            let mut seen = BTreeSet::new();
+            rows.retain(|r| seen.insert(r.clone()));
+        }
+        if let Some(limit) = p.limit {
+            rows.truncate(limit as usize);
+        }
+        Ok(rows)
+    }
+
+    fn finish_group(&mut self, grouping: &Grouping, group: Group) -> Result<()> {
+        let mut states = group.aggs;
+        // A group that saw no row (the implicit one) still has aggregates.
+        states.resize_with(grouping.aggs.len(), AggState::default);
+        let aggs: Vec<Result<Value>> = states
+            .into_iter()
+            .zip(&grouping.aggs)
+            .map(|(state, call)| state.finish(call.func))
+            .collect();
+        let first = group.first.as_deref();
+        let env = Env {
+            row: Row::of(first.unwrap_or_default()),
+            aggs: &aggs,
+            ..self.env
+        };
+        if let Some(h) = &grouping.having {
+            if !accepts(&*eval(h, env)?)? {
+                return Ok(());
+            }
+        }
+        let projected = project(self.plan, env, || {
+            first
+                .map(Row::of)
+                .ok_or_else(|| SqlError::Plan("SELECT * over empty group".into()))
+        })?;
+        self.out.push(projected);
+        Ok(())
+    }
+}
+
+/// The output row and its sort keys. `star` yields the row `*` expands to.
+fn project<'r>(
+    plan: &SelectPlan,
+    env: Env<'_>,
+    star: impl Fn() -> Result<Row<'r>>,
+) -> Result<(Vec<Value>, Vec<Value>)> {
+    let mut output = Vec::with_capacity(plan.items.len());
+    for item in &plan.items {
+        match item {
+            Item::Star => output.extend(star()?.iter().cloned()),
+            Item::Expr(e) => output.push(eval(e, env)?.into_owned()),
+        }
+    }
+    let mut keys = Vec::with_capacity(plan.order_by.len());
+    for k in &plan.order_by {
+        keys.push(match &k.by {
+            SortBy::Output(i) => output[*i].clone(),
+            SortBy::Expr(e) => eval(e, env)?.into_owned(),
         });
     }
-
-    let mut rows: Vec<Vec<Value>> = out.into_iter().map(|(r, _)| r).collect();
-    if sel.distinct {
-        // Preserve first occurrence order (stable distinct).
-        let mut seen = std::collections::BTreeSet::new();
-        rows.retain(|r| seen.insert(r.clone()));
-    }
-    if let Some(limit) = sel.limit {
-        rows.truncate(limit as usize);
-    }
-    Ok(QueryResult {
-        columns,
-        rows,
-        ..Default::default()
-    })
+    Ok((output, keys))
 }
 
-// ------------------------------------------------------------ UPDATE/DELETE
-
-/// Find the `(row_id, row)` pairs of `table` matching `filter`, locking them
-/// for update.
-fn target_rows(
-    engine: &Engine,
-    txn: TxnId,
-    db: &str,
-    table: &str,
-    filter: Option<&Expr>,
-    params: &[Value],
-) -> Result<(Layout, RowSet)> {
-    let schema = engine.table(db, table)?.schema.clone();
-    let mut layout = Layout::new();
-    layout.push_table(
-        table,
-        schema.columns.iter().map(|c| c.name.clone()).collect(),
-    );
-    let conjuncts: Vec<&Expr> = filter.map(|f| f.conjuncts()).unwrap_or_default();
-    let access = choose_access(&schema, table, &conjuncts, params)?;
-    let fetched = fetch(engine, txn, db, table, &access, true)?;
-    let mut matched = Vec::new();
-    for (rid, row) in fetched {
-        let keep = match filter {
-            None => true,
-            Some(f) => accepts(&eval(f, &layout, &row, params)?)?,
-        };
-        if keep {
-            matched.push((rid, row));
-        }
-    }
-    Ok((layout, matched))
-}
-
-fn run_update(
-    engine: &Engine,
-    txn: TxnId,
-    db: &str,
-    table: &str,
-    sets: &[(String, Expr)],
-    filter: Option<&Expr>,
-    params: &[Value],
-) -> Result<QueryResult> {
-    let schema = engine.table(db, table)?.schema.clone();
-    // Validate SET columns up front.
-    let set_ords: Vec<usize> = sets
-        .iter()
-        .map(|(c, _)| {
-            schema
-                .column_index(c)
-                .ok_or_else(|| SqlError::Plan(format!("unknown column in SET: {c}")))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let (layout, targets) = target_rows(engine, txn, db, table, filter, params)?;
-    let mut n = 0u64;
-    let mut writes = Vec::new();
-    for (rid, old) in targets {
-        let mut new_row = old.clone();
-        // All SET expressions see the *old* row (SQL semantics).
-        for (ord, (_, e)) in set_ords.iter().zip(sets) {
-            new_row[*ord] = eval(e, &layout, &old, params)?;
-        }
-        engine.update(txn, db, table, rid, new_row)?;
-        writes.push((table.to_string(), rid));
-        n += 1;
-    }
-    Ok(QueryResult {
-        rows_affected: n,
-        touched_writes: writes,
-        ..Default::default()
-    })
-}
-
-fn run_delete(
-    engine: &Engine,
-    txn: TxnId,
-    db: &str,
-    table: &str,
-    filter: Option<&Expr>,
-    params: &[Value],
-) -> Result<QueryResult> {
-    let (_, targets) = target_rows(engine, txn, db, table, filter, params)?;
-    let mut n = 0u64;
-    let mut writes = Vec::new();
-    for (rid, _) in targets {
-        engine.delete(txn, db, table, rid)?;
-        writes.push((table.to_string(), rid));
-        n += 1;
-    }
-    Ok(QueryResult {
-        rows_affected: n,
-        touched_writes: writes,
-        ..Default::default()
-    })
-}
+// Every statement of the unit corpus below that goes through
+// `execute_checked` also runs its plan's forced-scan reference and must
+// agree with it; the tests that observe locks call the bare `execute`.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
 
 #[cfg(test)]
 mod tests {
+    use super::common::execute_checked;
     use super::*;
     use tenantdb_storage::EngineConfig;
 
@@ -790,7 +574,7 @@ mod tests {
         let e = Engine::new(EngineConfig::for_tests());
         e.create_database("shop").unwrap();
         let run = |sql: &str| {
-            e.with_txn(|t| execute(&e, t, "shop", sql, &[]).map_err(storage_err))
+            e.with_txn(|t| execute_checked(&e, t, "shop", sql, &[]).map_err(storage_err))
                 .unwrap();
         };
         run("CREATE TABLE items (id INT NOT NULL, title TEXT, price FLOAT, stock INT, PRIMARY KEY (id))");
@@ -798,7 +582,7 @@ mod tests {
         run("CREATE INDEX by_item ON orders (item_id)");
         for i in 0..10 {
             e.with_txn(|t| {
-                execute(
+                execute_checked(
                     &e,
                     t,
                     "shop",
@@ -816,7 +600,7 @@ mod tests {
         }
         for (oid, item, qty) in [(1, 2, 3), (2, 2, 1), (3, 5, 7)] {
             e.with_txn(|t| {
-                execute(
+                execute_checked(
                     &e,
                     t,
                     "shop",
@@ -840,7 +624,7 @@ mod tests {
 
     fn query(e: &Engine, sql: &str, params: &[Value]) -> QueryResult {
         let txn = e.begin().unwrap();
-        let r = execute(e, txn, "shop", sql, params).unwrap();
+        let r = execute_checked(e, txn, "shop", sql, params).unwrap();
         e.commit(txn).unwrap();
         r
     }
@@ -849,7 +633,7 @@ mod tests {
     fn point_select_by_pk() {
         let e = setup();
         let r = query(&e, "SELECT title, price FROM items WHERE id = 3", &[]);
-        assert_eq!(r.columns, vec!["title", "price"]);
+        assert_eq!(*r.columns, ["title", "price"]);
         assert_eq!(
             r.rows,
             vec![vec![Value::Text("item-3".into()), Value::Float(3.5)]]
@@ -932,7 +716,7 @@ mod tests {
              GROUP BY item_id ORDER BY item_id",
             &[],
         );
-        assert_eq!(r.columns, vec!["item_id", "n", "total"]);
+        assert_eq!(*r.columns, ["item_id", "n", "total"]);
         assert_eq!(
             r.rows,
             vec![
@@ -960,7 +744,7 @@ mod tests {
     fn count_on_empty_table_is_zero() {
         let e = setup();
         e.with_txn(|t| {
-            execute(&e, t, "shop", "CREATE TABLE empty_t (x INT)", &[]).map_err(storage_err)
+            execute_checked(&e, t, "shop", "CREATE TABLE empty_t (x INT)", &[]).map_err(storage_err)
         })
         .unwrap();
         let r = query(&e, "SELECT COUNT(*) FROM empty_t", &[]);
@@ -971,7 +755,7 @@ mod tests {
     fn update_with_expression() {
         let e = setup();
         let txn = e.begin().unwrap();
-        let r = execute(
+        let r = execute_checked(
             &e,
             txn,
             "shop",
@@ -989,7 +773,7 @@ mod tests {
     fn update_all_rows_without_where() {
         let e = setup();
         let txn = e.begin().unwrap();
-        let r = execute(&e, txn, "shop", "UPDATE orders SET qty = 0", &[]).unwrap();
+        let r = execute_checked(&e, txn, "shop", "UPDATE orders SET qty = 0", &[]).unwrap();
         assert_eq!(r.rows_affected, 3);
         e.commit(txn).unwrap();
         let r = query(&e, "SELECT SUM(qty) FROM orders", &[]);
@@ -1000,7 +784,8 @@ mod tests {
     fn delete_with_filter() {
         let e = setup();
         let txn = e.begin().unwrap();
-        let r = execute(&e, txn, "shop", "DELETE FROM orders WHERE item_id = 2", &[]).unwrap();
+        let r =
+            execute_checked(&e, txn, "shop", "DELETE FROM orders WHERE item_id = 2", &[]).unwrap();
         assert_eq!(r.rows_affected, 2);
         e.commit(txn).unwrap();
         let r = query(&e, "SELECT COUNT(*) FROM orders", &[]);
@@ -1030,7 +815,7 @@ mod tests {
     fn insert_with_column_list_fills_nulls() {
         let e = setup();
         e.with_txn(|t| {
-            execute(
+            execute_checked(
                 &e,
                 t,
                 "shop",
@@ -1048,7 +833,7 @@ mod tests {
     fn unique_violation_via_sql() {
         let e = setup();
         let txn = e.begin().unwrap();
-        let err = execute(
+        let err = execute_checked(
             &e,
             txn,
             "shop",
@@ -1067,7 +852,7 @@ mod tests {
     fn unknown_column_is_plan_error() {
         let e = setup();
         let txn = e.begin().unwrap();
-        let err = execute(&e, txn, "shop", "SELECT nope FROM items", &[]).unwrap_err();
+        let err = execute_checked(&e, txn, "shop", "SELECT nope FROM items", &[]).unwrap_err();
         assert!(matches!(err, SqlError::Plan(_)));
         e.abort(txn).unwrap();
     }
@@ -1121,7 +906,7 @@ mod tests {
     fn three_way_join() {
         let e = setup();
         e.with_txn(|t| {
-            execute(
+            execute_checked(
                 &e,
                 t,
                 "shop",
@@ -1129,9 +914,9 @@ mod tests {
                 &[],
             )
             .map_err(storage_err)?;
-            execute(&e, t, "shop", "INSERT INTO users VALUES (1, 'ada')", &[])
+            execute_checked(&e, t, "shop", "INSERT INTO users VALUES (1, 'ada')", &[])
                 .map_err(storage_err)?;
-            execute(
+            execute_checked(
                 &e,
                 t,
                 "shop",
@@ -1139,7 +924,7 @@ mod tests {
                 &[],
             )
             .map_err(storage_err)?;
-            execute(&e, t, "shop", "INSERT INTO order_users VALUES (1, 1)", &[])
+            execute_checked(&e, t, "shop", "INSERT INTO order_users VALUES (1, 1)", &[])
                 .map_err(storage_err)?;
             Ok(())
         })

@@ -7,6 +7,20 @@
 //! genuine strict-2PL locks, deadlock, and participate in 2PC like the
 //! paper's MySQL substrate.
 //!
+//! Planning and execution are two steps with a value in between:
+//!
+//! * [`plan()`]`(engine, db, &Statement) -> `[`Plan`] binds a statement to a
+//!   database's schema once — table names, column references as row
+//!   offsets, access paths as templates over the `?` slots, join strategy,
+//!   projection, output column names, [`Plan::class`] and
+//!   [`Plan::locked_tables`];
+//! * [`run`]`(engine, txn, &Plan, params)` is the only executor: it walks the
+//!   plan, any number of times, with any parameter values, from any thread
+//!   ([`run_recording`] is the same walk, also reporting the rows touched).
+//!
+//! [`execute`] / [`execute_stmt`] are the uncached `plan` + `run`; the
+//! cluster controller keeps `Arc<Plan>`s per database instead.
+//!
 //! Supported dialect: `CREATE TABLE` (with `PRIMARY KEY`), `CREATE [UNIQUE]
 //! INDEX`, multi-row `INSERT`, `SELECT` with inner joins / `WHERE` /
 //! `GROUP BY` + aggregates / `ORDER BY` / `LIMIT` / `FOR UPDATE`, searched
@@ -30,6 +44,11 @@
 //! engine.commit(txn).unwrap();
 //! ```
 
+// `tests/common` is written against the public API and shared with the unit
+// tests, which reach this crate under the name its users do.
+#[cfg(test)]
+extern crate self as tenantdb_sql;
+
 pub mod ast;
 pub mod display;
 pub mod error;
@@ -37,8 +56,10 @@ pub mod eval;
 pub mod exec;
 pub mod lexer;
 pub mod parser;
+pub mod plan;
 
 pub use ast::{Statement, StatementClass};
 pub use error::{Result, SqlError};
-pub use exec::{execute, execute_stmt, QueryResult};
+pub use exec::{execute, execute_stmt, run, run_recording, QueryResult};
 pub use parser::{param_count, parse};
+pub use plan::{plan, Plan};

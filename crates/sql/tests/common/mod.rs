@@ -1,0 +1,560 @@
+//! Shared by the SQL test suites (this crate's unit and integration tests,
+//! and `crates/tpcw/tests/plans.rs`, which `#[path]`-include it): the
+//! differential check "a plan can never change results", and the seeded
+//! statement generator behind the round-trip and plan fuzz tests.
+//!
+//! The reference is the chosen plan itself with every access path forced
+//! to a table scan and every join to a nested loop over scans
+//! (`Plan::forcing_scans`): residual predicates decide the result, so the
+//! two must agree wherever SQL defines the result.
+
+#![allow(dead_code)] // each including suite uses its own part
+
+use tenantdb_sql::ast::{Expr, SelectItem, SelectStmt, Statement, StatementClass};
+use tenantdb_sql::{parse, plan, run, QueryResult, Result};
+use tenantdb_storage::{Engine, TxnId, Value};
+
+/// `tenantdb_sql::execute`, plus the differential check: panics if the
+/// chosen plan and its forced-scan reference disagree. Reads run both in
+/// `txn`; a write runs its reference first in a transaction of its own,
+/// which is aborted, so only the chosen plan's effects stay. (Both take
+/// table-level locks in passing — tests that observe locks call `execute`.)
+pub fn execute_checked(
+    engine: &Engine,
+    txn: TxnId,
+    db: &str,
+    sql: &str,
+    params: &[Value],
+) -> Result<QueryResult> {
+    let stmt = parse(sql)?;
+    let chosen = plan(engine, db, &stmt)?;
+    let reference = chosen.forcing_scans();
+    if reference == chosen {
+        // Nothing was chosen (DDL, INSERT, a plan that scans anyway).
+        return run(engine, txn, &chosen, params);
+    }
+    match &stmt {
+        Statement::Select(sel) => {
+            let got = run(engine, txn, &chosen, params);
+            let expected = run(engine, txn, &reference, params);
+            if let (Ok(got), Ok(expected)) = (&got, &expected) {
+                if let Err(why) = same_result(sel, got, expected) {
+                    panic!("plan changed the result of {sql} {params:?}: {why}");
+                }
+            }
+            got
+        }
+        _ => {
+            assert_eq!(stmt.class(), StatementClass::Write);
+            let table = chosen.locked_tables()[0].as_str();
+            let after = |t: TxnId, r: QueryResult| -> Result<_> {
+                Ok((r.rows_affected, engine.scan(t, db, table)?))
+            };
+            let ref_txn = engine.begin()?;
+            let expected = run(engine, ref_txn, &reference, params).and_then(|r| after(ref_txn, r));
+            engine.abort(ref_txn)?;
+            let got = run(engine, txn, &chosen, params)?;
+            if let Ok(expected) = expected {
+                let got = after(txn, got.clone())?;
+                assert_eq!(got, expected, "plan changed the effect of {sql} {params:?}");
+            }
+            Ok(got)
+        }
+    }
+}
+
+/// Do two results of `sel` agree wherever SQL defines the result? Row order
+/// is defined only by ORDER BY (and only up to ties), and which rows a
+/// LIMIT keeps only by that order.
+pub fn same_result(
+    sel: &SelectStmt,
+    got: &QueryResult,
+    expected: &QueryResult,
+) -> std::result::Result<(), String> {
+    if got.columns != expected.columns {
+        return Err(format!(
+            "columns {:?} vs {:?}",
+            got.columns, expected.columns
+        ));
+    }
+    if got.rows.len() != expected.rows.len() {
+        return Err(format!(
+            "{} rows vs {}",
+            got.rows.len(),
+            expected.rows.len()
+        ));
+    }
+    let cut = sel.limit.is_some_and(|l| expected.rows.len() as u64 >= l);
+    // ORDER BY keys that are output columns: both must list them alike.
+    let keys: Vec<usize> = sel
+        .order_by
+        .iter()
+        .filter_map(|k| match &k.expr {
+            Expr::Column { table: None, name } => got
+                .columns
+                .iter()
+                .position(|c| c.eq_ignore_ascii_case(name)),
+            _ => None,
+        })
+        .collect();
+    if keys.len() == sel.order_by.len() {
+        let project = |r: &QueryResult| -> Vec<Vec<Value>> {
+            r.rows
+                .iter()
+                .map(|row| keys.iter().map(|&i| row[i].clone()).collect())
+                .collect()
+        };
+        if project(got) != project(expected) {
+            return Err(format!(
+                "order: {:?} vs {:?}",
+                project(got),
+                project(expected)
+            ));
+        }
+    }
+    // Rows a group takes from "its first row" depend on the fetch order.
+    let first_row_dependent = !sel.group_by.is_empty()
+        && sel.items.iter().any(|i| match i {
+            SelectItem::Star => true,
+            SelectItem::Expr { expr, .. } => !expr.has_aggregate() && !sel.group_by.contains(expr),
+        });
+    if !cut && !first_row_dependent {
+        let sorted = |r: &QueryResult| {
+            let mut rows = r.rows.clone();
+            rows.sort();
+            rows
+        };
+        if sorted(got) != sorted(expected) {
+            return Err(format!("rows {:?} vs {:?}", got.rows, expected.rows));
+        }
+    }
+    Ok(())
+}
+
+/// Seeded statement generator (on `compat-rand`, so it runs offline and in
+/// CI). Statements are built over a [`gen::Vocab`] — random names for the
+/// print/parse round trip, a real schema's for the plan fuzz — and typed
+/// loosely enough to exercise every expression form while still evaluating
+/// without a type error most of the time.
+pub mod gen {
+    use rand::rngs::StdRng;
+    use rand::Rng;
+    use tenantdb_sql::ast::*;
+    use tenantdb_storage::{DataType, Value};
+
+    /// The tables statements may name: `(table, [(column, type)])`.
+    pub type Vocab = Vec<(String, Vec<(String, DataType)>)>;
+
+    /// Lowercase identifiers that are not keywords of the dialect.
+    pub fn ident(rng: &mut StdRng) -> String {
+        const KEYWORDS: &[&str] = &[
+            "select", "from", "where", "group", "by", "having", "order", "limit", "for", "update",
+            "delete", "insert", "into", "values", "create", "table", "index", "on", "join",
+            "inner", "left", "outer", "and", "or", "not", "in", "like", "between", "is", "null",
+            "as", "set", "distinct", "primary", "key", "unique", "count", "sum", "avg", "min",
+            "max", "true", "false", "coalesce", "abs", "length", "upper", "lower", "substr",
+            "desc", "asc", "int", "text", "float", "bool",
+        ];
+        loop {
+            let len = rng.gen_range(1..=7usize);
+            let mut s = String::new();
+            for i in 0..len {
+                let c = match rng.gen_range(0..if i == 0 { 26 } else { 37u32 }) {
+                    n @ 0..=25 => (b'a' + n as u8) as char,
+                    n @ 26..=35 => (b'0' + (n - 26) as u8) as char,
+                    _ => '_',
+                };
+                s.push(c);
+            }
+            if !KEYWORDS.contains(&s.as_str()) {
+                return s;
+            }
+        }
+    }
+
+    /// A vocabulary of random names (two tables, a few typed columns each).
+    pub fn random_vocab(rng: &mut StdRng) -> Vocab {
+        (0..2)
+            .map(|_| {
+                let cols = (0..rng.gen_range(2..5usize))
+                    .map(|i| {
+                        let ty = if i % 2 == 0 {
+                            DataType::Int
+                        } else {
+                            DataType::Text
+                        };
+                        (ident(rng), ty)
+                    })
+                    .collect();
+                (ident(rng), cols)
+            })
+            .collect()
+    }
+
+    /// The types of the `?` slots of a generated statement, in text order.
+    pub type Slots = Vec<DataType>;
+
+    /// Draw parameter values for `slots`: small domains (so equalities hit,
+    /// ranges are often empty or whole) and the occasional NULL.
+    pub fn draw_params(rng: &mut StdRng, slots: &Slots) -> Vec<Value> {
+        slots
+            .iter()
+            .map(|ty| {
+                if rng.gen_bool(0.1) {
+                    return Value::Null;
+                }
+                match ty {
+                    DataType::Text => Value::Text(format!("s{}", rng.gen_range(0..6))),
+                    _ => Value::Int(rng.gen_range(-2..14)),
+                }
+            })
+            .collect()
+    }
+
+    struct Gen<'a> {
+        rng: &'a mut StdRng,
+        /// Columns in scope: `(qualifier, column, type)`.
+        scope: Vec<(Option<String>, String, DataType)>,
+        slots: Slots,
+        /// May `?` appear? (Only where the printer keeps text order.)
+        params: bool,
+    }
+
+    impl Gen<'_> {
+        fn column(&mut self, ty: DataType) -> Option<Expr> {
+            let candidates: Vec<_> = self.scope.iter().filter(|c| c.2 == ty).collect();
+            if candidates.is_empty() {
+                return None;
+            }
+            let (table, name, _) = candidates[self.rng.gen_range(0..candidates.len())].clone();
+            Some(Expr::Column { table, name })
+        }
+
+        /// A `?`, a literal, or (rarely) NULL.
+        fn constant(&mut self, ty: DataType) -> Expr {
+            if self.params && self.rng.gen_bool(0.5) {
+                self.slots.push(ty);
+                return Expr::Param(self.slots.len() - 1);
+            }
+            Expr::Literal(match ty {
+                _ if self.rng.gen_bool(0.08) => Value::Null,
+                DataType::Text => Value::Text(format!("s{}", self.rng.gen_range(0..6))),
+                _ => Value::Int(self.rng.gen_range(-2..14)),
+            })
+        }
+
+        fn leaf(&mut self, ty: DataType) -> Expr {
+            if self.rng.gen_bool(0.5) {
+                if let Some(c) = self.column(ty) {
+                    return c;
+                }
+            }
+            self.constant(ty)
+        }
+
+        fn value(&mut self, ty: DataType, depth: u32) -> Expr {
+            if depth == 0 || self.rng.gen_bool(0.5) {
+                return self.leaf(ty);
+            }
+            let bin = |g: &mut Self, op| Expr::Binary {
+                op,
+                left: Box::new(g.value(ty, depth - 1)),
+                right: Box::new(g.value(ty, depth - 1)),
+            };
+            let func = |g: &mut Self, func, of| Expr::Func {
+                func,
+                args: vec![g.value(of, depth - 1)],
+            };
+            match (ty, self.rng.gen_range(0..8)) {
+                (DataType::Text, 0..=2) => func(self, ScalarFunc::Upper, DataType::Text),
+                (DataType::Text, 3..=4) => func(self, ScalarFunc::Lower, DataType::Text),
+                (DataType::Text, _) => Expr::Func {
+                    func: ScalarFunc::Coalesce,
+                    args: vec![self.value(ty, depth - 1), self.leaf(ty)],
+                },
+                (_, 0) => bin(self, BinOp::Add),
+                (_, 1) => bin(self, BinOp::Sub),
+                (_, 2) => bin(self, BinOp::Mul),
+                (_, 3) => bin(self, BinOp::Div),
+                (_, 4) => bin(self, BinOp::Mod),
+                (_, 5) => func(self, ScalarFunc::Abs, DataType::Int),
+                (_, 6) => func(self, ScalarFunc::Length, DataType::Text),
+                _ => Expr::Func {
+                    func: ScalarFunc::Coalesce,
+                    args: vec![self.value(ty, depth - 1), self.leaf(ty)],
+                },
+            }
+        }
+
+        fn predicate(&mut self, depth: u32) -> Expr {
+            let ty = if self.rng.gen_bool(0.7) {
+                DataType::Int
+            } else {
+                DataType::Text
+            };
+            if depth > 0 && self.rng.gen_bool(0.4) {
+                return match self.rng.gen_range(0..5) {
+                    0 | 1 => Expr::Binary {
+                        op: BinOp::And,
+                        left: Box::new(self.predicate(depth - 1)),
+                        right: Box::new(self.predicate(depth - 1)),
+                    },
+                    2 | 3 => Expr::Binary {
+                        op: BinOp::Or,
+                        left: Box::new(self.predicate(depth - 1)),
+                        right: Box::new(self.predicate(depth - 1)),
+                    },
+                    _ => Expr::Unary {
+                        op: UnaryOp::Not,
+                        expr: Box::new(self.predicate(depth - 1)),
+                    },
+                };
+            }
+            match self.rng.gen_range(0..10) {
+                0 => Expr::IsNull {
+                    expr: Box::new(self.value(ty, 1)),
+                    negated: self.rng.gen_bool(0.5),
+                },
+                1 => Expr::InList {
+                    expr: Box::new(self.value(ty, 1)),
+                    list: (0..self.rng.gen_range(1..4))
+                        .map(|_| self.leaf(ty))
+                        .collect(),
+                    negated: self.rng.gen_bool(0.3),
+                },
+                2 => Expr::Like {
+                    expr: Box::new(self.value(DataType::Text, 1)),
+                    pattern: Box::new(Expr::Literal(Value::Text(
+                        ["s%", "%1", "s_", "%"][self.rng.gen_range(0..4usize)].into(),
+                    ))),
+                    negated: self.rng.gen_bool(0.3),
+                },
+                _ => {
+                    const CMP: [BinOp; 6] = [
+                        BinOp::Eq,
+                        BinOp::Eq,
+                        BinOp::NotEq,
+                        BinOp::Lt,
+                        BinOp::LtEq,
+                        BinOp::Gt,
+                    ];
+                    let op = if self.rng.gen_bool(0.15) {
+                        BinOp::GtEq
+                    } else {
+                        CMP[self.rng.gen_range(0..CMP.len())]
+                    };
+                    // Mostly `column <op> leaf` (either way round) — the
+                    // shape access paths are chosen from.
+                    let (l, r) = if self.rng.gen_bool(0.7) {
+                        let col = self.column(ty).unwrap_or_else(|| self.leaf(ty));
+                        (col, self.constant(ty))
+                    } else {
+                        (self.value(ty, 1), self.value(ty, 1))
+                    };
+                    let (left, right) = if self.rng.gen_bool(0.25) {
+                        (r, l)
+                    } else {
+                        (l, r)
+                    };
+                    Expr::Binary {
+                        op,
+                        left: Box::new(left),
+                        right: Box::new(right),
+                    }
+                }
+            }
+        }
+    }
+
+    fn qualified(
+        vocab: &Vocab,
+        table: usize,
+        alias: Option<&str>,
+    ) -> Vec<(Option<String>, String, DataType)> {
+        let (name, cols) = &vocab[table];
+        let q = alias.unwrap_or(name).to_string();
+        cols.iter()
+            .map(|(c, ty)| (Some(q.clone()), c.clone(), *ty))
+            .collect()
+    }
+
+    /// A SELECT over `vocab`'s first table, sometimes joined to its second
+    /// on `join_on` (`(second.col, first.col)`), sometimes grouped, ordered
+    /// by output columns only (so its order is checkable), with `?` slots
+    /// in its WHERE clause.
+    pub fn select(
+        rng: &mut StdRng,
+        vocab: &Vocab,
+        join_on: Option<(&str, &str)>,
+    ) -> (Statement, Slots) {
+        let joined = join_on.filter(|_| vocab.len() > 1 && rng.gen_bool(0.35));
+        let alias = |rng: &mut StdRng, a: &str| rng.gen_bool(0.5).then(|| a.to_string());
+        let (a0, a1) = (alias(rng, "x"), alias(rng, "y"));
+        let mut scope = qualified(vocab, 0, a0.as_deref());
+        let mut joins = Vec::new();
+        if let Some((right_col, left_col)) = joined {
+            let col = |t: usize, a: &Option<String>, c: &str| Expr::Column {
+                table: Some(a.clone().unwrap_or_else(|| vocab[t].0.clone())),
+                name: c.to_string(),
+            };
+            joins.push(Join {
+                kind: if rng.gen_bool(0.4) {
+                    JoinKind::Left
+                } else {
+                    JoinKind::Inner
+                },
+                table: TableRef {
+                    name: vocab[1].0.clone(),
+                    alias: a1.clone(),
+                },
+                on: Expr::Binary {
+                    op: BinOp::Eq,
+                    left: Box::new(col(1, &a1, right_col)),
+                    right: Box::new(col(0, &a0, left_col)),
+                },
+            });
+            scope.extend(qualified(vocab, 1, a1.as_deref()));
+        } else if rng.gen_bool(0.5) {
+            // One table: unqualified references resolve too.
+            for c in &mut scope {
+                c.0 = None;
+            }
+        }
+        let mut g = Gen {
+            rng,
+            scope,
+            slots: Vec::new(),
+            params: false,
+        };
+        let grouped = g.rng.gen_bool(0.25);
+        let mut items = Vec::new();
+        let mut group_by = Vec::new();
+        if grouped {
+            let key = g
+                .column(DataType::Int)
+                .expect("every table has an INT column");
+            group_by.push(key.clone());
+            items.push(SelectItem::Expr {
+                expr: key,
+                alias: Some("k".into()),
+            });
+            for (i, func) in [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max]
+                .into_iter()
+                .enumerate()
+            {
+                if g.rng.gen_bool(0.5) {
+                    let arg = (func != AggFunc::Count || g.rng.gen_bool(0.5))
+                        .then(|| Box::new(g.column(DataType::Int).expect("INT column")));
+                    items.push(SelectItem::Expr {
+                        expr: Expr::Agg { func, arg },
+                        alias: Some(format!("g{i}")),
+                    });
+                }
+            }
+        } else {
+            for i in 0..g.rng.gen_range(1..4) {
+                let ty = if g.rng.gen_bool(0.7) {
+                    DataType::Int
+                } else {
+                    DataType::Text
+                };
+                items.push(SelectItem::Expr {
+                    expr: g.value(ty, 1),
+                    alias: Some(format!("c{i}")),
+                });
+            }
+        }
+        g.params = true;
+        let filter = g.rng.gen_bool(0.85).then(|| g.predicate(2));
+        let output: Vec<String> = items
+            .iter()
+            .map(|i| match i {
+                SelectItem::Expr { alias: Some(a), .. } => a.clone(),
+                _ => unreachable!("every generated item is aliased"),
+            })
+            .collect();
+        let order_by: Vec<OrderKey> = if g.rng.gen_bool(0.5) {
+            (0..g.rng.gen_range(1..=output.len().min(2)))
+                .map(|_| OrderKey {
+                    expr: Expr::Column {
+                        table: None,
+                        name: output[g.rng.gen_range(0..output.len())].clone(),
+                    },
+                    desc: g.rng.gen_bool(0.5),
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let stmt = Statement::Select(SelectStmt {
+            distinct: !grouped && g.rng.gen_bool(0.15),
+            items,
+            from: TableRef {
+                name: vocab[0].0.clone(),
+                alias: a0,
+            },
+            joins,
+            filter,
+            group_by,
+            having: None,
+            order_by,
+            limit: g.rng.gen_bool(0.3).then(|| g.rng.gen_range(0..8)),
+            for_update: false,
+        });
+        (stmt, g.slots)
+    }
+
+    /// An UPDATE or DELETE over `vocab`'s first table, `?` slots in SET
+    /// values and WHERE.
+    pub fn write(rng: &mut StdRng, vocab: &Vocab, settable: &[&str]) -> (Statement, Slots) {
+        let (table, cols) = &vocab[0];
+        let mut g = Gen {
+            rng,
+            scope: cols.iter().map(|(c, ty)| (None, c.clone(), *ty)).collect(),
+            slots: Vec::new(),
+            params: true,
+        };
+        let sets: Vec<(String, Expr)> = if g.rng.gen_bool(0.7) {
+            (0..g.rng.gen_range(1..3))
+                .map(|_| {
+                    let col = settable[g.rng.gen_range(0..settable.len())];
+                    let ty = cols.iter().find(|c| c.0 == col).expect("settable column").1;
+                    (col.to_string(), g.value(ty, 1))
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let filter = g.rng.gen_bool(0.9).then(|| g.predicate(2));
+        let stmt = if sets.is_empty() {
+            Statement::Delete {
+                table: table.clone(),
+                filter,
+            }
+        } else {
+            Statement::Update {
+                table: table.clone(),
+                sets,
+                filter,
+            }
+        };
+        (stmt, g.slots)
+    }
+
+    /// Any expression form, nested to `depth`, over random names.
+    pub fn expr(rng: &mut StdRng, depth: u32) -> Expr {
+        let vocab = random_vocab(rng);
+        let mut scope = qualified(&vocab, 0, None);
+        scope.extend(qualified(&vocab, 1, None).into_iter().map(|mut c| {
+            c.0 = None;
+            c
+        }));
+        Gen {
+            rng,
+            scope,
+            slots: Vec::new(),
+            params: true,
+        }
+        .predicate(depth)
+    }
+}

@@ -1,7 +1,10 @@
 //! Tests for the extended dialect: DISTINCT, HAVING, LEFT JOIN, and scalar
-//! functions.
+//! functions. Every statement also runs its plan's forced-scan reference
+//! and must agree with it (`common::execute_checked`).
 
-use tenantdb_sql::execute;
+mod common;
+
+use common::execute_checked as execute;
 use tenantdb_storage::{Engine, EngineConfig, Value};
 
 fn setup() -> Engine {

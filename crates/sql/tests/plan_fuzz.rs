@@ -1,0 +1,211 @@
+//! Plans can never change results: generated statements over a small
+//! schema with every kind of index, run through the chosen plan and through
+//! its forced-scan reference (`common::execute_checked`), with parameter
+//! draws that include NULL keys and empty ranges; and a plan value reused
+//! across a thousand draws answers like a plan bound fresh for each.
+
+mod common;
+
+use common::{execute_checked, gen};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use tenantdb_sql::{execute, parse, plan, run, SqlError};
+use tenantdb_storage::{DataType, Engine, EngineConfig, Value};
+
+const DB: &str = "db";
+
+/// `t` (pk `id`, single-column indexes on `a` and `s`, a composite one on
+/// `(a, b)`, NULLs in `a`, `b` and `s`) and `u` (pk `id`, index on `t_id`).
+fn engine() -> Engine {
+    let e = Engine::new(EngineConfig::for_tests());
+    e.create_database(DB).unwrap();
+    let txn = e.begin().unwrap();
+    let ddl = |sql: &str| {
+        execute(&e, txn, DB, sql, &[]).unwrap();
+    };
+    ddl("CREATE TABLE t (id INT NOT NULL, a INT, b INT, s TEXT, PRIMARY KEY (id))");
+    ddl("CREATE INDEX by_a ON t (a)");
+    ddl("CREATE INDEX by_s ON t (s)");
+    ddl("CREATE INDEX by_ab ON t (a, b)");
+    ddl("CREATE TABLE u (id INT NOT NULL, t_id INT, v INT, PRIMARY KEY (id))");
+    ddl("CREATE INDEX by_t ON u (t_id)");
+    let rng = &mut StdRng::seed_from_u64(42);
+    // An INT below `n`, or (one time in seven) NULL.
+    let int = |rng: &mut StdRng, n: i64| match rng.gen_range(-n / 6 - 1..n) {
+        i if i < 0 => Value::Null,
+        i => Value::Int(i),
+    };
+    for id in 0..40 {
+        let s = match int(rng, 6) {
+            Value::Int(i) => Value::Text(format!("s{i}")),
+            null => null,
+        };
+        let row = [Value::Int(id), int(rng, 12), int(rng, 4), s];
+        execute(&e, txn, DB, "INSERT INTO t VALUES (?, ?, ?, ?)", &row).unwrap();
+    }
+    for id in 0..60 {
+        let row = [
+            Value::Int(id),
+            int(rng, 44),
+            Value::Int(rng.gen_range(0..10)),
+        ];
+        execute(&e, txn, DB, "INSERT INTO u VALUES (?, ?, ?)", &row).unwrap();
+    }
+    e.commit(txn).unwrap();
+    e
+}
+
+fn vocab() -> gen::Vocab {
+    let table = |name: &str, cols: &[(&str, DataType)]| {
+        let cols = cols.iter().map(|(c, ty)| (c.to_string(), *ty)).collect();
+        (name.to_string(), cols)
+    };
+    use DataType::{Int, Text};
+    vec![
+        table("t", &[("id", Int), ("a", Int), ("b", Int), ("s", Text)]),
+        table("u", &[("id", Int), ("t_id", Int), ("v", Int)]),
+    ]
+}
+
+/// The `case`-th statement: a SELECT (two in three) or an UPDATE / DELETE,
+/// as the text it prints to.
+fn statement(case: u64) -> (String, gen::Slots) {
+    let rng = &mut StdRng::seed_from_u64(case);
+    let (stmt, slots) = if case % 3 < 2 {
+        gen::select(rng, &vocab(), Some(("t_id", "id")))
+    } else {
+        // The primary key stays put, so no draw fails on uniqueness.
+        gen::write(rng, &vocab(), &["a", "b", "s"])
+    };
+    (stmt.to_string(), slots)
+}
+
+/// (a) Chosen plan and forced-scan reference agree, statement by statement
+/// and draw by draw. Writes are rolled back, so every case sees the same
+/// data.
+#[test]
+fn chosen_plans_match_their_forced_scan_reference() {
+    let e = engine();
+    let (mut verdicts, mut indexed) = (0, 0);
+    for case in 0..600 {
+        let (sql, slots) = statement(case);
+        let stmt = parse(&sql).unwrap();
+        let bound = plan(&e, DB, &stmt).unwrap_or_else(|err| panic!("case {case}: {sql}: {err}"));
+        indexed += usize::from(bound != bound.forcing_scans());
+        let rng = &mut StdRng::seed_from_u64(case ^ 0xD1FF);
+        for _ in 0..4 {
+            let params = gen::draw_params(rng, &slots);
+            let txn = e.begin().unwrap();
+            verdicts += usize::from(execute_checked(&e, txn, DB, &sql, &params).is_ok());
+            e.abort(txn).unwrap();
+        }
+    }
+    // The generator must not have degenerated into scans or type errors.
+    assert!(indexed > 150, "only {indexed} of 600 plans chose an index");
+    assert!(
+        verdicts > 1200,
+        "only {verdicts} of 2400 runs evaluated cleanly"
+    );
+}
+
+/// (b) One plan value, a thousand parameter draws: each answers exactly
+/// like a plan bound for that draw alone (same rows, same order).
+#[test]
+fn a_reused_plan_answers_like_a_fresh_one() {
+    let e = engine();
+    // Statements with at least one `?`, the first few the generator yields.
+    let cases = (0..).filter(|&c| !statement(c).1.is_empty()).take(12);
+    for case in cases {
+        let (sql, slots) = statement(case);
+        let stmt = parse(&sql).unwrap();
+        let reused = plan(&e, DB, &stmt).unwrap();
+        let rng = &mut StdRng::seed_from_u64(case ^ 0xCAFE);
+        for draw in 0..1000 {
+            let params = gen::draw_params(rng, &slots);
+            let txn = e.begin().unwrap();
+            let got = run(&e, txn, &reused, &params);
+            e.abort(txn).unwrap();
+            let txn = e.begin().unwrap();
+            let fresh = run(&e, txn, &plan(&e, DB, &stmt).unwrap(), &params);
+            e.abort(txn).unwrap();
+            assert_eq!(got, fresh, "case {case}, draw {draw}: {sql} {params:?}");
+        }
+    }
+}
+
+/// NULL keys and empty ranges, spelled out: the template's access path is
+/// chosen without looking at the values, and the values cannot break it.
+#[test]
+fn null_keys_and_empty_ranges() {
+    let e = engine();
+    let rows = |sql: &str, params: &[Value]| {
+        let txn = e.begin().unwrap();
+        let r = execute_checked(&e, txn, DB, sql, params).unwrap();
+        e.commit(txn).unwrap();
+        r.rows
+    };
+    use Value::{Int, Null};
+    let empty = |sql: &str, params: &[Value]| assert!(rows(sql, params).is_empty(), "{sql}");
+    empty("SELECT id FROM t WHERE id = ?", &[Null]);
+    empty("SELECT id FROM t WHERE a = ?", &[Null]);
+    empty("SELECT id FROM t WHERE a = ? AND b = ?", &[Int(3), Null]);
+    empty("SELECT id FROM t WHERE id > ?", &[Null]);
+    empty("SELECT id FROM t WHERE id >= ? AND id < ?", &[Null, Int(5)]);
+    empty(
+        "SELECT id FROM t WHERE id >= ? AND id < ?",
+        &[Int(9), Int(3)],
+    );
+    let two = |sql: &str, params: &[Value]| assert_eq!(rows(sql, params).len(), 2, "{sql}");
+    two(
+        "SELECT id FROM t WHERE id >= ? AND id >= ? AND id < ?",
+        &[Int(2), Int(7), Int(9)],
+    );
+    two("SELECT id FROM t WHERE ? <= id AND 9 > id", &[Int(7)]);
+    // The join key of an index nested-loop join can be NULL too.
+    rows("SELECT t.id, u.id FROM u JOIN t ON t.id = u.t_id", &[]);
+    rows(
+        "SELECT t.id, u.id FROM u LEFT JOIN t ON t.a = u.t_id AND t.b = ?",
+        &[Null],
+    );
+}
+
+/// A plan is refused, not misapplied, on a table that is not the one it
+/// was bound against: same name, other columns or other indexes.
+#[test]
+fn a_plan_is_refused_on_a_recreated_table() {
+    let e = engine();
+    let sql = "SELECT s FROM t WHERE a = ?";
+    let bound = plan(&e, DB, &parse(sql).unwrap()).unwrap();
+    let run_it = |e: &Engine| {
+        let txn = e.begin().unwrap();
+        let r = run(e, txn, &bound, &[Value::Int(3)]);
+        e.abort(txn).unwrap();
+        r
+    };
+    let before = run_it(&e).unwrap();
+
+    // More indexes on the same table: still the table the plan knows.
+    let txn = e.begin().unwrap();
+    execute(&e, txn, DB, "CREATE INDEX by_b ON t (b)", &[]).unwrap();
+    e.commit(txn).unwrap();
+    assert_eq!(run_it(&e).unwrap(), before);
+
+    for ddl in [
+        // Another column order.
+        "CREATE TABLE t (s TEXT, a INT, id INT NOT NULL, b INT, PRIMARY KEY (id))",
+        // The same columns, but index #1 is no longer `by_a`.
+        "CREATE TABLE t (id INT NOT NULL, a INT, b INT, s TEXT, PRIMARY KEY (id))",
+    ] {
+        let other = Engine::new(EngineConfig::for_tests());
+        other.create_database(DB).unwrap();
+        let txn = other.begin().unwrap();
+        execute(&other, txn, DB, ddl, &[]).unwrap();
+        execute(&other, txn, DB, "CREATE INDEX by_s ON t (s)", &[]).unwrap();
+        other.commit(txn).unwrap();
+        let err = run_it(&other).unwrap_err();
+        assert!(
+            matches!(&err, SqlError::Plan(m) if m.contains("stale plan")),
+            "{err}"
+        );
+    }
+}

@@ -93,6 +93,46 @@ impl Database {
         v.sort();
         v
     }
+
+    /// Resolve one of this database's tables (see [`Engine::open_table`]).
+    pub fn open_table(self: &Arc<Self>, table: &str) -> Result<TableHandle> {
+        let table = self
+            .tables
+            .read()
+            .get(table)
+            .cloned()
+            .ok_or_else(|| StorageError::NoSuchTable(table.to_string()))?;
+        Ok(TableHandle {
+            db: Arc::clone(self),
+            table,
+        })
+    }
+}
+
+/// A table resolved by name once — the database (for its usage counters
+/// and its name in undo/redo records) and the table object — so that the
+/// engine calls of one statement pay no further catalog lookups.
+#[derive(Debug, Clone)]
+pub struct TableHandle {
+    db: Arc<Database>,
+    table: Arc<Table>,
+}
+
+impl TableHandle {
+    /// The resolved table (schema, shape).
+    pub fn table(&self) -> &Table {
+        &self.table
+    }
+
+    fn note_read(&self) {
+        // ordering: Relaxed — advisory telemetry; only atomicity is needed, no cross-variable ordering.
+        self.db.reads.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn note_write(&self) {
+        // ordering: Relaxed — advisory telemetry; only atomicity is needed, no cross-variable ordering.
+        self.db.writes.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// Observed per-database resource usage, the input to SLA profiling (§4.2).
@@ -237,7 +277,7 @@ impl Engine {
     ) -> Result<()> {
         self.check_up()?;
         let database = self.db(db)?;
-        let t = self.table(db, table)?;
+        let t = database.open_table(table)?.table;
         self.with_txn(|txn| {
             self.locks
                 .acquire(txn, ResourceId::Table { table: t.id }, LockMode::X)?;
@@ -275,12 +315,7 @@ impl Engine {
     }
 
     pub fn table(&self, db: &str, table: &str) -> Result<Arc<Table>> {
-        self.db(db)?
-            .tables
-            .read()
-            .get(table)
-            .cloned()
-            .ok_or_else(|| StorageError::NoSuchTable(table.to_string()))
+        Ok(self.open_table(db, table)?.table)
     }
 
     // ------------------------------------------------------- transactions
@@ -383,17 +418,30 @@ impl Engine {
     }
 
     // -------------------------------------------------------------- DML
+    //
+    // Every operation has two spellings. The `*_in` / `*_with` methods take
+    // a [`TableHandle`] (names resolved once, by the caller) and are what
+    // the SQL executor runs on; the `&str` methods resolve the handle and
+    // delegate, for callers that make one call per name.
 
-    fn key_resource(table_id: u64, index: &str, key: &[Value]) -> ResourceId {
+    /// Resolve `db.table` to a handle the `*_in` / `*_with` operations take.
+    /// Resolve per statement, not per session: `CREATE INDEX` swaps the
+    /// table object under its exclusive table lock, and a handle taken
+    /// before the swap must not outlive the first lock the statement takes
+    /// on the table.
+    pub fn open_table(&self, db: &str, table: &str) -> Result<TableHandle> {
+        self.db(db)?.open_table(table)
+    }
+
+    /// Hash of one index key — the one hash behind both the key's lock
+    /// resource and its simulated index page.
+    fn key_hash(index: &str, key: &[Value]) -> u64 {
         let mut h = DefaultHasher::new();
         index.hash(&mut h);
         for v in key {
             v.hash(&mut h);
         }
-        ResourceId::Key {
-            table: table_id,
-            hash: h.finish(),
-        }
+        h.finish()
     }
 
     fn data_page(table_id: u64, row_id: u64) -> PageKey {
@@ -403,18 +451,38 @@ impl Engine {
         }
     }
 
-    fn index_page(t: &Table, index: &str, key: &[Value]) -> PageKey {
-        let mut h = DefaultHasher::new();
-        index.hash(&mut h);
-        for v in key {
-            v.hash(&mut h);
-        }
+    fn index_page(t: &Table, key_hash: u64) -> PageKey {
         // Index leaf level ~ a quarter of the data pages.
         let pages = (t.page_count() / 4).max(MIN_INDEX_PAGES);
         PageKey {
             table: t.id,
-            page_no: INDEX_PAGE_OFFSET + h.finish() % pages,
+            page_no: INDEX_PAGE_OFFSET + key_hash % pages,
         }
+    }
+
+    /// The visitor behind the by-name reads: clone every row out.
+    fn cloning_into(
+        out: &mut Vec<(u64, Vec<Value>)>,
+    ) -> impl FnMut(u64, &[Value]) -> Result<()> + '_ {
+        |id, row| {
+            out.push((id, row.to_vec()));
+            Ok(())
+        }
+    }
+
+    fn lock_table(&self, txn: TxnId, t: &Table, mode: LockMode) -> Result<()> {
+        self.locks
+            .acquire(txn, ResourceId::Table { table: t.id }, mode)
+    }
+
+    fn lock_row(&self, txn: TxnId, t: &Table, row: u64, mode: LockMode) -> Result<()> {
+        self.locks
+            .acquire(txn, ResourceId::Row { table: t.id, row }, mode)
+    }
+
+    fn lock_key(&self, txn: TxnId, t: &Table, hash: u64, mode: LockMode) -> Result<()> {
+        self.locks
+            .acquire(txn, ResourceId::Key { table: t.id, hash }, mode)
     }
 
     /// Swap the page cost model on a live engine (see `BufferPool::set_cost`).
@@ -425,50 +493,45 @@ impl Engine {
     /// Insert a row; returns its row id.
     pub fn insert(&self, txn: TxnId, db: &str, table: &str, row: Vec<Value>) -> Result<u64> {
         self.check_up()?;
+        self.insert_in(txn, &self.open_table(db, table)?, row)
+    }
+
+    /// [`Engine::insert`] through a resolved handle.
+    pub fn insert_in(&self, txn: TxnId, h: &TableHandle, row: Vec<Value>) -> Result<u64> {
+        self.check_up()?;
         self.txns.require_active(txn)?;
-        let database = self.db(db)?;
-        let t = self.table(db, table)?;
+        let t = &*h.table;
         t.schema.check_row(&row)?;
-        self.locks
-            .acquire(txn, ResourceId::Table { table: t.id }, LockMode::IX)?;
+        self.lock_table(txn, t, LockMode::IX)?;
         let row_id = t.reserve_row_id();
-        self.locks.acquire(
-            txn,
-            ResourceId::Row {
-                table: t.id,
-                row: row_id,
-            },
-            LockMode::X,
-        )?;
+        self.lock_row(txn, t, row_id, LockMode::X)?;
         // Lock every index key the row joins (phantom protection for
         // equality lookups on those keys).
         for idx in &t.schema.indexes {
-            let key = t.schema.index_key(idx, &row);
-            self.locks
-                .acquire(txn, Self::key_resource(t.id, &idx.name, &key), LockMode::X)?;
-            self.buffer.access(Self::index_page(&t, &idx.name, &key));
+            let hash = Self::key_hash(&idx.name, &t.schema.index_key(idx, &row));
+            self.lock_key(txn, t, hash, LockMode::X)?;
+            self.buffer.access(Self::index_page(t, hash));
         }
         self.buffer.access(Self::data_page(t.id, row_id));
         t.insert_with_id(row_id, row.clone())?;
         self.txns.push_undo(
             txn,
             UndoRecord::Insert {
-                db: db.into(),
-                table: table.into(),
+                db: h.db.name.clone(),
+                table: t.schema.name.clone(),
                 row_id,
             },
         )?;
         self.wal.append(
             txn,
             WalEntry::Redo(RedoOp::Insert {
-                db: db.into(),
-                table: table.into(),
+                db: h.db.name.clone(),
+                table: t.schema.name.clone(),
                 row_id,
                 row,
             }),
         );
-        // ordering: Relaxed — advisory telemetry; only atomicity is needed, no cross-variable ordering.
-        database.writes.fetch_add(1, Ordering::Relaxed);
+        h.note_write();
         Ok(row_id)
     }
 
@@ -482,23 +545,13 @@ impl Engine {
         row_id: u64,
     ) -> Result<Option<Vec<Value>>> {
         self.check_up()?;
+        let h = self.open_table(db, table)?;
         self.txns.require_active(txn)?;
-        let database = self.db(db)?;
-        let t = self.table(db, table)?;
-        self.locks
-            .acquire(txn, ResourceId::Table { table: t.id }, LockMode::IS)?;
-        self.locks.acquire(
-            txn,
-            ResourceId::Row {
-                table: t.id,
-                row: row_id,
-            },
-            LockMode::S,
-        )?;
+        let t = &*h.table;
+        self.lock_table(txn, t, LockMode::IS)?;
+        self.lock_row(txn, t, row_id, LockMode::S)?;
         self.buffer.access(Self::data_page(t.id, row_id));
-        self.txns.note_read(txn);
-        // ordering: Relaxed — advisory telemetry; only atomicity is needed, no cross-variable ordering.
-        database.reads.fetch_add(1, Ordering::Relaxed);
+        h.note_read();
         Ok(t.get(row_id))
     }
 
@@ -515,40 +568,58 @@ impl Engine {
         for_update: bool,
     ) -> Result<Vec<(u64, Vec<Value>)>> {
         self.check_up()?;
+        let h = self.open_table(db, table)?;
+        let index = h.table.index_ordinal(index)?;
+        let mut out = Vec::new();
+        self.lookup_with(
+            txn,
+            &h,
+            index,
+            key,
+            for_update,
+            Self::cloning_into(&mut out),
+        )?;
+        Ok(out)
+    }
+
+    /// [`Engine::index_lookup`] through a resolved handle and an index
+    /// ordinal, handing each matching row to `visit` in place instead of
+    /// cloning it out. `visit` runs under the table's structure lock: it
+    /// may evaluate and copy, not call back into the engine.
+    pub fn lookup_with<E: From<StorageError>>(
+        &self,
+        txn: TxnId,
+        h: &TableHandle,
+        index: usize,
+        key: &[Value],
+        for_update: bool,
+        mut visit: impl FnMut(u64, &[Value]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        self.check_up()?;
         self.txns.require_active(txn)?;
-        let database = self.db(db)?;
-        let t = self.table(db, table)?;
+        let t = &*h.table;
+        let def = t
+            .schema
+            .indexes
+            .get(index)
+            .ok_or_else(|| StorageError::NoSuchIndex(format!("#{index}")))?;
         let (table_mode, row_mode) = if for_update {
             (LockMode::IX, LockMode::X)
         } else {
             (LockMode::IS, LockMode::S)
         };
-        self.locks
-            .acquire(txn, ResourceId::Table { table: t.id }, table_mode)?;
+        self.lock_table(txn, t, table_mode)?;
         // S on the key resource freezes the key's membership.
-        self.locks
-            .acquire(txn, Self::key_resource(t.id, index, key), LockMode::S)?;
-        self.buffer.access(Self::index_page(&t, index, key));
-        let ids = t.index_get(index, key)?;
-        let mut out = Vec::with_capacity(ids.len());
-        for id in ids {
-            self.locks.acquire(
-                txn,
-                ResourceId::Row {
-                    table: t.id,
-                    row: id,
-                },
-                row_mode,
-            )?;
+        let hash = Self::key_hash(&def.name, key);
+        self.lock_key(txn, t, hash, LockMode::S)?;
+        self.buffer.access(Self::index_page(t, hash));
+        for id in t.index_get(index, key)? {
+            self.lock_row(txn, t, id, row_mode)?;
             self.buffer.access(Self::data_page(t.id, id));
-            if let Some(row) = t.get(id) {
-                out.push((id, row));
-            }
+            t.with_row(id, |row| visit(id, row)).transpose()?;
         }
-        self.txns.note_read(txn);
-        // ordering: Relaxed — advisory telemetry; only atomicity is needed, no cross-variable ordering.
-        database.reads.fetch_add(1, Ordering::Relaxed);
-        Ok(out)
+        h.note_read();
+        Ok(())
     }
 
     /// Range scan over an index. Takes a full-table `S` lock (conservative
@@ -563,51 +634,75 @@ impl Engine {
         hi: Option<&[Value]>,
     ) -> Result<Vec<(u64, Vec<Value>)>> {
         self.check_up()?;
+        let h = self.open_table(db, table)?;
+        let index = h.table.index_ordinal(index)?;
+        let mut out = Vec::new();
+        self.range_with(txn, &h, index, lo, hi, Self::cloning_into(&mut out))?;
+        Ok(out)
+    }
+
+    /// [`Engine::index_range`] through a resolved handle and an index
+    /// ordinal; `visit` as in [`Engine::lookup_with`].
+    pub fn range_with<E: From<StorageError>>(
+        &self,
+        txn: TxnId,
+        h: &TableHandle,
+        index: usize,
+        lo: Option<&[Value]>,
+        hi: Option<&[Value]>,
+        mut visit: impl FnMut(u64, &[Value]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        self.check_up()?;
         self.txns.require_active(txn)?;
-        let database = self.db(db)?;
-        let t = self.table(db, table)?;
-        self.locks
-            .acquire(txn, ResourceId::Table { table: t.id }, LockMode::S)?;
-        let ids = t.index_range(index, lo, hi)?;
-        let mut out = Vec::with_capacity(ids.len());
+        let t = &*h.table;
+        self.lock_table(txn, t, LockMode::S)?;
         let mut last_page = None;
-        for id in ids {
+        for id in t.index_range(index, lo, hi)? {
             let page = Self::data_page(t.id, id);
             if last_page != Some(page) {
                 self.buffer.access(page);
                 last_page = Some(page);
             }
-            if let Some(row) = t.get(id) {
-                out.push((id, row));
-            }
+            t.with_row(id, |row| visit(id, row)).transpose()?;
         }
-        self.txns.note_read(txn);
-        // ordering: Relaxed — advisory telemetry; only atomicity is needed, no cross-variable ordering.
-        database.reads.fetch_add(1, Ordering::Relaxed);
-        Ok(out)
+        h.note_read();
+        Ok(())
     }
 
     /// Full table scan under a table `S` lock.
     pub fn scan(&self, txn: TxnId, db: &str, table: &str) -> Result<Vec<(u64, Vec<Value>)>> {
         self.check_up()?;
+        let h = self.open_table(db, table)?;
+        // Sized up front: copy and check paths scan whole large tables, and
+        // a vector doubled into place holds up to twice what it needs.
+        let mut out = Vec::with_capacity(h.table.row_count());
+        self.scan_with(txn, &h, Self::cloning_into(&mut out))?;
+        Ok(out)
+    }
+
+    /// [`Engine::scan`] through a resolved handle; `visit` as in
+    /// [`Engine::lookup_with`].
+    pub fn scan_with<E: From<StorageError>>(
+        &self,
+        txn: TxnId,
+        h: &TableHandle,
+        mut visit: impl FnMut(u64, &[Value]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        self.check_up()?;
         self.txns.require_active(txn)?;
-        let database = self.db(db)?;
-        let t = self.table(db, table)?;
-        self.locks
-            .acquire(txn, ResourceId::Table { table: t.id }, LockMode::S)?;
-        let rows = t.scan();
+        let t = &*h.table;
+        self.lock_table(txn, t, LockMode::S)?;
         let mut last_page = None;
-        for (id, _) in &rows {
-            let page = Self::data_page(t.id, *id);
+        t.try_for_each(|id, row| {
+            let page = Self::data_page(t.id, id);
             if last_page != Some(page) {
                 self.buffer.access(page);
                 last_page = Some(page);
             }
-        }
-        self.txns.note_read(txn);
-        // ordering: Relaxed — advisory telemetry; only atomicity is needed, no cross-variable ordering.
-        database.reads.fetch_add(1, Ordering::Relaxed);
-        Ok(rows)
+            visit(id, row)
+        })?;
+        h.note_read();
+        Ok(())
     }
 
     /// Update a row in place.
@@ -620,38 +715,33 @@ impl Engine {
         new_row: Vec<Value>,
     ) -> Result<()> {
         self.check_up()?;
+        self.update_in(txn, &self.open_table(db, table)?, row_id, new_row)
+    }
+
+    /// [`Engine::update`] through a resolved handle.
+    pub fn update_in(
+        &self,
+        txn: TxnId,
+        h: &TableHandle,
+        row_id: u64,
+        new_row: Vec<Value>,
+    ) -> Result<()> {
+        self.check_up()?;
         self.txns.require_active(txn)?;
-        let database = self.db(db)?;
-        let t = self.table(db, table)?;
+        let t = &*h.table;
         t.schema.check_row(&new_row)?;
-        self.locks
-            .acquire(txn, ResourceId::Table { table: t.id }, LockMode::IX)?;
-        self.locks.acquire(
-            txn,
-            ResourceId::Row {
-                table: t.id,
-                row: row_id,
-            },
-            LockMode::X,
-        )?;
+        self.lock_table(txn, t, LockMode::IX)?;
+        self.lock_row(txn, t, row_id, LockMode::X)?;
         let old = t.get(row_id).ok_or(StorageError::NoSuchRow(row_id))?;
         // Lock the key resources whose membership this update changes.
         for idx in &t.schema.indexes {
             let old_key = t.schema.index_key(idx, &old);
             let new_key = t.schema.index_key(idx, &new_row);
             if old_key != new_key {
-                self.locks.acquire(
-                    txn,
-                    Self::key_resource(t.id, &idx.name, &old_key),
-                    LockMode::X,
-                )?;
-                self.locks.acquire(
-                    txn,
-                    Self::key_resource(t.id, &idx.name, &new_key),
-                    LockMode::X,
-                )?;
-                self.buffer
-                    .access(Self::index_page(&t, &idx.name, &new_key));
+                let new_hash = Self::key_hash(&idx.name, &new_key);
+                self.lock_key(txn, t, Self::key_hash(&idx.name, &old_key), LockMode::X)?;
+                self.lock_key(txn, t, new_hash, LockMode::X)?;
+                self.buffer.access(Self::index_page(t, new_hash));
             }
         }
         self.buffer.access(Self::data_page(t.id, row_id));
@@ -659,8 +749,8 @@ impl Engine {
         self.txns.push_undo(
             txn,
             UndoRecord::Update {
-                db: db.into(),
-                table: table.into(),
+                db: h.db.name.clone(),
+                table: t.schema.name.clone(),
                 row_id,
                 old,
             },
@@ -668,46 +758,41 @@ impl Engine {
         self.wal.append(
             txn,
             WalEntry::Redo(RedoOp::Update {
-                db: db.into(),
-                table: table.into(),
+                db: h.db.name.clone(),
+                table: t.schema.name.clone(),
                 row_id,
                 row: new_row,
             }),
         );
-        // ordering: Relaxed — advisory telemetry; only atomicity is needed, no cross-variable ordering.
-        database.writes.fetch_add(1, Ordering::Relaxed);
+        h.note_write();
         Ok(())
     }
 
     /// Delete a row.
     pub fn delete(&self, txn: TxnId, db: &str, table: &str, row_id: u64) -> Result<()> {
         self.check_up()?;
+        self.delete_in(txn, &self.open_table(db, table)?, row_id)
+    }
+
+    /// [`Engine::delete`] through a resolved handle.
+    pub fn delete_in(&self, txn: TxnId, h: &TableHandle, row_id: u64) -> Result<()> {
+        self.check_up()?;
         self.txns.require_active(txn)?;
-        let database = self.db(db)?;
-        let t = self.table(db, table)?;
-        self.locks
-            .acquire(txn, ResourceId::Table { table: t.id }, LockMode::IX)?;
-        self.locks.acquire(
-            txn,
-            ResourceId::Row {
-                table: t.id,
-                row: row_id,
-            },
-            LockMode::X,
-        )?;
+        let t = &*h.table;
+        self.lock_table(txn, t, LockMode::IX)?;
+        self.lock_row(txn, t, row_id, LockMode::X)?;
         let old = t.get(row_id).ok_or(StorageError::NoSuchRow(row_id))?;
         for idx in &t.schema.indexes {
-            let key = t.schema.index_key(idx, &old);
-            self.locks
-                .acquire(txn, Self::key_resource(t.id, &idx.name, &key), LockMode::X)?;
+            let hash = Self::key_hash(&idx.name, &t.schema.index_key(idx, &old));
+            self.lock_key(txn, t, hash, LockMode::X)?;
         }
         self.buffer.access(Self::data_page(t.id, row_id));
         t.delete(row_id)?;
         self.txns.push_undo(
             txn,
             UndoRecord::Delete {
-                db: db.into(),
-                table: table.into(),
+                db: h.db.name.clone(),
+                table: t.schema.name.clone(),
                 row_id,
                 old,
             },
@@ -715,13 +800,12 @@ impl Engine {
         self.wal.append(
             txn,
             WalEntry::Redo(RedoOp::Delete {
-                db: db.into(),
-                table: table.into(),
+                db: h.db.name.clone(),
+                table: t.schema.name.clone(),
                 row_id,
             }),
         );
-        // ordering: Relaxed — advisory telemetry; only atomicity is needed, no cross-variable ordering.
-        database.writes.fetch_add(1, Ordering::Relaxed);
+        h.note_write();
         Ok(())
     }
 

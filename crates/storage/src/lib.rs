@@ -56,7 +56,7 @@ pub use buffer::{BufferPool, BufferStats, CostModel, PageKey, ROWS_PER_PAGE};
 pub use copy::{
     dump_database, dump_table, restore_database, restore_table, DatabaseDump, TableDump, Throttle,
 };
-pub use engine::{Database, DbProfile, Engine, EngineConfig, EngineStats};
+pub use engine::{Database, DbProfile, Engine, EngineConfig, EngineStats, TableHandle};
 pub use error::{Result, StorageError};
 pub use lock::{LockManager, LockMode, LockStats, ResourceId};
 pub use schema::{ColumnDef, IndexDef, TableSchema};

@@ -22,9 +22,10 @@
 //! We implement it faithfully.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::sync::{Condvar, Mutex, LOCK_STATS, LOCK_TABLE};
+use crate::sync::{Condvar, Mutex, LOCK_TABLE};
 
 use crate::error::{Result, StorageError};
 use crate::txn::TxnId;
@@ -226,12 +227,28 @@ pub struct LockStats {
     pub timeouts: u64,
 }
 
+/// [`LockStats`] as it is counted: one relaxed atomic per field, so that
+/// counting an acquisition takes no second mutex.
+#[derive(Default)]
+struct LockCounters {
+    acquisitions: AtomicU64,
+    waits: AtomicU64,
+    deadlocks: AtomicU64,
+    timeouts: AtomicU64,
+}
+
+/// Count one event.
+fn bump(counter: &AtomicU64) {
+    // ordering: Relaxed — advisory telemetry; only atomicity is needed, no cross-variable ordering.
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
 /// The lock manager. One instance per engine (≈ machine).
 pub struct LockManager {
     table: Mutex<LockTable>,
     cv: Condvar,
     timeout: Duration,
-    stats: Mutex<LockStats>,
+    stats: LockCounters,
 }
 
 impl Default for LockManager {
@@ -246,7 +263,7 @@ impl LockManager {
             table: Mutex::new(&LOCK_TABLE, LockTable::default()),
             cv: Condvar::new(),
             timeout,
-            stats: Mutex::new(&LOCK_STATS, LockStats::default()),
+            stats: LockCounters::default(),
         }
     }
 
@@ -257,7 +274,7 @@ impl LockManager {
     /// configured wait budget.
     pub fn acquire(&self, txn: TxnId, res: ResourceId, mode: LockMode) -> Result<()> {
         let mut t = self.table.lock();
-        self.stats.lock().acquisitions += 1;
+        bump(&self.stats.acquisitions);
         if t.holds_implied(txn, res, mode) {
             return Ok(());
         }
@@ -274,10 +291,10 @@ impl LockManager {
             return Ok(());
         }
         st.waiting.push_back(Waiter { txn, mode });
-        self.stats.lock().waits += 1;
+        bump(&self.stats.waits);
         if t.would_deadlock(txn) {
             t.remove_waiter(txn, res);
-            self.stats.lock().deadlocks += 1;
+            bump(&self.stats.deadlocks);
             return Err(StorageError::Deadlock(txn));
         }
         let deadline = Instant::now() + self.timeout;
@@ -288,7 +305,7 @@ impl LockManager {
             }
             if timed_out {
                 t.remove_waiter(txn, res);
-                self.stats.lock().timeouts += 1;
+                bump(&self.stats.timeouts);
                 return Err(StorageError::LockTimeout(txn));
             }
         }
@@ -367,11 +384,22 @@ impl LockManager {
     }
 
     pub fn stats(&self) -> LockStats {
-        *self.stats.lock()
+        // ordering: Relaxed — snapshot read; may tear across related counters by design.
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        LockStats {
+            acquisitions: get(&self.stats.acquisitions),
+            waits: get(&self.stats.waits),
+            deadlocks: get(&self.stats.deadlocks),
+            timeouts: get(&self.stats.timeouts),
+        }
     }
 
     pub fn reset_stats(&self) {
-        *self.stats.lock() = LockStats::default();
+        let s = &self.stats;
+        for c in [&s.acquisitions, &s.waits, &s.deadlocks, &s.timeouts] {
+            // ordering: Relaxed — window reset; racing acquisitions land in either window.
+            c.store(0, Ordering::Relaxed);
+        }
     }
 }
 

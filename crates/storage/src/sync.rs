@@ -7,9 +7,9 @@
 //! the engine while holding its own locks, but storage code must never call
 //! back up into cluster code that takes locks.
 //!
-//! Observed in-crate nesting (the only simultaneous storage-lock pair) is
-//! `LOCK_TABLE → LOCK_STATS` in `LockManager::acquire`; every other storage
-//! lock is held only for short, self-contained critical sections.
+//! The only in-crate nesting runs down the catalog (`ENGINE_CATALOG →
+//! ENGINE_TABLES → TABLE_DATA`, in redo apply and DDL); every other storage
+//! lock is held only for a short, self-contained critical section.
 
 pub use tenantdb_lockdep::{
     OrderedCondvar as Condvar, OrderedMutex as Mutex, OrderedMutexGuard as MutexGuard,
@@ -31,10 +31,6 @@ pub static TXN_MANAGER: LockClass = LockClass::new("storage.txn.manager", 520);
 /// `LockManager::table` — the 2PL lock table (held across conflict checks
 /// and condvar waits).
 pub static LOCK_TABLE: LockClass = LockClass::new("storage.lock.table", 540);
-
-/// `LockManager::stats` — acquisition counters, taken *while the lock
-/// table is held*, hence ranked just below it.
-pub static LOCK_STATS: LockClass = LockClass::new("storage.lock.stats", 545);
 
 /// `Table::data` — row storage and indexes of one table.
 pub static TABLE_DATA: LockClass = LockClass::new("storage.table.data", 550);

@@ -6,7 +6,9 @@
 //! into a table. Methods that must be atomic (e.g. unique-check-then-insert)
 //! take the internal structure lock for their whole duration.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -21,8 +23,9 @@ type IndexMap = BTreeMap<Vec<Value>, BTreeSet<u64>>;
 
 struct TableData {
     rows: BTreeMap<u64, Vec<Value>>,
-    /// index name -> index map; kept in schema order for determinism.
-    indexes: HashMap<String, IndexMap>,
+    /// One map per index, in schema order (an index is addressed by its
+    /// ordinal in `schema.indexes`).
+    indexes: Vec<IndexMap>,
 }
 
 /// A stored table.
@@ -31,19 +34,34 @@ pub struct Table {
     /// buffer-pool page keys.
     pub id: u64,
     pub schema: TableSchema,
+    /// `shape[n]` fingerprints the columns plus the first `n` indexes (see
+    /// [`Table::shape_at`]).
+    shape: Vec<u64>,
     data: RwLock<TableData>,
     next_row_id: AtomicU64,
 }
 
+/// Fingerprint chain over a schema: entry `n` covers the column list and the
+/// definitions of the first `n` indexes.
+fn shape_of(schema: &TableSchema) -> Vec<u64> {
+    let mut h = DefaultHasher::new();
+    for c in &schema.columns {
+        (&c.name, c.ty, c.nullable).hash(&mut h);
+    }
+    let mut shape = vec![h.finish()];
+    for idx in &schema.indexes {
+        (&idx.name, &idx.columns, idx.unique).hash(&mut h);
+        shape.push(h.finish());
+    }
+    shape
+}
+
 impl Table {
     pub fn new(id: u64, schema: TableSchema) -> Self {
-        let indexes = schema
-            .indexes
-            .iter()
-            .map(|i| (i.name.clone(), IndexMap::new()))
-            .collect();
+        let indexes = schema.indexes.iter().map(|_| IndexMap::new()).collect();
         Table {
             id,
+            shape: shape_of(&schema),
             schema,
             data: RwLock::new(
                 &TABLE_DATA,
@@ -54,6 +72,15 @@ impl Table {
             ),
             next_row_id: AtomicU64::new(0),
         }
+    }
+
+    /// Fingerprint of everything a statement bound against this table while
+    /// it had `indexes` indexes depends on: the column list and those index
+    /// definitions. Tables only ever gain indexes, so the value is stable
+    /// for the life of the table; it differs (or is `None`) for a table
+    /// re-created under the same name with another shape.
+    pub fn shape_at(&self, indexes: usize) -> Option<u64> {
+        self.shape.get(indexes).copied()
     }
 
     /// Reserve the next row id without inserting (the engine locks the row id
@@ -70,13 +97,10 @@ impl Table {
     pub fn insert_with_id(&self, row_id: u64, row: Vec<Value>) -> Result<()> {
         self.schema.check_row(&row)?;
         let mut d = self.data.write();
-        for idx in &self.schema.indexes {
+        for (ord, idx) in self.schema.indexes.iter().enumerate() {
             if idx.unique {
                 let key = self.schema.index_key(idx, &row);
-                if d.indexes[&idx.name]
-                    .get(&key)
-                    .is_some_and(|s| !s.is_empty())
-                {
+                if d.indexes[ord].get(&key).is_some_and(|s| !s.is_empty()) {
                     return Err(StorageError::UniqueViolation {
                         table: self.schema.name.clone(),
                         index: idx.name.clone(),
@@ -84,14 +108,9 @@ impl Table {
                 }
             }
         }
-        for idx in &self.schema.indexes {
+        for (ord, idx) in self.schema.indexes.iter().enumerate() {
             let key = self.schema.index_key(idx, &row);
-            d.indexes
-                .get_mut(&idx.name)
-                .unwrap()
-                .entry(key)
-                .or_default()
-                .insert(row_id);
+            d.indexes[ord].entry(key).or_default().insert(row_id);
         }
         d.rows.insert(row_id, row);
         // Keep the id allocator ahead of explicitly supplied ids (restore path).
@@ -102,7 +121,13 @@ impl Table {
 
     /// Fetch a row image by id.
     pub fn get(&self, row_id: u64) -> Option<Vec<Value>> {
-        self.data.read().rows.get(&row_id).cloned()
+        self.with_row(row_id, |row| row.to_vec())
+    }
+
+    /// Run `f` over the row image in place (under the table's structure
+    /// lock, so `f` must not call back into this table).
+    pub fn with_row<R>(&self, row_id: u64, f: impl FnOnce(&[Value]) -> R) -> Option<R> {
+        self.data.read().rows.get(&row_id).map(|row| f(row))
     }
 
     pub fn contains(&self, row_id: u64) -> bool {
@@ -119,14 +144,11 @@ impl Table {
             .get(&row_id)
             .cloned()
             .ok_or(StorageError::NoSuchRow(row_id))?;
-        for idx in &self.schema.indexes {
+        for (ord, idx) in self.schema.indexes.iter().enumerate() {
             if idx.unique {
                 let new_key = self.schema.index_key(idx, &new_row);
                 let old_key = self.schema.index_key(idx, &old);
-                if new_key != old_key
-                    && d.indexes[&idx.name]
-                        .get(&new_key)
-                        .is_some_and(|s| !s.is_empty())
+                if new_key != old_key && d.indexes[ord].get(&new_key).is_some_and(|s| !s.is_empty())
                 {
                     return Err(StorageError::UniqueViolation {
                         table: self.schema.name.clone(),
@@ -135,11 +157,11 @@ impl Table {
                 }
             }
         }
-        for idx in &self.schema.indexes {
+        for (ord, idx) in self.schema.indexes.iter().enumerate() {
             let old_key = self.schema.index_key(idx, &old);
             let new_key = self.schema.index_key(idx, &new_row);
             if old_key != new_key {
-                let map = d.indexes.get_mut(&idx.name).unwrap();
+                let map = &mut d.indexes[ord];
                 if let Some(set) = map.get_mut(&old_key) {
                     set.remove(&row_id);
                     if set.is_empty() {
@@ -160,9 +182,9 @@ impl Table {
             .rows
             .remove(&row_id)
             .ok_or(StorageError::NoSuchRow(row_id))?;
-        for idx in &self.schema.indexes {
+        for (ord, idx) in self.schema.indexes.iter().enumerate() {
             let key = self.schema.index_key(idx, &old);
-            let map = d.indexes.get_mut(&idx.name).unwrap();
+            let map = &mut d.indexes[ord];
             if let Some(set) = map.get_mut(&key) {
                 set.remove(&row_id);
                 if set.is_empty() {
@@ -173,13 +195,22 @@ impl Table {
         Ok(old)
     }
 
-    /// Row ids matching an exact index key.
-    pub fn index_get(&self, index: &str, key: &[Value]) -> Result<Vec<u64>> {
+    /// Ordinal of a named index (its position in `schema.indexes`).
+    pub fn index_ordinal(&self, index: &str) -> Result<usize> {
+        self.schema
+            .indexes
+            .iter()
+            .position(|i| i.name == index)
+            .ok_or_else(|| StorageError::NoSuchIndex(index.into()))
+    }
+
+    /// Row ids matching an exact key of the index at ordinal `index`.
+    pub fn index_get(&self, index: usize, key: &[Value]) -> Result<Vec<u64>> {
         let d = self.data.read();
         let map = d
             .indexes
             .get(index)
-            .ok_or_else(|| StorageError::NoSuchIndex(index.into()))?;
+            .ok_or_else(|| StorageError::NoSuchIndex(format!("#{index}")))?;
         Ok(map
             .get(key)
             .map(|s| s.iter().copied().collect())
@@ -190,7 +221,7 @@ impl Table {
     /// means unbounded on that side). Returned in key order.
     pub fn index_range(
         &self,
-        index: &str,
+        index: usize,
         lo: Option<&[Value]>,
         hi: Option<&[Value]>,
     ) -> Result<Vec<u64>> {
@@ -198,7 +229,13 @@ impl Table {
         let map = d
             .indexes
             .get(index)
-            .ok_or_else(|| StorageError::NoSuchIndex(index.into()))?;
+            .ok_or_else(|| StorageError::NoSuchIndex(format!("#{index}")))?;
+        // An inverted range is empty (`BTreeMap::range` would panic on it).
+        if let (Some(lo), Some(hi)) = (lo, hi) {
+            if lo > hi {
+                return Ok(Vec::new());
+            }
+        }
         let lo_b = lo.map_or(Bound::Unbounded, |k| Bound::Included(k.to_vec()));
         let hi_b = hi.map_or(Bound::Unbounded, |k| Bound::Included(k.to_vec()));
         let mut out = Vec::new();
@@ -210,12 +247,26 @@ impl Table {
 
     /// Snapshot of all `(row_id, row)` pairs in row-id order.
     pub fn scan(&self) -> Vec<(u64, Vec<Value>)> {
+        let mut out = Vec::new();
+        let _ = self.try_for_each(|id, row| {
+            out.push((id, row.to_vec()));
+            Ok::<(), std::convert::Infallible>(())
+        });
+        out
+    }
+
+    /// Visit every row in row-id order, in place (under the table's
+    /// structure lock, so `f` must not call back into this table); stops at
+    /// the first error.
+    pub fn try_for_each<E>(
+        &self,
+        mut f: impl FnMut(u64, &[Value]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
         self.data
             .read()
             .rows
             .iter()
-            .map(|(&id, r)| (id, r.clone()))
-            .collect()
+            .try_for_each(|(&id, row)| f(id, row))
     }
 
     pub fn row_count(&self) -> usize {
@@ -247,6 +298,10 @@ mod tests {
     use super::*;
     use crate::schema::ColumnDef;
     use crate::value::DataType;
+
+    /// Index ordinals of `items()`.
+    const PK: usize = 0;
+    const BY_TITLE: usize = 1;
 
     fn items() -> Table {
         let schema = TableSchema::new(
@@ -295,7 +350,7 @@ mod tests {
         t.insert_with_id(t.reserve_row_id(), row(2, "same", 2))
             .unwrap();
         let ids = t
-            .index_get("by_title", &[Value::Text("same".into())])
+            .index_get(BY_TITLE, &[Value::Text("same".into())])
             .unwrap();
         assert_eq!(ids.len(), 2);
     }
@@ -308,12 +363,11 @@ mod tests {
         let old = t.update(rid, row(1, "new", 1)).unwrap();
         assert_eq!(old[1], Value::Text("old".into()));
         assert!(t
-            .index_get("by_title", &[Value::Text("old".into())])
+            .index_get(BY_TITLE, &[Value::Text("old".into())])
             .unwrap()
             .is_empty());
         assert_eq!(
-            t.index_get("by_title", &[Value::Text("new".into())])
-                .unwrap(),
+            t.index_get(BY_TITLE, &[Value::Text("new".into())]).unwrap(),
             vec![rid]
         );
     }
@@ -329,7 +383,7 @@ mod tests {
         assert!(matches!(err, StorageError::UniqueViolation { .. }));
         // Row 2 unchanged.
         assert_eq!(t.get(r2).unwrap()[0], Value::Int(2));
-        assert_eq!(t.index_get("pk", &[Value::Int(2)]).unwrap(), vec![r2]);
+        assert_eq!(t.index_get(PK, &[Value::Int(2)]).unwrap(), vec![r2]);
     }
 
     #[test]
@@ -349,7 +403,7 @@ mod tests {
         t.insert_with_id(rid, row(1, "x", 1)).unwrap();
         t.delete(rid).unwrap();
         assert!(t.get(rid).is_none());
-        assert!(t.index_get("pk", &[Value::Int(1)]).unwrap().is_empty());
+        assert!(t.index_get(PK, &[Value::Int(1)]).unwrap().is_empty());
         // The id can be reused by a fresh insert (restore path).
         t.insert_with_id(rid, row(1, "x", 1)).unwrap();
     }
@@ -362,11 +416,13 @@ mod tests {
                 .unwrap();
         }
         let ids = t
-            .index_range("pk", Some(&[Value::Int(3)]), Some(&[Value::Int(6)]))
+            .index_range(PK, Some(&[Value::Int(3)]), Some(&[Value::Int(6)]))
             .unwrap();
         assert_eq!(ids.len(), 4);
-        let open = t.index_range("pk", Some(&[Value::Int(8)]), None).unwrap();
+        let open = t.index_range(PK, Some(&[Value::Int(8)]), None).unwrap();
         assert_eq!(open.len(), 2);
+        let inverted = t.index_range(PK, Some(&[Value::Int(6)]), Some(&[Value::Int(3)]));
+        assert!(inverted.unwrap().is_empty());
     }
 
     #[test]
@@ -393,6 +449,32 @@ mod tests {
     }
 
     #[test]
+    fn shape_is_stable_under_new_indexes_and_tells_schemas_apart() {
+        let t = items();
+        let shape = t.shape_at(2).expect("two indexes");
+        assert!(t.shape_at(3).is_none());
+        // One more index: every earlier shape stands.
+        let mut grown = t.schema.clone();
+        grown
+            .try_add_index("by_stock", &["stock".to_string()], false)
+            .unwrap();
+        let grown = Table::new(9, grown);
+        assert_eq!(grown.shape_at(2), Some(shape));
+        assert_eq!(grown.shape_at(0), t.shape_at(0));
+        // Other columns, or the same columns under other indexes: another.
+        let mut cols = t.schema.columns.clone();
+        cols.swap(1, 2);
+        let reordered = Table::new(1, TableSchema::new("items", cols).with_primary_key(&["id"]));
+        assert_ne!(reordered.shape_at(0), t.shape_at(0));
+        let reindexed = TableSchema::new("items", t.schema.columns.clone())
+            .with_primary_key(&["id"])
+            .with_index("by_title", &["stock"], false);
+        let reindexed = Table::new(1, reindexed);
+        assert_eq!(reindexed.shape_at(1), t.shape_at(1));
+        assert_ne!(reindexed.shape_at(2), Some(shape));
+    }
+
+    #[test]
     fn restore_advances_id_allocator() {
         let t = items();
         t.insert_with_id(41, row(1, "a", 0)).unwrap();
@@ -411,7 +493,11 @@ mod tests {
             StorageError::NoSuchRow(9)
         ));
         assert!(matches!(
-            t.index_get("nope", &[]).unwrap_err(),
+            t.index_ordinal("nope").unwrap_err(),
+            StorageError::NoSuchIndex(_)
+        ));
+        assert!(matches!(
+            t.index_get(9, &[]).unwrap_err(),
             StorageError::NoSuchIndex(_)
         ));
     }

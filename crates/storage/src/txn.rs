@@ -82,7 +82,6 @@ pub enum UndoRecord {
 struct TxnInfo {
     phase: TxnPhase,
     undo: Vec<UndoRecord>,
-    reads: u64,
     writes: u64,
 }
 
@@ -122,7 +121,6 @@ impl TxnManager {
             TxnInfo {
                 phase: TxnPhase::Active,
                 undo: Vec::new(),
-                reads: 0,
                 writes: 0,
             },
         );
@@ -158,12 +156,6 @@ impl TxnManager {
         info.writes += 1;
         info.undo.push(rec);
         Ok(())
-    }
-
-    pub fn note_read(&self, txn: TxnId) {
-        if let Some(info) = self.txns.lock().get_mut(&txn) {
-            info.reads += 1;
-        }
     }
 
     /// Transition Active -> Prepared (the 2PC vote). Returns an error from
@@ -204,15 +196,6 @@ impl TxnManager {
             .lock()
             .get(&txn)
             .map(|t| t.writes > 0)
-            .ok_or(StorageError::NoSuchTxn(txn))
-    }
-
-    /// (reads, writes) performed so far.
-    pub fn op_counts(&self, txn: TxnId) -> Result<(u64, u64)> {
-        self.txns
-            .lock()
-            .get(&txn)
-            .map(|t| (t.reads, t.writes))
             .ok_or(StorageError::NoSuchTxn(txn))
     }
 
@@ -309,10 +292,7 @@ mod tests {
     fn read_only_detection() {
         let tm = TxnManager::default();
         let t = tm.begin();
-        tm.note_read(t);
-        tm.note_read(t);
         assert!(!tm.has_writes(t).unwrap());
-        assert_eq!(tm.op_counts(t).unwrap(), (2, 0));
         assert!(!tm.finish(t).unwrap().logged, "nothing for the log");
     }
 
