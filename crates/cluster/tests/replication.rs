@@ -374,3 +374,66 @@ fn statement_in_flight_on_a_dying_replica_is_masked() {
     assert_eq!(r.rows[0][0], Value::Text("waiter".into()));
     assert_eq!(c.alive_replicas("app").unwrap().len(), 1);
 }
+
+/// Index order is a function of the data, not of the row ids an engine
+/// happened to assign: a replica rebuilt by an Algorithm-1 table copy and
+/// one rebuilt by crash replay answer an ordered read — whole, and stopped
+/// at LIMIT — like the replica that took the writes as they came.
+#[test]
+fn index_order_survives_table_copy_and_crash_replay() {
+    let c = cluster(ReadPolicy::PinnedReplica, WritePolicy::Conservative, 3);
+    c.ddl(
+        "app",
+        "CREATE TABLE orders (o_id INT NOT NULL, o_c_id INT NOT NULL, PRIMARY KEY (o_id))",
+    )
+    .unwrap();
+    c.ddl("app", "CREATE INDEX by_customer ON orders (o_c_id)")
+        .unwrap();
+    let conn = c.connect("app").unwrap();
+    // Row ids ascend while order ids do not, and one order id moves.
+    for o_id in [50, 10, 40, 20, 30] {
+        conn.execute("INSERT INTO orders VALUES (?, 7)", &[Value::Int(o_id)])
+            .unwrap();
+    }
+    conn.execute("INSERT INTO orders VALUES (35, 8)", &[])
+        .unwrap();
+    conn.execute("UPDATE orders SET o_id = 60 WHERE o_id = 10", &[])
+        .unwrap();
+    conn.execute("DELETE FROM orders WHERE o_id = 40", &[])
+        .unwrap();
+
+    let newest = |machine, limit: u32| {
+        let m = c.machine(machine).unwrap();
+        let sql =
+            format!("SELECT o_id FROM orders WHERE o_c_id = 7 ORDER BY o_id DESC LIMIT {limit}");
+        let txn = m.engine.begin().unwrap();
+        let r = tenantdb_sql::execute(&m.engine, txn, "app", &sql, &[]).unwrap();
+        m.engine.commit(txn).unwrap();
+        r.rows
+            .into_iter()
+            .map(|row| row[0].clone())
+            .collect::<Vec<_>>()
+    };
+    let all = [60, 50, 30, 20].map(Value::Int);
+    let check = |what: &str| {
+        assert_replicas_converged(&c, "app");
+        let replicas = c.alive_replicas("app").unwrap();
+        assert_eq!(replicas.len(), 2, "{what}");
+        for m in replicas {
+            assert_eq!(newest(m, 9), all, "{what}: {m}");
+            assert_eq!(newest(m, 2), all[..2], "{what}: {m}");
+        }
+    };
+    check("as written");
+
+    let lost = c.alive_replicas("app").unwrap()[0];
+    c.fail_machine(lost).unwrap();
+    let report = tenantdb_cluster::recover_machine(&c, lost, Default::default());
+    assert!(report.failed.is_empty(), "{report:?}");
+    check("after the table copy");
+
+    let replayed = c.alive_replicas("app").unwrap()[0];
+    c.fail_machine(replayed).unwrap();
+    c.restart_machine(replayed).unwrap();
+    check("after crash replay");
+}

@@ -351,7 +351,7 @@ mod tests {
                 1,
                 RedoOp::CreateTable {
                     db: "app".into(),
-                    schema: schema(),
+                    schema: Box::new(schema()),
                 },
             ),
         ];
@@ -424,7 +424,7 @@ mod tests {
                 1,
                 RedoOp::CreateTable {
                     db: "app".into(),
-                    schema: schema(),
+                    schema: Box::new(schema()),
                 },
             ),
         ];

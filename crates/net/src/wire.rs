@@ -1379,16 +1379,20 @@ fn get_table_schema(r: &mut Reader<'_>) -> WireResult<TableSchema> {
 
 fn get_redo_op(r: &mut Reader<'_>) -> WireResult<RedoOp> {
     Ok(match r.u8()? {
-        0 => RedoOp::CreateDatabase { db: r.string()? },
-        1 => RedoOp::DropDatabase { db: r.string()? },
+        0 => RedoOp::CreateDatabase {
+            db: r.string()?.into(),
+        },
+        1 => RedoOp::DropDatabase {
+            db: r.string()?.into(),
+        },
         2 => RedoOp::CreateTable {
-            db: r.string()?,
-            schema: get_table_schema(r)?,
+            db: r.string()?.into(),
+            schema: Box::new(get_table_schema(r)?),
         },
         3 => {
-            let db = r.string()?;
-            let table = r.string()?;
-            let index = r.string()?;
+            let db = r.string()?.into();
+            let table = r.string()?.into();
+            let index = r.string()?.into();
             let n = r.bounded_len()?;
             let mut columns = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
@@ -1399,13 +1403,13 @@ fn get_redo_op(r: &mut Reader<'_>) -> WireResult<RedoOp> {
                 db,
                 table,
                 index,
-                columns,
+                columns: columns.into(),
                 unique,
             }
         }
         tag @ (4 | 5) => {
-            let db = r.string()?;
-            let table = r.string()?;
+            let db = r.string()?.into();
+            let table = r.string()?.into();
             let row_id = r.u64()?;
             let n = r.bounded_len()?;
             let mut row = Vec::with_capacity(n.min(1024));
@@ -1429,8 +1433,8 @@ fn get_redo_op(r: &mut Reader<'_>) -> WireResult<RedoOp> {
             }
         }
         6 => RedoOp::Delete {
-            db: r.string()?,
-            table: r.string()?,
+            db: r.string()?.into(),
+            table: r.string()?.into(),
             row_id: r.u64()?,
         },
         other => return Err(WireError::BadTag(other)),
@@ -1741,13 +1745,13 @@ mod tests {
             RedoOp::DropDatabase { db: "d".into() },
             RedoOp::CreateTable {
                 db: "d".into(),
-                schema,
+                schema: Box::new(schema),
             },
             RedoOp::CreateIndex {
                 db: "d".into(),
                 table: "users".into(),
                 index: "by_score".into(),
-                columns: vec!["score".into()],
+                columns: ["score".to_string()].into(),
                 unique: false,
             },
             RedoOp::Insert {
@@ -1831,7 +1835,7 @@ mod tests {
         let rec = LogRecord {
             lsn: Lsn(0),
             txn: TxnId(1),
-            entry: WalEntry::Redo(RedoOp::CreateDatabase { db: String::new() }),
+            entry: WalEntry::Redo(RedoOp::CreateDatabase { db: "".into() }),
         };
         let f = Frame::GeoRecords {
             epoch: 0,

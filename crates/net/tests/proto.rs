@@ -183,18 +183,18 @@ fn rand_table_schema(rng: &mut StdRng) -> TableSchema {
 }
 
 fn rand_redo_op(rng: &mut StdRng) -> RedoOp {
-    let db = rand_string(rng, 8);
+    let db = rand_string(rng, 8).into();
     match rng.gen_range(0..7u32) {
         0 => RedoOp::CreateDatabase { db },
         1 => RedoOp::DropDatabase { db },
         2 => RedoOp::CreateTable {
             db,
-            schema: rand_table_schema(rng),
+            schema: Box::new(rand_table_schema(rng)),
         },
         3 => RedoOp::CreateIndex {
             db,
-            table: rand_string(rng, 8),
-            index: rand_string(rng, 8),
+            table: rand_string(rng, 8).into(),
+            index: rand_string(rng, 8).into(),
             columns: (0..rng.gen_range(0..3usize))
                 .map(|_| rand_string(rng, 6))
                 .collect(),
@@ -202,7 +202,7 @@ fn rand_redo_op(rng: &mut StdRng) -> RedoOp {
         },
         4 => RedoOp::Insert {
             db,
-            table: rand_string(rng, 8),
+            table: rand_string(rng, 8).into(),
             row_id: rng.gen::<u64>(),
             row: (0..rng.gen_range(0..4usize))
                 .map(|_| rand_finite_value(rng))
@@ -210,7 +210,7 @@ fn rand_redo_op(rng: &mut StdRng) -> RedoOp {
         },
         5 => RedoOp::Update {
             db,
-            table: rand_string(rng, 8),
+            table: rand_string(rng, 8).into(),
             row_id: rng.gen::<u64>(),
             row: (0..rng.gen_range(0..4usize))
                 .map(|_| rand_finite_value(rng))
@@ -218,7 +218,7 @@ fn rand_redo_op(rng: &mut StdRng) -> RedoOp {
         },
         _ => RedoOp::Delete {
             db,
-            table: rand_string(rng, 8),
+            table: rand_string(rng, 8).into(),
             row_id: rng.gen::<u64>(),
         },
     }

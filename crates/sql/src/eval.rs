@@ -164,6 +164,59 @@ impl BoundExpr {
             other => vec![other],
         }
     }
+
+    /// The expression as printable SQL ([`crate::display`]), for
+    /// `Plan::explain`: offsets back to `names` (the row stream's column
+    /// names), `?` slots numbered from one, aggregate slots as `agg<slot>`.
+    pub fn unbind(&self, names: &[String]) -> Expr {
+        let named = |name: String| Expr::Column { table: None, name };
+        let sub = |e: &BoundExpr| Box::new(e.unbind(names));
+        let all = |es: &[BoundExpr]| es.iter().map(|e| e.unbind(names)).collect();
+        match self {
+            BoundExpr::Literal(v) => Expr::Literal(v.clone()),
+            BoundExpr::Param(i) => named(format!("?{}", i + 1)),
+            BoundExpr::Column(off) => named(match names.get(*off) {
+                Some(name) => name.clone(),
+                None => format!("#{off}"),
+            }),
+            BoundExpr::Agg(slot) => named(format!("agg{slot}")),
+            BoundExpr::Unary { op, expr } => Expr::Unary {
+                op: *op,
+                expr: sub(expr),
+            },
+            BoundExpr::Binary { op, left, right } => Expr::Binary {
+                op: *op,
+                left: sub(left),
+                right: sub(right),
+            },
+            BoundExpr::IsNull { expr, negated } => Expr::IsNull {
+                expr: sub(expr),
+                negated: *negated,
+            },
+            BoundExpr::InList {
+                expr,
+                list,
+                negated,
+            } => Expr::InList {
+                expr: sub(expr),
+                list: all(list),
+                negated: *negated,
+            },
+            BoundExpr::Like {
+                expr,
+                pattern,
+                negated,
+            } => Expr::Like {
+                expr: sub(expr),
+                pattern: sub(pattern),
+                negated: *negated,
+            },
+            BoundExpr::Func { func, args } => Expr::Func {
+                func: *func,
+                args: all(args),
+            },
+        }
+    }
 }
 
 /// One aggregate call of a grouped query: the function and its bound

@@ -7,13 +7,15 @@
 //! a storage handle once per statement, rows are evaluated where the engine
 //! holds them, and a row is cloned only if it survives its predicate (a
 //! joined row) or, for a single-table query, not at all: only the projected
-//! values are.
+//! values are. Where the plan says its access path already yields the ORDER
+//! BY order, rows are neither sorted nor fetched beyond LIMIT.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
-use tenantdb_storage::{Database, Engine, TableHandle, TxnId, Value};
+use tenantdb_storage::{Database, Direction, Engine, TableHandle, TxnId, Value};
 
 use crate::ast::{JoinKind, Statement};
 use crate::error::{Result, SqlError};
@@ -115,14 +117,16 @@ impl<'a> Ctx<'a> {
         Env::constant(self.params)
     }
 
-    /// Fetch the rows of one table through `access`, handing each to
-    /// `visit` where the engine holds it.
+    /// Fetch the rows of one table through `access`, walked in `dir` order,
+    /// handing each to `visit` where the engine holds it until `visit`
+    /// breaks.
     fn fetch(
         self,
         handle: &TableHandle,
         access: &Access,
         for_update: bool,
-        visit: impl FnMut(u64, &[Value]) -> Result<()>,
+        dir: Direction,
+        visit: impl FnMut(u64, &[Value]) -> Result<ControlFlow<()>>,
     ) -> Result<()> {
         let Ctx { engine, txn, .. } = self;
         let constants = |exprs: &[BoundExpr]| -> Result<Vec<Value>> {
@@ -133,7 +137,8 @@ impl<'a> Ctx<'a> {
         };
         match access {
             Access::IndexEq { index, key } => {
-                engine.lookup_with(txn, handle, *index, &constants(key)?, for_update, visit)
+                let key = constants(key)?;
+                engine.lookup_with(txn, handle, *index, &key, for_update, dir, visit)
             }
             Access::IndexRange { index, lo, hi } => {
                 // The tightest bound of each side; a NULL bound admits no
@@ -149,14 +154,11 @@ impl<'a> Ctx<'a> {
                 };
                 let lo = tightest(lo, Ordering::Greater)?;
                 let hi = tightest(hi, Ordering::Less)?;
-                engine.range_with(
-                    txn,
-                    handle,
-                    *index,
+                let span = (
                     lo.as_ref().map(std::slice::from_ref),
                     hi.as_ref().map(std::slice::from_ref),
-                    visit,
-                )
+                );
+                engine.range_with(txn, handle, *index, span, dir, visit)
             }
             Access::Scan => engine.scan_with(txn, handle, visit),
         }
@@ -242,11 +244,13 @@ impl<'a> Exec<'a> {
         for_update: bool,
     ) -> Result<Vec<Vec<Value>>> {
         let mut rows = Vec::new();
-        self.ctx.fetch(handle, access, for_update, |rid, row| {
-            self.note_read(table, rid);
-            rows.push(row.to_vec());
-            Ok(())
-        })?;
+        let any_order = Direction::Forward;
+        self.ctx
+            .fetch(handle, access, for_update, any_order, |rid, row| {
+                self.note_read(table, rid);
+                rows.push(row.to_vec());
+                Ok(ControlFlow::Continue(()))
+            })?;
         Ok(rows)
     }
 
@@ -261,15 +265,27 @@ impl<'a> Exec<'a> {
         };
         let base = p.from.open(db)?;
         let Some((last, inner)) = p.joins.split_last() else {
-            // One table: filter and project each row where it lies.
-            self.ctx.fetch(&base, &p.access, p.for_update, |rid, row| {
-                self.note_read(&p.from, rid);
-                let row = Row::of(row);
-                if keep(row)? {
-                    sink.push(row)?;
-                }
-                Ok(())
-            })?;
+            // One table: filter and project each row where it lies. On an
+            // ordered plan the walk ends with the row that fills LIMIT: no
+            // later row is visited, so none is locked.
+            let dir = p.ordered.unwrap_or(Direction::Forward);
+            self.ctx
+                .fetch(&base, &p.access, p.for_update, dir, |rid, row| {
+                    if sink.full() {
+                        // LIMIT 0.
+                        return Ok(ControlFlow::Break(()));
+                    }
+                    self.note_read(&p.from, rid);
+                    let row = Row::of(row);
+                    if keep(row)? {
+                        sink.push(row)?;
+                    }
+                    Ok(if sink.full() {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    })
+                })?;
             return sink.finish();
         };
         // Joins, left-deep in query order; all but the last materialize.
@@ -326,11 +342,20 @@ impl<'a> Exec<'a> {
                         .map(|e| Ok(eval(e, env.with_row(Row::of(left_row)))?.into_owned()))
                         .collect::<Result<Vec<_>>>()?;
                     let mut matched = false;
-                    engine.lookup_with(txn, &handle, *index, &key, for_update, |rid, row| {
-                        self.note_read(&join.table, rid);
-                        matched |= pair(left_row, Some(row))?;
-                        Ok::<(), SqlError>(())
-                    })?;
+                    let any_order = Direction::Forward;
+                    engine.lookup_with(
+                        txn,
+                        &handle,
+                        *index,
+                        &key,
+                        for_update,
+                        any_order,
+                        |rid, row| {
+                            self.note_read(&join.table, rid);
+                            matched |= pair(left_row, Some(row))?;
+                            Ok::<_, SqlError>(ControlFlow::Continue(()))
+                        },
+                    )?;
                     if unmatched_survive && !matched {
                         pair(left_row, None)?;
                     }
@@ -361,16 +386,18 @@ impl<'a> Exec<'a> {
     fn targets(&self, handle: &TableHandle, target: &Target) -> Result<Vec<(u64, Vec<Value>)>> {
         let env = self.ctx.env();
         let mut matched = Vec::new();
-        self.ctx.fetch(handle, &target.access, true, |rid, row| {
-            let keep = match &target.filter {
-                Some(f) => accepts(&*eval(f, env.with_row(Row::of(row)))?)?,
-                None => true,
-            };
-            if keep {
-                matched.push((rid, row.to_vec()));
-            }
-            Ok(())
-        })?;
+        let any_order = Direction::Forward;
+        self.ctx
+            .fetch(handle, &target.access, true, any_order, |rid, row| {
+                let keep = match &target.filter {
+                    Some(f) => accepts(&*eval(f, env.with_row(Row::of(row)))?)?,
+                    None => true,
+                };
+                if keep {
+                    matched.push((rid, row.to_vec()));
+                }
+                Ok(ControlFlow::Continue(()))
+            })?;
         Ok(matched)
     }
 
@@ -419,7 +446,8 @@ struct Group {
 struct Sink<'p> {
     plan: &'p SelectPlan,
     env: Env<'p>,
-    /// `(output row, sort keys)`.
+    /// `(output row, sort keys)`; no sort keys on an ordered plan, whose
+    /// rows arrive in ORDER BY order.
     out: Vec<(Vec<Value>, Vec<Value>)>,
     groups: BTreeMap<Vec<Value>, Group>,
     /// Scratch for the group key of the row in hand.
@@ -440,6 +468,13 @@ impl<'p> Sink<'p> {
             groups,
             key: Vec::new(),
         }
+    }
+
+    /// Does `out` hold every row the statement will return? Only an
+    /// ordered plan can tell before it has seen them all.
+    fn full(&self) -> bool {
+        let p = self.plan;
+        p.ordered.is_some() && p.limit.is_some_and(|n| self.out.len() as u64 >= n)
     }
 
     fn push(&mut self, row: Row<'_>) -> Result<()> {
@@ -480,8 +515,9 @@ impl<'p> Sink<'p> {
             }
         }
         let mut out = self.out;
-        // ORDER BY (stable sort, per-key direction).
-        if !p.order_by.is_empty() {
+        // ORDER BY (stable sort, per-key direction), unless the rows came
+        // in that order.
+        if !p.order_by.is_empty() && p.ordered.is_none() {
             out.sort_by(|(_, a), (_, b)| {
                 for ((x, y), key) in a.iter().zip(b).zip(&p.order_by) {
                     let ord = x.total_cmp(y);
@@ -547,8 +583,13 @@ fn project<'r>(
             Item::Expr(e) => output.push(eval(e, env)?.into_owned()),
         }
     }
-    let mut keys = Vec::with_capacity(plan.order_by.len());
-    for k in &plan.order_by {
+    // Rows of an ordered plan are not sorted: no keys.
+    let sort_keys: &[_] = match plan.ordered {
+        Some(_) => &[],
+        None => &plan.order_by,
+    };
+    let mut keys = Vec::with_capacity(sort_keys.len());
+    for k in sort_keys {
         keys.push(match &k.by {
             SortBy::Output(i) => output[*i].clone(),
             SortBy::Expr(e) => eval(e, env)?.into_owned(),

@@ -14,6 +14,10 @@
 //! * full-key equality index lookup, single-column index range scan, or
 //!   table scan — from the WHERE conjuncts that compare a column with a
 //!   row-independent expression;
+//! * every index path has an order — that of its entries, key columns then
+//!   primary key — and a single-table SELECT whose ORDER BY that order
+//!   answers is planned as an ordered walk (`ordered_walk` has the rule):
+//!   nothing is sorted, and LIMIT ends the walk;
 //! * joins: index nested-loop when the ON clause equates an indexed column of
 //!   the new table with an expression over already-joined tables, otherwise
 //!   a nested loop over a (predicate-pushed) fetch of the new table;
@@ -31,7 +35,7 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use tenantdb_storage::{ColumnDef, Database, Engine, TableHandle, TableSchema};
+use tenantdb_storage::{ColumnDef, Database, Direction, Engine, Table, TableHandle, TableSchema};
 
 use crate::ast::*;
 use crate::error::{Result, SqlError};
@@ -68,16 +72,17 @@ impl Plan {
         &self.locked_tables
     }
 
-    /// This plan with every access path forced to a table scan and every
-    /// join to a nested loop over a scan. Residual predicates decide the
-    /// result, so this is the reference the chosen plan is tested against;
-    /// nothing but tests has a use for it.
+    /// This plan with every access path forced to a table scan, every join
+    /// to a nested loop over a scan, and every ORDER BY to a sort. Residual
+    /// predicates decide the result, so this is the reference the chosen
+    /// plan is tested against; nothing but tests has a use for it.
     #[doc(hidden)]
     pub fn forcing_scans(&self) -> Plan {
         let mut plan = self.clone();
         match &mut plan.node {
             Node::Select(sel) => {
                 sel.access = Access::Scan;
+                sel.ordered = None;
                 for join in &mut sel.joins {
                     join.strategy = JoinStrategy::Nested(Access::Scan);
                 }
@@ -87,6 +92,156 @@ impl Plan {
             Node::CreateTable(_) | Node::CreateIndex { .. } | Node::Insert(_) => {}
         }
         plan
+    }
+}
+
+impl Plan {
+    /// The chosen plan as text, one line per table in query order: how its
+    /// rows are fetched (`index by_customer = (?1)`, `index pk in [?1,
+    /// +inf]`, `scan`, for a joined table the join strategy) and, closing
+    /// the line of a single-table SELECT (a line of its own after a join),
+    /// what happens to them: `ordered desc by o_id, stops at LIMIT 1` where
+    /// the walk answers ORDER BY, `sort i_pub_date desc, limit 10` where a
+    /// sort does. Index names are looked up on `engine`.
+    pub fn explain(&self, engine: &Engine) -> Result<String> {
+        let db = engine.db(&self.db)?;
+        let target = |t: &Target| -> Result<Vec<String>> {
+            let handle = t.table.open(&db)?;
+            let names = column_names(handle.table(), false);
+            let path = describe(&t.access, handle.table(), &names);
+            Ok(vec![format!("{}: {path}", t.table.name)])
+        };
+        let lines = match &self.node {
+            Node::CreateTable(schema) => vec![format!("{}: create table", schema.name)],
+            Node::CreateIndex { name, table, .. } => vec![format!("{table}: create index {name}")],
+            Node::Insert(p) => vec![format!("{}: insert {} row(s)", p.table.name, p.rows.len())],
+            Node::Update(u) => target(&u.target)?,
+            Node::Delete(t) => target(t)?,
+            Node::Select(sel) => self.explain_select(sel, &db)?,
+        };
+        Ok(lines.join("\n") + "\n")
+    }
+
+    fn explain_select(&self, sel: &SelectPlan, db: &Arc<Database>) -> Result<Vec<String>> {
+        let qualified = !sel.joins.is_empty();
+        let base = sel.from.open(db)?;
+        let mut names = column_names(base.table(), qualified);
+        let path = describe(&sel.access, base.table(), &names);
+        let mut lines = vec![format!("{}: {path}", sel.from.name)];
+        for join in &sel.joins {
+            let handle = join.table.open(db)?;
+            let table = handle.table();
+            let kind = match join.kind {
+                JoinKind::Inner => "join",
+                JoinKind::Left => "left join",
+            };
+            let strategy = match &join.strategy {
+                JoinStrategy::IndexLookup { index, key } => format!(
+                    "index {} = ({})",
+                    table.schema.indexes[*index].name,
+                    listed(key, &names)
+                ),
+                JoinStrategy::Nested(access) => {
+                    let own = column_names(table, true);
+                    format!("nested loop over {}", describe(access, table, &own))
+                }
+            };
+            lines.push(format!("{}: {kind}, {strategy}", join.table.name));
+            names.extend(column_names(table, true));
+        }
+        let fate = self.fate(sel, &names).join(", ");
+        if qualified && !fate.is_empty() {
+            lines.push(format!("result: {fate}"));
+        } else if !fate.is_empty() {
+            lines[0] = format!("{}, {fate}", lines[0]);
+        }
+        Ok(lines)
+    }
+
+    /// What a SELECT does with the rows it fetched, for [`Plan::explain`].
+    fn fate(&self, sel: &SelectPlan, names: &[String]) -> Vec<String> {
+        let mut fate = Vec::new();
+        if sel.for_update {
+            fate.push("for update".to_string());
+        }
+        if sel.grouping.is_some() {
+            fate.push("grouped".to_string());
+        }
+        let key_name = |k: &SortKey| match &k.by {
+            SortBy::Output(i) => self.columns[*i].clone(),
+            SortBy::Expr(e) => e.unbind(names).to_string(),
+        };
+        if let Some(dir) = sel.ordered {
+            let way = match dir {
+                Direction::Forward => "asc",
+                Direction::Backward => "desc",
+            };
+            let keys: Vec<String> = sel.order_by.iter().map(key_name).collect();
+            fate.push(format!("ordered {way} by {}", keys.join(", ")));
+        } else if !sel.order_by.is_empty() {
+            let keys: Vec<String> = sel
+                .order_by
+                .iter()
+                .map(|k| key_name(k) + if k.desc { " desc" } else { "" })
+                .collect();
+            fate.push(format!("sort {}", keys.join(", ")));
+        }
+        if sel.distinct {
+            fate.push("distinct".to_string());
+        }
+        if let Some(n) = sel.limit {
+            fate.push(match sel.ordered {
+                Some(_) => format!("stops at LIMIT {n}"),
+                None => format!("limit {n}"),
+            });
+        }
+        fate
+    }
+}
+
+/// A table's column names as row-stream names, for [`Plan::explain`].
+fn column_names(table: &Table, qualified: bool) -> Vec<String> {
+    let qualifier = if qualified {
+        format!("{}.", table.schema.name)
+    } else {
+        String::new()
+    };
+    table
+        .schema
+        .columns
+        .iter()
+        .map(|c| format!("{qualifier}{}", c.name))
+        .collect()
+}
+
+fn listed(exprs: &[BoundExpr], names: &[String]) -> String {
+    let printed: Vec<String> = exprs.iter().map(|e| e.unbind(names).to_string()).collect();
+    printed.join(", ")
+}
+
+/// An access path, for [`Plan::explain`].
+fn describe(access: &Access, table: &Table, names: &[String]) -> String {
+    let index_name = |index: &usize| &table.schema.indexes[*index].name;
+    match access {
+        Access::IndexEq { index, key } => {
+            format!("index {} = ({})", index_name(index), listed(key, names))
+        }
+        Access::IndexRange { index, lo, hi } if lo.is_empty() && hi.is_empty() => {
+            format!("index {}, whole", index_name(index))
+        }
+        Access::IndexRange { index, lo, hi } => {
+            let side = |bounds: &[BoundExpr], open: &str| match bounds {
+                [] => open.to_string(),
+                _ => listed(bounds, names),
+            };
+            format!(
+                "index {} in [{}, {}]",
+                index_name(index),
+                side(lo, "-inf"),
+                side(hi, "+inf")
+            )
+        }
+        Access::Scan => "scan".to_string(),
     }
 }
 
@@ -157,7 +312,8 @@ pub(crate) enum Access {
     },
     /// Inclusive range on a single-column index: the tightest non-NULL
     /// bound of each side applies (`>` / `<` are widened to inclusive; the
-    /// residual predicate trims the ends).
+    /// residual predicate trims the ends). Without bounds, a walk of the
+    /// whole index (any index), taken for its order.
     IndexRange {
         index: usize,
         lo: Vec<BoundExpr>,
@@ -193,6 +349,9 @@ pub(crate) struct UpdatePlan {
 pub(crate) struct SelectPlan {
     pub from: TableRef,
     pub access: Access,
+    /// `Some` if `access`, walked this way, yields the rows in ORDER BY
+    /// order (see [`ordered_walk`]); `None` if ORDER BY has to sort.
+    pub ordered: Option<Direction>,
     /// Left-deep, in query order.
     pub joins: Vec<JoinPlan>,
     /// The whole WHERE clause, re-applied to every joined row.
@@ -381,6 +540,74 @@ fn plan_insert(
     })
 }
 
+/// Plan an ORDER BY as an ordered walk, if the statement is eligible: the
+/// access path to walk (`access`, or — for a scan that a LIMIT will cut
+/// short — the whole primary-key index) and the direction.
+///
+/// | access path | its order (= its index's entry order) |
+/// |---|---|
+/// | `IndexEq` | the primary key, under the one key |
+/// | `IndexRange` | the index's column(s), then the primary key |
+/// | `Scan` | none (row ids mean nothing to SQL) |
+///
+/// Eligible is a single-table, ungrouped, non-DISTINCT SELECT whose ORDER
+/// BY keys `(column, desc)` — once the columns WHERE binds by equality are
+/// dropped from both sides, being constant over the result, and so is a
+/// column's second mention — all run one way, are a prefix of that order,
+/// and together with the equality-bound columns cover a unique index, so
+/// that no two rows tie and the answer does not depend on the path. Rows
+/// the residual WHERE rejects drop out of an ordered stream without
+/// disturbing it.
+fn ordered_walk(
+    table: &Table,
+    access: &Access,
+    eq: &BTreeMap<usize, &BoundExpr>,
+    keys: &[(usize, bool)],
+    limited: bool,
+) -> Option<(Access, Direction)> {
+    let free = |col: &usize| !eq.contains_key(col);
+    // A column sorted by before breaks no tie when it is named again.
+    let first_mention = |i: usize| !keys[..i].iter().any(|(c, _)| *c == keys[i].0);
+    let keys: Vec<(usize, bool)> = (0..keys.len())
+        .filter(|&i| free(&keys[i].0) && first_mention(i))
+        .map(|i| keys[i])
+        .collect();
+    let &(_, desc) = keys.first()?;
+    if keys.iter().any(|&(_, d)| d != desc) {
+        return None;
+    }
+    let settled = |col: &usize| !free(col) || keys.iter().any(|(c, _)| c == col);
+    let schema = &table.schema;
+    if !schema
+        .indexes
+        .iter()
+        .any(|i| i.unique && i.columns.iter().all(settled))
+    {
+        return None;
+    }
+    let (index, access) = match access {
+        Access::IndexEq { index, .. } | Access::IndexRange { index, .. } => {
+            (*index, access.clone())
+        }
+        // Reading every row in row-id order touches each page once; an
+        // index walk pays off only if LIMIT ends it.
+        Access::Scan if limited => {
+            let (index, _) = schema.primary_key()?;
+            let (lo, hi) = (Vec::new(), Vec::new());
+            (index, Access::IndexRange { index, lo, hi })
+        }
+        Access::Scan => return None,
+    };
+    let mut order = table.entry_columns(index).iter().filter(|c| free(c));
+    let answered = keys.iter().all(|(col, _)| order.next() == Some(col));
+    let dir = if desc {
+        Direction::Backward
+    } else {
+        Direction::Forward
+    };
+    answered.then_some((access, dir))
+}
+
 /// One table's columns as a block of the row stream.
 fn push_table(layout: &mut Layout, binding: &str, schema: &TableSchema) -> Range<usize> {
     let start = layout.width();
@@ -443,6 +670,20 @@ fn flip(op: BinOp) -> BinOp {
     }
 }
 
+/// The equality bindings among the WHERE conjuncts of the table whose
+/// columns are `block` of the row stream: column ordinal → constant.
+fn equalities<'a>(
+    block: &Range<usize>,
+    conjuncts: &[&'a BoundExpr],
+) -> BTreeMap<usize, &'a BoundExpr> {
+    conjuncts
+        .iter()
+        .filter_map(|c| column_vs_constant(c, block))
+        .filter(|(_, op, _)| *op == BinOp::Eq)
+        .map(|(ord, _, e)| (ord, e))
+        .collect()
+}
+
 /// Pick an access path for the table whose columns are `block` of the row
 /// stream, given the WHERE conjuncts.
 fn access_path(schema: &TableSchema, block: Range<usize>, conjuncts: &[&BoundExpr]) -> Access {
@@ -450,13 +691,7 @@ fn access_path(schema: &TableSchema, block: Range<usize>, conjuncts: &[&BoundExp
         .iter()
         .filter_map(|c| column_vs_constant(c, &block))
         .collect();
-    // Equality bindings: column ordinal -> constant.
-    let eq: BTreeMap<usize, &BoundExpr> = compared
-        .iter()
-        .filter(|(_, op, _)| *op == BinOp::Eq)
-        .map(|&(ord, _, e)| (ord, e))
-        .collect();
-    if let Some((index, key)) = fully_bound_index(schema, &eq) {
+    if let Some((index, key)) = fully_bound_index(schema, &equalities(&block, conjuncts)) {
         return Access::IndexEq { index, key };
     }
     // Range on a single-column index.
@@ -494,8 +729,8 @@ fn plan_select(engine: &Engine, db: &str, sel: &SelectStmt) -> Result<(SelectPla
     let filter = sel.filter.as_ref().map(|f| bind(f, &layout)).transpose()?;
     let where_conjuncts = filter.as_ref().map(|f| f.conjuncts()).unwrap_or_default();
 
-    let access = access_path(&base.table().schema, base_block, &where_conjuncts);
-    let joins = joined
+    let access = access_path(&base.table().schema, base_block.clone(), &where_conjuncts);
+    let joins: Vec<JoinPlan> = joined
         .into_iter()
         .map(|(kind, table, handle, block, on)| {
             let schema = &handle.table().schema;
@@ -550,7 +785,7 @@ fn plan_select(engine: &Engine, db: &str, sel: &SelectStmt) -> Result<(SelectPla
             }
         }
     }
-    let order_by = sel
+    let order_by: Vec<SortKey> = sel
         .order_by
         .iter()
         .map(|k| {
@@ -585,9 +820,39 @@ fn plan_select(engine: &Engine, db: &str, sel: &SelectStmt) -> Result<(SelectPla
         None
     };
 
+    // ORDER BY as `(column of the one table, desc)`, if it is nothing else.
+    let sort_columns = || -> Option<Vec<(usize, bool)>> {
+        let outputs: Vec<Option<usize>> = items
+            .iter()
+            .flat_map(|item| match item {
+                Item::Star => base_block.clone().map(Some).collect(),
+                Item::Expr(BoundExpr::Column(off)) => vec![Some(*off)],
+                Item::Expr(_) => vec![None],
+            })
+            .collect();
+        order_by
+            .iter()
+            .map(|k| match &k.by {
+                SortBy::Output(i) => Some((outputs[*i]?, k.desc)),
+                SortBy::Expr(BoundExpr::Column(off)) => Some((*off, k.desc)),
+                SortBy::Expr(_) => None,
+            })
+            .collect()
+    };
+    let eligible = joins.is_empty() && !grouped && !sel.distinct;
+    let walk = eligible.then(sort_columns).flatten().and_then(|keys| {
+        let eq = equalities(&base_block, &where_conjuncts);
+        ordered_walk(base.table(), &access, &eq, &keys, sel.limit.is_some())
+    });
+    let (access, ordered) = match walk {
+        Some((access, dir)) => (access, Some(dir)),
+        None => (access, None),
+    };
+
     let plan = SelectPlan {
         from,
         access,
+        ordered,
         joins,
         filter,
         for_update: sel.for_update,

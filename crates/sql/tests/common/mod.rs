@@ -504,6 +504,146 @@ pub mod gen {
         (stmt, g.slots)
     }
 
+    /// A SELECT over `vocab`'s first table of the shapes an ordered index
+    /// walk may answer — equality on one of the `indexed` columns, a range
+    /// on it or on the primary key `pk`, or no usable predicate, under an
+    /// ORDER BY of the primary key or `(column, primary key)`, both ways,
+    /// with LIMIT 0 / 1 / a few / more than match, a residual predicate
+    /// that rejects visited rows, sometimes FOR UPDATE — and of their
+    /// near-misses: mixed directions, an ORDER BY that ends on no unique
+    /// suffix or is not the index's order, GROUP BY, DISTINCT, a join. The
+    /// ORDER BY names output columns, so the order is checkable.
+    pub fn ordered(
+        rng: &mut StdRng,
+        vocab: &Vocab,
+        pk: &str,
+        indexed: &[&str],
+        join_on: (&str, &str),
+    ) -> (Statement, Slots) {
+        let (table, cols) = &vocab[0];
+        let joined = rng.gen_bool(0.1);
+        let qualifier = joined.then(|| table.clone());
+        let col = |name: &str| Expr::Column {
+            table: qualifier.clone(),
+            name: name.to_string(),
+        };
+        let ty_of = |name: &str| cols.iter().find(|c| c.0 == name).expect("a column").1;
+        let mut g = Gen {
+            rng,
+            scope: cols
+                .iter()
+                .map(|(c, ty)| (qualifier.clone(), c.clone(), *ty))
+                .collect(),
+            slots: Vec::new(),
+            params: true,
+        };
+        let compare = |g: &mut Gen, name: &str, op: BinOp| Expr::Binary {
+            op,
+            left: Box::new(col(name)),
+            right: Box::new(g.constant(ty_of(name))),
+        };
+        let key = indexed[g.rng.gen_range(0..indexed.len())];
+        let mut conjuncts = Vec::new();
+        match g.rng.gen_range(0..6) {
+            0..=2 => conjuncts.push(compare(&mut g, key, BinOp::Eq)),
+            3 => {
+                conjuncts.push(compare(&mut g, pk, BinOp::GtEq));
+                if g.rng.gen_bool(0.5) {
+                    conjuncts.push(compare(&mut g, pk, BinOp::Lt));
+                }
+            }
+            4 => conjuncts.push(compare(&mut g, key, BinOp::Gt)),
+            _ => {}
+        }
+        if g.rng.gen_bool(0.4) {
+            conjuncts.push(g.predicate(1));
+        }
+        let filter = conjuncts.into_iter().reduce(|left, right| Expr::Binary {
+            op: BinOp::And,
+            left: Box::new(left),
+            right: Box::new(right),
+        });
+
+        let grouped = !joined && g.rng.gen_bool(0.1);
+        let other = cols[g.rng.gen_range(0..cols.len())].0.as_str();
+        let order: Vec<&str> = match g.rng.gen_range(0..8) {
+            _ if grouped => vec![key],
+            0..=2 => vec![pk],
+            3..=5 => vec![key, pk],
+            6 => vec![key],
+            _ => vec![other, pk],
+        };
+        let desc = g.rng.gen_bool(0.5);
+        let mixed = g.rng.gen_bool(0.15);
+        let order_by = order
+            .iter()
+            .enumerate()
+            .map(|(i, name)| OrderKey {
+                expr: Expr::Column {
+                    table: None,
+                    name: name.to_string(),
+                },
+                desc: desc ^ (mixed && i == 1),
+            })
+            .collect();
+        let limit = match g.rng.gen_range(0..6) {
+            0 => None,
+            1 => Some(0),
+            2 | 3 => Some(1),
+            4 => Some(g.rng.gen_range(2..6)),
+            _ => Some(100),
+        };
+
+        let plain = |expr| SelectItem::Expr { expr, alias: None };
+        let items = if grouped {
+            let count = Expr::Agg {
+                func: AggFunc::Count,
+                arg: None,
+            };
+            vec![plain(col(key)), plain(count)]
+        } else if !joined && g.rng.gen_bool(0.2) {
+            vec![SelectItem::Star]
+        } else {
+            cols.iter().map(|(c, _)| plain(col(c))).collect()
+        };
+        let joins = if joined {
+            let (right_col, left_col) = join_on;
+            vec![Join {
+                kind: JoinKind::Inner,
+                table: TableRef {
+                    name: vocab[1].0.clone(),
+                    alias: None,
+                },
+                on: Expr::Binary {
+                    op: BinOp::Eq,
+                    left: Box::new(Expr::Column {
+                        table: Some(vocab[1].0.clone()),
+                        name: right_col.to_string(),
+                    }),
+                    right: Box::new(col(left_col)),
+                },
+            }]
+        } else {
+            Vec::new()
+        };
+        let stmt = Statement::Select(SelectStmt {
+            distinct: !grouped && g.rng.gen_bool(0.1),
+            items,
+            from: TableRef {
+                name: table.clone(),
+                alias: None,
+            },
+            joins,
+            filter,
+            group_by: if grouped { vec![col(key)] } else { Vec::new() },
+            having: None,
+            order_by,
+            limit,
+            for_update: !grouped && g.rng.gen_bool(0.15),
+        });
+        (stmt, g.slots)
+    }
+
     /// An UPDATE or DELETE over `vocab`'s first table, `?` slots in SET
     /// values and WHERE.
     pub fn write(rng: &mut StdRng, vocab: &Vocab, settable: &[&str]) -> (Statement, Slots) {

@@ -108,6 +108,127 @@ fn chosen_plans_match_their_forced_scan_reference() {
     );
 }
 
+/// (a') The same for the shapes an ordered walk may answer, and their
+/// near-misses: whatever the planner made of the ORDER BY — a walk that
+/// stops at LIMIT, or a sort — the forced-scan, forced-sort reference
+/// returns the same rows in the same order.
+#[test]
+fn ordered_walks_match_their_sorted_reference() {
+    let e = engine();
+    let (mut verdicts, mut ordered, mut stopped) = (0, 0, 0);
+    for case in 0..600 {
+        let rng = &mut StdRng::seed_from_u64(case ^ 0x0DE2);
+        let (stmt, slots) = gen::ordered(rng, &vocab(), "id", &["a", "s", "id"], ("t_id", "id"));
+        let sql = stmt.to_string();
+        let bound = plan(&e, DB, &parse(&sql).unwrap())
+            .unwrap_or_else(|err| panic!("case {case}: {sql}: {err}"));
+        let explained = bound.explain(&e).unwrap();
+        ordered += usize::from(explained.contains("ordered"));
+        stopped += usize::from(explained.contains("stops at LIMIT"));
+        for _ in 0..4 {
+            let params = gen::draw_params(rng, &slots);
+            let txn = e.begin().unwrap();
+            verdicts += usize::from(execute_checked(&e, txn, DB, &sql, &params).is_ok());
+            e.abort(txn).unwrap();
+        }
+    }
+    assert!(ordered > 150, "only {ordered} of 600 plans walk in order");
+    assert!(stopped > 100, "only {stopped} of 600 plans stop at LIMIT");
+    assert!(
+        ordered < 450,
+        "near-misses must keep their sort ({ordered})"
+    );
+    assert!(
+        verdicts > 1800,
+        "only {verdicts} of 2400 runs evaluated cleanly"
+    );
+}
+
+/// The eligibility rule, case by case, as `Plan::explain` tells it.
+#[test]
+fn the_planner_orders_what_it_may_and_nothing_else() {
+    let e = engine();
+    let explain = |sql: &str| {
+        plan(&e, DB, &parse(sql).unwrap())
+            .unwrap()
+            .explain(&e)
+            .unwrap()
+    };
+    for (sql, expected) in [
+        // Equality on an index: its postings are in primary-key order.
+        (
+            "SELECT s FROM t WHERE a = ? ORDER BY id DESC LIMIT 1",
+            "t: index by_a = (?1), ordered desc by id, stops at LIMIT 1\n",
+        ),
+        (
+            "SELECT id AS k FROM t WHERE s = 's1' AND b > 2 ORDER BY k",
+            "t: index by_s = ('s1'), ordered asc by k\n",
+        ),
+        // The equality-bound column may be named, anywhere.
+        (
+            "SELECT * FROM t WHERE a = 3 ORDER BY id, a LIMIT 2 FOR UPDATE",
+            "t: index by_a = (3), for update, ordered asc by id, a, stops at LIMIT 2\n",
+        ),
+        // A range: the column, closed by the primary key unless it is one.
+        (
+            "SELECT id FROM t WHERE id >= ? AND id < ? ORDER BY id DESC LIMIT 3",
+            "t: index pk in [?1, ?2], ordered desc by id, stops at LIMIT 3\n",
+        ),
+        (
+            "SELECT id FROM t WHERE a > 4 ORDER BY a, id",
+            "t: index by_a in [4, +inf], ordered asc by a, id\n",
+        ),
+        // No usable predicate: the primary-key index, if LIMIT cuts it.
+        (
+            "SELECT id FROM t WHERE b = 1 ORDER BY id LIMIT 4",
+            "t: index pk, whole, ordered asc by id, stops at LIMIT 4\n",
+        ),
+        ("SELECT id FROM t ORDER BY id", "t: scan, sort id\n"),
+        // Near-misses: ties possible; not the index's order; mixed ways.
+        (
+            "SELECT id FROM t WHERE a > 4 ORDER BY a LIMIT 1",
+            "t: index by_a in [4, +inf], sort a, limit 1\n",
+        ),
+        (
+            "SELECT id FROM t WHERE a = 4 ORDER BY b, id LIMIT 1",
+            "t: index by_a = (4), sort b, id, limit 1\n",
+        ),
+        (
+            "SELECT id FROM t WHERE a > 4 ORDER BY a, id DESC LIMIT 1",
+            "t: index by_a in [4, +inf], sort a, id desc, limit 1\n",
+        ),
+        (
+            "SELECT id + 0 AS id FROM t WHERE a = 4 ORDER BY id LIMIT 1",
+            "t: index by_a = (4), sort id, limit 1\n",
+        ),
+        // GROUP BY, DISTINCT and joins sort.
+        (
+            "SELECT id, COUNT(*) FROM t WHERE a = 4 GROUP BY id ORDER BY id LIMIT 1",
+            "t: index by_a = (4), grouped, sort id, limit 1\n",
+        ),
+        (
+            "SELECT DISTINCT id FROM t WHERE a = 4 ORDER BY id LIMIT 1",
+            "t: index by_a = (4), sort id, distinct, limit 1\n",
+        ),
+        (
+            "SELECT t.id FROM t JOIN u ON u.t_id = t.id WHERE t.a = 4 ORDER BY id LIMIT 1",
+            "t: index by_a = (4)\nu: join, index by_t = (t.id)\nresult: sort id, limit 1\n",
+        ),
+        (
+            "SELECT u.v FROM t LEFT JOIN u ON u.v > t.b WHERE u.t_id = 4",
+            "t: scan\nu: left join, nested loop over scan\n",
+        ),
+        // Writes have an access path too.
+        (
+            "UPDATE t SET b = 0 WHERE a = ? AND b = 1",
+            "t: index by_a = (?1)\n",
+        ),
+        ("DELETE FROM u WHERE id > 5", "u: index pk in [5, +inf]\n"),
+    ] {
+        assert_eq!(explain(sql), expected, "{sql}");
+    }
+}
+
 /// (b) One plan value, a thousand parameter draws: each answers exactly
 /// like a plan bound for that draw alone (same rows, same order).
 #[test]

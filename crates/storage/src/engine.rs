@@ -15,6 +15,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -25,7 +26,7 @@ use crate::buffer::{page_of_row, BufferPool, CostModel, PageKey};
 use crate::error::{Result, StorageError};
 use crate::lock::{LockManager, LockMode, ResourceId};
 use crate::schema::TableSchema;
-use crate::table::Table;
+use crate::table::{Direction, Table};
 use crate::txn::{Finished, TxnId, TxnManager, UndoRecord};
 use crate::value::Value;
 use crate::wal::{RedoOp, Wal, WalEntry};
@@ -36,6 +37,10 @@ const INDEX_PAGE_OFFSET: u64 = 1 << 40;
 /// Minimum simulated index pages per index; the actual count grows with the
 /// table (like a real B-tree's leaf level).
 const MIN_INDEX_PAGES: u64 = 2;
+/// Row ids an equality lookup takes from the index per visit to it: rows
+/// are locked one page at a time, outside the table's structure lock, so a
+/// walk that stops early has touched at most this many entries too many.
+const LOOKUP_PAGE: usize = 32;
 
 /// Engine construction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -72,16 +77,16 @@ impl EngineConfig {
 /// A hosted database: a named collection of tables plus usage counters.
 #[derive(Debug)]
 pub struct Database {
-    pub name: String,
+    pub name: Arc<str>,
     tables: RwLock<HashMap<String, Arc<Table>>>,
     reads: AtomicU64,
     writes: AtomicU64,
 }
 
 impl Database {
-    fn new(name: String) -> Self {
+    fn new(name: &str) -> Self {
         Database {
-            name,
+            name: name.into(),
             tables: RwLock::new(&ENGINE_TABLES, HashMap::new()),
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
@@ -122,6 +127,11 @@ impl TableHandle {
     /// The resolved table (schema, shape).
     pub fn table(&self) -> &Table {
         &self.table
+    }
+
+    /// `(database, table)` names for an undo or redo record.
+    fn names(&self) -> (Arc<str>, Arc<str>) {
+        (Arc::clone(&self.db.name), Arc::clone(&self.table.name))
     }
 
     fn note_read(&self) {
@@ -206,7 +216,7 @@ impl Engine {
         if dbs.contains_key(name) {
             return Err(StorageError::AlreadyExists(name.to_string()));
         }
-        dbs.insert(name.to_string(), Arc::new(Database::new(name.to_string())));
+        dbs.insert(name.to_string(), Arc::new(Database::new(name)));
         drop(dbs);
         self.wal.append(
             Wal::DDL_TXN,
@@ -257,7 +267,7 @@ impl Engine {
             Wal::DDL_TXN,
             WalEntry::Redo(RedoOp::CreateTable {
                 db: db.into(),
-                schema,
+                schema: Box::new(schema),
             }),
         );
         Ok(())
@@ -299,7 +309,7 @@ impl Engine {
                 db: db.into(),
                 table: table.into(),
                 index: index.into(),
-                columns: columns.to_vec(),
+                columns: columns.into(),
                 unique,
             }),
         );
@@ -463,10 +473,30 @@ impl Engine {
     /// The visitor behind the by-name reads: clone every row out.
     fn cloning_into(
         out: &mut Vec<(u64, Vec<Value>)>,
-    ) -> impl FnMut(u64, &[Value]) -> Result<()> + '_ {
+    ) -> impl FnMut(u64, &[Value]) -> Result<ControlFlow<()>> + '_ {
         |id, row| {
             out.push((id, row.to_vec()));
-            Ok(())
+            Ok(ControlFlow::Continue(()))
+        }
+    }
+
+    /// An engine-level visitor as a table-level one: an error ends the walk
+    /// too, and is what the walk then breaks with.
+    fn stepping<E>(
+        mut visit: impl FnMut(u64, &[Value]) -> std::result::Result<ControlFlow<()>, E>,
+    ) -> impl FnMut(u64, &[Value]) -> ControlFlow<std::result::Result<(), E>> {
+        move |id, row| match visit(id, row) {
+            Ok(ControlFlow::Continue(())) => ControlFlow::Continue(()),
+            Ok(ControlFlow::Break(())) => ControlFlow::Break(Ok(())),
+            Err(e) => ControlFlow::Break(Err(e)),
+        }
+    }
+
+    /// How a walk over [`Engine::stepping`] ended.
+    fn walked<E>(flow: ControlFlow<std::result::Result<(), E>>) -> std::result::Result<(), E> {
+        match flow {
+            ControlFlow::Break(Err(e)) => Err(e),
+            ControlFlow::Break(Ok(())) | ControlFlow::Continue(()) => Ok(()),
         }
     }
 
@@ -514,19 +544,20 @@ impl Engine {
         }
         self.buffer.access(Self::data_page(t.id, row_id));
         t.insert_with_id(row_id, row.clone())?;
+        let (db, table) = h.names();
         self.txns.push_undo(
             txn,
             UndoRecord::Insert {
-                db: h.db.name.clone(),
-                table: t.schema.name.clone(),
+                db: Arc::clone(&db),
+                table: Arc::clone(&table),
                 row_id,
             },
         )?;
         self.wal.append(
             txn,
             WalEntry::Redo(RedoOp::Insert {
-                db: h.db.name.clone(),
-                table: t.schema.name.clone(),
+                db,
+                table,
                 row_id,
                 row,
             }),
@@ -555,9 +586,10 @@ impl Engine {
         Ok(t.get(row_id))
     }
 
-    /// Equality index lookup. With `for_update`, matching rows are locked
-    /// `X` up front (SELECT ... FOR UPDATE), which avoids upgrade deadlocks
-    /// in read-modify-write transactions; otherwise rows are locked `S`.
+    /// Equality index lookup, rows in primary-key order. With `for_update`,
+    /// matching rows are locked `X` up front (SELECT ... FOR UPDATE), which
+    /// avoids upgrade deadlocks in read-modify-write transactions; otherwise
+    /// rows are locked `S`.
     pub fn index_lookup(
         &self,
         txn: TxnId,
@@ -577,15 +609,25 @@ impl Engine {
             index,
             key,
             for_update,
+            Direction::Forward,
             Self::cloning_into(&mut out),
         )?;
         Ok(out)
     }
 
     /// [`Engine::index_lookup`] through a resolved handle and an index
-    /// ordinal, handing each matching row to `visit` in place instead of
-    /// cloning it out. `visit` runs under the table's structure lock: it
-    /// may evaluate and copy, not call back into the engine.
+    /// ordinal, walking the rows under `key` in `dir` order of their index
+    /// entries (primary-key order) and handing each to `visit` in place
+    /// instead of cloning it out, until `visit` breaks. `visit` runs under
+    /// the table's structure lock: it may evaluate and copy, not call back
+    /// into the engine.
+    ///
+    /// The key `S` lock freezes which rows are under the key and in what
+    /// order — inserts, deletes and key-changing updates under it take the
+    /// key `X`, as does an update of the primary key of a row under it — so
+    /// only the rows actually visited are row-locked, and a walk that
+    /// stopped early finds the same rows when it is repeated.
+    #[allow(clippy::too_many_arguments)]
     pub fn lookup_with<E: From<StorageError>>(
         &self,
         txn: TxnId,
@@ -593,7 +635,8 @@ impl Engine {
         index: usize,
         key: &[Value],
         for_update: bool,
-        mut visit: impl FnMut(u64, &[Value]) -> std::result::Result<(), E>,
+        dir: Direction,
+        mut visit: impl FnMut(u64, &[Value]) -> std::result::Result<ControlFlow<()>, E>,
     ) -> std::result::Result<(), E> {
         self.check_up()?;
         self.txns.require_active(txn)?;
@@ -609,21 +652,33 @@ impl Engine {
             (LockMode::IS, LockMode::S)
         };
         self.lock_table(txn, t, table_mode)?;
-        // S on the key resource freezes the key's membership.
         let hash = Self::key_hash(&def.name, key);
         self.lock_key(txn, t, hash, LockMode::S)?;
         self.buffer.access(Self::index_page(t, hash));
-        for id in t.index_get(index, key)? {
-            self.lock_row(txn, t, id, row_mode)?;
-            self.buffer.access(Self::data_page(t.id, id));
-            t.with_row(id, |row| visit(id, row)).transpose()?;
+        let span = (Some(key), Some(key));
+        let mut page = [0; LOOKUP_PAGE];
+        let mut after: Option<Box<[Value]>> = None;
+        'walk: loop {
+            let (n, more) = t.index_page(index, span, dir, after.as_deref(), &mut page)?;
+            for &id in &page[..n] {
+                self.lock_row(txn, t, id, row_mode)?;
+                self.buffer.access(Self::data_page(t.id, id));
+                let flow = t.with_row(id, |row| visit(id, row)).transpose()?;
+                if flow.is_some_and(|f| f.is_break()) {
+                    break 'walk;
+                }
+            }
+            if more.is_none() {
+                break;
+            }
+            after = more;
         }
         h.note_read();
         Ok(())
     }
 
-    /// Range scan over an index. Takes a full-table `S` lock (conservative
-    /// phantom protection for range predicates).
+    /// Range scan over an index, in key order. Takes a full-table `S` lock
+    /// (conservative phantom protection for range predicates).
     pub fn index_range(
         &self,
         txn: TxnId,
@@ -637,34 +692,46 @@ impl Engine {
         let h = self.open_table(db, table)?;
         let index = h.table.index_ordinal(index)?;
         let mut out = Vec::new();
-        self.range_with(txn, &h, index, lo, hi, Self::cloning_into(&mut out))?;
+        self.range_with(
+            txn,
+            &h,
+            index,
+            (lo, hi),
+            Direction::Forward,
+            Self::cloning_into(&mut out),
+        )?;
         Ok(out)
     }
 
     /// [`Engine::index_range`] through a resolved handle and an index
-    /// ordinal; `visit` as in [`Engine::lookup_with`].
+    /// ordinal: the rows whose key lies in `[lo, hi]` (key prefixes,
+    /// inclusive; `None` is unbounded — both `None` walks the whole index),
+    /// in `dir` order of their index entries, until `visit` breaks; `visit`
+    /// as in [`Engine::lookup_with`].
     pub fn range_with<E: From<StorageError>>(
         &self,
         txn: TxnId,
         h: &TableHandle,
         index: usize,
-        lo: Option<&[Value]>,
-        hi: Option<&[Value]>,
-        mut visit: impl FnMut(u64, &[Value]) -> std::result::Result<(), E>,
+        span: (Option<&[Value]>, Option<&[Value]>),
+        dir: Direction,
+        visit: impl FnMut(u64, &[Value]) -> std::result::Result<ControlFlow<()>, E>,
     ) -> std::result::Result<(), E> {
         self.check_up()?;
         self.txns.require_active(txn)?;
         let t = &*h.table;
         self.lock_table(txn, t, LockMode::S)?;
+        let mut visit = Self::stepping(visit);
         let mut last_page = None;
-        for id in t.index_range(index, lo, hi)? {
+        let flow = t.index_rows(index, span, dir, |id, row| {
             let page = Self::data_page(t.id, id);
             if last_page != Some(page) {
                 self.buffer.access(page);
                 last_page = Some(page);
             }
-            t.with_row(id, |row| visit(id, row)).transpose()?;
-        }
+            visit(id, row)
+        })?;
+        Self::walked(flow)?;
         h.note_read();
         Ok(())
     }
@@ -680,27 +747,29 @@ impl Engine {
         Ok(out)
     }
 
-    /// [`Engine::scan`] through a resolved handle; `visit` as in
-    /// [`Engine::lookup_with`].
+    /// [`Engine::scan`] through a resolved handle, in row-id order until
+    /// `visit` breaks; `visit` as in [`Engine::lookup_with`].
     pub fn scan_with<E: From<StorageError>>(
         &self,
         txn: TxnId,
         h: &TableHandle,
-        mut visit: impl FnMut(u64, &[Value]) -> std::result::Result<(), E>,
+        visit: impl FnMut(u64, &[Value]) -> std::result::Result<ControlFlow<()>, E>,
     ) -> std::result::Result<(), E> {
         self.check_up()?;
         self.txns.require_active(txn)?;
         let t = &*h.table;
         self.lock_table(txn, t, LockMode::S)?;
+        let mut visit = Self::stepping(visit);
         let mut last_page = None;
-        t.try_for_each(|id, row| {
+        let flow = t.try_for_each(|id, row| {
             let page = Self::data_page(t.id, id);
             if last_page != Some(page) {
                 self.buffer.access(page);
                 last_page = Some(page);
             }
             visit(id, row)
-        })?;
+        });
+        Self::walked(flow)?;
         h.note_read();
         Ok(())
     }
@@ -733,24 +802,37 @@ impl Engine {
         self.lock_table(txn, t, LockMode::IX)?;
         self.lock_row(txn, t, row_id, LockMode::X)?;
         let old = t.get(row_id).ok_or(StorageError::NoSuchRow(row_id))?;
-        // Lock the key resources whose membership this update changes.
+        // Lock the key resources whose membership this update changes — and,
+        // if the primary key changes, every key the row stays under: its
+        // entry moves within that key, which an ordered walk that stopped
+        // short of it must be able to count on not happening.
+        let key_of = |idx, row: &[Value]| t.schema.index_key(idx, row);
+        let pk_moves = t
+            .schema
+            .primary_key()
+            .is_some_and(|(_, pk)| key_of(pk, &old) != key_of(pk, &new_row));
         for idx in &t.schema.indexes {
-            let old_key = t.schema.index_key(idx, &old);
-            let new_key = t.schema.index_key(idx, &new_row);
-            if old_key != new_key {
-                let new_hash = Self::key_hash(&idx.name, &new_key);
-                self.lock_key(txn, t, Self::key_hash(&idx.name, &old_key), LockMode::X)?;
-                self.lock_key(txn, t, new_hash, LockMode::X)?;
-                self.buffer.access(Self::index_page(t, new_hash));
+            let old_key = key_of(idx, &old);
+            let new_key = key_of(idx, &new_row);
+            let key_changes = old_key != new_key;
+            if !key_changes && (idx.unique || !pk_moves) {
+                continue;
             }
+            if key_changes {
+                self.lock_key(txn, t, Self::key_hash(&idx.name, &old_key), LockMode::X)?;
+            }
+            let new_hash = Self::key_hash(&idx.name, &new_key);
+            self.lock_key(txn, t, new_hash, LockMode::X)?;
+            self.buffer.access(Self::index_page(t, new_hash));
         }
         self.buffer.access(Self::data_page(t.id, row_id));
         t.update(row_id, new_row.clone())?;
+        let (db, table) = h.names();
         self.txns.push_undo(
             txn,
             UndoRecord::Update {
-                db: h.db.name.clone(),
-                table: t.schema.name.clone(),
+                db: Arc::clone(&db),
+                table: Arc::clone(&table),
                 row_id,
                 old,
             },
@@ -758,8 +840,8 @@ impl Engine {
         self.wal.append(
             txn,
             WalEntry::Redo(RedoOp::Update {
-                db: h.db.name.clone(),
-                table: t.schema.name.clone(),
+                db,
+                table,
                 row_id,
                 row: new_row,
             }),
@@ -788,23 +870,18 @@ impl Engine {
         }
         self.buffer.access(Self::data_page(t.id, row_id));
         t.delete(row_id)?;
+        let (db, table) = h.names();
         self.txns.push_undo(
             txn,
             UndoRecord::Delete {
-                db: h.db.name.clone(),
-                table: t.schema.name.clone(),
+                db: Arc::clone(&db),
+                table: Arc::clone(&table),
                 row_id,
                 old,
             },
         )?;
-        self.wal.append(
-            txn,
-            WalEntry::Redo(RedoOp::Delete {
-                db: h.db.name.clone(),
-                table: t.schema.name.clone(),
-                row_id,
-            }),
-        );
+        self.wal
+            .append(txn, WalEntry::Redo(RedoOp::Delete { db, table, row_id }));
         h.note_write();
         Ok(())
     }
@@ -956,23 +1033,23 @@ impl Engine {
         };
         match op {
             RedoOp::CreateDatabase { db } => {
-                dbs.entry(db.clone())
-                    .or_insert_with(|| Arc::new(Database::new(db.clone())));
+                dbs.entry(db.to_string())
+                    .or_insert_with(|| Arc::new(Database::new(db)));
             }
             RedoOp::DropDatabase { db } => {
-                dbs.remove(db);
+                dbs.remove(&**db);
             }
             RedoOp::CreateTable { db, schema } => {
                 // A repeated CreateTable must not clobber a table that
                 // already took rows.
-                if let Some(d) = dbs.get(db) {
+                if let Some(d) = dbs.get(&**db) {
                     d.tables
                         .write()
                         .entry(schema.name.clone())
                         .or_insert_with(|| {
                             // ordering: Relaxed — id minting; uniqueness needs only atomicity.
                             let id = self.next_table_id.fetch_add(1, Ordering::Relaxed);
-                            Arc::new(Table::new(id, schema.clone()))
+                            Arc::new(Table::new(id, (**schema).clone()))
                         });
                 }
             }
@@ -983,14 +1060,16 @@ impl Engine {
                 columns,
                 unique,
             } => {
-                if let (Some(d), Some(old)) = (dbs.get(db), find_table(db, table)) {
+                if let (Some(d), Some(old)) = (dbs.get(&**db), find_table(db, table)) {
                     let mut schema = old.schema.clone();
                     if schema.try_add_index(index, columns, *unique).is_ok() {
                         let rebuilt = Table::new(old.id, schema);
                         for (rid, row) in old.scan() {
                             let _ = rebuilt.insert_with_id(rid, row);
                         }
-                        d.tables.write().insert(table.clone(), Arc::new(rebuilt));
+                        d.tables
+                            .write()
+                            .insert(table.to_string(), Arc::new(rebuilt));
                     }
                 }
             }

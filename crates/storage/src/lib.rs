@@ -60,7 +60,7 @@ pub use engine::{Database, DbProfile, Engine, EngineConfig, EngineStats, TableHa
 pub use error::{Result, StorageError};
 pub use lock::{LockManager, LockMode, LockStats, ResourceId};
 pub use schema::{ColumnDef, IndexDef, TableSchema};
-pub use table::Table;
+pub use table::{Direction, Table};
 pub use txn::{TxnId, TxnPhase, UndoRecord};
 pub use value::{DataType, Value};
 pub use wal::{LogRecord, Lsn, RedoOp, Wal, WalEntry};

@@ -108,6 +108,13 @@ impl TableSchema {
         self.indexes.iter().find(|i| i.name == name)
     }
 
+    /// The primary key — the unique index named `"pk"` — and its ordinal
+    /// in `indexes`, if declared.
+    pub fn primary_key(&self) -> Option<(usize, &IndexDef)> {
+        let named_pk = |(_, i): &(usize, &IndexDef)| i.unique && i.name == "pk";
+        self.indexes.iter().enumerate().find(named_pk)
+    }
+
     /// Find an index whose column list starts with exactly `cols` (in order).
     /// Used by the planner to select an access path.
     pub fn index_covering(&self, cols: &[usize]) -> Option<&IndexDef> {

@@ -6,11 +6,14 @@
 //! into a table. Methods that must be atomic (e.g. unique-check-then-insert)
 //! take the internal structure lock for their whole duration.
 
+use std::borrow::Borrow;
+use std::cmp::Ordering as Cmp;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
-use std::ops::Bound;
+use std::ops::{Bound, ControlFlow};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::sync::{RwLock, TABLE_DATA};
 
@@ -18,8 +21,85 @@ use crate::error::{Result, StorageError};
 use crate::schema::TableSchema;
 use crate::value::Value;
 
-/// An index: ordered map from key tuples to the set of row ids with that key.
-type IndexMap = BTreeMap<Vec<Value>, BTreeSet<u64>>;
+/// Which way an index is walked, in entry order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Direction {
+    Forward,
+    Backward,
+}
+
+/// One index entry: the values of the index's key columns, then — unless
+/// the index is unique — of the primary-key columns (the row id where the
+/// table has no primary key). Entries are therefore unique, an equality
+/// lookup is the range of entries that start with the key, and the rows
+/// under one key come back in primary-key order: a function of the data,
+/// identical on every replica, which row-id order is not.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Entry(Box<[Value]>);
+
+/// An index: one flat ordered map from entry to row id.
+type IndexMap = BTreeMap<Entry, u64>;
+
+/// A position in entry order: an entry (`Equal`), or the edge just below
+/// (`Less`) / above (`Greater`) every entry that starts with the values.
+/// `dyn Pos` is what an [`IndexMap`] is ranged by, so that a key prefix can
+/// bound a walk without a successor value having to exist.
+trait Pos {
+    fn pos(&self) -> (&[Value], Cmp);
+}
+
+impl Pos for Entry {
+    fn pos(&self) -> (&[Value], Cmp) {
+        (&self.0, Cmp::Equal)
+    }
+}
+
+struct At<'a>(&'a [Value], Cmp);
+
+impl Pos for At<'_> {
+    fn pos(&self) -> (&[Value], Cmp) {
+        (self.0, self.1)
+    }
+}
+
+impl<'a> Borrow<dyn Pos + 'a> for Entry {
+    fn borrow(&self) -> &(dyn Pos + 'a) {
+        self
+    }
+}
+
+impl Ord for dyn Pos + '_ {
+    /// Lexicographic, like the derived order of [`Entry`] (which it must
+    /// agree with), except that an edge sorts below or above everything it
+    /// is a prefix of.
+    fn cmp(&self, other: &Self) -> Cmp {
+        let ((a, a_edge), (b, b_edge)) = (self.pos(), other.pos());
+        if let Some(ord) = a.iter().zip(b).map(|(x, y)| x.cmp(y)).find(|o| o.is_ne()) {
+            return ord;
+        }
+        match a.len().cmp(&b.len()) {
+            Cmp::Less if a_edge.is_eq() => Cmp::Less,
+            Cmp::Less => a_edge,
+            Cmp::Greater if b_edge.is_eq() => Cmp::Greater,
+            Cmp::Greater => b_edge.reverse(),
+            Cmp::Equal => a_edge.cmp(&b_edge),
+        }
+    }
+}
+
+impl PartialOrd for dyn Pos + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Cmp> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for dyn Pos + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for dyn Pos + '_ {}
 
 struct TableData {
     rows: BTreeMap<u64, Vec<Value>>,
@@ -28,15 +108,28 @@ struct TableData {
     indexes: Vec<IndexMap>,
 }
 
+/// What the entries of one index are made of (see [`Entry`]).
+struct EntryShape {
+    /// Row columns, in entry order: the key columns, then the suffix.
+    columns: Vec<usize>,
+    /// The row id closes the entry (a non-unique index on a table without a
+    /// primary key).
+    row_id: bool,
+}
+
 /// A stored table.
 pub struct Table {
     /// Global table id (assigned by the engine); used for lock resources and
     /// buffer-pool page keys.
     pub id: u64,
     pub schema: TableSchema,
+    /// `schema.name`, shared with the undo and redo records of every write.
+    pub name: Arc<str>,
     /// `shape[n]` fingerprints the columns plus the first `n` indexes (see
     /// [`Table::shape_at`]).
     shape: Vec<u64>,
+    /// Per index, in schema order.
+    entries: Vec<EntryShape>,
     data: RwLock<TableData>,
     next_row_id: AtomicU64,
 }
@@ -58,11 +151,28 @@ fn shape_of(schema: &TableSchema) -> Vec<u64> {
 
 impl Table {
     pub fn new(id: u64, schema: TableSchema) -> Self {
+        let pk = schema.primary_key().map(|(_, pk)| pk);
+        let entries: Vec<EntryShape> = schema
+            .indexes
+            .iter()
+            .map(|idx| {
+                let mut columns = idx.columns.clone();
+                if !idx.unique {
+                    columns.extend(pk.into_iter().flat_map(|pk| &pk.columns));
+                }
+                EntryShape {
+                    columns,
+                    row_id: !idx.unique && pk.is_none(),
+                }
+            })
+            .collect();
         let indexes = schema.indexes.iter().map(|_| IndexMap::new()).collect();
         Table {
             id,
             shape: shape_of(&schema),
+            name: schema.name.as_str().into(),
             schema,
+            entries,
             data: RwLock::new(
                 &TABLE_DATA,
                 TableData {
@@ -83,6 +193,27 @@ impl Table {
         self.shape.get(indexes).copied()
     }
 
+    /// The row columns the entries of the index at ordinal `index` are
+    /// ordered by: its key columns, then — for a non-unique index — the
+    /// primary-key columns. (A trailing row id is not a column.)
+    pub fn entry_columns(&self, index: usize) -> &[usize] {
+        &self.entries[index].columns
+    }
+
+    fn entry(&self, index: usize, row_id: u64, row: &[Value]) -> Entry {
+        let shape = &self.entries[index];
+        let values = shape.columns.iter().map(|&c| row[c].clone());
+        let row_id = shape.row_id.then_some(Value::Int(row_id as i64));
+        Entry(values.chain(row_id).collect())
+    }
+
+    fn unique_violation(&self, index: usize) -> StorageError {
+        StorageError::UniqueViolation {
+            table: self.schema.name.clone(),
+            index: self.schema.indexes[index].name.clone(),
+        }
+    }
+
     /// Reserve the next row id without inserting (the engine locks the row id
     /// before the row materializes, so no reader can observe a half-inserted
     /// row).
@@ -97,20 +228,17 @@ impl Table {
     pub fn insert_with_id(&self, row_id: u64, row: Vec<Value>) -> Result<()> {
         self.schema.check_row(&row)?;
         let mut d = self.data.write();
-        for (ord, idx) in self.schema.indexes.iter().enumerate() {
-            if idx.unique {
-                let key = self.schema.index_key(idx, &row);
-                if d.indexes[ord].get(&key).is_some_and(|s| !s.is_empty()) {
-                    return Err(StorageError::UniqueViolation {
-                        table: self.schema.name.clone(),
-                        index: idx.name.clone(),
-                    });
-                }
-            }
+        let entries: Vec<Entry> = (0..self.entries.len())
+            .map(|index| self.entry(index, row_id, &row))
+            .collect();
+        // An entry of a unique index is its key alone.
+        if let Some(index) = (0..entries.len())
+            .find(|&i| self.schema.indexes[i].unique && d.indexes[i].contains_key(&entries[i]))
+        {
+            return Err(self.unique_violation(index));
         }
-        for (ord, idx) in self.schema.indexes.iter().enumerate() {
-            let key = self.schema.index_key(idx, &row);
-            d.indexes[ord].entry(key).or_default().insert(row_id);
+        for (map, entry) in d.indexes.iter_mut().zip(entries) {
+            map.insert(entry, row_id);
         }
         d.rows.insert(row_id, row);
         // Keep the id allocator ahead of explicitly supplied ids (restore path).
@@ -139,40 +267,31 @@ impl Table {
     pub fn update(&self, row_id: u64, new_row: Vec<Value>) -> Result<Vec<Value>> {
         self.schema.check_row(&new_row)?;
         let mut d = self.data.write();
-        let old = d
-            .rows
-            .get(&row_id)
-            .cloned()
-            .ok_or(StorageError::NoSuchRow(row_id))?;
-        for (ord, idx) in self.schema.indexes.iter().enumerate() {
-            if idx.unique {
-                let new_key = self.schema.index_key(idx, &new_row);
-                let old_key = self.schema.index_key(idx, &old);
-                if new_key != old_key && d.indexes[ord].get(&new_key).is_some_and(|s| !s.is_empty())
-                {
-                    return Err(StorageError::UniqueViolation {
-                        table: self.schema.name.clone(),
-                        index: idx.name.clone(),
-                    });
-                }
-            }
+        let old = d.rows.get(&row_id).ok_or(StorageError::NoSuchRow(row_id))?;
+        // The entries that move: `(index, old entry, new entry)`.
+        let moved: Vec<(usize, Entry, Entry)> = (0..self.entries.len())
+            .map(|i| {
+                (
+                    i,
+                    self.entry(i, row_id, old),
+                    self.entry(i, row_id, &new_row),
+                )
+            })
+            .filter(|(_, old, new)| old != new)
+            .collect();
+        if let Some(&(index, ..)) = moved
+            .iter()
+            .find(|(i, _, new)| self.schema.indexes[*i].unique && d.indexes[*i].contains_key(new))
+        {
+            return Err(self.unique_violation(index));
         }
-        for (ord, idx) in self.schema.indexes.iter().enumerate() {
-            let old_key = self.schema.index_key(idx, &old);
-            let new_key = self.schema.index_key(idx, &new_row);
-            if old_key != new_key {
-                let map = &mut d.indexes[ord];
-                if let Some(set) = map.get_mut(&old_key) {
-                    set.remove(&row_id);
-                    if set.is_empty() {
-                        map.remove(&old_key);
-                    }
-                }
-                map.entry(new_key).or_default().insert(row_id);
-            }
+        for (index, old, new) in moved {
+            d.indexes[index].remove(&old);
+            d.indexes[index].insert(new, row_id);
         }
-        d.rows.insert(row_id, new_row);
-        Ok(old)
+        Ok(d.rows
+            .insert(row_id, new_row)
+            .expect("the row was found above, under this lock"))
     }
 
     /// Remove a row. Returns the old image.
@@ -182,15 +301,8 @@ impl Table {
             .rows
             .remove(&row_id)
             .ok_or(StorageError::NoSuchRow(row_id))?;
-        for (ord, idx) in self.schema.indexes.iter().enumerate() {
-            let key = self.schema.index_key(idx, &old);
-            let map = &mut d.indexes[ord];
-            if let Some(set) = map.get_mut(&key) {
-                set.remove(&row_id);
-                if set.is_empty() {
-                    map.remove(&key);
-                }
-            }
+        for (index, map) in d.indexes.iter_mut().enumerate() {
+            map.remove(&self.entry(index, row_id, &old));
         }
         Ok(old)
     }
@@ -204,64 +316,113 @@ impl Table {
             .ok_or_else(|| StorageError::NoSuchIndex(index.into()))
     }
 
-    /// Row ids matching an exact key of the index at ordinal `index`.
-    pub fn index_get(&self, index: usize, key: &[Value]) -> Result<Vec<u64>> {
-        let d = self.data.read();
-        let map = d
-            .indexes
-            .get(index)
-            .ok_or_else(|| StorageError::NoSuchIndex(format!("#{index}")))?;
-        Ok(map
-            .get(key)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default())
-    }
-
-    /// Row ids whose index key lies in `[lo, hi]` (inclusive bounds; `None`
-    /// means unbounded on that side). Returned in key order.
-    pub fn index_range(
+    /// Visit `(entry, row id)` of the index at ordinal `index`, in `dir`
+    /// order, over the entries that start with a key in `[lo, hi]` (key
+    /// prefixes, inclusive; `None` is unbounded on that side) and — when
+    /// resuming a walk — lie beyond the entry `after`.
+    fn walk<B>(
         &self,
         index: usize,
-        lo: Option<&[Value]>,
-        hi: Option<&[Value]>,
-    ) -> Result<Vec<u64>> {
+        (lo, hi): (Option<&[Value]>, Option<&[Value]>),
+        dir: Direction,
+        after: Option<&[Value]>,
+        mut f: impl FnMut(&TableData, &Entry, u64) -> ControlFlow<B>,
+    ) -> Result<ControlFlow<B>> {
         let d = self.data.read();
         let map = d
             .indexes
             .get(index)
             .ok_or_else(|| StorageError::NoSuchIndex(format!("#{index}")))?;
-        // An inverted range is empty (`BTreeMap::range` would panic on it).
-        if let (Some(lo), Some(hi)) = (lo, hi) {
-            if lo > hi {
-                return Ok(Vec::new());
+        let mut from = lo.map(|k| At(k, Cmp::Less));
+        let mut to = hi.map(|k| At(k, Cmp::Greater));
+        if let Some(entry) = after {
+            let resume = match dir {
+                Direction::Forward => &mut from,
+                Direction::Backward => &mut to,
+            };
+            *resume = Some(At(entry, Cmp::Equal));
+        }
+        fn bound<'a>(at: &'a Option<At<'a>>) -> Bound<&'a (dyn Pos + 'a)> {
+            match at {
+                Some(at) => Bound::Excluded(at),
+                None => Bound::Unbounded,
             }
         }
-        let lo_b = lo.map_or(Bound::Unbounded, |k| Bound::Included(k.to_vec()));
-        let hi_b = hi.map_or(Bound::Unbounded, |k| Bound::Included(k.to_vec()));
-        let mut out = Vec::new();
-        for (_, ids) in map.range((lo_b, hi_b)) {
-            out.extend(ids.iter().copied());
+        // An inverted range is empty (`BTreeMap::range` would panic on it).
+        if let (Some(from), Some(to)) = (&from, &to) {
+            if (from as &dyn Pos) >= (to as &dyn Pos) {
+                return Ok(ControlFlow::Continue(()));
+            }
         }
-        Ok(out)
+        let mut entries = map.range::<dyn Pos, _>((bound(&from), bound(&to)));
+        let mut visit = |(entry, &row_id): (&Entry, &u64)| f(&d, entry, row_id);
+        Ok(match dir {
+            Direction::Forward => entries.try_for_each(&mut visit),
+            Direction::Backward => entries.rev().try_for_each(&mut visit),
+        })
+    }
+
+    /// Visit, in place and in index order, the rows whose key in the index
+    /// at ordinal `index` lies in `[lo, hi]` (as [`Table::index_page`]).
+    /// `f` runs under the table's structure lock: it must not call back
+    /// into this table.
+    pub fn index_rows<B>(
+        &self,
+        index: usize,
+        span: (Option<&[Value]>, Option<&[Value]>),
+        dir: Direction,
+        mut f: impl FnMut(u64, &[Value]) -> ControlFlow<B>,
+    ) -> Result<ControlFlow<B>> {
+        self.walk(index, span, dir, None, |d, _, row_id| {
+            match d.rows.get(&row_id) {
+                Some(row) => f(row_id, row),
+                None => ControlFlow::Continue(()),
+            }
+        })
+    }
+
+    /// One page of an index walk: fills `page` with the next row ids, in
+    /// `dir` order, of the entries that start with a key in `[lo, hi]` (key
+    /// prefixes, inclusive; `None` is unbounded on that side — an equality
+    /// lookup has `lo == hi`), beyond the entry `after` if one is given.
+    /// Returns how many ids it wrote and, if the page filled up, the entry
+    /// to resume after. The caller works on a page (locks rows, reads them)
+    /// without holding the table's structure lock; whatever freezes the
+    /// range's membership meanwhile is the caller's lock, not this table's.
+    pub fn index_page(
+        &self,
+        index: usize,
+        span: (Option<&[Value]>, Option<&[Value]>),
+        dir: Direction,
+        after: Option<&[Value]>,
+        page: &mut [u64],
+    ) -> Result<(usize, Option<Box<[Value]>>)> {
+        let mut n = 0;
+        let flow = self.walk(index, span, dir, after, |_, entry, row_id| {
+            page[n] = row_id;
+            n += 1;
+            if n == page.len() {
+                ControlFlow::Break(entry.0.clone())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })?;
+        Ok((n, flow.break_value()))
     }
 
     /// Snapshot of all `(row_id, row)` pairs in row-id order.
     pub fn scan(&self) -> Vec<(u64, Vec<Value>)> {
-        let mut out = Vec::new();
-        let _ = self.try_for_each(|id, row| {
-            out.push((id, row.to_vec()));
-            Ok::<(), std::convert::Infallible>(())
-        });
-        out
+        let d = self.data.read();
+        d.rows.iter().map(|(&id, row)| (id, row.clone())).collect()
     }
 
     /// Visit every row in row-id order, in place (under the table's
-    /// structure lock, so `f` must not call back into this table); stops at
-    /// the first error.
-    pub fn try_for_each<E>(
+    /// structure lock, so `f` must not call back into this table), until
+    /// `f` breaks.
+    pub fn try_for_each<B>(
         &self,
-        mut f: impl FnMut(u64, &[Value]) -> std::result::Result<(), E>,
-    ) -> std::result::Result<(), E> {
+        mut f: impl FnMut(u64, &[Value]) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
         self.data
             .read()
             .rows
@@ -321,6 +482,28 @@ mod tests {
         vec![Value::Int(id), Value::Text(title.into()), Value::Int(stock)]
     }
 
+    /// The row ids an index walk over `[lo, hi]` visits, in order.
+    fn walk(
+        t: &Table,
+        index: usize,
+        lo: Option<&[Value]>,
+        hi: Option<&[Value]>,
+        dir: Direction,
+    ) -> Vec<u64> {
+        let mut ids = Vec::new();
+        let flow = t.index_rows(index, (lo, hi), dir, |id, _| {
+            ids.push(id);
+            ControlFlow::<()>::Continue(())
+        });
+        assert!(flow.unwrap().is_continue());
+        ids
+    }
+
+    /// The row ids under one key, in entry order.
+    fn under(t: &Table, index: usize, key: &[Value]) -> Vec<u64> {
+        walk(t, index, Some(key), Some(key), Direction::Forward)
+    }
+
     #[test]
     fn insert_get_roundtrip() {
         let t = items();
@@ -349,9 +532,7 @@ mod tests {
             .unwrap();
         t.insert_with_id(t.reserve_row_id(), row(2, "same", 2))
             .unwrap();
-        let ids = t
-            .index_get(BY_TITLE, &[Value::Text("same".into())])
-            .unwrap();
+        let ids = under(&t, BY_TITLE, &[Value::Text("same".into())]);
         assert_eq!(ids.len(), 2);
     }
 
@@ -362,14 +543,8 @@ mod tests {
         t.insert_with_id(rid, row(1, "old", 1)).unwrap();
         let old = t.update(rid, row(1, "new", 1)).unwrap();
         assert_eq!(old[1], Value::Text("old".into()));
-        assert!(t
-            .index_get(BY_TITLE, &[Value::Text("old".into())])
-            .unwrap()
-            .is_empty());
-        assert_eq!(
-            t.index_get(BY_TITLE, &[Value::Text("new".into())]).unwrap(),
-            vec![rid]
-        );
+        assert!(under(&t, BY_TITLE, &[Value::Text("old".into())]).is_empty());
+        assert_eq!(under(&t, BY_TITLE, &[Value::Text("new".into())]), vec![rid]);
     }
 
     #[test]
@@ -383,7 +558,7 @@ mod tests {
         assert!(matches!(err, StorageError::UniqueViolation { .. }));
         // Row 2 unchanged.
         assert_eq!(t.get(r2).unwrap()[0], Value::Int(2));
-        assert_eq!(t.index_get(PK, &[Value::Int(2)]).unwrap(), vec![r2]);
+        assert_eq!(under(&t, PK, &[Value::Int(2)]), vec![r2]);
     }
 
     #[test]
@@ -403,7 +578,7 @@ mod tests {
         t.insert_with_id(rid, row(1, "x", 1)).unwrap();
         t.delete(rid).unwrap();
         assert!(t.get(rid).is_none());
-        assert!(t.index_get(PK, &[Value::Int(1)]).unwrap().is_empty());
+        assert!(under(&t, PK, &[Value::Int(1)]).is_empty());
         // The id can be reused by a fresh insert (restore path).
         t.insert_with_id(rid, row(1, "x", 1)).unwrap();
     }
@@ -415,14 +590,71 @@ mod tests {
             t.insert_with_id(t.reserve_row_id(), row(i, &format!("t{i}"), i))
                 .unwrap();
         }
-        let ids = t
-            .index_range(PK, Some(&[Value::Int(3)]), Some(&[Value::Int(6)]))
-            .unwrap();
-        assert_eq!(ids.len(), 4);
-        let open = t.index_range(PK, Some(&[Value::Int(8)]), None).unwrap();
-        assert_eq!(open.len(), 2);
-        let inverted = t.index_range(PK, Some(&[Value::Int(6)]), Some(&[Value::Int(3)]));
-        assert!(inverted.unwrap().is_empty());
+        let (three, six, eight) = ([Value::Int(3)], [Value::Int(6)], [Value::Int(8)]);
+        let fwd = Direction::Forward;
+        assert_eq!(walk(&t, PK, Some(&three), Some(&six), fwd), [3, 4, 5, 6]);
+        assert_eq!(walk(&t, PK, Some(&eight), None, fwd), [8, 9]);
+        assert_eq!(
+            walk(&t, PK, None, Some(&three), Direction::Backward),
+            [3, 2, 1, 0]
+        );
+        assert!(walk(&t, PK, Some(&six), Some(&three), fwd).is_empty());
+    }
+
+    /// Rows under one key of a non-unique index come back in primary-key
+    /// order whatever their row ids, both ways, and page by page.
+    #[test]
+    fn entries_under_a_key_are_in_primary_key_order() {
+        let t = items();
+        // Row ids ascend while primary keys descend.
+        for (rid, id) in [(0, 40), (1, 30), (2, 20), (3, 10)] {
+            t.insert_with_id(rid, row(id, "same", 0)).unwrap();
+        }
+        t.insert_with_id(4, row(25, "other", 0)).unwrap();
+        t.insert_with_id(5, row(26, "sam", 0)).unwrap();
+        let key = [Value::Text("same".into())];
+        assert_eq!(under(&t, BY_TITLE, &key), [3, 2, 1, 0]);
+        assert_eq!(
+            walk(&t, BY_TITLE, Some(&key), Some(&key), Direction::Backward),
+            [0, 1, 2, 3]
+        );
+        // Pages of three, resumed after the entry the page ended on.
+        for (dir, expected) in [
+            (Direction::Forward, [3, 2, 1, 0]),
+            (Direction::Backward, [0, 1, 2, 3]),
+        ] {
+            let span = (Some(&key[..]), Some(&key[..]));
+            let mut page = [0; 3];
+            let (n, more) = t.index_page(BY_TITLE, span, dir, None, &mut page).unwrap();
+            assert_eq!((n, &page[..]), (3, &expected[..3]));
+            let more = more.expect("a full page names its resume point");
+            let (n, end) = t
+                .index_page(BY_TITLE, span, dir, Some(&more), &mut page)
+                .unwrap();
+            assert_eq!((n, page[0], end), (1, expected[3], None));
+        }
+        // A primary-key update moves the entry under its (unchanged) key.
+        t.update(3, row(50, "same", 0)).unwrap();
+        assert_eq!(under(&t, BY_TITLE, &key), [2, 1, 0, 3]);
+    }
+
+    /// Without a primary key the row id closes the entry.
+    #[test]
+    fn entries_of_a_table_without_primary_key_end_on_the_row_id() {
+        let schema = TableSchema::new("log", vec![ColumnDef::new("k", DataType::Int)]).with_index(
+            "by_k",
+            &["k"],
+            false,
+        );
+        let t = Table::new(1, schema);
+        for rid in [7, 3, 5] {
+            t.insert_with_id(rid, vec![Value::Int(1)]).unwrap();
+        }
+        t.insert_with_id(4, vec![Value::Null]).unwrap();
+        assert_eq!(under(&t, 0, &[Value::Int(1)]), [3, 5, 7]);
+        assert_eq!(under(&t, 0, &[Value::Null]), [4]);
+        t.delete(5).unwrap();
+        assert_eq!(walk(&t, 0, None, None, Direction::Forward), [4, 3, 7]);
     }
 
     #[test]
@@ -497,7 +729,8 @@ mod tests {
             StorageError::NoSuchIndex(_)
         ));
         assert!(matches!(
-            t.index_get(9, &[]).unwrap_err(),
+            t.index_page(9, (None, None), Direction::Forward, None, &mut [0])
+                .unwrap_err(),
             StorageError::NoSuchIndex(_)
         ));
     }

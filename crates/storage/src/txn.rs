@@ -21,6 +21,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::sync::{Mutex, TXN_MANAGER};
 
@@ -53,26 +54,27 @@ impl TxnPhase {
     }
 }
 
-/// One logical undo record. Applied in reverse order on abort.
+/// One logical undo record. Applied in reverse order on abort. The names
+/// are the engine's own, shared with the write's redo record.
 #[derive(Debug, Clone)]
 pub enum UndoRecord {
     /// Undo an insert: remove the row.
     Insert {
-        db: String,
-        table: String,
+        db: Arc<str>,
+        table: Arc<str>,
         row_id: u64,
     },
     /// Undo an update: restore the old image.
     Update {
-        db: String,
-        table: String,
+        db: Arc<str>,
+        table: Arc<str>,
         row_id: u64,
         old: Vec<Value>,
     },
     /// Undo a delete: re-insert the old image.
     Delete {
-        db: String,
-        table: String,
+        db: Arc<str>,
+        table: Arc<str>,
         row_id: u64,
         old: Vec<Value>,
     },

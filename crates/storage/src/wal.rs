@@ -13,6 +13,8 @@
 //! engine crash discards all in-flight transactions and rebuilds committed
 //! state from the log).
 
+use std::sync::Arc;
+
 use crate::sync::{Mutex, WAL_RECORDS};
 
 use crate::schema::TableSchema;
@@ -47,41 +49,44 @@ impl std::fmt::Display for Lsn {
     }
 }
 
-/// A redo operation.
+/// A redo operation. The database and table names of a row operation are
+/// the engine's own (`Database::name`, `Table::name`), shared, not copied;
+/// the DDL variants keep their rarely-used payload behind a pointer so that
+/// a [`LogRecord`] — most of them `Commit` markers — stays small.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RedoOp {
     CreateDatabase {
-        db: String,
+        db: Arc<str>,
     },
     DropDatabase {
-        db: String,
+        db: Arc<str>,
     },
     CreateTable {
-        db: String,
-        schema: TableSchema,
+        db: Arc<str>,
+        schema: Box<TableSchema>,
     },
     CreateIndex {
-        db: String,
-        table: String,
-        index: String,
-        columns: Vec<String>,
+        db: Arc<str>,
+        table: Arc<str>,
+        index: Box<str>,
+        columns: Box<[String]>,
         unique: bool,
     },
     Insert {
-        db: String,
-        table: String,
+        db: Arc<str>,
+        table: Arc<str>,
         row_id: u64,
         row: Vec<Value>,
     },
     Update {
-        db: String,
-        table: String,
+        db: Arc<str>,
+        table: Arc<str>,
         row_id: u64,
         row: Vec<Value>,
     },
     Delete {
-        db: String,
-        table: String,
+        db: Arc<str>,
+        table: Arc<str>,
         row_id: u64,
     },
 }
@@ -259,6 +264,13 @@ mod tests {
             row_id,
             row: vec![Value::Int(row_id as i64)],
         })
+    }
+
+    /// The log is what a long run retains (ROADMAP item 4): a record must
+    /// not pay for the widest DDL payload.
+    #[test]
+    fn a_log_record_is_small() {
+        assert!(std::mem::size_of::<LogRecord>() < 96);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Concurrency stress tests for the storage engine: the invariants that the
 //! whole platform's correctness rests on.
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tenantdb_storage::{
-    ColumnDef, DataType, Engine, EngineConfig, LockManager, LockMode, ResourceId, StorageError,
-    TableSchema, TxnId, Value,
+    ColumnDef, DataType, Direction, Engine, EngineConfig, LockManager, LockMode, ResourceId,
+    StorageError, TableSchema, TxnId, Value,
 };
 
 fn engine() -> Arc<Engine> {
@@ -267,4 +268,146 @@ fn crash_during_copy_is_clean() {
     let txn = e.begin().unwrap();
     assert_eq!(e.scan(txn, "db", "t").unwrap().len(), 200);
     e.commit(txn).unwrap();
+}
+
+/// `orders (o_id pk, o_c_id, note)` with a non-unique index on `o_c_id`,
+/// orders 1..=5 under customer 7 and one under customer 8.
+fn orders() -> Arc<Engine> {
+    let e = Engine::new(EngineConfig::for_tests());
+    e.create_database("db").unwrap();
+    e.create_table(
+        "db",
+        TableSchema::new(
+            "orders",
+            vec![
+                ColumnDef::new("o_id", DataType::Int).not_null(),
+                ColumnDef::new("o_c_id", DataType::Int).not_null(),
+                ColumnDef::new("note", DataType::Text),
+            ],
+        )
+        .with_primary_key(&["o_id"])
+        .with_index("by_customer", &["o_c_id"], false),
+    )
+    .unwrap();
+    e.with_txn(|t| {
+        for (o_id, customer) in [(3, 7), (1, 7), (5, 7), (9, 8), (2, 7), (4, 7)] {
+            e.insert(t, "db", "orders", order(o_id, customer, "new"))?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    Arc::new(e)
+}
+
+fn order(o_id: i64, customer: i64, note: &str) -> Vec<Value> {
+    vec![Value::Int(o_id), Value::Int(customer), Value::from(note)]
+}
+
+/// The first `limit` order ids under customer 7, newest first: an ordered
+/// walk that stops at `limit`.
+fn newest(e: &Engine, txn: TxnId, limit: usize) -> Vec<i64> {
+    let h = e.open_table("db", "orders").unwrap();
+    let by_customer = h.table().index_ordinal("by_customer").unwrap();
+    let mut ids = Vec::new();
+    e.lookup_with(
+        txn,
+        &h,
+        by_customer,
+        &[Value::Int(7)],
+        false,
+        Direction::Backward,
+        |_, row| {
+            ids.push(row[0].as_i64().unwrap());
+            Ok::<_, StorageError>(if ids.len() == limit {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            })
+        },
+    )
+    .unwrap();
+    ids
+}
+
+fn row_id_of(e: &Engine, o_id: i64) -> u64 {
+    let txn = e.begin().unwrap();
+    let hit = e
+        .index_lookup(txn, "db", "orders", "pk", &[Value::Int(o_id)], false)
+        .unwrap();
+    e.commit(txn).unwrap();
+    hit[0].0
+}
+
+fn wait_for_waiters(e: &Engine, n: usize) {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while e.locks().waiter_count() != n {
+        assert!(Instant::now() < deadline, "expected {n} blocked writers");
+        thread::yield_now();
+    }
+}
+
+/// A walk that stopped at LIMIT row-locks only what it visited, and is
+/// still repeatable: whatever could change which row comes first under the
+/// key waits for the key lock, everything else goes ahead.
+#[test]
+fn a_stopped_walk_is_repeatable_and_locks_only_what_it_visited() {
+    let e = orders();
+    let (oldest, second) = (row_id_of(&e, 1), row_id_of(&e, 2));
+    let t1 = e.begin().unwrap();
+    let before = e.locks().stats().acquisitions;
+    assert_eq!(newest(&e, t1, 1), [5]);
+    assert_eq!(
+        e.locks().stats().acquisitions - before,
+        3,
+        "table IS, key S, one row S — not one per order"
+    );
+
+    // A non-key column of an unvisited row: no lock of T1's is in the way.
+    e.with_txn(|t| e.update(t, "db", "orders", second, order(2, 7, "shipped")))
+        .unwrap();
+    // An insert under the key waits (phantom protection, as ever) ...
+    let inserter = {
+        let e = Arc::clone(&e);
+        thread::spawn(move || e.with_txn(|t| e.insert(t, "db", "orders", order(6, 7, "new"))))
+    };
+    wait_for_waiters(&e, 1);
+    // ... and so does a primary-key update of an unvisited row: its entry
+    // would move under the key, here to the front.
+    let mover = {
+        let e = Arc::clone(&e);
+        thread::spawn(move || {
+            e.with_txn(|t| e.update(t, "db", "orders", oldest, order(10, 7, "new")))
+        })
+    };
+    wait_for_waiters(&e, 2);
+
+    assert_eq!(newest(&e, t1, 1), [5], "the stopped walk repeats");
+    assert_eq!(newest(&e, t1, 2), [5, 4], "and goes on as it would have");
+    e.commit(t1).unwrap();
+    inserter.join().unwrap().unwrap();
+    mover.join().unwrap().unwrap();
+    let t2 = e.begin().unwrap();
+    assert_eq!(newest(&e, t2, 3), [10, 6, 5]);
+    e.commit(t2).unwrap();
+}
+
+/// Index order is a function of the data: crash replay rebuilds it.
+#[test]
+fn crash_replay_rebuilds_the_same_index_order() {
+    let e = orders();
+    let oldest = row_id_of(&e, 1);
+    e.with_txn(|t| e.update(t, "db", "orders", oldest, order(10, 7, "new")))
+        .unwrap();
+    e.with_txn(|t| e.delete(t, "db", "orders", row_id_of(&e, 3)))
+        .unwrap();
+    let read = |e: &Engine| {
+        let txn = e.begin().unwrap();
+        let ids = newest(e, txn, 9);
+        e.commit(txn).unwrap();
+        ids
+    };
+    assert_eq!(read(&e), [10, 5, 4, 2]);
+    e.crash();
+    e.restart();
+    assert_eq!(read(&e), [10, 5, 4, 2]);
 }

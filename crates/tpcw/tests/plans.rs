@@ -14,6 +14,10 @@
 //!
 //! The data set, the parameter stream and the order of interactions are
 //! fixed by seeds, so the counts repeat exactly.
+//!
+//! One count is pinned beyond the fresh store: OrderInquiry's "latest
+//! order" statement, whose footprint must not grow with the customer's
+//! order history (the index walk stops at LIMIT).
 
 #[path = "../../sql/tests/common/mod.rs"]
 mod common;
@@ -25,7 +29,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use tenantdb_cluster::{ClusterConfig, ClusterController, ClusterError, Transport};
-use tenantdb_sql::QueryResult;
+use tenantdb_sql::{parse, plan, QueryResult};
 use tenantdb_storage::{Engine, TxnId, Value};
 use tenantdb_tpcw::{run_txn, setup_database, IdCounters, Scale, Session, TxnType};
 
@@ -126,15 +130,22 @@ impl Transport for OnEngine {
     }
 }
 
-/// Three rounds of every interaction over a 60-item store on one machine.
-fn drive() -> OnEngine {
+/// A fresh 60-item store on one machine: its engine, its id counters and
+/// its scale.
+fn store() -> (Arc<Engine>, Arc<IdCounters>, Scale) {
     let cluster = ClusterController::with_machines(ClusterConfig::for_tests(), 1);
     cluster.create_database(DB, 1).unwrap();
     let scale = Scale::with_items(60);
     let ids = IdCounters::from_space(setup_database(&cluster, DB, scale, 99).unwrap());
     let machine = cluster.machines().into_iter().next().unwrap();
+    (Arc::clone(&machine.engine), ids, scale)
+}
+
+/// Three rounds of every interaction over the store.
+fn drive() -> OnEngine {
+    let (engine, ids, scale) = store();
     let conn = OnEngine {
-        engine: Arc::clone(&machine.engine),
+        engine,
         txn: Cell::new(None),
         footprint: RefCell::new(Vec::new()),
         writes: RefCell::new(Vec::new()),
@@ -177,4 +188,64 @@ fn tpcw_statements_take_the_locks_and_pages_they_always_took() {
         .map(|&(sql, locks, pages)| (sql.to_string(), locks, pages))
         .collect();
     assert_eq!(footprint, expected);
+}
+
+const LATEST_ORDER: &str =
+    "SELECT o_id, o_total, o_status FROM orders WHERE o_c_id = ? ORDER BY o_id DESC LIMIT 1";
+const NEW_PRODUCTS: &str = "SELECT i_id, i_title, i_pub_date FROM item WHERE i_subject = ? \
+                            ORDER BY i_pub_date DESC LIMIT 10";
+
+/// OrderInquiry's first statement is answered by walking the customer's
+/// postings backwards and stopping at the first: table IS, key S, one row
+/// S, whether the customer placed one order or a thousand. NewProducts
+/// orders by a column its index does not, so it fetches the subject's
+/// items and sorts, as it always did (its pinned `(10, 9)` above).
+#[test]
+fn latest_order_costs_the_same_after_a_thousand_orders() {
+    let (engine, ids, _) = store();
+    let explain = |sql: &str| {
+        let bound = plan(&engine, DB, &parse(sql).unwrap()).unwrap();
+        bound.explain(&engine).unwrap()
+    };
+    assert_eq!(
+        explain(LATEST_ORDER),
+        "orders: index by_customer = (?1), ordered desc by o_id, stops at LIMIT 1\n"
+    );
+    assert_eq!(
+        explain(NEW_PRODUCTS),
+        "item: index by_subject = (?1), sort i_pub_date desc, limit 10\n"
+    );
+
+    // A customer the generator gave no orders.
+    let customer = Value::Int(1_000_000);
+    let (mut placed, mut latest) = (0, 0);
+    for orders in [1, 50, 1_000] {
+        let txn = engine.begin().unwrap();
+        while placed < orders {
+            // ordering: Relaxed — a single-threaded id source.
+            latest = ids.order.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let params = [Value::Int(latest), customer.clone(), Value::Float(9.5)];
+            let sql = "INSERT INTO orders VALUES (?, ?, 0, ?, 'pending')";
+            tenantdb_sql::execute(&engine, txn, DB, sql, &params).unwrap();
+            placed += 1;
+        }
+        engine.commit(txn).unwrap();
+
+        let counters = || {
+            (
+                engine.locks().stats().acquisitions,
+                engine.buffer().stats().accesses(),
+            )
+        };
+        let txn = engine.begin().unwrap();
+        let before = counters();
+        let params = std::slice::from_ref(&customer);
+        let r = tenantdb_sql::execute(&engine, txn, DB, LATEST_ORDER, params).unwrap();
+        let (locks, pages) = (counters().0 - before.0, counters().1 - before.1);
+        engine.commit(txn).unwrap();
+        assert_eq!(r.rows.len(), 1);
+        assert_eq!(r.rows[0][0], Value::Int(latest), "after {orders} orders");
+        assert_eq!(locks, 3, "after {orders} orders");
+        assert!(pages <= 3, "{pages} page accesses after {orders} orders");
+    }
 }

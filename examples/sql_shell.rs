@@ -6,7 +6,7 @@
 //! Reads statements from stdin (`;`-terminated not required — one per line),
 //! plus meta-commands: `\help`, `\dbs`, `\use <db>`, `\metrics`,
 //! `\events [n]`, `\fail <machine>`, `\recover <machine>`,
-//! `\sla <min_tps> [frac]`, `\hammer [n]`,
+//! `\sla <min_tps> [frac]`, `\hammer [n]`, `\explain <sql>`,
 //! `\ctrl status|kill [n]|restart <n>`,
 //! `\georep status|promote` (cross-colo DR — see the "Colo failover"
 //! runbook in README.md), `\quit`.
@@ -184,6 +184,7 @@ fn main() {
                 println!("  \\recover <m>    re-create the replicas machine m lost");
                 println!("  \\sla <tps> [frac]  install an SLA floor on the current database");
                 println!("  \\hammer [n]     offer n txns as fast as possible (default 500)");
+                println!("  \\explain <sql>  the plan a statement runs by: access path per table");
                 println!("  \\ctrl status    replicated controller group: leader, term, lag");
                 println!("  \\ctrl kill [n]  crash controller n (default: the leader)");
                 println!("  \\ctrl restart <n>  restart a crashed controller replica");
@@ -279,7 +280,8 @@ fn main() {
                 || input.starts_with("\\recover")
                 || input.starts_with("\\sla")
                 || input.starts_with("\\ctrl")
-                || input.starts_with("\\georep"))
+                || input.starts_with("\\georep")
+                || input.starts_with("\\explain"))
         {
             println!("(local-cluster command — \\disconnect first)");
             continue;
@@ -562,6 +564,24 @@ fn main() {
                 secs,
                 n as f64 / secs.max(1e-9),
             );
+            continue;
+        }
+        if let Some(sql) = input.strip_prefix("\\explain ") {
+            // Planned against the schema as one alive replica holds it.
+            let explained = cluster
+                .alive_replicas(&db)
+                .and_then(|replicas| cluster.machine(replicas[0]))
+                .map_err(|e| e.to_string())
+                .and_then(|m| {
+                    let stmt = tenantdb::sql::parse(sql).map_err(|e| e.to_string())?;
+                    let plan = tenantdb::sql::plan(&m.engine, &db, &stmt);
+                    plan.and_then(|p| p.explain(&m.engine))
+                        .map_err(|e| e.to_string())
+                });
+            match explained {
+                Ok(lines) => print!("{lines}"),
+                Err(e) => println!("error: {e}"),
+            }
             continue;
         }
         if let Some(target) = input.strip_prefix("\\use ") {

@@ -397,3 +397,94 @@ fn read_write_rollback_and_drop_mid_txn_through_the_platform() {
     );
     assert!(turns > 0, "no lane turn was taken by the caller");
 }
+
+/// One seed across every layer for the ordered index walk: a customer with
+/// 200 orders, two write-all replicas. "The latest order" is the same row
+/// on each replica's engine, through a `Connection` and through a
+/// `NetClient`, and costs the locks it costs a customer with one order.
+#[test]
+fn latest_order_is_one_row_read_on_every_replica_and_transport() {
+    use tenantdb::cluster::Transport;
+    use tenantdb::net::{ConnectOptions, NetClient, Server, ServerConfig};
+
+    const LATEST: &str =
+        "SELECT o_id, o_total FROM orders WHERE o_c_id = ? ORDER BY o_id DESC LIMIT 1";
+    let platform = two_colo_platform();
+    platform
+        .create_database("shop", WEST, CreateOptions::default())
+        .unwrap();
+    let conn = platform.connect("shop", WEST).unwrap();
+    for ddl in [
+        "CREATE TABLE orders (o_id INT NOT NULL, o_c_id INT NOT NULL, o_total FLOAT, \
+         PRIMARY KEY (o_id))",
+        "CREATE INDEX by_customer ON orders (o_c_id)",
+    ] {
+        conn.execute(ddl, &[]).unwrap();
+    }
+    // Customer 1 orders 200 times, customer 2 once, interleaved.
+    conn.begin().unwrap();
+    for o_id in 0..201 {
+        let customer = if o_id == 77 { 2 } else { 1 };
+        let row = [
+            Value::Int(o_id),
+            Value::Int(customer),
+            Value::Float(o_id as f64),
+        ];
+        conn.execute("INSERT INTO orders VALUES (?, ?, ?)", &row)
+            .unwrap();
+    }
+    conn.commit().unwrap();
+    let latest = vec![vec![Value::Int(200), Value::Float(200.0)]];
+
+    let (cluster, _) = dr_clusters(&platform, "shop");
+    tenantdb::cluster::testkit::assert_replicas_converged(&cluster, "shop");
+    let engines: Vec<_> = cluster
+        .alive_replicas("shop")
+        .unwrap()
+        .into_iter()
+        .map(|m| Arc::clone(&cluster.machine(m).unwrap().engine))
+        .collect();
+    assert_eq!(engines.len(), 2);
+    let locks_taken = || -> u64 {
+        let taken = |e: &Arc<tenantdb::storage::Engine>| e.locks().stats().acquisitions;
+        engines.iter().map(taken).sum()
+    };
+
+    // Each replica's engine, asked directly.
+    let only = vec![vec![Value::Int(77), Value::Float(77.0)]];
+    for engine in &engines {
+        for (customer, expected) in [(1, &latest), (2, &only)] {
+            let txn = engine.begin().unwrap();
+            let before = engine.locks().stats().acquisitions;
+            let r = tenantdb::sql::execute(engine, txn, "shop", LATEST, &[Value::Int(customer)]);
+            let locks = engine.locks().stats().acquisitions - before;
+            engine.commit(txn).unwrap();
+            assert_eq!(&r.unwrap().rows, expected);
+            assert_eq!(locks, 3, "customer {customer}: table IS, key S, one row S");
+        }
+    }
+
+    // Through the cluster connection, and over TCP.
+    let server = Server::start(
+        "127.0.0.1:0",
+        Arc::clone(&platform),
+        ServerConfig::default(),
+    )
+    .expect("bind server");
+    let client = NetClient::connect(server.local_addr(), "shop", ConnectOptions::default())
+        .expect("tcp connect");
+    let transports: [(&str, &dyn Transport); 2] = [("connection", &conn), ("tcp", &client)];
+    for (name, transport) in transports {
+        let cost_of = |customer: i64| {
+            let before = locks_taken();
+            let r = transport.execute(LATEST, &[Value::Int(customer)]).unwrap();
+            (r.rows, locks_taken() - before)
+        };
+        let (rows, locks_for_200) = cost_of(1);
+        assert_eq!(rows, latest, "{name}");
+        let (_, locks_for_1) = cost_of(2);
+        assert_eq!(locks_for_200, locks_for_1, "{name}");
+    }
+    drop(client);
+    server.shutdown();
+}
