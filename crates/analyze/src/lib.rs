@@ -1,4 +1,4 @@
-//! tenantdb-analyze — token/call-graph static analyzer for the tenantdb
+//! tenantdb-analyze — token-level static analyzer for the tenantdb
 //! workspace (DESIGN.md §14).
 //!
 //! Two layers, both std-only and total (never panic on malformed input):
@@ -8,10 +8,11 @@
 //!   invisible to the matchers, killing the documented
 //!   `raw.split("//")` class of false negatives, and `#[cfg(test)]`
 //!   masking is attribute-scoped rather than first-marker-to-EOF.
-//! * **passes** — five semantic, cross-file passes over the parsed
-//!   workspace model: static lock-rank ordering, transitive
-//!   reactor-blocking, crash-point coverage, wire exhaustiveness, and
-//!   metric-name drift.
+//! * **passes** — four semantic, cross-file passes over the parsed
+//!   workspace model: static lock-rank ordering, crash-point coverage,
+//!   wire exhaustiveness, and metric-name drift. ("May this thread
+//!   block?" is not among them: that is a runtime property, asserted by
+//!   `tenantdb-lockdep`'s reactor mark inside the blocking primitives.)
 //!
 //! `cargo run -p xtask -- lint` runs the rules; `cargo run -p xtask --
 //! analyze` runs the passes. Both gate CI.
@@ -23,7 +24,6 @@ pub mod model;
 pub mod coverage;
 pub mod lock_rank;
 pub mod metric_drift;
-pub mod reactor;
 pub mod rules;
 pub mod wirecheck;
 
@@ -35,11 +35,10 @@ pub fn lint(ws: &Workspace) -> Vec<Diag> {
     rules::run(ws)
 }
 
-/// The five semantic passes (the `analyze` gate).
+/// The four semantic passes (the `analyze` gate).
 pub fn analyze(ws: &Workspace) -> Vec<Diag> {
     let mut out = Vec::new();
     out.extend(lock_rank::run(ws));
-    out.extend(reactor::run(ws));
     out.extend(coverage::run(ws));
     out.extend(wirecheck::run(ws, &wirecheck::LIVE_TRIPLES));
     out.extend(metric_drift::run(ws));
@@ -96,9 +95,9 @@ mod live_tree {
     #[test]
     fn live_tree_exercises_every_pass_surface() {
         // The pass configuration must keep matching the tree: the lock
-        // classes, the reactor entry points, the CrashPoint enum, the
-        // wire triples, and the metric literals all have to be found,
-        // otherwise a rename would silently turn a pass into a no-op.
+        // classes, the CrashPoint enum, the wire triples, and the metric
+        // literals all have to be found, otherwise a rename would silently
+        // turn a pass into a no-op.
         let ws = Workspace::load(&workspace_root());
         assert!(
             !lock_rank::collect_classes(&ws).is_empty(),
@@ -115,14 +114,5 @@ mod live_tree {
                 t.enum_name
             );
         }
-        let has_reactor_entry = ws.fns.iter().any(|f| {
-            let p = ws.files[f.file].path.as_str();
-            (p == "crates/net/src/server.rs" || p == "crates/net/src/reactor.rs")
-                && (f.owner.as_deref() == Some("Reactor") || f.name == "reactor_loop")
-        });
-        assert!(
-            has_reactor_entry,
-            "no reactor entry points found — reactor pass is a no-op"
-        );
     }
 }

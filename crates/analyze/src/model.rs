@@ -1,7 +1,7 @@
 //! The queryable workspace model: files lexed to token streams, plus the
-//! item-level structure the passes need — `fn` items with owner types and
-//! body spans, call edges, `enum` variant lists, `#[cfg(test)]` scoping,
-//! and per-line code/comment views for the line-window rules.
+//! item-level structure the passes need — `fn` items with body spans,
+//! `enum` variant lists, `#[cfg(test)]` scoping, and per-line code/comment
+//! views for the line-window rules.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -42,9 +42,6 @@ pub struct FnItem {
     pub file: usize,
     /// Bare function name.
     pub name: String,
-    /// Enclosing `impl` type (`Reactor` for `impl Reactor { fn x() }`),
-    /// if any.
-    pub owner: Option<String>,
     /// Line of the `fn` keyword.
     pub line: usize,
     /// Token-index range of the body, **inside** the outer braces
@@ -53,24 +50,6 @@ pub struct FnItem {
     pub body: Option<(usize, usize)>,
     /// Whole item (including the body braces) is inside a test region.
     pub is_test: bool,
-}
-
-/// One call site inside a fn body.
-#[derive(Debug)]
-pub struct CallEdge {
-    /// Called name (`handle_request`, `lock`).
-    pub callee: String,
-    /// `Foo` in `Foo::bar(...)`, when path-qualified.
-    pub qualifier: Option<String>,
-    /// Was this `recv.name(...)` (method syntax)?
-    pub is_method: bool,
-    /// For method calls: the last identifier of the receiver chain
-    /// (`state` in `self.state.lock()`), when it is a plain ident.
-    pub receiver: Option<String>,
-    /// Source line of the callee token.
-    pub line: usize,
-    /// Token index of the callee ident within the file.
-    pub tok: usize,
 }
 
 /// An `enum` definition.
@@ -90,8 +69,6 @@ pub struct Workspace {
     /// the metric-drift pass.
     pub docs: Vec<(String, String)>,
     pub fns: Vec<FnItem>,
-    /// Call edges per fn, parallel to `fns`.
-    pub calls: Vec<Vec<CallEdge>>,
     pub enums: Vec<EnumDef>,
 }
 
@@ -137,7 +114,6 @@ impl Workspace {
             files: Vec::new(),
             docs: Vec::new(),
             fns: Vec::new(),
-            calls: Vec::new(),
             enums: Vec::new(),
         };
         for (path, contents) in inputs {
@@ -150,14 +126,7 @@ impl Workspace {
         }
         for fi in 0..ws.files.len() {
             let (fns, enums) = parse_items(&ws.files[fi], fi);
-            for f in fns {
-                let edges = f
-                    .body
-                    .map(|b| call_edges(&ws.files[fi], b))
-                    .unwrap_or_default();
-                ws.fns.push(f);
-                ws.calls.push(edges);
-            }
+            ws.fns.extend(fns);
             ws.enums.extend(enums);
         }
         ws
@@ -393,39 +362,17 @@ fn item_end_after(toks: &[Tok], code: &[usize], mut k: usize) -> usize {
     code.len()
 }
 
-/// Rust keywords that look like `ident (` call sites but are not calls.
-const NON_CALL_KEYWORDS: [&str; 12] = [
-    "if", "while", "for", "match", "loop", "return", "fn", "move", "unsafe", "in", "as", "where",
-];
-
 /// Extract fn items and enum defs from one file.
 fn parse_items(file: &File, file_idx: usize) -> (Vec<FnItem>, Vec<EnumDef>) {
     let toks = &file.toks;
     let code: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
     let mut fns = Vec::new();
     let mut enums = Vec::new();
-    // Stack of (brace_depth_at_body, owner) for impl blocks.
-    let mut owners: Vec<(i32, String)> = Vec::new();
-    let mut brace = 0i32;
     let mut k = 0usize;
     while k < code.len() {
         let i = code[k];
         let t = &toks[i];
         match t.text.as_str() {
-            "{" => brace += 1,
-            "}" => {
-                brace -= 1;
-                while owners.last().is_some_and(|(d, _)| *d > brace) {
-                    owners.pop();
-                }
-            }
-            "impl" if t.kind == TokKind::Ident => {
-                if let Some((owner, body_k)) = parse_impl_header(toks, &code, k) {
-                    owners.push((brace + 1, owner));
-                    k = body_k; // positioned at the `{`; loop handles it
-                    continue;
-                }
-            }
             "enum" if t.kind == TokKind::Ident => {
                 if let Some((def, end_k)) = parse_enum(toks, &code, k, file_idx, &file.test_mask) {
                     enums.push(def);
@@ -434,9 +381,7 @@ fn parse_items(file: &File, file_idx: usize) -> (Vec<FnItem>, Vec<EnumDef>) {
                 }
             }
             "fn" if t.kind == TokKind::Ident => {
-                if let Some((item, end_k)) =
-                    parse_fn(toks, &code, k, file_idx, &file.test_mask, &owners, brace)
-                {
+                if let Some((item, end_k)) = parse_fn(toks, &code, k, file_idx, &file.test_mask) {
                     fns.push(item);
                     k = end_k;
                     continue;
@@ -447,68 +392,6 @@ fn parse_items(file: &File, file_idx: usize) -> (Vec<FnItem>, Vec<EnumDef>) {
         k += 1;
     }
     (fns, enums)
-}
-
-/// At `impl` (code-space index `k`): returns (owner type name, code-space
-/// index of the body `{`).
-fn parse_impl_header(toks: &[Tok], code: &[usize], k: usize) -> Option<(String, usize)> {
-    let mut j = k + 1;
-    // Skip generic parameters: `impl<T: Bound, 'a> ...`.
-    if j < code.len() && toks[code[j]].text == "<" {
-        let mut depth = 0i32;
-        while j < code.len() {
-            match toks[code[j]].text.as_str() {
-                "<" => depth += 1,
-                ">" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        j += 1;
-                        break;
-                    }
-                }
-                ">>" => depth -= 2,
-                _ => {}
-            }
-            j += 1;
-        }
-    }
-    // Collect idents until the body `{` (paren/bracket depth 0), noting a
-    // `for` (trait impl: the type follows `for`).
-    let mut idents: Vec<&str> = Vec::new();
-    let mut after_for: Option<&str> = None;
-    let mut saw_for = false;
-    let (mut paren, mut bracket, mut angle) = (0i32, 0i32, 0i32);
-    while j < code.len() {
-        let t = &toks[code[j]];
-        match t.text.as_str() {
-            "(" => paren += 1,
-            ")" => paren -= 1,
-            "[" => bracket += 1,
-            "]" => bracket -= 1,
-            "<" => angle += 1,
-            ">" => angle -= 1,
-            ">>" => angle -= 2,
-            "->" => {}
-            "{" if paren == 0 && bracket == 0 => {
-                let owner = after_for.or_else(|| idents.first().copied())?;
-                return Some((owner.to_string(), j));
-            }
-            ";" if paren == 0 && bracket == 0 => return None,
-            "where" if t.kind == TokKind::Ident => {}
-            "for" if t.kind == TokKind::Ident && angle == 0 => saw_for = true,
-            _ => {
-                if t.kind == TokKind::Ident && paren == 0 && bracket == 0 && angle == 0 {
-                    if saw_for && after_for.is_none() {
-                        after_for = Some(&t.text);
-                    } else if !saw_for {
-                        idents.push(&t.text);
-                    }
-                }
-            }
-        }
-        j += 1;
-    }
-    None
 }
 
 /// At `enum` (code-space index `k`): parse the variant list.
@@ -602,15 +485,12 @@ fn parse_enum(
 }
 
 /// At `fn` (code-space index `k`): parse name, signature, and body span.
-#[allow(clippy::too_many_arguments)]
 fn parse_fn(
     toks: &[Tok],
     code: &[usize],
     k: usize,
     file_idx: usize,
     test_mask: &[bool],
-    owners: &[(i32, String)],
-    brace_depth: i32,
 ) -> Option<(FnItem, usize)> {
     let name_tok = *code.get(k + 1)?;
     if toks[name_tok].kind != TokKind::Ident {
@@ -633,7 +513,6 @@ fn parse_fn(
                 let item = FnItem {
                     file: file_idx,
                     name,
-                    owner: owners.last().map(|(_, o)| o.clone()),
                     line,
                     body: None,
                     is_test: test_mask.get(code[k]).copied().unwrap_or(false),
@@ -664,70 +543,14 @@ fn parse_fn(
         j += 1;
     }
     let body = (code[open] + 1, *code.get(j).unwrap_or(&toks.len()));
-    // Owner applies only when the fn sits directly inside the impl body.
-    let owner = owners
-        .last()
-        .filter(|(d, _)| *d == brace_depth)
-        .map(|(_, o)| o.clone());
     let item = FnItem {
         file: file_idx,
         name,
-        owner,
         line,
         body: Some(body),
         is_test: test_mask.get(code[k]).copied().unwrap_or(false),
     };
     Some((item, j + 1))
-}
-
-/// Extract call edges from a body token range (`[start, end)`, raw token
-/// indices).
-fn call_edges(file: &File, body: (usize, usize)) -> Vec<CallEdge> {
-    let toks = &file.toks;
-    let code: Vec<usize> = (body.0..body.1.min(toks.len()))
-        .filter(|&i| !toks[i].is_comment())
-        .collect();
-    let mut out = Vec::new();
-    for (k, &i) in code.iter().enumerate() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident || NON_CALL_KEYWORDS.contains(&t.text.as_str()) {
-            continue;
-        }
-        let next = code.get(k + 1).map(|&n| toks[n].text.as_str());
-        if next != Some("(") {
-            continue;
-        }
-        // Macro invocation? `name !` would have `!` between — already
-        // excluded by the `(`-adjacency check; but `name!(..)` lexes as
-        // ident `!` `(` so it is excluded naturally.
-        let prev = k.checked_sub(1).map(|p| toks[code[p]].text.as_str());
-        let is_method = prev == Some(".");
-        let qualifier = if prev == Some("::") {
-            k.checked_sub(2)
-                .map(|p| &toks[code[p]])
-                .filter(|q| q.kind == TokKind::Ident)
-                .map(|q| q.text.clone())
-        } else {
-            None
-        };
-        let receiver = if is_method {
-            k.checked_sub(2)
-                .map(|p| &toks[code[p]])
-                .filter(|r| r.kind == TokKind::Ident)
-                .map(|r| r.text.clone())
-        } else {
-            None
-        };
-        out.push(CallEdge {
-            callee: t.text.clone(),
-            qualifier,
-            is_method,
-            receiver,
-            line: t.line,
-            tok: i,
-        });
-    }
-    out
 }
 
 /// Find the first top-level `match` inside a fn body and parse its arms.
@@ -884,35 +707,11 @@ mod tests {
     }
 
     #[test]
-    fn fn_items_with_owners() {
+    fn fn_items_inside_and_outside_impl_blocks() {
         let w = ws("fn free() { a(); }\nimpl Reactor { fn dispatch(&self) { b(); } }\nimpl Foo for Bar { fn baz(&self) {} }\n");
-        let names: Vec<(String, Option<String>)> = w
-            .fns
-            .iter()
-            .map(|f| (f.name.clone(), f.owner.clone()))
-            .collect();
-        assert_eq!(
-            names,
-            vec![
-                ("free".to_string(), None),
-                ("dispatch".to_string(), Some("Reactor".to_string())),
-                ("baz".to_string(), Some("Bar".to_string())),
-            ]
-        );
-    }
-
-    #[test]
-    fn call_edges_resolve_methods_and_paths() {
-        let w = ws("fn f(&self) { self.state.lock(); Queue::push(q); helper(1); }\n");
-        let edges = &w.calls[0];
-        assert_eq!(edges.len(), 3);
-        assert_eq!(edges[0].callee, "lock");
-        assert!(edges[0].is_method);
-        assert_eq!(edges[0].receiver.as_deref(), Some("state"));
-        assert_eq!(edges[1].callee, "push");
-        assert_eq!(edges[1].qualifier.as_deref(), Some("Queue"));
-        assert_eq!(edges[2].callee, "helper");
-        assert!(!edges[2].is_method);
+        let names: Vec<&str> = w.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, vec!["free", "dispatch", "baz"]);
+        assert!(w.fns.iter().all(|f| f.body.is_some()));
     }
 
     #[test]

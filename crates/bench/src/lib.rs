@@ -185,6 +185,28 @@ pub fn replication_series() -> Vec<(&'static str, Option<ReadPolicy>)> {
     ]
 }
 
+/// The TPC-W mixes a per-mix figure target runs, each with its position in
+/// the paper's figure order (shopping, browsing, ordering): the mix named by
+/// the first argument, all three when none is given.
+pub fn mixes_from_args() -> Vec<(usize, &'static Mix)> {
+    let all = [
+        &tenantdb_tpcw::SHOPPING,
+        &tenantdb_tpcw::BROWSING,
+        &tenantdb_tpcw::ORDERING,
+    ];
+    // `cargo bench` passes its own `--bench` flag through.
+    let Some(name) = std::env::args().skip(1).find(|a| !a.starts_with('-')) else {
+        return all.into_iter().enumerate().collect();
+    };
+    match all.iter().position(|m| m.name == name) {
+        Some(nth) => vec![(nth, all[nth])],
+        None => {
+            eprintln!("unknown mix {name:?}: expected shopping, browsing or ordering");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Run one throughput figure (Figures 2–4): TPS for each replication series
 /// across a sweep of concurrent sessions per database.
 pub fn run_throughput_figure(figure: &str, mix: &'static Mix) {

@@ -324,6 +324,7 @@ impl Connection {
             }
         }
         while out.len() < want {
+            tenantdb_lockdep::assert_may_block("a replica-reply recv");
             let Ok(reply) = rx.recv() else { break };
             if reply.seq != seq {
                 // Straggler ack of an earlier request (aggressive-mode

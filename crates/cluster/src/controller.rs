@@ -820,6 +820,7 @@ impl ClusterController {
             }
             tenantdb_sla::AdmissionDecision::Defer(wait) => {
                 self.metrics.note_sla_deferred(db, &gate);
+                tenantdb_lockdep::assert_may_block("an SLA deferral sleep");
                 std::thread::sleep(wait);
                 Ok(())
             }

@@ -29,6 +29,16 @@
 //!    report shows *which two code paths* disagree about order, one of which
 //!    may live on another thread.
 //!
+//! # May this thread block?
+//!
+//! The same machinery answers a second question. A thread that serves many
+//! tenants' sockets — a reactor — marks itself once ([`mark_reactor`]);
+//! every place the tree goes to sleep asserts [`assert_may_block`] (the
+//! condvar waits below do it themselves), and the assertion panics on a
+//! marked thread unless a [`permit_blocking`] guard, carrying its reason,
+//! is in scope. A runtime check follows drop glue, closures and trait
+//! objects — paths a call graph resolved by name cannot see.
+//!
 //! # Cost when disabled
 //!
 //! Checking follows the same pattern as `cluster::fault`'s injector: a
@@ -41,7 +51,7 @@
 
 #![warn(missing_docs)]
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -187,6 +197,85 @@ pub fn assert_max_held_rank(ceiling: u16) {
             }
         }
     });
+}
+
+// ---------------------------------------------------------------------------
+// The reactor mark
+// ---------------------------------------------------------------------------
+
+thread_local! {
+    /// Where this thread declared itself a reactor.
+    static REACTOR: Cell<Option<&'static Location<'static>>> = const { Cell::new(None) };
+    /// The reason of the innermost [`permit_blocking`] guard in scope.
+    static PERMIT: Cell<Option<&'static str>> = const { Cell::new(None) };
+}
+
+/// Mark the current thread, for the rest of its life, as one that must not
+/// block: it multiplexes many sessions, so whatever it waits for, every one
+/// of them waits for. Called once at the top of the reactor loop.
+#[track_caller]
+pub fn mark_reactor() {
+    let at = Location::caller();
+    REACTOR.with(|r| r.set(Some(at)));
+}
+
+/// Scope guard of [`permit_blocking`]: restores the enclosing permit (or
+/// none) when dropped.
+#[must_use = "the permit ends when this guard drops"]
+pub struct BlockingPermit {
+    outer: Option<&'static str>,
+}
+
+/// Let the current thread block until the returned guard drops, for
+/// `reason` — the bounded wait a marked thread has decided to pay for, said
+/// where it is paid. Changes nothing on unmarked threads.
+pub fn permit_blocking(reason: &'static str) -> BlockingPermit {
+    BlockingPermit {
+        outer: PERMIT.with(|p| p.replace(Some(reason))),
+    }
+}
+
+impl Drop for BlockingPermit {
+    fn drop(&mut self) {
+        PERMIT.with(|p| p.set(self.outer));
+    }
+}
+
+/// The reason of the permit in force on this thread, if any.
+fn blocking_permit() -> Option<&'static str> {
+    PERMIT.with(Cell::get)
+}
+
+/// Assert that the current thread may go to sleep in `what`: it is not a
+/// marked reactor, or a [`permit_blocking`] guard is in scope. Called where
+/// the tree actually blocks — [`OrderedCondvar`]'s waits call it themselves;
+/// a channel receive or a sleep calls it directly. One relaxed load when
+/// checking is disabled.
+#[inline]
+#[track_caller]
+pub fn assert_may_block(what: &str) {
+    if enabled() {
+        check_may_block(what, Location::caller());
+    }
+}
+
+#[cold]
+fn check_may_block(what: &str, at: &'static Location<'static>) {
+    let Some(marked_at) = REACTOR.with(Cell::get) else {
+        return;
+    };
+    // A second panic while one already unwinds (drop glue that blocks) would
+    // abort the process and lose the first report.
+    if blocking_permit().is_some() || std::thread::panicking() {
+        return;
+    }
+    panic!(
+        "lockdep: reactor thread (marked at {marked_at}) is about to block in \
+         {what} at {at} outside any permit\nrule: a reactor waits only in its \
+         poller and inside a `permit_blocking` window that says why (see \
+         DESIGN.md §11.2); move the work to a pool thread\nbacktrace:\n{}",
+        std::backtrace::Backtrace::force_capture(),
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -640,16 +729,22 @@ impl OrderedCondvar {
     }
 
     /// Block until notified, releasing and re-acquiring the guard's mutex.
+    /// Asserts [`assert_may_block`] first.
+    #[track_caller]
     pub fn wait<T>(&self, guard: &mut OrderedMutexGuard<'_, T>) {
+        assert_may_block("a condvar wait");
         self.inner.wait(&mut guard.inner);
     }
 
-    /// Block until notified or `deadline` passes.
+    /// Block until notified or `deadline` passes. Asserts
+    /// [`assert_may_block`] first.
+    #[track_caller]
     pub fn wait_until<T>(
         &self,
         guard: &mut OrderedMutexGuard<'_, T>,
         deadline: Instant,
     ) -> WaitTimeoutResult {
+        assert_may_block("a condvar wait");
         self.inner.wait_until(&mut guard.inner, deadline)
     }
 }
@@ -662,12 +757,15 @@ mod tests {
     static OUTER: LockClass = LockClass::new("test.outer", 10);
     static INNER: LockClass = LockClass::new("test.inner", 20);
 
-    fn catch(f: impl FnOnce()) -> String {
-        let err = catch_unwind(AssertUnwindSafe(f)).expect_err("expected a lockdep panic");
+    fn message(err: Box<dyn std::any::Any + Send>) -> String {
         err.downcast_ref::<String>()
             .cloned()
             .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_default()
+    }
+
+    fn catch(f: impl FnOnce()) -> String {
+        message(catch_unwind(AssertUnwindSafe(f)).expect_err("expected a lockdep panic"))
     }
 
     #[test]
@@ -798,6 +896,71 @@ mod tests {
         let err = handle.join().expect_err("inversion must panic");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("lockdep"), "{msg}");
+    }
+
+    /// Run `f` on a fresh thread marked as a reactor: the line the mark was
+    /// set on, and `f`'s panic message if it panicked.
+    fn on_reactor(f: impl FnOnce() + Send + 'static) -> (u32, Option<String>) {
+        let worker = std::thread::spawn(move || {
+            mark_reactor();
+            let marked = line!() - 1;
+            (marked, catch_unwind(AssertUnwindSafe(f)).err())
+        });
+        let (marked, err) = worker.join().expect("caught inside");
+        (marked, err.map(message))
+    }
+
+    /// A 1 ms condvar wait: the line it blocks on.
+    fn short_wait() -> u32 {
+        let m = OrderedMutex::new(&OUTER, ());
+        let cv = OrderedCondvar::new();
+        let mut g = m.lock();
+        let _ = cv.wait_until(&mut g, Instant::now() + std::time::Duration::from_millis(1));
+        line!() - 1
+    }
+
+    #[test]
+    fn condvar_wait_on_a_reactor_panics_naming_both_sites() {
+        enable();
+        let (marked, msg) = on_reactor(|| {
+            short_wait();
+        });
+        let msg = msg.expect("the wait must panic");
+        let waited = short_wait(); // unmarked thread: quiet, and tells the line
+        assert!(msg.contains("a condvar wait"), "{msg}");
+        assert!(
+            msg.contains(&format!("marked at {}:{marked}:", file!())),
+            "{msg}"
+        );
+        assert!(msg.contains(&format!(" at {}:{waited}:", file!())), "{msg}");
+    }
+
+    #[test]
+    fn permit_silences_the_mark_until_its_guard_drops() {
+        enable();
+        let (_, msg) = on_reactor(|| {
+            {
+                let _outer = permit_blocking("outer reason");
+                {
+                    let _inner = permit_blocking("inner reason");
+                    assert_eq!(blocking_permit(), Some("inner reason"));
+                    short_wait();
+                }
+                assert_eq!(blocking_permit(), Some("outer reason"));
+                short_wait();
+            }
+            assert_eq!(blocking_permit(), None);
+            assert_may_block("a sleep after the permit");
+        });
+        let msg = msg.expect("the mark is back once the permit guard drops");
+        assert!(msg.contains("a sleep after the permit"), "{msg}");
+    }
+
+    #[test]
+    fn unmarked_threads_block_freely() {
+        enable();
+        short_wait();
+        assert_may_block("a test sleep");
     }
 
     // Disabled-mode behaviour lives in tests/disabled_mode.rs: the flag is

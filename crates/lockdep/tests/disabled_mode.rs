@@ -2,7 +2,12 @@
 //! global, so these cases can't share a test binary with the enabled-mode
 //! unit suite.
 
-use tenantdb_lockdep::{disable, enable, held_ranks, LockClass, OrderedMutex};
+use std::time::{Duration, Instant};
+
+use tenantdb_lockdep::{
+    assert_may_block, disable, enable, held_ranks, mark_reactor, LockClass, OrderedCondvar,
+    OrderedMutex,
+};
 
 static OUTER: LockClass = LockClass::new("disabled.outer", 10);
 static INNER: LockClass = LockClass::new("disabled.inner", 20);
@@ -19,6 +24,17 @@ fn disabled_mode_checks_and_records_nothing() {
         assert_eq!(*ga + *gb, 3);
         assert!(held_ranks().is_empty(), "no stack recorded when disabled");
     }
+
+    // The reactor mark is just as quiet: a marked thread waits unchallenged.
+    std::thread::spawn(|| {
+        mark_reactor();
+        let m = OrderedMutex::new(&OUTER, ());
+        let cv = OrderedCondvar::new();
+        let _ = cv.wait_until(&mut m.lock(), Instant::now() + Duration::from_millis(1));
+        assert_may_block("a sleep");
+    })
+    .join()
+    .expect("no assertion fires while disabled");
 
     // Re-enabling mid-run must not unbalance anything: guards acquired
     // while disabled popped nothing, and fresh acquisitions are tracked.

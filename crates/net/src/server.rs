@@ -749,6 +749,10 @@ struct Reactor {
 }
 
 fn reactor_loop(shared: Arc<Shared>, pool: Arc<WorkerPool>, idx: usize, waker_rx: WakerRx) {
+    // From here on this thread waits in two places only (DESIGN.md §11.2):
+    // the poller below and the inline window in `Reactor::dispatch`. Any
+    // other sleep panics under lockdep.
+    tenantdb_lockdep::mark_reactor();
     let mut poller = match Poller::new() {
         Ok(p) => p,
         Err(_) => return,
@@ -781,8 +785,7 @@ fn reactor_loop(shared: Arc<Shared>, pool: Arc<WorkerPool>, idx: usize, waker_rx
             timeout = Some(timeout.unwrap_or(DRAIN_TICK).min(DRAIN_TICK));
         }
         events.clear();
-        // lint:allow(reactor-block): the poller wait is the reactor's one
-        // deliberate idle point — bounded by the timer wheel's next
+        // The reactor's idle point, bounded by the timer wheel's next
         // deadline computed just above (or DRAIN_TICK while shutting down).
         if r.poller.wait(&mut events, timeout).is_err() {
             return;
@@ -1109,12 +1112,20 @@ impl Reactor {
             self.pool.spawn_task(move || serve_conn(&shared, &conn));
         }
         if let Some((req, platform)) = inline {
-            // lint:allow(reactor-block): inline execution is the documented
-            // serving-tier tradeoff — an inline request takes no X lock; its
-            // waits are a plain read's S lock behind a writer (bounded by
-            // lock_timeout) and the SLA deferral in ClusterController::admit
-            // (bounded by the gate's deferral budget).
-            match execute_and_reply(&self.shared, conn, &platform, req) {
+            let served = {
+                let _window = tenantdb_lockdep::permit_blocking(
+                    "inline execution is the documented serving-tier trade-off: an \
+                     inline request takes no X lock; its waits are a plain read's S \
+                     lock behind a writer (bounded by lock_timeout), a busy replica \
+                     lane's reply, and the SLA deferral in ClusterController::admit \
+                     (bounded by the gate's deferral budget)",
+                );
+                execute_and_reply(&self.shared, conn, &platform, req)
+            };
+            // Before any teardown: it must hold the session's last handle
+            // to decide where an open transaction rolls back.
+            drop(platform);
+            match served {
                 Some(mut st) => self.sync_interest(conn, &mut st),
                 None => self.teardown(conn),
             }
@@ -1297,22 +1308,31 @@ impl Reactor {
     /// Deregister, final-flush, and drop a connection. Idempotent; the
     /// only place a connection leaves the poller. An open transaction
     /// rolls back when the last platform-connection handle drops (which
-    /// may be a pool task's, if one is mid-statement).
+    /// may be a pool task's, if one is mid-statement) — never on this
+    /// thread: the rollback waits for every replica lane, and a lane can be
+    /// busy for a whole lock timeout (an aggressive-mode straggler write
+    /// queued on a row lock), so a handle that may have a transaction to
+    /// roll back is handed to the pool to drop.
     fn teardown(&mut self, conn: &Arc<Conn>) {
         if self.conns.remove(&conn.id).is_none() {
             return;
         }
         let _ = self.poller.deregister(conn.fd);
-        let platform = {
+        let (platform, mid_request) = {
             let mut st = conn.state.lock();
             st.closing = true;
             st.phase = Phase::Closed;
             st.pending.clear();
             let _ = flush_outbox(&self.shared, conn, &mut st); // best-effort
             st.outbox.clear();
-            st.platform.take()
+            (st.platform.take(), st.busy)
         };
-        drop(platform);
+        // `mid_request`: a pool task is executing on its own handle and may
+        // open a transaction (or drop that handle) at any moment, leaving
+        // this one the last.
+        if let Some(platform) = platform.filter(|p| mid_request || p.in_txn()) {
+            self.pool.spawn_task(move || drop(platform));
+        }
         self.shared.sessions.lock().remove(&conn.id);
         let _ = conn.sock.shutdown(Shutdown::Both);
     }

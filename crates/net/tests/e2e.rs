@@ -28,13 +28,17 @@ const DB: &str = "shop";
 /// A single-colo platform whose one cluster runs the testkit fast-engine
 /// config with deterministic policies and seed.
 fn platform(seed: u64) -> Arc<SystemController> {
-    platform_with_lock_timeout(seed, testkit::fast_engine_config().lock_timeout)
+    platform_with(
+        seed,
+        WritePolicy::Conservative,
+        testkit::fast_engine_config().lock_timeout,
+    )
 }
 
-/// [`platform`] with an explicit row-lock timeout, for the tests that
-/// assert something finishes in *well under* one.
-fn platform_with_lock_timeout(seed: u64, lock_timeout: Duration) -> Arc<SystemController> {
-    let mut cluster = testkit::config(ReadPolicy::PinnedReplica, WritePolicy::Conservative, seed);
+/// [`platform`] with an explicit write policy and row-lock timeout, for the
+/// tests that assert something finishes in *well under* one.
+fn platform_with(seed: u64, write: WritePolicy, lock_timeout: Duration) -> Arc<SystemController> {
+    let mut cluster = testkit::config(ReadPolicy::PinnedReplica, write, seed);
     cluster.engine.lock_timeout = lock_timeout;
     let cfg = PlatformConfig {
         cluster,
@@ -1057,6 +1061,42 @@ fn admission_rejection_rides_the_wire() {
 }
 
 /// How many of the server's sessions are mid-request right now.
+/// At most 4 reactors, assigned round-robin: 8 consecutive connections put
+/// a bystander on every one of them.
+const BYSTANDERS: usize = 8;
+
+/// A server with room for the bystanders and a few actors, and the
+/// bystanders connected to it.
+fn server_with_bystanders(sys: &Arc<SystemController>) -> (Server, Vec<NetClient>) {
+    let server = Server::start(
+        "127.0.0.1:0",
+        Arc::clone(sys),
+        ServerConfig {
+            max_connections: BYSTANDERS + 8,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let bystanders = (0..BYSTANDERS)
+        .map(|_| NetClient::connect(server.local_addr(), DB, quick_opts()).expect("bystander"))
+        .collect();
+    (server, bystanders)
+}
+
+/// Every bystander answers a `Ping` within `bound` — no reactor is parked —
+/// `while_what` is going on.
+fn assert_reactors_responsive(bystanders: &[NetClient], bound: Duration, while_what: &str) {
+    for (i, b) in bystanders.iter().enumerate() {
+        let started = Instant::now();
+        b.ping(i as u64).expect("ping");
+        let took = started.elapsed();
+        assert!(
+            took < bound,
+            "ping on bystander {i} took {took:?} while {while_what}"
+        );
+    }
+}
+
 fn busy_sessions(server: &Server) -> usize {
     server.list_sessions().iter().filter(|c| c.busy).count()
 }
@@ -1070,7 +1110,7 @@ fn lock_convoy_does_not_stall_the_lock_holders_next_write() {
     const WAITERS: usize = 6;
     const LOCK_TIMEOUT: Duration = Duration::from_secs(3);
 
-    let sys = platform_with_lock_timeout(43, LOCK_TIMEOUT);
+    let sys = platform_with(43, WritePolicy::Conservative, LOCK_TIMEOUT);
     create_db_replicated(&sys, 1);
     seed_kv(&sys, &[1]);
     let server =
@@ -1127,27 +1167,12 @@ fn lock_convoy_does_not_stall_the_lock_holders_next_write() {
 #[test]
 fn locking_read_in_any_spelling_never_parks_a_reactor() {
     const LOCK_TIMEOUT: Duration = Duration::from_secs(3);
-    // At most 4 reactors, assigned round-robin: 8 consecutive connections
-    // put a bystander on every one of them.
-    const BYSTANDERS: usize = 8;
 
-    let sys = platform_with_lock_timeout(47, LOCK_TIMEOUT);
+    let sys = platform_with(47, WritePolicy::Conservative, LOCK_TIMEOUT);
     create_db_replicated(&sys, 1);
     seed_kv(&sys, &[1]);
-    let server = Server::start(
-        "127.0.0.1:0",
-        Arc::clone(&sys),
-        ServerConfig {
-            max_connections: BYSTANDERS + 8,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind");
+    let (server, bystanders) = server_with_bystanders(&sys);
     let addr = server.local_addr();
-
-    let bystanders: Vec<NetClient> = (0..BYSTANDERS)
-        .map(|_| NetClient::connect(addr, DB, quick_opts()).expect("bystander"))
-        .collect();
     let holder = NetClient::connect(addr, DB, quick_opts()).expect("holder");
 
     for (round, for_update) in ["FOR  UPDATE", "FOR\nUPDATE", "for\tupdate"]
@@ -1165,15 +1190,11 @@ fn locking_read_in_any_spelling_never_parks_a_reactor() {
             busy_sessions(&server) == 1
         });
 
-        for (i, b) in bystanders.iter().enumerate() {
-            let started = Instant::now();
-            b.ping(i as u64).expect("ping");
-            let took = started.elapsed();
-            assert!(
-                took < LOCK_TIMEOUT / 4,
-                "ping on bystander {i} took {took:?} while a {for_update:?} read waited on a lock"
-            );
-        }
+        assert_reactors_responsive(
+            &bystanders,
+            LOCK_TIMEOUT / 4,
+            &format!("a {for_update:?} read waited on a lock"),
+        );
         assert_eq!(
             busy_sessions(&server),
             1,
@@ -1189,5 +1210,60 @@ fn locking_read_in_any_spelling_never_parks_a_reactor() {
             .expect("locking read");
         assert_eq!(r.rows, vec![vec![Value::Int(round as i64 + 1)]]);
     }
+    server.shutdown();
+}
+
+/// A client that vanishes mid-transaction leaves a rollback behind, and that
+/// rollback can wait: under aggressive write-all the client's `UPDATE`
+/// returned on the first replica's ack while the other replica's copy still
+/// queues on a row lock, and the `ABORT` queues behind it on the same lane.
+/// That wait belongs to a pool thread. On the reactor it stalled every
+/// connection sharing the reactor for up to a full lock timeout.
+#[test]
+fn teardown_mid_txn_rolls_back_off_the_reactor() {
+    const LOCK_TIMEOUT: Duration = Duration::from_secs(3);
+
+    let sys = platform_with(53, WritePolicy::Aggressive, LOCK_TIMEOUT);
+    let cluster = create_db_replicated(&sys, 2);
+    seed_kv(&sys, &[1]);
+    let (server, bystanders) = server_with_bystanders(&sys);
+    let addr = server.local_addr();
+
+    // An in-process reader S-locks the row on the pinned replica...
+    let reader = sys.connect(DB, (0.0, 0.0)).expect("reader");
+    reader.begin().expect("begin");
+    reader
+        .execute("SELECT v FROM kv WHERE id = 1", &[])
+        .expect("read");
+
+    // ...so the client's write is acked by the other replica only, and its
+    // copy on the pinned replica is still waiting when the client vanishes.
+    let client = NetClient::connect(addr, DB, quick_opts()).expect("client");
+    Transport::begin(&client).expect("begin");
+    Transport::execute(&client, "UPDATE kv SET v = 99 WHERE id = 1", &[]).expect("first ack");
+    drop(client);
+
+    // Whichever reactor tears the session down keeps serving meanwhile.
+    let watch_until = Instant::now() + LOCK_TIMEOUT / 6;
+    while Instant::now() < watch_until {
+        assert_reactors_responsive(
+            &bystanders,
+            LOCK_TIMEOUT / 6,
+            "an abandoned transaction rolled back",
+        );
+        thread::sleep(Duration::from_millis(5));
+    }
+    wait_for("session reclaim", Duration::from_secs(5), || {
+        server.session_count() == BYSTANDERS
+    });
+
+    // The reader lets go: the straggler write takes the row, the ABORT
+    // queued behind it undoes it, and only then is the row readable again.
+    reader.commit().expect("reader commit");
+    let r = reader
+        .execute("SELECT v FROM kv WHERE id = 1", &[])
+        .expect("read back");
+    assert_eq!(r.rows, vec![vec![Value::Int(0)]], "abandoned write leaked");
+    testkit::assert_replicas_converged(&cluster, DB);
     server.shutdown();
 }

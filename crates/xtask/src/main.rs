@@ -8,9 +8,9 @@
 //!   rule tokens inside string literals neither trigger nor suppress
 //!   them, and `#[cfg(test)]` exemption is attribute-scoped instead of
 //!   first-marker-to-EOF.
-//! * `analyze` — the five semantic cross-file passes from DESIGN.md §14:
-//!   static lock-rank ordering, transitive reactor-blocking, crash-point
-//!   coverage, wire exhaustiveness, and metric-name drift.
+//! * `analyze` — the four semantic cross-file passes from DESIGN.md §14:
+//!   static lock-rank ordering, crash-point coverage, wire
+//!   exhaustiveness, and metric-name drift.
 //!
 //! `lint` and `analyze` print compiler-style `file:line: [rule] message`
 //! diagnostics and exit 1 on any finding; both gate CI.

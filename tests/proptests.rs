@@ -1,18 +1,15 @@
-#![cfg(feature = "slow-proptests")]
-
-//! Property-based tests over the stack's core invariants.
-
-use proptest::prelude::*;
+//! Property tests over the stack's core invariants. Seeded (`compat-rand`),
+//! so they run offline and in tier-1; a failure names its case number.
 
 use std::collections::BTreeMap;
 
-use tenantdb::sql::execute;
-use tenantdb::storage::{Engine, EngineConfig, Value};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-// ---------------------------------------------------------------------
-// 1. The SQL engine agrees with a trivial in-memory model for arbitrary
-//    sequences of single-row operations on a keyed table.
-// ---------------------------------------------------------------------
+use tenantdb::sql::execute;
+use tenantdb::storage::{Engine, EngineConfig, StorageError, TxnId, Value};
+
+const CASES: u64 = 64;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -24,204 +21,219 @@ enum Op {
     SumAll,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    let key = 0i64..12;
-    let val = -100i64..100;
-    prop_oneof![
-        (key.clone(), val.clone()).prop_map(|(k, v)| Op::Insert { k, v }),
-        (key.clone(), val.clone()).prop_map(|(k, v)| Op::Update { k, v }),
-        key.clone().prop_map(|k| Op::Delete { k }),
-        key.prop_map(|k| Op::Get { k }),
-        Just(Op::CountAll),
-        Just(Op::SumAll),
-    ]
+fn gen_op(rng: &mut StdRng) -> Op {
+    let k = rng.gen_range(0i64..12);
+    let v = rng.gen_range(-100i64..100);
+    match rng.gen_range(0..6) {
+        0 => Op::Insert { k, v },
+        1 => Op::Update { k, v },
+        2 => Op::Delete { k },
+        3 => Op::Get { k },
+        4 => Op::CountAll,
+        _ => Op::SumAll,
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+fn gen_ops(rng: &mut StdRng, max: usize) -> Vec<Op> {
+    (0..rng.gen_range(1..max)).map(|_| gen_op(rng)).collect()
+}
 
-    #[test]
-    fn sql_matches_model(ops in proptest::collection::vec(op_strategy(), 1..60)) {
-        let engine = Engine::new(EngineConfig::for_tests());
-        engine.create_database("db").unwrap();
+fn gen_pairs(
+    rng: &mut StdRng,
+    len: std::ops::Range<usize>,
+    keys: std::ops::Range<i64>,
+) -> Vec<(i64, i64)> {
+    (0..rng.gen_range(len))
+        .map(|_| (rng.gen_range(keys.clone()), rng.gen_range(-50i64..50)))
+        .collect()
+}
+
+/// An engine with database `db` holding an empty `kv(k, v)` table.
+fn kv_engine() -> Engine {
+    let engine = Engine::new(EngineConfig::for_tests());
+    engine.create_database("db").unwrap();
+    let txn = engine.begin().unwrap();
+    execute(
+        &engine,
+        txn,
+        "db",
+        "CREATE TABLE kv (k INT NOT NULL, v INT, PRIMARY KEY (k))",
+        &[],
+    )
+    .unwrap();
+    engine.commit(txn).unwrap();
+    engine
+}
+
+fn insert_kv(engine: &Engine, txn: TxnId, k: i64, v: i64) -> Result<u64, StorageError> {
+    engine.insert(txn, "db", "kv", vec![Value::Int(k), Value::Int(v)])
+}
+
+fn scan_kv(engine: &Engine) -> Vec<(u64, Vec<Value>)> {
+    engine.with_txn(|t| engine.scan(t, "db", "kv")).unwrap()
+}
+
+/// The SQL engine agrees with a trivial in-memory model for arbitrary
+/// sequences of single-row operations on a keyed table.
+#[test]
+fn sql_matches_model() {
+    for case in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(case);
+        let engine = kv_engine();
         let txn = engine.begin().unwrap();
-        execute(&engine, txn, "db",
-            "CREATE TABLE kv (k INT NOT NULL, v INT, PRIMARY KEY (k))", &[]).unwrap();
+        let run = |sql: &str, params: &[Value]| execute(&engine, txn, "db", sql, params);
         let mut model: BTreeMap<i64, i64> = BTreeMap::new();
 
-        for op in &ops {
+        for op in gen_ops(rng, 60) {
             match op {
                 Op::Insert { k, v } => {
-                    let r = execute(&engine, txn, "db", "INSERT INTO kv VALUES (?, ?)",
-                        &[Value::Int(*k), Value::Int(*v)]);
-                    if model.contains_key(k) {
-                        prop_assert!(r.is_err(), "duplicate insert must fail");
-                    } else {
-                        prop_assert!(r.is_ok(), "insert failed: {r:?}");
-                        model.insert(*k, *v);
-                    }
+                    let r = run(
+                        "INSERT INTO kv VALUES (?, ?)",
+                        &[Value::Int(k), Value::Int(v)],
+                    );
+                    let fresh = !model.contains_key(&k);
+                    assert_eq!(r.is_ok(), fresh, "case {case}: insert of key {k}: {r:?}");
+                    model.entry(k).or_insert(v);
                 }
                 Op::Update { k, v } => {
-                    let r = execute(&engine, txn, "db", "UPDATE kv SET v = ? WHERE k = ?",
-                        &[Value::Int(*v), Value::Int(*k)]).unwrap();
-                    let expected = u64::from(model.contains_key(k));
-                    prop_assert_eq!(r.rows_affected, expected);
-                    if let Some(slot) = model.get_mut(k) {
-                        *slot = *v;
+                    let r = run(
+                        "UPDATE kv SET v = ? WHERE k = ?",
+                        &[Value::Int(v), Value::Int(k)],
+                    )
+                    .unwrap();
+                    let expected = u64::from(model.contains_key(&k));
+                    assert_eq!(r.rows_affected, expected, "case {case}");
+                    if let Some(slot) = model.get_mut(&k) {
+                        *slot = v;
                     }
                 }
                 Op::Delete { k } => {
-                    let r = execute(&engine, txn, "db", "DELETE FROM kv WHERE k = ?",
-                        &[Value::Int(*k)]).unwrap();
-                    let expected = u64::from(model.remove(k).is_some());
-                    prop_assert_eq!(r.rows_affected, expected);
+                    let r = run("DELETE FROM kv WHERE k = ?", &[Value::Int(k)]).unwrap();
+                    let expected = u64::from(model.remove(&k).is_some());
+                    assert_eq!(r.rows_affected, expected, "case {case}");
                 }
                 Op::Get { k } => {
-                    let r = execute(&engine, txn, "db", "SELECT v FROM kv WHERE k = ?",
-                        &[Value::Int(*k)]).unwrap();
-                    match model.get(k) {
-                        Some(v) => {
-                            prop_assert_eq!(r.rows.len(), 1);
-                            prop_assert_eq!(&r.rows[0][0], &Value::Int(*v));
-                        }
-                        None => prop_assert!(r.rows.is_empty()),
-                    }
+                    let r = run("SELECT v FROM kv WHERE k = ?", &[Value::Int(k)]).unwrap();
+                    let expected: Vec<Vec<Value>> = model
+                        .get(&k)
+                        .map(|v| vec![Value::Int(*v)])
+                        .into_iter()
+                        .collect();
+                    assert_eq!(r.rows, expected, "case {case}");
                 }
                 Op::CountAll => {
-                    let r = execute(&engine, txn, "db", "SELECT COUNT(*) FROM kv", &[]).unwrap();
-                    prop_assert_eq!(&r.rows[0][0], &Value::Int(model.len() as i64));
+                    let r = run("SELECT COUNT(*) FROM kv", &[]).unwrap();
+                    assert_eq!(r.rows[0][0], Value::Int(model.len() as i64), "case {case}");
                 }
                 Op::SumAll => {
-                    let r = execute(&engine, txn, "db", "SELECT SUM(v) FROM kv", &[]).unwrap();
+                    let r = run("SELECT SUM(v) FROM kv", &[]).unwrap();
                     let expected = if model.is_empty() {
                         Value::Null
                     } else {
                         Value::Int(model.values().sum())
                     };
-                    prop_assert_eq!(&r.rows[0][0], &expected);
+                    assert_eq!(r.rows[0][0], expected, "case {case}");
                 }
             }
         }
         engine.commit(txn).unwrap();
     }
+}
 
-    // -----------------------------------------------------------------
-    // 2. Abort really undoes arbitrary write sequences.
-    // -----------------------------------------------------------------
-
-    #[test]
-    fn abort_restores_pre_transaction_state(
-        seed_rows in proptest::collection::btree_map(0i64..10, -50i64..50, 0..8),
-        ops in proptest::collection::vec(op_strategy(), 1..30),
-    ) {
-        let engine = Engine::new(EngineConfig::for_tests());
-        engine.create_database("db").unwrap();
-        engine.with_txn(|t| {
-            tenantdb::sql::execute(&engine, t, "db",
-                "CREATE TABLE kv (k INT NOT NULL, v INT, PRIMARY KEY (k))", &[])
-                .map_err(|e| tenantdb::storage::StorageError::SchemaMismatch(e.to_string()))?;
-            Ok(())
-        }).unwrap();
-        engine.with_txn(|t| {
-            for (k, v) in &seed_rows {
-                engine.insert(t, "db", "kv", vec![Value::Int(*k), Value::Int(*v)])?;
-            }
-            Ok(())
-        }).unwrap();
+/// Abort really undoes arbitrary write sequences.
+#[test]
+fn abort_restores_pre_transaction_state() {
+    for case in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(case);
+        let engine = kv_engine();
+        let seed_rows: BTreeMap<i64, i64> = gen_pairs(rng, 0..8, 0..10).into_iter().collect();
+        engine
+            .with_txn(|t| {
+                seed_rows
+                    .iter()
+                    .try_for_each(|(k, v)| insert_kv(&engine, t, *k, *v).map(drop))
+            })
+            .unwrap();
 
         // Snapshot, then run a txn with arbitrary writes and abort it.
-        let before = {
-            let t = engine.begin().unwrap();
-            let rows = engine.scan(t, "db", "kv").unwrap();
-            engine.commit(t).unwrap();
-            rows
-        };
+        let before = scan_kv(&engine);
         let txn = engine.begin().unwrap();
-        for op in &ops {
+        let run = |sql: &str, params: &[Value]| execute(&engine, txn, "db", sql, params);
+        for op in gen_ops(rng, 30) {
+            // A statement that fails (duplicate key) is part of the sequence.
             let _ = match op {
-                Op::Insert { k, v } => execute(&engine, txn, "db",
-                    "INSERT INTO kv VALUES (?, ?)", &[Value::Int(*k), Value::Int(*v)]),
-                Op::Update { k, v } => execute(&engine, txn, "db",
-                    "UPDATE kv SET v = ? WHERE k = ?", &[Value::Int(*v), Value::Int(*k)]),
-                Op::Delete { k } => execute(&engine, txn, "db",
-                    "DELETE FROM kv WHERE k = ?", &[Value::Int(*k)]),
+                Op::Insert { k, v } => run(
+                    "INSERT INTO kv VALUES (?, ?)",
+                    &[Value::Int(k), Value::Int(v)],
+                ),
+                Op::Update { k, v } => run(
+                    "UPDATE kv SET v = ? WHERE k = ?",
+                    &[Value::Int(v), Value::Int(k)],
+                ),
+                Op::Delete { k } => run("DELETE FROM kv WHERE k = ?", &[Value::Int(k)]),
                 _ => continue,
             };
         }
         engine.abort(txn).unwrap();
-        let after = {
-            let t = engine.begin().unwrap();
-            let rows = engine.scan(t, "db", "kv").unwrap();
-            engine.commit(t).unwrap();
-            rows
-        };
-        prop_assert_eq!(before, after);
+        assert_eq!(before, scan_kv(&engine), "case {case}");
     }
+}
 
-    // -----------------------------------------------------------------
-    // 3. Crash-restart preserves exactly the committed prefix.
-    // -----------------------------------------------------------------
-
-    #[test]
-    fn restart_preserves_committed_prefix(
-        committed in proptest::collection::vec((0i64..20, -50i64..50), 1..15),
-        uncommitted in proptest::collection::vec((100i64..120, -50i64..50), 0..8),
-    ) {
-        let engine = Engine::new(EngineConfig::for_tests());
-        engine.create_database("db").unwrap();
-        engine.with_txn(|t| {
-            tenantdb::sql::execute(&engine, t, "db",
-                "CREATE TABLE kv (k INT NOT NULL, v INT, PRIMARY KEY (k))", &[])
-                .map_err(|e| tenantdb::storage::StorageError::SchemaMismatch(e.to_string()))?;
-            Ok(())
-        }).unwrap();
+/// Crash-restart preserves exactly the committed prefix.
+#[test]
+fn restart_preserves_committed_prefix() {
+    for case in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(case);
+        let engine = kv_engine();
         let mut model = BTreeMap::new();
-        for (k, v) in &committed {
-            let r = engine.with_txn(|t| {
-                engine.insert(t, "db", "kv", vec![Value::Int(*k), Value::Int(*v)])
-            });
-            if r.is_ok() {
-                model.insert(*k, *v);
+        for (k, v) in gen_pairs(rng, 1..15, 0..20) {
+            // A duplicate key fails its own transaction and leaves no trace.
+            if engine.with_txn(|t| insert_kv(&engine, t, k, v)).is_ok() {
+                model.insert(k, v);
             }
         }
         // In-flight txn lost at the crash.
         let t = engine.begin().unwrap();
-        for (k, v) in &uncommitted {
-            let _ = engine.insert(t, "db", "kv", vec![Value::Int(*k), Value::Int(*v)]);
+        for (k, v) in gen_pairs(rng, 0..8, 100..120) {
+            let _ = insert_kv(&engine, t, k, v);
         }
         engine.crash();
         engine.restart();
 
-        let t = engine.begin().unwrap();
-        let rows = engine.scan(t, "db", "kv").unwrap();
-        engine.commit(t).unwrap();
-        let got: BTreeMap<i64, i64> = rows
+        let got: BTreeMap<i64, i64> = scan_kv(&engine)
             .iter()
             .map(|(_, r)| (r[0].as_i64().unwrap(), r[1].as_i64().unwrap()))
             .collect();
-        prop_assert_eq!(got, model);
+        assert_eq!(got, model, "case {case}");
     }
+}
 
-    // -----------------------------------------------------------------
-    // 4. ORDER BY really sorts, for arbitrary data.
-    // -----------------------------------------------------------------
-
-    #[test]
-    fn order_by_sorts(vals in proptest::collection::vec(-1000i64..1000, 1..40)) {
+/// ORDER BY really sorts, for arbitrary data.
+#[test]
+fn order_by_sorts() {
+    for case in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(case);
+        let mut vals: Vec<i64> = (0..rng.gen_range(1..40))
+            .map(|_| rng.gen_range(-1000i64..1000))
+            .collect();
         let engine = Engine::new(EngineConfig::for_tests());
         engine.create_database("db").unwrap();
         let txn = engine.begin().unwrap();
-        execute(&engine, txn, "db",
-            "CREATE TABLE t (id INT NOT NULL, x INT, PRIMARY KEY (id))", &[]).unwrap();
+        let run = |sql: &str, params: &[Value]| execute(&engine, txn, "db", sql, params).unwrap();
+        run(
+            "CREATE TABLE t (id INT NOT NULL, x INT, PRIMARY KEY (id))",
+            &[],
+        );
         for (i, v) in vals.iter().enumerate() {
-            execute(&engine, txn, "db", "INSERT INTO t VALUES (?, ?)",
-                &[Value::Int(i as i64), Value::Int(*v)]).unwrap();
+            run(
+                "INSERT INTO t VALUES (?, ?)",
+                &[Value::Int(i as i64), Value::Int(*v)],
+            );
         }
-        let r = execute(&engine, txn, "db", "SELECT x FROM t ORDER BY x", &[]).unwrap();
+        let r = run("SELECT x FROM t ORDER BY x", &[]);
         let got: Vec<i64> = r.rows.iter().map(|row| row[0].as_i64().unwrap()).collect();
-        let mut expected = vals.clone();
-        expected.sort();
-        prop_assert_eq!(got, expected);
+        vals.sort();
+        assert_eq!(got, vals, "case {case}");
         engine.commit(txn).unwrap();
     }
 }
