@@ -45,150 +45,102 @@ pub const NET: MachineId = MachineId(u32::MAX - 1);
 /// the `tenantdb-georep` crate).
 pub const GEO: MachineId = MachineId(u32::MAX - 2);
 
-/// A named location on a cluster hot path where a fault can fire.
-///
-/// The catalog (who calls [`FaultInjector::check`], and where):
-///
-/// | point | site | meaning |
-/// |---|---|---|
-/// | `ReplicaWriteApply` | `worker.rs` | before a write statement executes on a replica |
-/// | `ReplicaWriteAck` | `worker.rs` | after a write applied, before its ack is sent (a `Delay` here is a straggler ack; a `Crash` loses an acked statement) |
-/// | `PrepareApply` | `worker.rs` | before the local `PREPARE` runs — the vote is never cast |
-/// | `PrepareAck` | `worker.rs` | after the vote persisted, before the ack — the coordinator sees silence from a prepared participant |
-/// | `CommitDecision` | `connection.rs` | controller side, after the decision is logged but before any participant `COMMIT` is sent |
-/// | `CtrlPropose` | `meta.rs` | before a metadata command is proposed to the replicated controller group — a `Crash` kills the current leader replica (when the group has more than one member), forcing an election mid-operation |
-/// | `CommitApply` | `worker.rs` | participant side, before its local `COMMIT` applies — dies prepared |
-/// | `CommitAck` | `worker.rs` | after the local commit persisted, before the ack |
-/// | `CopyStart` | `recovery.rs` | before a database-level Algorithm-1 dump begins |
-/// | `CopyTable` | `recovery.rs` | before each table's dump in a table-level copy (one hit per table boundary) |
-/// | `TakeoverCommit` | `controller.rs` | before `ClusterController::takeover` completes one participant's decided commit |
-/// | `PoolJob` | `pool.rs` | before a lane's turn or a task runs — on the pool worker that dequeued the job, or on the caller that took an idle lane's turn (`worker.rs` `Turn::run`); only `Delay` is honored |
-/// | `NetAccept` | `net/server.rs` | after a TCP connection is accepted, before its session starts (a `Crash` drops the socket unserved) |
-/// | `NetFrameRead` | `net/server.rs` | after a request frame arrived, before it is dispatched |
-/// | `NetFrameWrite` | `net/server.rs` | before a reply frame is written back to the client |
-/// | `NetResponseDrop` | `net/server.rs` | after a request executed, before its reply — a `Crash` kills the connection *mid-response*, so the client never learns the outcome |
-/// | `GeoShipBatch` | `georep/shipper.rs` | before a shipper sends one batch of WAL records to the standby colo (a `Crash` severs the stream; resume must restart from the last cumulative ack) |
-/// | `GeoApplyBatch` | `georep/applier.rs` | after a batch arrived on the standby, before it is applied — an ack is never sent, so the primary re-ships from the ack cursor |
-/// | `GeoPromote` | `georep/promote.rs` | during standby promotion, after the old primary is fenced but before in-doubt 2PC reconciliation |
-///
-/// The four `Net*` points fire with the [`NET`] sentinel machine id: the
-/// serving tier fronts the whole cluster, so there is no per-machine hit
-/// counting for them. The three `Geo*` points fire with the [`GEO`] sentinel
-/// for the same reason (the replication stream spans colos), and they are
-/// scripted-only: random sim plans never arm them because a severed
-/// cross-colo stream is a *normal* condition the shipper must absorb, not a
-/// protocol violation worth a randomized search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum CrashPoint {
+/// Declares [`CrashPoint`], [`CrashPoint::ALL`] and [`CrashPoint::name`]
+/// from one `Variant => "name"` list, so the three cannot drift apart.
+macro_rules! crash_points {
+    ($($(#[$doc:meta])* $variant:ident => $name:literal,)*) => {
+        /// A named location on a cluster hot path where a fault can fire.
+        ///
+        /// Each variant's doc says what the window is; DESIGN.md §9's table
+        /// adds the hook site (a root test holds that table to [`Self::ALL`]).
+        ///
+        /// The four `Net*` points fire with the [`NET`] sentinel machine id: the
+        /// serving tier fronts the whole cluster, so there is no per-machine hit
+        /// counting for them. The three `Geo*` points fire with the [`GEO`] sentinel
+        /// for the same reason (the replication stream spans colos), and they are
+        /// scripted-only: random sim plans never arm them because a severed
+        /// cross-colo stream is a *normal* condition the shipper must absorb, not a
+        /// protocol violation worth a randomized search.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        pub enum CrashPoint {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl CrashPoint {
+            /// Every crash point, in canonical order (what the coverage
+            /// tests iterate).
+            pub const ALL: [CrashPoint; [$($name),*].len()] = [$(CrashPoint::$variant),*];
+
+            /// Stable snake_case name used in rendered schedules.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(CrashPoint::$variant => $name,)*
+                }
+            }
+        }
+    };
+}
+
+crash_points! {
     /// Before a write statement executes on a replica.
-    ReplicaWriteApply,
+    ReplicaWriteApply => "replica_write_apply",
     /// After a write applied on a replica, before its ack is sent.
-    ReplicaWriteAck,
+    ReplicaWriteAck => "replica_write_ack",
     /// Before the local `PREPARE` runs (the vote is never cast).
-    PrepareApply,
+    PrepareApply => "prepare_apply",
     /// After the `PREPARE` vote persisted, before the ack.
-    PrepareAck,
+    PrepareAck => "prepare_ack",
     /// Controller side: after the commit decision is logged, before any
     /// participant `COMMIT` goes out. Fired with machine [`CONTROLLER`].
-    CommitDecision,
+    CommitDecision => "commit_decision",
     /// Replicated controller: before a metadata command is proposed to the
     /// consensus group. A `Crash` kills the current leader replica (when
     /// the group has more than one member) so the operation must survive an
     /// election; a `Delay` stalls the pump a few ticks. Fired with machine
     /// [`CONTROLLER`].
-    CtrlPropose,
+    CtrlPropose => "ctrl_propose",
     /// Participant side: before its local `COMMIT` applies (dies prepared).
-    CommitApply,
+    CommitApply => "commit_apply",
     /// Participant side: after the local commit persisted, before the ack.
-    CommitAck,
+    CommitAck => "commit_ack",
     /// Before a database-level Algorithm-1 dump begins.
-    CopyStart,
+    CopyStart => "copy_start",
     /// Before each table's dump in a table-level Algorithm-1 copy.
-    CopyTable,
+    CopyTable => "copy_table",
     /// Before `ClusterController::takeover` completes one participant's
     /// decided commit.
-    TakeoverCommit,
+    TakeoverCommit => "takeover_commit",
     /// Before a pool job runs — dequeued by a worker, or a session lane's
     /// turn taken by the calling thread (only [`FaultAction::Delay`] is
     /// honored here; crashing a pool thread models nothing the paper has).
-    PoolJob,
+    PoolJob => "pool_job",
     /// Network frontend: after a TCP connection is accepted, before its
     /// session thread starts. Fired with machine [`NET`].
-    NetAccept,
+    NetAccept => "net_accept",
     /// Network frontend: after a request frame is read, before dispatch.
     /// Fired with machine [`NET`].
-    NetFrameRead,
+    NetFrameRead => "net_frame_read",
     /// Network frontend: before a reply frame is written. Fired with
     /// machine [`NET`].
-    NetFrameWrite,
+    NetFrameWrite => "net_frame_write",
     /// Network frontend: after a request executed (commit decided, write
     /// applied), before its reply frame — a `Crash` here severs the
     /// connection mid-response, the classic "did my commit land?" client
     /// ambiguity. Fired with machine [`NET`].
-    NetResponseDrop,
+    NetResponseDrop => "net_response_drop",
     /// Cross-colo shipper: before one batch of WAL records is sent to the
     /// standby. A `Crash` severs the log stream (resume restarts from the
     /// last cumulative ack); a `Delay` is a slow WAN link. Fired with
     /// machine [`GEO`].
-    GeoShipBatch,
+    GeoShipBatch => "geo_ship_batch",
     /// Standby applier: after a batch arrived, before it is applied — the
     /// ack never goes out, so the primary re-ships from its ack cursor and
     /// the applier must deduplicate by LSN. Fired with machine [`GEO`].
-    GeoApplyBatch,
+    GeoApplyBatch => "geo_apply_batch",
     /// Standby promotion: after the old primary's epoch is fenced, before
     /// in-doubt 2PC reconciliation against the mirrored decision log. Fired
     /// with machine [`GEO`].
-    GeoPromote,
-}
-
-impl CrashPoint {
-    /// Every crash point, in canonical order (used by plan generators).
-    pub const ALL: [CrashPoint; 19] = [
-        CrashPoint::ReplicaWriteApply,
-        CrashPoint::ReplicaWriteAck,
-        CrashPoint::PrepareApply,
-        CrashPoint::PrepareAck,
-        CrashPoint::CommitDecision,
-        CrashPoint::CtrlPropose,
-        CrashPoint::CommitApply,
-        CrashPoint::CommitAck,
-        CrashPoint::CopyStart,
-        CrashPoint::CopyTable,
-        CrashPoint::TakeoverCommit,
-        CrashPoint::PoolJob,
-        CrashPoint::NetAccept,
-        CrashPoint::NetFrameRead,
-        CrashPoint::NetFrameWrite,
-        CrashPoint::NetResponseDrop,
-        CrashPoint::GeoShipBatch,
-        CrashPoint::GeoApplyBatch,
-        CrashPoint::GeoPromote,
-    ];
-
-    /// Stable snake_case name used in rendered schedules.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CrashPoint::ReplicaWriteApply => "replica_write_apply",
-            CrashPoint::ReplicaWriteAck => "replica_write_ack",
-            CrashPoint::PrepareApply => "prepare_apply",
-            CrashPoint::PrepareAck => "prepare_ack",
-            CrashPoint::CommitDecision => "commit_decision",
-            CrashPoint::CtrlPropose => "ctrl_propose",
-            CrashPoint::CommitApply => "commit_apply",
-            CrashPoint::CommitAck => "commit_ack",
-            CrashPoint::CopyStart => "copy_start",
-            CrashPoint::CopyTable => "copy_table",
-            CrashPoint::TakeoverCommit => "takeover_commit",
-            CrashPoint::PoolJob => "pool_job",
-            CrashPoint::NetAccept => "net_accept",
-            CrashPoint::NetFrameRead => "net_frame_read",
-            CrashPoint::NetFrameWrite => "net_frame_write",
-            CrashPoint::NetResponseDrop => "net_response_drop",
-            CrashPoint::GeoShipBatch => "geo_ship_batch",
-            CrashPoint::GeoApplyBatch => "geo_apply_batch",
-            CrashPoint::GeoPromote => "geo_promote",
-        }
-    }
+    GeoPromote => "geo_promote",
 }
 
 impl fmt::Display for CrashPoint {

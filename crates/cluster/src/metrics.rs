@@ -248,16 +248,6 @@ impl ClusterMetrics {
             WRITE_REJECTIONS,
             "Writes rejected by Algorithm 1 during replica copies, per database.",
         );
-        registry.describe(POOL_QUEUE_DEPTH, "Jobs queued in a worker pool right now.");
-        registry.describe(POOL_LIVE_THREADS, "Worker threads alive in a pool.");
-        registry.describe(
-            POOL_THREADS_SPAWNED,
-            "Worker threads ever spawned by a pool (resident + on-demand growth).",
-        );
-        registry.describe(
-            POOL_CALLER_TURNS,
-            "Session-lane turns a caller ran on its own thread (no pool job, no hand-off).",
-        );
         registry.describe(
             RECOVERY_TABLES_COPIED,
             "Tables copied while re-creating replicas, per database.",
@@ -569,8 +559,20 @@ pub struct PoolMetrics {
 
 impl PoolMetrics {
     /// Resolve the four pool series for `pool`, with a `machine` label when
-    /// the pool belongs to one machine.
+    /// the pool belongs to one machine. Describes the four families on
+    /// `registry` (pools live on the cluster's registry and on the serving
+    /// tier's own).
     pub fn resolve(registry: &MetricsRegistry, pool: &str, machine: Option<MachineId>) -> Self {
+        registry.describe(POOL_QUEUE_DEPTH, "Jobs queued in a worker pool right now.");
+        registry.describe(POOL_LIVE_THREADS, "Worker threads alive in a pool.");
+        registry.describe(
+            POOL_THREADS_SPAWNED,
+            "Worker threads ever spawned by a pool (resident + on-demand growth).",
+        );
+        registry.describe(
+            POOL_CALLER_TURNS,
+            "Session-lane turns a caller ran on its own thread (no pool job, no hand-off).",
+        );
         let m = machine.map(|m| m.to_string());
         let mut labels: Vec<(&'static str, &str)> = vec![("pool", pool)];
         if let Some(m) = m.as_deref() {

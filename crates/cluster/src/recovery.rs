@@ -348,6 +348,13 @@ mod tests {
             // The debt is settled: a second run finds nothing to do.
             let again = recover_machine(&c, placed[0], RecoveryConfig::default());
             assert!(again.recovered.is_empty() && again.failed.is_empty());
+            // The copy is itself a replica that can crash. No write saw it
+            // down, so it restarts still in the replica set — and must
+            // serve from its own log what its sibling serves.
+            c.fail_machine(*target).unwrap();
+            c.restart_machine(*target).unwrap();
+            assert!(c.alive_replicas("app").unwrap().contains(target));
+            crate::testkit::assert_replicas_converged(&c, "app");
         }
     }
 

@@ -632,6 +632,48 @@ fn fault_severing_reply_write_kills_connection_before_response() {
     server.shutdown();
 }
 
+/// Every serving-tier crash point — the `net_*` members of
+/// `CrashPoint::ALL`, the ones the sim's `corpus_is_complete` leaves to
+/// this test — fires against a live server. One session's life passes
+/// every hook (accept, request read, execute, reply write), so a new
+/// `Net*` point with a hook on that path is covered without an edit here,
+/// and one without a hook fails here by name.
+#[test]
+fn every_net_crash_point_fires() {
+    let sys = platform(43);
+    create_db(&sys);
+    seed_kv(&sys, &[1]);
+    let net_points = CrashPoint::ALL
+        .into_iter()
+        .filter(|p| p.name().starts_with("net_"));
+    for point in net_points {
+        let faults = Arc::new(FaultInjector::new());
+        let server = Server::start_with_faults(
+            "127.0.0.1:0",
+            Arc::clone(&sys),
+            ServerConfig::default(),
+            Some(Arc::clone(&faults)),
+        )
+        .expect("bind");
+        faults.arm(FaultPlan::new(vec![Trigger {
+            point,
+            machine: None,
+            after_hits: 0,
+            action: FaultAction::Crash,
+        }]));
+        // Whichever step the armed point severs fails; that is the fault
+        // working. The connect retries ride through an accept-edge sever.
+        if let Ok(client) = NetClient::connect(server.local_addr(), DB, quick_opts()) {
+            let _ = Transport::execute(&client, "SELECT v FROM kv WHERE id = 1", &[]);
+        }
+        assert!(
+            faults.fired().iter().any(|f| f.point == point),
+            "{point} did not fire against a live server"
+        );
+        server.shutdown();
+    }
+}
+
 /// The `\conns` listing reflects live sessions with their database, peer,
 /// and transaction state.
 #[test]

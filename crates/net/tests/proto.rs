@@ -27,6 +27,32 @@ use tenantdb_storage::{
 /// the loop counts there while keeping native runs thorough.
 const CASES: usize = if cfg!(miri) { 8 } else { 400 };
 
+/// One variant of a wire enum: a predicate that names it and a generator
+/// for it.
+struct Row<T: 'static> {
+    is: fn(&T) -> bool,
+    gen: fn(&mut StdRng) -> T,
+}
+
+/// One `pattern => generator` row per variant of a wire enum. Expands to
+/// the [`Row`] table and to a `match` over the patterns with no wildcard
+/// arm, so a variant without a row does not compile; the table test below
+/// holds each generator to the pattern beside it, so the row cannot be for
+/// some other variant either.
+macro_rules! variant_table {
+    ($table:ident: $ty:ty { $($pat:pat => $gen:expr,)* }) => {
+        const $table: &[Row<$ty>] = &[$(Row { is: |v| matches!(v, $pat), gen: $gen },)*];
+        const _: fn(&$ty) = |v| match v {
+            $($pat => (),)*
+        };
+    };
+}
+
+/// A uniformly chosen variant of `table`'s enum.
+fn rand_variant<T>(rng: &mut StdRng, table: &[Row<T>]) -> T {
+    (table[rng.gen_range(0..table.len())].gen)(rng)
+}
+
 fn rand_string(rng: &mut StdRng, max: usize) -> String {
     let n = rng.gen_range(0..=max);
     (0..n)
@@ -60,70 +86,82 @@ fn rand_finite_value(rng: &mut StdRng) -> Value {
     }
 }
 
-fn rand_storage_error(rng: &mut StdRng) -> StorageError {
-    match rng.gen_range(0..13u32) {
-        0 => StorageError::NoSuchDatabase(rand_string(rng, 8)),
-        1 => StorageError::NoSuchTable(rand_string(rng, 8)),
-        2 => StorageError::NoSuchIndex(rand_string(rng, 8)),
-        3 => StorageError::AlreadyExists(rand_string(rng, 8)),
-        4 => StorageError::NoSuchTxn(TxnId(rng.gen::<u64>())),
-        5 => StorageError::InvalidTxnState {
+variant_table! {
+    STORAGE_ERRORS: StorageError {
+        StorageError::NoSuchDatabase(_) => |rng| StorageError::NoSuchDatabase(rand_string(rng, 8)),
+        StorageError::NoSuchTable(_) => |rng| StorageError::NoSuchTable(rand_string(rng, 8)),
+        StorageError::NoSuchIndex(_) => |rng| StorageError::NoSuchIndex(rand_string(rng, 8)),
+        StorageError::AlreadyExists(_) => |rng| StorageError::AlreadyExists(rand_string(rng, 8)),
+        StorageError::NoSuchTxn(_) => |rng| StorageError::NoSuchTxn(TxnId(rng.gen::<u64>())),
+        StorageError::InvalidTxnState { .. } => |rng| StorageError::InvalidTxnState {
             txn: TxnId(rng.gen::<u64>()),
             state: ["active", "prepared", "committed", "aborted"][rng.gen_range(0..4usize)],
         },
-        6 => StorageError::Deadlock(TxnId(rng.gen::<u64>())),
-        7 => StorageError::LockTimeout(TxnId(rng.gen::<u64>())),
-        8 => StorageError::Unavailable,
-        9 => StorageError::UniqueViolation {
+        StorageError::Deadlock(_) => |rng| StorageError::Deadlock(TxnId(rng.gen::<u64>())),
+        StorageError::LockTimeout(_) => |rng| StorageError::LockTimeout(TxnId(rng.gen::<u64>())),
+        StorageError::Unavailable => |_| StorageError::Unavailable,
+        StorageError::UniqueViolation { .. } => |rng| StorageError::UniqueViolation {
             table: rand_string(rng, 8),
             index: rand_string(rng, 8),
         },
-        10 => StorageError::SchemaMismatch(rand_string(rng, 16)),
-        11 => StorageError::NoSuchRow(rng.gen::<u64>()),
-        _ => StorageError::WriteRejected(rand_string(rng, 8)),
+        StorageError::SchemaMismatch(_) => |rng| StorageError::SchemaMismatch(rand_string(rng, 16)),
+        StorageError::NoSuchRow(_) => |rng| StorageError::NoSuchRow(rng.gen::<u64>()),
+        StorageError::WriteRejected(_) => |rng| StorageError::WriteRejected(rand_string(rng, 8)),
+    }
+}
+
+fn rand_storage_error(rng: &mut StdRng) -> StorageError {
+    rand_variant(rng, STORAGE_ERRORS)
+}
+
+variant_table! {
+    SQL_ERRORS: SqlError {
+        SqlError::Lex(_) => |rng| SqlError::Lex(rand_string(rng, 16)),
+        SqlError::Parse(_) => |rng| SqlError::Parse(rand_string(rng, 16)),
+        SqlError::Plan(_) => |rng| SqlError::Plan(rand_string(rng, 16)),
+        SqlError::Eval(_) => |rng| SqlError::Eval(rand_string(rng, 16)),
+        SqlError::Params { .. } => |rng| SqlError::Params {
+            expected: rng.gen_range(0..16usize),
+            got: rng.gen_range(0..16usize),
+        },
+        SqlError::Storage(_) => |rng| SqlError::Storage(rand_storage_error(rng)),
     }
 }
 
 fn rand_sql_error(rng: &mut StdRng) -> SqlError {
-    match rng.gen_range(0..6u32) {
-        0 => SqlError::Lex(rand_string(rng, 16)),
-        1 => SqlError::Parse(rand_string(rng, 16)),
-        2 => SqlError::Plan(rand_string(rng, 16)),
-        3 => SqlError::Eval(rand_string(rng, 16)),
-        4 => SqlError::Params {
-            expected: rng.gen_range(0..16usize),
-            got: rng.gen_range(0..16usize),
-        },
-        _ => SqlError::Storage(rand_storage_error(rng)),
-    }
+    rand_variant(rng, SQL_ERRORS)
 }
 
-fn rand_cluster_error(rng: &mut StdRng) -> ClusterError {
-    match rng.gen_range(0..12u32) {
-        0 => ClusterError::Sql(rand_sql_error(rng)),
-        1 => ClusterError::NoSuchDatabase(rand_string(rng, 8)),
-        2 => ClusterError::NoReplicas(rand_string(rng, 8)),
-        3 => ClusterError::NoMachines,
-        4 => ClusterError::WriteRejected {
+variant_table! {
+    CLUSTER_ERRORS: ClusterError {
+        ClusterError::Sql(_) => |rng| ClusterError::Sql(rand_sql_error(rng)),
+        ClusterError::NoSuchDatabase(_) => |rng| ClusterError::NoSuchDatabase(rand_string(rng, 8)),
+        ClusterError::NoReplicas(_) => |rng| ClusterError::NoReplicas(rand_string(rng, 8)),
+        ClusterError::NoMachines => |_| ClusterError::NoMachines,
+        ClusterError::WriteRejected { .. } => |rng| ClusterError::WriteRejected {
             db: rand_string(rng, 8),
             table: rand_string(rng, 8),
         },
-        5 => ClusterError::TxnAborted(rand_string(rng, 24)),
-        6 => ClusterError::NoActiveTxn,
-        7 => ClusterError::AlreadyExists(rand_string(rng, 8)),
-        8 => ClusterError::NotLeader {
+        ClusterError::TxnAborted(_) => |rng| ClusterError::TxnAborted(rand_string(rng, 24)),
+        ClusterError::NoActiveTxn => |_| ClusterError::NoActiveTxn,
+        ClusterError::AlreadyExists(_) => |rng| ClusterError::AlreadyExists(rand_string(rng, 8)),
+        ClusterError::NotLeader { .. } => |rng| ClusterError::NotLeader {
             hint: if rng.gen_bool(0.5) {
                 Some(rng.gen_range(0..8u32))
             } else {
                 None
             },
         },
-        9 => ClusterError::InDoubt(rand_string(rng, 24)),
-        10 => ClusterError::AdmissionRejected {
+        ClusterError::InDoubt(_) => |rng| ClusterError::InDoubt(rand_string(rng, 24)),
+        ClusterError::AdmissionRejected { .. } => |rng| ClusterError::AdmissionRejected {
             db: rand_string(rng, 8),
         },
-        _ => ClusterError::Fenced { epoch: rng.gen() },
+        ClusterError::Fenced { .. } => |rng| ClusterError::Fenced { epoch: rng.gen() },
     }
+}
+
+fn rand_cluster_error(rng: &mut StdRng) -> ClusterError {
+    rand_variant(rng, CLUSTER_ERRORS)
 }
 
 fn rand_query_result(rng: &mut StdRng) -> QueryResult {
@@ -238,9 +276,9 @@ fn rand_log_record(rng: &mut StdRng) -> LogRecord {
     }
 }
 
-fn rand_frame(rng: &mut StdRng) -> Frame {
-    match rng.gen_range(0..23u32) {
-        0 => Frame::Hello {
+variant_table! {
+    FRAMES: Frame {
+        Frame::Hello { .. } => |rng| Frame::Hello {
             version: PROTOCOL_VERSION,
             db: rand_string(rng, 12),
             read_pref: [
@@ -255,7 +293,7 @@ fn rand_frame(rng: &mut StdRng) -> Frame {
                 WritePref::Aggressive,
             ][rng.gen_range(0..3usize)],
         },
-        1 => Frame::HelloOk {
+        Frame::HelloOk { .. } => |rng| Frame::HelloOk {
             version: PROTOCOL_VERSION,
             read_policy: [
                 ReadPolicy::PinnedReplica,
@@ -265,35 +303,35 @@ fn rand_frame(rng: &mut StdRng) -> Frame {
             write_policy: [WritePolicy::Conservative, WritePolicy::Aggressive]
                 [rng.gen_range(0..2usize)],
         },
-        2 => Frame::Ping {
+        Frame::Ping { .. } => |rng| Frame::Ping {
             token: rng.gen::<u64>(),
         },
-        3 => Frame::Pong {
+        Frame::Pong { .. } => |rng| Frame::Pong {
             token: rng.gen::<u64>(),
         },
-        4 => Frame::Ok,
-        5 => Frame::Error(rand_cluster_error(rng)),
-        6 => Frame::Query {
+        Frame::Ok => |_| Frame::Ok,
+        Frame::Error(_) => |rng| Frame::Error(rand_cluster_error(rng)),
+        Frame::Query { .. } => |rng| Frame::Query {
             sql: rand_string(rng, 40),
             params: (0..rng.gen_range(0..4usize))
                 .map(|_| rand_finite_value(rng))
                 .collect(),
         },
-        7 => Frame::ResultSet(rand_query_result(rng)),
-        8 => Frame::Execute {
+        Frame::ResultSet(_) => |rng| Frame::ResultSet(rand_query_result(rng)),
+        Frame::Execute { .. } => |rng| Frame::Execute {
             sql: rand_string(rng, 40),
             params: (0..rng.gen_range(0..4usize))
                 .map(|_| rand_finite_value(rng))
                 .collect(),
         },
-        9 => Frame::Affected {
+        Frame::Affected { .. } => |rng| Frame::Affected {
             rows: rng.gen::<u64>(),
         },
-        10 => Frame::Begin,
-        11 => Frame::Commit,
-        12 => Frame::Rollback,
-        13 => Frame::ListConns,
-        14 => Frame::Batch {
+        Frame::Begin => |_| Frame::Begin,
+        Frame::Commit => |_| Frame::Commit,
+        Frame::Rollback => |_| Frame::Rollback,
+        Frame::ListConns => |_| Frame::ListConns,
+        Frame::Batch { .. } => |rng| Frame::Batch {
             seq: rng.gen::<u32>(),
             mode: [
                 BatchMode::Statements,
@@ -304,41 +342,41 @@ fn rand_frame(rng: &mut StdRng) -> Frame {
                 .map(|_| rand_batch_stmt(rng))
                 .collect(),
         },
-        15 => Frame::BatchOk {
+        Frame::BatchOk { .. } => |rng| Frame::BatchOk {
             seq: rng.gen::<u32>(),
             results: (0..rng.gen_range(0..4usize))
                 .map(|_| rand_query_result(rng))
                 .collect(),
         },
-        16 => Frame::BatchErr {
+        Frame::BatchErr { .. } => |rng| Frame::BatchErr {
             seq: rng.gen::<u32>(),
             index: rng.gen::<u32>(),
             error: rand_cluster_error(rng),
         },
-        17 => Frame::GeoHello {
+        Frame::GeoHello { .. } => |rng| Frame::GeoHello {
             version: GEOREP_PROTOCOL_VERSION,
             db: rand_string(rng, 12),
             start_lsn: Lsn(rng.gen::<u64>()),
             epoch: rng.gen::<u64>(),
             source: rng.gen::<u32>(),
         },
-        18 => Frame::GeoHelloOk {
+        Frame::GeoHelloOk { .. } => |rng| Frame::GeoHelloOk {
             version: GEOREP_PROTOCOL_VERSION,
             resume_lsn: Lsn(rng.gen::<u64>()),
         },
-        19 => Frame::GeoRecords {
+        Frame::GeoRecords { .. } => |rng| Frame::GeoRecords {
             epoch: rng.gen::<u64>(),
             records: (0..rng.gen_range(0..5usize))
                 .map(|_| rand_log_record(rng))
                 .collect(),
         },
-        20 => Frame::GeoAck {
+        Frame::GeoAck { .. } => |rng| Frame::GeoAck {
             applied_lsn: Lsn(rng.gen::<u64>()),
         },
-        21 => Frame::GeoFenced {
+        Frame::GeoFenced { .. } => |rng| Frame::GeoFenced {
             epoch: rng.gen::<u64>(),
         },
-        _ => Frame::ConnList(
+        Frame::ConnList(_) => |rng| Frame::ConnList(
             (0..rng.gen_range(0..4usize))
                 .map(|_| ConnInfo {
                     id: rng.gen::<u64>(),
@@ -351,6 +389,10 @@ fn rand_frame(rng: &mut StdRng) -> Frame {
                 .collect(),
         ),
     }
+}
+
+fn rand_frame(rng: &mut StdRng) -> Frame {
+    rand_variant(rng, FRAMES)
 }
 
 fn body_of(encoded: &[u8]) -> &[u8] {
@@ -388,6 +430,77 @@ fn prop_error_classification_survives_roundtrip() {
         assert_eq!(back.is_timeout(), err.is_timeout());
         assert_eq!(back.is_proactive_rejection(), err.is_proactive_rejection());
     }
+}
+
+/// The wire contract of one tagged enum, over *every* variant (the table
+/// is total — see [`variant_table`]): each round-trips, no two share a tag,
+/// and over all 256 bytes `decode` accepts exactly the tags `encode`
+/// emits. `wrap` embeds a value in a frame whose body carries the enum's
+/// tag at byte `depth`.
+fn check_wire_enum<T: std::fmt::Debug>(
+    name: &str,
+    table: &[Row<T>],
+    depth: usize,
+    wrap: fn(T) -> Frame,
+) {
+    let mut rng = StdRng::seed_from_u64(0x7AB1E);
+    let mut tags: Vec<u8> = Vec::new();
+    let mut prefix = Vec::new();
+    for (i, row) in table.iter().enumerate() {
+        for case in 0..CASES.min(16) {
+            let v = (row.gen)(&mut rng);
+            assert!(
+                (row.is)(&v),
+                "{name} row {i}: the generator made {v:?}, not the variant its pattern names"
+            );
+            let frame = wrap(v);
+            let bytes = frame.encode();
+            let body = body_of(&bytes);
+            match Frame::decode(body) {
+                Ok(back) => assert_eq!(back, frame, "{name} row {i}"),
+                Err(e) => panic!("{name} row {i}: {frame:?} does not decode: {e}"),
+            }
+            if case == 0 {
+                assert!(
+                    !tags.contains(&body[depth]),
+                    "{name} row {i}: tag {:#04x} already encodes another variant",
+                    body[depth]
+                );
+                tags.push(body[depth]);
+                prefix = body[..depth].to_vec();
+            }
+            assert_eq!(
+                body[depth], tags[i],
+                "{name} row {i}: one variant, two tags"
+            );
+        }
+    }
+    for tag in 0..=u8::MAX {
+        let probe = [&prefix[..], &[tag]].concat();
+        // Nothing follows the tag, so a known one fails later, as `Truncated`.
+        let known = !matches!(
+            Frame::decode(&probe),
+            Err(WireError::BadOpcode(t) | WireError::BadTag(t)) if t == tag
+        );
+        assert_eq!(
+            known,
+            tags.contains(&tag),
+            "{name}: tag {tag:#04x} — decode knows it: {known}, encode emits it: {}",
+            tags.contains(&tag)
+        );
+    }
+}
+
+#[test]
+fn every_wire_variant_roundtrips_under_its_own_tag() {
+    check_wire_enum("Frame", FRAMES, 0, |f| f);
+    check_wire_enum("ClusterError", CLUSTER_ERRORS, 1, Frame::Error);
+    check_wire_enum("SqlError", SQL_ERRORS, 2, |e| {
+        Frame::Error(ClusterError::Sql(e))
+    });
+    check_wire_enum("StorageError", STORAGE_ERRORS, 3, |e| {
+        Frame::Error(ClusterError::Sql(SqlError::Storage(e)))
+    });
 }
 
 // ------------------------------------------------------- corrupt inputs

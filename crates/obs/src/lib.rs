@@ -25,6 +25,8 @@
 //! use tenantdb_obs::MetricsRegistry;
 //!
 //! let reg = MetricsRegistry::new();
+//! reg.describe("txn_committed_total", "Transactions committed, per database.");
+//! reg.describe("commit_latency_us", "Commit latency in microseconds.");
 //! let commits = reg.counter("txn_committed_total", &[("db", "app")]);
 //! commits.inc();
 //! let lat = reg.histogram("commit_latency_us", &[]);
@@ -256,13 +258,30 @@ impl MetricsRegistry {
         m.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Register a `# HELP` line for a metric family (idempotent).
+    /// Register a metric family and its `# HELP` line (idempotent). A
+    /// series may only be created under a described name (debug-asserted):
+    /// [`described`](Self::described) is then the registry's whole name
+    /// set, which a root test diffs against DESIGN.md §8.
     pub fn describe(&self, name: &'static str, help: &'static str) {
         Self::guard(&self.help).entry(name).or_insert(help);
     }
 
+    /// Every described family name, sorted.
+    pub fn described(&self) -> Vec<&'static str> {
+        Self::guard(&self.help).keys().copied().collect()
+    }
+
+    fn debug_assert_described(&self, name: &str) {
+        debug_assert!(
+            Self::guard(&self.help).contains_key(name),
+            "metric series created under undescribed name `{name}`: describe() it first \
+             (and list it in DESIGN.md §8)"
+        );
+    }
+
     /// Get or create the counter `name{labels}`.
     pub fn counter(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Arc<Counter> {
+        self.debug_assert_described(name);
         Self::guard(&self.counters)
             .entry(make_key(name, labels))
             .or_default()
@@ -271,6 +290,7 @@ impl MetricsRegistry {
 
     /// Get or create the gauge `name{labels}`.
     pub fn gauge(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Arc<Gauge> {
+        self.debug_assert_described(name);
         Self::guard(&self.gauges)
             .entry(make_key(name, labels))
             .or_default()
@@ -279,6 +299,7 @@ impl MetricsRegistry {
 
     /// Get or create the histogram `name{labels}`.
     pub fn histogram(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Arc<Histogram> {
+        self.debug_assert_described(name);
         Self::guard(&self.histograms)
             .entry(make_key(name, labels))
             .or_insert_with(|| Arc::new(Histogram::new()))
@@ -442,9 +463,25 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
 
+    /// A registry with `names` described (series need a described name).
+    fn registry(names: &[&'static str]) -> MetricsRegistry {
+        let reg = MetricsRegistry::new();
+        for name in names {
+            reg.describe(name, "a test family");
+        }
+        reg
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "undescribed name `stray_total`")]
+    fn series_under_an_undescribed_name_is_refused() {
+        registry(&["c_total"]).counter("stray_total", &[]);
+    }
+
     #[test]
     fn get_or_create_returns_the_same_series() {
-        let reg = MetricsRegistry::new();
+        let reg = registry(&["c_total"]);
         let a = reg.counter("c_total", &[("db", "x")]);
         let b = reg.counter("c_total", &[("db", "x")]);
         a.inc();
@@ -458,7 +495,7 @@ mod tests {
 
     #[test]
     fn counter_sum_filters_by_label() {
-        let reg = MetricsRegistry::new();
+        let reg = registry(&["out_total"]);
         reg.counter("out_total", &[("db", "a"), ("outcome", "committed")])
             .add(5);
         reg.counter("out_total", &[("db", "a"), ("outcome", "rejected")])
@@ -476,7 +513,7 @@ mod tests {
 
     #[test]
     fn render_text_exposes_all_kinds() {
-        let reg = MetricsRegistry::new();
+        let reg = registry(&["depth", "lat_us"]);
         reg.describe("c_total", "a counter");
         reg.counter("c_total", &[("db", "app")]).inc();
         reg.gauge("depth", &[]).set(3);
@@ -497,7 +534,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_cumulative_in_exposition() {
-        let reg = MetricsRegistry::new();
+        let reg = registry(&["l_us"]);
         let h = reg.histogram("l_us", &[]);
         h.observe(1);
         h.observe(100);
@@ -509,7 +546,7 @@ mod tests {
 
     #[test]
     fn snapshot_delta_reports_only_changes() {
-        let reg = MetricsRegistry::new();
+        let reg = registry(&["a_total", "quiet_total", "h_us"]);
         let c = reg.counter("a_total", &[]);
         let quiet = reg.counter("quiet_total", &[]);
         quiet.add(5);
@@ -530,7 +567,7 @@ mod tests {
 
     #[test]
     fn reset_zeroes_counters_and_histograms_but_not_gauges() {
-        let reg = MetricsRegistry::new();
+        let reg = registry(&["c_total", "h_us", "g"]);
         reg.counter("c_total", &[]).add(4);
         reg.histogram("h_us", &[]).observe(9);
         reg.gauge("g", &[]).set(7);

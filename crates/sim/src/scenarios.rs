@@ -10,11 +10,17 @@
 //! scenario is deterministic: the plans pin machines, the workloads are
 //! fixed, and the verdict never depends on thread scheduling.
 
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use tenantdb_cluster::fault::{CrashPoint, FaultAction, FaultPlan, Trigger, CONTROLLER, GEO};
-use tenantdb_cluster::recovery::{create_replica, CopyGranularity};
+use tenantdb_cluster::fault::{
+    CrashPoint, FaultAction, FaultInjector, FaultPlan, Trigger, CONTROLLER, GEO,
+};
+use tenantdb_cluster::recovery::{
+    create_replica, recover_machine, CopyGranularity, RecoveryConfig,
+};
 use tenantdb_cluster::testkit;
 use tenantdb_cluster::{
     ClusterConfig, ClusterController, ClusterError, Connection, MachineId, ReadPolicy, WritePolicy,
@@ -38,8 +44,44 @@ pub struct Scenario {
     pub name: &'static str,
     /// What window this scenario pins.
     pub about: &'static str,
-    /// Execute the scenario; `Err` describes the violated expectation.
-    pub run: fn() -> Result<(), String>,
+    /// The crash points the scenario's plan fires — all of them, and no
+    /// other ([`Scenario::run`] holds this against the injectors' logs, and
+    /// the corpus test needs the union to cover [`CrashPoint::ALL`]).
+    pub fires: &'static [CrashPoint],
+    body: fn() -> Result<(), String>,
+}
+
+thread_local! {
+    /// The injectors of the clusters the running scenario built (bodies
+    /// build them on the calling thread), for [`Scenario::run`] to read.
+    static INJECTORS: RefCell<Vec<Arc<FaultInjector>>> = const { RefCell::new(Vec::new()) };
+}
+
+fn track(c: &Arc<ClusterController>) {
+    INJECTORS.with(|i| i.borrow_mut().push(Arc::clone(c.faults())));
+}
+
+impl Scenario {
+    /// Execute the scenario; `Err` describes the violated expectation —
+    /// the body's own, or a `fires` list that is not what fired.
+    pub fn run(&self) -> Result<(), String> {
+        INJECTORS.with(|i| i.borrow_mut().clear());
+        (self.body)()?;
+        let fired: BTreeSet<CrashPoint> = INJECTORS
+            .with(|i| i.take())
+            .iter()
+            .flat_map(|inj| inj.fired())
+            .map(|f| f.point)
+            .collect();
+        let declared: BTreeSet<CrashPoint> = self.fires.iter().copied().collect();
+        if fired == declared {
+            Ok(())
+        } else {
+            Err(format!(
+                "declares `fires: {declared:?}` but its injectors logged {fired:?}"
+            ))
+        }
+    }
 }
 
 /// Every scripted scenario, in corpus order.
@@ -48,127 +90,158 @@ pub fn all_scenarios() -> Vec<Scenario> {
         Scenario {
             name: "crash_before_prepare_vote",
             about: "participant dies before applying PREPARE; commit proceeds on the survivor",
-            run: crash_before_prepare_vote,
+            fires: &[CrashPoint::PrepareApply],
+            body: crash_before_prepare_vote,
         },
         Scenario {
             name: "crash_after_prepare_vote",
             about: "participant votes yes, dies before COMMIT reaches it; survivor carries the acked commit",
-            run: crash_after_prepare_vote,
+            fires: &[CrashPoint::PrepareAck],
+            body: crash_after_prepare_vote,
         },
         Scenario {
             name: "controller_crash_after_decision",
             about: "controller dies with the decision only in the mirrored log; backup takeover completes it",
-            run: controller_crash_after_decision,
+            fires: &[CrashPoint::CommitDecision],
+            body: controller_crash_after_decision,
         },
         Scenario {
             name: "controller_crash_with_dead_participant",
             about: "controller AND one voted participant die; restart recovers the commit from the decision log without a recopy",
-            run: controller_crash_with_dead_participant,
+            fires: &[CrashPoint::PrepareAck, CrashPoint::CommitDecision],
+            body: controller_crash_with_dead_participant,
         },
         Scenario {
             name: "takeover_commit_participant_crash",
             about: "a participant dies in the instant the backup's takeover reaches for its decided commit; restart applies it from the decision log",
-            run: takeover_commit_participant_crash,
+            fires: &[CrashPoint::CommitDecision, CrashPoint::TakeoverCommit],
+            body: takeover_commit_participant_crash,
         },
         Scenario {
             name: "participant_crash_before_commit_apply",
             about: "participant dies between the decision and applying COMMIT",
-            run: participant_crash_before_commit_apply,
+            fires: &[CrashPoint::CommitApply],
+            body: participant_crash_before_commit_apply,
         },
         Scenario {
             name: "participant_crash_after_commit",
             about: "participant applies COMMIT, dies before anything else; WAL replay restores it in place",
-            run: participant_crash_after_commit,
+            fires: &[CrashPoint::CommitAck],
+            body: participant_crash_after_commit,
         },
         Scenario {
             name: "copy_target_crash_at_table_boundary",
             about: "Algorithm-1 table-level copy target dies at a table boundary; retry after restart succeeds",
-            run: copy_target_crash_at_table_boundary,
+            fires: &[CrashPoint::CopyTable],
+            body: copy_target_crash_at_table_boundary,
         },
         Scenario {
             name: "copy_source_crash_db_level",
             about: "Algorithm-1 database-level copy source dies at copy start; retry after restart succeeds",
-            run: copy_source_crash_db_level,
+            fires: &[CrashPoint::CopyStart],
+            body: copy_source_crash_db_level,
         },
         Scenario {
             name: "straggler_ack_delay",
             about: "aggressive writes with one replica acking late; ordering still settles before commit",
-            run: straggler_ack_delay,
+            fires: &[CrashPoint::ReplicaWriteAck],
+            body: straggler_ack_delay,
         },
         Scenario {
             name: "aggressive_acked_first_crash",
             about: "aggressive write acked by the fast replica which then dies; the straggler preserves the commit",
-            run: aggressive_acked_first_crash,
+            fires: &[CrashPoint::ReplicaWriteApply, CrashPoint::ReplicaWriteAck],
+            body: aggressive_acked_first_crash,
         },
         Scenario {
             name: "lock_timeout_storm",
             about: "injected ack delays exceed the lock timeout under contention; timed-out txns abort cleanly",
-            run: lock_timeout_storm,
+            fires: &[CrashPoint::ReplicaWriteAck],
+            body: lock_timeout_storm,
         },
         Scenario {
             name: "fail_machine_idempotent",
             about: "failing an already-failed machine is a no-op and emits no duplicate event",
-            run: fail_machine_idempotent,
+            fires: &[],
+            body: fail_machine_idempotent,
         },
         Scenario {
             name: "pool_job_delay",
             about: "scheduler-level job delays on one machine's pool perturb timing but not correctness",
-            run: pool_job_delay,
+            fires: &[CrashPoint::PoolJob],
+            body: pool_job_delay,
         },
         Scenario {
             name: "delayed_commit_decision",
             about: "the decision-to-COMMIT window is held open; nothing observes the intermediate state",
-            run: delayed_commit_decision,
+            fires: &[CrashPoint::CommitDecision],
+            body: delayed_commit_decision,
         },
         Scenario {
             name: "ctrl_leader_kill_mid_commit_decision",
             about: "the controller leader replica dies as a 2PC decision is proposed; re-election retries it and the commit is acked",
-            run: ctrl_leader_kill_mid_commit_decision,
+            fires: &[CrashPoint::CtrlPropose],
+            body: ctrl_leader_kill_mid_commit_decision,
         },
         Scenario {
             name: "ctrl_leader_kill_mid_copy",
             about: "the controller leader replica dies mid-Algorithm-1 copy (at set-copy-current); the copy completes after re-election",
-            run: ctrl_leader_kill_mid_copy,
+            fires: &[CrashPoint::CtrlPropose],
+            body: ctrl_leader_kill_mid_copy,
         },
         Scenario {
             name: "ctrl_partition_minority_heals",
             about: "the controller leader is partitioned away; the majority re-elects, writes proceed, the healed minority catches up",
-            run: ctrl_partition_minority_heals,
+            fires: &[],
+            body: ctrl_partition_minority_heals,
         },
         Scenario {
             name: "ctrl_rolling_restart",
             about: "each controller replica is crashed and restarted in turn with snapshots forced; metadata survives the full roll",
-            run: ctrl_rolling_restart,
+            fires: &[],
+            body: ctrl_rolling_restart,
         },
         Scenario {
             name: "ctrl_quorum_loss_rejects_writes",
             about: "two of three controller replicas die; metadata writes fail NotLeader until a replica restarts",
-            run: ctrl_quorum_loss_rejects_writes,
+            fires: &[],
+            body: ctrl_quorum_loss_rejects_writes,
         },
         Scenario {
             name: "sla_noisy_neighbor",
             about: "a hammering tenant is shed at the admission gate while a paced compliant tenant keeps its SLA floor",
-            run: sla_noisy_neighbor,
+            fires: &[],
+            body: sla_noisy_neighbor,
         },
         Scenario {
             name: "sla_reject_under_failover",
             about: "admission sheds ride out a machine failure and an Algorithm-1 recopy; the gate still enforces afterwards",
-            run: sla_reject_under_failover,
+            fires: &[],
+            body: sla_reject_under_failover,
         },
         Scenario {
             name: "geo_colo_partition",
             about: "the cross-colo stream is partitioned mid-ship (with an injected ship-batch delay); after healing, the standby resumes from the cumulative ack and converges",
-            run: geo_colo_partition,
+            fires: &[CrashPoint::GeoShipBatch],
+            body: geo_colo_partition,
         },
         Scenario {
             name: "geo_lagging_standby_promotion",
             about: "the primary colo dies while the standby lags; promotion preserves every standby-acked commit and the new colo takes writes",
-            run: geo_lagging_standby_promotion,
+            fires: &[],
+            body: geo_lagging_standby_promotion,
         },
         Scenario {
             name: "geo_split_brain_fenced",
             about: "planned failover fences the old primary against every write while reads stay up; the teeth half proves check_geo fires when fencing is skipped",
-            run: geo_split_brain_fenced,
+            fires: &[],
+            body: geo_split_brain_fenced,
+        },
+        Scenario {
+            name: "geo_standby_attached_after_recovery",
+            about: "both original replicas are replaced by Algorithm-1 copies, then a fresh standby is attached; it must receive every row (a copy is in its replica's log) and serve them once promoted",
+            fires: &[CrashPoint::GeoApplyBatch, CrashPoint::GeoPromote],
+            body: geo_standby_attached_after_recovery,
         },
     ]
 }
@@ -212,6 +285,7 @@ fn cluster(
     replicas: usize,
 ) -> (Arc<ClusterController>, Arc<Recorder>) {
     let c = testkit::cluster(read, write, machines, replicas);
+    track(&c);
     let rec = Arc::new(Recorder::new());
     c.set_recorder(Some(Arc::clone(&rec)));
     (c, rec)
@@ -226,6 +300,7 @@ fn cluster_ctrl(
     replicas: usize,
 ) -> (Arc<ClusterController>, Arc<Recorder>) {
     let c = testkit::cluster_with_controllers(read, write, machines, replicas, 3);
+    track(&c);
     let rec = Arc::new(Recorder::new());
     c.set_recorder(Some(Arc::clone(&rec)));
     (c, rec)
@@ -1147,9 +1222,27 @@ fn geo_pair() -> Result<
     String,
 > {
     let (p, rec) = cluster(ReadPolicy::PinnedReplica, WritePolicy::Conservative, 3, 2);
+    let (s, applier, link, gm) = geo_attach(&p)?;
+    Ok((p, rec, s, applier, link, gm))
+}
+
+/// Attach a fresh, empty standby colo to `p` as it is now.
+#[allow(clippy::type_complexity)]
+fn geo_attach(
+    p: &Arc<ClusterController>,
+) -> Result<
+    (
+        Arc<ClusterController>,
+        Arc<parking_lot::Mutex<Applier>>,
+        GeoLink,
+        GeoMetrics,
+    ),
+    String,
+> {
     let s = ClusterController::with_machines(ClusterConfig::for_tests(), 2);
+    track(&s);
     let gm = GeoMetrics::new(Arc::new(MetricsRegistry::new()));
-    let shipper = Shipper::new(Arc::clone(&p), "app", gm.clone()).map_err(|e| e.to_string())?;
+    let shipper = Shipper::new(Arc::clone(p), "app", gm.clone()).map_err(|e| e.to_string())?;
     let applier = Arc::new(parking_lot::Mutex::new(Applier::new(
         Arc::clone(&s),
         "app",
@@ -1157,7 +1250,7 @@ fn geo_pair() -> Result<
         gm.clone(),
     )));
     let link = GeoLink::new(shipper, Arc::clone(&applier), gm.clone());
-    Ok((p, rec, s, applier, link, gm))
+    Ok((s, applier, link, gm))
 }
 
 fn geo_count(c: &Arc<ClusterController>, db: &str) -> Result<i64, String> {
@@ -1317,4 +1410,60 @@ fn geo_split_brain_fenced() -> Result<(), String> {
             && teeth.iter().any(|v| v.contains("not fenced")),
         &format!("check_geo must fire on an unfenced promotion, got {teeth:?}"),
     )
+}
+
+/// On a long-lived platform every replica is eventually a copy (§3.2), so
+/// a standby attached late is seeded from replicas that Algorithm 1
+/// restored. Both original replicas are replaced in turn, then a fresh
+/// standby is attached: it must hold every row — the stream replays the
+/// source replica's log, so a copy written beneath that log would ship as
+/// an empty table with `lag() == 0`. A dropped first batch
+/// (`GeoApplyBatch`) is re-shipped, and the planned failover that follows
+/// (held open at `GeoPromote`) serves every row from the promoted colo.
+fn geo_standby_attached_after_recovery() -> Result<(), String> {
+    let (read, write) = (ReadPolicy::PinnedReplica, WritePolicy::Conservative);
+    let (p, rec) = cluster(read, write, 3, 2);
+    let conn = p.connect("app").map_err(|e| e.to_string())?;
+    let acked: Vec<i64> = (0..40).collect();
+    for &k in &acked {
+        insert_txn(&conn, k)?;
+    }
+    for original in [m(0), m(1)] {
+        p.fail_machine(original).map_err(|e| e.to_string())?;
+        let report = recover_machine(&p, original, RecoveryConfig::default());
+        expect(
+            report.recovered.len() == 1 && report.failed.is_empty(),
+            &format!("replacing {original}: {report:?}"),
+        )?;
+        p.restart_machine(original).map_err(|e| e.to_string())?;
+    }
+
+    let (s, applier, mut link, gm) = geo_attach(&p)?;
+    s.faults().arm(FaultPlan::new(vec![
+        crash(CrashPoint::GeoApplyBatch, GEO, 0),
+        delay(CrashPoint::GeoPromote, GEO, 0, 5),
+    ]));
+    expect(
+        link.sync().is_err(),
+        "the batch dropped at geo_apply_batch must sever the stream",
+    )?;
+    link.sync().map_err(|e| e.to_string())?;
+    expect(link.lag() == 0, "drained stream must show zero lag")?;
+    expect(
+        geo_count(&s, "app")? == 40,
+        "a standby attached after both replicas were re-created must hold all 40 rows",
+    )?;
+    let state = |c: &Arc<ClusterController>| -> Result<String, String> {
+        let id = c.alive_replicas("app").map_err(|e| e.to_string())?[0];
+        testkit::logical_state(&c.machine(id).map_err(|e| e.to_string())?.engine, "app")
+    };
+    expect(
+        state(&s)? == state(&p)?,
+        "lag() == 0 must mean the standby holds what the primary holds",
+    )?;
+    finish(&p, 2, &acked, read, write, &rec)?;
+
+    promote(&s, Some(&p), &[applier], &gm).map_err(|e| e.to_string())?;
+    let geo = invariants::check_geo(&s, Some(&p), "app", "t", &acked);
+    expect(geo.is_empty(), &format!("geo invariant: {geo:?}"))
 }

@@ -1,6 +1,7 @@
 //! The scripted scenario corpus, one `#[test]` per scenario so CI reports
 //! exactly which window regressed.
 
+use tenantdb_cluster::fault::CrashPoint;
 use tenantdb_sim::all_scenarios;
 
 /// Run one registered scenario by name.
@@ -9,7 +10,7 @@ fn run(name: &str) {
         .into_iter()
         .find(|s| s.name == name)
         .unwrap_or_else(|| panic!("scenario {name} not registered"));
-    if let Err(e) = (s.run)() {
+    if let Err(e) = s.run() {
         panic!("scenario {name} ({}): {e}", s.about);
     }
 }
@@ -24,7 +25,12 @@ macro_rules! scenario_tests {
         )*
 
         /// The corpus floor (≥ 10 scripted crash-point scenarios) and the
-        /// registry↔test mapping stay in sync.
+        /// registry↔test mapping stay in sync, and every crash point is
+        /// *fired* by some scenario (each `fires` list is held to the
+        /// injector log when its scenario runs) — except the serving
+        /// tier's `net_*` points, which need a live TCP server:
+        /// `every_net_crash_point_fires` in `crates/net/tests/e2e.rs`
+        /// covers exactly those.
         #[test]
         fn corpus_is_complete() {
             let registered: Vec<&str> =
@@ -38,6 +44,16 @@ macro_rules! scenario_tests {
                 registered,
                 tested,
                 "every registered scenario needs a #[test] wrapper here"
+            );
+            let fired: Vec<CrashPoint> =
+                all_scenarios().iter().flat_map(|s| s.fires).copied().collect();
+            let unfired: Vec<CrashPoint> = CrashPoint::ALL
+                .into_iter()
+                .filter(|p| !p.name().starts_with("net_") && !fired.contains(p))
+                .collect();
+            assert!(
+                unfired.is_empty(),
+                "no scripted scenario fires {unfired:?} — its recovery path is unexercised"
             );
         }
     };
@@ -69,4 +85,5 @@ scenario_tests!(
     geo_colo_partition,
     geo_lagging_standby_promotion,
     geo_split_brain_fenced,
+    geo_standby_attached_after_recovery,
 );

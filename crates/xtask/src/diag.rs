@@ -1,4 +1,4 @@
-//! Compiler-style diagnostics shared by every rule and pass.
+//! Compiler-style diagnostics shared by every rule.
 
 use std::fmt;
 
@@ -10,7 +10,7 @@ pub struct Diag {
     pub file: String,
     /// 1-based source line the finding anchors to.
     pub line: usize,
-    /// Short rule/pass identifier (`raw-lock`, `lock-rank`, …).
+    /// Short rule identifier (`raw-lock`, `ordering`, …).
     pub rule: &'static str,
     /// What went wrong and how to fix or justify it.
     pub message: String,

@@ -1,17 +1,16 @@
-//! A hand-rolled Rust lexer, std-only, precise where the old regex lints
-//! were not: string literals (cooked, raw, byte), nested block comments,
+//! A hand-rolled Rust lexer, std-only, precise where a per-line regex is
+//! not: string literals (cooked, raw, byte), nested block comments,
 //! lifetimes vs `char` literals, and raw identifiers all become distinct
 //! tokens, so a `//` or a `Mutex` inside a string can never be mistaken
 //! for code, and an escape marker inside a string can never be mistaken
 //! for a comment.
 //!
 //! The lexer is *total*: any byte sequence produces a token stream (unknown
-//! bytes become single-character punctuation), because the analyzer must
-//! never panic on the tree it is checking.
+//! bytes become single-character punctuation), because the lint must never
+//! panic on the tree it is checking.
 
 /// Token classification. Comments are retained as tokens — the escape
-/// grammars (`lint:allow(...)`, `analyze:allow(...)`) live in comments and
-/// the passes must see them.
+/// grammar (`lint:allow(...)`) lives in comments and the rules must see it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
     /// Identifier or keyword (including raw `r#ident`, stored without `r#`).
@@ -156,8 +155,7 @@ impl<'a> Lexer<'a> {
     }
 
     /// `"..."` (or `b"..."` with the `b` already consumed). Common escapes
-    /// are decoded so passes that compare string *values* (metric names)
-    /// see what the program sees.
+    /// are decoded.
     fn cooked_string(&mut self) {
         let line = self.line;
         let mut j = self.i + 1;
@@ -179,8 +177,7 @@ impl<'a> Lexer<'a> {
                         b'"' => val.push('"'),
                         b'\'' => val.push('\''),
                         b'\n' => self.line += 1, // line-continuation escape
-                        // \xNN and \u{...}: keep the raw spelling; no pass
-                        // compares values containing these.
+                        // \xNN and \u{...}: keep the raw spelling.
                         other => {
                             val.push('\\');
                             val.push(other as char);
@@ -374,32 +371,6 @@ fn utf8_len(b: u8) -> usize {
     }
 }
 
-/// Parse a Rust integer literal (`0x1B`, `10`, `1_000`) to a u64, if it is
-/// one. Suffixed literals (`7u8`) parse too; floats return `None`.
-pub fn parse_int(text: &str) -> Option<u64> {
-    if text.contains('.') {
-        return None;
-    }
-    let t = text.replace('_', "");
-    let (radix, digits) = if let Some(hex) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-        (16, hex)
-    } else if let Some(oct) = t.strip_prefix("0o") {
-        (8, oct)
-    } else if let Some(bin) = t.strip_prefix("0b") {
-        (2, bin)
-    } else {
-        (10, t.as_str())
-    };
-    // Strip a type suffix (`u8`, `i64`, `usize`).
-    let digits = digits
-        .find(|c: char| !c.is_digit(radix))
-        .map_or(digits, |pos| &digits[..pos]);
-    if digits.is_empty() {
-        return None;
-    }
-    u64::from_str_radix(digits, radix).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,10 +452,6 @@ mod tests {
         assert_eq!(toks[3], (TokKind::Punct, "..".into()));
         assert_eq!(toks[4], (TokKind::Num, "5".into()));
         assert_eq!(toks[5], (TokKind::Num, "2.5".into()));
-        assert_eq!(parse_int("0x1B"), Some(0x1B));
-        assert_eq!(parse_int("1_000"), Some(1000));
-        assert_eq!(parse_int("7u8"), Some(7));
-        assert_eq!(parse_int("2.5"), None);
     }
 
     #[test]

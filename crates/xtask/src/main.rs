@@ -1,53 +1,42 @@
 //! Repo-local task runner (`cargo xtask` pattern — a plain binary crate, no
-//! extra tooling). Two subcommands:
+//! extra tooling). One subcommand:
 //!
-//! * `lint` — the six concurrency-hygiene line rules documented in
-//!   DESIGN.md §10 (raw-lock, unwrap, ordering, net-timeout,
-//!   reactor-block, ctrl-apply). Since the `tenantdb-analyze` rewrite
-//!   these run on a real token stream ([`tenantdb_analyze::rules`]), so
-//!   rule tokens inside string literals neither trigger nor suppress
-//!   them, and `#[cfg(test)]` exemption is attribute-scoped instead of
-//!   first-marker-to-EOF.
-//! * `analyze` — the four semantic cross-file passes from DESIGN.md §14:
-//!   static lock-rank ordering, crash-point coverage, wire
-//!   exhaustiveness, and metric-name drift.
+//! * `lint` — the concurrency-hygiene line rules of [`rules`] (DESIGN.md
+//!   §10.5). They run on a real token stream ([`lexer`] → [`model`] →
+//!   [`rules`]), so rule tokens inside string literals neither trigger nor
+//!   suppress them, and `#[cfg(test)]` exemption is attribute-scoped.
 //!
-//! `lint` and `analyze` print compiler-style `file:line: [rule] message`
-//! diagnostics and exit 1 on any finding; both gate CI.
+//! `lint` prints compiler-style `file:line: [rule] message` diagnostics
+//! and exits 1 on any finding; it gates CI.
+
+mod diag;
+mod lexer;
+mod model;
+mod rules;
 
 use std::path::{Path, PathBuf};
-
-use tenantdb_analyze::{analyze, lint, Diag, Workspace};
 
 fn main() {
     match std::env::args().nth(1).as_deref() {
         Some("lint") => {
-            let ws = Workspace::load(&workspace_root());
-            report("lint", &lint(&ws));
-        }
-        Some("analyze") => {
-            let ws = Workspace::load(&workspace_root());
-            report("analyze", &analyze(&ws));
+            let diags = rules::run(&model::load(&workspace_root()));
+            if diags.is_empty() {
+                println!("xtask lint: clean");
+            } else {
+                for d in &diags {
+                    eprintln!("{d}");
+                }
+                eprintln!("\nxtask lint: {} violation(s)", diags.len());
+                std::process::exit(1);
+            }
         }
         other => {
             eprintln!(
-                "usage: cargo run -p xtask -- <lint|analyze>   (got {:?})",
+                "usage: cargo run -p xtask -- lint   (got {:?})",
                 other.unwrap_or("<none>")
             );
             std::process::exit(2);
         }
-    }
-}
-
-fn report(what: &str, diags: &[Diag]) {
-    if diags.is_empty() {
-        println!("xtask {what}: clean");
-    } else {
-        for d in diags {
-            eprintln!("{d}");
-        }
-        eprintln!("\nxtask {what}: {} violation(s)", diags.len());
-        std::process::exit(1);
     }
 }
 
@@ -59,4 +48,27 @@ fn workspace_root() -> PathBuf {
         .nth(2)
         .expect("xtask lives two levels below the workspace root")
         .to_path_buf()
+}
+
+#[cfg(test)]
+mod live_tree {
+    //! Self-test: the lint must hold on the tree it ships in.
+
+    use super::*;
+
+    #[test]
+    fn live_tree_is_lint_clean() {
+        let files = model::load(&workspace_root());
+        assert!(files.len() > 20, "workspace walk found too few files");
+        let diags = rules::run(&files);
+        assert!(
+            diags.is_empty(),
+            "lint violations on the live tree:\n{}",
+            diags
+                .iter()
+                .map(|d| d.to_string())
+                .collect::<Vec<_>>()
+                .join("\n")
+        );
+    }
 }

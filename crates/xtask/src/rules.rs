@@ -1,21 +1,18 @@
-//! The seven hygiene rules (DESIGN.md §10), re-hosted from
-//! per-line regexes onto the token stream. The semantics are unchanged —
-//! same scopes, same `lint:allow(...)` escape grammar, same line windows —
-//! but the *matching* now happens on a per-line reconstruction of the code
-//! tokens, with string literals replaced by `""` and comments split out.
-//! That kills both failure modes of the old `raw.split("//")` approach:
+//! The seven hygiene rules (DESIGN.md §10.5). Matching happens on a
+//! per-line reconstruction of the code tokens, with string literals
+//! replaced by `""` and comments split out, so:
 //!
-//! * a `//` inside a string literal no longer truncates the line (the old
-//!   documented false negative — code after such a string was invisible);
+//! * a `//` inside a string literal does not truncate the line (code after
+//!   such a string is still checked);
 //! * rule tokens inside string literals (`"thread::sleep("` in a help
-//!   text) no longer false-positive, and escape markers inside strings no
-//!   longer false-suppress.
+//!   text) do not false-positive, and escape markers inside strings do not
+//!   false-suppress.
 //!
 //! `#[cfg(test)]` exemption is attribute-scoped (the item the attribute is
-//! attached to), which subsumes the old first-marker-to-EOF convention.
+//! attached to).
 
 use crate::diag::Diag;
-use crate::model::Workspace;
+use crate::model::File;
 
 /// Files in `crates/cluster/src` where the unwrap rule applies: the
 /// transaction hot path plus recovery, where a stray panic wedges a live
@@ -29,13 +26,10 @@ const HOT_PATH_FILES: &[&str] = &[
     "worker.rs",
 ];
 
-/// Run all seven rules over every non-test line of every `src` file.
-pub fn run(ws: &Workspace) -> Vec<Diag> {
+/// Run every rule over every non-test line of every `src` file.
+pub fn run(files: &[File]) -> Vec<Diag> {
     let mut out = Vec::new();
-    for f in &ws.files {
-        if f.in_tests_dir {
-            continue;
-        }
+    for f in files {
         out.extend(lint_file(
             &f.path,
             &f.code_lines,
@@ -282,8 +276,7 @@ mod tests {
     use super::*;
 
     fn rules(path: &str, src: &str) -> Vec<&'static str> {
-        let ws = Workspace::from_files(&[(path, src)]);
-        let f = &ws.files[0];
+        let f = crate::model::parse_file(path, src);
         lint_file(path, &f.code_lines, &f.comment_lines, &f.test_lines)
             .into_iter()
             .map(|v| v.rule)
