@@ -541,33 +541,34 @@ fn scalar_fn(func: ScalarFunc, args: Vec<Value>) -> Result<Value> {
 /// counts rows; every other aggregate skips NULL inputs. The first error —
 /// of the argument or of the fold — is kept and reported by
 /// [`AggState::finish`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AggState {
     /// Non-NULL inputs seen (rows, for `COUNT(*)`).
     n: u64,
-    /// MIN / MAX so far.
-    best: Option<Value>,
-    sum: f64,
-    all_int: bool,
-    err: Option<SqlError>,
+    fold: Fold,
 }
 
-impl Default for AggState {
-    fn default() -> Self {
-        AggState {
-            n: 0,
-            best: None,
-            sum: 0.0,
-            all_int: true,
-            err: None,
-        }
-    }
+/// What an aggregate keeps beyond its count; one function's worth, so a
+/// group's states stay small.
+#[derive(Debug, Clone, Default)]
+enum Fold {
+    /// Nothing yet (and all COUNT ever needs).
+    #[default]
+    Empty,
+    /// MIN / MAX so far.
+    Best(Value),
+    /// SUM / AVG so far, and whether every input was an INT.
+    Sum {
+        sum: f64,
+        all_int: bool,
+    },
+    Failed(Box<SqlError>),
 }
 
 impl AggState {
     /// Fold one row of the group in.
     pub fn feed(&mut self, call: &AggCall, env: Env<'_>) {
-        if self.err.is_some() {
+        if matches!(self.fold, Fold::Failed(_)) {
             return;
         }
         let Some(arg) = &call.arg else {
@@ -577,7 +578,7 @@ impl AggState {
         let v = match eval(arg, env) {
             Ok(v) => v,
             Err(e) => {
-                self.err = Some(e);
+                self.fold = Fold::Failed(Box::new(e));
                 return;
             }
         };
@@ -585,27 +586,33 @@ impl AggState {
             return;
         }
         self.n += 1;
-        match call.func {
-            AggFunc::Count => {}
+        match (call.func, &mut self.fold) {
+            (AggFunc::Count, _) => {}
             // Among equals MIN keeps the first and MAX the last, as
             // `Iterator::min_by` / `max_by` do.
-            AggFunc::Min => {
-                if self.best.as_ref().is_none_or(|b| v.total_cmp(b).is_lt()) {
-                    self.best = Some(v.into_owned());
-                }
-            }
-            AggFunc::Max => {
-                if self.best.as_ref().is_none_or(|b| v.total_cmp(b).is_ge()) {
-                    self.best = Some(v.into_owned());
-                }
-            }
-            AggFunc::Sum | AggFunc::Avg => match v.as_f64() {
+            (AggFunc::Min, Fold::Best(b)) if v.total_cmp(b).is_ge() => {}
+            (AggFunc::Max, Fold::Best(b)) if v.total_cmp(b).is_lt() => {}
+            (AggFunc::Min | AggFunc::Max, fold) => *fold = Fold::Best(v.into_owned()),
+            (AggFunc::Sum | AggFunc::Avg, fold) => match v.as_f64() {
                 Some(x) => {
-                    self.sum += x;
-                    self.all_int &= matches!(*v, Value::Int(_));
+                    let int = matches!(*v, Value::Int(_));
+                    match fold {
+                        Fold::Sum { sum, all_int } => {
+                            *sum += x;
+                            *all_int &= int;
+                        }
+                        // From zero, so that a sum of `-0.0` alone is `0.0`.
+                        _ => {
+                            *fold = Fold::Sum {
+                                sum: 0.0 + x,
+                                all_int: int,
+                            }
+                        }
+                    }
                 }
                 None => {
-                    self.err = Some(SqlError::Eval(format!("SUM/AVG expects numbers, got {v}")));
+                    let e = SqlError::Eval(format!("SUM/AVG expects numbers, got {v}"));
+                    *fold = Fold::Failed(Box::new(e));
                 }
             },
         }
@@ -613,16 +620,15 @@ impl AggState {
 
     /// The aggregate's value over the rows fed.
     pub fn finish(self, func: AggFunc) -> Result<Value> {
-        if let Some(e) = self.err {
-            return Err(e);
-        }
-        Ok(match func {
-            AggFunc::Count => Value::Int(self.n as i64),
-            AggFunc::Min | AggFunc::Max => self.best.unwrap_or(Value::Null),
-            AggFunc::Sum | AggFunc::Avg if self.n == 0 => Value::Null,
-            AggFunc::Sum if self.all_int => Value::Int(self.sum as i64),
-            AggFunc::Sum => Value::Float(self.sum),
-            AggFunc::Avg => Value::Float(self.sum / self.n as f64),
+        Ok(match (func, self.fold) {
+            (_, Fold::Failed(e)) => return Err(*e),
+            (AggFunc::Count, _) => Value::Int(self.n as i64),
+            (AggFunc::Min | AggFunc::Max, Fold::Best(v)) => v,
+            (AggFunc::Sum, Fold::Sum { sum, all_int: true }) => Value::Int(sum as i64),
+            (AggFunc::Sum, Fold::Sum { sum, .. }) => Value::Float(sum),
+            (AggFunc::Avg, Fold::Sum { sum, .. }) => Value::Float(sum / self.n as f64),
+            // No non-NULL input.
+            (_, _) => Value::Null,
         })
     }
 }

@@ -8,10 +8,15 @@
 //! holds them, and a row is cloned only if it survives its predicate (a
 //! joined row) or, for a single-table query, not at all: only the projected
 //! values are. Where the plan says its access path already yields the ORDER
-//! BY order, rows are neither sorted nor fetched beyond LIMIT.
+//! BY order, rows are neither sorted nor fetched beyond LIMIT; where it has
+//! to sort under a LIMIT, only the rows that can still make the answer are
+//! kept. Grouped rows fold into dense group slots, and only the groups the
+//! answer returns are projected.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeSet, BinaryHeap};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -23,7 +28,7 @@ use crate::eval::{accepts, eval, AggState, BoundExpr, Env, Row};
 use crate::parser::parse;
 use crate::plan::{
     plan, Access, Grouping, InsertPlan, Item, JoinPlan, JoinStrategy, Node, Plan, SelectPlan,
-    SortBy, TableRef, Target, UpdatePlan,
+    SortKey, TableRef, Target, UpdatePlan,
 };
 
 /// `(table, row_id)` of the rows a statement touched; the table name is the
@@ -431,104 +436,121 @@ impl<'a> Exec<'a> {
     }
 }
 
-// ---------------------------------------------------- project / group / sort
+// ---------------------------------------------------- project / group / rank
 
-/// One group of a grouped query: its first row (what non-aggregate
-/// expressions read) and the running aggregates.
-#[derive(Default)]
-struct Group {
-    first: Option<Vec<Value>>,
-    aggs: Vec<AggState>,
-}
-
-/// Where the joined, filtered rows of a SELECT end up: projected on the
-/// spot, or folded into their group's aggregates.
+/// Where the joined, filtered rows of a SELECT end up.
 struct Sink<'p> {
     plan: &'p SelectPlan,
     env: Env<'p>,
-    /// `(output row, sort keys)`; no sort keys on an ordered plan, whose
-    /// rows arrive in ORDER BY order.
-    out: Vec<(Vec<Value>, Vec<Value>)>,
-    groups: BTreeMap<Vec<Value>, Group>,
-    /// Scratch for the group key of the row in hand.
-    key: Vec<Value>,
+    rows: Rows<'p>,
+}
+
+enum Rows<'p> {
+    /// Projected in fetch order, which is the answer's order: an ordered
+    /// walk's, or that of a query without ORDER BY.
+    Fetched(Vec<Vec<Value>>),
+    /// The `k` best rows so far by ORDER BY, then by fetch order — the rows
+    /// a stable sort truncated to `k` keeps — worst on top; `keys` and
+    /// `fetched` are the sort keys and the position of the row in hand.
+    Ranked {
+        k: usize,
+        heap: BinaryHeap<Ranked<'p>>,
+        keys: Vec<Value>,
+        fetched: u64,
+    },
+    Grouped(Groups),
 }
 
 impl<'p> Sink<'p> {
     fn new(plan: &'p SelectPlan, env: Env<'p>) -> Self {
-        let mut groups = BTreeMap::new();
-        if plan.grouping.as_ref().is_some_and(|g| g.keys.is_empty()) {
-            // Single implicit group — present even over zero rows.
-            groups.insert(Vec::new(), Group::default());
-        }
-        Sink {
-            plan,
-            env,
-            out: Vec::new(),
-            groups,
-            key: Vec::new(),
-        }
+        let rows = if plan.grouping.is_some() {
+            Rows::Grouped(Groups::default())
+        } else if plan.ordered.is_none() && !plan.order_by.is_empty() {
+            Rows::Ranked {
+                k: plan
+                    .top()
+                    .map_or(usize::MAX, |n| usize::try_from(n).unwrap_or(usize::MAX)),
+                heap: BinaryHeap::new(),
+                keys: Vec::new(),
+                fetched: 0,
+            }
+        } else {
+            Rows::Fetched(Vec::new())
+        };
+        Sink { plan, env, rows }
     }
 
-    /// Does `out` hold every row the statement will return? Only an
+    /// Does the sink hold every row the statement will return? Only an
     /// ordered plan can tell before it has seen them all.
     fn full(&self) -> bool {
         let p = self.plan;
-        p.ordered.is_some() && p.limit.is_some_and(|n| self.out.len() as u64 >= n)
+        match &self.rows {
+            Rows::Fetched(rows) if p.ordered.is_some() => {
+                p.limit.is_some_and(|n| rows.len() as u64 >= n)
+            }
+            _ => false,
+        }
     }
 
     fn push(&mut self, row: Row<'_>) -> Result<()> {
+        let p = self.plan;
         let env = self.env.with_row(row);
-        let Some(grouping) = &self.plan.grouping else {
-            let projected = project(self.plan, env, || Ok(row))?;
-            self.out.push(projected);
-            return Ok(());
-        };
-        self.key.clear();
-        for k in &grouping.keys {
-            self.key.push(eval(k, env)?.into_owned());
-        }
-        if !self.groups.contains_key(self.key.as_slice()) {
-            self.groups.insert(self.key.clone(), Group::default());
-        }
-        let group = self
-            .groups
-            .get_mut(self.key.as_slice())
-            .expect("present or just inserted");
-        if group.first.is_none() {
-            group.first = Some(row.to_vec());
-            group
-                .aggs
-                .resize_with(grouping.aggs.len(), AggState::default);
-        }
-        for (state, call) in group.aggs.iter_mut().zip(&grouping.aggs) {
-            state.feed(call, env);
+        let star = || Ok(row);
+        match &mut self.rows {
+            Rows::Fetched(rows) => {
+                let mut out = Vec::with_capacity(p.items.len());
+                project(p, env, star, &mut out)?;
+                rows.push(out);
+            }
+            Rows::Ranked {
+                k,
+                heap,
+                keys,
+                fetched,
+            } => {
+                keys.clear();
+                for key in &p.order_by {
+                    keys.push(eval(&key.expr, env)?.into_owned());
+                }
+                *fetched += 1;
+                if heap.len() < *k {
+                    let mut out = Vec::with_capacity(p.items.len());
+                    project(p, env, star, &mut out)?;
+                    heap.push(Ranked {
+                        order: &p.order_by,
+                        keys: std::mem::take(keys),
+                        fetched: *fetched,
+                        row: out,
+                    });
+                } else if let Some(mut worst) = heap.peek_mut() {
+                    // Among equal keys the earlier row stays: only a
+                    // strictly better one displaces the worst, into whose
+                    // buffers it is projected.
+                    if rank(&p.order_by, keys, &worst.keys).is_lt() {
+                        worst.row.clear();
+                        project(p, env, star, &mut worst.row)?;
+                        std::mem::swap(&mut worst.keys, keys);
+                        worst.fetched = *fetched;
+                    }
+                }
+            }
+            Rows::Grouped(groups) => {
+                let grouping = p.grouping.as_ref().expect("a grouped plan");
+                groups.push(grouping, env, row)?;
+            }
         }
         Ok(())
     }
 
-    fn finish(mut self) -> Result<Vec<Vec<Value>>> {
+    fn finish(self) -> Result<Vec<Vec<Value>>> {
         let p = self.plan;
-        if let Some(grouping) = &p.grouping {
-            for group in std::mem::take(&mut self.groups).into_values() {
-                self.finish_group(grouping, group)?;
+        let mut rows = match self.rows {
+            Rows::Fetched(rows) => rows,
+            Rows::Ranked { heap, .. } => {
+                heap.into_sorted_vec().into_iter().map(|r| r.row).collect()
             }
-        }
-        let mut out = self.out;
-        // ORDER BY (stable sort, per-key direction), unless the rows came
-        // in that order.
-        if !p.order_by.is_empty() && p.ordered.is_none() {
-            out.sort_by(|(_, a), (_, b)| {
-                for ((x, y), key) in a.iter().zip(b).zip(&p.order_by) {
-                    let ord = x.total_cmp(y);
-                    if ord != Ordering::Equal {
-                        return if key.desc { ord.reverse() } else { ord };
-                    }
-                }
-                Ordering::Equal
-            });
-        }
-        let mut rows: Vec<Vec<Value>> = out.into_iter().map(|(r, _)| r).collect();
+            Rows::Grouped(groups) => groups.finish(p, self.env)?,
+        };
         if p.distinct {
             // Preserve first occurrence order (stable distinct).
             let mut seen = BTreeSet::new();
@@ -539,68 +561,258 @@ impl<'p> Sink<'p> {
         }
         Ok(rows)
     }
+}
 
-    fn finish_group(&mut self, grouping: &Grouping, group: Group) -> Result<()> {
-        let mut states = group.aggs;
-        // A group that saw no row (the implicit one) still has aggregates.
-        states.resize_with(grouping.aggs.len(), AggState::default);
-        let aggs: Vec<Result<Value>> = states
-            .into_iter()
-            .zip(&grouping.aggs)
-            .map(|(state, call)| state.finish(call.func))
-            .collect();
-        let first = group.first.as_deref();
-        let env = Env {
-            row: Row::of(first.unwrap_or_default()),
-            aggs: &aggs,
-            ..self.env
-        };
-        if let Some(h) = &grouping.having {
-            if !accepts(&*eval(h, env)?)? {
-                return Ok(());
-            }
-        }
-        let projected = project(self.plan, env, || {
-            first
-                .map(Row::of)
-                .ok_or_else(|| SqlError::Plan("SELECT * over empty group".into()))
-        })?;
-        self.out.push(projected);
-        Ok(())
+/// A projected row of a sorted query, with its sort keys and its place in
+/// fetch order; it orders after the rows that come before it in the answer.
+struct Ranked<'p> {
+    order: &'p [SortKey],
+    keys: Vec<Value>,
+    fetched: u64,
+    row: Vec<Value>,
+}
+
+impl Ord for Ranked<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        rank(self.order, &self.keys, &other.keys).then(self.fetched.cmp(&other.fetched))
     }
 }
 
-/// The output row and its sort keys. `star` yields the row `*` expands to.
+impl PartialOrd for Ranked<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Ranked<'_> {}
+
+/// Sort keys `a` against `b` in ORDER BY order (each key its own way);
+/// `Equal` on a tie.
+fn rank(order: &[SortKey], a: &[Value], b: &[Value]) -> Ordering {
+    for ((x, y), key) in a.iter().zip(b).zip(order) {
+        let ord = x.total_cmp(y);
+        if ord != Ordering::Equal {
+            return if key.desc { ord.reverse() } else { ord };
+        }
+    }
+    Ordering::Equal
+}
+
+/// The groups of a grouped query, in slots numbered by first appearance.
+/// A slot's key values, aggregate states and — only if the plan reads it —
+/// first row sit in flat vectors; a hash chain over the key values finds a
+/// row's slot, so only the first row of a group copies its key.
+#[derive(Default)]
+struct Groups {
+    /// `keys.len()` values per slot.
+    keys: Vec<Value>,
+    /// `aggs.len()` states per slot.
+    states: Vec<AggState>,
+    /// Each slot's first row, where `Grouping::first_row` says so.
+    first: Vec<Vec<Value>>,
+    /// Each slot's key hash, and the next slot + 1 in its bucket's chain
+    /// (0 ends it).
+    hashes: Vec<u64>,
+    next: Vec<usize>,
+    /// Per bucket, its first slot + 1; a power of two long.
+    heads: Vec<usize>,
+    /// Keyed per query: the key values are tenant data.
+    hasher: RandomState,
+}
+
+impl Groups {
+    fn push(&mut self, g: &Grouping, env: Env<'_>, row: Row<'_>) -> Result<()> {
+        let mut h = self.hasher.build_hasher();
+        for k in &g.keys {
+            eval(k, env)?.hash(&mut h);
+        }
+        let hash = h.finish();
+        let slot = match self.find(g, env, hash)? {
+            Some(slot) => slot,
+            None => self.insert(g, env, hash, row)?,
+        };
+        let n = g.aggs.len();
+        for (state, call) in self.states[slot * n..][..n].iter_mut().zip(&g.aggs) {
+            state.feed(call, env);
+        }
+        Ok(())
+    }
+
+    /// The slot of the group whose key the row in `env` has, if it has one.
+    fn find(&self, g: &Grouping, env: Env<'_>, hash: u64) -> Result<Option<usize>> {
+        let mut at = match self.heads.len() {
+            0 => 0,
+            n => self.heads[hash as usize & (n - 1)],
+        };
+        let w = g.keys.len();
+        'chain: while let Some(slot) = at.checked_sub(1) {
+            at = self.next[slot];
+            if self.hashes[slot] != hash {
+                continue;
+            }
+            for (k, stored) in g.keys.iter().zip(&self.keys[slot * w..]) {
+                if *eval(k, env)? != *stored {
+                    continue 'chain;
+                }
+            }
+            return Ok(Some(slot));
+        }
+        Ok(None)
+    }
+
+    /// Open a slot for the group of the row in `env`.
+    fn insert(&mut self, g: &Grouping, env: Env<'_>, hash: u64, row: Row<'_>) -> Result<usize> {
+        for k in &g.keys {
+            self.keys.push(eval(k, env)?.into_owned());
+        }
+        self.open(g, hash);
+        if g.first_row {
+            self.first.push(row.to_vec());
+        }
+        Ok(self.hashes.len() - 1)
+    }
+
+    /// A new slot's states and chain link (its key is in place).
+    fn open(&mut self, g: &Grouping, hash: u64) {
+        let slot = self.hashes.len();
+        self.states
+            .resize_with(self.states.len() + g.aggs.len(), AggState::default);
+        self.hashes.push(hash);
+        self.next.push(0);
+        if slot < self.heads.len() {
+            self.link(slot);
+        } else {
+            // At one slot per bucket, double the buckets and re-chain.
+            self.heads = vec![0; (2 * self.heads.len()).max(16)];
+            for s in 0..=slot {
+                self.link(s);
+            }
+        }
+    }
+
+    fn link(&mut self, slot: usize) {
+        let bucket = self.hashes[slot] as usize & (self.heads.len() - 1);
+        self.next[slot] = self.heads[bucket];
+        self.heads[bucket] = slot + 1;
+    }
+
+    /// What a group's expressions read: its first row, or — where the plan
+    /// reads nothing else — its key columns in place in `key_row`.
+    fn row<'a>(&'a self, g: &Grouping, slot: usize, key_row: &'a mut [Value]) -> Row<'a> {
+        if g.first_row {
+            return Row::of(self.first.get(slot).map_or(&[], Vec::as_slice));
+        }
+        let w = g.keys.len();
+        for &(off, k) in &g.key_columns {
+            key_row[off] = self.keys[slot * w + k].clone();
+        }
+        Row::of(key_row)
+    }
+
+    /// The answer: each group that passes HAVING, ordered by ORDER BY and
+    /// then by group key (the order of a stable sort of the groups in key
+    /// order), only the top LIMIT of them projected.
+    fn finish(mut self, p: &SelectPlan, env: Env<'_>) -> Result<Vec<Vec<Value>>> {
+        let g = p.grouping.as_ref().expect("a grouped plan");
+        if g.keys.is_empty() && self.hashes.is_empty() {
+            // The single implicit group is there even over zero rows.
+            self.open(g, 0);
+        }
+        let slots = self.hashes.len();
+        let n = g.aggs.len();
+        let states = std::mem::take(&mut self.states);
+        let aggs: Vec<Result<Value>> = states
+            .into_iter()
+            .zip(g.aggs.iter().cycle())
+            .map(|(state, call)| state.finish(call.func))
+            .collect();
+        let width = g.key_columns.iter().map(|&(off, _)| off + 1).max();
+        let mut key_row = vec![Value::Null; width.unwrap_or(0)];
+
+        // `(slot, survivor number)`; survivor i's sort keys are at i × nk.
+        let nk = p.order_by.len();
+        let mut ranked: Vec<(usize, usize)> = Vec::with_capacity(slots);
+        let mut sort_keys = Vec::with_capacity(slots * nk);
+        for slot in 0..slots {
+            let env = Env {
+                row: self.row(g, slot, &mut key_row),
+                aggs: &aggs[slot * n..][..n],
+                ..env
+            };
+            if let Some(h) = &g.having {
+                if !accepts(&*eval(h, env)?)? {
+                    continue;
+                }
+            }
+            for k in &p.order_by {
+                sort_keys.push(eval(&k.expr, env)?.into_owned());
+            }
+            ranked.push((slot, ranked.len()));
+        }
+        let w = g.keys.len();
+        let key = |slot: usize| &self.keys[slot * w..][..w];
+        let by_rank = |a: &(usize, usize), b: &(usize, usize)| {
+            let keys_of = |i: usize| &sort_keys[i * nk..][..nk];
+            rank(&p.order_by, keys_of(a.1), keys_of(b.1)).then_with(|| key(a.0).cmp(key(b.0)))
+        };
+        if let Some(top) = p.top().and_then(|k| usize::try_from(k).ok()) {
+            if top < ranked.len() {
+                if let Some(last) = top.checked_sub(1) {
+                    ranked.select_nth_unstable_by(last, by_rank);
+                }
+                ranked.truncate(top);
+            }
+        }
+        // Group keys differ, so no two survivors tie.
+        ranked.sort_unstable_by(by_rank);
+
+        let mut rows = Vec::with_capacity(ranked.len());
+        for (slot, _) in ranked {
+            let env = Env {
+                row: self.row(g, slot, &mut key_row),
+                aggs: &aggs[slot * n..][..n],
+                ..env
+            };
+            let star = || {
+                self.first
+                    .get(slot)
+                    .map(|r| Row::of(r))
+                    .ok_or_else(|| SqlError::Plan("SELECT * over empty group".into()))
+            };
+            let mut out = Vec::with_capacity(p.items.len());
+            project(p, env, star, &mut out)?;
+            rows.push(out);
+        }
+        Ok(rows)
+    }
+}
+
+/// Project `plan`'s items into `out`; `star` yields the row `*` expands to.
 fn project<'r>(
     plan: &SelectPlan,
     env: Env<'_>,
     star: impl Fn() -> Result<Row<'r>>,
-) -> Result<(Vec<Value>, Vec<Value>)> {
-    let mut output = Vec::with_capacity(plan.items.len());
+    out: &mut Vec<Value>,
+) -> Result<()> {
     for item in &plan.items {
         match item {
-            Item::Star => output.extend(star()?.iter().cloned()),
-            Item::Expr(e) => output.push(eval(e, env)?.into_owned()),
+            Item::Star => out.extend(star()?.iter().cloned()),
+            Item::Expr(e) => out.push(eval(e, env)?.into_owned()),
         }
     }
-    // Rows of an ordered plan are not sorted: no keys.
-    let sort_keys: &[_] = match plan.ordered {
-        Some(_) => &[],
-        None => &plan.order_by,
-    };
-    let mut keys = Vec::with_capacity(sort_keys.len());
-    for k in sort_keys {
-        keys.push(match &k.by {
-            SortBy::Output(i) => output[*i].clone(),
-            SortBy::Expr(e) => eval(e, env)?.into_owned(),
-        });
-    }
-    Ok((output, keys))
+    Ok(())
 }
 
 // Every statement of the unit corpus below that goes through
-// `execute_checked` also runs its plan's forced-scan reference and must
-// agree with it; the tests that observe locks call the bare `execute`.
+// `execute_checked` also runs its plan's forced-scan version and the naive
+// reference and must agree with both; the tests that observe locks call the
+// bare `execute`.
 #[cfg(test)]
 #[path = "../tests/common/mod.rs"]
 mod common;

@@ -101,8 +101,9 @@ impl Plan {
     /// +inf]`, `scan`, for a joined table the join strategy) and, closing
     /// the line of a single-table SELECT (a line of its own after a join),
     /// what happens to them: `ordered desc by o_id, stops at LIMIT 1` where
-    /// the walk answers ORDER BY, `sort i_pub_date desc, limit 10` where a
-    /// sort does. Index names are looked up on `engine`.
+    /// the walk answers ORDER BY, `top 10 by i_pub_date desc` where a sort
+    /// keeps only what LIMIT returns, `sort i_pub_date desc` where it keeps
+    /// everything. Index names are looked up on `engine`.
     pub fn explain(&self, engine: &Engine) -> Result<String> {
         let db = engine.db(&self.db)?;
         let target = |t: &Target| -> Result<Vec<String>> {
@@ -167,10 +168,21 @@ impl Plan {
         if sel.grouping.is_some() {
             fate.push("grouped".to_string());
         }
-        let key_name = |k: &SortKey| match &k.by {
-            SortBy::Output(i) => self.columns[*i].clone(),
-            SortBy::Expr(e) => e.unbind(names).to_string(),
+        let key_name = |k: &SortKey| match k.output {
+            Some(i) => self.columns[i].clone(),
+            None => k.expr.unbind(names).to_string(),
         };
+        let sorted = || {
+            let keys: Vec<String> = sel
+                .order_by
+                .iter()
+                .map(|k| key_name(k) + if k.desc { " desc" } else { "" })
+                .collect();
+            keys.join(", ")
+        };
+        // A grouped query without ORDER BY is ranked by group key alone; it
+        // says `limit n`.
+        let top = sel.top().filter(|_| !sel.order_by.is_empty());
         if let Some(dir) = sel.ordered {
             let way = match dir {
                 Direction::Forward => "asc",
@@ -178,18 +190,15 @@ impl Plan {
             };
             let keys: Vec<String> = sel.order_by.iter().map(key_name).collect();
             fate.push(format!("ordered {way} by {}", keys.join(", ")));
+        } else if let Some(n) = top {
+            fate.push(format!("top {n} by {}", sorted()));
         } else if !sel.order_by.is_empty() {
-            let keys: Vec<String> = sel
-                .order_by
-                .iter()
-                .map(|k| key_name(k) + if k.desc { " desc" } else { "" })
-                .collect();
-            fate.push(format!("sort {}", keys.join(", ")));
+            fate.push(format!("sort {}", sorted()));
         }
         if sel.distinct {
             fate.push("distinct".to_string());
         }
-        if let Some(n) = sel.limit {
+        if let Some(n) = sel.limit.filter(|_| top.is_none()) {
             fate.push(match sel.ordered {
                 Some(_) => format!("stops at LIMIT {n}"),
                 None => format!("limit {n}"),
@@ -365,6 +374,18 @@ pub(crate) struct SelectPlan {
     pub limit: Option<u64>,
 }
 
+impl SelectPlan {
+    /// How many sorted rows are worth keeping: the LIMIT of a query whose
+    /// rows are ranked (sorted, or grouped — groups come out in key order)
+    /// rather than walked in order, unless DISTINCT still has to see them
+    /// all.
+    pub fn top(&self) -> Option<u64> {
+        let ranked =
+            self.ordered.is_none() && (self.grouping.is_some() || !self.order_by.is_empty());
+        self.limit.filter(|_| ranked && !self.distinct)
+    }
+}
+
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct JoinPlan {
     pub table: TableRef,
@@ -394,6 +415,13 @@ pub(crate) enum Item {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Grouping {
     pub keys: Vec<BoundExpr>,
+    /// `(row offset, key slot)` of each group key that is a bare column:
+    /// where a group's key values go in the row its expressions read.
+    pub key_columns: Vec<(usize, usize)>,
+    /// Does an output, HAVING or ORDER BY expression read a column that is
+    /// not a key column (or `*`)? Only then does a group keep its first row;
+    /// otherwise its key columns are all there is to read.
+    pub first_row: bool,
     /// The aggregate calls of the items, HAVING and ORDER BY, by slot.
     pub aggs: Vec<AggCall>,
     pub having: Option<BoundExpr>,
@@ -401,15 +429,12 @@ pub(crate) struct Grouping {
 
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SortKey {
-    pub by: SortBy,
+    /// What is sorted by: an output column's expression (`*` columns as
+    /// the row's columns), or an expression of its own.
+    pub expr: BoundExpr,
+    /// The output column it names, if it names one.
+    pub output: Option<usize>,
     pub desc: bool,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum SortBy {
-    /// An output column, by position.
-    Output(usize),
-    Expr(BoundExpr),
 }
 
 /// Bind `stmt` against the schema of database `db` on `engine`.
@@ -773,15 +798,20 @@ fn plan_select(engine: &Engine, db: &str, sel: &SelectStmt) -> Result<(SelectPla
 
     let mut columns = Vec::new();
     let mut items = Vec::with_capacity(sel.items.len());
+    // Each output column's expression.
+    let mut outputs = Vec::new();
     for (i, item) in sel.items.iter().enumerate() {
         match item {
             SelectItem::Star => {
                 columns.extend(layout.all_columns());
+                outputs.extend((0..layout.width()).map(BoundExpr::Column));
                 items.push(Item::Star);
             }
             SelectItem::Expr { expr, .. } => {
                 columns.push(item_name(item, i));
-                items.push(Item::Expr(bind_output(expr)?));
+                let bound = bind_output(expr)?;
+                outputs.push(bound.clone());
+                items.push(Item::Expr(bound));
             }
         }
     }
@@ -797,22 +827,52 @@ fn plan_select(engine: &Engine, db: &str, sel: &SelectStmt) -> Result<(SelectPla
                 _ => None,
             };
             Ok(SortKey {
-                by: match output {
-                    Some(i) => SortBy::Output(i),
-                    None => SortBy::Expr(bind_output(&k.expr)?),
+                expr: match output {
+                    Some(i) => outputs[i].clone(),
+                    None => bind_output(&k.expr)?,
                 },
+                output,
                 desc: k.desc,
             })
         })
         .collect::<Result<_>>()?;
     let having = sel.having.as_ref().map(&mut bind_output).transpose()?;
     let grouping = if grouped {
+        let keys: Vec<BoundExpr> = sel
+            .group_by
+            .iter()
+            .map(|g| bind(g, &layout))
+            .collect::<Result<_>>()?;
+        let key_columns: Vec<(usize, usize)> = keys
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, k)| match k {
+                BoundExpr::Column(off) => Some((*off, slot)),
+                _ => None,
+            })
+            .collect();
+        // A column a group expression reads (aggregate arguments are not
+        // group expressions: they read every row, as it is folded in).
+        let mut first_row = items.contains(&Item::Star);
+        let read = items
+            .iter()
+            .filter_map(|item| match item {
+                Item::Expr(e) => Some(e),
+                Item::Star => None,
+            })
+            .chain(having.iter())
+            .chain(order_by.iter().map(|k| &k.expr));
+        for e in read {
+            e.visit(&mut |n| {
+                if let BoundExpr::Column(off) = n {
+                    first_row |= !key_columns.iter().any(|(c, _)| c == off);
+                }
+            });
+        }
         Some(Grouping {
-            keys: sel
-                .group_by
-                .iter()
-                .map(|g| bind(g, &layout))
-                .collect::<Result<_>>()?,
+            keys,
+            key_columns,
+            first_row,
             aggs,
             having,
         })
@@ -822,20 +882,11 @@ fn plan_select(engine: &Engine, db: &str, sel: &SelectStmt) -> Result<(SelectPla
 
     // ORDER BY as `(column of the one table, desc)`, if it is nothing else.
     let sort_columns = || -> Option<Vec<(usize, bool)>> {
-        let outputs: Vec<Option<usize>> = items
-            .iter()
-            .flat_map(|item| match item {
-                Item::Star => base_block.clone().map(Some).collect(),
-                Item::Expr(BoundExpr::Column(off)) => vec![Some(*off)],
-                Item::Expr(_) => vec![None],
-            })
-            .collect();
         order_by
             .iter()
-            .map(|k| match &k.by {
-                SortBy::Output(i) => Some((outputs[*i]?, k.desc)),
-                SortBy::Expr(BoundExpr::Column(off)) => Some((*off, k.desc)),
-                SortBy::Expr(_) => None,
+            .map(|k| match k.expr {
+                BoundExpr::Column(off) => Some((off, k.desc)),
+                _ => None,
             })
             .collect()
     };

@@ -3,22 +3,33 @@
 //! differential check "a plan can never change results", and the seeded
 //! statement generator behind the round-trip and plan fuzz tests.
 //!
-//! The reference is the chosen plan itself with every access path forced
-//! to a table scan and every join to a nested loop over scans
-//! (`Plan::forcing_scans`): residual predicates decide the result, so the
-//! two must agree wherever SQL defines the result.
+//! The reference shares no code with the executor's grouping, ranking or
+//! projection: [`naive`] fetches the rows of FROM, the joins and WHERE
+//! through the chosen plan with every access path forced to a table scan
+//! and every join to a nested loop over scans (`Plan::forcing_scans`), then
+//! groups them in a `BTreeMap`, sorts stably, de-duplicates and truncates,
+//! the obvious way. Residual predicates decide which rows there are, so the
+//! chosen plan must agree with it wherever SQL defines the result; and the
+//! forced-scan plan of the statement itself, which fetches the same rows in
+//! the same order, must agree with it row for row.
 
 #![allow(dead_code)] // each including suite uses its own part
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use tenantdb_sql::ast::{Expr, SelectItem, SelectStmt, Statement, StatementClass};
-use tenantdb_sql::{parse, plan, run, QueryResult, Result};
+use tenantdb_sql::eval::{
+    accepts, bind, bind_grouped, eval, AggState, BoundExpr, Env, Layout, Row,
+};
+use tenantdb_sql::{parse, plan, run, QueryResult, Result, SqlError};
 use tenantdb_storage::{Engine, TxnId, Value};
 
 /// `tenantdb_sql::execute`, plus the differential check: panics if the
-/// chosen plan and its forced-scan reference disagree. Reads run both in
-/// `txn`; a write runs its reference first in a transaction of its own,
-/// which is aborted, so only the chosen plan's effects stay. (Both take
-/// table-level locks in passing — tests that observe locks call `execute`.)
+/// chosen plan, its forced-scan version and the [`naive`] reference
+/// disagree. Reads run all three in `txn`; a write runs its forced-scan
+/// version first in a transaction of its own, which is aborted, so only the
+/// chosen plan's effects stay. (Both take table-level locks in passing —
+/// tests that observe locks call `execute`.)
 pub fn execute_checked(
     engine: &Engine,
     txn: TxnId,
@@ -29,21 +40,24 @@ pub fn execute_checked(
     let stmt = parse(sql)?;
     let chosen = plan(engine, db, &stmt)?;
     let reference = chosen.forcing_scans();
-    if reference == chosen {
-        // Nothing was chosen (DDL, INSERT, a plan that scans anyway).
-        return run(engine, txn, &chosen, params);
-    }
     match &stmt {
         Statement::Select(sel) => {
             let got = run(engine, txn, &chosen, params);
-            let expected = run(engine, txn, &reference, params);
-            if let (Ok(got), Ok(expected)) = (&got, &expected) {
+            let expected = naive(engine, txn, db, sel, params);
+            let scanned = run(engine, txn, &reference, params);
+            if let (Ok(got), Ok(expected), Ok(scanned)) = (&got, &expected, &scanned) {
                 if let Err(why) = same_result(sel, got, expected) {
                     panic!("plan changed the result of {sql} {params:?}: {why}");
                 }
+                assert_eq!(
+                    scanned.rows, expected.rows,
+                    "the executor and the naive reference disagree on {sql} {params:?}"
+                );
             }
             got
         }
+        // Nothing was chosen (DDL, INSERT, a plan that scans anyway).
+        _ if reference == chosen => run(engine, txn, &chosen, params),
         _ => {
             assert_eq!(stmt.class(), StatementClass::Write);
             let table = chosen.locked_tables()[0].as_str();
@@ -61,6 +75,203 @@ pub fn execute_checked(
             Ok(got)
         }
     }
+}
+
+/// The answer to `sel` computed the obvious way over the rows its FROM,
+/// joins and WHERE fetch by forced scans, in fetch order: per group (a
+/// `BTreeMap` by key, so groups come out in key order) its first row and
+/// its aggregates; HAVING; the projection; a stable sort; first occurrences
+/// only under DISTINCT; LIMIT. Expressions are bound and evaluated by the
+/// library's `eval`, which the executor shares.
+pub fn naive(
+    engine: &Engine,
+    txn: TxnId,
+    db: &str,
+    sel: &SelectStmt,
+    params: &[Value],
+) -> Result<QueryResult> {
+    let fetch = SelectStmt {
+        distinct: false,
+        items: vec![SelectItem::Star],
+        group_by: Vec::new(),
+        having: None,
+        order_by: Vec::new(),
+        limit: None,
+        ..sel.clone()
+    };
+    let fetched = run(
+        engine,
+        txn,
+        &plan(engine, db, &Statement::Select(fetch))?.forcing_scans(),
+        params,
+    )?;
+    let mut layout = Layout::new();
+    for table in std::iter::once(&sel.from).chain(sel.joins.iter().map(|j| &j.table)) {
+        let handle = engine.open_table(db, &table.name)?;
+        let names = handle.table().schema.columns.iter().map(|c| c.name.clone());
+        layout.push_table(table.binding(), names.collect());
+    }
+    let grouped = !sel.group_by.is_empty()
+        || sel
+            .items
+            .iter()
+            .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.has_aggregate()));
+    let mut calls = Vec::new();
+    let mut bind_output = |e: &Expr| {
+        if grouped {
+            bind_grouped(e, &layout, &mut calls)
+        } else {
+            bind(e, &layout)
+        }
+    };
+    // The output columns as the planner names them; `None` for `*`.
+    let mut columns = Vec::new();
+    let mut items = Vec::new();
+    for (i, item) in sel.items.iter().enumerate() {
+        match item {
+            SelectItem::Star => {
+                columns.extend(layout.all_columns());
+                items.push(None);
+            }
+            SelectItem::Expr { expr, alias } => {
+                columns.push(match (alias, expr) {
+                    (Some(a), _) => a.clone(),
+                    (None, Expr::Column { name, .. }) => name.clone(),
+                    (None, Expr::Agg { func, .. }) => format!("{func:?}").to_lowercase(),
+                    (None, _) => format!("col{i}"),
+                });
+                items.push(Some(bind_output(expr)?));
+            }
+        }
+    }
+    // An unqualified column naming an output column sorts by that column.
+    let order = sel
+        .order_by
+        .iter()
+        .map(|k| {
+            let output = match &k.expr {
+                Expr::Column { table: None, name } => {
+                    columns.iter().position(|c| c.eq_ignore_ascii_case(name))
+                }
+                _ => None,
+            };
+            Ok(match output {
+                Some(i) => (SortBy::Output(i), k.desc),
+                None => (SortBy::Expr(bind_output(&k.expr)?), k.desc),
+            })
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let having = sel.having.as_ref().map(&mut bind_output).transpose()?;
+
+    // `(output row, sort keys)` of one row, or of one group given its
+    // first row and finished aggregates.
+    let project =
+        |row: Option<&[Value]>, aggs: &[Result<Value>]| -> Result<(Vec<Value>, Vec<Value>)> {
+            let env = Env {
+                row: Row::of(row.unwrap_or_default()),
+                params,
+                aggs,
+            };
+            let mut out = Vec::new();
+            for item in &items {
+                match item {
+                    None => out.extend(
+                        row.ok_or_else(|| SqlError::Plan("SELECT * over empty group".into()))?
+                            .iter()
+                            .cloned(),
+                    ),
+                    Some(e) => out.push(eval(e, env)?.into_owned()),
+                }
+            }
+            let mut keys = Vec::new();
+            for (by, _) in &order {
+                keys.push(match by {
+                    SortBy::Output(i) => out[*i].clone(),
+                    SortBy::Expr(e) => eval(e, env)?.into_owned(),
+                });
+            }
+            Ok((out, keys))
+        };
+    let mut rows = Vec::new();
+    if grouped {
+        let keys: Vec<BoundExpr> = sel
+            .group_by
+            .iter()
+            .map(|g| bind(g, &layout))
+            .collect::<Result<_>>()?;
+        // Per group key: the group's first row and its aggregate states.
+        let mut groups: BTreeMap<Vec<Value>, Group> = BTreeMap::new();
+        if keys.is_empty() {
+            groups.insert(Vec::new(), (None, vec![AggState::default(); calls.len()]));
+        }
+        for row in &fetched.rows {
+            let env = Env::constant(params).with_row(Row::of(row));
+            let key = keys
+                .iter()
+                .map(|k| Ok(eval(k, env)?.into_owned()))
+                .collect::<Result<Vec<_>>>()?;
+            let (first, states) = groups
+                .entry(key)
+                .or_insert_with(|| (None, vec![AggState::default(); calls.len()]));
+            first.get_or_insert_with(|| row.clone());
+            for (state, call) in states.iter_mut().zip(&calls) {
+                state.feed(call, env);
+            }
+        }
+        for (first, states) in groups.into_values() {
+            let aggs: Vec<Result<Value>> = states
+                .into_iter()
+                .zip(&calls)
+                .map(|(state, call)| state.finish(call.func))
+                .collect();
+            let env = Env {
+                row: Row::of(first.as_deref().unwrap_or_default()),
+                params,
+                aggs: &aggs,
+            };
+            if let Some(h) = &having {
+                if !accepts(&*eval(h, env)?)? {
+                    continue;
+                }
+            }
+            rows.push(project(first.as_deref(), &aggs)?);
+        }
+    } else {
+        for row in &fetched.rows {
+            rows.push(project(Some(row), &[])?);
+        }
+    }
+    rows.sort_by(|(_, a), (_, b)| {
+        for ((x, y), (_, desc)) in a.iter().zip(b).zip(&order) {
+            let ord = if *desc { y.cmp(x) } else { x.cmp(y) };
+            if ord.is_ne() {
+                return ord;
+            }
+        }
+        std::cmp::Ordering::Equal
+    });
+    let mut rows: Vec<Vec<Value>> = rows.into_iter().map(|(row, _)| row).collect();
+    if sel.distinct {
+        let mut seen = BTreeSet::new();
+        rows.retain(|r| seen.insert(r.clone()));
+    }
+    if let Some(limit) = sel.limit {
+        rows.truncate(limit as usize);
+    }
+    Ok(QueryResult {
+        columns: columns.into(),
+        rows,
+        ..QueryResult::default()
+    })
+}
+
+/// A group of [`naive`]'s: its first row and its aggregate states.
+type Group = (Option<Vec<Value>>, Vec<AggState>);
+
+/// What [`naive`] sorts a row by: an output column, or an expression.
+enum SortBy {
+    Output(usize),
+    Expr(BoundExpr),
 }
 
 /// Do two results of `sel` agree wherever SQL defines the result? Row order
@@ -640,6 +851,125 @@ pub mod gen {
             order_by,
             limit,
             for_update: !grouped && g.rng.gen_bool(0.15),
+        });
+        (stmt, g.slots)
+    }
+
+    /// A grouped SELECT over `vocab`'s first table: GROUP BY one or two of
+    /// its non-`id` columns (or none — the implicit group), aggregates over
+    /// its INT columns, sometimes HAVING and DISTINCT, sometimes the group's
+    /// first `id` — mostly ordered by an aggregate, with a small LIMIT, so
+    /// that ties between groups (small sums, counts) meet a LIMIT that cuts
+    /// through them. The table's values should be few, NULL now and then,
+    /// and in a FLOAT column both `1` and `1.0`.
+    pub fn grouped(rng: &mut StdRng, vocab: &Vocab) -> (Statement, Slots) {
+        let (table, cols) = &vocab[0];
+        let mut g = Gen {
+            rng,
+            scope: cols.iter().map(|(c, ty)| (None, c.clone(), *ty)).collect(),
+            slots: Vec::new(),
+            params: true,
+        };
+        let col = |name: &str| Expr::Column {
+            table: None,
+            name: name.to_string(),
+        };
+        let keyable: Vec<&str> = cols
+            .iter()
+            .map(|(c, _)| c.as_str())
+            .filter(|c| *c != "id")
+            .collect();
+        let ints: Vec<&str> = cols
+            .iter()
+            .filter(|(_, ty)| *ty == DataType::Int)
+            .map(|(c, _)| c.as_str())
+            .collect();
+        let group_by: Vec<Expr> = match g.rng.gen_range(0..10) {
+            0 => Vec::new(),
+            1..=2 => {
+                let a = keyable[g.rng.gen_range(0..keyable.len())];
+                let b = keyable[g.rng.gen_range(0..keyable.len())];
+                vec![col(a), col(b)]
+            }
+            _ => vec![col(keyable[g.rng.gen_range(0..keyable.len())])],
+        };
+        let mut items: Vec<SelectItem> = group_by
+            .iter()
+            .enumerate()
+            .map(|(i, key)| SelectItem::Expr {
+                expr: key.clone(),
+                alias: Some(format!("k{i}")),
+            })
+            .collect();
+        if g.rng.gen_bool(0.15) {
+            // Read from the group's first row.
+            items.push(SelectItem::Expr {
+                expr: col("id"),
+                alias: Some("first_id".into()),
+            });
+        }
+        let aggregate = |g: &mut Gen| {
+            let func = [
+                AggFunc::Count,
+                AggFunc::Sum,
+                AggFunc::Sum,
+                AggFunc::Min,
+                AggFunc::Max,
+                AggFunc::Avg,
+            ][g.rng.gen_range(0..6usize)];
+            let arg = (func != AggFunc::Count || g.rng.gen_bool(0.5))
+                .then(|| Box::new(col(ints[g.rng.gen_range(0..ints.len())])));
+            Expr::Agg { func, arg }
+        };
+        for i in 0..g.rng.gen_range(1..3) {
+            items.push(SelectItem::Expr {
+                expr: aggregate(&mut g),
+                alias: Some(format!("a{i}")),
+            });
+        }
+        let filter = g.rng.gen_bool(0.4).then(|| g.predicate(1));
+        let having = g.rng.gen_bool(0.3).then(|| Expr::Binary {
+            op: [BinOp::Gt, BinOp::GtEq, BinOp::Lt][g.rng.gen_range(0..3usize)],
+            left: Box::new(aggregate(&mut g)),
+            right: Box::new(g.constant(DataType::Int)),
+        });
+        let output: Vec<String> = items
+            .iter()
+            .map(|i| match i {
+                SelectItem::Expr { alias: Some(a), .. } => a.clone(),
+                _ => unreachable!("every generated item is aliased"),
+            })
+            .collect();
+        let order_by: Vec<OrderKey> = if g.rng.gen_bool(0.85) {
+            let aggregates: Vec<&String> = output.iter().filter(|o| o.starts_with('a')).collect();
+            let mut keys = vec![OrderKey {
+                expr: col(aggregates[g.rng.gen_range(0..aggregates.len())]),
+                desc: g.rng.gen_bool(0.7),
+            }];
+            if g.rng.gen_bool(0.3) {
+                keys.push(OrderKey {
+                    expr: col(&output[g.rng.gen_range(0..output.len())]),
+                    desc: g.rng.gen_bool(0.5),
+                });
+            }
+            keys
+        } else {
+            Vec::new()
+        };
+        let stmt = Statement::Select(SelectStmt {
+            distinct: g.rng.gen_bool(0.15),
+            items,
+            from: TableRef {
+                name: table.clone(),
+                alias: None,
+            },
+            joins: Vec::new(),
+            filter,
+            group_by,
+            having,
+            order_by,
+            limit: g.rng.gen_bool(0.75).then(|| g.rng.gen_range(0..6)),
+            for_update: false,
         });
         (stmt, g.slots)
     }

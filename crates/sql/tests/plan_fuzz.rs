@@ -1,6 +1,7 @@
 //! Plans can never change results: generated statements over a small
-//! schema with every kind of index, run through the chosen plan and through
-//! its forced-scan reference (`common::execute_checked`), with parameter
+//! schema with every kind of index, run through the chosen plan, its
+//! forced-scan version and the naive reference (`common::execute_checked`),
+//! with parameter
 //! draws that include NULL keys and empty ranges; and a plan value reused
 //! across a thousand draws answers like a plan bound fresh for each.
 
@@ -15,7 +16,8 @@ use tenantdb_storage::{DataType, Engine, EngineConfig, Value};
 const DB: &str = "db";
 
 /// `t` (pk `id`, single-column indexes on `a` and `s`, a composite one on
-/// `(a, b)`, NULLs in `a`, `b` and `s`) and `u` (pk `id`, index on `t_id`).
+/// `(a, b)`, NULLs in `a`, `b` and `s`), `u` (pk `id`, index on `t_id`) and
+/// `g` (pk `id`, indexes on the few-valued `k` and the FLOAT `f`, small `n`).
 fn engine() -> Engine {
     let e = Engine::new(EngineConfig::for_tests());
     e.create_database(DB).unwrap();
@@ -51,8 +53,33 @@ fn engine() -> Engine {
         ];
         execute(&e, txn, DB, "INSERT INTO u VALUES (?, ?, ?)", &row).unwrap();
     }
+    ddl("CREATE TABLE g (id INT NOT NULL, k INT, f FLOAT, n INT, PRIMARY KEY (id))");
+    ddl("CREATE INDEX by_k ON g (k)");
+    ddl("CREATE INDEX by_f ON g (f)");
+    // FLOAT values INT and FLOAT alike, `1` next to `1.0`.
+    let floats = [
+        Value::Int(1),
+        Value::Float(1.0),
+        Value::Int(2),
+        Value::Float(2.5),
+        Value::Float(-0.0),
+        Value::Int(0),
+        Value::Null,
+    ];
+    for id in 0..48 {
+        let f = floats[rng.gen_range(0..floats.len())].clone();
+        let row = [Value::Int(id), int(rng, 5), f, int(rng, 3)];
+        execute(&e, txn, DB, "INSERT INTO g VALUES (?, ?, ?, ?)", &row).unwrap();
+    }
     e.commit(txn).unwrap();
     e
+}
+
+fn grouped_vocab() -> gen::Vocab {
+    use DataType::{Float, Int};
+    let cols = [("id", Int), ("k", Int), ("f", Float), ("n", Int)];
+    let cols = cols.iter().map(|(c, ty)| (c.to_string(), *ty)).collect();
+    vec![("g".to_string(), cols)]
 }
 
 fn vocab() -> gen::Vocab {
@@ -144,6 +171,44 @@ fn ordered_walks_match_their_sorted_reference() {
     );
 }
 
+/// (a'') Grouped queries, mostly ranked by an aggregate under a small LIMIT
+/// that cuts through ties, with HAVING, DISTINCT, NULL keys and a FLOAT key
+/// holding `1` and `1.0`: the chosen plan, its forced-scan version and the
+/// naive reference agree.
+#[test]
+fn grouped_queries_match_the_naive_reference() {
+    let e = engine();
+    let rows = |sql: &str| {
+        let txn = e.begin().unwrap();
+        let r = execute_checked(&e, txn, DB, sql, &[]).unwrap();
+        e.commit(txn).unwrap();
+        r.rows
+    };
+    // `1` and `1.0` are one group, keyed by whichever came first.
+    let ones = rows("SELECT f, COUNT(*) FROM g WHERE f = 1 GROUP BY f");
+    assert_eq!(ones.len(), 1, "{ones:?}");
+    let (mut verdicts, mut ranked) = (0, 0);
+    for case in 0..600 {
+        let rng = &mut StdRng::seed_from_u64(case ^ 0x6E0B);
+        let (stmt, slots) = gen::grouped(rng, &grouped_vocab());
+        let sql = stmt.to_string();
+        let bound = plan(&e, DB, &parse(&sql).unwrap())
+            .unwrap_or_else(|err| panic!("case {case}: {sql}: {err}"));
+        ranked += usize::from(bound.explain(&e).unwrap().contains(", top "));
+        for _ in 0..4 {
+            let params = gen::draw_params(rng, &slots);
+            let txn = e.begin().unwrap();
+            verdicts += usize::from(execute_checked(&e, txn, DB, &sql, &params).is_ok());
+            e.abort(txn).unwrap();
+        }
+    }
+    assert!(ranked > 250, "only {ranked} of 600 plans keep a top LIMIT");
+    assert!(
+        verdicts > 1800,
+        "only {verdicts} of 2400 runs evaluated cleanly"
+    );
+}
+
 /// The eligibility rule, case by case, as `Plan::explain` tells it.
 #[test]
 fn the_planner_orders_what_it_may_and_nothing_else() {
@@ -187,24 +252,24 @@ fn the_planner_orders_what_it_may_and_nothing_else() {
         // Near-misses: ties possible; not the index's order; mixed ways.
         (
             "SELECT id FROM t WHERE a > 4 ORDER BY a LIMIT 1",
-            "t: index by_a in [4, +inf], sort a, limit 1\n",
+            "t: index by_a in [4, +inf], top 1 by a\n",
         ),
         (
             "SELECT id FROM t WHERE a = 4 ORDER BY b, id LIMIT 1",
-            "t: index by_a = (4), sort b, id, limit 1\n",
+            "t: index by_a = (4), top 1 by b, id\n",
         ),
         (
             "SELECT id FROM t WHERE a > 4 ORDER BY a, id DESC LIMIT 1",
-            "t: index by_a in [4, +inf], sort a, id desc, limit 1\n",
+            "t: index by_a in [4, +inf], top 1 by a, id desc\n",
         ),
         (
             "SELECT id + 0 AS id FROM t WHERE a = 4 ORDER BY id LIMIT 1",
-            "t: index by_a = (4), sort id, limit 1\n",
+            "t: index by_a = (4), top 1 by id\n",
         ),
-        // GROUP BY, DISTINCT and joins sort.
+        // GROUP BY and joins rank, keeping the top LIMIT; DISTINCT sorts all.
         (
             "SELECT id, COUNT(*) FROM t WHERE a = 4 GROUP BY id ORDER BY id LIMIT 1",
-            "t: index by_a = (4), grouped, sort id, limit 1\n",
+            "t: index by_a = (4), grouped, top 1 by id\n",
         ),
         (
             "SELECT DISTINCT id FROM t WHERE a = 4 ORDER BY id LIMIT 1",
@@ -212,7 +277,7 @@ fn the_planner_orders_what_it_may_and_nothing_else() {
         ),
         (
             "SELECT t.id FROM t JOIN u ON u.t_id = t.id WHERE t.a = 4 ORDER BY id LIMIT 1",
-            "t: index by_a = (4)\nu: join, index by_t = (t.id)\nresult: sort id, limit 1\n",
+            "t: index by_a = (4)\nu: join, index by_t = (t.id)\nresult: top 1 by id\n",
         ),
         (
             "SELECT u.v FROM t LEFT JOIN u ON u.v > t.b WHERE u.t_id = 4",

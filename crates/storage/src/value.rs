@@ -163,20 +163,31 @@ impl Ord for Value {
     }
 }
 
+/// Below 2^53 every integer is exactly a float, so an integral float there
+/// is the INT it equals.
+const EXACT_INTS: f64 = (1u64 << 53) as f64;
+
+/// Consistent with `Eq`: an integral float below 2^53 in magnitude hashes
+/// as the INT it equals (`-0.0` as `0`), so a key lock or a hashed group
+/// keyed by `5.0` is the one keyed by `5`. Other floats hash their bits.
+/// (Beyond 2^53 `Int` vs `Float` equality rounds the INT, so `Eq` is not
+/// transitive there and no hash can agree with it.)
 impl std::hash::Hash for Value {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        std::mem::discriminant(self).hash(state);
         match self {
-            Value::Null => {}
-            Value::Bool(b) => b.hash(state),
-            Value::Int(i) => i.hash(state),
-            // Hash the bit pattern; total_cmp-equal floats share bits except
-            // -0.0/+0.0, which we normalise.
-            Value::Float(f) => {
-                let f = if *f == 0.0 { 0.0f64 } else { *f };
-                f.to_bits().hash(state)
+            Value::Float(f) if f.fract() == 0.0 && f.abs() < EXACT_INTS => {
+                Value::Int(*f as i64).hash(state)
             }
-            Value::Text(s) => s.hash(state),
+            _ => {
+                std::mem::discriminant(self).hash(state);
+                match self {
+                    Value::Null => {}
+                    Value::Bool(b) => b.hash(state),
+                    Value::Int(i) => i.hash(state),
+                    Value::Float(f) => f.to_bits().hash(state),
+                    Value::Text(s) => s.hash(state),
+                }
+            }
         }
     }
 }
@@ -282,16 +293,23 @@ mod tests {
     fn eq_and_hash_agree_for_numerics() {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
-        // total_cmp equality implies Eq; hashing only needs to be consistent
-        // within one discriminant (we never mix Int/Float keys in one index
-        // column because the schema fixes the type).
+        // A FLOAT column holds INTs too (`matches` widens them), so equal
+        // values of the two types must hash alike.
         let h = |v: &Value| {
             let mut s = DefaultHasher::new();
             v.hash(&mut s);
             s.finish()
         };
-        assert_eq!(h(&Value::Float(0.0)), h(&Value::Float(-0.0)));
-        assert_eq!(Value::Float(0.0), Value::Float(-0.0));
+        for (a, b) in [
+            (Value::Float(0.0), Value::Float(-0.0)),
+            (Value::Int(0), Value::Float(-0.0)),
+            (Value::Int(5), Value::Float(5.0)),
+            (Value::Int(-7), Value::Float(-7.0)),
+        ] {
+            assert_eq!(a, b);
+            assert_eq!(h(&a), h(&b), "{a:?} vs {b:?}");
+        }
+        assert_ne!(h(&Value::Int(5)), h(&Value::Float(5.5)));
     }
 
     #[test]

@@ -391,6 +391,49 @@ fn a_stopped_walk_is_repeatable_and_locks_only_what_it_visited() {
     e.commit(t2).unwrap();
 }
 
+/// A FLOAT column stores INTs as they come, and `5` equals `5.0`: a lookup
+/// of `5.0` must key-lock what an insert of `5` key-locks, or the insert
+/// slips in under a held lookup — a phantom on repeating it.
+#[test]
+fn a_float_key_lock_covers_the_equal_int() {
+    let e = Engine::new(EngineConfig::for_tests());
+    e.create_database("db").unwrap();
+    e.create_table(
+        "db",
+        TableSchema::new(
+            "m",
+            vec![
+                ColumnDef::new("k", DataType::Int).not_null(),
+                ColumnDef::new("f", DataType::Float),
+            ],
+        )
+        .with_primary_key(&["k"])
+        .with_index("by_f", &["f"], false),
+    )
+    .unwrap();
+    let e = Arc::new(e);
+    let lookup = |txn| {
+        e.index_lookup(txn, "db", "m", "by_f", &[Value::Float(5.0)], false)
+            .unwrap()
+            .len()
+    };
+    let t1 = e.begin().unwrap();
+    assert_eq!(lookup(t1), 0);
+    let inserter = {
+        let e = Arc::clone(&e);
+        thread::spawn(move || {
+            e.with_txn(|t| e.insert(t, "db", "m", vec![Value::Int(1), Value::Int(5)]))
+        })
+    };
+    wait_for_waiters(&e, 1);
+    assert_eq!(lookup(t1), 0, "the lookup repeats");
+    e.commit(t1).unwrap();
+    inserter.join().unwrap().unwrap();
+    let t2 = e.begin().unwrap();
+    assert_eq!(lookup(t2), 1);
+    e.commit(t2).unwrap();
+}
+
 /// Index order is a function of the data: crash replay rebuilds it.
 #[test]
 fn crash_replay_rebuilds_the_same_index_order() {

@@ -5,15 +5,17 @@
 //! * runs each statement's chosen plan against its forced-scan reference
 //!   (`common::execute_checked`, shared with `crates/sql/tests`) — reads on
 //!   the spot, writes replayed afterwards, each in a transaction of its own
-//!   that is rolled back — and
+//!   that is rolled back —,
 //! * counts the lock acquisitions and buffer-pool page accesses of each
 //!   statement text's first execution, which must equal what the
 //!   interpretive executor took before the plan/run split — Table 1, the
 //!   phantom-protection tests and the deadlock shapes of Figures 5–7 rest
-//!   on the executor taking exactly these locks.
+//!   on the executor taking exactly these locks — and
+//! * keeps what BestSellers and NewProducts answered, which must equal what
+//!   they answered before ranking kept only the top LIMIT, row for row.
 //!
 //! The data set, the parameter stream and the order of interactions are
-//! fixed by seeds, so the counts repeat exactly.
+//! fixed by seeds, so the counts and the answers repeat exactly.
 //!
 //! One count is pinned beyond the fresh store: OrderInquiry's "latest
 //! order" statement, whose footprint must not grow with the customer's
@@ -34,6 +36,13 @@ use tenantdb_storage::{Engine, TxnId, Value};
 use tenantdb_tpcw::{run_txn, setup_database, IdCounters, Scale, Session, TxnType};
 
 const DB: &str = "shop";
+
+const LATEST_ORDER: &str =
+    "SELECT o_id, o_total, o_status FROM orders WHERE o_c_id = ? ORDER BY o_id DESC LIMIT 1";
+const NEW_PRODUCTS: &str = "SELECT i_id, i_title, i_pub_date FROM item WHERE i_subject = ? \
+                            ORDER BY i_pub_date DESC LIMIT 10";
+const BEST_SELLERS: &str = "SELECT ol_i_id, SUM(ol_qty) AS sold FROM order_line \
+                            WHERE ol_o_id >= ? GROUP BY ol_i_id ORDER BY sold DESC LIMIT 5";
 
 /// `(lock acquisitions, page accesses)` of the first execution of each
 /// statement text, in order of first appearance — recorded by running this
@@ -64,6 +73,30 @@ const FOOTPRINT_BEFORE_THE_SPLIT: &[(&str, u64, u64)] = &[
     ("SELECT ol_i_id, ol_qty FROM order_line WHERE ol_o_id = ?", 3, 2),
 ];
 
+/// `OnEngine::ranked` after [`drive`] — recorded by
+/// running this harness on the commit before top-K ranking (`PRINT_ANSWERS`
+/// prints them).
+const ANSWERS_BEFORE_TOP_K: &[(&str, &[&str])] = &[
+    (
+        "new",
+        &[
+            "29 'title-29' 3198",
+            "53 'title-53' 2988",
+            "27 'title-27' 2803",
+            "35 'title-35' 2241",
+            "12 'title-12' 2204",
+            "13 'title-13' 1342",
+            "58 'title-58' 312",
+            "1 'title-1' 129",
+        ],
+    ),
+    ("best", &["33 6", "20 5", "25 5", "39 5", "43 4"]),
+    ("new", &["14 'title-14' 3228", "34 'title-34' 1403"]),
+    ("best", &["33 6", "20 5", "25 5", "39 5", "43 4"]),
+    ("new", &["7 'title-7' 3505"]),
+    ("best", &["34 7", "33 6", "6 5", "25 5", "39 5"]),
+];
+
 /// One SQL session straight onto an engine (the cluster is only used to
 /// load the data set).
 struct OnEngine {
@@ -74,6 +107,9 @@ struct OnEngine {
     /// Every UPDATE and DELETE, to be replayed against its reference (an
     /// INSERT has no access path to choose).
     writes: RefCell<Vec<(String, Vec<Value>)>>,
+    /// What BestSellers ("best") and NewProducts ("new") answered, in
+    /// order, each row printed as its values separated by spaces.
+    ranked: RefCell<Vec<(&'static str, Vec<String>)>>,
 }
 
 impl OnEngine {
@@ -107,6 +143,17 @@ impl Transport for OnEngine {
         if sql.starts_with("SELECT") {
             let checked = common::execute_checked(&self.engine, txn, DB, sql, params)?;
             assert_eq!(checked.rows.len(), result.rows.len(), "{sql}");
+            let kind = [(BEST_SELLERS, "best"), (NEW_PRODUCTS, "new")]
+                .into_iter()
+                .find_map(|(s, kind)| (s == sql).then_some(kind));
+            if let Some(kind) = kind {
+                let shown = |r: &Vec<Value>| {
+                    let values: Vec<String> = r.iter().map(Value::to_string).collect();
+                    values.join(" ")
+                };
+                let rows = result.rows.iter().map(shown).collect();
+                self.ranked.borrow_mut().push((kind, rows));
+            }
         } else if !sql.starts_with("INSERT") {
             self.writes
                 .borrow_mut()
@@ -149,6 +196,7 @@ fn drive() -> OnEngine {
         txn: Cell::new(None),
         footprint: RefCell::new(Vec::new()),
         writes: RefCell::new(Vec::new()),
+        ranked: RefCell::new(Vec::new()),
     };
     let mut rng = StdRng::seed_from_u64(1234);
     let mut session = Session {
@@ -190,11 +238,6 @@ fn tpcw_statements_take_the_locks_and_pages_they_always_took() {
     assert_eq!(footprint, expected);
 }
 
-const LATEST_ORDER: &str =
-    "SELECT o_id, o_total, o_status FROM orders WHERE o_c_id = ? ORDER BY o_id DESC LIMIT 1";
-const NEW_PRODUCTS: &str = "SELECT i_id, i_title, i_pub_date FROM item WHERE i_subject = ? \
-                            ORDER BY i_pub_date DESC LIMIT 10";
-
 /// OrderInquiry's first statement is answered by walking the customer's
 /// postings backwards and stopping at the first: table IS, key S, one row
 /// S, whether the customer placed one order or a thousand. NewProducts
@@ -213,7 +256,7 @@ fn latest_order_costs_the_same_after_a_thousand_orders() {
     );
     assert_eq!(
         explain(NEW_PRODUCTS),
-        "item: index by_subject = (?1), sort i_pub_date desc, limit 10\n"
+        "item: index by_subject = (?1), top 10 by i_pub_date desc\n"
     );
 
     // A customer the generator gave no orders.
@@ -248,4 +291,23 @@ fn latest_order_costs_the_same_after_a_thousand_orders() {
         assert_eq!(locks, 3, "after {orders} orders");
         assert!(pages <= 3, "{pages} page accesses after {orders} orders");
     }
+}
+
+/// BestSellers and NewProducts, the two statements that rank, answer on the
+/// seeded store exactly what they answered when they sorted every group and
+/// every row (recorded at the commit before top-K ranking): the same rows
+/// in the same order, ties included.
+#[test]
+fn tpcw_rankings_answer_what_they_always_answered() {
+    let answers = drive().ranked.into_inner();
+    if std::env::var_os("PRINT_ANSWERS").is_some() {
+        for (kind, rows) in &answers {
+            println!("    ({kind:?}, &{rows:?}),");
+        }
+    }
+    let expected: Vec<(&str, Vec<String>)> = ANSWERS_BEFORE_TOP_K
+        .iter()
+        .map(|(kind, rows)| (*kind, rows.iter().map(|r| r.to_string()).collect()))
+        .collect();
+    assert_eq!(answers, expected);
 }

@@ -488,3 +488,85 @@ fn latest_order_is_one_row_read_on_every_replica_and_transport() {
     drop(client);
     server.shutdown();
 }
+
+/// One seed across every layer for grouped top-K ranking: BestSellers over
+/// order lines whose per-item sums tie across the LIMIT, on two write-all
+/// replicas. Each replica's engine, a `Connection` and a `NetClient` return
+/// what the test computes itself from the raw `(ol_i_id, ol_qty)` rows:
+/// the five largest sums, ties by ascending item.
+#[test]
+fn best_sellers_answers_alike_on_every_replica_and_transport() {
+    use std::collections::BTreeMap;
+    use tenantdb::cluster::Transport;
+    use tenantdb::net::{ConnectOptions, NetClient, Server, ServerConfig};
+
+    const BEST: &str = "SELECT ol_i_id, SUM(ol_qty) AS sold FROM order_line WHERE ol_o_id >= ? \
+                        GROUP BY ol_i_id ORDER BY sold DESC LIMIT 5";
+    let platform = two_colo_platform();
+    platform
+        .create_database("shop", WEST, CreateOptions::default())
+        .unwrap();
+    let conn = platform.connect("shop", WEST).unwrap();
+    for ddl in [
+        "CREATE TABLE order_line (ol_id INT NOT NULL, ol_o_id INT NOT NULL, ol_i_id INT, \
+         ol_qty INT, PRIMARY KEY (ol_id))",
+        "CREATE INDEX by_order ON order_line (ol_o_id)",
+    ] {
+        conn.execute(ddl, &[]).unwrap();
+    }
+    // 400 lines of 100 orders over 40 items, 1-3 copies each.
+    conn.begin().unwrap();
+    for ol_id in 0..400i64 {
+        let row = [ol_id, ol_id / 4, ol_id * 7 % 40, ol_id % 3 + 1].map(Value::Int);
+        conn.execute("INSERT INTO order_line VALUES (?, ?, ?, ?)", &row)
+            .unwrap();
+    }
+    conn.commit().unwrap();
+    let horizon = [Value::Int(30)];
+
+    let lines = conn
+        .execute(
+            "SELECT ol_i_id, ol_qty FROM order_line WHERE ol_o_id >= ?",
+            &horizon,
+        )
+        .unwrap();
+    let mut sold: BTreeMap<i64, i64> = BTreeMap::new();
+    for line in &lines.rows {
+        *sold.entry(line[0].as_i64().unwrap()).or_default() += line[1].as_i64().unwrap();
+    }
+    let mut ranked: Vec<(i64, i64)> = sold.into_iter().collect();
+    ranked.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
+    assert_eq!(ranked[4].1, ranked[5].1, "a tie must straddle the LIMIT");
+    let expected: Vec<Vec<Value>> = ranked[..5]
+        .iter()
+        .map(|&(item, n)| vec![Value::Int(item), Value::Int(n)])
+        .collect();
+
+    let (cluster, _) = dr_clusters(&platform, "shop");
+    tenantdb::cluster::testkit::assert_replicas_converged(&cluster, "shop");
+    let replicas = cluster.alive_replicas("shop").unwrap();
+    assert_eq!(replicas.len(), 2);
+    for m in replicas {
+        let engine = Arc::clone(&cluster.machine(m).unwrap().engine);
+        let txn = engine.begin().unwrap();
+        let r = tenantdb::sql::execute(&engine, txn, "shop", BEST, &horizon);
+        engine.commit(txn).unwrap();
+        assert_eq!(r.unwrap().rows, expected, "replica on {m:?}");
+    }
+
+    let server = Server::start(
+        "127.0.0.1:0",
+        Arc::clone(&platform),
+        ServerConfig::default(),
+    )
+    .expect("bind server");
+    let client = NetClient::connect(server.local_addr(), "shop", ConnectOptions::default())
+        .expect("tcp connect");
+    let transports: [(&str, &dyn Transport); 2] = [("connection", &conn), ("tcp", &client)];
+    for (name, transport) in transports {
+        let r = transport.execute(BEST, &horizon).unwrap();
+        assert_eq!(r.rows, expected, "{name}");
+    }
+    drop(client);
+    server.shutdown();
+}

@@ -1,7 +1,9 @@
 //! Property tests over the stack's core invariants. Seeded (`compat-rand`),
 //! so they run offline and in tier-1; a failure names its case number.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -235,5 +237,44 @@ fn order_by_sorts() {
         vals.sort();
         assert_eq!(got, vals, "case {case}");
         engine.commit(txn).unwrap();
+    }
+}
+
+/// Equal values hash alike, INT and FLOAT mixed: key locks and hashed group
+/// tables rest on it. Drawn from small integers and halves, signed zeros,
+/// NaN, and the edge of the range where every integer is a float.
+#[test]
+fn equal_values_hash_alike() {
+    let hash = |v: &Value| {
+        let mut h = DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    };
+    let edge = (1i64 << 53) - 1;
+    for case in 0..CASES {
+        let rng = &mut StdRng::seed_from_u64(case);
+        let values: Vec<Value> = (0..48)
+            .map(|_| {
+                let n = match rng.gen_range(0..3) {
+                    0 => edge - rng.gen_range(0i64..2),
+                    1 => rng.gen_range(-edge..=-edge + 1),
+                    _ => rng.gen_range(-3i64..4),
+                };
+                match rng.gen_range(0..6) {
+                    0 | 1 => Value::Int(n),
+                    2 | 3 => Value::Float(n as f64),
+                    4 if n.abs() < 4 => Value::Float(n as f64 + 0.5),
+                    4 => Value::Float(-0.0),
+                    _ => Value::Float(f64::NAN),
+                }
+            })
+            .collect();
+        for a in &values {
+            for b in &values {
+                if a == b {
+                    assert_eq!(hash(a), hash(b), "case {case}: {a:?} = {b:?}");
+                }
+            }
+        }
     }
 }
