@@ -10,10 +10,8 @@
 //!
 //! 1. [`plan_rebalance`] computes an offline First-Fit-Decreasing target
 //!    packing from per-database demand vectors (FFD is within 11/9·OPT+1 for
-//!    bin packing and in practice matches the branch-and-bound optimum on
-//!    cluster-sized instances — see the `ablation_placement_policies`
-//!    bench), then derives the minimal set of replica *moves* that transform
-//!    the current placement into the target.
+//!    bin packing), then derives the minimal set of replica *moves* that
+//!    transform the current placement into the target.
 //! 2. [`execute_rebalance`] applies the moves as live migrations
 //!    ([`crate::recovery::migrate_replica`]): each move copies the replica
 //!    with the Algorithm 1 copy protocol (clients keep working, writes to

@@ -28,8 +28,8 @@ impl fmt::Display for ColoId {
 /// One cluster inside a colo, with its SLA-placement bookkeeping.
 struct ClusterSlot {
     controller: Arc<ClusterController>,
-    /// First-Fit placer over this cluster's machines; placer bin index i
-    /// maps to `machine_map[i]`.
+    /// First-Fit placer over the machines it pulled into this cluster;
+    /// placer bin index i maps to `machine_map[i]`.
     placer: Mutex<FirstFitPlacer>,
     machine_map: Mutex<Vec<MachineId>>,
 }
@@ -170,8 +170,11 @@ impl Colo {
                 slot.controller.create_database_on(db, &machines)?;
             }
             None => {
-                // Keep the placer's machine map seeded with the initial
-                // machines so demand-based placements account for them.
+                // Fewest hosted databases, over every machine of the cluster.
+                // The placer above never sees these placements: its machine
+                // map starts empty, so a demand-placed database lands only on
+                // machines this placer opened, never on the cluster's initial
+                // ones (ROADMAP item 18 makes the two one choice).
                 slot.controller.create_database(db, replicas)?;
             }
         }

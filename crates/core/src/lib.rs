@@ -29,9 +29,7 @@
 //! ```
 
 pub mod colo;
-pub mod shard;
 pub mod system;
 
 pub use colo::{Colo, ColoId};
-pub use shard::{ShardedConnection, ShardedDatabase};
 pub use system::{CreateOptions, PlatformConfig, SystemController};

@@ -32,8 +32,8 @@ pub use monitor::{
     can_reallocate, check_compliance, reallocation_budget, Compliance, ObservedOutcomes,
 };
 pub use placement::{
-    machine_lower_bound, optimal_machine_count, optimal_machine_count_budgeted, BestFitPlacer,
-    FirstFitDecreasingPlacer, FirstFitPlacer, PlacementError, Placer,
+    machine_lower_bound, optimal_machine_count, optimal_machine_count_budgeted, FirstFitPlacer,
+    PlacementError, Placer,
 };
 pub use zipf::Zipf;
 

@@ -7,8 +7,7 @@
 //!
 //! For the Table 2 comparison we also provide the exact optimum (exhaustive
 //! branch-and-bound with symmetry breaking — the paper computed it "offline
-//! exhaustively"), plus First-Fit-Decreasing and Best-Fit variants for the
-//! ablation benchmarks.
+//! exhaustively").
 
 use std::fmt;
 
@@ -74,7 +73,8 @@ impl MachineLoad {
     }
 }
 
-/// Common interface for online placement policies.
+/// The online placement interface; [`FirstFitPlacer`] (Algorithm 2) is its
+/// one implementation.
 pub trait Placer {
     /// Place all replicas of `spec`; returns the machine indices chosen
     /// (machines are opened on demand). Indices are stable across calls.
@@ -87,48 +87,33 @@ pub trait Placer {
     fn loads(&self) -> &[MachineLoad];
 }
 
-/// Shared state of the list-based placers.
+/// Algorithm 2: online First-Fit with replica anti-colocation.
 #[derive(Debug)]
-struct ListPlacer {
+pub struct FirstFitPlacer {
     capacity: ResourceVector,
     machines: Vec<MachineLoad>,
 }
 
-impl ListPlacer {
-    fn new(capacity: ResourceVector) -> Self {
-        ListPlacer {
+impl FirstFitPlacer {
+    /// An empty placer over machines of uniform `capacity`.
+    pub fn new(capacity: ResourceVector) -> Self {
+        FirstFitPlacer {
             capacity,
             machines: Vec::new(),
         }
     }
+}
 
-    fn validate(&self, spec: &DatabaseSpec) -> Result<(), PlacementError> {
+impl Placer for FirstFitPlacer {
+    fn place(&mut self, spec: &DatabaseSpec) -> Result<Vec<usize>, PlacementError> {
         if !spec.demand.fits_in(&self.capacity) {
             return Err(PlacementError::ReplicaTooLarge(spec.name.clone()));
         }
-        Ok(())
-    }
-
-    /// Place replicas choosing, for each, the best existing machine
-    /// according to `score` (lower wins; `None` = cannot host); opens a new
-    /// machine when nothing fits.
-    fn place_by<F: Fn(&MachineLoad) -> Option<f64>>(
-        &mut self,
-        spec: &DatabaseSpec,
-        score: F,
-    ) -> Result<Vec<usize>, PlacementError> {
-        self.validate(spec)?;
         let mut chosen = Vec::with_capacity(spec.replicas);
         for _ in 0..spec.replicas {
-            let pick = self
-                .machines
-                .iter()
-                .enumerate()
-                .filter(|(i, m)| !chosen.contains(i) && m.can_host(spec))
-                .filter_map(|(i, m)| score(m).map(|s| (i, s)))
-                .min_by(|(ia, a), (ib, b)| a.total_cmp(b).then(ia.cmp(ib)))
-                .map(|(i, _)| i);
-            let idx = match pick {
+            // `can_host` refuses a machine that already holds a replica of
+            // this database, so each replica lands on a different machine.
+            let idx = match self.machines.iter().position(|m| m.can_host(spec)) {
                 Some(i) => i,
                 None => {
                     self.machines.push(MachineLoad::new(self.capacity));
@@ -140,112 +125,13 @@ impl ListPlacer {
         }
         Ok(chosen)
     }
-}
-
-/// Algorithm 2: online First-Fit with replica anti-colocation.
-#[derive(Debug)]
-pub struct FirstFitPlacer {
-    inner: ListPlacer,
-}
-
-impl FirstFitPlacer {
-    /// An empty placer over machines of uniform `capacity`.
-    pub fn new(capacity: ResourceVector) -> Self {
-        FirstFitPlacer {
-            inner: ListPlacer::new(capacity),
-        }
-    }
-}
-
-impl Placer for FirstFitPlacer {
-    fn place(&mut self, spec: &DatabaseSpec) -> Result<Vec<usize>, PlacementError> {
-        // `place_by` breaks score ties by machine index, so a constant score
-        // selects the lowest-index machine that fits — exactly First-Fit.
-        self.inner.place_by(spec, |_| Some(0.0))
-    }
 
     fn machines_used(&self) -> usize {
-        self.inner.machines.len()
+        self.machines.len()
     }
 
     fn loads(&self) -> &[MachineLoad] {
-        &self.inner.machines
-    }
-}
-
-/// Best-Fit: pick the machine that would be left *fullest* (tightest fit).
-#[derive(Debug)]
-pub struct BestFitPlacer {
-    inner: ListPlacer,
-}
-
-impl BestFitPlacer {
-    /// An empty placer over machines of uniform `capacity`.
-    pub fn new(capacity: ResourceVector) -> Self {
-        BestFitPlacer {
-            inner: ListPlacer::new(capacity),
-        }
-    }
-}
-
-impl Placer for BestFitPlacer {
-    fn place(&mut self, spec: &DatabaseSpec) -> Result<Vec<usize>, PlacementError> {
-        let demand = spec.demand;
-        self.inner.place_by(spec, move |m| {
-            // Tightest fit = highest post-placement utilization = lowest
-            // negative utilization.
-            let after = m.used + demand;
-            Some(-(after.max_utilization(&m.capacity)))
-        })
-    }
-
-    fn machines_used(&self) -> usize {
-        self.inner.machines.len()
-    }
-
-    fn loads(&self) -> &[MachineLoad] {
-        &self.inner.machines
-    }
-}
-
-/// First-Fit-Decreasing: *offline* — sort databases by demand (largest
-/// first), then run First-Fit. Used in the placement-quality ablation.
-#[derive(Debug)]
-pub struct FirstFitDecreasingPlacer {
-    capacity: ResourceVector,
-    result: Option<FirstFitPlacer>,
-}
-
-impl FirstFitDecreasingPlacer {
-    /// An empty placer over machines of uniform `capacity`.
-    pub fn new(capacity: ResourceVector) -> Self {
-        FirstFitDecreasingPlacer {
-            capacity,
-            result: None,
-        }
-    }
-
-    /// Place a whole batch at once (FFD is inherently offline).
-    pub fn place_all(&mut self, specs: &[DatabaseSpec]) -> Result<usize, PlacementError> {
-        let mut sorted: Vec<&DatabaseSpec> = specs.iter().collect();
-        let cap = self.capacity;
-        sorted.sort_by(|a, b| {
-            b.demand
-                .max_utilization(&cap)
-                .total_cmp(&a.demand.max_utilization(&cap))
-        });
-        let mut ff = FirstFitPlacer::new(self.capacity);
-        for s in sorted {
-            ff.place(s)?;
-        }
-        let used = ff.machines_used();
-        self.result = Some(ff);
-        Ok(used)
-    }
-
-    /// Machines used by the last `place_all` (0 before any batch).
-    pub fn machines_used(&self) -> usize {
-        self.result.as_ref().map_or(0, |p| p.machines_used())
+        &self.machines
     }
 }
 
@@ -292,20 +178,31 @@ pub fn optimal_machine_count_budgeted(
     capacity: ResourceVector,
     max_nodes: u64,
 ) -> Option<(usize, bool)> {
-    // Flatten to (db_index, demand) items; place large items first to prune.
-    let mut items: Vec<(usize, ResourceVector)> = Vec::new();
-    for (i, s) in specs.iter().enumerate() {
-        if !s.demand.fits_in(&capacity) {
-            return None;
-        }
-        for _ in 0..s.replicas {
-            items.push((i, s.demand));
-        }
-    }
-    items.sort_by(|a, b| {
-        b.1.max_utilization(&capacity)
-            .total_cmp(&a.1.max_utilization(&capacity))
+    // Large databases first, both for the upper bound and to prune.
+    let mut sorted: Vec<&DatabaseSpec> = specs.iter().collect();
+    sorted.sort_by(|a, b| {
+        b.demand
+            .max_utilization(&capacity)
+            .total_cmp(&a.demand.max_utilization(&capacity))
     });
+    // Upper bound: First-Fit over the sorted specs (First-Fit-Decreasing).
+    // It fails only where one replica exceeds a machine: infeasible.
+    let mut ffd = FirstFitPlacer::new(capacity);
+    for s in &sorted {
+        ffd.place(s).ok()?;
+    }
+    let upper = ffd.machines_used();
+    let lower = machine_lower_bound(specs, capacity);
+    if upper <= lower {
+        return Some((upper, true)); // FFD met the volume bound: optimal
+    }
+
+    // Flatten to (db_index, demand) items, one per replica.
+    let items: Vec<(usize, ResourceVector)> = sorted
+        .iter()
+        .enumerate()
+        .flat_map(|(i, s)| std::iter::repeat_n((i, s.demand), s.replicas))
+        .collect();
 
     struct Search<'a> {
         items: &'a [(usize, ResourceVector)],
@@ -352,24 +249,6 @@ pub fn optimal_machine_count_budgeted(
                 self.bins_dbs.pop();
             }
         }
-    }
-
-    // Upper bound from First-Fit-Decreasing (items are pre-sorted).
-    let mut ff_bins: Vec<(ResourceVector, Vec<usize>)> = Vec::new();
-    'outer: for &(db, d) in &items {
-        for (used, dbs) in ff_bins.iter_mut() {
-            if !dbs.contains(&db) && (*used + d).fits_in(&capacity) {
-                *used += d;
-                dbs.push(db);
-                continue 'outer;
-            }
-        }
-        ff_bins.push((d, vec![db]));
-    }
-    let upper = ff_bins.len();
-    let lower = machine_lower_bound(specs, capacity);
-    if upper <= lower {
-        return Some((upper, true)); // FFD met the volume bound: optimal
     }
 
     let mut search = Search {
@@ -465,37 +344,6 @@ mod tests {
             ))
             .unwrap();
         assert_eq!(placed, vec![1]);
-    }
-
-    #[test]
-    fn best_fit_prefers_tightest_machine() {
-        let mut p = BestFitPlacer::new(cap(10.0));
-        p.place(&spec("a", 7.0, 1)).unwrap(); // machine 0 at 7
-        p.place(&spec("b", 3.0, 1)).unwrap(); // fits machine 0 exactly
-        assert_eq!(p.machines_used(), 1);
-        p.place(&spec("c", 5.0, 1)).unwrap(); // machine 1 at 5
-        p.place(&spec("d", 4.0, 1)).unwrap(); // best fit -> machine 1 (9) not new
-        assert_eq!(p.machines_used(), 2);
-    }
-
-    #[test]
-    fn ffd_beats_or_ties_first_fit() {
-        // Classic FF pathology: small items first.
-        let specs: Vec<DatabaseSpec> = (0..6)
-            .map(|i| spec(&format!("s{i}"), 3.0, 1))
-            .chain((0..3).map(|i| spec(&format!("l{i}"), 7.0, 1)))
-            .collect();
-        let mut ff = FirstFitPlacer::new(cap(10.0));
-        for s in &specs {
-            ff.place(s).unwrap();
-        }
-        let mut ffd = FirstFitDecreasingPlacer::new(cap(10.0));
-        let ffd_used = ffd.place_all(&specs).unwrap();
-        assert!(ffd_used <= ff.machines_used());
-        // Total demand is 39 over capacity-10 bins: FFD achieves the
-        // 4-bin optimum (7+3, 7+3, 7+3, 3+3+3); FF needs 5.
-        assert_eq!(ffd_used, 4);
-        assert_eq!(ff.machines_used(), 5);
     }
 
     #[test]

@@ -456,22 +456,6 @@ pub fn eval<'a>(expr: &'a BoundExpr, env: Env<'a>) -> Result<Cow<'a, Value>> {
     })
 }
 
-/// Evaluate an expression that reads no row (a literal / parameter
-/// computation); `None` if it does read one.
-pub fn const_value(expr: &Expr, params: &[Value]) -> Result<Option<Value>> {
-    let mut reads_row = false;
-    expr.visit(&mut |n| {
-        if matches!(n, Expr::Column { .. } | Expr::Agg { .. }) {
-            reads_row = true;
-        }
-    });
-    if reads_row {
-        return Ok(None);
-    }
-    let bound = bind(expr, &Layout::new())?;
-    Ok(Some(eval(&bound, Env::constant(params))?.into_owned()))
-}
-
 /// Evaluate a built-in scalar function.
 fn scalar_fn(func: ScalarFunc, args: Vec<Value>) -> Result<Value> {
     let arity_err = |want: &str| {
@@ -909,16 +893,6 @@ mod tests {
                 got: 0
             })
         ));
-    }
-
-    #[test]
-    fn const_value_is_none_for_row_dependent_expressions() {
-        let e = bin(BinOp::Add, Expr::Param(0), lit(1));
-        assert_eq!(
-            const_value(&e, &[Value::Int(2)]).unwrap(),
-            Some(Value::Int(3))
-        );
-        assert_eq!(const_value(&col(None, "a"), &[]).unwrap(), None);
     }
 
     #[test]
