@@ -116,7 +116,7 @@ impl Machine {
 
     /// Number of databases hosted (used by the simple placement heuristic).
     pub fn hosted_databases(&self) -> usize {
-        self.engine.database_names().len()
+        self.engine.database_count()
     }
 }
 

@@ -31,6 +31,7 @@
 //! layer: apply() runs once per replica, and N-fold side effects would be
 //! a correctness bug.
 
+use std::collections::btree_map::Entry;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -125,6 +126,10 @@ enum MetaCommand {
 struct MetaState {
     /// Database → replica set (the paper's partition map).
     placements: BTreeMap<String, Placement>,
+    /// Machine → how many placements pin reads to it. Derived from
+    /// `placements` and kept by `apply`, so `create_db` picks a pin without
+    /// counting every placement; machines with no pins are absent.
+    pins: BTreeMap<MachineId, usize>,
     /// (failed machine, database) pairs whose replica a connection already
     /// dropped while masking the failure. `databases_on` no longer lists
     /// them, so without this ledger recovery would leave them one replica
@@ -151,11 +156,28 @@ struct MetaState {
     applied_reqs: BTreeSet<u64>,
 }
 
+/// Count one more placement pinned to `machine`.
+fn pin(pins: &mut BTreeMap<MachineId, usize>, machine: MachineId) {
+    *pins.entry(machine).or_insert(0) += 1;
+}
+
+/// Count one placement fewer pinned to `machine`, forgetting it at zero.
+fn unpin(pins: &mut BTreeMap<MachineId, usize>, machine: MachineId) {
+    if let Entry::Occupied(mut e) = pins.entry(machine) {
+        *e.get_mut() -= 1;
+        if *e.get() == 0 {
+            e.remove();
+        }
+    }
+}
+
 /// Drop `machine` from a replica set, repinning reads if it was the pin.
-fn strip_replica(p: &mut Placement, machine: MachineId) {
+fn strip_replica(p: &mut Placement, machine: MachineId, pins: &mut BTreeMap<MachineId, usize>) {
     p.replicas.retain(|&m| m != machine);
     if p.pinned == machine {
         if let Some(&first) = p.replicas.first() {
+            unpin(pins, machine);
+            pin(pins, first);
             p.pinned = first;
         }
     }
@@ -173,16 +195,22 @@ impl StateMachine for MetaState {
                 replicas,
                 pinned,
             } => {
-                self.placements.insert(
+                let old = self.placements.insert(
                     name.clone(),
                     Placement {
                         replicas: replicas.clone(),
                         pinned: *pinned,
                     },
                 );
+                if let Some(old) = old {
+                    unpin(&mut self.pins, old.pinned);
+                }
+                pin(&mut self.pins, *pinned);
             }
             MetaCommand::DropDb { name } => {
-                self.placements.remove(name);
+                if let Some(p) = self.placements.remove(name) {
+                    unpin(&mut self.pins, p.pinned);
+                }
                 self.copies.remove(name);
                 self.slas.remove(name);
                 self.owed.retain(|(_, db)| db != name);
@@ -199,12 +227,12 @@ impl StateMachine for MetaState {
                     if *owed && p.replicas.contains(machine) {
                         self.owed.insert((*machine, db.clone()));
                     }
-                    strip_replica(p, *machine);
+                    strip_replica(p, *machine, &mut self.pins);
                 }
             }
             MetaCommand::DetachMachine { machine } => {
                 for p in self.placements.values_mut() {
-                    strip_replica(p, *machine);
+                    strip_replica(p, *machine, &mut self.pins);
                 }
                 self.owed.retain(|(m, _)| m != machine);
             }
@@ -674,14 +702,10 @@ impl ControllerGroup {
             if st.placements.contains_key(&name_s) {
                 return Err(ClusterError::AlreadyExists(name_s.clone()));
             }
-            let mut pin_counts: BTreeMap<MachineId, usize> = BTreeMap::new();
-            for p in st.placements.values() {
-                *pin_counts.entry(p.pinned).or_insert(0) += 1;
-            }
             let pinned = machines
                 .iter()
                 .copied()
-                .min_by_key(|m| (pin_counts.get(m).copied().unwrap_or(0), *m))
+                .min_by_key(|m| (st.pins.get(m).copied().unwrap_or(0), *m))
                 .ok_or(ClusterError::NoMachines)?;
             Ok(MetaCommand::CreateDb {
                 name: name_s.clone(),
@@ -1371,6 +1395,101 @@ mod tests {
         );
         assert!(!st.applied_reqs.contains(&1));
         assert!(st.applied_reqs.contains(&2));
+    }
+
+    /// The pin tally `create_db` reads is what counting `placements` by
+    /// `pinned` would give, after every command of seeded random histories
+    /// (duplicate envelopes and snapshot restores included).
+    #[test]
+    fn pin_tally_matches_a_recount() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        fn recount(st: &MetaState) -> BTreeMap<MachineId, usize> {
+            let mut pins = BTreeMap::new();
+            for p in st.placements.values() {
+                *pins.entry(p.pinned).or_insert(0) += 1;
+            }
+            pins
+        }
+        fn random_cmd(rng: &mut StdRng) -> MetaCommand {
+            let db = format!("db{}", rng.gen_range(0..6u32));
+            let machine = m(rng.gen_range(0..5u32));
+            match rng.gen_range(0..7u32) {
+                0 | 1 => {
+                    let mut replicas: Vec<MachineId> = Vec::new();
+                    for _ in 0..rng.gen_range(1..=3usize) {
+                        let r = m(rng.gen_range(0..5u32));
+                        if !replicas.contains(&r) {
+                            replicas.push(r);
+                        }
+                    }
+                    let pinned = replicas[rng.gen_range(0..replicas.len())];
+                    MetaCommand::CreateDb {
+                        name: db,
+                        replicas,
+                        pinned,
+                    }
+                }
+                2 => MetaCommand::DropDb { name: db },
+                3 => MetaCommand::AddReplica { db, machine },
+                4 => MetaCommand::RemoveReplica {
+                    db,
+                    machine,
+                    owed: rng.gen_bool(0.5),
+                },
+                5 => MetaCommand::DetachMachine { machine },
+                _ if rng.gen_bool(0.5) => MetaCommand::BeginCopy {
+                    db,
+                    target: machine,
+                    db_level: false,
+                },
+                _ => MetaCommand::FinishCopy { db },
+            }
+        }
+
+        for seed in 0..32 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut st = MetaState::default();
+            let mut snap: Option<MetaState> = None;
+            let mut last_tagged: Option<MetaCommand> = None;
+            let mut req = 0;
+            for step in 0..300u64 {
+                let cmd = match rng.gen_range(0..12u32) {
+                    0 => {
+                        snap = Some(st.snapshot());
+                        continue;
+                    }
+                    1 => {
+                        if let Some(s) = &snap {
+                            st.restore(s);
+                        }
+                        assert_eq!(st.pins, recount(&st), "seed {seed} step {step}: restore");
+                        continue;
+                    }
+                    2 => match &last_tagged {
+                        Some(dup) => dup.clone(),
+                        None => continue,
+                    },
+                    3 | 4 => {
+                        req += 1;
+                        let tagged = MetaCommand::Tagged {
+                            req,
+                            cmd: Box::new(random_cmd(&mut rng)),
+                        };
+                        last_tagged = Some(tagged.clone());
+                        tagged
+                    }
+                    _ => random_cmd(&mut rng),
+                };
+                st.apply(step, &cmd);
+                assert_eq!(
+                    st.pins,
+                    recount(&st),
+                    "seed {seed} step {step}: pin tally drifted after {cmd:?}"
+                );
+            }
+        }
     }
 
     #[test]

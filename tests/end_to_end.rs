@@ -252,6 +252,47 @@ fn machine_failure_is_masked_and_recovered_under_load() {
     }
 }
 
+/// A tenant's onboarding — database, table, SLA — costs the 2 000th tenant
+/// what it cost the first: nothing on that path may count every tenant
+/// already hosted. Medians, so one stall of the host cannot fail it.
+#[test]
+fn onboarding_cost_does_not_grow_with_tenants() {
+    use std::time::Instant;
+    use tenantdb::sla::Sla;
+
+    const TENANTS: usize = 2000;
+    const SAMPLE: usize = 200;
+    let cluster = ClusterController::with_machines(ClusterConfig::for_tests(), 4);
+    let sla = Sla::new(10_000.0, 0.9, Duration::from_secs(60));
+    let costs: Vec<Duration> = (0..TENANTS)
+        .map(|i| {
+            let name = format!("tenant{i}");
+            let start = Instant::now();
+            cluster.create_database(&name, 2).unwrap();
+            cluster
+                .ddl(
+                    &name,
+                    "CREATE TABLE t (k INT NOT NULL, v TEXT, PRIMARY KEY (k))",
+                )
+                .unwrap();
+            cluster.set_sla(&name, sla).unwrap();
+            start.elapsed()
+        })
+        .collect();
+    let median = |sample: &[Duration]| {
+        let mut sorted = sample.to_vec();
+        sorted.sort();
+        sorted[sorted.len() / 2]
+    };
+    let first = median(&costs[..SAMPLE]);
+    let last = median(&costs[TENANTS - SAMPLE..]);
+    assert!(
+        last <= first * 2,
+        "onboarding grew with the tenant count: median {first:?} for the first \
+         {SAMPLE} tenants, {last:?} for the last {SAMPLE}"
+    );
+}
+
 #[test]
 fn colo_disaster_recovery_end_to_end() {
     let platform = two_colo_platform();
