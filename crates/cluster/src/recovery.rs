@@ -113,8 +113,7 @@ pub fn create_replica(
     let result = (|| -> Result<()> {
         match granularity {
             CopyGranularity::TableLevel => {
-                let tables = source.engine.db(db)?.table_names();
-                for table in tables {
+                for table in copy::table_order(&source.engine, db)? {
                     controller.set_copy_current(db, Some(&table));
                     // Grace period: wait out every write statement routed
                     // with the pre-`set_copy_current` copy state. A drained

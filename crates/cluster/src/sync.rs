@@ -46,6 +46,10 @@ pub static CONN_REPLY: LockClass = LockClass::new("cluster.connection.reply", 30
 /// per-machine state (engine catalogs rank deeper).
 pub static CTRL_MACHINES: LockClass = LockClass::new("cluster.controller.machines", 100);
 
+/// `RouteBarrier::quiescer` — one grace period at a time. Taken by a
+/// replica copy holding no other lock, and nothing is taken under it.
+pub static ROUTE_QUIESCE: LockClass = LockClass::new("cluster.controller.route_quiesce", 105);
+
 /// `ControllerGroup::inner` — the replicated controller metadata group
 /// (placement map, Algorithm-1 copy table, 2PC decision log, SLA table;
 /// see `meta.rs`). Held across the synchronous consensus pump, whose only
@@ -131,21 +135,27 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// The implementation is a two-slot epoch counter: readers increment the
 /// slot selected by the current generation's parity; `quiesce` flips the
-/// generation and waits only for readers parked in the *previous* slot, so
-/// readers arriving after the flip never extend the wait.
+/// generation and waits for the readers parked in the slot it flipped away
+/// from, so readers arriving after the flip never extend the wait.
 ///
-/// Why waiting out the previous slot suffices: the copy tightens its
-/// replicated state *before* calling `quiesce`, and routing reads that
-/// state under the controller group's mutex. A reader that routed with the
-/// pre-tightening state therefore incremented its slot before the flip —
-/// `quiesce` observes it and waits. A reader that increments after the
-/// flip can only have routed with the post-tightening state, which is the
-/// state the copy wants statements to see; there is nothing to wait for.
+/// What `quiesce` must wait for: the copy tightens its replicated state
+/// *before* calling it, and routing reads that state under the controller
+/// group's mutex, after entering. A reader that routed with the
+/// pre-tightening state therefore holds a count in one of the two slots
+/// from before `quiesce` began until its guard drops. Which slot is not
+/// known — a reader can load the generation just before a flip and
+/// increment after the flipper found that slot empty — so `quiesce` flips
+/// twice and waits each slot out once, each while new readers enter the
+/// other; and one `quiesce` runs at a time, because concurrent copies'
+/// flips interleaved would make the slot one of them waits on the current
+/// one again, or skip a slot altogether.
 pub struct RouteBarrier {
     /// Generation counter; parity selects the active reader slot.
     gen: AtomicU64,
     /// In-flight reader counts, one per generation parity.
     slots: [AtomicU64; 2],
+    /// Held across a whole `quiesce`.
+    quiescer: Mutex<()>,
 }
 
 impl RouteBarrier {
@@ -154,6 +164,7 @@ impl RouteBarrier {
         RouteBarrier {
             gen: AtomicU64::new(0),
             slots: [AtomicU64::new(0), AtomicU64::new(0)],
+            quiescer: Mutex::new(&ROUTE_QUIESCE, ()),
         }
     }
 
@@ -167,19 +178,23 @@ impl RouteBarrier {
         }
     }
 
-    /// Flip the generation and wait for every reader that entered under
-    /// the previous one to drop its guard. New readers are never blocked.
+    /// Wait for every reader that entered before this call to drop its
+    /// guard. New readers are never blocked.
     pub fn quiesce(&self) {
-        let prev = (self.gen.fetch_add(1, Ordering::SeqCst) & 1) as usize;
-        let mut spins = 0u32;
-        while self.slots[prev].load(Ordering::SeqCst) != 0 {
-            // Readers can legitimately hold the guard across engine lock
-            // waits (hundreds of ms); back off from yielding to sleeping.
-            spins += 1;
-            if spins < 128 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(std::time::Duration::from_micros(100));
+        let _one_at_a_time = self.quiescer.lock();
+        for _ in 0..2 {
+            let prev = (self.gen.fetch_add(1, Ordering::SeqCst) & 1) as usize;
+            let mut spins = 0u32;
+            while self.slots[prev].load(Ordering::SeqCst) != 0 {
+                // Readers can legitimately hold the guard across engine
+                // lock waits (hundreds of ms); back off from yielding to
+                // sleeping.
+                spins += 1;
+                if spins < 128 {
+                    std::thread::yield_now();
+                } else {
+                    std::thread::sleep(std::time::Duration::from_micros(100));
+                }
             }
         }
     }
@@ -199,5 +214,42 @@ pub struct RouteGuard<'a> {
 impl Drop for RouteGuard<'_> {
     fn drop(&mut self) {
         self.slot.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// Two copies quiesce at once (recovery runs one per lost database):
+    /// the second must still wait for a reader that entered before it,
+    /// although the first's flip moved the generation on.
+    #[test]
+    fn a_quiesce_waits_out_earlier_readers_while_another_drains() {
+        let barrier = RouteBarrier::new();
+        let reader = barrier.enter();
+        std::thread::scope(|s| {
+            let b = &barrier;
+            let first = s.spawn(move || b.quiesce());
+            while b.gen.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            let (done_tx, done) = mpsc::channel();
+            let second = s.spawn(move || {
+                b.quiesce();
+                done_tx.send(()).expect("the test waits for this");
+            });
+            assert!(
+                done.recv_timeout(Duration::from_millis(200)).is_err(),
+                "a quiesce returned while a reader that entered before it was in flight"
+            );
+            drop(reader);
+            done.recv()
+                .expect("the second quiesce returns once the reader left");
+            first.join().expect("first quiesce");
+            second.join().expect("second quiesce");
+        });
     }
 }

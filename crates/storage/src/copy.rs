@@ -17,12 +17,14 @@
 //! overlaps live traffic instead of finishing instantly at our scaled-down
 //! database sizes.
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::engine::Engine;
 use crate::error::Result;
 use crate::schema::TableSchema;
+use crate::txn::TxnId;
 use crate::value::Value;
 use crate::wal::RedoOp;
 
@@ -115,6 +117,49 @@ pub fn dump_database(engine: &Engine, db: &str, throttle: Throttle) -> Result<Da
             tables,
         })
     })
+}
+
+/// The order a table-level copy takes `db`'s tables in: the largest first,
+/// then each time the largest remaining table that no transaction in the
+/// source's retained log wrote together with the table just copied (the
+/// largest remaining one if every one was); ties go by name.
+///
+/// Algorithm 1 rejects writes to the table being copied, so tables one
+/// transaction writes together, copied back to back, refuse it for the sum
+/// of their copies; kept apart, for the longest one.
+pub fn table_order(engine: &Engine, db: &str) -> Result<Vec<String>> {
+    let mut left = Vec::new();
+    for name in engine.db(db)?.table_names() {
+        left.push((engine.table(db, &name)?.row_count(), name));
+    }
+    left.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+
+    let mut written: HashMap<TxnId, Vec<Arc<str>>> = HashMap::new();
+    for (txn, table) in engine.wal().row_writes(db) {
+        let tables = written.entry(txn).or_default();
+        if !tables.contains(&table) {
+            tables.push(table);
+        }
+    }
+    let mut together: HashMap<Arc<str>, HashSet<Arc<str>>> = HashMap::new();
+    for tables in written.values() {
+        for table in tables {
+            let with = together.entry(Arc::clone(table)).or_default();
+            with.extend(tables.iter().cloned());
+        }
+    }
+
+    let mut order: Vec<String> = Vec::with_capacity(left.len());
+    while !left.is_empty() {
+        let apart = |last: &String| {
+            let with = together.get(last.as_str());
+            left.iter()
+                .position(|(_, t)| !with.is_some_and(|w| w.contains(t.as_str())))
+        };
+        let next = order.last().and_then(apart).unwrap_or(0);
+        order.push(left.remove(next).1);
+    }
+    Ok(order)
 }
 
 /// Restore one table dump into a target engine, creating the database and
@@ -225,6 +270,36 @@ mod tests {
         for t in ["a", "b"] {
             assert_eq!(scan_all(&dst, t), scan_all(&src, t), "table {t}");
         }
+    }
+
+    /// Largest first, but never right after a table some transaction wrote
+    /// together with it: `a`, then `c` (one transaction wrote `a` and `b`),
+    /// then `b`. Name order would copy `b` right after `a`.
+    #[test]
+    fn table_order_keeps_tables_written_together_apart() {
+        let e = Engine::new(EngineConfig::for_tests());
+        e.create_database("app").unwrap();
+        let row = |k: i64| vec![Value::Int(k), Value::Null];
+        for (t, rows) in [("a", 3), ("b", 2), ("c", 1)] {
+            let schema = TableSchema::new(
+                t,
+                vec![
+                    ColumnDef::new("k", DataType::Int).not_null(),
+                    ColumnDef::new("v", DataType::Text),
+                ],
+            )
+            .with_primary_key(&["k"]);
+            e.create_table("app", schema).unwrap();
+            for k in 0..rows {
+                e.with_txn(|txn| e.insert(txn, "app", t, row(k))).unwrap();
+            }
+        }
+        e.with_txn(|txn| {
+            e.insert(txn, "app", "a", row(100))?;
+            e.insert(txn, "app", "b", row(100))
+        })
+        .unwrap();
+        assert_eq!(table_order(&e, "app").unwrap(), ["a", "c", "b"]);
     }
 
     #[test]

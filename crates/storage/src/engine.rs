@@ -29,7 +29,7 @@ use crate::schema::TableSchema;
 use crate::table::{Direction, Table};
 use crate::txn::{Finished, TxnId, TxnManager, UndoRecord};
 use crate::value::Value;
-use crate::wal::{RedoOp, Wal, WalEntry};
+use crate::wal::{RedoOp, RowWrite, Wal, WalEntry};
 
 /// Page-number offset separating index pages from data pages within a
 /// table's page namespace.
@@ -548,27 +548,32 @@ impl Engine {
             self.buffer.access(Self::index_page(t, hash));
         }
         self.buffer.access(Self::data_page(t.id, row_id));
-        t.insert_with_id(row_id, row.clone())?;
+        t.insert_with_id(row_id, row)?;
         let (db, table) = h.names();
-        self.txns.push_undo(
-            txn,
-            UndoRecord::Insert {
-                db: Arc::clone(&db),
-                table: Arc::clone(&table),
-                row_id,
-            },
-        )?;
-        self.wal.append(
-            txn,
-            WalEntry::Redo(RedoOp::Insert {
-                db,
-                table,
-                row_id,
-                row,
-            }),
-        );
+        self.txns
+            .push_undo(txn, UndoRecord::Insert { db, table, row_id })?;
+        self.log_image(txn, h, row_id, |row| RowWrite::Insert(row));
         h.note_write();
         Ok(row_id)
+    }
+
+    /// Log the image the table now holds for `row_id`, which `txn` just
+    /// wrote and still holds the X lock of. The table takes a row before
+    /// the log sees it, so a row the table refused (a unique violation)
+    /// never reaches the log, and the log encodes from the table's copy.
+    fn log_image(
+        &self,
+        txn: TxnId,
+        h: &TableHandle,
+        row_id: u64,
+        write: fn(&[Value]) -> RowWrite<'_>,
+    ) {
+        h.table
+            .with_row(row_id, |row| {
+                self.wal
+                    .append_row(txn, &h.db.name, &h.table.name, row_id, write(row))
+            })
+            .expect("the row was written above and its X lock is still held");
     }
 
     /// Point read by row id. Returns `None` if the row does not exist (e.g.
@@ -831,26 +836,18 @@ impl Engine {
             self.buffer.access(Self::index_page(t, new_hash));
         }
         self.buffer.access(Self::data_page(t.id, row_id));
-        t.update(row_id, new_row.clone())?;
+        t.update(row_id, new_row)?;
         let (db, table) = h.names();
         self.txns.push_undo(
             txn,
             UndoRecord::Update {
-                db: Arc::clone(&db),
-                table: Arc::clone(&table),
+                db,
+                table,
                 row_id,
                 old,
             },
         )?;
-        self.wal.append(
-            txn,
-            WalEntry::Redo(RedoOp::Update {
-                db,
-                table,
-                row_id,
-                row: new_row,
-            }),
-        );
+        self.log_image(txn, h, row_id, |row| RowWrite::Update(row));
         h.note_write();
         Ok(())
     }
@@ -879,14 +876,14 @@ impl Engine {
         self.txns.push_undo(
             txn,
             UndoRecord::Delete {
-                db: Arc::clone(&db),
-                table: Arc::clone(&table),
+                db,
+                table,
                 row_id,
                 old,
             },
         )?;
         self.wal
-            .append(txn, WalEntry::Redo(RedoOp::Delete { db, table, row_id }));
+            .append_row(txn, &h.db.name, &h.table.name, row_id, RowWrite::Delete);
         h.note_write();
         Ok(())
     }
@@ -1020,7 +1017,7 @@ impl Engine {
     /// run here under the catalog's write lock (a standby serves no reads).
     pub fn apply_replicated_redo(&self, op: &RedoOp) -> Result<()> {
         self.check_up()?;
-        self.wal.append(Wal::DDL_TXN, WalEntry::Redo(op.clone()));
+        self.wal.append_redo(Wal::DDL_TXN, op);
         self.apply_redo(&mut self.databases.write(), op);
         Ok(())
     }
@@ -1420,6 +1417,31 @@ mod tests {
         e.commit(t).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].1, kv(1, "v2"));
+    }
+
+    /// The log encodes a row from the table's copy, so a row the table
+    /// refused never reaches it.
+    #[test]
+    fn refused_rows_are_not_logged() {
+        let e = setup();
+        let rid = e
+            .with_txn(|t| {
+                e.insert(t, "app", "kv", kv(2, "two"))?;
+                e.insert(t, "app", "kv", kv(1, "one"))
+            })
+            .unwrap();
+        let before = e.wal().len();
+        let t = e.begin().unwrap();
+        let refused = |r: Result<()>| matches!(r, Err(StorageError::UniqueViolation { .. }));
+        assert!(refused(e.insert(t, "app", "kv", kv(2, "dup")).map(drop)));
+        assert!(refused(e.update(t, "app", "kv", rid, kv(2, "dup"))));
+        assert_eq!(e.wal().len(), before);
+        e.abort(t).unwrap();
+        e.crash();
+        e.restart();
+        let t = e.begin().unwrap();
+        assert_eq!(e.scan(t, "app", "kv").unwrap().len(), 2);
+        e.commit(t).unwrap();
     }
 
     /// A transaction that wrote nothing and never prepared leaves nothing

@@ -54,7 +54,8 @@ pub mod wal;
 
 pub use buffer::{BufferPool, BufferStats, CostModel, PageKey, ROWS_PER_PAGE};
 pub use copy::{
-    dump_database, dump_table, restore_database, restore_table, DatabaseDump, TableDump, Throttle,
+    dump_database, dump_table, restore_database, restore_table, table_order, DatabaseDump,
+    TableDump, Throttle,
 };
 pub use engine::{Database, DbProfile, Engine, EngineConfig, EngineStats, TableHandle};
 pub use error::{Result, StorageError};

@@ -8,8 +8,10 @@
 //! back up into cluster code that takes locks.
 //!
 //! The only in-crate nesting runs down the catalog (`ENGINE_CATALOG →
-//! ENGINE_TABLES → TABLE_DATA`, in redo apply and DDL); every other storage
-//! lock is held only for a short, self-contained critical section.
+//! ENGINE_TABLES → TABLE_DATA`, in redo apply and DDL) and from a table to
+//! the log (`TABLE_DATA → WAL_RECORDS`: a written row is logged from the
+//! table's own copy); every other storage lock is held only for a short,
+//! self-contained critical section.
 
 pub use tenantdb_lockdep::{
     OrderedCondvar as Condvar, OrderedMutex as Mutex, OrderedMutexGuard as MutexGuard,

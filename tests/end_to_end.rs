@@ -1,6 +1,7 @@
 //! Cross-crate integration: the whole stack from the platform API down to
 //! the storage engines, exercised together.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -231,25 +232,69 @@ fn machine_failure_is_masked_and_recovered_under_load() {
     for w in &workloads {
         let replicas = cluster.alive_replicas(&w.db).unwrap();
         assert_eq!(replicas.len(), 2, "{}", w.db);
-        let mut sums = Vec::new();
-        let mut per = Vec::new();
-        for id in replicas {
-            let m = cluster.machine(id).unwrap();
-            let t = m.engine.begin().unwrap();
-            let counts: Vec<(String, usize)> = tpcw::schema::TABLES
-                .iter()
-                .map(|tbl| (tbl.to_string(), m.engine.scan(t, &w.db, tbl).unwrap().len()))
-                .collect();
-            m.engine.commit(t).unwrap();
-            sums.push(counts.iter().map(|(_, n)| n).sum::<usize>());
-            per.push(counts);
-        }
+        let keys: Vec<TableKeys> = replicas
+            .iter()
+            .map(|&id| primary_keys(&cluster.machine(id).unwrap().engine, &w.db))
+            .collect();
+        let sums: Vec<usize> = keys
+            .iter()
+            .map(|tables| tables.iter().map(|(_, k)| k.len()).sum())
+            .collect();
         assert_eq!(
-            sums[0], sums[1],
-            "replica row counts diverged for {}: {:?} vs {:?}",
-            w.db, per[0], per[1]
+            sums[0],
+            sums[1],
+            "{}",
+            divergence(&w.db, &replicas, &keys, &report)
         );
     }
+}
+
+/// Each TPC-W table's primary keys on one replica.
+type TableKeys = Vec<(&'static str, BTreeSet<Vec<Value>>)>;
+
+fn primary_keys(engine: &tenantdb::storage::Engine, db: &str) -> TableKeys {
+    let t = engine.begin().unwrap();
+    let keys = tpcw::schema::TABLES
+        .iter()
+        .map(|&tbl| {
+            let schema = engine.table(db, tbl).unwrap().schema.clone();
+            let (_, pk) = schema.primary_key().expect("every TPC-W table has one");
+            let rows = engine.scan(t, db, tbl).unwrap();
+            let keys = rows.iter().map(|(_, row)| schema.index_key(pk, row));
+            (tbl, keys.collect())
+        })
+        .collect();
+    engine.commit(t).unwrap();
+    keys
+}
+
+/// Which replica is which, where the recovery copied `db` to, and, for
+/// every table that differs, the primary keys only one side holds.
+fn divergence(
+    db: &str,
+    replicas: &[tenantdb::cluster::MachineId],
+    keys: &[TableKeys],
+    report: &tenantdb::cluster::RecoveryReport,
+) -> String {
+    let (a, b) = (replicas[0], replicas[1]);
+    let copied_to = match report.recovered.iter().find(|(d, ..)| d == db) {
+        Some((_, target, _)) => format!("copied to {target}"),
+        None => "not copied".to_string(),
+    };
+    let mut out = format!("replica row counts diverged for {db} on {a} and {b} ({copied_to}):");
+    for ((table, ka), (_, kb)) in keys[0].iter().zip(&keys[1]) {
+        if ka != kb {
+            let only = |x: &BTreeSet<Vec<Value>>, y| x.difference(y).cloned().collect::<Vec<_>>();
+            out += &format!(
+                "\n  {table}: {} vs {} rows; only on {a}: {:?}; only on {b}: {:?}",
+                ka.len(),
+                kb.len(),
+                only(ka, kb),
+                only(kb, ka)
+            );
+        }
+    }
+    out
 }
 
 /// A tenant's onboarding — database, table, SLA — costs the 2 000th tenant
