@@ -27,11 +27,12 @@ use crate::connection::Connection;
 use crate::error::{ClusterError, Result};
 use crate::fault::{CrashPoint, FaultAction, FaultInjector};
 use crate::machine::{Machine, MachineId};
-use crate::meta::{AbortArbitration, ControllerGroup, CtrlStatus, DecisionLog};
+use crate::meta::{AbortArbitration, ControllerGroup, CtrlStatus, DecisionLog, MachineTally};
 use crate::metrics::{ClusterMetrics, DbCounters, PoolMetrics};
 use crate::plans::PlanCache;
 use crate::pool::PoolConfig;
 use tenantdb_obs::fields;
+use tenantdb_sla::ResourceVector;
 
 /// The three read-routing options of §3.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,6 +76,9 @@ pub struct ClusterConfig {
     /// metadata write commits instantly; with 2f+1 the metadata survives f
     /// controller crashes via leader election (DESIGN.md §12).
     pub controllers: usize,
+    /// Every machine's capacity: placement fits each replica's demand into
+    /// it (Algorithm 2).
+    pub machine_capacity: ResourceVector,
 }
 
 impl Default for ClusterConfig {
@@ -86,6 +90,7 @@ impl Default for ClusterConfig {
             pool: PoolConfig::default(),
             seed: 42,
             controllers: 1,
+            machine_capacity: ResourceVector::new(1000.0, 100_000.0, 1000.0, 100_000.0),
         }
     }
 }
@@ -119,6 +124,9 @@ pub struct Placement {
     pub replicas: Vec<MachineId>,
     /// The replica that Option 1 pins all reads to.
     pub pinned: MachineId,
+    /// What each replica demands of its machine (`ResourceVector::ZERO`
+    /// when none was declared).
+    pub demand: ResourceVector,
 }
 
 /// Algorithm 1 state for a database whose new replica is being created.
@@ -198,7 +206,12 @@ impl ClusterController {
         Arc::new(ClusterController {
             machines: RwLock::new(&CTRL_MACHINES, BTreeMap::new()),
             next_machine: AtomicU32::new(0),
-            group: ControllerGroup::new(cfg.controllers, cfg.seed, Arc::clone(&faults)),
+            group: ControllerGroup::new(
+                cfg.controllers,
+                cfg.seed,
+                cfg.machine_capacity,
+                Arc::clone(&faults),
+            ),
             route_barrier: RouteBarrier::new(),
             next_gtxn: AtomicU64::new(1),
             recorder: RwLock::new(&CTRL_RECORDER, None),
@@ -273,6 +286,22 @@ impl ClusterController {
     /// Every machine in the cluster, ascending by id.
     pub fn machines(&self) -> Vec<Arc<Machine>> {
         self.machines.read().values().cloned().collect()
+    }
+
+    /// The ids of the machines that are up, ascending.
+    fn alive_machine_ids(&self) -> Vec<MachineId> {
+        self.machines
+            .read()
+            .values()
+            .filter(|m| !m.is_failed())
+            .map(|m| m.id)
+            .collect()
+    }
+
+    /// What the placements and copies in flight put on `machine`, read
+    /// from the replicated metadata.
+    pub fn tally(&self, machine: MachineId) -> MachineTally {
+        self.group.tally(machine)
     }
 
     /// Resolve the `(source, target)` machine pair for a replica copy of
@@ -364,37 +393,41 @@ impl ClusterController {
 
     // ----------------------------------------------------------- databases
 
-    /// Create a database with `replicas` synchronous replicas, choosing the
-    /// machines hosting the fewest databases (the observation-period
-    /// placement of §4.2 refines this via `tenantdb-sla`).
+    /// Create a database with `replicas` synchronous replicas and no
+    /// declared demand (see [`Self::create_database_with_demand`]).
     pub fn create_database(&self, name: &str, replicas: usize) -> Result<Vec<MachineId>> {
-        // Snapshot the candidate `Arc`s and release the machine map before
-        // ranking them: `hosted_databases()` takes each engine's catalog
-        // lock, and those per-machine calls must not widen the controller
-        // critical section (the hierarchy permits machines → engine, but
-        // holding the map across N engines serializes unrelated controller
-        // work behind storage).
-        let mut candidates: Vec<Arc<Machine>> = {
-            let machines = self.machines.read();
-            machines
-                .values()
-                .filter(|m| !m.is_failed())
-                .cloned()
-                .collect()
-        };
-        if candidates.len() < replicas {
-            return Err(ClusterError::NoMachines);
-        }
-        // Cached: each machine's count is read once, not at every comparison.
-        candidates.sort_by_cached_key(|m| (m.hosted_databases(), m.id));
-        let chosen: Vec<MachineId> = candidates[..replicas].iter().map(|m| m.id).collect();
-        self.create_database_on(name, &chosen)?;
+        self.create_database_with_demand(name, replicas, ResourceVector::ZERO)
+    }
+
+    /// Create a database with `replicas` synchronous replicas, each
+    /// demanding `demand`, on the machines `ControllerGroup::choose`
+    /// picks: those with room for `demand`, fewest hosted databases first.
+    /// `NoMachines` when fewer than `replicas` machines have room.
+    pub fn create_database_with_demand(
+        &self,
+        name: &str,
+        replicas: usize,
+        demand: ResourceVector,
+    ) -> Result<Vec<MachineId>> {
+        let chosen = self
+            .group
+            .choose(name, replicas, demand, &self.alive_machine_ids())?;
+        self.create_on(name, &chosen, demand)?;
         Ok(chosen)
     }
 
     /// Create a database on an explicit machine set (experiments control
     /// placement directly).
     pub fn create_database_on(&self, name: &str, machine_ids: &[MachineId]) -> Result<()> {
+        self.create_on(name, machine_ids, ResourceVector::ZERO)
+    }
+
+    fn create_on(
+        &self,
+        name: &str,
+        machine_ids: &[MachineId],
+        demand: ResourceVector,
+    ) -> Result<()> {
         // Geo fence: creating a database is a write.
         self.check_geo_fence()?;
         if self.group.placement(name).is_some() {
@@ -409,7 +442,18 @@ impl ClusterController {
         // The group picks the pinned replica (fewest pins) from its applied
         // state inside the proposal, so Option-1 read traffic spreads evenly
         // even when placements race.
-        self.group.create_db(name, machine_ids)
+        let created = self.group.create_db(name, machine_ids, demand);
+        if created.result.is_err() && !created.proposed {
+            // The placement can never commit: take back the engine
+            // databases made for it, or the next create of `name` on these
+            // machines would collide with them.
+            for &id in machine_ids {
+                if let Ok(m) = self.machine(id) {
+                    let _ = m.engine.drop_database(name);
+                }
+            }
+        }
+        created.result
     }
 
     /// Drop a database: remove it from every replica and the placement map.
@@ -437,6 +481,11 @@ impl ClusterController {
     /// Every database name hosted by the cluster, sorted.
     pub fn database_names(&self) -> Vec<String> {
         self.group.database_names()
+    }
+
+    /// How many databases the cluster hosts.
+    pub fn database_count(&self) -> usize {
+        self.group.database_count()
     }
 
     /// Replicas whose machines are currently up.
@@ -604,9 +653,18 @@ impl ClusterController {
 
     // ------------------------------------------------- Algorithm 1 state
 
-    /// Begin tracking a replica copy for `db` onto `target`.
-    pub fn begin_copy(&self, db: &str, target: MachineId, db_level: bool) {
-        self.group.begin_copy(db, target, db_level);
+    /// Begin tracking a replica copy for `db` onto `target`, or, with none
+    /// given, onto the machine `ControllerGroup::choose` picks inside the
+    /// `BeginCopy` proposal. Returns the copy's target.
+    pub fn begin_copy(
+        &self,
+        db: &str,
+        target: Option<MachineId>,
+        db_level: bool,
+    ) -> Result<MachineId> {
+        let target = self
+            .group
+            .begin_copy(db, target, &self.alive_machine_ids(), db_level)?;
         self.metrics.copies_in_flight.inc();
         self.metrics.events().emit(
             "copy_begin",
@@ -616,6 +674,7 @@ impl ClusterController {
                 ("granularity", if db_level { "database" } else { "table" }),
             ],
         );
+        Ok(target)
     }
 
     /// Mark the table currently being copied (t′).
@@ -1042,7 +1101,7 @@ mod tests {
             (c, table)
         };
         let hosted = |c: &ClusterController| -> Vec<usize> {
-            c.machines().iter().map(|m| m.hosted_databases()).collect()
+            c.machine_ids().iter().map(|&m| c.tally(m).hosted).collect()
         };
 
         let (c, table) = place(6, 8);
@@ -1180,7 +1239,7 @@ mod tests {
             .engine
             .create_database("app")
             .unwrap();
-        c.begin_copy("app", target, false);
+        c.begin_copy("app", Some(target), false).unwrap();
         c.set_copy_current("app", Some("t1"));
         let p = c.copy_progress("app").unwrap();
         assert_eq!(p.current.as_deref(), Some("t1"));

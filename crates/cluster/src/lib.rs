@@ -52,7 +52,6 @@ pub mod meta;
 pub mod metrics;
 mod plans;
 pub mod pool;
-pub mod rebalance;
 pub mod recovery;
 pub mod sync;
 pub mod testkit;
@@ -67,10 +66,9 @@ pub use controller::{
 pub use error::{ClusterError, Result};
 pub use fault::{CrashPoint, FaultAction, FaultInjector, FaultPlan, Trigger};
 pub use machine::{Machine, MachineId};
-pub use meta::{ControllerGroup, CtrlStatus};
+pub use meta::{ControllerGroup, CtrlStatus, MachineTally};
 pub use metrics::{ClusterMetrics, DbCounters, PoolMetrics};
 pub use pool::{PoolConfig, WorkerPool};
-pub use rebalance::{execute_rebalance, observed_demands, plan_rebalance, Move, RebalancePlan};
 pub use recovery::{
     create_replica, migrate_replica, recover_machine, CopyGranularity, RecoveryConfig,
     RecoveryReport,

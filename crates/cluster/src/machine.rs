@@ -113,11 +113,6 @@ impl Machine {
     pub fn is_failed(&self) -> bool {
         self.engine.is_failed()
     }
-
-    /// Number of databases hosted (used by the simple placement heuristic).
-    pub fn hosted_databases(&self) -> usize {
-        self.engine.database_count()
-    }
 }
 
 impl fmt::Debug for Machine {
@@ -141,7 +136,7 @@ mod tests {
         assert_eq!(m.id.to_string(), "m3");
         assert!(!m.is_failed());
         m.engine.create_database("a").unwrap();
-        assert_eq!(m.hosted_databases(), 1);
+        assert!(m.engine.has_database("a"));
         m.engine.crash();
         assert!(m.is_failed());
     }

@@ -31,7 +31,6 @@
 //! layer: apply() runs once per replica, and N-fold side effects would be
 //! a correctness bug.
 
-use std::collections::btree_map::Entry;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -39,7 +38,7 @@ use std::sync::Arc;
 
 use tenantdb_consensus::{Config, Index, Message, NodeId, RaftNode, StateMachine, Term};
 use tenantdb_history::GTxn;
-use tenantdb_sla::Sla;
+use tenantdb_sla::{ResourceVector, Sla};
 use tenantdb_storage::TxnId;
 
 use crate::controller::{CopyProgress, Placement};
@@ -60,6 +59,7 @@ enum MetaCommand {
         name: String,
         replicas: Vec<MachineId>,
         pinned: MachineId,
+        demand: ResourceVector,
     },
     /// Remove a database's placement, copy state and SLA.
     DropDb { name: String },
@@ -124,12 +124,13 @@ enum MetaCommand {
 /// The replicated controller metadata. All mutation happens in `apply`.
 #[derive(Debug, Clone, Default)]
 struct MetaState {
-    /// Database → replica set (the paper's partition map).
+    /// Database → replica set and demand (the paper's partition map).
     placements: BTreeMap<String, Placement>,
-    /// Machine → how many placements pin reads to it. Derived from
-    /// `placements` and kept by `apply`, so `create_db` picks a pin without
-    /// counting every placement; machines with no pins are absent.
-    pins: BTreeMap<MachineId, usize>,
+    /// Machine → what the placements and copies in flight put on it.
+    /// Derived from `placements` + `copies` and kept by `apply`, so
+    /// `choose` and `create_db` read a machine's load without counting
+    /// every placement; machines that host and pin nothing are absent.
+    tally: BTreeMap<MachineId, MachineTally>,
     /// (failed machine, database) pairs whose replica a connection already
     /// dropped while masking the failure. `databases_on` no longer lists
     /// them, so without this ledger recovery would leave them one replica
@@ -156,30 +157,124 @@ struct MetaState {
     applied_reqs: BTreeSet<u64>,
 }
 
-/// Count one more placement pinned to `machine`.
-fn pin(pins: &mut BTreeMap<MachineId, usize>, machine: MachineId) {
-    *pins.entry(machine).or_insert(0) += 1;
+/// What the placements and copies in flight put on one machine: the load
+/// `ControllerGroup::choose` ranks and fits machines by.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct MachineTally {
+    /// Databases with a replica here or a copy on its way here.
+    pub hosted: usize,
+    /// Placements that pin reads here.
+    pub pinned: usize,
+    /// The summed demand of the `hosted` databases.
+    pub load: ResourceVector,
 }
 
-/// Count one placement fewer pinned to `machine`, forgetting it at zero.
-fn unpin(pins: &mut BTreeMap<MachineId, usize>, machine: MachineId) {
-    if let Entry::Occupied(mut e) = pins.entry(machine) {
-        *e.get_mut() -= 1;
-        if *e.get() == 0 {
-            e.remove();
+/// What one database puts on machines: its replicas plus the target of a
+/// copy in flight (each machine once), its pin, and its demand.
+struct Footprint {
+    machines: Vec<MachineId>,
+    pinned: Option<MachineId>,
+    demand: ResourceVector,
+}
+
+impl MetaCommand {
+    /// The one database whose footprint this command can change.
+    fn database(&self) -> Option<&str> {
+        match self {
+            MetaCommand::CreateDb { name: db, .. }
+            | MetaCommand::DropDb { name: db }
+            | MetaCommand::AddReplica { db, .. }
+            | MetaCommand::RemoveReplica { db, .. }
+            | MetaCommand::BeginCopy { db, .. }
+            | MetaCommand::FinishCopy { db }
+            | MetaCommand::AbandonCopy { db } => Some(db),
+            _ => None,
         }
     }
 }
 
-/// Drop `machine` from a replica set, repinning reads if it was the pin.
-fn strip_replica(p: &mut Placement, machine: MachineId, pins: &mut BTreeMap<MachineId, usize>) {
-    p.replicas.retain(|&m| m != machine);
-    if p.pinned == machine {
-        if let Some(&first) = p.replicas.first() {
-            unpin(pins, machine);
-            pin(pins, first);
-            p.pinned = first;
+impl MetaState {
+    fn footprint(&self, db: &str) -> Footprint {
+        let p = self.placements.get(db);
+        let mut machines = p.map_or_else(Vec::new, |p| p.replicas.clone());
+        if let Some(c) = self.copies.get(db) {
+            if !machines.contains(&c.target) {
+                machines.push(c.target);
+            }
         }
+        Footprint {
+            machines,
+            pinned: p.map(|p| p.pinned),
+            demand: p.map_or(ResourceVector::ZERO, |p| p.demand),
+        }
+    }
+
+    /// Move `db`'s share of the tally from its footprint `before` to the
+    /// one it has now. Machines on both sides keep their share untouched.
+    fn retally(&mut self, db: &str, before: Footprint) {
+        let after = self.footprint(db);
+        let same_demand = before.demand == after.demand;
+        for &m in &before.machines {
+            if !(same_demand && after.machines.contains(&m)) {
+                self.tally_at(m, |t| {
+                    t.hosted -= 1;
+                    t.load = t.load - before.demand;
+                });
+            }
+        }
+        for &m in &after.machines {
+            if !(same_demand && before.machines.contains(&m)) {
+                self.tally_at(m, |t| {
+                    t.hosted += 1;
+                    t.load += after.demand;
+                });
+            }
+        }
+        if before.pinned != after.pinned {
+            if let Some(m) = before.pinned {
+                self.tally_at(m, |t| t.pinned -= 1);
+            }
+            if let Some(m) = after.pinned {
+                self.tally_at(m, |t| t.pinned += 1);
+            }
+        }
+    }
+
+    /// Update one machine's tally, forgetting it once it hosts and pins
+    /// nothing (which also drops the rounding its load picked up).
+    fn tally_at(&mut self, m: MachineId, f: impl FnOnce(&mut MachineTally)) {
+        let t = self.tally.entry(m).or_default();
+        f(t);
+        if t.hosted == 0 && t.pinned == 0 {
+            self.tally.remove(&m);
+        }
+    }
+
+    /// See [`ControllerGroup::choose`].
+    fn choose(
+        &self,
+        db: &str,
+        n: usize,
+        demand: ResourceVector,
+        alive: &[MachineId],
+        capacity: ResourceVector,
+    ) -> Result<Vec<MachineId>> {
+        let taken = self.footprint(db).machines;
+        let mut fit: Vec<(usize, MachineId)> = alive
+            .iter()
+            .filter(|m| !taken.contains(m))
+            .filter_map(|&m| {
+                let t = self.tally.get(&m).copied().unwrap_or_default();
+                (t.load + demand)
+                    .fits_in(&capacity)
+                    .then_some((t.hosted, m))
+            })
+            .collect();
+        if fit.len() < n {
+            return Err(ClusterError::NoMachines);
+        }
+        fit.sort_unstable();
+        Ok(fit[..n].iter().map(|&(_, m)| m).collect())
     }
 }
 
@@ -188,29 +283,26 @@ impl StateMachine for MetaState {
     type Snapshot = MetaState;
 
     fn apply(&mut self, _index: u64, cmd: &MetaCommand) {
+        let touched = cmd.database().map(|db| (db, self.footprint(db)));
         match cmd {
             MetaCommand::Noop => {}
             MetaCommand::CreateDb {
                 name,
                 replicas,
                 pinned,
+                demand,
             } => {
-                let old = self.placements.insert(
+                self.placements.insert(
                     name.clone(),
                     Placement {
                         replicas: replicas.clone(),
                         pinned: *pinned,
+                        demand: *demand,
                     },
                 );
-                if let Some(old) = old {
-                    unpin(&mut self.pins, old.pinned);
-                }
-                pin(&mut self.pins, *pinned);
             }
             MetaCommand::DropDb { name } => {
-                if let Some(p) = self.placements.remove(name) {
-                    unpin(&mut self.pins, p.pinned);
-                }
+                self.placements.remove(name);
                 self.copies.remove(name);
                 self.slas.remove(name);
                 self.owed.retain(|(_, db)| db != name);
@@ -227,12 +319,29 @@ impl StateMachine for MetaState {
                     if *owed && p.replicas.contains(machine) {
                         self.owed.insert((*machine, db.clone()));
                     }
-                    strip_replica(p, *machine, &mut self.pins);
+                    // Repin reads if the pinned replica went.
+                    p.replicas.retain(|m| m != machine);
+                    if p.pinned == *machine {
+                        if let Some(&first) = p.replicas.first() {
+                            p.pinned = first;
+                        }
+                    }
                 }
             }
             MetaCommand::DetachMachine { machine } => {
-                for p in self.placements.values_mut() {
-                    strip_replica(p, *machine, &mut self.pins);
+                let hit: Vec<String> = self
+                    .placements
+                    .iter()
+                    .filter(|(_, p)| p.replicas.contains(machine) || p.pinned == *machine)
+                    .map(|(db, _)| db.clone())
+                    .collect();
+                for db in hit {
+                    let strip = MetaCommand::RemoveReplica {
+                        db,
+                        machine: *machine,
+                        owed: false,
+                    };
+                    self.apply(_index, &strip);
                 }
                 self.owed.retain(|(m, _)| m != machine);
             }
@@ -317,6 +426,9 @@ impl StateMachine for MetaState {
                 }
             }
         }
+        if let Some((db, before)) = touched {
+            self.retally(db, before);
+        }
     }
 
     fn snapshot(&self) -> MetaState {
@@ -400,13 +512,13 @@ struct GroupInner {
 const TICK_BUDGET: usize = 400;
 
 /// What `submit_full` knows about a proposal's fate.
-struct SubmitOutcome<R> {
+pub(crate) struct SubmitOutcome<R> {
     /// The submission result; `Ok` carries the post-apply `check` value.
-    result: Result<R>,
+    pub(crate) result: Result<R>,
     /// Whether any proposal for this command was appended to a leader's
     /// log. When false, an `Err` result is definitive: the command is not
     /// and can never become committed.
-    proposed: bool,
+    pub(crate) proposed: bool,
 }
 
 /// Outcome of replicating a 2PC commit decision
@@ -449,12 +561,20 @@ pub(crate) enum AbortArbitration {
 pub struct ControllerGroup {
     inner: Mutex<GroupInner>,
     faults: Arc<FaultInjector>,
+    /// Every machine's capacity, which [`Self::choose`] fits demand into.
+    capacity: ResourceVector,
 }
 
 impl ControllerGroup {
     /// A group of `replicas` controller nodes (min 1) with deterministic
-    /// election timing derived from `seed`.
-    pub(crate) fn new(replicas: usize, seed: u64, faults: Arc<FaultInjector>) -> Self {
+    /// election timing derived from `seed`, placing onto machines of
+    /// `capacity`.
+    pub(crate) fn new(
+        replicas: usize,
+        seed: u64,
+        capacity: ResourceVector,
+        faults: Arc<FaultInjector>,
+    ) -> Self {
         let n = replicas.max(1);
         let voters: Vec<NodeId> = (0..n as NodeId).collect();
         let nodes: Vec<RaftNode<MetaState>> = (0..n)
@@ -483,6 +603,7 @@ impl ControllerGroup {
                 },
             ),
             faults,
+            capacity,
         }
     }
 
@@ -693,26 +814,34 @@ impl ControllerGroup {
 
     // ----------------------------------------------------- typed commands
 
-    /// Install a placement for `name`, pinning reads to the machine with
-    /// the fewest pinned databases. Fails if the name exists.
-    pub(crate) fn create_db(&self, name: &str, machines: &[MachineId]) -> Result<()> {
+    /// Install a placement for `name` whose replicas each demand `demand`,
+    /// pinning reads to the machine with the fewest pinned databases. Fails
+    /// if the name exists.
+    pub(crate) fn create_db(
+        &self,
+        name: &str,
+        machines: &[MachineId],
+        demand: ResourceVector,
+    ) -> SubmitOutcome<()> {
         let name_s = name.to_string();
         let machines = machines.to_vec();
-        self.submit(move |st| {
+        let make = move |st: &MetaState| {
             if st.placements.contains_key(&name_s) {
                 return Err(ClusterError::AlreadyExists(name_s.clone()));
             }
             let pinned = machines
                 .iter()
                 .copied()
-                .min_by_key(|m| (st.pins.get(m).copied().unwrap_or(0), *m))
+                .min_by_key(|m| (st.tally.get(m).map_or(0, |t| t.pinned), *m))
                 .ok_or(ClusterError::NoMachines)?;
             Ok(MetaCommand::CreateDb {
                 name: name_s.clone(),
                 replicas: machines.clone(),
                 pinned,
+                demand,
             })
-        })
+        };
+        self.submit_full(make, |_| ())
     }
 
     /// Remove `db`'s placement (and copy/SLA state), returning the removed
@@ -781,15 +910,39 @@ impl ControllerGroup {
         dbs.into_iter().collect()
     }
 
-    /// Start tracking an Algorithm-1 copy.
-    pub(crate) fn begin_copy(&self, db: &str, target: MachineId, db_level: bool) {
-        let _ = self.submit(|_| {
-            Ok(MetaCommand::BeginCopy {
-                db: db.to_string(),
-                target,
-                db_level,
-            })
-        });
+    /// Start tracking an Algorithm-1 copy of `db` onto `target`, or, with
+    /// none given, onto the machine [`Self::choose`] picks from the
+    /// leader's applied state inside the proposal, so two copies cannot
+    /// race to one machine. Returns the target the copy committed with.
+    pub(crate) fn begin_copy(
+        &self,
+        db: &str,
+        target: Option<MachineId>,
+        alive: &[MachineId],
+        db_level: bool,
+    ) -> Result<MachineId> {
+        self.submit_full(
+            |st| {
+                let target = match target {
+                    Some(t) => t,
+                    None => {
+                        let p = st
+                            .placements
+                            .get(db)
+                            .ok_or_else(|| ClusterError::NoSuchDatabase(db.to_string()))?;
+                        st.choose(db, 1, p.demand, alive, self.capacity)?[0]
+                    }
+                };
+                Ok(MetaCommand::BeginCopy {
+                    db: db.to_string(),
+                    target,
+                    db_level,
+                })
+            },
+            |st| st.copies.get(db).map(|c| c.target),
+        )
+        .result?
+        .ok_or_else(|| ClusterError::NoSuchDatabase(db.to_string()))
     }
 
     /// Record the table currently being copied.
@@ -969,6 +1122,31 @@ impl ControllerGroup {
     }
 
     // -------------------------------------------------------------- reads
+
+    /// The `n` machines Algorithm 2 would place a new replica set of `db`
+    /// on, each replica demanding `demand`: of the `alive` machines that
+    /// neither host nor are receiving `db`, those where the tally's load
+    /// plus `demand` fits the machine capacity, fewest hosted databases
+    /// first, then lowest id. `NoMachines` when fewer than `n` have room.
+    pub(crate) fn choose(
+        &self,
+        db: &str,
+        n: usize,
+        demand: ResourceVector,
+        alive: &[MachineId],
+    ) -> Result<Vec<MachineId>> {
+        self.read(|st| st.choose(db, n, demand, alive, self.capacity))
+    }
+
+    /// What the placements and copies in flight put on `machine`.
+    pub(crate) fn tally(&self, machine: MachineId) -> MachineTally {
+        self.read(|st| st.tally.get(&machine).copied().unwrap_or_default())
+    }
+
+    /// How many databases have a placement.
+    pub(crate) fn database_count(&self) -> usize {
+        self.read(|st| st.placements.len())
+    }
 
     /// A database's placement, if it exists.
     pub(crate) fn placement(&self, db: &str) -> Option<Placement> {
@@ -1241,7 +1419,7 @@ mod tests {
     use super::*;
 
     fn group(n: usize) -> ControllerGroup {
-        ControllerGroup::new(n, 7, FaultInjector::disarmed())
+        ControllerGroup::new(n, 7, ResourceVector::ZERO, FaultInjector::disarmed())
     }
 
     fn m(n: u32) -> MachineId {
@@ -1251,9 +1429,16 @@ mod tests {
     #[test]
     fn single_replica_group_behaves_like_a_map() {
         let g = group(1);
-        g.create_db("app", &[m(0), m(1)]).unwrap();
+        g.create_db("app", &[m(0), m(1)], ResourceVector::ZERO)
+            .result
+            .unwrap();
         assert_eq!(g.placement("app").unwrap().replicas, vec![m(0), m(1)]);
-        assert!(g.create_db("app", &[m(0)]).is_err(), "duplicate");
+        assert!(
+            g.create_db("app", &[m(0)], ResourceVector::ZERO)
+                .result
+                .is_err(),
+            "duplicate"
+        );
         assert_eq!(g.database_names(), vec!["app"]);
         let removed = g.drop_db("app").unwrap();
         assert_eq!(removed.replicas.len(), 2);
@@ -1264,10 +1449,14 @@ mod tests {
     #[test]
     fn three_replicas_survive_leader_crash() {
         let g = group(3);
-        g.create_db("a", &[m(0)]).unwrap();
+        g.create_db("a", &[m(0)], ResourceVector::ZERO)
+            .result
+            .unwrap();
         let dead = g.crash_leader().expect("leader existed");
         // Writes still work: the survivors elect a new leader inline.
-        g.create_db("b", &[m(1)]).unwrap();
+        g.create_db("b", &[m(1)], ResourceVector::ZERO)
+            .result
+            .unwrap();
         assert_eq!(g.database_names(), vec!["a", "b"]);
         let s = g.status();
         assert_eq!(s.crashed, vec![dead]);
@@ -1282,16 +1471,25 @@ mod tests {
     #[test]
     fn quorum_loss_rejects_writes_and_heals() {
         let g = group(3);
-        g.create_db("a", &[m(0)]).unwrap();
+        g.create_db("a", &[m(0)], ResourceVector::ZERO)
+            .result
+            .unwrap();
         let l = g.crash_leader().unwrap();
         let next = (0..3).find(|i| *i != l).unwrap();
         g.crash(next);
-        assert!(g.create_db("b", &[m(1)]).is_err(), "no quorum");
+        assert!(
+            g.create_db("b", &[m(1)], ResourceVector::ZERO)
+                .result
+                .is_err(),
+            "no quorum"
+        );
         // Reads still serve from the survivor's applied state.
         assert_eq!(g.database_names(), vec!["a"]);
         g.restart(l);
         g.restart(next);
-        g.create_db("b", &[m(1)]).unwrap();
+        g.create_db("b", &[m(1)], ResourceVector::ZERO)
+            .result
+            .unwrap();
         assert!(g.invariant_violations().is_empty());
     }
 
@@ -1321,7 +1519,9 @@ mod tests {
     #[test]
     fn restarted_replica_catches_up_via_snapshot() {
         let g = group(3);
-        g.create_db("a", &[m(0)]).unwrap();
+        g.create_db("a", &[m(0)], ResourceVector::ZERO)
+            .result
+            .unwrap();
         let victim = {
             // Crash a follower, not the leader.
             let leader = g.ensure_leader().unwrap();
@@ -1329,7 +1529,9 @@ mod tests {
         };
         g.crash(victim);
         for i in 0..10 {
-            g.create_db(&format!("db{i}"), &[m(0)]).unwrap();
+            g.create_db(&format!("db{i}"), &[m(0)], ResourceVector::ZERO)
+                .result
+                .unwrap();
         }
         g.compact();
         g.restart(victim);
@@ -1346,11 +1548,15 @@ mod tests {
     #[test]
     fn partitioned_minority_heals_without_divergence() {
         let g = group(3);
-        g.create_db("a", &[m(0)]).unwrap();
+        g.create_db("a", &[m(0)], ResourceVector::ZERO)
+            .result
+            .unwrap();
         let leader = g.ensure_leader().unwrap();
         g.isolate(leader);
         // The connected majority elects a new leader and keeps serving.
-        g.create_db("b", &[m(1)]).unwrap();
+        g.create_db("b", &[m(1)], ResourceVector::ZERO)
+            .result
+            .unwrap();
         g.heal();
         g.quiesce();
         assert_eq!(g.database_names(), vec!["a", "b"]);
@@ -1379,6 +1585,7 @@ mod tests {
             Placement {
                 replicas: vec![m(0)],
                 pinned: m(0),
+                demand: ResourceVector::ZERO,
             },
         );
         st.apply(1, &cmd);
@@ -1397,20 +1604,51 @@ mod tests {
         assert!(st.applied_reqs.contains(&2));
     }
 
-    /// The pin tally `create_db` reads is what counting `placements` by
-    /// `pinned` would give, after every command of seeded random histories
-    /// (duplicate envelopes and snapshot restores included).
+    /// The machine tally `choose` and `create_db` read is what a recount
+    /// of `placements` + `copies` gives, after every command of seeded
+    /// random histories (duplicate envelopes, snapshot restores and copies
+    /// begun, finished and abandoned included). Loads are summed with `+`
+    /// and `−` in another order than the recount's, so they compare within
+    /// a float tolerance.
     #[test]
     fn pin_tally_matches_a_recount() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
-        fn recount(st: &MetaState) -> BTreeMap<MachineId, usize> {
-            let mut pins = BTreeMap::new();
-            for p in st.placements.values() {
-                *pins.entry(p.pinned).or_insert(0) += 1;
+        fn recount(st: &MetaState) -> BTreeMap<MachineId, MachineTally> {
+            let mut tally: BTreeMap<MachineId, MachineTally> = BTreeMap::new();
+            let dbs: BTreeSet<&String> = st.placements.keys().chain(st.copies.keys()).collect();
+            for db in dbs {
+                let p = st.placements.get(db);
+                let demand = p.map_or(ResourceVector::ZERO, |p| p.demand);
+                let mut on: BTreeSet<MachineId> = p
+                    .map(|p| p.replicas.iter().copied().collect())
+                    .unwrap_or_default();
+                on.extend(st.copies.get(db).map(|c| c.target));
+                for m in on {
+                    let t = tally.entry(m).or_default();
+                    t.hosted += 1;
+                    t.load += demand;
+                }
+                if let Some(p) = p {
+                    tally.entry(p.pinned).or_default().pinned += 1;
+                }
             }
-            pins
+            tally
+        }
+        fn assert_recounts(st: &MetaState, what: &dyn Fn() -> String) {
+            let want = recount(st);
+            let counts = |t: &BTreeMap<MachineId, MachineTally>| -> Vec<(MachineId, usize, usize)> {
+                t.iter().map(|(m, t)| (*m, t.hosted, t.pinned)).collect()
+            };
+            assert_eq!(counts(&st.tally), counts(&want), "{}", what());
+            for (m, t) in &st.tally {
+                let d = t.load - want[m].load;
+                let worst = [d.cpu, d.memory, d.disk_io, d.disk_size]
+                    .iter()
+                    .fold(0f64, |a, x| a.max(x.abs()));
+                assert!(worst < 1e-6, "{}: load on {m} off by {worst}", what());
+            }
         }
         fn random_cmd(rng: &mut StdRng) -> MetaCommand {
             let db = format!("db{}", rng.gen_range(0..6u32));
@@ -1425,10 +1663,14 @@ mod tests {
                         }
                     }
                     let pinned = replicas[rng.gen_range(0..replicas.len())];
+                    // Tenths do not round-trip through `+` and `−` exactly.
+                    let mut tenths = || f64::from(rng.gen_range(0..10u32)) / 10.0;
+                    let demand = ResourceVector::new(tenths(), tenths(), tenths(), tenths());
                     MetaCommand::CreateDb {
                         name: db,
                         replicas,
                         pinned,
+                        demand,
                     }
                 }
                 2 => MetaCommand::DropDb { name: db },
@@ -1439,12 +1681,15 @@ mod tests {
                     owed: rng.gen_bool(0.5),
                 },
                 5 => MetaCommand::DetachMachine { machine },
-                _ if rng.gen_bool(0.5) => MetaCommand::BeginCopy {
-                    db,
-                    target: machine,
-                    db_level: false,
+                _ => match rng.gen_range(0..3u32) {
+                    0 => MetaCommand::BeginCopy {
+                        db,
+                        target: machine,
+                        db_level: false,
+                    },
+                    1 => MetaCommand::FinishCopy { db },
+                    _ => MetaCommand::AbandonCopy { db },
                 },
-                _ => MetaCommand::FinishCopy { db },
             }
         }
 
@@ -1464,7 +1709,7 @@ mod tests {
                         if let Some(s) = &snap {
                             st.restore(s);
                         }
-                        assert_eq!(st.pins, recount(&st), "seed {seed} step {step}: restore");
+                        assert_recounts(&st, &|| format!("seed {seed} step {step}: restore"));
                         continue;
                     }
                     2 => match &last_tagged {
@@ -1483,11 +1728,9 @@ mod tests {
                     _ => random_cmd(&mut rng),
                 };
                 st.apply(step, &cmd);
-                assert_eq!(
-                    st.pins,
-                    recount(&st),
-                    "seed {seed} step {step}: pin tally drifted after {cmd:?}"
-                );
+                assert_recounts(&st, &|| {
+                    format!("seed {seed} step {step}: tally drifted after {cmd:?}")
+                });
             }
         }
     }
@@ -1498,7 +1741,9 @@ mod tests {
         // earlier (committed) attempt for a duplicate on retry: the
         // request-id fast path answers before the closure runs again.
         let g = group(3);
-        g.create_db("app", &[m(0)]).unwrap();
+        g.create_db("app", &[m(0)], ResourceVector::ZERO)
+            .result
+            .unwrap();
         // Simulate the retry arriving after its first attempt applied: the
         // same request id is already in applied_reqs, so submit_full
         // returns Ok without consulting the precondition closure.

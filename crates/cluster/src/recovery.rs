@@ -14,7 +14,9 @@
 //!
 //! The number of concurrent recovery jobs (`threads`) is the x-axis of
 //! Figure 8, realized as a fixed-size [`crate::pool::WorkerPool`]: one copy
-//! task per lost database, at most `threads` in flight at once.
+//! task per lost database, at most `threads` in flight at once. Each copy's
+//! target is the machine `ControllerGroup::choose` picks, the same
+//! choice that placed the database.
 
 use std::sync::mpsc::channel;
 use std::sync::Arc;
@@ -83,9 +85,9 @@ fn copy_fault_hook(controller: &ClusterController, point: CrashPoint, m: &Machin
     }
 }
 
-/// Create one additional replica of `db` on `target` (used by recovery and
-/// by migration). The target machine must be alive; `db` must not already
-/// have a replica there.
+/// Create one additional replica of `db` on `target` (used by migration).
+/// The target machine must be alive; `db` must not already have a replica
+/// there.
 pub fn create_replica(
     controller: &ClusterController,
     db: &str,
@@ -93,24 +95,41 @@ pub fn create_replica(
     granularity: CopyGranularity,
     throttle: Throttle,
 ) -> Result<Duration> {
-    let started = Instant::now();
-    // Resolve both endpoints in one short controller step. Everything after
-    // this line works on the cloned machine `Arc`s: the bulk copy must run
-    // free of every controller lock (asserted at the dump sites below), so
-    // Algorithm-1 routing, DDL and takeover never stall behind a copy.
-    let (source, target_machine) = controller.copy_endpoints(db, target)?;
-    if target_machine.engine.has_database(db) {
-        // A stale copy from a previous incarnation of this replica (the
-        // machine failed, restarted from its WAL, and is now being reused as
-        // a recovery target). The restored rows carry their source row ids,
-        // so restoring over stale data would collide or silently duplicate —
-        // the re-created replica must start from scratch.
-        target_machine.engine.drop_database(db)?;
-    }
-    target_machine.engine.create_database(db)?;
+    copy_replica(controller, db, Some(target), granularity, throttle).map(|(_, d)| d)
+}
 
-    controller.begin_copy(db, target, granularity == CopyGranularity::DatabaseLevel);
+/// Create one additional replica of `db` on `target`, or, with none given,
+/// on the machine the controller chooses as the copy begins. Returns the
+/// target and the copy's duration.
+fn copy_replica(
+    controller: &ClusterController,
+    db: &str,
+    target: Option<MachineId>,
+    granularity: CopyGranularity,
+    throttle: Throttle,
+) -> Result<(MachineId, Duration)> {
+    let started = Instant::now();
+    // Until a table is marked copied no statement reaches the target, so
+    // the copy can begin before the target's database exists.
+    let target =
+        controller.begin_copy(db, target, granularity == CopyGranularity::DatabaseLevel)?;
     let result = (|| -> Result<()> {
+        // Resolve both endpoints in one short controller step. Everything
+        // after this line works on the cloned machine `Arc`s: the bulk copy
+        // must run free of every controller lock (asserted at the dump
+        // sites below), so Algorithm-1 routing, DDL and takeover never
+        // stall behind a copy.
+        let (source, target_machine) = controller.copy_endpoints(db, target)?;
+        if target_machine.engine.has_database(db) {
+            // A stale copy from a previous incarnation of this replica (the
+            // machine failed, restarted from its WAL, and is now being
+            // reused as a recovery target). The restored rows carry their
+            // source row ids, so restoring over stale data would collide or
+            // silently duplicate — the re-created replica must start from
+            // scratch.
+            target_machine.engine.drop_database(db)?;
+        }
+        target_machine.engine.create_database(db)?;
         match granularity {
             CopyGranularity::TableLevel => {
                 for table in copy::table_order(&source.engine, db)? {
@@ -156,7 +175,7 @@ pub fn create_replica(
             controller.finish_copy(db);
             let elapsed = started.elapsed();
             controller.metrics().copy_latency.observe_duration(elapsed);
-            Ok(elapsed)
+            Ok((target, elapsed))
         }
         Err(e) => {
             controller.abandon_copy(db);
@@ -189,8 +208,11 @@ pub fn migrate_replica(
 /// failed — including those whose dead replica a live connection already
 /// dropped while masking the failure.
 ///
-/// Targets are chosen greedily (First-Fit flavour of Algorithm 2): the
-/// lowest-id alive machine that does not already host the database.
+/// Each target is the machine `ControllerGroup::choose` picks as
+/// that database's copy begins: an alive machine with room for the
+/// database's demand that neither hosts nor is receiving it, fewest hosted
+/// databases first. Copies already begun count, so concurrent copies
+/// spread rather than stack.
 pub fn recover_machine(
     controller: &Arc<ClusterController>,
     failed_machine: MachineId,
@@ -217,11 +239,7 @@ pub fn recover_machine(
         let res_tx = res_tx.clone();
         let controller = Arc::clone(controller);
         pool.spawn_task(move || {
-            let outcome = (|| -> Result<(MachineId, Duration)> {
-                let target = pick_target(&controller, &db)?;
-                let d = create_replica(&controller, &db, target, cfg.granularity, cfg.throttle)?;
-                Ok((target, d))
-            })();
+            let outcome = copy_replica(&controller, &db, None, cfg.granularity, cfg.throttle);
             let _ = res_tx.send((db, outcome));
         });
     }
@@ -238,18 +256,6 @@ pub fn recover_machine(
     report.recovered.sort_by(|a, b| a.0.cmp(&b.0));
     report.wall_time = started.elapsed();
     report
-}
-
-/// Lowest-id alive machine that doesn't already host `db`.
-fn pick_target(controller: &ClusterController, db: &str) -> Result<MachineId> {
-    let current = controller.placement(db)?.replicas;
-    controller
-        .machines()
-        .into_iter()
-        .filter(|m| !m.is_failed() && !current.contains(&m.id))
-        .map(|m| m.id)
-        .min()
-        .ok_or(ClusterError::NoMachines)
 }
 
 #[cfg(test)]
@@ -279,6 +285,38 @@ mod tests {
                 .unwrap();
         }
         (c, placed)
+    }
+
+    /// The failover benchmark's shape: m0 hosts `tpcw0`, `tpcw3` and
+    /// `tpcw6`. Their new replicas go to the machines hosting the fewest
+    /// databases, counting the copies already begun, not all to one.
+    #[test]
+    fn recovery_spreads_over_the_least_loaded_machines() {
+        let c = ClusterController::with_machines(ClusterConfig::for_tests(), 6);
+        for i in 0..8 {
+            let db = format!("tpcw{i}");
+            c.create_database(&db, 2).unwrap();
+            c.ddl(&db, "CREATE TABLE t (id INT NOT NULL, PRIMARY KEY (id))")
+                .unwrap();
+        }
+        c.fail_machine(MachineId(0)).unwrap();
+        let report = recover_machine(
+            &c,
+            MachineId(0),
+            RecoveryConfig {
+                threads: 2,
+                ..Default::default()
+            },
+        );
+        assert!(report.failed.is_empty(), "{:?}", report.failed);
+        let mut targets: Vec<u32> = report.recovered.iter().map(|(_, t, _)| t.0).collect();
+        targets.sort_unstable();
+        assert_eq!(targets, [2, 4, 5], "{:?}", report.recovered);
+        let hosted: Vec<usize> = (1..6).map(|m| c.databases_on(MachineId(m)).len()).collect();
+        assert!(
+            hosted.iter().all(|&n| n <= 4),
+            "databases per machine: {hosted:?}"
+        );
     }
 
     #[test]

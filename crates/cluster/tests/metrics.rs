@@ -202,7 +202,7 @@ fn recovery_copy_emits_progress_events_and_rejection_metrics() {
     );
 
     // Now simulate a copy in flight over table `t` and watch a write bounce.
-    c.begin_copy("app", target, false);
+    c.begin_copy("app", Some(target), false).unwrap();
     c.set_copy_current("app", Some("t"));
     let err = conn
         .execute("INSERT INTO t VALUES (2, 'blocked')", &[])

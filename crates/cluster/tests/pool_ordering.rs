@@ -38,7 +38,7 @@ fn cluster(write: WritePolicy, pool: PoolConfig) -> Arc<ClusterController> {
         },
         pool,
         seed: 11,
-        controllers: 1,
+        ..Default::default()
     };
     let c = ClusterController::with_machines(cfg, 2);
     c.create_database("app", 2).unwrap();

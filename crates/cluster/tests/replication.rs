@@ -321,7 +321,7 @@ fn ddl_rejected_during_copy() {
         .engine
         .create_database("app")
         .unwrap();
-    c.begin_copy("app", spare, false);
+    c.begin_copy("app", Some(spare), false).unwrap();
     let err = c
         .ddl("app", "CREATE TABLE t2 (id INT NOT NULL, PRIMARY KEY (id))")
         .unwrap_err();

@@ -10,10 +10,10 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
-use tenantdb_cluster::{ClusterConfig, ClusterController, ClusterError, MachineId};
-use tenantdb_sla::{DatabaseSpec, FirstFitPlacer, Placer, ResourceVector};
+use tenantdb_cluster::{ClusterConfig, ClusterController, ClusterError};
+use tenantdb_sla::{PlacementError, ResourceVector};
 
 /// Colo identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -25,15 +25,6 @@ impl fmt::Display for ColoId {
     }
 }
 
-/// One cluster inside a colo, with its SLA-placement bookkeeping.
-struct ClusterSlot {
-    controller: Arc<ClusterController>,
-    /// First-Fit placer over the machines it pulled into this cluster;
-    /// placer bin index i maps to `machine_map[i]`.
-    placer: Mutex<FirstFitPlacer>,
-    machine_map: Mutex<Vec<MachineId>>,
-}
-
 /// A colo: clusters + a fault-tolerant colo controller.
 pub struct Colo {
     pub id: ColoId,
@@ -41,12 +32,10 @@ pub struct Colo {
     /// Geographic position (abstract 2-D coordinates; the system controller
     /// routes clients to the nearest live colo).
     pub location: (f64, f64),
-    clusters: Vec<ClusterSlot>,
+    clusters: Vec<Arc<ClusterController>>,
     /// Which cluster hosts each database.
     assignments: RwLock<HashMap<String, usize>>,
     failed: AtomicBool,
-    /// Machine capacity assumed for SLA placement.
-    machine_capacity: ResourceVector,
 }
 
 impl Colo {
@@ -57,14 +46,9 @@ impl Colo {
         cluster_cfg: ClusterConfig,
         clusters: usize,
         machines_per_cluster: usize,
-        machine_capacity: ResourceVector,
     ) -> Self {
         let clusters = (0..clusters.max(1))
-            .map(|_| ClusterSlot {
-                controller: ClusterController::with_machines(cluster_cfg, machines_per_cluster),
-                placer: Mutex::new(FirstFitPlacer::new(machine_capacity)),
-                machine_map: Mutex::new(Vec::new()),
-            })
+            .map(|_| ClusterController::with_machines(cluster_cfg, machines_per_cluster))
             .collect();
         Colo {
             id,
@@ -73,7 +57,6 @@ impl Colo {
             clusters,
             assignments: RwLock::new(HashMap::new()),
             failed: AtomicBool::new(false),
-            machine_capacity,
         }
     }
 
@@ -86,8 +69,8 @@ impl Colo {
     pub fn fail(&self) {
         // ordering: Release — publishes the colo failure to is_failed() observers.
         self.failed.store(true, Ordering::Release);
-        for slot in &self.clusters {
-            for m in slot.controller.machines() {
+        for cluster in &self.clusters {
+            for m in cluster.machines() {
                 m.engine.crash();
             }
         }
@@ -97,30 +80,22 @@ impl Colo {
         self.assignments.read().len()
     }
 
-    pub fn machine_capacity(&self) -> ResourceVector {
-        self.machine_capacity
-    }
-
     /// The cluster hosting `db`, if this colo hosts it.
     pub fn cluster_for(&self, db: &str) -> Option<Arc<ClusterController>> {
         let idx = *self.assignments.read().get(db)?;
-        Some(Arc::clone(&self.clusters[idx].controller))
+        Some(Arc::clone(&self.clusters[idx]))
     }
 
     /// Every cluster controller (experiments and inspection).
     pub fn clusters(&self) -> Vec<Arc<ClusterController>> {
-        self.clusters
-            .iter()
-            .map(|s| Arc::clone(&s.controller))
-            .collect()
+        self.clusters.clone()
     }
 
-    /// Create a database in this colo.
-    ///
-    /// The hosting cluster is the least-loaded one. Within the cluster,
-    /// machines are chosen by SLA-driven First-Fit when a demand vector is
-    /// known (Algorithm 2), falling back to fewest-databases otherwise; the
-    /// placer pulls fresh machines from the colo's free pool on demand.
+    /// Create a database in this colo, on the cluster hosting the fewest
+    /// databases. The cluster places the replicas (Algorithm 2, see
+    /// [`ClusterController::create_database_with_demand`]); while no
+    /// machine has room for `demand`, a machine comes from the colo's free
+    /// pool and the placement is tried again. No demand counts as zero.
     pub fn create_database(
         &self,
         db: &str,
@@ -133,61 +108,35 @@ impl Colo {
         if self.assignments.read().contains_key(db) {
             return Err(ClusterError::AlreadyExists(db.to_string()));
         }
-        // Least-loaded cluster by hosted database count.
-        let counts: Vec<usize> = {
-            let a = self.assignments.read();
-            let mut v = vec![0usize; self.clusters.len()];
-            for &c in a.values() {
-                v[c] += 1;
-            }
-            v
-        };
-        let idx = counts
+        let (idx, cluster) = self
+            .clusters
             .iter()
             .enumerate()
-            .min_by_key(|(_, &n)| n)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        let slot = &self.clusters[idx];
-
-        match demand {
-            Some(demand) => {
-                let spec = DatabaseSpec::new(db, demand, replicas);
-                let mut placer = slot.placer.lock();
-                let mut map = slot.machine_map.lock();
-                let bins = placer
-                    .place(&spec)
-                    .map_err(|e| ClusterError::TxnAborted(format!("placement failed: {e}")))?;
-                // Ensure every chosen bin is backed by a real machine.
-                let mut machines = Vec::with_capacity(bins.len());
-                for b in bins {
-                    while map.len() <= b {
-                        // Pull a machine from the free pool into the cluster.
-                        map.push(slot.controller.add_machine());
-                    }
-                    machines.push(map[b]);
-                }
-                slot.controller.create_database_on(db, &machines)?;
-            }
-            None => {
-                // Fewest hosted databases, over every machine of the cluster.
-                // The placer above never sees these placements: its machine
-                // map starts empty, so a demand-placed database lands only on
-                // machines this placer opened, never on the cluster's initial
-                // ones (ROADMAP item 18 makes the two one choice).
-                slot.controller.create_database(db, replicas)?;
-            }
+            .min_by_key(|(_, c)| c.database_count())
+            .expect("a colo has at least one cluster");
+        let demand = demand.unwrap_or(ResourceVector::ZERO);
+        if !demand.fits_in(&cluster.config().machine_capacity) {
+            let e = PlacementError::ReplicaTooLarge(db.to_string());
+            return Err(ClusterError::TxnAborted(format!("placement failed: {e}")));
         }
+        // A pulled machine is empty and fits one replica, so `replicas`
+        // pulls always make room.
+        let mut placed = cluster.create_database_with_demand(db, replicas, demand);
+        for _ in 0..replicas {
+            if !matches!(placed, Err(ClusterError::NoMachines)) {
+                break;
+            }
+            cluster.add_machine();
+            placed = cluster.create_database_with_demand(db, replicas, demand);
+        }
+        placed?;
         self.assignments.write().insert(db.to_string(), idx);
         Ok(())
     }
 
     /// Total machines across clusters (capacity reporting).
     pub fn machine_count(&self) -> usize {
-        self.clusters
-            .iter()
-            .map(|s| s.controller.machine_ids().len())
-            .sum()
+        self.clusters.iter().map(|c| c.machine_ids().len()).sum()
     }
 }
 
@@ -212,12 +161,22 @@ mod tests {
             ColoId(1),
             "west",
             (0.0, 0.0),
-            ClusterConfig::for_tests(),
+            ClusterConfig {
+                machine_capacity: ResourceVector::new(100.0, 10_000.0, 100.0, 10_000.0),
+                ..ClusterConfig::for_tests()
+            },
             2,
             3,
-            ResourceVector::new(100.0, 10_000.0, 100.0, 10_000.0),
         )
     }
+
+    /// Over half a machine: no two replicas share one.
+    const BIG: ResourceVector = ResourceVector {
+        cpu: 60.0,
+        memory: 100.0,
+        disk_io: 1.0,
+        disk_size: 100.0,
+    };
 
     #[test]
     fn databases_spread_across_clusters() {
@@ -247,21 +206,37 @@ mod tests {
     #[test]
     fn demand_based_placement_opens_machines_on_demand() {
         let c = colo();
-        // Each database demands over half a machine: anti-colocation + the
-        // 100-cpu capacity forces one machine per replica.
-        let demand = ResourceVector::new(60.0, 100.0, 1.0, 100.0);
-        let before = c.machine_count();
         for i in 0..4 {
-            c.create_database(&format!("d{i}"), 2, Some(demand))
-                .unwrap();
+            c.create_database(&format!("d{i}"), 2, Some(BIG)).unwrap();
         }
-        // 8 replicas at 60 cpu each on 100-cpu machines -> 8 machines needed
-        // in the placing cluster(s); the free pool supplied the extras.
-        assert!(c.machine_count() >= before, "machines never shrink");
+        // 8 replicas, one per machine: each cluster's 3 machines hold 3,
+        // and the free pool supplied one more to each.
+        assert_eq!(c.machine_count(), 8);
         for i in 0..4 {
             let cl = c.cluster_for(&format!("d{i}")).unwrap();
             assert_eq!(cl.placement(&format!("d{i}")).unwrap().replicas.len(), 2);
         }
+    }
+
+    #[test]
+    fn demand_lands_on_the_initial_machines_first() {
+        let c = colo();
+        c.create_database("d", 2, Some(BIG)).unwrap();
+        assert_eq!(c.machine_count(), 6, "no machine pulled from the free pool");
+    }
+
+    #[test]
+    fn a_dropped_database_frees_its_capacity() {
+        let c = colo();
+        c.create_database("d", 2, Some(BIG)).unwrap();
+        let before = c.machine_count();
+        c.cluster_for("d").unwrap().drop_database("d").unwrap();
+        c.create_database("e", 2, Some(BIG)).unwrap();
+        assert_eq!(
+            c.machine_count(),
+            before,
+            "the dropped replicas' room is reused"
+        );
     }
 
     #[test]
@@ -277,5 +252,6 @@ mod tests {
         let c = colo();
         let demand = ResourceVector::new(1000.0, 1.0, 1.0, 1.0);
         assert!(c.create_database("huge", 1, Some(demand)).is_err());
+        assert_eq!(c.machine_count(), 6, "nothing pulled for it");
     }
 }

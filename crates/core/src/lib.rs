@@ -8,8 +8,9 @@
 //!   standby it reserves is fed by a `tenantdb-georep` WAL stream, and
 //!   [`SystemController::failover`] is the routing flip after a promote.
 //! * [`Colo`] / colo controller — clusters plus a free machine pool;
-//!   databases placed on the least-loaded cluster, machines within a
-//!   cluster chosen by SLA-driven First-Fit when a demand vector is known.
+//!   databases placed on the cluster hosting the fewest, machines within a
+//!   cluster chosen by the cluster's Algorithm-2 `choose`, with a machine
+//!   pulled from the pool when none has room.
 //!
 //! ```
 //! use tenantdb_platform::{CreateOptions, PlatformConfig, SystemController};

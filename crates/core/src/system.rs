@@ -26,7 +26,6 @@ pub struct PlatformConfig {
     pub cluster: ClusterConfig,
     pub clusters_per_colo: usize,
     pub machines_per_cluster: usize,
-    pub machine_capacity: ResourceVector,
 }
 
 impl Default for PlatformConfig {
@@ -35,7 +34,6 @@ impl Default for PlatformConfig {
             cluster: ClusterConfig::default(),
             clusters_per_colo: 2,
             machines_per_cluster: 4,
-            machine_capacity: ResourceVector::new(1000.0, 100_000.0, 1000.0, 100_000.0),
         }
     }
 }
@@ -105,7 +103,6 @@ impl SystemController {
                     cfg.cluster,
                     cfg.clusters_per_colo,
                     cfg.machines_per_cluster,
-                    cfg.machine_capacity,
                 ))
             })
             .collect();

@@ -22,7 +22,6 @@ use tenantdb_cluster::{ClusterConfig, ClusterController};
 use tenantdb_georep::{promote, GeoError, GeoMetrics, GeoStandbyServer, GeoTcpLink, Shipper};
 use tenantdb_obs::MetricsRegistry;
 use tenantdb_platform::{Colo, ColoId};
-use tenantdb_sla::ResourceVector;
 use tenantdb_storage::Value;
 
 fn colo(id: u32, name: &str) -> Colo {
@@ -33,7 +32,6 @@ fn colo(id: u32, name: &str) -> Colo {
         ClusterConfig::for_tests(),
         1,
         3,
-        ResourceVector::new(1000.0, 100_000.0, 1000.0, 100_000.0),
     )
 }
 

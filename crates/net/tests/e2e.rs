@@ -44,7 +44,6 @@ fn platform_with(seed: u64, write: WritePolicy, lock_timeout: Duration) -> Arc<S
         cluster,
         clusters_per_colo: 1,
         machines_per_cluster: 4,
-        ..PlatformConfig::for_tests()
     };
     SystemController::new(cfg, &[("local", (0.0, 0.0))])
 }

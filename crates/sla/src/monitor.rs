@@ -4,8 +4,8 @@
 //! committed throughput and a maximum fraction of proactively rejected
 //! transactions. The cluster controller counts outcomes per database; this
 //! module turns those counters into a compliance verdict, and projects
-//! whether a *planned* action (a migration, a rebalance) still fits the
-//! availability budget.
+//! whether a *planned* action (a migration) still fits the availability
+//! budget.
 
 use std::time::Duration;
 

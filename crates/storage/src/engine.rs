@@ -244,11 +244,6 @@ impl Engine {
         v
     }
 
-    /// Number of databases in the catalog, without naming them.
-    pub fn database_count(&self) -> usize {
-        self.databases.read().len()
-    }
-
     pub fn has_database(&self, name: &str) -> bool {
         self.databases.read().contains_key(name)
     }

@@ -6,9 +6,11 @@
 //! 1. profiles three differently-shaped tenants on a dedicated machine
 //!    (the paper's "observational period"),
 //! 2. turns the observed usage into resource-demand vectors,
-//! 3. packs twelve tenants (4 of each shape) onto the fewest machines with
-//!    Algorithm 2, and
-//! 4. runs all tenants concurrently, showing per-tenant isolation counters.
+//! 3. creates twelve tenants (4 of each shape) with those demands on a colo
+//!    whose cluster places them by Algorithm 2, pulling machines from the
+//!    free pool only when none has room, and prints where each landed, and
+//! 4. runs all tenants there concurrently, showing per-tenant isolation
+//!    counters.
 //!
 //! Run with: `cargo run --release --example multi_tenant`
 
@@ -16,9 +18,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tenantdb::cluster::{ClusterConfig, ClusterController};
-use tenantdb::sla::{
-    demand_from_observation, DatabaseSpec, FirstFitPlacer, Placer, ResourceVector,
-};
+use tenantdb::platform::{Colo, ColoId};
+use tenantdb::sla::{demand_from_observation, ResourceVector};
 use tenantdb::storage::Value;
 
 /// Three tenant archetypes with different workload shapes.
@@ -105,32 +106,37 @@ fn main() {
         demands.push((shape, demand));
     }
 
-    // ---- 2. SLA-driven placement of 12 tenants (Algorithm 2).
+    // ---- 2. SLA-driven placement of 12 tenants (Algorithm 2), starting
+    //         from the two machines two replicas need.
     println!("\n== placement (First-Fit, replicas on distinct machines) ==");
-    let capacity = ResourceVector::new(2500.0, 200.0, 100_000.0, 200.0);
-    let mut placer = FirstFitPlacer::new(capacity);
-    let mut specs = Vec::new();
-    for i in 0..12 {
-        let (shape, demand) = demands[i % 3];
-        let spec = DatabaseSpec::new(format!("tenant{i}"), demand, 2);
-        let machines = placer.place(&spec).unwrap();
-        println!("  tenant{i:<2} ({shape:?}) -> machines {machines:?}");
-        specs.push(spec);
-    }
-    println!("  machines used: {}", placer.machines_used());
-
-    // ---- 3. Run them all, consolidated on a real cluster with that many
-    //         machines, and show per-tenant accounting.
-    println!("\n== consolidated run ==");
-    let cluster =
-        ClusterController::with_machines(ClusterConfig::for_tests(), placer.machines_used());
-    let mut handles = Vec::new();
-    for (i, _) in specs.iter().enumerate() {
+    let cfg = ClusterConfig {
+        machine_capacity: ResourceVector::new(2500.0, 200.0, 100_000.0, 200.0),
+        ..ClusterConfig::for_tests()
+    };
+    let colo = Colo::new(ColoId(0), "local", (0.0, 0.0), cfg, 1, 2);
+    let cluster = colo.clusters().remove(0);
+    for (i, &(shape, demand)) in demands.iter().cycle().take(12).enumerate() {
         let db = format!("tenant{i}");
-        cluster.create_database(&db, 2).unwrap();
+        colo.create_database(&db, 2, Some(demand)).unwrap();
+        let machines: Vec<String> = cluster
+            .placement(&db)
+            .unwrap()
+            .replicas
+            .iter()
+            .map(|m| m.to_string())
+            .collect();
+        println!("  {db:<8} ({shape:?}) -> {}", machines.join(", "));
+    }
+    println!("  machines used: {}", colo.machine_count());
+
+    // ---- 3. Run them all where they were placed, and show per-tenant
+    //         accounting.
+    println!("\n== consolidated run ==");
+    let mut handles = Vec::new();
+    for (i, &(shape, _)) in demands.iter().cycle().take(12).enumerate() {
+        let db = format!("tenant{i}");
         setup_tenant(&cluster, &db, 60);
         let cluster = Arc::clone(&cluster);
-        let shape = demands[i % 3].0;
         handles.push(std::thread::spawn(move || {
             drive_tenant(&cluster, &db, shape, 200)
         }));

@@ -125,7 +125,6 @@ fn main() {
             cluster: ClusterConfig::for_tests().with_controllers(controllers),
             clusters_per_colo: 1,
             machines_per_cluster: 3,
-            ..PlatformConfig::for_tests()
         },
         &[("local", (0.0, 0.0))],
     );
