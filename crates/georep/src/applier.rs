@@ -130,8 +130,9 @@ impl Applier {
     pub fn handshake(&mut self, source: MachineId, epoch: u64) -> Result<Lsn, GeoError> {
         self.fence_check(epoch)?;
         if self.source != Some(source) {
-            // New LSN space and new local txn ids: replay from zero (the
-            // apply path is idempotent, so a re-seed converges).
+            // New LSN space and new local txn ids: replay from zero. A
+            // repeated op replays idempotently, but this converges only if
+            // the standby's state is a prefix of the new source's log.
             self.source = Some(source);
             self.pending.clear();
             self.high_seen = Lsn::ZERO;

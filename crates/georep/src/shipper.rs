@@ -19,9 +19,12 @@
 //! — but the new engine has a different LSN space and different local
 //! transaction ids, so the stream **re-seeds**: the cursor rewinds to zero
 //! and the standby resets its applier state on seeing the new `source` in
-//! the handshake. Replay from zero is safe because the standby-side apply
-//! path ([`tenantdb_storage::Engine::apply_replicated_redo`]) is
-//! idempotent.
+//! the handshake. Replaying a repeated op is idempotent
+//! ([`tenantdb_storage::Engine::apply_replicated_redo`]), so a re-seed
+//! converges when the standby's state is a prefix of the new source's log.
+//! When it is not — the new source is a copied replica, whose log is a
+//! snapshot followed by a tail, and the standby lagged — it does not, and
+//! nothing here prevents that yet.
 
 use std::collections::HashSet;
 use std::sync::Arc;

@@ -64,7 +64,4 @@ pub mod wire;
 
 pub use client::{ConnectOptions, NetClient, NetError};
 pub use server::{Server, ServerConfig};
-pub use wire::{
-    ConnInfo, Frame, ReadPref, WireError, WritePref, MAX_FRAME_LEN, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
-};
+pub use wire::{ConnInfo, Frame, ReadPref, WireError, WritePref, MAX_FRAME_LEN, PROTOCOL_VERSION};

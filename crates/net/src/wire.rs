@@ -14,11 +14,10 @@
 //! demanded policy cannot be honored. After the handshake the client issues
 //! request frames (`Query`/`Execute`/`Begin`/`Commit`/`Rollback`/`Ping`/
 //! `ListConns`/`Batch`) and the server answers each with exactly one reply
-//! frame, in request order. Since protocol version 2 requests may be
-//! *pipelined*: the client may issue any number of requests ahead of their
-//! replies; the reactor-based server queues them per connection and
-//! executes them strictly in order, so the k-th reply always answers the
-//! k-th request. [`Frame::Batch`] additionally carries an explicit `seq`
+//! frame, in request order. Requests may be *pipelined*: the client may
+//! issue any number of requests ahead of their replies; the reactor-based
+//! server queues them per connection and executes them strictly in order,
+//! so the k-th reply always answers the k-th request. [`Frame::Batch`] additionally carries an explicit `seq`
 //! tag echoed in its [`Frame::BatchOk`]/[`Frame::BatchErr`] reply, so an
 //! issue-ahead client can match batch replies without counting frames.
 //!
@@ -32,33 +31,34 @@
 //! (`tenantdb-georep`): a shipper opens a per-database stream with
 //! [`Frame::GeoHello`] pinning `(db, start_lsn)` under a fencing `epoch`,
 //! the standby answers [`Frame::GeoHelloOk`] with the LSN it wants to
-//! resume from, batched [`Frame::GeoRecords`] carry raw WAL records, the
+//! resume from, batched [`Frame::GeoRecords`] carry log records, the
 //! standby acknowledges cumulatively with [`Frame::GeoAck`], and either
 //! side kills a stream from a stale epoch with [`Frame::GeoFenced`].
+//!
+//! This module frames; it does not own a data format. Every [`Value`] (a
+//! statement's parameters, a result's rows) and the body of a
+//! `GeoRecords` batch are in [`tenantdb_storage::codec`]'s layout, the one
+//! the log stores its records in, so a shipped record crosses the wire as
+//! the log lays it out. The frame's own integers and tags are fixed-width
+//! little-endian, and its strings a `u32` length and UTF-8.
 
 use std::fmt;
 use std::io::{self, Read, Write};
 
 use tenantdb_cluster::{BatchMode, BatchStmt, ClusterError, ReadPolicy, WritePolicy};
 use tenantdb_sql::{QueryResult, SqlError};
-use tenantdb_storage::{
-    ColumnDef, DataType, IndexDef, LogRecord, Lsn, RedoOp, StorageError, TableSchema, TxnId, Value,
-    WalEntry,
-};
+use tenantdb_storage::codec::{self, DecodeError};
+use tenantdb_storage::{LogRecord, Lsn, StorageError, TxnId, Value};
 
-/// The protocol version this build speaks (and offers in its handshake).
-/// Version 2 added request pipelining and the `Batch` frame family.
-pub const PROTOCOL_VERSION: u16 = 2;
-
-/// The oldest protocol version this build still accepts in a handshake.
-/// Version-1 peers (no pipelining, no `Batch`) remain fully supported:
-/// nothing in version 2 changed the meaning of a version-1 conversation.
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
+/// The protocol version this build speaks, and the only one it accepts in
+/// a handshake. Version 3 carries values in the log's byte format.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// The version of the cross-colo log-stream protocol (the `Geo*` frame
-/// family) this build speaks. Versioned separately from the client
-/// protocol: shippers and standbys upgrade on their own schedule.
-pub const GEOREP_PROTOCOL_VERSION: u16 = 1;
+/// family) this build speaks, and the only one it accepts. Versioned
+/// separately from the client protocol. Version 2 ships each record as the
+/// log lays it out.
+pub const GEOREP_PROTOCOL_VERSION: u16 = 2;
 
 /// Upper bound on a frame body (opcode + payload). A length prefix above
 /// this is rejected before any allocation — the decoder's defense against
@@ -87,10 +87,12 @@ pub enum WireError {
     BadOpcode(u8),
     /// Handshake carried a protocol version this build does not speak.
     BadVersion(u16),
-    /// Unknown enum tag (value type, policy, error variant).
+    /// Unknown enum tag (policy, batch mode, error variant).
     BadTag(u8),
     /// A string field was not valid UTF-8.
     BadUtf8,
+    /// A value or log record did not decode (see [`codec`]).
+    Codec(DecodeError),
     /// The peer answered a request with a frame that request cannot produce.
     UnexpectedFrame(&'static str),
 }
@@ -106,6 +108,7 @@ impl fmt::Display for WireError {
             WireError::BadVersion(v) => write!(f, "unsupported protocol version {v}"),
             WireError::BadTag(t) => write!(f, "unknown tag 0x{t:02x}"),
             WireError::BadUtf8 => f.write_str("invalid utf-8 in string field"),
+            WireError::Codec(e) => write!(f, "bad value or log record: {e}"),
             WireError::UnexpectedFrame(what) => write!(f, "unexpected reply frame: {what}"),
         }
     }
@@ -349,7 +352,7 @@ pub enum Frame {
     ListConns,
     /// Reply to [`Frame::ListConns`].
     ConnList(Vec<ConnInfo>),
-    /// Execute N statements as one unit in a single frame (protocol ≥ 2).
+    /// Execute N statements as one unit in a single frame.
     /// The dominant serving-tier cost is the per-statement round trip;
     /// batching a whole transaction body collapses it to one RTT.
     Batch {
@@ -538,10 +541,7 @@ impl Frame {
             Frame::Error(e) => put_cluster_error(body, e),
             Frame::Query { sql, params } | Frame::Execute { sql, params } => {
                 put_str(body, sql);
-                put_u32(body, params.len() as u32);
-                for v in params {
-                    put_value(body, v);
-                }
+                codec::encode_row(body, params);
             }
             Frame::ResultSet(r) => put_query_result(body, r),
             Frame::Affected { rows } => put_u64(body, *rows),
@@ -556,18 +556,7 @@ impl Frame {
                     put_u64(body, c.idle_ms);
                 }
             }
-            Frame::Batch { seq, mode, stmts } => {
-                put_u32(body, *seq);
-                body.push(batch_mode_to_u8(*mode));
-                put_u32(body, stmts.len() as u32);
-                for s in stmts {
-                    put_str(body, &s.sql);
-                    put_u32(body, s.params.len() as u32);
-                    for v in &s.params {
-                        put_value(body, v);
-                    }
-                }
-            }
+            Frame::Batch { seq, mode, stmts } => put_batch(body, *seq, *mode, stmts),
             Frame::BatchOk { seq, results } => {
                 put_u32(body, *seq);
                 put_u32(body, results.len() as u32);
@@ -602,10 +591,7 @@ impl Frame {
             }
             Frame::GeoRecords { epoch, records } => {
                 put_u64(body, *epoch);
-                put_u32(body, records.len() as u32);
-                for rec in records {
-                    put_log_record(body, rec);
-                }
+                codec::encode_batch(body, records);
             }
             Frame::GeoAck { applied_lsn } => put_u64(body, applied_lsn.0),
             Frame::GeoFenced { epoch } => put_u64(body, *epoch),
@@ -621,10 +607,7 @@ impl Frame {
         let op = r.u8()?;
         let frame = match op {
             0x01 => {
-                let version = r.u16()?;
-                if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
-                    return Err(WireError::BadVersion(version));
-                }
+                let version = r.version(PROTOCOL_VERSION)?;
                 let db = r.string()?;
                 let read_pref = ReadPref::from_u8(r.u8()?)?;
                 let write_pref = WritePref::from_u8(r.u8()?)?;
@@ -636,10 +619,7 @@ impl Frame {
                 }
             }
             0x02 => {
-                let version = r.u16()?;
-                if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
-                    return Err(WireError::BadVersion(version));
-                }
+                let version = r.version(PROTOCOL_VERSION)?;
                 Frame::HelloOk {
                     version,
                     read_policy: read_policy_from_u8(r.u8()?)?,
@@ -652,11 +632,7 @@ impl Frame {
             0x06 => Frame::Error(get_cluster_error(&mut r)?),
             0x10 | 0x12 => {
                 let sql = r.string()?;
-                let n = r.bounded_len()?;
-                let mut params = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    params.push(get_value(&mut r)?);
-                }
+                let params = r.codec(codec::decode_row)?;
                 if op == 0x10 {
                     Frame::Query { sql, params }
                 } else {
@@ -691,11 +667,7 @@ impl Frame {
                 let mut stmts = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
                     let sql = r.string()?;
-                    let np = r.bounded_len()?;
-                    let mut params = Vec::with_capacity(np.min(1024));
-                    for _ in 0..np {
-                        params.push(get_value(&mut r)?);
-                    }
+                    let params = r.codec(codec::decode_row)?;
                     stmts.push(BatchStmt { sql, params });
                 }
                 Frame::Batch { seq, mode, stmts }
@@ -716,10 +688,7 @@ impl Frame {
                 Frame::BatchErr { seq, index, error }
             }
             0x20 => {
-                let version = r.u16()?;
-                if !(1..=GEOREP_PROTOCOL_VERSION).contains(&version) {
-                    return Err(WireError::BadVersion(version));
-                }
+                let version = r.version(GEOREP_PROTOCOL_VERSION)?;
                 Frame::GeoHello {
                     version,
                     db: r.string()?,
@@ -729,24 +698,16 @@ impl Frame {
                 }
             }
             0x21 => {
-                let version = r.u16()?;
-                if !(1..=GEOREP_PROTOCOL_VERSION).contains(&version) {
-                    return Err(WireError::BadVersion(version));
-                }
+                let version = r.version(GEOREP_PROTOCOL_VERSION)?;
                 Frame::GeoHelloOk {
                     version,
                     resume_lsn: Lsn(r.u64()?),
                 }
             }
-            0x22 => {
-                let epoch = r.u64()?;
-                let n = r.bounded_len()?;
-                let mut records = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    records.push(get_log_record(&mut r)?);
-                }
-                Frame::GeoRecords { epoch, records }
-            }
+            0x22 => Frame::GeoRecords {
+                epoch: r.u64()?,
+                records: r.codec(codec::decode_batch)?,
+            },
             0x23 => Frame::GeoAck {
                 applied_lsn: Lsn(r.u64()?),
             },
@@ -794,10 +755,7 @@ pub fn encode_stmt_request(sql: &str, params: &[Value], affected_only: bool) -> 
     let mut body = Vec::with_capacity(10 + sql.len() + 9 * params.len());
     body.push(if affected_only { 0x12 } else { 0x10 });
     put_str(&mut body, sql);
-    put_u32(&mut body, params.len() as u32);
-    for v in params {
-        put_value(&mut body, v);
-    }
+    codec::encode_row(&mut body, params);
     finish_frame(body)
 }
 
@@ -807,16 +765,7 @@ pub fn encode_stmt_request(sql: &str, params: &[Value], affected_only: bool) -> 
 pub fn encode_batch_request(seq: u32, mode: BatchMode, stmts: &[BatchStmt]) -> Vec<u8> {
     let mut body = Vec::with_capacity(10 + 48 * stmts.len());
     body.push(0x19);
-    put_u32(&mut body, seq);
-    body.push(batch_mode_to_u8(mode));
-    put_u32(&mut body, stmts.len() as u32);
-    for s in stmts {
-        put_str(&mut body, &s.sql);
-        put_u32(&mut body, s.params.len() as u32);
-        for v in &s.params {
-            put_value(&mut body, v);
-        }
-    }
+    put_batch(&mut body, seq, mode, stmts);
     finish_frame(body)
 }
 
@@ -847,25 +796,14 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Bool(b) => {
-            out.push(1);
-            out.push(*b as u8);
-        }
-        Value::Int(i) => {
-            out.push(2);
-            put_u64(out, *i as u64);
-        }
-        Value::Float(f) => {
-            out.push(3);
-            put_u64(out, f.to_bits());
-        }
-        Value::Text(s) => {
-            out.push(4);
-            put_str(out, s);
-        }
+/// A `Batch` payload after its opcode.
+fn put_batch(out: &mut Vec<u8>, seq: u32, mode: BatchMode, stmts: &[BatchStmt]) {
+    put_u32(out, seq);
+    out.push(batch_mode_to_u8(mode));
+    put_u32(out, stmts.len() as u32);
+    for s in stmts {
+        put_str(out, &s.sql);
+        codec::encode_row(out, &s.params);
     }
 }
 
@@ -876,10 +814,7 @@ fn put_query_result(out: &mut Vec<u8>, r: &QueryResult) {
     }
     put_u32(out, r.rows.len() as u32);
     for row in &r.rows {
-        put_u32(out, row.len() as u32);
-        for v in row {
-            put_value(out, v);
-        }
+        codec::encode_row(out, row);
     }
     put_u64(out, r.rows_affected);
     for touched in [&r.touched_reads, &r.touched_writes] {
@@ -1031,124 +966,6 @@ fn put_cluster_error(out: &mut Vec<u8>, e: &ClusterError) {
     }
 }
 
-fn data_type_to_u8(t: DataType) -> u8 {
-    match t {
-        DataType::Bool => 0,
-        DataType::Int => 1,
-        DataType::Float => 2,
-        DataType::Text => 3,
-    }
-}
-
-fn data_type_from_u8(b: u8) -> WireResult<DataType> {
-    Ok(match b {
-        0 => DataType::Bool,
-        1 => DataType::Int,
-        2 => DataType::Float,
-        3 => DataType::Text,
-        other => return Err(WireError::BadTag(other)),
-    })
-}
-
-fn put_table_schema(out: &mut Vec<u8>, s: &TableSchema) {
-    put_str(out, &s.name);
-    put_u32(out, s.columns.len() as u32);
-    for c in &s.columns {
-        put_str(out, &c.name);
-        out.push(data_type_to_u8(c.ty));
-        out.push(c.nullable as u8);
-    }
-    put_u32(out, s.indexes.len() as u32);
-    for i in &s.indexes {
-        put_str(out, &i.name);
-        put_u32(out, i.columns.len() as u32);
-        for &col in &i.columns {
-            put_u32(out, col as u32);
-        }
-        out.push(i.unique as u8);
-    }
-}
-
-fn put_redo_op(out: &mut Vec<u8>, op: &RedoOp) {
-    match op {
-        RedoOp::CreateDatabase { db } => {
-            out.push(0);
-            put_str(out, db);
-        }
-        RedoOp::DropDatabase { db } => {
-            out.push(1);
-            put_str(out, db);
-        }
-        RedoOp::CreateTable { db, schema } => {
-            out.push(2);
-            put_str(out, db);
-            put_table_schema(out, schema);
-        }
-        RedoOp::CreateIndex {
-            db,
-            table,
-            index,
-            columns,
-            unique,
-        } => {
-            out.push(3);
-            put_str(out, db);
-            put_str(out, table);
-            put_str(out, index);
-            put_u32(out, columns.len() as u32);
-            for c in columns {
-                put_str(out, c);
-            }
-            out.push(*unique as u8);
-        }
-        RedoOp::Insert {
-            db,
-            table,
-            row_id,
-            row,
-        }
-        | RedoOp::Update {
-            db,
-            table,
-            row_id,
-            row,
-        } => {
-            out.push(if matches!(op, RedoOp::Insert { .. }) {
-                4
-            } else {
-                5
-            });
-            put_str(out, db);
-            put_str(out, table);
-            put_u64(out, *row_id);
-            put_u32(out, row.len() as u32);
-            for v in row {
-                put_value(out, v);
-            }
-        }
-        RedoOp::Delete { db, table, row_id } => {
-            out.push(6);
-            put_str(out, db);
-            put_str(out, table);
-            put_u64(out, *row_id);
-        }
-    }
-}
-
-fn put_log_record(out: &mut Vec<u8>, rec: &LogRecord) {
-    put_u64(out, rec.lsn.0);
-    put_u64(out, rec.txn.0);
-    match &rec.entry {
-        WalEntry::Redo(op) => {
-            out.push(0);
-            put_redo_op(out, op);
-        }
-        WalEntry::Prepare => out.push(1),
-        WalEntry::Commit => out.push(2),
-        WalEntry::Abort => out.push(3),
-    }
-}
-
 // --------------------------------------------------------------- decoding
 
 /// Bounds-checked reader over a frame body.
@@ -1193,6 +1010,14 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(a))
     }
 
+    /// A handshake's version, refused unless it is `speaks`.
+    fn version(&mut self, speaks: u16) -> WireResult<u16> {
+        match self.u16()? {
+            v if v == speaks => Ok(v),
+            v => Err(WireError::BadVersion(v)),
+        }
+    }
+
     /// A u32 collection/string length, bounded by [`MAX_INNER_LEN`] so a
     /// corrupt prefix cannot force a giant reservation.
     fn bounded_len(&mut self) -> WireResult<usize> {
@@ -1209,6 +1034,17 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
     }
 
+    /// Whatever the shared codec's `read` reads from the rest of the body.
+    fn codec<T>(
+        &mut self,
+        read: impl FnOnce(&mut &'a [u8]) -> Result<T, DecodeError>,
+    ) -> WireResult<T> {
+        let mut rest = &self.buf[self.pos..];
+        let v = read(&mut rest).map_err(WireError::Codec)?;
+        self.pos = self.buf.len() - rest.len();
+        Ok(v)
+    }
+
     /// Assert the body is fully consumed.
     fn finish(&self) -> WireResult<()> {
         if self.pos == self.buf.len() {
@@ -1217,17 +1053,6 @@ impl<'a> Reader<'a> {
             Err(WireError::TrailingBytes(self.buf.len() - self.pos))
         }
     }
-}
-
-fn get_value(r: &mut Reader<'_>) -> WireResult<Value> {
-    Ok(match r.u8()? {
-        0 => Value::Null,
-        1 => Value::Bool(r.u8()? != 0),
-        2 => Value::Int(r.u64()? as i64),
-        3 => Value::Float(f64::from_bits(r.u64()?)),
-        4 => Value::Text(r.string()?),
-        other => return Err(WireError::BadTag(other)),
-    })
 }
 
 fn get_query_result(r: &mut Reader<'_>) -> WireResult<QueryResult> {
@@ -1239,12 +1064,7 @@ fn get_query_result(r: &mut Reader<'_>) -> WireResult<QueryResult> {
     let nrows = r.bounded_len()?;
     let mut rows = Vec::with_capacity(nrows.min(1024));
     for _ in 0..nrows {
-        let n = r.bounded_len()?;
-        let mut row = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            row.push(get_value(r)?);
-        }
-        rows.push(row);
+        rows.push(r.codec(codec::decode_row)?);
     }
     let rows_affected = r.u64()?;
     let mut touched = [Vec::new(), Vec::new()];
@@ -1346,117 +1166,10 @@ fn get_cluster_error(r: &mut Reader<'_>) -> WireResult<ClusterError> {
     })
 }
 
-fn get_table_schema(r: &mut Reader<'_>) -> WireResult<TableSchema> {
-    let name = r.string()?;
-    let ncols = r.bounded_len()?;
-    let mut columns = Vec::with_capacity(ncols.min(1024));
-    for _ in 0..ncols {
-        let cname = r.string()?;
-        let ty = data_type_from_u8(r.u8()?)?;
-        let nullable = r.u8()? != 0;
-        let mut c = ColumnDef::new(cname, ty);
-        c.nullable = nullable;
-        columns.push(c);
-    }
-    let mut schema = TableSchema::new(name, columns);
-    let nidx = r.bounded_len()?;
-    for _ in 0..nidx {
-        let iname = r.string()?;
-        let n = r.bounded_len()?;
-        let mut cols = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            cols.push(r.u32()? as usize);
-        }
-        let unique = r.u8()? != 0;
-        schema.indexes.push(IndexDef {
-            name: iname,
-            columns: cols,
-            unique,
-        });
-    }
-    Ok(schema)
-}
-
-fn get_redo_op(r: &mut Reader<'_>) -> WireResult<RedoOp> {
-    Ok(match r.u8()? {
-        0 => RedoOp::CreateDatabase {
-            db: r.string()?.into(),
-        },
-        1 => RedoOp::DropDatabase {
-            db: r.string()?.into(),
-        },
-        2 => RedoOp::CreateTable {
-            db: r.string()?.into(),
-            schema: Box::new(get_table_schema(r)?),
-        },
-        3 => {
-            let db = r.string()?.into();
-            let table = r.string()?.into();
-            let index = r.string()?.into();
-            let n = r.bounded_len()?;
-            let mut columns = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                columns.push(r.string()?);
-            }
-            let unique = r.u8()? != 0;
-            RedoOp::CreateIndex {
-                db,
-                table,
-                index,
-                columns: columns.into(),
-                unique,
-            }
-        }
-        tag @ (4 | 5) => {
-            let db = r.string()?.into();
-            let table = r.string()?.into();
-            let row_id = r.u64()?;
-            let n = r.bounded_len()?;
-            let mut row = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                row.push(get_value(r)?);
-            }
-            if tag == 4 {
-                RedoOp::Insert {
-                    db,
-                    table,
-                    row_id,
-                    row,
-                }
-            } else {
-                RedoOp::Update {
-                    db,
-                    table,
-                    row_id,
-                    row,
-                }
-            }
-        }
-        6 => RedoOp::Delete {
-            db: r.string()?.into(),
-            table: r.string()?.into(),
-            row_id: r.u64()?,
-        },
-        other => return Err(WireError::BadTag(other)),
-    })
-}
-
-fn get_log_record(r: &mut Reader<'_>) -> WireResult<LogRecord> {
-    let lsn = Lsn(r.u64()?);
-    let txn = TxnId(r.u64()?);
-    let entry = match r.u8()? {
-        0 => WalEntry::Redo(get_redo_op(r)?),
-        1 => WalEntry::Prepare,
-        2 => WalEntry::Commit,
-        3 => WalEntry::Abort,
-        other => return Err(WireError::BadTag(other)),
-    };
-    Ok(LogRecord { lsn, txn, entry })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tenantdb_storage::{RedoOp, WalEntry};
 
     fn roundtrip(f: &Frame) {
         let bytes = f.encode();
@@ -1658,33 +1371,38 @@ mod tests {
     }
 
     #[test]
-    fn handshake_accepts_both_protocol_versions() {
-        for v in [MIN_PROTOCOL_VERSION, PROTOCOL_VERSION] {
-            roundtrip(&Frame::Hello {
-                version: v,
-                db: "app".into(),
-                read_pref: ReadPref::Default,
-                write_pref: WritePref::Default,
-            });
-            roundtrip(&Frame::HelloOk {
-                version: v,
-                read_policy: ReadPolicy::PinnedReplica,
-                write_policy: WritePolicy::Conservative,
-            });
-        }
-        // Versions outside [MIN, CURRENT] are refused.
-        for bad in [0u16, PROTOCOL_VERSION + 1] {
-            let f = Frame::Hello {
+    fn handshake_accepts_only_the_current_protocol_version() {
+        assert_eq!(PROTOCOL_VERSION, 3);
+        roundtrip(&Frame::Hello {
+            version: PROTOCOL_VERSION,
+            db: "app".into(),
+            read_pref: ReadPref::Default,
+            write_pref: WritePref::Default,
+        });
+        roundtrip(&Frame::HelloOk {
+            version: PROTOCOL_VERSION,
+            read_policy: ReadPolicy::PinnedReplica,
+            write_policy: WritePolicy::Conservative,
+        });
+        // Every other version is refused, the older layouts included.
+        for bad in [0u16, 1, 2, PROTOCOL_VERSION + 1] {
+            let hello = Frame::Hello {
                 version: bad,
                 db: "app".into(),
                 read_pref: ReadPref::Default,
                 write_pref: WritePref::Default,
             };
-            let bytes = f.encode();
-            assert!(matches!(
-                Frame::decode(&bytes[4..]),
-                Err(WireError::BadVersion(v)) if v == bad
-            ));
+            let hello_ok = Frame::HelloOk {
+                version: bad,
+                read_policy: ReadPolicy::PinnedReplica,
+                write_policy: WritePolicy::Conservative,
+            };
+            for f in [hello, hello_ok] {
+                assert!(matches!(
+                    Frame::decode(&f.encode()[4..]),
+                    Err(WireError::BadVersion(v)) if v == bad
+                ));
+            }
         }
     }
 
@@ -1728,75 +1446,9 @@ mod tests {
     }
 
     #[test]
-    fn geo_records_carry_every_wal_entry_shape() {
-        let schema = TableSchema::new(
-            "users",
-            vec![
-                ColumnDef::new("id", DataType::Int).not_null(),
-                ColumnDef::new("name", DataType::Text),
-                ColumnDef::new("ok", DataType::Bool),
-                ColumnDef::new("score", DataType::Float),
-            ],
-        )
-        .with_primary_key(&["id"])
-        .with_index("by_name", &["name"], false);
-        let ops = vec![
-            RedoOp::CreateDatabase { db: "d".into() },
-            RedoOp::DropDatabase { db: "d".into() },
-            RedoOp::CreateTable {
-                db: "d".into(),
-                schema: Box::new(schema),
-            },
-            RedoOp::CreateIndex {
-                db: "d".into(),
-                table: "users".into(),
-                index: "by_score".into(),
-                columns: ["score".to_string()].into(),
-                unique: false,
-            },
-            RedoOp::Insert {
-                db: "d".into(),
-                table: "users".into(),
-                row_id: 1,
-                row: vec![Value::Int(1), Value::Text("é".into()), Value::Null],
-            },
-            RedoOp::Update {
-                db: "d".into(),
-                table: "users".into(),
-                row_id: 1,
-                row: vec![Value::Bool(true), Value::Float(0.5)],
-            },
-            RedoOp::Delete {
-                db: "d".into(),
-                table: "users".into(),
-                row_id: 1,
-            },
-        ];
-        let mut records: Vec<LogRecord> = ops
-            .into_iter()
-            .enumerate()
-            .map(|(i, op)| LogRecord {
-                lsn: Lsn(i as u64),
-                txn: TxnId(7),
-                entry: WalEntry::Redo(op),
-            })
-            .collect();
-        for (i, entry) in [WalEntry::Prepare, WalEntry::Commit, WalEntry::Abort]
-            .into_iter()
-            .enumerate()
-        {
-            records.push(LogRecord {
-                lsn: Lsn(100 + i as u64),
-                txn: TxnId(7),
-                entry,
-            });
-        }
-        roundtrip(&Frame::GeoRecords { epoch: 5, records });
-    }
-
-    #[test]
     fn geo_hello_rejects_unknown_stream_version() {
-        for bad in [0u16, GEOREP_PROTOCOL_VERSION + 1] {
+        assert_eq!(GEOREP_PROTOCOL_VERSION, 2);
+        for bad in [0u16, 1, GEOREP_PROTOCOL_VERSION + 1] {
             let f = Frame::GeoHello {
                 version: bad,
                 db: "app".into(),
@@ -1817,36 +1469,30 @@ mod tests {
         let rec = LogRecord {
             lsn: Lsn(0),
             txn: TxnId(1),
-            entry: WalEntry::Prepare,
-        };
-        let f = Frame::GeoRecords {
-            epoch: 0,
-            records: vec![rec],
-        };
-        let mut bytes = f.encode();
-        // Body: opcode(1) epoch(8) count(4) lsn(8) txn(8) entry-tag(1).
-        let tag_at = 4 + 1 + 8 + 4 + 8 + 8;
-        bytes[tag_at] = 0x66;
-        assert!(matches!(
-            Frame::decode(&bytes[4..]),
-            Err(WireError::BadTag(0x66))
-        ));
-
-        let rec = LogRecord {
-            lsn: Lsn(0),
-            txn: TxnId(1),
             entry: WalEntry::Redo(RedoOp::CreateDatabase { db: "".into() }),
         };
         let f = Frame::GeoRecords {
             epoch: 0,
             records: vec![rec],
         };
-        let mut bytes = f.encode();
-        // One byte further in: the redo-op tag after entry-tag 0.
-        bytes[tag_at + 1] = 0x77;
+        let good = f.encode();
+        // Body: opcode(1) epoch(8), then the batch: one name (the empty
+        // one: its length 0), one record, lsn 0, txn 1, kind, name id.
+        let kind_at = 4 + 1 + 8 + 1 + 1 + 1 + 1 + 1;
+        assert_eq!(good[kind_at], 3, "the CreateDatabase kind");
+        let mut bytes = good.clone();
+        bytes[kind_at] = 0x66;
         assert!(matches!(
             Frame::decode(&bytes[4..]),
-            Err(WireError::BadTag(0x77))
+            Err(WireError::Codec(DecodeError::BadTag(0x66)))
+        ));
+
+        // The name id after the kind: past the batch's one name.
+        let mut bytes = good;
+        bytes[kind_at + 1] = 5;
+        assert!(matches!(
+            Frame::decode(&bytes[4..]),
+            Err(WireError::Codec(DecodeError::BadName(5)))
         ));
     }
 

@@ -1021,8 +1021,10 @@ impl Engine {
     /// by crash replay ([`Engine::restart`], over a fresh catalog) and the
     /// standby's live path ([`Engine::apply_replicated_redo`], over the
     /// installed one). Every arm is idempotent or ignores its row-level
-    /// failure, so a log that carries an op twice (a re-seeded georep
-    /// stream re-ships from LSN zero) replays to the same state.
+    /// failure, so replaying an op a second time right after the first
+    /// changes nothing. That is all it promises: a re-seeded georep stream
+    /// that replays another engine's log from LSN zero over state that is
+    /// not a prefix of that log does not converge.
     fn apply_redo(&self, dbs: &mut HashMap<String, Arc<Database>>, op: &RedoOp) {
         let find_table = |db: &str, table: &str| {
             dbs.get(db)

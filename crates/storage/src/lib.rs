@@ -15,7 +15,8 @@
 //!   read-locks-released-at-PREPARE optimization that §3.1 of the paper shows
 //!   can break one-copy serializability under an aggressive controller;
 //! * a redo WAL and crash/restart fault injection ([`wal`], [`Engine::crash`],
-//!   [`Engine::restart`]);
+//!   [`Engine::restart`]), in the one byte format ([`codec`]) that the wire
+//!   also carries values and shipped log records in;
 //! * an LRU buffer-pool **cost model** ([`buffer`]) so that read-routing
 //!   policies produce the cache-locality effects of Figures 2–4 in measured
 //!   wall-clock throughput;
@@ -41,6 +42,7 @@
 //! ```
 
 pub mod buffer;
+pub mod codec;
 pub mod copy;
 pub mod engine;
 pub mod error;

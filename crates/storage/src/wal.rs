@@ -15,23 +15,23 @@
 //!
 //! The log is what a long run retains, so it keeps bytes, not objects: each
 //! record is encoded where it is appended, into one append-only buffer, and
-//! the log keeps one end offset per record. A record is a varint transaction
-//! id, a kind byte, and the kind's payload — nothing for a `Prepare`,
-//! `Commit` or `Abort` marker; for a redo operation its database and table
-//! names as ids into the log's name table (each distinct name is stored
-//! once per log) and its values as tagged varints. [`LogRecord`],
-//! [`WalEntry`] and [`RedoOp`] are the decoded form the readers hand out;
-//! the passes that need only a record's transaction and kind decode nothing
-//! else. This module is the only one that knows the format.
+//! the log keeps one end offset per record. The layout is
+//! [`crate::codec`]'s, the same one a shipped batch carries; the log keeps
+//! its name table (each distinct name stored once per log) beside the
+//! buffer. [`LogRecord`], [`WalEntry`] and [`RedoOp`] are the decoded form
+//! the readers hand out; the passes that need only a record's transaction
+//! and kind decode nothing else. The log decodes only bytes it wrote, so a
+//! record that does not decode is a bug here, and the reads panic.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
+use crate::codec::{kind, Decoder, Encoder, Names};
 use crate::sync::{Mutex, WAL_RECORDS};
 
-use crate::schema::{ColumnDef, IndexDef, TableSchema};
+use crate::schema::TableSchema;
 use crate::txn::TxnId;
-use crate::value::{DataType, Value};
+use crate::value::Value;
 
 /// A log sequence number: the position of one record in an engine's WAL.
 ///
@@ -129,345 +129,7 @@ pub(crate) enum RowWrite<'a> {
     Delete,
 }
 
-/// The byte after a record's transaction id.
-mod kind {
-    pub const PREPARE: u8 = 0;
-    pub const COMMIT: u8 = 1;
-    pub const ABORT: u8 = 2;
-    pub const CREATE_DATABASE: u8 = 3;
-    pub const DROP_DATABASE: u8 = 4;
-    pub const CREATE_TABLE: u8 = 5;
-    pub const CREATE_INDEX: u8 = 6;
-    pub const INSERT: u8 = 7;
-    pub const UPDATE: u8 = 8;
-    pub const DELETE: u8 = 9;
-
-    pub fn is_redo(kind: u8) -> bool {
-        kind >= CREATE_DATABASE
-    }
-
-    pub fn is_row(kind: u8) -> bool {
-        matches!(kind, INSERT | UPDATE | DELETE)
-    }
-}
-
-/// The byte before each encoded value.
-mod tag {
-    pub const NULL: u8 = 0;
-    pub const FALSE: u8 = 1;
-    pub const TRUE: u8 = 2;
-    pub const INT: u8 = 3;
-    pub const FLOAT: u8 = 4;
-    pub const TEXT: u8 = 5;
-}
-
 const CORRUPT: &str = "the log decodes only records it encoded itself";
-
-/// Every distinct database or table name the log has recorded, stored once;
-/// a record names one by its position here.
-#[derive(Default)]
-struct Names {
-    ids: HashMap<Arc<str>, u64>,
-    names: Vec<Arc<str>>,
-}
-
-impl Names {
-    fn id(&mut self, name: &str) -> u64 {
-        if let Some(&id) = self.ids.get(name) {
-            return id;
-        }
-        let id = self.names.len() as u64;
-        let name: Arc<str> = name.into();
-        self.names.push(Arc::clone(&name));
-        self.ids.insert(name, id);
-        id
-    }
-}
-
-/// Writes one record's payload onto the end of the log's buffer.
-struct Encoder<'a> {
-    out: &'a mut Vec<u8>,
-    names: &'a mut Names,
-}
-
-impl Encoder<'_> {
-    fn byte(&mut self, b: u8) {
-        self.out.push(b);
-    }
-
-    fn varint(&mut self, mut v: u64) {
-        while v >= 0x80 {
-            self.out.push(v as u8 | 0x80);
-            v >>= 7;
-        }
-        self.out.push(v as u8);
-    }
-
-    fn str(&mut self, s: &str) {
-        self.varint(s.len() as u64);
-        self.out.extend_from_slice(s.as_bytes());
-    }
-
-    fn name(&mut self, name: &str) {
-        let id = self.names.id(name);
-        self.varint(id);
-    }
-
-    fn value(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.byte(tag::NULL),
-            Value::Bool(false) => self.byte(tag::FALSE),
-            Value::Bool(true) => self.byte(tag::TRUE),
-            &Value::Int(i) => {
-                self.byte(tag::INT);
-                self.varint(((i << 1) ^ (i >> 63)) as u64);
-            }
-            Value::Float(f) => {
-                self.byte(tag::FLOAT);
-                self.out.extend_from_slice(&f.to_bits().to_le_bytes());
-            }
-            Value::Text(s) => {
-                self.byte(tag::TEXT);
-                self.str(s);
-            }
-        }
-    }
-
-    fn row_write(&mut self, db: &str, table: &str, row_id: u64, row: Option<&[Value]>) {
-        self.name(db);
-        self.name(table);
-        self.varint(row_id);
-        if let Some(row) = row {
-            self.varint(row.len() as u64);
-            for v in row {
-                self.value(v);
-            }
-        }
-    }
-
-    fn schema(&mut self, schema: &TableSchema) {
-        self.name(&schema.name);
-        self.varint(schema.columns.len() as u64);
-        for c in &schema.columns {
-            self.str(&c.name);
-            self.byte(match c.ty {
-                DataType::Bool => 0,
-                DataType::Int => 1,
-                DataType::Float => 2,
-                DataType::Text => 3,
-            });
-            self.byte(c.nullable as u8);
-        }
-        self.varint(schema.indexes.len() as u64);
-        for idx in &schema.indexes {
-            self.str(&idx.name);
-            self.varint(idx.columns.len() as u64);
-            for &c in &idx.columns {
-                self.varint(c as u64);
-            }
-            self.byte(idx.unique as u8);
-        }
-    }
-
-    /// Encode `op`'s payload; returns its kind.
-    fn redo(&mut self, op: &RedoOp) -> u8 {
-        match op {
-            RedoOp::CreateDatabase { db } => {
-                self.name(db);
-                kind::CREATE_DATABASE
-            }
-            RedoOp::DropDatabase { db } => {
-                self.name(db);
-                kind::DROP_DATABASE
-            }
-            RedoOp::CreateTable { db, schema } => {
-                self.name(db);
-                self.schema(schema);
-                kind::CREATE_TABLE
-            }
-            RedoOp::CreateIndex {
-                db,
-                table,
-                index,
-                columns,
-                unique,
-            } => {
-                self.name(db);
-                self.name(table);
-                self.str(index);
-                self.varint(columns.len() as u64);
-                for c in columns.iter() {
-                    self.str(c);
-                }
-                self.byte(*unique as u8);
-                kind::CREATE_INDEX
-            }
-            RedoOp::Insert {
-                db,
-                table,
-                row_id,
-                row,
-            } => {
-                self.row_write(db, table, *row_id, Some(row));
-                kind::INSERT
-            }
-            RedoOp::Update {
-                db,
-                table,
-                row_id,
-                row,
-            } => {
-                self.row_write(db, table, *row_id, Some(row));
-                kind::UPDATE
-            }
-            RedoOp::Delete { db, table, row_id } => {
-                self.row_write(db, table, *row_id, None);
-                kind::DELETE
-            }
-        }
-    }
-}
-
-/// Reads one record back. The log decodes only bytes it wrote, so a record
-/// that does not parse is a bug in this module: the reads panic.
-struct Decoder<'a> {
-    buf: &'a [u8],
-    names: &'a [Arc<str>],
-}
-
-impl<'a> Decoder<'a> {
-    fn byte(&mut self) -> u8 {
-        let (&b, rest) = self.buf.split_first().expect(CORRUPT);
-        self.buf = rest;
-        b
-    }
-
-    fn varint(&mut self) -> u64 {
-        let mut v = 0;
-        let mut shift = 0;
-        loop {
-            let b = self.byte();
-            v |= u64::from(b & 0x7f) << shift;
-            if b < 0x80 {
-                return v;
-            }
-            shift += 7;
-        }
-    }
-
-    fn len(&mut self) -> usize {
-        usize::try_from(self.varint()).expect(CORRUPT)
-    }
-
-    fn bool(&mut self) -> bool {
-        self.byte() != 0
-    }
-
-    fn str(&mut self) -> &'a str {
-        let n = self.len();
-        let (s, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        std::str::from_utf8(s).expect(CORRUPT)
-    }
-
-    fn name(&mut self) -> Arc<str> {
-        let id = self.len();
-        Arc::clone(&self.names[id])
-    }
-
-    fn value(&mut self) -> Value {
-        match self.byte() {
-            tag::NULL => Value::Null,
-            tag::FALSE => Value::Bool(false),
-            tag::TRUE => Value::Bool(true),
-            tag::INT => {
-                let z = self.varint();
-                Value::Int((z >> 1) as i64 ^ -((z & 1) as i64))
-            }
-            tag::FLOAT => {
-                let (bits, rest) = self.buf.split_first_chunk::<8>().expect(CORRUPT);
-                self.buf = rest;
-                Value::Float(f64::from_bits(u64::from_le_bytes(*bits)))
-            }
-            tag::TEXT => Value::Text(self.str().to_string()),
-            _ => panic!("{CORRUPT}"),
-        }
-    }
-
-    fn row(&mut self) -> Vec<Value> {
-        let n = self.len();
-        (0..n).map(|_| self.value()).collect()
-    }
-
-    fn schema(&mut self) -> TableSchema {
-        let name = self.name().to_string();
-        let columns = (0..self.len())
-            .map(|_| {
-                let name = self.str().to_string();
-                let ty = match self.byte() {
-                    0 => DataType::Bool,
-                    1 => DataType::Int,
-                    2 => DataType::Float,
-                    3 => DataType::Text,
-                    _ => panic!("{CORRUPT}"),
-                };
-                ColumnDef {
-                    name,
-                    ty,
-                    nullable: self.bool(),
-                }
-            })
-            .collect();
-        let indexes = (0..self.len())
-            .map(|_| IndexDef {
-                name: self.str().to_string(),
-                columns: (0..self.len()).map(|_| self.len()).collect(),
-                unique: self.bool(),
-            })
-            .collect();
-        TableSchema {
-            name,
-            columns,
-            indexes,
-        }
-    }
-
-    fn redo(&mut self, kind: u8) -> RedoOp {
-        match kind {
-            kind::CREATE_DATABASE => RedoOp::CreateDatabase { db: self.name() },
-            kind::DROP_DATABASE => RedoOp::DropDatabase { db: self.name() },
-            kind::CREATE_TABLE => RedoOp::CreateTable {
-                db: self.name(),
-                schema: Box::new(self.schema()),
-            },
-            kind::CREATE_INDEX => RedoOp::CreateIndex {
-                db: self.name(),
-                table: self.name(),
-                index: self.str().into(),
-                columns: (0..self.len()).map(|_| self.str().to_string()).collect(),
-                unique: self.bool(),
-            },
-            kind::INSERT => RedoOp::Insert {
-                db: self.name(),
-                table: self.name(),
-                row_id: self.varint(),
-                row: self.row(),
-            },
-            kind::UPDATE => RedoOp::Update {
-                db: self.name(),
-                table: self.name(),
-                row_id: self.varint(),
-                row: self.row(),
-            },
-            kind::DELETE => RedoOp::Delete {
-                db: self.name(),
-                table: self.name(),
-                row_id: self.varint(),
-            },
-            _ => panic!("{CORRUPT}"),
-        }
-    }
-}
 
 /// The retained records, encoded back to back, plus the LSN of the first
 /// one still held — the prefix below `start` has been released by
@@ -496,27 +158,17 @@ impl WalInner {
     /// start of its payload.
     fn record(&self, i: usize) -> (TxnId, u8, Decoder<'_>) {
         let from = if i == 0 { 0 } else { self.ends[i - 1] };
-        let mut d = Decoder {
-            buf: &self.bytes[from..self.ends[i]],
-            names: &self.names.names,
-        };
-        let txn = TxnId(d.varint());
-        let kind = d.byte();
+        let mut d = Decoder::new(&self.bytes[from..self.ends[i]], &self.names.names);
+        let (txn, kind) = d.header().expect(CORRUPT);
         (txn, kind, d)
     }
 
     fn decode(&self, i: usize) -> LogRecord {
         let (txn, kind, mut d) = self.record(i);
-        let entry = match kind {
-            kind::PREPARE => WalEntry::Prepare,
-            kind::COMMIT => WalEntry::Commit,
-            kind::ABORT => WalEntry::Abort,
-            kind => WalEntry::Redo(d.redo(kind)),
-        };
         LogRecord {
             lsn: Lsn(self.start + i as u64),
             txn,
-            entry,
+            entry: d.entry(kind).expect(CORRUPT),
         }
     }
 
@@ -554,12 +206,7 @@ impl Wal {
     pub const DDL_TXN: TxnId = TxnId(0);
 
     pub fn append(&self, txn: TxnId, entry: WalEntry) -> Lsn {
-        match &entry {
-            WalEntry::Redo(op) => self.append_redo(txn, op),
-            WalEntry::Prepare => self.push(txn, |_| kind::PREPARE),
-            WalEntry::Commit => self.push(txn, |_| kind::COMMIT),
-            WalEntry::Abort => self.push(txn, |_| kind::ABORT),
-        }
+        self.push(txn, |enc| enc.entry(&entry))
     }
 
     /// [`Wal::append`] of a redo record, encoded from a borrow.
@@ -592,22 +239,17 @@ impl Wal {
         })
     }
 
-    /// Append one record: `txn`, then the kind byte and payload `payload`
-    /// writes (the payload goes first and the kind byte is slotted in front
-    /// of it, so that one match both encodes and names the kind).
+    /// Append one record of `txn` whose kind and payload `payload` writes
+    /// (see [`Encoder::record`]).
     fn push(&self, txn: TxnId, payload: impl FnOnce(&mut Encoder<'_>) -> u8) -> Lsn {
         let mut guard = self.records.lock();
         let inner = &mut *guard;
         let lsn = inner.head();
-        let mut enc = Encoder {
+        Encoder {
             out: &mut inner.bytes,
             names: &mut inner.names,
-        };
-        enc.varint(txn.0);
-        let at = enc.out.len();
-        enc.byte(0);
-        let kind = payload(&mut enc);
-        inner.bytes[at] = kind;
+        }
+        .record(txn, payload);
         inner.ends.push(inner.bytes.len());
         lsn
     }
@@ -688,7 +330,7 @@ impl Wal {
                 let (txn, kind, mut d) = inner.record(i);
                 let replayed =
                     kind::is_redo(kind) && (txn == Self::DDL_TXN || committed.contains(&txn));
-                replayed.then(|| d.redo(kind))
+                replayed.then(|| d.redo(kind).expect(CORRUPT))
             })
             .collect()
     }
@@ -728,10 +370,10 @@ impl Wal {
         let mut out: Vec<(TxnId, Arc<str>)> = Vec::new();
         for i in 0..inner.ends.len() {
             let (txn, kind, mut d) = inner.record(i);
-            if txn == Self::DDL_TXN || !kind::is_row(kind) || d.varint() != db {
+            if txn == Self::DDL_TXN || !kind::is_row(kind) || d.varint().expect(CORRUPT) != db {
                 continue;
             }
-            let table = d.name();
+            let table = d.name().expect(CORRUPT);
             if out
                 .last()
                 .is_some_and(|(t, name)| *t == txn && Arc::ptr_eq(name, &table))
@@ -755,6 +397,9 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec;
+    use crate::schema::{ColumnDef, IndexDef};
+    use crate::value::DataType;
 
     fn ins(row_id: u64) -> WalEntry {
         WalEntry::Redo(RedoOp::Insert {
@@ -1087,6 +732,16 @@ mod tests {
             let batch = wal.tail_from_capped(cursor, page);
             let Some(last) = batch.last() else { break };
             assert!(batch.len() <= page, "{what}: page over its cap");
+            let mut bytes = Vec::new();
+            codec::encode_batch(&mut bytes, &batch);
+            let mut rest = &bytes[..];
+            let shipped = codec::decode_batch(&mut rest).expect("a shipped page decodes");
+            assert!(rest.is_empty(), "{what}: bytes left after a shipped page");
+            same(
+                &shipped,
+                &batch,
+                &format!("{what}: a page shipped as a batch"),
+            );
             cursor = last.lsn.next();
             paged.extend(batch);
         }
@@ -1102,9 +757,9 @@ mod tests {
     }
 
     /// Every record reads back bit-exactly — through `snapshot`, through
-    /// `tail_from_capped` pages, and after `truncate_prefix` — with its
-    /// LSN; `committed_redo` and `in_doubt` agree with a reference computed
-    /// from the appended records.
+    /// `tail_from_capped` pages (each also shipped through the batch codec),
+    /// and after `truncate_prefix` — with its LSN; `committed_redo` and
+    /// `in_doubt` agree with a reference computed from the appended records.
     #[test]
     fn every_record_round_trips() {
         for seed in 0..24 {

@@ -7,7 +7,9 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 use tenantdb::cluster::{ClusterConfig, ClusterController};
-use tenantdb::georep::{promote, Applier, GeoLink, GeoMetrics, Shipper};
+use tenantdb::georep::{
+    promote, Applier, GeoLink, GeoMetrics, GeoStandbyServer, GeoTcpLink, Shipper,
+};
 use tenantdb::platform::{CreateOptions, PlatformConfig, SystemController};
 use tenantdb::storage::Value;
 use tenantdb::tpcw;
@@ -400,29 +402,67 @@ fn colo_disaster_recovery_end_to_end() {
     assert!(err.is_fenced(), "{err}");
 }
 
+/// `db`'s logical state on the first alive replica of `cluster`.
+fn state(cluster: &ClusterController, db: &str) -> String {
+    let id = cluster.alive_replicas(db).unwrap()[0];
+    tenantdb::cluster::testkit::logical_state(&cluster.machine(id).unwrap().engine, db).unwrap()
+}
+
 /// Writes that never touch a platform connection — bulk loads through the
 /// cluster API, as TPC-W set-up and every bench driver do — are in the WAL
-/// like any other, so the standby receives them.
+/// like any other, so the standby receives them: in process, and over a
+/// socket as `GeoRecords` frames. The rows hold every kind of value, and an
+/// UPDATE and a DELETE ship too.
 #[test]
 fn writes_through_the_cluster_api_reach_the_standby() {
-    let platform = two_colo_platform();
-    platform
-        .create_database("bulk", WEST, CreateOptions::default())
-        .unwrap();
-    let (primary, standby) = dr_clusters(&platform, "bulk");
-    primary
-        .ddl("bulk", "CREATE TABLE t (id INT NOT NULL, PRIMARY KEY (id))")
-        .unwrap();
-    let conn = primary.connect("bulk").unwrap();
-    conn.begin().unwrap();
-    for i in 0..25 {
-        conn.execute("INSERT INTO t VALUES (?)", &[Value::Int(i)])
+    for over_tcp in [false, true] {
+        let platform = two_colo_platform();
+        platform
+            .create_database("bulk", WEST, CreateOptions::default())
             .unwrap();
-    }
-    conn.commit().unwrap();
+        let (primary, standby) = dr_clusters(&platform, "bulk");
+        primary
+            .ddl(
+                "bulk",
+                "CREATE TABLE t (id INT NOT NULL, ok BOOL, x FLOAT, s TEXT, PRIMARY KEY (id))",
+            )
+            .unwrap();
+        let conn = primary.connect("bulk").unwrap();
+        conn.begin().unwrap();
+        for i in -12..13 {
+            let ok = [Value::Null, Value::Bool(true), Value::Bool(false)];
+            let row = [
+                Value::Int(i),
+                ok[i.rem_euclid(3) as usize].clone(),
+                Value::Float(if i % 2 == 0 { -0.0 } else { i as f64 / 4.0 }),
+                Value::Text(format!("größe €{i} 🦀")),
+            ];
+            conn.execute("INSERT INTO t VALUES (?, ?, ?, ?)", &row)
+                .unwrap();
+        }
+        conn.commit().unwrap();
+        conn.execute("UPDATE t SET s = 'é', x = -0.0 WHERE id = -7", &[])
+            .unwrap();
+        conn.execute("DELETE FROM t WHERE id = 4", &[]).unwrap();
 
-    geo_link(&platform, "bulk", &geo_metrics()).sync().unwrap();
-    assert_eq!(count(&standby, "bulk"), Value::Int(25));
+        let metrics = geo_metrics();
+        let transport = if over_tcp { "tcp" } else { "in process" };
+        if over_tcp {
+            let server = GeoStandbyServer::serve(Arc::clone(&standby), 1, metrics.clone()).unwrap();
+            let shipper = Shipper::new(Arc::clone(&primary), "bulk", metrics.clone()).unwrap();
+            GeoTcpLink::new(shipper, server.addr(), metrics)
+                .sync()
+                .unwrap();
+        } else {
+            geo_link(&platform, "bulk", &metrics).sync().unwrap();
+        }
+        assert_eq!(count(&standby, "bulk"), Value::Int(24), "{transport}");
+        assert_eq!(
+            state(&standby, "bulk"),
+            state(&primary, "bulk"),
+            "{transport}"
+        );
+    }
 }
 
 /// A client's whole repertoire through `SystemController::connect` on the
