@@ -49,7 +49,7 @@ use tenantdb_sql::{Plan, QueryResult, SqlError, StatementClass};
 use tenantdb_storage::{StorageError, TxnId, Value};
 
 use crate::controller::{ClusterController, ReadPolicy, WritePolicy};
-use crate::error::{ClusterError, Result};
+use crate::error::{Aborted, ClusterError, Outcome, Refusal, Result};
 use crate::machine::MachineId;
 use crate::meta::{AbortArbitration, DecisionLog};
 use crate::worker::{SessionHandle, SessionMsg, Turn, TxnFailures, WorkerReply};
@@ -135,9 +135,7 @@ impl Connection {
     pub fn begin(&self) -> Result<()> {
         let mut st = self.state.lock();
         if st.is_some() {
-            return Err(ClusterError::TxnAborted(
-                "BEGIN inside an open transaction".into(),
-            ));
+            return Err(ClusterError::aborted("BEGIN inside an open transaction"));
         }
         // §4 proactive rejection: every transaction — explicit, implicit, or
         // batch — enters through here, so this is the one admission point.
@@ -269,10 +267,6 @@ impl Connection {
         }
     }
 
-    fn is_unavailable(err: &ClusterError) -> bool {
-        matches!(err.as_storage(), Some(StorageError::Unavailable))
-    }
-
     fn run_stmt(
         &self,
         plan: &Arc<Plan>,
@@ -289,14 +283,10 @@ impl Connection {
             self.run_write(plan, class == StatementClass::LockingRead, params)
         };
         if let Err(e) = &result {
-            // Transaction-fatal errors abort the whole distributed txn so the
-            // client can retry from a clean slate (MySQL behaves the same on
-            // deadlock).
-            let fatal = e.is_deadlock()
-                || e.is_timeout()
-                || e.is_proactive_rejection()
-                || matches!(e, ClusterError::NoReplicas(_));
-            if fatal {
+            // A refusal counted as a deadlock or a rejection aborts the whole
+            // distributed txn so the client can retry from a clean slate
+            // (MySQL behaves the same on deadlock).
+            if e.outcome() != Outcome::Aborted {
                 self.abort_internal(e);
             }
         }
@@ -501,36 +491,23 @@ impl Connection {
         };
         metrics.stmt_write_latency.observe_since(started);
 
-        let mut first_ok: Option<QueryResult> = None;
-        let mut errors: Vec<(MachineId, ClusterError)> = Vec::new();
-        for reply in replies {
-            match reply.result {
-                Ok(r) => {
-                    if first_ok.is_none() {
-                        first_ok = Some(r);
-                    }
-                }
-                Err(e) => errors.push((reply.machine, e)),
-            }
-        }
-
         // Drop replicas that died; any other replica error is fatal for the
         // statement (a write that half-applied across replicas cannot be
         // allowed to commit).
-        let mut fatal: Option<ClusterError> = None;
-        for (m, e) in &errors {
-            if Self::is_unavailable(e) {
-                self.controller.drop_failed_replica(&self.db, *m);
-            } else if fatal.is_none() {
-                fatal = Some(e.clone());
+        let (mut first_ok, mut fatal) = (None, None);
+        for reply in replies {
+            match reply.result {
+                Ok(r) => first_ok = first_ok.or(Some(r)),
+                Err(e) if e.refusal() == Some(Refusal::NoReplica) => {
+                    self.controller.drop_failed_replica(&self.db, reply.machine)
+                }
+                Err(e) => fatal = fatal.or(Some(e)),
             }
         }
-        if let Some(e) = fatal {
-            return Err(e);
-        }
-        match first_ok {
-            Some(r) => Ok(r),
-            None => Err(ClusterError::NoReplicas(self.db.clone())),
+        match (fatal, first_ok) {
+            (Some(e), _) => Err(e),
+            (None, Some(r)) => Ok(r),
+            (None, None) => Err(ClusterError::NoReplicas(self.db.clone())),
         }
     }
 
@@ -544,21 +521,9 @@ impl Connection {
             return Err(ClusterError::NoActiveTxn);
         };
 
-        // Settle the failure ledger: drop dead replicas, refuse to commit
-        // past anything else (aggressive background failures land here).
-        let mut fatal: Option<ClusterError> = None;
-        for (m, e) in txn.failures.drain() {
-            if Self::is_unavailable(&e) {
-                self.controller.drop_failed_replica(&self.db, m);
-                txn.sessions.remove(&m);
-            } else if fatal.is_none() {
-                fatal = Some(e);
-            }
-        }
-        if let Some(e) = fatal {
-            let wrapped = ClusterError::TxnAborted(format!("replica write failed: {e}"));
-            self.finish_abort(&mut txn, &e);
-            return Err(wrapped);
+        // Aggressive background failures land in the ledger.
+        if let Some(e) = self.settle_failures(&mut txn) {
+            return self.refuse_commit(&mut txn, "replica write failed", &e);
         }
         if txn.sessions.is_empty() {
             // Transaction that never touched a machine.
@@ -599,7 +564,7 @@ impl Connection {
         for (m, local, res) in votes {
             match res {
                 Ok(_) => yes.push((m, local.unwrap_or(TxnId(0)))),
-                Err(e) if Self::is_unavailable(&e) => {
+                Err(e) if e.refusal() == Some(Refusal::NoReplica) => {
                     // Participant died before voting: discard the replica.
                     self.controller.drop_failed_replica(&self.db, m);
                     txn.sessions.remove(&m);
@@ -615,20 +580,11 @@ impl Connection {
         // the first drain reports its error before its session answers the
         // PREPARE (session lanes are strictly ordered), so by now it is
         // visible.
-        for (m, e) in txn.failures.drain() {
-            if Self::is_unavailable(&e) {
-                self.controller.drop_failed_replica(&self.db, m);
-                txn.sessions.remove(&m);
-                yes.retain(|(ym, _)| *ym != m);
-            } else if fatal.is_none() {
-                fatal = Some(e);
-            }
+        let late = self.settle_failures(&mut txn);
+        if let Some(e) = fatal.or(late) {
+            return self.refuse_commit(&mut txn, "replica write failed", &e);
         }
-        if let Some(e) = fatal {
-            let wrapped = ClusterError::TxnAborted(format!("replica write failed: {e}"));
-            self.finish_abort(&mut txn, &e);
-            return Err(wrapped);
-        }
+        yes.retain(|(m, _)| txn.sessions.contains_key(m));
         if yes.is_empty() {
             let e = ClusterError::NoReplicas(self.db.clone());
             self.finish_abort(&mut txn, &e);
@@ -652,16 +608,11 @@ impl Connection {
         match self.controller.log_decision(txn.gtxn, yes) {
             DecisionLog::Durable => {}
             DecisionLog::NotLogged(e) => {
-                let wrapped = ClusterError::TxnAborted(format!("commit decision not durable: {e}"));
-                self.finish_abort(&mut txn, &e);
-                return Err(wrapped);
+                return self.refuse_commit(&mut txn, "commit decision not durable", &e);
             }
             DecisionLog::Ambiguous(e) => match self.controller.abort_decision(txn.gtxn) {
                 AbortArbitration::Aborted => {
-                    let wrapped =
-                        ClusterError::TxnAborted(format!("commit decision not durable: {e}"));
-                    self.finish_abort(&mut txn, &e);
-                    return Err(wrapped);
+                    return self.refuse_commit(&mut txn, "commit decision not durable", &e);
                 }
                 AbortArbitration::Committed => {}
                 AbortArbitration::Unknown => {
@@ -707,7 +658,7 @@ impl Connection {
             for (_, s) in txn.sessions.drain() {
                 s.detach();
             }
-            self.controller.note_committed(&self.db);
+            self.controller.metrics().note_committed(&self.db);
             return Ok(());
         }
 
@@ -722,7 +673,7 @@ impl Connection {
             .observe_since(commit_phase_started);
         for (m, _, res) in acks {
             if let Err(e) = res {
-                if Self::is_unavailable(&e) {
+                if e.refusal() == Some(Refusal::NoReplica) {
                     // Participant died after voting yes: its WAL holds the
                     // prepared txn; restart-time recovery resolves it via the
                     // decision log. The replica is discarded either way.
@@ -734,6 +685,31 @@ impl Connection {
         self.note_outcome_commit(&txn);
         metrics.commit_latency_2pc.observe_since(commit_started);
         Ok(())
+    }
+
+    /// Drop the replicas the failure ledger reports dead, and return the
+    /// first other failure: a commit may not overlook it.
+    fn settle_failures(&self, txn: &mut ActiveTxn) -> Option<ClusterError> {
+        let mut fatal = None;
+        for (m, e) in txn.failures.drain() {
+            if e.refusal() == Some(Refusal::NoReplica) {
+                self.controller.drop_failed_replica(&self.db, m);
+                txn.sessions.remove(&m);
+            } else if fatal.is_none() {
+                fatal = Some(e);
+            }
+        }
+        fatal
+    }
+
+    /// Abort a commit `cause` stopped at `stage`: the tenant counts
+    /// `cause`, the client gets an abort that keeps its refusal.
+    fn refuse_commit(&self, txn: &mut ActiveTxn, stage: &str, cause: &ClusterError) -> Result<()> {
+        self.finish_abort(txn, cause);
+        Err(ClusterError::TxnAborted(Aborted {
+            cause: cause.refusal(),
+            message: format!("{stage}: {cause}"),
+        }))
     }
 
     /// Roll back the open transaction.
@@ -748,7 +724,8 @@ impl Connection {
         if let Some(rec) = self.controller.recorder.read().as_ref() {
             rec.abort(txn.gtxn);
         }
-        self.controller.note_aborted(&self.db);
+        let metrics = self.controller.metrics();
+        metrics.note_failed(&self.db, Outcome::Aborted);
         Ok(())
     }
 
@@ -770,20 +747,15 @@ impl Connection {
         if let Some(rec) = self.controller.recorder.read().as_ref() {
             rec.abort(txn.gtxn);
         }
-        if cause.is_deadlock() || cause.is_timeout() {
-            self.controller.note_deadlock(&self.db);
-        } else if cause.is_proactive_rejection() {
-            self.controller.note_rejected(&self.db);
-        } else {
-            self.controller.note_aborted(&self.db);
-        }
+        let metrics = self.controller.metrics();
+        metrics.note_failed(&self.db, cause.outcome());
     }
 
     fn note_outcome_commit(&self, txn: &ActiveTxn) {
         if let Some(rec) = self.controller.recorder.read().as_ref() {
             rec.commit(txn.gtxn);
         }
-        self.controller.note_committed(&self.db);
+        self.controller.metrics().note_committed(&self.db);
     }
 
     /// Send a message to every live session and collect one reply each.

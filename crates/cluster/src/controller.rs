@@ -884,13 +884,7 @@ impl ClusterController {
                 std::thread::sleep(wait);
                 Ok(())
             }
-            tenantdb_sla::AdmissionDecision::Reject => {
-                self.metrics.note_sla_rejected(db, &gate);
-                // An admission shed is a §4.1 proactive rejection: count it
-                // against the tenant's availability SLA.
-                self.metrics.note_rejected(db);
-                Err(ClusterError::AdmissionRejected { db: db.to_string() })
-            }
+            tenantdb_sla::AdmissionDecision::Reject => Err(self.shed(db, &gate)),
         }
     }
 
@@ -904,9 +898,16 @@ impl ClusterController {
         if !gate.would_reject() {
             return None;
         }
-        self.metrics.note_sla_rejected(db, &gate);
-        self.metrics.note_rejected(db);
-        Some(ClusterError::AdmissionRejected { db: db.to_string() })
+        Some(self.shed(db, &gate))
+    }
+
+    /// Count a shed of `db`, at the gate and against the tenant's
+    /// availability SLA, and return the refusal the client sees.
+    fn shed(&self, db: &str, gate: &tenantdb_sla::AdmissionGate) -> ClusterError {
+        self.metrics.note_sla_rejected(db, gate);
+        let shed = ClusterError::AdmissionRejected { db: db.to_string() };
+        self.metrics.note_failed(db, shed.outcome());
+        shed
     }
 
     /// A database's recorded SLA, if one was set.
@@ -1020,22 +1021,6 @@ impl ClusterController {
     /// The cluster's metrics surface (registry, latency handles, event log).
     pub fn metrics(&self) -> &ClusterMetrics {
         &self.metrics
-    }
-
-    pub(crate) fn note_committed(&self, db: &str) {
-        self.metrics.note_committed(db);
-    }
-
-    pub(crate) fn note_deadlock(&self, db: &str) {
-        self.metrics.note_deadlock(db);
-    }
-
-    pub(crate) fn note_rejected(&self, db: &str) {
-        self.metrics.note_rejected(db);
-    }
-
-    pub(crate) fn note_aborted(&self, db: &str) {
-        self.metrics.note_aborted(db);
     }
 
     /// Outcome counters for one database, read live from the registry.
@@ -1256,10 +1241,10 @@ mod tests {
     fn counters_accumulate() {
         let c = ClusterController::with_machines(ClusterConfig::for_tests(), 1);
         c.create_database("a", 1).unwrap();
-        c.note_committed("a");
-        c.note_committed("a");
-        c.note_rejected("a");
-        c.note_deadlock("a");
+        c.metrics().note_committed("a");
+        c.metrics().note_committed("a");
+        c.metrics().note_failed("a", crate::Outcome::Rejected);
+        c.metrics().note_failed("a", crate::Outcome::Deadlock);
         let k = c.counters("a");
         assert_eq!(k.committed, 2);
         assert_eq!(k.rejected, 1);
@@ -1293,9 +1278,9 @@ mod sla_tests {
         let c = ClusterController::with_machines(ClusterConfig::for_tests(), 1);
         c.create_database("a", 1).unwrap();
         for _ in 0..120 {
-            c.note_committed("a");
+            c.metrics().note_committed("a");
         }
-        c.note_rejected("a");
+        c.metrics().note_failed("a", crate::Outcome::Rejected);
         let sla = Sla::new(1.0, 0.05, Duration::from_secs(3600));
         let comp = c.sla_compliance("a", &sla, Duration::from_secs(60));
         assert!(comp.ok(), "{comp:?}");

@@ -5,6 +5,48 @@ use std::fmt;
 use tenantdb_sql::SqlError;
 use tenantdb_storage::StorageError;
 
+/// Why the platform refused a transaction, as [`ClusterError::refusal`]
+/// classifies every failed transaction on either transport.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// Chosen as a deadlock victim.
+    Deadlock,
+    /// A lock wait timed out (a distributed deadlock ends this way).
+    LockTimeout,
+    /// Algorithm 1 refused a write to a table being copied to a new replica.
+    CopyInProgress,
+    /// SLA admission shed the transaction: the tenant is past its rate.
+    AdmissionShed,
+    /// No live replica could serve it.
+    NoReplica,
+    /// The controller replica contacted is not the metadata leader.
+    NotLeader,
+    /// The commit decision may or may not be durable.
+    InDoubt,
+    /// A promoted standby colo took this cluster's write authority.
+    Fenced,
+}
+
+/// The `tenantdb_txn_outcomes_total` label a failed transaction counts under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// Caused by the workload; the §4.1 SLA excludes it.
+    Deadlock,
+    /// A §4.1 proactive rejection, counted against `max_rejected_frac`.
+    Rejected,
+    /// Anything else: statement errors, rollbacks, lost leadership, fencing.
+    Aborted,
+}
+
+/// What [`ClusterError::TxnAborted`] carries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Aborted {
+    /// The refusal underneath, or `None` for an abort that is no refusal.
+    pub cause: Option<Refusal>,
+    /// The reason in words.
+    pub message: String,
+}
+
 /// Errors surfaced to clients of the cluster controller.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClusterError {
@@ -25,7 +67,7 @@ pub enum ClusterError {
         table: String,
     },
     /// The transaction was aborted (reason attached). The client must retry.
-    TxnAborted(String),
+    TxnAborted(Aborted),
     /// `commit`/`rollback` without an active transaction.
     NoActiveTxn,
     /// A database with this name already exists.
@@ -74,7 +116,7 @@ impl fmt::Display for ClusterError {
             ClusterError::WriteRejected { db, table } => {
                 write!(f, "write to {db}.{table} rejected: table is being copied")
             }
-            ClusterError::TxnAborted(why) => write!(f, "transaction aborted: {why}"),
+            ClusterError::TxnAborted(a) => write!(f, "transaction aborted: {}", a.message),
             ClusterError::NoActiveTxn => f.write_str("no active transaction"),
             ClusterError::AlreadyExists(db) => write!(f, "database already exists: {db}"),
             ClusterError::NotLeader { hint: Some(h) } => {
@@ -117,43 +159,61 @@ impl From<StorageError> for ClusterError {
 }
 
 impl ClusterError {
-    /// The underlying storage error, if any.
-    pub fn as_storage(&self) -> Option<&StorageError> {
+    /// An abort that is no refusal: a protocol error, a lost connection.
+    pub fn aborted(message: impl Into<String>) -> Self {
+        ClusterError::TxnAborted(Aborted {
+            cause: None,
+            message: message.into(),
+        })
+    }
+
+    /// The one classifier of a failed transaction: why the platform
+    /// refused it, or `None` for an error that is no refusal.
+    pub fn refusal(&self) -> Option<Refusal> {
+        use StorageError::{Deadlock, LockTimeout, Unavailable};
         match self {
-            ClusterError::Sql(e) => e.as_storage(),
-            _ => None,
-        }
-    }
-
-    /// Was this caused by a deadlock (workload-inherent, not counted against
-    /// the SLA)?
-    pub fn is_deadlock(&self) -> bool {
-        matches!(self.as_storage(), Some(StorageError::Deadlock(_)))
-            || matches!(self, ClusterError::TxnAborted(m) if m.contains("deadlock"))
-    }
-
-    /// Was this a lock timeout (includes distributed deadlocks resolved by
-    /// timeout)?
-    pub fn is_timeout(&self) -> bool {
-        matches!(self.as_storage(), Some(StorageError::LockTimeout(_)))
-            || matches!(self, ClusterError::TxnAborted(m) if m.contains("timeout"))
-    }
-
-    /// Counted as a *proactive rejection* in the §4.1 SLA model: rejections
-    /// caused by the platform (machine failures, replica copies) rather than
-    /// the workload.
-    pub fn is_proactive_rejection(&self) -> bool {
-        match self {
-            ClusterError::WriteRejected { .. }
-            | ClusterError::NoReplicas(_)
-            | ClusterError::AdmissionRejected { .. } => true,
-            ClusterError::Sql(e) => {
-                e.as_storage().is_some_and(|s| s.is_proactive_rejection())
-                    || matches!(e.as_storage(), Some(StorageError::Unavailable))
+            ClusterError::Sql(SqlError::Storage(Deadlock(_))) => Some(Refusal::Deadlock),
+            ClusterError::Sql(SqlError::Storage(LockTimeout(_))) => Some(Refusal::LockTimeout),
+            ClusterError::Sql(SqlError::Storage(Unavailable)) | ClusterError::NoReplicas(_) => {
+                Some(Refusal::NoReplica)
             }
-            ClusterError::TxnAborted(m) => m.contains("unavailable") || m.contains("rejected"),
-            _ => false,
+            ClusterError::WriteRejected { .. } => Some(Refusal::CopyInProgress),
+            ClusterError::AdmissionRejected { .. } => Some(Refusal::AdmissionShed),
+            ClusterError::NotLeader { .. } => Some(Refusal::NotLeader),
+            ClusterError::InDoubt(_) => Some(Refusal::InDoubt),
+            ClusterError::Fenced { .. } => Some(Refusal::Fenced),
+            ClusterError::TxnAborted(a) => a.cause,
+            ClusterError::Sql(_)
+            | ClusterError::NoSuchDatabase(_)
+            | ClusterError::NoMachines
+            | ClusterError::NoActiveTxn
+            | ClusterError::AlreadyExists(_) => None,
         }
+    }
+
+    /// The `tenantdb_txn_outcomes_total` label this failure counts under.
+    pub fn outcome(&self) -> Outcome {
+        use Refusal::*;
+        match self.refusal() {
+            Some(Deadlock | LockTimeout) => Outcome::Deadlock,
+            Some(CopyInProgress | AdmissionShed | NoReplica) => Outcome::Rejected,
+            Some(NotLeader | InDoubt | Fenced) | None => Outcome::Aborted,
+        }
+    }
+
+    /// Was the transaction a deadlock victim?
+    pub fn is_deadlock(&self) -> bool {
+        self.refusal() == Some(Refusal::Deadlock)
+    }
+
+    /// Did a lock wait time out?
+    pub fn is_timeout(&self) -> bool {
+        self.refusal() == Some(Refusal::LockTimeout)
+    }
+
+    /// Counted as a *proactive rejection* in the §4.1 SLA model.
+    pub fn is_proactive_rejection(&self) -> bool {
+        self.outcome() == Outcome::Rejected
     }
 
     /// Was this a controller-leadership redirect (retryable after the
@@ -177,29 +237,69 @@ mod tests {
     use super::*;
     use tenantdb_storage::TxnId;
 
+    /// `pattern => value, refusal;` rows. The patterns also form a `match`
+    /// with no wildcard arm, so a variant without a row does not compile,
+    /// and each value is held to the pattern beside it.
+    macro_rules! refusal_table {
+        ($ty:ty { $($pat:pat => $val:expr, $want:expr;)* }) => {{
+            let _exhaustive = |v: &$ty| match v {
+                $($pat => (),)*
+            };
+            vec![$({
+                let v: $ty = $val;
+                assert!(matches!(v, $pat), "{v:?} is not its row's variant");
+                (v, $want)
+            }),*]
+        }};
+    }
+
     #[test]
     fn classification() {
-        let dl: ClusterError = StorageError::Deadlock(TxnId(1)).into();
-        assert!(dl.is_deadlock());
-        assert!(!dl.is_proactive_rejection());
+        let (t, s) = (TxnId(1), String::new);
+        let storage = refusal_table!(StorageError {
+            StorageError::NoSuchDatabase(_) => StorageError::NoSuchDatabase(s()), None;
+            StorageError::NoSuchTable(_) => StorageError::NoSuchTable(s()), None;
+            StorageError::NoSuchIndex(_) => StorageError::NoSuchIndex(s()), None;
+            StorageError::AlreadyExists(_) => StorageError::AlreadyExists(s()), None;
+            StorageError::NoSuchTxn(_) => StorageError::NoSuchTxn(t), None;
+            StorageError::InvalidTxnState { .. } =>
+                StorageError::InvalidTxnState { txn: t, state: "active" }, None;
+            StorageError::Deadlock(_) => StorageError::Deadlock(t), Some(Refusal::Deadlock);
+            StorageError::LockTimeout(_) => StorageError::LockTimeout(t), Some(Refusal::LockTimeout);
+            StorageError::Unavailable => StorageError::Unavailable, Some(Refusal::NoReplica);
+            StorageError::UniqueViolation { .. } =>
+                StorageError::UniqueViolation { table: s(), index: s() }, None;
+            StorageError::SchemaMismatch(_) => StorageError::SchemaMismatch(s()), None;
+            StorageError::NoSuchRow(_) => StorageError::NoSuchRow(1), None;
+        });
+        for (e, want) in storage {
+            assert_eq!(ClusterError::from(e.clone()).refusal(), want, "{e:?}");
+        }
 
-        let rej = ClusterError::WriteRejected {
-            db: "d".into(),
-            table: "t".into(),
-        };
-        assert!(rej.is_proactive_rejection());
-        assert!(!rej.is_deadlock());
-
-        let unav: ClusterError = StorageError::Unavailable.into();
-        assert!(unav.is_proactive_rejection());
-
-        let to: ClusterError = StorageError::LockTimeout(TxnId(2)).into();
-        assert!(to.is_timeout());
-
-        let adm = ClusterError::AdmissionRejected { db: "d".into() };
-        assert!(adm.is_proactive_rejection());
-        assert!(!adm.is_deadlock());
-        assert!(!adm.is_timeout());
+        let cluster = refusal_table!(ClusterError {
+            ClusterError::Sql(_) => ClusterError::Sql(SqlError::Parse(s())), None;
+            ClusterError::NoSuchDatabase(_) => ClusterError::NoSuchDatabase(s()), None;
+            ClusterError::NoReplicas(_) => ClusterError::NoReplicas(s()), Some(Refusal::NoReplica);
+            ClusterError::NoMachines => ClusterError::NoMachines, None;
+            ClusterError::WriteRejected { .. } =>
+                ClusterError::WriteRejected { db: s(), table: s() }, Some(Refusal::CopyInProgress);
+            ClusterError::TxnAborted(Aborted { cause: None, .. }) =>
+                ClusterError::aborted("network: io error: Resource temporarily unavailable"), None;
+            ClusterError::TxnAborted(Aborted { cause: Some(_), .. }) =>
+                ClusterError::TxnAborted(Aborted { cause: Some(Refusal::LockTimeout), message: s() }),
+                Some(Refusal::LockTimeout);
+            ClusterError::NoActiveTxn => ClusterError::NoActiveTxn, None;
+            ClusterError::AlreadyExists(_) => ClusterError::AlreadyExists(s()), None;
+            ClusterError::NotLeader { .. } =>
+                ClusterError::NotLeader { hint: None }, Some(Refusal::NotLeader);
+            ClusterError::InDoubt(_) => ClusterError::InDoubt(s()), Some(Refusal::InDoubt);
+            ClusterError::AdmissionRejected { .. } =>
+                ClusterError::AdmissionRejected { db: s() }, Some(Refusal::AdmissionShed);
+            ClusterError::Fenced { .. } => ClusterError::Fenced { epoch: 1 }, Some(Refusal::Fenced);
+        });
+        for (e, want) in cluster {
+            assert_eq!(e.refusal(), want, "{e:?}");
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use controller::{
     ClusterConfig, ClusterController, CopyProgress, Placement, ReadPolicy, TakeoverReport,
     WritePolicy,
 };
-pub use error::{ClusterError, Result};
+pub use error::{Aborted, ClusterError, Outcome, Refusal, Result};
 pub use fault::{CrashPoint, FaultAction, FaultInjector, FaultPlan, Trigger};
 pub use machine::{Machine, MachineId};
 pub use meta::{ControllerGroup, CtrlStatus, MachineTally};

@@ -21,6 +21,7 @@ use crate::sync::{Mutex, METRICS_PER_DB, METRICS_READ_ROUTES, METRICS_SLA};
 use tenantdb_obs::{Counter, EventLog, Gauge, Histogram, MetricsRegistry};
 
 use crate::controller::ReadPolicy;
+use crate::error::Outcome;
 use crate::machine::MachineId;
 
 /// Transactions begun (`db` label): every `BEGIN`, explicit or implicit.
@@ -380,25 +381,20 @@ impl ClusterMetrics {
         self.db_handles(db).committed.inc();
     }
 
-    /// Count a deadlock/timeout abort for `db` (workload-inherent).
-    pub fn note_deadlock(&self, db: &str) {
-        self.db_handles(db).deadlocks.inc();
-    }
-
     /// Count a write rejected by the geo fence (cluster lost write
     /// authority to a promoted standby colo).
     pub fn note_geo_fenced_write(&self) {
         self.geo_fenced_writes.inc();
     }
 
-    /// Count a proactive rejection for `db` (the SLA numerator).
-    pub fn note_rejected(&self, db: &str) {
-        self.db_handles(db).rejected.inc();
-    }
-
-    /// Count a client rollback / statement-error abort for `db`.
-    pub fn note_aborted(&self, db: &str) {
-        self.db_handles(db).aborted.inc();
+    /// Count a transaction of `db` that did not commit, under `outcome`.
+    pub fn note_failed(&self, db: &str, outcome: Outcome) {
+        let h = self.db_handles(db);
+        match outcome {
+            Outcome::Deadlock => h.deadlocks.inc(),
+            Outcome::Rejected => h.rejected.inc(),
+            Outcome::Aborted => h.aborted.inc(),
+        }
     }
 
     /// Count an Algorithm-1 write rejection for `db` and log the event.
@@ -606,9 +602,9 @@ mod tests {
         m.note_begun("a");
         m.note_committed("a");
         m.note_committed("a");
-        m.note_deadlock("a");
-        m.note_rejected("a");
-        m.note_aborted("b");
+        m.note_failed("a", Outcome::Deadlock);
+        m.note_failed("a", Outcome::Rejected);
+        m.note_failed("b", Outcome::Aborted);
         let a = m.db_counters("a");
         assert_eq!(a.committed, 2);
         assert_eq!(a.deadlocks, 1);
@@ -626,9 +622,9 @@ mod tests {
         for _ in 0..10 {
             m.note_committed("db1");
         }
-        m.note_rejected("db1");
-        m.note_deadlock("db1");
-        m.note_aborted("db1");
+        m.note_failed("db1", Outcome::Rejected);
+        m.note_failed("db1", Outcome::Deadlock);
+        m.note_failed("db1", Outcome::Aborted);
         let o = m.observed_outcomes("db1");
         assert_eq!(o.committed, 10);
         assert_eq!(o.rejected, 1);

@@ -404,7 +404,7 @@ mod tests {
             c.metrics().note_committed("flaky");
         }
         for _ in 0..10 {
-            c.metrics().note_rejected("flaky");
+            c.metrics().note_failed("flaky", crate::Outcome::Rejected);
         }
 
         let v = no_starvation_violations(&c, Some(window));

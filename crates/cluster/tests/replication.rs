@@ -86,6 +86,34 @@ fn aggressive_background_failure_blocks_commit() {
 }
 
 #[test]
+fn replica_lock_timeout_at_commit_is_a_timeout() {
+    // An out-of-band transaction holds k=1's X lock on the second replica.
+    // The aggressive controller acks the UPDATE from the first; the second
+    // times out in the background, and commit must report that lock
+    // timeout as one, to the client and to the tenant's counter alike.
+    let c = cluster(ReadPolicy::PinnedReplica, WritePolicy::Aggressive, 2);
+    let conn = c.connect("app").unwrap();
+    conn.execute("INSERT INTO t VALUES (1, 'x')", &[]).unwrap();
+    let replicas = c.alive_replicas("app").unwrap();
+    let holder = c.machine(replicas[1]).unwrap();
+    let blocker = holder.engine.begin().unwrap();
+    holder
+        .engine
+        .index_lookup(blocker, "app", "t", "pk", &[Value::Int(1)], true)
+        .unwrap();
+
+    let deadlocks = c.counters("app").deadlocks;
+    conn.begin().unwrap();
+    conn.execute("UPDATE t SET v = 'mine' WHERE k = 1", &[])
+        .unwrap();
+    let err = conn.commit().unwrap_err();
+    holder.engine.abort(blocker).unwrap();
+    assert!(matches!(err, ClusterError::TxnAborted(_)), "{err:?}");
+    assert!(err.is_timeout(), "{err}");
+    assert_eq!(c.counters("app").deadlocks, deadlocks + 1);
+}
+
+#[test]
 fn reads_masked_when_pinned_replica_dies_between_txns() {
     let c = cluster(ReadPolicy::PinnedReplica, WritePolicy::Conservative, 3);
     let conn = c.connect("app").unwrap();

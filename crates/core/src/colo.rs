@@ -13,7 +13,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use tenantdb_cluster::{ClusterConfig, ClusterController, ClusterError};
-use tenantdb_sla::{PlacementError, ResourceVector};
+use tenantdb_sla::ResourceVector;
 
 /// Colo identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -116,8 +116,7 @@ impl Colo {
             .expect("a colo has at least one cluster");
         let demand = demand.unwrap_or(ResourceVector::ZERO);
         if !demand.fits_in(&cluster.config().machine_capacity) {
-            let e = PlacementError::ReplicaTooLarge(db.to_string());
-            return Err(ClusterError::TxnAborted(format!("placement failed: {e}")));
+            return Err(ClusterError::NoMachines);
         }
         // A pulled machine is empty and fits one replica, so `replicas`
         // pulls always make room.
@@ -247,11 +246,18 @@ mod tests {
         assert!(c.create_database("x", 1, None).is_err());
     }
 
+    /// A demand no machine can hold gets the answer
+    /// `ControllerGroup::choose` gives for it, and leaves nothing behind.
     #[test]
     fn oversized_demand_fails_placement() {
         let c = colo();
         let demand = ResourceVector::new(1000.0, 1.0, 1.0, 1.0);
-        assert!(c.create_database("huge", 1, Some(demand)).is_err());
+        assert_eq!(
+            c.create_database("huge", 1, Some(demand)),
+            Err(ClusterError::NoMachines)
+        );
         assert_eq!(c.machine_count(), 6, "nothing pulled for it");
+        assert!(c.cluster_for("huge").is_none());
+        assert!(c.clusters().iter().all(|cl| cl.database_count() == 0));
     }
 }

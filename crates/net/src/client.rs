@@ -487,7 +487,7 @@ fn to_cluster(e: NetError) -> ClusterError {
     match e {
         NetError::Server(e) => e,
         NetError::Batch { error, .. } => error,
-        other => ClusterError::TxnAborted(format!("network: {other}")),
+        other => ClusterError::aborted(format!("network: {other}")),
     }
 }
 
@@ -521,5 +521,27 @@ impl Transport for NetClient {
         mode: BatchMode,
     ) -> Result<Vec<QueryResult>, ClusterError> {
         NetClient::execute_batch(self, stmts, mode).map_err(to_cluster)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A socket read timeout is the client losing contact, not the
+    /// platform refusing the transaction: it must not count against the
+    /// tenant's §4.1 rejected fraction. Linux reports `SO_RCVTIMEO` as
+    /// EAGAIN, whose text is "Resource temporarily unavailable".
+    #[test]
+    fn a_socket_timeout_is_no_refusal() {
+        for io_err in [
+            io::Error::from_raw_os_error(11),
+            io::Error::from(io::ErrorKind::TimedOut),
+        ] {
+            let err = to_cluster(NetError::Io(io_err));
+            assert!(matches!(err, ClusterError::TxnAborted(_)), "{err:?}");
+            assert_eq!(err.refusal(), None, "{err}");
+            assert!(!err.is_proactive_rejection(), "{err}");
+        }
     }
 }

@@ -950,7 +950,7 @@ impl Reactor {
 
         if severed {
             // Protocol error: best-effort error frame, then sever.
-            let err = Frame::Error(ClusterError::TxnAborted("protocol error".into()));
+            let err = Frame::Error(ClusterError::aborted("protocol error"));
             {
                 let mut st = conn.state.lock();
                 st.outbox.extend_from_slice(&err.encode());
@@ -1013,7 +1013,7 @@ impl Reactor {
         else {
             return fail(
                 self,
-                ClusterError::TxnAborted("handshake must start with hello".into()),
+                ClusterError::aborted("handshake must start with hello"),
             );
         };
 
@@ -1033,7 +1033,7 @@ impl Reactor {
         if !read_pref.accepts(read_policy) || !write_pref.accepts(write_policy) {
             return fail(
                 self,
-                ClusterError::TxnAborted(format!(
+                ClusterError::aborted(format!(
                     "policy negotiation failed: cluster serves {read_policy:?}/{write_policy:?}"
                 )),
             );
@@ -1574,7 +1574,7 @@ fn handle_request(shared: &Shared, conn: &Connection, req: Request) -> Frame {
             }
         }
         // Reply frames (or a second Hello) are not valid requests.
-        other => Frame::Error(ClusterError::TxnAborted(format!(
+        other => Frame::Error(ClusterError::aborted(format!(
             "unexpected request frame: {}",
             other.kind()
         ))),

@@ -23,9 +23,10 @@
 //!
 //! Errors round-trip: [`Frame::Error`] carries a structurally encoded
 //! [`ClusterError`] (including the nested `SqlError` / `StorageError`
-//! variants), so a deadlock abort is still [`ClusterError::is_deadlock`] on
-//! the client side and the TPC-W driver classifies outcomes identically
-//! over either transport.
+//! variants, and a `TxnAborted`'s [`Refusal`] as a tag), so
+//! [`ClusterError::refusal`] gives the client the answer it gives the
+//! server, and a tenant's outcome is classified identically over either
+//! transport.
 //!
 //! The `0x20` opcode family is the cross-colo **log-stream protocol**
 //! (`tenantdb-georep`): a shipper opens a per-database stream with
@@ -45,14 +46,16 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use tenantdb_cluster::{BatchMode, BatchStmt, ClusterError, ReadPolicy, WritePolicy};
+use tenantdb_cluster::{
+    Aborted, BatchMode, BatchStmt, ClusterError, ReadPolicy, Refusal, WritePolicy,
+};
 use tenantdb_sql::{QueryResult, SqlError};
 use tenantdb_storage::codec::{self, DecodeError};
 use tenantdb_storage::{LogRecord, Lsn, StorageError, TxnId, Value};
 
 /// The protocol version this build speaks, and the only one it accepts in
-/// a handshake. Version 3 carries values in the log's byte format.
-pub const PROTOCOL_VERSION: u16 = 3;
+/// a handshake. Version 4 carries an aborted transaction's refusal as a tag.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// The version of the cross-colo log-stream protocol (the `Geo*` frame
 /// family) this build speaks, and the only one it accepts. Versioned
@@ -875,10 +878,6 @@ fn put_storage_error(out: &mut Vec<u8>, e: &StorageError) {
             out.push(11);
             put_u64(out, *id);
         }
-        StorageError::WriteRejected(s) => {
-            out.push(12);
-            put_str(out, s);
-        }
     }
 }
 
@@ -912,6 +911,19 @@ fn put_sql_error(out: &mut Vec<u8>, e: &SqlError) {
     }
 }
 
+/// A `TxnAborted`'s cause: its wire tag is its index here.
+const CAUSES: [Option<Refusal>; 9] = [
+    None,
+    Some(Refusal::Deadlock),
+    Some(Refusal::LockTimeout),
+    Some(Refusal::CopyInProgress),
+    Some(Refusal::AdmissionShed),
+    Some(Refusal::NoReplica),
+    Some(Refusal::NotLeader),
+    Some(Refusal::InDoubt),
+    Some(Refusal::Fenced),
+];
+
 fn put_cluster_error(out: &mut Vec<u8>, e: &ClusterError) {
     match e {
         ClusterError::Sql(se) => {
@@ -932,9 +944,11 @@ fn put_cluster_error(out: &mut Vec<u8>, e: &ClusterError) {
             put_str(out, db);
             put_str(out, table);
         }
-        ClusterError::TxnAborted(s) => {
+        ClusterError::TxnAborted(a) => {
             out.push(5);
-            put_str(out, s);
+            let tag = CAUSES.iter().position(|c| *c == a.cause);
+            out.push(tag.expect("every cause has a tag") as u8);
+            put_str(out, &a.message);
         }
         ClusterError::NoActiveTxn => out.push(6),
         ClusterError::AlreadyExists(s) => {
@@ -1119,7 +1133,6 @@ fn get_storage_error(r: &mut Reader<'_>) -> WireResult<StorageError> {
         },
         10 => StorageError::SchemaMismatch(r.string()?),
         11 => StorageError::NoSuchRow(r.u64()?),
-        12 => StorageError::WriteRejected(r.string()?),
         other => return Err(WireError::BadTag(other)),
     })
 }
@@ -1149,7 +1162,14 @@ fn get_cluster_error(r: &mut Reader<'_>) -> WireResult<ClusterError> {
             db: r.string()?,
             table: r.string()?,
         },
-        5 => ClusterError::TxnAborted(r.string()?),
+        5 => {
+            let tag = r.u8()?;
+            let cause = *CAUSES.get(usize::from(tag)).ok_or(WireError::BadTag(tag))?;
+            ClusterError::TxnAborted(Aborted {
+                cause,
+                message: r.string()?,
+            })
+        }
         6 => ClusterError::NoActiveTxn,
         7 => ClusterError::AlreadyExists(r.string()?),
         8 => ClusterError::NotLeader {
@@ -1372,7 +1392,7 @@ mod tests {
 
     #[test]
     fn handshake_accepts_only_the_current_protocol_version() {
-        assert_eq!(PROTOCOL_VERSION, 3);
+        assert_eq!(PROTOCOL_VERSION, 4);
         roundtrip(&Frame::Hello {
             version: PROTOCOL_VERSION,
             db: "app".into(),
@@ -1385,7 +1405,7 @@ mod tests {
             write_policy: WritePolicy::Conservative,
         });
         // Every other version is refused, the older layouts included.
-        for bad in [0u16, 1, 2, PROTOCOL_VERSION + 1] {
+        for bad in [0u16, 1, 2, 3, PROTOCOL_VERSION + 1] {
             let hello = Frame::Hello {
                 version: bad,
                 db: "app".into(),

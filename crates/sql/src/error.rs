@@ -51,22 +51,6 @@ impl From<StorageError> for SqlError {
     }
 }
 
-impl SqlError {
-    /// The underlying storage error, if any.
-    pub fn as_storage(&self) -> Option<&StorageError> {
-        match self {
-            SqlError::Storage(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// True if the whole transaction must be abandoned (deadlock victim,
-    /// lock timeout, machine failure).
-    pub fn is_txn_fatal(&self) -> bool {
-        self.as_storage().is_some_and(|e| e.is_txn_fatal())
-    }
-}
-
 pub type Result<T> = std::result::Result<T, SqlError>;
 
 #[cfg(test)]
@@ -75,11 +59,9 @@ mod tests {
     use tenantdb_storage::TxnId;
 
     #[test]
-    fn storage_conversion_and_classification() {
+    fn storage_conversion() {
         let e: SqlError = StorageError::Deadlock(TxnId(3)).into();
-        assert!(e.is_txn_fatal());
-        assert!(e.as_storage().is_some());
-        assert!(!SqlError::Parse("x".into()).is_txn_fatal());
+        assert!(matches!(e, SqlError::Storage(StorageError::Deadlock(_))));
     }
 
     #[test]

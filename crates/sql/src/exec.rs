@@ -1095,8 +1095,8 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(
-            err.as_storage(),
-            Some(tenantdb_storage::StorageError::UniqueViolation { .. })
+            err,
+            SqlError::Storage(tenantdb_storage::StorageError::UniqueViolation { .. })
         ));
         e.abort(txn).unwrap();
     }

@@ -6,13 +6,9 @@ use crate::txn::TxnId;
 
 /// Errors surfaced by the storage engine.
 ///
-/// The cluster controller distinguishes three broad classes:
-/// * `Deadlock` / `LockTimeout` — inherent to the application workload; the
-///   paper's SLA model explicitly excludes these from "proactively rejected"
-///   transactions.
-/// * `Unavailable` — the machine has failed (or is marked failed by fault
-///   injection); the controller reacts by re-routing and starting recovery.
-/// * everything else — programming or schema errors.
+/// `Deadlock` and `LockTimeout` (the workload's) and `Unavailable` (a
+/// failed machine) are refusals in the cluster's one classification,
+/// `tenantdb_cluster::Refusal`; the rest are statement errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
     /// The requested database does not exist.
@@ -41,9 +37,6 @@ pub enum StorageError {
     SchemaMismatch(String),
     /// The referenced row id does not exist.
     NoSuchRow(u64),
-    /// The write was rejected by an external admission decision (used by the
-    /// cluster controller while a table is being copied — Algorithm 1).
-    WriteRejected(String),
 }
 
 impl fmt::Display for StorageError {
@@ -67,7 +60,6 @@ impl fmt::Display for StorageError {
             }
             StorageError::SchemaMismatch(msg) => write!(f, "schema mismatch: {msg}"),
             StorageError::NoSuchRow(id) => write!(f, "no such row: {id}"),
-            StorageError::WriteRejected(msg) => write!(f, "write rejected: {msg}"),
         }
     }
 }
@@ -76,26 +68,6 @@ impl std::error::Error for StorageError {}
 
 /// Convenience alias used throughout the engine.
 pub type Result<T> = std::result::Result<T, StorageError>;
-
-impl StorageError {
-    /// True if the error means the whole transaction must be abandoned
-    /// (as opposed to a statement-level failure the client may retry).
-    pub fn is_txn_fatal(&self) -> bool {
-        matches!(
-            self,
-            StorageError::Deadlock(_) | StorageError::LockTimeout(_) | StorageError::Unavailable
-        )
-    }
-
-    /// True if the error is counted as a *proactive rejection* in the SLA
-    /// model of §4.1 (rejections caused by the platform, not the workload).
-    pub fn is_proactive_rejection(&self) -> bool {
-        matches!(
-            self,
-            StorageError::Unavailable | StorageError::WriteRejected(_)
-        )
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -111,14 +83,5 @@ mod tests {
             StorageError::Deadlock(TxnId(7)).to_string(),
             "transaction t7 chosen as deadlock victim"
         );
-    }
-
-    #[test]
-    fn classification() {
-        assert!(StorageError::Deadlock(TxnId(1)).is_txn_fatal());
-        assert!(StorageError::Unavailable.is_txn_fatal());
-        assert!(!StorageError::NoSuchRow(3).is_txn_fatal());
-        assert!(StorageError::WriteRejected("copying".into()).is_proactive_rejection());
-        assert!(!StorageError::Deadlock(TxnId(1)).is_proactive_rejection());
     }
 }

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use tenantdb_cluster::ClusterController;
+use tenantdb_cluster::{ClusterController, Outcome};
 
 use crate::generator::Scale;
 use crate::mix::{run_txn, IdCounters, Mix, Session};
@@ -154,9 +154,11 @@ fn session_loop(
                 report.committed += 1;
                 report.committed_by_type[kind.index()] += 1;
             }
-            Err(e) if e.is_deadlock() || e.is_timeout() => report.deadlocks += 1,
-            Err(e) if e.is_proactive_rejection() => report.rejected += 1,
-            Err(_) => report.other_aborts += 1,
+            Err(e) => match e.outcome() {
+                Outcome::Deadlock => report.deadlocks += 1,
+                Outcome::Rejected => report.rejected += 1,
+                Outcome::Aborted => report.other_aborts += 1,
+            },
         }
     }
     report

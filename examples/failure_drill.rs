@@ -18,7 +18,7 @@ use std::time::Duration;
 use tenantdb::cluster::fault::CONTROLLER;
 use tenantdb::cluster::{
     recover_machine, ClusterConfig, ClusterController, CopyGranularity, CrashPoint, FaultAction,
-    FaultPlan, RecoveryConfig, Trigger,
+    FaultPlan, Outcome, RecoveryConfig, Trigger,
 };
 use tenantdb::storage::{Throttle, Value};
 
@@ -72,7 +72,7 @@ fn main() {
                 })();
                 match r {
                     Ok(()) => ok += 1,
-                    Err(e) if e.is_proactive_rejection() => rejected += 1,
+                    Err(e) if e.outcome() == Outcome::Rejected => rejected += 1,
                     Err(_) => failed += 1,
                 }
                 std::thread::sleep(Duration::from_micros(300));

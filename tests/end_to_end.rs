@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use tenantdb::cluster::{ClusterConfig, ClusterController};
+use tenantdb::cluster::{ClusterConfig, ClusterController, Outcome};
 use tenantdb::georep::{
     promote, Applier, GeoLink, GeoMetrics, GeoStandbyServer, GeoTcpLink, Shipper,
 };
@@ -695,4 +695,177 @@ fn best_sellers_answers_alike_on_every_replica_and_transport() {
     }
     drop(client);
     server.shutdown();
+}
+
+/// One refusal of each kind a client can meet, each on its own database,
+/// in an order that keeps the destructive ones (fencing the cluster,
+/// failing a machine) last. Returns, per refusal, what `refusal()` said
+/// and how the tenant's `deadlock` / `rejected` / `aborted` counters moved.
+fn refusals_over(tcp: bool) -> Vec<(Option<tenantdb::cluster::Refusal>, [u64; 3])> {
+    use tenantdb::cluster::{ClusterError, Transport};
+    use tenantdb::net::{ConnectOptions, NetClient, Server, ServerConfig};
+    use tenantdb::storage::{Engine, EngineConfig};
+
+    type Provoke = fn(&dyn Transport, &ClusterController, &Engine, &str) -> ClusterError;
+    const UPDATE_1: &str = "UPDATE t SET v = 1 WHERE k = 1";
+    const READ_1: &str = "SELECT v FROM t WHERE k = 1";
+    let scenarios: [(&str, Provoke); 6] = [
+        ("deadlock", |client, _, engine, db| {
+            let blocker = engine.begin().unwrap();
+            engine
+                .index_lookup(blocker, db, "t", "pk", &[Value::Int(1)], true)
+                .unwrap();
+            client.begin().unwrap();
+            client
+                .execute("UPDATE t SET v = 1 WHERE k = 2", &[])
+                .unwrap();
+            let waits = engine.locks().stats().waits;
+            let err = std::thread::scope(|s| {
+                let waiter =
+                    s.spawn(|| engine.index_lookup(blocker, db, "t", "pk", &[Value::Int(2)], true));
+                while engine.locks().stats().waits == waits {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                // Closes the cycle: the client's transaction is the victim,
+                // and the blocker's wait is granted once it aborted.
+                let err = client.execute(UPDATE_1, &[]).unwrap_err();
+                waiter.join().unwrap().unwrap();
+                err
+            });
+            engine.abort(blocker).unwrap();
+            err
+        }),
+        ("lock timeout", |client, _, engine, db| {
+            let blocker = engine.begin().unwrap();
+            engine
+                .index_lookup(blocker, db, "t", "pk", &[Value::Int(1)], true)
+                .unwrap();
+            let err = client.execute(UPDATE_1, &[]).unwrap_err();
+            engine.abort(blocker).unwrap();
+            err
+        }),
+        ("copy in progress", |client, cluster, _, db| {
+            cluster.begin_copy(db, None, false).unwrap();
+            cluster.set_copy_current(db, Some("t"));
+            client.execute(UPDATE_1, &[]).unwrap_err()
+        }),
+        ("admission shed", |client, cluster, _, db| {
+            let sla = tenantdb::sla::Sla::new(0.001, 0.5, Duration::from_secs(60));
+            cluster.set_sla(db, sla).unwrap();
+            // The gate admits its burst first; the next transaction is shed.
+            (0..100)
+                .find_map(|_| client.execute(READ_1, &[]).err())
+                .expect("a tenant far past its rate is shed")
+        }),
+        ("fenced", |client, cluster, _, _| {
+            cluster.fence_geo(cluster.geo_write_epoch() + 1).unwrap();
+            client.execute(UPDATE_1, &[]).unwrap_err()
+        }),
+        ("no replica", |client, cluster, _, db| {
+            for m in cluster.alive_replicas(db).unwrap() {
+                cluster.fail_machine(m).unwrap();
+            }
+            client.execute(READ_1, &[]).unwrap_err()
+        }),
+    ];
+
+    let mut config = PlatformConfig::for_tests();
+    config.clusters_per_colo = 1;
+    config.cluster.engine = EngineConfig {
+        lock_timeout: Duration::from_millis(1000),
+        ..EngineConfig::for_tests()
+    };
+    let platform = SystemController::new(config, &[("west", WEST)]);
+    let server = tcp.then(|| {
+        Server::start(
+            "127.0.0.1:0",
+            Arc::clone(&platform),
+            ServerConfig::default(),
+        )
+        .expect("bind server")
+    });
+    let options = CreateOptions {
+        replicas: 1,
+        cross_colo: false,
+        ..CreateOptions::default()
+    };
+    // Every database is ready before the first refusal: a fenced cluster
+    // creates none.
+    let tenants: Vec<_> = scenarios
+        .iter()
+        .map(|(name, _)| {
+            let db = name.replace(' ', "_");
+            platform
+                .create_database(&db, WEST, options.clone())
+                .unwrap();
+            let conn = platform.connect(&db, WEST).unwrap();
+            conn.execute(
+                "CREATE TABLE t (k INT NOT NULL, v INT, PRIMARY KEY (k))",
+                &[],
+            )
+            .unwrap();
+            conn.execute("INSERT INTO t VALUES (1, 0), (2, 0)", &[])
+                .unwrap();
+            let client: Box<dyn Transport> = match &server {
+                Some(s) => Box::new(
+                    NetClient::connect(s.local_addr(), &db, ConnectOptions::default())
+                        .expect("tcp connect"),
+                ),
+                None => Box::new(conn),
+            };
+            (db, client)
+        })
+        .collect();
+    let mut seen = Vec::new();
+    for ((name, provoke), (db, client)) in scenarios.into_iter().zip(tenants) {
+        let cluster = platform.colos()[0].cluster_for(&db).unwrap();
+        let replica = cluster.alive_replicas(&db).unwrap()[0];
+        let engine = Arc::clone(&cluster.machine(replica).unwrap().engine);
+        let before = cluster.counters(&db);
+        let err = provoke(client.as_ref(), &cluster, &engine, &db);
+        let after = cluster.counters(&db);
+        let moved = [
+            after.deadlocks - before.deadlocks,
+            after.rejected - before.rejected,
+            after.aborted - before.aborted,
+        ];
+        let outcome = [Outcome::Deadlock, Outcome::Rejected, Outcome::Aborted]
+            .iter()
+            .position(|o| *o == err.outcome())
+            .unwrap();
+        let mut expected = [0; 3];
+        expected[outcome] = 1;
+        assert_eq!(moved, expected, "{name} (tcp: {tcp}): {err}");
+        seen.push((err.refusal(), moved));
+    }
+    if let Some(server) = server {
+        server.shutdown();
+    }
+    seen
+}
+
+/// Every cause a test can provoke, over a `Connection` and over a
+/// `NetClient` against `Server`: the client reads the same `refusal()` on
+/// both transports, and the tenant's outcome counter moves by one, under
+/// the label that refusal maps to. (`NotLeader` and `InDoubt` are covered
+/// by the wire's round trip.)
+#[test]
+fn every_refusal_reads_alike_over_connection_and_tcp() {
+    use tenantdb::cluster::Refusal;
+
+    let over_connection = refusals_over(false);
+    let causes: Vec<_> = over_connection.iter().map(|(r, _)| *r).collect();
+    assert_eq!(
+        causes,
+        [
+            Refusal::Deadlock,
+            Refusal::LockTimeout,
+            Refusal::CopyInProgress,
+            Refusal::AdmissionShed,
+            Refusal::Fenced,
+            Refusal::NoReplica,
+        ]
+        .map(Some)
+    );
+    assert_eq!(refusals_over(true), over_connection);
 }
