@@ -674,9 +674,10 @@ impl Connection {
         for (m, _, res) in acks {
             if let Err(e) = res {
                 if e.refusal() == Some(Refusal::NoReplica) {
-                    // Participant died after voting yes: its WAL holds the
-                    // prepared txn; restart-time recovery resolves it via the
-                    // decision log. The replica is discarded either way.
+                    // Participant died after voting yes. Its replica is
+                    // dropped here (recovery copies a new one), and
+                    // `resolve_decision` below drops the whole decision, so
+                    // `restart_machine` finds none and aborts the prepared txn.
                     self.controller.drop_failed_replica(&self.db, m);
                 }
             }

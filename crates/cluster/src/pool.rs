@@ -7,20 +7,17 @@
 //! recovery run) and executes two kinds of jobs:
 //!
 //! * **Sessions** — a transaction's per-machine FIFO lane
-//!   ([`crate::worker::Session`]). A session is enqueued at most once; the
-//!   worker that picks it up drains its mailbox in arrival order and only
-//!   then lets it be scheduled again, so all operations of one transaction
-//!   on one machine execute strictly in order — the invariant the paper's
-//!   schedules (and the Table 1 results) depend on — while any number of
-//!   *different* transactions interleave across the pool's threads.
+//!   ([`crate::worker::Session`], a [`Lane`]), drained by one thread at a
+//!   time in arrival order: all operations of one transaction on one
+//!   machine execute strictly in order — the invariant the paper's
+//!   schedules (and the Table 1 results) depend on — while *different*
+//!   transactions interleave across the pool's threads. A caller that would
+//!   block for the reply anyway runs an *idle* lane's turn itself
+//!   ([`crate::worker::SessionHandle::try_turn`]), so a session reaches the
+//!   pool only with what nobody waits for (aggressive fan-out past the
+//!   first ack, cleanup aborts, `Detach`) or when its lane is busy. The TCP
+//!   server's per-connection request queue is the same [`Lane`].
 //! * **Tasks** — plain closures (recovery copy jobs, background work).
-//!
-//! A session lane is a FIFO, not a thread: a caller that would block for
-//! the reply anyway may take an *idle* lane's turn and run the message
-//! itself ([`crate::worker::SessionHandle::try_turn`]) — the pool then sees
-//! no job at all. What still reaches the pool is what nobody waits for
-//! (aggressive fan-out past the first ack, cleanup aborts, `Detach`, tasks)
-//! and whatever finds its lane busy.
 //!
 //! ## Sizing and growth
 //!
@@ -82,6 +79,99 @@ impl PoolConfig {
             core_threads: n,
             max_threads: n,
         }
+    }
+}
+
+/// A single-drainer FIFO: a queue, the slot of the one thread draining it,
+/// and a closed flag. It has no lock of its own; its owner keeps it under
+/// one it already holds (a session's mailbox, a server connection's state),
+/// so each transition below decides in one hold, and nothing is ever left
+/// queued with no drainer.
+pub struct Lane<M> {
+    queue: VecDeque<M>,
+    drainer: bool,
+    closed: bool,
+}
+
+impl<M> Default for Lane<M> {
+    fn default() -> Self {
+        Lane {
+            queue: VecDeque::new(),
+            drainer: false,
+            closed: false,
+        }
+    }
+}
+
+impl<M> Lane<M> {
+    /// Queue `msg`: `Ok(true)` if the caller must start a drainer (the slot
+    /// is now its), `Err(msg)` once the lane is closed.
+    pub fn push(&mut self, msg: M) -> Result<bool, M> {
+        if self.closed {
+            return Err(msg);
+        }
+        self.queue.push_back(msg);
+        Ok(!std::mem::replace(&mut self.drainer, true))
+    }
+
+    /// Claim an idle, open lane for the calling thread, which runs its own
+    /// message and then calls `release`.
+    pub fn try_turn(&mut self) -> bool {
+        let idle = !self.closed && self.is_idle();
+        self.drainer |= idle;
+        idle
+    }
+
+    /// The drainer's next message; `None` frees the slot.
+    pub fn pop(&mut self) -> Option<M> {
+        let next = self.queue.pop_front();
+        self.drainer = next.is_some();
+        next
+    }
+
+    /// Everything queued, in order; `None` frees the slot.
+    pub fn take(&mut self) -> Option<VecDeque<M>> {
+        self.release().then(|| std::mem::take(&mut self.queue))
+    }
+
+    /// Give a turn back: `true` if work queued meanwhile needs a drainer
+    /// (the slot stays claimed for it), else the slot is freed.
+    pub fn release(&mut self) -> bool {
+        self.drainer = !self.queue.is_empty();
+        self.drainer
+    }
+
+    /// Refuse every later `push` and `try_turn`; queued work still drains.
+    pub fn close(&mut self) {
+        self.closed = true;
+    }
+
+    /// Close, drop the queued work and free the slot (a drainer still
+    /// running finds nothing at its next `pop`).
+    pub fn abandon(&mut self) {
+        self.close();
+        self.queue.clear();
+        self.drainer = false;
+    }
+
+    /// Is the lane closed?
+    pub fn is_closed(&self) -> bool {
+        self.closed
+    }
+
+    /// No drainer and nothing queued.
+    pub fn is_idle(&self) -> bool {
+        !self.drainer && self.queue.is_empty()
+    }
+
+    /// Messages queued, not counting one a drainer is running.
+    pub fn len(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Nothing queued.
+    pub fn is_empty(&self) -> bool {
+        self.queue.is_empty()
     }
 }
 
@@ -327,6 +417,157 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc::channel;
     use std::time::Duration;
+
+    /// One `Lane` transition and what it answered.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Push(u32),
+        TryTurn,
+        Pop,
+        Take,
+        Release,
+        Close,
+        Abandon,
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Ans {
+        Start(bool),
+        Refused(u32),
+        Turn(bool),
+        Got(Option<u32>),
+        Batch(Option<Vec<u32>>),
+        More(bool),
+        Done,
+    }
+
+    fn apply(lane: &mut Lane<u32>, op: Op) -> Ans {
+        match op {
+            Op::Push(m) => lane.push(m).map_or_else(Ans::Refused, Ans::Start),
+            Op::TryTurn => Ans::Turn(lane.try_turn()),
+            Op::Pop => Ans::Got(lane.pop()),
+            Op::Take => Ans::Batch(lane.take().map(Vec::from)),
+            Op::Release => Ans::More(lane.release()),
+            Op::Close => {
+                lane.close();
+                Ans::Done
+            }
+            Op::Abandon => {
+                lane.abandon();
+                Ans::Done
+            }
+        }
+    }
+
+    #[test]
+    fn lane_transitions() {
+        use Ans::*;
+        use Op::*;
+        // (what, ops from a fresh lane, their answers, idle afterwards)
+        let table: &[(&str, &[Op], &[Ans], bool)] = &[
+            (
+                "push to an idle lane starts a drainer",
+                &[Push(1)],
+                &[Start(true)],
+                false,
+            ),
+            (
+                "push behind a drainer starts none",
+                &[Push(1), Push(2)],
+                &[Start(true), Start(false)],
+                false,
+            ),
+            (
+                "pop hands out arrival order, then frees the slot",
+                &[Push(1), Push(2), Pop, Pop, Pop],
+                &[
+                    Start(true),
+                    Start(false),
+                    Got(Some(1)),
+                    Got(Some(2)),
+                    Got(None),
+                ],
+                true,
+            ),
+            (
+                "take hands out the batch, then frees the slot",
+                &[Push(1), Push(2), Take, Take],
+                &[
+                    Start(true),
+                    Start(false),
+                    Batch(Some(vec![1, 2])),
+                    Batch(None),
+                ],
+                true,
+            ),
+            (
+                "try_turn claims an idle lane",
+                &[TryTurn],
+                &[Turn(true)],
+                false,
+            ),
+            (
+                "a turn is lent once",
+                &[TryTurn, TryTurn],
+                &[Turn(true), Turn(false)],
+                false,
+            ),
+            (
+                "try_turn is refused while a drainer owns the lane",
+                &[Push(1), TryTurn],
+                &[Start(true), Turn(false)],
+                false,
+            ),
+            (
+                "release with nothing queued idles the lane",
+                &[TryTurn, Release],
+                &[Turn(true), More(false)],
+                true,
+            ),
+            (
+                "push during a turn queues behind it; release hands it to a drainer",
+                &[TryTurn, Push(1), Release, Pop, Pop],
+                &[
+                    Turn(true),
+                    Start(false),
+                    More(true),
+                    Got(Some(1)),
+                    Got(None),
+                ],
+                true,
+            ),
+            (
+                "a closed lane refuses push",
+                &[Close, Push(1)],
+                &[Done, Refused(1)],
+                true,
+            ),
+            (
+                "a closed lane refuses try_turn",
+                &[Close, TryTurn],
+                &[Done, Turn(false)],
+                true,
+            ),
+            (
+                "close lets queued work drain",
+                &[Push(1), Close, Push(2), Pop, Pop],
+                &[Start(true), Done, Refused(2), Got(Some(1)), Got(None)],
+                true,
+            ),
+            (
+                "abandon drops queued work, frees the slot and refuses push",
+                &[Push(1), Push(2), Abandon, Pop, Push(3)],
+                &[Start(true), Start(false), Done, Got(None), Refused(3)],
+                true,
+            ),
+        ];
+        for (what, ops, want, idle) in table {
+            let mut lane = Lane::default();
+            let got: Vec<Ans> = ops.iter().map(|&op| apply(&mut lane, op)).collect();
+            assert_eq!(&got, want, "{what}");
+            assert_eq!(lane.is_idle(), *idle, "{what}: idle afterwards");
+        }
+    }
 
     #[test]
     fn tasks_run_and_pool_joins_cleanly() {

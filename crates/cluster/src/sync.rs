@@ -29,7 +29,7 @@ pub use tenantdb_lockdep::{
     OrderedRwLockWriteGuard as RwLockWriteGuard,
 };
 
-use tenantdb_lockdep::LockClass;
+pub use tenantdb_lockdep::LockClass;
 
 /// `Connection::state` — the connection's active-transaction slot. Held
 /// across machine routing, session creation and mailbox enqueue, so it is

@@ -11,16 +11,13 @@
 //! executing it; the transaction's `PREPARE` on those replicas queues behind
 //! the write in the same lane.
 //!
-//! The seed implementation realized this lane as one spawned OS thread per
-//! (transaction, machine) with a fresh mpsc reply channel per statement;
-//! both are gone. Sessions are plain heap objects scheduled onto long-lived
-//! pool threads, and every reply of a transaction travels over a single
-//! channel owned by the connection, correlated by a per-transaction sequence
-//! number ([`SessionMsg`]'s `seq` — late replies from aggressive-mode
-//! background writes are simply discarded as stale by the receiver).
-//!
-//! A lane is a FIFO, not a thread. When it is idle, a caller that would
-//! wait for the reply anyway may claim its single-drainer slot
+//! A lane is a FIFO, not a thread: a [`crate::pool::Lane`] under the
+//! session's mailbox lock, drained on the machine's pool threads. Every
+//! reply of a transaction travels over one channel owned by the connection,
+//! correlated by a per-transaction sequence number ([`SessionMsg`]'s `seq`;
+//! late replies from aggressive-mode background writes are discarded as
+//! stale). When a lane is idle, a caller that would wait for
+//! the reply anyway may claim its single-drainer slot
 //! ([`SessionHandle::try_turn`]) and run the message on its own thread:
 //! same `Session::process`, same fault hooks, same history recording,
 //! no hand-off and no reply channel. Whatever is enqueued while the
@@ -32,7 +29,6 @@
 //! appended to the shared [`tenantdb_history::Recorder`]. Strict 2PL makes
 //! that ordering agree with true per-site conflict order.
 
-use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
@@ -45,7 +41,7 @@ use tenantdb_storage::{Engine, TxnId, Value};
 use crate::error::{ClusterError, Result};
 use crate::fault::{CrashPoint, FaultAction, FaultInjector};
 use crate::machine::MachineId;
-use crate::pool::{PoolJob, PoolShared};
+use crate::pool::{Lane, PoolJob, PoolShared};
 
 /// Shared per-transaction failure ledger. Every replica-side error lands
 /// here — including errors of *background* writes under the aggressive
@@ -147,15 +143,6 @@ pub struct WorkerReply {
     pub result: Result<QueryResult>,
 }
 
-struct Mailbox {
-    queue: VecDeque<SessionMsg>,
-    /// True while a pool job for this session is queued or draining; the
-    /// single-drainer invariant behind the FIFO ordering guarantee.
-    scheduled: bool,
-    /// Set when a terminal message is enqueued; later sends fail.
-    closed: bool,
-}
-
 struct ExecState {
     local: Option<TxnId>,
     finished: bool,
@@ -173,7 +160,8 @@ pub struct Session {
     /// The cluster's fault injector; consulted at the session-side crash
     /// points (inert unless armed).
     faults: Arc<FaultInjector>,
-    mailbox: Mutex<Mailbox>,
+    /// Closed by the terminal message: later sends fail.
+    mailbox: Mutex<Lane<SessionMsg>>,
     /// Only ever touched by the single active drainer; the lock is
     /// uncontended and exists to make the sharing safe.
     exec: Mutex<ExecState>,
@@ -184,42 +172,31 @@ pub struct Session {
 
 impl Session {
     fn enqueue(self: &Arc<Self>, msg: SessionMsg) -> Result<()> {
-        let schedule = {
+        let terminal = msg.is_terminal();
+        let start = {
             let mut mb = self.mailbox.lock();
-            if mb.closed {
-                // The session finished (or is finishing); matches the seed
-                // behaviour of sending to an exited worker.
-                return Err(ClusterError::from(
-                    tenantdb_storage::StorageError::Unavailable,
-                ));
+            // A closed lane: the session finished (or is finishing); matches
+            // the seed behaviour of sending to an exited worker.
+            let start = mb
+                .push(msg)
+                .map_err(|_| ClusterError::from(tenantdb_storage::StorageError::Unavailable))?;
+            if terminal {
+                mb.close();
             }
-            if msg.is_terminal() {
-                mb.closed = true;
-            }
-            mb.queue.push_back(msg);
-            let schedule = !mb.scheduled;
-            if schedule {
-                mb.scheduled = true;
-            }
-            schedule
+            start
         };
-        if schedule {
+        if start {
             self.pool.submit(PoolJob::Session(Arc::clone(self)));
         }
         Ok(())
     }
 
-    /// Drain the mailbox in arrival order (called by a pool worker; the
-    /// `scheduled` flag guarantees a single drainer).
+    /// Drain the mailbox in arrival order (called by the pool worker that
+    /// holds the lane's single-drainer slot).
     pub(crate) fn drain(&self) {
         loop {
-            let batch = {
-                let mut mb = self.mailbox.lock();
-                if mb.queue.is_empty() {
-                    mb.scheduled = false;
-                    return;
-                }
-                std::mem::take(&mut mb.queue)
+            let Some(batch) = self.mailbox.lock().take() else {
+                return;
             };
             for msg in batch {
                 if let Some(reply) = self.process(msg) {
@@ -409,15 +386,8 @@ impl SessionHandle {
     /// bound its callers must not exceed.
     pub fn try_turn(&self) -> Option<Turn> {
         let session = &self.session;
-        if !session.pool.lends_turns() {
+        if !session.pool.lends_turns() || !session.mailbox.lock().try_turn() {
             return None;
-        }
-        {
-            let mut mb = session.mailbox.lock();
-            if mb.scheduled || !mb.queue.is_empty() || mb.closed {
-                return None;
-            }
-            mb.scheduled = true;
         }
         session.pool.note_caller_turn();
         Some(Turn {
@@ -458,7 +428,7 @@ impl Turn {
     /// `Session::process`. The reply is returned, not sent.
     pub fn run(self, msg: SessionMsg) -> Option<WorkerReply> {
         if msg.is_terminal() {
-            self.session.mailbox.lock().closed = true;
+            self.session.mailbox.lock().close();
         }
         self.session.pool.job_fault_hook();
         self.session.process(msg)
@@ -467,16 +437,10 @@ impl Turn {
 
 impl Drop for Turn {
     fn drop(&mut self) {
-        // Same lock hold for "anything queued meanwhile?" and the slot
-        // hand-over, as in `drain`: a message enqueued while this thread
-        // held the turn saw `scheduled` and did not submit, so either the
-        // slot passes to a pool job here or the lane goes idle — never a
-        // queued message with no drainer.
-        let resubmit = {
-            let mut mb = self.session.mailbox.lock();
-            mb.scheduled = !mb.queue.is_empty();
-            mb.scheduled
-        };
+        // A message enqueued while this thread held the turn found the slot
+        // taken and submitted nothing: `release` passes the slot to a pool
+        // job for it, or idles the lane.
+        let resubmit = self.session.mailbox.lock().release();
         if resubmit {
             let session = &self.session;
             session.pool.submit(PoolJob::Session(Arc::clone(session)));
@@ -506,14 +470,7 @@ pub(crate) fn new_session(
             recorder,
             reply,
             faults,
-            mailbox: Mutex::new(
-                &WORKER_MAILBOX,
-                Mailbox {
-                    queue: VecDeque::new(),
-                    scheduled: false,
-                    closed: false,
-                },
-            ),
+            mailbox: Mutex::new(&WORKER_MAILBOX, Lane::default()),
             exec: Mutex::new(
                 &WORKER_EXEC,
                 ExecState {

@@ -1,8 +1,8 @@
 //! Exhaustive interleaving checks (via `tenantdb-loom`) for the three
 //! protocols whose correctness is purely about ordering:
 //!
-//! 1. **Pool session-lane handoff** (`worker.rs` `enqueue`/`drain` + the
-//!    `scheduled` flag): all messages a transaction sends to one machine
+//! 1. **Pool session-lane handoff** (`worker.rs` `enqueue`/`drain` over the
+//!    product [`Lane`]): all messages a transaction sends to one machine
 //!    execute in arrival order, exactly once, with a single drainer at a
 //!    time — including when a `Detach` races ordinary sends.
 //! 2. **Takeover vs. crashes** (`connection.rs` decision logging +
@@ -15,12 +15,17 @@
 //!    when the drainer is the calling thread and sends — the cleanup
 //!    `Abort` among them — arrive while it holds the slot.
 //!
-//! The models re-state each protocol over `tenantdb_loom` primitives (the
-//! production types use the ordered lockdep wrappers, which the checker
-//! cannot instrument); each model's structure mirrors the cited functions
-//! line by line, and a `*_model_has_teeth` test seeds the historical bug
-//! shape to prove the checker would catch a regression in the protocol.
+//! Models 1 and 3 drive the product's own [`Lane`] — the state machine the
+//! replica sessions and the TCP server's request queues run — under a
+//! `tenantdb_loom` mutex standing in for the ordered lockdep wrapper its
+//! owners keep it under (the checker cannot instrument those). Only the
+//! code around it is the model's: a spawned thread for a pool job, and
+//! the session's execution step. Model 2 still re-states its protocol over
+//! `tenantdb_loom` primitives, mirroring the cited functions line by line.
+//! Each model has a `*_model_has_teeth` test that seeds the historical bug
+//! shape in that code to prove the checker would catch a regression.
 
+use tenantdb_cluster::pool::Lane;
 use tenantdb_loom as loom;
 
 /// CHESS-style bounded exploration: every schedule with at most two
@@ -44,14 +49,11 @@ use loom::thread::JoinHandle;
 // Model 1: session-lane handoff
 // ---------------------------------------------------------------------------
 
-/// Mirrors `worker::Mailbox`: message queue + single-drainer flag + closed.
+/// What `Session::mailbox` guards — the product lane — plus the model's
+/// ground truth for the FIFO assertion: arrival order, recorded in the same
+/// hold that queues (or lends the turn to) each message.
 struct Mailbox {
-    queue: Vec<u32>,
-    scheduled: bool,
-    closed: bool,
-    /// Ground truth for the FIFO assertion: arrival order, recorded under
-    /// the same lock hold that enqueues, exactly as the real queue push
-    /// does.
+    lane: Lane<u32>,
     arrivals: Vec<u32>,
 }
 
@@ -63,22 +65,24 @@ struct Exec {
     processed: Vec<u32>,
 }
 
-struct Lane {
+/// One replica session: the lane under its mailbox lock, the execution
+/// state, and the drain loop a pool job runs (a parameter, so a teeth test
+/// can seed a broken one).
+struct Session {
     mailbox: Mutex<Mailbox>,
     exec: Mutex<Exec>,
     /// Single-drainer witness: set for the duration of one `process`.
     processing: AtomicBool,
+    drain: fn(&Session),
 }
 
 const TERMINAL: u32 = 99;
 
-impl Lane {
-    fn new() -> Arc<Self> {
-        Arc::new(Lane {
+impl Session {
+    fn new(drain: fn(&Session)) -> Arc<Self> {
+        Arc::new(Session {
             mailbox: Mutex::new(Mailbox {
-                queue: Vec::new(),
-                scheduled: false,
-                closed: false,
+                lane: Lane::default(),
                 arrivals: Vec::new(),
             }),
             exec: Mutex::new(Exec {
@@ -86,51 +90,41 @@ impl Lane {
                 processed: Vec::new(),
             }),
             processing: AtomicBool::new(false),
+            drain,
         })
     }
 
-    /// `Session::enqueue`: push under the lock, claim the drainer slot if
-    /// free, and (instead of `pool.submit`) spawn the drainer directly —
-    /// the pool's only relevant guarantee is that a submitted job
-    /// eventually runs on *some* thread, which a spawned thread models
-    /// while letting loom explore every handoff interleaving.
-    fn enqueue(self: &Arc<Self>, msg: u32) -> Result<Option<JoinHandle<()>>, ()> {
-        let schedule = {
-            let mut mb = self.mailbox.lock();
-            if mb.closed {
-                return Err(());
-            }
-            if msg == TERMINAL {
-                mb.closed = true;
-            }
-            mb.queue.push(msg);
-            mb.arrivals.push(msg);
-            let schedule = !mb.scheduled;
-            if schedule {
-                mb.scheduled = true;
-            }
-            schedule
-        };
-        if schedule {
-            let lane = Arc::clone(self);
-            Ok(Some(loom::thread::spawn(move || lane.drain())))
-        } else {
-            Ok(None)
-        }
+    /// `pool.submit(PoolJob::Session(..))`, as a spawned thread: the pool's
+    /// only relevant guarantee is that a submitted job eventually runs on
+    /// *some* thread, which a spawned thread models while letting loom
+    /// explore every handoff interleaving.
+    fn start_drainer(self: &Arc<Self>) -> JoinHandle<()> {
+        let s = Arc::clone(self);
+        loom::thread::spawn(move || (s.drain)(&s))
     }
 
-    /// `Session::drain`: batches until the queue is observed empty, then
-    /// releases the drainer slot *under the same lock hold* — the step the
-    /// FIFO invariant hinges on.
-    fn drain(self: &Arc<Self>) {
+    /// `Session::enqueue`: push (and close on the terminal) in one hold;
+    /// start the drainer the lane asks for.
+    fn enqueue(self: &Arc<Self>, msg: u32) -> Result<Option<JoinHandle<()>>, ()> {
+        let start = {
+            let mut mb = self.mailbox.lock();
+            let start = mb.lane.push(msg).map_err(drop)?;
+            if msg == TERMINAL {
+                mb.lane.close();
+            }
+            mb.arrivals.push(msg);
+            start
+        };
+        Ok(start.then(|| self.start_drainer()))
+    }
+
+    /// `Session::drain`: batches until `take` finds the queue empty, which
+    /// releases the drainer slot *in the same hold* — the step the FIFO
+    /// invariant hinges on.
+    fn drain(&self) {
         loop {
-            let batch = {
-                let mut mb = self.mailbox.lock();
-                if mb.queue.is_empty() {
-                    mb.scheduled = false;
-                    return;
-                }
-                std::mem::take(&mut mb.queue)
+            let Some(batch) = self.mailbox.lock().lane.take() else {
+                return;
             };
             for msg in batch {
                 self.process(msg);
@@ -159,58 +153,27 @@ impl Lane {
 
     /// (arrivals, processed), read once the lane is quiescent.
     fn history(&self) -> (Vec<u32>, Vec<u32>) {
-        (
-            self.mailbox.lock().arrivals.clone(),
-            self.exec.lock().processed.clone(),
-        )
+        let arrivals = self.mailbox.lock().arrivals.clone();
+        (arrivals, self.exec.lock().processed.clone())
+    }
+
+    /// No drainer still owns the lane, and nothing is left in it.
+    fn assert_released(&self) {
+        assert!(self.mailbox.lock().lane.is_idle(), "drainer slot released");
     }
 
     /// `SessionHandle::try_turn`: claim the drainer slot of an idle lane
-    /// for the calling thread. (`msg` is only the model's ground truth: the
-    /// turn's message heads the lane from the moment the slot is claimed,
-    /// so its arrival is recorded under this lock hold. The pool's
-    /// `lends_turns` gate is a constant per pool and not modelled.)
-    fn try_turn(self: &Arc<Self>, msg: u32) -> Option<Turn> {
+    /// for the calling thread. (The turn's message heads the lane from the
+    /// moment the slot is claimed, so its arrival is recorded in this hold.
+    /// The pool's `lends_turns` gate is a constant per pool and not
+    /// modelled.)
+    fn try_turn(&self, msg: u32) -> bool {
         let mut mb = self.mailbox.lock();
-        if mb.scheduled || !mb.queue.is_empty() || mb.closed {
-            return None;
+        let turn = mb.lane.try_turn();
+        if turn {
+            mb.arrivals.push(msg);
         }
-        mb.scheduled = true;
-        mb.arrivals.push(msg);
-        Some(Turn {
-            lane: Arc::clone(self),
-        })
-    }
-}
-
-/// Mirrors `worker::Turn`: the drainer slot, held by the caller.
-struct Turn {
-    lane: Arc<Lane>,
-}
-
-impl Turn {
-    /// `Turn::run`, then the release `Drop for Turn` performs: hand the
-    /// slot to a pool job if anything was enqueued meanwhile — decided
-    /// under the same lock hold that gives the slot up — else go idle.
-    fn run(self, msg: u32) -> Option<JoinHandle<()>> {
-        if msg == TERMINAL {
-            self.lane.mailbox.lock().closed = true;
-        }
-        self.lane.process(msg);
-        let resubmit = {
-            let mut mb = self.lane.mailbox.lock();
-            mb.scheduled = !mb.queue.is_empty();
-            mb.scheduled
-        };
-        resubmit.then(|| loom::thread::spawn(move || self.lane.drain()))
-    }
-
-    /// The obvious wrong release: give the slot up without looking at the
-    /// queue. A message enqueued during the turn saw `scheduled` and
-    /// submitted nothing; now nobody ever will.
-    fn run_buggy(self, msg: u32) {
-        self.lane.process(msg);
-        self.lane.mailbox.lock().scheduled = false;
+        turn
     }
 }
 
@@ -220,13 +183,13 @@ impl Turn {
 #[test]
 fn pool_lane_fifo_exactly_once() {
     bounded().check(|| {
-        let lane = Lane::new();
-        let l1 = Arc::clone(&lane);
+        let session = Session::new(Session::drain);
+        let l1 = Arc::clone(&session);
         let p1 = loom::thread::spawn(move || {
             let _ = l1.enqueue(1).expect("open").map(|h| h.join());
             let _ = l1.enqueue(2).expect("open").map(|h| h.join());
         });
-        let l2 = Arc::clone(&lane);
+        let l2 = Arc::clone(&session);
         let p2 = loom::thread::spawn(move || {
             let _ = l2.enqueue(10).expect("open").map(|h| h.join());
         });
@@ -234,12 +197,12 @@ fn pool_lane_fifo_exactly_once() {
         p2.join().expect("producer 2");
         // Any drainer spawned by a producer finished before that producer's
         // join returned, so the lane is quiescent here.
-        let (arrivals, processed) = lane.history();
+        let (arrivals, processed) = session.history();
         assert_eq!(
             processed, arrivals,
             "every accepted message, exactly once, in arrival order"
         );
-        assert!(!lane.mailbox.lock().scheduled, "drainer slot released");
+        session.assert_released();
     });
 }
 
@@ -249,14 +212,14 @@ fn pool_lane_fifo_exactly_once() {
 #[test]
 fn pool_lane_fifo_under_concurrent_detach() {
     bounded().check(|| {
-        let lane = Lane::new();
-        let l1 = Arc::clone(&lane);
+        let session = Session::new(Session::drain);
+        let l1 = Arc::clone(&session);
         let p1 = loom::thread::spawn(move || {
             let accepted = l1.enqueue(1).map(|h| h.map(|h| h.join())).is_ok();
             let second = l1.enqueue(2).map(|h| h.map(|h| h.join())).is_ok();
             (accepted, second)
         });
-        let l2 = Arc::clone(&lane);
+        let l2 = Arc::clone(&session);
         let p2 = loom::thread::spawn(move || {
             // The handle-drop path: detach() enqueues the terminal.
             l2.enqueue(TERMINAL).map(|h| h.map(|h| h.join())).is_ok()
@@ -265,7 +228,7 @@ fn pool_lane_fifo_under_concurrent_detach() {
         let detach_ok = p2.join().expect("detacher");
         assert!(detach_ok, "the first terminal send always wins");
 
-        let (arrivals, processed) = lane.history();
+        let (arrivals, processed) = session.history();
         // Arrival order is truncated at the terminal: the drain loop must
         // process exactly the prefix up to and including TERMINAL.
         let cut = arrivals
@@ -282,70 +245,41 @@ fn pool_lane_fifo_under_concurrent_detach() {
     });
 }
 
-/// Teeth check: a drainer that releases the `scheduled` slot *outside* the
-/// empty-queue lock hold (the obvious refactor) loses messages — a producer
-/// can slip a message in between "saw empty" and "slot released" and no
-/// drainer ever runs for it. The checker must find that schedule.
+/// Teeth check: a drainer that sees the queue empty in one hold and gives
+/// the slot back in another, ignoring `release`'s answer (the obvious
+/// refactor), loses messages — a producer can slip a message in between,
+/// find the slot taken, and start no drainer; `release` then says one is
+/// needed and nobody starts it. The checker must find that schedule.
 #[test]
 fn lane_model_has_teeth() {
+    fn buggy_drain(s: &Session) {
+        loop {
+            let batch = {
+                let mut mb = s.mailbox.lock();
+                if mb.lane.is_empty() {
+                    break;
+                }
+                mb.lane.take()
+            };
+            for msg in batch.into_iter().flatten() {
+                s.process(msg);
+            }
+        }
+        let _ = s.mailbox.lock().lane.release(); // BUG: answer ignored
+    }
     let found = std::panic::catch_unwind(|| {
         bounded().check(|| {
-            let lane = Lane::new();
-            // Buggy drain: check-empty and slot-release in separate holds.
-            fn buggy_drain(lane: &Arc<Lane>) {
-                loop {
-                    let batch = {
-                        let mut mb = lane.mailbox.lock();
-                        if mb.queue.is_empty() {
-                            break;
-                        }
-                        std::mem::take(&mut mb.queue)
-                    };
-                    for msg in batch {
-                        lane.exec.lock().processed.push(msg);
-                    }
-                }
-                lane.mailbox.lock().scheduled = false; // too late
-            }
-            let l1 = Arc::clone(&lane);
+            let session = Session::new(buggy_drain);
+            let l1 = Arc::clone(&session);
             let p1 = loom::thread::spawn(move || {
-                let spawned = {
-                    let mut mb = l1.mailbox.lock();
-                    mb.queue.push(1);
-                    mb.arrivals.push(1);
-                    let s = !mb.scheduled;
-                    if s {
-                        mb.scheduled = true;
-                    }
-                    s
-                };
-                let h = spawned.then(|| {
-                    let lane = Arc::clone(&l1);
-                    loom::thread::spawn(move || buggy_drain(&lane))
-                });
-                let spawned2 = {
-                    let mut mb = l1.mailbox.lock();
-                    mb.queue.push(2);
-                    mb.arrivals.push(2);
-                    let s = !mb.scheduled;
-                    if s {
-                        mb.scheduled = true;
-                    }
-                    s
-                };
-                let h2 = spawned2.then(|| {
-                    let lane = Arc::clone(&l1);
-                    loom::thread::spawn(move || buggy_drain(&lane))
-                });
-                if let Some(h) = h {
-                    h.join().expect("drainer");
-                }
-                if let Some(h) = h2 {
+                let h1 = l1.enqueue(1).expect("open");
+                let h2 = l1.enqueue(2).expect("open");
+                for h in [h1, h2].into_iter().flatten() {
                     h.join().expect("drainer");
                 }
             });
             p1.join().expect("producer");
-            let (arrivals, processed) = lane.history();
+            let (arrivals, processed) = session.history();
             assert_eq!(processed, arrivals, "lost message");
         });
     });
@@ -356,16 +290,29 @@ fn lane_model_has_teeth() {
 }
 
 // ---------------------------------------------------------------------------
-// Model 3: the caller takes the lane's turn (same `Lane` as model 1)
+// Model 3: the caller takes the lane's turn (same `Session` as model 1)
 // ---------------------------------------------------------------------------
+
+/// `Turn::run` followed by `Drop for Turn`: close the lane on a terminal,
+/// run the message on this thread, then `release` the turn and start the
+/// drainer it asks for — the hand-over for a message enqueued meanwhile.
+fn run_turn(s: &Arc<Session>, msg: u32) -> Option<JoinHandle<()>> {
+    if msg == TERMINAL {
+        s.mailbox.lock().lane.close();
+    }
+    s.process(msg);
+    let more = s.mailbox.lock().lane.release();
+    more.then(|| s.start_drainer())
+}
 
 /// A statement's sender: take the lane's turn if it is idle, else queue
 /// (refused — arriving nowhere — once the cleanup abort closed the lane).
 /// Joins whatever drainer its own hand-over spawned.
-fn caller(lane: &Arc<Lane>, msg: u32, run: impl FnOnce(Turn, u32) -> Option<JoinHandle<()>>) {
-    let drainer = match lane.try_turn(msg) {
-        Some(turn) => run(turn, msg),
-        None => lane.enqueue(msg).unwrap_or(None),
+fn caller(s: &Arc<Session>, msg: u32, run: fn(&Arc<Session>, u32) -> Option<JoinHandle<()>>) {
+    let drainer = if s.try_turn(msg) {
+        run(s, msg)
+    } else {
+        s.enqueue(msg).unwrap_or(None)
     };
     if let Some(h) = drainer {
         h.join().expect("drainer");
@@ -376,24 +323,21 @@ fn caller(lane: &Arc<Lane>, msg: u32, run: impl FnOnce(Turn, u32) -> Option<Join
 /// while this one sends a second statement to the same lane (which the
 /// caller's turn must neither overtake nor strand) and then drops the
 /// handle, whose cleanup `Abort` — a plain enqueue of the terminal, see
-/// `Drop for SessionHandle` — closes the lane. Returns (arrivals,
-/// processed) once every thread and every drainer it spawned has finished.
-fn caller_turn_race(
-    run: impl FnOnce(Turn, u32) -> Option<JoinHandle<()>> + Send + 'static,
-) -> (Vec<u32>, Vec<u32>) {
-    let lane = Lane::new();
-    let l1 = Arc::clone(&lane);
+/// `Drop for SessionHandle` — closes the lane. Returns the session once
+/// every thread and every drainer it spawned has finished.
+fn caller_turn_race(run: fn(&Arc<Session>, u32) -> Option<JoinHandle<()>>) -> Arc<Session> {
+    let session = Session::new(Session::drain);
+    let l1 = Arc::clone(&session);
     let p1 = loom::thread::spawn(move || caller(&l1, 1, run));
     // As in model 1, a sender joins the drainer its own send spawned
     // before it goes on.
-    let _ = lane.enqueue(10).expect("open").map(|h| h.join());
-    let _ = lane
+    let _ = session.enqueue(10).expect("open").map(|h| h.join());
+    let _ = session
         .enqueue(TERMINAL)
         .expect("first terminal wins")
         .map(|h| h.join());
     p1.join().expect("caller");
-    assert!(!lane.mailbox.lock().scheduled, "drainer slot released");
-    lane.history()
+    session
 }
 
 /// Every accepted message is processed exactly once, in arrival order, by
@@ -402,26 +346,30 @@ fn caller_turn_race(
 #[test]
 fn caller_turn_fifo_exactly_once() {
     bounded().check(|| {
-        let (arrivals, processed) = caller_turn_race(Turn::run);
+        let session = caller_turn_race(run_turn);
+        let (arrivals, processed) = session.history();
         // A closed lane accepts no send and lends no turn.
         assert_eq!(arrivals.last(), Some(&TERMINAL), "nothing follows it");
         assert_eq!(
             processed, arrivals,
             "every accepted message, exactly once, in arrival order"
         );
+        session.assert_released();
     });
 }
 
-/// Teeth check: releasing the turn without re-checking the queue strands
-/// the message that was enqueued while the caller held it.
+/// Teeth check: a turn that ignores `release`'s answer strands the message
+/// that was enqueued while the caller held it.
 #[test]
 fn caller_turn_model_has_teeth() {
     let found = std::panic::catch_unwind(|| {
         bounded().check(|| {
-            let (arrivals, processed) = caller_turn_race(|turn, msg| {
-                turn.run_buggy(msg);
+            let (arrivals, processed) = caller_turn_race(|s, msg| {
+                s.process(msg);
+                let _ = s.mailbox.lock().lane.release(); // BUG: answer ignored
                 None
-            });
+            })
+            .history();
             assert_eq!(processed, arrivals, "stranded message");
         });
     });

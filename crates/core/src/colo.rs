@@ -10,8 +10,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
+use tenantdb_cluster::sync::{LockClass, RwLock};
 use tenantdb_cluster::{ClusterConfig, ClusterController, ClusterError};
 use tenantdb_sla::ResourceVector;
 
@@ -24,6 +23,9 @@ impl fmt::Display for ColoId {
         write!(f, "colo{}", self.0)
     }
 }
+
+/// `Colo::assignments` (see `system.rs` for the platform's ranks).
+static COLO_ASSIGNMENTS: LockClass = LockClass::new("platform.colo.assignments", 8);
 
 /// A colo: clusters + a fault-tolerant colo controller.
 pub struct Colo {
@@ -55,7 +57,7 @@ impl Colo {
             name: name.into(),
             location,
             clusters,
-            assignments: RwLock::new(HashMap::new()),
+            assignments: RwLock::new(&COLO_ASSIGNMENTS, HashMap::new()),
             failed: AtomicBool::new(false),
         }
     }

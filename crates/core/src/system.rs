@@ -13,8 +13,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
+use tenantdb_cluster::sync::{LockClass, RwLock};
 use tenantdb_cluster::{ClusterConfig, ClusterError, Connection};
 use tenantdb_sla::{ResourceVector, Sla};
 
@@ -79,6 +78,12 @@ struct DbEntry {
     sla: Sla,
 }
 
+/// `SystemController::directory`. The platform's locks (7..9) sit between
+/// the serving tier's and the cluster's, and nothing is acquired under them.
+static PLATFORM_DIRECTORY: LockClass = LockClass::new("platform.system.directory", 7);
+/// `SystemController::extra_metrics`.
+static PLATFORM_METRICS: LockClass = LockClass::new("platform.system.extra_metrics", 9);
+
 /// The system controller: the top of the §2 hierarchy.
 pub struct SystemController {
     colos: Vec<Arc<Colo>>,
@@ -108,8 +113,8 @@ impl SystemController {
             .collect();
         Arc::new(SystemController {
             colos,
-            directory: RwLock::new(HashMap::new()),
-            extra_metrics: RwLock::new(Vec::new()),
+            directory: RwLock::new(&PLATFORM_DIRECTORY, HashMap::new()),
+            extra_metrics: RwLock::new(&PLATFORM_METRICS, Vec::new()),
         })
     }
 

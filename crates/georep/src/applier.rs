@@ -52,6 +52,10 @@ struct PendingTxn {
     ops: Vec<RedoOp>,
 }
 
+/// An applier as the stream server, its links and promotion share it.
+/// `e2e` spells this type, so its lock stays the unranked one.
+pub type SharedApplier = Arc<parking_lot::Mutex<Applier>>; // lint:allow(raw-lock): `e2e` names it
+
 /// Replays one database's shipped records into the standby cluster.
 pub struct Applier {
     db: String,

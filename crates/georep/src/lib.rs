@@ -49,9 +49,9 @@ pub mod promote;
 pub mod shipper;
 pub mod stream;
 
-pub use applier::Applier;
+pub use applier::{Applier, SharedApplier};
 pub use metrics::GeoMetrics;
-pub use promote::{promote, promote_without_fencing, PromotionOutcome};
+pub use promote::{promote, PromotionOutcome};
 pub use shipper::Shipper;
 pub use stream::{GeoLink, GeoStandbyServer, GeoTcpLink};
 

@@ -28,12 +28,11 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use tenantdb_cluster::fault::{CrashPoint, FaultAction, GEO};
 use tenantdb_cluster::{ClusterController, MachineId};
 use tenantdb_storage::TxnId;
 
-use crate::applier::Applier;
+use crate::applier::SharedApplier;
 use crate::metrics::GeoMetrics;
 use crate::GeoError;
 
@@ -53,36 +52,15 @@ pub struct PromotionOutcome {
     pub aborted: Vec<TxnId>,
 }
 
-/// Promote `standby` to primary, fencing `old_primary` when reachable.
-/// `appliers` are the standby's per-database stream states whose in-flight
-/// transactions need reconciling.
+/// Promote `standby` to primary, fencing `old_primary` when reachable
+/// (`None`: unreachable, so nothing is fenced here). `appliers` are the
+/// standby's per-database stream states whose in-flight transactions need
+/// reconciling.
 pub fn promote(
     standby: &Arc<ClusterController>,
     old_primary: Option<&Arc<ClusterController>>,
-    appliers: &[Arc<Mutex<Applier>>],
+    appliers: &[SharedApplier],
     metrics: &GeoMetrics,
-) -> Result<PromotionOutcome, GeoError> {
-    promote_inner(standby, old_primary, appliers, metrics, true)
-}
-
-/// [`promote`] with the fencing step skipped. This exists for the sim's
-/// *teeth* scenario — proving the split-brain invariant checker fires when
-/// fencing is disabled — and must never be used operationally.
-pub fn promote_without_fencing(
-    standby: &Arc<ClusterController>,
-    old_primary: Option<&Arc<ClusterController>>,
-    appliers: &[Arc<Mutex<Applier>>],
-    metrics: &GeoMetrics,
-) -> Result<PromotionOutcome, GeoError> {
-    promote_inner(standby, old_primary, appliers, metrics, false)
-}
-
-fn promote_inner(
-    standby: &Arc<ClusterController>,
-    old_primary: Option<&Arc<ClusterController>>,
-    appliers: &[Arc<Mutex<Applier>>],
-    metrics: &GeoMetrics,
-    fence: bool,
 ) -> Result<PromotionOutcome, GeoError> {
     // One past everything either side has seen: globally fresh.
     let mut seen = standby.geo_epoch().max(standby.geo_write_epoch());
@@ -91,15 +69,10 @@ fn promote_inner(
     }
     let epoch = seen + 1;
 
-    let mut fenced_old_primary = false;
-    if fence {
-        if let Some(p) = old_primary {
-            // A fence that cannot reach the old primary's metadata quorum
-            // is the unplanned-DR case: proceed, the epoch check on every
-            // stream frame fences it on first contact.
-            fenced_old_primary = p.fence_geo(epoch).is_ok();
-        }
-    }
+    // A fence that cannot reach the old primary's metadata quorum is the
+    // unplanned-DR case: proceed, the epoch check on every stream frame
+    // fences it on first contact.
+    let fenced_old_primary = old_primary.is_some_and(|p| p.fence_geo(epoch).is_ok());
 
     // The worst window: old primary fenced, no colo holds write authority.
     match standby.faults().check(CrashPoint::GeoPromote, GEO) {

@@ -28,12 +28,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use tenantdb_cluster::sync::{LockClass, Mutex};
 use tenantdb_cluster::{ClusterController, MachineId};
 use tenantdb_net::wire::{read_frame, write_frame, Frame, GEOREP_PROTOCOL_VERSION};
 use tenantdb_storage::{LogRecord, Lsn};
 
-use crate::applier::Applier;
+use crate::applier::{Applier, SharedApplier};
 use crate::metrics::GeoMetrics;
 use crate::shipper::Shipper;
 use crate::GeoError;
@@ -47,6 +47,9 @@ const ACCEPT_TICK: Duration = Duration::from_millis(5);
 
 // ---------------------------------------------------------------- standby
 
+/// `GeoStandbyServer::appliers`; nothing is acquired under it.
+static GEO_APPLIERS: LockClass = LockClass::new("georep.standby.appliers", 4);
+
 /// The standby colo's stream endpoint: accepts shipper connections on a
 /// loopback TCP listener and replays each database's stream through a
 /// shared per-database [`Applier`].
@@ -54,7 +57,7 @@ pub struct GeoStandbyServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    appliers: Arc<Mutex<HashMap<String, Arc<Mutex<Applier>>>>>,
+    appliers: Arc<Mutex<HashMap<String, SharedApplier>>>,
 }
 
 impl GeoStandbyServer {
@@ -70,8 +73,8 @@ impl GeoStandbyServer {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let appliers: Arc<Mutex<HashMap<String, Arc<Mutex<Applier>>>>> =
-            Arc::new(Mutex::new(HashMap::new()));
+        let appliers: Arc<Mutex<HashMap<String, SharedApplier>>> =
+            Arc::new(Mutex::new(&GEO_APPLIERS, HashMap::new()));
 
         let accept = {
             let stop = Arc::clone(&stop);
@@ -116,12 +119,12 @@ impl GeoStandbyServer {
     }
 
     /// The shared applier for `db`, if a stream has pinned it.
-    pub fn applier(&self, db: &str) -> Option<Arc<Mutex<Applier>>> {
+    pub fn applier(&self, db: &str) -> Option<SharedApplier> {
         self.appliers.lock().get(db).cloned()
     }
 
     /// Every per-database applier — the promotion work list.
-    pub fn appliers(&self) -> Vec<Arc<Mutex<Applier>>> {
+    pub fn appliers(&self) -> Vec<SharedApplier> {
         self.appliers.lock().values().cloned().collect()
     }
 
@@ -148,7 +151,7 @@ fn serve_stream(
     mut stream: TcpStream,
     standby: Arc<ClusterController>,
     replicas: usize,
-    appliers: Arc<Mutex<HashMap<String, Arc<Mutex<Applier>>>>>,
+    appliers: Arc<Mutex<HashMap<String, SharedApplier>>>,
     metrics: GeoMetrics,
 ) -> Result<(), GeoError> {
     stream.set_read_timeout(Some(STREAM_IO_TIMEOUT))?;
@@ -166,7 +169,8 @@ fn serve_stream(
     };
 
     let applier = Arc::clone(appliers.lock().entry(db.clone()).or_insert_with(|| {
-        Arc::new(Mutex::new(Applier::new(
+        // lint:allow(raw-lock): the lock `SharedApplier` names
+        Arc::new(parking_lot::Mutex::new(Applier::new(
             Arc::clone(&standby),
             &db,
             replicas,
@@ -241,7 +245,7 @@ mod peer {
     }
 
     /// In process: the exchange as direct calls on the shared applier.
-    impl Peer for Arc<Mutex<Applier>> {
+    impl Peer for SharedApplier {
         fn dial(&mut self, pin: MachineId, epoch: u64, _: Lsn) -> Result<Lsn, GeoError> {
             self.lock().handshake(pin, epoch)
         }
@@ -326,7 +330,7 @@ pub struct Link<P> {
 /// A deterministic in-process stream, with function calls in place of
 /// sockets. The sim's scripted scenarios use this so colo partitions and
 /// promotion races replay identically under a fixed seed.
-pub type GeoLink = Link<Arc<Mutex<Applier>>>;
+pub type GeoLink = Link<SharedApplier>;
 
 /// The stream over real sockets: dials the standby endpoint and reconnects
 /// (re-handshaking) as needed.
@@ -334,12 +338,12 @@ pub type GeoTcpLink = Link<peer::Tcp>;
 
 impl GeoLink {
     /// Wire `shipper` straight to `applier`.
-    pub fn new(shipper: Shipper, applier: Arc<Mutex<Applier>>, metrics: GeoMetrics) -> Self {
+    pub fn new(shipper: Shipper, applier: SharedApplier, metrics: GeoMetrics) -> Self {
         Link::over(shipper, applier, metrics)
     }
 
     /// The standby-side applier (the promotion work list).
-    pub fn applier(&self) -> &Arc<Mutex<Applier>> {
+    pub fn applier(&self) -> &SharedApplier {
         &self.peer
     }
 }
@@ -466,7 +470,7 @@ mod tests {
         let s = ClusterController::with_machines(ClusterConfig::for_tests(), 2);
         let m = metrics();
         let shipper = Shipper::new(Arc::clone(&p), "app", m.clone()).unwrap();
-        let applier = Arc::new(Mutex::new(Applier::new(
+        let applier = Arc::new(parking_lot::Mutex::new(Applier::new(
             Arc::clone(&s),
             "app",
             2,

@@ -17,7 +17,8 @@
 //!   runs right there when nothing is queued ahead of it — on the reactor's
 //!   own stack all the way into the engine, since the cluster runs an idle
 //!   replica lane on the calling thread; everything else
-//!   joins the connection's queue, drained by one task at a time on the
+//!   joins the connection's request lane (a [`Lane`], the single-drainer
+//!   FIFO the replica sessions run), drained by one task at a time on the
 //!   worker pool — which grows while its threads sit in lock waits, so a
 //!   row-lock convoy parks neither a reactor nor the lock holder's next
 //!   statement. On writability reactors flush the reply outbox.
@@ -25,8 +26,8 @@
 //!   poller needs no locking.
 //! * **One execute-and-reply path** serves both: run the request *without*
 //!   the connection's state lock, append the encoded reply to the outbox,
-//!   flush opportunistically. An inline request only runs when the queue
-//!   is idle, so replies are written in request order — which is what
+//!   flush opportunistically. An inline request runs on the idle lane's
+//!   turn, so replies are written in request order — which is what
 //!   makes pipelining safe — and a reply appended while earlier bytes are
 //!   still queued shares their flush (write coalescing).
 //! * **Deadlines** live on a single timer wheel per reactor
@@ -44,7 +45,7 @@
 //! connection rolls back any open transaction — an abrupt client
 //! disconnect mid-transaction cannot leak locks or a pool lane.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::{AsRawFd, RawFd};
@@ -54,6 +55,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use tenantdb_cluster::fault::{self, CrashPoint, FaultAction, FaultInjector};
+use tenantdb_cluster::pool::Lane;
 use tenantdb_cluster::{
     BatchMode, ClusterError, Connection, PoolConfig, PoolMetrics, Transport, WorkerPool,
 };
@@ -195,17 +197,6 @@ fn inline_safe(frame: &Frame, conn: &Connection) -> bool {
     }
 }
 
-/// Connection lifecycle phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Accepted; waiting for (or processing) the `Hello`.
-    Handshake,
-    /// Handshake done; serving requests.
-    Open,
-    /// Torn down; pool tasks drop work for it.
-    Closed,
-}
-
 /// Why a wheel deadline fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DeadlineKind {
@@ -221,31 +212,29 @@ enum DeadlineKind {
 /// Mutable per-connection state, guarded by the rank-6 `NET_CONN` lock.
 /// SQL never executes under this lock (see module docs).
 struct ConnState {
-    phase: Phase,
     db: String,
-    /// Established at handshake. Whoever runs a request clones the Arc out
-    /// and executes without the state lock; the *last* clone to drop rolls
-    /// back any open transaction.
+    /// Established at handshake: `None` while the `Hello` is awaited (or
+    /// being processed), and again once torn down. Whoever runs a request
+    /// clones the Arc out and executes without the state lock; the *last*
+    /// clone to drop rolls back any open transaction.
     platform: Option<Arc<Connection>>,
     /// Inbound bytes not yet forming a complete frame.
     rbuf: Vec<u8>,
     /// When the current partial frame started (read deadline base).
     rbuf_since: Option<Instant>,
-    /// Decoded requests awaiting execution on the pool.
-    pending: VecDeque<Request>,
+    /// Decoded requests, drained by one thread at a time: a pool task, or
+    /// the reactor's inline turn. Closed (and emptied) at teardown.
+    lane: Lane<Request>,
     /// Encoded reply bytes not yet written to the socket.
     outbox: Vec<u8>,
     /// When the outbox first became non-empty (write deadline base).
     outbox_since: Option<Instant>,
-    /// A pool task currently owns this connection's pending queue.
-    scheduled: bool,
     /// True while a request is mid-execution (ConnInfo's `busy`).
     busy: bool,
     /// Read interest removed for backpressure.
     read_paused: bool,
     /// Poller is watching for writability.
     write_interest: bool,
-    closing: bool,
     last_activity: Instant,
     /// Bumped on every deadline (re-)arm; stale wheel entries are dropped.
     deadline_gen: u64,
@@ -260,7 +249,7 @@ impl ConnState {
     /// Backpressure release point: half the pause watermarks, to avoid
     /// flapping.
     fn below_low_water(&self, write_buffer: usize) -> bool {
-        self.pending.len() * 2 <= PIPELINE_DEPTH && self.outbox.len() * 2 <= write_buffer
+        self.lane.len() * 2 <= PIPELINE_DEPTH && self.outbox.len() * 2 <= write_buffer
     }
 }
 
@@ -699,19 +688,16 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
                     state: Mutex::new(
                         &NET_CONN,
                         ConnState {
-                            phase: Phase::Handshake,
                             db: String::new(),
                             platform: None,
                             rbuf: Vec::new(),
                             rbuf_since: None,
-                            pending: VecDeque::new(),
+                            lane: Lane::default(),
                             outbox: Vec::new(),
                             outbox_since: None,
-                            scheduled: false,
                             busy: false,
                             read_paused: false,
                             write_interest: false,
-                            closing: false,
                             last_activity: Instant::now(),
                             deadline_gen: 0,
                         },
@@ -877,7 +863,7 @@ impl Reactor {
         let mut severed = false;
         {
             let mut st = conn.state.lock();
-            if st.closing || st.read_paused {
+            if st.lane.is_closed() || st.read_paused {
                 return;
             }
             let chunk = self.scratch.as_mut_slice();
@@ -968,11 +954,10 @@ impl Reactor {
                 self.teardown(conn);
                 return;
             }
-            let phase = conn.state.lock().phase;
-            match phase {
-                Phase::Handshake => self.handshake(conn, frame),
-                Phase::Open => self.dispatch(conn, frame, started),
-                Phase::Closed => return,
+            if conn.state.lock().platform.is_some() {
+                self.dispatch(conn, frame, started);
+            } else {
+                self.handshake(conn, frame);
             }
         }
 
@@ -1050,7 +1035,6 @@ impl Reactor {
         };
         {
             let mut st = conn.state.lock();
-            st.phase = Phase::Open;
             st.db = db;
             st.platform = Some(Arc::new(platform));
             st.last_activity = Instant::now();
@@ -1067,22 +1051,22 @@ impl Reactor {
             .insert(conn.id, Arc::clone(conn));
     }
 
-    /// Dispatch one decoded request. When nothing is queued ahead of it
-    /// (reply order preserved) and it takes no exclusive lock (see
-    /// [`inline_safe`]) it executes right here, skipping the pool
-    /// handoff — a context switch per request, the dominant cost of small
-    /// requests on loopback. With the cluster running idle replica lanes on
-    /// the calling thread, an inline read crosses no thread at all. Everything else joins the connection's pending
-    /// queue, drained by one pool task at a time.
+    /// Dispatch one decoded request. When the connection's lane is idle
+    /// (reply order preserved) and the request takes no exclusive lock (see
+    /// [`inline_safe`]) the reactor takes the lane's turn and executes it
+    /// right here, skipping the pool handoff — a context switch per
+    /// request, the dominant cost of small requests on loopback. With the
+    /// cluster running idle replica lanes on the calling thread, an inline
+    /// read crosses no thread at all. Everything else joins the lane,
+    /// drained by one pool task at a time.
     fn dispatch(&mut self, conn: &Arc<Conn>, frame: Frame, started: Instant) {
         // Classified before the state lock is taken for good (binding an
         // uncached statement reads controller state), and only when the
         // request can run inline at all. Only this thread queues requests
-        // for `conn`, so "nothing ahead" cannot turn false in between.
+        // for `conn`, so an idle lane cannot turn busy in between.
         let idle_platform = {
             let st = conn.state.lock();
-            let nothing_ahead = st.pending.is_empty() && !st.scheduled;
-            st.platform.clone().filter(|_| nothing_ahead)
+            st.platform.clone().filter(|_| st.lane.is_idle())
         };
         let inline_platform = idle_platform.filter(|p| inline_safe(&frame, p));
         let req = Request { frame, started };
@@ -1090,26 +1074,16 @@ impl Reactor {
         let mut inline = None;
         {
             let mut st = conn.state.lock();
-            if st.closing {
-                return;
-            }
             match inline_platform {
-                Some(platform) => {
+                Some(platform) if st.lane.try_turn() => {
                     st.busy = true;
                     inline = Some((req, platform));
                 }
-                _ => {
-                    st.pending.push_back(req);
-                    if !st.scheduled {
-                        st.scheduled = true;
-                        submit = true;
-                    }
-                }
+                _ => match st.lane.push(req) {
+                    Ok(start) => submit = start,
+                    Err(_) => return, // torn down
+                },
             }
-        }
-        if submit {
-            let (shared, conn) = (Arc::clone(&self.shared), Arc::clone(conn));
-            self.pool.spawn_task(move || serve_conn(&shared, &conn));
         }
         if let Some((req, platform)) = inline {
             let served = {
@@ -1125,10 +1099,16 @@ impl Reactor {
             // Before any teardown: it must hold the session's last handle
             // to decide where an open transaction rolls back.
             drop(platform);
-            match served {
-                Some(mut st) => self.sync_interest(conn, &mut st),
-                None => self.teardown(conn),
-            }
+            let Some(mut st) = served else {
+                return self.teardown(conn);
+            };
+            // The turn ends in the reply's lock hold.
+            submit = st.lane.release();
+            self.sync_interest(conn, &mut st);
+        }
+        if submit {
+            let (shared, conn) = (Arc::clone(&self.shared), Arc::clone(conn));
+            self.pool.spawn_task(move || serve_conn(&shared, &conn));
         }
     }
 
@@ -1137,7 +1117,7 @@ impl Reactor {
         let mut dead = false;
         {
             let mut st = conn.state.lock();
-            if st.closing {
+            if st.lane.is_closed() {
                 return;
             }
             if flush_outbox(&self.shared, conn, &mut st).is_err() {
@@ -1176,7 +1156,7 @@ impl Reactor {
     /// Pause reads above the pipeline/outbox watermarks; resume below.
     fn check_backpressure(&mut self, conn: &Conn, st: &mut ConnState) {
         let over =
-            st.pending.len() >= PIPELINE_DEPTH || st.outbox.len() >= self.shared.cfg.write_buffer;
+            st.lane.len() >= PIPELINE_DEPTH || st.outbox.len() >= self.shared.cfg.write_buffer;
         if over && !st.read_paused {
             st.read_paused = true;
             self.shared
@@ -1199,7 +1179,7 @@ impl Reactor {
             return;
         };
         let mut st = conn.state.lock();
-        if st.closing {
+        if st.lane.is_closed() {
             return;
         }
         self.sync_interest(&conn, &mut st);
@@ -1232,7 +1212,7 @@ impl Reactor {
         let mut sever: Option<DeadlineKind> = None;
         {
             let mut st = conn.state.lock();
-            if st.closing || entry.gen != st.deadline_gen {
+            if st.lane.is_closed() || entry.gen != st.deadline_gen {
                 return; // superseded by a later arm
             }
             let (deadline, kind) = effective_deadline(&self.shared.cfg, &st, now);
@@ -1252,7 +1232,7 @@ impl Reactor {
                 DeadlineKind::Idle => {
                     // Busy or in-transaction sessions are never idle-reaped
                     // (idle-in-transaction is the txn timeout's job).
-                    if st.scheduled || st.busy || st.in_txn() {
+                    if !st.lane.is_idle() || st.in_txn() {
                         st.last_activity = now; // re-base the idle clock
                         st.deadline_gen += 1;
                         let (d, _) = effective_deadline(&self.shared.cfg, &st, now);
@@ -1297,7 +1277,7 @@ impl Reactor {
         for conn in candidates {
             let retire = {
                 let st = conn.state.lock();
-                !st.in_txn() && !st.scheduled && st.pending.is_empty() && st.outbox.is_empty()
+                !st.in_txn() && st.lane.is_idle() && st.outbox.is_empty()
             };
             if retire {
                 self.teardown(&conn);
@@ -1320,9 +1300,7 @@ impl Reactor {
         let _ = self.poller.deregister(conn.fd);
         let (platform, mid_request) = {
             let mut st = conn.state.lock();
-            st.closing = true;
-            st.phase = Phase::Closed;
-            st.pending.clear();
+            st.lane.abandon();
             let _ = flush_outbox(&self.shared, conn, &mut st); // best-effort
             st.outbox.clear();
             (st.platform.take(), st.busy)
@@ -1354,7 +1332,7 @@ fn effective_deadline(
     if let Some(t) = st.rbuf_since {
         return (t + cfg.read_timeout, DeadlineKind::Read);
     }
-    if st.phase == Phase::Handshake {
+    if st.platform.is_none() {
         return (st.last_activity + cfg.read_timeout, DeadlineKind::Read);
     }
     (st.last_activity + cfg.idle_timeout, DeadlineKind::Idle)
@@ -1450,7 +1428,7 @@ fn execute_and_reply<'c>(
         || shared.fault_sever(CrashPoint::NetFrameWrite);
     let mut st = conn.state.lock();
     st.busy = false;
-    if dropped || st.closing {
+    if dropped || st.lane.is_closed() {
         return None;
     }
     append_reply(shared, &mut st, &reply);
@@ -1460,28 +1438,25 @@ fn execute_and_reply<'c>(
     flushed.ok().map(|()| st)
 }
 
-/// Pool task: drain one connection's pending queue. The `scheduled` flag
-/// guarantees one task per connection at a time, so replies are appended
-/// in request order.
+/// Pool task: drain one connection's request lane. It holds the lane's
+/// single-drainer slot, so replies are appended in request order.
 fn serve_conn(shared: &Shared, conn: &Arc<Conn>) {
     loop {
-        // Pop one request (and the platform handle) under the state lock.
+        // Pop one request (and the platform handle) under the state lock;
+        // an empty lane, or one torn down meanwhile, frees the slot here.
         let (req, platform) = {
             let mut st = conn.state.lock();
-            if st.closing {
-                st.scheduled = false;
-                return;
-            }
-            match st.pending.pop_front() {
+            match st.lane.pop() {
                 Some(req) => {
                     st.busy = true;
                     (req, st.platform.clone())
                 }
                 None => {
-                    st.scheduled = false;
-                    // Graceful drain: an idle, transaction-free session
-                    // retires at this frame boundary.
-                    if shared.is_shutdown() && !st.in_txn() && st.outbox.is_empty() {
+                    // A severed session goes back to the reactor for
+                    // teardown; so, in a graceful drain, does an idle,
+                    // transaction-free one, at this frame boundary.
+                    let retire = shared.is_shutdown() && !st.in_txn() && st.outbox.is_empty();
+                    if st.lane.is_closed() || retire {
                         drop(st);
                         shared.reactors[conn.reactor].send(Msg::Close(conn.id));
                     }
@@ -1491,8 +1466,11 @@ fn serve_conn(shared: &Shared, conn: &Arc<Conn>) {
         };
         let st = platform.and_then(|p| execute_and_reply(shared, conn, &p, req));
         let Some(st) = st else {
-            sever(shared, conn);
-            return;
+            // Sever: the next pop finds the lane abandoned.
+            let mut st = conn.state.lock();
+            st.busy = false;
+            st.lane.abandon();
+            continue;
         };
         let partial_flush = !st.outbox.is_empty() && !st.write_interest;
         let drained = st.read_paused && st.below_low_water(shared.cfg.write_buffer);
@@ -1500,21 +1478,8 @@ fn serve_conn(shared: &Shared, conn: &Arc<Conn>) {
         if partial_flush || drained {
             shared.reactors[conn.reactor].send(Msg::Sync(conn.id));
         }
-        // Loop: serve the next pending request, or clear `scheduled`.
+        // Loop: serve the next request, or free the slot.
     }
-}
-
-/// Pool-side sever: mark closing and hand the socket back to the reactor
-/// for teardown.
-fn sever(shared: &Shared, conn: &Arc<Conn>) {
-    {
-        let mut st = conn.state.lock();
-        st.scheduled = false;
-        st.busy = false;
-        st.closing = true;
-        st.pending.clear();
-    }
-    shared.reactors[conn.reactor].send(Msg::Close(conn.id));
 }
 
 /// Non-blocking SLA admission shed: refuse new-transaction work for an

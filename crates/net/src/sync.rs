@@ -39,8 +39,8 @@ pub static NET_REACTOR_INBOX: LockClass = LockClass::new("net.server.reactor_inb
 /// round-trip (the client is blocking and single-lane by design).
 pub static NET_CLIENT: LockClass = LockClass::new("net.client.stream", 5);
 
-/// Per-connection reactor state: read buffer, pending request queue,
-/// reply outbox, scheduling flags. Sits *above* the cluster connection
+/// Per-connection reactor state: read buffer, request lane (a
+/// `cluster::pool::Lane`), reply outbox. Sits *above* the cluster connection
 /// (rank 10) so `\conns` listings may read transaction state while
 /// holding it, but SQL execution never runs under it — whoever runs a
 /// request clones the platform connection handle out and releases this

@@ -219,6 +219,49 @@ fn pipelined_pings_round_trip_in_order() {
     server.shutdown();
 }
 
+/// A read pipelined behind a pooled write waits for it: an `Execute`
+/// (UPDATE, which queues for the pool) and a `Query` of the same row (which
+/// would run inline on an idle connection) leave in one write, and the
+/// replies come back in request order with the read seeing the write. A
+/// read that ran inline past the queued write would answer first or see
+/// the old value.
+#[test]
+fn read_pipelined_behind_a_queued_write_sees_it_in_order() {
+    use std::io::Write as _;
+    let sys = platform(43);
+    create_db(&sys);
+    seed_kv(&sys, &[1]);
+    let server =
+        Server::start("127.0.0.1:0", Arc::clone(&sys), ServerConfig::default()).expect("bind");
+    let mut raw = raw_handshake(server.local_addr());
+    for v in 1..=20 {
+        let mut burst = Vec::new();
+        Frame::Execute {
+            sql: "UPDATE kv SET v = ? WHERE id = 1".to_string(),
+            params: vec![Value::Int(v)],
+        }
+        .encode_into(&mut burst);
+        Frame::Query {
+            sql: "SELECT v FROM kv WHERE id = 1".to_string(),
+            params: vec![],
+        }
+        .encode_into(&mut burst);
+        raw.write_all(&burst).expect("pipelined write + read");
+        match wire::read_frame(&mut raw).expect("first reply") {
+            Some(Frame::Affected { rows: 1 }) => {}
+            other => panic!("round {v}: the write must answer first, got {other:?}"),
+        }
+        match wire::read_frame(&mut raw).expect("second reply") {
+            Some(Frame::ResultSet(r)) => {
+                assert_eq!(r.rows, vec![vec![Value::Int(v)]], "round {v}: stale read")
+            }
+            other => panic!("round {v}: expected the read's result set, got {other:?}"),
+        }
+    }
+    drop(raw);
+    server.shutdown();
+}
+
 /// Acceptance: the server survives an abrupt client disconnect
 /// mid-transaction — the transaction aborts, the session and its slot are
 /// reclaimed, and the row locks are free for the next client.

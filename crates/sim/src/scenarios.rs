@@ -25,9 +25,7 @@ use tenantdb_cluster::testkit;
 use tenantdb_cluster::{
     ClusterConfig, ClusterController, ClusterError, Connection, MachineId, ReadPolicy, WritePolicy,
 };
-use tenantdb_georep::{
-    promote, promote_without_fencing, Applier, GeoError, GeoLink, GeoMetrics, Shipper,
-};
+use tenantdb_georep::{promote, Applier, GeoError, GeoLink, GeoMetrics, Shipper};
 use tenantdb_history::Recorder;
 use tenantdb_obs::MetricsRegistry;
 use tenantdb_sla::Sla;
@@ -1392,8 +1390,9 @@ fn geo_split_brain_fenced() -> Result<(), String> {
         other => return Err(format!("stale stream must be fenced, got {other:?}")),
     }
 
-    // Teeth: the same failover with fencing disabled must trip the checker
-    // — the old primary still takes writes, a split brain.
+    // Teeth: the same failover with the old primary unreachable — so
+    // nothing fences it — must trip the checker: it still takes writes, a
+    // split brain.
     let (p2, _rec2, s2, applier2, mut link2, gm2) = geo_pair()?;
     let conn2 = p2.connect("app").map_err(|e| e.to_string())?;
     let mut acked2 = Vec::new();
@@ -1402,8 +1401,7 @@ fn geo_split_brain_fenced() -> Result<(), String> {
         acked2.push(k);
     }
     link2.sync().map_err(|e| e.to_string())?;
-    promote_without_fencing(&s2, Some(&p2), &[Arc::clone(&applier2)], &gm2)
-        .map_err(|e| e.to_string())?;
+    promote(&s2, None, &[Arc::clone(&applier2)], &gm2).map_err(|e| e.to_string())?;
     let teeth = invariants::check_geo(&s2, Some(&p2), "app", "t", &acked2);
     expect(
         teeth.iter().any(|v| v.contains("split-brain"))

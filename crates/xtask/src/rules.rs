@@ -49,9 +49,9 @@ pub fn lint_file(
     comments: &[String],
     test_lines: &[bool],
 ) -> Vec<Diag> {
-    let check_raw_lock = (rel_path.starts_with("crates/cluster/src/")
-        || rel_path.starts_with("crates/storage/src/")
-        || rel_path.starts_with("crates/net/src/"))
+    let check_raw_lock = ["cluster", "storage", "net", "core", "georep"]
+        .iter()
+        .any(|c| rel_path.starts_with(&format!("crates/{c}/src/")))
         && !rel_path.ends_with("/sync.rs");
     let check_net_timeout = rel_path.starts_with("crates/net/src/");
     let check_reactor_block =
@@ -291,6 +291,9 @@ mod tests {
         assert_eq!(rules("crates/net/src/server.rs", src), vec!["raw-lock"]);
         let pl = "let m = parking_lot::Mutex::new(0);\n";
         assert_eq!(rules("crates/cluster/src/pool.rs", pl), vec!["raw-lock"]);
+        let rw = "use parking_lot::RwLock;\n";
+        assert_eq!(rules("crates/core/src/system.rs", rw), vec!["raw-lock"]);
+        assert_eq!(rules("crates/georep/src/stream.rs", pl), vec!["raw-lock"]);
         assert!(rules("crates/cluster/src/sync.rs", src).is_empty());
         assert!(rules("crates/obs/src/lib.rs", src).is_empty());
     }
