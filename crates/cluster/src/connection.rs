@@ -605,12 +605,13 @@ impl Connection {
         //    a recovery claim (commit stands → run phase 2). If the group
         //    has no quorum for even that, leave the participants prepared
         //    and surface the in-doubt outcome rather than guessing.
-        match self.controller.log_decision(txn.gtxn, yes) {
+        let group = self.controller.controllers();
+        match group.log_decision(txn.gtxn, yes.clone()) {
             DecisionLog::Durable => {}
             DecisionLog::NotLogged(e) => {
                 return self.refuse_commit(&mut txn, "commit decision not durable", &e);
             }
-            DecisionLog::Ambiguous(e) => match self.controller.abort_decision(txn.gtxn) {
+            DecisionLog::Ambiguous(e) => match group.abort_decision(txn.gtxn) {
                 AbortArbitration::Aborted => {
                     return self.refuse_commit(&mut txn, "commit decision not durable", &e);
                 }
@@ -672,17 +673,16 @@ impl Connection {
             .twopc_commit_latency
             .observe_since(commit_phase_started);
         for (m, _, res) in acks {
-            if let Err(e) = res {
-                if e.refusal() == Some(Refusal::NoReplica) {
-                    // Participant died after voting yes. Its replica is
-                    // dropped here (recovery copies a new one), and
-                    // `resolve_decision` below drops the whole decision, so
-                    // `restart_machine` finds none and aborts the prepared txn.
-                    self.controller.drop_failed_replica(&self.db, m);
-                }
+            if res.is_err_and(|e| e.refusal() == Some(Refusal::NoReplica)) {
+                // Participant died after voting yes. Its replica is dropped
+                // here (recovery copies a new one), and it keeps its entry
+                // in the decision log, so `restart_machine` commits the
+                // prepared txn from it.
+                self.controller.drop_failed_replica(&self.db, m);
+                yes.retain(|&(y, _)| y != m);
             }
         }
-        self.controller.resolve_decision(txn.gtxn);
+        group.resolve(txn.gtxn, yes.into_iter().map(|(m, _)| m).collect());
         self.note_outcome_commit(&txn);
         metrics.commit_latency_2pc.observe_since(commit_started);
         Ok(())

@@ -27,7 +27,7 @@ use crate::connection::Connection;
 use crate::error::{ClusterError, Result};
 use crate::fault::{CrashPoint, FaultAction, FaultInjector};
 use crate::machine::{Machine, MachineId};
-use crate::meta::{AbortArbitration, ControllerGroup, CtrlStatus, DecisionLog, MachineTally};
+use crate::meta::{ControllerGroup, CtrlStatus, MachineTally};
 use crate::metrics::{ClusterMetrics, DbCounters, PoolMetrics};
 use crate::plans::PlanCache;
 use crate::pool::PoolConfig;
@@ -354,35 +354,23 @@ impl ClusterController {
     /// Restart a crashed machine. Its engine replays the WAL, but the
     /// machine does NOT automatically rejoin replica sets — recovery decides.
     ///
-    /// Before replay, in-doubt local transactions (prepared, never resolved
-    /// — the machine died between its PREPARE vote and the COMMIT) are
-    /// checked against the mirrored 2PC decision log: a decided commit is
-    /// written to the WAL so the redo pass applies it. Without this, a
-    /// client-acknowledged commit would silently vanish from a replica that
-    /// crashed inside the commit window and restarted.
+    /// Before replay, every decision listing this machine is settled: an
+    /// in-doubt local transaction (it died between its PREPARE vote and the
+    /// COMMIT) with a decided commit is committed in the WAL, so the redo
+    /// pass applies it instead of the acked commit vanishing here.
     pub fn restart_machine(&self, id: MachineId) -> Result<()> {
         let m = self.machine(id)?;
         let in_doubt: HashSet<TxnId> = m.engine.in_doubt().into_iter().collect();
-        if !in_doubt.is_empty() {
-            for (gtxn, participants) in self.group.decisions() {
-                for (pm, local) in participants {
-                    if pm == id && in_doubt.contains(&local) {
-                        // Claim through the group before writing the local
-                        // COMMIT: the claim is a replicated point of no
-                        // return that a concurrent coordinator abort
-                        // arbitration must observe. A claim that comes
-                        // back false means the decision was arbitrated
-                        // away — replay then aborts the prepared txn. If
-                        // the group has no quorum the claim cannot commit,
-                        // but neither can a new abort tombstone, so
-                        // trusting the mirrored read is safe.
-                        if self.group.claim_decision(gtxn).unwrap_or(true) {
-                            m.engine.resolve_in_doubt_commit(local);
-                            self.group.resolve_participant(gtxn, pm);
-                        }
-                    }
+        for (gtxn, mut mine) in self.group.decisions() {
+            mine.retain(|&(pm, _)| pm == id);
+            // Up once restarted, so every entry settles. Replay aborts what
+            // a decision arbitrated away left prepared.
+            self.settle(gtxn, mine, |_, local| {
+                if in_doubt.contains(&local) {
+                    m.engine.resolve_in_doubt_commit(local);
                 }
-            }
+                true
+            });
         }
         m.engine.restart();
         self.metrics
@@ -732,32 +720,6 @@ impl ClusterController {
 
     // ------------------------------------------------ replicated decisions
 
-    /// Replicate a 2PC commit decision to the controller group.
-    /// [`DecisionLog::Durable`] means the decision is on a controller
-    /// quorum — only then may any participant COMMIT go out (DESIGN.md
-    /// §12). The failure shapes distinguish a decision that definitively
-    /// does not exist from one that may still commit.
-    pub(crate) fn log_decision(
-        &self,
-        gtxn: GTxn,
-        participants: Vec<(MachineId, TxnId)>,
-    ) -> DecisionLog {
-        self.group.log_decision(gtxn, participants)
-    }
-
-    /// Arbitrate an ambiguously-logged decision: propose an abort
-    /// tombstone and learn whether the commit stands (see
-    /// [`ControllerGroup::abort_decision`]).
-    pub(crate) fn abort_decision(&self, gtxn: GTxn) -> AbortArbitration {
-        self.group.abort_decision(gtxn)
-    }
-
-    /// Drop a fully-delivered commit decision (best-effort: losing the
-    /// resolution only risks a harmless re-commit during takeover).
-    pub(crate) fn resolve_decision(&self, gtxn: GTxn) {
-        self.group.resolve_decision(gtxn);
-    }
-
     /// Every unresolved 2PC decision with its unresolved participants —
     /// the [`Self::takeover`] work list.
     pub fn decisions(&self) -> Vec<(GTxn, Vec<(MachineId, TxnId)>)> {
@@ -786,20 +748,11 @@ impl ClusterController {
         let mut report = TakeoverReport::default();
 
         for (gtxn, participants) in self.group.decisions() {
-            // Claim through the group before acting: a coordinator whose
-            // decision ack was lost may be arbitrating an abort tombstone
-            // concurrently, and the claim is the replicated point of no
-            // return it must observe. A false claim means the decision was
-            // arbitrated away — its prepared participants fall through to
-            // the in-doubt abort pass below. Without a quorum neither a
-            // claim nor a tombstone can commit, so trusting the mirrored
-            // read is safe.
-            if !self.group.claim_decision(gtxn).unwrap_or(true) {
-                continue;
-            }
-            for (machine, local) in participants {
+            // A decision arbitrated away leaves its prepared participants
+            // to the in-doubt abort pass below.
+            let completed = self.settle(gtxn, participants, |machine, local| {
                 let Ok(m) = self.machine(machine) else {
-                    continue;
+                    return false;
                 };
                 // Crash point: a participant can die in the instant the
                 // takeover reaches for it — the commit below then fails
@@ -810,16 +763,12 @@ impl ClusterController {
                     None => {}
                 }
                 // Errors from an already-finished local transaction are
-                // ignored. A *down* participant is different: it still
-                // holds the transaction prepared in its WAL and must learn
-                // the decision when it restarts, so its entry stays
-                // unresolved in the replicated log (restart_machine
-                // resolves it) instead of being dropped here.
-                if m.engine.commit(local).is_ok() || !m.is_failed() {
-                    self.group.resolve_participant(gtxn, machine);
-                }
+                // ignored.
+                m.engine.commit(local).is_ok() || !m.is_failed()
+            });
+            if completed {
+                report.completed.push(gtxn);
             }
-            report.completed.push(gtxn);
         }
         report.completed.sort();
 
@@ -839,6 +788,28 @@ impl ClusterController {
         }
         report.aborted_in_doubt.sort();
         report
+    }
+
+    /// Settle `gtxn` for takeover or a restart: claim it (the point of no
+    /// return a coordinator's abort arbitration observes), `commit` each
+    /// of `participants`, answering whether it settled (its commit
+    /// succeeded or its machine is up), and resolve the settled ones. False
+    /// when the claim found no decision; without a quorum neither a claim
+    /// nor a tombstone can commit, so the mirrored read stands.
+    fn settle(
+        &self,
+        gtxn: GTxn,
+        participants: Vec<(MachineId, TxnId)>,
+        mut commit: impl FnMut(MachineId, TxnId) -> bool,
+    ) -> bool {
+        if participants.is_empty() || !self.group.claim_decision(gtxn).unwrap_or(true) {
+            return false;
+        }
+        let settled = participants
+            .into_iter()
+            .filter_map(|(m, local)| commit(m, local).then_some(m));
+        self.group.resolve(gtxn, settled.collect());
+        true
     }
 
     // -------------------------------------------------------- SLA registry

@@ -13,10 +13,11 @@
 //!   surviving replicas; lost replicas are re-created online by
 //!   [`recovery::recover_machine`] with Algorithm 1 routing writes around
 //!   the copy.
-//! * **Controller fault tolerance** (§2): the 2PC decision log is replicated
-//!   by the [`ControllerGroup`]; [`ClusterController::takeover`] is the
-//!   paper's process-pair takeover over it (complete decided commits, abort
-//!   in-doubt transactions).
+//! * **Controller fault tolerance** (§2): the 2PC decision log
+//!   ([`meta::Decisions`]) is replicated by the [`ControllerGroup`];
+//!   [`ClusterController::takeover`] is the paper's process-pair takeover
+//!   (complete decided commits, abort in-doubt transactions). A participant
+//!   that died after voting commits when it restarts.
 //!
 //! ```
 //! use tenantdb_cluster::{ClusterConfig, ClusterController};

@@ -95,18 +95,11 @@ enum MetaCommand {
         gtxn: GTxn,
         participants: Vec<(MachineId, TxnId)>,
     },
-    /// A decided transaction is fully delivered; drop its decision.
-    ResolveDecision { gtxn: GTxn },
-    /// One participant of a decided transaction learned the outcome.
-    ResolveParticipant { gtxn: GTxn, machine: MachineId },
-    /// A recovering participant is about to act on a decided commit: a
-    /// replicated point of no return that a subsequent `AbortDecision`
-    /// must observe (it refuses once any participant has claimed).
+    /// See [`Decisions::resolve`].
+    Resolve { gtxn: GTxn, settled: Vec<MachineId> },
+    /// See [`Decisions::claim`].
     ClaimDecision { gtxn: GTxn },
-    /// Coordinator abort arbitration for a decision whose `LogDecision`
-    /// ack was lost: if no participant has claimed the decision, it is
-    /// dropped and can never take effect; if one has, this is a no-op and
-    /// the commit stands.
+    /// See [`Decisions::abort`].
     AbortDecision { gtxn: GTxn },
     /// Record a database's SLA.
     SetSla { db: String, sla: Sla },
@@ -138,12 +131,8 @@ struct MetaState {
     owed: BTreeSet<(MachineId, String)>,
     /// Databases with an Algorithm-1 copy in flight.
     copies: BTreeMap<String, CopyProgress>,
-    /// 2PC decisions whose participant COMMITs may still be in flight.
-    decisions: BTreeMap<GTxn, Vec<(MachineId, TxnId)>>,
-    /// Decisions a recovering participant has claimed (acted upon); an
-    /// `AbortDecision` arbitration refuses these. Cleaned up when the
-    /// decision fully resolves.
-    claimed: BTreeSet<GTxn>,
+    /// The 2PC decision log.
+    decisions: Decisions,
     /// Database → SLA (the §4.1 contract table).
     slas: BTreeMap<String, Sla>,
     /// Highest cross-colo fencing epoch this cluster has durably observed.
@@ -167,6 +156,68 @@ pub struct MachineTally {
     pub pinned: usize,
     /// The summed demand of the `hosted` databases.
     pub load: ResourceVector,
+}
+
+/// The 2PC decision log (DESIGN.md §12.2): each commit decision with its
+/// participants not yet settled, and which a settler has claimed. It holds
+/// no lock: `MetaState` keeps one under the group's [`CTRL_META`] mutex.
+#[derive(Debug, Clone, Default)]
+pub struct Decisions {
+    open: BTreeMap<GTxn, Vec<(MachineId, TxnId)>>,
+    claimed: BTreeSet<GTxn>,
+}
+
+impl Decisions {
+    /// The decision point: `gtxn` commits at these participants.
+    pub fn log(&mut self, gtxn: GTxn, participants: Vec<(MachineId, TxnId)>) {
+        self.open.insert(gtxn, participants);
+    }
+
+    /// A settler is about to commit a participant of `gtxn`: the point of no
+    /// return [`Self::abort`] observes. False when no decision exists.
+    pub fn claim(&mut self, gtxn: GTxn) -> bool {
+        if self.open.contains_key(&gtxn) {
+            self.claimed.insert(gtxn);
+        }
+        self.is_claimed(gtxn)
+    }
+
+    /// Coordinator arbitration after an ambiguous [`Self::log`]: an
+    /// unclaimed decision is dropped for good (true), a claimed one stands.
+    pub fn abort(&mut self, gtxn: GTxn) -> bool {
+        let aborted = !self.is_claimed(gtxn);
+        if aborted {
+            self.open.remove(&gtxn);
+        }
+        aborted
+    }
+
+    /// Drop the `settled` participants of `gtxn`; the decision (and its
+    /// claim) goes with the last one.
+    pub fn resolve(&mut self, gtxn: GTxn, settled: &[MachineId]) {
+        if let Some(p) = self.open.get_mut(&gtxn) {
+            p.retain(|(m, _)| !settled.contains(m));
+            if p.is_empty() {
+                self.open.remove(&gtxn);
+                self.claimed.remove(&gtxn);
+            }
+        }
+    }
+
+    /// The participants of `gtxn` not yet settled, if it is decided.
+    pub fn get(&self, gtxn: GTxn) -> Option<&[(MachineId, TxnId)]> {
+        self.open.get(&gtxn).map(Vec::as_slice)
+    }
+
+    /// Whether a settler has claimed `gtxn`.
+    pub fn is_claimed(&self, gtxn: GTxn) -> bool {
+        self.claimed.contains(&gtxn)
+    }
+
+    /// Every open decision with its unsettled participants, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (GTxn, &[(MachineId, TxnId)])> {
+        self.open.iter().map(|(g, p)| (*g, p.as_slice()))
+    }
 }
 
 /// What one database puts on machines: its replicas plus the target of a
@@ -384,31 +435,11 @@ impl StateMachine for MetaState {
                 self.copies.remove(db);
             }
             MetaCommand::LogDecision { gtxn, participants } => {
-                self.decisions.insert(*gtxn, participants.clone());
+                self.decisions.log(*gtxn, participants.clone());
             }
-            MetaCommand::ResolveDecision { gtxn } => {
-                self.decisions.remove(gtxn);
-                self.claimed.remove(gtxn);
-            }
-            MetaCommand::ResolveParticipant { gtxn, machine } => {
-                if let Some(p) = self.decisions.get_mut(gtxn) {
-                    p.retain(|(m, _)| m != machine);
-                    if p.is_empty() {
-                        self.decisions.remove(gtxn);
-                        self.claimed.remove(gtxn);
-                    }
-                }
-            }
-            MetaCommand::ClaimDecision { gtxn } => {
-                if self.decisions.contains_key(gtxn) {
-                    self.claimed.insert(*gtxn);
-                }
-            }
-            MetaCommand::AbortDecision { gtxn } => {
-                if !self.claimed.contains(gtxn) {
-                    self.decisions.remove(gtxn);
-                }
-            }
+            MetaCommand::Resolve { gtxn, settled } => self.decisions.resolve(*gtxn, settled),
+            MetaCommand::ClaimDecision { gtxn } => _ = self.decisions.claim(*gtxn),
+            MetaCommand::AbortDecision { gtxn } => _ = self.decisions.abort(*gtxn),
             MetaCommand::SetSla { db, sla } => {
                 self.slas.insert(db.clone(), *sla);
             }
@@ -447,10 +478,14 @@ impl StateMachine for MetaState {
 /// Position-independent fingerprint of one applied command, used for the
 /// cross-replica log-matching check (`CopyProgress` holds a `HashSet`, so
 /// hashing the state itself would not be deterministic; the command stream
-/// is).
+/// is). It runs per applied command on every replica, so the text goes
+/// into one presized buffer, not a `String` reallocated as it grows.
 fn hash_cmd(cmd: &MetaCommand) -> u64 {
+    use std::fmt::Write as _;
+    let mut text = String::with_capacity(256);
+    let _ = write!(text, "{cmd:?}");
     let mut h = DefaultHasher::new();
-    format!("{cmd:?}").hash(&mut h);
+    text.hash(&mut h);
     h.finish()
 }
 
@@ -495,15 +530,30 @@ struct GroupInner {
     /// index-by-index (a node caught up via `InstallSnapshot` legitimately
     /// never applies the folded-away indices one by one).
     applied_hashes: Vec<BTreeMap<Index, u64>>,
-    /// 2PC decisions acknowledged to a coordinator (quorum-committed).
+    /// 2PC decisions acked to a coordinator and not yet resolved: each
+    /// must still be in the log (see [`GroupInner::ledger`]).
     acked_decisions: BTreeSet<GTxn>,
-    /// Acked decisions later legitimately resolved.
+    /// Decisions resolved before their ack was recorded, which lands after
+    /// `submit_full` releases its hold: a takeover can resolve first.
     resolved_decisions: BTreeSet<GTxn>,
     /// Next request id for `Tagged` envelopes. Minted under the group
     /// lock, which `submit_full` holds across every retry of a proposal —
     /// that full serialization is what makes the pruning in
     /// `MetaState::apply` sound.
     next_req: u64,
+}
+
+impl GroupInner {
+    /// Record that `gtxn`'s decision was acked (`ack`) or resolved: the
+    /// second of the two removes the first's entry and inserts nothing, so
+    /// both ledgers stay empty in steady state.
+    fn ledger(&mut self, gtxn: GTxn, ack: bool) {
+        let (a, r) = (&mut self.acked_decisions, &mut self.resolved_decisions);
+        let (mine, other) = if ack { (a, r) } else { (r, a) };
+        if !other.remove(&gtxn) {
+            mine.insert(gtxn);
+        }
+    }
 }
 
 /// Bounded synchronous pumping: election timeouts are < 20 ticks, so a few
@@ -543,8 +593,7 @@ pub(crate) enum AbortArbitration {
     /// The abort tombstone committed before any participant acted: the
     /// decision can never take effect, so aborting is safe.
     Aborted,
-    /// A participant already claimed the decision (recovery committed it
-    /// locally): the commit stands and phase 2 must proceed.
+    /// A settler claimed the decision first: the commit stands, phase 2 runs.
     Committed,
     /// The group has no quorum; the outcome remains unknown and the
     /// participants must stay prepared.
@@ -1019,7 +1068,7 @@ impl ControllerGroup {
         );
         match out.result {
             Ok(()) => {
-                self.inner.lock().acked_decisions.insert(gtxn);
+                self.inner.lock().ledger(gtxn, true);
                 DecisionLog::Durable
             }
             Err(e) if out.proposed => DecisionLog::Ambiguous(e),
@@ -1037,65 +1086,52 @@ impl ControllerGroup {
     pub(crate) fn abort_decision(&self, gtxn: GTxn) -> AbortArbitration {
         let out = self.submit_full(
             |_| Ok(MetaCommand::AbortDecision { gtxn }),
-            |st| st.claimed.contains(&gtxn),
+            |st| st.decisions.is_claimed(gtxn),
         );
         match out.result {
             Ok(false) => {
-                // Defensive: the real flow only arbitrates decisions that
-                // were never acked, but keep the durability ledger
-                // consistent with the tombstone either way.
+                // Defensive: only a never-acked decision is arbitrated.
                 self.inner.lock().acked_decisions.remove(&gtxn);
                 AbortArbitration::Aborted
             }
             Ok(true) => {
-                // A recovering participant committed it locally: the
-                // decision stands, and it is now quorum-acked for the
-                // durability invariant.
-                self.inner.lock().acked_decisions.insert(gtxn);
+                // A settler claimed it: the decision stands, now acked.
+                self.inner.lock().ledger(gtxn, true);
                 AbortArbitration::Committed
             }
             Err(_) => AbortArbitration::Unknown,
         }
     }
 
-    /// Atomically mark `gtxn`'s decision as acted-upon by a recovering
-    /// participant, before it writes the local COMMIT. `Ok(true)`: the
-    /// decision is present and now claimed — the commit stands, and any
-    /// later abort arbitration will refuse. `Ok(false)`: no decision
-    /// exists (arbitrated away or never durable) — the participant must
-    /// not commit. `Err`: no quorum; the caller falls back to the mirrored
-    /// read (without a quorum no new tombstone can commit either).
+    /// Propose [`Decisions::claim`] before a settler writes a local COMMIT:
+    /// `Ok(true)` the commit stands, `Ok(false)` no decision exists and the
+    /// participant must not commit, `Err` no quorum (the caller falls back
+    /// to the mirrored read: no new tombstone can commit either).
     pub(crate) fn claim_decision(&self, gtxn: GTxn) -> Result<bool> {
         self.submit_full(
             |_| Ok(MetaCommand::ClaimDecision { gtxn }),
-            |st| st.claimed.contains(&gtxn),
+            |st| st.decisions.is_claimed(gtxn),
         )
         .result
     }
 
-    /// Drop a fully-delivered decision (best-effort: a lost resolution only
-    /// means a harmless re-commit during takeover).
-    pub(crate) fn resolve_decision(&self, gtxn: GTxn) {
-        if self
-            .submit(|_| Ok(MetaCommand::ResolveDecision { gtxn }))
-            .is_ok()
-        {
-            self.inner.lock().resolved_decisions.insert(gtxn);
-        }
-    }
-
-    /// Record that one participant learned its decided outcome; the
-    /// decision is dropped when its last participant resolves.
-    pub(crate) fn resolve_participant(&self, gtxn: GTxn, machine: MachineId) {
-        if self
-            .submit(|_| Ok(MetaCommand::ResolveParticipant { gtxn, machine }))
-            .is_ok()
-        {
-            let mut inner = self.inner.lock();
-            let i = Self::read_node(&inner);
-            if !inner.nodes[i].state().decisions.contains_key(&gtxn) {
-                inner.resolved_decisions.insert(gtxn);
-            }
+    /// Drop the `settled` participants of `gtxn`'s decision, which goes
+    /// with the last one (best-effort: a lost resolution only means a
+    /// harmless re-commit during takeover).
+    pub(crate) fn resolve(&self, gtxn: GTxn, settled: Vec<MachineId>) {
+        let mut open = false;
+        let out = self.submit_full(
+            |st| {
+                open = st.decisions.get(gtxn).is_some();
+                Ok(MetaCommand::Resolve {
+                    gtxn,
+                    settled: settled.clone(),
+                })
+            },
+            |st| st.decisions.get(gtxn).is_none(),
+        );
+        if open && matches!(out.result, Ok(true)) {
+            self.inner.lock().ledger(gtxn, false);
         }
     }
 
@@ -1189,7 +1225,7 @@ impl ControllerGroup {
 
     /// Every unresolved 2PC decision with its unresolved participants.
     pub(crate) fn decisions(&self) -> Vec<(GTxn, Vec<(MachineId, TxnId)>)> {
-        self.read(|st| st.decisions.iter().map(|(g, p)| (*g, p.clone())).collect())
+        self.read(|st| st.decisions.iter().map(|(g, p)| (g, p.to_vec())).collect())
     }
 
     /// A database's recorded SLA, if any.
@@ -1366,8 +1402,8 @@ impl ControllerGroup {
     ///    up to the shorter one's length — two leaders can therefore never
     ///    have committed conflicting placements;
     /// 3. **acked-decision durability** (Leader Completeness): every 2PC
-    ///    decision acknowledged to a coordinator is still present unless
-    ///    legitimately resolved.
+    ///    decision acknowledged to a coordinator and not since resolved is
+    ///    still in the log.
     pub fn invariant_violations(&self) -> Vec<String> {
         let inner = self.inner.lock();
         let mut v = Vec::new();
@@ -1400,8 +1436,8 @@ impl ControllerGroup {
         }
         let i = Self::read_node(&inner);
         let st = inner.nodes[i].state();
-        for g in inner.acked_decisions.difference(&inner.resolved_decisions) {
-            if !st.decisions.contains_key(g) {
+        for &g in &inner.acked_decisions {
+            if st.decisions.get(g).is_none() {
                 v.push(format!("quorum-acked 2PC decision {g:?} lost"));
             }
         }
@@ -1505,9 +1541,9 @@ mod tests {
         let d = g.decisions();
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].0, gtxn);
-        g.resolve_participant(gtxn, m(0));
+        g.resolve(gtxn, vec![m(0)]);
         assert_eq!(g.decisions()[0].1, vec![(m(1), TxnId(9))]);
-        g.resolve_participant(gtxn, m(1));
+        g.resolve(gtxn, vec![m(1)]);
         assert!(g.decisions().is_empty());
         assert!(
             g.invariant_violations().is_empty(),
@@ -1794,13 +1830,147 @@ mod tests {
         assert_eq!(g.abort_decision(gtxn), AbortArbitration::Committed);
         assert_eq!(g.decisions().len(), 1);
         // Resolution cleans the claim alongside the decision.
-        g.resolve_participant(gtxn, m(0));
+        g.resolve(gtxn, vec![m(0)]);
         assert!(g.decisions().is_empty());
         assert!(
             g.invariant_violations().is_empty(),
             "{:?}",
             g.invariant_violations()
         );
+    }
+
+    /// One row per `Decisions` transition: the steps before it, the step,
+    /// its answer (`claim` and `abort` answer), and what is left after: the
+    /// unsettled participants and whether the decision is claimed.
+    #[test]
+    fn decisions_transitions() {
+        #[derive(Debug, Clone, Copy)]
+        enum Op {
+            Log,
+            Claim,
+            Abort,
+            Resolve(&'static [u32]),
+        }
+        use Op::*;
+        type Row = (
+            &'static [Op],
+            Op,
+            Option<bool>,
+            Option<&'static [u32]>,
+            bool,
+        );
+        let rows: &[Row] = &[
+            (&[], Log, None, Some(&[0, 1]), false),
+            (&[], Claim, Some(false), None, false),
+            (&[Log], Claim, Some(true), Some(&[0, 1]), true),
+            (&[Log], Abort, Some(true), None, false),
+            (&[Log, Claim], Abort, Some(false), Some(&[0, 1]), true),
+            (&[Log, Abort], Claim, Some(false), None, false),
+            (&[Log, Claim], Resolve(&[0]), None, Some(&[1]), true),
+            (
+                &[Log, Resolve(&[0])],
+                Resolve(&[0]),
+                None,
+                Some(&[1]),
+                false,
+            ),
+            (
+                &[Log, Claim, Resolve(&[0])],
+                Resolve(&[1]),
+                None,
+                None,
+                false,
+            ),
+            (&[Log, Claim], Resolve(&[0, 1]), None, None, false),
+            (&[], Resolve(&[0]), None, None, false),
+        ];
+        let g = GTxn(5);
+        let run = |d: &mut Decisions, op: Op| match op {
+            Log => {
+                d.log(g, vec![(m(0), TxnId(10)), (m(1), TxnId(11))]);
+                None
+            }
+            Claim => Some(d.claim(g)),
+            Abort => Some(d.abort(g)),
+            Resolve(ms) => {
+                d.resolve(g, &ms.iter().map(|&i| m(i)).collect::<Vec<_>>());
+                None
+            }
+        };
+        for &(before, op, answer, left, claimed) in rows {
+            let mut d = Decisions::default();
+            for &b in before {
+                run(&mut d, b);
+            }
+            let row = format!("{before:?} then {op:?}");
+            assert_eq!(run(&mut d, op), answer, "{row}: answer");
+            let machines = |p: &[(MachineId, TxnId)]| p.iter().map(|&(m, _)| m.0).collect();
+            assert_eq!(d.get(g).map(machines), left.map(<[u32]>::to_vec), "{row}");
+            assert_eq!(d.is_claimed(g), claimed, "{row}: claimed");
+            assert_eq!(d.iter().count(), usize::from(left.is_some()), "{row}");
+        }
+    }
+
+    fn ledgers(g: &ControllerGroup) -> (usize, usize) {
+        let inner = g.inner.lock();
+        (inner.acked_decisions.len(), inner.resolved_decisions.len())
+    }
+
+    /// An ack and a resolution of one gtxn cancel, so a long run of 2PC
+    /// commits leaves both checker ledgers empty.
+    #[test]
+    fn decision_ledgers_stay_empty_over_commits() {
+        let c = crate::testkit::cluster(
+            crate::ReadPolicy::PinnedReplica,
+            crate::WritePolicy::Conservative,
+            2,
+            2,
+        );
+        let conn = c.connect("app").unwrap();
+        for k in 0..1_000 {
+            conn.execute("INSERT INTO t VALUES (?, 'x')", &[k.into()])
+                .unwrap();
+        }
+        assert_eq!(c.metrics().commit_latency_2pc.count(), 1_000);
+        assert_eq!(ledgers(c.controllers()), (0, 0));
+        assert!(c.decisions().is_empty());
+    }
+
+    /// A resolution recorded before its ack (a takeover resolving while the
+    /// coordinator has not yet recorded its ack) cancels when the ack lands.
+    #[test]
+    fn a_late_ack_cancels_an_earlier_resolution() {
+        let g = group(1);
+        let gtxn = GTxn(11);
+        g.submit(|_| {
+            Ok(MetaCommand::LogDecision {
+                gtxn,
+                participants: vec![(m(0), TxnId(1))],
+            })
+        })
+        .unwrap();
+        g.resolve(gtxn, vec![m(0)]);
+        assert_eq!(ledgers(&g), (0, 1));
+        g.inner.lock().ledger(gtxn, true);
+        assert_eq!(ledgers(&g), (0, 0));
+        assert!(g.invariant_violations().is_empty());
+    }
+
+    /// A decision that leaves the log without a resolution is still
+    /// reported lost.
+    #[test]
+    fn an_acked_decision_removed_unresolved_is_lost() {
+        let g = group(3);
+        let gtxn = GTxn(12);
+        assert!(matches!(
+            g.log_decision(gtxn, vec![(m(0), TxnId(1))]),
+            DecisionLog::Durable
+        ));
+        g.submit(|_| Ok(MetaCommand::AbortDecision { gtxn }))
+            .unwrap();
+        let v = g.invariant_violations();
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("lost"), "{v:?}");
     }
 
     #[test]

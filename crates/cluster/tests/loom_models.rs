@@ -5,28 +5,35 @@
 //!    product [`Lane`]): all messages a transaction sends to one machine
 //!    execute in arrival order, exactly once, with a single drainer at a
 //!    time — including when a `Detach` races ordinary sends.
-//! 2. **Takeover vs. crashes** (`connection.rs` decision logging +
-//!    `ClusterController::takeover`): a 2PC transaction whose decision
-//!    reached the replicated log is never lost, whether the coordinator
-//!    crashes before phase 2, takeover races the coordinator's own phase 2,
-//!    or a participant machine fails mid-takeover.
+//! 2. **Settling a 2PC decision** (`Connection::commit`'s phase 2 and abort
+//!    arbitration, `ClusterController::{takeover, restart_machine}` over
+//!    the product [`Decisions`]): a transaction whose decision reached the
+//!    log commits at every participant, or stays recoverable at one that is
+//!    down, whether the coordinator crashes before phase 2, takeover and a
+//!    restart race its phase 2, a participant fails mid-takeover, or the
+//!    coordinator's abort arbitration races a restart's claim.
 //! 3. **The caller takes the lane's turn** (`worker.rs` `try_turn` /
 //!    `Turn::run` / `Turn::drop`, on model 1's lane): the same guarantee
 //!    when the drainer is the calling thread and sends — the cleanup
 //!    `Abort` among them — arrive while it holds the slot.
 //!
 //! Models 1 and 3 drive the product's own [`Lane`] — the state machine the
-//! replica sessions and the TCP server's request queues run — under a
-//! `tenantdb_loom` mutex standing in for the ordered lockdep wrapper its
-//! owners keep it under (the checker cannot instrument those). Only the
-//! code around it is the model's: a spawned thread for a pool job, and
-//! the session's execution step. Model 2 still re-states its protocol over
-//! `tenantdb_loom` primitives, mirroring the cited functions line by line.
-//! Each model has a `*_model_has_teeth` test that seeds the historical bug
-//! shape in that code to prove the checker would catch a regression.
+//! replica sessions and the TCP server's request queues run — and model 2
+//! the product's own [`Decisions`], each under a `tenantdb_loom` mutex
+//! standing in for the ordered lockdep wrapper its owner keeps it under
+//! (the checker cannot instrument those). Only the code around them is
+//! the model's: a spawned thread for a pool job and the session's
+//! execution step; the settlers' drivers and the participants' engines.
+//! Each model has `*_model_has_teeth` tests that seed a historical bug
+//! shape in that driver code to prove the checker would catch a
+//! regression.
 
+use tenantdb_cluster::meta::Decisions;
 use tenantdb_cluster::pool::Lane;
+use tenantdb_cluster::MachineId;
+use tenantdb_history::GTxn;
 use tenantdb_loom as loom;
+use tenantdb_storage::TxnId;
 
 /// CHESS-style bounded exploration: every schedule with at most two
 /// preemptions. Unbounded DFS over these models (up to six threads once
@@ -380,243 +387,423 @@ fn caller_turn_model_has_teeth() {
 }
 
 // ---------------------------------------------------------------------------
-// Model 2: 2PC decision log vs. takeover vs. machine failure
+// Model 2: the 2PC decision log vs. takeover, restart and machine failure
 // ---------------------------------------------------------------------------
 
-/// One participant machine: a prepared local txn either commits once or
-/// stays prepared. `fail_machine` flips `failed`; commits then error, like
-/// `Engine::check_up`.
+const G: GTxn = GTxn(7);
+const M0: MachineId = MachineId(0);
+/// The participant that fails (and restarts) in these models.
+const M1: MachineId = MachineId(1);
+const MACHINES: [MachineId; 2] = [M0, M1];
+
+/// A participant's local transaction, prepared when the model starts.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Local {
+    Prepared,
+    Committed,
+    Aborted,
+}
+
+/// One participant machine: its local transaction and whether it is down.
 struct Participant {
-    state: Mutex<PState>,
+    local: Mutex<Local>,
     failed: AtomicBool,
 }
 
-#[derive(Clone, Copy, PartialEq, Debug)]
-enum PState {
-    Prepared,
-    Committed,
-}
-
 impl Participant {
-    /// `Engine::commit`: idempotent from the coordinator's point of view —
-    /// an already-committed txn reports success (the real engine reports an
-    /// "already finished" error that both callers ignore), a failed machine
-    /// reports `Unavailable`.
-    fn commit(&self) -> Result<(), ()> {
+    fn is_failed(&self) -> bool {
         // ordering: Relaxed — the loom scheduler is sequentially consistent
         // anyway; the flag mirrors `Engine::failed`'s gate role.
-        if self.failed.load(Ordering::Relaxed) {
+        self.failed.load(Ordering::Relaxed)
+    }
+
+    /// `Engine::commit`: a down machine refuses (`Unavailable`, which the
+    /// coordinator reads as `Refusal::NoReplica`). An up one commits a
+    /// prepared txn; an already-finished one answers with the error every
+    /// caller ignores, modelled as `Ok` without a change.
+    fn commit(&self) -> Result<(), ()> {
+        if self.is_failed() {
             return Err(());
         }
-        let mut st = self.state.lock();
-        *st = PState::Committed;
+        let mut local = self.local.lock();
+        if *local == Local::Prepared {
+            *local = Local::Committed;
+        }
         Ok(())
+    }
+
+    /// `Engine::abort`, the coordinator's after a lost arbitration.
+    fn abort(&self) {
+        if !self.is_failed() {
+            let mut local = self.local.lock();
+            if *local == Local::Prepared {
+                *local = Local::Aborted;
+            }
+        }
     }
 }
 
+/// The product decision log under a mutex standing in for the group's
+/// `CTRL_META` lock (every replica lives under it, so one hold is one
+/// proposal or one read of `ControllerGroup`), and the two participants.
 struct TwoPc {
-    /// `ClusterController::commit_log`, reduced to one decision slot.
-    log: Mutex<Option<u64>>,
-    participant: Participant,
+    decisions: Mutex<Decisions>,
+    machines: [Participant; 2],
 }
 
-const GTXN: u64 = 7;
-
-/// Outcome of the coordinator thread, mirroring `Connection::commit`'s
-/// three exits.
+/// How the coordinator thread ended, mirroring `Connection::commit`'s exits.
 #[derive(PartialEq, Debug)]
 enum Coord {
-    /// Crashed before the decision was logged: the client saw a failure,
-    /// nothing to recover.
+    /// Crashed before the decision was logged: nothing to recover.
     NotDecided,
     /// Decision logged, coordinator crashed before phase 2
-    /// (`CrashAfterDecision`): takeover or restart must complete it.
+    /// (`CrashPoint::CommitDecision`): takeover or restart completes it.
     DecidedCrashed,
-    /// Phase 2 ran; on participant failure the decision stays logged for
-    /// restart recovery, otherwise it is removed.
-    Applied,
+    /// Phase 2 ran; the client is acked.
+    Committed,
+    /// The abort arbitration won; the client sees an abort.
+    Aborted,
 }
 
 impl TwoPc {
-    fn new() -> Arc<Self> {
+    /// Both participants prepared; `m1_down`: M1 died after voting yes.
+    fn new(m1_down: bool) -> Arc<Self> {
+        let p = |down| Participant {
+            local: Mutex::new(Local::Prepared),
+            failed: AtomicBool::new(down),
+        };
         Arc::new(TwoPc {
-            log: Mutex::new(None),
-            participant: Participant {
-                state: Mutex::new(PState::Prepared),
-                failed: AtomicBool::new(false),
-            },
+            decisions: Mutex::new(Decisions::default()),
+            machines: [p(false), p(m1_down)],
         })
     }
 
-    /// The coordinator: decision point → (maybe crash) → phase 2 → log GC.
-    /// `crashed` is the coordinator failure flag; checking it inside the
-    /// decision lock hold models "a dead primary decides nothing".
+    fn at(&self, m: MachineId) -> &Participant {
+        &self.machines[m.0 as usize]
+    }
+
+    /// `ControllerGroup::log_decision` of what `Connection::commit` logs.
+    fn log(decisions: &mut Decisions) {
+        decisions.log(G, vec![(M0, TxnId(10)), (M1, TxnId(11))]);
+    }
+
+    /// `Connection::commit` from the decision point. `crashed` is the
+    /// coordinator failure flag; checking it inside the decision's lock
+    /// hold models "a dead primary decides nothing".
     fn coordinator(&self, crashed: &AtomicBool) -> Coord {
+        self.decide(crashed).unwrap_or_else(|| self.phase_two())
+    }
+
+    /// The decision point; `Some` when the coordinator crashed around it,
+    /// `None` when phase 2 is next.
+    fn decide(&self, crashed: &AtomicBool) -> Option<Coord> {
         {
-            let mut log = self.log.lock();
+            let mut d = self.decisions.lock();
             // ordering: Relaxed — loom is sequentially consistent; mirrors
             // the cooperative takeover handoff.
             if crashed.load(Ordering::Relaxed) {
-                return Coord::NotDecided;
+                return Some(Coord::NotDecided);
             }
-            *log = Some(GTXN);
+            Self::log(&mut d);
         }
         // ordering: Relaxed — see above.
-        if crashed.load(Ordering::Relaxed) {
-            return Coord::DecidedCrashed;
-        }
-        // Phase 2. A participant failure leaves the decision in the log
-        // (connection.rs removes the replica but keeps the decision until
-        // the participant's restart resolves it).
-        if self.participant.commit().is_err() {
-            return Coord::Applied;
-        }
-        *self.log.lock() = None;
-        Coord::Applied
+        crashed
+            .load(Ordering::Relaxed)
+            .then_some(Coord::DecidedCrashed)
     }
 
-    /// `ClusterController::takeover` step 1: drain the decision log, complete
-    /// decided commits, retain decisions whose participant is down.
+    /// Phase 2: COMMIT every participant, then one `Resolve` of each whose
+    /// COMMIT did not come back from a down machine.
+    fn phase_two(&self) -> Coord {
+        let settled: Vec<MachineId> = MACHINES
+            .into_iter()
+            .filter(|&m| self.at(m).commit().is_ok())
+            .collect();
+        self.decisions.lock().resolve(G, &settled);
+        Coord::Committed
+    }
+
+    /// `Connection::commit` after an ambiguous `LogDecision` ack (the
+    /// decision is in the log): arbitrate, then abort or run phase 2.
+    fn arbitrate(&self) -> Coord {
+        if !self.decisions.lock().abort(G) {
+            return self.phase_two();
+        }
+        for m in MACHINES {
+            self.at(m).abort();
+        }
+        Coord::Aborted
+    }
+
+    /// `ControllerGroup::decisions`, for the one transaction.
+    fn open(&self) -> Vec<(MachineId, TxnId)> {
+        let d = self.decisions.lock();
+        d.get(G).map(<[_]>::to_vec).unwrap_or_default()
+    }
+
+    /// `ClusterController::settle`: claim, commit each participant, one
+    /// `Resolve` of those settled.
+    fn settle(&self, parts: Vec<(MachineId, TxnId)>, commit: impl Fn(MachineId) -> bool) {
+        if parts.is_empty() || !self.decisions.lock().claim(G) {
+            return;
+        }
+        let settled: Vec<MachineId> = parts
+            .into_iter()
+            .map(|(m, _)| m)
+            .filter(|&m| commit(m))
+            .collect();
+        self.decisions.lock().resolve(G, &settled);
+    }
+
+    /// `ClusterController::takeover`'s decided-commit pass (its in-doubt
+    /// abort pass needs the coordinators gone, which these races are not).
     fn takeover(&self) {
-        let decided = self.log.lock().take();
-        if let Some(gtxn) = decided {
-            if self.participant.commit().is_err() {
-                // Participant down: the decision must survive for restart
-                // recovery (the entry stays unresolved in `takeover`).
-                *self.log.lock() = Some(gtxn);
+        self.settle(self.open(), |m| {
+            self.at(m).commit().is_ok() || !self.at(m).is_failed()
+        });
+    }
+
+    /// `ClusterController::restart_machine(M1)` of a down M1: commit its
+    /// in-doubt txn from a decision that lists it, then replay aborts
+    /// whatever is still prepared, and the machine is up.
+    fn restart(&self) {
+        let p = self.at(M1);
+        if !p.is_failed() {
+            return;
+        }
+        let mine = self.open().into_iter().filter(|&(m, _)| m == M1).collect();
+        self.settle(mine, |_| {
+            let mut local = p.local.lock();
+            if *local == Local::Prepared {
+                *local = Local::Committed;
+            }
+            true
+        });
+        let mut local = p.local.lock();
+        if *local == Local::Prepared {
+            *local = Local::Aborted;
+        }
+        // ordering: Relaxed — loom is sequentially consistent.
+        p.failed.store(false, Ordering::Relaxed);
+    }
+
+    fn locals(&self) -> [Local; 2] {
+        MACHINES.map(|m| *self.at(m).local.lock())
+    }
+}
+
+/// Atomicity, checked when every thread is done: a decided transaction is
+/// committed at each participant or still recoverable there (prepared, with
+/// its entry in the log for the restart to commit); an undecided or
+/// aborted one committed nowhere and left no decision behind.
+fn check_atomic(sys: &TwoPc, outcome: &Coord) {
+    let locals = sys.locals();
+    let open = sys.open();
+    match outcome {
+        Coord::NotDecided | Coord::Aborted => {
+            assert!(
+                !locals.contains(&Local::Committed),
+                "{outcome:?} txn committed at a participant: {locals:?}"
+            );
+            assert!(open.is_empty(), "ghost decision: {open:?}");
+        }
+        Coord::DecidedCrashed | Coord::Committed => {
+            for (m, local) in MACHINES.into_iter().zip(locals) {
+                let recoverable = local == Local::Prepared && open.iter().any(|&(pm, _)| pm == m);
+                assert!(
+                    local == Local::Committed || recoverable,
+                    "decided txn lost at {m}: {local:?}, log {open:?}"
+                );
             }
         }
     }
 }
 
-/// The never-lost invariant, checked when all threads are done: a decided
-/// transaction is either applied at the participant or still recoverable
-/// from the decision log; an undecided one left nothing behind.
-fn check_durability(sys: &TwoPc, outcome: Coord) {
-    let p = *sys.participant.state.lock();
-    let logged = *sys.log.lock();
-    match outcome {
-        Coord::NotDecided => {
-            assert_eq!(p, PState::Prepared, "nothing decided, nothing applied");
-            assert_eq!(logged, None, "no ghost decision");
-        }
-        Coord::DecidedCrashed | Coord::Applied => {
-            assert!(
-                p == PState::Committed || logged == Some(GTXN),
-                "decided txn lost: participant {p:?}, log {logged:?}"
-            );
-        }
+/// Then the sim's quiesce restarts M1 if it is down: every participant
+/// ends with the outcome, and the decision log is empty.
+fn check_settled(sys: &TwoPc, outcome: &Coord) {
+    check_atomic(sys, outcome);
+    sys.restart();
+    let decided = matches!(outcome, Coord::DecidedCrashed | Coord::Committed);
+    for local in sys.locals() {
+        assert_eq!(local == Local::Committed, decided, "{outcome:?}: {local:?}");
     }
+    assert!(sys.open().is_empty(), "unsettled: {:?}", sys.open());
 }
 
-/// Pair takeover races the coordinator's own phase 2 (no machine failure):
-/// whatever the interleaving, the decided txn commits and double-delivery
-/// is absorbed by engine idempotence.
+/// A coordinator and a takeover (which declares it dead first) on `sys`,
+/// with `coordinator` as the coordinator's driver, and a `fail_machine(M1)`
+/// thread if `fail`.
+fn race_takeover(
+    sys: &Arc<TwoPc>,
+    coordinator: fn(&TwoPc, &AtomicBool) -> Coord,
+    fail: bool,
+) -> Coord {
+    let crashed = Arc::new(AtomicBool::new(false));
+    let (s1, c1) = (Arc::clone(sys), Arc::clone(&crashed));
+    let coord = loom::thread::spawn(move || coordinator(&s1, &c1));
+    let (s2, c2) = (Arc::clone(sys), Arc::clone(&crashed));
+    let backup = loom::thread::spawn(move || {
+        // ordering: Relaxed — loom is sequentially consistent.
+        c2.store(true, Ordering::Relaxed);
+        s2.takeover();
+    });
+    let s3 = Arc::clone(sys);
+    let failer = fail.then(|| {
+        loom::thread::spawn(move || {
+            // ordering: Relaxed — loom is sequentially consistent.
+            s3.at(M1).failed.store(true, Ordering::Relaxed);
+        })
+    });
+    let outcome = coord.join().expect("coordinator");
+    backup.join().expect("backup");
+    if let Some(f) = failer {
+        f.join().expect("failer");
+    }
+    outcome
+}
+
+/// Takeover races the coordinator's own phase 2 (no machine failure):
+/// whatever the interleaving, the decided txn commits everywhere and
+/// double delivery is absorbed by engine idempotence.
 #[test]
 fn takeover_races_phase_two() {
     bounded().check(|| {
-        let sys = TwoPc::new();
-        let crashed = Arc::new(AtomicBool::new(false));
-        let s1 = Arc::clone(&sys);
-        let c1 = Arc::clone(&crashed);
-        let coord = loom::thread::spawn(move || s1.coordinator(&c1));
-        let s2 = Arc::clone(&sys);
-        let c2 = Arc::clone(&crashed);
-        let backup = loom::thread::spawn(move || {
-            // The coordinator is declared dead, then takeover completes the log.
-            // ordering: Relaxed — loom is sequentially consistent.
-            c2.store(true, Ordering::Relaxed);
-            s2.takeover();
-        });
-        let outcome = coord.join().expect("coordinator");
-        backup.join().expect("backup");
-        check_durability(&sys, outcome);
+        let sys = TwoPc::new(false);
+        let outcome = race_takeover(&sys, TwoPc::coordinator, false);
+        check_settled(&sys, &outcome);
     });
 }
 
-/// Same race with a participant `fail_machine` thread in the mix: the
-/// decision may stay in the log (for restart recovery) but is never
-/// dropped while the participant sits prepared.
+/// The same race with `fail_machine(M1)` in the mix: a participant that
+/// goes down keeps its entry while it is down, and its restart commits.
 #[test]
 fn takeover_races_phase_two_and_fail_machine() {
     bounded().check(|| {
-        let sys = TwoPc::new();
-        let crashed = Arc::new(AtomicBool::new(false));
-        let s1 = Arc::clone(&sys);
-        let c1 = Arc::clone(&crashed);
-        let coord = loom::thread::spawn(move || s1.coordinator(&c1));
-        let s2 = Arc::clone(&sys);
-        let c2 = Arc::clone(&crashed);
-        let backup = loom::thread::spawn(move || {
-            // ordering: Relaxed — loom is sequentially consistent.
-            c2.store(true, Ordering::Relaxed);
-            s2.takeover();
-        });
-        let s3 = Arc::clone(&sys);
-        let failer = loom::thread::spawn(move || {
-            // ordering: Relaxed — loom is sequentially consistent.
-            s3.participant.failed.store(true, Ordering::Relaxed);
-        });
-        let outcome = coord.join().expect("coordinator");
-        backup.join().expect("backup");
-        failer.join().expect("failer");
-
-        let p = *sys.participant.state.lock();
-        let logged = *sys.log.lock();
-        if outcome != Coord::NotDecided && p == PState::Prepared {
-            assert_eq!(
-                logged,
-                Some(GTXN),
-                "prepared participant must still find the decision on restart"
-            );
-        }
-        check_durability(&sys, outcome);
+        let sys = TwoPc::new(false);
+        let outcome = race_takeover(&sys, TwoPc::coordinator, true);
+        check_settled(&sys, &outcome);
     });
 }
 
-/// Teeth check: the invariant the coordinator actually relies on is
-/// *remove after phase 2*. A coordinator that GCs the log entry before
-/// running phase 2 loses the txn when it crashes in between — the checker
-/// must find that schedule.
+/// M1 died after voting yes and the decision is durable: the coordinator's
+/// phase 2, M1's restart and a takeover all settle it at once.
+#[test]
+fn restart_races_phase_two_and_takeover() {
+    bounded().check(|| {
+        let sys = TwoPc::new(true);
+        TwoPc::log(&mut sys.decisions.lock());
+        let s1 = Arc::clone(&sys);
+        let coord = loom::thread::spawn(move || s1.phase_two());
+        let s2 = Arc::clone(&sys);
+        let restart = loom::thread::spawn(move || s2.restart());
+        let s3 = Arc::clone(&sys);
+        let backup = loom::thread::spawn(move || s3.takeover());
+        let outcome = coord.join().expect("coordinator");
+        restart.join().expect("restart");
+        backup.join().expect("backup");
+        check_settled(&sys, &outcome);
+    });
+}
+
+/// The coordinator's `LogDecision` ack was lost, so it arbitrates with
+/// `abort` while the restart of M1 (down since voting yes) claims the same
+/// decision: exactly one wins, and both participants follow it.
+fn race_arbitration(arbitrate: fn(&TwoPc) -> Coord) {
+    bounded().check(move || {
+        let sys = TwoPc::new(true);
+        TwoPc::log(&mut sys.decisions.lock());
+        let s1 = Arc::clone(&sys);
+        let coord = loom::thread::spawn(move || arbitrate(&s1));
+        let s2 = Arc::clone(&sys);
+        let restart = loom::thread::spawn(move || s2.restart());
+        let outcome = coord.join().expect("coordinator");
+        restart.join().expect("restart");
+        check_settled(&sys, &outcome);
+    });
+}
+
+#[test]
+fn abort_arbitration_races_restart_claim() {
+    race_arbitration(TwoPc::arbitrate);
+}
+
+/// Teeth check: the invariant the coordinator relies on is *resolve after
+/// phase 2*. A coordinator that resolves before running phase 2 loses the
+/// txn when it crashes in between — the checker must find that schedule.
 #[test]
 fn takeover_model_has_teeth() {
+    fn resolve_first(sys: &TwoPc, crashed: &AtomicBool) -> Coord {
+        {
+            let mut d = sys.decisions.lock();
+            // ordering: Relaxed — loom is sequentially consistent.
+            if crashed.load(Ordering::Relaxed) {
+                return Coord::NotDecided;
+            }
+            TwoPc::log(&mut d);
+        }
+        sys.decisions.lock().resolve(G, &MACHINES); // BUG: before phase 2
+                                                    // ordering: Relaxed — see above.
+        if crashed.load(Ordering::Relaxed) {
+            return Coord::DecidedCrashed;
+        }
+        sys.phase_two()
+    }
     let found = std::panic::catch_unwind(|| {
         bounded().check(|| {
-            let sys = TwoPc::new();
-            let crashed = Arc::new(AtomicBool::new(false));
-            let s1 = Arc::clone(&sys);
-            let c1 = Arc::clone(&crashed);
-            let coord = loom::thread::spawn(move || {
-                {
-                    let mut log = s1.log.lock();
-                    // ordering: Relaxed — loom is sequentially consistent.
-                    if c1.load(Ordering::Relaxed) {
-                        return Coord::NotDecided;
-                    }
-                    *log = Some(GTXN);
-                }
-                *s1.log.lock() = None; // BUG: GC before phase 2
-                                       // ordering: Relaxed — see above.
-                if c1.load(Ordering::Relaxed) {
-                    return Coord::DecidedCrashed;
-                }
-                let _ = s1.participant.commit();
-                Coord::Applied
-            });
-            let s2 = Arc::clone(&sys);
-            let c2 = Arc::clone(&crashed);
-            let backup = loom::thread::spawn(move || {
-                // ordering: Relaxed — loom is sequentially consistent.
-                c2.store(true, Ordering::Relaxed);
-                s2.takeover();
-            });
-            let outcome = coord.join().expect("coordinator");
-            backup.join().expect("backup");
-            check_durability(&sys, outcome);
+            let sys = TwoPc::new(false);
+            let outcome = race_takeover(&sys, resolve_first, false);
+            check_settled(&sys, &outcome);
         });
     });
     assert!(
         found.is_err(),
         "the checker must find the decided-then-lost schedule in the buggy coordinator"
+    );
+}
+
+/// Teeth check: the coordinator rule before this model drove the product.
+/// Dropping the whole decision after phase 2, even when a participant's
+/// COMMIT found its machine down, makes that participant's restart abort
+/// what the other one committed — the checker must find that schedule.
+#[test]
+fn settle_rule_model_has_teeth() {
+    fn resolve_all(sys: &TwoPc, crashed: &AtomicBool) -> Coord {
+        sys.decide(crashed).unwrap_or_else(|| {
+            for m in MACHINES {
+                let _ = sys.at(m).commit();
+            }
+            sys.decisions.lock().resolve(G, &MACHINES); // BUG: down ones too
+            Coord::Committed
+        })
+    }
+    let found = std::panic::catch_unwind(|| {
+        bounded().check(|| {
+            let sys = TwoPc::new(false);
+            let outcome = race_takeover(&sys, resolve_all, true);
+            check_settled(&sys, &outcome);
+        });
+    });
+    assert!(
+        found.is_err(),
+        "the checker must find the restart aborting a committed txn"
+    );
+}
+
+/// Teeth check: a coordinator that aborts its participants after an
+/// ambiguous ack without arbitrating lets M1's restart claim and commit the
+/// same decision — the checker must find the split outcome.
+#[test]
+fn arbitration_model_has_teeth() {
+    fn abort_unarbitrated(sys: &TwoPc) -> Coord {
+        for m in MACHINES {
+            sys.at(m).abort(); // BUG: no `abort(G)` through the log first
+        }
+        Coord::Aborted
+    }
+    let found = std::panic::catch_unwind(|| race_arbitration(abort_unarbitrated));
+    assert!(
+        found.is_err(),
+        "the checker must find the restart committing what the coordinator aborted"
     );
 }

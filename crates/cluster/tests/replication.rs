@@ -7,7 +7,8 @@ use tenantdb_cluster::testkit::{
     assert_committed_visible, assert_replicas_converged, config as tk_config,
 };
 use tenantdb_cluster::{
-    ClusterConfig, ClusterController, ClusterError, PoolConfig, ReadPolicy, WritePolicy,
+    ClusterConfig, ClusterController, ClusterError, CrashPoint, FaultAction, FaultPlan, MachineId,
+    PoolConfig, ReadPolicy, Trigger, WritePolicy,
 };
 use tenantdb_storage::Value;
 
@@ -464,4 +465,49 @@ fn index_order_survives_table_copy_and_crash_replay() {
     c.fail_machine(replayed).unwrap();
     c.restart_machine(replayed).unwrap();
     check("after crash replay");
+}
+
+/// A participant that dies right after voting yes keeps its entry in the
+/// decision log while it is down, and its restart commits the transaction
+/// from that entry, as it does when the controller crashed as well.
+#[test]
+fn restart_commits_a_participant_that_died_after_voting() {
+    let c = cluster(ReadPolicy::PinnedReplica, WritePolicy::Conservative, 3);
+    let m1 = MachineId(1);
+    assert!(c.placement("app").unwrap().replicas.contains(&m1));
+    let conn = c.connect("app").unwrap();
+    conn.execute("INSERT INTO t VALUES (0, 'v0')", &[]).unwrap();
+
+    c.faults().arm(FaultPlan::new(vec![Trigger {
+        point: CrashPoint::PrepareAck,
+        machine: Some(m1),
+        after_hits: 0,
+        action: FaultAction::Crash,
+    }]));
+    conn.begin().unwrap();
+    conn.execute("INSERT INTO t VALUES (100, 'v100')", &[])
+        .unwrap();
+    let gtxn = conn.current_gtxn().unwrap();
+    conn.commit().unwrap();
+    c.faults().disarm();
+    assert!(c.machine(m1).unwrap().is_failed());
+
+    let open = c.decisions();
+    assert_eq!(open.len(), 1, "{open:?}");
+    assert_eq!(open[0].0, gtxn);
+    assert_eq!(
+        open[0].1.iter().map(|&(m, _)| m).collect::<Vec<_>>(),
+        vec![m1],
+        "only the dead participant is left to settle"
+    );
+
+    c.restart_machine(m1).unwrap();
+    let m = c.machine(m1).unwrap();
+    let rows = m.engine.with_txn(|t| m.engine.scan(t, "app", "t")).unwrap();
+    assert!(
+        rows.iter().any(|(_, r)| r[0] == Value::Int(100)),
+        "m1's restart must commit the decided row: {rows:?}"
+    );
+    assert!(c.decisions().is_empty(), "{:?}", c.decisions());
+    assert!(c.controllers().invariant_violations().is_empty());
 }

@@ -92,6 +92,17 @@ impl Applier {
         }
     }
 
+    /// [`Self::new`], shared: the one constructor of a [`SharedApplier`].
+    pub fn shared(
+        standby: Arc<ClusterController>,
+        db: &str,
+        replicas: usize,
+        metrics: GeoMetrics,
+    ) -> SharedApplier {
+        let applier = Applier::new(standby, db, replicas, metrics);
+        Arc::new(parking_lot::Mutex::new(applier)) // lint:allow(raw-lock): the lock `SharedApplier` names
+    }
+
     /// The database this applier replays.
     pub fn db(&self) -> &str {
         &self.db

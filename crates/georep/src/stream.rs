@@ -168,15 +168,10 @@ fn serve_stream(
         _ => return Err(GeoError::Protocol("expected GeoHello".into())),
     };
 
-    let applier = Arc::clone(appliers.lock().entry(db.clone()).or_insert_with(|| {
-        // lint:allow(raw-lock): the lock `SharedApplier` names
-        Arc::new(parking_lot::Mutex::new(Applier::new(
-            Arc::clone(&standby),
-            &db,
-            replicas,
-            metrics.clone(),
-        )))
-    }));
+    let applier =
+        Arc::clone(appliers.lock().entry(db.clone()).or_insert_with(|| {
+            Applier::shared(Arc::clone(&standby), &db, replicas, metrics.clone())
+        }));
 
     let resume = match applier.lock().handshake(source, epoch) {
         Ok(lsn) => lsn,
@@ -470,12 +465,7 @@ mod tests {
         let s = ClusterController::with_machines(ClusterConfig::for_tests(), 2);
         let m = metrics();
         let shipper = Shipper::new(Arc::clone(&p), "app", m.clone()).unwrap();
-        let applier = Arc::new(parking_lot::Mutex::new(Applier::new(
-            Arc::clone(&s),
-            "app",
-            2,
-            m.clone(),
-        )));
+        let applier = Applier::shared(Arc::clone(&s), "app", 2, m.clone());
         let mut link = GeoLink::new(shipper, applier, m);
 
         let conn = p.connect("app").unwrap();

@@ -25,7 +25,7 @@ use tenantdb_cluster::testkit;
 use tenantdb_cluster::{
     ClusterConfig, ClusterController, ClusterError, Connection, MachineId, ReadPolicy, WritePolicy,
 };
-use tenantdb_georep::{promote, Applier, GeoError, GeoLink, GeoMetrics, Shipper};
+use tenantdb_georep::{promote, Applier, GeoError, GeoLink, GeoMetrics, SharedApplier, Shipper};
 use tenantdb_history::Recorder;
 use tenantdb_obs::MetricsRegistry;
 use tenantdb_sla::Sla;
@@ -1213,7 +1213,7 @@ fn geo_pair() -> Result<
         Arc<ClusterController>,
         Arc<Recorder>,
         Arc<ClusterController>,
-        Arc<parking_lot::Mutex<Applier>>,
+        SharedApplier,
         GeoLink,
         GeoMetrics,
     ),
@@ -1225,28 +1225,14 @@ fn geo_pair() -> Result<
 }
 
 /// Attach a fresh, empty standby colo to `p` as it is now.
-#[allow(clippy::type_complexity)]
 fn geo_attach(
     p: &Arc<ClusterController>,
-) -> Result<
-    (
-        Arc<ClusterController>,
-        Arc<parking_lot::Mutex<Applier>>,
-        GeoLink,
-        GeoMetrics,
-    ),
-    String,
-> {
+) -> Result<(Arc<ClusterController>, SharedApplier, GeoLink, GeoMetrics), String> {
     let s = ClusterController::with_machines(ClusterConfig::for_tests(), 2);
     track(&s);
     let gm = GeoMetrics::new(Arc::new(MetricsRegistry::new()));
     let shipper = Shipper::new(Arc::clone(p), "app", gm.clone()).map_err(|e| e.to_string())?;
-    let applier = Arc::new(parking_lot::Mutex::new(Applier::new(
-        Arc::clone(&s),
-        "app",
-        2,
-        gm.clone(),
-    )));
+    let applier = Applier::shared(Arc::clone(&s), "app", 2, gm.clone());
     let link = GeoLink::new(shipper, Arc::clone(&applier), gm.clone());
     Ok((s, applier, link, gm))
 }

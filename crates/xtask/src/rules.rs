@@ -49,7 +49,7 @@ pub fn lint_file(
     comments: &[String],
     test_lines: &[bool],
 ) -> Vec<Diag> {
-    let check_raw_lock = ["cluster", "storage", "net", "core", "georep"]
+    let check_raw_lock = ["cluster", "storage", "net", "core", "georep", "sim"]
         .iter()
         .any(|c| rel_path.starts_with(&format!("crates/{c}/src/")))
         && !rel_path.ends_with("/sync.rs");
@@ -294,6 +294,7 @@ mod tests {
         let rw = "use parking_lot::RwLock;\n";
         assert_eq!(rules("crates/core/src/system.rs", rw), vec!["raw-lock"]);
         assert_eq!(rules("crates/georep/src/stream.rs", pl), vec!["raw-lock"]);
+        assert_eq!(rules("crates/sim/src/scenarios.rs", pl), vec!["raw-lock"]);
         assert!(rules("crates/cluster/src/sync.rs", src).is_empty());
         assert!(rules("crates/obs/src/lib.rs", src).is_empty());
     }
