@@ -50,8 +50,9 @@ use tenantdb_storage::{StorageError, TxnId, Value};
 
 use crate::controller::{ClusterController, ReadPolicy, WritePolicy};
 use crate::error::{Aborted, ClusterError, Outcome, Refusal, Result};
+use crate::fault::{CrashPoint, FaultAction, CONTROLLER};
 use crate::machine::MachineId;
-use crate::meta::{AbortArbitration, DecisionLog};
+use crate::twopc::{self, Ack, Participant};
 use crate::worker::{SessionHandle, SessionMsg, Turn, TxnFailures, WorkerReply};
 
 /// A lane turn held by this thread and the message it will run.
@@ -80,6 +81,14 @@ impl ActiveTxn {
     fn next_seq(&mut self) -> u64 {
         self.seq += 1;
         self.seq
+    }
+
+    /// Leave the participants prepared: detach the sessions, so no cleanup
+    /// abort touches them.
+    fn detach(&mut self) {
+        for (_, s) in self.sessions.drain() {
+            s.detach();
+        }
     }
 }
 
@@ -525,21 +534,10 @@ impl Connection {
         if let Some(e) = self.settle_failures(&mut txn) {
             return self.refuse_commit(&mut txn, "replica write failed", &e);
         }
-        if txn.sessions.is_empty() {
-            // Transaction that never touched a machine.
-            self.note_outcome_commit(&txn);
-            metrics
-                .commit_latency_readonly
-                .observe_since(commit_started);
-            return Ok(());
-        }
-
-        if !txn.wrote {
-            // One-phase commit for read-only transactions.
-            self.broadcast(&mut txn, |seq| SessionMsg::Commit {
-                seq,
-                want_reply: true,
-            });
+        if !txn.wrote || txn.sessions.is_empty() {
+            // One-phase commit for read-only transactions (and none for
+            // one that has no machine left).
+            self.broadcast(&mut txn, |seq| SessionMsg::Commit { seq });
             self.note_outcome_commit(&txn);
             metrics
                 .commit_latency_readonly
@@ -551,7 +549,7 @@ impl Connection {
         // cluster lost write authority — a commit here would never ship to
         // the promoted colo and the two sides would fork.
         if let Err(e) = self.controller.check_geo_fence() {
-            self.finish_abort(&mut txn, &e);
+            self.finish_abort(&mut txn, e.outcome());
             return Err(e);
         }
 
@@ -587,105 +585,26 @@ impl Connection {
         yes.retain(|(m, _)| txn.sessions.contains_key(m));
         if yes.is_empty() {
             let e = ClusterError::NoReplicas(self.db.clone());
-            self.finish_abort(&mut txn, &e);
+            self.finish_abort(&mut txn, e.outcome());
             return Err(e);
         }
 
-        // Decision point: replicate it to the controller group. The commit
-        // is only decided once a controller quorum has it durable. When the
-        // group cannot acknowledge, what happens next depends on whether a
-        // proposal may have slipped into the replicated log:
-        //  * never proposed — the decision definitively does not exist;
-        //    abort every participant as before;
-        //  * proposed but unacknowledged — the decision may still commit,
-        //    and restart-time recovery would then COMMIT any in-doubt
-        //    participant while the coordinator aborted the others. Settle
-        //    it through the group first: an abort tombstone either lands
-        //    (decision can never take effect → abort is safe) or loses to
-        //    a recovery claim (commit stands → run phase 2). If the group
-        //    has no quorum for even that, leave the participants prepared
-        //    and surface the in-doubt outcome rather than guessing.
-        let group = self.controller.controllers();
-        match group.log_decision(txn.gtxn, yes.clone()) {
-            DecisionLog::Durable => {}
-            DecisionLog::NotLogged(e) => {
-                return self.refuse_commit(&mut txn, "commit decision not durable", &e);
+        let gtxn = txn.gtxn;
+        match twopc::coordinate(&mut Lanes(self, &mut txn), gtxn, yes) {
+            Ok(()) => {
+                self.note_outcome_commit(&txn);
+                metrics.commit_latency_2pc.observe_since(commit_started);
+                Ok(())
             }
-            DecisionLog::Ambiguous(e) => match group.abort_decision(txn.gtxn) {
-                AbortArbitration::Aborted => {
-                    return self.refuse_commit(&mut txn, "commit decision not durable", &e);
-                }
-                AbortArbitration::Committed => {}
-                AbortArbitration::Unknown => {
-                    // Same shape as a controller crash after the decision:
-                    // detach the sessions so no cleanup abort touches the
-                    // prepared local transactions — recovery or takeover
-                    // resolves them once the group heals.
-                    for (_, s) in txn.sessions.drain() {
-                        s.detach();
-                    }
-                    return Err(ClusterError::InDoubt(format!(
-                        "commit decision unresolved: {e}"
-                    )));
-                }
-            },
-        }
-        if let Some(rec) = self.controller.recorder.read().as_ref() {
-            rec.commit(txn.gtxn);
-        }
-
-        // The controller-side crash point: decision logged, no participant
-        // COMMIT sent yet. A `Delay` widens the window in which the decision
-        // exists only in the mirrored log.
-        let crash_controller = match self.controller.faults().check(
-            crate::fault::CrashPoint::CommitDecision,
-            crate::fault::CONTROLLER,
-        ) {
-            Some(crate::fault::FaultAction::Crash) => true,
-            Some(crate::fault::FaultAction::Delay(d)) => {
-                std::thread::sleep(d);
-                false
+            Err(e @ ClusterError::InDoubt(_)) => {
+                // Recovery or a takeover resolves the participants once the
+                // group heals.
+                txn.detach();
+                Err(e)
             }
-            None => false,
-        };
-
-        if crash_controller {
-            // Simulated controller crash: participants stay prepared; the
-            // decision is in the mirrored log for the backup to complete.
-            // Detach the sessions so the cleanup abort never runs — the seed
-            // modelled this by leaking one parked thread per participant;
-            // detaching releases the pool slot without touching the
-            // prepared local transactions.
-            for (_, s) in txn.sessions.drain() {
-                s.detach();
-            }
-            self.controller.metrics().note_committed(&self.db);
-            return Ok(());
+            // The sessions already ended with the ABORT `coordinate` sent.
+            Err(e) => self.refuse_commit(&mut txn, "no commit decision", &e),
         }
-
-        // Phase 2: COMMIT.
-        let commit_phase_started = Instant::now();
-        let acks = self.broadcast(&mut txn, |seq| SessionMsg::Commit {
-            seq,
-            want_reply: true,
-        });
-        metrics
-            .twopc_commit_latency
-            .observe_since(commit_phase_started);
-        for (m, _, res) in acks {
-            if res.is_err_and(|e| e.refusal() == Some(Refusal::NoReplica)) {
-                // Participant died after voting yes. Its replica is dropped
-                // here (recovery copies a new one), and it keeps its entry
-                // in the decision log, so `restart_machine` commits the
-                // prepared txn from it.
-                self.controller.drop_failed_replica(&self.db, m);
-                yes.retain(|&(y, _)| y != m);
-            }
-        }
-        group.resolve(txn.gtxn, yes.into_iter().map(|(m, _)| m).collect());
-        self.note_outcome_commit(&txn);
-        metrics.commit_latency_2pc.observe_since(commit_started);
-        Ok(())
     }
 
     /// Drop the replicas the failure ledger reports dead, and return the
@@ -706,7 +625,7 @@ impl Connection {
     /// Abort a commit `cause` stopped at `stage`: the tenant counts
     /// `cause`, the client gets an abort that keeps its refusal.
     fn refuse_commit(&self, txn: &mut ActiveTxn, stage: &str, cause: &ClusterError) -> Result<()> {
-        self.finish_abort(txn, cause);
+        self.finish_abort(txn, cause.outcome());
         Err(ClusterError::TxnAborted(Aborted {
             cause: cause.refusal(),
             message: format!("{stage}: {cause}"),
@@ -718,15 +637,7 @@ impl Connection {
         let Some(mut txn) = self.state.lock().take() else {
             return Err(ClusterError::NoActiveTxn);
         };
-        self.broadcast(&mut txn, |seq| SessionMsg::Abort {
-            seq,
-            want_reply: true,
-        });
-        if let Some(rec) = self.controller.recorder.read().as_ref() {
-            rec.abort(txn.gtxn);
-        }
-        let metrics = self.controller.metrics();
-        metrics.note_failed(&self.db, Outcome::Aborted);
+        self.finish_abort(&mut txn, Outcome::Aborted);
         Ok(())
     }
 
@@ -736,11 +647,11 @@ impl Connection {
         // thread and must not hold the connection lock.
         let txn = self.state.lock().take();
         if let Some(mut txn) = txn {
-            self.finish_abort(&mut txn, cause);
+            self.finish_abort(&mut txn, cause.outcome());
         }
     }
 
-    fn finish_abort(&self, txn: &mut ActiveTxn, cause: &ClusterError) {
+    fn finish_abort(&self, txn: &mut ActiveTxn, outcome: Outcome) {
         self.broadcast(txn, |seq| SessionMsg::Abort {
             seq,
             want_reply: true,
@@ -748,8 +659,7 @@ impl Connection {
         if let Some(rec) = self.controller.recorder.read().as_ref() {
             rec.abort(txn.gtxn);
         }
-        let metrics = self.controller.metrics();
-        metrics.note_failed(&self.db, cause.outcome());
+        self.controller.metrics().note_failed(&self.db, outcome);
     }
 
     fn note_outcome_commit(&self, txn: &ActiveTxn) {
@@ -785,6 +695,56 @@ impl Connection {
     /// The current transaction's global id (tests and diagnostics).
     pub fn current_gtxn(&self) -> Option<GTxn> {
         self.state.lock().as_ref().map(|t| t.gtxn)
+    }
+}
+
+/// `Connection::commit`'s executor for [`twopc::coordinate`]: proposals go
+/// to the controller group, COMMIT and ABORT down the transaction's session
+/// lanes.
+struct Lanes<'a>(&'a Connection, &'a mut ActiveTxn);
+
+impl twopc::Executor for Lanes<'_> {
+    fn propose(&mut self, cmd: twopc::Command) -> twopc::Verdict {
+        self.0.controller.controllers().propose(cmd)
+    }
+
+    fn commit(&mut self, participants: &[Participant]) -> Vec<Ack> {
+        let conn = self.0;
+        // The controller-side crash point: decided, no COMMIT sent yet. A
+        // `Delay` widens the window in which the decision exists only in
+        // the replicated log. A crash delivers nothing, so the coordinator's
+        // `Resolve` settles no one, and the takeover finds them prepared.
+        let faults = conn.controller.faults();
+        match faults.check(CrashPoint::CommitDecision, CONTROLLER) {
+            Some(FaultAction::Crash) => {
+                self.1.detach();
+                return vec![Ack::Down; participants.len()];
+            }
+            Some(FaultAction::Delay(d)) => std::thread::sleep(d),
+            None => {}
+        }
+        let started = Instant::now();
+        let acks = conn.broadcast(self.1, |seq| SessionMsg::Commit { seq });
+        let metrics = conn.controller.metrics();
+        metrics.twopc_commit_latency.observe_since(started);
+        let ack = |&(m, _): &Participant| match acks.iter().find(|a| a.0 == m) {
+            Some((_, _, Err(e))) if e.refusal() == Some(Refusal::NoReplica) => {
+                // Died after voting yes: its replica is dropped here
+                // (recovery copies a new one).
+                conn.controller.drop_failed_replica(&conn.db, m);
+                Ack::Down
+            }
+            Some((_, _, Err(_))) => Ack::Failed,
+            _ => Ack::Committed,
+        };
+        participants.iter().map(ack).collect()
+    }
+
+    fn abort(&mut self, _: &[Participant]) {
+        self.0.broadcast(self.1, |seq| SessionMsg::Abort {
+            seq,
+            want_reply: true,
+        });
     }
 }
 

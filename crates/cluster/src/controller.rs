@@ -21,7 +21,7 @@ use crate::sync::{RouteBarrier, RouteGuard, RwLock, CTRL_MACHINES, CTRL_RECORDER
 
 use tenantdb_history::{GTxn, Recorder};
 use tenantdb_sql::{parse, Plan};
-use tenantdb_storage::{EngineConfig, TxnId};
+use tenantdb_storage::{Engine, EngineConfig, TxnId};
 
 use crate::connection::Connection;
 use crate::error::{ClusterError, Result};
@@ -31,6 +31,7 @@ use crate::meta::{ControllerGroup, CtrlStatus, MachineTally};
 use crate::metrics::{ClusterMetrics, DbCounters, PoolMetrics};
 use crate::plans::PlanCache;
 use crate::pool::PoolConfig;
+use crate::twopc::{self, Ack, Participant, Role};
 use tenantdb_obs::fields;
 use tenantdb_sla::ResourceVector;
 
@@ -152,6 +153,67 @@ pub struct TakeoverReport {
     /// In-doubt (prepared, undecided) local transactions aborted, as
     /// (machine, count).
     pub aborted_in_doubt: Vec<(MachineId, usize)>,
+}
+
+/// A takeover's executor: proposals go to the group, COMMIT and ABORT to
+/// the engines.
+struct Engines<'a>(&'a ClusterController);
+
+impl twopc::Executor for Engines<'_> {
+    fn propose(&mut self, cmd: twopc::Command) -> twopc::Verdict {
+        self.0.group.propose(cmd)
+    }
+
+    fn commit(&mut self, ps: &[Participant]) -> Vec<Ack> {
+        let commit = |&(id, local): &Participant| {
+            let Ok(m) = self.0.machine(id) else {
+                return Ack::Down;
+            };
+            // Crash point: a participant can die in the instant the
+            // takeover reaches for it — the commit below then fails like
+            // any other down-machine commit.
+            match self.0.faults.check(CrashPoint::TakeoverCommit, id) {
+                Some(FaultAction::Crash) => m.engine.crash(),
+                Some(FaultAction::Delay(d)) => std::thread::sleep(d),
+                None => {}
+            }
+            match m.engine.commit(local) {
+                Ok(()) => Ack::Committed,
+                Err(_) if m.is_failed() => Ack::Down,
+                Err(_) => Ack::Failed,
+            }
+        };
+        ps.iter().map(commit).collect()
+    }
+
+    fn abort(&mut self, ps: &[Participant]) {
+        for &(id, local) in ps {
+            if let Ok(m) = self.0.machine(id) {
+                _ = m.engine.abort(local);
+            }
+        }
+    }
+}
+
+/// A restart's executor: its engine is down, so COMMIT and ABORT go to its
+/// log for the replay.
+struct Replay<'a>(&'a ControllerGroup, &'a Engine);
+
+impl twopc::Executor for Replay<'_> {
+    fn propose(&mut self, cmd: twopc::Command) -> twopc::Verdict {
+        self.0.propose(cmd)
+    }
+
+    fn commit(&mut self, ps: &[Participant]) -> Vec<Ack> {
+        ps.iter()
+            .for_each(|&(_, t)| self.1.resolve_in_doubt(t, true));
+        vec![Ack::Committed; ps.len()]
+    }
+
+    fn abort(&mut self, ps: &[Participant]) {
+        ps.iter()
+            .for_each(|&(_, t)| self.1.resolve_in_doubt(t, false));
+    }
 }
 
 /// The cluster controller.
@@ -353,25 +415,14 @@ impl ClusterController {
 
     /// Restart a crashed machine. Its engine replays the WAL, but the
     /// machine does NOT automatically rejoin replica sets — recovery decides.
-    ///
-    /// Before replay, every decision listing this machine is settled: an
-    /// in-doubt local transaction (it died between its PREPARE vote and the
-    /// COMMIT) with a decided commit is committed in the WAL, so the redo
-    /// pass applies it instead of the acked commit vanishing here.
+    /// Before replay it [`abandon`](twopc::abandon)s its in-doubt
+    /// transactions: one a decision lists commits in the WAL, so the redo
+    /// pass applies it instead of an acked commit vanishing; the rest abort.
+    /// Without a controller quorum to say which is which, it stays down.
     pub fn restart_machine(&self, id: MachineId) -> Result<()> {
         let m = self.machine(id)?;
-        let in_doubt: HashSet<TxnId> = m.engine.in_doubt().into_iter().collect();
-        for (gtxn, mut mine) in self.group.decisions() {
-            mine.retain(|&(pm, _)| pm == id);
-            // Up once restarted, so every entry settles. Replay aborts what
-            // a decision arbitrated away left prepared.
-            self.settle(gtxn, mine, |_, local| {
-                if in_doubt.contains(&local) {
-                    m.engine.resolve_in_doubt_commit(local);
-                }
-                true
-            });
-        }
+        let in_doubt = m.engine.in_doubt().into_iter().map(|t| (id, t)).collect();
+        twopc::abandon(&mut Replay(&self.group, &m.engine), in_doubt, Role::Restart)?;
         m.engine.restart();
         self.metrics
             .events()
@@ -728,88 +779,34 @@ impl ClusterController {
 
     /// Clean up the transactions a dead 2PC coordinator left in transit —
     /// the paper's §2 "process pair" takeover ("the backup ... cleans up
-    /// the transactions in transit as part of its take-over processing").
-    /// The pair's mirrored state is the replicated decision log (DESIGN.md
-    /// §12): a commit decision is quorum-durable *before* any COMMIT goes
-    /// to a participant, so whichever controller replica leads can:
+    /// the transactions in transit as part of its take-over processing")
+    /// over the replicated decision log (DESIGN.md §12): [`settle`](
+    /// twopc::settle) every decision, then [`abandon`](twopc::abandon)
+    /// what is still prepared on the live machines, clearing the tombstones
+    /// restarts left.
     ///
-    /// 1. **complete** every decided commit — participants are prepared and
-    ///    must not be left in doubt;
-    /// 2. **abort** every other prepared (in-doubt) local transaction on
-    ///    the live machines — no decision exists, so abort is the safe
-    ///    outcome.
-    ///
-    /// This is an explicit call, not an election side effect: in this
-    /// in-process model coordinators are client threads that *survive* a
-    /// controller-leader loss, and step 2 run on election would abort their
-    /// live in-flight transactions. Call it once the coordinators are gone
-    /// (clients then re-establish their connections).
+    /// An explicit call, not an election side effect: coordinators here
+    /// are client threads that *survive* a controller-leader loss, and
+    /// would lose their live transactions. Call it once they are gone.
     pub fn takeover(&self) -> TakeoverReport {
+        let mut exec = Engines(self);
         let mut report = TakeoverReport::default();
-
         for (gtxn, participants) in self.group.decisions() {
-            // A decision arbitrated away leaves its prepared participants
-            // to the in-doubt abort pass below.
-            let completed = self.settle(gtxn, participants, |machine, local| {
-                let Ok(m) = self.machine(machine) else {
-                    return false;
-                };
-                // Crash point: a participant can die in the instant the
-                // takeover reaches for it — the commit below then fails
-                // like any other down-machine commit.
-                match self.faults.check(CrashPoint::TakeoverCommit, machine) {
-                    Some(FaultAction::Crash) => m.engine.crash(),
-                    Some(FaultAction::Delay(d)) => std::thread::sleep(d),
-                    None => {}
-                }
-                // Errors from an already-finished local transaction are
-                // ignored.
-                m.engine.commit(local).is_ok() || !m.is_failed()
-            });
-            if completed {
+            if twopc::settle(&mut exec, gtxn, &participants) {
                 report.completed.push(gtxn);
             }
         }
         report.completed.sort();
-
-        for machine in self.machines() {
-            if machine.is_failed() {
-                continue;
-            }
-            let aborted = machine
-                .engine
-                .in_doubt()
-                .into_iter()
-                .filter(|&txn| machine.engine.abort(txn).is_ok())
-                .count();
-            if aborted > 0 {
-                report.aborted_in_doubt.push((machine.id, aborted));
+        let live = self.machines().into_iter().filter(|m| !m.is_failed());
+        let in_doubt = live.flat_map(|m| m.engine.in_doubt().into_iter().map(move |t| (m.id, t)));
+        let aborted = twopc::abandon(&mut exec, in_doubt.collect(), Role::Coordinator);
+        for (m, _) in aborted.unwrap_or_default() {
+            match report.aborted_in_doubt.last_mut() {
+                Some((last, n)) if *last == m => *n += 1,
+                _ => report.aborted_in_doubt.push((m, 1)),
             }
         }
-        report.aborted_in_doubt.sort();
         report
-    }
-
-    /// Settle `gtxn` for takeover or a restart: claim it (the point of no
-    /// return a coordinator's abort arbitration observes), `commit` each
-    /// of `participants`, answering whether it settled (its commit
-    /// succeeded or its machine is up), and resolve the settled ones. False
-    /// when the claim found no decision; without a quorum neither a claim
-    /// nor a tombstone can commit, so the mirrored read stands.
-    fn settle(
-        &self,
-        gtxn: GTxn,
-        participants: Vec<(MachineId, TxnId)>,
-        mut commit: impl FnMut(MachineId, TxnId) -> bool,
-    ) -> bool {
-        if participants.is_empty() || !self.group.claim_decision(gtxn).unwrap_or(true) {
-            return false;
-        }
-        let settled = participants
-            .into_iter()
-            .filter_map(|(m, local)| commit(m, local).then_some(m));
-        self.group.resolve(gtxn, settled.collect());
-        true
     }
 
     // -------------------------------------------------------- SLA registry
@@ -1333,6 +1330,42 @@ mod takeover_tests {
             );
             m.engine.commit(t).unwrap();
         }
+    }
+
+    /// A restart that finds no controller quorum cannot tell a decided
+    /// commit from an abandoned one, so its machine stays down, listed in
+    /// the decision; once the group heals, its restart commits the row.
+    #[test]
+    fn restart_without_a_quorum_leaves_the_machine_down() {
+        let c = ClusterController::with_machines(ClusterConfig::for_tests().with_controllers(3), 2);
+        c.create_database("app", 2).unwrap();
+        c.ddl("app", "CREATE TABLE t (id INT NOT NULL, PRIMARY KEY (id))")
+            .unwrap();
+        let conn = c.connect("app").unwrap();
+        conn.begin().unwrap();
+        conn.execute("INSERT INTO t VALUES (1)", &[]).unwrap();
+        c.faults().arm(FaultPlan::new(vec![Trigger {
+            point: CrashPoint::CommitDecision,
+            machine: Some(CONTROLLER),
+            after_hits: 0,
+            action: FaultAction::Crash,
+        }]));
+        conn.commit().unwrap();
+        c.faults().disarm();
+        let m1 = MachineId(1);
+        c.fail_machine(m1).unwrap();
+        c.controllers().crash(0);
+        c.controllers().crash(1);
+        assert!(c.restart_machine(m1).is_err());
+        assert!(c.machine(m1).unwrap().is_failed());
+
+        c.controllers().quiesce();
+        c.takeover();
+        c.restart_machine(m1).unwrap();
+        let m = c.machine(m1).unwrap();
+        let t = m.engine.begin().unwrap();
+        assert_eq!(m.engine.scan(t, "app", "t").unwrap().len(), 1);
+        assert!(c.decisions().is_empty());
     }
 
     #[test]

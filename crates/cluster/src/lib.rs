@@ -14,10 +14,9 @@
 //!   [`recovery::recover_machine`] with Algorithm 1 routing writes around
 //!   the copy.
 //! * **Controller fault tolerance** (§2): the 2PC decision log
-//!   ([`meta::Decisions`]) is replicated by the [`ControllerGroup`];
-//!   [`ClusterController::takeover`] is the paper's process-pair takeover
-//!   (complete decided commits, abort in-doubt transactions). A participant
-//!   that died after voting commits when it restarts.
+//!   ([`meta::Decisions`]) is replicated by the [`ControllerGroup`]. The
+//!   coordinator, [`ClusterController::takeover`] (the paper's process
+//!   pair) and a participant's restart run one set of drivers, [`twopc`].
 //!
 //! ```
 //! use tenantdb_cluster::{ClusterConfig, ClusterController};
@@ -57,6 +56,7 @@ pub mod recovery;
 pub mod sync;
 pub mod testkit;
 pub mod transport;
+pub mod twopc;
 pub mod worker;
 
 pub use connection::Connection;

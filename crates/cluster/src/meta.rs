@@ -39,13 +39,13 @@ use std::sync::Arc;
 use tenantdb_consensus::{Config, Index, Message, NodeId, RaftNode, StateMachine, Term};
 use tenantdb_history::GTxn;
 use tenantdb_sla::{ResourceVector, Sla};
-use tenantdb_storage::TxnId;
 
 use crate::controller::{CopyProgress, Placement};
 use crate::error::{ClusterError, Result};
 use crate::fault::{CrashPoint, FaultAction, FaultInjector, CONTROLLER};
 use crate::machine::MachineId;
 use crate::sync::{Mutex, CTRL_META};
+use crate::twopc::{Command, Participant, Role, Verdict};
 
 /// One replicated controller metadata mutation. Private on purpose: the
 /// command grammar is an implementation detail of the replicated state
@@ -90,17 +90,8 @@ enum MetaCommand {
     FinishCopy { db: String },
     /// Copy abandoned (target died mid-copy).
     AbandonCopy { db: String },
-    /// 2PC decision point: the commit decision with its participants.
-    LogDecision {
-        gtxn: GTxn,
-        participants: Vec<(MachineId, TxnId)>,
-    },
-    /// See [`Decisions::resolve`].
-    Resolve { gtxn: GTxn, settled: Vec<MachineId> },
-    /// See [`Decisions::claim`].
-    ClaimDecision { gtxn: GTxn },
-    /// See [`Decisions::abort`].
-    AbortDecision { gtxn: GTxn },
+    /// A transition of the 2PC decision log (see [`Command`]).
+    Decision(Command),
     /// Record a database's SLA.
     SetSla { db: String, sla: Sla },
     /// Raise the cross-colo fencing epoch (monotonic max). Proposed by the
@@ -159,64 +150,116 @@ pub struct MachineTally {
 }
 
 /// The 2PC decision log (DESIGN.md §12.2): each commit decision with its
-/// participants not yet settled, and which a settler has claimed. It holds
-/// no lock: `MetaState` keeps one under the group's [`CTRL_META`] mutex.
+/// participants not yet settled, and the participants a restart abandoned
+/// before any decision listed them. Its transitions are the [`Command`]s.
+/// It holds no lock: `MetaState` keeps one under the group's [`CTRL_META`]
+/// mutex.
 #[derive(Debug, Clone, Default)]
 pub struct Decisions {
-    open: BTreeMap<GTxn, Vec<(MachineId, TxnId)>>,
-    claimed: BTreeSet<GTxn>,
+    open: BTreeMap<GTxn, Decision>,
+    tombstones: BTreeSet<Participant>,
+}
+
+#[derive(Debug, Clone)]
+struct Decision {
+    participants: Vec<Participant>,
+    /// A settler claimed it: no `Abort` drops it any more.
+    claimed: bool,
+    /// Its coordinator, or the takeover that replaced it, resolved it: no
+    /// `Abort` can follow, so it leaves no marker.
+    closed: bool,
 }
 
 impl Decisions {
-    /// The decision point: `gtxn` commits at these participants.
-    pub fn log(&mut self, gtxn: GTxn, participants: Vec<(MachineId, TxnId)>) {
-        self.open.insert(gtxn, participants);
-    }
-
-    /// A settler is about to commit a participant of `gtxn`: the point of no
-    /// return [`Self::abort`] observes. False when no decision exists.
-    pub fn claim(&mut self, gtxn: GTxn) -> bool {
-        if self.open.contains_key(&gtxn) {
-            self.claimed.insert(gtxn);
-        }
-        self.is_claimed(gtxn)
-    }
-
-    /// Coordinator arbitration after an ambiguous [`Self::log`]: an
-    /// unclaimed decision is dropped for good (true), a claimed one stands.
-    pub fn abort(&mut self, gtxn: GTxn) -> bool {
-        let aborted = !self.is_claimed(gtxn);
-        if aborted {
-            self.open.remove(&gtxn);
-        }
-        aborted
-    }
-
-    /// Drop the `settled` participants of `gtxn`; the decision (and its
-    /// claim) goes with the last one.
-    pub fn resolve(&mut self, gtxn: GTxn, settled: &[MachineId]) {
-        if let Some(p) = self.open.get_mut(&gtxn) {
-            p.retain(|(m, _)| !settled.contains(m));
-            if p.is_empty() {
-                self.open.remove(&gtxn);
-                self.claimed.remove(&gtxn);
+    /// Apply `cmd`: the transition each [`Command`] documents.
+    pub fn apply(&mut self, cmd: &Command) {
+        match cmd {
+            Command::Log(gtxn, participants) => {
+                let tombstoned = |t, p| self.tombstones.remove(p) | t;
+                if !participants.iter().fold(false, tombstoned) {
+                    let participants = participants.clone();
+                    let d = Decision {
+                        participants,
+                        claimed: false,
+                        closed: false,
+                    };
+                    self.open.insert(*gtxn, d);
+                }
+            }
+            Command::Claim(gtxn) => {
+                if let Some(d) = self.open.get_mut(gtxn) {
+                    d.claimed = true;
+                }
+            }
+            Command::Abort(gtxn) => {
+                if !self.is_claimed(*gtxn) {
+                    self.open.remove(gtxn);
+                }
+            }
+            Command::Resolve(gtxn, settled, by) => {
+                if let Some(d) = self.open.get_mut(gtxn) {
+                    d.participants.retain(|(m, _)| !settled.contains(m));
+                    d.closed |= *by == Role::Coordinator;
+                    if d.participants.is_empty() && (d.closed || !d.claimed) {
+                        self.open.remove(gtxn);
+                    }
+                }
+            }
+            Command::Abandon(participants, by) => {
+                for p in participants {
+                    match self.open.values_mut().find(|d| d.participants.contains(p)) {
+                        Some(d) => d.claimed = true,
+                        None if *by == Role::Restart => _ = self.tombstones.insert(*p),
+                        None => {}
+                    }
+                }
+                if *by == Role::Coordinator {
+                    self.tombstones.clear();
+                }
             }
         }
     }
 
-    /// The participants of `gtxn` not yet settled, if it is decided.
-    pub fn get(&self, gtxn: GTxn) -> Option<&[(MachineId, TxnId)]> {
-        self.open.get(&gtxn).map(Vec::as_slice)
+    /// What `cmd` answers, read from the state its [`Self::apply`] left.
+    pub fn answer(&self, cmd: &Command) -> Verdict {
+        let stands = match cmd {
+            Command::Log(gtxn, _) => self.open.contains_key(gtxn),
+            Command::Claim(gtxn) | Command::Abort(gtxn) => self.is_claimed(*gtxn),
+            Command::Resolve(..) => true,
+            Command::Abandon(participants, _) => {
+                let joined = |p| self.iter().find(|(_, ps)| ps.contains(p)).map(|(g, _)| g);
+                return Verdict::Joined(participants.iter().map(joined).collect());
+            }
+        };
+        if stands {
+            Verdict::Commit
+        } else {
+            Verdict::Abort
+        }
     }
 
-    /// Whether a settler has claimed `gtxn`.
-    pub fn is_claimed(&self, gtxn: GTxn) -> bool {
-        self.claimed.contains(&gtxn)
+    /// The participants of `gtxn` not yet settled, if it is decided (none
+    /// for a committed marker).
+    pub fn get(&self, gtxn: GTxn) -> Option<&[Participant]> {
+        self.open.get(&gtxn).map(|d| d.participants.as_slice())
     }
 
-    /// Every open decision with its unsettled participants, in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (GTxn, &[(MachineId, TxnId)])> {
-        self.open.iter().map(|(g, p)| (*g, p.as_slice()))
+    fn is_claimed(&self, gtxn: GTxn) -> bool {
+        self.open.get(&gtxn).is_some_and(|d| d.claimed)
+    }
+
+    /// Every open decision and marker with its unsettled participants, in
+    /// id order.
+    pub fn iter(&self) -> impl Iterator<Item = (GTxn, &[Participant])> {
+        self.open
+            .iter()
+            .map(|(g, d)| (*g, d.participants.as_slice()))
+    }
+
+    /// The participants abandoned with no decision: a `Log` that lists one
+    /// is refused.
+    pub fn tombstones(&self) -> impl Iterator<Item = Participant> + '_ {
+        self.tombstones.iter().copied()
     }
 }
 
@@ -434,12 +477,7 @@ impl StateMachine for MetaState {
             MetaCommand::AbandonCopy { db } => {
                 self.copies.remove(db);
             }
-            MetaCommand::LogDecision { gtxn, participants } => {
-                self.decisions.log(*gtxn, participants.clone());
-            }
-            MetaCommand::Resolve { gtxn, settled } => self.decisions.resolve(*gtxn, settled),
-            MetaCommand::ClaimDecision { gtxn } => _ = self.decisions.claim(*gtxn),
-            MetaCommand::AbortDecision { gtxn } => _ = self.decisions.abort(*gtxn),
+            MetaCommand::Decision(cmd) => self.decisions.apply(cmd),
             MetaCommand::SetSla { db, sla } => {
                 self.slas.insert(db.clone(), *sla);
             }
@@ -569,35 +607,6 @@ pub(crate) struct SubmitOutcome<R> {
     /// log. When false, an `Err` result is definitive: the command is not
     /// and can never become committed.
     pub(crate) proposed: bool,
-}
-
-/// Outcome of replicating a 2PC commit decision
-/// ([`ControllerGroup::log_decision`]).
-#[derive(Debug)]
-pub(crate) enum DecisionLog {
-    /// Quorum-durable: participants may be sent their COMMITs.
-    Durable,
-    /// Definitively absent from the replicated log — no proposal was ever
-    /// appended — so aborting the participants is safe.
-    NotLogged(ClusterError),
-    /// At least one proposal was appended and its fate is unknown; the
-    /// coordinator must arbitrate ([`ControllerGroup::abort_decision`])
-    /// before it may abort any participant.
-    Ambiguous(ClusterError),
-}
-
-/// Verdict of coordinator abort arbitration
-/// ([`ControllerGroup::abort_decision`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AbortArbitration {
-    /// The abort tombstone committed before any participant acted: the
-    /// decision can never take effect, so aborting is safe.
-    Aborted,
-    /// A settler claimed the decision first: the commit stands, phase 2 runs.
-    Committed,
-    /// The group has no quorum; the outcome remains unknown and the
-    /// participants must stay prepared.
-    Unknown,
 }
 
 /// The in-process replicated controller group.
@@ -1046,93 +1055,43 @@ impl ControllerGroup {
         r.is_ok() && existed
     }
 
-    /// Replicate a 2PC commit decision. [`DecisionLog::Durable`] means the
-    /// decision is on a controller quorum — only then may any participant
-    /// COMMIT be sent. The two failure shapes matter: `NotLogged` proves
-    /// the decision does not exist (safe to abort), while `Ambiguous`
-    /// means an appended proposal may still commit — the coordinator must
-    /// run [`Self::abort_decision`] before aborting anyone.
-    pub(crate) fn log_decision(
-        &self,
-        gtxn: GTxn,
-        participants: Vec<(MachineId, TxnId)>,
-    ) -> DecisionLog {
-        let out = self.submit_full(
-            |_| {
-                Ok(MetaCommand::LogDecision {
-                    gtxn,
-                    participants: participants.clone(),
-                })
-            },
-            |_| (),
-        );
-        match out.result {
-            Ok(()) => {
-                self.inner.lock().ledger(gtxn, true);
-                DecisionLog::Durable
-            }
-            Err(e) if out.proposed => DecisionLog::Ambiguous(e),
-            Err(e) => DecisionLog::NotLogged(e),
-        }
-    }
-
-    /// Coordinator abort arbitration for a decision whose
-    /// [`Self::log_decision`] came back [`DecisionLog::Ambiguous`]: propose
-    /// an abort tombstone through the group and read the verdict from the
-    /// same applied state. Log order makes this safe — every `LogDecision`
-    /// proposal precedes the tombstone in any committed sequence, so once
-    /// the tombstone applies with no claim recorded, the decision can
-    /// never (re)appear.
-    pub(crate) fn abort_decision(&self, gtxn: GTxn) -> AbortArbitration {
-        let out = self.submit_full(
-            |_| Ok(MetaCommand::AbortDecision { gtxn }),
-            |st| st.decisions.is_claimed(gtxn),
-        );
-        match out.result {
-            Ok(false) => {
-                // Defensive: only a never-acked decision is arbitrated.
-                self.inner.lock().acked_decisions.remove(&gtxn);
-                AbortArbitration::Aborted
-            }
-            Ok(true) => {
-                // A settler claimed it: the decision stands, now acked.
-                self.inner.lock().ledger(gtxn, true);
-                AbortArbitration::Committed
-            }
-            Err(_) => AbortArbitration::Unknown,
-        }
-    }
-
-    /// Propose [`Decisions::claim`] before a settler writes a local COMMIT:
-    /// `Ok(true)` the commit stands, `Ok(false)` no decision exists and the
-    /// participant must not commit, `Err` no quorum (the caller falls back
-    /// to the mirrored read: no new tombstone can commit either).
-    pub(crate) fn claim_decision(&self, gtxn: GTxn) -> Result<bool> {
-        self.submit_full(
-            |_| Ok(MetaCommand::ClaimDecision { gtxn }),
-            |st| st.decisions.is_claimed(gtxn),
-        )
-        .result
-    }
-
-    /// Drop the `settled` participants of `gtxn`'s decision, which goes
-    /// with the last one (best-effort: a lost resolution only means a
-    /// harmless re-commit during takeover).
-    pub(crate) fn resolve(&self, gtxn: GTxn, settled: Vec<MachineId>) {
-        let mut open = false;
+    /// Propose one decision-log command for a [`twopc`](crate::twopc)
+    /// driver and read its verdict from the same applied state. A failure
+    /// is `NotProposed` when no proposal reached a leader's log (the
+    /// command can never apply), `Unknown` otherwise.
+    pub(crate) fn propose(&self, cmd: Command) -> Verdict {
+        let resolving = match cmd {
+            Command::Resolve(gtxn, ..) => Some(gtxn),
+            _ => None,
+        };
+        let open = |st: &MetaState| resolving.is_some_and(|g| st.decisions.get(g).is_some());
+        let mut was_open = false;
         let out = self.submit_full(
             |st| {
-                open = st.decisions.get(gtxn).is_some();
-                Ok(MetaCommand::Resolve {
-                    gtxn,
-                    settled: settled.clone(),
-                })
+                was_open = open(st);
+                Ok(MetaCommand::Decision(cmd.clone()))
             },
-            |st| st.decisions.get(gtxn).is_none(),
+            |st| (st.decisions.answer(&cmd), open(st)),
         );
-        if open && matches!(out.result, Ok(true)) {
-            self.inner.lock().ledger(gtxn, false);
+        let (verdict, still_open) = match out.result {
+            Ok(r) => r,
+            Err(e) if out.proposed => return Verdict::Unknown(e),
+            Err(e) => return Verdict::NotProposed(e),
+        };
+        // The acked-decision ledger: a decision is acked once its
+        // coordinator learns it stands, and leaves the ledger when its last
+        // `Resolve` removes it. Only a never-acked decision is aborted.
+        match (&cmd, &verdict) {
+            (Command::Log(gtxn, _) | Command::Abort(gtxn), Verdict::Commit) => {
+                self.inner.lock().ledger(*gtxn, true)
+            }
+            (Command::Abort(gtxn), _) => _ = self.inner.lock().acked_decisions.remove(gtxn),
+            (Command::Resolve(gtxn, ..), _) if was_open && !still_open => {
+                self.inner.lock().ledger(*gtxn, false)
+            }
+            _ => {}
         }
+        verdict
     }
 
     /// Record a database's SLA.
@@ -1223,9 +1182,16 @@ impl ControllerGroup {
         })
     }
 
-    /// Every unresolved 2PC decision with its unresolved participants.
-    pub(crate) fn decisions(&self) -> Vec<(GTxn, Vec<(MachineId, TxnId)>)> {
+    /// Every unresolved 2PC decision with its unresolved participants, a
+    /// committed marker with none.
+    pub(crate) fn decisions(&self) -> Vec<(GTxn, Vec<Participant>)> {
         self.read(|st| st.decisions.iter().map(|(g, p)| (g, p.to_vec())).collect())
+    }
+
+    /// The participants a restart abandoned that no `Log` or takeover has
+    /// cleared yet.
+    pub fn tombstones(&self) -> Vec<Participant> {
+        self.read(|st| st.decisions.tombstones().collect())
     }
 
     /// A database's recorded SLA, if any.
@@ -1453,6 +1419,14 @@ impl ControllerGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::twopc::Command::{Abort, Claim, Log};
+    use crate::twopc::Role::{Coordinator, Restart};
+    use tenantdb_storage::TxnId;
+
+    fn resolve(gtxn: GTxn, settled: &[u32], by: Role) -> Command {
+        let settled = settled.iter().map(|&i| m(i)).collect();
+        Command::Resolve(gtxn, settled, by)
+    }
 
     fn group(n: usize) -> ControllerGroup {
         ControllerGroup::new(n, 7, ResourceVector::ZERO, FaultInjector::disarmed())
@@ -1533,17 +1507,15 @@ mod tests {
     fn decisions_survive_leader_crash() {
         let g = group(3);
         let gtxn = GTxn(42);
-        assert!(matches!(
-            g.log_decision(gtxn, vec![(m(0), TxnId(7)), (m(1), TxnId(9))]),
-            DecisionLog::Durable
-        ));
+        let participants = vec![(m(0), TxnId(7)), (m(1), TxnId(9))];
+        assert_eq!(g.propose(Log(gtxn, participants)), Verdict::Commit);
         g.crash_leader().unwrap();
         let d = g.decisions();
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].0, gtxn);
-        g.resolve(gtxn, vec![m(0)]);
+        g.propose(resolve(gtxn, &[0], Coordinator));
         assert_eq!(g.decisions()[0].1, vec![(m(1), TxnId(9))]);
-        g.resolve(gtxn, vec![m(1)]);
+        g.propose(resolve(gtxn, &[1], Restart));
         assert!(g.decisions().is_empty());
         assert!(
             g.invariant_violations().is_empty(),
@@ -1798,17 +1770,15 @@ mod tests {
     fn abort_tombstone_wins_unclaimed_decision() {
         let g = group(3);
         let gtxn = GTxn(7);
-        assert!(matches!(
-            g.log_decision(gtxn, vec![(m(0), TxnId(1))]),
-            DecisionLog::Durable
-        ));
+        let participants = vec![(m(0), TxnId(1))];
+        assert_eq!(g.propose(Log(gtxn, participants)), Verdict::Commit);
         // Coordinator-side arbitration of an (assumed ambiguous) decision:
         // nothing has claimed it, so the tombstone wins and the decision
         // can never take effect.
-        assert_eq!(g.abort_decision(gtxn), AbortArbitration::Aborted);
+        assert_eq!(g.propose(Abort(gtxn)), Verdict::Abort);
         assert!(g.decisions().is_empty());
         // A recovery claim arriving later finds nothing to act on.
-        assert_eq!(g.claim_decision(gtxn), Ok(false));
+        assert_eq!(g.propose(Claim(gtxn)), Verdict::Abort);
         assert!(
             g.invariant_violations().is_empty(),
             "{:?}",
@@ -1820,17 +1790,15 @@ mod tests {
     fn claimed_decision_refuses_abort() {
         let g = group(3);
         let gtxn = GTxn(8);
-        assert!(matches!(
-            g.log_decision(gtxn, vec![(m(0), TxnId(2))]),
-            DecisionLog::Durable
-        ));
+        let participants = vec![(m(0), TxnId(2))];
+        assert_eq!(g.propose(Log(gtxn, participants)), Verdict::Commit);
         // A recovering participant claims first: the commit stands and the
         // coordinator's arbitration must proceed with phase 2.
-        assert_eq!(g.claim_decision(gtxn), Ok(true));
-        assert_eq!(g.abort_decision(gtxn), AbortArbitration::Committed);
+        assert_eq!(g.propose(Claim(gtxn)), Verdict::Commit);
+        assert_eq!(g.propose(Abort(gtxn)), Verdict::Commit);
         assert_eq!(g.decisions().len(), 1);
         // Resolution cleans the claim alongside the decision.
-        g.resolve(gtxn, vec![m(0)]);
+        g.propose(resolve(gtxn, &[0], Coordinator));
         assert!(g.decisions().is_empty());
         assert!(
             g.invariant_violations().is_empty(),
@@ -1839,9 +1807,30 @@ mod tests {
         );
     }
 
-    /// One row per `Decisions` transition: the steps before it, the step,
-    /// its answer (`claim` and `abort` answer), and what is left after: the
-    /// unsettled participants and whether the decision is claimed.
+    /// When every participant's restart claims and resolves a decision
+    /// before its coordinator arbitrates an ambiguous `Log`, the
+    /// arbitration still finds the commit: the decision stays a committed
+    /// marker until the coordinator's own `Resolve`.
+    #[test]
+    fn arbitration_finds_a_decision_its_restarts_resolved() {
+        let g = group(3);
+        let gtxn = GTxn(13);
+        let participants = vec![(m(0), TxnId(1)), (m(1), TxnId(2))];
+        assert_eq!(g.propose(Log(gtxn, participants)), Verdict::Commit);
+        assert_eq!(g.propose(Claim(gtxn)), Verdict::Commit);
+        g.propose(resolve(gtxn, &[0], Restart));
+        g.propose(resolve(gtxn, &[1], Restart));
+        assert_eq!(g.propose(Abort(gtxn)), Verdict::Commit);
+        assert_eq!(g.decisions(), vec![(gtxn, vec![])]);
+        g.propose(resolve(gtxn, &[0, 1], Coordinator));
+        assert!(g.decisions().is_empty());
+        assert!(g.invariant_violations().is_empty());
+    }
+
+    /// One row per `Decisions` transition: the commands before it, the
+    /// command, its answer, and what is left after: the unsettled
+    /// participants (none: a committed marker), whether the decision is
+    /// claimed, and whether M1's transaction is tombstoned.
     #[test]
     fn decisions_transitions() {
         #[derive(Debug, Clone, Copy)]
@@ -1849,65 +1838,133 @@ mod tests {
             Log,
             Claim,
             Abort,
-            Resolve(&'static [u32]),
+            Resolve(&'static [u32], Role),
+            Abandon(Role),
         }
         use Op::*;
+        use Role::{Coordinator as C, Restart as R};
         type Row = (
             &'static [Op],
             Op,
-            Option<bool>,
+            Verdict,
             Option<&'static [u32]>,
             bool,
+            bool,
         );
-        let rows: &[Row] = &[
-            (&[], Log, None, Some(&[0, 1]), false),
-            (&[], Claim, Some(false), None, false),
-            (&[Log], Claim, Some(true), Some(&[0, 1]), true),
-            (&[Log], Abort, Some(true), None, false),
-            (&[Log, Claim], Abort, Some(false), Some(&[0, 1]), true),
-            (&[Log, Abort], Claim, Some(false), None, false),
-            (&[Log, Claim], Resolve(&[0]), None, Some(&[1]), true),
+        let g = GTxn(5);
+        let (commit, abort) = (Verdict::Commit, Verdict::Abort);
+        let joined = |j| Verdict::Joined(vec![j]);
+        let rows: Vec<Row> = vec![
+            (&[], Log, commit.clone(), Some(&[0, 1]), false, false),
+            (&[], Claim, abort.clone(), None, false, false),
+            (&[Log], Claim, commit.clone(), Some(&[0, 1]), true, false),
+            (&[Log], Abort, abort.clone(), None, false, false),
             (
-                &[Log, Resolve(&[0])],
-                Resolve(&[0]),
-                None,
+                &[Log, Claim],
+                Abort,
+                commit.clone(),
+                Some(&[0, 1]),
+                true,
+                false,
+            ),
+            (&[Log, Abort], Claim, abort.clone(), None, false, false),
+            (
+                &[Log, Claim],
+                Resolve(&[0], R),
+                commit.clone(),
+                Some(&[1]),
+                true,
+                false,
+            ),
+            (
+                &[Log, Resolve(&[0], C)],
+                Resolve(&[0], C),
+                commit.clone(),
                 Some(&[1]),
                 false,
-            ),
-            (
-                &[Log, Claim, Resolve(&[0])],
-                Resolve(&[1]),
-                None,
-                None,
                 false,
             ),
-            (&[Log, Claim], Resolve(&[0, 1]), None, None, false),
-            (&[], Resolve(&[0]), None, None, false),
+            (
+                &[Log, Claim, Resolve(&[0], C)],
+                Resolve(&[1], R),
+                commit.clone(),
+                None,
+                false,
+                false,
+            ),
+            (
+                &[Log, Claim],
+                Resolve(&[0, 1], C),
+                commit.clone(),
+                None,
+                false,
+                false,
+            ),
+            (&[], Resolve(&[0], C), commit.clone(), None, false, false),
+            // Restarts that fully resolve a claimed decision leave a
+            // committed marker, which `Abort` answers `Commit` and the
+            // coordinator's `Resolve` removes.
+            (
+                &[Log, Claim, Resolve(&[0], R)],
+                Resolve(&[1], R),
+                commit.clone(),
+                Some(&[]),
+                true,
+                false,
+            ),
+            (
+                &[Log, Claim, Resolve(&[0, 1], R)],
+                Abort,
+                commit.clone(),
+                Some(&[]),
+                true,
+                false,
+            ),
+            (
+                &[Log, Claim, Resolve(&[0, 1], R)],
+                Resolve(&[], C),
+                commit.clone(),
+                None,
+                false,
+                false,
+            ),
+            // A restart claims the decision that lists its participant, or
+            // tombstones it; the tombstone refuses the `Log` that lists it
+            // and goes with it, or with a takeover.
+            (
+                &[Log],
+                Abandon(R),
+                joined(Some(g)),
+                Some(&[0, 1]),
+                true,
+                false,
+            ),
+            (&[], Abandon(R), joined(None), None, false, true),
+            (&[Abandon(R)], Log, abort.clone(), None, false, false),
+            (&[Abandon(R)], Abandon(C), joined(None), None, false, false),
         ];
-        let g = GTxn(5);
-        let run = |d: &mut Decisions, op: Op| match op {
-            Log => {
-                d.log(g, vec![(m(0), TxnId(10)), (m(1), TxnId(11))]);
-                None
-            }
-            Claim => Some(d.claim(g)),
-            Abort => Some(d.abort(g)),
-            Resolve(ms) => {
-                d.resolve(g, &ms.iter().map(|&i| m(i)).collect::<Vec<_>>());
-                None
-            }
+        let t = |i: u32| (m(i), TxnId(10 + u64::from(i)));
+        let cmd = |op| match op {
+            Log => Command::Log(g, vec![t(0), t(1)]),
+            Claim => Command::Claim(g),
+            Abort => Command::Abort(g),
+            Resolve(ms, by) => resolve(g, ms, by),
+            Abandon(by) => Command::Abandon(vec![t(1)], by),
         };
-        for &(before, op, answer, left, claimed) in rows {
+        for (before, op, answer, left, claimed, tombstoned) in rows {
             let mut d = Decisions::default();
             for &b in before {
-                run(&mut d, b);
+                d.apply(&cmd(b));
             }
             let row = format!("{before:?} then {op:?}");
-            assert_eq!(run(&mut d, op), answer, "{row}: answer");
-            let machines = |p: &[(MachineId, TxnId)]| p.iter().map(|&(m, _)| m.0).collect();
+            d.apply(&cmd(op));
+            assert_eq!(d.answer(&cmd(op)), answer, "{row}: answer");
+            let machines = |p: &[Participant]| p.iter().map(|&(m, _)| m.0).collect();
             assert_eq!(d.get(g).map(machines), left.map(<[u32]>::to_vec), "{row}");
             assert_eq!(d.is_claimed(g), claimed, "{row}: claimed");
             assert_eq!(d.iter().count(), usize::from(left.is_some()), "{row}");
+            let tombstone = d.tombstones().any(|p| p == t(1));
+            assert_eq!(tombstone, tombstoned, "{row}: tombstone");
         }
     }
 
@@ -1934,6 +1991,7 @@ mod tests {
         assert_eq!(c.metrics().commit_latency_2pc.count(), 1_000);
         assert_eq!(ledgers(c.controllers()), (0, 0));
         assert!(c.decisions().is_empty());
+        assert!(c.controllers().tombstones().is_empty());
     }
 
     /// A resolution recorded before its ack (a takeover resolving while the
@@ -1942,14 +2000,10 @@ mod tests {
     fn a_late_ack_cancels_an_earlier_resolution() {
         let g = group(1);
         let gtxn = GTxn(11);
-        g.submit(|_| {
-            Ok(MetaCommand::LogDecision {
-                gtxn,
-                participants: vec![(m(0), TxnId(1))],
-            })
-        })
-        .unwrap();
-        g.resolve(gtxn, vec![m(0)]);
+        let participants = vec![(m(0), TxnId(1))];
+        g.submit(|_| Ok(MetaCommand::Decision(Log(gtxn, participants.clone()))))
+            .unwrap();
+        g.propose(resolve(gtxn, &[0], Coordinator));
         assert_eq!(ledgers(&g), (0, 1));
         g.inner.lock().ledger(gtxn, true);
         assert_eq!(ledgers(&g), (0, 0));
@@ -1962,11 +2016,9 @@ mod tests {
     fn an_acked_decision_removed_unresolved_is_lost() {
         let g = group(3);
         let gtxn = GTxn(12);
-        assert!(matches!(
-            g.log_decision(gtxn, vec![(m(0), TxnId(1))]),
-            DecisionLog::Durable
-        ));
-        g.submit(|_| Ok(MetaCommand::AbortDecision { gtxn }))
+        let participants = vec![(m(0), TxnId(1))];
+        assert_eq!(g.propose(Log(gtxn, participants)), Verdict::Commit);
+        g.submit(|_| Ok(MetaCommand::Decision(Abort(gtxn))))
             .unwrap();
         let v = g.invariant_violations();
         assert_eq!(v.len(), 1, "{v:?}");
@@ -1979,8 +2031,8 @@ mod tests {
         let gtxn = GTxn(9);
         g.crash(0);
         g.crash(1);
-        assert_eq!(g.abort_decision(gtxn), AbortArbitration::Unknown);
-        assert!(g.claim_decision(gtxn).is_err());
+        assert!(matches!(g.propose(Abort(gtxn)), Verdict::NotProposed(_)));
+        assert!(matches!(g.propose(Claim(gtxn)), Verdict::NotProposed(_)));
     }
 
     #[test]

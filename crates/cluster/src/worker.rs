@@ -104,8 +104,6 @@ pub enum SessionMsg {
     Commit {
         /// Correlates the reply on the shared channel.
         seq: u64,
-        /// `false` marks fire-and-forget cleanup (nobody waits).
-        want_reply: bool,
     },
     /// Abort the local transaction.
     Abort {
@@ -315,7 +313,7 @@ impl Session {
                 }
                 Some(reply(seq, exec.local, result))
             }
-            SessionMsg::Commit { seq, want_reply } => {
+            SessionMsg::Commit { seq } => {
                 if exec.local.is_some() {
                     self.fault_hook(CrashPoint::CommitApply);
                 }
@@ -331,7 +329,7 @@ impl Session {
                     self.fault_hook(CrashPoint::CommitAck);
                 }
                 exec.finished = true;
-                want_reply.then(|| reply(seq, None, result))
+                Some(reply(seq, None, result))
             }
             SessionMsg::Abort { seq, want_reply } => {
                 let result = match exec.local.take() {
@@ -572,10 +570,7 @@ mod tests {
         fn finish(&mut self, commit: bool) -> Result<QueryResult> {
             self.seq += 1;
             let msg = if commit {
-                SessionMsg::Commit {
-                    seq: self.seq,
-                    want_reply: true,
-                }
+                SessionMsg::Commit { seq: self.seq }
             } else {
                 SessionMsg::Abort {
                     seq: self.seq,

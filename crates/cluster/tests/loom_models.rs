@@ -5,13 +5,11 @@
 //!    product [`Lane`]): all messages a transaction sends to one machine
 //!    execute in arrival order, exactly once, with a single drainer at a
 //!    time — including when a `Detach` races ordinary sends.
-//! 2. **Settling a 2PC decision** (`Connection::commit`'s phase 2 and abort
-//!    arbitration, `ClusterController::{takeover, restart_machine}` over
-//!    the product [`Decisions`]): a transaction whose decision reached the
-//!    log commits at every participant, or stays recoverable at one that is
-//!    down, whether the coordinator crashes before phase 2, takeover and a
-//!    restart race its phase 2, a participant fails mid-takeover, or the
-//!    coordinator's abort arbitration races a restart's claim.
+//! 2. **The 2PC drivers** (`cluster::twopc`, over the product
+//!    [`Decisions`]): a transaction commits at every participant or at
+//!    none, or stays recoverable at one that is down — whatever takeover,
+//!    restarts, a machine failure or a quorum loss race: its phase 2, its
+//!    decision point or its abort arbitration.
 //! 3. **The caller takes the lane's turn** (`worker.rs` `try_turn` /
 //!    `Turn::run` / `Turn::drop`, on model 1's lane): the same guarantee
 //!    when the drainer is the calling thread and sends — the cleanup
@@ -19,18 +17,19 @@
 //!
 //! Models 1 and 3 drive the product's own [`Lane`] — the state machine the
 //! replica sessions and the TCP server's request queues run — and model 2
-//! the product's own [`Decisions`], each under a `tenantdb_loom` mutex
-//! standing in for the ordered lockdep wrapper its owner keeps it under
-//! (the checker cannot instrument those). Only the code around them is
-//! the model's: a spawned thread for a pool job and the session's
-//! execution step; the settlers' drivers and the participants' engines.
+//! runs the product's own drivers over its [`Decisions`], each under a
+//! `tenantdb_loom` mutex standing in for the ordered lockdep wrapper its
+//! owner keeps it under (the checker cannot instrument those). Only the
+//! code around them is the model's: a spawned thread for a pool job and
+//! the session's execution step; model 2's executor and its participants.
 //! Each model has `*_model_has_teeth` tests that seed a historical bug
-//! shape in that driver code to prove the checker would catch a
-//! regression.
+//! shape — in model 2, as a corrupted executor — to prove the checker
+//! would catch a regression.
 
 use tenantdb_cluster::meta::Decisions;
 use tenantdb_cluster::pool::Lane;
-use tenantdb_cluster::MachineId;
+use tenantdb_cluster::twopc::{self, Ack, Command, Participant, Role, Verdict};
+use tenantdb_cluster::{ClusterError, MachineId};
 use tenantdb_history::GTxn;
 use tenantdb_loom as loom;
 use tenantdb_storage::TxnId;
@@ -387,16 +386,16 @@ fn caller_turn_model_has_teeth() {
 }
 
 // ---------------------------------------------------------------------------
-// Model 2: the 2PC decision log vs. takeover, restart and machine failure
+// Model 2: the 2PC drivers vs. takeover, restart and machine failure
 // ---------------------------------------------------------------------------
 
 const G: GTxn = GTxn(7);
 const M0: MachineId = MachineId(0);
-/// The participant that fails (and restarts) in these models.
 const M1: MachineId = MachineId(1);
-const MACHINES: [MachineId; 2] = [M0, M1];
+/// The transaction's participants, both prepared when a model starts.
+const PARTICIPANTS: [Participant; 2] = [(M0, TxnId(10)), (M1, TxnId(11))];
 
-/// A participant's local transaction, prepared when the model starts.
+/// A participant's local transaction.
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum Local {
     Prepared,
@@ -405,405 +404,406 @@ enum Local {
 }
 
 /// One participant machine: its local transaction and whether it is down.
-struct Participant {
+struct Machine {
     local: Mutex<Local>,
     failed: AtomicBool,
 }
 
-impl Participant {
+impl Machine {
     fn is_failed(&self) -> bool {
         // ordering: Relaxed — the loom scheduler is sequentially consistent
         // anyway; the flag mirrors `Engine::failed`'s gate role.
         self.failed.load(Ordering::Relaxed)
     }
 
-    /// `Engine::commit`: a down machine refuses (`Unavailable`, which the
-    /// coordinator reads as `Refusal::NoReplica`). An up one commits a
-    /// prepared txn; an already-finished one answers with the error every
-    /// caller ignores, modelled as `Ok` without a change.
-    fn commit(&self) -> Result<(), ()> {
-        if self.is_failed() {
-            return Err(());
-        }
+    /// Give a prepared local transaction its outcome; a finished one keeps
+    /// its own (the engine's error every caller ignores).
+    fn finish(&self, outcome: Local) {
         let mut local = self.local.lock();
         if *local == Local::Prepared {
-            *local = Local::Committed;
+            *local = outcome;
         }
-        Ok(())
     }
+}
 
-    /// `Engine::abort`, the coordinator's after a lost arbitration.
-    fn abort(&self) {
-        if !self.is_failed() {
-            let mut local = self.local.lock();
-            if *local == Local::Prepared {
-                *local = Local::Aborted;
-            }
-        }
-    }
+/// A bug seeded in an executor, for the teeth tests.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Bug {
+    /// A dead coordinator's COMMITs are reported acked, never delivered.
+    PhantomAcks,
+    /// A COMMIT that found its machine down is reported settled.
+    DownSettled,
+    /// The coordinator's `Abort` answers "aborted" without being proposed.
+    Unarbitrated,
+    /// A restart abandons as a takeover does: it leaves no tombstone.
+    NoTombstone,
+    /// A restart's `Resolve` closes the decision: it leaves no marker.
+    NoMarker,
+    /// A restart's `Abandon` that reached no quorum answers "no decision".
+    Guessed,
 }
 
 /// The product decision log under a mutex standing in for the group's
-/// `CTRL_META` lock (every replica lives under it, so one hold is one
-/// proposal or one read of `ControllerGroup`), and the two participants.
+/// `CTRL_META` lock (one hold is one proposal or one read), the machines,
+/// the coordinator's and the quorum's failure, whether the coordinator's
+/// `Log`'s ack is lost, and the bug the executors seed.
 struct TwoPc {
     decisions: Mutex<Decisions>,
-    machines: [Participant; 2],
+    machines: [Machine; 2],
+    crashed: AtomicBool,
+    no_quorum: AtomicBool,
+    ack_lost: bool,
+    bug: Option<Bug>,
 }
 
-/// How the coordinator thread ended, mirroring `Connection::commit`'s exits.
-#[derive(PartialEq, Debug)]
-enum Coord {
-    /// Crashed before the decision was logged: nothing to recover.
-    NotDecided,
-    /// Decision logged, coordinator crashed before phase 2
-    /// (`CrashPoint::CommitDecision`): takeover or restart completes it.
-    DecidedCrashed,
-    /// Phase 2 ran; the client is acked.
-    Committed,
-    /// The abort arbitration won; the client sees an abort.
-    Aborted,
+/// Who runs a driver: `Connection::commit`, `ClusterController::takeover`
+/// or `restart_machine`, which writes outcomes to its down machine's log.
+#[derive(Clone, Copy, PartialEq)]
+enum Side {
+    Coordinator,
+    Takeover,
+    Restart,
+}
+
+/// The model's executor: the product `Decisions` for proposals, the model's
+/// machines for COMMIT and ABORT. It decides nothing; a seeded [`Bug`]
+/// corrupts what it does.
+struct Io<'a>(&'a TwoPc, Side);
+
+impl twopc::Executor for Io<'_> {
+    fn propose(&mut self, mut cmd: Command) -> Verdict {
+        let (sys, side, lost) = (self.0, self.1, || ClusterError::NotLeader { hint: None });
+        match (&mut cmd, side, sys.bug) {
+            (Command::Abort(_), Side::Coordinator, Some(Bug::Unarbitrated)) => {
+                return Verdict::Abort
+            }
+            (Command::Abandon(_, by), Side::Restart, Some(Bug::NoTombstone))
+            | (Command::Resolve(_, _, by), Side::Restart, Some(Bug::NoMarker)) => {
+                *by = Role::Coordinator
+            }
+            _ => {}
+        }
+        let mut d = sys.decisions.lock();
+        let log = side == Side::Coordinator && matches!(cmd, Command::Log(..));
+        // ordering: Relaxed — loom is sequentially consistent.
+        let no_quorum = sys.no_quorum.load(Ordering::Relaxed);
+        // Checked inside the log's lock hold: without a quorum nothing
+        // decides, nor does a dead primary.
+        match &cmd {
+            Command::Abandon(ps, _) if no_quorum && sys.bug == Some(Bug::Guessed) => {
+                return Verdict::Joined(vec![None; ps.len()])
+            }
+            _ if no_quorum || log && sys.is_crashed() => return Verdict::NotProposed(lost()),
+            _ => {}
+        }
+        d.apply(&cmd);
+        if log && sys.ack_lost {
+            return Verdict::Unknown(lost());
+        }
+        d.answer(&cmd)
+    }
+
+    fn commit(&mut self, participants: &[Participant]) -> Vec<Ack> {
+        let (sys, side) = (self.0, self.1);
+        let ack = |&(m, _): &Participant| {
+            let machine = sys.at(m);
+            // A dead coordinator delivers nothing.
+            if side == Side::Coordinator && sys.is_crashed() {
+                let phantom = sys.bug == Some(Bug::PhantomAcks);
+                return if phantom { Ack::Committed } else { Ack::Down };
+            }
+            if side != Side::Restart && machine.is_failed() {
+                let settled = sys.bug == Some(Bug::DownSettled);
+                return if settled { Ack::Failed } else { Ack::Down };
+            }
+            machine.finish(Local::Committed);
+            Ack::Committed
+        };
+        participants.iter().map(ack).collect()
+    }
+
+    fn abort(&mut self, participants: &[Participant]) {
+        for &(m, _) in participants {
+            // A down machine's ABORT is lost, but a restart writes its log.
+            if self.1 == Side::Restart || !self.0.at(m).is_failed() {
+                self.0.at(m).finish(Local::Aborted);
+            }
+        }
+    }
 }
 
 impl TwoPc {
-    /// Both participants prepared; `m1_down`: M1 died after voting yes.
-    fn new(m1_down: bool) -> Arc<Self> {
-        let p = |down| Participant {
-            local: Mutex::new(Local::Prepared),
-            failed: AtomicBool::new(down),
-        };
-        Arc::new(TwoPc {
-            decisions: Mutex::new(Decisions::default()),
-            machines: [p(false), p(m1_down)],
-        })
-    }
-
-    fn at(&self, m: MachineId) -> &Participant {
+    fn at(&self, m: MachineId) -> &Machine {
         &self.machines[m.0 as usize]
     }
 
-    /// `ControllerGroup::log_decision` of what `Connection::commit` logs.
-    fn log(decisions: &mut Decisions) {
-        decisions.log(G, vec![(M0, TxnId(10)), (M1, TxnId(11))]);
-    }
-
-    /// `Connection::commit` from the decision point. `crashed` is the
-    /// coordinator failure flag; checking it inside the decision's lock
-    /// hold models "a dead primary decides nothing".
-    fn coordinator(&self, crashed: &AtomicBool) -> Coord {
-        self.decide(crashed).unwrap_or_else(|| self.phase_two())
-    }
-
-    /// The decision point; `Some` when the coordinator crashed around it,
-    /// `None` when phase 2 is next.
-    fn decide(&self, crashed: &AtomicBool) -> Option<Coord> {
-        {
-            let mut d = self.decisions.lock();
-            // ordering: Relaxed — loom is sequentially consistent; mirrors
-            // the cooperative takeover handoff.
-            if crashed.load(Ordering::Relaxed) {
-                return Some(Coord::NotDecided);
-            }
-            Self::log(&mut d);
-        }
-        // ordering: Relaxed — see above.
-        crashed
-            .load(Ordering::Relaxed)
-            .then_some(Coord::DecidedCrashed)
-    }
-
-    /// Phase 2: COMMIT every participant, then one `Resolve` of each whose
-    /// COMMIT did not come back from a down machine.
-    fn phase_two(&self) -> Coord {
-        let settled: Vec<MachineId> = MACHINES
-            .into_iter()
-            .filter(|&m| self.at(m).commit().is_ok())
-            .collect();
-        self.decisions.lock().resolve(G, &settled);
-        Coord::Committed
-    }
-
-    /// `Connection::commit` after an ambiguous `LogDecision` ack (the
-    /// decision is in the log): arbitrate, then abort or run phase 2.
-    fn arbitrate(&self) -> Coord {
-        if !self.decisions.lock().abort(G) {
-            return self.phase_two();
-        }
-        for m in MACHINES {
-            self.at(m).abort();
-        }
-        Coord::Aborted
-    }
-
-    /// `ControllerGroup::decisions`, for the one transaction.
-    fn open(&self) -> Vec<(MachineId, TxnId)> {
-        let d = self.decisions.lock();
-        d.get(G).map(<[_]>::to_vec).unwrap_or_default()
-    }
-
-    /// `ClusterController::settle`: claim, commit each participant, one
-    /// `Resolve` of those settled.
-    fn settle(&self, parts: Vec<(MachineId, TxnId)>, commit: impl Fn(MachineId) -> bool) {
-        if parts.is_empty() || !self.decisions.lock().claim(G) {
-            return;
-        }
-        let settled: Vec<MachineId> = parts
-            .into_iter()
-            .map(|(m, _)| m)
-            .filter(|&m| commit(m))
-            .collect();
-        self.decisions.lock().resolve(G, &settled);
-    }
-
-    /// `ClusterController::takeover`'s decided-commit pass (its in-doubt
-    /// abort pass needs the coordinators gone, which these races are not).
-    fn takeover(&self) {
-        self.settle(self.open(), |m| {
-            self.at(m).commit().is_ok() || !self.at(m).is_failed()
-        });
-    }
-
-    /// `ClusterController::restart_machine(M1)` of a down M1: commit its
-    /// in-doubt txn from a decision that lists it, then replay aborts
-    /// whatever is still prepared, and the machine is up.
-    fn restart(&self) {
-        let p = self.at(M1);
-        if !p.is_failed() {
-            return;
-        }
-        let mine = self.open().into_iter().filter(|&(m, _)| m == M1).collect();
-        self.settle(mine, |_| {
-            let mut local = p.local.lock();
-            if *local == Local::Prepared {
-                *local = Local::Committed;
-            }
-            true
-        });
-        let mut local = p.local.lock();
-        if *local == Local::Prepared {
-            *local = Local::Aborted;
-        }
+    fn is_crashed(&self) -> bool {
         // ordering: Relaxed — loom is sequentially consistent.
-        p.failed.store(false, Ordering::Relaxed);
+        self.crashed.load(Ordering::Relaxed)
+    }
+
+    /// `ClusterController::takeover`: settle every decision, then abandon
+    /// what is still prepared on the machines that are up.
+    fn takeover(&self) {
+        let mut io = Io(self, Side::Takeover);
+        let decided: Vec<_> = (self.decisions.lock().iter())
+            .map(|(g, p)| (g, p.to_vec()))
+            .collect();
+        for (gtxn, participants) in decided {
+            twopc::settle(&mut io, gtxn, &participants);
+        }
+        let in_doubt = PARTICIPANTS.into_iter().filter(|&(m, _)| {
+            !self.at(m).is_failed() && *self.at(m).local.lock() == Local::Prepared
+        });
+        _ = twopc::abandon(&mut io, in_doubt.collect(), Role::Coordinator);
+    }
+
+    /// `ClusterController::restart_machine(m)` of a down `m`: abandon its
+    /// transaction if it is in doubt; the machine is up once that got a
+    /// verdict.
+    fn restart(&self, m: MachineId) {
+        let machine = self.at(m);
+        let prepared = *machine.local.lock() == Local::Prepared;
+        let mine = PARTICIPANTS.into_iter().filter(|p| p.0 == m && prepared);
+        let mut io = Io(self, Side::Restart);
+        if machine.is_failed() && twopc::abandon(&mut io, mine.collect(), Role::Restart).is_ok() {
+            // ordering: Relaxed — loom is sequentially consistent.
+            machine.failed.store(false, Ordering::Relaxed);
+        }
     }
 
     fn locals(&self) -> [Local; 2] {
-        MACHINES.map(|m| *self.at(m).local.lock())
+        [M0, M1].map(|m| *self.at(m).local.lock())
     }
 }
 
 /// Atomicity, checked when every thread is done: a decided transaction is
 /// committed at each participant or still recoverable there (prepared, with
-/// its entry in the log for the restart to commit); an undecided or
-/// aborted one committed nowhere and left no decision behind.
-fn check_atomic(sys: &TwoPc, outcome: &Coord) {
-    let locals = sys.locals();
-    let open = sys.open();
-    match outcome {
-        Coord::NotDecided | Coord::Aborted => {
-            assert!(
-                !locals.contains(&Local::Committed),
-                "{outcome:?} txn committed at a participant: {locals:?}"
-            );
-            assert!(open.is_empty(), "ghost decision: {open:?}");
-        }
-        Coord::DecidedCrashed | Coord::Committed => {
-            for (m, local) in MACHINES.into_iter().zip(locals) {
-                let recoverable = local == Local::Prepared && open.iter().any(|&(pm, _)| pm == m);
-                assert!(
-                    local == Local::Committed || recoverable,
-                    "decided txn lost at {m}: {local:?}, log {open:?}"
-                );
-            }
-        }
+/// its entry in the log for the restart to commit); an aborted one
+/// committed nowhere and left no decision behind.
+fn check_atomic(sys: &TwoPc, outcome: &Result<(), ClusterError>) {
+    let open = sys.decisions.lock().get(G).map(<[_]>::to_vec);
+    let (locals, open) = (sys.locals(), open.unwrap_or_default());
+    if outcome.is_err() {
+        assert!(
+            !locals.contains(&Local::Committed),
+            "{outcome:?} txn committed at a participant: {locals:?}"
+        );
+        assert!(open.is_empty(), "ghost decision: {open:?}");
+        return;
+    }
+    for ((m, _), local) in PARTICIPANTS.into_iter().zip(locals) {
+        let recoverable = local == Local::Prepared && open.iter().any(|&(pm, _)| pm == m);
+        assert!(
+            local == Local::Committed || recoverable,
+            "decided txn lost at {m}: {local:?}, log {open:?}"
+        );
     }
 }
 
-/// Then the sim's quiesce restarts M1 if it is down: every participant
-/// ends with the outcome, and the decision log is empty.
-fn check_settled(sys: &TwoPc, outcome: &Coord) {
+/// Then the sim's quiesce — heal the group, restart the down machines,
+/// take over: every participant ends with the outcome, and the log holds no
+/// decision, no marker and no tombstone.
+fn check_settled(sys: &TwoPc, outcome: &Result<(), ClusterError>) {
     check_atomic(sys, outcome);
-    sys.restart();
-    let decided = matches!(outcome, Coord::DecidedCrashed | Coord::Committed);
+    // ordering: Relaxed — loom is sequentially consistent.
+    sys.no_quorum.store(false, Ordering::Relaxed);
+    sys.restart(M0);
+    sys.restart(M1);
+    sys.takeover();
+    let decided = outcome.is_ok();
     for local in sys.locals() {
         assert_eq!(local == Local::Committed, decided, "{outcome:?}: {local:?}");
     }
-    assert!(sys.open().is_empty(), "unsettled: {:?}", sys.open());
+    let d = sys.decisions.lock();
+    let left = (d.iter().count(), d.tombstones().count());
+    assert_eq!(left, (0, 0), "unsettled (decisions, tombstones)");
 }
 
-/// A coordinator and a takeover (which declares it dead first) on `sys`,
-/// with `coordinator` as the coordinator's driver, and a `fail_machine(M1)`
-/// thread if `fail`.
-fn race_takeover(
-    sys: &Arc<TwoPc>,
-    coordinator: fn(&TwoPc, &AtomicBool) -> Coord,
-    fail: bool,
-) -> Coord {
-    let crashed = Arc::new(AtomicBool::new(false));
-    let (s1, c1) = (Arc::clone(sys), Arc::clone(&crashed));
-    let coord = loom::thread::spawn(move || coordinator(&s1, &c1));
-    let (s2, c2) = (Arc::clone(sys), Arc::clone(&crashed));
-    let backup = loom::thread::spawn(move || {
-        // ordering: Relaxed — loom is sequentially consistent.
-        c2.store(true, Ordering::Relaxed);
-        s2.takeover();
-    });
-    let s3 = Arc::clone(sys);
-    let failer = fail.then(|| {
-        loom::thread::spawn(move || {
-            // ordering: Relaxed — loom is sequentially consistent.
-            s3.at(M1).failed.store(true, Ordering::Relaxed);
-        })
-    });
-    let outcome = coord.join().expect("coordinator");
-    backup.join().expect("backup");
-    if let Some(f) = failer {
-        f.join().expect("failer");
-    }
-    outcome
+/// One race: the coordinator, from the decision point, against `racers`;
+/// the machines `down` since they voted, and whether its `Log`'s ack is lost.
+#[derive(Clone, Copy)]
+struct Race {
+    down: [bool; 2],
+    ack_lost: bool,
+    racers: &'static [fn(&TwoPc)],
 }
 
-/// Takeover races the coordinator's own phase 2 (no machine failure):
-/// whatever the interleaving, the decided txn commits everywhere and
-/// double delivery is absorbed by engine idempotence.
+/// The takeover, which declares the coordinator dead first.
+fn takeover(sys: &TwoPc) {
+    // ordering: Relaxed — loom is sequentially consistent.
+    sys.crashed.store(true, Ordering::Relaxed);
+    sys.takeover();
+}
+
+/// Every schedule of `race` with `bug` seeded ends atomic and settles.
+fn check(race: Race, bug: Option<Bug>) {
+    bounded().check(move || {
+        let machine = |down| Machine {
+            local: Mutex::new(Local::Prepared),
+            failed: AtomicBool::new(down),
+        };
+        let sys = Arc::new(TwoPc {
+            decisions: Mutex::new(Decisions::default()),
+            machines: race.down.map(machine),
+            crashed: AtomicBool::new(false),
+            no_quorum: AtomicBool::new(false),
+            ack_lost: race.ack_lost,
+            bug,
+        });
+        let s = Arc::clone(&sys);
+        let coord = loom::thread::spawn(move || {
+            twopc::coordinate(&mut Io(&s, Side::Coordinator), G, PARTICIPANTS.to_vec())
+        });
+        let racers: Vec<_> = (race.racers.iter())
+            .map(|&r| {
+                let s = Arc::clone(&sys);
+                loom::thread::spawn(move || r(&s))
+            })
+            .collect();
+        let outcome = coord.join().expect("coordinator");
+        for r in racers {
+            r.join().expect("racer");
+        }
+        check_settled(&sys, &outcome);
+    });
+}
+
+/// Whether the checker finds a broken schedule of `race` with `bug` seeded.
+fn finds(race: Race, bug: Bug) -> bool {
+    std::panic::catch_unwind(|| check(race, Some(bug))).is_err()
+}
+
+/// Takeover races the coordinator's own phase 2: the decided txn commits
+/// everywhere, and engine idempotence absorbs double delivery.
+const PHASE_TWO: Race = Race {
+    down: [false; 2],
+    ack_lost: false,
+    racers: &[takeover],
+};
+
+/// The same with `fail_machine(M1)`: a participant that goes down keeps its
+/// entry while it is down, and its restart commits.
+const PHASE_TWO_AND_FAILURE: Race = Race {
+    // ordering: Relaxed — loom is sequentially consistent.
+    racers: &[takeover, |s| s.at(M1).failed.store(true, Ordering::Relaxed)],
+    ..PHASE_TWO
+};
+
+/// The `Log`'s ack is lost, so the coordinator arbitrates with `Abort`
+/// while the restart of M1 (down since it voted) claims the decision.
+const ARBITRATION: Race = Race {
+    down: [false, true],
+    ack_lost: true,
+    racers: &[|s| s.restart(M1)],
+};
+
+/// M1's restart races the coordinator's `Log`: the tombstone it leaves
+/// refuses a `Log` that comes after it.
+const DECISION_POINT: Race = Race {
+    ack_lost: false,
+    ..ARBITRATION
+};
+
+/// M1 died after voting yes: the coordinator, its restart and a takeover
+/// all settle the transaction at once.
+const RESTART_AND_TAKEOVER: Race = Race {
+    racers: &[|s| s.restart(M1), takeover],
+    ..DECISION_POINT
+};
+
+/// Both participants restart before the coordinator arbitrates a lost
+/// ack: the marker the last one leaves answers its `Abort` "committed".
+const EVERY_RESTART: Race = Race {
+    down: [true; 2],
+    ack_lost: true,
+    racers: &[|s| s.restart(M0), |s| s.restart(M1)],
+};
+
+/// The group loses its quorum while M1 restarts: with no verdict on its
+/// `Abandon`, M1 stays down until the group heals.
+const NO_QUORUM: Race = Race {
+    // ordering: Relaxed — loom is sequentially consistent.
+    racers: &[
+        |s| s.no_quorum.store(true, Ordering::Relaxed),
+        |s| s.restart(M1),
+    ],
+    ..DECISION_POINT
+};
+
 #[test]
 fn takeover_races_phase_two() {
-    bounded().check(|| {
-        let sys = TwoPc::new(false);
-        let outcome = race_takeover(&sys, TwoPc::coordinator, false);
-        check_settled(&sys, &outcome);
-    });
+    check(PHASE_TWO, None);
 }
 
-/// The same race with `fail_machine(M1)` in the mix: a participant that
-/// goes down keeps its entry while it is down, and its restart commits.
 #[test]
 fn takeover_races_phase_two_and_fail_machine() {
-    bounded().check(|| {
-        let sys = TwoPc::new(false);
-        let outcome = race_takeover(&sys, TwoPc::coordinator, true);
-        check_settled(&sys, &outcome);
-    });
+    check(PHASE_TWO_AND_FAILURE, None);
 }
 
-/// M1 died after voting yes and the decision is durable: the coordinator's
-/// phase 2, M1's restart and a takeover all settle it at once.
 #[test]
 fn restart_races_phase_two_and_takeover() {
-    bounded().check(|| {
-        let sys = TwoPc::new(true);
-        TwoPc::log(&mut sys.decisions.lock());
-        let s1 = Arc::clone(&sys);
-        let coord = loom::thread::spawn(move || s1.phase_two());
-        let s2 = Arc::clone(&sys);
-        let restart = loom::thread::spawn(move || s2.restart());
-        let s3 = Arc::clone(&sys);
-        let backup = loom::thread::spawn(move || s3.takeover());
-        let outcome = coord.join().expect("coordinator");
-        restart.join().expect("restart");
-        backup.join().expect("backup");
-        check_settled(&sys, &outcome);
-    });
-}
-
-/// The coordinator's `LogDecision` ack was lost, so it arbitrates with
-/// `abort` while the restart of M1 (down since voting yes) claims the same
-/// decision: exactly one wins, and both participants follow it.
-fn race_arbitration(arbitrate: fn(&TwoPc) -> Coord) {
-    bounded().check(move || {
-        let sys = TwoPc::new(true);
-        TwoPc::log(&mut sys.decisions.lock());
-        let s1 = Arc::clone(&sys);
-        let coord = loom::thread::spawn(move || arbitrate(&s1));
-        let s2 = Arc::clone(&sys);
-        let restart = loom::thread::spawn(move || s2.restart());
-        let outcome = coord.join().expect("coordinator");
-        restart.join().expect("restart");
-        check_settled(&sys, &outcome);
-    });
+    check(RESTART_AND_TAKEOVER, None);
 }
 
 #[test]
 fn abort_arbitration_races_restart_claim() {
-    race_arbitration(TwoPc::arbitrate);
+    check(ARBITRATION, None);
 }
 
-/// Teeth check: the invariant the coordinator relies on is *resolve after
-/// phase 2*. A coordinator that resolves before running phase 2 loses the
-/// txn when it crashes in between — the checker must find that schedule.
+#[test]
+fn restart_races_the_decision_point() {
+    check(DECISION_POINT, None);
+}
+
+#[test]
+fn every_participant_restarts_before_arbitration() {
+    check(EVERY_RESTART, None);
+}
+
+#[test]
+fn restart_races_a_quorum_loss() {
+    check(NO_QUORUM, None);
+}
+
+/// Teeth: a dead coordinator that acks COMMITs it never delivered resolves
+/// the decision of prepared participants; the takeover finds none.
 #[test]
 fn takeover_model_has_teeth() {
-    fn resolve_first(sys: &TwoPc, crashed: &AtomicBool) -> Coord {
-        {
-            let mut d = sys.decisions.lock();
-            // ordering: Relaxed — loom is sequentially consistent.
-            if crashed.load(Ordering::Relaxed) {
-                return Coord::NotDecided;
-            }
-            TwoPc::log(&mut d);
-        }
-        sys.decisions.lock().resolve(G, &MACHINES); // BUG: before phase 2
-                                                    // ordering: Relaxed — see above.
-        if crashed.load(Ordering::Relaxed) {
-            return Coord::DecidedCrashed;
-        }
-        sys.phase_two()
-    }
-    let found = std::panic::catch_unwind(|| {
-        bounded().check(|| {
-            let sys = TwoPc::new(false);
-            let outcome = race_takeover(&sys, resolve_first, false);
-            check_settled(&sys, &outcome);
-        });
-    });
-    assert!(
-        found.is_err(),
-        "the checker must find the decided-then-lost schedule in the buggy coordinator"
-    );
+    assert!(finds(PHASE_TWO, Bug::PhantomAcks));
 }
 
-/// Teeth check: the coordinator rule before this model drove the product.
-/// Dropping the whole decision after phase 2, even when a participant's
-/// COMMIT found its machine down, makes that participant's restart abort
-/// what the other one committed — the checker must find that schedule.
+/// Teeth: a COMMIT that found M1 down, reported settled, drops its entry,
+/// and M1's restart aborts what M0 committed.
 #[test]
 fn settle_rule_model_has_teeth() {
-    fn resolve_all(sys: &TwoPc, crashed: &AtomicBool) -> Coord {
-        sys.decide(crashed).unwrap_or_else(|| {
-            for m in MACHINES {
-                let _ = sys.at(m).commit();
-            }
-            sys.decisions.lock().resolve(G, &MACHINES); // BUG: down ones too
-            Coord::Committed
-        })
-    }
-    let found = std::panic::catch_unwind(|| {
-        bounded().check(|| {
-            let sys = TwoPc::new(false);
-            let outcome = race_takeover(&sys, resolve_all, true);
-            check_settled(&sys, &outcome);
-        });
-    });
-    assert!(
-        found.is_err(),
-        "the checker must find the restart aborting a committed txn"
-    );
+    assert!(finds(PHASE_TWO_AND_FAILURE, Bug::DownSettled));
 }
 
-/// Teeth check: a coordinator that aborts its participants after an
-/// ambiguous ack without arbitrating lets M1's restart claim and commit the
-/// same decision — the checker must find the split outcome.
+/// Teeth: an abort after a lost ack without arbitrating lets M1's restart
+/// commit the same decision.
 #[test]
 fn arbitration_model_has_teeth() {
-    fn abort_unarbitrated(sys: &TwoPc) -> Coord {
-        for m in MACHINES {
-            sys.at(m).abort(); // BUG: no `abort(G)` through the log first
-        }
-        Coord::Aborted
-    }
-    let found = std::panic::catch_unwind(|| race_arbitration(abort_unarbitrated));
-    assert!(
-        found.is_err(),
-        "the checker must find the restart committing what the coordinator aborted"
-    );
+    assert!(finds(ARBITRATION, Bug::Unarbitrated));
+}
+
+/// Teeth: with no tombstone, M1's restart aborts, and a `Log` after it
+/// commits M0.
+#[test]
+fn decision_point_model_has_teeth() {
+    assert!(finds(DECISION_POINT, Bug::NoTombstone));
+}
+
+/// Teeth: with no marker, the last restart's `Resolve` drops the decision,
+/// and `Abort` reports "aborted" for a transaction committed everywhere.
+#[test]
+fn arbitration_marker_model_has_teeth() {
+    assert!(finds(EVERY_RESTART, Bug::NoMarker));
+}
+
+/// Teeth: a restart that takes no verdict for "no decision" aborts M1, and
+/// the decision commits M0.
+#[test]
+fn restart_verdict_model_has_teeth() {
+    assert!(finds(NO_QUORUM, Bug::Guessed));
 }

@@ -49,12 +49,16 @@ pub fn check_run(
         violations.push(format!("controller: {v}"));
     }
     // After quiesce every decided transaction has been completed on (or
-    // resolved for) every participant; a leftover entry means a decided
-    // commit never reached someone.
+    // resolved for) every participant; a leftover entry or committed marker
+    // means a decided commit never reached someone, and a tombstone that a
+    // restart left should have gone with the takeover.
     for (gtxn, participants) in c.decisions() {
         violations.push(format!(
             "controller: decision {gtxn:?} still unresolved for {participants:?}"
         ));
+    }
+    for p in c.controllers().tombstones() {
+        violations.push(format!("controller: tombstone {p:?} left"));
     }
     // §4 no-starvation (windowless form): any tenant with an SLA that the
     // admission gate never shed must be within its rejected-fraction

@@ -344,9 +344,10 @@ pub fn run_with_plan(cfg: &SimConfig, plan: &FaultPlan) -> RunReport {
 
 /// Bring the cluster to a quiescent, fully-repaired state:
 ///
-/// 1. controller takeover — complete decided commits, abort in-doubt
-///    transactions (the backup's §2 cleanup);
-/// 2. restart every crashed machine (WAL replay + decision-log resolution);
+/// 1. restart every crashed machine (WAL replay + decision-log resolution);
+/// 2. controller takeover — complete decided commits, abort in-doubt
+///    transactions (the backup's §2 cleanup) and clear the tombstones the
+///    restarts left;
 /// 3. re-create lost replicas until every database is back at its
 ///    replication factor (Algorithm 1 copies onto spare machines).
 ///
@@ -358,7 +359,6 @@ pub fn quiesce(c: &Arc<ClusterController>, replicas: usize) -> Vec<String> {
     // replicas and re-elect, so every repair step below has a metadata
     // leader to talk to.
     c.controllers().quiesce();
-    let _ = c.takeover();
     for m in c.machines() {
         if !m.is_failed() {
             continue;
@@ -381,6 +381,7 @@ pub fn quiesce(c: &Arc<ClusterController>, replicas: usize) -> Vec<String> {
         }
         let _ = c.restart_machine(m.id);
     }
+    let _ = c.takeover();
     for db in c.database_names() {
         while let Ok(p) = c.placement(&db) {
             if p.replicas.len() >= replicas {

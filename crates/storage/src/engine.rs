@@ -990,12 +990,13 @@ impl Engine {
         self.wal.in_doubt()
     }
 
-    /// Log a COMMIT decision for an in-doubt prepared transaction so the
-    /// next [`Engine::restart`] replay applies it. Used while the engine is
-    /// *down*: the decision was reached by the replicated 2PC log, not by a
-    /// live commit on this engine.
-    pub fn resolve_in_doubt_commit(&self, txn: TxnId) {
-        self.wal.append(txn, WalEntry::Commit);
+    /// Log the 2PC outcome of an in-doubt prepared transaction, so the next
+    /// [`Engine::restart`] replay applies it (`commit`) or leaves it out for
+    /// good. Used while the engine is *down*: the outcome was reached by the
+    /// replicated 2PC log, not by a live commit or abort on this engine.
+    pub fn resolve_in_doubt(&self, txn: TxnId, commit: bool) {
+        use WalEntry::{Abort, Commit};
+        self.wal.append(txn, if commit { Commit } else { Abort });
     }
 
     /// Apply one replicated redo operation to the live catalog — the

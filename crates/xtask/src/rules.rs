@@ -179,7 +179,7 @@ pub fn lint_file(
                 "wal-access",
                 "raw WAL handle outside crates/storage — tail the log through \
                  the stable Engine surface (wal_head_lsn / wal_tail_from_capped / \
-                 in_doubt / resolve_in_doubt_commit) so the log's internals \
+                 in_doubt / resolve_in_doubt) so the log's internals \
                  can evolve (or justify with // lint:allow(wal-access): <reason>)"
                     .to_string(),
             ));

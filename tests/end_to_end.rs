@@ -299,6 +299,37 @@ fn divergence(
     out
 }
 
+/// 2PC atomicity at every crash point of a commit, its coordinator's
+/// decision and the takeover: every scripted scenario that fires one of
+/// them runs, and its checks hold — replicas converged, acked commits
+/// durable, no decision, marker or tombstone left after quiesce.
+#[test]
+fn every_2pc_crash_point_keeps_commits_atomic() {
+    use tenantdb::cluster::CrashPoint::*;
+    let points = [
+        PrepareApply,
+        PrepareAck,
+        CommitDecision,
+        CommitApply,
+        CommitAck,
+        TakeoverCommit,
+    ];
+    let scenarios = tenantdb::sim::all_scenarios();
+    let twopc: Vec<_> = (scenarios.iter())
+        .filter(|s| s.fires.iter().any(|p| points.contains(p)))
+        .collect();
+    for p in points {
+        assert!(
+            twopc.iter().any(|s| s.fires.contains(&p)),
+            "no scenario fires {p:?}"
+        );
+    }
+    let failed: Vec<String> = (twopc.iter())
+        .filter_map(|s| s.run().err().map(|e| format!("{}: {e}", s.name)))
+        .collect();
+    assert!(failed.is_empty(), "{failed:#?}");
+}
+
 /// A tenant's onboarding — database, table, SLA — costs the 2 000th tenant
 /// what it cost the first: nothing on that path may count every tenant
 /// already hosted. Medians, so one stall of the host cannot fail it.
