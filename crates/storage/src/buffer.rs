@@ -12,14 +12,14 @@
 //! throughput measurements exactly like real I/O stalls would, without
 //! needing a real disk.
 
-use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use crate::idmap::IdMap;
 use crate::sync::{Mutex, BUFFER_STATE};
 
 /// Identifies a logical page: a table (by global id) and a page number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageKey {
     pub table: u64,
     pub page_no: u64,
@@ -83,12 +83,65 @@ impl BufferStats {
     }
 }
 
+/// One resident page, linked into the recency list by slot index.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    page: PageKey,
+    prev: u32,
+    next: u32,
+}
+
+/// The resident pages in recency order: a circular doubly linked list
+/// through `slots`, whose slot 0 is a sentinel (its `next` is the most
+/// recently used page, its `prev` the least), and the index from page to
+/// slot. A miss in a full pool reuses the least recently used page's slot.
 struct LruState {
-    /// page -> last-use stamp
-    resident: HashMap<PageKey, u64>,
-    /// last-use stamp -> page (inverse map, for O(log n) eviction)
-    by_stamp: BTreeMap<u64, PageKey>,
-    next_stamp: u64,
+    index: IdMap<PageKey, u32>,
+    slots: Vec<Slot>,
+}
+
+impl LruState {
+    fn new() -> Self {
+        LruState {
+            index: IdMap::default(),
+            slots: vec![Slot::default()],
+        }
+    }
+
+    fn unlink(&mut self, i: u32) {
+        let Slot { prev, next, .. } = self.slots[i as usize];
+        self.slots[prev as usize].next = next;
+        self.slots[next as usize].prev = prev;
+    }
+
+    fn push_newest(&mut self, i: u32) {
+        let next = self.slots[0].next;
+        (self.slots[i as usize].prev, self.slots[i as usize].next) = (0, next);
+        self.slots[next as usize].prev = i;
+        self.slots[0].next = i;
+    }
+
+    /// Make `page` the most recently used; true if it was resident.
+    fn touch(&mut self, page: PageKey, capacity: usize) -> bool {
+        if let Some(&i) = self.index.get(&page) {
+            self.unlink(i);
+            self.push_newest(i);
+            return true;
+        }
+        let i = if self.slots.len() <= capacity {
+            self.slots.push(Slot::default());
+            u32::try_from(self.slots.len() - 1).expect("a pool holds under 2^32 pages")
+        } else {
+            let i = self.slots[0].prev;
+            self.unlink(i);
+            self.index.remove(&self.slots[i as usize].page);
+            i
+        };
+        self.slots[i as usize].page = page;
+        self.index.insert(page, i);
+        self.push_newest(i);
+        false
+    }
 }
 
 /// An LRU buffer pool with a fixed capacity in pages.
@@ -110,14 +163,7 @@ impl BufferPool {
             capacity: capacity_pages.max(1),
             hit_ns: AtomicU64::new(cost.hit.as_nanos() as u64),
             miss_ns: AtomicU64::new(cost.miss.as_nanos() as u64),
-            state: Mutex::new(
-                &BUFFER_STATE,
-                LruState {
-                    resident: HashMap::new(),
-                    by_stamp: BTreeMap::new(),
-                    next_stamp: 0,
-                },
-            ),
+            state: Mutex::new(&BUFFER_STATE, LruState::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -142,25 +188,7 @@ impl BufferPool {
     /// Touch a page: record hit/miss, update LRU order, pay the cost.
     /// Returns true on hit.
     pub fn access(&self, page: PageKey) -> bool {
-        let hit = {
-            let mut st = self.state.lock();
-            let stamp = st.next_stamp;
-            st.next_stamp += 1;
-            if let Some(old) = st.resident.insert(page, stamp) {
-                st.by_stamp.remove(&old);
-                st.by_stamp.insert(stamp, page);
-                true
-            } else {
-                st.by_stamp.insert(stamp, page);
-                if st.resident.len() > self.capacity {
-                    // Evict the least recently used page.
-                    let (&oldest, &victim) = st.by_stamp.iter().next().expect("non-empty");
-                    st.by_stamp.remove(&oldest);
-                    st.resident.remove(&victim);
-                }
-                false
-            }
-        };
+        let hit = self.state.lock().touch(page, self.capacity);
         if hit {
             // ordering: Relaxed — advisory telemetry; only atomicity is needed, no cross-variable ordering.
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -178,14 +206,12 @@ impl BufferPool {
     /// Drop every resident page (used by fault injection: a machine restart
     /// comes back with a cold cache).
     pub fn clear(&self) {
-        let mut st = self.state.lock();
-        st.resident.clear();
-        st.by_stamp.clear();
+        *self.state.lock() = LruState::new();
     }
 
     /// Number of currently resident pages.
     pub fn resident_pages(&self) -> usize {
-        self.state.lock().resident.len()
+        self.state.lock().index.len()
     }
 
     pub fn stats(&self) -> BufferStats {
@@ -304,6 +330,77 @@ mod tests {
         assert_eq!(page_of_row(0), 0);
         assert_eq!(page_of_row(ROWS_PER_PAGE - 1), 0);
         assert_eq!(page_of_row(ROWS_PER_PAGE), 1);
+    }
+
+    /// The pool's former stamp LRU, kept as the reference the linked list
+    /// must match access for access.
+    struct StampLru {
+        capacity: usize,
+        resident: std::collections::HashMap<PageKey, u64>,
+        by_stamp: std::collections::BTreeMap<u64, PageKey>,
+        next_stamp: u64,
+    }
+
+    impl StampLru {
+        fn access(&mut self, page: PageKey) -> bool {
+            let stamp = self.next_stamp;
+            self.next_stamp += 1;
+            let old = self.resident.insert(page, stamp);
+            if let Some(old) = old {
+                self.by_stamp.remove(&old);
+            }
+            self.by_stamp.insert(stamp, page);
+            if self.resident.len() > self.capacity {
+                let (_, victim) = self.by_stamp.pop_first().expect("non-empty");
+                self.resident.remove(&victim);
+            }
+            old.is_some()
+        }
+    }
+
+    #[test]
+    fn matches_the_stamp_lru_oracle() {
+        // Miri keeps the small pools and fewer accesses.
+        let (capacities, accesses): (&[usize], _) = if cfg!(miri) {
+            (&[1, 2, 67], 2_000)
+        } else {
+            (&[1, 2, 67, 16_384], 40_000)
+        };
+        for &capacity in capacities {
+            let pool = BufferPool::new(capacity, CostModel::free());
+            let mut oracle = StampLru {
+                capacity,
+                resident: Default::default(),
+                by_stamp: Default::default(),
+                next_stamp: 0,
+            };
+            let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ capacity as u64;
+            let cap = capacity as u64;
+            for i in 0..accesses {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // A hot set inside the pool, a warm one just over it and a
+                // cold range far beyond it, over three tables.
+                let span = match x % 4 {
+                    0 | 1 => cap / 2 + 1,
+                    2 => cap + cap / 4 + 2,
+                    _ => 4 * cap + 8,
+                };
+                let page = pk(x % 3, (x >> 8) % span);
+                assert_eq!(
+                    pool.access(page),
+                    oracle.access(page),
+                    "capacity {capacity}, access {i}: {page:?}"
+                );
+            }
+            let mut resident: Vec<PageKey> = pool.state.lock().index.keys().copied().collect();
+            let mut expected: Vec<PageKey> = oracle.resident.keys().copied().collect();
+            resident.sort();
+            expected.sort();
+            assert_eq!(resident.len(), capacity, "the pool filled");
+            assert_eq!(resident, expected, "capacity {capacity}");
+        }
     }
 
     #[test]

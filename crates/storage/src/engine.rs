@@ -1519,6 +1519,22 @@ mod tests {
     }
 
     #[test]
+    fn a_big_commit_leaves_the_lock_table_empty_and_bounded() {
+        let e = setup();
+        e.with_txn(|t| {
+            for k in 0..10_000 {
+                e.insert(t, "app", "kv", kv(k, "v"))?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        let [resources, held, spare_states, spare_held] = e.locks.footprint();
+        assert_eq!((resources, held), (0, 0), "no lock outlives its commit");
+        assert!(spare_states <= crate::lock::SPARES);
+        assert!(spare_held <= crate::lock::SPARES);
+    }
+
+    #[test]
     fn db_profile_counts_usage() {
         let e = setup();
         e.with_txn(|t| {

@@ -46,6 +46,7 @@ pub mod codec;
 pub mod copy;
 pub mod engine;
 pub mod error;
+mod idmap;
 pub mod lock;
 pub mod schema;
 pub mod sync;

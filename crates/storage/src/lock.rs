@@ -21,6 +21,7 @@
 //! exactly what makes the aggressive-controller anomaly of Table 1 possible.
 //! We implement it faithfully.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -28,6 +29,7 @@ use std::time::{Duration, Instant};
 use crate::sync::{Condvar, Mutex, LOCK_TABLE};
 
 use crate::error::{Result, StorageError};
+use crate::idmap::IdMap;
 use crate::txn::TxnId;
 
 /// A lockable resource: a table, a row within a table, or an *index key*
@@ -106,8 +108,9 @@ struct Waiter {
 
 #[derive(Debug, Default)]
 struct LockState {
-    /// txn -> bitmask of granted modes.
-    granted: HashMap<TxnId, u8>,
+    /// Each holder with the bitmask of its granted modes; almost always one
+    /// or two entries.
+    granted: Vec<(TxnId, u8)>,
     waiting: VecDeque<Waiter>,
 }
 
@@ -116,66 +119,117 @@ impl LockState {
         self.granted.is_empty() && self.waiting.is_empty()
     }
 
+    fn mask_of(&self, txn: TxnId) -> Option<u8> {
+        self.granted
+            .iter()
+            .find(|(t, _)| *t == txn)
+            .map(|&(_, m)| m)
+    }
+
     /// Can `txn` be granted `mode` given the other holders?
     fn compatible_with_others(&self, txn: TxnId, mode: LockMode) -> bool {
         self.granted
             .iter()
-            .all(|(&t, &mask)| t == txn || mask_compat(mask, mode))
+            .all(|&(t, mask)| t == txn || mask_compat(mask, mode))
+    }
+
+    /// Add `mode` to `txn`'s grant. True if `txn` was not a holder before.
+    fn grant(&mut self, txn: TxnId, mode: LockMode) -> bool {
+        if let Some((_, mask)) = self.granted.iter_mut().find(|(t, _)| *t == txn) {
+            *mask |= mode.bit();
+            return false;
+        }
+        self.granted.push((txn, mode.bit()));
+        true
+    }
+}
+
+/// How many emptied [`LockState`]s and held lists the table keeps for reuse,
+/// so that a steady-state acquire allocates nothing; also the largest
+/// capacity a kept held list may have.
+pub(crate) const SPARES: usize = 64;
+
+/// The resources on which each txn holds at least one granted mode, each
+/// listed once, and emptied lists kept for reuse.
+#[derive(Default)]
+struct Held {
+    lists: IdMap<TxnId, Vec<ResourceId>>,
+    spare: Vec<Vec<ResourceId>>,
+}
+
+impl Held {
+    fn add(&mut self, txn: TxnId, res: ResourceId) {
+        let list = self
+            .lists
+            .entry(txn)
+            .or_insert_with(|| self.spare.pop().unwrap_or_default());
+        list.push(res);
+    }
+
+    fn recycle(&mut self, mut list: Vec<ResourceId>) {
+        if self.spare.len() < SPARES && list.capacity() <= SPARES {
+            list.clear();
+            self.spare.push(list);
+        }
     }
 }
 
 #[derive(Default)]
 struct LockTable {
-    resources: HashMap<ResourceId, LockState>,
-    /// Resources on which each txn holds at least one granted mode.
-    held: HashMap<TxnId, HashSet<ResourceId>>,
+    resources: IdMap<ResourceId, LockState>,
+    held: Held,
+    /// Entries in every `waiting` queue together.
+    queued: usize,
+    spare_states: Vec<LockState>,
 }
 
 impl LockTable {
     fn holds_implied(&self, txn: TxnId, res: ResourceId, mode: LockMode) -> bool {
         self.resources
             .get(&res)
-            .and_then(|s| s.granted.get(&txn))
-            .is_some_and(|&mask| mask_implies(mask, mode))
+            .and_then(|s| s.mask_of(txn))
+            .is_some_and(|mask| mask_implies(mask, mode))
     }
 
-    fn grant(&mut self, txn: TxnId, res: ResourceId, mode: LockMode) {
-        let st = self.resources.entry(res).or_default();
-        *st.granted.entry(txn).or_insert(0) |= mode.bit();
-        self.held.entry(txn).or_default().insert(res);
-    }
-
-    /// FIFO grant sweep after a release: grant waiters from the front while
-    /// compatible; stop at the first blocked waiter to preserve fairness.
-    fn pump(&mut self, res: ResourceId) {
-        let Some(st) = self.resources.get_mut(&res) else {
+    /// Shrink `res`'s state with `f`, keeping `queued` true, and recycle the
+    /// state once it is empty.
+    fn shrink(&mut self, res: ResourceId, f: impl FnOnce(&mut LockState, &mut Held)) {
+        let Entry::Occupied(mut e) = self.resources.entry(res) else {
             return;
         };
-        let mut granted_now = Vec::new();
-        while let Some(w) = st.waiting.front() {
-            if st.compatible_with_others(w.txn, w.mode) {
-                let w = st.waiting.pop_front().unwrap();
-                *st.granted.entry(w.txn).or_insert(0) |= w.mode.bit();
-                granted_now.push(w.txn);
-            } else {
-                break;
+        let st = e.get_mut();
+        let before = st.waiting.len();
+        f(st, &mut self.held);
+        self.queued -= before - st.waiting.len();
+        if st.is_empty() {
+            let st = e.remove();
+            if self.spare_states.len() < SPARES {
+                self.spare_states.push(st);
             }
-        }
-        for t in granted_now {
-            self.held.entry(t).or_default().insert(res);
-        }
-        if self.resources.get(&res).is_some_and(|s| s.is_empty()) {
-            self.resources.remove(&res);
         }
     }
 
-    fn remove_waiter(&mut self, txn: TxnId, res: ResourceId) {
-        if let Some(st) = self.resources.get_mut(&res) {
-            st.waiting.retain(|w| w.txn != txn);
-            if st.is_empty() {
-                self.resources.remove(&res);
+    /// Drop `txn`'s grants on `res` with `f`, then grant waiters from the
+    /// front while compatible, stopping at the first blocked one to preserve
+    /// fairness.
+    fn release(&mut self, res: ResourceId, f: impl FnOnce(&mut LockState)) {
+        self.shrink(res, |st, held| {
+            f(st);
+            while let Some(w) = st.waiting.front() {
+                if !st.compatible_with_others(w.txn, w.mode) {
+                    break;
+                }
+                let w = st.waiting.pop_front().expect("the front waiter exists");
+                if st.grant(w.txn, w.mode) {
+                    held.add(w.txn, res);
+                }
             }
-        }
+        });
+    }
+
+    /// Withdraw `txn`'s wait on `res`, granting no one.
+    fn remove_waiter(&mut self, txn: TxnId, res: ResourceId) {
+        self.shrink(res, |st, _| st.waiting.retain(|w| w.txn != txn));
     }
 
     /// Build the wait-for graph and search for a cycle through `start`.
@@ -189,7 +243,7 @@ impl LockTable {
         for st in self.resources.values() {
             for (i, w) in st.waiting.iter().enumerate() {
                 let out = edges.entry(w.txn).or_default();
-                for (&holder, &mask) in &st.granted {
+                for &(holder, mask) in &st.granted {
                     if holder != w.txn && !mask_compat(mask, w.mode) {
                         out.insert(holder);
                     }
@@ -273,24 +327,28 @@ impl LockManager {
     /// caller must abort the transaction) or `Err(LockTimeout)` after the
     /// configured wait budget.
     pub fn acquire(&self, txn: TxnId, res: ResourceId, mode: LockMode) -> Result<()> {
-        let mut t = self.table.lock();
+        let mut guard = self.table.lock();
         bump(&self.stats.acquisitions);
-        if t.holds_implied(txn, res, mode) {
+        let t = &mut *guard;
+        let st = t
+            .resources
+            .entry(res)
+            .or_insert_with(|| t.spare_states.pop().unwrap_or_default());
+        let mask = st.mask_of(txn);
+        if mask.is_some_and(|m| mask_implies(m, mode)) {
             return Ok(());
         }
-        let already_holder = t
-            .resources
-            .get(&res)
-            .is_some_and(|s| s.granted.contains_key(&txn));
-        let st = t.resources.entry(res).or_default();
         let compat = st.compatible_with_others(txn, mode);
         let queue_clear = st.waiting.iter().all(|w| w.txn == txn);
         // Upgrades bypass the wait queue; fresh requests respect FIFO.
-        if compat && (already_holder || queue_clear) {
-            t.grant(txn, res, mode);
+        if compat && (mask.is_some() || queue_clear) {
+            if st.grant(txn, mode) {
+                t.held.add(txn, res);
+            }
             return Ok(());
         }
         st.waiting.push_back(Waiter { txn, mode });
+        t.queued += 1;
         bump(&self.stats.waits);
         if t.would_deadlock(txn) {
             t.remove_waiter(txn, res);
@@ -299,12 +357,12 @@ impl LockManager {
         }
         let deadline = Instant::now() + self.timeout;
         loop {
-            let timed_out = self.cv.wait_until(&mut t, deadline).timed_out();
-            if t.holds_implied(txn, res, mode) {
+            let timed_out = self.cv.wait_until(&mut guard, deadline).timed_out();
+            if guard.holds_implied(txn, res, mode) {
                 return Ok(());
             }
             if timed_out {
-                t.remove_waiter(txn, res);
+                guard.remove_waiter(txn, res);
                 bump(&self.stats.timeouts);
                 return Err(StorageError::LockTimeout(txn));
             }
@@ -315,59 +373,62 @@ impl LockManager {
     /// abort — strict 2PL.
     pub fn release_all(&self, txn: TxnId) {
         let mut t = self.table.lock();
-        let resources: Vec<ResourceId> = t.held.remove(&txn).into_iter().flatten().collect();
-        for res in resources {
-            if let Some(st) = t.resources.get_mut(&res) {
-                st.granted.remove(&txn);
+        let wake = t.queued > 0;
+        if let Some(mut list) = t.held.lists.remove(&txn) {
+            for res in list.drain(..) {
+                t.release(res, |st| st.granted.retain(|&(h, _)| h != txn));
             }
-            t.pump(res);
+            t.held.recycle(list);
         }
         // Also drop any dangling wait entries (e.g. abort from another path).
-        let waited: Vec<ResourceId> = t
-            .resources
-            .iter()
-            .filter(|(_, s)| s.waiting.iter().any(|w| w.txn == txn))
-            .map(|(r, _)| *r)
-            .collect();
-        for res in waited {
-            t.remove_waiter(txn, res);
-            t.pump(res);
+        if t.queued > 0 {
+            let waited: Vec<ResourceId> = t
+                .resources
+                .iter()
+                .filter(|(_, s)| s.waiting.iter().any(|w| w.txn == txn))
+                .map(|(r, _)| *r)
+                .collect();
+            for res in waited {
+                t.release(res, |st| st.waiting.retain(|w| w.txn != txn));
+            }
         }
         drop(t);
-        self.cv.notify_all();
+        if wake {
+            self.cv.notify_all();
+        }
     }
 
     /// Release only the read locks (S/IS) of `txn`, keeping write locks.
     /// This models the early-release-at-PREPARE 2PC optimization.
     pub fn release_read_locks(&self, txn: TxnId) {
         let mut t = self.table.lock();
-        let resources: Vec<ResourceId> = t.held.get(&txn).into_iter().flatten().copied().collect();
-        for res in resources {
-            let mut now_empty = false;
-            if let Some(st) = t.resources.get_mut(&res) {
-                if let Some(mask) = st.granted.get_mut(&txn) {
-                    *mask &= !(LockMode::S.bit() | LockMode::IS.bit());
-                    if *mask == 0 {
-                        st.granted.remove(&txn);
-                        now_empty = true;
+        let wake = t.queued > 0;
+        if let Some(mut list) = t.held.lists.remove(&txn) {
+            list.retain(|&res| {
+                let mut still_held = true;
+                t.release(res, |st| {
+                    if let Some(i) = st.granted.iter().position(|&(h, _)| h == txn) {
+                        st.granted[i].1 &= !(LockMode::S.bit() | LockMode::IS.bit());
+                        if st.granted[i].1 == 0 {
+                            st.granted.swap_remove(i);
+                            still_held = false;
+                        }
                     }
-                }
-            }
-            if now_empty {
-                if let Some(h) = t.held.get_mut(&txn) {
-                    h.remove(&res);
-                }
-            }
-            t.pump(res);
+                });
+                still_held
+            });
+            t.held.lists.insert(txn, list);
         }
         drop(t);
-        self.cv.notify_all();
+        if wake {
+            self.cv.notify_all();
+        }
     }
 
     /// Modes currently held by `txn` on `res` (for tests and invariants).
     pub fn held_modes(&self, txn: TxnId, res: ResourceId) -> Vec<LockMode> {
         let t = self.table.lock();
-        let Some(mask) = t.resources.get(&res).and_then(|s| s.granted.get(&txn)) else {
+        let Some(mask) = t.resources.get(&res).and_then(|s| s.mask_of(txn)) else {
             return Vec::new();
         };
         LockMode::ALL
@@ -414,6 +475,21 @@ mod tests {
     }
     fn tbl() -> ResourceId {
         ResourceId::Table { table: 1 }
+    }
+
+    impl LockManager {
+        /// Resource entries, held lists, spare states and spare held lists.
+        pub(crate) fn footprint(&self) -> [usize; 4] {
+            let t = self.table.lock();
+            let waiting: usize = t.resources.values().map(|s| s.waiting.len()).sum();
+            assert_eq!(t.queued, waiting, "the queued count drifted");
+            [
+                t.resources.len(),
+                t.held.lists.len(),
+                t.spare_states.len(),
+                t.held.spare.len(),
+            ]
+        }
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! entry, so the table holds live transactions only and a second commit or
 //! abort of the same id reports `NoSuchTxn`.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -26,6 +25,7 @@ use std::sync::Arc;
 use crate::sync::{Mutex, TXN_MANAGER};
 
 use crate::error::{Result, StorageError};
+use crate::idmap::IdMap;
 use crate::value::Value;
 
 /// A transaction identifier, unique within one engine instance.
@@ -101,14 +101,14 @@ pub struct Finished {
 /// Per-engine table of live transactions.
 pub struct TxnManager {
     next_id: AtomicU64,
-    txns: Mutex<HashMap<TxnId, TxnInfo>>,
+    txns: Mutex<IdMap<TxnId, TxnInfo>>,
 }
 
 impl Default for TxnManager {
     fn default() -> Self {
         TxnManager {
             next_id: AtomicU64::new(1),
-            txns: Mutex::new(&TXN_MANAGER, HashMap::new()),
+            txns: Mutex::new(&TXN_MANAGER, IdMap::default()),
         }
     }
 }

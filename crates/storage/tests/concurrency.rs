@@ -1,6 +1,7 @@
 //! Concurrency stress tests for the storage engine: the invariants that the
 //! whole platform's correctness rests on.
 
+use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::thread;
@@ -242,6 +243,122 @@ fn lock_manager_soak_drains_clean() {
     lm.acquire(TxnId(999_999), ResourceId::Table { table: 1 }, LockMode::X)
         .unwrap();
     lm.release_all(TxnId(999_999));
+}
+
+/// What each stress transaction holds, as its thread saw the grants:
+/// resource -> (txn, mode) per granted request.
+type Shadow = std::sync::Mutex<HashMap<ResourceId, Vec<(TxnId, LockMode)>>>;
+
+/// Record a grant after checking it against every other holder's modes.
+fn shadow_grant(shadow: &Shadow, txn: TxnId, res: ResourceId, mode: LockMode) {
+    let mut s = shadow.lock().unwrap();
+    let holders = s.entry(res).or_default();
+    for &(other, held) in holders.iter() {
+        assert!(
+            other == txn || mode.compatible(held),
+            "{txn} got {mode:?} on {res:?} while {other} holds {held:?}"
+        );
+    }
+    holders.push((txn, mode));
+}
+
+/// Forget `txn`'s grants that `keep` rejects. Runs before the lock manager
+/// releases them, so the shadow never lists a lock that is gone.
+fn shadow_release(shadow: &Shadow, txn: TxnId, keep: impl Fn(LockMode) -> bool) {
+    for holders in shadow.lock().unwrap().values_mut() {
+        holders.retain(|&(t, m)| t != txn || keep(m));
+    }
+}
+
+/// Lock-table stress that checks every grant, not only the drain: point
+/// reads (table IS, row S), point writes (table IX, row X), S→X upgrades on
+/// one row, table scans (table S) and a read-lock release mid-transaction,
+/// with deadlock victims and timeouts aborting.
+#[test]
+fn lock_manager_grants_are_never_incompatible() {
+    let lm = Arc::new(LockManager::new(Duration::from_millis(300)));
+    let shadow = Arc::new(Shadow::default());
+    let tbl = |table| ResourceId::Table { table };
+    let row = |table, row| ResourceId::Row { table, row };
+    let mut handles = Vec::new();
+    for t in 0..6u64 {
+        let (lm, shadow) = (Arc::clone(&lm), Arc::clone(&shadow));
+        handles.push(thread::spawn(move || {
+            let mut x = t.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+            let mut rand = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            for i in 0..150 {
+                let txn = TxnId(t * 1_000 + i);
+                'txn: for _ in 0..(rand() % 4 + 1) {
+                    let (table, r) = (rand() % 2, rand() % 5);
+                    let steps: &[(ResourceId, LockMode)] = &match rand() % 5 {
+                        0 => [(tbl(table), LockMode::IS), (row(table, r), LockMode::S)],
+                        1 => [(tbl(table), LockMode::IX), (row(table, r), LockMode::X)],
+                        2 => [(row(table, r), LockMode::S), (row(table, r), LockMode::X)],
+                        3 => [(tbl(table), LockMode::S), (tbl(table), LockMode::S)],
+                        _ => {
+                            shadow_release(&shadow, txn, |m| {
+                                !matches!(m, LockMode::S | LockMode::IS)
+                            });
+                            lm.release_read_locks(txn);
+                            continue;
+                        }
+                    };
+                    for &(res, mode) in steps {
+                        if lm.acquire(txn, res, mode).is_err() {
+                            break 'txn;
+                        }
+                        shadow_grant(&shadow, txn, res, mode);
+                    }
+                }
+                shadow_release(&shadow, txn, |_| false);
+                lm.release_all(txn);
+            }
+        }));
+    }
+    for h in handles {
+        h.join().unwrap();
+    }
+    assert_eq!(lm.waiter_count(), 0, "waiters leaked after drain");
+    for table in 0..2 {
+        lm.acquire(TxnId(999_999), tbl(table), LockMode::X).unwrap();
+    }
+    lm.release_all(TxnId(999_999));
+}
+
+/// `Engine::crash` releases a transaction that is blocked on another
+/// thread: its wait entry goes at once, and the blocked acquire still
+/// returns within its timeout.
+#[test]
+fn release_all_of_a_blocked_txn_drops_its_wait() {
+    let timeout = Duration::from_millis(200);
+    let lm = Arc::new(LockManager::new(timeout));
+    let res = ResourceId::Row { table: 1, row: 1 };
+    lm.acquire(TxnId(1), res, LockMode::X).unwrap();
+    let blocked = {
+        let lm = Arc::clone(&lm);
+        thread::spawn(move || {
+            let start = Instant::now();
+            let got = lm.acquire(TxnId(2), res, LockMode::S);
+            (got, start.elapsed())
+        })
+    };
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while lm.waiter_count() != 1 {
+        assert!(Instant::now() < deadline, "txn 2 never blocked");
+        thread::yield_now();
+    }
+    lm.release_all(TxnId(2));
+    assert_eq!(lm.waiter_count(), 0, "the released txn still waits");
+    let (got, waited) = blocked.join().unwrap();
+    assert_eq!(got, Err(StorageError::LockTimeout(TxnId(2))));
+    assert!(waited < timeout * 5, "blocked for {waited:?}");
+    assert_eq!(lm.held_modes(TxnId(1), res), vec![LockMode::X]);
+    assert!(lm.held_modes(TxnId(2), res).is_empty());
 }
 
 /// Crash during an in-flight copy leaves the source untouched (the dump txn
