@@ -50,7 +50,7 @@ use crate::twopc::{Command, Participant, Role, Verdict};
 /// One replicated controller metadata mutation. Private on purpose: the
 /// command grammar is an implementation detail of the replicated state
 /// machine, and the lint rule keeps it that way.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 enum MetaCommand {
     /// Leader barrier entry (no effect).
     Noop,
@@ -516,14 +516,11 @@ impl StateMachine for MetaState {
 /// Position-independent fingerprint of one applied command, used for the
 /// cross-replica log-matching check (`CopyProgress` holds a `HashSet`, so
 /// hashing the state itself would not be deterministic; the command stream
-/// is). It runs per applied command on every replica, so the text goes
-/// into one presized buffer, not a `String` reallocated as it grows.
+/// is). It runs per applied command on every replica, so it hashes the
+/// command's structure (a FLOAT term by its bits), formatting nothing.
 fn hash_cmd(cmd: &MetaCommand) -> u64 {
-    use std::fmt::Write as _;
-    let mut text = String::with_capacity(256);
-    let _ = write!(text, "{cmd:?}");
     let mut h = DefaultHasher::new();
-    text.hash(&mut h);
+    cmd.hash(&mut h);
     h.finish()
 }
 
@@ -1434,6 +1431,43 @@ mod tests {
 
     fn m(n: u32) -> MachineId {
         MachineId(n)
+    }
+
+    /// The fingerprint tells apart what the agreement check must: another
+    /// name, FLOAT demand (by its bits), wrapper or 2PC role; and equal
+    /// commands (`-0.0` demand is `0.0`) hash alike.
+    #[test]
+    fn command_fingerprints_follow_the_structure() {
+        let create = |name: &str, cpu: f64| MetaCommand::CreateDb {
+            name: name.into(),
+            replicas: vec![m(0), m(1)],
+            pinned: m(0),
+            demand: ResourceVector {
+                cpu,
+                ..ResourceVector::ZERO
+            },
+        };
+        let base = hash_cmd(&create("app", 1.0));
+        assert_eq!(hash_cmd(&create("app", 1.0)), base);
+        assert_eq!(
+            hash_cmd(&create("app", -0.0)),
+            hash_cmd(&create("app", 0.0))
+        );
+        for other in [
+            create("apq", 1.0),
+            create("app", 1.0 + f64::EPSILON),
+            MetaCommand::Tagged {
+                req: 1,
+                cmd: Box::new(create("app", 1.0)),
+            },
+            MetaCommand::Decision(resolve(GTxn(1), &[0], Coordinator)),
+        ] {
+            assert_ne!(hash_cmd(&other), base, "{other:?}");
+        }
+        assert_ne!(
+            hash_cmd(&MetaCommand::Decision(resolve(GTxn(1), &[0], Coordinator))),
+            hash_cmd(&MetaCommand::Decision(resolve(GTxn(1), &[0], Restart))),
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::machine::MachineId;
 pub type Participant = (MachineId, TxnId);
 
 /// Who proposes a `Resolve` or an `Abandon`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Role {
     /// The coordinator, or the takeover that replaced it: nothing logs or
     /// arbitrates the transaction after it.
@@ -34,7 +34,7 @@ pub enum Role {
 
 /// A command on the replicated decision log: one transition of
 /// [`Decisions`](crate::meta::Decisions).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Command {
     /// The decision point: the transaction commits at its yes-voters.
     /// Refused, consuming the tombstones, if a restart abandoned one first.

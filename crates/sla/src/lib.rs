@@ -56,6 +56,16 @@ pub struct ResourceVector {
     pub disk_size: f64,
 }
 
+/// Each term by its bits, `-0.0` as `0.0` (`+ 0.0` makes it so), so that
+/// vectors that are `==` hash alike.
+impl std::hash::Hash for ResourceVector {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        for term in [self.cpu, self.memory, self.disk_io, self.disk_size] {
+            (term + 0.0).to_bits().hash(state);
+        }
+    }
+}
+
 impl ResourceVector {
     /// The zero vector (no demand).
     pub const ZERO: ResourceVector = ResourceVector {
@@ -133,6 +143,15 @@ pub struct Sla {
     pub max_rejected_frac: f64,
     /// The evaluation period T.
     pub period: Duration,
+}
+
+/// As [`ResourceVector`]'s: the FLOAT terms by their bits, `-0.0` as `0.0`.
+impl std::hash::Hash for Sla {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (self.min_tps + 0.0).to_bits().hash(state);
+        (self.max_rejected_frac + 0.0).to_bits().hash(state);
+        self.period.hash(state);
+    }
 }
 
 impl Sla {

@@ -9,6 +9,12 @@
 //! SQL three-valued logic: comparisons against `NULL` yield `NULL`, `AND` /
 //! `OR` follow Kleene logic, and a `WHERE` predicate accepts a row only when
 //! it evaluates to `TRUE` (not `NULL`).
+//!
+//! That logic is `truth`'s alone: it decides a predicate (`WHERE`, `ON`,
+//! `HAVING`) over operands read where they lie, building no value for a
+//! column, a parameter or a literal. [`eval`] computes a value
+//! (projection, sort and group keys, index keys); a predicate's value is
+//! its truth.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -345,14 +351,14 @@ impl<'a> Row<'a> {
 }
 
 /// What an expression is evaluated against: a row, the statement's
-/// parameters and — in a grouped query — the group's finished aggregates
-/// (an aggregate that failed reports its error when it is read, so one
-/// that `HAVING` filters out fails nothing).
+/// parameters and — in a grouped query — the group's aggregate states,
+/// read as they stand (an aggregate that failed reports its error when it
+/// is read, so one that `HAVING` filters out fails nothing).
 #[derive(Clone, Copy, Default)]
 pub struct Env<'a> {
     pub row: Row<'a>,
     pub params: &'a [Value],
-    pub aggs: &'a [Result<Value>],
+    pub aggs: &'a [AggState],
 }
 
 impl<'a> Env<'a> {
@@ -370,8 +376,33 @@ impl<'a> Env<'a> {
     }
 }
 
+/// Where a leaf's value already lies — a literal, a parameter, a column of
+/// the row — or `None` for a node whose value is computed (or a leaf that
+/// is missing, which [`eval`] reports).
+fn place<'a>(expr: &'a BoundExpr, env: &Env<'a>) -> Option<&'a Value> {
+    match expr {
+        BoundExpr::Literal(v) => Some(v),
+        BoundExpr::Param(i) => env.params.get(*i),
+        BoundExpr::Column(i) => env.row.get(*i),
+        _ => None,
+    }
+}
+
+/// The value of `expr`: in place for a leaf, else computed into `computed`
+/// (which a caller keeps on its stack, one per operand it holds at once).
+pub(crate) fn operand<'a>(
+    expr: &'a BoundExpr,
+    env: Env<'a>,
+    computed: &'a mut Option<Value>,
+) -> Result<&'a Value> {
+    match place(expr, &env) {
+        Some(v) => Ok(v),
+        None => Ok(computed.insert(eval(expr, env)?.into_owned())),
+    }
+}
+
 /// Evaluate a bound expression. Borrowed where the value already exists
-/// (column, parameter, literal, aggregate), owned where it is computed.
+/// (column, parameter, literal, a MIN / MAX), owned where it is computed.
 pub fn eval<'a>(expr: &'a BoundExpr, env: Env<'a>) -> Result<Cow<'a, Value>> {
     use Cow::{Borrowed, Owned};
     Ok(match expr {
@@ -386,64 +417,38 @@ pub fn eval<'a>(expr: &'a BoundExpr, env: Env<'a>) -> Result<Cow<'a, Value>> {
                 .get(*i)
                 .ok_or_else(|| SqlError::Eval("empty group".into()))?,
         ),
-        BoundExpr::Agg(slot) => match &env.aggs[*slot] {
-            Ok(v) => Borrowed(v),
-            Err(e) => return Err(e.clone()),
-        },
-        BoundExpr::Unary { op, expr } => Owned(unary(*op, eval(expr, env)?.into_owned())?),
+        BoundExpr::Agg(slot) => env.aggs[*slot].value()?,
+        // A predicate's value is its truth.
+        BoundExpr::Binary {
+            op: BinOp::And | BinOp::Or,
+            ..
+        }
+        | BoundExpr::Binary {
+            op: BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq,
+            ..
+        }
+        | BoundExpr::Unary {
+            op: UnaryOp::Not, ..
+        }
+        | BoundExpr::IsNull { .. }
+        | BoundExpr::InList { .. }
+        | BoundExpr::Like { .. } => Owned(truth(expr, env)?.map_or(Value::Null, Value::Bool)),
+        BoundExpr::Unary {
+            op: UnaryOp::Neg,
+            expr,
+        } => Owned(match &*eval(expr, env)? {
+            Value::Null => Value::Null,
+            Value::Int(i) => Value::Int(-i),
+            Value::Float(f) => Value::Float(-f),
+            v => return Err(SqlError::Eval(format!("cannot negate {v}"))),
+        }),
         BoundExpr::Binary { op, left, right } => {
             let l = eval(left, env)?;
-            Owned(match op {
-                // Kleene AND / OR, short-circuiting on the deciding value.
-                BinOp::And if *l == Value::Bool(false) => Value::Bool(false),
-                BinOp::And => kleene_and(&l, &*eval(right, env)?)?,
-                BinOp::Or if *l == Value::Bool(true) => Value::Bool(true),
-                BinOp::Or => kleene_or(&l, &*eval(right, env)?)?,
-                _ => binary(*op, &l, &*eval(right, env)?)?,
-            })
-        }
-        BoundExpr::IsNull { expr, negated } => {
-            Owned(Value::Bool(eval(expr, env)?.is_null() != *negated))
-        }
-        BoundExpr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let v = eval(expr, env)?;
-            if v.is_null() {
-                return Ok(Owned(Value::Null));
-            }
-            let mut saw_null = false;
-            for item in list {
-                let w = eval(item, env)?;
-                if w.is_null() {
-                    saw_null = true;
-                } else if v.sql_eq(&w) {
-                    return Ok(Owned(Value::Bool(!*negated)));
-                }
-            }
-            Owned(if saw_null {
+            let r = eval(right, env)?;
+            Owned(if l.is_null() || r.is_null() {
                 Value::Null
             } else {
-                Value::Bool(*negated)
-            })
-        }
-        BoundExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            let v = eval(expr, env)?;
-            let p = eval(pattern, env)?;
-            Owned(match (&*v, &*p) {
-                (Value::Null, _) | (_, Value::Null) => Value::Null,
-                (Value::Text(s), Value::Text(pat)) => Value::Bool(like_match(s, pat) != *negated),
-                (a, b) => {
-                    return Err(SqlError::Eval(format!(
-                        "LIKE expects text, got {a} LIKE {b}"
-                    )))
-                }
+                arith(*op, &l, &r)?
             })
         }
         BoundExpr::Func { func, args } => {
@@ -521,12 +526,14 @@ fn scalar_fn(func: ScalarFunc, args: Vec<Value>) -> Result<Value> {
     }
 }
 
-/// Running state of one aggregate over the rows of a group. `COUNT(*)`
+/// Running state of one aggregate over the rows of a group, typed as the
+/// function keeps it: a count, the best value so far, a sum. `COUNT(*)`
 /// counts rows; every other aggregate skips NULL inputs. The first error —
-/// of the argument or of the fold — is kept and reported by
-/// [`AggState::finish`].
-#[derive(Debug, Clone, Default)]
+/// of the argument or of the fold — is kept and reported when the state is
+/// read.
+#[derive(Debug, Clone)]
 pub struct AggState {
+    func: AggFunc,
     /// Non-NULL inputs seen (rows, for `COUNT(*)`).
     n: u64,
     fold: Fold,
@@ -534,23 +541,36 @@ pub struct AggState {
 
 /// What an aggregate keeps beyond its count; one function's worth, so a
 /// group's states stay small.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 enum Fold {
     /// Nothing yet (and all COUNT ever needs).
-    #[default]
     Empty,
     /// MIN / MAX so far.
     Best(Value),
-    /// SUM / AVG so far, and whether every input was an INT.
+    /// SUM / AVG so far: the FLOAT sum of every input, and — while every
+    /// input is an INT — their exact INT sum, `None` once it overflowed.
     Sum {
         sum: f64,
         all_int: bool,
+        int: Option<i64>,
     },
     Failed(Box<SqlError>),
 }
 
+static NULL: Value = Value::Null;
+
 impl AggState {
-    /// Fold one row of the group in.
+    /// The state of `func` over no rows.
+    pub fn new(func: AggFunc) -> Self {
+        AggState {
+            func,
+            n: 0,
+            fold: Fold::Empty,
+        }
+    }
+
+    /// Fold one row of the group in (`call` is the one this state is of),
+    /// reading its argument in place.
     pub fn feed(&mut self, call: &AggCall, env: Env<'_>) {
         if matches!(self.fold, Fold::Failed(_)) {
             return;
@@ -559,7 +579,8 @@ impl AggState {
             self.n += 1;
             return;
         };
-        let v = match eval(arg, env) {
+        let mut computed = None;
+        let v = match operand(arg, env, &mut computed) {
             Ok(v) => v,
             Err(e) => {
                 self.fold = Fold::Failed(Box::new(e));
@@ -570,82 +591,70 @@ impl AggState {
             return;
         }
         self.n += 1;
-        match (call.func, &mut self.fold) {
+        match (self.func, &mut self.fold) {
             (AggFunc::Count, _) => {}
             // Among equals MIN keeps the first and MAX the last, as
             // `Iterator::min_by` / `max_by` do.
             (AggFunc::Min, Fold::Best(b)) if v.total_cmp(b).is_ge() => {}
             (AggFunc::Max, Fold::Best(b)) if v.total_cmp(b).is_lt() => {}
-            (AggFunc::Min | AggFunc::Max, fold) => *fold = Fold::Best(v.into_owned()),
-            (AggFunc::Sum | AggFunc::Avg, fold) => match v.as_f64() {
-                Some(x) => {
-                    let int = matches!(*v, Value::Int(_));
-                    match fold {
-                        Fold::Sum { sum, all_int } => {
-                            *sum += x;
-                            *all_int &= int;
-                        }
-                        // From zero, so that a sum of `-0.0` alone is `0.0`.
-                        _ => {
-                            *fold = Fold::Sum {
-                                sum: 0.0 + x,
-                                all_int: int,
-                            }
+            (AggFunc::Min | AggFunc::Max, fold) => *fold = Fold::Best(v.clone()),
+            (AggFunc::Sum | AggFunc::Avg, fold) => {
+                let (x, i) = match v {
+                    Value::Int(i) => (*i as f64, Some(*i)),
+                    Value::Float(f) => (*f, None),
+                    _ => {
+                        let e = SqlError::Eval(format!("SUM/AVG expects numbers, got {v}"));
+                        *fold = Fold::Failed(Box::new(e));
+                        return;
+                    }
+                };
+                match fold {
+                    Fold::Sum { sum, all_int, int } => {
+                        *sum += x;
+                        *all_int &= i.is_some();
+                        *int = int.zip(i).and_then(|(a, b)| a.checked_add(b));
+                    }
+                    // From zero, so that a sum of `-0.0` alone is `0.0`.
+                    _ => {
+                        *fold = Fold::Sum {
+                            sum: 0.0 + x,
+                            all_int: i.is_some(),
+                            int: i,
                         }
                     }
                 }
-                None => {
-                    let e = SqlError::Eval(format!("SUM/AVG expects numbers, got {v}"));
-                    *fold = Fold::Failed(Box::new(e));
-                }
-            },
+            }
         }
     }
 
-    /// The aggregate's value over the rows fed.
-    pub fn finish(self, func: AggFunc) -> Result<Value> {
-        Ok(match (func, self.fold) {
-            (_, Fold::Failed(e)) => return Err(*e),
-            (AggFunc::Count, _) => Value::Int(self.n as i64),
-            (AggFunc::Min | AggFunc::Max, Fold::Best(v)) => v,
-            (AggFunc::Sum, Fold::Sum { sum, all_int: true }) => Value::Int(sum as i64),
-            (AggFunc::Sum, Fold::Sum { sum, .. }) => Value::Float(sum),
-            (AggFunc::Avg, Fold::Sum { sum, .. }) => Value::Float(sum / self.n as f64),
+    /// The aggregate's value over the rows fed so far: a SUM of INTs is
+    /// their exact sum (an error once it leaves the INT range), any other
+    /// SUM a FLOAT.
+    pub(crate) fn value(&self) -> Result<Cow<'_, Value>> {
+        use Cow::{Borrowed, Owned};
+        Ok(match (self.func, &self.fold) {
+            (_, Fold::Failed(e)) => return Err((**e).clone()),
+            (AggFunc::Count, _) => Owned(Value::Int(self.n as i64)),
+            (AggFunc::Min | AggFunc::Max, Fold::Best(v)) => Borrowed(v),
+            (
+                AggFunc::Sum,
+                Fold::Sum {
+                    all_int: true, int, ..
+                },
+            ) => match int {
+                Some(i) => Owned(Value::Int(*i)),
+                None => return Err(SqlError::Eval("SUM overflows INT".into())),
+            },
+            (AggFunc::Sum, Fold::Sum { sum, .. }) => Owned(Value::Float(*sum)),
+            (AggFunc::Avg, Fold::Sum { sum, .. }) => Owned(Value::Float(sum / self.n as f64)),
             // No non-NULL input.
-            (_, _) => Value::Null,
+            (_, _) => Borrowed(&NULL),
         })
     }
 }
 
-fn unary(op: UnaryOp, v: Value) -> Result<Value> {
-    match (op, v) {
-        (_, Value::Null) => Ok(Value::Null),
-        (UnaryOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
-        (UnaryOp::Not, v) => Err(SqlError::Eval(format!("NOT expects a boolean, got {v}"))),
-        (UnaryOp::Neg, Value::Int(i)) => Ok(Value::Int(-i)),
-        (UnaryOp::Neg, Value::Float(f)) => Ok(Value::Float(-f)),
-        (UnaryOp::Neg, v) => Err(SqlError::Eval(format!("cannot negate {v}"))),
-    }
-}
-
-fn kleene_and(l: &Value, r: &Value) -> Result<Value> {
-    match (truth(l)?, truth(r)?) {
-        (Some(false), _) | (_, Some(false)) => Ok(Value::Bool(false)),
-        (Some(true), Some(true)) => Ok(Value::Bool(true)),
-        _ => Ok(Value::Null),
-    }
-}
-
-fn kleene_or(l: &Value, r: &Value) -> Result<Value> {
-    match (truth(l)?, truth(r)?) {
-        (Some(true), _) | (_, Some(true)) => Ok(Value::Bool(true)),
-        (Some(false), Some(false)) => Ok(Value::Bool(false)),
-        _ => Ok(Value::Null),
-    }
-}
-
 /// Boolean truth of a value: `Some(bool)` or `None` for NULL.
-fn truth(v: &Value) -> Result<Option<bool>> {
+fn boolean(v: &Value) -> Result<Option<bool>> {
     match v {
         Value::Null => Ok(None),
         Value::Bool(b) => Ok(Some(*b)),
@@ -656,40 +665,128 @@ fn truth(v: &Value) -> Result<Option<bool>> {
 /// Does a WHERE predicate accept this value? (TRUE accepts; FALSE and NULL
 /// reject.)
 pub fn accepts(v: &Value) -> Result<bool> {
-    Ok(truth(v)?.unwrap_or(false))
+    Ok(boolean(v)?.unwrap_or(false))
 }
 
-fn binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
-    use BinOp::*;
-    if l.is_null() || r.is_null() {
-        return Ok(Value::Null);
-    }
-    match op {
-        Eq | NotEq | Lt | LtEq | Gt | GtEq => {
-            // Type check: comparing text to numbers is a programming error.
-            let comparable = match (l, r) {
-                (Value::Text(_), Value::Text(_)) => true,
-                (Value::Bool(_), Value::Bool(_)) => true,
-                (a, b) => a.as_f64().is_some() && b.as_f64().is_some(),
-            };
-            if !comparable {
-                return Err(SqlError::Eval(format!("cannot compare {l} with {r}")));
-            }
-            let ord = l.total_cmp(r);
-            let b = match op {
-                Eq => ord == Ordering::Equal,
-                NotEq => ord != Ordering::Equal,
-                Lt => ord == Ordering::Less,
-                LtEq => ord != Ordering::Greater,
-                Gt => ord == Ordering::Greater,
-                GtEq => ord != Ordering::Less,
-                _ => unreachable!(),
-            };
-            Ok(Value::Bool(b))
+/// Does the predicate accept the row in `env`? ([`truth`] is TRUE.)
+pub(crate) fn holds(expr: &BoundExpr, env: Env<'_>) -> Result<bool> {
+    Ok(truth(expr, env)?.unwrap_or(false))
+}
+
+/// The three-valued truth of a predicate — `None` for NULL — decided over
+/// operands read in place. It is SQL's one three-valued logic: [`eval`]
+/// gives a predicate's value as this truth. `AND` / `OR` short-circuit on
+/// the deciding left side, so `FALSE AND <error>` is FALSE and
+/// `NULL AND <error>` the error.
+pub(crate) fn truth(expr: &BoundExpr, env: Env<'_>) -> Result<Option<bool>> {
+    Ok(match expr {
+        BoundExpr::Binary {
+            op: BinOp::And,
+            left,
+            right,
+        } => match truth(left, env)? {
+            Some(false) => Some(false),
+            l => match (l, truth(right, env)?) {
+                (_, Some(false)) => Some(false),
+                (Some(true), Some(true)) => Some(true),
+                _ => None,
+            },
+        },
+        BoundExpr::Binary {
+            op: BinOp::Or,
+            left,
+            right,
+        } => match truth(left, env)? {
+            Some(true) => Some(true),
+            l => match (l, truth(right, env)?) {
+                (_, Some(true)) => Some(true),
+                (Some(false), Some(false)) => Some(false),
+                _ => None,
+            },
+        },
+        BoundExpr::Unary {
+            op: UnaryOp::Not,
+            expr,
+        } => truth(expr, env)?.map(|b| !b),
+        BoundExpr::Binary {
+            op: op @ (BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq),
+            left,
+            right,
+        } => {
+            let (mut l, mut r) = (None, None);
+            let l = operand(left, env, &mut l)?;
+            compare(*op, l, operand(right, env, &mut r)?)?
         }
-        Add | Sub | Mul | Div | Mod => arith(op, l, r),
-        And | Or => unreachable!("handled by eval"),
-    }
+        BoundExpr::IsNull { expr, negated } => {
+            Some(operand(expr, env, &mut None)?.is_null() != *negated)
+        }
+        BoundExpr::InList {
+            expr,
+            list,
+            negated,
+        } => {
+            let mut v = None;
+            let v = operand(expr, env, &mut v)?;
+            if v.is_null() {
+                return Ok(None);
+            }
+            let mut saw_null = false;
+            for item in list {
+                let mut w = None;
+                let w = operand(item, env, &mut w)?;
+                if w.is_null() {
+                    saw_null = true;
+                } else if v.sql_eq(w) {
+                    return Ok(Some(!*negated));
+                }
+            }
+            (!saw_null).then_some(*negated)
+        }
+        BoundExpr::Like {
+            expr,
+            pattern,
+            negated,
+        } => {
+            let (mut v, mut p) = (None, None);
+            let v = operand(expr, env, &mut v)?;
+            match (v, operand(pattern, env, &mut p)?) {
+                (Value::Null, _) | (_, Value::Null) => None,
+                (Value::Text(s), Value::Text(pat)) => Some(like_match(s, pat) != *negated),
+                (a, b) => {
+                    return Err(SqlError::Eval(format!(
+                        "LIKE expects text, got {a} LIKE {b}"
+                    )))
+                }
+            }
+        }
+        // A value used as a truth: a BOOL column or parameter, a function.
+        _ => boolean(operand(expr, env, &mut None)?)?,
+    })
+}
+
+/// The one comparison: `l op r` for a comparison operator, NULL (`None`)
+/// if either side is NULL. Text compares with text, BOOL with BOOL and
+/// numbers with numbers (INT with FLOAT by value); anything else is a type
+/// error.
+fn compare(op: BinOp, l: &Value, r: &Value) -> Result<Option<bool>> {
+    use BinOp::*;
+    let ord = match (l, r) {
+        (Value::Null, _) | (_, Value::Null) => return Ok(None),
+        (Value::Int(a), Value::Int(b)) => a.cmp(b),
+        (Value::Text(a), Value::Text(b)) => a.cmp(b),
+        (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
+        (Value::Int(_) | Value::Float(_), Value::Int(_) | Value::Float(_)) => l.total_cmp(r),
+        _ => return Err(SqlError::Eval(format!("cannot compare {l} with {r}"))),
+    };
+    Ok(Some(match op {
+        Eq => ord == Ordering::Equal,
+        NotEq => ord != Ordering::Equal,
+        Lt => ord == Ordering::Less,
+        LtEq => ord != Ordering::Greater,
+        Gt => ord == Ordering::Greater,
+        GtEq => ord != Ordering::Less,
+        _ => unreachable!("{op:?} is not a comparison"),
+    }))
 }
 
 fn arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
@@ -805,21 +902,16 @@ mod tests {
     fn in_group(e: &Expr, l: &Layout, rows: &[Vec<Value>]) -> Result<Value> {
         let mut calls = Vec::new();
         let bound = bind_grouped(e, l, &mut calls)?;
-        let mut states = vec![AggState::default(); calls.len()];
+        let mut states: Vec<AggState> = calls.iter().map(|c| AggState::new(c.func)).collect();
         for row in rows {
             let env = Env::default().with_row(Row::of(row));
             for (state, call) in states.iter_mut().zip(&calls) {
                 state.feed(call, env);
             }
         }
-        let aggs: Vec<Result<Value>> = states
-            .into_iter()
-            .zip(&calls)
-            .map(|(s, c)| s.finish(c.func))
-            .collect();
         let env = Env {
             row: Row::of(rows.first().map(Vec::as_slice).unwrap_or_default()),
-            aggs: &aggs,
+            aggs: &states,
             ..Env::default()
         };
         Ok(eval(&bound, env)?.into_owned())
@@ -967,6 +1059,123 @@ mod tests {
         assert_eq!(over(agg(AggFunc::Min, Some(x()))).unwrap(), Value::Null);
         // A bare column has no row to read.
         assert!(matches!(over(x()), Err(SqlError::Eval(m)) if m.contains("empty group")));
+    }
+
+    /// A SUM of INTs is exact however large (a FLOAT sum rounds 2^53 + 1
+    /// to 2^53), and one that leaves the INT range fails; FLOAT and mixed
+    /// sums stay FLOAT.
+    #[test]
+    fn int_sums_are_exact_and_overflow_fails() {
+        let mut l = Layout::new();
+        l.push_table("t", vec!["x".into()]);
+        let sum = agg(AggFunc::Sum, Some(col(None, "x")));
+        let over = |xs: &[Value]| {
+            let rows: Vec<Vec<Value>> = xs.iter().map(|x| vec![x.clone()]).collect();
+            in_group(&sum, &l, &rows)
+        };
+        let big = 1i64 << 53;
+        assert_eq!(
+            over(&[Value::Int(big), Value::Int(1)]).unwrap(),
+            Value::Int(big + 1)
+        );
+        assert!(matches!(over(&[Value::Int(big + 1)]).unwrap(), Value::Int(i) if i == big + 1));
+        let overflow = over(&[Value::Int(i64::MAX), Value::Int(1)]);
+        assert!(matches!(overflow, Err(SqlError::Eval(m)) if m.contains("overflow")));
+        assert_eq!(
+            over(&[Value::Int(1), Value::Float(0.5)]).unwrap(),
+            Value::Float(1.5)
+        );
+        assert!(matches!(
+            over(&[Value::Int(i64::MAX), Value::Int(1), Value::Float(0.0)]).unwrap(),
+            Value::Float(_)
+        ));
+        // AVG of INTs is the FLOAT mean, as before.
+        let avg = agg(AggFunc::Avg, Some(col(None, "x")));
+        let rows = vec![vec![Value::Int(1)], vec![Value::Int(2)]];
+        assert_eq!(in_group(&avg, &l, &rows).unwrap(), Value::Float(1.5));
+    }
+
+    /// The predicate evaluator decides what `eval` computes, as a truth:
+    /// over NULLs on either side of AND / OR / NOT, INT against FLOAT,
+    /// text, IN lists holding NULL, LIKE, and the errors — `NULL AND <type
+    /// error>` fails, `FALSE AND <type error>` is FALSE.
+    #[test]
+    fn truth_decides_what_eval_computes() {
+        let mut l = Layout::new();
+        l.push_table("t", vec!["i".into(), "f".into(), "s".into(), "n".into()]);
+        let row = [
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Text("s1".into()),
+            Value::Null,
+        ];
+        let env = Env::default().with_row(Row::of(&row));
+        let c = |name: &str| col(None, name);
+        let not = |e: Expr| Expr::Unary {
+            op: UnaryOp::Not,
+            expr: Box::new(e),
+        };
+        let type_error = bin(BinOp::Gt, c("s"), lit(1));
+        let in_list = |list: Vec<Expr>, negated| Expr::InList {
+            expr: Box::new(c("i")),
+            list,
+            negated,
+        };
+        let like = |pattern: Expr| Expr::Like {
+            expr: Box::new(c("s")),
+            pattern: Box::new(pattern),
+            negated: false,
+        };
+        let cases = [
+            (bin(BinOp::Eq, c("i"), c("f")), Some(Some(true))),
+            (bin(BinOp::Lt, c("f"), lit(2.5)), Some(Some(true))),
+            (bin(BinOp::GtEq, c("i"), c("n")), Some(None)),
+            (bin(BinOp::Lt, c("s"), lit("s2")), Some(Some(true))),
+            (bin(BinOp::And, c("n"), lit(false)), Some(Some(false))),
+            (bin(BinOp::And, lit(true), c("n")), Some(None)),
+            (bin(BinOp::Or, c("n"), lit(true)), Some(Some(true))),
+            (bin(BinOp::Or, lit(false), c("n")), Some(None)),
+            (not(c("n")), Some(None)),
+            (not(bin(BinOp::Eq, c("i"), lit(3))), Some(Some(true))),
+            (
+                bin(BinOp::And, lit(false), type_error.clone()),
+                Some(Some(false)),
+            ),
+            (
+                bin(BinOp::Or, lit(true), type_error.clone()),
+                Some(Some(true)),
+            ),
+            (bin(BinOp::And, c("n"), type_error.clone()), None),
+            (bin(BinOp::Or, c("n"), type_error.clone()), None),
+            (bin(BinOp::And, c("i"), lit(true)), None),
+            (not(c("s")), None),
+            (in_list(vec![lit(1), lit(Value::Null)], false), Some(None)),
+            (
+                in_list(vec![lit(Value::Null), lit(2.0)], false),
+                Some(Some(true)),
+            ),
+            (in_list(vec![lit(1), lit(Value::Null)], true), Some(None)),
+            (in_list(vec![lit(1), lit("a")], true), Some(Some(true))),
+            (like(lit("s%")), Some(Some(true))),
+            (like(c("n")), Some(None)),
+            (like(lit(1)), None),
+            (
+                Expr::IsNull {
+                    expr: Box::new(c("n")),
+                    negated: true,
+                },
+                Some(Some(false)),
+            ),
+            (c("n"), Some(None)),
+            (c("i"), None),
+        ];
+        for (e, expected) in cases {
+            let bound = bind(&e, &l).unwrap();
+            let decided = truth(&bound, env);
+            let computed = eval(&bound, env).and_then(|v| boolean(&v));
+            assert_eq!(decided.as_ref().ok(), expected.as_ref(), "{e}");
+            assert_eq!(computed.ok(), expected, "eval: {e}");
+        }
     }
 
     #[test]

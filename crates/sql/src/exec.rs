@@ -7,12 +7,15 @@
 //! a storage handle once per statement, rows are evaluated where the engine
 //! holds them, and a row is cloned only if it survives its predicate (a
 //! joined row) or, for a single-table query, not at all: only the projected
-//! values are. Where the plan says its access path already yields the ORDER
-//! BY order, rows are neither sorted nor fetched beyond LIMIT; where it has
-//! to sort under a LIMIT, only the rows that can still make the answer are
-//! kept. Grouped rows fold into dense group slots, and only the groups the
-//! answer returns are projected.
+//! values are. Where fetch order is the answer's order (the access path
+//! yields the ORDER BY order, or there is no ORDER BY, DISTINCT or
+//! grouping), rows are neither sorted nor fetched beyond LIMIT; where it
+//! has to sort under a LIMIT, only the rows that can still make the answer
+//! are kept, compared on sort keys read in place. Grouped rows fold into
+//! dense group slots, ranked on their aggregate states, and only the groups
+//! the answer returns are projected.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -20,11 +23,11 @@ use std::hash::{BuildHasher, Hash, Hasher};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
-use tenantdb_storage::{Database, Direction, Engine, TableHandle, TxnId, Value};
+use tenantdb_storage::{Database, Direction, Engine, FoldHasher, TableHandle, TxnId, Value};
 
 use crate::ast::{JoinKind, Statement};
 use crate::error::{Result, SqlError};
-use crate::eval::{accepts, eval, AggState, BoundExpr, Env, Row};
+use crate::eval::{eval, holds, operand, AggState, BoundExpr, Env, Row};
 use crate::parser::parse;
 use crate::plan::{
     plan, Access, Grouping, InsertPlan, Item, JoinPlan, JoinStrategy, Node, Plan, SelectPlan,
@@ -264,15 +267,15 @@ impl<'a> Exec<'a> {
         let mut sink = Sink::new(p, env);
         let keep = |row: Row<'_>| -> Result<bool> {
             match &p.filter {
-                Some(f) => accepts(&*eval(f, env.with_row(row))?),
+                Some(f) => holds(f, env.with_row(row)),
                 None => Ok(true),
             }
         };
         let base = p.from.open(db)?;
         let Some((last, inner)) = p.joins.split_last() else {
-            // One table: filter and project each row where it lies. On an
-            // ordered plan the walk ends with the row that fills LIMIT: no
-            // later row is visited, so none is locked.
+            // One table: filter and project each row where it lies. Where
+            // fetch order is the answer's order the walk ends with the row
+            // that fills LIMIT: no later row is visited, so none is locked.
             let dir = p.ordered.unwrap_or(Direction::Forward);
             self.ctx
                 .fetch(&base, &p.access, p.for_update, dir, |rid, row| {
@@ -333,7 +336,7 @@ impl<'a> Exec<'a> {
         // the pair (was it?), or — `None` — padded with NULLs.
         let mut pair = |left_row: &[Value], right_row: Option<&[Value]>| -> Result<bool> {
             let row = Row::joined(left_row, right_row.unwrap_or(&nulls));
-            let emitted = right_row.is_none() || accepts(&*eval(&join.on, env.with_row(row))?)?;
+            let emitted = right_row.is_none() || holds(&join.on, env.with_row(row))?;
             if emitted {
                 emit(row)?;
             }
@@ -395,7 +398,7 @@ impl<'a> Exec<'a> {
         self.ctx
             .fetch(handle, &target.access, true, any_order, |rid, row| {
                 let keep = match &target.filter {
-                    Some(f) => accepts(&*eval(f, env.with_row(Row::of(row)))?)?,
+                    Some(f) => holds(f, env.with_row(Row::of(row)))?,
                     None => true,
                 };
                 if keep {
@@ -449,45 +452,32 @@ enum Rows<'p> {
     /// Projected in fetch order, which is the answer's order: an ordered
     /// walk's, or that of a query without ORDER BY.
     Fetched(Vec<Vec<Value>>),
-    /// The `k` best rows so far by ORDER BY, then by fetch order — the rows
-    /// a stable sort truncated to `k` keeps — worst on top; `keys` and
-    /// `fetched` are the sort keys and the position of the row in hand.
-    Ranked {
-        k: usize,
-        heap: BinaryHeap<Ranked<'p>>,
-        keys: Vec<Value>,
-        fetched: u64,
-    },
+    /// The best rows so far by ORDER BY, then by fetch order — the rows a
+    /// stable sort truncated to LIMIT keeps — each with its place in fetch
+    /// order; the second field counts the rows fetched.
+    Ranked(Top<'p, u64, Vec<Value>>, u64),
     Grouped(Groups),
 }
 
 impl<'p> Sink<'p> {
     fn new(plan: &'p SelectPlan, env: Env<'p>) -> Self {
         let rows = if plan.grouping.is_some() {
-            Rows::Grouped(Groups::default())
+            Rows::Grouped(Groups::new())
         } else if plan.ordered.is_none() && !plan.order_by.is_empty() {
-            Rows::Ranked {
-                k: plan
-                    .top()
-                    .map_or(usize::MAX, |n| usize::try_from(n).unwrap_or(usize::MAX)),
-                heap: BinaryHeap::new(),
-                keys: Vec::new(),
-                fetched: 0,
-            }
+            Rows::Ranked(Top::new(plan), 0)
         } else {
             Rows::Fetched(Vec::new())
         };
         Sink { plan, env, rows }
     }
 
-    /// Does the sink hold every row the statement will return? Only an
-    /// ordered plan can tell before it has seen them all.
+    /// Does the sink hold every row the statement will return? Only one
+    /// whose fetch order is the answer's order, with no DISTINCT still to
+    /// drop rows, can tell before it has seen them all.
     fn full(&self) -> bool {
         let p = self.plan;
         match &self.rows {
-            Rows::Fetched(rows) if p.ordered.is_some() => {
-                p.limit.is_some_and(|n| rows.len() as u64 >= n)
-            }
+            Rows::Fetched(rows) if !p.distinct => p.limit.is_some_and(|n| rows.len() as u64 >= n),
             _ => false,
         }
     }
@@ -502,37 +492,11 @@ impl<'p> Sink<'p> {
                 project(p, env, star, &mut out)?;
                 rows.push(out);
             }
-            Rows::Ranked {
-                k,
-                heap,
-                keys,
-                fetched,
-            } => {
-                keys.clear();
-                for key in &p.order_by {
-                    keys.push(eval(&key.expr, env)?.into_owned());
-                }
+            Rows::Ranked(top, fetched) => {
                 *fetched += 1;
-                if heap.len() < *k {
-                    let mut out = Vec::with_capacity(p.items.len());
-                    project(p, env, star, &mut out)?;
-                    heap.push(Ranked {
-                        order: &p.order_by,
-                        keys: std::mem::take(keys),
-                        fetched: *fetched,
-                        row: out,
-                    });
-                } else if let Some(mut worst) = heap.peek_mut() {
-                    // Among equal keys the earlier row stays: only a
-                    // strictly better one displaces the worst, into whose
-                    // buffers it is projected.
-                    if rank(&p.order_by, keys, &worst.keys).is_lt() {
-                        worst.row.clear();
-                        project(p, env, star, &mut worst.row)?;
-                        std::mem::swap(&mut worst.keys, keys);
-                        worst.fetched = *fetched;
-                    }
-                }
+                // Among equal keys the earlier row stays: a later one
+                // breaks the tie against it.
+                top.offer(env, *fetched, |out| project(p, env, star, out))?;
             }
             Rows::Grouped(groups) => {
                 let grouping = p.grouping.as_ref().expect("a grouped plan");
@@ -546,9 +510,7 @@ impl<'p> Sink<'p> {
         let p = self.plan;
         let mut rows = match self.rows {
             Rows::Fetched(rows) => rows,
-            Rows::Ranked { heap, .. } => {
-                heap.into_sorted_vec().into_iter().map(|r| r.row).collect()
-            }
+            Rows::Ranked(top, _) => top.into_sorted().into_iter().map(|r| r.of).collect(),
             Rows::Grouped(groups) => groups.finish(p, self.env)?,
         };
         if p.distinct {
@@ -563,34 +525,122 @@ impl<'p> Sink<'p> {
     }
 }
 
-/// A projected row of a sorted query, with its sort keys and its place in
-/// fetch order; it orders after the rows that come before it in the answer.
-struct Ranked<'p> {
+/// The `k` best entries offered so far — by ORDER BY, then by their
+/// tie-breaker `T` — worst on top, each with what it stands for (`V`: a
+/// projected row, a group's slot). An offer reads its sort keys in place
+/// and compares them with the worst entry's; only an entry that is kept
+/// copies them, into the buffers of the one it displaces.
+struct Top<'p, T, V> {
     order: &'p [SortKey],
-    keys: Vec<Value>,
-    fetched: u64,
-    row: Vec<Value>,
+    k: usize,
+    heap: BinaryHeap<Ranked<'p, T, V>>,
 }
 
-impl Ord for Ranked<'_> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        rank(self.order, &self.keys, &other.keys).then(self.fetched.cmp(&other.fetched))
+/// An entry of a [`Top`]; it orders after the entries that come before it
+/// in the answer.
+struct Ranked<'p, T, V> {
+    order: &'p [SortKey],
+    keys: Vec<Value>,
+    tie: T,
+    of: V,
+}
+
+impl<'p, T: Ord, V: Default> Top<'p, T, V> {
+    /// As many as `plan` returns (all, without a LIMIT that ranking may
+    /// apply).
+    fn new(plan: &'p SelectPlan) -> Self {
+        let k = plan
+            .top()
+            .map_or(usize::MAX, |n| usize::try_from(n).unwrap_or(usize::MAX));
+        Top {
+            order: &plan.order_by,
+            k,
+            heap: BinaryHeap::with_capacity(k.min(16)),
+        }
+    }
+
+    /// Offer the entry whose sort keys are `order`'s expressions in `env`;
+    /// `fill` writes what it stands for, over what a displaced entry stood
+    /// for, if it is kept. Every sort key is evaluated, kept or not, so a
+    /// key that fails on any offered entry fails the statement.
+    fn offer(
+        &mut self,
+        env: Env<'_>,
+        tie: T,
+        fill: impl FnOnce(&mut V) -> Result<()>,
+    ) -> Result<()> {
+        if self.heap.len() < self.k {
+            let mut keys = Vec::with_capacity(self.order.len());
+            for key in self.order {
+                keys.push(eval(&key.expr, env)?.into_owned());
+            }
+            let mut of = V::default();
+            fill(&mut of)?;
+            let order = self.order;
+            self.heap.push(Ranked {
+                order,
+                keys,
+                tie,
+                of,
+            });
+            return Ok(());
+        }
+        // LIMIT 0 keeps nothing.
+        let Some(mut worst) = self.heap.peek_mut() else {
+            return Ok(());
+        };
+        let mut ord = Ordering::Equal;
+        for (key, kept) in self.order.iter().zip(&worst.keys) {
+            let mut computed = None;
+            let v = operand(&key.expr, env, &mut computed)?;
+            if ord.is_eq() {
+                ord = directed(key, v.total_cmp(kept));
+            }
+        }
+        if ord.then_with(|| tie.cmp(&worst.tie)).is_lt() {
+            for (key, kept) in self.order.iter().zip(&mut worst.keys) {
+                assign(kept, eval(&key.expr, env)?);
+            }
+            worst.tie = tie;
+            fill(&mut worst.of)?;
+        }
+        Ok(())
+    }
+
+    /// The entries kept, best first.
+    fn into_sorted(self) -> Vec<Ranked<'p, T, V>> {
+        self.heap.into_sorted_vec()
     }
 }
 
-impl PartialOrd for Ranked<'_> {
+impl<T: Ord, V> Ord for Ranked<'_, T, V> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        rank(self.order, &self.keys, &other.keys).then_with(|| self.tie.cmp(&other.tie))
+    }
+}
+
+impl<T: Ord, V> PartialOrd for Ranked<'_, T, V> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl PartialEq for Ranked<'_> {
+impl<T: Ord, V> PartialEq for Ranked<'_, T, V> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other).is_eq()
     }
 }
 
-impl Eq for Ranked<'_> {}
+impl<T: Ord, V> Eq for Ranked<'_, T, V> {}
+
+/// `ord` of two values of `key`, the way `key` runs.
+fn directed(key: &SortKey, ord: Ordering) -> Ordering {
+    if key.desc {
+        ord.reverse()
+    } else {
+        ord
+    }
+}
 
 /// Sort keys `a` against `b` in ORDER BY order (each key its own way);
 /// `Equal` on a tie.
@@ -598,17 +648,25 @@ fn rank(order: &[SortKey], a: &[Value], b: &[Value]) -> Ordering {
     for ((x, y), key) in a.iter().zip(b).zip(order) {
         let ord = x.total_cmp(y);
         if ord != Ordering::Equal {
-            return if key.desc { ord.reverse() } else { ord };
+            return directed(key, ord);
         }
     }
     Ordering::Equal
 }
 
+/// `*slot = v`, into the slot's own text buffer where both are text.
+fn assign(slot: &mut Value, v: Cow<'_, Value>) {
+    match (slot, v) {
+        (Value::Text(s), Cow::Borrowed(Value::Text(t))) => s.clone_from(t),
+        (slot, v) => *slot = v.into_owned(),
+    }
+}
+
 /// The groups of a grouped query, in slots numbered by first appearance.
 /// A slot's key values, aggregate states and — only if the plan reads it —
 /// first row sit in flat vectors; a hash chain over the key values finds a
-/// row's slot, so only the first row of a group copies its key.
-#[derive(Default)]
+/// row's slot, reading the row's key values in place, so only the first
+/// row of a group copies its key.
 struct Groups {
     /// `keys.len()` values per slot.
     keys: Vec<Value>,
@@ -618,19 +676,29 @@ struct Groups {
     first: Vec<Vec<Value>>,
     /// Each slot's key hash, and the next slot + 1 in its bucket's chain
     /// (0 ends it).
-    hashes: Vec<u64>,
-    next: Vec<usize>,
+    links: Vec<(u64, usize)>,
     /// Per bucket, its first slot + 1; a power of two long.
     heads: Vec<usize>,
-    /// Keyed per query: the key values are tenant data.
-    hasher: RandomState,
+    /// This query's secret [`FoldHasher`] seed (the keys are tenant data).
+    seed: u64,
 }
 
 impl Groups {
+    fn new() -> Self {
+        Groups {
+            keys: Vec::new(),
+            states: Vec::new(),
+            first: Vec::new(),
+            links: Vec::new(),
+            heads: Vec::new(),
+            seed: RandomState::new().hash_one(0u8),
+        }
+    }
+
     fn push(&mut self, g: &Grouping, env: Env<'_>, row: Row<'_>) -> Result<()> {
-        let mut h = self.hasher.build_hasher();
+        let mut h = FoldHasher::with_seed(self.seed);
         for k in &g.keys {
-            eval(k, env)?.hash(&mut h);
+            operand(k, env, &mut None)?.hash(&mut h);
         }
         let hash = h.finish();
         let slot = match self.find(g, env, hash)? {
@@ -652,12 +720,13 @@ impl Groups {
         };
         let w = g.keys.len();
         'chain: while let Some(slot) = at.checked_sub(1) {
-            at = self.next[slot];
-            if self.hashes[slot] != hash {
+            let (slot_hash, next) = self.links[slot];
+            at = next;
+            if slot_hash != hash {
                 continue;
             }
             for (k, stored) in g.keys.iter().zip(&self.keys[slot * w..]) {
-                if *eval(k, env)? != *stored {
+                if operand(k, env, &mut None)? != stored {
                     continue 'chain;
                 }
             }
@@ -675,16 +744,15 @@ impl Groups {
         if g.first_row {
             self.first.push(row.to_vec());
         }
-        Ok(self.hashes.len() - 1)
+        Ok(self.links.len() - 1)
     }
 
     /// A new slot's states and chain link (its key is in place).
     fn open(&mut self, g: &Grouping, hash: u64) {
-        let slot = self.hashes.len();
+        let slot = self.links.len();
         self.states
-            .resize_with(self.states.len() + g.aggs.len(), AggState::default);
-        self.hashes.push(hash);
-        self.next.push(0);
+            .extend(g.aggs.iter().map(|call| AggState::new(call.func)));
+        self.links.push((hash, 0));
         if slot < self.heads.len() {
             self.link(slot);
         } else {
@@ -697,8 +765,9 @@ impl Groups {
     }
 
     fn link(&mut self, slot: usize) {
-        let bucket = self.hashes[slot] as usize & (self.heads.len() - 1);
-        self.next[slot] = self.heads[bucket];
+        let link = &mut self.links[slot];
+        let bucket = link.0 as usize & (self.heads.len() - 1);
+        link.1 = self.heads[bucket];
         self.heads[bucket] = slot + 1;
     }
 
@@ -710,75 +779,71 @@ impl Groups {
         }
         let w = g.keys.len();
         for &(off, k) in &g.key_columns {
-            key_row[off] = self.keys[slot * w + k].clone();
+            assign(&mut key_row[off], Cow::Borrowed(&self.keys[slot * w + k]));
         }
         Row::of(key_row)
     }
 
+    /// What a group's expressions are evaluated against: its aggregate
+    /// states and — given a `key_row` to build it in — its row (see
+    /// [`Groups::row`]).
+    fn env<'a>(
+        &'a self,
+        g: &Grouping,
+        slot: usize,
+        key_row: Option<&'a mut [Value]>,
+        env: Env<'a>,
+    ) -> Env<'a> {
+        let n = g.aggs.len();
+        Env {
+            row: key_row.map_or_else(Row::default, |key_row| self.row(g, slot, key_row)),
+            aggs: &self.states[slot * n..][..n],
+            ..env
+        }
+    }
+
     /// The answer: each group that passes HAVING, ordered by ORDER BY and
     /// then by group key (the order of a stable sort of the groups in key
-    /// order), only the top LIMIT of them projected.
+    /// order). HAVING and the sort keys read each group's aggregate states
+    /// as they stand; only the top LIMIT groups are projected.
     fn finish(mut self, p: &SelectPlan, env: Env<'_>) -> Result<Vec<Vec<Value>>> {
         let g = p.grouping.as_ref().expect("a grouped plan");
-        if g.keys.is_empty() && self.hashes.is_empty() {
+        if g.keys.is_empty() && self.links.is_empty() {
             // The single implicit group is there even over zero rows.
             self.open(g, 0);
         }
-        let slots = self.hashes.len();
-        let n = g.aggs.len();
-        let states = std::mem::take(&mut self.states);
-        let aggs: Vec<Result<Value>> = states
-            .into_iter()
-            .zip(g.aggs.iter().cycle())
-            .map(|(state, call)| state.finish(call.func))
-            .collect();
+        let w = g.keys.len();
         let width = g.key_columns.iter().map(|&(off, _)| off + 1).max();
         let mut key_row = vec![Value::Null; width.unwrap_or(0)];
-
-        // `(slot, survivor number)`; survivor i's sort keys are at i × nk.
-        let nk = p.order_by.len();
-        let mut ranked: Vec<(usize, usize)> = Vec::with_capacity(slots);
-        let mut sort_keys = Vec::with_capacity(slots * nk);
-        for slot in 0..slots {
-            let env = Env {
-                row: self.row(g, slot, &mut key_row),
-                aggs: &aggs[slot * n..][..n],
-                ..env
-            };
+        // Ranking builds a group's row only if HAVING or ORDER BY reads it.
+        let reads_row = g
+            .having
+            .iter()
+            .chain(p.order_by.iter().map(|k| &k.expr))
+            .any(|e| {
+                let mut column = false;
+                e.visit(&mut |n| column |= matches!(n, BoundExpr::Column(_)));
+                column
+            });
+        // Group keys differ, so no two groups tie.
+        let mut top: Top<'_, &[Value], usize> = Top::new(p);
+        for slot in 0..self.links.len() {
+            let env = self.env(g, slot, reads_row.then_some(&mut key_row[..]), env);
             if let Some(h) = &g.having {
-                if !accepts(&*eval(h, env)?)? {
+                if !holds(h, env)? {
                     continue;
                 }
             }
-            for k in &p.order_by {
-                sort_keys.push(eval(&k.expr, env)?.into_owned());
-            }
-            ranked.push((slot, ranked.len()));
+            top.offer(env, &self.keys[slot * w..][..w], |of| {
+                *of = slot;
+                Ok(())
+            })?;
         }
-        let w = g.keys.len();
-        let key = |slot: usize| &self.keys[slot * w..][..w];
-        let by_rank = |a: &(usize, usize), b: &(usize, usize)| {
-            let keys_of = |i: usize| &sort_keys[i * nk..][..nk];
-            rank(&p.order_by, keys_of(a.1), keys_of(b.1)).then_with(|| key(a.0).cmp(key(b.0)))
-        };
-        if let Some(top) = p.top().and_then(|k| usize::try_from(k).ok()) {
-            if top < ranked.len() {
-                if let Some(last) = top.checked_sub(1) {
-                    ranked.select_nth_unstable_by(last, by_rank);
-                }
-                ranked.truncate(top);
-            }
-        }
-        // Group keys differ, so no two survivors tie.
-        ranked.sort_unstable_by(by_rank);
-
+        let ranked = top.into_sorted();
         let mut rows = Vec::with_capacity(ranked.len());
-        for (slot, _) in ranked {
-            let env = Env {
-                row: self.row(g, slot, &mut key_row),
-                aggs: &aggs[slot * n..][..n],
-                ..env
-            };
+        for ranked in ranked {
+            let slot = ranked.of;
+            let env = self.env(g, slot, Some(&mut key_row), env);
             let star = || {
                 self.first
                     .get(slot)
@@ -793,19 +858,29 @@ impl Groups {
     }
 }
 
-/// Project `plan`'s items into `out`; `star` yields the row `*` expands to.
+/// Project `plan`'s items into `out`, over the values it holds (a text
+/// value into a text value's buffer); `star` yields the row `*` expands to.
 fn project<'r>(
     plan: &SelectPlan,
     env: Env<'_>,
     star: impl Fn() -> Result<Row<'r>>,
     out: &mut Vec<Value>,
 ) -> Result<()> {
+    let mut at = 0;
+    let mut put = |v: Cow<'_, Value>| {
+        match out.get_mut(at) {
+            Some(slot) => assign(slot, v),
+            None => out.push(v.into_owned()),
+        }
+        at += 1;
+    };
     for item in &plan.items {
         match item {
-            Item::Star => out.extend(star()?.iter().cloned()),
-            Item::Expr(e) => out.push(eval(e, env)?.into_owned()),
+            Item::Star => star()?.iter().for_each(|v| put(Cow::Borrowed(v))),
+            Item::Expr(e) => put(eval(e, env)?),
         }
     }
+    out.truncate(at);
     Ok(())
 }
 
@@ -1002,6 +1077,97 @@ mod tests {
         .unwrap();
         let r = query(&e, "SELECT COUNT(*) FROM empty_t", &[]);
         assert_eq!(r.rows, vec![vec![Value::Int(0)]]);
+    }
+
+    /// A SUM of INTs is exact beyond 2^53, where a FLOAT sum rounds, and
+    /// fails rather than saturates when it leaves the INT range.
+    #[test]
+    fn int_sum_is_exact_and_fails_on_overflow() {
+        let e = setup();
+        let big = 1i64 << 53;
+        e.with_txn(|t| {
+            execute_checked(&e, t, "shop", "CREATE TABLE big (x INT)", &[]).map_err(storage_err)?;
+            for x in [big, 1] {
+                let insert = "INSERT INTO big VALUES (?)";
+                execute_checked(&e, t, "shop", insert, &[Value::Int(x)]).map_err(storage_err)?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        let r = query(&e, "SELECT SUM(x) FROM big", &[]);
+        assert_eq!(r.rows, vec![vec![Value::Int(big + 1)]]);
+        e.with_txn(|t| {
+            let insert = "INSERT INTO big VALUES (?)";
+            execute_checked(&e, t, "shop", insert, &[Value::Int(i64::MAX)]).map_err(storage_err)
+        })
+        .unwrap();
+        let txn = e.begin().unwrap();
+        let err = execute(&e, txn, "shop", "SELECT SUM(x) FROM big", &[]).unwrap_err();
+        assert!(
+            matches!(&err, SqlError::Eval(m) if m.contains("overflow")),
+            "{err}"
+        );
+        e.abort(txn).unwrap();
+    }
+
+    /// Group keys a tenant picks to share their low hash bits — INTs that
+    /// differ only above bit 50 — still spread over the group table's
+    /// buckets: no chain is longer than a dozen slots.
+    #[test]
+    fn chosen_group_keys_do_not_chain() {
+        let e = setup();
+        let stmt = parse("SELECT qty, COUNT(*) FROM orders GROUP BY qty").unwrap();
+        let Node::Select(p) = plan(&e, "shop", &stmt).unwrap().node else {
+            panic!("a SELECT plan");
+        };
+        let g = p.grouping.as_ref().unwrap();
+        let mut groups = Groups::new();
+        for j in 0..4096i64 {
+            let row = [Value::Int(0), Value::Int(0), Value::Int(j << 51)];
+            let env = Env::default().with_row(Row::of(&row));
+            groups.push(g, env, Row::of(&row)).unwrap();
+        }
+        assert_eq!(groups.links.len(), 4096);
+        let chain = |mut at: usize| {
+            let mut n = 0;
+            while let Some(slot) = at.checked_sub(1) {
+                (n, at) = (n + 1, groups.links[slot].1);
+            }
+            n
+        };
+        let longest = groups.heads.iter().map(|&h| chain(h)).max();
+        assert!(longest <= Some(12), "a chain of {longest:?}");
+    }
+
+    /// Without ORDER BY, DISTINCT or grouping the fetch order is the
+    /// answer's, so LIMIT ends the walk: of five rows under one key,
+    /// `LIMIT 1` locks one and answers with the first of them.
+    #[test]
+    fn limit_without_order_by_stops_the_walk() {
+        let e = setup();
+        for oid in 10..15 {
+            e.with_txn(|t| {
+                let row = [Value::Int(oid), Value::Int(7), Value::Int(1)];
+                execute_checked(&e, t, "shop", "INSERT INTO orders VALUES (?, ?, ?)", &row)
+                    .map_err(storage_err)
+            })
+            .unwrap();
+        }
+        let run = |sql: &str| {
+            let before = e.locks().stats().acquisitions;
+            let txn = e.begin().unwrap();
+            let rows = execute(&e, txn, "shop", sql, &[]).unwrap().rows;
+            e.commit(txn).unwrap();
+            (e.locks().stats().acquisitions - before, rows)
+        };
+        let (all, rows) = run("SELECT id FROM orders WHERE item_id = 7");
+        let (one, first) = run("SELECT id FROM orders WHERE item_id = 7 LIMIT 1");
+        assert_eq!(rows.len(), 5);
+        assert_eq!(first, rows[..1]);
+        assert_eq!(all - one, 4, "LIMIT 1 row-locks one row of five");
+        // DISTINCT may drop rows, so it still visits every one.
+        let (distinct, _) = run("SELECT DISTINCT item_id FROM orders WHERE item_id = 7 LIMIT 1");
+        assert_eq!(distinct, all);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! What a sorted or grouped SELECT allocates, counted by a counting global
-//! allocator: a BestSellers-shaped grouped query allocates less than once
-//! per group (an INT key is copied into the group table without one), and
-//! a sort under LIMIT k allocates output rows for only the k rows it
-//! returns, however many it ranks. Counts repeat exactly: they are the
-//! calling thread's, and the engine is warm.
+//! allocator: a BestSellers-shaped grouped query allocates nothing per row
+//! and nothing per group beyond the doublings of its group table (an INT
+//! key is copied into the group table without one), and finishes with
+//! O(LIMIT) allocations; a sort under LIMIT k allocates output rows for
+//! only the k rows it returns, however many it ranks. Counts repeat
+//! exactly: they are the calling thread's, and the engine is warm.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -90,20 +91,51 @@ fn counted(e: &Engine, sql: &str, params: &[Value]) -> (u64, Vec<Vec<Value>>) {
     last
 }
 
-/// BestSellers: `rows` order lines in `groups` items, the five best-selling
-/// items from a horizon on.
+/// BestSellers: order lines in items, the `limit` best-selling items from
+/// a horizon on.
+fn best_sellers(limit: usize) -> String {
+    format!(
+        "SELECT item, SUM(qty) AS sold FROM sales WHERE id >= ? \
+         GROUP BY item ORDER BY sold DESC LIMIT {limit}"
+    )
+}
+
 #[test]
 fn a_grouped_top_five_allocates_less_than_once_per_group() {
-    const BEST_SELLERS: &str = "SELECT item, SUM(qty) AS sold FROM sales WHERE id >= ? \
-                                GROUP BY item ORDER BY sold DESC LIMIT 5";
     let (rows, groups) = (6_000, 300);
     let e = engine(rows, groups);
-    let (n, answer) = counted(&e, BEST_SELLERS, &[Value::Int(0)]);
+    let (n, answer) = counted(&e, &best_sellers(5), &[Value::Int(0)]);
     assert_eq!(answer.len(), 5);
     println!("{n} allocations for {rows} rows in {groups} groups");
     assert!(
         n <= groups as u64 + 64,
         "{n} allocations for {rows} rows in {groups} groups"
+    );
+}
+
+/// Four times the rows in four times the groups cost only the group
+/// table's two more doublings (a handful of allocations, not thousands),
+/// and finishing allocates O(LIMIT): ten times the LIMIT costs at most two
+/// allocations per extra group returned (its output row, its kept sort
+/// keys) plus the ranking heap's growth.
+#[test]
+fn a_grouped_top_allocates_nothing_per_row_and_o_limit_when_it_finishes() {
+    let small = engine(6_000, 300);
+    let large = engine(24_000, 1_200);
+    let horizon = [Value::Int(0)];
+    let (base, _) = counted(&small, &best_sellers(5), &horizon);
+    let (grown, answer) = counted(&large, &best_sellers(5), &horizon);
+    assert_eq!(answer.len(), 5);
+    let (deep, answer) = counted(&large, &best_sellers(50), &horizon);
+    assert_eq!(answer.len(), 50);
+    println!("{base} → {grown} allocations for 4× the rows and groups; {deep} for LIMIT 50");
+    assert!(
+        grown <= base + 12,
+        "{base} → {grown} allocations for 4× the rows and groups"
+    );
+    assert!(
+        deep <= grown + 2 * 45 + 8,
+        "{grown} → {deep} allocations for LIMIT 5 → 50"
     );
 }
 

@@ -77,12 +77,17 @@ pub fn execute_checked(
     }
 }
 
-/// The answer to `sel` computed the obvious way over the rows its FROM,
-/// joins and WHERE fetch by forced scans, in fetch order: per group (a
+/// The answer to `sel` computed the obvious way over the rows its FROM and
+/// joins fetch by forced scans, in fetch order: WHERE; per group (a
 /// `BTreeMap` by key, so groups come out in key order) its first row and
 /// its aggregates; HAVING; the projection; a stable sort; first occurrences
 /// only under DISTINCT; LIMIT. Expressions are bound and evaluated by the
-/// library's `eval`, which the executor shares.
+/// library's `eval`; WHERE and HAVING accept a row whose value is TRUE
+/// (`accepts`). `eval` gives a predicate's value by the executor's own
+/// three-valued logic (`eval::truth`, checked against a truth table in its
+/// unit tests), so what this checks is the executor's fetch, grouping and
+/// ordering around it — and that its forced-scan fetch under WHERE keeps
+/// exactly the rows `eval` keeps, failing where it fails.
 pub fn naive(
     engine: &Engine,
     txn: TxnId,
@@ -90,26 +95,52 @@ pub fn naive(
     sel: &SelectStmt,
     params: &[Value],
 ) -> Result<QueryResult> {
-    let fetch = SelectStmt {
-        distinct: false,
-        items: vec![SelectItem::Star],
-        group_by: Vec::new(),
-        having: None,
-        order_by: Vec::new(),
-        limit: None,
-        ..sel.clone()
+    let fetch = |filter: Option<Expr>| -> Result<Vec<Vec<Value>>> {
+        let fetch = SelectStmt {
+            distinct: false,
+            items: vec![SelectItem::Star],
+            filter,
+            group_by: Vec::new(),
+            having: None,
+            order_by: Vec::new(),
+            limit: None,
+            ..sel.clone()
+        };
+        let scans = plan(engine, db, &Statement::Select(fetch))?.forcing_scans();
+        Ok(run(engine, txn, &scans, params)?.rows)
     };
-    let fetched = run(
-        engine,
-        txn,
-        &plan(engine, db, &Statement::Select(fetch))?.forcing_scans(),
-        params,
-    )?;
     let mut layout = Layout::new();
     for table in std::iter::once(&sel.from).chain(sel.joins.iter().map(|j| &j.table)) {
         let handle = engine.open_table(db, &table.name)?;
         let names = handle.table().schema.columns.iter().map(|c| c.name.clone());
         layout.push_table(table.binding(), names.collect());
+    }
+    let filtered = fetch(sel.filter.clone());
+    let mut fetched = fetch(None)?;
+    if let Some(filter) = &sel.filter {
+        let filter = bind(filter, &layout)?;
+        let mut kept = Vec::new();
+        let mut verdict = Ok(());
+        for row in fetched {
+            match accepts(&*eval(
+                &filter,
+                Env::constant(params).with_row(Row::of(&row)),
+            )?) {
+                Ok(true) => kept.push(row),
+                Ok(false) => {}
+                Err(e) => {
+                    verdict = Err(e);
+                    break;
+                }
+            }
+        }
+        match (&verdict, &filtered) {
+            (Ok(()), Ok(rows)) => assert_eq!(rows, &kept, "WHERE kept other rows"),
+            (Err(_), Err(_)) => {}
+            _ => panic!("WHERE: the executor {filtered:?}, eval {verdict:?}"),
+        }
+        verdict?;
+        fetched = kept;
     }
     let grouped = !sel.group_by.is_empty()
         || sel
@@ -165,33 +196,32 @@ pub fn naive(
 
     // `(output row, sort keys)` of one row, or of one group given its
     // first row and finished aggregates.
-    let project =
-        |row: Option<&[Value]>, aggs: &[Result<Value>]| -> Result<(Vec<Value>, Vec<Value>)> {
-            let env = Env {
-                row: Row::of(row.unwrap_or_default()),
-                params,
-                aggs,
-            };
-            let mut out = Vec::new();
-            for item in &items {
-                match item {
-                    None => out.extend(
-                        row.ok_or_else(|| SqlError::Plan("SELECT * over empty group".into()))?
-                            .iter()
-                            .cloned(),
-                    ),
-                    Some(e) => out.push(eval(e, env)?.into_owned()),
-                }
-            }
-            let mut keys = Vec::new();
-            for (by, _) in &order {
-                keys.push(match by {
-                    SortBy::Output(i) => out[*i].clone(),
-                    SortBy::Expr(e) => eval(e, env)?.into_owned(),
-                });
-            }
-            Ok((out, keys))
+    let project = |row: Option<&[Value]>, aggs: &[AggState]| -> Result<(Vec<Value>, Vec<Value>)> {
+        let env = Env {
+            row: Row::of(row.unwrap_or_default()),
+            params,
+            aggs,
         };
+        let mut out = Vec::new();
+        for item in &items {
+            match item {
+                None => out.extend(
+                    row.ok_or_else(|| SqlError::Plan("SELECT * over empty group".into()))?
+                        .iter()
+                        .cloned(),
+                ),
+                Some(e) => out.push(eval(e, env)?.into_owned()),
+            }
+        }
+        let mut keys = Vec::new();
+        for (by, _) in &order {
+            keys.push(match by {
+                SortBy::Output(i) => out[*i].clone(),
+                SortBy::Expr(e) => eval(e, env)?.into_owned(),
+            });
+        }
+        Ok((out, keys))
+    };
     let mut rows = Vec::new();
     if grouped {
         let keys: Vec<BoundExpr> = sel
@@ -201,29 +231,23 @@ pub fn naive(
             .collect::<Result<_>>()?;
         // Per group key: the group's first row and its aggregate states.
         let mut groups: BTreeMap<Vec<Value>, Group> = BTreeMap::new();
+        let fresh = || calls.iter().map(|c| AggState::new(c.func)).collect();
         if keys.is_empty() {
-            groups.insert(Vec::new(), (None, vec![AggState::default(); calls.len()]));
+            groups.insert(Vec::new(), (None, fresh()));
         }
-        for row in &fetched.rows {
+        for row in &fetched {
             let env = Env::constant(params).with_row(Row::of(row));
             let key = keys
                 .iter()
                 .map(|k| Ok(eval(k, env)?.into_owned()))
                 .collect::<Result<Vec<_>>>()?;
-            let (first, states) = groups
-                .entry(key)
-                .or_insert_with(|| (None, vec![AggState::default(); calls.len()]));
+            let (first, states) = groups.entry(key).or_insert_with(|| (None, fresh()));
             first.get_or_insert_with(|| row.clone());
             for (state, call) in states.iter_mut().zip(&calls) {
                 state.feed(call, env);
             }
         }
-        for (first, states) in groups.into_values() {
-            let aggs: Vec<Result<Value>> = states
-                .into_iter()
-                .zip(&calls)
-                .map(|(state, call)| state.finish(call.func))
-                .collect();
+        for (first, aggs) in groups.into_values() {
             let env = Env {
                 row: Row::of(first.as_deref().unwrap_or_default()),
                 params,
@@ -237,7 +261,7 @@ pub fn naive(
             rows.push(project(first.as_deref(), &aggs)?);
         }
     } else {
-        for row in &fetched.rows {
+        for row in &fetched {
             rows.push(project(Some(row), &[])?);
         }
     }
@@ -504,42 +528,71 @@ pub mod gen {
                 DataType::Text
             };
             if depth > 0 && self.rng.gen_bool(0.4) {
+                // Now and then a NULL on either side of AND / OR, or under
+                // NOT: the unknown operand of three-valued logic.
+                let side = |g: &mut Self| match g.rng.gen_bool(0.15) {
+                    true => Expr::Literal(Value::Null),
+                    false => g.predicate(depth - 1),
+                };
                 return match self.rng.gen_range(0..5) {
                     0 | 1 => Expr::Binary {
                         op: BinOp::And,
-                        left: Box::new(self.predicate(depth - 1)),
-                        right: Box::new(self.predicate(depth - 1)),
+                        left: Box::new(side(self)),
+                        right: Box::new(side(self)),
                     },
                     2 | 3 => Expr::Binary {
                         op: BinOp::Or,
-                        left: Box::new(self.predicate(depth - 1)),
-                        right: Box::new(self.predicate(depth - 1)),
+                        left: Box::new(side(self)),
+                        right: Box::new(side(self)),
                     },
                     _ => Expr::Unary {
                         op: UnaryOp::Not,
-                        expr: Box::new(self.predicate(depth - 1)),
+                        expr: Box::new(side(self)),
                     },
                 };
             }
+            let float = self.column(DataType::Float);
             match self.rng.gen_range(0..10) {
                 0 => Expr::IsNull {
                     expr: Box::new(self.value(ty, 1)),
                     negated: self.rng.gen_bool(0.5),
                 },
+                // A NULL in the list makes a miss unknown.
                 1 => Expr::InList {
                     expr: Box::new(self.value(ty, 1)),
                     list: (0..self.rng.gen_range(1..4))
-                        .map(|_| self.leaf(ty))
+                        .map(|_| match self.rng.gen_bool(0.2) {
+                            true => Expr::Literal(Value::Null),
+                            false => self.leaf(ty),
+                        })
                         .collect(),
                     negated: self.rng.gen_bool(0.3),
                 },
                 2 => Expr::Like {
                     expr: Box::new(self.value(DataType::Text, 1)),
-                    pattern: Box::new(Expr::Literal(Value::Text(
-                        ["s%", "%1", "s_", "%"][self.rng.gen_range(0..4usize)].into(),
-                    ))),
+                    pattern: Box::new(match self.rng.gen_range(0..6) {
+                        0..=3 => Expr::Literal(Value::Text(
+                            ["s%", "%1", "s_", "%"][self.rng.gen_range(0..4usize)].into(),
+                        )),
+                        4 => Expr::Literal(Value::Null),
+                        _ => self.leaf(DataType::Text),
+                    }),
                     negated: self.rng.gen_bool(0.3),
                 },
+                // A FLOAT column against an INT, a FLOAT literal or itself.
+                3 if float.is_some() => {
+                    let other = match self.rng.gen_range(0..3) {
+                        0 => self.leaf(DataType::Int),
+                        1 => Expr::Literal(Value::Float([0.5, 2.5][self.rng.gen_range(0..2usize)])),
+                        _ => self.column(DataType::Float).expect("a FLOAT column"),
+                    };
+                    const CMP: [BinOp; 4] = [BinOp::Eq, BinOp::Lt, BinOp::GtEq, BinOp::NotEq];
+                    Expr::Binary {
+                        op: CMP[self.rng.gen_range(0..CMP.len())],
+                        left: Box::new(float.expect("a FLOAT column")),
+                        right: Box::new(other),
+                    }
+                }
                 _ => {
                     const CMP: [BinOp; 6] = [
                         BinOp::Eq,

@@ -62,6 +62,7 @@ pub use copy::{
 };
 pub use engine::{Database, DbProfile, Engine, EngineConfig, EngineStats, TableHandle};
 pub use error::{Result, StorageError};
+pub use idmap::FoldHasher;
 pub use lock::{LockManager, LockMode, LockStats, ResourceId};
 pub use schema::{ColumnDef, IndexDef, TableSchema};
 pub use table::{Direction, Table};
