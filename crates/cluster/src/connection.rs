@@ -8,17 +8,24 @@
 //! silently discarded from the replica set and the transaction continues on
 //! the survivors, which is the failure-masking behaviour §3.2 requires.
 //!
+//! ## What a connection resolves once
+//!
+//! `connect` resolves the database's controller entry ([`DbEntry`]); the
+//! connection caches its last `route_info` answer with the replicas'
+//! handles and read-route counters, and re-reads it only when the
+//! controller's routing epoch moved. A dropped entry sends it back to the
+//! name. Replica liveness is still read per statement.
+//!
 //! ## Reply plumbing
 //!
-//! A transaction owns exactly one reply channel for its whole lifetime; the
-//! per-machine sessions it attaches all send into it, and every request
-//! carries a sequence number minted under the connection lock. The receive
-//! side simply discards replies whose `seq` predates the current request —
-//! that is where aggressive-mode straggler acks (background replica writes
-//! the client did not wait for) go to die. The seed allocated a fresh mpsc
-//! channel per statement to get the same isolation; the sequence numbers
-//! make the allocation (and the per-statement `HashMap` of pending
-//! channels it implied) unnecessary.
+//! An idle lane runs on the calling thread and its reply is a return
+//! value; a busy lane gets the message queued, and its pool drain answers
+//! on the reply channel of the transaction's [`TxnShared`], made only then.
+//! Every request carries a sequence number the connection never reuses;
+//! the receive side discards replies of any other — that is where
+//! aggressive-mode straggler acks go to die. A finished transaction's
+//! ledger, channel and session vector serve the next one once nothing else
+//! holds them.
 //!
 //! ## Whose thread
 //!
@@ -34,12 +41,10 @@
 //! more than one lane stays on the pool — returning on the first ack while
 //! the rest runs in the background is what the pool is for.
 
-use std::collections::HashMap;
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::sync::{Mutex, CONN_REPLY, CONN_RNG, CONN_STATE};
+use crate::sync::{Mutex, MutexGuard, CONN_STATE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tenantdb_obs::Counter;
@@ -48,32 +53,24 @@ use tenantdb_history::GTxn;
 use tenantdb_sql::{Plan, QueryResult, SqlError, StatementClass};
 use tenantdb_storage::{StorageError, TxnId, Value};
 
-use crate::controller::{ClusterController, ReadPolicy, WritePolicy};
+use crate::controller::{ClusterController, CopyProgress, ReadPolicy, WritePolicy};
 use crate::error::{Aborted, ClusterError, Outcome, Refusal, Result};
 use crate::fault::{CrashPoint, FaultAction, CONTROLLER};
-use crate::machine::MachineId;
+use crate::machine::{Machine, MachineId};
+use crate::plans::DbEntry;
 use crate::twopc::{self, Ack, Participant};
-use crate::worker::{SessionHandle, SessionMsg, Turn, TxnFailures, WorkerReply};
-
-/// A lane turn held by this thread and the message it will run.
-type Claimed = (Turn, SessionMsg);
+use crate::worker::{SessionHandle, SessionMsg, Turn, TxnShared, WorkerReply};
 
 struct ActiveTxn {
     gtxn: GTxn,
-    sessions: HashMap<MachineId, SessionHandle>,
+    entry: Arc<DbEntry>,
+    shared: Arc<TxnShared>,
+    sessions: Vec<SessionHandle>,
     /// Replica chosen for this transaction's reads (Option 2).
     read_pin: Option<MachineId>,
     wrote: bool,
-    failures: Arc<TxnFailures>,
-    /// Send half of the transaction's single reply channel (sessions clone
-    /// it at attach time).
-    reply_tx: Sender<WorkerReply>,
-    /// Receive half, shared so the connection lock can be dropped while
-    /// waiting for replies. Uncontended: one statement is in flight at a
-    /// time per connection.
-    reply_rx: Arc<Mutex<Receiver<WorkerReply>>>,
-    /// Last sequence number minted (0 = none yet; replies at or above the
-    /// wait threshold are current, everything below is a stale straggler).
+    /// Last sequence number minted (0 = none yet); carried on with the
+    /// channel, so no reply of an earlier transaction is ever current.
     seq: u64,
 }
 
@@ -86,10 +83,78 @@ impl ActiveTxn {
     /// Leave the participants prepared: detach the sessions, so no cleanup
     /// abort touches them.
     fn detach(&mut self) {
-        for (_, s) in self.sessions.drain() {
+        for s in self.sessions.drain(..) {
             s.detach();
         }
     }
+}
+
+/// Lane turns claimed under the connection lock and run once it is
+/// dropped: a replica set's worth in place, any more spilled.
+#[derive(Default)]
+struct Turns {
+    held: [Option<Turn>; 4],
+    spill: Vec<Turn>,
+}
+
+impl Turns {
+    fn push(&mut self, turn: Turn) {
+        match self.held.iter_mut().find(|t| t.is_none()) {
+            Some(slot) => *slot = Some(turn),
+            None => self.spill.push(turn),
+        }
+    }
+
+    fn all(self) -> impl Iterator<Item = Turn> {
+        self.held.into_iter().flatten().chain(self.spill)
+    }
+}
+
+/// One replica of a cached route.
+struct Replica {
+    machine: Arc<Machine>,
+    reads: Arc<Counter>,
+    /// Up and not the copy target (not a full replica yet), as of the
+    /// statement's liveness snapshot.
+    serving: bool,
+}
+
+/// The connection's last `route_info` answer and the routing epoch it was
+/// read at (`None`: never read).
+#[derive(Default)]
+struct Route {
+    epoch: Option<u64>,
+    replicas: Vec<Replica>,
+    pinned: Option<MachineId>,
+    copy: Option<Box<CopyProgress>>,
+    /// The copy target's machine, while a copy is in flight.
+    target: Option<Arc<Machine>>,
+}
+
+impl Route {
+    /// Take the liveness snapshot a whole statement routes by.
+    fn snapshot(&mut self) {
+        let target = self.copy.as_ref().map(|c| c.target);
+        for r in &mut self.replicas {
+            r.serving = !r.machine.is_failed() && Some(r.machine.id) != target;
+        }
+    }
+
+    /// The serving replicas of the last snapshot, in placement order.
+    fn serving(&self) -> impl Iterator<Item = &Replica> + Clone {
+        self.replicas.iter().filter(|r| r.serving)
+    }
+}
+
+struct ConnState {
+    entry: Arc<DbEntry>,
+    route: Route,
+    txn: Option<ActiveTxn>,
+    /// The last finished transaction, kept for its ledger, channel and
+    /// session vector.
+    spare: Option<ActiveTxn>,
+    /// Per-connection deterministic read-routing randomness.
+    rng: StdRng,
 }
 
 /// A client connection to one database, routed through the cluster
@@ -97,20 +162,31 @@ impl ActiveTxn {
 pub struct Connection {
     controller: Arc<ClusterController>,
     db: String,
-    state: Mutex<Option<ActiveTxn>>,
-    rng: Mutex<StdRng>,
+    state: Mutex<ConnState>,
 }
 
 impl Connection {
-    pub(crate) fn new(controller: Arc<ClusterController>, db: String) -> Self {
+    pub(crate) fn new(controller: Arc<ClusterController>, entry: Arc<DbEntry>) -> Self {
         // Per-connection deterministic RNG stream.
         let seed =
             controller.cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ controller.next_gtxn().0;
+        let db = entry.name().to_string();
+        let rng = StdRng::seed_from_u64(seed);
+        let (route, txn, spare) = Default::default();
+        let state = Mutex::new(
+            &CONN_STATE,
+            ConnState {
+                entry,
+                route,
+                txn,
+                spare,
+                rng,
+            },
+        );
         Connection {
             controller,
             db,
-            state: Mutex::new(&CONN_STATE, None),
-            rng: Mutex::new(&CONN_RNG, StdRng::seed_from_u64(seed)),
+            state,
         }
     }
 
@@ -121,7 +197,7 @@ impl Connection {
 
     /// True while an explicit transaction is open.
     pub fn in_txn(&self) -> bool {
-        self.state.lock().is_some()
+        self.state.lock().txn.is_some()
     }
 
     /// The read-routing and write-acknowledgement policies this connection
@@ -140,28 +216,44 @@ impl Connection {
         self.controller.admission_probe(&self.db)
     }
 
+    /// The connection's entry, looked up by name again once it was dropped
+    /// (the database may have been re-created since, anywhere).
+    fn entry<'a>(&self, st: &'a mut ConnState) -> &'a Arc<DbEntry> {
+        if st.entry.dropped() {
+            st.entry = self.controller.dbs.entry(&self.db);
+            st.route.epoch = None;
+        }
+        &st.entry
+    }
+
     /// Start an explicit transaction.
     pub fn begin(&self) -> Result<()> {
         let mut st = self.state.lock();
-        if st.is_some() {
+        self.entry(&mut st);
+        self.begin_locked(&mut st)
+    }
+
+    fn begin_locked(&self, st: &mut ConnState) -> Result<()> {
+        if st.txn.is_some() {
             return Err(ClusterError::aborted("BEGIN inside an open transaction"));
         }
         // §4 proactive rejection: every transaction — explicit, implicit, or
         // batch — enters through here, so this is the one admission point.
         // Free (one atomic load) when no SLA is installed; a shed tenant
         // never reaches routing, sessions, or worker pools.
-        self.controller.admit(&self.db)?;
-        self.controller.metrics().note_begun(&self.db);
-        let (reply_tx, reply_rx) = channel();
-        *st = Some(ActiveTxn {
-            gtxn: self.controller.next_gtxn(),
-            sessions: HashMap::new(),
+        self.controller.admit(&st.entry)?;
+        st.entry.counters(self.controller.metrics()).begun.inc();
+        let (gtxn, entry) = (self.controller.next_gtxn(), Arc::clone(&st.entry));
+        let spare = st.spare.take().map(|t| (t.shared, t.sessions, t.seq));
+        let (shared, sessions, seq) = spare.unwrap_or_default();
+        st.txn = Some(ActiveTxn {
+            gtxn,
+            entry,
+            shared,
+            sessions,
             read_pin: None,
             wrote: false,
-            failures: Arc::new(TxnFailures::default()),
-            reply_tx,
-            reply_rx: Arc::new(Mutex::new(&CONN_REPLY, reply_rx)),
-            seq: 0,
+            seq,
         });
         Ok(())
     }
@@ -171,7 +263,8 @@ impl Connection {
     /// the database's plan cache (the statement is bound now if it is not
     /// there yet, so [`Connection::execute`] finds it).
     pub fn statement_class(&self, sql: &str) -> Result<StatementClass> {
-        Ok(self.controller.plan_for(&self.db, sql)?.class())
+        let mut st = self.state.lock();
+        Ok(self.controller.plan_for(self.entry(&mut st), sql)?.class())
     }
 
     /// Execute one SQL statement — the one statement entry point. Outside
@@ -180,116 +273,131 @@ impl Connection {
     /// only a text not seen since the database's last DDL is parsed and
     /// bound.
     pub fn execute(&self, sql: &str, params: &[Value]) -> Result<QueryResult> {
-        let plan = self.controller.plan_for(&self.db, sql)?;
+        let mut st = self.state.lock();
+        let plan = self.controller.plan_for(self.entry(&mut st), sql)?;
         let class = plan.class();
         // DDL bypasses transactions entirely (engine DDL is auto-committed).
         if class == StatementClass::Ddl {
-            if self.in_txn() {
+            if st.txn.is_some() {
                 return Err(ClusterError::Sql(SqlError::Plan(
                     "DDL not allowed inside a transaction".into(),
                 )));
             }
-            self.controller.apply_ddl(&self.db, &plan)?;
+            let entry = Arc::clone(&st.entry);
+            drop(st);
+            self.controller.apply_ddl(&entry, &plan)?;
             return Ok(QueryResult::default());
         }
-        let implicit = !self.in_txn();
+        let implicit = st.txn.is_none();
         if implicit {
-            self.begin()?;
+            self.begin_locked(&mut st)?;
         }
-        let result = self.run_stmt(&plan, class, params.into());
+        let result = self.run_stmt(st, &plan, class, params);
         if implicit {
+            // Auto-commit; a commit failure surfaces to the caller.
             match &result {
-                Ok(_) => {
-                    // Auto-commit; a commit failure surfaces to the caller.
-                    if self.in_txn() {
-                        self.commit()?;
-                    }
-                }
-                Err(_) => {
-                    if self.in_txn() {
-                        let _ = self.rollback();
-                    }
-                }
+                Ok(_) => self.commit()?,
+                Err(_) => _ = self.rollback(),
             }
         }
         result
     }
 
+    // ------------------------------------------------------------ routing
+
+    /// The cached route with a fresh liveness snapshot, re-read under the
+    /// controller group only when the routing epoch moved since it was
+    /// read.
+    fn route<'a>(&self, entry: &DbEntry, route: &'a mut Route) -> Result<&'a Route> {
+        let epoch = self.controller.dbs.epoch();
+        if route.epoch != Some(epoch) {
+            // Read after the epoch: a bump landing in between makes the
+            // next statement read again, never the other way round.
+            let (placement, copy) = self.controller.route_info(entry.name())?;
+            let (metrics, policy) = (self.controller.metrics(), self.controller.cfg.read_policy);
+            route.replicas.clear();
+            route.replicas.reserve_exact(placement.replicas.len());
+            for &id in &placement.replicas {
+                if let Ok(machine) = self.controller.machine(id) {
+                    let reads = metrics.read_route(policy, id);
+                    route.replicas.push(Replica {
+                        machine,
+                        reads,
+                        serving: false,
+                    });
+                }
+            }
+            route.target = copy
+                .as_ref()
+                .and_then(|c| self.controller.machine(c.target).ok());
+            (route.pinned, route.copy) = (Some(placement.pinned), copy.map(Box::new));
+            route.epoch = Some(epoch);
+        }
+        route.snapshot();
+        Ok(route)
+    }
+
     // ------------------------------------------------------------- reads
 
-    fn pick_read_machine(&self, txn: &mut ActiveTxn) -> Result<MachineId> {
-        // Atomic placement + copy snapshot; reads need no routing barrier
-        // (a stale pick still lands on a converged full replica).
-        let (placement, copy) = self.controller.route_info(&self.db)?;
-        let mut alive = self.controller.alive_of(&placement);
-        // The copy target is not a full replica yet: never read from it.
-        if let Some(copy) = copy {
-            alive.retain(|&m| m != copy.target);
+    fn pick_read_replica<'a>(
+        &self,
+        route: &'a Route,
+        txn: &mut ActiveTxn,
+        rng: &mut StdRng,
+    ) -> Result<&'a Replica> {
+        // Reads need no routing barrier: a stale pick still lands on a
+        // converged full replica.
+        let n = route.serving().count();
+        let no_replicas = || ClusterError::NoReplicas(self.db.clone());
+        let nth = |k| route.serving().nth(k).ok_or_else(no_replicas);
+        let find = |id| route.serving().find(|r| r.machine.id == id);
+        if n == 0 {
+            return Err(no_replicas());
         }
-        if alive.is_empty() {
-            return Err(ClusterError::NoReplicas(self.db.clone()));
+        match self.controller.cfg.read_policy {
+            ReadPolicy::PinnedReplica => route.pinned.and_then(find).map_or_else(|| nth(0), Ok),
+            ReadPolicy::PerTransaction => match txn.read_pin {
+                Some(pin) => find(pin).ok_or_else(no_replicas),
+                None => {
+                    let pick = nth(rng.gen_range(0..n))?;
+                    txn.read_pin = Some(pick.machine.id);
+                    Ok(pick)
+                }
+            },
+            ReadPolicy::PerOperation => nth(rng.gen_range(0..n)),
         }
-        Ok(match self.controller.cfg.read_policy {
-            ReadPolicy::PinnedReplica => {
-                if alive.contains(&placement.pinned) {
-                    placement.pinned
-                } else {
-                    alive[0]
-                }
-            }
-            ReadPolicy::PerTransaction => {
-                if let Some(pin) = txn.read_pin {
-                    if !alive.contains(&pin) {
-                        return Err(ClusterError::NoReplicas(self.db.clone()));
-                    }
-                    pin
-                } else {
-                    let pick = alive[self.rng.lock().gen_range(0..alive.len())];
-                    txn.read_pin = Some(pick);
-                    pick
-                }
-            }
-            ReadPolicy::PerOperation => alive[self.rng.lock().gen_range(0..alive.len())],
-        })
     }
 
     // ----------------------------------------------------------- dispatch
 
-    fn ensure_session<'a>(
-        &self,
-        txn: &'a mut ActiveTxn,
-        machine: MachineId,
-    ) -> Result<&'a SessionHandle> {
-        use std::collections::hash_map::Entry;
-        match txn.sessions.entry(machine) {
-            Entry::Occupied(e) => Ok(e.into_mut()),
-            Entry::Vacant(e) => {
-                let m = self.controller.machine(machine)?;
-                let handle = m.session(
-                    txn.gtxn,
-                    Arc::clone(&txn.failures),
-                    self.controller.recorder.read().clone(),
-                    txn.reply_tx.clone(),
-                );
-                Ok(e.insert(handle))
+    fn ensure_session<'a>(&self, txn: &'a mut ActiveTxn, m: &Machine) -> &'a SessionHandle {
+        let i = match txn.sessions.iter().position(|s| s.machine() == m.id) {
+            Some(i) => i,
+            None => {
+                let shared = Arc::clone(&txn.shared);
+                let session = m.session(txn.gtxn, shared, self.controller.recorder());
+                txn.sessions.push(session);
+                txn.sessions.len() - 1
             }
-        }
+        };
+        &txn.sessions[i]
     }
 
     fn run_stmt(
         &self,
+        st: MutexGuard<'_, ConnState>,
         plan: &Arc<Plan>,
         class: StatementClass,
-        params: Arc<[Value]>,
+        params: &[Value],
     ) -> Result<QueryResult> {
         // SELECT ... FOR UPDATE acquires exclusive locks, so it must execute
         // on *every* replica like a write — locking on a single replica
         // while writes fan out to all would manufacture distributed
         // deadlocks between the lock holder and its own write set.
         let result = if class == StatementClass::Read {
-            self.run_read(plan, params)
+            self.run_read(st, plan, params)
         } else {
-            self.run_write(plan, class == StatementClass::LockingRead, params)
+            self.run_write(st, plan, class == StatementClass::LockingRead, params)
         };
         if let Err(e) = &result {
             // A refusal counted as a deadlock or a rejection aborts the whole
@@ -303,94 +411,121 @@ impl Connection {
     }
 
     /// Receive replies for request `seq`, discarding stale stragglers from
-    /// earlier aggressive-mode writes, until `want` current replies arrived
-    /// or `stop` says enough. With `want == 0` every current reply was
-    /// produced on the calling thread, so whatever already sits in the
-    /// channel is a straggler this call would have met while blocking:
-    /// discard (and count) it without waiting.
+    /// earlier aggressive-mode writes, and hand each current one to `each`
+    /// until `want` arrived or `each` says enough. With `want == 0` every
+    /// current reply was produced on the calling thread, so whatever
+    /// already sits in the channel is a straggler this call would have met
+    /// while blocking: discard (and count) it without waiting.
     fn collect_replies(
-        rx: &Arc<Mutex<Receiver<WorkerReply>>>,
-        stragglers: &Counter,
+        &self,
+        shared: &TxnShared,
         seq: u64,
         want: usize,
-        mut stop: impl FnMut(&WorkerReply) -> bool,
-    ) -> Vec<WorkerReply> {
+        mut each: impl FnMut(WorkerReply) -> bool,
+    ) {
+        let stragglers = &self.controller.metrics().straggler_acks;
+        // Without a channel nothing can have straggled into one.
+        let Some(rx) = (want > 0)
+            .then(|| shared.replies())
+            .or(shared.made_replies())
+        else {
+            return;
+        };
         let rx = rx.lock();
-        let mut out = Vec::with_capacity(want);
         if want == 0 {
             while rx.try_recv().is_ok() {
                 stragglers.inc();
             }
         }
-        while out.len() < want {
+        let mut got = 0;
+        while got < want {
             tenantdb_lockdep::assert_may_block("a replica-reply recv");
             let Ok(reply) = rx.recv() else { break };
             if reply.seq != seq {
                 // Straggler ack of an earlier request (aggressive-mode
-                // background write): already accounted for via TxnFailures.
+                // background write): any failure is in the ledger already.
                 stragglers.inc();
                 continue;
             }
-            let done = stop(&reply);
-            out.push(reply);
-            if done {
+            got += 1;
+            if each(reply) {
                 break;
             }
         }
-        out
     }
 
-    /// Take the lane's turn for this thread, keeping `msg` to run once the
-    /// connection lock is dropped; a busy lane gets `msg` queued instead.
-    fn claim_or_send(session: &SessionHandle, msg: SessionMsg) -> Result<Option<Claimed>> {
-        match session.try_turn() {
-            Some(turn) => Ok(Some((turn, msg))),
-            None => session.send(msg).map(|()| None),
-        }
-    }
-
-    /// Run the claimed lanes one after another on this thread, then wait
-    /// for the `pooled` replies of the lanes that were busy.
-    fn run_claimed(
+    /// Send statement `seq` to the session on each of `targets`: when the
+    /// caller waits for every reply anyway (`wait_all`) an idle lane's turn
+    /// is claimed for this thread, any other lane gets the statement
+    /// queued. Returns the claimed turns and how many replies are pooled.
+    fn fan_out<'m>(
         &self,
-        claimed: impl IntoIterator<Item = Claimed>,
-        rx: &Arc<Mutex<Receiver<WorkerReply>>>,
-        seq: u64,
-        pooled: usize,
-    ) -> Vec<WorkerReply> {
-        let claimed = claimed.into_iter();
-        let mut replies: Vec<WorkerReply> = Vec::with_capacity(claimed.size_hint().0 + pooled);
-        replies.extend(claimed.filter_map(|(turn, msg)| turn.run(msg)));
-        let stragglers = &self.controller.metrics().straggler_acks;
-        replies.extend(Self::collect_replies(rx, stragglers, seq, pooled, |_| {
-            false
-        }));
-        replies
+        txn: &mut ActiveTxn,
+        targets: impl Iterator<Item = &'m Arc<Machine>>,
+        wait_all: bool,
+        (seq, plan, params): (u64, &Arc<Plan>, &[Value]),
+    ) -> Result<(Turns, usize)> {
+        let (mut turns, mut pooled) = (Turns::default(), 0);
+        let mut queued: Option<Arc<[Value]>> = None;
+        for m in targets {
+            let session = self.ensure_session(txn, m);
+            if let Some(turn) = wait_all.then(|| session.try_turn()).flatten() {
+                turns.push(turn);
+                continue;
+            }
+            let params = Arc::clone(queued.get_or_insert_with(|| params.into()));
+            let plan = Arc::clone(plan);
+            session.send(SessionMsg::Exec { seq, plan, params })?;
+            pooled += 1;
+        }
+        Ok((turns, pooled))
     }
 
-    fn run_read(&self, plan: &Arc<Plan>, params: Arc<[Value]>) -> Result<QueryResult> {
+    /// Run the claimed turns with the caller's parameters, then wait for
+    /// the pooled replies, handing each reply to `each` (see
+    /// [`Self::collect_replies`]).
+    fn gather(
+        &self,
+        shared: &TxnShared,
+        (turns, pooled): (Turns, usize),
+        (seq, plan, params): (u64, &Arc<Plan>, &[Value]),
+        mut each: impl FnMut(WorkerReply) -> bool,
+    ) {
+        for turn in turns.all() {
+            if let Some(reply) = turn.exec(seq, plan, params) {
+                each(reply);
+            }
+        }
+        self.collect_replies(shared, seq, pooled, each);
+    }
+
+    fn run_read(
+        &self,
+        mut st: MutexGuard<'_, ConnState>,
+        plan: &Arc<Plan>,
+        params: &[Value],
+    ) -> Result<QueryResult> {
         let started = Instant::now();
-        let metrics = self.controller.metrics();
-        let mut st = self.state.lock();
-        let txn = st.as_mut().ok_or(ClusterError::NoActiveTxn)?;
-        let machine = self.pick_read_machine(txn)?;
-        metrics.note_read_route(self.controller.cfg.read_policy, machine);
-        let seq = txn.next_seq();
-        let rx = Arc::clone(&txn.reply_rx);
-        let session = self.ensure_session(txn, machine)?;
-        let claimed = Self::claim_or_send(
-            session,
-            SessionMsg::Exec {
-                seq,
-                plan: Arc::clone(plan),
-                params,
-            },
-        )?;
+        let ConnState {
+            entry,
+            route,
+            txn,
+            rng,
+            ..
+        } = &mut *st;
+        let txn = txn.as_mut().ok_or(ClusterError::NoActiveTxn)?;
+        let route = self.route(entry, route)?;
+        let replica = self.pick_read_replica(route, txn, rng)?;
+        replica.reads.inc();
+        let stmt = (txn.next_seq(), plan, params);
+        let sent = self.fan_out(txn, std::iter::once(&replica.machine), true, stmt)?;
+        let shared = Arc::clone(&txn.shared);
         drop(st); // don't hold the connection lock while the engine works
-        let pooled = usize::from(claimed.is_none());
-        let mut replies = self.run_claimed(claimed, &rx, seq, pooled);
+        let mut reply = None;
+        self.gather(&shared, sent, stmt, |r| reply.insert(r).result.is_ok());
+        let metrics = self.controller.metrics();
         metrics.stmt_read_latency.observe_since(started);
-        match replies.pop() {
+        match reply {
             Some(r) => r.result,
             None => Err(ClusterError::from(StorageError::Unavailable)),
         }
@@ -399,9 +534,10 @@ impl Connection {
     /// Broadcast a write or a locking read to every replica.
     fn run_write(
         &self,
+        mut st: MutexGuard<'_, ConnState>,
         plan: &Arc<Plan>,
         is_locking_read: bool,
-        params: Arc<[Value]>,
+        params: &[Value],
     ) -> Result<QueryResult> {
         // Geo fence: a cluster that lost write authority to a promoted
         // standby colo accepts no writes. One relaxed load while unfenced.
@@ -413,41 +549,46 @@ impl Connection {
         let tables = plan.locked_tables();
         let table = tables
             .first()
-            .ok_or_else(|| ClusterError::Sql(SqlError::Plan("not a DML statement".into())))?
-            .clone();
+            .ok_or_else(|| ClusterError::Sql(SqlError::Plan("not a DML statement".into())))?;
+        let ConnState {
+            entry, route, txn, ..
+        } = &mut *st;
+        let txn = txn.as_mut().ok_or(ClusterError::NoActiveTxn)?;
 
-        let mut st = self.state.lock();
-        let txn = st.as_mut().ok_or(ClusterError::NoActiveTxn)?;
-
-        // Algorithm 1: route around an in-flight replica copy. The copy
-        // state is read atomically with the placement (`route_info`), and
-        // the routing barrier's read side is held from here until the last
-        // replica ack below, so the recovery path's `quiesce_routing` can
-        // drain every statement routed with the old copy state before it
-        // dumps a table (otherwise a write routed to the old replicas
-        // alone could apply on the source *after* the dump's scan and be
-        // permanently missing from the copy target).
+        // Algorithm 1: route around an in-flight replica copy. The routing
+        // barrier's read side is held from here until the last replica ack
+        // below, so the recovery path's `quiesce_routing` can drain every
+        // statement routed with the old copy state before it dumps a table
+        // (otherwise a write routed to the old replicas alone could apply
+        // on the source *after* the dump's scan and be permanently missing
+        // from the copy target).
         let _route = self.controller.route_guard();
-        let (placement, copy) = self.controller.route_info(&self.db)?;
-        let mut targets = self.controller.alive_of(&placement);
-        if let Some(copy) = copy {
-            targets.retain(|&m| m != copy.target);
+        // ordering: the routing epoch is loaded after entering the guard
+        // (whose generation load is SeqCst). A copy-state change bumps the
+        // epoch before `quiesce_routing` flips the generation, so a write
+        // whose guard entered after the flip sees the bump and re-reads the
+        // route; one that entered before it is waited out by the quiesce.
+        let route = self.route(entry, route)?;
+        let mut copy_target = None;
+        if let Some(copy) = &route.copy {
             let rejected = (copy.db_level && !is_locking_read)
-                || tables.iter().any(|t| copy.current.as_deref() == Some(t));
+                || tables.iter().any(|t| copy.current.as_ref() == Some(t));
             if rejected {
-                metrics.note_write_rejected(&self.db, &table);
+                metrics.write_rejected(entry.counters(metrics), &self.db, table);
                 return Err(ClusterError::WriteRejected {
                     db: self.db.clone(),
-                    table,
+                    table: table.clone(),
                 });
             }
             // DML on an already-copied table also lands on the new replica.
             // Locking reads never target the copy (its data is incomplete).
-            if !is_locking_read && copy.copied.contains(&table) {
-                targets.push(copy.target);
+            if !is_locking_read && copy.copied.contains(table) {
+                copy_target = Some(route.target.as_ref().ok_or(ClusterError::NoMachines)?);
             }
         }
-        if targets.is_empty() {
+        let targets = || route.serving().map(|r| &r.machine).chain(copy_target);
+        let n = targets().count();
+        if n == 0 {
             return Err(ClusterError::NoReplicas(self.db.clone()));
         }
 
@@ -456,63 +597,37 @@ impl Connection {
         // block for every reply, so it takes the idle lanes' turns itself.
         // Aggressive fan-out returns on the first success and goes to the
         // pool whole.
-        let wait_all =
-            self.controller.cfg.write_policy == WritePolicy::Conservative || targets.len() == 1;
-        let seq = txn.next_seq();
-        let rx = Arc::clone(&txn.reply_rx);
-        let mut claimed: Vec<Claimed> = Vec::new();
-        let mut pooled = 0usize;
-        for &m in &targets {
-            let session = self.ensure_session(txn, m)?;
-            let msg = SessionMsg::Exec {
-                seq,
-                plan: Arc::clone(plan),
-                params: Arc::clone(&params),
-            };
-            let claim = if wait_all {
-                Self::claim_or_send(session, msg)?
-            } else {
-                session.send(msg)?;
-                None
-            };
-            match claim {
-                Some(c) => claimed.push(c),
-                None => pooled += 1,
-            }
-        }
+        let wait_all = self.controller.cfg.write_policy == WritePolicy::Conservative || n == 1;
+        let stmt = (txn.next_seq(), plan, params);
+        let sent = self.fan_out(txn, targets(), wait_all, stmt)?;
         txn.wrote = true;
+        let shared = Arc::clone(&txn.shared);
         drop(st);
 
         // Aggressive: return on the first success — the lagging replicas'
         // acks arrive as stragglers on this same channel and are discarded
         // by later requests, while any *failure* among them lands in the
-        // shared TxnFailures ledger, which commit() refuses to overlook.
+        // transaction's failure ledger, which commit() refuses to overlook.
         // (Aggressive's early return also drops the routing barrier guard
         // while background replicas are still applying — a §3.1
         // durability/latency trade-off the copy quiescence deliberately
         // does not pay for.)
-        let replies = if wait_all {
-            self.run_claimed(claimed, &rx, seq, pooled)
-        } else {
-            Self::collect_replies(&rx, &metrics.straggler_acks, seq, pooled, |r| {
-                r.result.is_ok()
-            })
-        };
-        metrics.stmt_write_latency.observe_since(started);
-
+        //
         // Drop replicas that died; any other replica error is fatal for the
         // statement (a write that half-applied across replicas cannot be
         // allowed to commit).
         let (mut first_ok, mut fatal) = (None, None);
-        for reply in replies {
+        self.gather(&shared, sent, stmt, |reply| {
             match reply.result {
-                Ok(r) => first_ok = first_ok.or(Some(r)),
+                Ok(r) => _ = first_ok.get_or_insert(r),
                 Err(e) if e.refusal() == Some(Refusal::NoReplica) => {
                     self.controller.drop_failed_replica(&self.db, reply.machine)
                 }
-                Err(e) => fatal = fatal.or(Some(e)),
+                Err(e) => _ = fatal.get_or_insert(e),
             }
-        }
+            !wait_all && first_ok.is_some()
+        });
+        metrics.stmt_write_latency.observe_since(started);
         match (fatal, first_ok) {
             (Some(e), _) => Err(e),
             (None, Some(r)) => Ok(r),
@@ -524,21 +639,26 @@ impl Connection {
 
     /// Commit the open transaction (2PC across replicas when it wrote).
     pub fn commit(&self) -> Result<()> {
-        let commit_started = Instant::now();
-        let metrics = self.controller.metrics();
-        let Some(mut txn) = self.state.lock().take() else {
+        let Some(mut txn) = self.state.lock().txn.take() else {
             return Err(ClusterError::NoActiveTxn);
         };
+        let result = self.commit_txn(&mut txn);
+        self.retire(txn);
+        result
+    }
 
+    fn commit_txn(&self, txn: &mut ActiveTxn) -> Result<()> {
+        let commit_started = Instant::now();
+        let metrics = self.controller.metrics();
         // Aggressive background failures land in the ledger.
-        if let Some(e) = self.settle_failures(&mut txn) {
-            return self.refuse_commit(&mut txn, "replica write failed", &e);
+        if let Some(e) = self.settle_failures(txn) {
+            return self.refuse_commit(txn, "replica write failed", &e);
         }
         if !txn.wrote || txn.sessions.is_empty() {
             // One-phase commit for read-only transactions (and none for
             // one that has no machine left).
-            self.broadcast(&mut txn, |seq| SessionMsg::Commit { seq });
-            self.note_outcome_commit(&txn);
+            self.broadcast(txn, |seq| SessionMsg::Commit { seq }, |_| {});
+            self.note_outcome_commit(txn);
             metrics
                 .commit_latency_readonly
                 .observe_since(commit_started);
@@ -549,23 +669,24 @@ impl Connection {
         // cluster lost write authority — a commit here would never ship to
         // the promoted colo and the two sides would fork.
         if let Err(e) = self.controller.check_geo_fence() {
-            self.finish_abort(&mut txn, e.outcome());
+            self.finish_abort(txn, e.outcome());
             return Err(e);
         }
 
         // Phase 1: PREPARE everywhere.
         let prepare_started = Instant::now();
-        let votes = self.broadcast(&mut txn, |seq| SessionMsg::Prepare { seq });
+        let mut votes = Vec::new();
+        self.broadcast(txn, |seq| SessionMsg::Prepare { seq }, |r| votes.push(r));
         metrics.twopc_prepare_latency.observe_since(prepare_started);
         let mut yes: Vec<(MachineId, TxnId)> = Vec::new();
         let mut fatal: Option<ClusterError> = None;
-        for (m, local, res) in votes {
-            match res {
-                Ok(_) => yes.push((m, local.unwrap_or(TxnId(0)))),
+        for r in votes {
+            match r.result {
+                Ok(_) => yes.push((r.machine, r.local.unwrap_or(TxnId(0)))),
                 Err(e) if e.refusal() == Some(Refusal::NoReplica) => {
                     // Participant died before voting: discard the replica.
-                    self.controller.drop_failed_replica(&self.db, m);
-                    txn.sessions.remove(&m);
+                    self.controller.drop_failed_replica(&self.db, r.machine);
+                    txn.sessions.retain(|s| s.machine() != r.machine);
                 }
                 Err(e) => {
                     if fatal.is_none() {
@@ -578,21 +699,21 @@ impl Connection {
         // the first drain reports its error before its session answers the
         // PREPARE (session lanes are strictly ordered), so by now it is
         // visible.
-        let late = self.settle_failures(&mut txn);
+        let late = self.settle_failures(txn);
         if let Some(e) = fatal.or(late) {
-            return self.refuse_commit(&mut txn, "replica write failed", &e);
+            return self.refuse_commit(txn, "replica write failed", &e);
         }
-        yes.retain(|(m, _)| txn.sessions.contains_key(m));
+        yes.retain(|(m, _)| txn.sessions.iter().any(|s| s.machine() == *m));
         if yes.is_empty() {
             let e = ClusterError::NoReplicas(self.db.clone());
-            self.finish_abort(&mut txn, e.outcome());
+            self.finish_abort(txn, e.outcome());
             return Err(e);
         }
 
         let gtxn = txn.gtxn;
-        match twopc::coordinate(&mut Lanes(self, &mut txn), gtxn, yes) {
+        match twopc::coordinate(&mut Lanes(self, txn), gtxn, yes) {
             Ok(()) => {
-                self.note_outcome_commit(&txn);
+                self.note_outcome_commit(txn);
                 metrics.commit_latency_2pc.observe_since(commit_started);
                 Ok(())
             }
@@ -603,18 +724,33 @@ impl Connection {
                 Err(e)
             }
             // The sessions already ended with the ABORT `coordinate` sent.
-            Err(e) => self.refuse_commit(&mut txn, "no commit decision", &e),
+            Err(e) => self.refuse_commit(txn, "no commit decision", &e),
         }
+    }
+
+    /// Keep a finished transaction's ledger, channel and session vector
+    /// for the connection's next one, once nothing else holds them.
+    fn retire(&self, mut txn: ActiveTxn) {
+        // A finished lane refuses its handle's cleanup abort.
+        txn.sessions.clear();
+        if Arc::strong_count(&txn.shared) > 1 {
+            return; // a pool job still runs one of its lanes
+        }
+        txn.shared.drain();
+        if let Some(rx) = txn.shared.made_replies() {
+            while rx.lock().try_recv().is_ok() {}
+        }
+        self.state.lock().spare = Some(txn);
     }
 
     /// Drop the replicas the failure ledger reports dead, and return the
     /// first other failure: a commit may not overlook it.
     fn settle_failures(&self, txn: &mut ActiveTxn) -> Option<ClusterError> {
         let mut fatal = None;
-        for (m, e) in txn.failures.drain() {
+        for (m, e) in txn.shared.drain() {
             if e.refusal() == Some(Refusal::NoReplica) {
                 self.controller.drop_failed_replica(&self.db, m);
-                txn.sessions.remove(&m);
+                txn.sessions.retain(|s| s.machine() != m);
             } else if fatal.is_none() {
                 fatal = Some(e);
             }
@@ -634,10 +770,11 @@ impl Connection {
 
     /// Roll back the open transaction.
     pub fn rollback(&self) -> Result<()> {
-        let Some(mut txn) = self.state.lock().take() else {
+        let Some(mut txn) = self.state.lock().txn.take() else {
             return Err(ClusterError::NoActiveTxn);
         };
         self.finish_abort(&mut txn, Outcome::Aborted);
+        self.retire(txn);
         Ok(())
     }
 
@@ -645,56 +782,66 @@ impl Connection {
     fn abort_internal(&self, cause: &ClusterError) {
         // Taken out in its own statement: the ABORTs below run on this
         // thread and must not hold the connection lock.
-        let txn = self.state.lock().take();
+        let txn = self.state.lock().txn.take();
         if let Some(mut txn) = txn {
             self.finish_abort(&mut txn, cause.outcome());
+            self.retire(txn);
         }
     }
 
     fn finish_abort(&self, txn: &mut ActiveTxn, outcome: Outcome) {
-        self.broadcast(txn, |seq| SessionMsg::Abort {
+        let abort = |seq| SessionMsg::Abort {
             seq,
             want_reply: true,
-        });
-        if let Some(rec) = self.controller.recorder.read().as_ref() {
+        };
+        self.broadcast(txn, abort, |_| {});
+        if let Some(rec) = self.controller.recorder() {
             rec.abort(txn.gtxn);
         }
-        self.controller.metrics().note_failed(&self.db, outcome);
+        txn.entry
+            .counters(self.controller.metrics())
+            .failed(outcome);
     }
 
     fn note_outcome_commit(&self, txn: &ActiveTxn) {
-        if let Some(rec) = self.controller.recorder.read().as_ref() {
+        if let Some(rec) = self.controller.recorder() {
             rec.commit(txn.gtxn);
         }
-        self.controller.metrics().note_committed(&self.db);
+        txn.entry.counters(self.controller.metrics()).committed();
     }
 
-    /// Send a message to every live session and collect one reply each.
+    /// Send a message to every live session, running the idle lanes on
+    /// this thread once every busy one has its message, and hand each
+    /// reply to `each`.
     fn broadcast(
         &self,
         txn: &mut ActiveTxn,
         make: impl Fn(u64) -> SessionMsg,
-    ) -> Vec<(MachineId, Option<TxnId>, Result<QueryResult>)> {
+        mut each: impl FnMut(WorkerReply),
+    ) {
         let seq = txn.next_seq();
-        let mut claimed: Vec<Claimed> = Vec::new();
-        let mut pooled = 0;
-        for s in txn.sessions.values() {
-            match Self::claim_or_send(s, make(seq)) {
-                Ok(Some(c)) => claimed.push(c),
-                Ok(None) => pooled += 1,
-                // The session already finished: nothing to wait for.
-                Err(_) => {}
+        let (mut turns, mut pooled) = (Turns::default(), 0);
+        for s in &txn.sessions {
+            match s.try_turn() {
+                Some(turn) => turns.push(turn),
+                // A finished session refuses: nothing to wait for.
+                None => pooled += usize::from(s.send(make(seq)).is_ok()),
             }
         }
-        self.run_claimed(claimed, &txn.reply_rx, seq, pooled)
-            .into_iter()
-            .map(|r| (r.machine, r.local, r.result))
-            .collect()
+        for turn in turns.all() {
+            if let Some(reply) = turn.run(make(seq)) {
+                each(reply);
+            }
+        }
+        self.collect_replies(&txn.shared, seq, pooled, |r| {
+            each(r);
+            false
+        });
     }
 
     /// The current transaction's global id (tests and diagnostics).
     pub fn current_gtxn(&self) -> Option<GTxn> {
-        self.state.lock().as_ref().map(|t| t.gtxn)
+        self.state.lock().txn.as_ref().map(|t| t.gtxn)
     }
 }
 
@@ -724,27 +871,29 @@ impl twopc::Executor for Lanes<'_> {
             None => {}
         }
         let started = Instant::now();
-        let acks = conn.broadcast(self.1, |seq| SessionMsg::Commit { seq });
+        let mut acks = Vec::new();
+        conn.broadcast(self.1, |seq| SessionMsg::Commit { seq }, |r| acks.push(r));
         let metrics = conn.controller.metrics();
         metrics.twopc_commit_latency.observe_since(started);
-        let ack = |&(m, _): &Participant| match acks.iter().find(|a| a.0 == m) {
-            Some((_, _, Err(e))) if e.refusal() == Some(Refusal::NoReplica) => {
+        let ack = |&(m, _): &Participant| match acks.iter().find(|a| a.machine == m) {
+            Some(WorkerReply { result: Err(e), .. }) if e.refusal() == Some(Refusal::NoReplica) => {
                 // Died after voting yes: its replica is dropped here
                 // (recovery copies a new one).
                 conn.controller.drop_failed_replica(&conn.db, m);
                 Ack::Down
             }
-            Some((_, _, Err(_))) => Ack::Failed,
+            Some(WorkerReply { result: Err(_), .. }) => Ack::Failed,
             _ => Ack::Committed,
         };
         participants.iter().map(ack).collect()
     }
 
     fn abort(&mut self, _: &[Participant]) {
-        self.0.broadcast(self.1, |seq| SessionMsg::Abort {
+        let abort = |seq| SessionMsg::Abort {
             seq,
             want_reply: true,
-        });
+        };
+        self.0.broadcast(self.1, abort, |_| {});
     }
 }
 

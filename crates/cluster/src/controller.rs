@@ -14,7 +14,7 @@
 //! must happen exactly once, never once-per-replica.
 
 use std::collections::{BTreeMap, HashSet};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::sync::{RouteBarrier, RouteGuard, RwLock, CTRL_MACHINES, CTRL_RECORDER};
@@ -29,11 +29,11 @@ use crate::fault::{CrashPoint, FaultAction, FaultInjector};
 use crate::machine::{Machine, MachineId};
 use crate::meta::{ControllerGroup, CtrlStatus, MachineTally};
 use crate::metrics::{ClusterMetrics, DbCounters, PoolMetrics};
-use crate::plans::PlanCache;
+use crate::plans::{DbEntry, Dbs};
 use crate::pool::PoolConfig;
 use crate::twopc::{self, Ack, Participant, Role};
 use tenantdb_obs::fields;
-use tenantdb_sla::ResourceVector;
+use tenantdb_sla::{AdmissionGate, AdmissionParams, ResourceVector};
 
 /// The three read-routing options of §3.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -234,9 +234,13 @@ pub struct ClusterController {
     /// lock tables (see [`RouteBarrier`]). See DESIGN.md §5.
     route_barrier: RouteBarrier,
     next_gtxn: AtomicU64,
-    pub(crate) recorder: RwLock<Option<Arc<Recorder>>>,
-    /// Per-database plan caches: SQL text → bound plan (see `plans.rs`).
-    plans: PlanCache,
+    recorder: RwLock<Option<Arc<Recorder>>>,
+    /// Set while a recorder is attached: a transaction without one pays a
+    /// load, not a lock.
+    recording: AtomicBool,
+    /// Every database's entry — plans, gate, counters — and the routing
+    /// epoch (see `plans.rs`); shared with the group, which bumps the epoch.
+    pub(crate) dbs: Arc<Dbs>,
     /// The cluster's metrics surface: outcome counters, latency histograms
     /// and the structured event log all live here — there is no second
     /// ledger (the pre-observability controller kept its own
@@ -245,10 +249,14 @@ pub struct ClusterController {
     /// Shared fault injector, threaded into every machine, pool and session.
     /// Disarmed (inert) unless a test arms a [`crate::fault::FaultPlan`].
     faults: Arc<FaultInjector>,
-    /// Per-database SLA admission gates (§4 proactive rejection). Inert —
-    /// one atomic load on the transaction entry path — until an SLA is
-    /// installed via [`Self::set_sla`].
-    admission: crate::admission::AdmissionTable,
+    /// Set once the first SLA is installed (§4 proactive rejection), never
+    /// cleared: until then the transaction entry path's admission check is
+    /// one relaxed load and no lock (the ≤2% overhead budget; `e2e`'s
+    /// `sla.gate_us_per_txn` measures it). The gates are in the entries.
+    sla_armed: AtomicBool,
+    /// Operator kill-switch: `false` admits everything while keeping the
+    /// gates (and their token state) in place.
+    admission_on: AtomicBool,
     /// Cross-colo write authority: the fencing epoch at which this cluster
     /// was last authorized as a primary (0 = the initial primary). Writes
     /// are rejected once a higher epoch is observed ([`Self::fence_geo`]).
@@ -264,7 +272,7 @@ impl ClusterController {
     /// A controller with no machines yet (add them via [`Self::add_machine`]).
     pub fn new(cfg: ClusterConfig) -> Arc<Self> {
         let faults = FaultInjector::disarmed();
-        let metrics = ClusterMetrics::new();
+        let dbs = Arc::new(Dbs::default());
         Arc::new(ClusterController {
             machines: RwLock::new(&CTRL_MACHINES, BTreeMap::new()),
             next_machine: AtomicU32::new(0),
@@ -273,15 +281,18 @@ impl ClusterController {
                 cfg.seed,
                 cfg.machine_capacity,
                 Arc::clone(&faults),
+                Arc::clone(&dbs),
             ),
             route_barrier: RouteBarrier::new(),
             next_gtxn: AtomicU64::new(1),
             recorder: RwLock::new(&CTRL_RECORDER, None),
-            plans: PlanCache::new(&metrics),
-            metrics,
+            recording: AtomicBool::new(false),
+            dbs,
+            metrics: ClusterMetrics::new(),
             faults,
             cfg,
-            admission: crate::admission::AdmissionTable::new(),
+            sla_armed: AtomicBool::new(false),
+            admission_on: AtomicBool::new(true),
             geo_write_epoch: AtomicU64::new(0),
             geo_fence_cache: AtomicU64::new(0),
         })
@@ -304,7 +315,21 @@ impl ClusterController {
     /// Attach a history recorder (Table 1 experiments). Recording adds
     /// overhead; leave unset for throughput runs.
     pub fn set_recorder(&self, rec: Option<Arc<Recorder>>) {
-        *self.recorder.write() = rec;
+        let mut slot = self.recorder.write();
+        // ordering: Release under the slot's lock pairs with `recorder`'s
+        // Acquire load; a transaction racing the attach may miss it, as it
+        // could have begun a moment earlier.
+        self.recording.store(rec.is_some(), Ordering::Release);
+        *slot = rec;
+    }
+
+    /// The attached history recorder, if any.
+    pub(crate) fn recorder(&self) -> Option<Arc<Recorder>> {
+        // ordering: Acquire — see `set_recorder`.
+        if !self.recording.load(Ordering::Acquire) {
+            return None;
+        }
+        self.recorder.read().clone()
     }
 
     /// Mint the next global transaction id.
@@ -505,8 +530,7 @@ impl ClusterController {
                 let _ = m.engine.drop_database(db);
             }
         }
-        self.admission.remove(db);
-        self.plans.invalidate(db);
+        self.dbs.remove(db);
         Ok(())
     }
 
@@ -557,10 +581,11 @@ impl ClusterController {
     }
 
     /// Enter the routing grace period: the guard must be held from reading
-    /// [`Self::route_info`] until the statement's last replica ack, so a
-    /// concurrent [`Self::quiesce_routing`] cannot complete while any
-    /// statement routed with the old copy state is still in flight.
-    /// Entering never blocks, even while a quiesce is draining.
+    /// the route (a connection's cached one: from loading the routing
+    /// epoch) until the statement's last replica ack, so a concurrent
+    /// [`Self::quiesce_routing`] cannot complete while any statement routed
+    /// with the old copy state is still in flight. Entering never blocks,
+    /// even while a quiesce is draining.
     pub(crate) fn route_guard(&self) -> RouteGuard<'_> {
         self.route_barrier.enter()
     }
@@ -575,7 +600,14 @@ impl ClusterController {
     /// commit. Loosening transitions (`mark_copied`, `finish_copy`) need
     /// no drain: statements that read the pre-state are rejected by the
     /// copy filter rather than mis-routed.
-    pub(crate) fn quiesce_routing(&self) {
+    pub fn quiesce_routing(&self) {
+        // ordering: the tightening command was applied, and the routing
+        // epoch bumped (SeqCst, `Dbs::bump`), before this call returned
+        // from the group on this thread; the barrier's SeqCst generation
+        // flip comes after. A write whose guard enters after the flip
+        // therefore loads the bumped epoch (see `Connection::run_write`)
+        // and re-reads the route; one that entered before it is waited out
+        // here.
         self.route_barrier.quiesce();
     }
 
@@ -608,11 +640,12 @@ impl ClusterController {
         self.group.add_replica(db, machine);
     }
 
-    /// The plan of `sql` in `db`: from the database's plan cache, or parsed
-    /// and bound now against a full replica's schema (every replica has
-    /// the same one) and cached for every later session and replica.
-    pub(crate) fn plan_for(&self, db: &str, sql: &str) -> Result<Arc<Plan>> {
-        self.plans.get_or_bind(db, sql, || {
+    /// The plan of `sql` in `entry`'s database: from its plan cache, or
+    /// parsed and bound now against a full replica's schema (every replica
+    /// has the same one) and cached for every later session and replica.
+    pub(crate) fn plan_for(&self, entry: &DbEntry, sql: &str) -> Result<Arc<Plan>> {
+        let db = entry.name();
+        entry.plan(&self.metrics, sql, || {
             let stmt = parse(sql)?;
             let (placement, copy) = self.route_info(db)?;
             // As for reads: the target of a copy is not a full replica yet.
@@ -635,19 +668,21 @@ impl ClusterController {
 
     /// Run a DDL statement (CREATE TABLE / CREATE INDEX) on every replica.
     pub fn ddl(&self, db: &str, sql: &str) -> Result<()> {
-        let plan = self.plan_for(db, sql)?;
+        let entry = self.dbs.entry(db);
+        let plan = self.plan_for(&entry, sql)?;
         if plan.class() != tenantdb_sql::StatementClass::Ddl {
             return Err(ClusterError::Sql(tenantdb_sql::SqlError::Plan(
                 "ddl() accepts only CREATE TABLE / CREATE INDEX".into(),
             )));
         }
-        self.apply_ddl(db, &plan)
+        self.apply_ddl(&entry, &plan)
     }
 
     /// The one DDL path, behind [`Self::ddl`] and a connection's DDL
     /// statements: geo fence → routing barrier → copy check → per-replica
     /// apply → drop the database's cached plans.
-    pub(crate) fn apply_ddl(&self, db: &str, plan: &Plan) -> Result<()> {
+    pub(crate) fn apply_ddl(&self, entry: &DbEntry, plan: &Plan) -> Result<()> {
+        let db = entry.name();
         // Geo fence: DDL is a write.
         self.check_geo_fence()?;
         // DDL broadcasts like a write: hold the routing barrier across the
@@ -662,7 +697,8 @@ impl ClusterController {
             return Err(ClusterError::NoReplicas(db.into()));
         }
         if copy.is_some() {
-            self.metrics.note_write_rejected(db, "<ddl>");
+            let counters = entry.counters(&self.metrics);
+            self.metrics.write_rejected(counters, db, "<ddl>");
             return Err(ClusterError::WriteRejected {
                 db: db.into(),
                 table: "<ddl>".into(),
@@ -678,8 +714,11 @@ impl ClusterController {
         });
         // After the last replica, whatever the outcome: a plan bound while
         // the DDL was applying saw a schema no older than the one cached
-        // plans were bound against, and all of those are dropped here.
-        self.plans.invalidate(db);
+        // plans were bound against, and all of those are dropped here —
+        // from the entry the name has now, should `entry` have been
+        // dropped and the name re-created meanwhile.
+        entry.invalidate_plans();
+        self.dbs.get(db).inspect(|e| e.invalidate_plans());
         applied
     }
 
@@ -687,7 +726,7 @@ impl ClusterController {
     pub fn connect(self: &Arc<Self>, db: &str) -> Result<Connection> {
         // Validate existence eagerly so clients fail fast.
         self.placement(db)?;
-        Ok(Connection::new(Arc::clone(self), db.to_string()))
+        Ok(Connection::new(Arc::clone(self), self.dbs.entry(db)))
     }
 
     // ------------------------------------------------- Algorithm 1 state
@@ -814,7 +853,12 @@ impl ClusterController {
     /// Record `db`'s SLA in the replicated metadata (§4.1 contract table).
     pub fn set_sla(&self, db: &str, sla: tenantdb_sla::Sla) -> Result<()> {
         self.group.set_sla(db, sla)?;
-        self.admission.install(db, &sla);
+        let gate = AdmissionGate::new(AdmissionParams::from_sla(&sla));
+        self.dbs.entry(db).set_gate(Some(Arc::new(gate)));
+        // ordering: SeqCst store pairs with `admitting`'s load; arming must not
+        // be reordered before the gate install above (the slot write's lock
+        // release already orders it, SeqCst keeps the intent explicit).
+        self.sla_armed.store(true, Ordering::SeqCst);
         Ok(())
     }
 
@@ -823,24 +867,39 @@ impl ClusterController {
     /// The tenant-scale harness uses this to demonstrate the §4 starvation
     /// the gate exists to prevent.
     pub fn set_admission_enabled(&self, on: bool) {
-        self.admission.set_enabled(on);
+        // ordering: Relaxed — see `admitting`.
+        self.admission_on.store(on, Ordering::Relaxed);
     }
 
     /// Is SLA admission enforcement currently on? (It is by default; it
     /// only matters once some database has an SLA installed.)
     pub fn admission_enabled(&self) -> bool {
-        self.admission.enabled()
+        // ordering: Relaxed — see `admitting`.
+        self.admission_on.load(Ordering::Relaxed)
     }
 
-    /// Admission-control a new transaction on `db` (§4 proactive
-    /// rejection). Free when no SLA is installed. Over-rate transactions
-    /// within the deferral budget are admitted after a short sleep; past it
-    /// they are shed with [`ClusterError::AdmissionRejected`], which counts
-    /// against the tenant's `max_rejected_frac`.
-    pub(crate) fn admit(&self, db: &str) -> Result<()> {
-        let Some(gate) = self.admission.gate(db) else {
+    /// Whether any gate is consulted: an SLA was installed somewhere and
+    /// enforcement is on.
+    fn admitting(&self) -> bool {
+        // ordering: Relaxed — arming is monotonic and the gate slots have
+        // their own locks; a stale `false` admits a handful of transactions
+        // while the first SLA install propagates.
+        let armed = self.sla_armed.load(Ordering::Relaxed);
+        // ordering: Relaxed — the kill-switch is a test/operator knob; a
+        // stale read admits or sheds a few transactions around the flip.
+        armed && self.admission_on.load(Ordering::Relaxed)
+    }
+
+    /// Admission-control a new transaction on `entry`'s database (§4
+    /// proactive rejection). Free when no SLA is installed. Over-rate
+    /// transactions within the deferral budget are admitted after a short
+    /// sleep; past it they are shed with [`ClusterError::AdmissionRejected`],
+    /// which counts against the tenant's `max_rejected_frac`.
+    pub(crate) fn admit(&self, entry: &DbEntry) -> Result<()> {
+        let Some(gate) = self.admitting().then(|| entry.gate()).flatten() else {
             return Ok(());
         };
+        let db = entry.name();
         match gate.decide() {
             tenantdb_sla::AdmissionDecision::Admit => {
                 self.metrics.note_sla_admitted(db, &gate);
@@ -852,7 +911,7 @@ impl ClusterController {
                 std::thread::sleep(wait);
                 Ok(())
             }
-            tenantdb_sla::AdmissionDecision::Reject => Err(self.shed(db, &gate)),
+            tenantdb_sla::AdmissionDecision::Reject => Err(self.shed(entry, &gate)),
         }
     }
 
@@ -862,19 +921,24 @@ impl ClusterController {
     /// work for over-rate tenants without double-charging them; the shed is
     /// still counted. Returns `None` when no SLA is installed.
     pub fn admission_probe(&self, db: &str) -> Option<ClusterError> {
-        let gate = self.admission.gate(db)?;
+        if !self.admitting() {
+            return None;
+        }
+        let entry = self.dbs.get(db)?;
+        let gate = entry.gate()?;
         if !gate.would_reject() {
             return None;
         }
-        Some(self.shed(db, &gate))
+        Some(self.shed(&entry, &gate))
     }
 
-    /// Count a shed of `db`, at the gate and against the tenant's
-    /// availability SLA, and return the refusal the client sees.
-    fn shed(&self, db: &str, gate: &tenantdb_sla::AdmissionGate) -> ClusterError {
+    /// Count a shed of `entry`'s database, at the gate and against the
+    /// tenant's availability SLA, and return the refusal the client sees.
+    fn shed(&self, entry: &DbEntry, gate: &AdmissionGate) -> ClusterError {
+        let db = entry.name();
         self.metrics.note_sla_rejected(db, gate);
         let shed = ClusterError::AdmissionRejected { db: db.to_string() };
-        self.metrics.note_failed(db, shed.outcome());
+        entry.counters(&self.metrics).failed(shed.outcome());
         shed
     }
 

@@ -42,7 +42,6 @@
 
 #![warn(missing_docs)]
 
-mod admission;
 pub mod connection;
 pub mod controller;
 pub mod error;

@@ -2,7 +2,6 @@
 //! plus the persistent worker pool that executes transactions against it.
 
 use std::fmt;
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 use tenantdb_history::{GTxn, Recorder};
@@ -11,7 +10,7 @@ use tenantdb_storage::{Engine, EngineConfig};
 use crate::fault::FaultInjector;
 use crate::metrics::PoolMetrics;
 use crate::pool::{PoolConfig, WorkerPool};
-use crate::worker::{new_session, SessionHandle, TxnFailures, WorkerReply};
+use crate::worker::{new_session, SessionHandle, TxnShared};
 
 /// Machine identifier within a cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -88,18 +87,16 @@ impl Machine {
     pub fn session(
         &self,
         gtxn: GTxn,
-        failures: Arc<TxnFailures>,
+        shared: Arc<TxnShared>,
         recorder: Option<Arc<Recorder>>,
-        reply: Sender<WorkerReply>,
     ) -> SessionHandle {
         new_session(
             self.pool.shared(),
             self.id,
             Arc::clone(&self.engine),
             gtxn,
-            failures,
+            shared,
             recorder,
-            reply,
             Arc::clone(&self.faults),
         )
     }

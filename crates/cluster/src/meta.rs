@@ -44,6 +44,7 @@ use crate::controller::{CopyProgress, Placement};
 use crate::error::{ClusterError, Result};
 use crate::fault::{CrashPoint, FaultAction, FaultInjector, CONTROLLER};
 use crate::machine::MachineId;
+use crate::plans::Dbs;
 use crate::sync::{Mutex, CTRL_META};
 use crate::twopc::{Command, Participant, Role, Verdict};
 
@@ -283,6 +284,18 @@ impl MetaCommand {
             | MetaCommand::FinishCopy { db }
             | MetaCommand::AbandonCopy { db } => Some(db),
             _ => None,
+        }
+    }
+
+    /// True if this command can change some database's `route_info`
+    /// answer.
+    fn routes(&self) -> bool {
+        match self {
+            MetaCommand::SetCopyCurrent { .. }
+            | MetaCommand::MarkCopied { .. }
+            | MetaCommand::DetachMachine { .. } => true,
+            MetaCommand::Tagged { cmd, .. } => cmd.routes(),
+            _ => self.database().is_some(),
         }
     }
 }
@@ -560,11 +573,19 @@ struct GroupInner {
     elections: Vec<(Term, NodeId)>,
     /// Elections not yet drained by [`ControllerGroup::take_elections`].
     fresh_elections: Vec<(Term, NodeId)>,
-    /// Per-node fingerprints of applied commands, keyed by log index — the
-    /// log-matching / no-conflicting-placements invariant compares nodes
-    /// index-by-index (a node caught up via `InstallSnapshot` legitimately
-    /// never applies the folded-away indices one by one).
-    applied_hashes: Vec<BTreeMap<Index, u64>>,
+    /// The database entries, whose routing epoch applied commands bump.
+    dbs: Arc<Dbs>,
+    /// The first fingerprint applied at each log index (and by whom), kept
+    /// while some node can still apply it: the log-matching invariant
+    /// compares every later apply with it (a node caught up via
+    /// `InstallSnapshot` never applies the folded indices one by one).
+    fingerprints: BTreeMap<Index, (u64, NodeId)>,
+    /// Per node pair (lower id first), the lowest index they disagree at.
+    diverged: BTreeMap<(NodeId, NodeId), Index>,
+    /// Per node, the last applied index `observe` saw.
+    seen: Vec<Index>,
+    /// The node reads were last served from.
+    read_from: usize,
     /// 2PC decisions acked to a coordinator and not yet resolved: each
     /// must still be in the log (see [`GroupInner::ledger`]).
     acked_decisions: BTreeSet<GTxn>,
@@ -579,6 +600,26 @@ struct GroupInner {
 }
 
 impl GroupInner {
+    /// Node `i` applied the command fingerprinted `hash` at `idx`.
+    fn fingerprint(&mut self, i: usize, idx: Index, hash: u64) {
+        let (first, by) = *self.fingerprints.entry(idx).or_insert((hash, i as NodeId));
+        if first != hash {
+            let pair = (by.min(i as NodeId), by.max(i as NodeId));
+            let at = self.diverged.entry(pair).or_insert(idx);
+            *at = (*at).min(idx);
+        }
+    }
+
+    /// Bump the routing epoch when reads move to another node, whose
+    /// applied state may differ.
+    fn reread(&mut self) {
+        let node = ControllerGroup::read_node(self);
+        if node != self.read_from {
+            self.read_from = node;
+            self.dbs.bump();
+        }
+    }
+
     /// Record that `gtxn`'s decision was acked (`ack`) or resolved: the
     /// second of the two removes the first's entry and inserts nothing, so
     /// both ledgers stay empty in steady state.
@@ -629,6 +670,7 @@ impl ControllerGroup {
         seed: u64,
         capacity: ResourceVector,
         faults: Arc<FaultInjector>,
+        dbs: Arc<Dbs>,
     ) -> Self {
         let n = replicas.max(1);
         let voters: Vec<NodeId> = (0..n as NodeId).collect();
@@ -650,7 +692,11 @@ impl ControllerGroup {
                     last_won: vec![0; n],
                     elections: Vec::new(),
                     fresh_elections: Vec::new(),
-                    applied_hashes: vec![BTreeMap::new(); n],
+                    dbs,
+                    fingerprints: BTreeMap::new(),
+                    diverged: BTreeMap::new(),
+                    seen: vec![0; n],
+                    read_from: 0,
                     acked_decisions: BTreeSet::new(),
                     resolved_decisions: BTreeSet::new(),
                     next_req: 0,
@@ -665,7 +711,8 @@ impl ControllerGroup {
     // ------------------------------------------------------------ plumbing
 
     /// Record observable progress on node `i`: elections won and commands
-    /// applied (for the invariant checkers).
+    /// applied (for the invariant checkers), and bump the routing epoch
+    /// if an applied command changed some database's route.
     fn observe(inner: &mut GroupInner, i: usize) {
         let won = inner.nodes[i].elections_won();
         if won > inner.last_won[i] {
@@ -674,9 +721,28 @@ impl ControllerGroup {
             inner.elections.push((t, i as NodeId));
             inner.fresh_elections.push((t, i as NodeId));
         }
+        let mut moved = false;
         for (idx, cmd) in inner.nodes[i].take_applied() {
-            inner.applied_hashes[i].insert(idx, hash_cmd(&cmd));
+            // A node caught up by `InstallSnapshot` applied none of the
+            // entries its new state folds in: any database may have moved.
+            moved |= idx != inner.seen[i] + 1 || cmd.routes();
+            inner.seen[i] = idx;
+            inner.fingerprint(i, idx, hash_cmd(&cmd));
         }
+        let applied = inner.nodes[i].last_applied();
+        if moved || applied != inner.seen[i] {
+            inner.seen[i] = applied;
+            inner.dbs.bump();
+        }
+        // Every node at or past an index applied it (or skipped it).
+        let floor = inner.nodes.iter().map(|n| n.last_applied()).min();
+        while let Some(e) = inner.fingerprints.first_entry() {
+            if floor.is_none_or(|f| *e.key() > f) {
+                break;
+            }
+            e.remove();
+        }
+        inner.reread();
     }
 
     /// Deliver queued messages to quiescence. Messages to or from crashed
@@ -1213,6 +1279,7 @@ impl ControllerGroup {
             return false;
         }
         inner.crashed[i] = true;
+        inner.reread();
         true
     }
 
@@ -1223,6 +1290,7 @@ impl ControllerGroup {
         let inner = &mut *guard;
         let l = Self::wait_leader(inner)?;
         inner.crashed[l] = true;
+        inner.reread();
         Some(l as NodeId)
     }
 
@@ -1237,6 +1305,7 @@ impl ControllerGroup {
         }
         inner.crashed[i] = false;
         inner.nodes[i].restart();
+        inner.reread();
         true
     }
 
@@ -1249,6 +1318,7 @@ impl ControllerGroup {
             return false;
         }
         inner.isolated[i] = true;
+        inner.reread();
         true
     }
 
@@ -1256,6 +1326,7 @@ impl ControllerGroup {
     pub fn heal(&self) {
         let mut inner = self.inner.lock();
         inner.isolated.iter_mut().for_each(|p| *p = false);
+        inner.reread();
     }
 
     /// Force every alive replica to fold its applied entries into a
@@ -1382,20 +1453,11 @@ impl ControllerGroup {
                 }
             }
         }
-        for a in 0..inner.nodes.len() {
-            for b in (a + 1)..inner.nodes.len() {
-                let (ha, hb) = (&inner.applied_hashes[a], &inner.applied_hashes[b]);
-                if let Some(idx) = ha
-                    .iter()
-                    .find(|(idx, h)| hb.get(idx).is_some_and(|hh| hh != *h))
-                    .map(|(idx, _)| *idx)
-                {
-                    v.push(format!(
-                        "applied logs diverge between controller {a} and controller {b} \
-                         at log index {idx}"
-                    ));
-                }
-            }
+        for (&(a, b), idx) in &inner.diverged {
+            v.push(format!(
+                "applied logs diverge between controller {a} and controller {b} \
+                 at log index {idx}"
+            ));
         }
         let i = Self::read_node(&inner);
         let st = inner.nodes[i].state();
@@ -1426,7 +1488,13 @@ mod tests {
     }
 
     fn group(n: usize) -> ControllerGroup {
-        ControllerGroup::new(n, 7, ResourceVector::ZERO, FaultInjector::disarmed())
+        ControllerGroup::new(
+            n,
+            7,
+            ResourceVector::ZERO,
+            FaultInjector::disarmed(),
+            Arc::default(),
+        )
     }
 
     fn m(n: u32) -> MachineId {
@@ -1585,6 +1653,52 @@ mod tests {
             "{:?}",
             g.invariant_violations()
         );
+    }
+
+    /// The agreement check has teeth: a follower that catches up by log
+    /// replay is compared index by index with what was applied first, so
+    /// a corrupted first fingerprint is reported against it.
+    #[test]
+    fn a_corrupted_applied_fingerprint_is_reported() {
+        let g = group(3);
+        let leader = g.ensure_leader().unwrap() as usize;
+        let victim = (0..3).find(|i| *i != leader).unwrap();
+        g.crash(victim as NodeId);
+        for i in 0..5 {
+            g.create_db(&format!("db{i}"), &[m(0)], ResourceVector::ZERO)
+                .result
+                .unwrap();
+        }
+        {
+            // Kept while the crashed follower can still apply them.
+            let mut inner = g.inner.lock();
+            let floor = inner.nodes[victim].last_applied();
+            assert!(inner.fingerprints.keys().any(|&i| i > floor));
+            for (h, _) in inner.fingerprints.values_mut() {
+                *h ^= 1;
+            }
+        }
+        g.restart(victim as NodeId);
+        g.quiesce();
+        let v = g.invariant_violations();
+        assert!(
+            v.iter()
+                .any(|l| l.contains("diverge") && l.contains(&format!("controller {victim}"))),
+            "{v:?}"
+        );
+    }
+
+    /// With every replica up, the agreement check keeps only the indices
+    /// some replica has yet to apply, not one per applied command.
+    #[test]
+    fn applied_fingerprints_stay_bounded() {
+        let g = group(3);
+        for epoch in 0..10_000 {
+            g.set_geo_epoch(epoch).unwrap();
+        }
+        let kept = g.inner.lock().fingerprints.len();
+        assert!(kept <= 4, "{kept} fingerprints kept");
+        assert!(g.invariant_violations().is_empty());
     }
 
     #[test]

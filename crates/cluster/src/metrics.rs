@@ -9,14 +9,15 @@
 //! `\metrics` command, and the tests all read from the same place.
 //!
 //! Handles for unlabelled hot-path series (2PC phase latencies, straggler
-//! acks) are resolved once at construction; per-database and per-route
-//! series are resolved through small handle caches so the steady-state cost
-//! of an increment is one `HashMap` probe plus one relaxed atomic add.
+//! acks) are resolved once at construction; a database's outcome series
+//! are resolved once into its controller entry, and a replica's read-route
+//! series once into each connection's cached route, so the steady-state
+//! cost of an increment is one relaxed atomic add.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::sync::{Mutex, METRICS_PER_DB, METRICS_READ_ROUTES, METRICS_SLA};
+use crate::sync::{Mutex, METRICS_READ_ROUTES, METRICS_SLA};
 
 use tenantdb_obs::{Counter, EventLog, Gauge, Histogram, MetricsRegistry};
 
@@ -156,14 +157,30 @@ struct SlaHandles {
     debt: Option<Arc<Gauge>>,
 }
 
-/// Cached per-database outcome counter handles (one probe per increment).
-struct DbHandles {
+/// One database's outcome counter handles (kept by its controller entry).
+pub(crate) struct DbHandles {
     committed: Arc<Counter>,
     deadlocks: Arc<Counter>,
     rejected: Arc<Counter>,
     aborted: Arc<Counter>,
-    begun: Arc<Counter>,
+    pub(crate) begun: Arc<Counter>,
     write_rejections: Arc<Counter>,
+}
+
+impl DbHandles {
+    /// Count a committed transaction.
+    pub(crate) fn committed(&self) {
+        self.committed.inc();
+    }
+
+    /// Count a transaction that did not commit, under `outcome`.
+    pub(crate) fn failed(&self, outcome: Outcome) {
+        match outcome {
+            Outcome::Deadlock => self.deadlocks.inc(),
+            Outcome::Rejected => self.rejected.inc(),
+            Outcome::Aborted => self.aborted.inc(),
+        }
+    }
 }
 
 /// The cluster's metrics surface: the registry plus pre-resolved handles
@@ -206,7 +223,6 @@ pub struct ClusterMetrics {
     pub ctrl_elections: Arc<Counter>,
     /// Writes rejected because this cluster lost geo write authority.
     pub geo_fenced_writes: Arc<Counter>,
-    per_db: Mutex<HashMap<String, Arc<DbHandles>>>,
     read_routes: Mutex<HashMap<(ReadPolicy, MachineId), Arc<Counter>>>,
     sla: Mutex<HashMap<String, Arc<SlaHandles>>>,
 }
@@ -327,7 +343,6 @@ impl ClusterMetrics {
             ctrl_replication_lag: registry.gauge(CTRL_REPLICATION_LAG, &[]),
             ctrl_elections: registry.counter(CTRL_ELECTIONS, &[]),
             geo_fenced_writes: registry.counter(GEOREP_FENCED_WRITES, &[]),
-            per_db: Mutex::new(&METRICS_PER_DB, HashMap::new()),
             read_routes: Mutex::new(&METRICS_READ_ROUTES, HashMap::new()),
             sla: Mutex::new(&METRICS_SLA, HashMap::new()),
             registry,
@@ -344,11 +359,9 @@ impl ClusterMetrics {
         self.registry.events()
     }
 
-    fn db_handles(&self, db: &str) -> Arc<DbHandles> {
-        if let Some(h) = self.per_db.lock().get(db) {
-            return Arc::clone(h);
-        }
-        let handles = Arc::new(DbHandles {
+    /// Resolve `db`'s outcome series (made now if absent).
+    pub(crate) fn db_handles(&self, db: &str) -> DbHandles {
+        DbHandles {
             committed: self
                 .registry
                 .counter(TXN_OUTCOMES, &[("db", db), ("outcome", "committed")]),
@@ -363,12 +376,7 @@ impl ClusterMetrics {
                 .counter(TXN_OUTCOMES, &[("db", db), ("outcome", "aborted")]),
             begun: self.registry.counter(TXN_BEGUN, &[("db", db)]),
             write_rejections: self.registry.counter(WRITE_REJECTIONS, &[("db", db)]),
-        });
-        self.per_db
-            .lock()
-            .entry(db.to_string())
-            .or_insert(handles)
-            .clone()
+        }
     }
 
     /// Count a `BEGIN` for `db`.
@@ -378,7 +386,7 @@ impl ClusterMetrics {
 
     /// Count a committed transaction for `db`.
     pub fn note_committed(&self, db: &str) {
-        self.db_handles(db).committed.inc();
+        self.db_handles(db).committed();
     }
 
     /// Count a write rejected by the geo fence (cluster lost write
@@ -389,17 +397,17 @@ impl ClusterMetrics {
 
     /// Count a transaction of `db` that did not commit, under `outcome`.
     pub fn note_failed(&self, db: &str, outcome: Outcome) {
-        let h = self.db_handles(db);
-        match outcome {
-            Outcome::Deadlock => h.deadlocks.inc(),
-            Outcome::Rejected => h.rejected.inc(),
-            Outcome::Aborted => h.aborted.inc(),
-        }
+        self.db_handles(db).failed(outcome);
     }
 
     /// Count an Algorithm-1 write rejection for `db` and log the event.
     pub fn note_write_rejected(&self, db: &str, table: &str) {
-        self.db_handles(db).write_rejections.inc();
+        self.write_rejected(&self.db_handles(db), db, table);
+    }
+
+    /// [`Self::note_write_rejected`] on `db`'s resolved `counters`.
+    pub(crate) fn write_rejected(&self, counters: &DbHandles, db: &str, table: &str) {
+        counters.write_rejections.inc();
         self.registry.events().emit(
             "write_rejected",
             vec![("db", db.to_string()), ("table", table.to_string())],
@@ -408,9 +416,13 @@ impl ClusterMetrics {
 
     /// Count one read routed to `machine` under `policy`.
     pub fn note_read_route(&self, policy: ReadPolicy, machine: MachineId) {
+        self.read_route(policy, machine).inc();
+    }
+
+    /// The counter of reads routed to `machine` under `policy`.
+    pub(crate) fn read_route(&self, policy: ReadPolicy, machine: MachineId) -> Arc<Counter> {
         if let Some(c) = self.read_routes.lock().get(&(policy, machine)) {
-            c.inc();
-            return;
+            return Arc::clone(c);
         }
         let counter = self.registry.counter(
             READ_ROUTES,
@@ -419,8 +431,8 @@ impl ClusterMetrics {
                 ("machine", &machine.to_string()),
             ],
         );
-        counter.inc();
-        self.read_routes.lock().insert((policy, machine), counter);
+        let mut routes = self.read_routes.lock();
+        Arc::clone(routes.entry((policy, machine)).or_insert(counter))
     }
 
     /// Live outcome totals for one database.

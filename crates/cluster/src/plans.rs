@@ -1,34 +1,37 @@
-//! The per-database plan cache: SQL text → [`Plan`], owned by the cluster
-//! controller.
+//! The per-database entry: the one controller-owned object a database's
+//! derived state hangs off — its plans (SQL text → [`Plan`]), outcome
+//! counters and SLA gate — resolved once per connection.
 //!
 //! The paper's tenants are tens of thousands of small applications that
 //! each replay the same handful of statements, and what a statement binds
 //! to — tables, column offsets, access paths — is fixed by (schema, SQL
-//! text). So the database is the unit the derived state hangs off: one
-//! cache entry per database, shared by all its connections and shipped to
-//! every replica, dropped wholesale whenever that database's schema can
-//! have changed (any DDL against it, and `drop_database`).
-//!
-//! Invalidation *detaches* the database's entry instead of emptying it: a
-//! statement that looked the entry up before the schema change files its
-//! plan into the detached object, which nobody will look into again. (A
-//! database's *first* plan has no entry to file into yet; the generation
-//! counter refuses to create one across an invalidation.) Either way no
-//! plan bound before a DDL is served after it.
+//! text). So the database is the unit, and what invalidated by name keeps
+//! its meaning:
+//! - **DDL** clears the plans and moves their generation; a plan bound
+//!   across the move is served once, not cached. So no plan bound before a
+//!   DDL is served after it.
+//! - **Routing**: the controller group bumps one routing epoch
+//!   ([`Dbs::epoch`]) whenever an applied command changes any database's
+//!   placement or copy state. It never restarts, so a route cached for a
+//!   dropped database is never current for the one re-created under its
+//!   name.
+//! - **`drop_database`** takes the entry out of the table and marks it
+//!   dropped; its connections then look the name up again.
 //!
 //! A plan that a statement obtained just before its database was dropped
 //! and re-created is refused by the executor itself (the table's shape
-//! fingerprint), so the cache does not have to exclude that race.
+//! fingerprint), so the entry does not have to exclude that race.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
-use tenantdb_obs::Counter;
+use tenantdb_sla::AdmissionGate;
 use tenantdb_sql::{Plan, StatementClass};
 
 use crate::error::Result;
-use crate::metrics::ClusterMetrics;
-use crate::sync::{RwLock, CTRL_PLANS, CTRL_PLANS_DB};
+use crate::metrics::{ClusterMetrics, DbHandles};
+use crate::sync::{RwLock, CTRL_ADMISSION, CTRL_DBS, CTRL_PLANS_DB};
 
 /// Plans kept per database. An application replays tens of statement
 /// texts (TPC-W: ~30); one that splices literals into its SQL mints a new
@@ -36,96 +39,170 @@ use crate::sync::{RwLock, CTRL_PLANS, CTRL_PLANS_DB};
 /// bounded memory, and no worse than planning every call.
 const MAX_PLANS_PER_DB: usize = 256;
 
-/// One database's plans, by SQL text.
+/// One database's plans. `generation` counts invalidations.
 #[derive(Default)]
-struct DbPlans {
+struct Plans {
     by_sql: HashMap<Box<str>, Arc<Plan>>,
-}
-
-/// The registered entries. `generation` counts invalidations.
-#[derive(Default)]
-struct Entries {
-    dbs: HashMap<String, Arc<RwLock<DbPlans>>>,
     generation: u64,
 }
 
 /// See the module docs.
-pub(crate) struct PlanCache {
-    entries: RwLock<Entries>,
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    evictions: Arc<Counter>,
+pub(crate) struct DbEntry {
+    name: Box<str>,
+    /// Set once the database is dropped.
+    dropped: AtomicBool,
+    plans: RwLock<Plans>,
+    /// The SLA admission gate, once an SLA is installed.
+    gate: RwLock<Option<Arc<AdmissionGate>>>,
+    /// Outcome counters, resolved on first use (an untouched database
+    /// materializes no series).
+    counters: OnceLock<DbHandles>,
 }
 
-impl PlanCache {
-    /// An empty cache counting into `metrics`' `tenantdb_plan_cache_*`.
-    pub(crate) fn new(metrics: &ClusterMetrics) -> Self {
-        PlanCache {
-            entries: RwLock::new(&CTRL_PLANS, Entries::default()),
-            hits: Arc::clone(&metrics.plan_cache_hits),
-            misses: Arc::clone(&metrics.plan_cache_misses),
-            evictions: Arc::clone(&metrics.plan_cache_evictions),
+impl DbEntry {
+    fn new(name: &str) -> Self {
+        DbEntry {
+            name: name.into(),
+            dropped: AtomicBool::new(false),
+            plans: RwLock::new(&CTRL_PLANS_DB, Plans::default()),
+            gate: RwLock::new(&CTRL_ADMISSION, None),
+            counters: OnceLock::new(),
         }
     }
 
-    /// The cached plan of `sql` in `db`, or the one `bind` makes — which is
-    /// then cached, unless it is DDL (whose execution drops the cache).
-    pub(crate) fn get_or_bind(
+    /// The database's name.
+    pub(crate) fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// True once the database was dropped.
+    pub(crate) fn dropped(&self) -> bool {
+        // ordering: Acquire pairs with `Dbs::remove`'s Release store: a
+        // reader that sees the mark sees the entry already out of the table.
+        self.dropped.load(Ordering::Acquire)
+    }
+
+    /// The outcome counters, resolved from `metrics` on first use.
+    pub(crate) fn counters(&self, metrics: &ClusterMetrics) -> &DbHandles {
+        self.counters.get_or_init(|| metrics.db_handles(&self.name))
+    }
+
+    /// The installed SLA gate, if any.
+    pub(crate) fn gate(&self) -> Option<Arc<AdmissionGate>> {
+        self.gate.read().clone()
+    }
+
+    pub(crate) fn set_gate(&self, gate: Option<Arc<AdmissionGate>>) {
+        *self.gate.write() = gate;
+    }
+
+    /// The cached plan of `sql`, or the one `bind` makes — which is then
+    /// cached, unless it is DDL (whose execution clears the plans) or the
+    /// plans were cleared while it was bound.
+    pub(crate) fn plan(
         &self,
-        db: &str,
+        metrics: &ClusterMetrics,
         sql: &str,
         bind: impl FnOnce() -> Result<Plan>,
     ) -> Result<Arc<Plan>> {
-        let (entry, generation) = {
-            let entries = self.entries.read();
-            (entries.dbs.get(db).cloned(), entries.generation)
+        let generation = {
+            let plans = self.plans.read();
+            if let Some(plan) = plans.by_sql.get(sql) {
+                metrics.plan_cache_hits.inc();
+                return Ok(Arc::clone(plan));
+            }
+            plans.generation
         };
-        if let Some(plan) = entry
-            .as_ref()
-            .and_then(|e| e.read().by_sql.get(sql).cloned())
-        {
-            self.hits.inc();
-            return Ok(plan);
-        }
-        self.misses.inc();
+        metrics.plan_cache_misses.inc();
         let plan = Arc::new(bind()?);
         if plan.class() == StatementClass::Ddl {
             return Ok(plan);
         }
-        let entry = match entry {
-            Some(entry) => entry,
-            None => {
-                let mut entries = self.entries.write();
-                if entries.generation != generation {
-                    // The schema may have changed under `bind`: serve the
-                    // plan once, cache nothing.
-                    return Ok(plan);
-                }
-                let fresh = || Arc::new(RwLock::new(&CTRL_PLANS_DB, DbPlans::default()));
-                Arc::clone(entries.dbs.entry(db.to_string()).or_insert_with(fresh))
-            }
-        };
-        let mut plans = entry.write();
+        let mut plans = self.plans.write();
+        if plans.generation != generation {
+            // The schema may have changed under `bind`: serve the plan
+            // once, cache nothing.
+            return Ok(plan);
+        }
         if plans.by_sql.len() >= MAX_PLANS_PER_DB {
-            self.evictions.add(plans.by_sql.len() as u64);
+            metrics.plan_cache_evictions.add(plans.by_sql.len() as u64);
             plans.by_sql.clear();
         }
         plans.by_sql.insert(sql.into(), Arc::clone(&plan));
         Ok(plan)
     }
 
-    /// Forget every plan of `db` (its schema changed, or it is gone).
-    pub(crate) fn invalidate(&self, db: &str) {
-        let mut entries = self.entries.write();
-        entries.dbs.remove(db);
-        entries.generation += 1;
+    /// Forget every plan (the schema changed, or the database is gone).
+    pub(crate) fn invalidate_plans(&self) {
+        let mut plans = self.plans.write();
+        plans.by_sql.clear();
+        plans.generation += 1;
     }
 
-    /// Plans currently cached for `db`.
+    /// Plans currently cached.
     #[cfg(test)]
-    pub(crate) fn cached(&self, db: &str) -> usize {
-        let entry = self.entries.read().dbs.get(db).cloned();
-        entry.map_or(0, |e| e.read().by_sql.len())
+    fn cached(&self) -> usize {
+        self.plans.read().by_sql.len()
+    }
+}
+
+/// Every database's entry, by name, and the routing epoch.
+pub(crate) struct Dbs {
+    map: RwLock<HashMap<String, Arc<DbEntry>>>,
+    epoch: AtomicU64,
+}
+
+impl Default for Dbs {
+    fn default() -> Self {
+        Dbs {
+            map: RwLock::new(&CTRL_DBS, HashMap::new()),
+            epoch: AtomicU64::new(0),
+        }
+    }
+}
+
+impl Dbs {
+    /// `db`'s entry, if it has one.
+    pub(crate) fn get(&self, db: &str) -> Option<Arc<DbEntry>> {
+        self.map.read().get(db).cloned()
+    }
+
+    /// `db`'s entry, made now if it has none.
+    pub(crate) fn entry(&self, db: &str) -> Arc<DbEntry> {
+        if let Some(e) = self.get(db) {
+            return e;
+        }
+        let mut map = self.map.write();
+        let fresh = || Arc::new(DbEntry::new(db));
+        Arc::clone(map.entry(db.to_string()).or_insert_with(fresh))
+    }
+
+    /// `db` was dropped: its entry leaves the table marked dropped, with
+    /// no plans and no gate.
+    pub(crate) fn remove(&self, db: &str) {
+        let Some(e) = self.map.write().remove(db) else {
+            return;
+        };
+        e.invalidate_plans();
+        e.set_gate(None);
+        // ordering: Release, after the removal; see `DbEntry::dropped`.
+        e.dropped.store(true, Ordering::Release);
+    }
+
+    /// The routing epoch: moves whenever what `route_info` answers for
+    /// some database may have changed.
+    pub(crate) fn epoch(&self) -> u64 {
+        // ordering: Acquire pairs with `bump`'s SeqCst RMW: an epoch that
+        // shows a bump shows the applied command behind it (see
+        // `ClusterController::quiesce_routing` for the write-side argument).
+        self.epoch.load(Ordering::Acquire)
+    }
+
+    /// Some database's routing changed.
+    pub(crate) fn bump(&self) {
+        // ordering: SeqCst — sequenced before the routing barrier's epoch
+        // flip on the thread that applied the command; see `epoch`.
+        self.epoch.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -158,68 +235,75 @@ mod tests {
 
     #[test]
     fn binds_once_per_text_and_counts() {
-        let (e, metrics) = (engine(), ClusterMetrics::new());
-        let cache = PlanCache::new(&metrics);
+        let (e, metrics, dbs) = (engine(), ClusterMetrics::new(), Dbs::default());
         let sql = "SELECT v FROM t WHERE k = ?";
         let bind = || Ok(plan(&e, "app", &parse(sql)?)?);
-        let first = cache.get_or_bind("app", sql, bind).unwrap();
-        let again = cache
-            .get_or_bind("app", sql, || panic!("a hit binds nothing"))
+        let app = dbs.entry("app");
+        let first = app.plan(&metrics, sql, bind).unwrap();
+        let again = dbs
+            .entry("app")
+            .plan(&metrics, sql, || panic!("a hit binds nothing"))
             .unwrap();
         assert!(Arc::ptr_eq(&first, &again));
         assert_eq!(counts(&metrics), [1, 1, 0]);
         // Another database shares nothing.
-        cache.get_or_bind("other", sql, bind).unwrap();
+        dbs.entry("other").plan(&metrics, sql, bind).unwrap();
         assert_eq!(counts(&metrics), [1, 2, 0]);
     }
 
     #[test]
     fn errors_and_ddl_are_not_cached() {
         let (e, metrics) = (engine(), ClusterMetrics::new());
-        let cache = PlanCache::new(&metrics);
+        let app = DbEntry::new("app");
         let e = &e;
         let bind = |sql: &'static str| move || Ok(plan(e, "app", &parse(sql)?)?);
-        assert!(cache
-            .get_or_bind("app", "SELECT 1 FROM nope", bind("SELECT 1 FROM nope"))
+        assert!(app
+            .plan(&metrics, "SELECT 1 FROM nope", bind("SELECT 1 FROM nope"))
             .is_err());
         let ddl = "CREATE INDEX by_v ON t (v)";
-        cache.get_or_bind("app", ddl, bind(ddl)).unwrap();
-        assert_eq!(cache.cached("app"), 0);
+        app.plan(&metrics, ddl, bind(ddl)).unwrap();
+        assert_eq!(app.cached(), 0);
         assert_eq!(counts(&metrics), [0, 2, 0]);
     }
 
     #[test]
-    fn invalidation_drops_the_database_wholesale() {
-        let (e, metrics) = (engine(), ClusterMetrics::new());
-        let cache = PlanCache::new(&metrics);
+    fn invalidation_and_drop_clear_the_plans_and_mark_the_entry() {
+        let (e, metrics, dbs) = (engine(), ClusterMetrics::new(), Dbs::default());
         let sql = "SELECT v FROM t";
         let bind = || Ok(plan(&e, "app", &parse(sql)?)?);
-        cache.get_or_bind("app", sql, bind).unwrap();
-        cache.get_or_bind("other", sql, bind).unwrap();
-        cache.invalidate("app");
-        assert_eq!((cache.cached("app"), cache.cached("other")), (0, 1));
-        // A first plan bound across an invalidation is served, not cached.
-        cache.invalidate("fresh");
-        cache
-            .get_or_bind("fresh", sql, || {
-                cache.invalidate("fresh");
-                bind()
-            })
-            .unwrap();
-        assert_eq!(cache.cached("fresh"), 0);
+        let (app, other) = (dbs.entry("app"), dbs.entry("other"));
+        app.plan(&metrics, sql, bind).unwrap();
+        other.plan(&metrics, sql, bind).unwrap();
+        app.invalidate_plans();
+        assert_eq!((app.cached(), other.cached()), (0, 1));
+        // A plan bound across an invalidation is served, not cached.
+        app.plan(&metrics, sql, || {
+            app.invalidate_plans();
+            bind()
+        })
+        .unwrap();
+        assert_eq!(app.cached(), 0);
+        // The routing epoch only moves forward; a drop marks and detaches.
+        let epoch = dbs.epoch();
+        dbs.bump();
+        assert_eq!(dbs.epoch(), epoch + 1);
+        dbs.remove("other");
+        assert!(other.dropped() && !app.dropped());
+        assert_eq!(other.cached(), 0);
+        assert!(dbs.get("other").is_none());
+        assert!(!Arc::ptr_eq(&dbs.entry("other"), &other));
     }
 
     #[test]
     fn the_bound_is_enforced_by_starting_over() {
         let (e, metrics) = (engine(), ClusterMetrics::new());
-        let cache = PlanCache::new(&metrics);
+        let app = DbEntry::new("app");
         for i in 0..=MAX_PLANS_PER_DB {
             let sql = format!("SELECT v FROM t WHERE k = {i}");
-            cache
-                .get_or_bind("app", &sql, || Ok(plan(&e, "app", &parse(&sql)?)?))
+            app.plan(&metrics, &sql, || Ok(plan(&e, "app", &parse(&sql)?)?))
                 .unwrap();
         }
-        assert_eq!(cache.cached("app"), 1);
+        assert_eq!(app.cached(), 1);
         assert_eq!(
             counts(&metrics),
             [0, MAX_PLANS_PER_DB as u64 + 1, MAX_PLANS_PER_DB as u64]

@@ -9,8 +9,8 @@
 //! ```text
 //! connection (10..30)          outermost: held across routing + enqueue
 //!   └─ controller (100..145)   machine map, replicated metadata group,
-//!                              plan caches
-//!        └─ metrics (150..155) per-db handle caches
+//!                              database entries
+//!        └─ metrics (152..155) handle caches
 //!                  └─ pool (300..310)       worker pools
 //!                       └─ worker (400..420) session mailbox/exec lanes
 //!                            └─ fault (450)  injector plans
@@ -36,10 +36,8 @@ pub use tenantdb_lockdep::LockClass;
 /// the outermost lock in the system.
 pub static CONN_STATE: LockClass = LockClass::new("cluster.connection.state", 10);
 
-/// `Connection::rng` — read-routing randomness (taken under `CONN_STATE`).
-pub static CONN_RNG: LockClass = LockClass::new("cluster.connection.rng", 20);
-
-/// `ActiveTxn::reply_rx` — worker reply channel receiver.
+/// `TxnShared`'s reply receiver — the worker reply channel a transaction
+/// makes once a lane it waits on is found busy.
 pub static CONN_REPLY: LockClass = LockClass::new("cluster.connection.reply", 30);
 
 /// `ClusterController::machines` — the machine map. Held while reading
@@ -56,26 +54,23 @@ pub static ROUTE_QUIESCE: LockClass = LockClass::new("cluster.controller.route_q
 /// nested acquisition is the fault injector (rank 450).
 pub static CTRL_META: LockClass = LockClass::new("cluster.controller.meta", 110);
 
-/// `AdmissionTable::gates` — per-database SLA admission gates. Read on the
-/// transaction entry path (under `CONN_STATE`), written when an SLA is
-/// installed or a database is dropped (under `CTRL_META` having been
-/// released; sits between the metadata group and the recorder).
+/// `DbEntry::gate` — one database's SLA admission gate. Read on the
+/// transaction entry path (under `CONN_STATE`) once an SLA is installed
+/// anywhere, written when an SLA is installed or the database is dropped.
 pub static CTRL_ADMISSION: LockClass = LockClass::new("cluster.controller.admission", 120);
 
 /// `ClusterController::recorder` — optional history recorder slot.
 pub static CTRL_RECORDER: LockClass = LockClass::new("cluster.controller.recorder", 130);
 
-/// `PlanCache::entries` — which databases have a plan cache. Read (never
-/// while holding another controller lock) on every statement; written on a
-/// database's first plan, on DDL and on drop.
-pub static CTRL_PLANS: LockClass = LockClass::new("cluster.controller.plans", 140);
+/// `Dbs::map` — every database's entry, by name. Read when a connection
+/// opens (or finds its entry dropped); written on a database's first entry
+/// and on drop.
+pub static CTRL_DBS: LockClass = LockClass::new("cluster.controller.dbs", 140);
 
-/// One database's plans (`DbPlans`), taken after `CTRL_PLANS` is released
-/// — ranked below it only so the pair has a stated order.
+/// One database's plans (`DbEntry::plans`), read on every statement under
+/// `CONN_STATE`; never nested with `CTRL_DBS`, ranked below it only so the
+/// pair has a stated order.
 pub static CTRL_PLANS_DB: LockClass = LockClass::new("cluster.controller.plans.db", 145);
-
-/// `ClusterMetrics::per_db` — resolve-once per-database handle cache.
-pub static METRICS_PER_DB: LockClass = LockClass::new("cluster.metrics.per_db", 150);
 
 /// `ClusterMetrics::sla` — resolve-once per-database SLA admission handle
 /// cache. Populated lazily on the first admission event for a database so
@@ -98,7 +93,7 @@ pub static WORKER_MAILBOX: LockClass = LockClass::new("cluster.worker.mailbox", 
 /// for a whole message.
 pub static WORKER_EXEC: LockClass = LockClass::new("cluster.worker.exec", 410);
 
-/// `TxnFailures::list` — per-transaction failure collection (pushed under
+/// `TxnShared::failures` — per-transaction failure collection (pushed under
 /// `WORKER_EXEC`).
 pub static WORKER_FAILURES: LockClass = LockClass::new("cluster.worker.failures", 420);
 

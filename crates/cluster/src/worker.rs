@@ -12,11 +12,11 @@
 //! the write in the same lane.
 //!
 //! A lane is a FIFO, not a thread: a [`crate::pool::Lane`] under the
-//! session's mailbox lock, drained on the machine's pool threads. Every
-//! reply of a transaction travels over one channel owned by the connection,
-//! correlated by a per-transaction sequence number ([`SessionMsg`]'s `seq`;
-//! late replies from aggressive-mode background writes are discarded as
-//! stale). When a lane is idle, a caller that would wait for
+//! session's mailbox lock, drained on the machine's pool threads. A pool
+//! drain answers on its transaction's reply channel ([`TxnShared`], made
+//! when first needed), correlated by a sequence number ([`SessionMsg`]'s
+//! `seq`; late replies from aggressive-mode background writes are
+//! discarded as stale). When a lane is idle, a caller that would wait for
 //! the reply anyway may claim its single-drainer slot
 //! ([`SessionHandle::try_turn`]) and run the message on its own thread:
 //! same `Session::process`, same fault hooks, same history recording,
@@ -29,10 +29,10 @@
 //! appended to the shared [`tenantdb_history::Recorder`]. Strict 2PL makes
 //! that ordering agree with true per-site conflict order.
 
-use std::sync::mpsc::Sender;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, OnceLock};
 
-use crate::sync::{Mutex, WORKER_EXEC, WORKER_FAILURES, WORKER_MAILBOX};
+use crate::sync::{Mutex, CONN_REPLY, WORKER_EXEC, WORKER_FAILURES, WORKER_MAILBOX};
 
 use tenantdb_history::{AccessKind, GTxn, Recorder, Site};
 use tenantdb_sql::{Plan, QueryResult, StatementClass};
@@ -43,42 +43,67 @@ use crate::fault::{CrashPoint, FaultAction, FaultInjector};
 use crate::machine::MachineId;
 use crate::pool::{Lane, PoolJob, PoolShared};
 
-/// Shared per-transaction failure ledger. Every replica-side error lands
-/// here — including errors of *background* writes under the aggressive
-/// policy ("the controller asynchronously keeps track of whether the writes
-/// in the other machines failed", §3.1) — and the commit path refuses to
-/// commit past any of them.
-pub struct TxnFailures {
-    list: Mutex<Vec<(MachineId, ClusterError)>>,
+type Channel = (Sender<WorkerReply>, Mutex<Receiver<WorkerReply>>);
+
+/// What a transaction's sessions share with its connection. The failure
+/// ledger: every replica-side error lands here — including errors of
+/// *background* writes under the aggressive policy ("the controller
+/// asynchronously keeps track of whether the writes in the other machines
+/// failed", §3.1) — and the commit path refuses to commit past any of
+/// them. And the reply channel pool drains answer on, made by a drain's
+/// first reply or the first wait for one (a transaction whose lanes all
+/// run on its caller's thread makes none). A connection hands both to its
+/// next transaction once nothing else holds them.
+pub struct TxnShared {
+    failures: Mutex<Vec<(MachineId, ClusterError)>>,
+    reply: OnceLock<Channel>,
 }
 
-impl Default for TxnFailures {
+impl Default for TxnShared {
     fn default() -> Self {
-        TxnFailures {
-            list: Mutex::new(&WORKER_FAILURES, Vec::new()),
+        TxnShared {
+            failures: Mutex::new(&WORKER_FAILURES, Vec::new()),
+            reply: OnceLock::new(),
         }
     }
 }
 
-impl TxnFailures {
+impl TxnShared {
     /// Record a replica-side failure.
     pub fn push(&self, machine: MachineId, err: ClusterError) {
-        self.list.lock().push((machine, err));
+        self.failures.lock().push((machine, err));
     }
 
     /// Take (and clear) every recorded failure.
     pub fn drain(&self) -> Vec<(MachineId, ClusterError)> {
-        std::mem::take(&mut *self.list.lock())
+        std::mem::take(&mut *self.failures.lock())
     }
 
     /// True when no failure has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.list.lock().is_empty()
+        self.failures.lock().is_empty()
     }
 
     /// Number of recorded failures.
     pub fn len(&self) -> usize {
-        self.list.lock().len()
+        self.failures.lock().len()
+    }
+
+    fn channel(&self) -> &Channel {
+        self.reply.get_or_init(|| {
+            let (tx, rx) = channel();
+            (tx, Mutex::new(&CONN_REPLY, rx))
+        })
+    }
+
+    /// The receiving end of the reply channel (made now if it was not).
+    pub fn replies(&self) -> &Mutex<Receiver<WorkerReply>> {
+        &self.channel().1
+    }
+
+    /// The reply channel's receiver, if one was made.
+    pub fn made_replies(&self) -> Option<&Mutex<Receiver<WorkerReply>>> {
+        self.reply.get().map(|(_, rx)| rx)
     }
 }
 
@@ -151,10 +176,9 @@ pub struct Session {
     machine: MachineId,
     engine: Arc<Engine>,
     gtxn: GTxn,
-    failures: Arc<TxnFailures>,
+    /// The owning transaction's failure ledger and reply channel.
+    shared: Arc<TxnShared>,
     recorder: Option<Arc<Recorder>>,
-    /// The owning transaction's shared reply channel.
-    reply: Sender<WorkerReply>,
     /// The cluster's fault injector; consulted at the session-side crash
     /// points (inert unless armed).
     faults: Arc<FaultInjector>,
@@ -198,7 +222,7 @@ impl Session {
             };
             for msg in batch {
                 if let Some(reply) = self.process(msg) {
-                    let _ = self.reply.send(reply);
+                    let _ = self.shared.channel().0.send(reply);
                 }
             }
         }
@@ -230,7 +254,7 @@ impl Session {
             } else {
                 e
             };
-            self.failures.push(self.machine, e.clone());
+            self.shared.push(self.machine, e.clone());
             e
         })
     }
@@ -255,44 +279,7 @@ impl Session {
         };
         match msg {
             SessionMsg::Exec { seq, plan, params } => {
-                let is_write = plan.class() == StatementClass::Write;
-                if is_write {
-                    self.fault_hook(CrashPoint::ReplicaWriteApply);
-                }
-                let engine = &self.engine;
-                let result: Result<QueryResult> = (|| {
-                    let txn = match exec.local {
-                        Some(t) => t,
-                        None => {
-                            let t = engine.begin()?;
-                            exec.local = Some(t);
-                            t
-                        }
-                    };
-                    // The touched sets exist for the recorder alone.
-                    let Some(rec) = &self.recorder else {
-                        return Ok(tenantdb_sql::run(engine, txn, &plan, &params)?);
-                    };
-                    let r = tenantdb_sql::run_recording(engine, txn, &plan, &params)?;
-                    let (site, db) = (Site(self.machine.0), plan.database());
-                    let touched = [
-                        (AccessKind::Read, &r.touched_reads),
-                        (AccessKind::Write, &r.touched_writes),
-                    ];
-                    for (kind, rows) in touched {
-                        for (table, rid) in rows {
-                            rec.record(site, self.gtxn, kind, format!("{db}.{table}:{rid}"));
-                        }
-                    }
-                    Ok(r)
-                })();
-                let result = self.note_failure(result);
-                if is_write && result.is_ok() {
-                    // The write applied; a crash here loses a statement the
-                    // coordinator is about to count as acknowledged.
-                    self.fault_hook(CrashPoint::ReplicaWriteAck);
-                }
-                Some(reply(seq, exec.local, result))
+                Some(self.statement(&mut exec, seq, &plan, &params))
             }
             SessionMsg::Prepare { seq } => {
                 self.fault_hook(CrashPoint::PrepareApply);
@@ -349,6 +336,60 @@ impl Session {
                 exec.finished = true;
                 None
             }
+        }
+    }
+
+    /// Run one statement inside the local transaction (begun now if this
+    /// is the session's first).
+    fn statement(
+        &self,
+        exec: &mut ExecState,
+        seq: u64,
+        plan: &Plan,
+        params: &[Value],
+    ) -> WorkerReply {
+        let is_write = plan.class() == StatementClass::Write;
+        if is_write {
+            self.fault_hook(CrashPoint::ReplicaWriteApply);
+        }
+        let engine = &self.engine;
+        let result: Result<QueryResult> = (|| {
+            let txn = match exec.local {
+                Some(t) => t,
+                None => {
+                    let t = engine.begin()?;
+                    exec.local = Some(t);
+                    t
+                }
+            };
+            // The touched sets exist for the recorder alone.
+            let Some(rec) = &self.recorder else {
+                return Ok(tenantdb_sql::run(engine, txn, plan, params)?);
+            };
+            let r = tenantdb_sql::run_recording(engine, txn, plan, params)?;
+            let (site, db) = (Site(self.machine.0), plan.database());
+            let touched = [
+                (AccessKind::Read, &r.touched_reads),
+                (AccessKind::Write, &r.touched_writes),
+            ];
+            for (kind, rows) in touched {
+                for (table, rid) in rows {
+                    rec.record(site, self.gtxn, kind, format!("{db}.{table}:{rid}"));
+                }
+            }
+            Ok(r)
+        })();
+        let result = self.note_failure(result);
+        if is_write && result.is_ok() {
+            // The write applied; a crash here loses a statement the
+            // coordinator is about to count as acknowledged.
+            self.fault_hook(CrashPoint::ReplicaWriteAck);
+        }
+        WorkerReply {
+            seq,
+            machine: self.machine,
+            local: exec.local,
+            result,
         }
     }
 }
@@ -431,6 +472,14 @@ impl Turn {
         self.session.pool.job_fault_hook();
         self.session.process(msg)
     }
+
+    /// [`Turn::run`] for a statement borrowed from the caller: its
+    /// parameters need no `Arc` when they never leave this thread.
+    pub fn exec(self, seq: u64, plan: &Plan, params: &[Value]) -> Option<WorkerReply> {
+        self.session.pool.job_fault_hook();
+        let mut exec = self.session.exec.lock();
+        (!exec.finished).then(|| self.session.statement(&mut exec, seq, plan, params))
+    }
 }
 
 impl Drop for Turn {
@@ -448,15 +497,13 @@ impl Drop for Turn {
 
 /// Create a session for `gtxn` on the pool owned by a machine (called via
 /// [`crate::machine::Machine::session`]).
-#[allow(clippy::too_many_arguments)] // internal constructor mirroring the session's fields
 pub(crate) fn new_session(
     pool: &Arc<PoolShared>,
     machine: MachineId,
     engine: Arc<Engine>,
     gtxn: GTxn,
-    failures: Arc<TxnFailures>,
+    shared: Arc<TxnShared>,
     recorder: Option<Arc<Recorder>>,
-    reply: Sender<WorkerReply>,
     faults: Arc<FaultInjector>,
 ) -> SessionHandle {
     SessionHandle {
@@ -464,9 +511,8 @@ pub(crate) fn new_session(
             machine,
             engine,
             gtxn,
-            failures,
+            shared,
             recorder,
-            reply,
             faults,
             mailbox: Mutex::new(&WORKER_MAILBOX, Lane::default()),
             exec: Mutex::new(
@@ -485,7 +531,6 @@ pub(crate) fn new_session(
 mod tests {
     use super::*;
     use crate::machine::Machine;
-    use std::sync::mpsc::{channel, Receiver};
     use tenantdb_sql::{parse, plan};
     use tenantdb_storage::EngineConfig;
 
@@ -514,26 +559,25 @@ mod tests {
     struct Harness {
         engine: Arc<Engine>,
         handle: SessionHandle,
-        rx: Receiver<WorkerReply>,
+        shared: Arc<TxnShared>,
         seq: u64,
     }
 
-    fn session(m: &Arc<Machine>, gtxn: u64, failures: &Arc<TxnFailures>) -> Harness {
+    fn session(m: &Arc<Machine>, gtxn: u64, failures: &Arc<TxnShared>) -> Harness {
         session_recorded(m, gtxn, failures, None)
     }
 
     fn session_recorded(
         m: &Arc<Machine>,
         gtxn: u64,
-        failures: &Arc<TxnFailures>,
+        failures: &Arc<TxnShared>,
         recorder: Option<Arc<Recorder>>,
     ) -> Harness {
-        let (tx, rx) = channel();
-        let handle = m.session(GTxn(gtxn), Arc::clone(failures), recorder, tx);
+        let handle = m.session(GTxn(gtxn), Arc::clone(failures), recorder);
         Harness {
             engine: Arc::clone(&m.engine),
             handle,
-            rx,
+            shared: Arc::clone(failures),
             seq: 0,
         }
     }
@@ -552,7 +596,12 @@ mod tests {
 
         fn recv(&self) -> WorkerReply {
             loop {
-                let r = self.rx.recv().expect("session replies");
+                let r = self
+                    .shared
+                    .replies()
+                    .lock()
+                    .recv()
+                    .expect("session replies");
                 if r.seq == self.seq {
                     return r;
                 }
@@ -585,7 +634,7 @@ mod tests {
     #[test]
     fn session_executes_and_commits() {
         let m = machine_with_table();
-        let failures = Arc::new(TxnFailures::default());
+        let failures = Arc::new(TxnShared::default());
         let mut s = session(&m, 1, &failures);
         s.exec("INSERT INTO kv VALUES (1, 'x')").unwrap();
         s.finish(true).unwrap();
@@ -599,7 +648,7 @@ mod tests {
     #[test]
     fn session_abort_rolls_back() {
         let m = machine_with_table();
-        let failures = Arc::new(TxnFailures::default());
+        let failures = Arc::new(TxnShared::default());
         let mut s = session(&m, 2, &failures);
         s.exec("INSERT INTO kv VALUES (1, 'x')").unwrap();
         s.finish(false).unwrap();
@@ -611,7 +660,7 @@ mod tests {
     #[test]
     fn error_lands_in_failure_ledger() {
         let m = machine_with_table();
-        let failures = Arc::new(TxnFailures::default());
+        let failures = Arc::new(TxnShared::default());
         let mut s = session(&m, 3, &failures);
         s.exec("INSERT INTO kv VALUES (1, 'x')").unwrap();
         // Unique violation -> statement error -> recorded.
@@ -626,7 +675,7 @@ mod tests {
     fn dropping_handle_aborts_dangling_txn() {
         let m = machine_with_table();
         {
-            let failures = Arc::new(TxnFailures::default());
+            let failures = Arc::new(TxnShared::default());
             let mut s = session(&m, 4, &failures);
             s.exec("INSERT INTO kv VALUES (9, 'dangling')").unwrap();
             // Dropped without commit/abort.
@@ -652,7 +701,7 @@ mod tests {
     #[test]
     fn send_after_finish_fails() {
         let m = machine_with_table();
-        let failures = Arc::new(TxnFailures::default());
+        let failures = Arc::new(TxnShared::default());
         let mut s = session(&m, 5, &failures);
         s.exec("INSERT INTO kv VALUES (1, 'x')").unwrap();
         s.finish(true).unwrap();
@@ -664,7 +713,7 @@ mod tests {
     fn history_recorded_with_site_and_gtxn() {
         let m = machine_with_table();
         let rec = Arc::new(Recorder::new());
-        let failures = Arc::new(TxnFailures::default());
+        let failures = Arc::new(TxnShared::default());
         let mut s = session_recorded(&m, 5, &failures, Some(rec.clone()));
         s.exec("INSERT INTO kv VALUES (1, 'x')").unwrap();
         s.exec("SELECT * FROM kv WHERE k = 1").unwrap();
@@ -681,7 +730,7 @@ mod tests {
     #[test]
     fn touched_sets_are_collected_only_for_a_recorder() {
         let m = machine_with_table();
-        let failures = Arc::new(TxnFailures::default());
+        let failures = Arc::new(TxnShared::default());
         let mut plain = session(&m, 10, &failures);
         let w = plain.exec("INSERT INTO kv VALUES (1, 'x')").unwrap();
         let r = plain.exec("SELECT * FROM kv WHERE k = 1").unwrap();
@@ -701,7 +750,7 @@ mod tests {
     #[test]
     fn prepare_reports_local_txn_id() {
         let m = machine_with_table();
-        let failures = Arc::new(TxnFailures::default());
+        let failures = Arc::new(TxnShared::default());
         let mut s = session(&m, 6, &failures);
         s.exec("INSERT INTO kv VALUES (2, 'y')").unwrap();
         let reply = s.prepare();
@@ -717,7 +766,7 @@ mod tests {
     fn failed_machine_surfaces_unavailable() {
         let m = machine_with_table();
         m.engine.crash();
-        let failures = Arc::new(TxnFailures::default());
+        let failures = Arc::new(TxnShared::default());
         let mut s = session(&m, 7, &failures);
         let err = s.exec("SELECT * FROM kv").unwrap_err();
         assert!(err.is_proactive_rejection());
@@ -729,7 +778,7 @@ mod tests {
         // Back-to-back dependent updates in one session must apply in order
         // even though each is a separate pool job submission.
         let m = machine_with_table();
-        let failures = Arc::new(TxnFailures::default());
+        let failures = Arc::new(TxnShared::default());
         let mut s = session(&m, 8, &failures);
         s.exec("INSERT INTO kv VALUES (1, '0')").unwrap();
         for i in 1..=50 {
