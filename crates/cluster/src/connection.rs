@@ -218,18 +218,18 @@ impl Connection {
 
     /// The connection's entry, looked up by name again once it was dropped
     /// (the database may have been re-created since, anywhere).
-    fn entry<'a>(&self, st: &'a mut ConnState) -> &'a Arc<DbEntry> {
+    fn entry<'a>(&self, st: &'a mut ConnState) -> Result<&'a Arc<DbEntry>> {
         if st.entry.dropped() {
-            st.entry = self.controller.dbs.entry(&self.db);
+            st.entry = self.controller.dbs.get(&self.db)?;
             st.route.epoch = None;
         }
-        &st.entry
+        Ok(&st.entry)
     }
 
     /// Start an explicit transaction.
     pub fn begin(&self) -> Result<()> {
         let mut st = self.state.lock();
-        self.entry(&mut st);
+        self.entry(&mut st)?;
         self.begin_locked(&mut st)
     }
 
@@ -264,7 +264,7 @@ impl Connection {
     /// there yet, so [`Connection::execute`] finds it).
     pub fn statement_class(&self, sql: &str) -> Result<StatementClass> {
         let mut st = self.state.lock();
-        Ok(self.controller.plan_for(self.entry(&mut st), sql)?.class())
+        Ok(self.controller.plan_for(self.entry(&mut st)?, sql)?.class())
     }
 
     /// Execute one SQL statement — the one statement entry point. Outside
@@ -274,7 +274,7 @@ impl Connection {
     /// bound.
     pub fn execute(&self, sql: &str, params: &[Value]) -> Result<QueryResult> {
         let mut st = self.state.lock();
-        let plan = self.controller.plan_for(self.entry(&mut st), sql)?;
+        let plan = self.controller.plan_for(self.entry(&mut st)?, sql)?;
         let class = plan.class();
         // DDL bypasses transactions entirely (engine DDL is auto-committed).
         if class == StatementClass::Ddl {

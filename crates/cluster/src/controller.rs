@@ -507,7 +507,9 @@ impl ClusterController {
         // state inside the proposal, so Option-1 read traffic spreads evenly
         // even when placements race.
         let created = self.group.create_db(name, machine_ids, demand);
-        if created.result.is_err() && !created.proposed {
+        if created.result.is_ok() {
+            self.dbs.entry(name);
+        } else if !created.proposed {
             // The placement can never commit: take back the engine
             // databases made for it, or the next create of `name` on these
             // machines would collide with them.
@@ -668,7 +670,7 @@ impl ClusterController {
 
     /// Run a DDL statement (CREATE TABLE / CREATE INDEX) on every replica.
     pub fn ddl(&self, db: &str, sql: &str) -> Result<()> {
-        let entry = self.dbs.entry(db);
+        let entry = self.dbs.get(db)?;
         let plan = self.plan_for(&entry, sql)?;
         if plan.class() != tenantdb_sql::StatementClass::Ddl {
             return Err(ClusterError::Sql(tenantdb_sql::SqlError::Plan(
@@ -718,7 +720,7 @@ impl ClusterController {
         // from the entry the name has now, should `entry` have been
         // dropped and the name re-created meanwhile.
         entry.invalidate_plans();
-        self.dbs.get(db).inspect(|e| e.invalidate_plans());
+        self.dbs.get(db).ok().inspect(|e| e.invalidate_plans());
         applied
     }
 
@@ -852,9 +854,10 @@ impl ClusterController {
 
     /// Record `db`'s SLA in the replicated metadata (§4.1 contract table).
     pub fn set_sla(&self, db: &str, sla: tenantdb_sla::Sla) -> Result<()> {
+        let entry = self.dbs.get(db)?;
         self.group.set_sla(db, sla)?;
         let gate = AdmissionGate::new(AdmissionParams::from_sla(&sla));
-        self.dbs.entry(db).set_gate(Some(Arc::new(gate)));
+        entry.set_gate(Some(Arc::new(gate)));
         // ordering: SeqCst store pairs with `admitting`'s load; arming must not
         // be reordered before the gate install above (the slot write's lock
         // release already orders it, SeqCst keeps the intent explicit).
@@ -924,7 +927,7 @@ impl ClusterController {
         if !self.admitting() {
             return None;
         }
-        let entry = self.dbs.get(db)?;
+        let entry = self.dbs.get(db).ok()?;
         let gate = entry.gate()?;
         if !gate.would_reject() {
             return None;
@@ -1325,6 +1328,28 @@ mod sla_tests {
 #[cfg(test)]
 mod drop_tests {
     use super::*;
+
+    /// Only a create and a connect make an entry: DDL, an SLA and a
+    /// connection whose database is gone find none, and leave none.
+    #[test]
+    fn missing_databases_get_no_entry() {
+        let c = ClusterController::with_machines(ClusterConfig::for_tests(), 2);
+        let missing = |r: Result<()>| matches!(r, Err(ClusterError::NoSuchDatabase(_)));
+        let sla = tenantdb_sla::Sla::new(5.0, 0.5, std::time::Duration::from_secs(60));
+        assert!(missing(c.ddl("ghost", "CREATE TABLE t (id INT)")));
+        assert!(missing(c.set_sla("ghost", sla)));
+        assert!(c.dbs.get("ghost").is_err());
+
+        c.create_database("gone", 2).unwrap();
+        assert!(c.dbs.get("gone").is_ok(), "a create makes the entry");
+        c.ddl("gone", "CREATE TABLE t (id INT NOT NULL, PRIMARY KEY (id))")
+            .unwrap();
+        let conn = c.connect("gone").unwrap();
+        c.drop_database("gone").unwrap();
+        assert!(missing(conn.execute("SELECT id FROM t", &[]).map(drop)));
+        assert!(missing(conn.begin()));
+        assert!(c.dbs.get("gone").is_err());
+    }
 
     #[test]
     fn drop_database_cleans_everything() {

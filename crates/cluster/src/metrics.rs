@@ -400,12 +400,8 @@ impl ClusterMetrics {
         self.db_handles(db).failed(outcome);
     }
 
-    /// Count an Algorithm-1 write rejection for `db` and log the event.
-    pub fn note_write_rejected(&self, db: &str, table: &str) {
-        self.write_rejected(&self.db_handles(db), db, table);
-    }
-
-    /// [`Self::note_write_rejected`] on `db`'s resolved `counters`.
+    /// Count an Algorithm-1 write rejection on `db`'s resolved `counters`
+    /// and log the event.
     pub(crate) fn write_rejected(&self, counters: &DbHandles, db: &str, table: &str) {
         counters.write_rejections.inc();
         self.registry.events().emit(
@@ -720,7 +716,7 @@ mod tests {
     #[test]
     fn write_rejection_counts_and_logs() {
         let m = ClusterMetrics::new();
-        m.note_write_rejected("app", "orders");
+        m.write_rejected(&m.db_handles("app"), "app", "orders");
         assert_eq!(
             m.registry()
                 .counter_value(WRITE_REJECTIONS, &[("db", "app")]),

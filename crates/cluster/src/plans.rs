@@ -29,7 +29,7 @@ use std::sync::{Arc, OnceLock};
 use tenantdb_sla::AdmissionGate;
 use tenantdb_sql::{Plan, StatementClass};
 
-use crate::error::Result;
+use crate::error::{ClusterError, Result};
 use crate::metrics::{ClusterMetrics, DbHandles};
 use crate::sync::{RwLock, CTRL_ADMISSION, CTRL_DBS, CTRL_PLANS_DB};
 
@@ -162,14 +162,16 @@ impl Default for Dbs {
 }
 
 impl Dbs {
-    /// `db`'s entry, if it has one.
-    pub(crate) fn get(&self, db: &str) -> Option<Arc<DbEntry>> {
-        self.map.read().get(db).cloned()
+    /// `db`'s entry. Only a create and a connect make one, so a name that
+    /// was never created, or was dropped, has none: `NoSuchDatabase`.
+    pub(crate) fn get(&self, db: &str) -> Result<Arc<DbEntry>> {
+        let entry = self.map.read().get(db).cloned();
+        entry.ok_or_else(|| ClusterError::NoSuchDatabase(db.to_string()))
     }
 
-    /// `db`'s entry, made now if it has none.
+    /// `db`'s entry, made now if it has none (a create and a connect).
     pub(crate) fn entry(&self, db: &str) -> Arc<DbEntry> {
-        if let Some(e) = self.get(db) {
+        if let Ok(e) = self.get(db) {
             return e;
         }
         let mut map = self.map.write();
@@ -290,7 +292,7 @@ mod tests {
         dbs.remove("other");
         assert!(other.dropped() && !app.dropped());
         assert_eq!(other.cached(), 0);
-        assert!(dbs.get("other").is_none());
+        assert!(dbs.get("other").is_err());
         assert!(!Arc::ptr_eq(&dbs.entry("other"), &other));
     }
 

@@ -197,10 +197,10 @@ fn a_dropped_and_recreated_name_is_served_as_the_new_database() {
     let committed = c.counters(DB).committed;
 
     c.drop_database(DB).unwrap();
-    conn.begin().unwrap();
+    let err = conn.begin().unwrap_err();
+    assert!(matches!(err, ClusterError::NoSuchDatabase(_)), "{err}");
     let err = conn.execute("SELECT w FROM t", &[]).unwrap_err();
     assert!(matches!(err, ClusterError::NoSuchDatabase(_)), "{err}");
-    conn.rollback().unwrap();
 
     // Same name and table, another column order.
     c.create_database(DB, 2).unwrap();

@@ -211,6 +211,11 @@ fn deadlocks_are_counted_but_not_as_rejections() {
     assert_eq!(counters.rejected, 0, "deadlocks are not SLA rejections");
 }
 
+/// `app`'s log on machine `id`.
+fn app_log(c: &ClusterController, id: MachineId) -> Arc<tenantdb_storage::Wal> {
+    c.machine(id).unwrap().engine.wal().get("app").unwrap()
+}
+
 #[test]
 fn read_only_txn_uses_one_phase_commit() {
     let c = cluster(ReadPolicy::PerOperation, WritePolicy::Conservative, 2);
@@ -220,7 +225,7 @@ fn read_only_txn_uses_one_phase_commit() {
         .alive_replicas("app")
         .unwrap()
         .iter()
-        .map(|&id| c.machine(id).unwrap().engine.wal().len())
+        .map(|&id| app_log(&c, id).len())
         .collect();
     conn.begin().unwrap();
     conn.execute("SELECT * FROM t", &[]).unwrap();
@@ -228,7 +233,7 @@ fn read_only_txn_uses_one_phase_commit() {
     conn.commit().unwrap();
     // No PREPARE record was written anywhere (1-phase commit for read-only).
     for (i, &id) in c.alive_replicas("app").unwrap().iter().enumerate() {
-        let wal = c.machine(id).unwrap().engine.wal().snapshot();
+        let wal = app_log(&c, id).snapshot();
         let new = &wal[wal_before[i]..];
         assert!(
             !new.iter()

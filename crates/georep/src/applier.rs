@@ -108,11 +108,6 @@ impl Applier {
         &self.db
     }
 
-    /// The standby cluster this applier writes into.
-    pub fn standby(&self) -> &Arc<ClusterController> {
-        &self.standby
-    }
-
     /// The pinned source engine, once a handshake happened.
     pub fn source(&self) -> Option<MachineId> {
         self.source

@@ -9,10 +9,9 @@
 //!
 //! The moving parts:
 //!
-//! * [`Shipper`] — pins one replica engine on the primary, tails its WAL
-//!   through the stable `Engine` cursor surface, and filters the stream
-//!   down to one database (redo records name their database; bare 2PC
-//!   markers are filtered through a txn→db map built from the redo).
+//! * [`Shipper`] — pins one replica engine on the primary and tails that
+//!   engine's log of the stream's database (every engine keeps one log
+//!   per database) through the stable `Engine` cursor surface.
 //! * [`Applier`] — the standby side: buffers each transaction until its
 //!   decision marker, applies committed work to every standby replica via
 //!   the idempotent `Engine::apply_replicated_redo` path, and maintains

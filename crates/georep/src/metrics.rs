@@ -5,11 +5,10 @@
 //! georep series next to everything else. Shipper-side series live on the
 //! primary cluster's registry, applier-side series on the standby's.
 //!
-//! Lag is reported in *LSN units* against the pinned source engine: the
-//! engine WAL interleaves every database on that machine, so
-//! `tenantdb_georep_lag_records` is an upper bound on the number of
-//! unacknowledged records for the stream's database, and reaches zero
-//! exactly when the stream is fully drained.
+//! Lag is reported in *LSN units* against the database's log on the
+//! pinned source engine, which holds that database's records only:
+//! `tenantdb_georep_lag_records` is the number of records the standby has
+//! not acknowledged, and reaches zero exactly when the stream is drained.
 
 use std::sync::Arc;
 
@@ -20,8 +19,8 @@ pub const GEOREP_SHIPPED_LSN: &str = "tenantdb_georep_shipped_lsn";
 /// Gauge: the standby's cumulative ack (one past highest safe LSN), as
 /// observed by the shipper, per database.
 pub const GEOREP_ACKED_LSN: &str = "tenantdb_georep_acked_lsn";
-/// Gauge: source WAL head minus the standby's cumulative ack, per database
-/// (LSN units — an upper bound on unshipped records, zero when drained).
+/// Gauge: source log head minus the standby's cumulative ack, per database
+/// (LSN units — the unacknowledged records, zero when drained).
 pub const GEOREP_LAG_RECORDS: &str = "tenantdb_georep_lag_records";
 /// Gauge: the applier's resume watermark (one past highest safe LSN), per
 /// database, on the standby side.

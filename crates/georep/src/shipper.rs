@@ -1,19 +1,13 @@
-//! The primary-side shipper: tails one engine's WAL and turns it into a
-//! per-database record stream.
+//! The primary-side shipper: tails one database's log on one engine and
+//! turns it into that database's record stream.
 //!
 //! A shipper is **pinned** to one replica of its database on the primary
-//! cluster — LSNs and transaction ids are engine-local (each engine's WAL
-//! interleaves every database it hosts), so the stream's cursor is only
-//! meaningful against that one engine. The pinned engine's WAL is tailed
-//! through the stable surface (`Engine::wal_tail_from_capped`); records are
-//! filtered down to the stream's database:
-//!
-//! * redo records name their database directly and teach the shipper which
-//!   transactions belong to the stream;
-//! * `Prepare`/`Commit`/`Abort` markers carry only a transaction id and
-//!   ship iff that transaction previously wrote the stream's database;
-//! * DDL records (under `Wal::DDL_TXN`) ship whenever they name the
-//!   database — the standby applies them immediately.
+//! cluster — LSNs and transaction ids are engine-local (each replica's log
+//! of the database is its own), so the stream's cursor is only meaningful
+//! against that one engine. The pinned engine's log of the database is
+//! tailed through the stable surface (`Engine::wal_tail_from_capped`); it
+//! holds the stream's records and nothing else, so every record scanned
+//! ships.
 //!
 //! If the pinned replica dies the shipper re-pins to another alive replica
 //! — but the new engine has a different LSN space and different local
@@ -26,12 +20,11 @@
 //! snapshot followed by a tail, and the standby lagged — it does not, and
 //! nothing here prevents that yet.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use tenantdb_cluster::fault::{CrashPoint, FaultAction, GEO};
 use tenantdb_cluster::{ClusterController, MachineId};
-use tenantdb_storage::{LogRecord, Lsn, RedoOp, TxnId, Wal, WalEntry};
+use tenantdb_storage::{LogRecord, Lsn};
 
 use crate::metrics::GeoMetrics;
 use crate::GeoError;
@@ -41,16 +34,13 @@ use crate::GeoError;
 /// [`Frame::GeoRecords`]: tenantdb_net::wire::Frame::GeoRecords
 pub const DEFAULT_BATCH: usize = 256;
 
-/// Tails the pinned primary engine and produces filtered, batched record
-/// runs for one database's cross-colo stream.
+/// Tails one database's log on the pinned primary engine and produces
+/// batched record runs for its cross-colo stream.
 pub struct Shipper {
     db: String,
     primary: Arc<ClusterController>,
     pin: MachineId,
     cursor: Lsn,
-    /// Transactions known (from their redo records) to write this stream's
-    /// database — the filter for bare `Prepare`/`Commit`/`Abort` markers.
-    ours: HashSet<TxnId>,
     batch: usize,
     metrics: GeoMetrics,
 }
@@ -68,7 +58,6 @@ impl Shipper {
             primary,
             pin,
             cursor: Lsn::ZERO,
-            ours: HashSet::new(),
             batch: DEFAULT_BATCH,
             metrics,
         })
@@ -77,11 +66,6 @@ impl Shipper {
     /// The database this stream carries.
     pub fn db(&self) -> &str {
         &self.db
-    }
-
-    /// The primary cluster this shipper reads from.
-    pub fn primary(&self) -> &Arc<ClusterController> {
-        &self.primary
     }
 
     /// The shipper's write-authority epoch, restated on every batch. This
@@ -107,12 +91,11 @@ impl Shipper {
             // New engine, new LSN space, new local txn ids: re-seed.
             self.pin = next;
             self.cursor = Lsn::ZERO;
-            self.ours.clear();
         }
         Ok(self.pin)
     }
 
-    /// Next LSN the shipper will scan.
+    /// Next LSN the shipper will ship.
     pub fn cursor(&self) -> Lsn {
         self.cursor
     }
@@ -123,18 +106,17 @@ impl Shipper {
         self.pin
     }
 
-    /// Rewind the scan cursor to `to` — the standby's resume point from a
-    /// `GeoHelloOk`. The transaction filter is rebuilt by the re-scan: any
-    /// transaction still undecided on the standby has its first record at
-    /// or above the resume watermark, so its redo is scanned again.
+    /// Rewind the cursor to `to` — the standby's resume point from a
+    /// `GeoHelloOk`.
     pub fn rewind(&mut self, to: Lsn) {
         self.cursor = to;
-        self.ours.clear();
     }
 
-    /// WAL head of the pinned source engine (the lag reference point).
+    /// Head of the database's log on the pinned source engine (the lag
+    /// reference point).
     pub fn head_lsn(&self) -> Result<Lsn, GeoError> {
-        Ok(self.primary.machine(self.pin)?.engine.wal_head_lsn())
+        let source = self.primary.machine(self.pin)?;
+        Ok(source.engine.wal_head_lsn(&self.db))
     }
 
     /// Record the standby's cumulative ack into the lag gauges.
@@ -146,8 +128,8 @@ impl Shipper {
     }
 
     /// Produce the next batch of records for this stream, advancing the
-    /// cursor past everything scanned (shipped or filtered). An empty
-    /// result means the stream is drained to the source's WAL head.
+    /// cursor past them. An empty result means the stream is drained to
+    /// the head of the database's log on the source.
     ///
     /// Hook site for [`CrashPoint::GeoShipBatch`] (machine [`GEO`]): a
     /// `Crash` severs the stream before the batch leaves — the caller must
@@ -157,27 +139,9 @@ impl Shipper {
         if engine.is_failed() {
             return Err(GeoError::Severed("pinned source replica is down".into()));
         }
-        let mut out = Vec::new();
-        // Page the scan through the capped tail: filtered-out records
-        // (other databases' traffic) don't count against the batch, so a
-        // sparse stream keeps scanning until it fills or drains — but each
-        // page clones at most one batch worth of records.
-        'scan: loop {
-            let page = engine.wal_tail_from_capped(self.cursor, self.batch);
-            if page.is_empty() {
-                break;
-            }
-            for rec in page {
-                self.cursor = rec.lsn.next();
-                if self.ships(&rec) {
-                    out.push(rec);
-                }
-                if out.len() >= self.batch {
-                    break 'scan;
-                }
-            }
-        }
-        if !out.is_empty() {
+        let out = engine.wal_tail_from_capped(&self.db, self.cursor, self.batch);
+        if let Some(last) = out.last() {
+            self.cursor = last.lsn.next();
             match self.primary.faults().check(CrashPoint::GeoShipBatch, GEO) {
                 Some(FaultAction::Crash) => {
                     return Err(GeoError::Severed("geo_ship_batch crash point".into()));
@@ -189,34 +153,6 @@ impl Shipper {
                 .note_shipped(&self.db, out.len() as u64, self.cursor.0);
         }
         Ok(out)
-    }
-
-    /// Does `rec` belong on this stream? Maintains the txn→db filter.
-    fn ships(&mut self, rec: &LogRecord) -> bool {
-        match &rec.entry {
-            WalEntry::Redo(op) => {
-                let ours = op_db(op) == self.db;
-                if ours && rec.txn != Wal::DDL_TXN {
-                    self.ours.insert(rec.txn);
-                }
-                ours
-            }
-            WalEntry::Prepare => self.ours.contains(&rec.txn),
-            WalEntry::Commit | WalEntry::Abort => self.ours.remove(&rec.txn),
-        }
-    }
-}
-
-/// The database a redo operation belongs to.
-fn op_db(op: &RedoOp) -> &str {
-    match op {
-        RedoOp::CreateDatabase { db }
-        | RedoOp::DropDatabase { db }
-        | RedoOp::CreateTable { db, .. }
-        | RedoOp::CreateIndex { db, .. }
-        | RedoOp::Insert { db, .. }
-        | RedoOp::Update { db, .. }
-        | RedoOp::Delete { db, .. } => db,
     }
 }
 
@@ -234,6 +170,7 @@ mod tests {
     use super::*;
     use tenantdb_cluster::controller::ClusterConfig;
     use tenantdb_obs::MetricsRegistry;
+    use tenantdb_storage::{Wal, WalEntry};
 
     fn cluster_with(db: &str) -> Arc<ClusterController> {
         let c = ClusterController::with_machines(ClusterConfig::for_tests(), 2);
@@ -266,22 +203,27 @@ mod tests {
         }
 
         let mut s = Shipper::new(Arc::clone(&c), "app", metrics()).unwrap();
+        s.batch = 2;
         let mut got = Vec::new();
         loop {
+            let before = s.cursor();
             let batch = s.next_batch().unwrap();
+            assert!(batch.len() <= 2);
+            // The cursor moves by exactly what shipped: nothing is skipped.
+            assert_eq!(s.cursor().0 - before.0, batch.len() as u64);
             if batch.is_empty() {
                 break;
             }
             got.extend(batch);
         }
         assert!(!got.is_empty());
-        // Every shipped redo names "app"; markers only for app's txns.
+        // Every shipped redo names "app".
         for rec in &got {
             if let WalEntry::Redo(op) = &rec.entry {
-                assert_eq!(op_db(op), "app");
+                assert_eq!(op.db(), "app");
             }
         }
-        // The insert's commit marker shipped (txn filter tracked it).
+        // The insert's commit marker shipped.
         assert!(got
             .iter()
             .any(|r| matches!(r.entry, WalEntry::Commit) && r.txn != Wal::DDL_TXN));

@@ -377,7 +377,8 @@ impl<P: Peer> Link<P> {
         self.acked
     }
 
-    /// Source WAL head minus the standby ack, in LSN units.
+    /// Head of the database's log on the source minus the standby ack, in
+    /// LSN units.
     pub fn lag(&self) -> u64 {
         self.shipper
             .head_lsn()
@@ -478,6 +479,40 @@ mod tests {
         link.sever();
         conn.execute("INSERT INTO t VALUES (2, 'b')", &[]).unwrap();
         link.sync().unwrap();
+        assert_eq!(count(&s, "app"), 2);
+    }
+
+    /// Another tenant's commits on the same machines are not this stream's
+    /// lag; only an unshipped commit of its own is.
+    #[test]
+    fn lag_counts_only_the_streams_own_database() {
+        let p = primary();
+        p.create_database("other", 2).unwrap();
+        p.ddl(
+            "other",
+            "CREATE TABLE t (id INT NOT NULL, PRIMARY KEY (id))",
+        )
+        .unwrap();
+        let s = ClusterController::with_machines(ClusterConfig::for_tests(), 2);
+        let m = metrics();
+        let shipper = Shipper::new(Arc::clone(&p), "app", m.clone()).unwrap();
+        let applier = Applier::shared(Arc::clone(&s), "app", 2, m.clone());
+        let mut link = GeoLink::new(shipper, applier, m);
+
+        let (app, other) = (p.connect("app").unwrap(), p.connect("other").unwrap());
+        app.execute("INSERT INTO t VALUES (1, 'a')", &[]).unwrap();
+        link.sync().unwrap();
+        assert_eq!(link.lag(), 0);
+        for i in 0..5 {
+            other
+                .execute(&format!("INSERT INTO t VALUES ({i})"), &[])
+                .unwrap();
+            assert_eq!(link.lag(), 0, "another tenant's commit {i} is not lag");
+        }
+        app.execute("INSERT INTO t VALUES (2, 'b')", &[]).unwrap();
+        assert!(link.lag() > 0, "an unshipped commit of its own is");
+        link.sync().unwrap();
+        assert_eq!(link.lag(), 0);
         assert_eq!(count(&s, "app"), 2);
     }
 

@@ -128,14 +128,15 @@ pub fn dump_database(engine: &Engine, db: &str, throttle: Throttle) -> Result<Da
 /// transaction writes together, copied back to back, refuse it for the sum
 /// of their copies; kept apart, for the longest one.
 pub fn table_order(engine: &Engine, db: &str) -> Result<Vec<String>> {
+    let database = engine.db(db)?;
     let mut left = Vec::new();
-    for name in engine.db(db)?.table_names() {
+    for name in database.table_names() {
         left.push((engine.table(db, &name)?.row_count(), name));
     }
     left.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
 
     let mut written: HashMap<TxnId, Vec<Arc<str>>> = HashMap::new();
-    for (txn, table) in engine.wal().row_writes(db) {
+    for (txn, table) in database.log.row_writes() {
         let tables = written.entry(txn).or_default();
         if !tables.contains(&table) {
             tables.push(table);

@@ -29,7 +29,7 @@ use crate::schema::TableSchema;
 use crate::table::{Direction, Table};
 use crate::txn::{Finished, TxnId, TxnManager, UndoRecord};
 use crate::value::Value;
-use crate::wal::{RedoOp, RowWrite, Wal, WalEntry};
+use crate::wal::{LogRecord, Logs, Lsn, RedoOp, RowWrite, Wal, WalEntry};
 
 /// Page-number offset separating index pages from data pages within a
 /// table's page namespace.
@@ -74,20 +74,23 @@ impl EngineConfig {
     }
 }
 
-/// A hosted database: a named collection of tables plus usage counters.
+/// A hosted database: a named collection of tables, its log and usage
+/// counters.
 #[derive(Debug)]
 pub struct Database {
     pub name: Arc<str>,
     tables: RwLock<HashMap<String, Arc<Table>>>,
+    pub(crate) log: Arc<Wal>,
     reads: AtomicU64,
     writes: AtomicU64,
 }
 
 impl Database {
-    fn new(name: &str) -> Self {
+    fn new(name: &str, log: Arc<Wal>) -> Self {
         Database {
             name: name.into(),
             tables: RwLock::new(&ENGINE_TABLES, HashMap::new()),
+            log,
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
         }
@@ -114,9 +117,9 @@ impl Database {
     }
 }
 
-/// A table resolved by name once — the database (for its usage counters
-/// and its name in undo/redo records) and the table object — so that the
-/// engine calls of one statement pay no further catalog lookups.
+/// A table resolved by name once — the database (for its log, its usage
+/// counters and its name in undo/redo records) and the table object — so
+/// that the engine calls of one statement pay no further lookups.
 #[derive(Debug, Clone)]
 pub struct TableHandle {
     db: Arc<Database>,
@@ -168,7 +171,7 @@ pub struct Engine {
     locks: LockManager,
     txns: TxnManager,
     buffer: BufferPool,
-    wal: Wal,
+    logs: Logs,
     next_table_id: AtomicU64,
     failed: AtomicBool,
     commits: AtomicU64,
@@ -189,7 +192,7 @@ impl Engine {
             locks: LockManager::new(cfg.lock_timeout),
             txns: TxnManager::default(),
             buffer: BufferPool::new(cfg.buffer_pages, cfg.cost),
-            wal: Wal::default(),
+            logs: Logs::default(),
             next_table_id: AtomicU64::new(1),
             failed: AtomicBool::new(false),
             commits: AtomicU64::new(0),
@@ -212,13 +215,15 @@ impl Engine {
     /// Create a database (auto-committed DDL).
     pub fn create_database(&self, name: &str) -> Result<()> {
         self.check_up()?;
+        let log = self.logs.open(name);
         let mut dbs = self.databases.write();
         if dbs.contains_key(name) {
             return Err(StorageError::AlreadyExists(name.to_string()));
         }
-        dbs.insert(name.to_string(), Arc::new(Database::new(name)));
+        let db = Database::new(name, Arc::clone(&log));
+        dbs.insert(name.to_string(), Arc::new(db));
         drop(dbs);
-        self.wal.append(
+        log.append(
             Wal::DDL_TXN,
             WalEntry::Redo(RedoOp::CreateDatabase { db: name.into() }),
         );
@@ -227,11 +232,10 @@ impl Engine {
 
     pub fn drop_database(&self, name: &str) -> Result<()> {
         self.check_up()?;
-        let removed = self.databases.write().remove(name);
-        if removed.is_none() {
+        let Some(removed) = self.databases.write().remove(name) else {
             return Err(StorageError::NoSuchDatabase(name.to_string()));
-        }
-        self.wal.append(
+        };
+        removed.log.append(
             Wal::DDL_TXN,
             WalEntry::Redo(RedoOp::DropDatabase { db: name.into() }),
         );
@@ -263,7 +267,7 @@ impl Engine {
             Arc::new(Table::new(id, schema.clone())),
         );
         drop(tables);
-        self.wal.append(
+        database.log.append(
             Wal::DDL_TXN,
             WalEntry::Redo(RedoOp::CreateTable {
                 db: db.into(),
@@ -303,7 +307,7 @@ impl Engine {
                 .insert(table.to_string(), Arc::new(rebuilt));
             Ok(())
         })?;
-        self.wal.append(
+        database.log.append(
             Wal::DDL_TXN,
             WalEntry::Redo(RedoOp::CreateIndex {
                 db: db.into(),
@@ -335,16 +339,14 @@ impl Engine {
         Ok(self.txns.begin())
     }
 
-    pub fn has_writes(&self, txn: TxnId) -> Result<bool> {
-        self.txns.has_writes(txn)
-    }
-
-    /// 2PC vote: flush the prepare record and release read locks (the
-    /// early-release optimization of §3.1).
+    /// 2PC vote: flush the prepare record to the log of the database the
+    /// transaction touched (none if it touched nothing) and release read
+    /// locks (the early-release optimization of §3.1).
     pub fn prepare(&self, txn: TxnId) -> Result<()> {
         self.check_up()?;
-        self.txns.set_prepared(txn)?;
-        self.wal.append(txn, WalEntry::Prepare);
+        if let Some(log) = self.txns.set_prepared(txn)? {
+            log.append(txn, WalEntry::Prepare);
+        }
         self.locks.release_read_locks(txn);
         Ok(())
     }
@@ -356,8 +358,8 @@ impl Engine {
         // in the log, so its outcome is not logged either; a logged
         // `Prepare` always gets its outcome record (restart must not find a
         // phantom in-doubt).
-        if self.txns.finish(txn)?.logged {
-            self.wal.append(txn, WalEntry::Commit);
+        if let Some(log) = self.txns.finish(txn)?.log {
+            log.append(txn, WalEntry::Commit);
         }
         self.locks.release_all(txn);
         // ordering: Relaxed — advisory telemetry; only atomicity is needed, no cross-variable ordering.
@@ -369,7 +371,7 @@ impl Engine {
     /// Deliberately works even on a failed engine — the participant side of
     /// coordinator-driven cleanup.
     pub fn abort(&self, txn: TxnId) -> Result<()> {
-        let Finished { undo, logged } = self.txns.finish(txn)?;
+        let Finished { undo, log } = self.txns.finish(txn)?;
         for rec in undo.into_iter().rev() {
             // We still hold X locks on everything the undo touches, and the
             // images restore previously valid states, so these cannot fail;
@@ -402,8 +404,8 @@ impl Engine {
                 }
             }
         }
-        if logged {
-            self.wal.append(txn, WalEntry::Abort);
+        if let Some(log) = log {
+            log.append(txn, WalEntry::Abort);
         }
         self.locks.release_all(txn);
         // ordering: Relaxed — advisory telemetry; only atomicity is needed, no cross-variable ordering.
@@ -529,7 +531,7 @@ impl Engine {
     /// [`Engine::insert`] through a resolved handle.
     pub fn insert_in(&self, txn: TxnId, h: &TableHandle, row: Vec<Value>) -> Result<u64> {
         self.check_up()?;
-        self.txns.require_active(txn)?;
+        self.txns.require_active(txn, &h.db.log)?;
         let t = &*h.table;
         t.schema.check_row(&row)?;
         self.lock_table(txn, t, LockMode::IX)?;
@@ -565,7 +567,7 @@ impl Engine {
     ) {
         h.table
             .with_row(row_id, |row| {
-                self.wal
+                h.db.log
                     .append_row(txn, &h.db.name, &h.table.name, row_id, write(row))
             })
             .expect("the row was written above and its X lock is still held");
@@ -582,7 +584,7 @@ impl Engine {
     ) -> Result<Option<Vec<Value>>> {
         self.check_up()?;
         let h = self.open_table(db, table)?;
-        self.txns.require_active(txn)?;
+        self.txns.require_active(txn, &h.db.log)?;
         let t = &*h.table;
         self.lock_table(txn, t, LockMode::IS)?;
         self.lock_row(txn, t, row_id, LockMode::S)?;
@@ -644,7 +646,7 @@ impl Engine {
         mut visit: impl FnMut(u64, &[Value]) -> std::result::Result<ControlFlow<()>, E>,
     ) -> std::result::Result<(), E> {
         self.check_up()?;
-        self.txns.require_active(txn)?;
+        self.txns.require_active(txn, &h.db.log)?;
         let t = &*h.table;
         let def = t
             .schema
@@ -723,7 +725,7 @@ impl Engine {
         visit: impl FnMut(u64, &[Value]) -> std::result::Result<ControlFlow<()>, E>,
     ) -> std::result::Result<(), E> {
         self.check_up()?;
-        self.txns.require_active(txn)?;
+        self.txns.require_active(txn, &h.db.log)?;
         let t = &*h.table;
         self.lock_table(txn, t, LockMode::S)?;
         let mut visit = Self::stepping(visit);
@@ -761,7 +763,7 @@ impl Engine {
         visit: impl FnMut(u64, &[Value]) -> std::result::Result<ControlFlow<()>, E>,
     ) -> std::result::Result<(), E> {
         self.check_up()?;
-        self.txns.require_active(txn)?;
+        self.txns.require_active(txn, &h.db.log)?;
         let t = &*h.table;
         self.lock_table(txn, t, LockMode::S)?;
         let mut visit = Self::stepping(visit);
@@ -801,7 +803,7 @@ impl Engine {
         new_row: Vec<Value>,
     ) -> Result<()> {
         self.check_up()?;
-        self.txns.require_active(txn)?;
+        self.txns.require_active(txn, &h.db.log)?;
         let t = &*h.table;
         t.schema.check_row(&new_row)?;
         self.lock_table(txn, t, LockMode::IX)?;
@@ -856,7 +858,7 @@ impl Engine {
     /// [`Engine::delete`] through a resolved handle.
     pub fn delete_in(&self, txn: TxnId, h: &TableHandle, row_id: u64) -> Result<()> {
         self.check_up()?;
-        self.txns.require_active(txn)?;
+        self.txns.require_active(txn, &h.db.log)?;
         let t = &*h.table;
         self.lock_table(txn, t, LockMode::IX)?;
         self.lock_row(txn, t, row_id, LockMode::X)?;
@@ -877,7 +879,7 @@ impl Engine {
                 old,
             },
         )?;
-        self.wal
+        h.db.log
             .append_row(txn, &h.db.name, &h.table.name, row_id, RowWrite::Delete);
         h.note_write();
         Ok(())
@@ -900,21 +902,26 @@ impl Engine {
         }
     }
 
-    /// Rebuild committed state from the WAL and come back up with a cold
-    /// cache. Returns the number of redo records replayed.
+    /// Rebuild committed state from the logs, each on its own, and come
+    /// back up with a cold cache. Returns the number of redo records
+    /// replayed.
     pub fn restart(&self) -> usize {
         // Rebuild into a fresh catalog.
-        let redo = self.wal.committed_redo();
         let mut dbs: HashMap<String, Arc<Database>> = HashMap::new();
-        for op in &redo {
-            self.apply_redo(&mut dbs, op);
+        let mut replayed = 0;
+        for log in self.logs.all() {
+            let redo = log.committed_redo();
+            for op in &redo {
+                self.apply_redo(&mut dbs, &log, op);
+            }
+            replayed += redo.len();
         }
         *self.databases.write() = dbs;
         self.buffer.clear();
         // ordering: Release — pairs with the Acquire loads in check_up()/is_failed();
         // publishes the rebuilt catalog installed just above.
         self.failed.store(false, Ordering::Release);
-        redo.len()
+        replayed
     }
 
     pub fn is_failed(&self) -> bool {
@@ -954,49 +961,51 @@ impl Engine {
         &self.locks
     }
 
-    pub fn wal(&self) -> &Wal {
-        &self.wal
+    /// Every database's log.
+    pub fn wal(&self) -> &Logs {
+        &self.logs
     }
 
     // The wrappers below are the *stable* log surface for callers
     // outside this crate (the cluster controller's restart path and the
     // cross-colo shipper). `xtask lint` gates direct `.wal()` access from
-    // other crates onto these, so the WAL's internal layout can change
-    // without touching its consumers.
+    // other crates onto these, so the logs' internal layout can change
+    // without touching their consumers.
 
-    /// The LSN the next WAL append will receive (see [`Wal::head_lsn`]).
-    pub fn wal_head_lsn(&self) -> crate::wal::Lsn {
-        self.wal.head_lsn()
+    /// The LSN the next append to `db`'s log will receive (see
+    /// [`Wal::head_lsn`]); [`Lsn::ZERO`] if `db` never had a log here.
+    pub fn wal_head_lsn(&self, db: &str) -> Lsn {
+        self.logs.get(db).map_or(Lsn::ZERO, |log| log.head_lsn())
     }
 
-    /// Up to `max` retained WAL records with `lsn >= from` — the tailing
-    /// cursor for log shipping (see [`Wal::tail_from_capped`]); lagging
-    /// shippers page their backlog instead of cloning the whole suffix per
-    /// batch.
-    ///
-    /// [`Wal::tail_from_capped`]: crate::wal::Wal::tail_from_capped
-    pub fn wal_tail_from_capped(
-        &self,
-        from: crate::wal::Lsn,
-        max: usize,
-    ) -> Vec<crate::wal::LogRecord> {
-        self.wal.tail_from_capped(from, max)
+    /// Up to `max` retained records of `db`'s log with `lsn >= from` — the
+    /// tailing cursor for log shipping (see [`Wal::tail_from_capped`]).
+    pub fn wal_tail_from_capped(&self, db: &str, from: Lsn, max: usize) -> Vec<LogRecord> {
+        self.logs
+            .get(db)
+            .map_or_else(Vec::new, |log| log.tail_from_capped(from, max))
     }
 
-    /// Local transactions that prepared but never learned a 2PC outcome
-    /// (see [`Wal::in_doubt`]). The coordinator resolves these after a
-    /// restart against the replicated decision log.
+    /// Local transactions that prepared but never learned a 2PC outcome,
+    /// over every database's log (see [`Wal::in_doubt`]). The coordinator
+    /// resolves these after a restart against the replicated decision log.
     pub fn in_doubt(&self) -> Vec<TxnId> {
-        self.wal.in_doubt()
+        let mut txns: Vec<TxnId> = self.logs.all().iter().flat_map(|l| l.in_doubt()).collect();
+        txns.sort();
+        txns
     }
 
-    /// Log the 2PC outcome of an in-doubt prepared transaction, so the next
-    /// [`Engine::restart`] replay applies it (`commit`) or leaves it out for
-    /// good. Used while the engine is *down*: the outcome was reached by the
-    /// replicated 2PC log, not by a live commit or abort on this engine.
+    /// Log the 2PC outcome of an in-doubt prepared transaction to the log
+    /// that holds its `Prepare`, so the next [`Engine::restart`] replay
+    /// applies it (`commit`) or leaves it out for good. Used while the
+    /// engine is *down*: the outcome was reached by the replicated 2PC log,
+    /// not by a live commit or abort on this engine.
     pub fn resolve_in_doubt(&self, txn: TxnId, commit: bool) {
         use WalEntry::{Abort, Commit};
-        self.wal.append(txn, if commit { Commit } else { Abort });
+        let logs = self.logs.all();
+        if let Some(log) = logs.iter().find(|l| l.in_doubt().contains(&txn)) {
+            log.append(txn, if commit { Commit } else { Abort });
+        }
     }
 
     /// Apply one replicated redo operation to the live catalog — the
@@ -1004,8 +1013,9 @@ impl Engine {
     ///
     /// The caller (the georep applier) feeds *decided* redo only — records
     /// of transactions whose commit marker has arrived, plus DDL — in
-    /// primary LSN order. The op is logged under [`Wal::DDL_TXN`] first so
-    /// a crash-restart of this engine replays it unconditionally, then
+    /// primary LSN order. The op is logged to its database's log under
+    /// [`Wal::DDL_TXN`] first so a crash-restart of this engine replays it
+    /// unconditionally, then
     /// applied in place. Locks, undo, and 2PC are bypassed: the primary
     /// already serialized and decided the work, so replay here is
     /// deterministic. Row-level failures are ignored exactly as
@@ -1013,20 +1023,22 @@ impl Engine {
     /// run here under the catalog's write lock (a standby serves no reads).
     pub fn apply_replicated_redo(&self, op: &RedoOp) -> Result<()> {
         self.check_up()?;
-        self.wal.append_redo(Wal::DDL_TXN, op);
-        self.apply_redo(&mut self.databases.write(), op);
+        let log = self.logs.open(op.db());
+        log.append_redo(Wal::DDL_TXN, op);
+        self.apply_redo(&mut self.databases.write(), &log, op);
         Ok(())
     }
 
-    /// Apply one decided redo op to `dbs` — the one redo applier, shared
-    /// by crash replay ([`Engine::restart`], over a fresh catalog) and the
-    /// standby's live path ([`Engine::apply_replicated_redo`], over the
-    /// installed one). Every arm is idempotent or ignores its row-level
-    /// failure, so replaying an op a second time right after the first
-    /// changes nothing. That is all it promises: a re-seeded georep stream
+    /// Apply one decided redo op of the database whose log is `log` to
+    /// `dbs` — the one redo applier, shared by crash replay
+    /// ([`Engine::restart`], over a fresh catalog) and the standby's live
+    /// path ([`Engine::apply_replicated_redo`], over the installed one).
+    /// Every arm is idempotent or ignores its row-level failure, so
+    /// replaying an op a second time right after the first changes
+    /// nothing. That is all it promises: a re-seeded georep stream
     /// that replays another engine's log from LSN zero over state that is
     /// not a prefix of that log does not converge.
-    fn apply_redo(&self, dbs: &mut HashMap<String, Arc<Database>>, op: &RedoOp) {
+    fn apply_redo(&self, dbs: &mut HashMap<String, Arc<Database>>, log: &Arc<Wal>, op: &RedoOp) {
         let find_table = |db: &str, table: &str| {
             dbs.get(db)
                 .and_then(|d| d.tables.read().get(table).cloned())
@@ -1034,7 +1046,7 @@ impl Engine {
         match op {
             RedoOp::CreateDatabase { db } => {
                 dbs.entry(db.to_string())
-                    .or_insert_with(|| Arc::new(Database::new(db)));
+                    .or_insert_with(|| Arc::new(Database::new(db, Arc::clone(log))));
             }
             RedoOp::DropDatabase { db } => {
                 dbs.remove(&**db);
@@ -1196,7 +1208,7 @@ mod tests {
 
         // Replay the source's committed redo into a blank standby engine.
         let standby = Engine::new(EngineConfig::for_tests());
-        for op in src.wal().committed_redo() {
+        for op in src.wal().get("app").unwrap().committed_redo() {
             standby.apply_replicated_redo(&op).unwrap();
         }
         let t = standby.begin().unwrap();
@@ -1234,7 +1246,7 @@ mod tests {
         let src = setup();
         src.with_txn(|t| src.insert(t, "app", "kv", kv(1, "one")))
             .unwrap();
-        let redo = src.wal().committed_redo();
+        let redo = src.wal().get("app").unwrap().committed_redo();
         let create_table = redo
             .iter()
             .find(|op| matches!(op, RedoOp::CreateTable { .. }))
@@ -1499,6 +1511,166 @@ mod tests {
         assert_eq!(scan(&e), state, "replay rebuilds the same state");
         assert!(e.in_doubt().is_empty(), "no phantom in-doubt transaction");
         assert!(e.txns.live_txns().is_empty(), "nothing left in the table");
+    }
+
+    /// An engine hosting `dbs`, each with the `kv` table of [`setup`].
+    fn setup_dbs(dbs: &[&str]) -> Engine {
+        let e = Engine::new(EngineConfig::for_tests());
+        for db in dbs {
+            e.create_database(db).unwrap();
+            let schema = TableSchema::new(
+                "kv",
+                vec![
+                    ColumnDef::new("k", DataType::Int).not_null(),
+                    ColumnDef::new("v", DataType::Text),
+                ],
+            )
+            .with_primary_key(&["k"]);
+            e.create_table(db, schema).unwrap();
+        }
+        e
+    }
+
+    /// `db`'s rows, sorted.
+    fn rows_of(e: &Engine, db: &str) -> Vec<Vec<Value>> {
+        let mut rows: Vec<Vec<Value>> = e
+            .with_txn(|t| e.scan(t, db, "kv"))
+            .unwrap()
+            .into_iter()
+            .map(|r| r.1)
+            .collect();
+        rows.sort_by_key(|r| r[0].clone());
+        rows
+    }
+
+    /// Records per database log.
+    fn log_lens(e: &Engine, dbs: &[&str]) -> Vec<usize> {
+        dbs.iter()
+            .map(|db| e.wal().get(db).unwrap().len())
+            .collect()
+    }
+
+    #[test]
+    fn interleaved_databases_each_rebuild_from_their_own_log() {
+        let dbs = ["a", "b", "c"];
+        let e = setup_dbs(&dbs);
+        let mut open = Vec::new();
+        for round in 0..12i64 {
+            for (i, db) in dbs.iter().enumerate() {
+                let t = e.begin().unwrap();
+                let k = round * 10 + i as i64;
+                let rid = e.insert(t, db, "kv", kv(k, "v")).unwrap();
+                if round % 3 == 1 {
+                    e.update(t, db, "kv", rid, kv(k, "updated")).unwrap();
+                }
+                open.push((t, rid, *db));
+            }
+            // Finish in an order that interleaves the databases' records.
+            while open.len() > 2 {
+                let (t, rid, db) = open.remove(round as usize % open.len());
+                match round % 4 {
+                    0 => e.commit(t).unwrap(),
+                    1 => e.abort(t).unwrap(),
+                    2 => {
+                        e.delete(t, db, "kv", rid).unwrap();
+                        e.prepare(t).unwrap();
+                        e.commit(t).unwrap();
+                    }
+                    _ => {
+                        e.prepare(t).unwrap();
+                        e.commit(t).unwrap();
+                    }
+                }
+            }
+        }
+        for (t, _, _) in open {
+            e.commit(t).unwrap();
+        }
+        let before: Vec<_> = dbs.iter().map(|db| rows_of(&e, db)).collect();
+        assert!(before.iter().all(|rows| !rows.is_empty()));
+        // Two transactions are still open at the crash: both vanish.
+        for db in ["a", "c"] {
+            let t = e.begin().unwrap();
+            e.insert(t, db, "kv", kv(1_000, "in flight")).unwrap();
+        }
+        // Each log holds its own database's records and nothing else.
+        for db in dbs {
+            for rec in e.wal().get(db).unwrap().snapshot() {
+                if let WalEntry::Redo(op) = &rec.entry {
+                    assert_eq!(op.db(), db);
+                }
+            }
+        }
+        e.crash();
+        e.restart();
+        let after: Vec<_> = dbs.iter().map(|db| rows_of(&e, db)).collect();
+        assert_eq!(after, before);
+        assert!(e.in_doubt().is_empty());
+    }
+
+    #[test]
+    fn a_resolved_in_doubt_outcome_lands_in_its_database_only() {
+        let dbs = ["a", "b"];
+        let e = setup_dbs(&dbs);
+        e.with_txn(|t| e.insert(t, "a", "kv", kv(1, "a"))).unwrap();
+        let t = e.begin().unwrap();
+        e.insert(t, "b", "kv", kv(1, "in doubt")).unwrap();
+        e.prepare(t).unwrap();
+        e.crash();
+        assert_eq!(e.in_doubt(), vec![t]);
+        let lens = log_lens(&e, &dbs);
+        e.resolve_in_doubt(t, true);
+        assert_eq!(log_lens(&e, &dbs), vec![lens[0], lens[1] + 1]);
+        e.restart();
+        assert!(e.in_doubt().is_empty());
+        assert_eq!(rows_of(&e, "a"), vec![kv(1, "a")]);
+        assert_eq!(rows_of(&e, "b"), vec![kv(1, "in doubt")]);
+    }
+
+    #[test]
+    fn a_transaction_that_touches_a_second_database_is_refused() {
+        let dbs = ["a", "b"];
+        let e = setup_dbs(&dbs);
+        let lens = log_lens(&e, &dbs);
+        let refused = |r: Result<()>| {
+            matches!(
+                r,
+                Err(StorageError::InvalidTxnState {
+                    state: "bound to another database",
+                    ..
+                })
+            )
+        };
+        // Read first, then write elsewhere.
+        let t = e.begin().unwrap();
+        e.scan(t, "a", "kv").unwrap();
+        assert!(refused(e.insert(t, "b", "kv", kv(1, "x")).map(drop)));
+        e.prepare(t).unwrap();
+        e.abort(t).unwrap();
+        // Write first, then read elsewhere.
+        let t = e.begin().unwrap();
+        let rid = e.insert(t, "b", "kv", kv(2, "y")).unwrap();
+        let before = log_lens(&e, &dbs);
+        assert!(refused(e.read(t, "a", "kv", 0).map(drop)));
+        assert!(refused(e.scan(t, "a", "kv").map(drop)));
+        assert_eq!(log_lens(&e, &dbs), before, "a refusal logs nothing");
+        e.update(t, "b", "kv", rid, kv(2, "z")).unwrap();
+        e.commit(t).unwrap();
+        assert_eq!(rows_of(&e, "a"), Vec::<Vec<Value>>::new());
+        assert_eq!(rows_of(&e, "b"), vec![kv(2, "z")]);
+        // `a`: the read-only one's prepare and abort. `b`: insert, update,
+        // commit.
+        assert_eq!(log_lens(&e, &dbs), vec![lens[0] + 2, lens[1] + 3]);
+    }
+
+    #[test]
+    fn an_untouched_transaction_logs_nothing_even_when_prepared() {
+        let e = setup();
+        let before = e.wal().len();
+        let t = e.begin().unwrap();
+        e.prepare(t).unwrap();
+        e.commit(t).unwrap();
+        assert_eq!(e.wal().len(), before);
     }
 
     #[test]

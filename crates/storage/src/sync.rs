@@ -8,10 +8,11 @@
 //! back up into cluster code that takes locks.
 //!
 //! The only in-crate nesting runs down the catalog (`ENGINE_CATALOG →
-//! ENGINE_TABLES → TABLE_DATA`, in redo apply and DDL) and from a table to
-//! the log (`TABLE_DATA → WAL_RECORDS`: a written row is logged from the
-//! table's own copy); every other storage lock is held only for a short,
-//! self-contained critical section.
+//! ENGINE_TABLES → TABLE_DATA`, in redo apply and DDL), from a table to
+//! its database's log (`TABLE_DATA → WAL_RECORDS`: a written row is logged
+//! from the table's own copy) and from the map of logs to each log
+//! (`ENGINE_LOGS → WAL_RECORDS`, summing their lengths); every other
+//! storage lock is held only for a short, self-contained critical section.
 
 pub use tenantdb_lockdep::{
     OrderedCondvar as Condvar, OrderedMutex as Mutex, OrderedMutexGuard as MutexGuard,
@@ -23,6 +24,9 @@ use tenantdb_lockdep::LockClass;
 
 /// `Engine::databases` — the per-machine database catalog.
 pub static ENGINE_CATALOG: LockClass = LockClass::new("storage.engine.catalog", 500);
+
+/// `Logs::by_db` — the per-machine map of database logs.
+pub static ENGINE_LOGS: LockClass = LockClass::new("storage.engine.logs", 505);
 
 /// `Database::tables` — one database's table catalog.
 pub static ENGINE_TABLES: LockClass = LockClass::new("storage.engine.tables", 510);
@@ -40,6 +44,6 @@ pub static TABLE_DATA: LockClass = LockClass::new("storage.table.data", 550);
 /// `BufferPool::state` — LRU bookkeeping.
 pub static BUFFER_STATE: LockClass = LockClass::new("storage.buffer.state", 560);
 
-/// `Wal::records` — the write-ahead log tail. Deepest rank in the system:
+/// `Wal::records` — one database's log. Deepest rank in the system:
 /// WAL appends happen under commit paths that may hold anything above.
 pub static WAL_RECORDS: LockClass = LockClass::new("storage.wal.records", 570);

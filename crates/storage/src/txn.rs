@@ -27,6 +27,7 @@ use crate::sync::{Mutex, TXN_MANAGER};
 use crate::error::{Result, StorageError};
 use crate::idmap::IdMap;
 use crate::value::Value;
+use crate::wal::Wal;
 
 /// A transaction identifier, unique within one engine instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -85,6 +86,9 @@ struct TxnInfo {
     phase: TxnPhase,
     undo: Vec<UndoRecord>,
     writes: u64,
+    /// The log of the database the transaction touched first; it touches
+    /// no other.
+    log: Option<Arc<Wal>>,
 }
 
 /// What a finished transaction leaves behind (see [`TxnManager::finish`]).
@@ -92,10 +96,10 @@ pub struct Finished {
     /// The undo log **in application order**: abort applies it in reverse,
     /// commit discards it.
     pub undo: Vec<UndoRecord>,
-    /// The WAL holds records of this transaction — redo, or its `Prepare` —
-    /// so it must get the outcome record too. A transaction that wrote
-    /// nothing and never prepared logs nothing.
-    pub logged: bool,
+    /// The log holding records of this transaction — redo, or its
+    /// `Prepare` — which must get the outcome record too. A transaction
+    /// that wrote nothing and never prepared a touched database has none.
+    pub log: Option<Arc<Wal>>,
 }
 
 /// Per-engine table of live transactions.
@@ -124,31 +128,28 @@ impl TxnManager {
                 phase: TxnPhase::Active,
                 undo: Vec::new(),
                 writes: 0,
+                log: None,
             },
         );
         id
     }
 
-    /// Current phase, or an error if the txn is unknown.
-    pub fn phase(&self, txn: TxnId) -> Result<TxnPhase> {
-        self.txns
-            .lock()
-            .get(&txn)
-            .map(|t| t.phase)
-            .ok_or(StorageError::NoSuchTxn(txn))
-    }
-
-    /// Ensure `txn` exists and is `Active` (required for reads and writes).
-    pub fn require_active(&self, txn: TxnId) -> Result<()> {
-        let map = self.txns.lock();
-        let info = map.get(&txn).ok_or(StorageError::NoSuchTxn(txn))?;
-        if info.phase != TxnPhase::Active {
-            return Err(StorageError::InvalidTxnState {
-                txn,
-                state: info.phase.name(),
-            });
-        }
-        Ok(())
+    /// Ensure `txn` exists and is `Active` (required for reads and writes)
+    /// and is bound to the database whose log is `log`: the first read or
+    /// write binds it, and a touch of another database is refused.
+    pub fn require_active(&self, txn: TxnId, log: &Arc<Wal>) -> Result<()> {
+        let mut map = self.txns.lock();
+        let info = map.get_mut(&txn).ok_or(StorageError::NoSuchTxn(txn))?;
+        let state = match &info.log {
+            _ if info.phase != TxnPhase::Active => info.phase.name(),
+            Some(bound) if !Arc::ptr_eq(bound, log) => "bound to another database",
+            Some(_) => return Ok(()),
+            None => {
+                info.log = Some(Arc::clone(log));
+                return Ok(());
+            }
+        };
+        Err(StorageError::InvalidTxnState { txn, state })
     }
 
     /// Record an undo entry for a write just applied.
@@ -160,15 +161,16 @@ impl TxnManager {
         Ok(())
     }
 
-    /// Transition Active -> Prepared (the 2PC vote). Returns an error from
-    /// any other state.
-    pub fn set_prepared(&self, txn: TxnId) -> Result<()> {
+    /// Transition Active -> Prepared (the 2PC vote), returning the log the
+    /// `Prepare` record goes to: none if the transaction touched nothing.
+    /// Returns an error from any other state.
+    pub fn set_prepared(&self, txn: TxnId) -> Result<Option<Arc<Wal>>> {
         let mut map = self.txns.lock();
         let info = map.get_mut(&txn).ok_or(StorageError::NoSuchTxn(txn))?;
         match info.phase {
             TxnPhase::Active => {
                 info.phase = TxnPhase::Prepared;
-                Ok(())
+                Ok(info.log.clone())
             }
             other => Err(StorageError::InvalidTxnState {
                 txn,
@@ -185,20 +187,11 @@ impl TxnManager {
             .lock()
             .remove(&txn)
             .ok_or(StorageError::NoSuchTxn(txn))?;
+        let logged = info.writes > 0 || info.phase == TxnPhase::Prepared;
         Ok(Finished {
             undo: info.undo,
-            logged: info.writes > 0 || info.phase == TxnPhase::Prepared,
+            log: info.log.filter(|_| logged),
         })
-    }
-
-    /// Did the transaction perform any writes? (The controller skips 2PC for
-    /// read-only transactions, as the paper does.)
-    pub fn has_writes(&self, txn: TxnId) -> Result<bool> {
-        self.txns
-            .lock()
-            .get(&txn)
-            .map(|t| t.writes > 0)
-            .ok_or(StorageError::NoSuchTxn(txn))
     }
 
     /// Ids of all live (Active or Prepared) transactions.
@@ -211,26 +204,69 @@ impl TxnManager {
 mod tests {
     use super::*;
 
+    fn log() -> Arc<Wal> {
+        Arc::new(Wal::default())
+    }
+
+    impl TxnManager {
+        /// Current phase, or an error if the txn is unknown.
+        fn phase(&self, txn: TxnId) -> Result<TxnPhase> {
+            self.txns
+                .lock()
+                .get(&txn)
+                .map(|t| t.phase)
+                .ok_or(StorageError::NoSuchTxn(txn))
+        }
+    }
+
     #[test]
     fn lifecycle_one_phase_commit() {
-        let tm = TxnManager::default();
+        let (tm, log) = (TxnManager::default(), log());
         let t = tm.begin();
         assert_eq!(tm.phase(t).unwrap(), TxnPhase::Active);
-        tm.require_active(t).unwrap();
+        tm.require_active(t, &log).unwrap();
         tm.finish(t).unwrap();
         assert_eq!(tm.phase(t).unwrap_err(), StorageError::NoSuchTxn(t));
-        assert!(tm.require_active(t).is_err());
+        assert!(tm.require_active(t, &log).is_err());
     }
 
     #[test]
     fn lifecycle_two_phase_commit() {
-        let tm = TxnManager::default();
+        let (tm, log) = (TxnManager::default(), log());
         let t = tm.begin();
-        tm.set_prepared(t).unwrap();
+        tm.require_active(t, &log).unwrap();
+        let prepare_to = tm.set_prepared(t).unwrap();
+        assert!(prepare_to.is_some_and(|l| Arc::ptr_eq(&l, &log)));
         assert_eq!(tm.phase(t).unwrap(), TxnPhase::Prepared);
         // No reads/writes after prepare.
-        assert!(tm.require_active(t).is_err());
-        assert!(tm.finish(t).unwrap().logged, "a prepare is in the log");
+        assert!(tm.require_active(t, &log).is_err());
+        assert!(
+            tm.finish(t).unwrap().log.is_some(),
+            "a prepare is in the log"
+        );
+    }
+
+    #[test]
+    fn an_untouched_prepare_logs_nothing() {
+        let tm = TxnManager::default();
+        let t = tm.begin();
+        assert!(tm.set_prepared(t).unwrap().is_none());
+        assert!(tm.finish(t).unwrap().log.is_none());
+    }
+
+    #[test]
+    fn a_transaction_touches_one_database() {
+        let (tm, a, b) = (TxnManager::default(), log(), log());
+        let t = tm.begin();
+        tm.require_active(t, &a).unwrap();
+        tm.require_active(t, &a).unwrap();
+        assert_eq!(
+            tm.require_active(t, &b).unwrap_err(),
+            StorageError::InvalidTxnState {
+                txn: t,
+                state: "bound to another database"
+            }
+        );
     }
 
     #[test]
@@ -262,8 +298,9 @@ mod tests {
 
     #[test]
     fn undo_log_returned_on_abort() {
-        let tm = TxnManager::default();
+        let (tm, log) = (TxnManager::default(), log());
         let t = tm.begin();
+        tm.require_active(t, &log).unwrap();
         tm.push_undo(
             t,
             UndoRecord::Insert {
@@ -283,9 +320,8 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(tm.has_writes(t).unwrap());
-        let Finished { undo, logged } = tm.finish(t).unwrap();
-        assert!(logged, "it wrote");
+        let Finished { undo, log } = tm.finish(t).unwrap();
+        assert!(log.is_some(), "it wrote");
         assert_eq!(undo.len(), 2);
         assert!(matches!(undo[0], UndoRecord::Insert { row_id: 1, .. }));
     }
@@ -294,8 +330,8 @@ mod tests {
     fn read_only_detection() {
         let tm = TxnManager::default();
         let t = tm.begin();
-        assert!(!tm.has_writes(t).unwrap());
-        assert!(!tm.finish(t).unwrap().logged, "nothing for the log");
+        tm.require_active(t, &log()).unwrap();
+        assert!(tm.finish(t).unwrap().log.is_none(), "nothing for the log");
     }
 
     #[test]

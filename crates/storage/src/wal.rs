@@ -1,19 +1,23 @@
-//! Logical write-ahead log.
+//! Logical write-ahead logs, one per database.
 //!
-//! The engine applies writes in place, so the log is *redo-only*: each write
+//! The engine applies writes in place, so a log is *redo-only*: each write
 //! appends a redo record, prepare/commit/abort append control records, and
 //! crash recovery replays — in LSN order — the redo records of transactions
 //! that have a commit record. Strict 2PL guarantees that conflicting writes
 //! appear in the log in serialization order, so replay reconstructs exactly
 //! the committed state.
 //!
-//! The log lives in memory (this engine simulates one machine of the paper's
-//! cluster; durability across *process* death is out of scope, but the log
-//! gives us honest crash-restart semantics for fault-injection tests: an
-//! engine crash discards all in-flight transactions and rebuilds committed
-//! state from the log).
+//! Every database an engine hosts has its own [`Wal`], kept in [`Logs`]; a
+//! transaction touches one database, so a log holds one tenant's records:
+//! restart replays each log on its own, and a shipper reads only its own.
 //!
-//! The log is what a long run retains, so it keeps bytes, not objects: each
+//! The logs live in memory (this engine simulates one machine of the
+//! paper's cluster; durability across *process* death is out of scope, but
+//! the logs give us honest crash-restart semantics for fault-injection
+//! tests: an engine crash discards all in-flight transactions and rebuilds
+//! committed state from the logs).
+//!
+//! A log is what a long run retains, so it keeps bytes, not objects: each
 //! record is encoded where it is appended, into one append-only buffer, and
 //! the log keeps one end offset per record. The layout is
 //! [`crate::codec`]'s, the same one a shipped batch carries; the log keeps
@@ -23,24 +27,24 @@
 //! and kind decode nothing else. The log decodes only bytes it wrote, so a
 //! record that does not decode is a bug here, and the reads panic.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::codec::{kind, Decoder, Encoder, Names};
-use crate::sync::{Mutex, WAL_RECORDS};
+use crate::sync::{Mutex, RwLock, ENGINE_LOGS, WAL_RECORDS};
 
 use crate::schema::TableSchema;
 use crate::txn::TxnId;
 use crate::value::Value;
 
-/// A log sequence number: the position of one record in an engine's WAL.
+/// A log sequence number: the position of one record in a database's log.
 ///
-/// This is the *stable public cursor type* for everything that tails the
+/// This is the *stable public cursor type* for everything that tails a
 /// log from outside the engine (cross-colo shipping, lag accounting,
 /// resume-after-disconnect). LSNs are dense and strictly increasing per
-/// engine; [`Lsn::ZERO`] is the position of the first record ever
-/// appended, and a reader holding LSN `n` resumes with
-/// [`Wal::tail_from`]`(Lsn(n))` to see record `n` onward.
+/// log; [`Lsn::ZERO`] is the position of the first record ever
+/// appended to it, and a reader holding LSN `n` resumes with
+/// [`Wal::tail_from_capped`]`(Lsn(n), ..)` to see record `n` onward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Lsn(pub u64);
 
@@ -49,7 +53,7 @@ impl Lsn {
     pub const ZERO: Lsn = Lsn(0);
 
     /// The position immediately after this one — what a reader that has
-    /// consumed `self` passes to [`Wal::tail_from`] to resume.
+    /// consumed `self` passes to [`Wal::tail_from_capped`] to resume.
     pub fn next(self) -> Lsn {
         Lsn(self.0 + 1)
     }
@@ -102,6 +106,21 @@ pub enum RedoOp {
         table: Arc<str>,
         row_id: u64,
     },
+}
+
+impl RedoOp {
+    /// The database the operation belongs to: the one whose log it goes in.
+    pub fn db(&self) -> &str {
+        match self {
+            RedoOp::CreateDatabase { db }
+            | RedoOp::DropDatabase { db }
+            | RedoOp::CreateTable { db, .. }
+            | RedoOp::CreateIndex { db, .. }
+            | RedoOp::Insert { db, .. }
+            | RedoOp::Update { db, .. }
+            | RedoOp::Delete { db, .. } => db,
+        }
+    }
 }
 
 /// A log record body.
@@ -179,7 +198,7 @@ impl WalInner {
     }
 }
 
-/// The engine-wide log. DDL records use [`Wal::DDL_TXN`] as their txn id and
+/// One database's log. DDL records use [`Wal::DDL_TXN`] as their txn id and
 /// are always replayed.
 pub struct Wal {
     records: Mutex<WalInner>,
@@ -198,6 +217,12 @@ impl Default for Wal {
                 },
             ),
         }
+    }
+}
+
+impl std::fmt::Debug for Wal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Wal").finish_non_exhaustive()
     }
 }
 
@@ -272,22 +297,16 @@ impl Wal {
 
     /// Snapshot of all retained records (tests, debugging, replay).
     pub fn snapshot(&self) -> Vec<LogRecord> {
-        self.tail_from(Lsn::ZERO)
+        self.tail_from_capped(Lsn::ZERO, usize::MAX)
     }
 
-    /// All retained records with `lsn >= from`, in LSN order — the tailing
-    /// cursor for log shipping. A reader that has applied through LSN `n`
-    /// calls `tail_from(Lsn(n + 1))` (or `lsn.next()`) to resume; an empty
-    /// result means the reader is caught up. Asking for an LSN below the
+    /// Up to `max` retained records with `lsn >= from`, in LSN order — the
+    /// tailing cursor for log shipping. A reader that has applied through
+    /// LSN `n` resumes from `Lsn(n + 1)` (or `lsn.next()`); an empty result
+    /// means the reader is caught up. A lagging reader pages through its
+    /// backlog in `O(max)` decodes per call. Asking for an LSN below the
     /// truncated prefix returns everything retained, so a stale reader
     /// observes the gap by seeing a first record above its cursor.
-    pub fn tail_from(&self, from: Lsn) -> Vec<LogRecord> {
-        self.tail_from_capped(from, usize::MAX)
-    }
-
-    /// [`Wal::tail_from`], capped at `max` records. A lagging reader pages
-    /// through its backlog in `O(max)` decodes per call instead of decoding
-    /// the whole suffix and discarding most of it.
     pub fn tail_from_capped(&self, from: Lsn, max: usize) -> Vec<LogRecord> {
         let inner = self.records.lock();
         inner.decode_from(inner.index_of(from), max)
@@ -358,21 +377,19 @@ impl Wal {
         v
     }
 
-    /// The transaction and table of each retained row record of database
-    /// `db`, in LSN order, skipping [`Wal::DDL_TXN`] (replicated and
-    /// restored rows) and a repeat of the pair just before it. Reads record
-    /// headers and names only: no row is decoded.
-    pub fn row_writes(&self, db: &str) -> Vec<(TxnId, Arc<str>)> {
+    /// The transaction and table of each retained row record, in LSN
+    /// order, skipping [`Wal::DDL_TXN`] (replicated and restored rows) and
+    /// a repeat of the pair just before it. Reads record headers and names
+    /// only: no row is decoded.
+    pub fn row_writes(&self) -> Vec<(TxnId, Arc<str>)> {
         let inner = self.records.lock();
-        let Some(&db) = inner.names.ids.get(db) else {
-            return Vec::new();
-        };
         let mut out: Vec<(TxnId, Arc<str>)> = Vec::new();
         for i in 0..inner.ends.len() {
             let (txn, kind, mut d) = inner.record(i);
-            if txn == Self::DDL_TXN || !kind::is_row(kind) || d.varint().expect(CORRUPT) != db {
+            if txn == Self::DDL_TXN || !kind::is_row(kind) {
                 continue;
             }
+            d.varint().expect(CORRUPT); // the database: always this log's
             let table = d.name().expect(CORRUPT);
             if out
                 .last()
@@ -384,13 +401,47 @@ impl Wal {
         }
         out
     }
+}
 
-    pub fn clear(&self) {
-        let mut inner = self.records.lock();
-        inner.start = 0;
-        inner.bytes.clear();
-        inner.ends.clear();
-        inner.names = Names::default();
+/// An engine's logs, one per database name it has hosted. A log outlives
+/// its database — a drop is a record in it, and a re-create under the name
+/// appends to it — and survives a crash: it is what restart rebuilds from.
+pub struct Logs {
+    by_db: RwLock<HashMap<String, Arc<Wal>>>,
+}
+
+impl Default for Logs {
+    fn default() -> Self {
+        Logs {
+            by_db: RwLock::new(&ENGINE_LOGS, HashMap::new()),
+        }
+    }
+}
+
+impl Logs {
+    /// `db`'s log, if it has one.
+    pub fn get(&self, db: &str) -> Option<Arc<Wal>> {
+        self.by_db.read().get(db).cloned()
+    }
+
+    /// `db`'s log, made now if it has none.
+    pub(crate) fn open(&self, db: &str) -> Arc<Wal> {
+        let made = || Arc::clone(self.by_db.write().entry(db.into()).or_default());
+        self.get(db).unwrap_or_else(made)
+    }
+
+    /// Every log.
+    pub(crate) fn all(&self) -> Vec<Arc<Wal>> {
+        self.by_db.read().values().cloned().collect()
+    }
+
+    /// Records retained over every log: what the machine holds.
+    pub fn len(&self) -> usize {
+        self.by_db.read().values().map(|log| log.len()).sum()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -427,11 +478,11 @@ mod tests {
         for i in 0..5 {
             wal.append(TxnId(1), ins(i));
         }
-        let tail = wal.tail_from(Lsn(3));
+        let tail = wal.tail_from_capped(Lsn(3), usize::MAX);
         assert_eq!(tail.len(), 2);
         assert_eq!(tail[0].lsn, Lsn(3));
         assert_eq!(tail[1].lsn, Lsn(4));
-        assert!(wal.tail_from(wal.head_lsn()).is_empty());
+        assert!(wal.tail_from_capped(wal.head_lsn(), 1).is_empty());
         // `next()` is the resume idiom after consuming a record.
         assert_eq!(tail[1].lsn.next(), wal.head_lsn());
     }
@@ -464,7 +515,7 @@ mod tests {
         assert_eq!(wal.head_lsn(), Lsn(6));
         // Retained records keep their original LSNs, and a fresh append
         // continues the sequence.
-        let tail = wal.tail_from(Lsn::ZERO);
+        let tail = wal.snapshot();
         assert_eq!(tail[0].lsn, Lsn(4));
         assert_eq!(wal.append(TxnId(1), ins(9)), Lsn(6));
         // Truncating past the head releases everything but never rewinds.
@@ -546,27 +597,26 @@ mod tests {
     #[test]
     fn row_writes_name_the_tables_each_transaction_wrote() {
         let wal = Wal::default();
-        let row = |db: &str, table: &str| {
+        let row = |table: &str| {
             WalEntry::Redo(RedoOp::Update {
-                db: db.into(),
+                db: "d".into(),
                 table: table.into(),
                 row_id: 0,
                 row: vec![Value::Null],
             })
         };
-        wal.append(TxnId(1), row("d", "a"));
-        wal.append(TxnId(1), row("d", "a"));
-        wal.append(TxnId(1), row("other", "c"));
-        wal.append(TxnId(1), row("d", "b"));
-        wal.append(Wal::DDL_TXN, row("d", "c"));
-        wal.append(TxnId(2), row("d", "c"));
+        wal.append(TxnId(1), row("a"));
+        wal.append(TxnId(1), row("a"));
+        wal.append(TxnId(1), row("b"));
+        wal.append(Wal::DDL_TXN, row("c"));
+        wal.append(TxnId(2), row("c"));
         let writes: Vec<(u64, String)> = wal
-            .row_writes("d")
+            .row_writes()
             .into_iter()
             .map(|(txn, t)| (txn.0, t.to_string()))
             .collect();
         assert_eq!(writes, [(1, "a".into()), (1, "b".into()), (2, "c".into())]);
-        assert!(wal.row_writes("nope").is_empty());
+        assert!(Wal::default().row_writes().is_empty());
     }
 
     /// splitmix64: a seeded generator with no dependency.

@@ -177,10 +177,11 @@ pub fn lint_file(
             out.push(diag(
                 lineno,
                 "wal-access",
-                "raw WAL handle outside crates/storage — tail the log through \
-                 the stable Engine surface (wal_head_lsn / wal_tail_from_capped / \
-                 in_doubt / resolve_in_doubt) so the log's internals \
-                 can evolve (or justify with // lint:allow(wal-access): <reason>)"
+                "raw WAL handle outside crates/storage — tail a database's log \
+                 through the stable Engine surface (wal_head_lsn(db) / \
+                 wal_tail_from_capped(db, from, max) / in_doubt / resolve_in_doubt) \
+                 so the logs' internals can evolve (or justify with \
+                 // lint:allow(wal-access): <reason>)"
                     .to_string(),
             ));
         }
@@ -255,8 +256,9 @@ fn touches_consensus_internals(code: &str) -> bool {
         .any(|t| code.contains(t))
 }
 
-/// Does this code line grab the raw WAL handle (`Engine::wal()`)? Outside
-/// `crates/storage` that bypasses the stable LSN-cursor surface.
+/// Does this code line grab the raw log handles (`Engine::wal()`, every
+/// database's log)? Outside `crates/storage` that bypasses the stable
+/// per-database LSN-cursor surface.
 fn grabs_raw_wal(code: &str) -> bool {
     code.contains(".wal()")
 }
@@ -413,10 +415,15 @@ mod tests {
             vec!["wal-access"]
         );
         assert_eq!(rules("crates/georep/src/ship.rs", src), vec!["wal-access"]);
+        let one_db = "let log = m.engine.wal().get(&self.db);\n";
+        assert_eq!(
+            rules("crates/georep/src/ship.rs", one_db),
+            vec!["wal-access"]
+        );
         // The WAL's own crate may touch its raw handle freely.
         assert!(rules("crates/storage/src/engine.rs", src).is_empty());
         // The stable Engine surface is the sanctioned path.
-        let stable = "let tail = m.engine.wal_tail_from_capped(cursor, 64);\n";
+        let stable = "let tail = m.engine.wal_tail_from_capped(&self.db, cursor, 64);\n";
         assert!(rules("crates/georep/src/ship.rs", stable).is_empty());
         let reasoned = "// lint:allow(wal-access): asserts raw record layout\n\
                         let w = m.engine.wal();\n";
