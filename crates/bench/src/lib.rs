@@ -446,7 +446,7 @@ impl RecoveryExperiment {
         metrics_window_report("recovery", &cluster, window);
 
         // Snapshot counters at recovery completion.
-        let during = cluster.total_counters();
+        let during = cluster.metrics().total_counters();
         let rejected: u64 = victim_dbs
             .iter()
             .map(|db| cluster.counters(db).rejected)

@@ -10,7 +10,7 @@
 //!
 //! ## What a connection resolves once
 //!
-//! `connect` resolves the database's controller entry ([`DbEntry`]); the
+//! `connect` resolves the database's controller entry (`plans::DbEntry`); the
 //! connection caches its last `route_info` answer with the replicas'
 //! handles and read-route counters, and re-reads it only when the
 //! controller's routing epoch moved. A dropped entry sends it back to the

@@ -33,7 +33,7 @@ use crate::plans::{DbEntry, Dbs};
 use crate::pool::PoolConfig;
 use crate::twopc::{self, Ack, Participant, Role};
 use tenantdb_obs::fields;
-use tenantdb_sla::{AdmissionGate, AdmissionParams, ResourceVector};
+use tenantdb_sla::{AdmissionDecision, AdmissionGate, AdmissionParams, ResourceVector};
 
 /// The three read-routing options of §3.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -770,10 +770,9 @@ impl ClusterController {
     /// Move a table into the copied set (T).
     pub fn mark_copied(&self, db: &str, table: &str) {
         self.group.mark_copied(db, table);
-        self.metrics
-            .registry()
-            .counter(crate::metrics::RECOVERY_TABLES_COPIED, &[("db", db)])
-            .inc();
+        if let Ok(entry) = self.dbs.get(db) {
+            entry.tables_copied(&self.metrics).inc();
+        }
         self.metrics
             .events()
             .emit("copy_table_done", fields![("db", db), ("table", table)]);
@@ -902,19 +901,16 @@ impl ClusterController {
         let Some(gate) = self.admitting().then(|| entry.gate()).flatten() else {
             return Ok(());
         };
-        let db = entry.name();
         match gate.decide() {
-            tenantdb_sla::AdmissionDecision::Admit => {
-                self.metrics.note_sla_admitted(db, &gate);
+            AdmissionDecision::Reject => Err(self.shed(entry, &gate)),
+            decision => {
+                entry.sla(&self.metrics).note(decision, &gate);
+                if let AdmissionDecision::Defer(wait) = decision {
+                    tenantdb_lockdep::assert_may_block("an SLA deferral sleep");
+                    std::thread::sleep(wait);
+                }
                 Ok(())
             }
-            tenantdb_sla::AdmissionDecision::Defer(wait) => {
-                self.metrics.note_sla_deferred(db, &gate);
-                tenantdb_lockdep::assert_may_block("an SLA deferral sleep");
-                std::thread::sleep(wait);
-                Ok(())
-            }
-            tenantdb_sla::AdmissionDecision::Reject => Err(self.shed(entry, &gate)),
         }
     }
 
@@ -938,9 +934,12 @@ impl ClusterController {
     /// Count a shed of `entry`'s database, at the gate and against the
     /// tenant's availability SLA, and return the refusal the client sees.
     fn shed(&self, entry: &DbEntry, gate: &AdmissionGate) -> ClusterError {
-        let db = entry.name();
-        self.metrics.note_sla_rejected(db, gate);
-        let shed = ClusterError::AdmissionRejected { db: db.to_string() };
+        entry
+            .sla(&self.metrics)
+            .note(AdmissionDecision::Reject, gate);
+        let shed = ClusterError::AdmissionRejected {
+            db: entry.name().to_string(),
+        };
         entry.counters(&self.metrics).failed(shed.outcome());
         shed
     }
@@ -1045,7 +1044,7 @@ impl ClusterController {
         // ordering: Relaxed — see is_geo_fenced().
         let fence = self.geo_fence_cache.load(Ordering::Relaxed);
         if fence > self.geo_write_epoch() {
-            self.metrics.note_geo_fenced_write();
+            self.metrics.geo_fenced_writes.inc();
             return Err(ClusterError::Fenced { epoch: fence });
         }
         Ok(())
@@ -1073,11 +1072,6 @@ impl ClusterController {
         window: std::time::Duration,
     ) -> tenantdb_sla::Compliance {
         tenantdb_sla::check_compliance(sla, &self.metrics.observed_outcomes(db), window)
-    }
-
-    /// Sum of counters across all databases.
-    pub fn total_counters(&self) -> DbCounters {
-        self.metrics.total_counters()
     }
 
     /// Zero every counter and histogram and drop buffered events (gauges
@@ -1276,17 +1270,38 @@ mod tests {
     fn counters_accumulate() {
         let c = ClusterController::with_machines(ClusterConfig::for_tests(), 1);
         c.create_database("a", 1).unwrap();
-        c.metrics().note_committed("a");
-        c.metrics().note_committed("a");
-        c.metrics().note_failed("a", crate::Outcome::Rejected);
-        c.metrics().note_failed("a", crate::Outcome::Deadlock);
+        let a = c.dbs.get("a").unwrap();
+        let h = a.counters(c.metrics());
+        h.committed();
+        h.committed();
+        h.failed(crate::Outcome::Rejected);
+        h.failed(crate::Outcome::Deadlock);
         let k = c.counters("a");
         assert_eq!(k.committed, 2);
         assert_eq!(k.rejected, 1);
         assert_eq!(k.deadlocks, 1);
-        assert_eq!(c.total_counters().committed, 2);
+        assert_eq!(c.metrics().total_counters().committed, 2);
         c.reset_counters();
         assert_eq!(c.counters("a"), DbCounters::default());
+    }
+
+    /// Asking about a database reads its series and makes none: not for
+    /// one that never existed, nor for one that never ran a transaction.
+    #[test]
+    fn reading_counters_creates_no_series() {
+        let c = ClusterController::with_machines(ClusterConfig::for_tests(), 1);
+        c.create_database("idle", 1).unwrap();
+        let series = |c: &ClusterController| {
+            let s = c.metrics().registry().snapshot();
+            s.counters.len() + s.gauges.len() + s.histograms.len()
+        };
+        let before = series(&c);
+        let sla = tenantdb_sla::Sla::new(1.0, 0.05, std::time::Duration::from_secs(60));
+        for db in ["ghost", "idle"] {
+            assert_eq!(c.counters(db), DbCounters::default());
+            c.sla_compliance(db, &sla, std::time::Duration::from_secs(60));
+        }
+        assert_eq!(series(&c), before);
     }
 
     #[test]
@@ -1312,16 +1327,63 @@ mod sla_tests {
     fn compliance_bridges_counters() {
         let c = ClusterController::with_machines(ClusterConfig::for_tests(), 1);
         c.create_database("a", 1).unwrap();
+        let a = c.dbs.get("a").unwrap();
+        let h = a.counters(c.metrics());
         for _ in 0..120 {
-            c.metrics().note_committed("a");
+            h.committed();
         }
-        c.metrics().note_failed("a", crate::Outcome::Rejected);
+        h.failed(crate::Outcome::Rejected);
         let sla = Sla::new(1.0, 0.05, Duration::from_secs(3600));
         let comp = c.sla_compliance("a", &sla, Duration::from_secs(60));
         assert!(comp.ok(), "{comp:?}");
         // Tighter availability bound breaches.
         let tight = Sla::new(1.0, 0.001, Duration::from_secs(3600));
         assert!(!c.sla_compliance("a", &tight, Duration::from_secs(60)).ok());
+    }
+
+    /// The first `MAX_SLA_GAUGES` databases to meet their gate get a debt
+    /// gauge and later ones do not; a database dropped and re-created under
+    /// its name keeps its gauge without taking a second slot.
+    #[test]
+    fn sla_debt_gauges_are_capped_per_name() {
+        use crate::metrics::{MAX_SLA_GAUGES, SLA_GATE_DEBT};
+        let c = ClusterController::with_machines(ClusterConfig::for_tests(), 1);
+        let sla = Sla::new(1000.0, 0.5, Duration::from_secs(60));
+        let admit = |db: &str| {
+            c.set_sla(db, sla).unwrap();
+            c.admit(&c.dbs.get(db).unwrap()).unwrap();
+        };
+        let debt_gauges = || c.metrics().registry().snapshot().gauges;
+        let gauges = || {
+            let family = format!("{SLA_GATE_DEBT}{{");
+            debt_gauges()
+                .keys()
+                .filter(|k| k.starts_with(&family))
+                .count()
+        };
+        let has_gauge = |db: &str| {
+            let series = format!("{SLA_GATE_DEBT}{{db=\"{db}\"}}");
+            debt_gauges().contains_key(&series)
+        };
+        for i in 0..=MAX_SLA_GAUGES {
+            c.create_database(&format!("db{i}"), 1).unwrap();
+            admit(&format!("db{i}"));
+        }
+        assert_eq!(gauges(), MAX_SLA_GAUGES);
+        assert!(has_gauge("db0") && has_gauge(&format!("db{}", MAX_SLA_GAUGES - 1)));
+        let late = format!("db{MAX_SLA_GAUGES}");
+        assert!(!has_gauge(&late), "the 65th database took a debt gauge");
+        assert_eq!(c.metrics().sla_admission_counters(&late).admitted, 1);
+
+        c.drop_database("db0").unwrap();
+        c.create_database("db0", 1).unwrap();
+        admit("db0");
+        assert!(has_gauge("db0"), "a re-created database lost its gauge");
+        assert_eq!(gauges(), MAX_SLA_GAUGES);
+        c.drop_database(&late).unwrap();
+        c.create_database(&late, 1).unwrap();
+        admit(&late);
+        assert!(!has_gauge(&late));
     }
 }
 

@@ -3,23 +3,23 @@
 //!
 //! One [`ClusterMetrics`] lives inside every
 //! [`crate::controller::ClusterController`] and is the *single* store for
-//! runtime counters — the controller's former private
-//! `HashMap<String, DbCounters>` outcome ledger is gone, replaced by
-//! labelled registry counters that the SLA monitor, the benches, the shell's
-//! `\metrics` command, and the tests all read from the same place.
+//! runtime counters: the SLA monitor, the benches, the shell's `\metrics`
+//! command and the tests all read the same labelled registry counters.
 //!
 //! Handles for unlabelled hot-path series (2PC phase latencies, straggler
-//! acks) are resolved once at construction; a database's outcome series
-//! are resolved once into its controller entry, and a replica's read-route
-//! series once into each connection's cached route, so the steady-state
-//! cost of an increment is one relaxed atomic add.
+//! acks) are resolved once at construction; a database's outcome and SLA
+//! series are resolved once into its controller entry, and a replica's
+//! read-route series once into each connection's cached route, so the
+//! steady-state cost of an increment is one relaxed atomic add. Reads by
+//! name ([`ClusterMetrics::db_counters`] and friends) never create a series.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::sync::{Mutex, METRICS_READ_ROUTES, METRICS_SLA};
+use crate::sync::{Mutex, METRICS_READ_ROUTES};
 
 use tenantdb_obs::{Counter, EventLog, Gauge, Histogram, MetricsRegistry};
+use tenantdb_sla::{AdmissionDecision, AdmissionGate};
 
 use crate::controller::ReadPolicy;
 use crate::error::Outcome;
@@ -109,11 +109,8 @@ pub const GEOREP_FENCED_WRITES: &str = "tenantdb_georep_fenced_writes_total";
 /// first `MAX_SLA_GAUGES` databases to hit their gate win the slots.
 pub const MAX_SLA_GAUGES: usize = 64;
 
-/// Per-database outcome totals, read live from the metrics registry.
-///
-/// This is a point-in-time *view*, not storage: the counters live in the
-/// registry (see [`TXN_OUTCOMES`]) and this struct only exists so callers
-/// keep a stable, field-addressable snapshot API.
+/// Per-database outcome totals, read live from the registry's
+/// [`TXN_OUTCOMES`] series.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DbCounters {
     /// Successfully committed transactions.
@@ -147,14 +144,31 @@ impl AdmissionCounters {
     }
 }
 
-/// Cached per-database SLA admission handles. Created lazily on the first
-/// admission event, so databases without SLAs stay absent from the registry.
-struct SlaHandles {
+/// One database's SLA admission series (kept by its controller entry,
+/// resolved at its first admission event, so databases without SLAs stay
+/// absent from the registry).
+pub(crate) struct SlaHandles {
     admitted: Arc<Counter>,
     deferred: Arc<Counter>,
     rejected: Arc<Counter>,
-    /// `None` once [`MAX_SLA_GAUGES`] databases already carry a debt gauge.
+    /// `None` when [`MAX_SLA_GAUGES`] other databases already carry a debt
+    /// gauge.
     debt: Option<Arc<Gauge>>,
+}
+
+impl SlaHandles {
+    /// Count one gate decision and sample the gate's debt.
+    pub(crate) fn note(&self, decision: AdmissionDecision, gate: &AdmissionGate) {
+        match decision {
+            AdmissionDecision::Admit => &self.admitted,
+            AdmissionDecision::Defer(_) => &self.deferred,
+            AdmissionDecision::Reject => &self.rejected,
+        }
+        .inc();
+        if let Some(g) = &self.debt {
+            g.set(gate.debt_us() as i64);
+        }
+    }
 }
 
 /// One database's outcome counter handles (kept by its controller entry).
@@ -224,7 +238,6 @@ pub struct ClusterMetrics {
     /// Writes rejected because this cluster lost geo write authority.
     pub geo_fenced_writes: Arc<Counter>,
     read_routes: Mutex<HashMap<(ReadPolicy, MachineId), Arc<Counter>>>,
-    sla: Mutex<HashMap<String, Arc<SlaHandles>>>,
 }
 
 impl ClusterMetrics {
@@ -344,7 +357,6 @@ impl ClusterMetrics {
             ctrl_elections: registry.counter(CTRL_ELECTIONS, &[]),
             geo_fenced_writes: registry.counter(GEOREP_FENCED_WRITES, &[]),
             read_routes: Mutex::new(&METRICS_READ_ROUTES, HashMap::new()),
-            sla: Mutex::new(&METRICS_SLA, HashMap::new()),
             registry,
         }
     }
@@ -379,25 +391,9 @@ impl ClusterMetrics {
         }
     }
 
-    /// Count a `BEGIN` for `db`.
-    pub fn note_begun(&self, db: &str) {
-        self.db_handles(db).begun.inc();
-    }
-
-    /// Count a committed transaction for `db`.
-    pub fn note_committed(&self, db: &str) {
-        self.db_handles(db).committed();
-    }
-
-    /// Count a write rejected by the geo fence (cluster lost write
-    /// authority to a promoted standby colo).
-    pub fn note_geo_fenced_write(&self) {
-        self.geo_fenced_writes.inc();
-    }
-
-    /// Count a transaction of `db` that did not commit, under `outcome`.
-    pub fn note_failed(&self, db: &str, outcome: Outcome) {
-        self.db_handles(db).failed(outcome);
+    /// Resolve `db`'s copied-tables counter (made now if absent).
+    pub(crate) fn tables_copied(&self, db: &str) -> Arc<Counter> {
+        self.registry.counter(RECOVERY_TABLES_COPIED, &[("db", db)])
     }
 
     /// Count an Algorithm-1 write rejection on `db`'s resolved `counters`
@@ -408,11 +404,6 @@ impl ClusterMetrics {
             "write_rejected",
             vec![("db", db.to_string()), ("table", table.to_string())],
         );
-    }
-
-    /// Count one read routed to `machine` under `policy`.
-    pub fn note_read_route(&self, policy: ReadPolicy, machine: MachineId) {
-        self.read_route(policy, machine).inc();
     }
 
     /// The counter of reads routed to `machine` under `policy`.
@@ -431,14 +422,17 @@ impl ClusterMetrics {
         Arc::clone(routes.entry((policy, machine)).or_insert(counter))
     }
 
-    /// Live outcome totals for one database.
+    /// Live outcome totals for one database (zero for one with none).
     pub fn db_counters(&self, db: &str) -> DbCounters {
-        let h = self.db_handles(db);
+        let outcome = |o| {
+            self.registry
+                .counter_value(TXN_OUTCOMES, &[("db", db), ("outcome", o)])
+        };
         DbCounters {
-            committed: h.committed.get(),
-            deadlocks: h.deadlocks.get(),
-            rejected: h.rejected.get(),
-            aborted: h.aborted.get(),
+            committed: outcome("committed"),
+            deadlocks: outcome("deadlock"),
+            rejected: outcome("rejected"),
+            aborted: outcome("aborted"),
         }
     }
 
@@ -460,61 +454,22 @@ impl ClusterMetrics {
         }
     }
 
-    fn sla_handles(&self, db: &str) -> Arc<SlaHandles> {
-        if let Some(h) = self.sla.lock().get(db) {
-            return Arc::clone(h);
-        }
-        let debt = if self.sla.lock().len() < MAX_SLA_GAUGES {
-            Some(self.registry.gauge(SLA_GATE_DEBT, &[("db", db)]))
-        } else {
-            None
-        };
-        let handles = Arc::new(SlaHandles {
-            admitted: self.registry.counter(SLA_ADMITTED, &[("db", db)]),
-            deferred: self.registry.counter(SLA_DEFERRED, &[("db", db)]),
-            rejected: self.registry.counter(SLA_REJECTED, &[("db", db)]),
-            debt,
-        });
-        self.sla
-            .lock()
-            .entry(db.to_string())
-            .or_insert(handles)
-            .clone()
-    }
-
-    /// Count an immediate SLA admission for `db` and sample the gate debt.
-    pub fn note_sla_admitted(&self, db: &str, gate: &tenantdb_sla::AdmissionGate) {
-        let h = self.sla_handles(db);
-        h.admitted.inc();
-        if let Some(g) = &h.debt {
-            g.set(gate.debt_us() as i64);
-        }
-    }
-
-    /// Count a deferred SLA admission for `db` and sample the gate debt.
-    pub fn note_sla_deferred(&self, db: &str, gate: &tenantdb_sla::AdmissionGate) {
-        let h = self.sla_handles(db);
-        h.deferred.inc();
-        if let Some(g) = &h.debt {
-            g.set(gate.debt_us() as i64);
-        }
-    }
-
-    /// Count an admission shed for `db` and sample the gate debt. The
-    /// caller separately counts the §4.1 `rejected` outcome.
-    pub fn note_sla_rejected(&self, db: &str, gate: &tenantdb_sla::AdmissionGate) {
-        let h = self.sla_handles(db);
-        h.rejected.inc();
-        if let Some(g) = &h.debt {
-            g.set(gate.debt_us() as i64);
+    /// Resolve `db`'s SLA admission series (made now if absent). A debt
+    /// gauge is made only while fewer than [`MAX_SLA_GAUGES`] exist; a
+    /// database re-created under a name finds the gauge it already had.
+    pub(crate) fn sla_handles(&self, db: &str) -> SlaHandles {
+        let r = &self.registry;
+        SlaHandles {
+            admitted: r.counter(SLA_ADMITTED, &[("db", db)]),
+            deferred: r.counter(SLA_DEFERRED, &[("db", db)]),
+            rejected: r.counter(SLA_REJECTED, &[("db", db)]),
+            debt: r.gauge_capped(SLA_GATE_DEBT, &[("db", db)], MAX_SLA_GAUGES),
         }
     }
 
     /// Live SLA admission totals for one database. Zero for databases whose
     /// gate never fired (including databases without SLAs).
     pub fn sla_admission_counters(&self, db: &str) -> AdmissionCounters {
-        // Read through the registry rather than `sla_handles` so the query
-        // itself does not materialize the series for an untouched database.
         AdmissionCounters {
             admitted: self.registry.counter_value(SLA_ADMITTED, &[("db", db)]),
             deferred: self.registry.counter_value(SLA_DEFERRED, &[("db", db)]),
@@ -607,12 +562,13 @@ mod tests {
     #[test]
     fn outcome_counters_round_trip_through_the_registry() {
         let m = ClusterMetrics::new();
-        m.note_begun("a");
-        m.note_committed("a");
-        m.note_committed("a");
-        m.note_failed("a", Outcome::Deadlock);
-        m.note_failed("a", Outcome::Rejected);
-        m.note_failed("b", Outcome::Aborted);
+        let (a, b) = (m.db_handles("a"), m.db_handles("b"));
+        a.begun.inc();
+        a.committed();
+        a.committed();
+        a.failed(Outcome::Deadlock);
+        a.failed(Outcome::Rejected);
+        b.failed(Outcome::Aborted);
         let a = m.db_counters("a");
         assert_eq!(a.committed, 2);
         assert_eq!(a.deadlocks, 1);
@@ -621,18 +577,19 @@ mod tests {
         let total = m.total_counters();
         assert_eq!(total.committed, 2);
         assert_eq!(total.aborted, 1);
-        assert_eq!(m.registry().counter_value(TXN_BEGUN, &[("db", "a")]), 1);
+        assert_eq!(m.db_begun("a"), 1);
     }
 
     #[test]
     fn observed_outcomes_come_from_live_counters() {
         let m = ClusterMetrics::new();
+        let h = m.db_handles("db1");
         for _ in 0..10 {
-            m.note_committed("db1");
+            h.committed();
         }
-        m.note_failed("db1", Outcome::Rejected);
-        m.note_failed("db1", Outcome::Deadlock);
-        m.note_failed("db1", Outcome::Aborted);
+        h.failed(Outcome::Rejected);
+        h.failed(Outcome::Deadlock);
+        h.failed(Outcome::Aborted);
         let o = m.observed_outcomes("db1");
         assert_eq!(o.committed, 10);
         assert_eq!(o.rejected, 1);
@@ -642,9 +599,9 @@ mod tests {
     #[test]
     fn read_routes_label_policy_and_machine() {
         let m = ClusterMetrics::new();
-        m.note_read_route(ReadPolicy::PinnedReplica, MachineId(0));
-        m.note_read_route(ReadPolicy::PinnedReplica, MachineId(0));
-        m.note_read_route(ReadPolicy::PerOperation, MachineId(1));
+        m.read_route(ReadPolicy::PinnedReplica, MachineId(0)).inc();
+        m.read_route(ReadPolicy::PinnedReplica, MachineId(0)).inc();
+        m.read_route(ReadPolicy::PerOperation, MachineId(1)).inc();
         assert_eq!(
             m.registry()
                 .counter_value(READ_ROUTES, &[("policy", "pinned"), ("machine", "m0")]),
@@ -662,8 +619,9 @@ mod tests {
         let m = ClusterMetrics::new();
         // Ordinary traffic on an SLA-free database must not materialize any
         // admission series (the absent-cost contract).
-        m.note_begun("plain");
-        m.note_committed("plain");
+        let plain = m.db_handles("plain");
+        plain.begun.inc();
+        plain.committed();
         let text = m.registry().render_text();
         assert!(
             !text.contains("tenantdb_sla_"),
@@ -675,12 +633,13 @@ mod tests {
         );
 
         // The first admission event creates the series and the debt gauge.
-        let gate = tenantdb_sla::AdmissionGate::new(tenantdb_sla::AdmissionParams::from_sla(
+        let gate = AdmissionGate::new(tenantdb_sla::AdmissionParams::from_sla(
             &tenantdb_sla::Sla::new(5.0, 0.1, std::time::Duration::from_secs(60)),
         ));
-        m.note_sla_admitted("gated", &gate);
-        m.note_sla_deferred("gated", &gate);
-        m.note_sla_rejected("gated", &gate);
+        let gated = m.sla_handles("gated");
+        gated.note(AdmissionDecision::Admit, &gate);
+        gated.note(AdmissionDecision::Defer(Default::default()), &gate);
+        gated.note(AdmissionDecision::Reject, &gate);
         let c = m.sla_admission_counters("gated");
         assert_eq!(c.admitted, 1);
         assert_eq!(c.deferred, 1);
@@ -690,27 +649,6 @@ mod tests {
         for series in [SLA_ADMITTED, SLA_DEFERRED, SLA_REJECTED, SLA_GATE_DEBT] {
             assert!(text.contains(series), "{series} missing from:\n{text}");
         }
-    }
-
-    #[test]
-    fn sla_debt_gauges_are_capped() {
-        let m = ClusterMetrics::new();
-        let gate = tenantdb_sla::AdmissionGate::new(tenantdb_sla::AdmissionParams::unlimited());
-        for i in 0..(MAX_SLA_GAUGES + 10) {
-            m.note_sla_admitted(&format!("db{i}"), &gate);
-        }
-        let text = m.registry().render_text();
-        let gauges = text
-            .lines()
-            .filter(|l| l.starts_with(SLA_GATE_DEBT) && l.contains("db"))
-            .count();
-        assert_eq!(gauges, MAX_SLA_GAUGES, "debt gauges exceeded the cap");
-        // Counters stay per-database past the cap.
-        assert_eq!(
-            m.sla_admission_counters(&format!("db{}", MAX_SLA_GAUGES + 5))
-                .admitted,
-            1
-        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The per-database entry: the one controller-owned object a database's
-//! derived state hangs off — its plans (SQL text → [`Plan`]), outcome
-//! counters and SLA gate — resolved once per connection.
+//! derived state hangs off — its plans (SQL text → [`Plan`]), SLA gate and
+//! metric series, each series made at its first use — resolved once per
+//! connection.
 //!
 //! The paper's tenants are tens of thousands of small applications that
 //! each replay the same handful of statements, and what a statement binds
@@ -26,11 +27,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use tenantdb_obs::Counter;
 use tenantdb_sla::AdmissionGate;
 use tenantdb_sql::{Plan, StatementClass};
 
 use crate::error::{ClusterError, Result};
-use crate::metrics::{ClusterMetrics, DbHandles};
+use crate::metrics::{ClusterMetrics, DbHandles, SlaHandles};
 use crate::sync::{RwLock, CTRL_ADMISSION, CTRL_DBS, CTRL_PLANS_DB};
 
 /// Plans kept per database. An application replays tens of statement
@@ -54,9 +56,9 @@ pub(crate) struct DbEntry {
     plans: RwLock<Plans>,
     /// The SLA admission gate, once an SLA is installed.
     gate: RwLock<Option<Arc<AdmissionGate>>>,
-    /// Outcome counters, resolved on first use (an untouched database
-    /// materializes no series).
     counters: OnceLock<DbHandles>,
+    sla: OnceLock<SlaHandles>,
+    tables_copied: OnceLock<Arc<Counter>>,
 }
 
 impl DbEntry {
@@ -67,6 +69,8 @@ impl DbEntry {
             plans: RwLock::new(&CTRL_PLANS_DB, Plans::default()),
             gate: RwLock::new(&CTRL_ADMISSION, None),
             counters: OnceLock::new(),
+            sla: OnceLock::new(),
+            tables_copied: OnceLock::new(),
         }
     }
 
@@ -85,6 +89,17 @@ impl DbEntry {
     /// The outcome counters, resolved from `metrics` on first use.
     pub(crate) fn counters(&self, metrics: &ClusterMetrics) -> &DbHandles {
         self.counters.get_or_init(|| metrics.db_handles(&self.name))
+    }
+
+    /// The SLA admission series, resolved at the first admission event.
+    pub(crate) fn sla(&self, metrics: &ClusterMetrics) -> &SlaHandles {
+        self.sla.get_or_init(|| metrics.sla_handles(&self.name))
+    }
+
+    /// Tables copied onto new replicas, resolved at the first copy.
+    pub(crate) fn tables_copied(&self, metrics: &ClusterMetrics) -> &Counter {
+        self.tables_copied
+            .get_or_init(|| metrics.tables_copied(&self.name))
     }
 
     /// The installed SLA gate, if any.

@@ -72,11 +72,6 @@ pub static CTRL_DBS: LockClass = LockClass::new("cluster.controller.dbs", 140);
 /// pair has a stated order.
 pub static CTRL_PLANS_DB: LockClass = LockClass::new("cluster.controller.plans.db", 145);
 
-/// `ClusterMetrics::sla` — resolve-once per-database SLA admission handle
-/// cache. Populated lazily on the first admission event for a database so
-/// tenants without SLAs never materialize the series.
-pub static METRICS_SLA: LockClass = LockClass::new("cluster.metrics.sla", 152);
-
 /// `ClusterMetrics::read_routes` — resolve-once route-counter cache.
 pub static METRICS_READ_ROUTES: LockClass = LockClass::new("cluster.metrics.read_routes", 155);
 

@@ -377,21 +377,25 @@ mod tests {
 
         // victim: offered within its provisioned rate but starved below the
         // floor → throughput violation.
+        let handles = |db: &str| c.dbs.get(db).unwrap();
         c.set_sla("victim", Sla::new(5.0, 0.5, Duration::from_secs(60)))
             .unwrap();
+        let victim = handles("victim");
+        let victim = victim.counters(c.metrics());
         for _ in 0..20 {
-            c.metrics().note_begun("victim");
+            victim.begun.inc();
         }
         for _ in 0..4 {
-            c.metrics().note_committed("victim");
+            victim.committed();
         }
 
         // noise: offered 50 tps against a 10 tps provision → the noisy
         // party, exempt even though it committed nothing.
         c.set_sla("noise", Sla::new(5.0, 0.01, Duration::from_secs(60)))
             .unwrap();
+        let noise = handles("noise");
         for _ in 0..100 {
-            c.metrics().note_begun("noise");
+            noise.counters(c.metrics()).begun.inc();
         }
 
         // flaky: within rate, floor not demanded, but 10% of its outcomes
@@ -399,12 +403,14 @@ mod tests {
         // violation.
         c.set_sla("flaky", Sla::new(50.0, 0.01, Duration::from_secs(60)))
             .unwrap();
+        let flaky = handles("flaky");
+        let flaky = flaky.counters(c.metrics());
         for _ in 0..90 {
-            c.metrics().note_begun("flaky");
-            c.metrics().note_committed("flaky");
+            flaky.begun.inc();
+            flaky.committed();
         }
         for _ in 0..10 {
-            c.metrics().note_failed("flaky", crate::Outcome::Rejected);
+            flaky.failed(crate::Outcome::Rejected);
         }
 
         let v = no_starvation_violations(&c, Some(window));

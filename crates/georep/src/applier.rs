@@ -37,7 +37,7 @@ use tenantdb_cluster::fault::{CrashPoint, FaultAction, GEO};
 use tenantdb_cluster::{ClusterController, ClusterError, MachineId};
 use tenantdb_storage::{LogRecord, Lsn, RedoOp, TxnId, Wal, WalEntry};
 
-use crate::metrics::GeoMetrics;
+use crate::metrics::{ApplierSeries, GeoMetrics};
 use crate::GeoError;
 
 /// One buffered, not-yet-decided transaction.
@@ -69,7 +69,7 @@ pub struct Applier {
     pending: BTreeMap<TxnId, PendingTxn>,
     /// One past the highest source LSN ingested (the dedupe high-water).
     high_seen: Lsn,
-    metrics: GeoMetrics,
+    series: ApplierSeries,
 }
 
 impl Applier {
@@ -88,7 +88,7 @@ impl Applier {
             source: None,
             pending: BTreeMap::new(),
             high_seen: Lsn::ZERO,
-            metrics,
+            series: metrics.applier(db),
         }
     }
 
@@ -210,8 +210,9 @@ impl Applier {
             }
         }
         let watermark = self.resume_lsn();
-        self.metrics
-            .note_applied(&self.db, ingested, committed, watermark.0);
+        self.series.applied.add(ingested);
+        self.series.txns.add(committed);
+        self.series.applied_lsn.set(watermark.0 as i64);
         Ok(watermark)
     }
 
@@ -248,7 +249,7 @@ impl Applier {
     fn fence_check(&self, epoch: u64) -> Result<(), GeoError> {
         let known = self.standby.geo_epoch();
         if epoch < known {
-            self.metrics.note_fenced_stream();
+            self.series.fenced.inc();
             return Err(GeoError::Fenced { epoch: known });
         }
         Ok(())

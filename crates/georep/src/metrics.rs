@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use tenantdb_obs::MetricsRegistry;
+use tenantdb_obs::{Counter, Gauge, MetricsRegistry};
 
 /// Gauge: the shipper's scan cursor (next LSN to ship), per database.
 pub const GEOREP_SHIPPED_LSN: &str = "tenantdb_georep_shipped_lsn";
@@ -96,59 +96,58 @@ impl GeoMetrics {
         &self.registry
     }
 
-    /// Shipper sent `n` records for `db`; the cursor now sits at `cursor`.
-    pub fn note_shipped(&self, db: &str, n: u64, cursor: u64) {
-        self.registry
-            .counter(GEOREP_RECORDS_SHIPPED, &[("db", db)])
-            .add(n);
-        self.registry
-            .gauge(GEOREP_SHIPPED_LSN, &[("db", db)])
-            .set(cursor as i64);
-    }
-
-    /// Shipper observed the standby's cumulative ack for `db`; `lag` is the
-    /// source head minus that ack.
-    pub fn note_acked(&self, db: &str, acked: u64, lag: u64) {
-        self.registry
-            .gauge(GEOREP_ACKED_LSN, &[("db", db)])
-            .set(acked as i64);
-        self.registry
-            .gauge(GEOREP_LAG_RECORDS, &[("db", db)])
-            .set(lag as i64);
-    }
-
-    /// Applier ingested `records` for `db`, committing `txns` transactions;
-    /// its resume watermark is now `watermark`.
-    pub fn note_applied(&self, db: &str, records: u64, txns: u64, watermark: u64) {
-        self.registry
-            .counter(GEOREP_RECORDS_APPLIED, &[("db", db)])
-            .add(records);
-        if txns > 0 {
-            self.registry
-                .counter(GEOREP_TXNS_APPLIED, &[("db", db)])
-                .add(txns);
+    /// Resolve `db`'s shipper-side series (made now if absent).
+    pub(crate) fn shipper(&self, db: &str) -> ShipperSeries {
+        let r = &self.registry;
+        ShipperSeries {
+            shipped: r.counter(GEOREP_RECORDS_SHIPPED, &[("db", db)]),
+            shipped_lsn: r.gauge(GEOREP_SHIPPED_LSN, &[("db", db)]),
+            acked_lsn: r.gauge(GEOREP_ACKED_LSN, &[("db", db)]),
+            lag: r.gauge(GEOREP_LAG_RECORDS, &[("db", db)]),
         }
-        self.registry
-            .gauge(GEOREP_APPLIED_LSN, &[("db", db)])
-            .set(watermark as i64);
     }
 
-    /// A stream for `db` had to reconnect.
-    pub fn note_reconnect(&self, db: &str) {
-        self.registry
-            .counter(GEOREP_RECONNECTS, &[("db", db)])
-            .inc();
+    /// Resolve `db`'s stream-reconnect counter (made now if absent).
+    pub(crate) fn reconnects(&self, db: &str) -> Arc<Counter> {
+        self.registry.counter(GEOREP_RECONNECTS, &[("db", db)])
     }
 
-    /// A stream was refused or killed for carrying a stale epoch.
-    pub fn note_fenced_stream(&self) {
-        self.registry.counter(GEOREP_FENCED_STREAMS, &[]).inc();
+    /// Resolve `db`'s applier-side series (made now if absent).
+    pub(crate) fn applier(&self, db: &str) -> ApplierSeries {
+        let r = &self.registry;
+        ApplierSeries {
+            applied: r.counter(GEOREP_RECORDS_APPLIED, &[("db", db)]),
+            txns: r.counter(GEOREP_TXNS_APPLIED, &[("db", db)]),
+            applied_lsn: r.gauge(GEOREP_APPLIED_LSN, &[("db", db)]),
+            fenced: r.counter(GEOREP_FENCED_STREAMS, &[]),
+        }
     }
 
     /// A standby promotion completed.
     pub fn note_promotion(&self) {
         self.registry.counter(GEOREP_PROMOTIONS, &[]).inc();
     }
+}
+
+/// One database's shipper-side series, resolved once per [`Shipper`].
+///
+/// [`Shipper`]: crate::Shipper
+pub(crate) struct ShipperSeries {
+    pub(crate) shipped: Arc<Counter>,
+    pub(crate) shipped_lsn: Arc<Gauge>,
+    pub(crate) acked_lsn: Arc<Gauge>,
+    pub(crate) lag: Arc<Gauge>,
+}
+
+/// One database's applier-side series, resolved once per [`Applier`].
+///
+/// [`Applier`]: crate::Applier
+pub(crate) struct ApplierSeries {
+    pub(crate) applied: Arc<Counter>,
+    pub(crate) txns: Arc<Counter>,
+    pub(crate) applied_lsn: Arc<Gauge>,
+    /// Streams refused for a stale epoch (colo-wide, unlabelled).
+    pub(crate) fenced: Arc<Counter>,
 }
 
 #[cfg(test)]
@@ -158,18 +157,20 @@ mod tests {
     #[test]
     fn series_resolve_and_accumulate() {
         let m = GeoMetrics::new(Arc::new(MetricsRegistry::new()));
-        m.note_shipped("app", 3, 7);
-        m.note_shipped("app", 2, 9);
-        m.note_acked("app", 9, 0);
-        m.note_applied("app", 5, 2, 9);
-        m.note_reconnect("app");
-        m.note_fenced_stream();
+        let (ship, apply) = (m.shipper("app"), m.applier("app"));
+        ship.shipped.add(5);
+        ship.shipped_lsn.set(9);
+        ship.lag.set(0);
+        apply.txns.add(2);
+        m.reconnects("app").inc();
+        apply.fenced.inc();
         m.note_promotion();
         let r = m.registry();
         assert_eq!(r.counter_value(GEOREP_RECORDS_SHIPPED, &[("db", "app")]), 5);
         assert_eq!(r.gauge(GEOREP_SHIPPED_LSN, &[("db", "app")]).get(), 9);
         assert_eq!(r.gauge(GEOREP_LAG_RECORDS, &[("db", "app")]).get(), 0);
         assert_eq!(r.counter_value(GEOREP_TXNS_APPLIED, &[("db", "app")]), 2);
+        assert_eq!(r.counter_value(GEOREP_RECONNECTS, &[("db", "app")]), 1);
         assert_eq!(r.counter_value(GEOREP_FENCED_STREAMS, &[]), 1);
         assert_eq!(r.counter_value(GEOREP_PROMOTIONS, &[]), 1);
     }

@@ -26,7 +26,7 @@ use tenantdb_cluster::fault::{CrashPoint, FaultAction, GEO};
 use tenantdb_cluster::{ClusterController, MachineId};
 use tenantdb_storage::{LogRecord, Lsn};
 
-use crate::metrics::GeoMetrics;
+use crate::metrics::{GeoMetrics, ShipperSeries};
 use crate::GeoError;
 
 /// Default maximum records per [`Frame::GeoRecords`] batch.
@@ -42,7 +42,7 @@ pub struct Shipper {
     pin: MachineId,
     cursor: Lsn,
     batch: usize,
-    metrics: GeoMetrics,
+    series: ShipperSeries,
 }
 
 impl Shipper {
@@ -59,7 +59,7 @@ impl Shipper {
             pin,
             cursor: Lsn::ZERO,
             batch: DEFAULT_BATCH,
-            metrics,
+            series: metrics.shipper(db),
         })
     }
 
@@ -123,7 +123,8 @@ impl Shipper {
     pub fn note_acked(&self, acked: Lsn) -> Result<(), GeoError> {
         let head = self.head_lsn()?;
         let lag = head.0.saturating_sub(acked.0);
-        self.metrics.note_acked(&self.db, acked.0, lag);
+        self.series.acked_lsn.set(acked.0 as i64);
+        self.series.lag.set(lag as i64);
         Ok(())
     }
 
@@ -149,8 +150,8 @@ impl Shipper {
                 Some(FaultAction::Delay(d)) => std::thread::sleep(d),
                 None => {}
             }
-            self.metrics
-                .note_shipped(&self.db, out.len() as u64, self.cursor.0);
+            self.series.shipped.add(out.len() as u64);
+            self.series.shipped_lsn.set(self.cursor.0 as i64);
         }
         Ok(out)
     }

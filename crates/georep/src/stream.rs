@@ -31,6 +31,7 @@ use std::time::Duration;
 use tenantdb_cluster::sync::{LockClass, Mutex};
 use tenantdb_cluster::{ClusterController, MachineId};
 use tenantdb_net::wire::{read_frame, write_frame, Frame, GEOREP_PROTOCOL_VERSION};
+use tenantdb_obs::Counter;
 use tenantdb_storage::{LogRecord, Lsn};
 
 use crate::applier::{Applier, SharedApplier};
@@ -317,7 +318,7 @@ pub struct Link<P> {
     /// `Some(pin)` while the stream is connected and handshaken.
     session: Option<MachineId>,
     acked: Lsn,
-    metrics: GeoMetrics,
+    reconnects: Arc<Counter>,
     /// Handshakes made (the first is counted; later ones are reconnects).
     dials: u64,
 }
@@ -358,11 +359,11 @@ impl GeoTcpLink {
 impl<P: Peer> Link<P> {
     fn over(shipper: Shipper, peer: P, metrics: GeoMetrics) -> Self {
         Link {
+            reconnects: metrics.reconnects(shipper.db()),
             shipper,
             peer,
             session: None,
             acked: Lsn::ZERO,
-            metrics,
             dials: 0,
         }
     }
@@ -415,7 +416,7 @@ impl<P: Peer> Link<P> {
                 self.acked = resume;
                 self.dials += 1;
                 if self.dials > 1 {
-                    self.metrics.note_reconnect(self.shipper.db());
+                    self.reconnects.inc();
                 }
                 self.session = Some(pin);
             }

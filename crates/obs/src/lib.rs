@@ -297,6 +297,23 @@ impl MetricsRegistry {
             .clone()
     }
 
+    /// Get the gauge `name{labels}`, creating it only while its family has
+    /// fewer than `cap` series (`None` past the cap).
+    pub fn gauge_capped(
+        &self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        cap: usize,
+    ) -> Option<Arc<Gauge>> {
+        self.debug_assert_described(name);
+        let mut gauges = Self::guard(&self.gauges);
+        let key = make_key(name, labels);
+        if !gauges.contains_key(&key) && gauges.keys().filter(|k| k.name == name).count() >= cap {
+            return None;
+        }
+        Some(Arc::clone(gauges.entry(key).or_default()))
+    }
+
     /// Get or create the histogram `name{labels}`.
     pub fn histogram(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Arc<Histogram> {
         self.debug_assert_described(name);

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::sync::{RwLock, ENGINE_CATALOG, ENGINE_TABLES};
+use crate::sync::{Mutex, RwLock, ENGINE_CATALOG, ENGINE_IN_DOUBT, ENGINE_TABLES};
 
 use crate::buffer::{page_of_row, BufferPool, CostModel, PageKey};
 use crate::error::{Result, StorageError};
@@ -74,15 +74,12 @@ impl EngineConfig {
     }
 }
 
-/// A hosted database: a named collection of tables, its log and usage
-/// counters.
+/// A hosted database: a named collection of tables and its log.
 #[derive(Debug)]
 pub struct Database {
     pub name: Arc<str>,
     tables: RwLock<HashMap<String, Arc<Table>>>,
     pub(crate) log: Arc<Wal>,
-    reads: AtomicU64,
-    writes: AtomicU64,
 }
 
 impl Database {
@@ -91,8 +88,6 @@ impl Database {
             name: name.into(),
             tables: RwLock::new(&ENGINE_TABLES, HashMap::new()),
             log,
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
         }
     }
 
@@ -117,9 +112,9 @@ impl Database {
     }
 }
 
-/// A table resolved by name once — the database (for its log, its usage
-/// counters and its name in undo/redo records) and the table object — so
-/// that the engine calls of one statement pay no further lookups.
+/// A table resolved by name once — the database (for its log and its name
+/// in undo/redo records) and the table object — so that the engine calls
+/// of one statement pay no further lookups.
 #[derive(Debug, Clone)]
 pub struct TableHandle {
     db: Arc<Database>,
@@ -136,32 +131,6 @@ impl TableHandle {
     fn names(&self) -> (Arc<str>, Arc<str>) {
         (Arc::clone(&self.db.name), Arc::clone(&self.table.name))
     }
-
-    fn note_read(&self) {
-        // ordering: Relaxed — advisory telemetry; only atomicity is needed, no cross-variable ordering.
-        self.db.reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn note_write(&self) {
-        // ordering: Relaxed — advisory telemetry; only atomicity is needed, no cross-variable ordering.
-        self.db.writes.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Observed per-database resource usage, the input to SLA profiling (§4.2).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DbProfile {
-    pub reads: u64,
-    pub writes: u64,
-    /// Current logical size in pages.
-    pub pages: u64,
-}
-
-/// Engine-wide counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    pub commits: u64,
-    pub aborts: u64,
 }
 
 /// The single-node DBMS engine.
@@ -172,10 +141,11 @@ pub struct Engine {
     txns: TxnManager,
     buffer: BufferPool,
     logs: Logs,
+    /// The log of each transaction the last [`Engine::in_doubt`] listed,
+    /// so resolving one appends there without another pass over the logs.
+    in_doubt: Mutex<HashMap<TxnId, Arc<Wal>>>,
     next_table_id: AtomicU64,
     failed: AtomicBool,
-    commits: AtomicU64,
-    aborts: AtomicU64,
 }
 
 impl Default for Engine {
@@ -193,10 +163,9 @@ impl Engine {
             txns: TxnManager::default(),
             buffer: BufferPool::new(cfg.buffer_pages, cfg.cost),
             logs: Logs::default(),
+            in_doubt: Mutex::new(&ENGINE_IN_DOUBT, HashMap::new()),
             next_table_id: AtomicU64::new(1),
             failed: AtomicBool::new(false),
-            commits: AtomicU64::new(0),
-            aborts: AtomicU64::new(0),
         }
     }
 
@@ -362,8 +331,6 @@ impl Engine {
             log.append(txn, WalEntry::Commit);
         }
         self.locks.release_all(txn);
-        // ordering: Relaxed — advisory telemetry; only atomicity is needed, no cross-variable ordering.
-        self.commits.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -408,8 +375,6 @@ impl Engine {
             log.append(txn, WalEntry::Abort);
         }
         self.locks.release_all(txn);
-        // ordering: Relaxed — advisory telemetry; only atomicity is needed, no cross-variable ordering.
-        self.aborts.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -550,7 +515,6 @@ impl Engine {
         self.txns
             .push_undo(txn, UndoRecord::Insert { db, table, row_id })?;
         self.log_image(txn, h, row_id, |row| RowWrite::Insert(row));
-        h.note_write();
         Ok(row_id)
     }
 
@@ -589,7 +553,6 @@ impl Engine {
         self.lock_table(txn, t, LockMode::IS)?;
         self.lock_row(txn, t, row_id, LockMode::S)?;
         self.buffer.access(Self::data_page(t.id, row_id));
-        h.note_read();
         Ok(t.get(row_id))
     }
 
@@ -680,7 +643,6 @@ impl Engine {
             }
             after = more;
         }
-        h.note_read();
         Ok(())
     }
 
@@ -739,7 +701,6 @@ impl Engine {
             visit(id, row)
         })?;
         Self::walked(flow)?;
-        h.note_read();
         Ok(())
     }
 
@@ -777,7 +738,6 @@ impl Engine {
             visit(id, row)
         });
         Self::walked(flow)?;
-        h.note_read();
         Ok(())
     }
 
@@ -845,7 +805,6 @@ impl Engine {
             },
         )?;
         self.log_image(txn, h, row_id, |row| RowWrite::Update(row));
-        h.note_write();
         Ok(())
     }
 
@@ -881,7 +840,6 @@ impl Engine {
         )?;
         h.db.log
             .append_row(txn, &h.db.name, &h.table.name, row_id, RowWrite::Delete);
-        h.note_write();
         Ok(())
     }
 
@@ -917,6 +875,7 @@ impl Engine {
             replayed += redo.len();
         }
         *self.databases.write() = dbs;
+        self.in_doubt.lock().clear();
         self.buffer.clear();
         // ordering: Release — pairs with the Acquire loads in check_up()/is_failed();
         // publishes the rebuilt catalog installed just above.
@@ -930,28 +889,6 @@ impl Engine {
     }
 
     // ------------------------------------------------------------- stats
-
-    /// Observed usage of one database since engine start.
-    pub fn db_profile(&self, db: &str) -> Result<DbProfile> {
-        let d = self.db(db)?;
-        let pages: u64 = d.tables.read().values().map(|t| t.page_count()).sum();
-        Ok(DbProfile {
-            // ordering: Relaxed — snapshot read; may tear across related counters by design (see module docs).
-            reads: d.reads.load(Ordering::Relaxed),
-            // ordering: Relaxed — snapshot read; may tear across related counters by design (see module docs).
-            writes: d.writes.load(Ordering::Relaxed),
-            pages,
-        })
-    }
-
-    pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            // ordering: Relaxed — snapshot read; may tear across related counters by design (see module docs).
-            commits: self.commits.load(Ordering::Relaxed),
-            // ordering: Relaxed — snapshot read; may tear across related counters by design (see module docs).
-            aborts: self.aborts.load(Ordering::Relaxed),
-        }
-    }
 
     pub fn buffer(&self) -> &BufferPool {
         &self.buffer
@@ -987,23 +924,32 @@ impl Engine {
     }
 
     /// Local transactions that prepared but never learned a 2PC outcome,
-    /// over every database's log (see [`Wal::in_doubt`]). The coordinator
-    /// resolves these after a restart against the replicated decision log.
+    /// over every database's log (see [`Wal::in_doubt`]), each read once.
+    /// The coordinator resolves these after a restart against the
+    /// replicated decision log.
     pub fn in_doubt(&self) -> Vec<TxnId> {
-        let mut txns: Vec<TxnId> = self.logs.all().iter().flat_map(|l| l.in_doubt()).collect();
+        let found: HashMap<TxnId, Arc<Wal>> = (self.logs.all().into_iter())
+            .flat_map(|log| {
+                log.in_doubt()
+                    .into_iter()
+                    .map(move |t| (t, Arc::clone(&log)))
+            })
+            .collect();
+        let mut txns: Vec<TxnId> = found.keys().copied().collect();
         txns.sort();
+        *self.in_doubt.lock() = found;
         txns
     }
 
-    /// Log the 2PC outcome of an in-doubt prepared transaction to the log
-    /// that holds its `Prepare`, so the next [`Engine::restart`] replay
-    /// applies it (`commit`) or leaves it out for good. Used while the
-    /// engine is *down*: the outcome was reached by the replicated 2PC log,
-    /// not by a live commit or abort on this engine.
+    /// Log the 2PC outcome of a transaction the last [`Engine::in_doubt`]
+    /// listed to the log that holds its `Prepare`, so the next
+    /// [`Engine::restart`] replay applies it (`commit`) or leaves it out
+    /// for good. Used while the engine is *down*: the outcome was reached
+    /// by the replicated 2PC log, not by a live commit or abort here.
     pub fn resolve_in_doubt(&self, txn: TxnId, commit: bool) {
         use WalEntry::{Abort, Commit};
-        let logs = self.logs.all();
-        if let Some(log) = logs.iter().find(|l| l.in_doubt().contains(&txn)) {
+        let log = self.in_doubt.lock().remove(&txn);
+        if let Some(log) = log {
             log.append(txn, if commit { Commit } else { Abort });
         }
     }
@@ -1154,7 +1100,6 @@ mod tests {
             Value::Text("one".into())
         );
         e.commit(t).unwrap();
-        assert_eq!(e.stats().commits, 1);
     }
 
     #[test]
@@ -1613,18 +1558,39 @@ mod tests {
         let dbs = ["a", "b"];
         let e = setup_dbs(&dbs);
         e.with_txn(|t| e.insert(t, "a", "kv", kv(1, "a"))).unwrap();
-        let t = e.begin().unwrap();
-        e.insert(t, "b", "kv", kv(1, "in doubt")).unwrap();
-        e.prepare(t).unwrap();
+        // Four transactions, two per database, prepared when the engine dies.
+        let prepared: Vec<(TxnId, &str)> = [("a", 2), ("b", 1), ("b", 2), ("a", 3)]
+            .into_iter()
+            .map(|(db, k)| {
+                let t = e.begin().unwrap();
+                e.insert(t, db, "kv", kv(k, "in doubt")).unwrap();
+                e.prepare(t).unwrap();
+                (t, db)
+            })
+            .collect();
         e.crash();
-        assert_eq!(e.in_doubt(), vec![t]);
+        let mut txns: Vec<TxnId> = prepared.iter().map(|&(t, _)| t).collect();
+        txns.sort();
+        assert_eq!(e.in_doubt(), txns);
+        // Each outcome is one record, in its own database's log; the last
+        // transaction aborts.
+        for (i, &(t, db)) in prepared.iter().enumerate() {
+            let lens = log_lens(&e, &dbs);
+            e.resolve_in_doubt(t, i < 3);
+            let grown = if db == "a" { [1, 0] } else { [0, 1] };
+            assert_eq!(
+                log_lens(&e, &dbs),
+                vec![lens[0] + grown[0], lens[1] + grown[1]]
+            );
+        }
+        // A transaction already resolved is not resolved twice.
         let lens = log_lens(&e, &dbs);
-        e.resolve_in_doubt(t, true);
-        assert_eq!(log_lens(&e, &dbs), vec![lens[0], lens[1] + 1]);
+        e.resolve_in_doubt(prepared[0].0, false);
+        assert_eq!(log_lens(&e, &dbs), lens);
         e.restart();
         assert!(e.in_doubt().is_empty());
-        assert_eq!(rows_of(&e, "a"), vec![kv(1, "a")]);
-        assert_eq!(rows_of(&e, "b"), vec![kv(1, "in doubt")]);
+        assert_eq!(rows_of(&e, "a"), vec![kv(1, "a"), kv(2, "in doubt")]);
+        assert_eq!(rows_of(&e, "b"), vec![kv(1, "in doubt"), kv(2, "in doubt")]);
     }
 
     #[test]
@@ -1704,24 +1670,6 @@ mod tests {
         assert_eq!((resources, held), (0, 0), "no lock outlives its commit");
         assert!(spare_states <= crate::lock::SPARES);
         assert!(spare_held <= crate::lock::SPARES);
-    }
-
-    #[test]
-    fn db_profile_counts_usage() {
-        let e = setup();
-        e.with_txn(|t| {
-            e.insert(t, "app", "kv", kv(1, "a"))?;
-            e.insert(t, "app", "kv", kv(2, "b"))?;
-            Ok(())
-        })
-        .unwrap();
-        let t = e.begin().unwrap();
-        e.scan(t, "app", "kv").unwrap();
-        e.commit(t).unwrap();
-        let p = e.db_profile("app").unwrap();
-        assert_eq!(p.writes, 2);
-        assert_eq!(p.reads, 1);
-        assert!(p.pages >= 1);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use copy::{
     dump_database, dump_table, restore_database, restore_table, table_order, DatabaseDump,
     TableDump, Throttle,
 };
-pub use engine::{Database, DbProfile, Engine, EngineConfig, EngineStats, TableHandle};
+pub use engine::{Database, Engine, EngineConfig, TableHandle};
 pub use error::{Result, StorageError};
 pub use idmap::FoldHasher;
 pub use lock::{LockManager, LockMode, LockStats, ResourceId};

@@ -28,6 +28,10 @@ pub static ENGINE_CATALOG: LockClass = LockClass::new("storage.engine.catalog", 
 /// `Logs::by_db` — the per-machine map of database logs.
 pub static ENGINE_LOGS: LockClass = LockClass::new("storage.engine.logs", 505);
 
+/// `Engine::in_doubt` — which log holds each in-doubt `Prepare`, as the
+/// last `Engine::in_doubt()` found them; never held across another lock.
+pub static ENGINE_IN_DOUBT: LockClass = LockClass::new("storage.engine.in_doubt", 507);
+
 /// `Database::tables` — one database's table catalog.
 pub static ENGINE_TABLES: LockClass = LockClass::new("storage.engine.tables", 510);
 

@@ -4,7 +4,6 @@
 //! draws an interaction from the mix, runs it as a transaction, and
 //! classifies the outcome. The aggregate report feeds Figures 2–9.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -185,18 +184,6 @@ pub fn setup_tpcw_databases(
         });
     }
     Ok(out)
-}
-
-/// Per-database report split (used when the figure needs per-db numbers,
-/// e.g. rejected transactions *per database* in Figure 8).
-pub fn per_db_counters(
-    cluster: &Arc<ClusterController>,
-    workloads: &[DbWorkload],
-) -> HashMap<String, tenantdb_cluster::DbCounters> {
-    workloads
-        .iter()
-        .map(|w| (w.db.clone(), cluster.counters(&w.db)))
-        .collect()
 }
 
 #[cfg(test)]

@@ -28,9 +28,7 @@ pub mod generator;
 pub mod mix;
 pub mod schema;
 
-pub use driver::{
-    per_db_counters, run_workload, setup_tpcw_databases, DbWorkload, WorkloadConfig, WorkloadReport,
-};
+pub use driver::{run_workload, setup_tpcw_databases, DbWorkload, WorkloadConfig, WorkloadReport};
 pub use generator::{create_schema, populate, setup_database, IdSpace, Scale};
 pub use mix::{
     run_txn, IdCounters, Mix, Session, TxnType, ALL_MIXES, BROWSING, ORDERING, SHOPPING,

@@ -16,6 +16,9 @@ pub struct File {
     /// token texts concatenated, string literals replaced by `""`.
     /// Index 0 is line 1.
     pub code_lines: Vec<String>,
+    /// [`Self::code_lines`] with each string literal's contents kept
+    /// (`"db"`), for rules that key on a literal.
+    pub text_lines: Vec<String>,
     /// Per-line concatenation of comment-token texts (where the escape
     /// markers live). Index 0 is line 1.
     pub comment_lines: Vec<String>,
@@ -68,6 +71,7 @@ pub fn parse_file(path: &str, contents: &str) -> File {
     let test_mask = compute_test_mask(&toks);
     let nlines = contents.lines().count().max(1);
     let mut code_lines = vec![String::new(); nlines];
+    let mut text_lines = vec![String::new(); nlines];
     let mut comment_lines = vec![String::new(); nlines];
     let mut line_has_nontest_code = vec![false; nlines];
     for (i, t) in toks.iter().enumerate() {
@@ -79,21 +83,24 @@ pub fn parse_file(path: &str, contents: &str) -> File {
             if !test_mask[i] {
                 line_has_nontest_code[idx] = true;
             }
-            match t.kind {
-                TokKind::Str => code_lines[idx].push_str("\"\""),
-                TokKind::Char => {
-                    code_lines[idx].push('\'');
-                    code_lines[idx].push_str(&t.text);
-                    code_lines[idx].push('\'');
+            let code = match t.kind {
+                TokKind::Str => {
+                    text_lines[idx].push_str(&format!("\"{}\"", t.text));
+                    code_lines[idx].push_str("\"\"");
+                    continue;
                 }
-                _ => code_lines[idx].push_str(&t.text),
-            }
+                TokKind::Char => format!("'{}'", t.text),
+                _ => t.text.clone(),
+            };
+            text_lines[idx].push_str(&code);
+            code_lines[idx].push_str(&code);
         }
     }
     let test_lines = (0..nlines).map(|i| !line_has_nontest_code[i]).collect();
     File {
         path: path.to_string(),
         code_lines,
+        text_lines,
         comment_lines,
         test_lines,
     }

@@ -1,4 +1,4 @@
-//! The seven hygiene rules (DESIGN.md §10.5). Matching happens on a
+//! The eight hygiene rules (DESIGN.md §10.5). Matching happens on a
 //! per-line reconstruction of the code tokens, with string literals
 //! replaced by `""` and comments split out, so:
 //!
@@ -30,12 +30,7 @@ const HOT_PATH_FILES: &[&str] = &[
 pub fn run(files: &[File]) -> Vec<Diag> {
     let mut out = Vec::new();
     for f in files {
-        out.extend(lint_file(
-            &f.path,
-            &f.code_lines,
-            &f.comment_lines,
-            &f.test_lines,
-        ));
+        out.extend(lint_file(f));
     }
     crate::diag::sort(&mut out);
     out
@@ -43,12 +38,8 @@ pub fn run(files: &[File]) -> Vec<Diag> {
 
 /// Pure per-file rule check over reconstructed line views (exposed for the
 /// fixture tests).
-pub fn lint_file(
-    rel_path: &str,
-    code: &[String],
-    comments: &[String],
-    test_lines: &[bool],
-) -> Vec<Diag> {
+pub fn lint_file(f: &File) -> Vec<Diag> {
+    let (rel_path, code, comments) = (f.path.as_str(), &f.code_lines, &f.comment_lines);
     let check_raw_lock = ["cluster", "storage", "net", "core", "georep", "sim"]
         .iter()
         .any(|c| rel_path.starts_with(&format!("crates/{c}/src/")))
@@ -65,6 +56,7 @@ pub fn lint_file(
     let check_wal_access = rel_path.starts_with("crates/")
         && rel_path.contains("/src/")
         && !rel_path.starts_with("crates/storage/src/");
+    let check_tenant_series = !rel_path.ends_with("/metrics.rs");
 
     let mut out = Vec::new();
     let diag = |line: usize, rule: &'static str, message: String| Diag {
@@ -76,7 +68,7 @@ pub fn lint_file(
 
     for idx in 0..code.len() {
         let lineno = idx + 1;
-        if test_lines.get(idx).copied().unwrap_or(false) {
+        if f.test_lines.get(idx).copied().unwrap_or(false) {
             continue;
         }
         let line = code[idx].as_str();
@@ -186,6 +178,22 @@ pub fn lint_file(
             ));
         }
 
+        if check_tenant_series
+            && series_call_lines(code, idx)
+                .is_some_and(|end| f.text_lines[idx..=end].iter().any(|l| l.contains("\"db\"")))
+            && !reason_escape_nearby("tenant-series")
+        {
+            out.push(diag(
+                lineno,
+                "tenant-series",
+                "a `db`-labelled series resolved outside a metrics.rs — resolve \
+                 a tenant's series once, in its crate's metrics.rs, into the \
+                 object that serves the tenant (or justify with \
+                 // lint:allow(tenant-series): <reason>)"
+                    .to_string(),
+            ));
+        }
+
         if let Some(ord) = weak_ordering_in(line) {
             let annotated =
                 (idx.saturating_sub(4)..=idx).any(|i| comments[i].contains("ordering:"));
@@ -263,6 +271,32 @@ fn grabs_raw_wal(code: &str) -> bool {
     code.contains(".wal()")
 }
 
+/// If this code line opens a registry `.counter(` / `.gauge(` /
+/// `.histogram(` call, the index of the line its argument list closes on
+/// (string literals are blanked, so only code parentheses count).
+fn series_call_lines(code: &[String], idx: usize) -> Option<usize> {
+    let open = [".counter(", ".gauge(", ".histogram("]
+        .iter()
+        .filter_map(|t| code[idx].find(t).map(|p| p + t.len()))
+        .min()?;
+    let mut depth = 1;
+    let mut rest = &code[idx][open..];
+    for (end, _) in code.iter().enumerate().skip(idx) {
+        for c in rest.chars() {
+            depth += match c {
+                '(' => 1,
+                ')' => -1,
+                _ => 0,
+            };
+            if depth == 0 {
+                return Some(end);
+            }
+        }
+        rest = code.get(end + 1).map_or("", String::as_str);
+    }
+    Some(code.len() - 1)
+}
+
 /// The weak ordering named on this line, if any. SeqCst is exempt.
 fn weak_ordering_in(code: &str) -> Option<&'static str> {
     for ord in ["Relaxed", "Acquire", "Release", "AcqRel"] {
@@ -278,8 +312,7 @@ mod tests {
     use super::*;
 
     fn rules(path: &str, src: &str) -> Vec<&'static str> {
-        let f = crate::model::parse_file(path, src);
-        lint_file(path, &f.code_lines, &f.comment_lines, &f.test_lines)
+        lint_file(&crate::model::parse_file(path, src))
             .into_iter()
             .map(|v| v.rule)
             .collect()
@@ -428,6 +461,29 @@ mod tests {
         let reasoned = "// lint:allow(wal-access): asserts raw record layout\n\
                         let w = m.engine.wal();\n";
         assert!(rules("crates/cluster/src/recovery.rs", reasoned).is_empty());
+    }
+
+    #[test]
+    fn tenant_series_flagged_outside_metrics_rs() {
+        let flagged = "fn f(r: &MetricsRegistry, db: &str) {\n\
+                       r.counter(COPIED, &[(\"db\", db)]).inc();\n}\n";
+        let split = "let g = self\n    .registry\n    .gauge(\n        LAG,\n        \
+                     &[(\"db\", db)],\n    );\n";
+        for src in [flagged, split] {
+            assert_eq!(
+                rules("crates/cluster/src/controller.rs", src),
+                vec!["tenant-series"],
+                "{src:?}"
+            );
+        }
+        // Sanctioned: a crate's metrics.rs, and series without a `db` label.
+        assert!(rules("crates/georep/src/metrics.rs", flagged).is_empty());
+        let unlabelled = "m.counter(\"tenantdb_net_frames_total\", &[(\"kind\", k)]);\n\
+                          let n = reg.counter_value(X, &[(\"db\", db)]);\n";
+        assert!(rules("crates/net/src/server.rs", unlabelled).is_empty());
+        // A test may make any series it likes.
+        let test = format!("#[cfg(test)]\nmod tests {{\n{flagged}}}\n");
+        assert!(rules("crates/cluster/src/controller.rs", &test).is_empty());
     }
 
     #[test]

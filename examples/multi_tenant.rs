@@ -52,14 +52,17 @@ fn setup_tenant(cluster: &Arc<ClusterController>, db: &str, rows: i64) {
     conn.commit().unwrap();
 }
 
-fn drive_tenant(cluster: &Arc<ClusterController>, db: &str, shape: Shape, txns: i64) {
+/// Drive `txns` statements against `db`; returns `(reads, writes)` run.
+fn drive_tenant(cluster: &Arc<ClusterController>, db: &str, shape: Shape, txns: i64) -> (u64, u64) {
     let conn = cluster.connect(db).unwrap();
+    let mut writes = 0;
     for i in 0..txns {
         let write = match shape {
             Shape::Blog => i % 10 == 0,
             Shape::Game => i % 2 == 0,
             Shape::Telemetry => true,
         };
+        writes += u64::from(write);
         let r = if write {
             conn.execute(
                 "UPDATE data SET payload = ? WHERE id = ?",
@@ -73,6 +76,7 @@ fn drive_tenant(cluster: &Arc<ClusterController>, db: &str, shape: Shape, txns: 
         };
         r.unwrap();
     }
+    (txns as u64 - writes, writes)
 }
 
 fn main() {
@@ -84,24 +88,17 @@ fn main() {
         scratch.create_database("probe", 1).unwrap();
         setup_tenant(&scratch, "probe", 60);
         let machine = scratch.machines().into_iter().next().unwrap();
-        let before = machine.engine.db_profile("probe").unwrap();
         let window = Duration::from_secs(1);
-        drive_tenant(&scratch, "probe", shape, 300);
-        let after = machine.engine.db_profile("probe").unwrap();
-        let demand = demand_from_observation(
-            after.reads - before.reads,
-            after.writes - before.writes,
-            machine.engine.buffer().stats().misses,
-            after.pages,
-            window,
-        );
+        let (reads, writes) = drive_tenant(&scratch, "probe", shape, 300);
+        let engine = &machine.engine;
+        let pages: u64 = (engine.db("probe").unwrap().table_names().iter())
+            .map(|t| engine.table("probe", t).unwrap().page_count())
+            .sum();
+        let misses = engine.buffer().stats().misses;
+        let demand = demand_from_observation(reads, writes, misses, pages, window);
         println!(
-            "  {shape:?}: reads={} writes={} -> demand cpu={:.0} mem={:.0} io={:.0}",
-            after.reads - before.reads,
-            after.writes - before.writes,
-            demand.cpu,
-            demand.memory,
-            demand.disk_io,
+            "  {shape:?}: reads={reads} writes={writes} -> demand cpu={:.0} mem={:.0} io={:.0}",
+            demand.cpu, demand.memory, demand.disk_io,
         );
         demands.push((shape, demand));
     }
