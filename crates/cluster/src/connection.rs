@@ -242,7 +242,7 @@ impl Connection {
         // Free (one atomic load) when no SLA is installed; a shed tenant
         // never reaches routing, sessions, or worker pools.
         self.controller.admit(&st.entry)?;
-        st.entry.counters(self.controller.metrics()).begun.inc();
+        st.entry.counters(self.controller.metrics()).begun();
         let (gtxn, entry) = (self.controller.next_gtxn(), Arc::clone(&st.entry));
         let spare = st.spare.take().map(|t| (t.shared, t.sessions, t.seq));
         let (shared, sessions, seq) = spare.unwrap_or_default();

@@ -1304,6 +1304,44 @@ mod tests {
         assert_eq!(series(&c), before);
     }
 
+    /// A tenant's outcome series appear at their own first event: one that
+    /// only begins and commits carries the begun counter and the committed
+    /// outcome, and every other series reads 0 without existing.
+    #[test]
+    fn a_tenant_carries_only_the_series_it_moved() {
+        use crate::metrics::{TXN_OUTCOMES, WRITE_REJECTIONS};
+        let c = ClusterController::with_machines(ClusterConfig::for_tests(), 1);
+        c.create_database("app", 1).unwrap();
+        c.ddl("app", "CREATE TABLE t (id INT NOT NULL, PRIMARY KEY (id))")
+            .unwrap();
+        let conn = c.connect("app").unwrap();
+        conn.execute("INSERT INTO t VALUES (1)", &[]).unwrap();
+        let s = c.metrics().registry().snapshot();
+        let keys = s.counters.keys().chain(s.gauges.keys());
+        let ours: Vec<&String> = (keys.chain(s.histograms.keys()))
+            .filter(|k| k.contains("db=\"app\""))
+            .collect();
+        assert_eq!(
+            ours,
+            [
+                "tenantdb_txn_begun_total{db=\"app\"}",
+                "tenantdb_txn_outcomes_total{db=\"app\",outcome=\"committed\"}",
+            ]
+        );
+        let r = c.metrics().registry();
+        for outcome in ["deadlock", "rejected", "aborted"] {
+            let labels = [("db", "app"), ("outcome", outcome)];
+            assert_eq!(r.counter_value(TXN_OUTCOMES, &labels), 0, "{outcome}");
+        }
+        assert_eq!(r.counter_sum(TXN_OUTCOMES, &[("outcome", "aborted")]), 0);
+        assert_eq!(r.counter_sum(WRITE_REJECTIONS, &[("db", "app")]), 0);
+        let committed = DbCounters {
+            committed: 1,
+            ..DbCounters::default()
+        };
+        assert_eq!(c.counters("app"), committed);
+    }
+
     #[test]
     fn databases_on_machine() {
         let c = ClusterController::with_machines(ClusterConfig::for_tests(), 2);

@@ -14,7 +14,7 @@
 //! name ([`ClusterMetrics::db_counters`] and friends) never create a series.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::sync::{Mutex, METRICS_READ_ROUTES};
 
@@ -171,28 +171,49 @@ impl SlaHandles {
     }
 }
 
-/// One database's outcome counter handles (kept by its controller entry).
+/// One database's outcome series (kept by its controller entry). Each is
+/// resolved at its own first event, so a tenant that only begins and
+/// commits carries those two series and no zeros.
 pub(crate) struct DbHandles {
-    committed: Arc<Counter>,
-    deadlocks: Arc<Counter>,
-    rejected: Arc<Counter>,
-    aborted: Arc<Counter>,
-    pub(crate) begun: Arc<Counter>,
-    write_rejections: Arc<Counter>,
+    registry: Arc<MetricsRegistry>,
+    db: Box<str>,
+    begun: OnceLock<Arc<Counter>>,
+    committed: OnceLock<Arc<Counter>>,
+    deadlocks: OnceLock<Arc<Counter>>,
+    rejected: OnceLock<Arc<Counter>>,
+    aborted: OnceLock<Arc<Counter>>,
+    write_rejections: OnceLock<Arc<Counter>>,
 }
 
 impl DbHandles {
+    /// Count one event on `series`, resolving it as `name` (with `outcome`
+    /// as its outcome label, if any) at its first event.
+    fn inc(&self, series: &OnceLock<Arc<Counter>>, name: &'static str, outcome: Option<&str>) {
+        let db = ("db", &*self.db);
+        series
+            .get_or_init(|| match outcome {
+                Some(o) => self.registry.counter(name, &[db, ("outcome", o)]),
+                None => self.registry.counter(name, &[db]),
+            })
+            .inc();
+    }
+
+    /// Count a begun transaction.
+    pub(crate) fn begun(&self) {
+        self.inc(&self.begun, TXN_BEGUN, None);
+    }
+
     /// Count a committed transaction.
     pub(crate) fn committed(&self) {
-        self.committed.inc();
+        self.inc(&self.committed, TXN_OUTCOMES, Some("committed"));
     }
 
     /// Count a transaction that did not commit, under `outcome`.
     pub(crate) fn failed(&self, outcome: Outcome) {
         match outcome {
-            Outcome::Deadlock => self.deadlocks.inc(),
-            Outcome::Rejected => self.rejected.inc(),
-            Outcome::Aborted => self.aborted.inc(),
+            Outcome::Deadlock => self.inc(&self.deadlocks, TXN_OUTCOMES, Some("deadlock")),
+            Outcome::Rejected => self.inc(&self.rejected, TXN_OUTCOMES, Some("rejected")),
+            Outcome::Aborted => self.inc(&self.aborted, TXN_OUTCOMES, Some("aborted")),
         }
     }
 }
@@ -371,23 +392,17 @@ impl ClusterMetrics {
         self.registry.events()
     }
 
-    /// Resolve `db`'s outcome series (made now if absent).
+    /// `db`'s outcome series, each made at its first event.
     pub(crate) fn db_handles(&self, db: &str) -> DbHandles {
         DbHandles {
-            committed: self
-                .registry
-                .counter(TXN_OUTCOMES, &[("db", db), ("outcome", "committed")]),
-            deadlocks: self
-                .registry
-                .counter(TXN_OUTCOMES, &[("db", db), ("outcome", "deadlock")]),
-            rejected: self
-                .registry
-                .counter(TXN_OUTCOMES, &[("db", db), ("outcome", "rejected")]),
-            aborted: self
-                .registry
-                .counter(TXN_OUTCOMES, &[("db", db), ("outcome", "aborted")]),
-            begun: self.registry.counter(TXN_BEGUN, &[("db", db)]),
-            write_rejections: self.registry.counter(WRITE_REJECTIONS, &[("db", db)]),
+            registry: Arc::clone(&self.registry),
+            db: db.into(),
+            begun: OnceLock::new(),
+            committed: OnceLock::new(),
+            deadlocks: OnceLock::new(),
+            rejected: OnceLock::new(),
+            aborted: OnceLock::new(),
+            write_rejections: OnceLock::new(),
         }
     }
 
@@ -399,7 +414,7 @@ impl ClusterMetrics {
     /// Count an Algorithm-1 write rejection on `db`'s resolved `counters`
     /// and log the event.
     pub(crate) fn write_rejected(&self, counters: &DbHandles, db: &str, table: &str) {
-        counters.write_rejections.inc();
+        counters.inc(&counters.write_rejections, WRITE_REJECTIONS, None);
         self.registry.events().emit(
             "write_rejected",
             vec![("db", db.to_string()), ("table", table.to_string())],
@@ -563,7 +578,7 @@ mod tests {
     fn outcome_counters_round_trip_through_the_registry() {
         let m = ClusterMetrics::new();
         let (a, b) = (m.db_handles("a"), m.db_handles("b"));
-        a.begun.inc();
+        a.begun();
         a.committed();
         a.committed();
         a.failed(Outcome::Deadlock);
@@ -620,7 +635,7 @@ mod tests {
         // Ordinary traffic on an SLA-free database must not materialize any
         // admission series (the absent-cost contract).
         let plain = m.db_handles("plain");
-        plain.begun.inc();
+        plain.begun();
         plain.committed();
         let text = m.registry().render_text();
         assert!(

@@ -383,7 +383,7 @@ mod tests {
         let victim = handles("victim");
         let victim = victim.counters(c.metrics());
         for _ in 0..20 {
-            victim.begun.inc();
+            victim.begun();
         }
         for _ in 0..4 {
             victim.committed();
@@ -395,7 +395,7 @@ mod tests {
             .unwrap();
         let noise = handles("noise");
         for _ in 0..100 {
-            noise.counters(c.metrics()).begun.inc();
+            noise.counters(c.metrics()).begun();
         }
 
         // flaky: within rate, floor not demanded, but 10% of its outcomes
@@ -406,7 +406,7 @@ mod tests {
         let flaky = handles("flaky");
         let flaky = flaky.counters(c.metrics());
         for _ in 0..90 {
-            flaky.begun.inc();
+            flaky.begun();
             flaky.committed();
         }
         for _ in 0..10 {

@@ -5,11 +5,11 @@
 //! materialize once decided, so the applier buffers each transaction's
 //! redo until its `Commit` (apply) or `Abort` (drop) marker arrives. DDL
 //! records (under `Wal::DDL_TXN`) were auto-committed on the primary and
-//! apply immediately. Applied operations go through
-//! [`tenantdb_storage::Engine::apply_replicated_redo`] on **every** alive
-//! replica of the database on the standby cluster — the stream replays the
-//! primary's serialization, the standby's own write-all replication shape
-//! is preserved.
+//! apply immediately. No record names its database: each is applied to
+//! this applier's, through [`tenantdb_storage::Engine::apply_replicated_redo`]
+//! on **every** alive replica of it on the standby cluster — the stream
+//! replays the primary's serialization, the standby's own write-all
+//! replication shape is preserved.
 //!
 //! ## The ack watermark
 //!
@@ -261,17 +261,13 @@ impl Applier {
     /// replays on each replica engine.
     fn apply_ddl(&self, op: &RedoOp) -> Result<(), GeoError> {
         match op {
-            RedoOp::CreateDatabase { db } => {
-                match self.standby.create_database(db, self.replicas) {
-                    Ok(_) => Ok(()),
-                    // Re-shipped after a re-seed: already placed.
-                    Err(ClusterError::AlreadyExists(_)) => Ok(()),
-                    Err(e) => Err(GeoError::Cluster(e)),
-                }
-            }
-            RedoOp::DropDatabase { db } => match self.standby.drop_database(db) {
-                Ok(()) => Ok(()),
-                Err(ClusterError::NoSuchDatabase(_)) => Ok(()),
+            RedoOp::CreateDatabase => match self.standby.create_database(&self.db, self.replicas) {
+                // Re-shipped after a re-seed: already placed.
+                Ok(_) | Err(ClusterError::AlreadyExists(_)) => Ok(()),
+                Err(e) => Err(GeoError::Cluster(e)),
+            },
+            RedoOp::DropDatabase => match self.standby.drop_database(&self.db) {
+                Ok(()) | Err(ClusterError::NoSuchDatabase(_)) => Ok(()),
                 Err(e) => Err(GeoError::Cluster(e)),
             },
             _ => self.apply_op(op),
@@ -285,7 +281,7 @@ impl Applier {
             self.standby
                 .machine(id)?
                 .engine
-                .apply_replicated_redo(op)
+                .apply_replicated_redo(&self.db, op)
                 .map_err(|e| GeoError::Protocol(format!("standby replay failed: {e}")))?;
         }
         Ok(())
@@ -331,7 +327,6 @@ mod tests {
             lsn,
             txn,
             WalEntry::Redo(RedoOp::Insert {
-                db: "app".into(),
                 table: "t".into(),
                 row_id: id as u64,
                 row: vec![Value::Int(id), Value::Text(format!("v{id}"))],
@@ -358,11 +353,10 @@ mod tests {
         assert_eq!(a.handshake(MachineId(0), 0).unwrap(), Lsn::ZERO);
 
         let setup = vec![
-            ddl(0, RedoOp::CreateDatabase { db: "app".into() }),
+            ddl(0, RedoOp::CreateDatabase),
             ddl(
                 1,
                 RedoOp::CreateTable {
-                    db: "app".into(),
                     schema: Box::new(schema()),
                 },
             ),
@@ -399,19 +393,103 @@ mod tests {
         }
     }
 
+    /// `db`'s rows of table `t` on each of its replicas on `c`.
+    fn replica_rows(c: &Arc<ClusterController>, db: &str) -> Vec<Vec<Vec<Value>>> {
+        let replicas = c.alive_replicas(db).unwrap();
+        let scan = |id| {
+            let engine = &c.machine(id).unwrap().engine;
+            let rows = engine.with_txn(|t| engine.scan(t, db, "t")).unwrap();
+            rows.into_iter().map(|(_, row)| row).collect()
+        };
+        replicas.into_iter().map(scan).collect()
+    }
+
+    /// A stream writes only the database its applier was made for: `other`
+    /// lives on the same standby machines with a table of the same name,
+    /// and `app`'s inserts, update, delete and index build leave it as it
+    /// was.
+    #[test]
+    fn a_stream_writes_only_its_own_database() {
+        let c = standby();
+        c.create_database("other", 2).unwrap();
+        c.ddl(
+            "other",
+            "CREATE TABLE t (id INT NOT NULL, v TEXT, PRIMARY KEY (id))",
+        )
+        .unwrap();
+        let conn = c.connect("other").unwrap();
+        for id in 0..4 {
+            let insert = format!("INSERT INTO t VALUES ({id}, 'other')");
+            conn.execute(&insert, &[]).unwrap();
+        }
+        let before = replica_rows(&c, "other");
+        assert_eq!(before.len(), 2);
+
+        let mut a = Applier::new(Arc::clone(&c), "app", 2, metrics());
+        a.handshake(MachineId(0), 0).unwrap();
+        let row = |id: i64, v: &str| vec![Value::Int(id), Value::Text(v.into())];
+        let stream = vec![
+            ddl(0, RedoOp::CreateDatabase),
+            ddl(
+                1,
+                RedoOp::CreateTable {
+                    schema: Box::new(schema()),
+                },
+            ),
+            insert(2, 7, 1),
+            insert(3, 7, 2),
+            rec(
+                4,
+                7,
+                WalEntry::Redo(RedoOp::Update {
+                    table: "t".into(),
+                    row_id: 1,
+                    row: row(1, "new"),
+                }),
+            ),
+            rec(
+                5,
+                7,
+                WalEntry::Redo(RedoOp::Delete {
+                    table: "t".into(),
+                    row_id: 2,
+                }),
+            ),
+            rec(6, 7, WalEntry::Commit),
+            ddl(
+                7,
+                RedoOp::CreateIndex {
+                    table: "t".into(),
+                    index: "by_v".into(),
+                    columns: ["v".to_string()].into(),
+                    unique: false,
+                },
+            ),
+            insert(8, 8, 3),
+            rec(9, 8, WalEntry::Commit),
+        ];
+        assert_eq!(a.ingest(0, &stream).unwrap(), Lsn(10));
+        let app = vec![row(1, "new"), row(3, "v3")];
+        assert_eq!(replica_rows(&c, "app"), [app.clone(), app]);
+        assert_eq!(replica_rows(&c, "other"), before);
+        for id in c.alive_replicas("other").unwrap() {
+            let t = c.machine(id).unwrap().engine.table("other", "t").unwrap();
+            assert_eq!(t.schema.indexes.len(), 1, "other's t gained an index");
+        }
+    }
+
     #[test]
     fn stale_epoch_is_fenced_and_new_source_reseeds() {
         let c = standby();
         let mut a = Applier::new(Arc::clone(&c), "app", 2, metrics());
         a.handshake(MachineId(0), 0).unwrap();
-        a.ingest(0, &[ddl(0, RedoOp::CreateDatabase { db: "app".into() })])
-            .unwrap();
+        a.ingest(0, &[ddl(0, RedoOp::CreateDatabase)]).unwrap();
         assert_eq!(a.resume_lsn(), Lsn(1));
 
         // This colo promotes at epoch 3: the old stream is now stale.
         c.assume_geo_epoch(3).unwrap();
         assert!(matches!(
-            a.ingest(0, &[ddl(1, RedoOp::CreateDatabase { db: "app".into() })]),
+            a.ingest(0, &[ddl(1, RedoOp::CreateDatabase)]),
             Err(GeoError::Fenced { epoch: 3 })
         ));
         assert!(matches!(
@@ -431,11 +509,10 @@ mod tests {
         let mut a = Applier::new(Arc::clone(&c), "app", 2, metrics());
         a.handshake(MachineId(4), 0).unwrap();
         let setup = vec![
-            ddl(0, RedoOp::CreateDatabase { db: "app".into() }),
+            ddl(0, RedoOp::CreateDatabase),
             ddl(
                 1,
                 RedoOp::CreateTable {
-                    db: "app".into(),
                     schema: Box::new(schema()),
                 },
             ),

@@ -171,7 +171,7 @@ mod tests {
     use super::*;
     use tenantdb_cluster::controller::ClusterConfig;
     use tenantdb_obs::MetricsRegistry;
-    use tenantdb_storage::{Wal, WalEntry};
+    use tenantdb_storage::{RedoOp, Wal, WalEntry};
 
     fn cluster_with(db: &str) -> Arc<ClusterController> {
         let c = ClusterController::with_machines(ClusterConfig::for_tests(), 2);
@@ -218,10 +218,10 @@ mod tests {
             got.extend(batch);
         }
         assert!(!got.is_empty());
-        // Every shipped redo names "app".
+        // Every shipped row write is of "app"'s table, never "other"'s.
         for rec in &got {
-            if let WalEntry::Redo(op) = &rec.entry {
-                assert_eq!(op.db(), "app");
+            if let WalEntry::Redo(RedoOp::Insert { table, .. }) = &rec.entry {
+                assert_eq!(&**table, "t");
             }
         }
         // The insert's commit marker shipped.

@@ -60,8 +60,9 @@ pub const PROTOCOL_VERSION: u16 = 4;
 /// The version of the cross-colo log-stream protocol (the `Geo*` frame
 /// family) this build speaks, and the only one it accepts. Versioned
 /// separately from the client protocol. Version 2 ships each record as the
-/// log lays it out.
-pub const GEOREP_PROTOCOL_VERSION: u16 = 2;
+/// log lays it out; version 3's records name no database (the handshake's
+/// `db` is the only name a stream carries).
+pub const GEOREP_PROTOCOL_VERSION: u16 = 3;
 
 /// Upper bound on a frame body (opcode + payload). A length prefix above
 /// this is rejected before any allocation — the decoder's defense against
@@ -424,7 +425,7 @@ pub enum Frame {
     GeoRecords {
         /// The shipper's fencing epoch.
         epoch: u64,
-        /// Consecutive log records, in LSN order.
+        /// Consecutive records of the handshake's database, in LSN order.
         records: Vec<LogRecord>,
     },
     /// Standby → shipper: cumulative acknowledgement. All records with
@@ -1467,8 +1468,8 @@ mod tests {
 
     #[test]
     fn geo_hello_rejects_unknown_stream_version() {
-        assert_eq!(GEOREP_PROTOCOL_VERSION, 2);
-        for bad in [0u16, 1, GEOREP_PROTOCOL_VERSION + 1] {
+        assert_eq!(GEOREP_PROTOCOL_VERSION, 3);
+        for bad in [0u16, 1, 2, GEOREP_PROTOCOL_VERSION + 1] {
             let f = Frame::GeoHello {
                 version: bad,
                 db: "app".into(),
@@ -1489,7 +1490,10 @@ mod tests {
         let rec = LogRecord {
             lsn: Lsn(0),
             txn: TxnId(1),
-            entry: WalEntry::Redo(RedoOp::CreateDatabase { db: "".into() }),
+            entry: WalEntry::Redo(RedoOp::Delete {
+                table: "".into(),
+                row_id: 0,
+            }),
         };
         let f = Frame::GeoRecords {
             epoch: 0,
@@ -1497,9 +1501,9 @@ mod tests {
         };
         let good = f.encode();
         // Body: opcode(1) epoch(8), then the batch: one name (the empty
-        // one: its length 0), one record, lsn 0, txn 1, kind, name id.
+        // one: its length 0), one record, lsn 0, txn 1, kind, name id, row id.
         let kind_at = 4 + 1 + 8 + 1 + 1 + 1 + 1 + 1;
-        assert_eq!(good[kind_at], 3, "the CreateDatabase kind");
+        assert_eq!(good[kind_at], 9, "the Delete kind");
         let mut bytes = good.clone();
         bytes[kind_at] = 0x66;
         assert!(matches!(

@@ -243,16 +243,13 @@ fn rand_table_schema(rng: &mut StdRng) -> TableSchema {
 }
 
 fn rand_redo_op(rng: &mut StdRng) -> RedoOp {
-    let db = rand_string(rng, 8).into();
     match rng.gen_range(0..7u32) {
-        0 => RedoOp::CreateDatabase { db },
-        1 => RedoOp::DropDatabase { db },
+        0 => RedoOp::CreateDatabase,
+        1 => RedoOp::DropDatabase,
         2 => RedoOp::CreateTable {
-            db,
             schema: Box::new(rand_table_schema(rng)),
         },
         3 => RedoOp::CreateIndex {
-            db,
             table: rand_string(rng, 8).into(),
             index: rand_string(rng, 8).into(),
             columns: (0..rng.gen_range(0..3usize))
@@ -261,7 +258,6 @@ fn rand_redo_op(rng: &mut StdRng) -> RedoOp {
             unique: rng.gen_bool(0.5),
         },
         4 => RedoOp::Insert {
-            db,
             table: rand_string(rng, 8).into(),
             row_id: rng.gen::<u64>(),
             row: (0..rng.gen_range(0..4usize))
@@ -269,7 +265,6 @@ fn rand_redo_op(rng: &mut StdRng) -> RedoOp {
                 .collect(),
         },
         5 => RedoOp::Update {
-            db,
             table: rand_string(rng, 8).into(),
             row_id: rng.gen::<u64>(),
             row: (0..rng.gen_range(0..4usize))
@@ -277,7 +272,6 @@ fn rand_redo_op(rng: &mut StdRng) -> RedoOp {
                 .collect(),
         },
         _ => RedoOp::Delete {
-            db,
             table: rand_string(rng, 8).into(),
             row_id: rng.gen::<u64>(),
         },

@@ -7,9 +7,11 @@
 //! and its UTF-8 bytes, a value a tag byte and its payload, a row its varint
 //! length and its values. A log record is a varint transaction id, a kind
 //! byte and the kind's payload — nothing for a `Prepare`, `Commit` or
-//! `Abort` marker; for a redo operation its database and table names as ids
-//! into a name table, which the log keeps once per log and a shipped batch
-//! ([`encode_batch`]) lists once per batch.
+//! `Abort` marker or a `CreateDatabase` or `DropDatabase` one; for any other
+//! redo operation its table's name as an id into a name table, which the
+//! log keeps once per log and a shipped batch ([`encode_batch`]) lists once
+//! per batch. No record names its database: the log, or the stream, that
+//! carries it does.
 //!
 //! The decoder is total, because the bytes may come from another process:
 //! every read returns a [`DecodeError`] on truncated or corrupt input, a
@@ -187,8 +189,8 @@ fn put_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
-/// Every distinct database or table name a log (or a batch) has recorded,
-/// stored once; a record names one by its position here.
+/// Every distinct table name a log (or a batch) has recorded, stored once;
+/// a record names one by its position here.
 #[derive(Default)]
 pub(crate) struct Names {
     pub(crate) ids: HashMap<Arc<str>, u64>,
@@ -242,8 +244,7 @@ impl Encoder<'_> {
         put_varint(self.out, id);
     }
 
-    pub(crate) fn row_write(&mut self, db: &str, table: &str, row_id: u64, row: Option<&[Value]>) {
-        self.name(db);
+    pub(crate) fn row_write(&mut self, table: &str, row_id: u64, row: Option<&[Value]>) {
         self.name(table);
         put_varint(self.out, row_id);
         if let Some(row) = row {
@@ -278,27 +279,18 @@ impl Encoder<'_> {
     /// Encode `op`'s payload; returns its kind.
     pub(crate) fn redo(&mut self, op: &RedoOp) -> u8 {
         match op {
-            RedoOp::CreateDatabase { db } => {
-                self.name(db);
-                kind::CREATE_DATABASE
-            }
-            RedoOp::DropDatabase { db } => {
-                self.name(db);
-                kind::DROP_DATABASE
-            }
-            RedoOp::CreateTable { db, schema } => {
-                self.name(db);
+            RedoOp::CreateDatabase => kind::CREATE_DATABASE,
+            RedoOp::DropDatabase => kind::DROP_DATABASE,
+            RedoOp::CreateTable { schema } => {
                 self.schema(schema);
                 kind::CREATE_TABLE
             }
             RedoOp::CreateIndex {
-                db,
                 table,
                 index,
                 columns,
                 unique,
             } => {
-                self.name(db);
                 self.name(table);
                 put_str(self.out, index);
                 put_varint(self.out, columns.len() as u64);
@@ -308,26 +300,16 @@ impl Encoder<'_> {
                 self.out.push(*unique as u8);
                 kind::CREATE_INDEX
             }
-            RedoOp::Insert {
-                db,
-                table,
-                row_id,
-                row,
-            } => {
-                self.row_write(db, table, *row_id, Some(row));
+            RedoOp::Insert { table, row_id, row } => {
+                self.row_write(table, *row_id, Some(row));
                 kind::INSERT
             }
-            RedoOp::Update {
-                db,
-                table,
-                row_id,
-                row,
-            } => {
-                self.row_write(db, table, *row_id, Some(row));
+            RedoOp::Update { table, row_id, row } => {
+                self.row_write(table, *row_id, Some(row));
                 kind::UPDATE
             }
-            RedoOp::Delete { db, table, row_id } => {
-                self.row_write(db, table, *row_id, None);
+            RedoOp::Delete { table, row_id } => {
+                self.row_write(table, *row_id, None);
                 kind::DELETE
             }
         }
@@ -499,14 +481,12 @@ impl<'a> Decoder<'a> {
     /// The payload of a redo record of `kind`.
     pub(crate) fn redo(&mut self, kind: u8) -> Decoded<RedoOp> {
         Ok(match kind {
-            kind::CREATE_DATABASE => RedoOp::CreateDatabase { db: self.name()? },
-            kind::DROP_DATABASE => RedoOp::DropDatabase { db: self.name()? },
+            kind::CREATE_DATABASE => RedoOp::CreateDatabase,
+            kind::DROP_DATABASE => RedoOp::DropDatabase,
             kind::CREATE_TABLE => RedoOp::CreateTable {
-                db: self.name()?,
                 schema: Box::new(self.schema()?),
             },
             kind::CREATE_INDEX => RedoOp::CreateIndex {
-                db: self.name()?,
                 table: self.name()?,
                 index: self.str()?.into(),
                 columns: (0..self.count()?)
@@ -515,19 +495,16 @@ impl<'a> Decoder<'a> {
                 unique: self.bool()?,
             },
             kind::INSERT => RedoOp::Insert {
-                db: self.name()?,
                 table: self.name()?,
                 row_id: self.varint()?,
                 row: self.row()?,
             },
             kind::UPDATE => RedoOp::Update {
-                db: self.name()?,
                 table: self.name()?,
                 row_id: self.varint()?,
                 row: self.row()?,
             },
             kind::DELETE => RedoOp::Delete {
-                db: self.name()?,
                 table: self.name()?,
                 row_id: self.varint()?,
             },
@@ -561,39 +538,30 @@ mod tests {
             Value::Float(-0.0),
             Value::Text("é€".into()),
         ];
-        let db: Arc<str> = "café".into();
         let table: Arc<str> = "größe".into();
         let ops = [
-            RedoOp::CreateDatabase { db: db.clone() },
+            RedoOp::CreateDatabase,
             RedoOp::CreateTable {
-                db: db.clone(),
                 schema: Box::new(schema),
             },
             RedoOp::CreateIndex {
-                db: db.clone(),
                 table: table.clone(),
                 index: "by_score".into(),
                 columns: ["score".to_string()].into(),
                 unique: false,
             },
             RedoOp::Insert {
-                db: db.clone(),
                 table: table.clone(),
                 row_id: u64::MAX,
                 row: row.clone(),
             },
             RedoOp::Update {
-                db: db.clone(),
                 table: table.clone(),
                 row_id: 1,
                 row,
             },
-            RedoOp::Delete {
-                db: db.clone(),
-                table,
-                row_id: 1,
-            },
-            RedoOp::DropDatabase { db },
+            RedoOp::Delete { table, row_id: 1 },
+            RedoOp::DropDatabase,
         ];
         let entries = ops.into_iter().map(WalEntry::Redo).chain([
             WalEntry::Prepare,
@@ -650,8 +618,8 @@ mod tests {
         row.extend_from_slice(&[tag::NULL; 10]);
         assert_eq!(decode_row(&mut &row[..]), Err(DecodeError::Truncated));
 
-        // No names, one record, LSN 0, txn 7, and a drop naming name 0.
-        let batch = [0, 1, 0, 7, kind::DROP_DATABASE, 0];
+        // No names, one record, LSN 0, txn 7, and a delete of name 0's row 0.
+        let batch = [0, 1, 0, 7, kind::DELETE, 0, 0];
         assert_eq!(decode_batch(&mut &batch[..]), Err(DecodeError::BadName(0)));
 
         let eleven_bytes = [[0x80; 10].as_slice(), &[0]].concat();

@@ -169,9 +169,9 @@ pub fn table_order(engine: &Engine, db: &str) -> Result<Vec<String>> {
 ///
 /// Every row goes through [`Engine::apply_replicated_redo`], so the copy is
 /// in the target's log: a crash-restart replays it and a georep shipper
-/// re-seeded from this replica ships it. The catalog's write lock is taken
-/// per row, not per table — unlike a standby, a copy target serves other
-/// tenants, and none of them may wait out a whole table.
+/// re-seeded from this replica ships it. A row takes only the database's
+/// own table lock, never the catalog's write lock, so the target's other
+/// tenants do not wait for the copy.
 pub fn restore_table(engine: &Engine, db: &str, dump: &TableDump) -> Result<()> {
     if !engine.has_database(db) {
         engine.create_database(db)?;
@@ -179,14 +179,14 @@ pub fn restore_table(engine: &Engine, db: &str, dump: &TableDump) -> Result<()> 
     if engine.table(db, &dump.schema.name).is_err() {
         engine.create_table(db, dump.schema.clone())?;
     }
-    let (db, table): (Arc<str>, Arc<str>) = (db.into(), dump.schema.name.as_str().into());
+    let table: Arc<str> = dump.schema.name.as_str().into();
     for (row_id, row) in &dump.rows {
-        engine.apply_replicated_redo(&RedoOp::Insert {
-            db: Arc::clone(&db),
+        let insert = RedoOp::Insert {
             table: Arc::clone(&table),
             row_id: *row_id,
             row: row.clone(),
-        })?;
+        };
+        engine.apply_replicated_redo(db, &insert)?;
     }
     Ok(())
 }

@@ -80,6 +80,10 @@ pub struct Database {
     pub name: Arc<str>,
     tables: RwLock<HashMap<String, Arc<Table>>>,
     pub(crate) log: Arc<Wal>,
+    /// Set by the drop under `tables`' write lock: redo that resolved the
+    /// database before is refused, so it never follows the drop in the log,
+    /// where restart would replay it into a later incarnation.
+    dropped: AtomicBool,
 }
 
 impl Database {
@@ -88,7 +92,21 @@ impl Database {
             name: name.into(),
             tables: RwLock::new(&ENGINE_TABLES, HashMap::new()),
             log,
+            dropped: AtomicBool::new(false),
         }
+    }
+
+    /// Refuse redo once the database is dropped, and otherwise append it
+    /// to the log if `log`; called under `tables`.
+    fn admit_redo(&self, op: &RedoOp, log: bool) -> Result<()> {
+        // ordering: Relaxed — written and read under `tables`, which orders them.
+        if self.dropped.load(Ordering::Relaxed) {
+            return Err(StorageError::NoSuchDatabase(self.name.to_string()));
+        }
+        if log {
+            self.log.append_redo(Wal::DDL_TXN, op);
+        }
+        Ok(())
     }
 
     pub fn table_names(&self) -> Vec<String> {
@@ -184,31 +202,12 @@ impl Engine {
     /// Create a database (auto-committed DDL).
     pub fn create_database(&self, name: &str) -> Result<()> {
         self.check_up()?;
-        let log = self.logs.open(name);
-        let mut dbs = self.databases.write();
-        if dbs.contains_key(name) {
-            return Err(StorageError::AlreadyExists(name.to_string()));
-        }
-        let db = Database::new(name, Arc::clone(&log));
-        dbs.insert(name.to_string(), Arc::new(db));
-        drop(dbs);
-        log.append(
-            Wal::DDL_TXN,
-            WalEntry::Redo(RedoOp::CreateDatabase { db: name.into() }),
-        );
-        Ok(())
+        self.apply_redo(name, &RedoOp::CreateDatabase, true)
     }
 
     pub fn drop_database(&self, name: &str) -> Result<()> {
         self.check_up()?;
-        let Some(removed) = self.databases.write().remove(name) else {
-            return Err(StorageError::NoSuchDatabase(name.to_string()));
-        };
-        removed.log.append(
-            Wal::DDL_TXN,
-            WalEntry::Redo(RedoOp::DropDatabase { db: name.into() }),
-        );
-        Ok(())
+        self.apply_redo(name, &RedoOp::DropDatabase, true)
     }
 
     pub fn database_names(&self) -> Vec<String> {
@@ -239,7 +238,6 @@ impl Engine {
         database.log.append(
             Wal::DDL_TXN,
             WalEntry::Redo(RedoOp::CreateTable {
-                db: db.into(),
                 schema: Box::new(schema),
             }),
         );
@@ -279,7 +277,6 @@ impl Engine {
         database.log.append(
             Wal::DDL_TXN,
             WalEntry::Redo(RedoOp::CreateIndex {
-                db: db.into(),
                 table: table.into(),
                 index: index.into(),
                 columns: columns.into(),
@@ -531,8 +528,7 @@ impl Engine {
     ) {
         h.table
             .with_row(row_id, |row| {
-                h.db.log
-                    .append_row(txn, &h.db.name, &h.table.name, row_id, write(row))
+                h.db.log.append_row(txn, &h.table.name, row_id, write(row))
             })
             .expect("the row was written above and its X lock is still held");
     }
@@ -839,7 +835,7 @@ impl Engine {
             },
         )?;
         h.db.log
-            .append_row(txn, &h.db.name, &h.table.name, row_id, RowWrite::Delete);
+            .append_row(txn, &h.table.name, row_id, RowWrite::Delete);
         Ok(())
     }
 
@@ -860,25 +856,32 @@ impl Engine {
         }
     }
 
-    /// Rebuild committed state from the logs, each on its own, and come
-    /// back up with a cold cache. Returns the number of redo records
-    /// replayed.
+    /// Rebuild committed state from the logs, each on its own into the
+    /// database its key names, and come back up with a cold cache. Returns
+    /// the number of redo records replayed.
     pub fn restart(&self) -> usize {
-        // Rebuild into a fresh catalog.
-        let mut dbs: HashMap<String, Arc<Database>> = HashMap::new();
+        self.databases.write().clear();
         let mut replayed = 0;
-        for log in self.logs.all() {
+        for (name, log) in self.logs.all() {
             let redo = log.committed_redo();
+            // The incarnation the records apply to, resolved at each marker.
+            let mut d = None;
             for op in &redo {
-                self.apply_redo(&mut dbs, &log, op);
+                // What live apply refused never reached the log, and what
+                // it ignored (a repeated create, a missing row) is ignored.
+                if let RedoOp::CreateDatabase | RedoOp::DropDatabase = op {
+                    let _ = self.apply_redo(&name, op, false);
+                    d = self.db(&name).ok();
+                } else if let Some(d) = &d {
+                    let _ = self.apply_to(d, op, false);
+                }
             }
             replayed += redo.len();
         }
-        *self.databases.write() = dbs;
         self.in_doubt.lock().clear();
         self.buffer.clear();
         // ordering: Release — pairs with the Acquire loads in check_up()/is_failed();
-        // publishes the rebuilt catalog installed just above.
+        // publishes the catalog rebuilt above.
         self.failed.store(false, Ordering::Release);
         replayed
     }
@@ -929,7 +932,7 @@ impl Engine {
     /// replicated decision log.
     pub fn in_doubt(&self) -> Vec<TxnId> {
         let found: HashMap<TxnId, Arc<Wal>> = (self.logs.all().into_iter())
-            .flat_map(|log| {
+            .flat_map(|(_, log)| {
                 log.in_doubt()
                     .into_iter()
                     .map(move |t| (t, Arc::clone(&log)))
@@ -954,109 +957,120 @@ impl Engine {
         }
     }
 
-    /// Apply one replicated redo operation to the live catalog — the
-    /// standby-side write path for cross-colo log shipping.
+    /// Apply one replicated redo operation of database `db` — the write
+    /// path of a standby's log stream and of a copy's restored rows.
     ///
-    /// The caller (the georep applier) feeds *decided* redo only — records
-    /// of transactions whose commit marker has arrived, plus DDL — in
-    /// primary LSN order. The op is logged to its database's log under
-    /// [`Wal::DDL_TXN`] first so a crash-restart of this engine replays it
-    /// unconditionally, then
-    /// applied in place. Locks, undo, and 2PC are bypassed: the primary
-    /// already serialized and decided the work, so replay here is
-    /// deterministic. Row-level failures are ignored exactly as
-    /// [`Engine::restart`] replay ignores them — it is the same applier,
-    /// run here under the catalog's write lock (a standby serves no reads).
-    pub fn apply_replicated_redo(&self, op: &RedoOp) -> Result<()> {
+    /// The caller feeds *decided* redo only, in the source's LSN order. The
+    /// op is logged under [`Wal::DDL_TXN`], so a crash-restart replays it,
+    /// and applied in place, bypassing locks, undo and 2PC: the source
+    /// already serialized and decided the work. A repeated `CreateDatabase`
+    /// is ignored; any other op for a database not hosted here is refused
+    /// with [`StorageError::NoSuchDatabase`] and logs nothing.
+    pub fn apply_replicated_redo(&self, db: &str, op: &RedoOp) -> Result<()> {
         self.check_up()?;
-        let log = self.logs.open(op.db());
-        log.append_redo(Wal::DDL_TXN, op);
-        self.apply_redo(&mut self.databases.write(), &log, op);
+        match self.apply_redo(db, op, true) {
+            Err(StorageError::AlreadyExists(_)) => Ok(()),
+            applied => applied,
+        }
+    }
+
+    /// Apply one decided redo op of `db` — the one redo applier of DDL,
+    /// crash replay ([`Engine::restart`]) and the live path, which sets
+    /// `log` to append the op under the lock it is applied under. Only the
+    /// markers take the catalog's write lock, so a `CreateDatabase` comes
+    /// after the previous incarnation's records in the log. Every arm is
+    /// idempotent or ignores its row-level failure, so replaying an op a
+    /// second time right after the first changes nothing. That is all it
+    /// promises: a re-seeded georep stream that replays another engine's
+    /// log from LSN zero over state that is not a prefix of that log does
+    /// not converge.
+    fn apply_redo(&self, db: &str, op: &RedoOp, log: bool) -> Result<()> {
+        match op {
+            RedoOp::CreateDatabase => {
+                let wal = self.logs.open(db);
+                let mut dbs = self.databases.write();
+                if dbs.contains_key(db) {
+                    return Err(StorageError::AlreadyExists(db.to_string()));
+                }
+                dbs.insert(db.into(), Arc::new(Database::new(db, Arc::clone(&wal))));
+                if log {
+                    wal.append_redo(Wal::DDL_TXN, op);
+                }
+            }
+            RedoOp::DropDatabase => {
+                let mut dbs = self.databases.write();
+                let d = dbs.remove(db);
+                let d = d.ok_or_else(|| StorageError::NoSuchDatabase(db.to_string()))?;
+                // Wait out redo in flight on its tables; refuse what is later.
+                let _tables = d.tables.write();
+                d.admit_redo(op, log)?;
+                // ordering: Relaxed — read under `tables`, whose write lock is held.
+                d.dropped.store(true, Ordering::Relaxed);
+            }
+            op => return self.apply_to(&*self.db(db)?, op, log),
+        }
         Ok(())
     }
 
-    /// Apply one decided redo op of the database whose log is `log` to
-    /// `dbs` — the one redo applier, shared by crash replay
-    /// ([`Engine::restart`], over a fresh catalog) and the standby's live
-    /// path ([`Engine::apply_replicated_redo`], over the installed one).
-    /// Every arm is idempotent or ignores its row-level failure, so
-    /// replaying an op a second time right after the first changes
-    /// nothing. That is all it promises: a re-seeded georep stream
-    /// that replays another engine's log from LSN zero over state that is
-    /// not a prefix of that log does not converge.
-    fn apply_redo(&self, dbs: &mut HashMap<String, Arc<Database>>, log: &Arc<Wal>, op: &RedoOp) {
-        let find_table = |db: &str, table: &str| {
-            dbs.get(db)
-                .and_then(|d| d.tables.read().get(table).cloned())
-        };
+    /// [`Engine::apply_redo`] of a table or row op to `d`, resolved by the
+    /// caller. A row holds `d`'s table lock shared and table DDL holds it
+    /// exclusively, so an index rebuild and a row write never interleave.
+    fn apply_to(&self, d: &Database, op: &RedoOp, log: bool) -> Result<()> {
         match op {
-            RedoOp::CreateDatabase { db } => {
-                dbs.entry(db.to_string())
-                    .or_insert_with(|| Arc::new(Database::new(db, Arc::clone(log))));
-            }
-            RedoOp::DropDatabase { db } => {
-                dbs.remove(&**db);
-            }
-            RedoOp::CreateTable { db, schema } => {
+            RedoOp::CreateDatabase | RedoOp::DropDatabase => {}
+            RedoOp::CreateTable { schema } => {
+                let mut tables = d.tables.write();
+                d.admit_redo(op, log)?;
                 // A repeated CreateTable must not clobber a table that
                 // already took rows.
-                if let Some(d) = dbs.get(&**db) {
-                    d.tables
-                        .write()
-                        .entry(schema.name.clone())
-                        .or_insert_with(|| {
-                            // ordering: Relaxed — id minting; uniqueness needs only atomicity.
-                            let id = self.next_table_id.fetch_add(1, Ordering::Relaxed);
-                            Arc::new(Table::new(id, (**schema).clone()))
-                        });
-                }
+                tables.entry(schema.name.clone()).or_insert_with(|| {
+                    // ordering: Relaxed — id minting; uniqueness needs only atomicity.
+                    let id = self.next_table_id.fetch_add(1, Ordering::Relaxed);
+                    Arc::new(Table::new(id, (**schema).clone()))
+                });
             }
             RedoOp::CreateIndex {
-                db,
                 table,
                 index,
                 columns,
                 unique,
             } => {
-                if let (Some(d), Some(old)) = (dbs.get(&**db), find_table(db, table)) {
+                let mut tables = d.tables.write();
+                d.admit_redo(op, log)?;
+                if let Some(old) = tables.get(&**table) {
                     let mut schema = old.schema.clone();
                     if schema.try_add_index(index, columns, *unique).is_ok() {
                         let rebuilt = Table::new(old.id, schema);
                         for (rid, row) in old.scan() {
                             let _ = rebuilt.insert_with_id(rid, row);
                         }
-                        d.tables
-                            .write()
-                            .insert(table.to_string(), Arc::new(rebuilt));
+                        tables.insert(table.to_string(), Arc::new(rebuilt));
                     }
                 }
             }
-            RedoOp::Insert {
-                db,
-                table,
-                row_id,
-                row,
-            } => {
-                if let Some(t) = find_table(db, table) {
+            RedoOp::Insert { table, row_id, row } => {
+                let tables = d.tables.read();
+                d.admit_redo(op, log)?;
+                if let Some(t) = tables.get(&**table) {
                     let _ = t.insert_with_id(*row_id, row.clone());
                 }
             }
-            RedoOp::Update {
-                db,
-                table,
-                row_id,
-                row,
-            } => {
-                if let Some(t) = find_table(db, table) {
+            RedoOp::Update { table, row_id, row } => {
+                let tables = d.tables.read();
+                d.admit_redo(op, log)?;
+                if let Some(t) = tables.get(&**table) {
                     let _ = t.update(*row_id, row.clone());
                 }
             }
-            RedoOp::Delete { db, table, row_id } => {
-                if let Some(t) = find_table(db, table) {
+            RedoOp::Delete { table, row_id } => {
+                let tables = d.tables.read();
+                d.admit_redo(op, log)?;
+                if let Some(t) = tables.get(&**table) {
                     let _ = t.delete(*row_id);
                 }
             }
         }
+        Ok(())
     }
 
     pub fn config(&self) -> &EngineConfig {
@@ -1154,7 +1168,7 @@ mod tests {
         // Replay the source's committed redo into a blank standby engine.
         let standby = Engine::new(EngineConfig::for_tests());
         for op in src.wal().get("app").unwrap().committed_redo() {
-            standby.apply_replicated_redo(&op).unwrap();
+            standby.apply_replicated_redo("app", &op).unwrap();
         }
         let t = standby.begin().unwrap();
         let rows = standby.scan(t, "app", "kv").unwrap();
@@ -1199,7 +1213,7 @@ mod tests {
 
         let standby = Engine::new(EngineConfig::for_tests());
         for op in redo.iter().chain([create_table]) {
-            standby.apply_replicated_redo(op).unwrap();
+            standby.apply_replicated_redo("app", op).unwrap();
         }
         let scan = |e: &Engine| {
             let t = e.begin().unwrap();
@@ -1538,13 +1552,11 @@ mod tests {
             let t = e.begin().unwrap();
             e.insert(t, db, "kv", kv(1_000, "in flight")).unwrap();
         }
-        // Each log holds its own database's records and nothing else.
+        // A record names no database: each log opens with its database's
+        // marker, and restart replays it into the database its key names.
         for db in dbs {
-            for rec in e.wal().get(db).unwrap().snapshot() {
-                if let WalEntry::Redo(op) = &rec.entry {
-                    assert_eq!(op.db(), db);
-                }
-            }
+            let first = e.wal().get(db).unwrap().snapshot()[0].entry.clone();
+            assert_eq!(first, WalEntry::Redo(RedoOp::CreateDatabase));
         }
         e.crash();
         e.restart();
@@ -1670,6 +1682,219 @@ mod tests {
         assert_eq!((resources, held), (0, 0), "no lock outlives its commit");
         assert!(spare_states <= crate::lock::SPARES);
         assert!(spare_held <= crate::lock::SPARES);
+    }
+
+    /// Every op of a stream but a database's `CreateDatabase` needs the
+    /// database hosted here: an op for one that is not is refused, and
+    /// nothing is logged for it — no log is made for a name never hosted,
+    /// and a dropped database's log ends at its drop.
+    #[test]
+    fn redo_for_a_database_not_hosted_is_refused_and_logs_nothing() {
+        let e = setup_dbs(&["gone"]);
+        e.drop_database("gone").unwrap();
+        let gone_len = e.wal().get("gone").unwrap().len();
+        let ops = [
+            RedoOp::DropDatabase,
+            RedoOp::CreateTable {
+                schema: Box::new(TableSchema::new("t", Vec::new())),
+            },
+            RedoOp::CreateIndex {
+                table: "kv".into(),
+                index: "by_v".into(),
+                columns: ["v".to_string()].into(),
+                unique: false,
+            },
+            RedoOp::Insert {
+                table: "kv".into(),
+                row_id: 1,
+                row: kv(1, "a"),
+            },
+            RedoOp::Update {
+                table: "kv".into(),
+                row_id: 1,
+                row: kv(1, "b"),
+            },
+            RedoOp::Delete {
+                table: "kv".into(),
+                row_id: 1,
+            },
+        ];
+        for db in ["ghost", "gone"] {
+            for op in &ops {
+                assert_eq!(
+                    e.apply_replicated_redo(db, op),
+                    Err(StorageError::NoSuchDatabase(db.into())),
+                    "{db}: {op:?}"
+                );
+            }
+        }
+        assert!(e.wal().get("ghost").is_none(), "a log was made for ghost");
+        assert_eq!(e.wal().get("gone").unwrap().len(), gone_len);
+        // Its `CreateDatabase` is the one op that makes a database.
+        e.apply_replicated_redo("ghost", &RedoOp::CreateDatabase)
+            .unwrap();
+        assert!(e.has_database("ghost"));
+    }
+
+    /// A log of one incarnation, its drop, and a second incarnation under
+    /// the same name restarts into the second incarnation's rows only.
+    #[test]
+    fn a_dropped_incarnation_stays_dropped_across_restart() {
+        let e = Engine::new(EngineConfig::for_tests());
+        let incarnation = |keys: &[i64]| {
+            let schema = TableSchema::new(
+                "kv",
+                vec![
+                    ColumnDef::new("k", DataType::Int).not_null(),
+                    ColumnDef::new("v", DataType::Text),
+                ],
+            )
+            .with_primary_key(&["k"]);
+            let mut ops = vec![
+                RedoOp::CreateDatabase,
+                RedoOp::CreateTable {
+                    schema: Box::new(schema),
+                },
+            ];
+            ops.extend(keys.iter().map(|&k| RedoOp::Insert {
+                table: "kv".into(),
+                row_id: k as u64,
+                row: kv(k, "v"),
+            }));
+            ops
+        };
+        let mut ops = incarnation(&[1, 2, 3]);
+        ops.push(RedoOp::DropDatabase);
+        ops.extend(incarnation(&[7]));
+        for op in &ops {
+            e.apply_replicated_redo("app", op).unwrap();
+        }
+        let second = vec![kv(7, "v")];
+        assert_eq!(rows_of(&e, "app"), second);
+        assert_eq!(e.wal().get("app").unwrap().len(), ops.len());
+        e.crash();
+        assert_eq!(e.restart(), ops.len());
+        assert_eq!(rows_of(&e, "app"), second);
+    }
+
+    /// Row and table redo take the database's own table lock, not the
+    /// catalog's: they finish while another thread read-locks the catalog
+    /// (a write lock would wait for it).
+    #[test]
+    fn table_and_row_redo_leave_the_catalog_unlocked() {
+        let e = Arc::new(setup_dbs(&["app"]));
+        let (held, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        thread::scope(|s| {
+            s.spawn(|| {
+                let _catalog = e.databases.read();
+                held.wait();
+                release.wait();
+            });
+            held.wait();
+            let ops = [
+                RedoOp::Insert {
+                    table: "kv".into(),
+                    row_id: 1,
+                    row: kv(1, "a"),
+                },
+                RedoOp::CreateIndex {
+                    table: "kv".into(),
+                    index: "by_v".into(),
+                    columns: ["v".to_string()].into(),
+                    unique: false,
+                },
+                RedoOp::Update {
+                    table: "kv".into(),
+                    row_id: 1,
+                    row: kv(1, "b"),
+                },
+                RedoOp::CreateTable {
+                    schema: Box::new(TableSchema::new("t", Vec::new())),
+                },
+                RedoOp::Delete {
+                    table: "kv".into(),
+                    row_id: 1,
+                },
+            ];
+            for op in &ops {
+                e.apply_replicated_redo("app", op).unwrap();
+            }
+            release.wait();
+        });
+        assert!(rows_of(&e, "app").is_empty());
+        assert_eq!(e.db("app").unwrap().table_names(), ["kv", "t"]);
+    }
+
+    /// Row redo racing the table's index rebuild waits for it or goes
+    /// first: every row lands in the rebuilt table and its index, and the
+    /// live rows equal the rows the log rebuilds.
+    #[test]
+    fn row_redo_and_an_index_rebuild_never_interleave() {
+        let e = setup_dbs(&["app"]);
+        let rows = 4_000;
+        let started = std::sync::Barrier::new(2);
+        thread::scope(|s| {
+            s.spawn(|| {
+                for k in 0..rows {
+                    let insert = RedoOp::Insert {
+                        table: "kv".into(),
+                        row_id: k as u64,
+                        row: kv(k, "v"),
+                    };
+                    e.apply_replicated_redo("app", &insert).unwrap();
+                    if k == rows / 4 {
+                        started.wait();
+                    }
+                }
+            });
+            // The rebuild starts with a quarter of the rows in and the
+            // writer still going.
+            started.wait();
+            let by_v = RedoOp::CreateIndex {
+                table: "kv".into(),
+                index: "by_v".into(),
+                columns: ["v".to_string()].into(),
+                unique: false,
+            };
+            e.apply_replicated_redo("app", &by_v).unwrap();
+        });
+        let live = rows_of(&e, "app");
+        assert_eq!(live.len(), rows as usize);
+        let t = e.begin().unwrap();
+        let v = [Value::Text("v".into())];
+        let hits = e.index_lookup(t, "app", "kv", "by_v", &v, false).unwrap();
+        assert_eq!(hits.len(), rows as usize);
+        e.commit(t).unwrap();
+        e.crash();
+        e.restart();
+        assert_eq!(rows_of(&e, "app"), live);
+    }
+
+    /// Redo that resolved a database before it was dropped and re-created,
+    /// and takes its table lock after, is refused: it neither lands in the
+    /// dropped incarnation's tables nor follows the new `CreateDatabase`
+    /// in the log, where restart would replay it into the new one.
+    #[test]
+    fn redo_of_a_dropped_incarnation_is_refused() {
+        let e = setup_dbs(&["app"]);
+        let old = e.db("app").unwrap();
+        let schema = old.open_table("kv").unwrap().table().schema.clone();
+        e.drop_database("app").unwrap();
+        e.create_database("app").unwrap();
+        e.create_table("app", schema).unwrap();
+        let logged = e.wal().get("app").unwrap().len();
+        let insert = RedoOp::Insert {
+            table: "kv".into(),
+            row_id: 1,
+            row: kv(1, "old"),
+        };
+        let refused = Err(StorageError::NoSuchDatabase("app".into()));
+        assert_eq!(e.apply_to(&old, &insert, true), refused);
+        assert_eq!(e.wal().get("app").unwrap().len(), logged);
+        assert!(old.open_table("kv").unwrap().table().scan().is_empty());
+        e.crash();
+        e.restart();
+        assert!(rows_of(&e, "app").is_empty());
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! the committed state.
 //!
 //! Every database an engine hosts has its own [`Wal`], kept in [`Logs`]; a
-//! transaction touches one database, so a log holds one tenant's records:
-//! restart replays each log on its own, and a shipper reads only its own.
+//! transaction touches one database, so a log holds one tenant's records.
+//! A record does not name its database: the log that holds it does, so
+//! restart replays each log into the database its [`Logs`] key names, and a
+//! shipped stream belongs to the database its handshake names.
 //!
 //! The logs live in memory (this engine simulates one machine of the
 //! paper's cluster; durability across *process* death is out of scope, but
@@ -21,8 +23,8 @@
 //! record is encoded where it is appended, into one append-only buffer, and
 //! the log keeps one end offset per record. The layout is
 //! [`crate::codec`]'s, the same one a shipped batch carries; the log keeps
-//! its name table (each distinct name stored once per log) beside the
-//! buffer. [`LogRecord`], [`WalEntry`] and [`RedoOp`] are the decoded form
+//! its name table (each distinct table name stored once per log) beside
+//! the buffer. [`LogRecord`], [`WalEntry`] and [`RedoOp`] are the decoded form
 //! the readers hand out; the passes that need only a record's transaction
 //! and kind decode nothing else. The log decodes only bytes it wrote, so a
 //! record that does not decode is a bug here, and the reads panic.
@@ -65,62 +67,43 @@ impl std::fmt::Display for Lsn {
     }
 }
 
-/// A redo operation. The database and table names of a row operation are
-/// shared, not copied: a decoded record hands out the log's own name, the
-/// same `Arc<str>` every time. The DDL variants keep their rarely-used
+/// A redo operation of the database whose log holds it: the log is the
+/// only thing that names the database. The table names of a row operation
+/// are shared, not copied: a decoded record hands out the log's own name,
+/// the same `Arc<str>` every time. The DDL variants keep their rarely-used
 /// payload behind a pointer, so that a decoded batch of records — most of
 /// them `Commit` markers — stays small.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RedoOp {
-    CreateDatabase {
-        db: Arc<str>,
-    },
-    DropDatabase {
-        db: Arc<str>,
-    },
+    /// The database (re)appears: what follows in its log applies to this
+    /// incarnation.
+    CreateDatabase,
+    /// The database is dropped: nothing before this marker applies to a
+    /// later incarnation.
+    DropDatabase,
     CreateTable {
-        db: Arc<str>,
         schema: Box<TableSchema>,
     },
     CreateIndex {
-        db: Arc<str>,
         table: Arc<str>,
         index: Box<str>,
         columns: Box<[String]>,
         unique: bool,
     },
     Insert {
-        db: Arc<str>,
         table: Arc<str>,
         row_id: u64,
         row: Vec<Value>,
     },
     Update {
-        db: Arc<str>,
         table: Arc<str>,
         row_id: u64,
         row: Vec<Value>,
     },
     Delete {
-        db: Arc<str>,
         table: Arc<str>,
         row_id: u64,
     },
-}
-
-impl RedoOp {
-    /// The database the operation belongs to: the one whose log it goes in.
-    pub fn db(&self) -> &str {
-        match self {
-            RedoOp::CreateDatabase { db }
-            | RedoOp::DropDatabase { db }
-            | RedoOp::CreateTable { db, .. }
-            | RedoOp::CreateIndex { db, .. }
-            | RedoOp::Insert { db, .. }
-            | RedoOp::Update { db, .. }
-            | RedoOp::Delete { db, .. } => db,
-        }
-    }
 }
 
 /// A log record body.
@@ -239,26 +222,25 @@ impl Wal {
         self.push(txn, |enc| enc.redo(op))
     }
 
-    /// Append a row write of `db.table`, encoded from a borrow of the image.
+    /// Append a row write of `table`, encoded from a borrow of the image.
     pub(crate) fn append_row(
         &self,
         txn: TxnId,
-        db: &str,
         table: &str,
         row_id: u64,
         write: RowWrite<'_>,
     ) -> Lsn {
         self.push(txn, |enc| match write {
             RowWrite::Insert(row) => {
-                enc.row_write(db, table, row_id, Some(row));
+                enc.row_write(table, row_id, Some(row));
                 kind::INSERT
             }
             RowWrite::Update(row) => {
-                enc.row_write(db, table, row_id, Some(row));
+                enc.row_write(table, row_id, Some(row));
                 kind::UPDATE
             }
             RowWrite::Delete => {
-                enc.row_write(db, table, row_id, None);
+                enc.row_write(table, row_id, None);
                 kind::DELETE
             }
         })
@@ -389,7 +371,6 @@ impl Wal {
             if txn == Self::DDL_TXN || !kind::is_row(kind) {
                 continue;
             }
-            d.varint().expect(CORRUPT); // the database: always this log's
             let table = d.name().expect(CORRUPT);
             if out
                 .last()
@@ -430,9 +411,13 @@ impl Logs {
         self.get(db).unwrap_or_else(made)
     }
 
-    /// Every log.
-    pub(crate) fn all(&self) -> Vec<Arc<Wal>> {
-        self.by_db.read().values().cloned().collect()
+    /// Every log, with the name of the database it belongs to.
+    pub(crate) fn all(&self) -> Vec<(String, Arc<Wal>)> {
+        let by_db = self.by_db.read();
+        by_db
+            .iter()
+            .map(|(db, log)| (db.clone(), Arc::clone(log)))
+            .collect()
     }
 
     /// Records retained over every log: what the machine holds.
@@ -454,7 +439,6 @@ mod tests {
 
     fn ins(row_id: u64) -> WalEntry {
         WalEntry::Redo(RedoOp::Insert {
-            db: "d".into(),
             table: "t".into(),
             row_id,
             row: vec![Value::Int(row_id as i64)],
@@ -538,14 +522,11 @@ mod tests {
     #[test]
     fn ddl_always_replayed() {
         let wal = Wal::default();
-        wal.append(
-            Wal::DDL_TXN,
-            WalEntry::Redo(RedoOp::CreateDatabase { db: "d".into() }),
-        );
+        wal.append(Wal::DDL_TXN, WalEntry::Redo(RedoOp::CreateDatabase));
         wal.append(TxnId(5), ins(1)); // never commits
         let redo = wal.committed_redo();
         assert_eq!(redo.len(), 1);
-        assert!(matches!(redo[0], RedoOp::CreateDatabase { .. }));
+        assert!(matches!(redo[0], RedoOp::CreateDatabase));
     }
 
     #[test]
@@ -586,12 +567,11 @@ mod tests {
         wal.append(TxnId(1), ins(1));
         wal.append(TxnId(2), ins(2));
         let names = |rec: &LogRecord| match &rec.entry {
-            WalEntry::Redo(RedoOp::Insert { db, table, .. }) => (db.clone(), table.clone()),
+            WalEntry::Redo(RedoOp::Insert { table, .. }) => table.clone(),
             other => panic!("not an insert: {other:?}"),
         };
         let records = wal.snapshot();
-        let ((db1, t1), (db2, t2)) = (names(&records[0]), names(&records[1]));
-        assert!(Arc::ptr_eq(&db1, &db2) && Arc::ptr_eq(&t1, &t2));
+        assert!(Arc::ptr_eq(&names(&records[0]), &names(&records[1])));
     }
 
     #[test]
@@ -599,7 +579,6 @@ mod tests {
         let wal = Wal::default();
         let row = |table: &str| {
             WalEntry::Redo(RedoOp::Update {
-                db: "d".into(),
                 table: table.into(),
                 row_id: 0,
                 row: vec![Value::Null],
@@ -640,7 +619,6 @@ mod tests {
         }
     }
 
-    const DBS: [&str; 3] = ["app", "tenant_7", "café"];
     const TABLES: [&str; 3] = ["t", "orders", "größe"];
 
     fn value(rng: &mut Rng) -> Value {
@@ -700,7 +678,6 @@ mod tests {
     }
 
     fn entry(rng: &mut Rng) -> WalEntry {
-        let db: Arc<str> = rng.pick(&DBS).into();
         let table: Arc<str> = rng.pick(&TABLES).into();
         let row_id = rng.next() >> rng.below(64);
         let row = |rng: &mut Rng| -> Vec<Value> { (0..rng.below(6)).map(|_| value(rng)).collect() };
@@ -708,32 +685,28 @@ mod tests {
             0 => return WalEntry::Prepare,
             1 => return WalEntry::Commit,
             2 => return WalEntry::Abort,
-            3 => RedoOp::CreateDatabase { db },
-            4 => RedoOp::DropDatabase { db },
+            3 => RedoOp::CreateDatabase,
+            4 => RedoOp::DropDatabase,
             5 => RedoOp::CreateTable {
-                db,
                 schema: Box::new(schema(rng)),
             },
             6 => RedoOp::CreateIndex {
-                db,
                 table,
                 index: "by_ø".into(),
                 columns: (0..rng.below(3)).map(|c| format!("c{c}")).collect(),
                 unique: rng.below(2) == 0,
             },
             7 => RedoOp::Insert {
-                db,
                 table,
                 row_id,
                 row: row(rng),
             },
             8 => RedoOp::Update {
-                db,
                 table,
                 row_id,
                 row: row(rng),
             },
-            _ => RedoOp::Delete { db, table, row_id },
+            _ => RedoOp::Delete { table, row_id },
         })
     }
 

@@ -57,7 +57,7 @@ const BUDGET_PER_PAIR: i64 = 80;
 #[test]
 fn a_committed_insert_costs_the_log_few_bytes() {
     let wal = Wal::default();
-    let (db, table): (Arc<str>, Arc<str>) = ("tenant".into(), "kv".into());
+    let table: Arc<str> = "kv".into();
     let before = live();
     for i in 0..PAIRS {
         let txn = TxnId(i + 1);
@@ -65,7 +65,6 @@ fn a_committed_insert_costs_the_log_few_bytes() {
         wal.append(
             txn,
             WalEntry::Redo(RedoOp::Insert {
-                db: Arc::clone(&db),
                 table: Arc::clone(&table),
                 row_id: i,
                 row,
