@@ -167,18 +167,17 @@ pub fn table_order(engine: &Engine, db: &str) -> Result<Vec<String>> {
 /// table if needed. Row ids are preserved so that later write-all traffic
 /// addresses the same rows on every replica.
 ///
-/// Every row goes through [`Engine::apply_replicated_redo`], so the copy is
-/// in the target's log: a crash-restart replays it and a georep shipper
-/// re-seeded from this replica ships it. A row takes only the database's
-/// own table lock, never the catalog's write lock, so the target's other
-/// tenants do not wait for the copy.
+/// The database, the table and every row go through
+/// [`Engine::apply_replicated_redo`], so the copy is in the target's log: a
+/// crash-restart replays it and a georep shipper re-seeded from this
+/// replica ships it. A database or table the target already has is left as
+/// it is and logs nothing. A row takes only the database's own table lock,
+/// never the catalog's write lock, so the target's other tenants do not
+/// wait for the copy.
 pub fn restore_table(engine: &Engine, db: &str, dump: &TableDump) -> Result<()> {
-    if !engine.has_database(db) {
-        engine.create_database(db)?;
-    }
-    if engine.table(db, &dump.schema.name).is_err() {
-        engine.create_table(db, dump.schema.clone())?;
-    }
+    engine.apply_replicated_redo(db, &RedoOp::CreateDatabase)?;
+    let schema = Box::new(dump.schema.clone());
+    engine.apply_replicated_redo(db, &RedoOp::CreateTable { schema })?;
     let table: Arc<str> = dump.schema.name.as_str().into();
     for (row_id, row) in &dump.rows {
         let insert = RedoOp::Insert {

@@ -20,14 +20,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::sync::{Mutex, RwLock, ENGINE_CATALOG, ENGINE_IN_DOUBT, ENGINE_TABLES};
+use crate::sync::{Mutex, RwLock, RwLockReadGuard, ENGINE_CATALOG, ENGINE_IN_DOUBT, ENGINE_TABLES};
 
 use crate::buffer::{page_of_row, BufferPool, CostModel, PageKey};
 use crate::error::{Result, StorageError};
 use crate::lock::{LockManager, LockMode, ResourceId};
 use crate::schema::TableSchema;
 use crate::table::{Direction, Table};
-use crate::txn::{Finished, TxnId, TxnManager, UndoRecord};
+use crate::txn::{Finished, RowOp, TxnId, TxnManager, Undo};
 use crate::value::Value;
 use crate::wal::{LogRecord, Logs, Lsn, RedoOp, RowWrite, Wal, WalEntry};
 
@@ -80,9 +80,9 @@ pub struct Database {
     pub name: Arc<str>,
     tables: RwLock<HashMap<String, Arc<Table>>>,
     pub(crate) log: Arc<Wal>,
-    /// Set by the drop under `tables`' write lock: redo that resolved the
-    /// database before is refused, so it never follows the drop in the log,
-    /// where restart would replay it into a later incarnation.
+    /// Set by the drop under `tables`' write lock: a change that resolved
+    /// the database before is refused, so it never follows the drop in the
+    /// log, where restart would replay it into a later incarnation.
     dropped: AtomicBool,
 }
 
@@ -96,17 +96,30 @@ impl Database {
         }
     }
 
-    /// Refuse redo once the database is dropped, and otherwise append it
-    /// to the log if `log`; called under `tables`.
-    fn admit_redo(&self, op: &RedoOp, log: bool) -> Result<()> {
+    /// Refuse a change once the database is dropped; called under `tables`.
+    fn live(&self) -> Result<()> {
         // ordering: Relaxed — written and read under `tables`, which orders them.
         if self.dropped.load(Ordering::Relaxed) {
             return Err(StorageError::NoSuchDatabase(self.name.to_string()));
         }
+        Ok(())
+    }
+
+    /// Append `op` to the log if `log`; called under `tables`, once the
+    /// op's checks passed, so what is refused never reaches the log.
+    fn log_redo(&self, op: &RedoOp, log: bool) {
         if log {
             self.log.append_redo(Wal::DDL_TXN, op);
         }
-        Ok(())
+    }
+
+    /// `tables` shared, for a live row write: held across the table op
+    /// and its log append, so no write follows the drop in the log.
+    /// Refused once the database is dropped.
+    fn lock_for_row_write(&self) -> Result<RwLockReadGuard<'_, HashMap<String, Arc<Table>>>> {
+        let tables = self.tables.read();
+        self.live()?;
+        Ok(tables)
     }
 
     pub fn table_names(&self) -> Vec<String> {
@@ -130,9 +143,10 @@ impl Database {
     }
 }
 
-/// A table resolved by name once — the database (for its log and its name
-/// in undo/redo records) and the table object — so that the engine calls
-/// of one statement pay no further lookups.
+/// A table resolved by name once — the database (for its log and the table
+/// lock a write is checked under) and the table object, which an undo
+/// entry keeps — so that the engine calls of one statement pay no further
+/// lookups.
 #[derive(Debug, Clone)]
 pub struct TableHandle {
     db: Arc<Database>,
@@ -143,11 +157,6 @@ impl TableHandle {
     /// The resolved table (schema, shape).
     pub fn table(&self) -> &Table {
         &self.table
-    }
-
-    /// `(database, table)` names for an undo or redo record.
-    fn names(&self) -> (Arc<str>, Arc<str>) {
-        (Arc::clone(&self.db.name), Arc::clone(&self.table.name))
     }
 }
 
@@ -198,6 +207,10 @@ impl Engine {
     }
 
     // ---------------------------------------------------------------- DDL
+    //
+    // Each DDL call runs an arm of `apply_redo`, the applier replication,
+    // copy restore and restart run too: the arm checks, then logs under
+    // the lock it applies under, so what it refuses never reaches the log.
 
     /// Create a database (auto-committed DDL).
     pub fn create_database(&self, name: &str) -> Result<()> {
@@ -220,34 +233,20 @@ impl Engine {
         self.databases.read().contains_key(name)
     }
 
-    /// Create a table in a database (auto-committed DDL).
+    /// Create a table in a database (auto-committed DDL): the `CreateTable`
+    /// arm of `Engine::apply_redo`.
     pub fn create_table(&self, db: &str, schema: TableSchema) -> Result<()> {
         self.check_up()?;
-        let database = self.db(db)?;
-        let mut tables = database.tables.write();
-        if tables.contains_key(&schema.name) {
-            return Err(StorageError::AlreadyExists(schema.name.clone()));
-        }
-        // ordering: Relaxed — id minting; uniqueness needs only atomicity.
-        let id = self.next_table_id.fetch_add(1, Ordering::Relaxed);
-        tables.insert(
-            schema.name.clone(),
-            Arc::new(Table::new(id, schema.clone())),
-        );
-        drop(tables);
-        database.log.append(
-            Wal::DDL_TXN,
-            WalEntry::Redo(RedoOp::CreateTable {
-                schema: Box::new(schema),
-            }),
-        );
-        Ok(())
+        let schema = Box::new(schema);
+        self.apply_redo(db, &RedoOp::CreateTable { schema }, true)
     }
 
     /// Create a secondary index on a populated table (auto-committed DDL).
     ///
-    /// Internally rebuilds the table under an exclusive table lock (what a
-    /// blocking `CREATE INDEX` does on the paper's MySQL 5 substrate).
+    /// Takes the table's exclusive lock, so no transaction's write to it is
+    /// in flight (what a blocking `CREATE INDEX` does on the paper's MySQL 5
+    /// substrate), then runs the `CreateIndex` arm of `Engine::apply_redo`,
+    /// which rebuilds the table under its database's table lock.
     pub fn create_index(
         &self,
         db: &str,
@@ -258,32 +257,18 @@ impl Engine {
     ) -> Result<()> {
         self.check_up()?;
         let database = self.db(db)?;
-        let t = database.open_table(table)?.table;
+        let id = database.open_table(table)?.table.id;
+        let op = RedoOp::CreateIndex {
+            table: table.into(),
+            index: index.into(),
+            columns: columns.into(),
+            unique,
+        };
         self.with_txn(|txn| {
             self.locks
-                .acquire(txn, ResourceId::Table { table: t.id }, LockMode::X)?;
-            let mut schema = t.schema.clone();
-            schema.try_add_index(index, columns, unique)?;
-            let rebuilt = Table::new(t.id, schema);
-            for (rid, row) in t.scan() {
-                rebuilt.insert_with_id(rid, row)?;
-            }
-            database
-                .tables
-                .write()
-                .insert(table.to_string(), Arc::new(rebuilt));
-            Ok(())
-        })?;
-        database.log.append(
-            Wal::DDL_TXN,
-            WalEntry::Redo(RedoOp::CreateIndex {
-                table: table.into(),
-                index: index.into(),
-                columns: columns.into(),
-                unique,
-            }),
-        );
-        Ok(())
+                .acquire(txn, ResourceId::Table { table: id }, LockMode::X)?;
+            self.apply_to(&database, &op, true)
+        })
     }
 
     pub fn db(&self, name: &str) -> Result<Arc<Database>> {
@@ -331,42 +316,18 @@ impl Engine {
         Ok(())
     }
 
-    /// Abort: replay the undo log in reverse, then release all locks.
+    /// Abort: apply the undo log in reverse, then release all locks. Each
+    /// entry goes to the table its write went to, through the row applier
+    /// redo runs too (`Engine::apply_row`); no catalog lock is taken.
     /// Deliberately works even on a failed engine — the participant side of
     /// coordinator-driven cleanup.
     pub fn abort(&self, txn: TxnId) -> Result<()> {
         let Finished { undo, log } = self.txns.finish(txn)?;
-        for rec in undo.into_iter().rev() {
+        for Undo { table, row_id, op } in undo.into_iter().rev() {
             // We still hold X locks on everything the undo touches, and the
-            // images restore previously valid states, so these cannot fail;
+            // images restore previously valid states, so this cannot fail;
             // a failure here would indicate engine corruption.
-            match rec {
-                UndoRecord::Insert { db, table, row_id } => {
-                    if let Ok(t) = self.table(&db, &table) {
-                        let _ = t.delete(row_id);
-                    }
-                }
-                UndoRecord::Update {
-                    db,
-                    table,
-                    row_id,
-                    old,
-                } => {
-                    if let Ok(t) = self.table(&db, &table) {
-                        let _ = t.update(row_id, old);
-                    }
-                }
-                UndoRecord::Delete {
-                    db,
-                    table,
-                    row_id,
-                    old,
-                } => {
-                    if let Ok(t) = self.table(&db, &table) {
-                        let _ = t.insert_with_id(row_id, old);
-                    }
-                }
-            }
+            let _ = Self::apply_row(&table, row_id, op);
         }
         if let Some(log) = log {
             log.append(txn, WalEntry::Abort);
@@ -397,6 +358,13 @@ impl Engine {
     // a [`TableHandle`] (names resolved once, by the caller) and are what
     // the SQL executor runs on; the `&str` methods resolve the handle and
     // delegate, for callers that make one call per name.
+    //
+    // A write takes its lock-manager locks first, then its database's
+    // table lock shared (`Database::lock_for_row_write`) across the table
+    // op, the undo entry and the log append: it is refused once the
+    // database is dropped, and no lock-manager wait happens under that
+    // lock, so a drop queued for it stalls the database's other writers
+    // only briefly.
 
     /// Resolve `db.table` to a handle the `*_in` / `*_with` operations take.
     /// Resolve per statement, not per session: `CREATE INDEX` swaps the
@@ -507,12 +475,17 @@ impl Engine {
             self.buffer.access(Self::index_page(t, hash));
         }
         self.buffer.access(Self::data_page(t.id, row_id));
+        let _tables = h.db.lock_for_row_write()?;
         t.insert_with_id(row_id, row)?;
-        let (db, table) = h.names();
-        self.txns
-            .push_undo(txn, UndoRecord::Insert { db, table, row_id })?;
+        self.push_undo(txn, h, row_id, RowOp::Delete)?;
         self.log_image(txn, h, row_id, |row| RowWrite::Insert(row));
         Ok(row_id)
+    }
+
+    /// Record that `txn`'s write of `row_id` through `h` is reversed by `op`.
+    fn push_undo(&self, txn: TxnId, h: &TableHandle, row_id: u64, op: RowOp) -> Result<()> {
+        let table = Arc::clone(&h.table);
+        self.txns.push_undo(txn, Undo { table, row_id, op })
     }
 
     /// Log the image the table now holds for `row_id`, which `txn` just
@@ -789,17 +762,9 @@ impl Engine {
             self.buffer.access(Self::index_page(t, new_hash));
         }
         self.buffer.access(Self::data_page(t.id, row_id));
+        let _tables = h.db.lock_for_row_write()?;
         t.update(row_id, new_row)?;
-        let (db, table) = h.names();
-        self.txns.push_undo(
-            txn,
-            UndoRecord::Update {
-                db,
-                table,
-                row_id,
-                old,
-            },
-        )?;
+        self.push_undo(txn, h, row_id, RowOp::Update(old))?;
         self.log_image(txn, h, row_id, |row| RowWrite::Update(row));
         Ok(())
     }
@@ -823,17 +788,9 @@ impl Engine {
             self.lock_key(txn, t, hash, LockMode::X)?;
         }
         self.buffer.access(Self::data_page(t.id, row_id));
+        let _tables = h.db.lock_for_row_write()?;
         t.delete(row_id)?;
-        let (db, table) = h.names();
-        self.txns.push_undo(
-            txn,
-            UndoRecord::Delete {
-                db,
-                table,
-                row_id,
-                old,
-            },
-        )?;
+        self.push_undo(txn, h, row_id, RowOp::Insert(old))?;
         h.db.log
             .append_row(txn, &h.table.name, row_id, RowWrite::Delete);
         Ok(())
@@ -963,9 +920,10 @@ impl Engine {
     /// The caller feeds *decided* redo only, in the source's LSN order. The
     /// op is logged under [`Wal::DDL_TXN`], so a crash-restart replays it,
     /// and applied in place, bypassing locks, undo and 2PC: the source
-    /// already serialized and decided the work. A repeated `CreateDatabase`
-    /// is ignored; any other op for a database not hosted here is refused
-    /// with [`StorageError::NoSuchDatabase`] and logs nothing.
+    /// already serialized and decided the work. A repeated `CreateDatabase`,
+    /// `CreateTable` or `CreateIndex` is ignored and logs nothing; any other
+    /// op for a database not hosted here is refused with
+    /// [`StorageError::NoSuchDatabase`] and logs nothing.
     pub fn apply_replicated_redo(&self, db: &str, op: &RedoOp) -> Result<()> {
         self.check_up()?;
         match self.apply_redo(db, op, true) {
@@ -974,16 +932,20 @@ impl Engine {
         }
     }
 
-    /// Apply one decided redo op of `db` — the one redo applier of DDL,
-    /// crash replay ([`Engine::restart`]) and the live path, which sets
-    /// `log` to append the op under the lock it is applied under. Only the
-    /// markers take the catalog's write lock, so a `CreateDatabase` comes
-    /// after the previous incarnation's records in the log. Every arm is
-    /// idempotent or ignores its row-level failure, so replaying an op a
-    /// second time right after the first changes nothing. That is all it
-    /// promises: a re-seeded georep stream that replays another engine's
-    /// log from LSN zero over state that is not a prefix of that log does
-    /// not converge.
+    /// Apply one decided redo op of `db` — the one applier of a change to
+    /// a database or a table: live DDL ([`Engine::create_database`],
+    /// [`Engine::create_table`], [`Engine::create_index`]), replication
+    /// ([`Engine::apply_replicated_redo`]) and crash replay
+    /// ([`Engine::restart`]). With `log`, the op is appended under the lock
+    /// it is applied under, once its checks passed: a repeated create is
+    /// refused with [`StorageError::AlreadyExists`], and a bad index
+    /// definition or a unique violation in the rebuild with its own error,
+    /// before anything is logged. Only the markers take the catalog's write
+    /// lock, so a `CreateDatabase` comes after the previous incarnation's
+    /// records in the log. Replaying an op a second time right after the
+    /// first changes nothing. That is all it promises: a re-seeded georep
+    /// stream that replays another engine's log from LSN zero over state
+    /// that is not a prefix of that log does not converge.
     fn apply_redo(&self, db: &str, op: &RedoOp, log: bool) -> Result<()> {
         match op {
             RedoOp::CreateDatabase => {
@@ -1001,9 +963,10 @@ impl Engine {
                 let mut dbs = self.databases.write();
                 let d = dbs.remove(db);
                 let d = d.ok_or_else(|| StorageError::NoSuchDatabase(db.to_string()))?;
-                // Wait out redo in flight on its tables; refuse what is later.
+                // Wait out changes in flight on its tables; refuse what is later.
                 let _tables = d.tables.write();
-                d.admit_redo(op, log)?;
+                d.live()?;
+                d.log_redo(op, log);
                 // ordering: Relaxed — read under `tables`, whose write lock is held.
                 d.dropped.store(true, Ordering::Relaxed);
             }
@@ -1015,19 +978,23 @@ impl Engine {
     /// [`Engine::apply_redo`] of a table or row op to `d`, resolved by the
     /// caller. A row holds `d`'s table lock shared and table DDL holds it
     /// exclusively, so an index rebuild and a row write never interleave.
+    /// A row op for a table `d` does not have, or one its table refuses
+    /// (a missing row), is logged and ignored.
     fn apply_to(&self, d: &Database, op: &RedoOp, log: bool) -> Result<()> {
-        match op {
-            RedoOp::CreateDatabase | RedoOp::DropDatabase => {}
+        let (table, row_id, write) = match op {
+            RedoOp::CreateDatabase | RedoOp::DropDatabase => return Ok(()),
             RedoOp::CreateTable { schema } => {
                 let mut tables = d.tables.write();
-                d.admit_redo(op, log)?;
-                // A repeated CreateTable must not clobber a table that
-                // already took rows.
-                tables.entry(schema.name.clone()).or_insert_with(|| {
-                    // ordering: Relaxed — id minting; uniqueness needs only atomicity.
-                    let id = self.next_table_id.fetch_add(1, Ordering::Relaxed);
-                    Arc::new(Table::new(id, (**schema).clone()))
-                });
+                d.live()?;
+                if tables.contains_key(&schema.name) {
+                    return Err(StorageError::AlreadyExists(schema.name.clone()));
+                }
+                d.log_redo(op, log);
+                // ordering: Relaxed — id minting; uniqueness needs only atomicity.
+                let id = self.next_table_id.fetch_add(1, Ordering::Relaxed);
+                let table = Table::new(id, (**schema).clone());
+                tables.insert(schema.name.clone(), Arc::new(table));
+                return Ok(());
             }
             RedoOp::CreateIndex {
                 table,
@@ -1036,41 +1003,42 @@ impl Engine {
                 unique,
             } => {
                 let mut tables = d.tables.write();
-                d.admit_redo(op, log)?;
-                if let Some(old) = tables.get(&**table) {
-                    let mut schema = old.schema.clone();
-                    if schema.try_add_index(index, columns, *unique).is_ok() {
-                        let rebuilt = Table::new(old.id, schema);
-                        for (rid, row) in old.scan() {
-                            let _ = rebuilt.insert_with_id(rid, row);
-                        }
-                        tables.insert(table.to_string(), Arc::new(rebuilt));
-                    }
+                d.live()?;
+                let old = (tables.get(&**table))
+                    .ok_or_else(|| StorageError::NoSuchTable(table.to_string()))?;
+                let mut schema = old.schema.clone();
+                schema.try_add_index(index, columns, *unique)?;
+                let rebuilt = Table::new(old.id, schema);
+                for (rid, row) in old.scan() {
+                    rebuilt.insert_with_id(rid, row)?;
                 }
+                d.log_redo(op, log);
+                tables.insert(table.to_string(), Arc::new(rebuilt));
+                return Ok(());
             }
-            RedoOp::Insert { table, row_id, row } => {
-                let tables = d.tables.read();
-                d.admit_redo(op, log)?;
-                if let Some(t) = tables.get(&**table) {
-                    let _ = t.insert_with_id(*row_id, row.clone());
-                }
-            }
-            RedoOp::Update { table, row_id, row } => {
-                let tables = d.tables.read();
-                d.admit_redo(op, log)?;
-                if let Some(t) = tables.get(&**table) {
-                    let _ = t.update(*row_id, row.clone());
-                }
-            }
-            RedoOp::Delete { table, row_id } => {
-                let tables = d.tables.read();
-                d.admit_redo(op, log)?;
-                if let Some(t) = tables.get(&**table) {
-                    let _ = t.delete(*row_id);
-                }
-            }
+            RedoOp::Insert { table, row_id, row } => (table, row_id, RowOp::Insert(row.clone())),
+            RedoOp::Update { table, row_id, row } => (table, row_id, RowOp::Update(row.clone())),
+            RedoOp::Delete { table, row_id } => (table, row_id, RowOp::Delete),
+        };
+        let tables = d.tables.read();
+        d.live()?;
+        d.log_redo(op, log);
+        if let Some(t) = tables.get(&**table) {
+            let _ = Self::apply_row(t, *row_id, write);
         }
         Ok(())
+    }
+
+    /// Apply one row write to `t` — the one row applier: row redo runs it
+    /// once [`Engine::apply_to`] resolved the record's table by name, and
+    /// [`Engine::abort`] runs it with each undo entry, on the table that
+    /// entry's write went to.
+    fn apply_row(t: &Table, row_id: u64, op: RowOp) -> Result<()> {
+        match op {
+            RowOp::Insert(row) => t.insert_with_id(row_id, row),
+            RowOp::Update(row) => t.update(row_id, row).map(drop),
+            RowOp::Delete => t.delete(row_id).map(drop),
+        }
     }
 
     pub fn config(&self) -> &EngineConfig {
@@ -1085,19 +1053,20 @@ mod tests {
     use crate::value::DataType;
     use std::thread;
 
-    fn setup() -> Engine {
-        let e = Engine::new(EngineConfig::for_tests());
-        e.create_database("app").unwrap();
-        let schema = TableSchema::new(
+    /// The `kv` table every test database has.
+    fn kv_schema() -> TableSchema {
+        TableSchema::new(
             "kv",
             vec![
                 ColumnDef::new("k", DataType::Int).not_null(),
                 ColumnDef::new("v", DataType::Text),
             ],
         )
-        .with_primary_key(&["k"]);
-        e.create_table("app", schema).unwrap();
-        e
+        .with_primary_key(&["k"])
+    }
+
+    fn setup() -> Engine {
+        setup_dbs(&["app"])
     }
 
     fn kv(k: i64, v: &str) -> Vec<Value> {
@@ -1477,17 +1446,32 @@ mod tests {
         let e = Engine::new(EngineConfig::for_tests());
         for db in dbs {
             e.create_database(db).unwrap();
-            let schema = TableSchema::new(
-                "kv",
-                vec![
-                    ColumnDef::new("k", DataType::Int).not_null(),
-                    ColumnDef::new("v", DataType::Text),
-                ],
-            )
-            .with_primary_key(&["k"]);
-            e.create_table(db, schema).unwrap();
+            e.create_table(db, kv_schema()).unwrap();
         }
         e
+    }
+
+    /// Drop `db` and create it again, with an empty `kv`.
+    fn recreate(e: &Engine, db: &str) {
+        e.drop_database(db).unwrap();
+        e.create_database(db).unwrap();
+        e.create_table(db, kv_schema()).unwrap();
+    }
+
+    /// The names of `db.kv`'s indexes.
+    fn indexes_of(e: &Engine, db: &str) -> Vec<String> {
+        let kv = e.table(db, "kv").unwrap();
+        kv.schema.indexes.iter().map(|i| i.name.clone()).collect()
+    }
+
+    /// `CREATE INDEX by_v ON kv (v)`, as a redo op.
+    fn by_v() -> RedoOp {
+        RedoOp::CreateIndex {
+            table: "kv".into(),
+            index: "by_v".into(),
+            columns: ["v".to_string()].into(),
+            unique: false,
+        }
     }
 
     /// `db`'s rows, sorted.
@@ -1514,13 +1498,22 @@ mod tests {
         let dbs = ["a", "b", "c"];
         let e = setup_dbs(&dbs);
         let mut open = Vec::new();
+        type Open = Vec<(TxnId, u64, &'static str)>;
+        /// The transactions of `open` that touch `db`, taken out of it.
+        fn take(open: &mut Open, db: &str) -> Open {
+            let (taken, kept) = open.drain(..).partition(|o| o.2 == db);
+            *open = kept;
+            taken
+        }
         for round in 0..12i64 {
             for (i, db) in dbs.iter().enumerate() {
                 let t = e.begin().unwrap();
                 let k = round * 10 + i as i64;
-                let rid = e.insert(t, db, "kv", kv(k, "v")).unwrap();
+                // Values differ: an insert takes its `by_v` key's lock.
+                let rid = e.insert(t, db, "kv", kv(k, &format!("v{k}"))).unwrap();
                 if round % 3 == 1 {
-                    e.update(t, db, "kv", rid, kv(k, "updated")).unwrap();
+                    let updated = kv(k, &format!("updated {k}"));
+                    e.update(t, db, "kv", rid, updated).unwrap();
                 }
                 open.push((t, rid, *db));
             }
@@ -1541,12 +1534,43 @@ mod tests {
                     }
                 }
             }
+            if round == 4 {
+                // CREATE INDEX waits out the transactions open on its table.
+                for (t, _, _) in take(&mut open, "c") {
+                    e.commit(t).unwrap();
+                }
+                e.create_index("c", "kv", "by_v", &["v".into()], false)
+                    .unwrap();
+            }
+            if round == 7 {
+                // `b`'s open transactions outlive its drop; the new `b`
+                // commits rows under the row ids they wrote, and their
+                // abort leaves those rows alone.
+                let t = e.begin().unwrap();
+                e.insert(t, "b", "kv", kv(5_000, "old incarnation"))
+                    .unwrap();
+                let mut old = take(&mut open, "b");
+                old.push((t, 0, "b"));
+                recreate(&e, "b");
+                e.with_txn(|t| {
+                    (0..40).try_for_each(|k| e.insert(t, "b", "kv", kv(k, "new")).map(drop))
+                })
+                .unwrap();
+                for (t, _, _) in old {
+                    e.abort(t).unwrap();
+                }
+            }
         }
         for (t, _, _) in open {
             e.commit(t).unwrap();
         }
-        let before: Vec<_> = dbs.iter().map(|db| rows_of(&e, db)).collect();
-        assert!(before.iter().all(|rows| !rows.is_empty()));
+        let state = |e: &Engine| -> Vec<_> {
+            let of = |db| (rows_of(e, db), indexes_of(e, db));
+            dbs.iter().map(|db| of(db)).collect()
+        };
+        let before = state(&e);
+        assert!(before.iter().all(|(rows, _)| !rows.is_empty()));
+        assert_eq!(before[2].1, ["pk", "by_v"]);
         // Two transactions are still open at the crash: both vanish.
         for db in ["a", "c"] {
             let t = e.begin().unwrap();
@@ -1560,8 +1584,7 @@ mod tests {
         }
         e.crash();
         e.restart();
-        let after: Vec<_> = dbs.iter().map(|db| rows_of(&e, db)).collect();
-        assert_eq!(after, before);
+        assert_eq!(state(&e), before);
         assert!(e.in_doubt().is_empty());
     }
 
@@ -1895,6 +1918,116 @@ mod tests {
         e.crash();
         e.restart();
         assert!(rows_of(&e, "app").is_empty());
+    }
+
+    /// A write through a handle resolved before its database was dropped
+    /// and re-created is refused: it neither lands in the dropped
+    /// incarnation nor reaches the log, where restart would replay it into
+    /// the new one.
+    #[test]
+    fn a_write_through_a_handle_of_a_dropped_database_is_refused() {
+        let e = setup();
+        let old = e.open_table("app", "kv").unwrap();
+        let rid = e
+            .with_txn(|t| e.insert_in(t, &old, kv(1, "committed")))
+            .unwrap();
+        let t = e.begin().unwrap();
+        recreate(&e, "app");
+        let logged = e.wal().get("app").unwrap().len();
+        let refused = StorageError::NoSuchDatabase("app".into());
+        let insert = e.insert_in(t, &old, kv(2, "old incarnation"));
+        assert_eq!(insert.unwrap_err(), refused);
+        let update = e.update_in(t, &old, rid, kv(1, "old incarnation"));
+        assert_eq!(update.unwrap_err(), refused);
+        assert_eq!(e.delete_in(t, &old, rid).unwrap_err(), refused);
+        e.commit(t).unwrap();
+        assert_eq!(e.wal().get("app").unwrap().len(), logged);
+        assert_eq!(old.table().scan(), [(rid, kv(1, "committed"))]);
+        assert!(rows_of(&e, "app").is_empty());
+        e.crash();
+        e.restart();
+        assert!(rows_of(&e, "app").is_empty());
+    }
+
+    /// An abort undoes the table its transaction wrote, not the one its
+    /// name resolves to now: a transaction of a dropped incarnation that
+    /// aborts leaves the row the new incarnation committed under the same
+    /// row id, live as after restart.
+    #[test]
+    fn an_abort_after_a_drop_and_recreate_undoes_the_old_incarnation_only() {
+        let e = setup();
+        let a = e.begin().unwrap();
+        e.insert(a, "app", "kv", kv(1, "old incarnation")).unwrap();
+        recreate(&e, "app");
+        e.with_txn(|b| e.insert(b, "app", "kv", kv(1, "new incarnation")))
+            .unwrap();
+        e.abort(a).unwrap();
+        let new = vec![kv(1, "new incarnation")];
+        assert_eq!(rows_of(&e, "app"), new);
+        e.crash();
+        e.restart();
+        assert_eq!(rows_of(&e, "app"), new);
+    }
+
+    /// A replicated create of what the engine already has — a database, a
+    /// table, an index — is ignored and logs nothing: applying each op
+    /// twice grows the log by one record per op.
+    #[test]
+    fn a_repeated_replicated_create_is_logged_once() {
+        let e = Engine::new(EngineConfig::for_tests());
+        let schema = Box::new(kv_schema());
+        let ops = [
+            RedoOp::CreateDatabase,
+            RedoOp::CreateTable { schema },
+            by_v(),
+        ];
+        for (i, op) in ops.iter().enumerate() {
+            for _ in 0..2 {
+                e.apply_replicated_redo("app", op).unwrap();
+            }
+            assert_eq!(e.wal().get("app").unwrap().len(), i + 1, "{op:?}");
+        }
+        assert_eq!(indexes_of(&e, "app"), ["pk", "by_v"]);
+    }
+
+    /// Live DDL runs the redo arms, which refuse before they log: a table
+    /// or index that exists, an index on a column that does not, and a
+    /// unique index the rows violate change nothing and log nothing.
+    #[test]
+    fn refused_ddl_changes_nothing_and_logs_nothing() {
+        let e = setup();
+        e.with_txn(|t| {
+            e.insert(t, "app", "kv", kv(1, "same"))?;
+            e.insert(t, "app", "kv", kv(2, "same"))
+        })
+        .unwrap();
+        e.create_index("app", "kv", "by_v", &["v".into()], false)
+            .unwrap();
+        let logged = e.wal().len();
+        let v = ["v".to_string()];
+        let refusals = [
+            e.create_table("app", kv_schema()),
+            e.create_index("app", "kv", "by_v", &v, false),
+            e.create_index("app", "kv", "by_w", &["w".into()], false),
+            e.create_index("app", "kv", "v_unique", &v, true),
+            e.create_index("app", "nope", "by_v", &v, false),
+        ];
+        assert!(
+            matches!(
+                refusals,
+                [
+                    Err(StorageError::AlreadyExists(_)),
+                    Err(StorageError::AlreadyExists(_)),
+                    Err(StorageError::SchemaMismatch(_)),
+                    Err(StorageError::UniqueViolation { .. }),
+                    Err(StorageError::NoSuchTable(_)),
+                ]
+            ),
+            "{refusals:?}"
+        );
+        assert_eq!(e.wal().len(), logged);
+        assert_eq!(indexes_of(&e, "app"), ["pk", "by_v"]);
+        assert_eq!(rows_of(&e, "app").len(), 2);
     }
 
     #[test]

@@ -66,6 +66,6 @@ pub use idmap::FoldHasher;
 pub use lock::{LockManager, LockMode, LockStats, ResourceId};
 pub use schema::{ColumnDef, IndexDef, TableSchema};
 pub use table::{Direction, Table};
-pub use txn::{TxnId, TxnPhase, UndoRecord};
+pub use txn::{TxnId, TxnPhase};
 pub use value::{DataType, Value};
 pub use wal::{LogRecord, Lsn, RedoOp, Wal, WalEntry};

@@ -8,15 +8,17 @@
 //! back up into cluster code that takes locks.
 //!
 //! The only in-crate nesting runs down one database (`ENGINE_TABLES →
-//! TABLE_DATA`, and `ENGINE_TABLES → WAL_RECORDS` for redo logged under its
-//! table lock, in redo apply and DDL), from the catalog into one database
-//! only when a database is created or dropped (`ENGINE_CATALOG →
-//! ENGINE_TABLES → WAL_RECORDS`: the marker is logged under the catalog's
-//! write lock), from a table to its database's log (`TABLE_DATA →
-//! WAL_RECORDS`: a written row is logged from the table's own copy) and
-//! from the map of logs to each log (`ENGINE_LOGS → WAL_RECORDS`, summing
-//! their lengths); every other storage lock is held only for a short,
-//! self-contained critical section.
+//! TABLE_DATA`, and `ENGINE_TABLES → WAL_RECORDS` for a change logged under
+//! its table lock: redo and DDL hold it across the op and its append, and a
+//! live row write holds it shared across the table op, its undo entry
+//! (`ENGINE_TABLES → TXN_MANAGER`) and its append), from the catalog into
+//! one database only when a database is created or dropped
+//! (`ENGINE_CATALOG → ENGINE_TABLES → WAL_RECORDS`: the marker is logged
+//! under the catalog's write lock), from a table to its database's log
+//! (`TABLE_DATA → WAL_RECORDS`: a written row is logged from the table's
+//! own copy) and from the map of logs to each log (`ENGINE_LOGS →
+//! WAL_RECORDS`, summing their lengths); every other storage lock is held
+//! only for a short, self-contained critical section.
 
 pub use tenantdb_lockdep::{
     OrderedCondvar as Condvar, OrderedMutex as Mutex, OrderedMutexGuard as MutexGuard,

@@ -1,8 +1,12 @@
 //! Transaction bookkeeping: ids, lifecycle states, undo logs, and the
 //! two-phase-commit participant state machine.
 //!
-//! The engine applies writes in place (under strict 2PL) and keeps a logical
-//! undo log per transaction; abort replays the undo log in reverse. The 2PC
+//! The engine applies writes in place (under strict 2PL) and keeps an undo
+//! log per transaction; abort applies it in reverse. An entry holds the
+//! table object the write went to, not its name, so an abort changes the
+//! table its transaction wrote even after the database was dropped and
+//! re-created under the same name; it applies the entry's [`RowOp`] with
+//! the engine's one row applier, the one row redo runs too. The 2PC
 //! participant states follow the classic protocol:
 //!
 //! ```text
@@ -26,6 +30,7 @@ use crate::sync::{Mutex, TXN_MANAGER};
 
 use crate::error::{Result, StorageError};
 use crate::idmap::IdMap;
+use crate::table::Table;
 use crate::value::Value;
 use crate::wal::Wal;
 
@@ -55,36 +60,32 @@ impl TxnPhase {
     }
 }
 
-/// One logical undo record. Applied in reverse order on abort. The names
-/// are the engine's own, shared with the write's redo record.
-#[derive(Debug, Clone)]
-pub enum UndoRecord {
-    /// Undo an insert: remove the row.
-    Insert {
-        db: Arc<str>,
-        table: Arc<str>,
-        row_id: u64,
-    },
-    /// Undo an update: restore the old image.
-    Update {
-        db: Arc<str>,
-        table: Arc<str>,
-        row_id: u64,
-        old: Vec<Value>,
-    },
-    /// Undo a delete: re-insert the old image.
-    Delete {
-        db: Arc<str>,
-        table: Arc<str>,
-        row_id: u64,
-        old: Vec<Value>,
-    },
+/// One row write: what a row redo record applies once its table is
+/// resolved by name, and what an undo entry applies to reverse a write.
+#[derive(Debug, PartialEq)]
+pub enum RowOp {
+    /// Put this image in under the row id.
+    Insert(Vec<Value>),
+    /// Replace the row's image with this one.
+    Update(Vec<Value>),
+    /// Remove the row.
+    Delete,
+}
+
+/// One undo entry: the table a write went to — the object the writing
+/// statement resolved, never a name looked up again — and the row write
+/// that reverses it. Applied in reverse order on abort.
+#[derive(Debug)]
+pub struct Undo {
+    pub table: Arc<Table>,
+    pub row_id: u64,
+    pub op: RowOp,
 }
 
 #[derive(Debug)]
 struct TxnInfo {
     phase: TxnPhase,
-    undo: Vec<UndoRecord>,
+    undo: Vec<Undo>,
     writes: u64,
     /// The log of the database the transaction touched first; it touches
     /// no other.
@@ -95,7 +96,7 @@ struct TxnInfo {
 pub struct Finished {
     /// The undo log **in application order**: abort applies it in reverse,
     /// commit discards it.
-    pub undo: Vec<UndoRecord>,
+    pub undo: Vec<Undo>,
     /// The log holding records of this transaction — redo, or its
     /// `Prepare` — which must get the outcome record too. A transaction
     /// that wrote nothing and never prepared a touched database has none.
@@ -153,7 +154,7 @@ impl TxnManager {
     }
 
     /// Record an undo entry for a write just applied.
-    pub fn push_undo(&self, txn: TxnId, rec: UndoRecord) -> Result<()> {
+    pub fn push_undo(&self, txn: TxnId, rec: Undo) -> Result<()> {
         let mut map = self.txns.lock();
         let info = map.get_mut(&txn).ok_or(StorageError::NoSuchTxn(txn))?;
         info.writes += 1;
@@ -203,6 +204,7 @@ impl TxnManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::TableSchema;
 
     fn log() -> Arc<Wal> {
         Arc::new(Wal::default())
@@ -301,29 +303,23 @@ mod tests {
         let (tm, log) = (TxnManager::default(), log());
         let t = tm.begin();
         tm.require_active(t, &log).unwrap();
-        tm.push_undo(
-            t,
-            UndoRecord::Insert {
-                db: "d".into(),
-                table: "t".into(),
-                row_id: 1,
-            },
-        )
-        .unwrap();
-        tm.push_undo(
-            t,
-            UndoRecord::Update {
-                db: "d".into(),
-                table: "t".into(),
-                row_id: 1,
-                old: vec![],
-            },
-        )
-        .unwrap();
+        let table = Arc::new(Table::new(1, TableSchema::new("t", Vec::new())));
+        for op in [RowOp::Delete, RowOp::Update(vec![])] {
+            let table = Arc::clone(&table);
+            tm.push_undo(
+                t,
+                Undo {
+                    table,
+                    row_id: 1,
+                    op,
+                },
+            )
+            .unwrap();
+        }
         let Finished { undo, log } = tm.finish(t).unwrap();
         assert!(log.is_some(), "it wrote");
         assert_eq!(undo.len(), 2);
-        assert!(matches!(undo[0], UndoRecord::Insert { row_id: 1, .. }));
+        assert_eq!((undo[0].row_id, &undo[0].op), (1, &RowOp::Delete));
     }
 
     #[test]

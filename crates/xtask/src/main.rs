@@ -1,16 +1,19 @@
 //! Repo-local task runner (`cargo xtask` pattern — a plain binary crate, no
-//! extra tooling). One subcommand:
+//! extra tooling). Two subcommands:
 //!
 //! * `lint` — the concurrency-hygiene line rules of [`rules`] (DESIGN.md
 //!   §10.5). They run on a real token stream ([`lexer`] → [`model`] →
 //!   [`rules`]), so rule tokens inside string literals neither trigger nor
 //!   suppress them, and `#[cfg(test)]` exemption is attribute-scoped.
+//! * `lines` — non-test lines per crate and in total, with and without
+//!   this crate ([`lines`]): the size a change quotes.
 //!
 //! `lint` prints compiler-style `file:line: [rule] message` diagnostics
-//! and exits 1 on any finding; it gates CI.
+//! and exits 1 on any finding; it gates CI. `lines` only reports.
 
 mod diag;
 mod lexer;
+mod lines;
 mod model;
 mod rules;
 
@@ -30,9 +33,13 @@ fn main() {
                 std::process::exit(1);
             }
         }
+        Some("lines") => {
+            let sources = model::sources(&workspace_root());
+            print!("{}", lines::report(&lines::per_crate(&sources)));
+        }
         other => {
             eprintln!(
-                "usage: cargo run -p xtask -- lint   (got {:?})",
+                "usage: cargo run -p xtask -- lint|lines   (got {:?})",
                 other.unwrap_or("<none>")
             );
             std::process::exit(2);

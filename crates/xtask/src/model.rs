@@ -31,6 +31,15 @@ pub struct File {
 
 /// Every `crates/*/src/**/*.rs` file of the live tree, in path order.
 pub fn load(root: &Path) -> Vec<File> {
+    sources(root)
+        .iter()
+        .map(|(path, contents)| parse_file(path, contents))
+        .collect()
+}
+
+/// `(workspace-relative path, contents)` of every `crates/*/src/**/*.rs`
+/// file of the live tree, in path order.
+pub fn sources(root: &Path) -> Vec<(String, String)> {
     let mut files = Vec::new();
     let Ok(entries) = std::fs::read_dir(root.join("crates")) else {
         return files;
@@ -43,7 +52,7 @@ pub fn load(root: &Path) -> Vec<File> {
     files
 }
 
-fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<File>) {
+fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<(String, String)>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };
@@ -59,7 +68,7 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<File>) {
                 .to_string_lossy()
                 .replace('\\', "/");
             if let Ok(contents) = std::fs::read_to_string(&path) {
-                out.push(parse_file(&rel, &contents));
+                out.push((rel, contents));
             }
         }
     }
