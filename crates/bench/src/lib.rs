@@ -329,7 +329,7 @@ pub fn report_micro(name: &str, ns_per_op: f64) {
 
 // ---------------------------------------------------------------- recovery
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use tenantdb_cluster::{recover_machine, CopyGranularity, RecoveryConfig};
 use tenantdb_storage::Throttle;
 
@@ -369,6 +369,9 @@ pub struct RecoveryOutcome {
     pub tps_during_recovery: f64,
     /// Wall time of the recovery itself.
     pub recovery_wall: Duration,
+    /// Mean time a recovering database ran on one replica: from the
+    /// failure until its new replica joined.
+    pub single_replica: Duration,
     /// Number of databases whose replica was re-created.
     pub recovered_dbs: usize,
 }
@@ -433,6 +436,12 @@ impl RecoveryExperiment {
         let window = metrics_window_start(&cluster);
 
         let t0 = std::time::Instant::now();
+        let recovered = Arc::new(AtomicBool::new(false));
+        let single_replica = {
+            let (cluster, recovered) = (Arc::clone(&cluster), Arc::clone(&recovered));
+            let dbs = victim_dbs.clone();
+            std::thread::spawn(move || single_replica_times(&cluster, dbs, t0, &recovered))
+        };
         let report = recover_machine(
             &cluster,
             victim,
@@ -443,6 +452,10 @@ impl RecoveryExperiment {
             },
         );
         let recovery_wall = t0.elapsed();
+        // ordering: Release pairs with the poller's Acquire: its next pass
+        // sees every replica recovery added.
+        recovered.store(true, Ordering::Release);
+        let single_replica = single_replica.join().expect("replica poller");
         metrics_window_report("recovery", &cluster, window);
 
         // Snapshot counters at recovery completion.
@@ -461,8 +474,37 @@ impl RecoveryExperiment {
             },
             tps_during_recovery: during.committed as f64 / recovery_wall.as_secs_f64().max(1e-9),
             recovery_wall,
+            single_replica: single_replica.iter().sum::<Duration>()
+                / single_replica.len().max(1) as u32,
             recovered_dbs: report.recovered.len(),
         }
+    }
+}
+
+/// For each of `dbs` that gets its second alive replica back, the time
+/// from `failed_at` until it did. Polled every 5 ms, so each time is late
+/// by at most that; the last poll is made after `recovered` is set.
+fn single_replica_times(
+    cluster: &ClusterController,
+    mut dbs: Vec<String>,
+    failed_at: std::time::Instant,
+    recovered: &AtomicBool,
+) -> Vec<Duration> {
+    let mut times = Vec::new();
+    loop {
+        // ordering: Acquire pairs with the Release store after recovery.
+        let last = recovered.load(Ordering::Acquire);
+        dbs.retain(|db| {
+            let back = cluster.alive_replicas(db).is_ok_and(|r| r.len() >= 2);
+            if back {
+                times.push(failed_at.elapsed());
+            }
+            !back
+        });
+        if last || dbs.is_empty() {
+            return times;
+        }
+        std::thread::sleep(Duration::from_millis(5));
     }
 }
 

@@ -394,7 +394,7 @@ impl ClusterController {
     /// Resolve the `(source, target)` machine pair for a replica copy of
     /// `db` in one short controller step: the first alive replica is the
     /// copy source. Cloning the `Arc`s out of the machine map here is what
-    /// lets the bulk copy in `recovery::create_replica` run without any
+    /// lets each step of a `recovery` copy run without any
     /// controller lock held (asserted there via
     /// [`crate::sync::assert_no_controller_locks`]).
     pub fn copy_endpoints(
@@ -466,60 +466,64 @@ impl ClusterController {
     /// Create a database with `replicas` synchronous replicas, each
     /// demanding `demand`, on the machines `ControllerGroup::choose`
     /// picks: those with room for `demand`, fewest hosted databases first.
-    /// `NoMachines` when fewer than `replicas` machines have room.
+    /// `AlreadyExists` for a placed database, whatever the machines;
+    /// otherwise `NoMachines` when fewer than `replicas` machines have room.
     pub fn create_database_with_demand(
         &self,
         name: &str,
         replicas: usize,
         demand: ResourceVector,
     ) -> Result<Vec<MachineId>> {
-        let chosen = self
-            .group
-            .choose(name, replicas, demand, &self.alive_machine_ids())?;
-        self.create_on(name, &chosen, demand)?;
-        Ok(chosen)
+        self.create_on(name, demand, || {
+            self.group
+                .choose(name, replicas, demand, &self.alive_machine_ids())
+        })
     }
 
     /// Create a database on an explicit machine set (experiments control
     /// placement directly).
     pub fn create_database_on(&self, name: &str, machine_ids: &[MachineId]) -> Result<()> {
-        self.create_on(name, machine_ids, ResourceVector::ZERO)
+        self.create_on(name, ResourceVector::ZERO, || Ok(machine_ids.to_vec()))
+            .map(drop)
     }
 
+    /// The one create path: geo fence, then the existence check, and only
+    /// then `machines` picks where the database goes.
     fn create_on(
         &self,
         name: &str,
-        machine_ids: &[MachineId],
         demand: ResourceVector,
-    ) -> Result<()> {
+        machines: impl FnOnce() -> Result<Vec<MachineId>>,
+    ) -> Result<Vec<MachineId>> {
         // Geo fence: creating a database is a write.
         self.check_geo_fence()?;
         if self.group.placement(name).is_some() {
             return Err(ClusterError::AlreadyExists(name.to_string()));
         }
+        let machine_ids = machines()?;
         if machine_ids.is_empty() {
             return Err(ClusterError::NoMachines);
         }
-        for &id in machine_ids {
+        for &id in &machine_ids {
             self.machine(id)?.engine.create_database(name)?;
         }
         // The group picks the pinned replica (fewest pins) from its applied
         // state inside the proposal, so Option-1 read traffic spreads evenly
         // even when placements race.
-        let created = self.group.create_db(name, machine_ids, demand);
+        let created = self.group.create_db(name, &machine_ids, demand);
         if created.result.is_ok() {
             self.dbs.entry(name);
         } else if !created.proposed {
             // The placement can never commit: take back the engine
             // databases made for it, or the next create of `name` on these
             // machines would collide with them.
-            for &id in machine_ids {
+            for &id in &machine_ids {
                 if let Ok(m) = self.machine(id) {
                     let _ = m.engine.drop_database(name);
                 }
             }
         }
-        created.result
+        created.result.map(|()| machine_ids)
     }
 
     /// Drop a database: remove it from every replica and the placement map.
@@ -1155,6 +1159,24 @@ mod tests {
         let c = ClusterController::with_machines(ClusterConfig::for_tests(), 2);
         assert_eq!(
             c.create_database("big", 3).unwrap_err(),
+            ClusterError::NoMachines
+        );
+    }
+
+    /// A create of a placed database is `AlreadyExists` before any
+    /// machine is chosen: a `CreateDatabase` replayed on a standby that has
+    /// since lost a machine must not read as `NoMachines`.
+    #[test]
+    fn a_placed_database_already_exists_whatever_the_machines() {
+        let c = ClusterController::with_machines(ClusterConfig::for_tests(), 2);
+        c.create_database("app", 2).unwrap();
+        c.fail_machine(MachineId(1)).unwrap();
+        assert_eq!(
+            c.create_database("app", 2).unwrap_err(),
+            ClusterError::AlreadyExists("app".into())
+        );
+        assert_eq!(
+            c.create_database("other", 2).unwrap_err(),
             ClusterError::NoMachines
         );
     }

@@ -12,12 +12,25 @@
 //!   replica;
 //! * writes to not-yet-copied tables go to the old machines only.
 //!
-//! The number of concurrent recovery jobs (`threads`) is the x-axis of
-//! Figure 8, realized as a fixed-size [`crate::pool::WorkerPool`]: one copy
-//! task per lost database, at most `threads` in flight at once. Each copy's
-//! target is the machine `ControllerGroup::choose` picks, the same
-//! choice that placed the database.
+//! A copy is a job of steps (`CopyJob`): one step per table in
+//! [`copy::table_order`] at table granularity, one whole-database dump at
+//! database granularity. Its first step begins the copy and chooses the
+//! target — the machine `ControllerGroup::choose` picks, the same choice
+//! that placed the database — and the step that copies the last table
+//! finishes it. [`create_replica`] takes a job's steps on the calling
+//! thread. [`recover_machine`] runs the jobs of every lost database on a
+//! fixed-size [`crate::pool::WorkerPool`] of `threads` workers (Figure 8's
+//! x-axis): the jobs with no step in flight wait in a queue, a free worker
+//! takes the next step of the job at its front, and a job with steps left
+//! goes to the back. So at most `threads` steps run at once, at most one
+//! table of a database is being copied (Algorithm 1's t′ stays singular),
+//! and no worker waits while a database with no step in flight still has
+//! tables left. With one worker a job goes back to the front instead: the
+//! copies run one after another, as interleaving them would not end
+//! recovery sooner.
 
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -45,9 +58,13 @@ pub enum CopyGranularity {
 pub struct RecoveryConfig {
     /// Copy one table at a time or the whole database at once.
     pub granularity: CopyGranularity,
-    /// Concurrent copy jobs (recovery threads; Figure 8's x-axis).
+    /// Recovery threads (Figure 8's x-axis): how many copy steps run at
+    /// once. A step is one table at table granularity, and at most one
+    /// table of a database is copied at a time; at database granularity a
+    /// step is a whole database.
     pub threads: usize,
-    /// Copy bandwidth limit, so recovery overlaps live traffic.
+    /// Copy bandwidth limit of each step, so recovery overlaps live
+    /// traffic; the aggregate is at most `threads` times this.
     pub throttle: Throttle,
 }
 
@@ -64,7 +81,9 @@ impl Default for RecoveryConfig {
 /// Outcome of one recovery run.
 #[derive(Debug, Default)]
 pub struct RecoveryReport {
-    /// (database, new replica machine, copy duration).
+    /// (database, new replica machine, copy duration). The duration is the
+    /// time the copy's steps took, not counting any wait for a free thread
+    /// between them.
     pub recovered: Vec<(String, MachineId, Duration)>,
     /// Databases whose replica could not be re-created.
     pub failed: Vec<(String, ClusterError)>,
@@ -85,9 +104,189 @@ fn copy_fault_hook(controller: &ClusterController, point: CrashPoint, m: &Machin
     }
 }
 
-/// Create one additional replica of `db` on `target` (used by migration).
-/// The target machine must be alive; `db` must not already have a replica
-/// there.
+/// What one step of a copy dumps and restores.
+enum Step {
+    /// One table, in its own transaction (table granularity).
+    Table(String),
+    /// Every table in one transaction (database granularity).
+    Database,
+}
+
+/// One database's replica copy, taken a step at a time (see the module
+/// docs). Whoever drives it calls [`Self::step`] until it answers the
+/// target; a step that fails abandons the copy.
+struct CopyJob {
+    db: String,
+    granularity: CopyGranularity,
+    throttle: Throttle,
+    /// The target asked for; `None` lets the controller choose it.
+    target: Option<MachineId>,
+    /// The begun copy, from its first step on.
+    run: Option<CopyRun>,
+    /// Time spent in the job's steps: how long the copy took, not counting
+    /// any wait for a free thread between them.
+    busy: Duration,
+}
+
+/// A begun copy: its endpoints and the steps it has left.
+struct CopyRun {
+    target: MachineId,
+    source: Arc<Machine>,
+    target_machine: Arc<Machine>,
+    /// The steps not yet taken, in order.
+    steps: VecDeque<Step>,
+}
+
+impl CopyJob {
+    fn new(
+        db: String,
+        target: Option<MachineId>,
+        granularity: CopyGranularity,
+        throttle: Throttle,
+    ) -> Self {
+        CopyJob {
+            db,
+            granularity,
+            throttle,
+            target,
+            run: None,
+            busy: Duration::ZERO,
+        }
+    }
+
+    /// Take the job's next step, beginning the copy first if it has not
+    /// begun. Answers the target and the copy's duration once the step
+    /// finished the copy, `None` while steps are left.
+    fn step(&mut self, controller: &ClusterController) -> Result<Option<(MachineId, Duration)>> {
+        let started = Instant::now();
+        let run = match &mut self.run {
+            Some(run) => run,
+            None => {
+                let run = CopyRun::begin(controller, &self.db, self.target, self.granularity)?;
+                self.run.insert(run)
+            }
+        };
+        let stepped = run.next_step(controller, &self.db, self.throttle);
+        self.busy += started.elapsed();
+        if let Err(e) = stepped {
+            controller.abandon_copy(&self.db);
+            return Err(e);
+        }
+        if !run.steps.is_empty() {
+            return Ok(None);
+        }
+        let target = run.target;
+        controller.finish_copy(&self.db);
+        controller
+            .metrics()
+            .copy_latency
+            .observe_duration(self.busy);
+        Ok(Some((target, self.busy)))
+    }
+}
+
+impl CopyRun {
+    /// Begin a copy of `db` onto `target` (or the machine the controller
+    /// chooses), give the target an empty database and list the steps.
+    /// Abandons the copy if anything after `begin_copy` fails.
+    fn begin(
+        controller: &ClusterController,
+        db: &str,
+        target: Option<MachineId>,
+        granularity: CopyGranularity,
+    ) -> Result<CopyRun> {
+        // Until a table is marked copied no statement reaches the target, so
+        // the copy can begin before the target's database exists.
+        let target =
+            controller.begin_copy(db, target, granularity == CopyGranularity::DatabaseLevel)?;
+        let listed = (|| -> Result<CopyRun> {
+            // Resolve both endpoints in one short controller step. Every
+            // step works on the cloned machine `Arc`s: the bulk copy must
+            // run free of every controller lock (asserted in `next_step`),
+            // so Algorithm-1 routing, DDL and takeover never stall behind
+            // a copy.
+            let (source, target_machine) = controller.copy_endpoints(db, target)?;
+            if target_machine.engine.has_database(db) {
+                // A stale copy from a previous incarnation of this replica
+                // (the machine failed, restarted from its WAL, and is now
+                // being reused as a recovery target). The restored rows
+                // carry their source row ids, so restoring over stale data
+                // would collide or silently duplicate — the re-created
+                // replica must start from scratch.
+                target_machine.engine.drop_database(db)?;
+            }
+            target_machine.engine.create_database(db)?;
+            // DDL is refused while the copy is in flight, so the tables
+            // listed here are the tables the copy ends with.
+            let steps = match granularity {
+                CopyGranularity::TableLevel => copy::table_order(&source.engine, db)?
+                    .into_iter()
+                    .map(Step::Table)
+                    .collect(),
+                CopyGranularity::DatabaseLevel => VecDeque::from([Step::Database]),
+            };
+            Ok(CopyRun {
+                target,
+                source,
+                target_machine,
+                steps,
+            })
+        })();
+        listed.inspect_err(|_| controller.abandon_copy(db))
+    }
+
+    /// Copy what the next step names, if any step is left.
+    fn next_step(
+        &mut self,
+        controller: &ClusterController,
+        db: &str,
+        throttle: Throttle,
+    ) -> Result<()> {
+        let Some(step) = self.steps.pop_front() else {
+            return Ok(());
+        };
+        let point = match &step {
+            Step::Table(table) => {
+                controller.set_copy_current(db, Some(table));
+                CrashPoint::CopyTable
+            }
+            // `begin_copy` already marked the whole database rejected.
+            Step::Database => CrashPoint::CopyStart,
+        };
+        // Grace period: wait out every write statement routed with the
+        // copy state before the last tightening (`begin_copy` or
+        // `set_copy_current`). A drained write either applied before the
+        // dump's scan (which then sees it, or blocks on its 2PL lock until
+        // commit) or was rejected; without the drain it could apply on the
+        // source *after* the scan and be lost on the target.
+        controller.quiesce_routing();
+        // One crash-point hit per step, source then target (the property
+        // tests in `tenantdb-sim` crash here at every table boundary × both
+        // granularities).
+        copy_fault_hook(controller, point, &self.source);
+        copy_fault_hook(controller, point, &self.target_machine);
+        // Lockdep-checked invariant: the copy itself holds no controller
+        // (or outer) lock — only engine-level locks inside dump/restore.
+        crate::sync::assert_no_controller_locks();
+        let (source, target) = (&self.source.engine, &self.target_machine.engine);
+        match step {
+            Step::Table(table) => {
+                let dump = copy::dump_table(source, db, &table, throttle)?;
+                copy::restore_table(target, db, &dump)?;
+                controller.mark_copied(db, &table);
+            }
+            Step::Database => {
+                let dump = copy::dump_database(source, db, throttle)?;
+                copy::restore_database(target, &dump)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Create one additional replica of `db` on `target` (used by migration),
+/// taking every step of the copy on the calling thread. The target machine
+/// must be alive; `db` must not already have a replica there.
 pub fn create_replica(
     controller: &ClusterController,
     db: &str,
@@ -95,91 +294,11 @@ pub fn create_replica(
     granularity: CopyGranularity,
     throttle: Throttle,
 ) -> Result<Duration> {
-    copy_replica(controller, db, Some(target), granularity, throttle).map(|(_, d)| d)
-}
-
-/// Create one additional replica of `db` on `target`, or, with none given,
-/// on the machine the controller chooses as the copy begins. Returns the
-/// target and the copy's duration.
-fn copy_replica(
-    controller: &ClusterController,
-    db: &str,
-    target: Option<MachineId>,
-    granularity: CopyGranularity,
-    throttle: Throttle,
-) -> Result<(MachineId, Duration)> {
-    let started = Instant::now();
-    // Until a table is marked copied no statement reaches the target, so
-    // the copy can begin before the target's database exists.
-    let target =
-        controller.begin_copy(db, target, granularity == CopyGranularity::DatabaseLevel)?;
-    let result = (|| -> Result<()> {
-        // Resolve both endpoints in one short controller step. Everything
-        // after this line works on the cloned machine `Arc`s: the bulk copy
-        // must run free of every controller lock (asserted at the dump
-        // sites below), so Algorithm-1 routing, DDL and takeover never
-        // stall behind a copy.
-        let (source, target_machine) = controller.copy_endpoints(db, target)?;
-        if target_machine.engine.has_database(db) {
-            // A stale copy from a previous incarnation of this replica (the
-            // machine failed, restarted from its WAL, and is now being
-            // reused as a recovery target). The restored rows carry their
-            // source row ids, so restoring over stale data would collide or
-            // silently duplicate — the re-created replica must start from
-            // scratch.
-            target_machine.engine.drop_database(db)?;
-        }
-        target_machine.engine.create_database(db)?;
-        match granularity {
-            CopyGranularity::TableLevel => {
-                for table in copy::table_order(&source.engine, db)? {
-                    controller.set_copy_current(db, Some(&table));
-                    // Grace period: wait out every write statement routed
-                    // with the pre-`set_copy_current` copy state. A drained
-                    // write either applied before the dump's scan (which
-                    // then sees it, or blocks on its 2PL lock until commit)
-                    // or was rejected; without the drain it could apply on
-                    // the source *after* the scan and be lost on the target.
-                    controller.quiesce_routing();
-                    // One crash-point hit per table boundary, source then
-                    // target (the property tests in `tenantdb-sim` crash
-                    // here at every boundary × both granularities).
-                    copy_fault_hook(controller, CrashPoint::CopyTable, &source);
-                    copy_fault_hook(controller, CrashPoint::CopyTable, &target_machine);
-                    // Lockdep-checked invariant: the copy itself holds no
-                    // controller (or outer) lock — only engine-level locks
-                    // inside dump/restore.
-                    crate::sync::assert_no_controller_locks();
-                    let dump = copy::dump_table(&source.engine, db, &table, throttle)?;
-                    copy::restore_table(&target_machine.engine, db, &dump)?;
-                    controller.mark_copied(db, &table);
-                }
-            }
-            CopyGranularity::DatabaseLevel => {
-                // Same grace period as the table-level path: drain writes
-                // routed before `begin_copy` marked the whole database
-                // rejected, then dump.
-                controller.quiesce_routing();
-                copy_fault_hook(controller, CrashPoint::CopyStart, &source);
-                copy_fault_hook(controller, CrashPoint::CopyStart, &target_machine);
-                // Same invariant as the table-level path (see above).
-                crate::sync::assert_no_controller_locks();
-                let dump = copy::dump_database(&source.engine, db, throttle)?;
-                copy::restore_database(&target_machine.engine, &dump)?;
-            }
-        }
-        Ok(())
-    })();
-    match result {
-        Ok(()) => {
-            controller.finish_copy(db);
-            let elapsed = started.elapsed();
-            controller.metrics().copy_latency.observe_duration(elapsed);
-            Ok((target, elapsed))
-        }
-        Err(e) => {
-            controller.abandon_copy(db);
-            Err(e)
+    let db = db.to_string();
+    let mut job = CopyJob::new(db, Some(target), granularity, throttle);
+    loop {
+        if let Some((_, d)) = job.step(controller)? {
+            return Ok(d);
         }
     }
 }
@@ -213,6 +332,8 @@ pub fn migrate_replica(
 /// database's demand that neither hosts nor is receiving it, fewest hosted
 /// databases first. Copies already begun count, so concurrent copies
 /// spread rather than stack.
+///
+/// The copies' steps share `cfg.threads` workers (see the module docs).
 pub fn recover_machine(
     controller: &Arc<ClusterController>,
     failed_machine: MachineId,
@@ -222,37 +343,68 @@ pub fn recover_machine(
     // Serve from survivors immediately.
     let dbs = controller.detach_machine(failed_machine);
 
-    // A transient fixed pool bounds in-flight copies to exactly
-    // `cfg.threads` (the Figure 8 x-axis); the per-database tasks queue
-    // behind the running ones.
+    let threads = cfg.threads.max(1);
     let pool = WorkerPool::with_metrics(
         "recovery",
-        PoolConfig::fixed(cfg.threads.max(1)),
+        PoolConfig::fixed(threads),
         Some(crate::metrics::PoolMetrics::resolve(
             controller.metrics().registry(),
             "recovery",
             None,
         )),
     );
-    let (res_tx, res_rx) = channel();
-    for db in dbs {
-        let res_tx = res_tx.clone();
-        let controller = Arc::clone(controller);
-        pool.spawn_task(move || {
-            let outcome = copy_replica(&controller, &db, None, cfg.granularity, cfg.throttle);
-            let _ = res_tx.send((db, outcome));
-        });
-    }
-    drop(res_tx);
-
+    // The jobs with no step in flight, in the order their next steps are
+    // taken; a job leaves the queue while a worker takes its step.
+    let mut waiting: VecDeque<CopyJob> = dbs
+        .into_iter()
+        .map(|db| CopyJob::new(db, None, cfg.granularity, cfg.throttle))
+        .collect();
+    let (done_tx, done_rx) = channel();
+    let mut in_flight = 0;
+    let mut panicked = None;
     let mut report = RecoveryReport::default();
-    while let Ok((db, outcome)) = res_rx.recv() {
+    loop {
+        while in_flight < threads && panicked.is_none() {
+            let Some(mut job) = waiting.pop_front() else {
+                break;
+            };
+            let (controller, done_tx) = (Arc::clone(controller), done_tx.clone());
+            pool.spawn_task(move || {
+                // A panicking step resurfaces on the calling thread rather
+                // than leaving it waiting for a step that never ends.
+                let outcome = catch_unwind(AssertUnwindSafe(|| job.step(&controller)));
+                let _ = done_tx.send((job, outcome));
+            });
+            in_flight += 1;
+        }
+        if in_flight == 0 {
+            break;
+        }
+        // This thread holds a sender, so the channel never closes here.
+        let Ok((job, outcome)) = done_rx.recv() else {
+            break;
+        };
+        in_flight -= 1;
         match outcome {
-            Ok((target, d)) => report.recovered.push((db, target, d)),
-            Err(e) => report.failed.push((db, e)),
+            Err(panic) => {
+                panicked = Some(panic);
+                waiting.push_back(job);
+            }
+            Ok(Ok(None)) if threads == 1 => waiting.push_front(job),
+            Ok(Ok(None)) => waiting.push_back(job),
+            Ok(Ok(Some((target, d)))) => report.recovered.push((job.db, target, d)),
+            Ok(Err(e)) => report.failed.push((job.db, e)),
         }
     }
     drop(pool); // joins the copy threads
+    if let Some(panic) = panicked {
+        // Leave no copy begun: its Algorithm-1 state would refuse writes
+        // and DDL on the database for good.
+        for job in waiting.iter().filter(|job| job.run.is_some()) {
+            controller.abandon_copy(&job.db);
+        }
+        resume_unwind(panic);
+    }
     report.recovered.sort_by(|a, b| a.0.cmp(&b.0));
     report.wall_time = started.elapsed();
     report
@@ -317,6 +469,82 @@ mod tests {
             hosted.iter().all(|&n| n <= 4),
             "databases per machine: {hosted:?}"
         );
+    }
+
+    /// Recovery's workers take steps, not databases. Three equal databases
+    /// on the failed machine. Two threads at table granularity: every copy
+    /// begins before the first finishes, at most two tables are in flight
+    /// and never two of one database. Two threads at database granularity:
+    /// a step is a whole database, at most two in flight. One thread: the
+    /// copies run one after another. Counted from the event log, so no
+    /// timing is involved.
+    #[test]
+    fn recovery_workers_take_tables_across_databases() {
+        use CopyGranularity::{DatabaseLevel, TableLevel};
+        for (granularity, threads) in [(TableLevel, 2), (DatabaseLevel, 2), (TableLevel, 1)] {
+            let case = format!("{granularity:?}, {threads} threads");
+            let c = ClusterController::with_machines(ClusterConfig::for_tests(), 4);
+            let dbs = ["d0", "d1", "d2"];
+            for db in dbs {
+                c.create_database_on(db, &[MachineId(0), MachineId(1)])
+                    .unwrap();
+                let conn = c.connect(db).unwrap();
+                for t in ["a", "b", "c"] {
+                    let create = format!("CREATE TABLE {t} (id INT NOT NULL, PRIMARY KEY (id))");
+                    c.ddl(db, &create).unwrap();
+                    for i in 0..20i64 {
+                        let insert = format!("INSERT INTO {t} VALUES (?)");
+                        conn.execute(&insert, &[Value::Int(i)]).unwrap();
+                    }
+                }
+            }
+            c.fail_machine(MachineId(0)).unwrap();
+            let report = recover_machine(
+                &c,
+                MachineId(0),
+                RecoveryConfig {
+                    granularity,
+                    threads,
+                    throttle: Throttle::new(50_000),
+                },
+            );
+            assert!(report.failed.is_empty(), "{case}: {:?}", report.failed);
+            assert_eq!(report.recovered.len(), 3, "{case}");
+
+            let (mut begun, mut copies_open, mut tables_open) = (0, 0, Vec::new());
+            for e in c.metrics().events().all() {
+                let db = e.field("db").unwrap_or_default().to_string();
+                match e.kind {
+                    "copy_begin" => {
+                        begun += 1;
+                        copies_open += 1;
+                    }
+                    "copy_finish" => {
+                        if (granularity, threads) == (TableLevel, 2) {
+                            assert_eq!(begun, 3, "{case}: a copy finished before all began");
+                        }
+                        copies_open -= 1;
+                    }
+                    "copy_table_begin" => {
+                        assert!(!tables_open.contains(&db), "{case}: two tables of {db}");
+                        tables_open.push(db);
+                        assert!(tables_open.len() <= threads, "{case}: {tables_open:?}");
+                    }
+                    "copy_table_done" => tables_open.retain(|open| *open != db),
+                    _ => {}
+                }
+                if granularity == DatabaseLevel {
+                    assert!(tables_open.is_empty(), "{case}: a table step");
+                }
+                if granularity == DatabaseLevel || threads == 1 {
+                    assert!(copies_open <= threads, "{case}: {copies_open} copies open");
+                }
+            }
+            assert_eq!((begun, copies_open), (3, 0), "{case}");
+            for db in dbs {
+                crate::testkit::assert_replicas_converged(&c, db);
+            }
+        }
     }
 
     #[test]

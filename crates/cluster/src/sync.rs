@@ -213,7 +213,7 @@ mod tests {
     use std::sync::mpsc;
     use std::time::Duration;
 
-    /// Two copies quiesce at once (recovery runs one per lost database):
+    /// Two copies quiesce at once (recovery copies lost databases side by side):
     /// the second must still wait for a reader that entered before it,
     /// although the first's flip moved the generation on.
     #[test]

@@ -20,7 +20,8 @@
 //! rewinds here, which may resend records the applier already processed —
 //! [`Applier::ingest`] drops everything below its high-water mark, and
 //! the apply path itself is idempotent, so at-least-once delivery is
-//! harmless.
+//! harmless. The high-water mark passes a record only once it applied: a
+//! record whose apply failed is ingested again when it is re-shipped.
 //!
 //! ## Fencing
 //!
@@ -171,8 +172,6 @@ impl Applier {
             if rec.lsn < self.high_seen {
                 continue; // re-shipped after a lost ack — already processed
             }
-            self.high_seen = rec.lsn.next();
-            ingested += 1;
             match &rec.entry {
                 WalEntry::Redo(op) if rec.txn == Wal::DDL_TXN => self.apply_ddl(op)?,
                 WalEntry::Redo(op) => {
@@ -197,10 +196,14 @@ impl Applier {
                         .prepared = true;
                 }
                 WalEntry::Commit => {
-                    if let Some(p) = self.pending.remove(&rec.txn) {
+                    if let Some(p) = self.pending.get(&rec.txn) {
                         for op in &p.ops {
                             self.apply_op(op)?;
                         }
+                        // Only now: a commit that failed part-way stays
+                        // pending, and its re-shipped marker applies it
+                        // again (every op replays idempotently).
+                        self.pending.remove(&rec.txn);
                         committed += 1;
                     }
                 }
@@ -208,6 +211,10 @@ impl Applier {
                     self.pending.remove(&rec.txn);
                 }
             }
+            // Past the record only once it applied: a failed one is
+            // re-shipped from the ack, and the dedupe must not skip it.
+            self.high_seen = rec.lsn.next();
+            ingested += 1;
         }
         let watermark = self.resume_lsn();
         self.series.applied.add(ingested);
@@ -476,6 +483,49 @@ mod tests {
             let t = c.machine(id).unwrap().engine.table("other", "t").unwrap();
             assert_eq!(t.schema.indexes.len(), 1, "other's t gained an index");
         }
+    }
+
+    /// A record whose apply fails is not acknowledged: re-ingesting the
+    /// same batch applies it. First the shipped `CreateDatabase` finds too
+    /// few standby machines, then a replica that lost the database refuses
+    /// a commit.
+    #[test]
+    fn a_failed_apply_is_retried_not_skipped() {
+        let c = standby();
+        let mut a = Applier::new(Arc::clone(&c), "app", 2, metrics());
+        a.handshake(MachineId(0), 0).unwrap();
+        let create_table = RedoOp::CreateTable {
+            schema: Box::new(schema()),
+        };
+        let setup = [ddl(0, RedoOp::CreateDatabase), ddl(1, create_table.clone())];
+        c.fail_machine(MachineId(1)).unwrap();
+        assert!(matches!(
+            a.ingest(0, &setup),
+            Err(GeoError::Cluster(ClusterError::NoMachines))
+        ));
+        assert_eq!(
+            a.resume_lsn(),
+            Lsn::ZERO,
+            "the watermark passed a failed record"
+        );
+        c.restart_machine(MachineId(1)).unwrap();
+        assert_eq!(a.ingest(0, &setup).unwrap(), Lsn(2));
+
+        let m1 = c.machine(MachineId(1)).unwrap();
+        m1.engine.drop_database("app").unwrap();
+        let txn = [insert(2, 7, 1), rec(3, 7, WalEntry::Commit)];
+        assert!(matches!(a.ingest(0, &txn), Err(GeoError::Protocol(_))));
+        assert_eq!(
+            a.resume_lsn(),
+            Lsn(2),
+            "the watermark passed a failed commit"
+        );
+        for op in [RedoOp::CreateDatabase, create_table] {
+            m1.engine.apply_replicated_redo("app", &op).unwrap();
+        }
+        assert_eq!(a.ingest(0, &txn).unwrap(), Lsn(4));
+        let row = vec![vec![Value::Int(1), Value::Text("v1".into())]];
+        assert_eq!(replica_rows(&c, "app"), [row.clone(), row]);
     }
 
     #[test]
